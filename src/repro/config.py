@@ -160,8 +160,10 @@ class AssemblyConfig:
         2 → two packed keys (~124 bits), the analog of the paper's 128-bit
         fingerprints.
     map_batch_reads:
-        Reads fingerprinted per kernel launch in the map phase. ``0`` sizes
-        the batch automatically from the device budget.
+        Reads per *device* batch (one modeled kernel launch) in the map
+        phase. ``0`` sizes the batch automatically from the device budget.
+        The host may stage several device batches per numpy call; modeled
+        costs and partition files do not depend on that.
     host_block_pairs / device_block_pairs:
         Explicit ``m_h``/``m_d`` overrides (paper Fig. 8/9 sweeps); ``0``
         derives them from ``memory``.

@@ -20,17 +20,30 @@ Routing is fully vectorized: one fancy-indexed gather per orientation
 builds the whole ``(n_lengths × n_batch)`` prefix/suffix record block,
 instead of ~2·L per-length Python record assemblies per batch.
 
+The phase works at the two levels of the paper's hierarchy. The *modeled*
+unit is the device batch (``map_batch_reads``, or as many reads as the
+device budget holds): scratch reservation, kernel charges, disk metering,
+the ``map:batch`` span and ``MapReport.n_batches`` are all per device
+batch. The unit that numpy and the partition writers see is the *host
+block* of :func:`_stage_batches` consecutive device batches, read,
+fingerprinted and appended in one go, so a small device budget does not
+turn into one interpreter round trip per five reads. A partition file
+holds, per device batch, the forward-strand records then the
+reverse-complement records; :func:`_fingerprint_block` lays a block's
+records out in exactly that order, so the files do not depend on the
+block size.
+
 Execution is pipelined through :class:`~repro.parallel.PipelineExecutor`:
-a background producer prefetches packed-read batches off disk (depth 2)
-while pool workers fingerprint the in-flight batches. Under the
-``processes`` backend the batches instead travel 2-bit-packed through
-shared-memory segments to worker *processes* (see
-:func:`_fingerprint_task`), which write the finished record blocks into a
-shared output segment — no bulk pickling either way. Partition appends —
-and all modeled accounting (scratch reservations, kernel charges) — happen
-on the main thread in strict batch order, so partition files *and* modeled
-costs are identical for any worker count and backend (both paths run the
-same :func:`_fingerprint_batch` kernel).
+a background producer prefetches packed host blocks off disk (depth 2)
+while pool workers fingerprint the in-flight blocks. Under the
+``processes`` backend the blocks travel 2-bit-packed through shared-memory
+segments to worker *processes* (see :func:`_fingerprint_task`), which
+write the finished records into a shared output segment — no bulk
+pickling either way. Partition appends — and all modeled accounting
+(scratch reservations, kernel charges) — happen on the main thread in
+strict batch order, so partition files *and* modeled costs are identical
+for any worker count and backend (both paths run the same
+:func:`_fingerprint_block` kernel).
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..extmem import PartitionStore
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
+from ..faults import plan as faults
 from ..fingerprint import FingerprintScheme
 from ..fingerprint.scan import ScanWorkspace
 from ..parallel import shm
@@ -50,8 +64,12 @@ from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore, unpack_codes
 from .context import RunContext
 
-#: Batches the prefetch producer keeps in flight ahead of the workers.
+#: Host blocks the prefetch producer keeps in flight ahead of the workers.
 PREFETCH_DEPTH = 2
+
+#: Reads a host block is filled up to (whole device batches, host budget
+#: permitting). Per-call interpreter overhead is amortized well below this.
+STAGE_READS = 256
 
 #: Task path the process backend resolves inside its workers.
 _MAP_TASK = "repro.core.map_phase:_fingerprint_task"
@@ -76,6 +94,21 @@ def _auto_batch_reads(ctx: RunContext, read_length: int) -> int:
     return max(1, budget // per_read)
 
 
+def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int) -> int:
+    """Device batches per host block.
+
+    Enough to reach :data:`STAGE_READS`, as far as the host budget holds
+    their buffers; a device batch that is already that large is its own
+    block. With a fault plan armed blocks stay single batches: every
+    logical append is then an injectable write, delivered in batch order.
+    """
+    if faults.active():
+        return 1
+    host_budget = int(ctx.config.memory.host_bytes * ctx.config.memory.buffer_fraction)
+    return max(1, min(-(-STAGE_READS // batch_reads),
+                      host_budget // (batch_reads * per_read)))
+
+
 def overlap_lengths(ctx: RunContext, read_length: int) -> tuple[int, ...]:
     """The partition lengths ``[l_min, l_max)`` for this run."""
     l_min = ctx.config.min_overlap
@@ -95,30 +128,27 @@ class MapReport:
     lengths: tuple[int, ...]
 
 
-def _record_blocks(prefix_keys, suffix_keys, vertices: np.ndarray,
-                   prefix_cols: np.ndarray, suffix_cols: np.ndarray,
-                   dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the full per-length record blocks for one orientation.
+def _place(dst: np.ndarray, orientation: int, src: np.ndarray,
+           batch_reads: int) -> None:
+    """Write one orientation's ``(..., n)`` values into ``dst``'s ``(..., 2n)``.
 
-    Row ``j`` of each returned ``(n_lengths, n_batch)`` block holds exactly
-    the records the per-length loop used to assemble one
-    ``make_records`` call at a time — same values, same field layout, so
-    the partition bytes are unchanged.
+    ``dst`` is in partition-file order: per device batch of ``batch_reads``
+    reads (the last one of a store may be shorter), the forward values then
+    the reverse-complement values.
     """
-    lanes = 2 if AUX_FIELD in (dtype.names or ()) else 1
-    prefix_block = np.empty((prefix_cols.shape[0], vertices.shape[0]), dtype=dtype)
-    suffix_block = np.empty_like(prefix_block)
-    prefix_block[KEY_FIELD] = prefix_keys[0][:, prefix_cols].T
-    suffix_block[KEY_FIELD] = suffix_keys[0][:, suffix_cols].T
-    prefix_block[VAL_FIELD] = vertices
-    suffix_block[VAL_FIELD] = vertices
-    if lanes == 2:
-        prefix_block[AUX_FIELD] = prefix_keys[1][:, prefix_cols].T
-        suffix_block[AUX_FIELD] = suffix_keys[1][:, suffix_cols].T
-    return prefix_block, suffix_block
+    n = src.shape[-1]
+    whole = n // batch_reads
+    full = whole * batch_reads
+    lead = src.shape[:-1]
+    # Splitting the last axis never copies: the reshape is a view of ``dst``.
+    dst[..., :2 * full].reshape(*lead, whole, 2, batch_reads)[
+        ..., orientation, :] = src[..., :full].reshape(*lead, whole, batch_reads)
+    ragged = n - full
+    lo = 2 * full + orientation * ragged
+    dst[..., lo:lo + ragged] = src[..., full:]
 
 
-#: Per-thread scan scratch: `_fingerprint_batch` runs concurrently on pool
+#: Per-thread scan scratch: `_fingerprint_block` runs concurrently on pool
 #: worker threads, and a workspace's buffers alias across calls.
 _SCAN_TLS = threading.local()
 
@@ -130,28 +160,36 @@ def _scan_workspace() -> ScanWorkspace:
     return workspace
 
 
-def _fingerprint_batch(codes0: np.ndarray, read_ids: np.ndarray,
-                       scheme: FingerprintScheme, prefix_cols: np.ndarray,
-                       suffix_cols: np.ndarray, dtype: np.dtype):
-    """Pure-numpy fingerprint kernel for one batch, both orientations.
+def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
+                       batch_reads: int, scheme: FingerprintScheme,
+                       prefix_cols: np.ndarray, suffix_cols: np.ndarray,
+                       out: np.ndarray) -> None:
+    """Pure-numpy fingerprint kernel for one host block, both orientations.
 
-    Returns ``(n_reads, [(codes_nbytes, (prefix_block, suffix_block)), …])``
-    — the single source of truth run by the serial path, the thread
-    workers, and the process workers alike, so no backend can drift.
+    ``packed`` holds the block's 2-bit-packed reads, ``first_read`` is the
+    id of the first. Fills ``out``, a ``(2, n_lengths, 2·n)`` record array:
+    ``out[0][j]`` / ``out[1][j]`` are the records the block contributes to
+    the ``P`` / ``S`` partition of length ``j``, in file order (see
+    :func:`_place`) — same values and field layout as one record assembly
+    per device batch, orientation and length. The single source of truth
+    run by the serial path, the thread workers and the process workers
+    alike, so no backend can drift.
     """
+    codes0 = unpack_codes(packed, read_length)
+    n = codes0.shape[0]
     workspace = _scan_workspace()
-    orientations = []
+    forward = np.arange(first_read, first_read + n, dtype=np.uint32) << np.uint32(1)
+    vertices = np.empty(2 * n, dtype=np.uint32)
     for orientation in (0, 1):
         codes = codes0 if orientation == 0 else reverse_complement(codes0)
-        vertices = (read_ids.astype(np.uint32) << np.uint32(1)) \
-            | np.uint32(orientation)
-        # Workspace-backed key matrices: fully copied into the fresh record
-        # blocks below before the next orientation (or batch) reuses them.
-        prefix_keys, suffix_keys = scheme.key_matrices(codes, workspace)
-        blocks = _record_blocks(prefix_keys, suffix_keys, vertices,
-                                prefix_cols, suffix_cols, dtype)
-        orientations.append((codes.nbytes, blocks))
-    return codes0.shape[0], orientations
+        _place(vertices, orientation, forward | np.uint32(orientation), batch_reads)
+        # Workspace-backed key matrices: fully copied into ``out`` before
+        # the next orientation (or block) reuses them.
+        keys = scheme.key_matrices(codes, workspace)  # (prefix, suffix)
+        for side, lane_keys, cols in zip(out, keys, (prefix_cols, suffix_cols)):
+            for field, lane in zip((KEY_FIELD, AUX_FIELD), lane_keys):
+                _place(side[field], orientation, lane[:, cols].T, batch_reads)
+    out[VAL_FIELD] = vertices
 
 
 #: Per-process cache of fingerprint schemes (worker-side; keyed by config).
@@ -159,23 +197,16 @@ _WORKER_SCHEMES: dict[tuple[int, int], FingerprintScheme] = {}
 
 
 def _fingerprint_task(payload: dict) -> dict:
-    """Process-backend map task: packed reads in, record blocks out.
+    """Process-backend map task: packed reads in, staged records out.
 
-    The input segment holds the 2-bit-packed batch; the worker unpacks,
-    runs :func:`_fingerprint_batch`, and writes the four record blocks
-    (prefix/suffix × orientation) back-to-back into a fresh output
-    segment. Only segment names and a few scalars cross the pickle
-    boundary; the parent unlinks both segments after delivery.
+    The input segment holds the 2-bit-packed host block; the worker runs
+    :func:`_fingerprint_block` straight into a fresh output segment. Only
+    segment names and a few scalars cross the pickle boundary; the parent
+    unlinks both segments after delivery.
     """
     read_length = payload["read_length"]
     n = payload["n"]
     bytes_per_read = -(-read_length // 4)
-    segment = shm.attach(payload["shm_in"])
-    try:
-        packed = shm.as_array(segment, (n, bytes_per_read), np.uint8)
-        codes0 = unpack_codes(packed, read_length)
-    finally:
-        segment.close()
     key = (payload["lanes"], payload["seed"])
     scheme = _WORKER_SCHEMES.get(key)
     if scheme is None:
@@ -183,26 +214,25 @@ def _fingerprint_task(payload: dict) -> dict:
         _WORKER_SCHEMES[key] = scheme
     lengths = np.arange(payload["l_min"], read_length, dtype=np.intp)
     dtype = kv_dtype(payload["lanes"])
-    read_ids = payload["start"] + np.arange(n, dtype=np.uint64)
-    _, orientations = _fingerprint_batch(codes0, read_ids, scheme,
-                                         lengths - 1, read_length - lengths,
-                                         dtype)
-    out = shm.create(4 * lengths.shape[0] * n * dtype.itemsize)
+    out = shm.create(2 * lengths.shape[0] * 2 * n * dtype.itemsize)
     shm.disown(out)  # the parent unlinks it after delivery
     try:
-        stacked = shm.as_array(out, (4, lengths.shape[0], n), dtype)
-        stacked[0] = orientations[0][1][0]
-        stacked[1] = orientations[0][1][1]
-        stacked[2] = orientations[1][1][0]
-        stacked[3] = orientations[1][1][1]
+        segment = shm.attach(payload["shm_in"])
+        try:
+            _fingerprint_block(
+                shm.as_array(segment, (n, bytes_per_read), np.uint8),
+                payload["start"], read_length, payload["batch_reads"], scheme,
+                lengths - 1, read_length - lengths,
+                shm.as_array(out, (2, lengths.shape[0], 2 * n), dtype))
+        finally:
+            segment.close()
     except BaseException:
         out.close()
         shm.unlink(out.name)
         raise
     out.close()
     return {"shm_out": out.name, "shm_in": payload["shm_in"], "n": n,
-            "n_lengths": int(lengths.shape[0]),
-            "codes_nbytes": (orientations[0][0], orientations[1][0])}
+            "n_lengths": int(lengths.shape[0])}
 
 
 def run_map(ctx: RunContext, store: PackedReadStore,
@@ -231,51 +261,62 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         partitions = PartitionStore(ctx.workdir / "partitions", dtype, ctx.accountant)
     lanes = ctx.config.fingerprint_lanes
     per_read = per_read_device_bytes(read_length, lanes)
+    block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read)
     n_batches = 0
     tuples_written = 0
     start, stop = read_range if read_range is not None else (0, store.n_reads)
     lengths_arr = np.asarray(lengths, dtype=np.intp)
     prefix_cols = lengths_arr - 1
     suffix_cols = read_length - lengths_arr
+    kept = [(j, length) for j, length in enumerate(lengths)
+            if only_lengths is None or length in only_lengths]
 
     executor = ctx.executor
     tracer = ctx.tracer
 
-    def thread_deliveries():
-        """Serial/threads path: decoded batches, closures on the pool."""
-        def batches():
-            for batch_start in range(start, stop, batch_reads):
-                yield store.read_slice(batch_start,
-                                       min(batch_start + batch_reads, stop))
+    def packed_blocks():
+        """``(first read, packed reads)`` per host block.
 
-        def fingerprint(batch):
+        One sequential read per *device batch* — the modeled disk sees the
+        same ops whatever the block size — joined into one array.
+        """
+        for block_start in range(start, stop, block_reads):
+            block_stop = min(block_start + block_reads, stop)
+            parts = [store.read_packed_slice(lo, min(lo + batch_reads, block_stop))
+                     for lo in range(block_start, block_stop, batch_reads)]
+            yield block_start, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def thread_deliveries():
+        """Serial/threads path: closures on the pool."""
+        def fingerprint(block):
             # Worker-side compute: pure numpy, no modeled-hardware access.
-            return _fingerprint_batch(batch.codes, batch.read_ids, ctx.scheme,
-                                      prefix_cols, suffix_cols, dtype)
+            first_read, packed = block
+            staged = np.empty((2, len(lengths), 2 * packed.shape[0]), dtype=dtype)
+            _fingerprint_block(packed, first_read, read_length, batch_reads,
+                               ctx.scheme, prefix_cols, suffix_cols, staged)
+            return staged
 
         yield from executor.map_ordered(
-            fingerprint, executor.prefetch(batches(), depth=PREFETCH_DEPTH))
+            fingerprint, executor.prefetch(packed_blocks(), depth=PREFETCH_DEPTH))
 
     def process_deliveries():
-        """Process path: packed bytes out via shm, record blocks back via shm.
+        """Process path: packed bytes out via shm, staged records back via shm.
 
         The sequential packed reads happen on this side (same fault and
-        disk-accounting op order as the decoded path); workers run the
-        same :func:`_fingerprint_batch` kernel. Each delivered batch's
-        blocks are *views* into the worker's output segment — valid for
-        exactly one loop iteration, after which both segments are
-        unlinked.
+        disk-accounting op order as the thread path); workers run the
+        same :func:`_fingerprint_block` kernel. Each delivered block is a
+        *view* into the worker's output segment — valid for exactly one
+        loop iteration, after which both segments are unlinked.
         """
         pending_inputs: set[str] = set()
 
         def payloads():
-            for batch_start in range(start, stop, batch_reads):
-                batch_stop = min(batch_start + batch_reads, stop)
-                packed = store.read_packed_slice(batch_start, batch_stop)
+            for first_read, packed in packed_blocks():
                 name = shm.put_array(packed)
                 pending_inputs.add(name)
-                yield {"shm_in": name, "n": batch_stop - batch_start,
-                       "start": batch_start, "read_length": read_length,
+                yield {"shm_in": name, "n": packed.shape[0],
+                       "start": first_read, "read_length": read_length,
+                       "batch_reads": batch_reads,
                        "lanes": lanes, "seed": ctx.scheme.seed,
                        "l_min": ctx.config.min_overlap}
 
@@ -285,11 +326,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     executor.prefetch(payloads(), depth=PREFETCH_DEPTH)):
                 segment = shm.attach(result["shm_out"])
                 try:
-                    stacked = shm.as_array(
-                        segment, (4, result["n_lengths"], result["n"]), dtype)
-                    c0, c1 = result["codes_nbytes"]
-                    yield result["n"], [(c0, (stacked[0], stacked[1])),
-                                        (c1, (stacked[2], stacked[3]))]
+                    yield shm.as_array(
+                        segment, (2, result["n_lengths"], 2 * result["n"]), dtype)
                 finally:
                     segment.close()
                     shm.unlink(result["shm_out"])
@@ -304,31 +342,37 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     deliveries = process_deliveries() if executor.process_parallel \
         else thread_deliveries()
     try:
-        for n, orientations in deliveries:
-            n_batches += 1
-            # Modeled accounting stays on the main thread, in batch order:
-            # scratch reservations, kernel charges and partition appends
-            # are identical to the serial schedule for any worker count.
-            # The batch span is det=False: the prefetch thread charges the
-            # accountant from read_slice, so mid-phase simulated stamps
-            # depend on the worker count.
-            with tracer.span("map:batch", track="pipeline",
-                             batch=n_batches, reads=n), \
-                    ctx.gpu.scratch(n * per_read, label="map-batch"), \
-                    ctx.host_pool.alloc(n * per_read, label="map-host-buffers"):
-                for orientation, (codes_nbytes, blocks) in enumerate(orientations):
-                    if orientation == 1:
-                        ctx.gpu.charge_elementwise(codes_nbytes * 2)
-                    # One scan launch per hash lane per direction (Figs. 5-6).
-                    for _ in range(2 * 2 * lanes):
-                        ctx.gpu.charge_scan_kernel(n, read_length)
-                    prefix_block, suffix_block = blocks
-                    pairs = [(length, prefix_block[j], suffix_block[j])
-                             for j, length in enumerate(lengths)
-                             if only_lengths is None or length in only_lengths]
-                    partitions.append_pairs(pairs)
-                    tuples_written += 2 * n * len(pairs)
-                    ctx.gpu.charge_elementwise(2 * n * len(pairs) * dtype.itemsize)
+        for staged in deliveries:
+            block_n = staged.shape[2] // 2
+            rows = []
+            with ctx.host_pool.alloc(block_n * per_read, label="map-host-buffers"):
+                # Modeled accounting stays on the main thread, per device
+                # batch and in batch order: scratch reservations, kernel
+                # charges and (through ``rows``) the metered appends are
+                # identical to the serial schedule for any worker count and
+                # any block size. The batch span is det=False: the prefetch
+                # thread charges the accountant from the packed reads, so
+                # mid-phase simulated stamps depend on the worker count.
+                for lo in range(0, block_n, batch_reads):
+                    n = min(batch_reads, block_n - lo)
+                    n_batches += 1
+                    rows += (n, n)  # forward, reverse-complement
+                    with tracer.span("map:batch", track="pipeline",
+                                     batch=n_batches, reads=n), \
+                            ctx.gpu.scratch(n * per_read, label="map-batch"):
+                        for orientation in (0, 1):
+                            if orientation == 1:
+                                ctx.gpu.charge_elementwise(n * read_length * 2)
+                            # One scan launch per hash lane per direction
+                            # (Figs. 5-6).
+                            for _ in range(2 * 2 * lanes):
+                                ctx.gpu.charge_scan_kernel(n, read_length)
+                            ctx.gpu.charge_elementwise(
+                                2 * n * len(kept) * dtype.itemsize)
+                partitions.append_pairs(
+                    [(length, staged[0][j], staged[1][j]) for j, length in kept],
+                    rows)
+                tuples_written += 2 * 2 * block_n * len(kept)
     finally:
         # Prompt generator cleanup: the process path's finally drains the
         # in-flight window and unlinks every leftover shared-memory segment.

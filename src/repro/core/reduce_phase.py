@@ -153,6 +153,46 @@ def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
             return
 
 
+def _canonical_order(window: np.ndarray) -> np.ndarray:
+    """``window[np.lexsort((val, key))]`` of a key-sorted window.
+
+    Records sharing a fingerprint are ordered by vertex id. The window is
+    already ascending by key and ``lexsort`` is stable, so only records
+    inside equal-key groups can move: those are sorted on their own and
+    written back to the positions they came from; a window without ties
+    (the common case) is returned as it is.
+    """
+    keys = window[KEY_FIELD]
+    same = keys[1:] == keys[:-1]
+    if not same.any():
+        return window
+    in_group = np.zeros(window.shape[0], dtype=bool)
+    in_group[1:] = same
+    in_group[:-1] |= same
+    tied = np.flatnonzero(in_group)
+    records = window[tied]
+    out = window.copy()
+    out[tied] = records[np.lexsort((records[VAL_FIELD], records[KEY_FIELD]))]
+    return out
+
+
+def _expansion_chunks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Cut positive match counts into runs of at most ``MAX_EXPANSION``.
+
+    Returns ``(start, stop)`` index pairs, greedy from the left; a count
+    that exceeds the cap by itself forms a run of its own.
+    """
+    cumulative = np.cumsum(counts)
+    chunks = []
+    start, done = 0, 0
+    while start < counts.shape[0]:
+        stop = int(np.searchsorted(cumulative, done + MAX_EXPANSION, side="right"))
+        stop = max(stop, start + 1)
+        chunks.append((start, stop))
+        start, done = stop, int(cumulative[stop - 1])
+    return chunks
+
+
 def _match_windows(ctx: RunContext, graph: GreedyStringGraph,
                    s_win: np.ndarray, p_win: np.ndarray, length: int,
                    report: ReduceReport) -> None:
@@ -160,12 +200,12 @@ def _match_windows(ctx: RunContext, graph: GreedyStringGraph,
     # Canonical tie order: records sharing a fingerprint are re-ordered by
     # vertex id. External sorting is not stable across different merge
     # structures, and greedy tie-breaking depends on candidate order — this
-    # per-window lexsort makes the assembly bit-identical for every
+    # per-window order makes the assembly bit-identical for every
     # (m_h, m_d) choice and node count. Windows always contain whole
     # fingerprint groups (the equalization cuts at key boundaries), so the
     # canonical order is global.
-    s_win = s_win[np.lexsort((s_win[VAL_FIELD], s_win[KEY_FIELD]))]
-    p_win = p_win[np.lexsort((p_win[VAL_FIELD], p_win[KEY_FIELD]))]
+    s_win = _canonical_order(s_win)
+    p_win = _canonical_order(p_win)
     ctx.gpu.charge_elementwise(2 * (s_win.nbytes + p_win.nbytes))
     s_d = ctx.gpu.to_device(s_win, label="reduce-S")
     p_d = ctx.gpu.to_device(p_win, label="reduce-P")
@@ -181,16 +221,7 @@ def _match_windows(ctx: RunContext, graph: GreedyStringGraph,
         return
     # Expand match ranges into candidate edges in stream order, chunked so a
     # pathological repeat cannot blow host memory.
-    start = 0
-    while start < matched.size:
-        stop = start
-        total = 0
-        while stop < matched.size and total + counts[matched[stop]] <= MAX_EXPANSION:
-            total += counts[matched[stop]]
-            stop += 1
-        if stop == start:  # one suffix exceeds the cap by itself: take it alone
-            stop += 1
-            total = int(counts[matched[start]])
+    for start, stop in _expansion_chunks(counts[matched]):
         rows = matched[start:stop]
         row_counts = counts[rows]
         sources = np.repeat(s_win[VAL_FIELD][rows].astype(np.int64), row_counts)
@@ -206,4 +237,3 @@ def _match_windows(ctx: RunContext, graph: GreedyStringGraph,
         report.candidates += sources.shape[0]
         ctx.charge_host(sources.shape[0] * 16)
         graph.add_candidates(sources, targets, length)
-        start = stop

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ConfigError, StreamProtocolError
 from ..faults import plan as faults
 from .io_stats import IOAccountant
-from .streams import RunReader, RunWriter, _legacy_io
+from .streams import RunReader, RunWriter
 
 SIDES = ("S", "P")
 
@@ -35,9 +35,6 @@ class PartitionStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._writers: dict[tuple[str, int], RunWriter] = {}
         self._finalized = False
-        # Grouped accounting is part of the optimized hot path; the seed
-        # discipline (REPRO_LEGACY_IO=1) meters every append individually.
-        self._grouped = not _legacy_io()
 
     # -- paths ------------------------------------------------------------
 
@@ -50,8 +47,13 @@ class PartitionStore:
 
     # -- writing (map phase) -----------------------------------------------
 
-    def append(self, side: str, length: int, records: np.ndarray) -> None:
-        """Append records to partition ``(side, length)``."""
+    def append(self, side: str, length: int, records: np.ndarray, *,
+               meter: bool = True) -> None:
+        """Append records to partition ``(side, length)``.
+
+        ``meter=False`` leaves the accounting to the caller (see
+        :meth:`append_pairs`).
+        """
         if self._finalized:
             # A late append would silently truncate the partition (RunWriter
             # opens "wb") and corrupt the sorted phase's input.
@@ -62,40 +64,40 @@ class PartitionStore:
         if writer is None:
             writer = RunWriter(self.path(side, length), self.dtype, self.accountant)
             self._writers[key] = writer
-        writer.append(records)
+        writer.append(records, meter=meter)
 
-    def append_pairs(self, pairs) -> None:
-        """Append ``(length, prefix_records, suffix_records)`` tuples.
+    def append_pairs(self, pairs, rows) -> None:
+        """Land a staged fan-out: several logical appends per writer, one write.
 
-        Equivalent to ``append("P", ...)`` then ``append("S", ...)`` per
-        tuple — same writers, same order, same bytes — but the accounting
-        for the whole fan-out lands as one grouped, seekless
-        :meth:`~repro.extmem.io_stats.IOAccountant.add_write_run` call
-        (partition writers never seek). The map phase calls this once per
-        batch × orientation instead of ~150 times. With a fault plan armed
-        or under the seed I/O discipline every append is delivered and
-        metered individually, exactly as before.
+        ``pairs`` is a list of ``(length, prefix_records, suffix_records)``.
+        Every record array is ``len(rows)`` consecutive logical appends laid
+        back to back — ``rows[i]`` records each — which is how the map phase
+        stages the device batches of one host block (per batch, the forward
+        then the reverse-complement records). The result is what one
+        ``append("P", ...)`` then ``append("S", ...)`` per tuple, per entry
+        of ``rows``, would have produced: same writers, same bytes, and the
+        same accounting — one seekless write per logical append, in that
+        order, through one grouped
+        :meth:`~repro.extmem.io_stats.IOAccountant.add_write_run` (partition
+        writers never seek) — but each writer sees a single real append.
+        With a fault plan armed every logical append is delivered
+        individually, so write-op counts are those of the unstaged loop.
         """
-        if not self._grouped or self.accountant is None or faults.active():
-            for length, prefix, suffix in pairs:
-                self.append("P", length, prefix)
-                self.append("S", length, suffix)
+        if faults.active():
+            lo = 0
+            for n in rows:
+                for length, prefix, suffix in pairs:
+                    self.append("P", length, prefix[lo:lo + n])
+                    self.append("S", length, suffix[lo:lo + n])
+                lo += n
             return
-        if self._finalized:
-            raise StreamProtocolError(
-                f"{self.root}: append_pairs after finalize()")
-        writers = self._writers
-        sizes = []
         for length, prefix, suffix in pairs:
-            for side, records in (("P", prefix), ("S", suffix)):
-                key = (side, length)
-                writer = writers.get(key)
-                if writer is None:
-                    writer = RunWriter(self.path(side, length), self.dtype,
-                                       self.accountant)
-                    writers[key] = writer
-                sizes.append(writer.append(records, meter=False))
-        self.accountant.add_write_run(sizes)
+            self.append("P", length, prefix, meter=False)
+            self.append("S", length, suffix, meter=False)
+        if self.accountant is not None:
+            width = self.dtype.itemsize
+            self.accountant.add_write_run(
+                [n * width for n in rows for _ in range(2 * len(pairs))])
 
     def finalize(self) -> None:
         """Close all open partition writers (end of the map phase)."""

@@ -23,21 +23,11 @@ from .io_stats import IOAccountant
 _OPEN_PATHS: dict[Path, str] = {}
 
 #: Appends smaller than this coalesce in a writer-side tail buffer before
-#: reaching the OS (the map phase appends ~tiny per-partition blocks at a
-#: very high rate). Invisible to accounting: bytes, ops and simulated
-#: charges are recorded per logical append either way.
-_COALESCE_BYTES = 1 << 18
-
-
-def _legacy_io() -> bool:
-    """Route streams through the seed I/O discipline.
-
-    ``REPRO_LEGACY_IO=1`` restores the seed formulation — one OS write per
-    logical append and a bytes-object round trip per read — the
-    before-side of the hot-path benchmark. Checked once per stream, so a
-    toggle mid-stream cannot desynchronize a writer's tail buffer.
-    """
-    return os.environ.get("REPRO_LEGACY_IO", "") == "1"
+#: reaching the OS (the map phase's staged appends are 1–15 kB, and every
+#: open partition writer holds one tail: 74 of them in the paper's setup).
+#: Invisible to accounting: bytes, ops and simulated charges are recorded
+#: per logical append either way.
+_COALESCE_BYTES = 1 << 16
 
 
 def _register(path: Path, mode: str) -> None:
@@ -78,7 +68,6 @@ class RunWriter:
         # (the paper's map phase streams 74 partition files concurrently).
         self._pending_seek = 0
         self._tail = bytearray()
-        self._coalesce = not _legacy_io()
 
     @property
     def records_written(self) -> int:
@@ -99,7 +88,7 @@ class RunWriter:
             raise StreamProtocolError(
                 f"{self.path}: dtype mismatch ({records.dtype} != {self.dtype})")
         data = np.ascontiguousarray(records)
-        if faults.active() or not self._coalesce:
+        if faults.active():
             # Fault sites must observe one OS-visible write per append, in
             # order, so coalescing pauses while a plan is armed.
             self._drain_tail()
@@ -171,7 +160,6 @@ class RunReader:
         self._total = size // self.dtype.itemsize
         self._consumed = 0
         self._pending_seek = 1
-        self._fromfile = not _legacy_io()
 
     @property
     def total_records(self) -> int:
@@ -195,7 +183,7 @@ class RunReader:
         n = min(n, self.remaining)
         if n <= 0:
             return np.empty(0, dtype=self.dtype)
-        if faults.active() or not self._fromfile:
+        if faults.active():
             raw = faults.filter_read(
                 self.path, self._handle.read(n * self.dtype.itemsize))
             records = np.frombuffer(raw, dtype=self.dtype).copy()

@@ -18,7 +18,6 @@ paper's "fingerprint match ⇒ edge with high probability" semantics.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,16 +30,6 @@ from .scan import (ScanWorkspace, prefix_fingerprints_batch,
                    suffix_fingerprints_stacked)
 
 _SHIFT = np.uint64(32)
-
-
-def _legacy_scan() -> bool:
-    """Route key generation through the per-spec reference scans.
-
-    ``REPRO_LEGACY_SCAN=1`` restores the seed formulation (one matrix per
-    hash lane, fresh temporaries per step) — the before-side of the
-    hot-path benchmark and the oracle the stacked path is tested against.
-    """
-    return os.environ.get("REPRO_LEGACY_SCAN", "") == "1"
 
 
 def pack_pair(high: np.ndarray | int, low: np.ndarray | int) -> np.ndarray:
@@ -95,7 +84,7 @@ class FingerprintScheme:
         is the per-batch lifetime of the map phase's hot loop. All
         ``2·lanes`` hash lanes then run as one stacked in-place scan.
         """
-        if workspace is not None and not _legacy_scan():
+        if workspace is not None:
             return self._key_matrices_stacked(codes, workspace)
         prefix_keys: list[np.ndarray] = []
         suffix_keys: list[np.ndarray] = []

@@ -58,6 +58,7 @@ completion interleaving is OS-scheduled.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import shutil
 import tempfile
 import threading
@@ -82,6 +83,28 @@ from .jobs import JobOutcome, JobSpec, QuarantineEntry, ServiceReport, TenantRep
 #: excluded: identical content implies an identical demand or an equally
 #: draining service, so a promoted re-run could only fail the same way.
 _PROMOTE_ON = ("quarantined", "cancelled", "timed_out")
+
+#: glibc ``mallopt`` parameter capping the number of malloc arenas.
+_M_ARENA_MAX = -8
+
+
+def _share_malloc_arena() -> None:
+    """Make worker threads allocate from the main heap, not one arena each.
+
+    glibc gives every thread its own arena, and a freed phase buffer stays
+    resident at the top of the arena that served it (up to twice the
+    largest block the process ever freed; ``malloc_trim`` only shrinks the
+    main heap). Which worker's arena ends a job holding how much depends
+    on how the concurrent pipelines interleaved: after the same six jobs
+    the process kept 48 to 59 MB resident, run to run. With one arena the
+    workers reuse each other's freed blocks and the resident set after a
+    run is the same every time. The interpreter lock already serialises
+    nearly every allocation, so the arenas bought no concurrency.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+    except (AttributeError, OSError):
+        pass  # not glibc: the allocator has no per-thread arenas to cap
 
 
 class JobQueue:
@@ -191,6 +214,8 @@ class AssemblyService:
         self._draining = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._release: asyncio.Event | None = None
+        if self.config.max_parallel > 1:
+            _share_malloc_arena()
 
     # -- public entry points ---------------------------------------------------
 

@@ -311,7 +311,7 @@ class TestDistributedToken:
 class TestArmedPlanPausesStreamFastPaths:
     """A plan arming mid-stream must pause the pooled I/O fast paths.
 
-    RunWriter coalesces sub-256KB appends in a tail buffer and RunReader
+    RunWriter coalesces small appends in a tail buffer and RunReader
     uses ``np.fromfile`` — both bypass the fault sites. The regression:
     a plan armed *after* a stream opened (with a tail already buffered)
     silently missed its scheduled faults, and crash unwinds re-delivered

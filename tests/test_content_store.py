@@ -248,44 +248,6 @@ def test_pipeline_recomputes_through_damaged_cache(tmp_path, tiny_md,
             == baseline.contigs.offsets.tobytes()
 
 
-# -- legacy-formulation byte-identity through the cache -------------------------
-
-
-@pytest.mark.parametrize("legacy_env", [
-    {"REPRO_LEGACY_SCAN": "1"},
-    {"REPRO_LEGACY_IO": "1"},
-    {"REPRO_LEGACY_SCAN": "1", "REPRO_LEGACY_IO": "1"},
-])
-def test_legacy_modes_byte_identical_through_cache(tmp_path, tiny_md,
-                                                   laptop_config, monkeypatch,
-                                                   legacy_env):
-    """Legacy scan/IO formulations share cache entries byte-for-byte.
-
-    ``REPRO_LEGACY_SCAN`` / ``REPRO_LEGACY_IO`` are execution-only toggles:
-    they must not move the cache key, and artifacts published under a
-    legacy formulation must serve the modern run (and vice versa) with the
-    exact bytes — the digest check would surface any divergence as damage.
-    """
-    store = ContentStore(tmp_path / "cache", 64 << 20)
-    baseline = Assembler(laptop_config).assemble(tiny_md.store_path)
-    for name, value in legacy_env.items():
-        monkeypatch.setenv(name, value)
-    cold = Assembler(laptop_config, content_store=store).assemble(
-        tiny_md.store_path)
-    for name in legacy_env:
-        monkeypatch.delenv(name)
-    warm = Assembler(laptop_config, content_store=store).assemble(
-        tiny_md.store_path)
-    assert store.stats().get("cache_damaged", 0) == 0
-    assert store.stats()["cache_hits"] > 0, \
-        "legacy-published entries missed under the modern formulation"
-    for result in (cold, warm):
-        assert result.contigs.flat_codes.tobytes() \
-            == baseline.contigs.flat_codes.tobytes()
-        assert result.contigs.offsets.tobytes() \
-            == baseline.contigs.offsets.tobytes()
-
-
 # -- cache-key stability (satellite property test) -----------------------------
 
 #: (field, changed value) for every execution-only knob: none may move the key.

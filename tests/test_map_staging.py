@@ -1,0 +1,197 @@
+"""Host-staged map blocks: files and modeled costs do not depend on the block.
+
+The map phase stages ``k`` device batches per host block (DESIGN.md §2f).
+Everything the model sees is per device batch, so a staged run must equal a
+run forced to ``k = 1`` in every partition byte, report field, clock
+category, disk counter and device peak; the host pool alone differs — it
+reserves the block that is really staged.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.config import AssemblyConfig, MemoryConfig
+from repro.core import map_phase
+from repro.core.context import RunContext
+from repro.core.map_phase import per_read_device_bytes, run_map
+from repro.errors import FaultInjected
+from repro.extmem.records import kv_dtype
+from repro.faults import READ, WRITE, FaultPlan, inject
+from repro.seq.packing import PackedReadStore
+
+#: A window that starts mid-store and ends in a ragged batch for 5 and 7.
+READ_RANGE = (13, 110)
+
+
+def _config(batch_reads: int, host_bytes: int, **overrides) -> AssemblyConfig:
+    """A device that holds exactly one batch under a host of ``host_bytes``."""
+    device_bytes = batch_reads * per_read_device_bytes(50, 1)
+    return AssemblyConfig(min_overlap=25, map_batch_reads=batch_reads,
+                          memory=MemoryConfig(host_bytes, device_bytes,
+                                              name="staging"),
+                          **overrides)
+
+
+def _host_bytes_for(k: int, batch_reads: int, per_read: int) -> int:
+    """A host size whose budget holds exactly ``k`` device batches."""
+    fraction = MemoryConfig(1 << 20, 1 << 10).buffer_fraction
+    return int((k * batch_reads * per_read + per_read // 2) / fraction) + 1
+
+
+def _map(tmp_path, name: str, config: AssemblyConfig, store_path, **kwargs):
+    """Run the map phase alone; return everything a staged run must keep."""
+    ctx = RunContext(config, workdir=tmp_path / name)
+    try:
+        store = PackedReadStore.open(store_path, meter=ctx.accountant)
+        try:
+            partitions, report = run_map(ctx, store, **kwargs)
+        finally:
+            store.close()
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(partitions.root.iterdir())}
+        model = {"report": report,
+                 "clock": dict(ctx.clock.counters()),
+                 "disk": dict(ctx.accountant.counters()),
+                 "device_peak": ctx.gpu.pool.lifetime_peak_bytes,
+                 "device_allocs": ctx.gpu.pool.counters()}
+        return files, model, ctx.host_pool.lifetime_peak_bytes
+    finally:
+        ctx.cleanup()
+
+
+@pytest.mark.parametrize("batch_reads", [1, 5, 7])
+@pytest.mark.parametrize("blocks", ["k1", "k3", "whole"])
+def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
+                                blocks):
+    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
+    n_reads = READ_RANGE[1] - READ_RANGE[0]
+    k = {"k1": 1, "k3": 3, "whole": -(-n_reads // batch_reads)}[blocks]
+    config = _config(batch_reads, _host_bytes_for(k, batch_reads, per_read))
+    kept = frozenset(range(27, 40, 3))
+    kwargs = {"read_range": READ_RANGE, "only_lengths": kept}
+
+    ctx = RunContext(config, workdir=tmp_path / "probe")
+    assert map_phase._stage_batches(ctx, batch_reads, per_read) == k
+    ctx.cleanup()
+
+    files, model, host_peak = _map(tmp_path, "staged", config,
+                                   tiny_md.store_path, **kwargs)
+    monkeypatch.setattr(map_phase, "STAGE_READS", 1)
+    ref_files, ref_model, ref_host_peak = _map(tmp_path, "unstaged", config,
+                                               tiny_md.store_path, **kwargs)
+
+    assert len(files) == 2 * len(kept)
+    assert files == ref_files
+    assert model == ref_model  # exact floats
+    assert model["report"].n_batches == -(-n_reads // batch_reads)
+    assert model["report"].tuples_written == 2 * 2 * n_reads * len(kept)
+    assert ref_host_peak == batch_reads * per_read
+    assert host_peak == min(k * batch_reads, n_reads) * per_read
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_staged_equals_unstaged_across_backends(tmp_path, tiny_md, monkeypatch,
+                                                backend):
+    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
+    host_bytes = _host_bytes_for(3, 7, per_read)
+    files, model, host_peak = _map(
+        tmp_path, "staged",
+        _config(7, host_bytes, workers=2, executor_backend=backend),
+        tiny_md.store_path)
+    monkeypatch.setattr(map_phase, "STAGE_READS", 1)
+    ref_files, ref_model, _ = _map(tmp_path, "unstaged", _config(7, host_bytes),
+                                   tiny_md.store_path)
+    assert files == ref_files
+    assert model == ref_model
+    assert host_peak == 3 * 7 * per_read
+    assert model["report"].n_batches == -(-tiny_md.n_reads // 7)
+
+
+def test_whole_store_default_range(tmp_path, tiny_md, monkeypatch):
+    """No ``read_range``/``only_lengths``: a ragged last batch of the store."""
+    config = _config(7, 1 << 22)
+    files, model, _ = _map(tmp_path, "staged", config, tiny_md.store_path)
+    monkeypatch.setattr(map_phase, "STAGE_READS", 1)
+    ref_files, ref_model, _ = _map(tmp_path, "unstaged", config,
+                                   tiny_md.store_path)
+    assert tiny_md.n_reads % 7  # the last batch is ragged
+    assert files == ref_files and model == ref_model
+
+
+def test_place_is_file_order():
+    """Per device batch: forward values, then reverse-complement values."""
+    forward = np.arange(12)
+    reverse = 100 + forward
+    out = np.full((2, 24), -1)
+    for orientation, values in enumerate((forward, reverse)):
+        map_phase._place(out, orientation, np.stack([values, values]), 5)
+    expected = np.concatenate([
+        forward[0:5], reverse[0:5], forward[5:10], reverse[5:10],
+        forward[10:12], reverse[10:12]])
+    assert np.array_equal(out, np.stack([expected, expected]))
+
+
+# -- fault plans see the unstaged write sequence ------------------------------
+
+
+def _unstaged_ops(store_path, partitions_root, lengths, n_reads, batch_reads):
+    """``(site, path, records)`` per instrumented op of an unstaged map."""
+    ops = []
+    for start in range(0, n_reads, batch_reads):
+        n = min(batch_reads, n_reads - start)
+        ops.append((READ, str(store_path), n))
+        for _orientation in (0, 1):
+            for length in lengths:
+                for side in ("P", "S"):
+                    ops.append((WRITE, str(partitions_root
+                                           / f"{side}_{length:05d}.run"), n))
+    return ops
+
+
+def test_armed_plan_sees_unstaged_write_sequence(tmp_path, tiny_md):
+    """Staging would give k = 3 here; an armed plan must not notice it."""
+    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
+    config = _config(7, _host_bytes_for(3, 7, per_read))
+    n_reads = 40
+    kwargs = {"read_range": (0, n_reads)}
+
+    probe = FaultPlan()
+    with inject(probe):
+        files, _, host_peak = _map(tmp_path, "probe", config,
+                                   tiny_md.store_path, **kwargs)
+    assert host_peak == 7 * per_read  # single-batch blocks
+    lengths = range(config.min_overlap, tiny_md.spec.read_length)
+    expected = _unstaged_ops(tiny_md.store_path,
+                             tmp_path / "probe" / "partitions", lengths,
+                             n_reads, 7)
+    assert [(point.site, point.path) for point in probe.trace] \
+        == [(site, path) for site, path, _ in expected]
+    unarmed_files, _, _ = _map(tmp_path, "unarmed", config, tiny_md.store_path,
+                               **kwargs)
+    assert files == unarmed_files
+
+    # Crash at a write in the middle of the second batch's reverse-complement
+    # fan-out: every partition holds exactly the appends that preceded it.
+    crash_op = (1 + 4 * len(lengths)) + 1 + 2 * len(lengths) + 9
+    assert expected[crash_op][0] == WRITE
+    workdir = tmp_path / "crash"
+    ctx = RunContext(config, workdir=workdir)
+    try:
+        store = PackedReadStore.open(tiny_md.store_path, meter=ctx.accountant)
+        with inject(FaultPlan.crash_at(crash_op, site=WRITE)):
+            with pytest.raises(FaultInjected):
+                run_map(ctx, store, **kwargs)
+        store.close()
+    finally:
+        ctx.cleanup()
+    width = kv_dtype(1).itemsize
+    sizes: dict[str, int] = {}
+    for site, path, n in expected[:crash_op]:
+        if site == WRITE:
+            name = path.replace(str(tmp_path / "probe"), str(workdir))
+            sizes[name] = sizes.get(name, 0) + n * width
+    on_disk = {str(path): path.stat().st_size
+               for path in (workdir / "partitions").iterdir()}
+    assert {path: size for path, size in on_disk.items() if size} == sizes

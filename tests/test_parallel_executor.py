@@ -288,7 +288,7 @@ class TestCleanupOnMidMapFailure:
         from repro.seq.packing import PackedReadStore
 
         calls = []
-        real = map_phase._fingerprint_batch
+        real = map_phase._fingerprint_block
 
         def flaky(*args, **kwargs):
             calls.append(1)
@@ -298,7 +298,7 @@ class TestCleanupOnMidMapFailure:
 
         # Patch BEFORE the RunContext exists: the process backend forks
         # its workers at executor construction and must inherit the patch.
-        monkeypatch.setattr(map_phase, "_fingerprint_batch", flaky)
+        monkeypatch.setattr(map_phase, "_fingerprint_block", flaky)
 
         # Residue is judged as a delta: other tests in the same process
         # may hold open run files or threads of their own legitimately.

@@ -356,3 +356,53 @@ def test_parallel_results_match_serial(tmp_path, sources):
     assert serial.n_failed == 0 and parallel.n_failed == 0
     for a, b in zip(serial.outcomes, parallel.outcomes):
         assert a.contig_bytes() == b.contig_bytes()
+
+
+_ARENA_PROBE = """
+import ctypes, sys, threading
+from repro.config import ServiceConfig
+from repro.service import AssemblyService
+
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+
+AssemblyService(ServiceConfig(workdir=sys.argv[1], max_parallel=2))
+barrier = threading.Barrier(4)
+
+def allocate():
+    barrier.wait()
+    held = [bytearray(50_000) for _ in range(20)]
+    barrier.wait()  # all four alive and holding memory at once
+
+threads = [threading.Thread(target=allocate) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+handle = libc.fopen(sys.argv[2].encode(), b"w")
+libc.malloc_info(0, handle)
+libc.fclose(handle)
+"""
+
+
+def test_parallel_service_workers_share_one_malloc_arena(tmp_path):
+    """Per-thread glibc arenas keep freed phase buffers resident in an
+    amount that depends on thread timing; a parallel service caps them."""
+    import ctypes
+    import os
+    import subprocess
+    import sys
+
+    if not hasattr(ctypes.CDLL(None), "malloc_info"):
+        pytest.skip("allocator is not glibc")
+    info = tmp_path / "malloc_info.xml"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    env.pop("MALLOC_ARENA_MAX", None)
+    subprocess.run([sys.executable, "-c", _ARENA_PROBE, str(tmp_path / "svc"),
+                    str(info)], check=True, env=env)
+    assert info.read_text().count("<heap nr=") == 1
