@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..device import costs
 from ..errors import ConfigError
 from ..extmem import PartitionStore
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
@@ -273,6 +274,27 @@ def run_map(ctx: RunContext, store: PackedReadStore,
 
     executor = ctx.executor
     tracer = ctx.tracer
+    batch_charges: dict[int, list[float]] = {}
+
+    def kernel_charges(n: int) -> list[float]:
+        """The kernel launches of one device batch of ``n`` reads, in order.
+
+        Per orientation one scan launch per hash lane per direction
+        (Figs. 5-6) and the partition fan-out; the second orientation
+        starts with the reverse-complement pass. Built once per distinct
+        batch size (the last batch of a store may be shorter).
+        """
+        charges = batch_charges.get(n)
+        if charges is None:
+            spec = ctx.gpu.spec
+            scans = [costs.scan_seconds(spec, n, read_length)] * (2 * 2 * lanes)
+            fan_out = costs.elementwise_seconds(
+                spec, 2 * n * len(kept) * dtype.itemsize)
+            charges = batch_charges[n] = [
+                *scans, fan_out,
+                costs.elementwise_seconds(spec, n * read_length * 2),
+                *scans, fan_out]
+        return charges
 
     def packed_blocks():
         """``(first read, packed reads)`` per host block.
@@ -360,15 +382,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     with tracer.span("map:batch", track="pipeline",
                                      batch=n_batches, reads=n), \
                             ctx.gpu.scratch(n * per_read, label="map-batch"):
-                        for orientation in (0, 1):
-                            if orientation == 1:
-                                ctx.gpu.charge_elementwise(n * read_length * 2)
-                            # One scan launch per hash lane per direction
-                            # (Figs. 5-6).
-                            for _ in range(2 * 2 * lanes):
-                                ctx.gpu.charge_scan_kernel(n, read_length)
-                            ctx.gpu.charge_elementwise(
-                                2 * n * len(kept) * dtype.itemsize)
+                        ctx.gpu.charge_kernels(kernel_charges(n))
                 partitions.append_pairs(
                     [(length, staged[0][j], staged[1][j]) for j, length in kept],
                     rows)

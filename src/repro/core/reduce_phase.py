@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..device.kernels import copy_records, raw_view
 from ..extmem import PartitionStore, RunReader
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD
 from ..graph import GreedyStringGraph
@@ -112,7 +113,10 @@ def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
         if buf.shape[0] >= target or reader.exhausted:
             return buf
         extra = reader.read(target - buf.shape[0])
-        return extra if buf.shape[0] == 0 else np.concatenate([buf, extra])
+        if buf.shape[0] == 0:
+            return extra
+        # Joined as bytes: numpy concatenates a packed dtype field by field.
+        return np.concatenate([raw_view(buf), raw_view(extra)]).view(buf.dtype)
 
     target = window
     while True:
@@ -170,9 +174,14 @@ def _canonical_order(window: np.ndarray) -> np.ndarray:
     in_group[1:] = same
     in_group[:-1] |= same
     tied = np.flatnonzero(in_group)
-    records = window[tied]
-    out = window.copy()
-    out[tied] = records[np.lexsort((records[VAL_FIELD], records[KEY_FIELD]))]
+    # Records move through the byte view (``tied`` indexes the window, so
+    # mode="clip" never clips; it spares numpy the bounds pass).
+    tied_raw = np.take(raw_view(window), tied, mode="clip")
+    records = tied_raw.view(window.dtype)
+    order = np.lexsort((records[VAL_FIELD], records[KEY_FIELD]))
+    out = np.empty_like(window)
+    copy_records(out, window)
+    raw_view(out)[tied] = np.take(tied_raw, order, mode="clip")
     return out
 
 

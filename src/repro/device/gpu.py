@@ -14,12 +14,14 @@ Data lives in :class:`DeviceArray` handles. Transfers are explicit
 traffic of the two-level streaming model is visible to the telemetry, and
 kernels only accept device-resident inputs — passing a bare numpy array is
 a programming error, just as dereferencing host memory in a CUDA kernel is.
+The one exception is the *streamed* merge launch of Algorithm 1
+(:meth:`VirtualGPU.merge_records_device_k`): host windows in, merged host
+run out, with the transfers reserved and charged inside the call.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Sequence
 
 import numpy as np
@@ -100,61 +102,19 @@ class VirtualGPU:
         # live at once, so the device budget is a natural default cap.
         self.buffers = buffers if buffers is not None \
             else BufferPool(self.pool.capacity_bytes)
-        #: Host arrays surrendered to consuming transfers, ``id(array) ->
-        #: (weakref, owning transfer label)``. Weak references so the
-        #: registry never extends an array's lifetime; validated on lookup
-        #: against id reuse.
-        self._consumed: dict[int, tuple[weakref.ref, str]] = {}
-
-    def _consumed_owner(self, array: np.ndarray) -> str | None:
-        """The transfer label that consumed ``array``, if it is poisoned."""
-        entry = self._consumed.get(id(array))
-        if entry is None:
-            return None
-        ref, label = entry
-        if ref() is not array:  # the id was reused after a gc: stale entry
-            del self._consumed[id(array)]
-            return None
-        return label
-
-    def _track_consumed(self, array: np.ndarray, label: str) -> None:
-        if len(self._consumed) > 1024:
-            self._consumed = {key: entry for key, entry
-                              in self._consumed.items()
-                              if entry[0]() is not None}
-        self._consumed[id(array)] = (weakref.ref(array), label)
 
     # -- transfers ----------------------------------------------------------
 
-    def to_device(self, array: np.ndarray, *, label: str = "h2d",
-                  consume: bool = False) -> DeviceArray:
-        """Copy a host array to the device (allocates + charges PCIe time).
-
-        With ``consume=True`` the caller cedes ownership: the host array
-        itself becomes the device storage (zero-copy) and is poisoned
-        read-only — the caller must not touch it again. Re-consuming a
-        poisoned array raises :class:`~repro.errors.DeviceError` naming the
-        transfer that owns it.
-        """
-        owner = self._consumed_owner(array)
-        if consume and owner is not None:
-            raise DeviceError(
-                f"to_device(consume=True, label={label!r}): host array was "
-                f"already consumed by transfer {owner!r}; its memory is "
-                "device storage now and cannot be ceded twice")
+    def to_device(self, array: np.ndarray, *, label: str = "h2d") -> DeviceArray:
+        """Copy a host array to the device (allocates + charges PCIe time)."""
         source = np.ascontiguousarray(array)
         allocation = self.pool.alloc(source.nbytes, label=label)
         self.clock.charge("h2d", costs.transfer_seconds(self.spec, source.nbytes))
         if source is not array:
             # ascontiguousarray already copied; a second copy would be waste.
             return DeviceArray(source, allocation, buffers=self.buffers)
-        if consume:
-            if array.flags.writeable and array.flags.owndata:
-                array.setflags(write=False)
-                self._track_consumed(array, label)
-            return DeviceArray(source, allocation, buffers=self.buffers)
         device, raw = self.buffers.take(source.shape, source.dtype)
-        device[...] = source  # structured-dtype-safe copy
+        kernels.copy_records(device, source)
         return DeviceArray(device, allocation, raw=raw, buffers=self.buffers)
 
     def to_host(self, darray: DeviceArray, *,
@@ -162,24 +122,17 @@ class VirtualGPU:
         """Copy a device array back to the host (charges PCIe time).
 
         ``out=`` supplies the destination buffer (shape and dtype must
-        match), sparing the allocation of a fresh host array. A consumed
-        (poisoned) array is device storage and refused as a destination
-        with :class:`~repro.errors.DeviceError`.
+        match), sparing the allocation of a fresh host array.
         """
         self._check_live(darray)
         self.clock.charge("d2h", costs.transfer_seconds(self.spec, darray.array.nbytes))
         if out is None:
-            return darray.array.copy()
-        owner = self._consumed_owner(out)
-        if owner is not None:
-            raise DeviceError(
-                f"to_host(out=): destination was consumed by transfer "
-                f"{owner!r}; writing through it would corrupt device storage")
-        if not out.flags.writeable:
+            out = np.empty(darray.array.shape, dtype=darray.array.dtype)
+        elif not out.flags.writeable:
             raise DeviceError("to_host(out=): destination array is read-only")
-        if out.shape != darray.array.shape or out.dtype != darray.array.dtype:
+        elif out.shape != darray.array.shape or out.dtype != darray.array.dtype:
             raise ConfigError("to_host out= buffer shape/dtype mismatch")
-        out[...] = darray.array
+        kernels.copy_records(out, darray.array)
         return out
 
     def empty(self, shape, dtype, *, label: str = "empty") -> DeviceArray:
@@ -270,32 +223,24 @@ class VirtualGPU:
     # -- structured-record variants (KV records of the extmem substrate) ------
 
     @staticmethod
-    def _key_column(records: DeviceArray, key_field: str) -> np.ndarray:
-        names = records.array.dtype.names or ()
-        if key_field not in names:
+    def _key_column(records: np.ndarray, key_field: str) -> np.ndarray:
+        if key_field not in (records.dtype.names or ()):
             raise ConfigError(f"records lack key field {key_field!r}")
-        return records.array[key_field]
+        return records[key_field]
 
     def sort_records_device(self, records: DeviceArray, *, key_field: str = "key"
                             ) -> DeviceArray:
-        """Radix-sort packed KV records by their key field.
-
-        With pooling disabled this runs the legacy formulation (fancy
-        indexing into a fresh array) — the benchmark's before-side.
-        """
+        """Radix-sort packed KV records by their key field."""
         self._check_live(records)
-        keys = self._key_column(records, key_field)
-        if self.buffers.enabled:
-            out, raw = self.buffers.take(records.array.shape,
-                                         records.array.dtype)
-            with self.pool.alloc(records.array.nbytes, label="sort-scratch"):
-                order = np.argsort(keys, kind="stable")
-                np.take(records.array, order, axis=0, out=out)
-        else:
-            raw = None
-            with self.pool.alloc(records.array.nbytes, label="sort-scratch"):
-                order = np.argsort(keys, kind="stable")
-                out = records.array[order]
+        keys = self._key_column(records.array, key_field)
+        out, raw = self.buffers.take(records.array.shape, records.array.dtype)
+        with self.pool.alloc(records.array.nbytes, label="sort-scratch"):
+            order = np.argsort(keys, kind="stable")
+            # ``order`` is a permutation, so no index can be out of range:
+            # mode="clip" only spares numpy the bounds pass (and the
+            # whole-output buffering) that the default mode="raise" pays.
+            np.take(kernels.raw_view(records.array), order, axis=0,
+                    out=kernels.raw_view(out), mode="clip")
         self.clock.charge("kernel", costs.sort_pairs_seconds(
             self.spec, len(records), keys.dtype.itemsize,
             records.array.dtype.itemsize - keys.dtype.itemsize))
@@ -303,105 +248,91 @@ class VirtualGPU:
             out, self.pool.alloc(out.nbytes, label="sort-out"),
             raw=raw, buffers=self.buffers)
 
-    def merge_records_device(self, run_a: DeviceArray, run_b: DeviceArray, *,
-                             key_field: str = "key") -> DeviceArray:
-        """Merge two sorted packed-record runs into one sorted run.
+    def merge_records_device(self, run_a: np.ndarray, run_b: np.ndarray, *,
+                             key_field: str = "key",
+                             out: np.ndarray | None = None) -> np.ndarray:
+        """The two-way spelling of :meth:`merge_records_device_k`
+        (``GPU_MERGE`` of Algorithm 1; A-records precede equal B-records)."""
+        return self._merge_launch([run_a, run_b], key_field, out)
 
-        The searchsorted rank trick of :func:`kernels.merge_sorted_records`,
-        scattering whole records straight into a pooled output — the
-        separate merged-key column that formulation also produces would be
-        discarded here, so it is never built.
+    def merge_records_device_k(self, parts: Sequence[np.ndarray], *,
+                               key_field: str = "key",
+                               out: np.ndarray | None = None) -> np.ndarray:
+        """One streamed launch: ``k`` sorted host windows in, merged run out.
+
+        The whole device round trip of one merge window — upload every
+        part, gathered k-way merge, download — as a single call, so a
+        window costs the bytes it moves rather than the calls it makes.
+        The merged run lands in ``out`` when given (shape and dtype must
+        match), in a fresh host array otherwise. Run order breaks ties.
+
+        The model sees what the unfused sequence showed it: per part a
+        reservation and an ``h2d`` charge; one kernel charge of
+        ``⌈log₂ k⌉`` pairwise-merge levels (the gathered formulation still
+        performs ``log k`` comparisons per record); the output reservation
+        while the parts are still resident; the parts freed, the ``d2h``
+        charge, the output freed. A launch that fails — over capacity,
+        unsorted input — leaves nothing reserved.
         """
-        self._check_live(run_a, run_b)
-        keys_a = self._key_column(run_a, key_field)
-        keys_b = self._key_column(run_b, key_field)
-        kernels.require_sorted(keys_a, context="merge run A")
-        kernels.require_sorted(keys_b, context="merge run B")
-        if run_a.array.dtype != run_b.array.dtype:
-            raise SortContractError("cannot merge runs with different record dtypes")
-        n_a, n_b = len(run_a), len(run_b)
-        if not self.buffers.enabled:
-            # Legacy formulation: builds (and discards) a merged key column.
-            _, (merged,) = kernels.merge_sorted_records(
-                keys_a, (run_a.array,), keys_b, (run_b.array,))
-            self.clock.charge("kernel", costs.merge_pairs_seconds(
-                self.spec, n_a + n_b, keys_a.dtype.itemsize,
-                run_a.array.dtype.itemsize - keys_a.dtype.itemsize))
-            return self._adopt(merged, label="merge-out")
-        out, raw = self.buffers.take((n_a + n_b,), run_a.array.dtype)
-        pos_a = np.arange(n_a, dtype=np.int64) + np.searchsorted(
-            keys_b, keys_a, side="left")
-        pos_b = np.arange(n_b, dtype=np.int64) + np.searchsorted(
-            keys_a, keys_b, side="right")
-        out[pos_a] = run_a.array
-        out[pos_b] = run_b.array
-        self.clock.charge("kernel", costs.merge_pairs_seconds(
-            self.spec, n_a + n_b, keys_a.dtype.itemsize,
-            run_a.array.dtype.itemsize - keys_a.dtype.itemsize))
-        return DeviceArray(
-            out, self.pool.alloc(out.nbytes, label="merge-out"),
-            raw=raw, buffers=self.buffers)
-
-    def merge_records_device_k(self, runs: Sequence[DeviceArray], *,
-                               key_field: str = "key") -> DeviceArray:
-        """Gathered k-way merge of sorted packed-record runs (fanout-k).
-
-        One kernel replaces a ``⌈log₂ k⌉``-deep pairwise tournament; the
-        clock is charged for that tournament depth, since the gathered
-        formulation still performs ``log k`` comparisons per record.
-        Record payloads are gathered in one pass into a pooled output (the
-        merged key column a generic formulation would emit is discarded by
-        every caller, so only the argsort stencil is built from keys).
-        """
-        runs = list(runs)
-        if not runs:
+        parts = list(parts)
+        if not parts:
             raise ConfigError("k-way merge needs at least one run")
-        self._check_live(*runs)
-        key_columns = [self._key_column(run, key_field) for run in runs]
-        for index, keys in enumerate(key_columns):
-            kernels.require_sorted(keys, context=f"merge run {index}")
-        if len(runs) == 1:
-            out, raw = self.buffers.take(
-                runs[0].array.shape, runs[0].array.dtype)
-            out[...] = runs[0].array
-            return DeviceArray(
-                out, self.pool.alloc(out.nbytes, label="merge-out"),
-                raw=raw, buffers=self.buffers)
-        record_dtype = runs[0].array.dtype
-        if any(run.array.dtype != record_dtype for run in runs[1:]):
-            raise SortContractError("cannot merge runs with different record dtypes")
-        total = sum(len(run) for run in runs)
-        if not self.buffers.enabled:
-            # Legacy formulation: builds (and discards) a merged key column.
-            _, (merged,) = kernels.merge_sorted_records_k(
-                key_columns, tuple((run.array,) for run in runs))
+        return self._merge_launch(parts, key_field, out)
+
+    def _merge_launch(self, parts: list[np.ndarray], key_field: str,
+                      out: np.ndarray | None) -> np.ndarray:
+        record_dtype = parts[0].dtype
+        total = sum(part.shape[0] for part in parts)
+        if out is not None and (out.shape != (total,)
+                                or out.dtype != record_dtype):
+            raise ConfigError("merge out= buffer shape/dtype mismatch")
+        reserved: list[Allocation] = []
+        scratch_raw = None
+        try:
+            for part in parts:
+                reserved.append(self.pool.alloc(part.nbytes, label="merge-way"))
+                self.clock.charge(
+                    "h2d", costs.transfer_seconds(self.spec, part.nbytes))
+            key_columns = [self._key_column(part, key_field) for part in parts]
+            for index, keys in enumerate(key_columns):
+                kernels.require_sorted(keys, context=f"merge run {index}")
+            if any(part.dtype != record_dtype for part in parts[1:]):
+                raise SortContractError(
+                    "cannot merge runs with different record dtypes")
+            if out is None:
+                out = np.empty(total, dtype=record_dtype)
+            # Stable sort of the concatenated key columns: equal keys keep
+            # run order, then position — the tie order of a pairwise fold.
+            order = np.argsort(np.concatenate(key_columns), kind="stable")
+            out_raw = kernels.raw_view(out)
+            gathered, scratch_raw = self.buffers.take((total,), out_raw.dtype)
+            np.concatenate([kernels.raw_view(part) for part in parts],
+                           out=gathered)
+            # A permutation again: mode="clip" is safe (see the sort kernel).
+            np.take(gathered, order, out=out_raw, mode="clip")
             key_nbytes = key_columns[0].dtype.itemsize
-            depth = max(1, math.ceil(math.log2(len(runs))))
+            # A lone part needs no comparison: depth 0, a free copy.
+            depth = math.ceil(math.log2(len(parts)))
             self.clock.charge("kernel", depth * costs.merge_pairs_seconds(
                 self.spec, total, key_nbytes,
                 record_dtype.itemsize - key_nbytes))
-            return self._adopt(merged, label="merge-out")
-        order = np.argsort(np.concatenate(key_columns), kind="stable")
-        gathered, gathered_raw = self.buffers.take((total,), record_dtype)
-        np.concatenate([run.array for run in runs], out=gathered)
-        out, raw = self.buffers.take((total,), record_dtype)
-        np.take(gathered, order, axis=0, out=out)
-        self.buffers.give(gathered_raw)
-        key_nbytes = key_columns[0].dtype.itemsize
-        depth = max(1, math.ceil(math.log2(len(runs))))
-        self.clock.charge("kernel", depth * costs.merge_pairs_seconds(
-            self.spec, total, key_nbytes,
-            record_dtype.itemsize - key_nbytes))
-        return DeviceArray(
-            out, self.pool.alloc(out.nbytes, label="merge-out"),
-            raw=raw, buffers=self.buffers)
+            reserved.append(self.pool.alloc(out.nbytes, label="merge-out"))
+            for allocation in reserved[:-1]:
+                allocation.free()
+            self.clock.charge(
+                "d2h", costs.transfer_seconds(self.spec, out.nbytes))
+            return out
+        finally:
+            for allocation in reserved:
+                allocation.free()
+            self.buffers.give(scratch_raw)
 
     def bounds_records(self, haystack: DeviceArray, queries: DeviceArray, *,
                        key_field: str = "key") -> tuple[DeviceArray, DeviceArray]:
         """Vectorized bounds of query record keys within haystack record keys."""
         self._check_live(haystack, queries)
-        hay_keys = self._key_column(haystack, key_field)
-        query_keys = self._key_column(queries, key_field)
+        hay_keys = self._key_column(haystack.array, key_field)
+        query_keys = self._key_column(queries.array, key_field)
         kernels.require_sorted(hay_keys, context="bounds haystack")
         lower, upper = kernels.vectorized_bounds(hay_keys, query_keys)
         self.clock.charge("kernel", 2.0 * costs.search_seconds(
@@ -410,9 +341,13 @@ class VirtualGPU:
 
     # -- escape hatches for composite kernels --------------------------------
 
-    def charge_scan_kernel(self, n_rows: int, width: int) -> None:
-        """Account a Hillis–Steele fingerprint-scan launch (map phase)."""
-        self.clock.charge("kernel", costs.scan_seconds(self.spec, n_rows, width))
+    def charge_kernels(self, seconds: Sequence[float]) -> None:
+        """Account a composite kernel's launches, one charge each, in order.
+
+        The clock gains the values one by one (never pre-summed), so the
+        float is the one ``len(seconds)`` separate charges would leave.
+        """
+        self.clock.charge_many("kernel", seconds)
 
     def charge_elementwise(self, nbytes_touched: int) -> None:
         """Account a custom streaming kernel over ``nbytes_touched``."""

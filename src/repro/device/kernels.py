@@ -176,6 +176,23 @@ def scatter(values: np.ndarray, stencil: np.ndarray, out_size: int) -> np.ndarra
     return out
 
 
+def raw_view(records: np.ndarray) -> np.ndarray:
+    """``records`` as opaque ``V<itemsize>`` items over the same memory.
+
+    numpy copies and gathers a packed structured dtype field by field; the
+    same bytes viewed as void items move with one ``memcpy`` per record.
+    Strides carry over, so a non-contiguous array views just as well.
+    """
+    return records.view(np.dtype((np.void, records.dtype.itemsize)))
+
+
+def copy_records(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` for equal dtypes, moved as bytes."""
+    if dst.dtype != src.dtype:
+        raise SortContractError("cannot copy records between different dtypes")
+    raw_view(dst)[...] = raw_view(src)
+
+
 def require_sorted(keys: np.ndarray, *, context: str) -> None:
     """Assert a key array is non-decreasing (merge/reduce precondition)."""
     if keys.shape[0] > 1 and (keys[1:] < keys[:-1]).any():

@@ -222,10 +222,9 @@ class BufferPool:
     def give(self, raw: np.ndarray | None) -> None:
         """Return a raw buffer from :meth:`take` (or :meth:`adoptable`).
 
-        Read-only raws are silently dropped: a consumed (poisoned) host
-        array is still visible to its original owner, and re-issuing its
-        memory from :meth:`take` would hand a "fresh" buffer that cannot be
-        written (or worse, one the owner can still read while it changes).
+        Read-only raws are silently dropped: whoever froze the array still
+        reads it, and re-issuing its memory from :meth:`take` would hand a
+        "fresh" buffer that cannot be written.
         """
         if raw is None or not self.enabled:
             return
@@ -254,8 +253,7 @@ class BufferPool:
         free list — recycling a view would hand out memory some other
         array still aliases. Returns ``None`` when the array is not safe
         to adopt (the garbage collector keeps it instead). Read-only arrays
-        are refused too: a consumed (poisoned) host array is still visible
-        to its original owner, so its memory must never be re-issued.
+        are refused too: their memory must never be re-issued as writable.
         """
         if not self.enabled or not array.flags.owndata \
                 or not array.flags.c_contiguous \

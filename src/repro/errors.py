@@ -16,13 +16,10 @@ class ConfigError(ReproError):
 
 
 class DeviceError(ReproError):
-    """The virtual GPU's transfer/ownership contract was violated.
+    """The virtual GPU's transfer contract was violated.
 
-    Raised for use-after-consume: an array surrendered to a zero-copy
-    ``to_device(consume=True)`` transfer is poisoned (read-only) and must
-    not be re-consumed or written through ``to_host(out=)`` — both would
-    alias memory the device now owns. The message names the owning
-    transfer so the offending call site is attributable.
+    Raised when ``to_host(out=)`` is handed a read-only destination; also
+    the base class of :class:`DeviceMemoryError`.
     """
 
 

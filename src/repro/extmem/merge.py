@@ -28,16 +28,21 @@ do not need it).
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from ..device.kernels import copy_records
 from ..errors import ConfigError, SortContractError
 from ..trace.tracer import NULL_TRACER
 from .records import KEY_FIELD
 
-MergeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-MergeKFn = Callable[[Sequence[np.ndarray]], np.ndarray]
+#: ``merge_fn(a, b, out=None)``: merge two sorted parts. The merged run
+#: goes into ``out`` when one is given (and is returned), else into a
+#: fresh array.
+MergeFn = Callable[..., np.ndarray]
+#: ``merge_fn_k(parts, out=None)``: the k-ary spelling of :data:`MergeFn`.
+MergeKFn = Callable[..., np.ndarray]
 EmitFn = Callable[[np.ndarray], None]
 
 
@@ -63,10 +68,16 @@ class ArraySource:
         return chunk
 
 
-def _tournament_fold(parts: list[np.ndarray], merge_fn: MergeFn) -> np.ndarray:
-    """Fold k sorted parts into one via balanced pairwise merges."""
+def tournament_fold(parts: list[np.ndarray], merge_fn: MergeFn,
+                     out: np.ndarray | None) -> np.ndarray:
+    """Fold k sorted parts into one via balanced pairwise merges.
+
+    Only the final merge lands in ``out``; earlier rounds produce
+    intermediates.
+    """
     while len(parts) > 1:
-        folded = [merge_fn(parts[i], parts[i + 1])
+        dest = out if len(parts) == 2 else None
+        folded = [merge_fn(parts[i], parts[i + 1], out=dest)
                   for i in range(0, len(parts) - 1, 2)]
         if len(parts) % 2:
             folded.append(parts[-1])
@@ -74,29 +85,35 @@ def _tournament_fold(parts: list[np.ndarray], merge_fn: MergeFn) -> np.ndarray:
     return parts[0]
 
 
-class _Window:
-    """One source's sliding merge window over reusable ping-pong buffers.
+def _unsorted(index: int, key_field: str) -> SortContractError:
+    return SortContractError(
+        f"merge input {index} violates sortedness on {key_field!r}")
 
-    The seed formulation re-allocated every refill
-    (``np.concatenate([buf, extra])``); this one appends into a pair of
-    persistent window-capacity buffers, so a merge round's working set is
-    allocated once. Two aliasing rules keep it byte-identical under the
-    write-behind sink, which holds emitted arrays until a background
-    thread writes them:
+
+class _Window:
+    """A stream's sliding merge window over reusable ping-pong buffers.
+
+    Refills append into a pair of persistent window-capacity buffers, so a
+    merge round's working set is allocated once. Two aliasing rules keep
+    it byte-identical under the write-behind sink, which holds emitted
+    arrays until a background thread writes them:
 
     * a chunk fully replacing an empty window is *adopted* as-is
-      (zero-copy, like the seed) — source chunks are never written to;
+      (zero-copy) — source chunks are never written to;
     * :meth:`emit_all` hands a persistent buffer over to the sink and
       takes a fresh one, because the window refills long before the sink
       is done with the emitted records.
     """
 
     __slots__ = ("live", "start", "length", "_buf", "_spare", "_capacity",
-                 "_reuse")
+                 "_source", "_index", "_key_field")
 
-    def __init__(self, capacity: int, empty: np.ndarray, reuse: bool = True):
+    def __init__(self, source: ChunkSource, index: int, capacity: int,
+                 key_field: str, empty: np.ndarray):
+        self._source = source
+        self._index = index
         self._capacity = capacity
-        self._reuse = reuse
+        self._key_field = key_field
         self.live = empty
         self.start = 0
         self.length = 0
@@ -107,7 +124,29 @@ class _Window:
         """The current window records."""
         return self.live[self.start:self.start + self.length]
 
-    def absorb(self, extra: np.ndarray) -> None:
+    def keys(self) -> np.ndarray:
+        """The key column of the current window."""
+        return self.view()[self._key_field]
+
+    def refill(self) -> None:
+        """Top the window up to capacity from the stream.
+
+        Checks the sortedness contract on what arrives: a corrupted run
+        (e.g. a bit-flipped key) must fail loudly here, not merge into
+        silently mis-sorted output downstream.
+        """
+        if self.length >= self._capacity:
+            return
+        extra = self._source.read(self._capacity - self.length)
+        if not extra.shape[0]:
+            return
+        keys = extra[self._key_field]
+        if np.any(keys[1:] < keys[:-1]) or (
+                self.length and self.keys()[-1] > keys[0]):
+            raise _unsorted(self._index, self._key_field)
+        self._absorb(extra)
+
+    def _absorb(self, extra: np.ndarray) -> None:
         """Append ``extra`` after the remaining records, reusing buffers."""
         n = extra.shape[0]
         if self.length == 0:
@@ -115,30 +154,27 @@ class _Window:
             self.start = 0
             self.length = n
             return
-        if not self._reuse:
-            # Legacy formulation: a fresh concatenation per refill.
-            self.live = np.concatenate([self.view(), extra])
-            self.start = 0
-            self.length += n
-            return
         if self._buf is None:
             self._buf = np.empty(self._capacity, dtype=extra.dtype)
             self._spare = np.empty(self._capacity, dtype=extra.dtype)
-        if self.live is self._buf and self.start == 0:
-            self._buf[self.length:self.length + n] = extra
-        else:
+        if not (self.live is self._buf and self.start == 0):
             if self.live is self._buf:
                 self._buf, self._spare = self._spare, self._buf
-            self._buf[:self.length] = self.view()
-            self._buf[self.length:self.length + n] = extra
+            copy_records(self._buf[:self.length], self.view())
             self.live = self._buf
             self.start = 0
+        copy_records(self._buf[self.length:self.length + n], extra)
         self.length += n
 
-    def consume(self, rank: int) -> None:
-        """Drop ``rank`` records off the front (they were merged out)."""
+    def take(self, rank: int) -> np.ndarray:
+        """The first ``rank`` records, dropped off the front of the window.
+
+        A view into a buffer the next refill may overwrite.
+        """
+        part = self.live[self.start:self.start + rank]
         self.start += rank
         self.length -= rank
+        return part
 
     def emit_all(self) -> np.ndarray:
         """The whole window, detached so a sink may hold it indefinitely."""
@@ -150,86 +186,119 @@ class _Window:
         self.length = 0
         return out
 
+    def drain(self) -> Iterable[np.ndarray]:
+        """What the stream still holds beyond the window, a window at a time."""
+        while True:
+            chunk = self._source.read(self._capacity)
+            if not chunk.shape[0]:
+                return
+            yield chunk
 
-def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
-                    window_records: int, merge_fn: MergeFn | None = None,
-                    merge_fn_k: MergeKFn | None = None,
-                    key_field: str = KEY_FIELD, tracer=NULL_TRACER,
-                    reuse_windows: bool = True) -> int:
-    """Fanout-k Algorithm 1; returns the number of records emitted.
 
-    ``window_records`` is ``M/k`` — the per-run window size; the merge
-    executor therefore never sees more than ``len(sources) *
-    window_records`` records. ``merge_fn_k`` merges the equalized window
-    prefixes in one shot when provided; otherwise the binary ``merge_fn``
-    is folded over them pairwise. At least one executor is required.
-    ``tracer`` records a span per equalized-window merge (and an instant
-    per pass-through window); only the level-1 disk merge passes a real
-    one — the inner level-2 merges would flood the event log.
-    ``reuse_windows=False`` restores the seed refill behaviour (a fresh
-    concatenation per refill) instead of the persistent window buffers.
+class _RunWindow:
+    """An in-memory run's merge window: a cursor and a slice of the run.
+
+    Same schedule as :class:`_Window` over an :class:`ArraySource`, but
+    nothing is ever copied — a refill only moves the slice's end. The
+    sortedness contract is checked once, over the whole run.
     """
-    if window_records < 1:
-        raise ConfigError("window_records must be >= 1")
-    if merge_fn is None and merge_fn_k is None:
-        raise ConfigError("merge_streams_k needs merge_fn or merge_fn_k")
-    sources = list(sources)
+
+    __slots__ = ("start", "length", "_run", "_keys", "_capacity")
+
+    def __init__(self, run: np.ndarray, index: int, capacity: int,
+                 key_field: str):
+        keys = run[key_field]
+        if np.any(keys[1:] < keys[:-1]):
+            raise _unsorted(index, key_field)
+        self._run = run
+        self._keys = keys
+        self._capacity = capacity
+        self.start = 0
+        self.length = 0
+
+    def keys(self) -> np.ndarray:
+        """The key column of the current window."""
+        return self._keys[self.start:self.start + self.length]
+
+    def refill(self) -> None:
+        """Extend the window to capacity (or to the end of the run)."""
+        self.length = min(self._capacity, self._run.shape[0] - self.start)
+
+    def take(self, rank: int) -> np.ndarray:
+        """The first ``rank`` records, dropped off the front of the window."""
+        part = self._run[self.start:self.start + rank]
+        self.start += rank
+        self.length -= rank
+        return part
+
+    def emit_all(self) -> np.ndarray:
+        """The whole window (a view of the run; the sink copies it)."""
+        return self.take(self.length)
+
+    def drain(self) -> Iterable[np.ndarray]:
+        """The rest of the run, in one piece: views need no windowing."""
+        rest = self._run[self.start:]
+        self.start = self._run.shape[0]
+        return (rest,)
+
+
+def _algorithm1(windows: list, emit: EmitFn | None, *,
+                merge_fn: MergeFn | None, merge_fn_k: MergeKFn | None,
+                out: np.ndarray | None = None, tracer=NULL_TRACER) -> int:
+    """The one Algorithm 1 loop; returns the number of records emitted.
+
+    ``windows`` are :class:`_Window` or :class:`_RunWindow` (same
+    schedule, different storage). Emitted records go to ``emit``, which
+    may hold every array it is handed, or — when ``out`` is given — into
+    consecutive slices of ``out``: a merged window is produced in place
+    (the executor's ``out=``), anything else is copied there as bytes.
+    """
     emitted = 0
 
-    def _emit(records: np.ndarray) -> None:
+    def _put(records: np.ndarray, *, in_place: bool = False) -> None:
         nonlocal emitted
-        if records.shape[0]:
-            emit(records)
-            emitted += records.shape[0]
+        n = records.shape[0]
+        if out is None:
+            if n:
+                emit(records)
+        elif not in_place:
+            copy_records(out[emitted:emitted + n], records)
+        emitted += n
 
-    def _merge_parts(parts: list[np.ndarray]) -> np.ndarray:
+    def _merge_parts(parts: list[np.ndarray]) -> None:
+        total = sum(part.shape[0] for part in parts)
+        dest = None if out is None else out[emitted:emitted + total]
         if len(parts) == 1:
-            # The lone equalized prefix is a view into a reusable window
-            # buffer; detach it so a sink may hold it past the next refill.
-            return parts[0].copy() if reuse_windows else parts[0]
-        if merge_fn_k is not None:
-            return merge_fn_k(parts)
-        return _tournament_fold(parts, merge_fn)
+            # The lone equalized prefix aliases its window: copy it out, so
+            # a sink may hold it past the next refill.
+            merged = np.empty_like(parts[0]) if dest is None else dest
+            copy_records(merged, parts[0])
+        elif merge_fn_k is not None:
+            merged = merge_fn_k(parts, out=dest)
+        else:
+            merged = tournament_fold(parts, merge_fn, dest)
+        _put(merged, in_place=merged is dest)
 
-    if not sources:
-        return 0
-    empty = sources[0].read(0)
-    windows = [_Window(window_records, empty, reuse_windows)
-               for _ in sources]
-    active = list(range(len(sources)))
+    active = list(range(len(windows)))
     while True:
         # Refill every window; drop sources exhausted with an empty buffer.
         for i in list(active):
             win = windows[i]
-            if win.length < window_records:
-                extra = sources[i].read(window_records - win.length)
-                if extra.shape[0]:
-                    # Sortedness contract check: a corrupted run (e.g. a
-                    # bit-flipped key) must fail loudly here, not merge into
-                    # silently mis-sorted output downstream.
-                    keys = extra[key_field]
-                    if np.any(keys[1:] < keys[:-1]) or (
-                            win.length
-                            and win.view()[key_field][-1] > keys[0]):
-                        raise SortContractError(
-                            f"merge input {i} violates sortedness on "
-                            f"{key_field!r}")
-                    win.absorb(extra)
+            win.refill()
             if win.length == 0:
                 active.remove(i)
         if not active:
             return emitted
         if len(active) == 1:
             # Line 19: every other run is exhausted; stream the survivor out.
-            survivor = active[0]
-            _emit(windows[survivor].emit_all())
-            while True:
-                chunk = sources[survivor].read(window_records)
-                if chunk.shape[0] == 0:
-                    return emitted
-                _emit(chunk)
-        heads = {i: windows[i].view()[key_field][0] for i in active}
-        tails = {i: windows[i].view()[key_field][-1] for i in active}
+            survivor = windows[active[0]]
+            _put(survivor.emit_all())
+            for chunk in survivor.drain():
+                _put(chunk)
+            return emitted
+        keys = {i: windows[i].keys() for i in active}
+        heads = {i: keys[i][0] for i in active}
+        tails = {i: keys[i][-1] for i in active}
         # Pass-through fast path: a window wholly preceding all other heads.
         passthrough = next(
             (i for i in active
@@ -238,27 +307,59 @@ def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
             if tracer.enabled:
                 tracer.instant("merge-passthrough", track="merge",
                                records=int(windows[passthrough].length))
-            _emit(windows[passthrough].emit_all())
+            _put(windows[passthrough].emit_all())
             continue
         # Equalize every window at the smallest tail key, then merge: any
         # record <= that boundary precedes every unread record of every run.
         boundary = min(tails.values())
         parts: list[np.ndarray] = []
         for i in active:
-            win = windows[i]
-            rank = int(np.searchsorted(win.view()[key_field], boundary,
-                                       side="right"))
+            rank = int(np.searchsorted(keys[i], boundary, side="right"))
             if rank:
-                parts.append(win.view()[:rank])
-                win.consume(rank)
+                parts.append(windows[i].take(rank))
         # det=False: under write-behind the window's simulated midpoint
         # depends on how far the background writer has drained.
         if tracer.enabled:
             with tracer.span("merge-window", track="merge", ways=len(parts),
                              records=int(sum(p.shape[0] for p in parts))):
-                _emit(_merge_parts(parts))
+                _merge_parts(parts)
         else:
-            _emit(_merge_parts(parts))
+            _merge_parts(parts)
+
+
+def _check_executors(window_records: int, merge_fn, merge_fn_k) -> None:
+    if window_records < 1:
+        raise ConfigError("window_records must be >= 1")
+    if merge_fn is None and merge_fn_k is None:
+        raise ConfigError("Algorithm 1 needs merge_fn or merge_fn_k")
+
+
+def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
+                    window_records: int, merge_fn: MergeFn | None = None,
+                    merge_fn_k: MergeKFn | None = None,
+                    key_field: str = KEY_FIELD, tracer=NULL_TRACER) -> int:
+    """Fanout-k Algorithm 1 over streams; returns the records emitted.
+
+    ``window_records`` is ``M/k`` — the per-run window size; the merge
+    executor therefore never sees more than ``len(sources) *
+    window_records`` records. ``merge_fn_k`` merges the equalized window
+    prefixes in one shot when provided; otherwise the binary ``merge_fn``
+    is folded over them pairwise. At least one executor is required.
+    Every array handed to ``emit`` is fresh or detached, so a sink may
+    hold it (the write-behind sink does). ``tracer`` records a span per
+    equalized-window merge (and an instant per pass-through window); only
+    the level-1 disk merge passes a real one — the inner level-2 merges
+    would flood the event log.
+    """
+    _check_executors(window_records, merge_fn, merge_fn_k)
+    sources = list(sources)
+    if not sources:
+        return 0
+    empty = sources[0].read(0)
+    windows = [_Window(source, index, window_records, key_field, empty)
+               for index, source in enumerate(sources)]
+    return _algorithm1(windows, emit, merge_fn=merge_fn,
+                       merge_fn_k=merge_fn_k, tracer=tracer)
 
 
 def merge_streams(source_a: ChunkSource, source_b: ChunkSource, emit: EmitFn, *,
@@ -279,23 +380,29 @@ def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
                       merge_fn: MergeFn | None = None,
                       merge_fn_k: MergeKFn | None = None,
                       key_field: str = KEY_FIELD,
-                      reuse_windows: bool = True) -> np.ndarray:
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Fanout-k Algorithm 1 over in-memory runs; returns the merged run.
 
     This is the *second level* of the hybrid sort: host-resident blocks are
     merged by streaming device-sized windows through the merge executor.
+    The windows are views of the runs and the output (``out``, or a fresh
+    array) is allocated once: every merged window lands in its slice of
+    it, pass-through and survivor windows are copied there as bytes.
     """
     runs = list(runs)
     if not runs:
         raise ConfigError("merge_in_memory_k needs at least one run")
-    chunks: list[np.ndarray] = []
-    merge_streams_k([ArraySource(run) for run in runs], chunks.append,
-                    window_records=window_records, merge_fn=merge_fn,
-                    merge_fn_k=merge_fn_k, key_field=key_field,
-                    reuse_windows=reuse_windows)
-    if not chunks:
-        return runs[0][:0].copy()
-    return np.concatenate(chunks)
+    _check_executors(window_records, merge_fn, merge_fn_k)
+    total = sum(run.shape[0] for run in runs)
+    if out is None:
+        out = np.empty(total, dtype=runs[0].dtype)
+    elif out.shape != (total,) or out.dtype != runs[0].dtype:
+        raise ConfigError("merge out= buffer shape/dtype mismatch")
+    windows = [_RunWindow(run, index, window_records, key_field)
+               for index, run in enumerate(runs)]
+    _algorithm1(windows, None, merge_fn=merge_fn, merge_fn_k=merge_fn_k,
+                out=out)
+    return out
 
 
 def merge_in_memory(records_a: np.ndarray, records_b: np.ndarray, *,
@@ -310,8 +417,7 @@ def merge_in_memory(records_a: np.ndarray, records_b: np.ndarray, *,
 def merge_runs_k(readers: Sequence[ChunkSource], writer, *,
                  window_records: int, merge_fn: MergeFn | None = None,
                  merge_fn_k: MergeKFn | None = None,
-                 key_field: str = KEY_FIELD, tracer=NULL_TRACER,
-                 reuse_windows: bool = True) -> int:
+                 key_field: str = KEY_FIELD, tracer=NULL_TRACER) -> int:
     """Fanout-k Algorithm 1 over on-disk runs; appends to an open RunWriter.
 
     This is the *first level*: disk runs merged through host memory.
@@ -319,7 +425,7 @@ def merge_runs_k(readers: Sequence[ChunkSource], writer, *,
     return merge_streams_k(readers, writer.append,
                            window_records=window_records, merge_fn=merge_fn,
                            merge_fn_k=merge_fn_k, key_field=key_field,
-                           tracer=tracer, reuse_windows=reuse_windows)
+                           tracer=tracer)
 
 
 def merge_runs(reader_a, reader_b, writer, *, window_records: int,

@@ -45,20 +45,16 @@ from ..parallel.process_backend import (RecordingClock, RecordingPool,
                                         replay_device_log)
 from ..trace.tracer import NULL_TRACER
 from .io_stats import IOAccountant
-from .merge import merge_in_memory_k, merge_streams_k
+from .merge import merge_in_memory_k, merge_streams_k, tournament_fold
 from .records import KEY_FIELD
 from .streams import RunReader, RunWriter
 
 #: A block being sorted in host memory needs itself + its sorted copy.
 HOST_SORT_FOOTPRINT = 2
-#: A pairwise level-1 merge holds two input windows and one merged output
-#: window (kept for the ``k = 2`` window arithmetic and older callers).
-HOST_MERGE_FOOTPRINT = 4
 #: Per-way cost of a fanout-k merge: one input window plus that window's
 #: share of the merged output. k ways therefore claim
 #: ``HOST_KWAY_FOOTPRINT · k`` windows of host budget, so each window is
-#: ``m_h / (HOST_KWAY_FOOTPRINT · k)`` records (``k = 2`` reproduces
-#: HOST_MERGE_FOOTPRINT).
+#: ``m_h / (HOST_KWAY_FOOTPRINT · k)`` records.
 HOST_KWAY_FOOTPRINT = 2
 #: Device radix sort: input + ping-pong scratch + output.
 DEVICE_SORT_FOOTPRINT = 3
@@ -138,16 +134,10 @@ class ExternalSorter:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.dtype = np.dtype(dtype)
         self.key_field = key_field
-        #: Buffer-reuse fast paths (in-place chunk sorts, consuming
-        #: transfers, persistent merge windows) follow the device buffer
-        #: pool's switch, so ``buffer_pool=False`` restores the seed
-        #: allocation discipline end to end.
-        self._reuse = gpu.buffers.enabled
         self.m_h = host_block_pairs
         self.m_d = min(device_block_pairs, host_block_pairs)
         self.fanout = merge_fanout or derive_fanout(self.m_h, self.m_d)
         self.host_block = max(2, self.m_h // HOST_SORT_FOOTPRINT)
-        self.host_merge_window = max(1, self.m_h // HOST_MERGE_FOOTPRINT)
         self.host_kway_window = max(
             1, self.m_h // (HOST_KWAY_FOOTPRINT * self.fanout))
         self.device_chunk = max(2, self.m_d // DEVICE_SORT_FOOTPRINT)
@@ -164,47 +154,29 @@ class ExternalSorter:
         chunk_d = self.gpu.to_device(records, label="sort-chunk")
         sorted_d = self.gpu.sort_records_device(chunk_d, key_field=self.key_field)
         chunk_d.free()
-        if self._reuse and records.flags.writeable:
-            # Sort the caller's chunk in place: run-formation chunks are
-            # private (freshly read, or slices of one fresh block), so
-            # writing back spares a same-size host allocation per chunk.
-            out = self.gpu.to_host(sorted_d, out=records)
-        else:
-            out = self.gpu.to_host(sorted_d)
+        # Sort the caller's chunk in place when it may be written:
+        # run-formation chunks are private (freshly read, or slices of one
+        # fresh block), so writing back spares a same-size host allocation
+        # per chunk.
+        out = self.gpu.to_host(
+            sorted_d, out=records if records.flags.writeable else None)
         sorted_d.free()
         return out
 
-    def _device_merge(self, run_a: np.ndarray, run_b: np.ndarray) -> np.ndarray:
-        # consume=: merge inputs are equalized window prefixes (or
-        # tournament intermediates) that are never read again, so the
-        # device borrows them zero-copy instead of copying them in.
-        a_d = self.gpu.to_device(run_a, label="merge-a", consume=self._reuse)
-        b_d = self.gpu.to_device(run_b, label="merge-b", consume=self._reuse)
-        merged_d = self.gpu.merge_records_device(a_d, b_d, key_field=self.key_field)
-        a_d.free()
-        b_d.free()
-        out = self.gpu.to_host(merged_d)
-        merged_d.free()
-        return out
+    def _device_merge(self, run_a: np.ndarray, run_b: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """``GPU_MERGE``: one fused two-way launch per window pair."""
+        return self.gpu.merge_records_device(
+            run_a, run_b, key_field=self.key_field, out=out)
 
-    def _device_merge_k(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Gathered k-way device merge of window prefixes (all fit at once)."""
-        handles = [self.gpu.to_device(part, label="merge-way",
-                                      consume=self._reuse) for part in parts]
-        merged_d = self.gpu.merge_records_device_k(handles, key_field=self.key_field)
-        for handle in handles:
-            handle.free()
-        out = self.gpu.to_host(merged_d)
-        merged_d.free()
-        return out
-
-    def merge_windows(self, parts: list[np.ndarray]) -> np.ndarray:
+    def merge_windows(self, parts: list[np.ndarray],
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Merge equalized window prefixes through the device (k-ary executor).
 
-        Small totals go through one gathered k-way kernel; totals beyond
-        the device budget fall back to a pairwise tournament whose legs
-        stream device-sized windows, so the device pool bound holds for
-        any host window size.
+        Small totals go through one fused k-way launch; totals beyond the
+        device budget fall back to a pairwise tournament whose legs stream
+        device-sized windows, so the device pool bound holds for any host
+        window size. The merged run lands in ``out`` when one is given.
         """
         parts = [part for part in parts if part.shape[0]]
         if not parts:
@@ -213,14 +185,9 @@ class ExternalSorter:
             return parts[0]
         total = sum(part.shape[0] for part in parts)
         if total <= self.device_kway_budget:
-            return self._device_merge_k(parts)
-        while len(parts) > 1:
-            folded = [self.merge_blocks_in_host(parts[i], parts[i + 1])
-                      for i in range(0, len(parts) - 1, 2)]
-            if len(parts) % 2:
-                folded.append(parts[-1])
-            parts = folded
-        return parts[0]
+            return self.gpu.merge_records_device_k(
+                parts, key_field=self.key_field, out=out)
+        return tournament_fold(parts, self.merge_blocks_in_host, out)
 
     def sort_block_in_host(self, records: np.ndarray) -> np.ndarray:
         """Sort one host-resident block by streaming device chunks (level 2)."""
@@ -237,19 +204,17 @@ class ExternalSorter:
                     continue
                 next_runs.append(merge_in_memory_k(
                     group, window_records=self.device_kway_window,
-                    merge_fn=self._device_merge, merge_fn_k=self.merge_windows,
-                    key_field=self.key_field, reuse_windows=self._reuse))
+                    merge_fn_k=self.merge_windows, key_field=self.key_field))
             runs = next_runs
         return runs[0]
 
-    def merge_blocks_in_host(self, records_a: np.ndarray, records_b: np.ndarray
-                             ) -> np.ndarray:
+    def merge_blocks_in_host(self, records_a: np.ndarray, records_b: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
         """Merge two sorted host blocks via device-sized windows (level 2)."""
         return merge_in_memory_k([records_a, records_b],
                                  window_records=self.device_merge_window,
                                  merge_fn=self._device_merge,
-                                 key_field=self.key_field,
-                                 reuse_windows=self._reuse)
+                                 key_field=self.key_field, out=out)
 
     # -- level 1: disk-backed run sorting ---------------------------------------
 
@@ -314,7 +279,7 @@ class ExternalSorter:
                        "fanout": self.fanout,
                        "device_name": self.gpu.spec.name,
                        "capacity_bytes": self.gpu.pool.capacity_bytes,
-                       "buffer_pool": self._reuse}
+                       "buffer_pool": self.gpu.buffers.enabled}
 
         try:
             for result in executor.map_tasks(_SORT_TASK, payloads()):
@@ -448,11 +413,9 @@ class ExternalSorter:
                         with executor.write_behind(writer.append) as sink:
                             merge_streams_k(sources, sink.put,
                                             window_records=self.host_kway_window,
-                                            merge_fn=self.merge_blocks_in_host,
                                             merge_fn_k=self.merge_windows,
                                             key_field=self.key_field,
-                                            tracer=self.tracer,
-                                            reuse_windows=self._reuse)
+                                            tracer=self.tracer)
                     for path in group:
                         path.unlink()
                     next_paths.append(merged_path)

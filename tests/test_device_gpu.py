@@ -1,11 +1,14 @@
 """VirtualGPU: capacity enforcement, transfer metering, record kernels."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.device import SimClock, VirtualGPU
-from repro.errors import ConfigError, DeviceMemoryError
-from repro.extmem.records import make_records
+from repro.device import SimClock, VirtualGPU, costs, kernels
+from repro.errors import ConfigError, DeviceMemoryError, SortContractError
+from repro.extmem.records import kv_dtype, make_records
 
 
 @pytest.fixture()
@@ -109,9 +112,10 @@ class TestRecordKernels:
         b = self._records(rng, 60)
         a.sort(order="key")
         b.sort(order="key")
-        merged = gpu.merge_records_device(gpu.to_device(a), gpu.to_device(b))
-        assert np.array_equal(merged.array["key"],
+        merged = gpu.merge_records_device(a, b)
+        assert np.array_equal(merged["key"],
                               np.sort(np.concatenate([a["key"], b["key"]])))
+        assert gpu.pool.used_bytes == 0
 
     def test_bounds_records(self, gpu, rng):
         hay = self._records(rng, 200)
@@ -132,20 +136,18 @@ class TestRecordKernels:
         for run in runs:
             run.sort(order="key")
         before = gpu.clock.total_seconds
-        merged = gpu.merge_records_device_k([gpu.to_device(r) for r in runs])
+        merged = gpu.merge_records_device_k(runs)
         expected = np.sort(np.concatenate([r["key"] for r in runs]))
-        assert np.array_equal(merged.array["key"], expected)
+        assert np.array_equal(merged["key"], expected)
         assert gpu.clock.total_seconds > before
+        assert gpu.pool.used_bytes == 0
 
     def test_merge_records_device_k_requires_sorted(self, gpu, rng):
-        from repro.errors import SortContractError
-
         sorted_run = self._records(rng, 20)
         sorted_run.sort(order="key")
         unsorted = np.array(sorted_run[::-1])
         with pytest.raises(SortContractError):
-            gpu.merge_records_device_k([gpu.to_device(sorted_run),
-                                        gpu.to_device(unsorted)])
+            gpu.merge_records_device_k([sorted_run, unsorted])
 
     def test_merge_records_device_k_charges_tournament_depth(self, gpu, rng):
         """Merging 4 runs costs twice the kernel time of merging 2 runs of
@@ -155,12 +157,98 @@ class TestRecordKernels:
         for run in halves + quarters:
             run.sort(order="key")
         t0 = gpu.clock.seconds("kernel")
-        gpu.merge_records_device_k([gpu.to_device(r) for r in halves])
+        gpu.merge_records_device_k(halves)
         two_way = gpu.clock.seconds("kernel") - t0
         t1 = gpu.clock.seconds("kernel")
-        gpu.merge_records_device_k([gpu.to_device(r) for r in quarters])
+        gpu.merge_records_device_k(quarters)
         four_way = gpu.clock.seconds("kernel") - t1
         assert four_way == pytest.approx(2 * two_way)
+
+
+def _unfused_merge(gpu: VirtualGPU, parts: list[np.ndarray]) -> np.ndarray:
+    """The launch spelled out call by call: upload every part, the gathered
+    k-way oracle kernel, download. What the fused launch must look like to
+    the model."""
+    handles = [gpu.to_device(part, label="merge-way") for part in parts]
+    keys = [handle.array["key"] for handle in handles]
+    _, (merged,) = kernels.merge_sorted_records_k(
+        keys, [(handle.array,) for handle in handles])
+    itemsize = parts[0].dtype.itemsize
+    gpu.clock.charge("kernel", math.ceil(math.log2(len(parts))) *
+                     costs.merge_pairs_seconds(gpu.spec, merged.shape[0], 8,
+                                               itemsize - 8))
+    merged_d = gpu.empty(merged.shape, merged.dtype, label="merge-out")
+    merged_d.array[...] = merged
+    for handle in handles:
+        handle.free()
+    out = gpu.to_host(merged_d)
+    merged_d.free()
+    return out
+
+
+def _model_state(gpu: VirtualGPU):
+    return ({cat: gpu.clock.seconds(cat) for cat in ("kernel", "h2d", "d2h")},
+            gpu.pool.peak_bytes, gpu.pool.used_bytes,
+            dict(gpu.pool.counters()))
+
+
+class TestFusedMergeLaunch:
+    """One launch per merge window: same bytes, same model, fewer calls."""
+
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=30),
+                    min_size=2, max_size=4),
+           st.sampled_from([1, 2]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_unfused_sequence(self, runs_keys, lanes, with_out):
+        parts = []
+        for tag, keys in enumerate(runs_keys):
+            keys = np.sort(np.asarray(keys, dtype=np.uint64))
+            vals = np.arange(keys.shape[0], dtype=np.uint32) + np.uint32(100 * tag)
+            aux = keys * np.uint64(3) + np.uint64(tag) if lanes == 2 else None
+            parts.append(make_records(keys, vals, aux))
+        reference_gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
+        expected = _unfused_merge(reference_gpu, parts)
+
+        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
+        out = np.empty(expected.shape[0], dtype=kv_dtype(lanes)) \
+            if with_out else None
+        merged = gpu.merge_records_device_k(parts, out=out)
+        assert with_out is (merged is out)
+        assert merged.tobytes() == expected.tobytes()
+        assert _model_state(gpu) == _model_state(reference_gpu)
+
+        if len(parts) == 2:
+            pair_gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
+            pair = pair_gpu.merge_records_device(*parts)
+            assert pair.tobytes() == expected.tobytes()
+            assert _model_state(pair_gpu) == _model_state(reference_gpu)
+
+    def test_mismatched_out_is_refused(self, gpu, rng):
+        a = make_records(np.arange(5, dtype=np.uint64),
+                         np.arange(5, dtype=np.uint32))
+        for bad in (np.empty(9, dtype=a.dtype), np.empty(10, dtype=kv_dtype(2))):
+            with pytest.raises(ConfigError, match="out="):
+                gpu.merge_records_device(a, a, out=bad)
+        assert gpu.pool.used_bytes == 0
+
+    def test_failed_launch_leaves_the_pool_clean(self, rng):
+        a = make_records(np.arange(100, dtype=np.uint64),
+                         np.arange(100, dtype=np.uint32))
+        # Both windows fit, the merged output on top of them does not.
+        gpu = VirtualGPU("K40", capacity_bytes=3 * a.nbytes)
+        with pytest.raises(DeviceMemoryError, match="merge-out"):
+            gpu.merge_records_device(a, a)
+        assert gpu.pool.used_bytes == 0
+        assert gpu.pool.peak_bytes == 2 * a.nbytes
+        with pytest.raises(SortContractError):
+            gpu.merge_records_device_k([a, a[::-1].copy()])
+        assert gpu.pool.used_bytes == 0
+        with pytest.raises(SortContractError, match="dtypes"):
+            gpu.merge_records_device_k(
+                [a[:10], np.zeros(3, dtype=kv_dtype(2))])
+        assert gpu.pool.used_bytes == 0
+        # ... and the device is as usable as before.
+        assert gpu.merge_records_device(a[:50], a[50:]).tobytes() == a.tobytes()
 
 
 class TestTimingModel:

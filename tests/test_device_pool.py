@@ -4,7 +4,7 @@ The buffer pool recycles the real numpy storage behind device arrays; the
 contract is that nothing *modeled* may notice — metered peaks, simulated
 charges, capacity enforcement and every artifact byte must be identical
 with pooling on or off. These tests pin the free-list mechanics, the
-ownership-transfer rules (``consume=`` / ``out=``), and run the pipeline's
+``to_host(out=)`` rules, and run the pipeline's
 map + sort phases across the backend × worker matrix with pooling enabled
 against a pooling-disabled baseline.
 """
@@ -137,7 +137,7 @@ class TestGiveSizeClassRounding:
         assert counters["bufpool_recycled"] == 0
 
     def test_read_only_raw_is_refused(self):
-        """A consumed (poisoned) raw must never re-enter the free list."""
+        """A frozen raw must never re-enter the free list."""
         pool = BufferPool(1 << 20)
         _, raw = pool.take(100, np.uint64)
         raw.setflags(write=False)
@@ -151,18 +151,16 @@ class TestGiveSizeClassRounding:
 
 def _device_workout(gpu: VirtualGPU, rng) -> np.ndarray:
     """A transfer + sort + merge sequence; returns the merged keys."""
-    runs, inputs = [], []
+    runs = []
     for n in (300, 200):
         records = make_records(rng.integers(0, 99, n, dtype=np.uint64),
                                np.arange(n, dtype=np.uint32))
         on_device = gpu.to_device(records)
-        inputs.append(on_device)
-        runs.append(gpu.sort_records_device(on_device))
-    merged = gpu.merge_records_device_k(runs)
-    keys = merged.array["key"].copy()
-    for darray in inputs + runs + [merged]:
-        darray.free()
-    return keys
+        sorted_d = gpu.sort_records_device(on_device)
+        runs.append(gpu.to_host(sorted_d))
+        on_device.free()
+        sorted_d.free()
+    return gpu.merge_records_device_k(runs)["key"]
 
 
 class TestModelInvariance:
@@ -209,32 +207,7 @@ class TestModelInvariance:
             gpu.empty(500, np.uint64)
 
 
-class TestOwnershipTransfer:
-    def test_consume_poisons_host_array(self):
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        host = np.arange(300, dtype=np.uint64)
-        darray = gpu.to_device(host, consume=True)
-        assert not host.flags.writeable, "consumed array still writable"
-        assert darray.array is host  # zero-copy adoption
-        with pytest.raises(ValueError):
-            host[0] = 1
-
-    def test_consumed_memory_never_reissued(self):
-        """The pool must refuse the poisoned array on free."""
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        host = np.arange(300, dtype=np.uint64)
-        darray = gpu.to_device(host, consume=True)
-        before = gpu.buffers.counters()["bufpool_recycled"]
-        darray.free()
-        assert gpu.buffers.counters()["bufpool_recycled"] == before
-
-    def test_consume_skips_views(self):
-        """A view's owner must keep write access; only owned arrays poison."""
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        owner = np.arange(600, dtype=np.uint64)
-        gpu.to_device(owner[:300], consume=True)
-        assert owner.flags.writeable
-
+class TestTransfers:
     def test_to_host_out_reuses_buffer(self):
         gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
         data = np.arange(300, dtype=np.uint64)
@@ -244,27 +217,13 @@ class TestOwnershipTransfer:
         assert result is out
         assert np.array_equal(out, data)
 
-    def test_to_device_without_consume_still_copies(self):
+    def test_to_device_copies(self):
         gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
         host = np.zeros(300, dtype=np.uint64)
         darray = gpu.to_device(host)
         host[0] = 7
         assert darray.array[0] == 0
         assert host.flags.writeable
-
-    def test_reconsume_raises_typed_error_naming_owner(self):
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        host = np.arange(300, dtype=np.uint64)
-        gpu.to_device(host, label="merge-run-a", consume=True)
-        with pytest.raises(DeviceError, match="merge-run-a"):
-            gpu.to_device(host, label="again", consume=True)
-
-    def test_to_host_into_poisoned_array_raises_typed_error(self):
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        host = np.arange(300, dtype=np.uint64)
-        darray = gpu.to_device(host, label="merge-run-b", consume=True)
-        with pytest.raises(DeviceError, match="merge-run-b"):
-            gpu.to_host(darray, out=host)
 
     def test_to_host_into_read_only_array_raises_typed_error(self):
         gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
@@ -275,20 +234,8 @@ class TestOwnershipTransfer:
             gpu.to_host(darray, out=frozen)
 
     def test_device_memory_error_is_a_device_error(self):
-        # Callers catching the new base class keep catching OOM too.
+        # Callers catching the base class keep catching OOM too.
         assert issubclass(DeviceMemoryError, DeviceError)
-
-    def test_poison_registry_does_not_pin_arrays(self):
-        import gc
-        import weakref
-
-        gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
-        host = np.arange(300, dtype=np.uint64)
-        gpu.to_device(host, label="h2d", consume=True)
-        ref = weakref.ref(host)
-        del host
-        gc.collect()
-        assert ref() is None, "consume tracking kept the host array alive"
 
 
 def _map_sort_hashes(md, workdir, *, buffer_pool: bool, workers: int = 1,

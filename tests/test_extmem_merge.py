@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
+from repro.device.kernels import merge_sorted_records_k
+from repro.errors import ConfigError, SortContractError
 from repro.extmem import (RunReader, RunWriter, merge_in_memory,
                           merge_in_memory_k, merge_runs, merge_runs_k,
                           merge_streams_k)
@@ -17,11 +18,19 @@ def _run(keys) -> np.ndarray:
     return make_records(keys, np.arange(keys.shape[0], dtype=np.uint32))
 
 
-def _host_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _land(merged: np.ndarray, out) -> np.ndarray:
+    """The executor contract: the merged run goes into ``out`` when given."""
+    if out is None:
+        return merged
+    out[...] = merged
+    return out
+
+
+def _host_merge(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     from repro.device.kernels import merge_sorted_records
 
     _, (merged,) = merge_sorted_records(a["key"], (a,), b["key"], (b,))
-    return merged
+    return _land(merged, out)
 
 
 sorted_keys = st.lists(st.integers(0, 50), min_size=0, max_size=120)
@@ -49,9 +58,9 @@ class TestMergeInMemory:
         """Totally ordered windows are copied without calling merge_fn."""
         calls = []
 
-        def spy(a, b):
+        def spy(a, b, out=None):
             calls.append((a.shape[0], b.shape[0]))
-            return _host_merge(a, b)
+            return _host_merge(a, b, out)
 
         a, b = _run([1, 2, 3, 4]), _run([10, 11, 12, 13])
         merged = merge_in_memory(a, b, window_records=4, merge_fn=spy)
@@ -98,9 +107,9 @@ class TestMergeStreamsK:
         """Totally ordered windows are copied without calling any executor."""
         calls = []
 
-        def spy(parts):
+        def spy(parts, out=None):
             calls.append([p.shape[0] for p in parts])
-            return _host_merge(parts[0], parts[1])
+            return _host_merge(parts[0], parts[1], out)
 
         runs = [_run([1, 2]), _run([10, 11]), _run([20, 21])]
         merged = merge_in_memory_k(runs, window_records=4, merge_fn_k=spy)
@@ -112,12 +121,12 @@ class TestMergeStreamsK:
         k windows, and every handed part stops at the smallest tail key."""
         seen = []
 
-        def gathered(parts):
+        def gathered(parts, out=None):
             seen.append(len(parts))
             merged = parts[0]
             for part in parts[1:]:
                 merged = _host_merge(merged, part)
-            return merged
+            return _land(merged, out)
 
         runs = [_run([1, 4, 7]), _run([2, 5, 8]), _run([3, 6, 9])]
         merged = merge_in_memory_k(runs, window_records=2, merge_fn_k=gathered)
@@ -142,6 +151,93 @@ class TestMergeStreamsK:
     def test_no_sources_emits_nothing(self):
         assert merge_streams_k([], lambda _: None, window_records=4,
                                merge_fn=_host_merge) == 0
+
+
+def _tagged_run(keys, tag: int) -> np.ndarray:
+    """A sorted run whose values name the run and the position, so the
+    order of equal keys is visible in the output bytes."""
+    keys = np.sort(np.asarray(keys, dtype=np.uint64))
+    return make_records(
+        keys, np.arange(keys.shape[0], dtype=np.uint32) + np.uint32(1000 * tag))
+
+
+def _both_window_kinds(runs, window):
+    """Algorithm 1 over view windows and over stream windows of the same
+    runs: ``(merged bytes, part lengths the executor saw)`` for each."""
+    results = []
+    for in_memory in (True, False):
+        seen = []
+
+        def executor(parts, out=None):
+            seen.append([part.shape[0] for part in parts])
+            _, (merged,) = merge_sorted_records_k(
+                [part["key"] for part in parts], [(part,) for part in parts])
+            return _land(merged, out)
+
+        if in_memory:
+            merged = merge_in_memory_k(runs, window_records=window,
+                                       merge_fn_k=executor)
+        else:
+            chunks = [runs[0][:0]]
+            merge_streams_k([ArraySource(run) for run in runs], chunks.append,
+                            window_records=window, merge_fn_k=executor)
+            merged = np.concatenate(chunks)
+        results.append((merged.tobytes(), seen))
+    return results
+
+
+class TestViewWindows:
+    """In-memory runs are windowed as views, streams through ping-pong
+    buffers: one loop, so the same schedule and the same bytes."""
+
+    @given(st.lists(st.lists(st.integers(0, 12), max_size=40),
+                    min_size=2, max_size=4),
+           st.sampled_from([1, 3, 64]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_stream_windows(self, runs_keys, window):
+        runs = [_tagged_run(keys, tag) for tag, keys in enumerate(runs_keys)]
+        views, streams = _both_window_kinds(runs, window)
+        assert views[0] == streams[0], "emitted bytes differ"
+        assert views[1] == streams[1], "executor saw different windows"
+
+    def test_equal_keys_straddling_a_window_boundary(self):
+        """A fingerprint repeated past the window edge in every run."""
+        runs = [_tagged_run([1, 5, 5, 5, 5, 5, 9], 0),
+                _tagged_run([5, 5, 5, 5, 6], 1),
+                _tagged_run([0, 5, 5, 5, 5, 5, 5], 2)]
+        views, streams = _both_window_kinds(runs, 3)
+        assert views == streams
+        assert views[1], "the executor was never reached"
+        merged = np.frombuffer(views[0], dtype=runs[0].dtype)
+        assert np.array_equal(
+            merged["key"], np.sort(np.concatenate([r["key"] for r in runs])))
+
+    def test_output_is_independent_of_the_runs(self):
+        """Pass-through and survivor windows are copied, never aliased."""
+        runs = [_tagged_run([1, 2], 0), _tagged_run([10, 11], 1)]
+        merged = merge_in_memory_k(runs, window_records=4,
+                                   merge_fn=_host_merge)
+        assert not any(np.shares_memory(merged, run) for run in runs)
+
+    def test_lands_in_out(self):
+        runs = [_tagged_run([1, 4, 7], 0), _tagged_run([2, 4, 8], 1)]
+        out = np.empty(6, dtype=runs[0].dtype)
+        merged = merge_in_memory_k(runs, window_records=2,
+                                   merge_fn=_host_merge, out=out)
+        assert merged is out
+        assert out["key"].tolist() == [1, 2, 4, 4, 7, 8]
+        assert out["val"].tolist() == [0, 1000, 1, 1001, 2, 1002]
+        with pytest.raises(ConfigError, match="out="):
+            merge_in_memory_k(runs, window_records=2, merge_fn=_host_merge,
+                              out=np.empty(5, dtype=runs[0].dtype))
+
+    def test_unsorted_run_rejected(self):
+        good = _tagged_run([1, 2, 3], 0)
+        bad = make_records(np.array([5, 4, 9], dtype=np.uint64),
+                           np.zeros(3, dtype=np.uint32))
+        with pytest.raises(SortContractError, match="merge input 1"):
+            merge_in_memory_k([good, bad], window_records=2,
+                              merge_fn=_host_merge)
 
 
 class TestMergeRunsK:

@@ -1,5 +1,6 @@
 """The hybrid two-level external sort."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.extmem import (ExternalSorter, IOAccountant, RunReader, RunWriter,
                           derive_fanout, merge_rounds_for)
 from repro.extmem.records import kv_dtype, make_records
 from repro.model.sorting import predicted_sort_passes
+from repro.parallel import PipelineExecutor
 
 
 def _make_sorter(host_capacity=200_000, device_capacity=20_000, lanes=1,
@@ -218,7 +220,7 @@ class TestCrashSafety:
         records = make_records(rng.integers(0, 2**62, 60_000, dtype=np.uint64),
                                np.arange(60_000, dtype=np.uint32))
         sorter, _, _ = _make_sorter(host_capacity=120_000)
-        sorter.merge_windows = lambda parts: (_ for _ in ()).throw(
+        sorter.merge_windows = lambda parts, out=None: (_ for _ in ()).throw(
             RuntimeError("injected merge failure"))
         sorter.merge_blocks_in_host = sorter.merge_windows
         _write_run(tmp_path / "in", records)
@@ -274,3 +276,63 @@ class TestConfigValidation:
                                 dtype=kv_dtype(1), host_block_pairs=10,
                                 device_block_pairs=1000)
         assert sorter.m_d <= sorter.m_h
+
+
+class TestPinnedGolden:
+    """Every value below was computed on the commit *before* the fused merge
+    launch, the view windows and the byte-view copies (afb504b): those
+    changes may not move a file byte, a tie, a charge or an allocation."""
+
+    SHA256 = "f45f37e5a404dfe69aae78b15fa20acecb187fcd1a0d352875143b5c3c8e5d1b"
+    CLOCK = {"kernel": "0x1.04a34b06c920ep-15", "h2d": "0x1.994ee2add1504p-14",
+             "d2h": "0x1.994ee2add1506p-14", "disk_read": "0x1.9f0fb38a94d24p-6",
+             "disk_write": "0x1.a36e2eb1c432cp-10"}
+    DISK = {"disk_read_bytes": 240000.0, "disk_write_bytes": 240000.0,
+            "disk_read_ops": 9.0, "disk_write_ops": 7.0, "disk_seeks": 3.0}
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", 1), ("threads", 2), ("processes", 2)])
+    def test_two_lane_partition(self, tmp_path, backend, workers):
+        # 6,000 two-lane records, keys drawn from 1,500 values (ties within
+        # and across runs): 2 initial runs of 11 and 10 device chunks, so
+        # three level-2 merge levels at fanout 3 through the fused k-way
+        # launch, and a level-1 merge whose windows exceed the device
+        # budget and fall back to two-way launches.
+        rng = np.random.default_rng(20260927)
+        n = 6000
+        dtype = kv_dtype(2)
+        records = make_records(rng.integers(0, 1500, n, dtype=np.uint64),
+                               np.arange(n, dtype=np.uint32),
+                               rng.integers(0, 2**62, n, dtype=np.uint64))
+        clock = SimClock()
+        gpu = VirtualGPU("K40", capacity_bytes=900 * dtype.itemsize, clock=clock)
+        host_pool = MemoryPool("host", 6400 * dtype.itemsize, HostMemoryError)
+        accountant = IOAccountant(clock=clock)
+        executor = PipelineExecutor(workers, backend=backend)
+        try:
+            sorter = ExternalSorter(
+                gpu=gpu, host_pool=host_pool, accountant=accountant,
+                dtype=dtype, host_block_pairs=6400, device_block_pairs=900,
+                merge_fanout=3, executor=executor)
+            _write_run(tmp_path / "in", records)
+            report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
+        finally:
+            executor.shutdown()
+        assert (report.initial_runs, report.merge_rounds) == (2, 1)
+        assert hashlib.sha256(
+            (tmp_path / "out").read_bytes()).hexdigest() == self.SHA256
+        assert gpu.pool.counters()["device_allocs"] == 361.0
+        assert gpu.pool.lifetime_peak_bytes == 17840
+        assert gpu.pool.used_bytes == 0
+        assert host_pool.lifetime_peak_bytes == 128000
+        # _write_run above is unmetered; the accountant saw the sort only.
+        assert dict(accountant.counters()) == self.DISK
+        for category, golden in self.CLOCK.items():
+            seconds = clock.seconds(category)
+            if backend == "serial":
+                assert seconds.hex() == golden, category
+            else:
+                # Background lanes may land their charges in another
+                # order; float addition then differs in the last bits.
+                assert seconds == pytest.approx(float.fromhex(golden),
+                                                rel=1e-12), category

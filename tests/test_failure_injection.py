@@ -33,10 +33,9 @@ class TestCorruptRunFiles:
         gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
         unsorted = make_records(np.array([9, 1], dtype=np.uint64),
                                 np.array([0, 1], dtype=np.uint32))
-        a = gpu.to_device(unsorted)
-        b = gpu.to_device(unsorted[:1])
         with pytest.raises(SortContractError):
-            gpu.merge_records_device(a, b)
+            gpu.merge_records_device(unsorted, unsorted[:1])
+        assert gpu.pool.used_bytes == 0, "failed launch left windows reserved"
 
     def test_unsorted_haystack_rejected_by_bounds(self):
         gpu = VirtualGPU("K40", capacity_bytes=1 << 20)
