@@ -21,11 +21,18 @@ from __future__ import annotations
 import functools
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro import Assembler, AssemblyConfig
 from repro.analysis import ComparisonTable
 from repro.config import MemoryConfig
+from repro.core.compress_phase import run_compress
+from repro.core.context import RunContext
+from repro.core.load_phase import run_load
+from repro.core.map_phase import run_map
+from repro.core.reduce_phase import run_reduce
 from repro.core.results import AssemblyResult
+from repro.core.sort_phase import run_sort
 from repro.model.workload import Workload
 from repro.seq.datasets import active_scale, dataset_registry, materialize_dataset
 
@@ -68,21 +75,67 @@ def workload(paper_name: str) -> Workload:
     return Workload.from_spec(dataset_registry()[NAME_BY_PAPER[paper_name]])
 
 
-@functools.lru_cache(maxsize=None)
-def pipeline_result(paper_name: str, preset: str) -> AssemblyResult:
-    """Run (once) the full pipeline on a scaled dataset under a preset.
+def table_config(paper_name: str, preset: str) -> AssemblyConfig:
+    """The configuration of a scaled Table II/III run.
 
     Uses two fingerprint lanes — the paper's 20-byte record — so the scaled
     disk-pass structure matches Tables II/III.
     """
-    materialized = dataset(paper_name)
-    config = AssemblyConfig(
-        min_overlap=materialized.spec.min_overlap,
+    return AssemblyConfig(
+        min_overlap=dataset(paper_name).spec.min_overlap,
         memory=scaled_memory(preset),
         device_name=PRESETS[preset],
         fingerprint_lanes=2,
     )
-    return Assembler(config).assemble(materialized.store_path)
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_result(paper_name: str, preset: str) -> AssemblyResult:
+    """Run (once) the full pipeline on a scaled dataset under a preset."""
+    return Assembler(table_config(paper_name, preset)).assemble(
+        dataset(paper_name).store_path)
+
+
+def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
+    """The paper's eager schedule under per-phase telemetry.
+
+    The plain phase composition — ``run_sort`` over every partition, then
+    ``run_reduce`` over all of them, which is also what the cluster nodes
+    run — where ``Assembler`` sorts each length just before reduce reads it,
+    minus the records that can no longer win. Same graph and contigs;
+    nothing is filtered, so candidate counts are the exact overlap set's.
+    """
+    ctx = RunContext(config)
+    phase = ctx.telemetry.phase
+    try:
+        with phase("load"):
+            store = run_load(ctx, store_path)
+        try:
+            with phase("map"):
+                partitions, _ = run_map(ctx, store)
+            with phase("sort"):
+                sort_report = run_sort(ctx, partitions)
+            with phase("reduce"):
+                graph, reduce_report = run_reduce(ctx, partitions, store)
+            with phase("compress"):
+                contigs, _ = run_compress(ctx, graph, store)
+        finally:
+            store.close()
+    finally:
+        ctx.cleanup()
+    return SimpleNamespace(telemetry=ctx.telemetry, sort_report=sort_report,
+                           reduce_report=reduce_report, contigs=contigs)
+
+
+def longest_partition_passes(result) -> int:
+    """Disk passes over the longest partition: the paper's pass count.
+
+    That partition is sorted unfiltered, before the graph is allocated,
+    with the whole host budget (shorter ones are filtered first and share
+    the host with the graph; see ``bench_ablation_lazy_sort.py``, D7).
+    """
+    reports = result.sort_report.reports
+    return reports[("S", max(length for _, length in reports))].disk_passes
 
 
 def emit(bench_name: str, *renderables) -> None:

@@ -11,7 +11,8 @@ from repro.analysis import ComparisonTable
 from repro.model import model_phase_seconds
 from repro.model.paper_values import TABLE3_K20
 
-from _common import PAPER_ORDER, emit, pipeline_result, scale, workload
+from _common import (PAPER_ORDER, emit, longest_partition_passes,
+                     pipeline_result, scale, workload)
 
 PHASES = ("map", "sort", "reduce", "compress", "load", "total")
 
@@ -36,12 +37,15 @@ def test_table3_phase_times_k20(benchmark, paper_name):
     for phase in PHASES:
         table.add_row(phase, TABLE3_K20[paper_name][phase], model[phase],
                       measured[phase])
-    table.add_note(f"sort disk passes: {result.sort_report.max_disk_passes}")
+    longest_passes = longest_partition_passes(result)
+    table.add_note(f"sort disk passes, longest partition: {longest_passes}; "
+                   f"worst partition, sorted beside the resident graph: "
+                   f"{result.sort_report.max_disk_passes}")
     emit(f"table3_{paper_name.replace(' ', '').replace('.', '').lower()}", table)
 
     # The pass-count crossover (Table II vs III): extra pass for H.Genome only.
     expected_passes = 2 if paper_name == "H.Genome" else 1
-    assert result.sort_report.max_disk_passes == expected_passes
+    assert longest_passes == expected_passes
 
 
 @pytest.mark.benchmark(group="table3")
@@ -68,5 +72,8 @@ def test_table3_sort_slowdown_is_hgenome_only(benchmark):
     for paper_name in PAPER_ORDER:
         table.add_row(paper_name, paper_ratio[paper_name], measured[paper_name])
     emit("table3_sort_ratio", table)
+    # Only the partitions that still need a merge round after the filter
+    # pay for the smaller host (paper 1.34; every partition paid when all
+    # of them were sorted whole, which read > 1.5).
     assert measured["H.Genome"] == max(measured.values())
-    assert measured["H.Genome"] > 1.5
+    assert measured["H.Genome"] > 1.1

@@ -22,10 +22,10 @@ instead of ~2·L per-length Python record assemblies per batch.
 
 The phase works at the two levels of the paper's hierarchy. The *modeled*
 unit is the device batch (``map_batch_reads``, or as many reads as the
-device budget holds): scratch reservation, kernel charges, disk metering,
-the ``map:batch`` span and ``MapReport.n_batches`` are all per device
-batch. The unit that numpy and the partition writers see is the *host
-block* of :func:`_stage_batches` consecutive device batches, read,
+device budget holds): scratch reservation, kernel charges, disk metering
+and ``MapReport.n_batches`` are all per device batch. The unit that numpy,
+the partition writers and the trace (one ``map:block`` span) see is the
+*host block* of :func:`_stage_batches` consecutive device batches, read,
 fingerprinted and appended in one go, so a small device budget does not
 turn into one interpreter round trip per five reads. A partition file
 holds, per device batch, the forward-strand records then the
@@ -367,21 +367,23 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         for staged in deliveries:
             block_n = staged.shape[2] // 2
             rows = []
-            with ctx.host_pool.alloc(block_n * per_read, label="map-host-buffers"):
+            # One span per host block (a span per device batch costs more
+            # than the batch at small device budgets). det=False: the
+            # prefetch thread charges the accountant from the packed reads,
+            # so mid-phase simulated stamps depend on the worker count.
+            with tracer.span("map:block", track="pipeline",
+                             first_batch=n_batches + 1, reads=block_n), \
+                    ctx.host_pool.alloc(block_n * per_read, label="map-host-buffers"):
                 # Modeled accounting stays on the main thread, per device
                 # batch and in batch order: scratch reservations, kernel
                 # charges and (through ``rows``) the metered appends are
                 # identical to the serial schedule for any worker count and
-                # any block size. The batch span is det=False: the prefetch
-                # thread charges the accountant from the packed reads, so
-                # mid-phase simulated stamps depend on the worker count.
+                # any block size.
                 for lo in range(0, block_n, batch_reads):
                     n = min(batch_reads, block_n - lo)
                     n_batches += 1
                     rows += (n, n)  # forward, reverse-complement
-                    with tracer.span("map:batch", track="pipeline",
-                                     batch=n_batches, reads=n), \
-                            ctx.gpu.scratch(n * per_read, label="map-batch"):
+                    with ctx.gpu.scratch(n * per_read, label="map-batch"):
                         ctx.gpu.charge_kernels(kernel_charges(n))
                 partitions.append_pairs(
                     [(length, staged[0][j], staged[1][j]) for j, length in kept],

@@ -5,6 +5,14 @@ one :class:`~repro.core.context.RunContext` carrying the budgets and meters.
 Phase names match the rows of the paper's Tables II/III ("Load", "Map",
 "Sort", "Reduce", "Compress").
 
+Sort and reduce are interleaved per overlap length, longest first: a
+length's partitions are sorted just before reduce reads them, minus the
+records the greedy graph has already closed (see
+:meth:`Assembler._sort_and_reduce`). The re-entered ``sort`` / ``reduce``
+phases merge into one telemetry row each. The paper's eager order is the
+plain composition ``run_sort(ctx, partitions)`` → ``run_reduce(ctx,
+partitions, store)``; it builds the same graph.
+
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
 skipped using the :mod:`~repro.core.checkpoint` ledger — a 16-hour
 paper-scale run interrupted after its sort phase restarts at reduce.
@@ -24,7 +32,7 @@ from ..faults import plan as faults
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
 from .checkpoint import (GRAPH_FILE, CheckpointManager, config_fingerprint,
-                         file_digest, load_graph_file)
+                         file_digest, load_graph_file, save_graph_file)
 from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
@@ -36,6 +44,39 @@ from ..extmem.sort import SortReport
 
 #: Canonical phase order, as reported in the paper's tables.
 PHASES = ("load", "map", "sort", "reduce", "compress")
+
+
+def _map_report_from_json(saved: dict) -> MapReport:
+    return MapReport(**{**saved, "lengths": tuple(saved["lengths"])})
+
+
+def _sort_report_json(report: SortPhaseReport) -> dict:
+    """JSON form of a sort report (ledger state and cache meta alike).
+
+    All four SortReport fields must round-trip: dropping fanout would
+    resurrect the default (2) on resume and silently change both the
+    report and the fingerprint-relevant sort shape.
+    """
+    return {f"{side}:{length}": [r.n_records, r.initial_runs,
+                                 r.merge_rounds, r.fanout]
+            for (side, length), r in report.reports.items()}
+
+
+def _sort_report_from_json(saved: dict) -> SortPhaseReport:
+    reports = {}
+    for key, values in saved.items():
+        side, length = key.split(":")
+        reports[(side, int(length))] = SortReport(*values)
+    return SortPhaseReport(reports)
+
+
+def _reduce_report_from_json(saved: dict) -> ReduceReport:
+    """Inverse of ``asdict(report)`` after a JSON round trip (string keys)."""
+    return ReduceReport(**{
+        **saved,
+        "per_length_edges": {int(k): v for k, v
+                             in saved["per_length_edges"].items()},
+    })
 
 
 def _source_identity(source) -> str:
@@ -128,16 +169,8 @@ class Assembler:
                 partitions, map_report = self._map(ctx, store, manager)
             faults.barrier(faults.PHASE, "map")
             self._boundary(ctx, "map")
-            faults.note_phase("sort")
-            with ctx.telemetry.phase("sort"):
-                sort_report = self._sort(ctx, partitions, manager)
-            faults.barrier(faults.PHASE, "sort")
-            self._boundary(ctx, "sort")
-            faults.note_phase("reduce")
-            with ctx.telemetry.phase("reduce"):
-                graph, reduce_report = self._reduce(ctx, partitions, store, manager)
-            faults.barrier(faults.PHASE, "reduce")
-            self._boundary(ctx, "reduce")
+            graph, sort_report, reduce_report = self._sort_and_reduce(
+                ctx, partitions, store, manager)
             faults.note_phase("compress")
             with ctx.telemetry.phase("compress"):
                 contigs, paths = run_compress(ctx, graph, store,
@@ -299,14 +332,17 @@ class Assembler:
     def _map(self, ctx: RunContext, store: PackedReadStore, manager,
              ) -> tuple[PartitionStore, MapReport]:
         dtype = kv_dtype(ctx.config.fingerprint_lanes)
+
+        def unsorted_paths(partitions, report):
+            return [partitions.path(side, length) for length in report.lengths
+                    for side in ("S", "P")]
+
         if manager is not None and manager.completed("map"):
             saved = manager._state.get("map_report")
             partitions = PartitionStore(ctx.workdir / "partitions", dtype,
                                         ctx.accountant)
             if saved is not None:
-                return partitions, MapReport(saved["n_reads"], saved["n_batches"],
-                                             saved["tuples_written"],
-                                             tuple(saved["lengths"]))
+                return partitions, _map_report_from_json(saved)
         key = None
         if self.content_store is not None:
             reads_digest = file_digest(ctx.workdir / "reads.lsgr")
@@ -317,159 +353,181 @@ class Assembler:
                 if meta is not None:
                     partitions = PartitionStore(ctx.workdir / "partitions",
                                                 dtype, ctx.accountant)
-                    report = MapReport(meta["n_reads"], meta["n_batches"],
-                                       meta["tuples_written"],
-                                       tuple(meta["lengths"]))
-                    if manager is not None:
-                        manager._state["map_report"] = {
-                            "n_reads": report.n_reads,
-                            "n_batches": report.n_batches,
-                            "tuples_written": report.tuples_written,
-                            "lengths": list(report.lengths),
-                        }
-                        manager.mark("map", [partitions.path(side, length)
-                                             for length in report.lengths
-                                             for side in ("S", "P")])
+                    report = _map_report_from_json(meta)
+                    self._mark(manager, "map", meta,
+                               unsorted_paths(partitions, report))
                     return partitions, report
         partitions, report = run_map(ctx, store)
-        if manager is not None:
-            manager._state["map_report"] = {
-                "n_reads": report.n_reads, "n_batches": report.n_batches,
-                "tuples_written": report.tuples_written,
-                "lengths": list(report.lengths),
-            }
-            manager.mark("map", [partitions.path(side, length)
-                                 for length in report.lengths
-                                 for side in ("S", "P")])
+        saved = {**asdict(report), "lengths": list(report.lengths)}
+        self._mark(manager, "map", saved, unsorted_paths(partitions, report))
         if key is not None:
-            self.content_store.put(
-                key, "map", ctx.workdir,
-                [partitions.path(side, length) for length in report.lengths
-                 for side in ("S", "P")],
-                meta={"n_reads": report.n_reads, "n_batches": report.n_batches,
-                      "tuples_written": report.tuples_written,
-                      "lengths": list(report.lengths)},
-                tracer=ctx.tracer)
+            self.content_store.put(key, "map", ctx.workdir,
+                                   unsorted_paths(partitions, report),
+                                   meta=saved, tracer=ctx.tracer)
         return partitions, report
 
-    def _sort(self, ctx: RunContext, partitions: PartitionStore, manager,
-              ) -> SortPhaseReport:
-        if manager is not None and manager.completed("sort"):
-            saved = manager._state.get("sort_report", {})
-            reports = {}
-            complete = True
-            for key, values in saved.items():
-                side, length = key.split(":")
-                if not partitions.path(side, int(length), sorted_run=True).exists():
-                    complete = False
-                    break
-                reports[(side, int(length))] = SortReport(*values)
-            if complete and reports:
-                return SortPhaseReport(reports)
-            manager.invalidate_from("sort")
-        key = None
-        if self.content_store is not None:
-            inputs = self._partition_inputs(partitions, sorted_run=False)
-            if inputs is not None:
-                key = self._cache_key("sort", inputs)
-                meta = self.content_store.fetch(key, ctx.workdir, phase="sort",
-                                                tracer=ctx.tracer)
-                if meta is not None:
-                    reports = {}
-                    for saved_key, values in meta.items():
-                        side, length = saved_key.split(":")
-                        reports[(side, int(length))] = SortReport(*values)
-                    # Mirror the sort phase's file discipline: the unsorted
-                    # partitions are consumed once their sorted runs exist.
-                    for (side, length) in reports:
-                        partitions.delete(side, length)
-                    if manager is not None:
-                        manager._state["sort_report"] = {
-                            f"{side}:{length}": [r.n_records, r.initial_runs,
-                                                 r.merge_rounds, r.fanout]
-                            for (side, length), r in reports.items()}
-                        manager.mark("sort",
-                                     [partitions.path(side, length,
-                                                      sorted_run=True)
-                                      for (side, length) in reports])
-                    return SortPhaseReport(reports)
-        report = run_sort(ctx, partitions)
-        if manager is not None:
-            # All four SortReport fields must round-trip: dropping fanout
-            # would resurrect the default (2) on resume and silently change
-            # both the report and the fingerprint-relevant sort shape.
-            manager._state["sort_report"] = {
-                f"{side}:{length}": [r.n_records, r.initial_runs,
-                                     r.merge_rounds, r.fanout]
-                for (side, length), r in report.reports.items()
-            }
-            manager.mark("sort", [partitions.path(side, length, sorted_run=True)
-                                  for (side, length) in report.reports])
-        if key is not None:
-            self.content_store.put(
-                key, "sort", ctx.workdir,
-                [partitions.path(side, length, sorted_run=True)
-                 for (side, length) in report.reports],
-                meta={f"{side}:{length}": [r.n_records, r.initial_runs,
-                                           r.merge_rounds, r.fanout]
-                      for (side, length), r in report.reports.items()},
-                tracer=ctx.tracer)
-        return report
+    def _sort_and_reduce(self, ctx: RunContext, partitions: PartitionStore,
+                         store: PackedReadStore, manager,
+                         ) -> tuple[GreedyStringGraph, SortPhaseReport, ReduceReport]:
+        """Sort and reduce, one overlap length at a time, longest first.
 
-    def _reduce(self, ctx: RunContext, partitions: PartitionStore,
-                store: PackedReadStore, manager,
-                ) -> tuple[GreedyStringGraph, ReduceReport]:
+        Reduce takes the longest overlaps first and a vertex takes one
+        out-edge, so when a length's turn comes most of its records belong
+        to vertices that are already closed. Each length is therefore
+        sorted just before reduce reads it, with the graph so far as the
+        filter (:func:`~repro.core.sort_phase.run_sort`). The longest
+        length is sorted before the graph exists: nothing can be dropped
+        yet, and it gets the whole host budget. The graph is the eager
+        composition's (bits are only ever set, so a dropped record is one
+        every later candidate of its vertex would have been refused for).
+
+        Look-ups come first and records last, so fault barriers and phase
+        hooks see ``sort`` then ``reduce`` exactly once each. A half that
+        was looked up is not recorded again; a workdir with some lengths
+        sorted (an interrupted loop) uses those files as they are.
+        """
+        telemetry = ctx.telemetry
+        graph = reduce_report = None
+        faults.note_phase("sort")
+        with telemetry.phase("sort"):
+            sort_report, sort_key = self._lookup_sort(ctx, partitions, manager)
+        sort_found = sort_report is not None
+        if sort_found:
+            faults.note_phase("reduce")
+            with telemetry.phase("reduce"):
+                graph, reduce_report = self._lookup_reduce(ctx, partitions,
+                                                           manager)
+        reduce_found = graph is not None
+        if not reduce_found:
+            if not sort_found:
+                sort_report = SortPhaseReport({})
+            for length in sorted(partitions.lengths(), reverse=True):
+                if not sort_found:
+                    faults.note_phase("sort")
+                    with telemetry.phase("sort"):
+                        sort_report.reports.update(run_sort(
+                            ctx, partitions, lengths=(length,), graph=graph).reports)
+                faults.note_phase("reduce")
+                with telemetry.phase("reduce"):
+                    graph, reduce_report = run_reduce(
+                        ctx, partitions, store, lengths=(length,), graph=graph,
+                        report=reduce_report)
+        faults.note_phase("sort")
+        if not sort_found:
+            with telemetry.phase("sort"):
+                self._record_sort(ctx, partitions, manager, sort_report, sort_key)
+        faults.barrier(faults.PHASE, "sort")
+        self._boundary(ctx, "sort")
+        faults.note_phase("reduce")
+        if not reduce_found:
+            with telemetry.phase("reduce"):
+                self._record_reduce(ctx, partitions, manager, graph,
+                                    reduce_report)
+        faults.barrier(faults.PHASE, "reduce")
+        self._boundary(ctx, "reduce")
+        return graph, sort_report, reduce_report
+
+    @staticmethod
+    def _mark(manager, phase: str, saved: dict, artifacts) -> None:
+        """Ledger half of a record: the report's JSON form and the digests."""
+        if manager is not None:
+            manager._state[f"{phase}_report"] = saved
+            manager.mark(phase, artifacts)
+
+    @staticmethod
+    def _sorted_paths(partitions: PartitionStore, report: SortPhaseReport):
+        return [partitions.path(side, length, sorted_run=True)
+                for (side, length) in report.reports]
+
+    def _lookup_sort(self, ctx: RunContext, partitions: PartitionStore, manager,
+                     ) -> tuple[SortPhaseReport | None, str | None]:
+        """Sorted partitions from the ledger or the cache: ``(report, key)``.
+
+        ``report`` is ``None`` when sorting is still to do; ``key`` is then
+        the cache key to record the result under (``None`` = uncacheable).
+        It hashes the unsorted files, which the sort consumes, so it has to
+        be taken here.
+        """
+        if manager is not None and manager.completed("sort"):
+            report = _sort_report_from_json(manager._state.get("sort_report", {}))
+            if report.reports and all(
+                    path.exists() for path in self._sorted_paths(partitions, report)):
+                return report, None
+            manager.invalidate_from("sort")
+        if self.content_store is None:
+            return None, None
+        inputs = self._partition_inputs(partitions, sorted_run=False)
+        if inputs is None:
+            return None, None
+        key = self._cache_key("sort", inputs)
+        meta = self.content_store.fetch(key, ctx.workdir, phase="sort",
+                                        tracer=ctx.tracer)
+        if meta is None:
+            return None, key
+        report = _sort_report_from_json(meta)
+        # Mirror the sort phase's file discipline: the unsorted partitions
+        # are consumed once their sorted runs exist.
+        for (side, length) in report.reports:
+            partitions.delete(side, length)
+        self._mark(manager, "sort", meta, self._sorted_paths(partitions, report))
+        return report, None
+
+    def _record_sort(self, ctx: RunContext, partitions: PartitionStore, manager,
+                     report: SortPhaseReport, key: str | None) -> None:
+        saved = _sort_report_json(report)
+        paths = self._sorted_paths(partitions, report)
+        self._mark(manager, "sort", saved, paths)
+        if key is not None:
+            self.content_store.put(key, "sort", ctx.workdir, paths, meta=saved,
+                                   tracer=ctx.tracer)
+
+    def _reduce_key(self, ctx: RunContext, partitions: PartitionStore,
+                    ) -> str | None:
+        """Cache key of the graph (reads + sorted partitions), if cacheable."""
+        if self.content_store is None:
+            return None
+        inputs = self._partition_inputs(partitions, sorted_run=True)
+        reads_digest = file_digest(ctx.workdir / "reads.lsgr")
+        if inputs is None or reads_digest is None:
+            return None
+        return self._cache_key("reduce", [f"reads:{reads_digest}"] + inputs)
+
+    def _lookup_reduce(self, ctx: RunContext, partitions: PartitionStore, manager,
+                       ) -> tuple[GreedyStringGraph | None, ReduceReport | None]:
+        """The graph from the ledger or the cache (every partition sorted)."""
         if manager is not None and manager.completed("reduce"):
             graph = manager.load_graph(ctx.host_pool)
             saved = manager._state.get("reduce_report")
             if graph is not None and saved is not None:
-                report = ReduceReport(**{
-                    **saved,
-                    "per_length_edges": {int(k): v for k, v
-                                         in saved["per_length_edges"].items()},
-                })
-                return graph, report
+                return graph, _reduce_report_from_json(saved)
             manager.invalidate_from("reduce")
-        key = None
-        if self.content_store is not None:
-            inputs = self._partition_inputs(partitions, sorted_run=True)
-            reads_digest = file_digest(ctx.workdir / "reads.lsgr")
-            if inputs is not None and reads_digest is not None:
-                key = self._cache_key("reduce",
-                                      [f"reads:{reads_digest}"] + inputs)
-                meta = self.content_store.fetch(key, ctx.workdir,
-                                                phase="reduce",
-                                                tracer=ctx.tracer)
-                if meta is not None:
-                    graph = load_graph_file(ctx.workdir / GRAPH_FILE,
-                                            ctx.host_pool)
-                    if graph is not None:
-                        report = ReduceReport(**{
-                            **meta,
-                            "per_length_edges": {
-                                int(k): v for k, v
-                                in meta["per_length_edges"].items()},
-                        })
-                        if manager is not None:
-                            manager._state["reduce_report"] = asdict(report)
-                            manager.mark("reduce", [ctx.workdir / GRAPH_FILE])
-                        return graph, report
-        graph, report = run_reduce(ctx, partitions, store)
+        key = self._reduce_key(ctx, partitions)
+        if key is not None:
+            meta = self.content_store.fetch(key, ctx.workdir, phase="reduce",
+                                            tracer=ctx.tracer)
+            if meta is not None:
+                graph = load_graph_file(ctx.workdir / GRAPH_FILE, ctx.host_pool)
+                if graph is not None:
+                    self._mark(manager, "reduce", meta,
+                               [ctx.workdir / GRAPH_FILE])
+                    return graph, _reduce_report_from_json(meta)
+        return None, None
+
+    def _record_reduce(self, ctx: RunContext, partitions: PartitionStore, manager,
+                       graph: GreedyStringGraph, report: ReduceReport) -> None:
+        saved = asdict(report)
+        key = self._reduce_key(ctx, partitions)
         if manager is not None:
             manager.save_graph(graph)
-            manager._state["reduce_report"] = asdict(report)
-            manager.mark("reduce", [ctx.workdir / GRAPH_FILE])
+        elif key is not None:
+            # No ledger writing the archive for us: materialize it so the
+            # cache entry has bytes to hold.
+            save_graph_file(ctx.workdir / GRAPH_FILE, graph)
+        self._mark(manager, "reduce", saved, [ctx.workdir / GRAPH_FILE])
         if key is not None:
-            if manager is None:
-                # No ledger writing the archive for us: materialize it so
-                # the cache entry has bytes to hold.
-                from .checkpoint import save_graph_file
-
-                save_graph_file(ctx.workdir / GRAPH_FILE, graph)
             self.content_store.put(key, "reduce", ctx.workdir,
-                                   [ctx.workdir / GRAPH_FILE],
-                                   meta=asdict(report), tracer=ctx.tracer)
-        return graph, report
+                                   [ctx.workdir / GRAPH_FILE], meta=saved,
+                                   tracer=ctx.tracer)
 
     @staticmethod
     def _partition_inputs(partitions: PartitionStore, *,

@@ -20,6 +20,7 @@ bit-vector. With two fingerprint lanes, the auxiliary lane must also agree
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class ReduceReport:
 
     partitions_processed: int = 0
     window_rounds: int = 0
+    #: Candidates offered to the greedy rule (not "overlaps found": records
+    #: the sort already dropped as closed never become candidates).
     candidates: int = 0
     aux_rejected: int = 0
     edges_added: int = 0
@@ -51,13 +54,24 @@ class ReduceReport:
 
 
 def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadStore,
+               *, lengths: Iterable[int] | None = None,
+               graph: GreedyStringGraph | None = None,
+               report: ReduceReport | None = None,
                ) -> tuple[GreedyStringGraph, ReduceReport]:
-    """Build the greedy string graph from all sorted partitions."""
-    graph = GreedyStringGraph(store.n_reads, store.read_length, ctx.host_pool)
-    report = ReduceReport()
+    """Build the greedy string graph from all sorted partitions.
+
+    ``lengths`` restricts the call to those partitions; ``graph`` and
+    ``report`` continue the ones an earlier call (over longer lengths)
+    returned instead of starting new ones.
+    """
+    if graph is None:
+        graph = GreedyStringGraph(store.n_reads, store.read_length, ctx.host_pool)
+    if report is None:
+        report = ReduceReport()
     _, m_d = ctx.config.resolved_blocks(partitions.dtype.itemsize)
     window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
-    for length in sorted(partitions.lengths(), reverse=True):
+    for length in sorted(partitions.lengths() if lengths is None else lengths,
+                         reverse=True):
         s_path = partitions.path("S", length, sorted_run=True)
         p_path = partitions.path("P", length, sorted_run=True)
         if not (s_path.exists() and p_path.exists()):

@@ -104,9 +104,15 @@ class AssemblyResult:
     def summary(self) -> str:
         """Multi-line human-readable run summary."""
         stats = self.stats()
+        mapped = self.map_report.tuples_written
+        n_sorted = self.sort_report.total_records
         lines = [
             f"reads: {self.n_reads:,} × {self.read_length} bp",
-            f"tuples mapped: {self.map_report.tuples_written:,}",
+            f"tuples mapped: {mapped:,}",
+            # The rest were dropped unsorted: their vertex was already
+            # closed when their length's turn came.
+            f"sorted: {n_sorted:,} of {mapped:,} mapped "
+            f"({100 * n_sorted / mapped:.1f} %)",
             f"sort disk passes (max): {self.sort_report.max_disk_passes}",
             f"candidates: {self.reduce_report.candidates:,} "
             f"(aux-rejected {self.reduce_report.aux_rejected:,})",

@@ -5,14 +5,24 @@ two-level :class:`~repro.extmem.sort.ExternalSorter` — disk blocks of
 ``m_h`` records buffered in host memory, device chunks of ``m_d`` records
 sorted/merged on the virtual GPU. The unsorted partition is deleted once
 its sorted counterpart exists (write-only/read-only file discipline).
+
+Given the greedy graph built so far, the sort also *filters*: reduce runs
+longest overlap first and a vertex takes one out-edge, so a record whose
+vertex claim is already taken when its length's turn comes can never
+produce an edge. Such records are dropped while the runs are formed; they
+are neither sorted nor written nor streamed through reduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from typing import Iterable
+
 from ..extmem import ExternalSorter, PartitionStore
+from ..extmem.records import VAL_FIELD
 from ..extmem.sort import SortReport
+from ..graph import GreedyStringGraph
 from .context import RunContext
 
 
@@ -33,27 +43,63 @@ class SortPhaseReport:
         return max((r.disk_passes for r in self.reports.values()), default=0)
 
 
-def make_sorter(ctx: RunContext, dtype) -> ExternalSorter:
-    """Build the external sorter for this run's budgets and record dtype."""
-    m_h, m_d = ctx.config.resolved_blocks(dtype.itemsize)
+def make_sorter(ctx: RunContext, dtype, resident_bytes: int = 0) -> ExternalSorter:
+    """Build the external sorter for this run's budgets and record dtype.
+
+    ``resident_bytes`` is host memory something else holds while the sorter
+    works (the string graph, from the second length on): ``m_h`` is then
+    cut from what is left of the host budget. An explicit
+    ``host_block_pairs`` wins either way.
+    """
+    config = ctx.config
+    m_h, m_d = config.resolved_blocks(dtype.itemsize)
+    if resident_bytes and not config.host_block_pairs:
+        left = int((config.memory.host_bytes - resident_bytes)
+                   * config.memory.buffer_fraction)
+        m_h = max(2, left // dtype.itemsize)
     return ExternalSorter(gpu=ctx.gpu, host_pool=ctx.host_pool,
                           accountant=ctx.accountant, dtype=dtype,
                           host_block_pairs=m_h, device_block_pairs=m_d,
-                          merge_fanout=ctx.config.merge_fanout,
+                          merge_fanout=config.merge_fanout,
                           executor=ctx.executor, tracer=ctx.tracer)
 
 
-def run_sort(ctx: RunContext, partitions: PartitionStore) -> SortPhaseReport:
+def _open_claims(ctx: RunContext, graph: GreedyStringGraph, side: str):
+    """The ``keep`` filter of one side: records whose claim is still open.
+
+    A candidate ``u → v`` claims ``u`` and ``v ^ 1`` (the two bits
+    :meth:`~repro.graph.GreedyStringGraph.add_candidates` tests); ``u`` is
+    the suffix record's vertex, ``v`` the prefix record's. Bits are only
+    ever set, so a record closed now is refused in every candidate it
+    could still take part in.
+    """
+    def keep(piece):
+        ctx.charge_host(piece.nbytes)
+        vertices = piece[VAL_FIELD]
+        return ~graph.out_bits.get(vertices if side == "S" else vertices ^ 1)
+
+    return keep
+
+
+def run_sort(ctx: RunContext, partitions: PartitionStore, *,
+             lengths: Iterable[int] | None = None,
+             graph: GreedyStringGraph | None = None) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
     input consumed by the interrupted attempt); their reports are
     reconstructed from the sorted record count so the phase report is
     identical to an uninterrupted run's.
+
+    ``lengths`` restricts the call to those partitions. With ``graph`` (the
+    greedy graph of every longer length, resident in host memory) the
+    records it has already closed are dropped, and the sorter's host block
+    is cut from the budget the graph leaves.
     """
-    sorter = make_sorter(ctx, partitions.dtype)
+    sorter = make_sorter(ctx, partitions.dtype,
+                         graph.nbytes if graph is not None else 0)
     reports: dict[tuple[str, int], SortReport] = {}
-    for length in partitions.lengths():
+    for length in partitions.lengths() if lengths is None else lengths:
         for side in ("S", "P"):
             unsorted_path = partitions.path(side, length)
             sorted_path = partitions.path(side, length, sorted_run=True)
@@ -62,6 +108,8 @@ def run_sort(ctx: RunContext, partitions: PartitionStore) -> SortPhaseReport:
                     reports[(side, length)] = sorter.report_for(
                         partitions.records_in(side, length, sorted_run=True))
                 continue
-            reports[(side, length)] = sorter.sort_file(unsorted_path, sorted_path)
+            reports[(side, length)] = sorter.sort_file(
+                unsorted_path, sorted_path,
+                keep=_open_claims(ctx, graph, side) if graph is not None else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..device.gpu import VirtualGPU
+from ..device.kernels import raw_view
 from ..device.memory import BufferPool, MemoryPool
 from ..errors import ConfigError, DeviceMemoryError
 from ..faults import plan as faults
@@ -230,8 +231,14 @@ class ExternalSorter:
                           merge_rounds_for(initial_runs, self.fanout),
                           self.fanout)
 
-    def sort_file(self, in_path: str | Path, out_path: str | Path) -> SortReport:
+    def sort_file(self, in_path: str | Path, out_path: str | Path, *,
+                  keep=None) -> SortReport:
         """Sort a run file into ``out_path``; returns the :class:`SortReport`.
+
+        ``keep(records) -> bool mask`` filters the input during run
+        formation: only the records it keeps are sorted, written and
+        counted, so the report (and :meth:`report_for` of the sorted file's
+        size) describes the surviving records alone.
 
         Crash-safe: scratch space is torn down on both success and failure,
         and ``out_path`` appears atomically (rename of a finished run).
@@ -244,8 +251,9 @@ class ExternalSorter:
             # drained (write-behind closed, map_ordered fully consumed).
             with self.tracer.span(f"sort:{out_path.name}", track="sort",
                                   det=True) as span:
-                report = self._sort_into(in_path, out_path, scratch_dir)
-                span.note(records=report.n_records, runs=report.initial_runs,
+                report = self._sort_into(in_path, out_path, scratch_dir, keep)
+                span.note(read=in_path.stat().st_size // self.dtype.itemsize,
+                          kept=report.n_records, runs=report.initial_runs,
                           rounds=report.merge_rounds)
             return report
         finally:
@@ -256,10 +264,51 @@ class ExternalSorter:
                     stray.unlink()
                 scratch_dir.rmdir()
 
-    def _sorted_blocks_via_processes(self, reader: RunReader):
+    def _blocks(self, reader: RunReader, keep):
+        """Run-formation blocks of ``host_block`` records, in file order.
+
+        The one block source of every backend, pulled on the reading
+        thread. Without ``keep`` a block is one read. With it, each piece
+        read is filtered and its survivors are carried over until exactly
+        ``host_block`` of them are held (the last block may be shorter):
+        the run count then follows the *surviving* records, which is what
+        lets :meth:`report_for` reconstruct the report from the sorted
+        file's size. One raw piece plus the carried block is the
+        ``HOST_SORT_FOOTPRINT · host_block`` a run reserves anyway.
+        """
+        if keep is None:
+            while not reader.exhausted:
+                yield reader.read(self.host_block)
+            return
+        # A file shorter than a block never fills one: do not ask for more.
+        capacity = min(self.host_block, reader.total_records)
+        held = np.empty(capacity, dtype=self.dtype)
+        n_held = 0
+        while not reader.exhausted:
+            piece = reader.read(self.host_block)
+            survivors = np.flatnonzero(keep(piece))
+            while survivors.shape[0]:
+                take = survivors[:self.host_block - n_held]
+                survivors = survivors[take.shape[0]:]
+                # Records move through the byte view (``take`` indexes the
+                # piece, so mode="clip" never clips; it lets numpy gather
+                # straight into ``held`` instead of through a buffer).
+                np.take(raw_view(piece), take, mode="clip",
+                        out=raw_view(held)[n_held:n_held + take.shape[0]])
+                n_held += take.shape[0]
+                if n_held == self.host_block:
+                    yield held
+                    # A yielded block is sorted in place, possibly while
+                    # the next one fills: never reuse it.
+                    held = np.empty(capacity, dtype=self.dtype)
+                    n_held = 0
+        if n_held:
+            yield held[:n_held]
+
+    def _sorted_blocks_via_processes(self, blocks):
         """Run-formation blocks sorted in worker processes.
 
-        Blocks are read here (sequential op order unchanged), shipped to
+        Blocks are pulled here (sequential op order unchanged), shipped to
         the workers through shared memory, sorted there against a
         *recording* device, and the returned charge log is replayed onto
         the real clock and pool at delivery — in submission order, so the
@@ -269,8 +318,7 @@ class ExternalSorter:
         pending: set[str] = set()
 
         def payloads():
-            while not reader.exhausted:
-                block = reader.read(self.host_block)
+            for block in blocks:
                 name = shm.put_array(block)
                 pending.add(name)
                 yield {"shm_in": name, "n": int(block.shape[0]),
@@ -300,8 +348,8 @@ class ExternalSorter:
             for name in list(pending):
                 shm.unlink(name)
 
-    def _sort_into(self, in_path: Path, out_path: Path,
-                   scratch_dir: Path) -> SortReport:
+    def _sort_into(self, in_path: Path, out_path: Path, scratch_dir: Path,
+                   keep) -> SortReport:
         record_nbytes = self.dtype.itemsize
         executor = self.executor
 
@@ -320,17 +368,15 @@ class ExternalSorter:
         # nanosecond rounding swallows that).
         with self.tracer.span("runs", track="sort", det=True) as runs_span, \
                 RunReader(in_path, self.dtype, self.accountant) as reader:
-            def blocks():
-                while not reader.exhausted:
-                    yield reader.read(self.host_block)
+            blocks = self._blocks(reader, keep)
 
             def sort_block(block: np.ndarray) -> np.ndarray:
                 with executor.device_lock:
                     return self.sort_block_in_host(block)
 
-            sorted_blocks = self._sorted_blocks_via_processes(reader) \
+            sorted_blocks = self._sorted_blocks_via_processes(blocks) \
                 if executor.process_parallel \
-                else executor.map_ordered(sort_block, blocks())
+                else executor.map_ordered(sort_block, blocks)
             try:
                 for sorted_block in sorted_blocks:
                     with self.host_pool.alloc(sorted_block.shape[0] * record_nbytes *

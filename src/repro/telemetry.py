@@ -115,9 +115,11 @@ class PhaseStats:
     def merged_with(self, other: "PhaseStats") -> "PhaseStats":
         """Combine two phases of the same name (times add, peaks max)."""
         merged = PhaseStats(self.name, self.wall_seconds + other.wall_seconds)
-        for key in set(self.counters) | set(other.counters):
+        # Dict unions keep first-seen key order, so a merged row prints its
+        # columns in the order a phase entered once does.
+        for key in self.counters | other.counters:
             merged.counters[key] = self.counters.get(key, 0.0) + other.counters.get(key, 0.0)
-        for key in set(self.peaks) | set(other.peaks):
+        for key in self.peaks | other.peaks:
             merged.peaks[key] = max(self.peaks.get(key, 0.0), other.peaks.get(key, 0.0))
         return merged
 

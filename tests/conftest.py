@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig
+from repro.core.compress_phase import run_compress
+from repro.core.context import RunContext
+from repro.core.load_phase import run_load
+from repro.core.map_phase import run_map
+from repro.core.reduce_phase import run_reduce
+from repro.core.sort_phase import run_sort
 from repro.seq.datasets import tiny_dataset
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
@@ -63,3 +71,33 @@ def make_reads(genome_length: int = 1200, read_length: int = 40,
     return ReadSimulator(genome=genome, read_length=read_length,
                          coverage=coverage, seed=seed + 1,
                          error_rate=error_rate).all_reads()
+
+
+def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleNamespace:
+    """The paper's eager schedule: sort every partition, then reduce them all.
+
+    The reference ``Assembler``'s lazy schedule is compared against: the
+    plain phase composition the cluster nodes also run. The sorted
+    partitions stay under ``workdir / "partitions"``.
+    """
+    ctx = RunContext(config, workdir=workdir)
+    try:
+        store = run_load(ctx, store_path)
+        try:
+            partitions, map_report = run_map(ctx, store)
+            sort_report = run_sort(ctx, partitions)
+            graph, reduce_report = run_reduce(ctx, partitions, store)
+            out = SimpleNamespace(
+                target=graph.target.copy(), overlap=graph.overlap.copy(),
+                in_degree=graph.in_degree.copy(),
+                out_bits=graph.out_bits.to_bytes(), n_edges=graph.n_edges,
+                n_reads=store.n_reads, read_length=store.read_length,
+                map_report=map_report, sort_report=sort_report,
+                reduce_report=reduce_report, partitions=partitions,
+                host_peak_bytes=ctx.host_pool.lifetime_peak_bytes)
+            out.contigs, _ = run_compress(ctx, graph, store)
+        finally:
+            store.close()
+    finally:
+        ctx.cleanup()
+    return out

@@ -17,6 +17,8 @@ from repro.seq.packing import PackedReadStore
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
 
+from .conftest import eager_composition
+
 workload_params = st.tuples(
     st.integers(300, 1200),     # genome length
     st.integers(30, 60),        # read length
@@ -54,13 +56,26 @@ class TestPipelineProperties:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_candidates_equal_exact_overlap_count(self, tmp_path_factory, params):
-        """Recall AND precision: the fingerprint pipeline offers exactly the
-        true overlap set to the greedy rule."""
+        """Recall AND precision: unfiltered, the fingerprint pipeline offers
+        exactly the true overlap set to the greedy rule. ``Assembler`` sorts
+        only the records that can still win, so it offers a subset of it."""
         tmp_root = tmp_path_factory.mktemp("prop")
         _, batch, min_overlap, result = _assemble_params(tmp_root, *params)
         truth = exact_overlaps(batch, min_overlap)
-        assert result.reduce_report.candidates == len(truth)
+        eager = eager_composition(result.config, next(tmp_root.glob("*.lsgr")),
+                                  tmp_root / "eager")
+        assert eager.reduce_report.candidates == len(truth)
+        assert eager.reduce_report.aux_rejected == 0
+        assert result.reduce_report.candidates <= len(truth)
         assert result.reduce_report.aux_rejected == 0
+        # Every edge a contig path walks (all but a path's last read have one).
+        paths = result.paths
+        has_next = np.ones(paths.vertices.shape[0], dtype=bool)
+        has_next[paths.path_offsets[1:] - 1] = False
+        at = np.flatnonzero(has_next)
+        walked = zip(paths.vertices[at].tolist(), paths.vertices[at + 1].tolist(),
+                     (batch.read_length - paths.overhangs[at]).tolist())
+        assert at.size and set(walked) <= set(truth)
 
     @given(workload_params, st.integers(64, 512))
     @settings(max_examples=6, deadline=None,

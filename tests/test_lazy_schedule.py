@@ -1,0 +1,246 @@
+"""The lazy schedule: each length is sorted just before reduce reads it,
+minus the records the out-degree bit-vector has already closed.
+
+``Assembler`` must build exactly the graph of the eager composition
+(``run_sort`` over every partition, then ``run_reduce`` over all of them —
+what the cluster nodes run, see ``conftest.eager_composition``) while
+sorting only the records that can still win.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import Assembler, AssemblyConfig, MemoryConfig
+from repro.core.context import RunContext
+from repro.core.sort_phase import make_sorter
+from repro.extmem import PartitionStore
+from repro.extmem.records import KEY_FIELD, VAL_FIELD, kv_dtype
+from repro.faults import (CRASH, PHASE, RENAME, Fault, FaultPlan, inject,
+                          result_digest, scan_residue)
+from repro.errors import FaultInjected
+from repro.graph import GreedyStringGraph
+from repro.graph.string_graph import NO_EDGE
+from repro.seq.datasets import tiny_dataset
+from repro.seq.packing import PackedReadStore
+from repro.seq.simulate import ReadSimulator, simulate_genome
+
+from .conftest import eager_composition
+
+MIN_OVERLAP = 25
+
+
+def _genome(kind: str, length: int, seed: int) -> np.ndarray:
+    genome = simulate_genome(length, seed=seed)
+    if kind == "at-only":
+        # Two complementary letters: duplicate reads, reverse-complement
+        # palindromes and reads overlapping themselves are all common.
+        return (genome & 1) * np.uint8(3)
+    if kind == "tiled":
+        # One short unit over and over: every fingerprint is a deep repeat.
+        return np.resize(genome[:23], length)
+    return genome
+
+
+def _store(root, kind, genome_length, read_length, coverage, seed):
+    reads = ReadSimulator(genome=_genome(kind, genome_length, seed),
+                          read_length=read_length, coverage=coverage,
+                          seed=seed + 1).all_reads()
+    path = root / "reads.lsgr"
+    with PackedReadStore.create(path, read_length) as store:
+        store.append_batch(reads)
+    return path
+
+
+def _lazy(config, store_path, workdir):
+    """``Assembler.assemble`` plus the graph archive it left in ``workdir``."""
+    result = Assembler(config).assemble(store_path, workdir=workdir, resume=True)
+    return result, np.load(workdir / "graph.npz")
+
+
+def _sorted_records(partitions: PartitionStore, side: str, length: int):
+    with partitions.open_run(side, length, sorted_run=True) as reader:
+        records = reader.read_all()
+    # External sorting orders by key only; (key, val) makes it canonical
+    # (records of one vertex and length never share a key twice).
+    return records[np.lexsort((records[VAL_FIELD], records[KEY_FIELD]))]
+
+
+class TestSameGraphAsEager:
+    @given(kind=st.sampled_from(["random", "at-only", "tiled"]),
+           genome_length=st.integers(300, 1200),
+           read_length=st.integers(30, 60),
+           coverage=st.floats(6.0, 18.0),
+           seed=st.integers(0, 2**31 - 1),
+           blocks=st.sampled_from([(0, 0), (96, 24)]),
+           lanes=st.sampled_from([1, 2]))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_graph_and_contigs_equal_eager(self, tmp_path_factory, kind,
+                                           genome_length, read_length, coverage,
+                                           seed, blocks, lanes):
+        root = tmp_path_factory.mktemp("lazy")
+        store_path = _store(root, kind, genome_length, read_length, coverage, seed)
+        config = AssemblyConfig(min_overlap=read_length // 2,
+                                fingerprint_lanes=lanes,
+                                host_block_pairs=blocks[0],
+                                device_block_pairs=blocks[1])
+        eager = eager_composition(config, store_path, root / "eager")
+        result, archive = _lazy(config, store_path, root / "lazy")
+        assert np.array_equal(archive["target"], eager.target)
+        assert np.array_equal(archive["overlap"], eager.overlap)
+        assert np.array_equal(archive["in_degree"], eager.in_degree)
+        assert archive["out_bits"].tobytes() == eager.out_bits
+        assert result.reduce_report.edges_added == eager.n_edges
+        assert result.reduce_report.per_length_edges \
+            == eager.reduce_report.per_length_edges
+        assert np.array_equal(result.contigs.flat_codes, eager.contigs.flat_codes)
+        assert np.array_equal(result.contigs.offsets, eager.contigs.offsets)
+        assert result.reduce_report.candidates <= eager.reduce_report.candidates
+        assert result.sort_report.total_records <= eager.sort_report.total_records
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """800 reads whose graph (17,800 B) is 44.5 % of the ``cramped`` host."""
+    md, _ = tiny_dataset(tmp_path_factory.mktemp("lazy-data"),
+                         genome_length=2000, read_length=50, coverage=20.0,
+                         min_overlap=MIN_OVERLAP, seed=11)
+    return md
+
+
+#: An ``outofcore``-shaped budget: ``m_h`` comes from the host bytes, the
+#: longest partition needs a merge round, and the resident graph takes
+#: 44.5 % of the host from the second length on.
+CRAMPED = AssemblyConfig(min_overlap=MIN_OVERLAP, fingerprint_lanes=2,
+                         memory=MemoryConfig(40_000, 16_000, name="cramped"))
+
+
+@pytest.fixture(scope="module")
+def runs(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("lazy-runs")
+    eager = eager_composition(CRAMPED, data.store_path, root / "eager")
+    result, _ = _lazy(CRAMPED, data.store_path, root / "lazy")
+    lazy_partitions = PartitionStore(root / "lazy" / "partitions",
+                                     kv_dtype(CRAMPED.fingerprint_lanes))
+    return eager, result, lazy_partitions
+
+
+class TestWhatIsSorted:
+    def test_partitions_are_eager_minus_closed_records(self, runs):
+        """A record is dropped iff its claim was taken at a longer length."""
+        eager, result, lazy_partitions = runs
+        dropped = 0
+        for length in eager.partitions.lengths():
+            # A vertex's bit was set when its out-edge was placed, at the
+            # overlap length the edge carries.
+            closed = (eager.target != NO_EDGE) & (eager.overlap > length)
+            for side, flip in (("S", 0), ("P", 1)):
+                records = _sorted_records(eager.partitions, side, length)
+                expected = records[~closed[records[VAL_FIELD] ^ flip]]
+                got = _sorted_records(lazy_partitions, side, length)
+                assert got.tobytes() == expected.tobytes(), (side, length)
+                dropped += records.shape[0] - got.shape[0]
+        assert dropped > 0
+        assert result.sort_report.total_records \
+            == eager.sort_report.total_records - dropped
+
+    def test_reports_follow_the_surviving_records(self, runs, tmp_path):
+        """``report_for`` of the sorted file's size, under the budget the
+        partition was sorted with — what a resumed run reconstructs."""
+        eager, result, lazy_partitions = runs
+        ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
+        try:
+            dtype = lazy_partitions.dtype
+            graph_bytes = GreedyStringGraph(eager.n_reads, eager.read_length).nbytes
+            whole = make_sorter(ctx, dtype)
+            beside_graph = make_sorter(ctx, dtype, graph_bytes)
+            assert beside_graph.host_block < whole.host_block
+            longest = max(lazy_partitions.lengths())
+            for (side, length), report in result.sort_report.reports.items():
+                sorter = whole if length == longest else beside_graph
+                n_records = lazy_partitions.records_in(side, length,
+                                                       sorted_run=True)
+                assert report == sorter.report_for(n_records), (side, length)
+            # Nothing can be dropped before the first edge is placed, and the
+            # graph is not allocated yet: the paper's pass count holds.
+            for side in ("S", "P"):
+                assert result.sort_report.reports[(side, longest)] \
+                    == eager.sort_report.reports[(side, longest)]
+            assert result.sort_report.reports[("S", longest)].disk_passes == 2
+        finally:
+            ctx.cleanup()
+
+    def test_host_budget_holds_with_the_graph_resident(self, runs, tmp_path):
+        eager, result, lazy_partitions = runs
+        capacity = CRAMPED.memory.host_bytes
+        graph_bytes = GreedyStringGraph(eager.n_reads, eager.read_length).nbytes
+        assert 0.3 < graph_bytes / capacity < 0.6
+        peak = max(stats.peaks.get("host_bytes", 0.0) for stats in result.telemetry)
+        assert graph_bytes < result.telemetry["sort"].peaks["host_bytes"] \
+            <= peak <= capacity
+        ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
+        try:
+            dtype = lazy_partitions.dtype
+            whole = make_sorter(ctx, dtype)
+            # Today's sorter, unless something is resident...
+            assert (whole.m_h, whole.m_d) == CRAMPED.resolved_blocks(dtype.itemsize)
+            # ...and a full-size block beside the graph would not have fit.
+            assert graph_bytes + whole.m_h * dtype.itemsize > capacity
+            # An explicit block size wins over the derived one.
+            pinned = RunContext(AssemblyConfig(min_overlap=MIN_OVERLAP,
+                                               host_block_pairs=500,
+                                               device_block_pairs=128),
+                                workdir=tmp_path / "pinned")
+            try:
+                assert make_sorter(pinned, dtype, graph_bytes).m_h == 500
+            finally:
+                pinned.cleanup()
+        finally:
+            ctx.cleanup()
+
+
+class TestCrashAndResume:
+    def test_crash_after_sort_resumes_with_reduce_alone(self, data, runs, tmp_path):
+        _, golden, _ = runs
+        workdir = tmp_path / "w"
+        with inject(FaultPlan([Fault(CRASH, site=PHASE, match="sort")])):
+            with pytest.raises(FaultInjected):
+                Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
+                                            resume=True)
+        # Sort is recorded, the graph the loop had built is gone.
+        assert not (workdir / "graph.npz").exists()
+        resumed = Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
+                                              resume=True)
+        assert result_digest(resumed) == result_digest(golden)
+        sort = resumed.telemetry["sort"].counters
+        assert sort["disk_write_bytes"] == 0 and sort["disk_read_bytes"] == 0
+        assert resumed.telemetry["reduce"].counters["disk_read_bytes"] > 0
+        assert scan_residue(workdir) == []
+
+    def test_crash_mid_loop_keeps_the_sorted_lengths(self, data, runs, tmp_path):
+        _, golden, _ = runs
+        probe = FaultPlan()
+        with inject(probe):
+            Assembler(CRAMPED).assemble(data.store_path, workdir=tmp_path / "probe",
+                                        resume=True)
+        renames = [point for point in probe.trace if point.site == RENAME]
+        victim = renames[len(renames) // 2]
+        workdir = tmp_path / "w"
+        with inject(FaultPlan.crash_at(victim.op, site=RENAME)):
+            with pytest.raises(FaultInjected):
+                Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
+                                            resume=True)
+        done = {path.name for path in (workdir / "partitions").glob("*.sorted.run")}
+        assert len(done) == len(renames) // 2
+        replay = FaultPlan()
+        with inject(replay):
+            resumed = Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
+                                                  resume=True)
+        assert result_digest(resumed) == result_digest(golden)
+        again = {point.path.rsplit("/", 1)[-1] for point in replay.trace
+                 if point.site == RENAME}
+        assert len(again) == len(renames) - len(done) and not again & done
+        assert scan_residue(workdir) == []
