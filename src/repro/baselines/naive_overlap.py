@@ -67,13 +67,13 @@ def pipeline_order_overlaps(batch: ReadBatch, min_overlap: int, scheme,
     the oracle and the pipeline agree on the keys.
     """
     overlaps = exact_overlaps(batch, min_overlap)
-    read_length = batch.read_length
-    _, suffix_keys = scheme.key_matrices(_oriented_codes(batch))
+    _, suffix_keys = scheme.key_matrices(
+        _oriented_codes(batch), range(min_overlap, batch.read_length))
     lead = suffix_keys[0]
 
     def rank(item: tuple[int, int, int]) -> tuple[int, int, int, int]:
         suffix_vertex, prefix_vertex, l = item
-        return (-l, int(lead[suffix_vertex, read_length - l]),
+        return (-l, int(lead[l - min_overlap, suffix_vertex]),
                 suffix_vertex, prefix_vertex)
 
     return sorted(overlaps, key=rank)

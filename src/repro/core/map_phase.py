@@ -2,10 +2,9 @@
 
 Batches of reads stream host→device; for each read *and its reverse
 complement* the fingerprints of every prefix and suffix are produced by the
-Hillis–Steele scan kernels of :mod:`repro.fingerprint.scan` (one virtual
-kernel launch per hash lane per direction per orientation). Each
-``(length, fingerprint, vertex)`` tuple is then routed to the per-length
-partition files:
+Hillis–Steele scan kernels of Figs. 5–6 (one virtual kernel launch per hash
+lane per direction per orientation). Each ``(length, fingerprint, vertex)``
+tuple is then routed to the per-length partition files:
 
 * lengths below ``l_min`` are discarded (too short to be an overlap),
 * length ``l_max`` (whole-read matches) is dropped to avoid self-loops,
@@ -13,12 +12,14 @@ partition files:
   ``P`` partition.
 
 The paper materializes the tuples on the GPU, sorts them by length, and
-writes one file per partition; routing by direct slicing (column ``l`` of
-the fingerprint matrix *is* the length partition) is the same mapping
-without the intermediate sort, and produces byte-identical partition files.
-Routing is fully vectorized: one fancy-indexed gather per orientation
-builds the whole ``(n_lengths × n_batch)`` prefix/suffix record block,
-instead of ~2·L per-length Python record assemblies per batch.
+writes one file per partition. The virtual GPU is charged the paper's
+full scan launches and the fan-out; the host evaluates the same mapping
+without the discarded tuples and without the intermediate sort:
+:mod:`repro.fingerprint.scan`'s kernel is told the partition lengths and
+keys only those, length-major, so row ``j`` of its output *is* the block's
+contribution to partition ``lengths[j]`` and lands in the staged record
+block as it is computed. The partition files are byte-identical to the
+all-positions scan's.
 
 The phase works at the two levels of the paper's hierarchy. The *modeled*
 unit is the device batch (``map_batch_reads``, or as many reads as the
@@ -163,33 +164,32 @@ def _scan_workspace() -> ScanWorkspace:
 
 def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                        batch_reads: int, scheme: FingerprintScheme,
-                       prefix_cols: np.ndarray, suffix_cols: np.ndarray,
-                       out: np.ndarray) -> None:
+                       lengths: tuple[int, ...], out: np.ndarray) -> None:
     """Pure-numpy fingerprint kernel for one host block, both orientations.
 
     ``packed`` holds the block's 2-bit-packed reads, ``first_read`` is the
-    id of the first. Fills ``out``, a ``(2, n_lengths, 2·n)`` record array:
-    ``out[0][j]`` / ``out[1][j]`` are the records the block contributes to
-    the ``P`` / ``S`` partition of length ``j``, in file order (see
-    :func:`_place`) — same values and field layout as one record assembly
-    per device batch, orientation and length. The single source of truth
-    run by the serial path, the thread workers and the process workers
-    alike, so no backend can drift.
+    id of the first. Fills ``out``, a ``(2, len(lengths), 2·n)`` record
+    array: ``out[0][j]`` / ``out[1][j]`` are the records the block
+    contributes to the ``P`` / ``S`` partition of ``lengths[j]``, in file
+    order (see :func:`_place`) — same values and field layout as one record
+    assembly per device batch, orientation and length. The oriented reads
+    and their vertex ids are laid out in file order first, so one
+    ``key_matrices`` call writes every key straight into its record. The
+    single source of truth run by the serial path, the thread workers and
+    the process workers alike, so no backend can drift.
     """
-    codes0 = unpack_codes(packed, read_length)
-    n = codes0.shape[0]
-    workspace = _scan_workspace()
+    forward_codes = unpack_codes(packed, read_length)
+    n = forward_codes.shape[0]
     forward = np.arange(first_read, first_read + n, dtype=np.uint32) << np.uint32(1)
+    codes = np.empty((2 * n, read_length), dtype=np.uint8)
     vertices = np.empty(2 * n, dtype=np.uint32)
-    for orientation in (0, 1):
-        codes = codes0 if orientation == 0 else reverse_complement(codes0)
+    for orientation, oriented in enumerate(
+            (forward_codes, reverse_complement(forward_codes))):
+        _place(codes.T, orientation, oriented.T, batch_reads)
         _place(vertices, orientation, forward | np.uint32(orientation), batch_reads)
-        # Workspace-backed key matrices: fully copied into ``out`` before
-        # the next orientation (or block) reuses them.
-        keys = scheme.key_matrices(codes, workspace)  # (prefix, suffix)
-        for side, lane_keys, cols in zip(out, keys, (prefix_cols, suffix_cols)):
-            for field, lane in zip((KEY_FIELD, AUX_FIELD), lane_keys):
-                _place(side[field], orientation, lane[:, cols].T, batch_reads)
+    scheme.key_matrices(codes, lengths, _scan_workspace(),
+                        out=[out[field]
+                             for field in (KEY_FIELD, AUX_FIELD)[:scheme.lanes]])
     out[VAL_FIELD] = vertices
 
 
@@ -213,9 +213,9 @@ def _fingerprint_task(payload: dict) -> dict:
     if scheme is None:
         scheme = FingerprintScheme(lanes=key[0], seed=key[1])
         _WORKER_SCHEMES[key] = scheme
-    lengths = np.arange(payload["l_min"], read_length, dtype=np.intp)
+    lengths = payload["lengths"]
     dtype = kv_dtype(payload["lanes"])
-    out = shm.create(2 * lengths.shape[0] * 2 * n * dtype.itemsize)
+    out = shm.create(2 * len(lengths) * 2 * n * dtype.itemsize)
     shm.disown(out)  # the parent unlinks it after delivery
     try:
         segment = shm.attach(payload["shm_in"])
@@ -223,8 +223,7 @@ def _fingerprint_task(payload: dict) -> dict:
             _fingerprint_block(
                 shm.as_array(segment, (n, bytes_per_read), np.uint8),
                 payload["start"], read_length, payload["batch_reads"], scheme,
-                lengths - 1, read_length - lengths,
-                shm.as_array(out, (2, lengths.shape[0], 2 * n), dtype))
+                lengths, shm.as_array(out, (2, len(lengths), 2 * n), dtype))
         finally:
             segment.close()
     except BaseException:
@@ -233,7 +232,7 @@ def _fingerprint_task(payload: dict) -> dict:
         raise
     out.close()
     return {"shm_out": out.name, "shm_in": payload["shm_in"], "n": n,
-            "n_lengths": int(lengths.shape[0])}
+            "n_lengths": len(lengths)}
 
 
 def run_map(ctx: RunContext, store: PackedReadStore,
@@ -248,9 +247,10 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     store is mapped. An existing ``partitions`` store may be passed so a
     node can accumulate several blocks before finalizing (the caller then
     owns ``finalize()``); otherwise one is created and finalized here.
-    ``only_lengths`` keeps appends (not the fingerprinting itself) to the
-    given partition lengths — how node recovery recomputes a lost peer's
-    piece of one partition byte-identically without rewriting every length.
+    ``only_lengths`` keeps the fingerprinting and the appends to the given
+    partition lengths — how node recovery recomputes a lost peer's piece of
+    one partition byte-identically without rebuilding every length (the
+    modeled scan launches are charged whole either way).
     """
     read_length = store.read_length
     lengths = overlap_lengths(ctx, read_length)
@@ -266,11 +266,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     n_batches = 0
     tuples_written = 0
     start, stop = read_range if read_range is not None else (0, store.n_reads)
-    lengths_arr = np.asarray(lengths, dtype=np.intp)
-    prefix_cols = lengths_arr - 1
-    suffix_cols = read_length - lengths_arr
-    kept = [(j, length) for j, length in enumerate(lengths)
-            if only_lengths is None or length in only_lengths]
+    kept = tuple(length for length in lengths
+                 if only_lengths is None or length in only_lengths)
 
     executor = ctx.executor
     tracer = ctx.tracer
@@ -313,9 +310,9 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         def fingerprint(block):
             # Worker-side compute: pure numpy, no modeled-hardware access.
             first_read, packed = block
-            staged = np.empty((2, len(lengths), 2 * packed.shape[0]), dtype=dtype)
+            staged = np.empty((2, len(kept), 2 * packed.shape[0]), dtype=dtype)
             _fingerprint_block(packed, first_read, read_length, batch_reads,
-                               ctx.scheme, prefix_cols, suffix_cols, staged)
+                               ctx.scheme, kept, staged)
             return staged
 
         yield from executor.map_ordered(
@@ -340,7 +337,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                        "start": first_read, "read_length": read_length,
                        "batch_reads": batch_reads,
                        "lanes": lanes, "seed": ctx.scheme.seed,
-                       "l_min": ctx.config.min_overlap}
+                       "lengths": kept}
 
         try:
             for result in executor.map_tasks(
@@ -386,7 +383,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     with ctx.gpu.scratch(n * per_read, label="map-batch"):
                         ctx.gpu.charge_kernels(kernel_charges(n))
                 partitions.append_pairs(
-                    [(length, staged[0][j], staged[1][j]) for j, length in kept],
+                    [(length, staged[0][j], staged[1][j])
+                     for j, length in enumerate(kept)],
                     rows)
                 tuples_written += 2 * 2 * block_n * len(kept)
     finally:

@@ -14,17 +14,19 @@ scan step is one vectorized numpy expression over the whole ``(n_reads, L)``
 batch — the same data-parallel shape, so the virtual GPU charges it as one
 scan launch.
 
-Two formulations coexist. The per-spec functions
+One production kernel and one reference. The per-spec functions
 (:func:`prefix_fingerprints_batch` / :func:`suffix_fingerprints_batch`)
-are the reference: one ``(n_reads, L)`` matrix per hash lane, a fresh
-temporary per step, ``⌈log₂ L⌉`` doubling steps. The stacked functions
-run all ``2·lanes`` hash lanes as one ``(n_specs, n_reads, L)`` tensor
-with ``out=`` ufuncs into a :class:`ScanWorkspace` — and the prefix
-kernel evaluates the scan in closed form (inverse-place cumulative sum,
-six tensor passes total) instead of doubling steps — so a whole batch
-allocates nothing after warm-up. All intermediates are exact in
-``uint64``, so both formulations produce bit-identical fingerprints;
-tests assert it.
+are the reference, Figs. 5–6 as drawn: one ``(n_reads, L)`` matrix per
+hash lane, a fresh temporary per step, ``⌈log₂ L⌉`` doubling steps, every
+column of both sides. :func:`key_rows` is what the map phase runs: told
+which overlap lengths the partitions keep, it evaluates the scan in closed
+form (a cumulative sum against place values), reduces only the kept rows
+and writes the packed keys length-major — partition-file order — a
+cache-sized tile of reads at a time. All intermediates are exact in
+``uint64``, so the kernel's keys are the reference's bit for bit; tests
+assert it. The virtual GPU still *charges* the paper's full Hillis–Steele
+launches: the model simulates the paper's kernel, not this host-side
+evaluation of it.
 """
 
 from __future__ import annotations
@@ -89,13 +91,13 @@ def suffix_fingerprints_batch(prefix: np.ndarray, spec: HashSpec) -> np.ndarray:
 
 
 class ScanWorkspace:
-    """Named reusable scratch buffers for the stacked scan kernels.
+    """Named reusable scratch buffers for :func:`key_rows`.
 
     One workspace per thread (the map phase keeps them in thread-local
     storage): arrays handed out for one name alias previous arrays handed
-    out for the same name, so a caller must finish consuming a batch's
-    results before starting the next batch — exactly the per-batch
-    lifetime of the fingerprint hot path.
+    out for the same name. The kernel takes one tile's buffers at a time,
+    so a workspace holds :data:`TILE_BYTES` of scan tensor plus the tile's
+    code and kept rows, whatever the batch size.
     """
 
     __slots__ = ("_raw",)
@@ -114,114 +116,104 @@ class ScanWorkspace:
             self._raw[name] = raw
         return raw[:nbytes].view(dtype).reshape(shape)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held across all named buffers."""
+        return sum(raw.nbytes for raw in self._raw.values())
+
+
+#: Scan tensor bytes per tile: ``(n_specs, L, tile)`` ``uint64`` stays
+#: L2-resident (93 rows at ``L`` = 100 under two lanes).
+TILE_BYTES = 300_000
+
+#: A packed key is ``high << 32 | low`` of two 31-bit residues.
+PACK_SHIFT = np.uint64(32)
+
+
+def tile_rows(n_specs: int, length: int) -> int:
+    """Reads per tile of :func:`key_rows` for ``n_specs`` hashes of ``length``."""
+    return max(1, TILE_BYTES // (8 * n_specs * length))
+
 
 @lru_cache(maxsize=64)
-def _stacked_consts(specs: tuple[HashSpec, ...]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-spec ``(radix mod q, q)`` columns shaped to broadcast over (S, n, L)."""
-    sigma = np.array([[[spec.radix % spec.prime]] for spec in specs],
-                     dtype=np.uint64)
-    q = np.array([[[spec.prime]] for spec in specs], dtype=np.uint64)
-    sigma.setflags(write=False)
-    q.setflags(write=False)
-    return sigma, q
+def _scan_consts(specs: tuple[HashSpec, ...], length: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place values and moduli shaped to broadcast over ``(S, L, rows)``.
 
-
-@lru_cache(maxsize=64)
-def _stacked_scan_places(specs: tuple[HashSpec, ...], length: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and inverse place-value rows for the closed-form prefix scan.
-
-    ``forward[s, i] = radix_s^i mod q_s`` and
-    ``inverse[s, j] = radix_s^(-j) mod q_s`` (derived from the reversed
+    ``forward[s, i, 0] = radix_s^i mod q_s``,
+    ``inverse[s, j, 0] = radix_s^(-j) mod q_s`` (derived from the reversed
     forward row by one scalar modular inverse, as in
-    :func:`repro.fingerprint.rabin_karp.naive_prefix_fingerprints`).
+    :func:`repro.fingerprint.rabin_karp.naive_prefix_fingerprints`) and
+    ``q[s, 0, 0] = q_s``.
     """
     forward = np.stack([spec.place_values(length) for spec in specs])
-    inverse = np.stack([
-        (spec.place_values(length)[::-1]
-         * np.uint64(pow(spec.radix, -(length - 1), spec.prime)))
-        % np.uint64(spec.prime)
-        for spec in specs])
-    forward.setflags(write=False)
-    inverse.setflags(write=False)
-    return forward, inverse
+    q = np.array([spec.prime for spec in specs], dtype=np.uint64)[:, None]
+    unscale = np.array([pow(spec.radix, -(length - 1), spec.prime)
+                        for spec in specs], dtype=np.uint64)[:, None]
+    inverse = (forward[:, ::-1] * unscale) % q
+    consts = forward[:, :, None], inverse[:, :, None], q[:, :, None]
+    for array in consts:
+        array.setflags(write=False)
+    return consts
 
 
-@lru_cache(maxsize=64)
-def _stacked_places_rev(specs: tuple[HashSpec, ...], length: int) -> np.ndarray:
-    """``out[s, j] = radix_s^(L-1-j) mod q_s`` for ``j`` in ``[0, L-1)``.
+def key_rows(codes: np.ndarray, specs: tuple[HashSpec, ...],
+             lengths: np.ndarray, workspace: ScanWorkspace,
+             out: list[np.ndarray]) -> None:
+    """Packed prefix and suffix keys of the given lengths, length-major.
 
-    The reversed place-value rows the suffix derivation multiplies against
-    ``prefix[:, :, :-1]`` (position ``j`` holds ``sigma^(L-(j+1))``).
+    ``codes`` is ``(m, L)`` ``uint8``, ``lengths`` strictly increasing
+    within ``1..L``; key lane ``k`` packs hashes ``specs[2k]`` (high word)
+    and ``specs[2k+1]``. Fills ``out[k][0, i, r]`` with the key of the
+    length-``lengths[i]`` prefix of read ``r`` and ``out[k][1, i, r]`` with
+    that of its suffix, each ``out[k]`` a ``(2, len(lengths), m)``
+    ``uint64`` array of any strides — bit-identical to packing the kept
+    columns of :func:`prefix_fingerprints_batch` /
+    :func:`suffix_fingerprints_batch`.
+
+    Closed form instead of the log-step doubling scan, on
+    ``(n_specs, L, rows)`` tensors so the cumulative sums run down axis 1
+    as whole-row vector adds:
+    ``f(read[:l]) = σ^(l-1) · Σ_{j<l} codes[j]·σ^(-j) mod q`` and, directly
+    rather than from the prefixes,
+    ``f(read[L-l:]) = Σ_{k<l} codes[L-1-k]·σ^k mod q`` — the same scan over
+    the reversed read against forward place values, so both sides keep row
+    ``l - 1``. Only kept rows are reduced: three ``% q`` per kept length
+    where the all-columns scan spends five per position. Every
+    intermediate is exact in ``uint64``: codes ≤ 3 times a residue stays
+    below ``2^33`` unreduced, a cumulative sum of those is bounded by
+    ``3·(q − 1)·L < 2^64`` for any ``L < 2^30``, and products of residues
+    stay below ``2^62``.
+
+    Reads are walked in tiles of :func:`tile_rows`, so the workspace holds
+    one tile whatever ``m`` is; ``m = 0`` touches nothing.
     """
-    stacked = np.stack([
-        spec.place_values(length + 1)[length - 1:0:-1] for spec in specs])
-    stacked.setflags(write=False)
-    return stacked
-
-
-def prefix_fingerprints_stacked(codes: np.ndarray, specs: tuple[HashSpec, ...],
-                                workspace: ScanWorkspace) -> np.ndarray:
-    """Prefix fingerprints of a batch under every spec at once.
-
-    Returns a ``(n_specs, n_reads, L)`` ``uint64`` workspace-backed tensor
-    with ``out[s, r, i] = f_s(read_r[:i+1])`` — bit-identical to stacking
-    ``n_specs`` calls of :func:`prefix_fingerprints_batch`.
-
-    Closed form instead of the log-step doubling scan:
-    ``f(read[:i+1]) = σ^i · Σ_{j≤i} codes[j]·σ^(-j) mod q`` — one modular
-    cumulative sum against inverse place values, then a rescale by the
-    forward places. ~``3·⌈log₂ L⌉`` tensor passes collapse to 6. Every
-    intermediate is exact in ``uint64``: products of residues stay below
-    ``2^62`` and a per-read cumsum of residues is bounded by ``L·2^31``,
-    so the results match the doubling scan bit for bit (the virtual GPU
-    still *charges* the Hillis–Steele pass count — the model simulates
-    the paper's kernel, not this host-side evaluation of it).
-    """
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ConfigError("prefix_fingerprints_stacked expects a (n_reads, L) batch")
-    n, length = codes.shape
+    m, length = codes.shape
     n_specs = len(specs)
-    prefix = workspace.take("prefix", (n_specs, n, length))
-    if n == 0 or length == 0 or n_specs == 0:
-        prefix[...] = codes
-        return prefix
-    _, q = _stacked_consts(specs)
-    forward, inverse = _stacked_scan_places(specs, length)
-    sums = workspace.take("scratch", (n_specs, n, length))
-    np.multiply(codes[None, :, :], inverse[:, None, :], out=sums)
-    np.remainder(sums, q, out=sums)
-    np.cumsum(sums, axis=2, out=sums)
-    np.remainder(sums, q, out=sums)
-    np.multiply(sums, forward[:, None, :], out=sums)
-    np.remainder(sums, q, out=prefix)
-    return prefix
-
-
-def suffix_fingerprints_stacked(prefix: np.ndarray,
-                                specs: tuple[HashSpec, ...],
-                                workspace: ScanWorkspace) -> np.ndarray:
-    """Suffix fingerprints from stacked prefix fingerprints (Fig. 6).
-
-    ``prefix`` is the output of :func:`prefix_fingerprints_stacked`; the
-    result (workspace-backed) has ``out[s, r, i] = f_s(read_r[i:])``.
-    """
-    n_specs, n, length = prefix.shape
-    out = workspace.take("suffix", (n_specs, n, length))
-    if n == 0 or length == 0 or n_specs == 0:
-        return out
-    out[:, :, 0] = prefix[:, :, -1]
-    if length > 1:
-        sigma, q = _stacked_consts(specs)
-        places = _stacked_places_rev(specs, length)
-        shifted = workspace.take("scratch", (n_specs, n, length))[:, :, 1:]
-        np.multiply(prefix[:, :, :-1], places[:, None, :], out=shifted)
-        np.remainder(shifted, q, out=shifted)
-        # submod(full, shifted, q) = (full + q - shifted) % q, elementwise.
-        full = workspace.take("full", (n_specs, n, 1))
-        np.add(prefix[:, :, -1:], q, out=full)
-        np.subtract(full, shifted, out=shifted)
-        np.remainder(shifted, q, out=out[:, :, 1:])
-    return out
+    forward, inverse, q = _scan_consts(specs, length)
+    first, last = int(lengths[0]), int(lengths[-1])
+    # A contiguous range is read through a view, a sparse one gathered.
+    rows = slice(first - 1, last) if last - first + 1 == len(lengths) \
+        else lengths - 1
+    rescale = forward[:, rows]
+    tile = tile_rows(n_specs, length)
+    for lo in range(0, m, tile):
+        hi = min(lo + tile, m)
+        # One strided uint8 -> uint64 pass; both scans then read whole rows.
+        positions = workspace.take("codes", (length, hi - lo))
+        np.copyto(positions, codes[lo:hi].T)
+        sums = workspace.take("sums", (n_specs, length, hi - lo))
+        kept = workspace.take("kept", (n_specs, len(lengths), hi - lo))
+        for side, (source, places) in enumerate(((positions, inverse),
+                                                 (positions[::-1], forward))):
+            np.multiply(source, places, out=sums)
+            np.cumsum(sums, axis=1, out=sums)
+            np.remainder(sums[:, rows], q, out=kept)
+            if side == 0:
+                np.multiply(kept, rescale, out=kept)
+                np.remainder(kept, q, out=kept)
+            for lane, keys in enumerate(out):
+                high = kept[2 * lane]
+                np.left_shift(high, PACK_SHIFT, out=high)
+                np.bitwise_or(high, kept[2 * lane + 1],
+                              out=keys[side, :, lo:hi])

@@ -25,16 +25,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from .rabin_karp import HashSpec
-from .scan import (ScanWorkspace, prefix_fingerprints_batch,
-                   prefix_fingerprints_stacked, suffix_fingerprints_batch,
-                   suffix_fingerprints_stacked)
-
-_SHIFT = np.uint64(32)
+from .scan import PACK_SHIFT, ScanWorkspace, key_rows
 
 
 def pack_pair(high: np.ndarray | int, low: np.ndarray | int) -> np.ndarray:
     """Pack two 31-bit hash values into one ``uint64`` key."""
-    return (np.asarray(high, dtype=np.uint64) << _SHIFT) | np.asarray(low, dtype=np.uint64)
+    return (np.asarray(high, dtype=np.uint64) << PACK_SHIFT) | np.asarray(low, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -69,51 +65,46 @@ class FingerprintScheme:
 
     # -- batch kernels -------------------------------------------------------
 
-    def key_matrices(self, codes: np.ndarray,
-                     workspace: ScanWorkspace | None = None
+    def key_matrices(self, codes: np.ndarray, lengths,
+                     workspace: ScanWorkspace | None = None,
+                     out: list[np.ndarray] | None = None,
                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """All prefix and suffix keys for a read batch.
+        """Prefix and suffix keys of the given lengths for a read batch.
 
-        Returns ``(prefix_keys, suffix_keys)``; each is a list of ``lanes``
-        matrices of shape ``(n_reads, L)`` ``uint64``, where column ``i`` of a
-        prefix matrix keys the length-``i+1`` prefix and column ``i`` of a
-        suffix matrix keys the suffix starting at ``i`` (length ``L - i``).
+        ``codes`` is ``(m, L)``; ``lengths`` is strictly increasing within
+        ``1..L`` (the map phase passes the partition lengths). Returns
+        ``(prefix_keys, suffix_keys)``; each is a list of ``lanes`` matrices
+        of shape ``(len(lengths), m)`` ``uint64``, where row ``i`` of a
+        prefix matrix keys the length-``lengths[i]`` prefix of every read
+        and row ``i`` of a suffix matrix the suffix of that length —
+        length-major, which is partition-file order.
 
-        With a ``workspace`` the key matrices are workspace-backed: valid
-        only until the next ``key_matrices`` call on that workspace, which
-        is the per-batch lifetime of the map phase's hot loop. All
-        ``2·lanes`` hash lanes then run as one stacked in-place scan.
+        ``out`` is one ``(2, len(lengths), m)`` ``uint64`` array per lane,
+        of any strides (the map phase hands in the key fields of its staged
+        record block); the returned matrices are its two halves. Without it
+        they are freshly allocated. ``workspace`` is scratch only — nothing
+        returned aliases it — and is worth passing when calls repeat.
         """
-        if workspace is not None:
-            return self._key_matrices_stacked(codes, workspace)
-        prefix_keys: list[np.ndarray] = []
-        suffix_keys: list[np.ndarray] = []
-        for lane in range(self.lanes):
-            spec_hi, spec_lo = self.hash_specs[2 * lane], self.hash_specs[2 * lane + 1]
-            prefix_hi = prefix_fingerprints_batch(codes, spec_hi)
-            prefix_lo = prefix_fingerprints_batch(codes, spec_lo)
-            suffix_hi = suffix_fingerprints_batch(prefix_hi, spec_hi)
-            suffix_lo = suffix_fingerprints_batch(prefix_lo, spec_lo)
-            prefix_keys.append(pack_pair(prefix_hi, prefix_lo))
-            suffix_keys.append(pack_pair(suffix_hi, suffix_lo))
-        return prefix_keys, suffix_keys
-
-    def _key_matrices_stacked(self, codes: np.ndarray, workspace: ScanWorkspace
-                              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """One stacked scan over every hash lane, packed in place."""
-        prefix = prefix_fingerprints_stacked(codes, self.hash_specs, workspace)
-        suffix = suffix_fingerprints_stacked(prefix, self.hash_specs, workspace)
-        prefix_keys: list[np.ndarray] = []
-        suffix_keys: list[np.ndarray] = []
-        n, length = np.asarray(codes).shape
-        for lane in range(self.lanes):
-            for name, stacked, keys in ((f"pk{lane}", prefix, prefix_keys),
-                                        (f"sk{lane}", suffix, suffix_keys)):
-                packed = workspace.take(name, (n, length))
-                np.left_shift(stacked[2 * lane], _SHIFT, out=packed)
-                np.bitwise_or(packed, stacked[2 * lane + 1], out=packed)
-                keys.append(packed)
-        return prefix_keys, suffix_keys
+        codes = np.asarray(codes)
+        if codes.ndim != 2:
+            raise ConfigError("key_matrices expects a (n_reads, L) batch")
+        m, read_length = codes.shape
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if (lengths.ndim != 1 or lengths.size == 0 or lengths[0] < 1
+                or lengths[-1] > read_length or np.any(lengths[1:] <= lengths[:-1])):
+            raise ConfigError(
+                f"key_matrices lengths must be strictly increasing within "
+                f"1..{read_length} and not empty")
+        shape = (2, lengths.shape[0], m)
+        if out is None:
+            out = [np.empty(shape, dtype=np.uint64) for _ in range(self.lanes)]
+        elif len(out) != self.lanes or any(
+                keys.shape != shape or keys.dtype != np.uint64 for keys in out):
+            raise ConfigError(
+                f"key_matrices out must be {self.lanes} uint64 arrays of "
+                f"shape {shape}")
+        key_rows(codes, self.hash_specs, lengths, workspace or ScanWorkspace(), out)
+        return [keys[0] for keys in out], [keys[1] for keys in out]
 
     # -- scalar reference ------------------------------------------------------
 

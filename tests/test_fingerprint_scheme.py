@@ -43,21 +43,22 @@ class TestScheme:
     def test_key_matrix_shapes(self):
         scheme = FingerprintScheme(lanes=2)
         codes = np.zeros((3, 17), dtype=np.uint8)
-        prefix_keys, suffix_keys = scheme.key_matrices(codes)
+        prefix_keys, suffix_keys = scheme.key_matrices(codes, range(1, 18))
         assert len(prefix_keys) == 2 and len(suffix_keys) == 2
-        assert prefix_keys[0].shape == (3, 17)
+        assert prefix_keys[0].shape == (17, 3)
 
     @given(st.text(alphabet="ACGT", min_size=2, max_size=50), st.integers(0, 3))
     @settings(max_examples=40)
     def test_columns_match_naive_keys(self, text, seed):
         scheme = FingerprintScheme(lanes=2, seed=seed)
         codes = encode(text)[None, :]
-        prefix_keys, suffix_keys = scheme.key_matrices(codes)
+        prefix_keys, suffix_keys = scheme.key_matrices(
+            codes, range(1, len(text) + 1))
         cut = len(text) // 2 or 1
         for lane in range(2):
-            assert int(prefix_keys[lane][0, cut - 1]) \
+            assert int(prefix_keys[lane][cut - 1, 0]) \
                 == scheme.naive_keys(codes[0, :cut])[lane]
-            assert int(suffix_keys[lane][0, len(text) - cut]) \
+            assert int(suffix_keys[lane][cut - 1, 0]) \
                 == scheme.naive_keys(codes[0, len(text) - cut:])[lane]
 
     def test_different_strings_different_keys(self, rng):
@@ -65,6 +66,6 @@ class TestScheme:
         scheme = FingerprintScheme(lanes=1)
         codes = rng.integers(0, 4, (10_000, 30), dtype=np.uint8)
         unique_rows = np.unique(codes, axis=0)
-        prefix_keys, _ = scheme.key_matrices(unique_rows)
-        full_keys = prefix_keys[0][:, -1]
+        prefix_keys, _ = scheme.key_matrices(unique_rows, [30])
+        full_keys = prefix_keys[0][0]
         assert np.unique(full_keys).shape[0] == unique_rows.shape[0]
