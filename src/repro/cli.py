@@ -45,14 +45,9 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from .core import Assembler
 
     memory = MemoryConfig(parse_size(args.host_mem), parse_size(args.device_mem))
-    extra = {} if args.workers is None else {"workers": args.workers}
-    if args.backend is not None:
-        extra["executor_backend"] = args.backend
-    if args.trace:
-        extra["trace"] = args.trace
     config = AssemblyConfig(min_overlap=args.min_overlap, memory=memory,
                             device_name=args.device, fingerprint_lanes=args.lanes,
-                            **extra)
+                            trace=args.trace)
     result = Assembler(config).assemble(args.reads, workdir=args.workdir,
                                         resume=args.resume, gfa_path=args.gfa)
     print(result.summary())
@@ -302,13 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--device-mem", default="96 MB")
     asm.add_argument("--device", default="K40")
     asm.add_argument("--lanes", type=int, default=1, choices=(1, 2))
-    asm.add_argument("--workers", type=int, default=None,
-                     help="pipeline worker count (1=serial, 0=auto; "
-                          "default: REPRO_WORKERS or 1)")
-    asm.add_argument("--backend", default=None,
-                     choices=("auto", "serial", "threads", "processes"),
-                     help="executor backend (auto picks processes when "
-                          "workers > 1; default: REPRO_BACKEND or auto)")
     asm.add_argument("--trace", metavar="PATH", default="",
                      help="dump a span trace (JSONL + Perfetto JSON) into "
                           "this directory")

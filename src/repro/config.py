@@ -14,7 +14,6 @@ counts* — the quantity the paper's Tables II/III hinge on — are preserved.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -30,52 +29,6 @@ from .units import parse_size
 #: records) sorts in one disk pass on the 128 GB host but needs one merge
 #: round on the 64 GB host (Tables II vs III).
 DEFAULT_BUFFER_FRACTION = 0.85
-
-
-def validate_workers(workers: int, *, source: str = "workers") -> int:
-    """Validate a worker count through the one shared ``ConfigError`` path.
-
-    Every route a worker count can enter by — the config field, the
-    ``REPRO_WORKERS`` environment override, direct executor construction,
-    and :meth:`AssemblyConfig.resolved_workers` at resolve time — funnels
-    through here, so an invalid count can never reach the executor no
-    matter when or how it was injected.
-    """
-    try:
-        workers = int(workers)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source} must be an integer, got {workers!r}") from None
-    if workers < 0:
-        raise ConfigError(f"{source} must be >= 0 (0 = auto from cpu_count)")
-    return workers
-
-
-def default_workers() -> int:
-    """The default pipeline worker count: ``REPRO_WORKERS`` or 1 (serial).
-
-    Reading the environment here (rather than at import time) lets test
-    harnesses and CI matrix legs flip the execution mode per process
-    without touching call sites.
-    """
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return 1
-    return validate_workers(raw, source="REPRO_WORKERS")
-
-
-def default_backend() -> str:
-    """The default executor backend: ``REPRO_BACKEND`` or ``auto``.
-
-    ``auto`` resolves to ``processes`` when the effective worker count
-    exceeds 1 (real multi-core scaling needs to escape the GIL) and to
-    ``serial`` otherwise; see :func:`repro.parallel.resolve_backend`.
-    """
-    from .parallel.backend import check_backend
-
-    raw = os.environ.get("REPRO_BACKEND", "").strip()
-    if not raw:
-        return "auto"
-    return check_backend(raw)
 
 
 @dataclass(frozen=True)
@@ -177,26 +130,10 @@ class AssemblyConfig:
     dedupe_contigs:
         Drop the reverse-complement twin of each contig (extension; the
         paper leaves complement duplicates unspecified).
-    workers:
-        Pipeline worker threads for the overlapped (double-buffered)
-        execution mode. ``1`` (the default, or via ``REPRO_WORKERS``) is
-        the paper-faithful serial schedule; ``0`` derives the pool size
-        from ``os.cpu_count()``. Output is byte-identical for every value
-        — only wall-clock changes — and an armed fault plan always forces
-        serial execution.
-    executor_backend:
-        Where pipeline work runs: ``serial`` (everything inline),
-        ``threads`` (the GIL-sharing worker-thread pool), ``processes``
-        (fingerprint scans and sort run formation ship to worker
-        processes over shared-memory buffers), or ``auto`` (the default,
-        or via ``REPRO_BACKEND``) which picks ``processes`` whenever the
-        resolved worker count exceeds 1. Execution-only: artifacts are
-        byte-identical across backends, so it is excluded from the
-        checkpoint fingerprint like ``workers``.
     trace:
         Directory to dump a structured span trace into ("" = tracing off,
         the default). When set, the run records begin/end events for every
-        phase, executor lane, external-merge round and distributed node
+        phase, external-merge round and distributed node
         against both the wall clock and the simulated clock, and writes an
         event log plus Chrome/Perfetto trace JSON there (see
         :mod:`repro.trace`). Purely observational: does not affect output
@@ -207,7 +144,7 @@ class AssemblyConfig:
         allocating fresh ones per transfer/kernel. Wall-clock only: the
         simulated clock, metered peaks and every artifact byte are
         identical either way, so it is excluded from the checkpoint
-        fingerprint like ``workers``.
+        fingerprint.
     pool_max_bytes:
         Cap on bytes the buffer-pool free list may retain (``0``, the
         default, derives the cap from the device budget). Wall-clock
@@ -259,8 +196,6 @@ class AssemblyConfig:
     merge_fanout: int = 2
     dedupe_contigs: bool = True
     keep_workdir: bool = False
-    workers: int = field(default_factory=default_workers)
-    executor_backend: str = field(default_factory=default_backend)
     trace: str = ""
     buffer_pool: bool = True
     pool_max_bytes: int = 0
@@ -302,10 +237,6 @@ class AssemblyConfig:
             raise ConfigError("merge_fanout must be 0 (auto) or >= 2")
         if self.pool_max_bytes < 0:
             raise ConfigError("pool_max_bytes must be >= 0 (0 = auto)")
-        validate_workers(self.workers)
-        from .parallel.backend import check_backend
-
-        check_backend(self.executor_backend)
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be > 0")
         if self.node_timeout < self.heartbeat_interval:
@@ -328,22 +259,9 @@ class AssemblyConfig:
                 "heartbeat granularity)")
 
     def resolved_workers(self) -> int:
-        """The effective worker-pool size (``0`` resolves to ``cpu_count``).
-
-        Re-validates at resolve time: a worker count injected after
-        construction (e.g. derived from ``REPRO_WORKERS`` and written onto
-        an existing config) goes through the same :class:`ConfigError`
-        path as the field validation, instead of silently reaching the
-        executor.
-        """
-        workers = validate_workers(self.workers)
-        return workers or (os.cpu_count() or 1)
-
-    def resolved_backend(self) -> str:
-        """The effective executor backend (``auto`` resolves per workers)."""
-        from .parallel.backend import resolve_backend
-
-        return resolve_backend(self.executor_backend, self.resolved_workers())
+        """Always 1: a run has one schedule."""
+        # Read by benchmarks/perf/run.py (``parallel.workers``).
+        return 1
 
     def with_memory(self, memory: MemoryConfig) -> "AssemblyConfig":
         """Return a copy using a different memory configuration."""

@@ -69,9 +69,6 @@ def file_digest(path: Path) -> str | None:
 #: phase cache key, so a run may be resumed (or served from cache) under a
 #: different setting of any of them:
 #:
-#: * ``workers`` / ``executor_backend`` — execution-only: any worker count
-#:   or backend produces byte-identical artifacts (asserted by
-#:   tests/test_parallel_determinism.py),
 #: * ``trace`` — observation-only: tracing never changes artifacts,
 #: * ``keep_workdir`` — housekeeping,
 #: * the resilience-policy knobs — they change how failures are survived,
@@ -79,7 +76,7 @@ def file_digest(path: Path) -> str | None:
 #: * ``buffer_pool`` / ``pool_max_bytes`` — substrate-only: recycling the
 #:   numpy buffers behind device arrays changes wall-clock time and
 #:   allocator traffic, never an artifact byte or a simulated-clock charge.
-NON_SEMANTIC_KNOBS = ("workers", "executor_backend", "trace", "keep_workdir",
+NON_SEMANTIC_KNOBS = ("trace", "keep_workdir",
                       "heartbeat_interval", "node_timeout",
                       "reduce_max_attempts", "retry_backoff_s",
                       "node_restarts", "allow_degraded",

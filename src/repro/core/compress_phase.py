@@ -41,7 +41,6 @@ def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadSto
     the path table, and at paper scale graph + placement tables together
     would not fit the 64 GB host.
     """
-    # Compress is strictly serial; both stage spans are det=True.
     with ctx.tracer.span("compress:paths", track="pipeline", det=True) as span:
         paths = extract_paths(graph)
         if ctx.config.dedupe_contigs:

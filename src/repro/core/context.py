@@ -5,6 +5,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from ..config import AssemblyConfig
 from ..device import SimClock, VirtualGPU
@@ -14,8 +15,7 @@ from ..errors import HostMemoryError
 from ..extmem import IOAccountant
 from ..faults import plan as faults
 from ..fingerprint import FingerprintScheme
-from ..parallel import PipelineExecutor
-from ..telemetry import Telemetry
+from ..telemetry import EventMeter, Telemetry
 from ..trace.tracer import NULL_TRACER
 
 
@@ -54,20 +54,13 @@ class RunContext:
         # recorded below carries correct modeled timestamps.
         self.tracer = (tracer if tracer is not None else NULL_TRACER).bind(
             lambda: self.clock.total_seconds)
-        # The pipelined executor (workers=1 ⇒ pure serial). Output is
-        # byte-identical for any worker count and backend; an armed fault
-        # plan forces serial execution at call time, whatever the config
-        # says. Built before any helper thread exists so the process
-        # backend can fork a single-threaded parent.
-        self.executor = PipelineExecutor(config.resolved_workers(),
-                                         tracer=self.tracer,
-                                         backend=config.resolved_backend())
+        # Read by benchmarks/perf/perf_metrics.py (``.meter.counters()``).
+        self.executor = SimpleNamespace(meter=EventMeter())
         self.telemetry = Telemetry(tracer=self.tracer)
         self.telemetry.register(self.clock)
         self.telemetry.register(self.accountant)
         self.telemetry.register(self.gpu.pool)
         self.telemetry.register(self.host_pool)
-        self.telemetry.register(self.executor.meter)
         # Under chaos injection, fault events show up as per-phase counters
         # (faults_injected, fault_ops, …) so benchmarks can report which
         # phase absorbed the failures and what recovery cost.
@@ -82,7 +75,6 @@ class RunContext:
         self.clock.charge("host", costs.host_work_seconds(self.host_spec, nbytes_touched))
 
     def cleanup(self) -> None:
-        """Release the executor and remove an owned working directory."""
-        self.executor.shutdown()
+        """Remove an owned working directory."""
         if self._owns_workdir and not self.config.keep_workdir:
             shutil.rmtree(self.workdir, ignore_errors=True)

@@ -40,8 +40,6 @@ def run_load(ctx: RunContext, source: str | Path | PackedReadStore) -> PackedRea
 
     writer: PackedReadStore | None = None
     n_reads = 0
-    # The load loop is strictly serial, so its simulated stamps are
-    # deterministic (det=True) and survive into the golden sim trace.
     with ctx.tracer.span("load:stream", track="pipeline", det=True) as span:
         for batch in batches:
             if writer is None:

@@ -34,17 +34,8 @@ reverse-complement records; :func:`_fingerprint_block` lays a block's
 records out in exactly that order, so the files do not depend on the
 block size.
 
-Execution is pipelined through :class:`~repro.parallel.PipelineExecutor`:
-a background producer prefetches packed host blocks off disk (depth 2)
-while pool workers fingerprint the in-flight blocks. Under the
-``processes`` backend the blocks travel 2-bit-packed through shared-memory
-segments to worker *processes* (see :func:`_fingerprint_task`), which
-write the finished records into a shared output segment — no bulk
-pickling either way. Partition appends — and all modeled accounting
-(scratch reservations, kernel charges) — happen on the main thread in
-strict batch order, so partition files *and* modeled costs are identical
-for any worker count and backend (both paths run the same
-:func:`_fingerprint_block` kernel).
+There is one schedule: :func:`run_map` is a plain loop that reads a block,
+fingerprints it and appends it before it reads the next.
 """
 
 from __future__ import annotations
@@ -61,20 +52,13 @@ from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
 from ..faults import plan as faults
 from ..fingerprint import FingerprintScheme
 from ..fingerprint.scan import ScanWorkspace
-from ..parallel import shm
 from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore, unpack_codes
 from .context import RunContext
 
-#: Host blocks the prefetch producer keeps in flight ahead of the workers.
-PREFETCH_DEPTH = 2
-
 #: Reads a host block is filled up to (whole device batches, host budget
 #: permitting). Per-call interpreter overhead is amortized well below this.
 STAGE_READS = 256
-
-#: Task path the process backend resolves inside its workers.
-_MAP_TASK = "repro.core.map_phase:_fingerprint_task"
 
 
 def per_read_device_bytes(read_length: int, lanes: int) -> int:
@@ -150,8 +134,8 @@ def _place(dst: np.ndarray, orientation: int, src: np.ndarray,
     dst[..., lo:lo + ragged] = src[..., full:]
 
 
-#: Per-thread scan scratch: `_fingerprint_block` runs concurrently on pool
-#: worker threads, and a workspace's buffers alias across calls.
+#: Per-thread scan scratch: the service runs pipelines on its batch threads
+#: (``max_parallel``), and a workspace's buffers alias across calls.
 _SCAN_TLS = threading.local()
 
 
@@ -174,9 +158,7 @@ def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
     order (see :func:`_place`) — same values and field layout as one record
     assembly per device batch, orientation and length. The oriented reads
     and their vertex ids are laid out in file order first, so one
-    ``key_matrices`` call writes every key straight into its record. The
-    single source of truth run by the serial path, the thread workers and
-    the process workers alike, so no backend can drift.
+    ``key_matrices`` call writes every key straight into its record.
     """
     forward_codes = unpack_codes(packed, read_length)
     n = forward_codes.shape[0]
@@ -191,48 +173,6 @@ def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                         out=[out[field]
                              for field in (KEY_FIELD, AUX_FIELD)[:scheme.lanes]])
     out[VAL_FIELD] = vertices
-
-
-#: Per-process cache of fingerprint schemes (worker-side; keyed by config).
-_WORKER_SCHEMES: dict[tuple[int, int], FingerprintScheme] = {}
-
-
-def _fingerprint_task(payload: dict) -> dict:
-    """Process-backend map task: packed reads in, staged records out.
-
-    The input segment holds the 2-bit-packed host block; the worker runs
-    :func:`_fingerprint_block` straight into a fresh output segment. Only
-    segment names and a few scalars cross the pickle boundary; the parent
-    unlinks both segments after delivery.
-    """
-    read_length = payload["read_length"]
-    n = payload["n"]
-    bytes_per_read = -(-read_length // 4)
-    key = (payload["lanes"], payload["seed"])
-    scheme = _WORKER_SCHEMES.get(key)
-    if scheme is None:
-        scheme = FingerprintScheme(lanes=key[0], seed=key[1])
-        _WORKER_SCHEMES[key] = scheme
-    lengths = payload["lengths"]
-    dtype = kv_dtype(payload["lanes"])
-    out = shm.create(2 * len(lengths) * 2 * n * dtype.itemsize)
-    shm.disown(out)  # the parent unlinks it after delivery
-    try:
-        segment = shm.attach(payload["shm_in"])
-        try:
-            _fingerprint_block(
-                shm.as_array(segment, (n, bytes_per_read), np.uint8),
-                payload["start"], read_length, payload["batch_reads"], scheme,
-                lengths, shm.as_array(out, (2, len(lengths), 2 * n), dtype))
-        finally:
-            segment.close()
-    except BaseException:
-        out.close()
-        shm.unlink(out.name)
-        raise
-    out.close()
-    return {"shm_out": out.name, "shm_in": payload["shm_in"], "n": n,
-            "n_lengths": len(lengths)}
 
 
 def run_map(ctx: RunContext, store: PackedReadStore,
@@ -269,7 +209,6 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     kept = tuple(length for length in lengths
                  if only_lengths is None or length in only_lengths)
 
-    executor = ctx.executor
     tracer = ctx.tracer
     batch_charges: dict[int, list[float]] = {}
 
@@ -305,77 +244,23 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                      for lo in range(block_start, block_stop, batch_reads)]
             yield block_start, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def thread_deliveries():
-        """Serial/threads path: closures on the pool."""
-        def fingerprint(block):
-            # Worker-side compute: pure numpy, no modeled-hardware access.
-            first_read, packed = block
-            staged = np.empty((2, len(kept), 2 * packed.shape[0]), dtype=dtype)
+    try:
+        for first_read, packed in packed_blocks():
+            block_n = packed.shape[0]
+            staged = np.empty((2, len(kept), 2 * block_n), dtype=dtype)
             _fingerprint_block(packed, first_read, read_length, batch_reads,
                                ctx.scheme, kept, staged)
-            return staged
-
-        yield from executor.map_ordered(
-            fingerprint, executor.prefetch(packed_blocks(), depth=PREFETCH_DEPTH))
-
-    def process_deliveries():
-        """Process path: packed bytes out via shm, staged records back via shm.
-
-        The sequential packed reads happen on this side (same fault and
-        disk-accounting op order as the thread path); workers run the
-        same :func:`_fingerprint_block` kernel. Each delivered block is a
-        *view* into the worker's output segment — valid for exactly one
-        loop iteration, after which both segments are unlinked.
-        """
-        pending_inputs: set[str] = set()
-
-        def payloads():
-            for first_read, packed in packed_blocks():
-                name = shm.put_array(packed)
-                pending_inputs.add(name)
-                yield {"shm_in": name, "n": packed.shape[0],
-                       "start": first_read, "read_length": read_length,
-                       "batch_reads": batch_reads,
-                       "lanes": lanes, "seed": ctx.scheme.seed,
-                       "lengths": kept}
-
-        try:
-            for result in executor.map_tasks(
-                    _MAP_TASK,
-                    executor.prefetch(payloads(), depth=PREFETCH_DEPTH)):
-                segment = shm.attach(result["shm_out"])
-                try:
-                    yield shm.as_array(
-                        segment, (2, result["n_lengths"], 2 * result["n"]), dtype)
-                finally:
-                    segment.close()
-                    shm.unlink(result["shm_out"])
-                    shm.unlink(result["shm_in"])
-                    pending_inputs.discard(result["shm_in"])
-        finally:
-            # Abandoned mid-stream (an exception downstream): input
-            # segments that never reached delivery must still be removed.
-            for name in list(pending_inputs):
-                shm.unlink(name)
-
-    deliveries = process_deliveries() if executor.process_parallel \
-        else thread_deliveries()
-    try:
-        for staged in deliveries:
-            block_n = staged.shape[2] // 2
             rows = []
             # One span per host block (a span per device batch costs more
-            # than the batch at small device budgets). det=False: the
-            # prefetch thread charges the accountant from the packed reads,
-            # so mid-phase simulated stamps depend on the worker count.
+            # than the batch at small device budgets). det=False keeps the
+            # per-block spans out of the sim export (its size).
             with tracer.span("map:block", track="pipeline",
                              first_batch=n_batches + 1, reads=block_n), \
                     ctx.host_pool.alloc(block_n * per_read, label="map-host-buffers"):
-                # Modeled accounting stays on the main thread, per device
-                # batch and in batch order: scratch reservations, kernel
-                # charges and (through ``rows``) the metered appends are
-                # identical to the serial schedule for any worker count and
-                # any block size.
+                # Modeled accounting is per device batch and in batch
+                # order: scratch reservations, kernel charges and (through
+                # ``rows``) the metered appends are the same for any block
+                # size.
                 for lo in range(0, block_n, batch_reads):
                     n = min(batch_reads, block_n - lo)
                     n_batches += 1
@@ -388,9 +273,6 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     rows)
                 tuples_written += 2 * 2 * block_n * len(kept)
     finally:
-        # Prompt generator cleanup: the process path's finally drains the
-        # in-flight window and unlinks every leftover shared-memory segment.
-        deliveries.close()
         # Even on an injected crash the writers must close: the in-process
         # crash loop re-runs the pipeline, and a stale _OPEN_PATHS entry
         # would wrongly reject the recovery run's writers.

@@ -133,7 +133,6 @@ class Assembler:
 
             tracer = SpanTracer(meta={
                 "source": _source_identity(source),
-                "workers": self.config.resolved_workers(),
                 "seed": self.config.seed,
             })
         ctx = RunContext(self.config, workdir=workdir, disk=self.disk,

@@ -77,8 +77,6 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
         if not (s_path.exists() and p_path.exists()):
             continue
         edges_before = graph.n_edges
-        # The reduce loop is strictly serial, so per-partition spans carry
-        # deterministic simulated stamps (det=True).
         with ctx.tracer.span("reduce:partition", track="pipeline", det=True,
                              length=length) as span:
             with RunReader(s_path, partitions.dtype, ctx.accountant) as suffixes, \

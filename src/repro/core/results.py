@@ -13,7 +13,7 @@ from ..seq.alphabet import decode
 from ..seq.fastq import write_fasta
 from ..seq.stats import assembly_stats
 from ..graph.traverse import PathSet
-from ..telemetry import Telemetry, overlap_saved_s
+from ..telemetry import Telemetry
 from .compress_phase import ContigSet
 from .map_phase import MapReport
 from .reduce_phase import ReduceReport
@@ -78,29 +78,6 @@ class AssemblyResult:
         return {stats.name: (stats.sim_seconds if simulated else stats.wall_seconds)
                 for stats in self.telemetry}
 
-    def parallelism(self) -> dict[str, float | int]:
-        """Aggregate pipelined-execution counters across all phases.
-
-        ``overlap_saved_s`` is the wall time the double-buffered overlap
-        removed versus a fully serialized schedule; ``utilization`` is the
-        fraction of available worker-seconds (wall × workers) spent busy.
-        All zeros under ``workers=1`` (nothing runs in the background).
-        """
-        busy = sum(s.counters.get("par_busy_s", 0.0) for s in self.telemetry)
-        wait = sum(s.counters.get("par_wait_s", 0.0) for s in self.telemetry)
-        tasks = sum(s.counters.get("par_tasks", 0.0) for s in self.telemetry)
-        wall = self.telemetry.total_wall_seconds()
-        workers = self.config.resolved_workers()
-        return {
-            "workers": workers,
-            "par_tasks": int(tasks),
-            "par_busy_s": busy,
-            "par_wait_s": wait,
-            "overlap_saved_s": overlap_saved_s(
-                {"par_busy_s": busy, "par_wait_s": wait}),
-            "utilization": (busy / (wall * workers)) if wall > 0 else 0.0,
-        }
-
     def summary(self) -> str:
         """Multi-line human-readable run summary."""
         stats = self.stats()
@@ -120,11 +97,5 @@ class AssemblyResult:
             f"contigs: {stats['n_contigs']:,}  total {stats['total_bases']:,} bp  "
             f"N50 {stats['n50']:,}",
         ]
-        par = self.parallelism()
-        if par["workers"] > 1:
-            lines.append(
-                f"workers: {par['workers']}  tasks {par['par_tasks']:,}  "
-                f"overlap saved {par['overlap_saved_s']:.2f}s  "
-                f"utilization {par['utilization']:.0%}")
         lines.append(self.telemetry.report())
         return "\n".join(lines)

@@ -60,8 +60,7 @@ def make_sorter(ctx: RunContext, dtype, resident_bytes: int = 0) -> ExternalSort
     return ExternalSorter(gpu=ctx.gpu, host_pool=ctx.host_pool,
                           accountant=ctx.accountant, dtype=dtype,
                           host_block_pairs=m_h, device_block_pairs=m_d,
-                          merge_fanout=config.merge_fanout,
-                          executor=ctx.executor, tracer=ctx.tracer)
+                          merge_fanout=config.merge_fanout, tracer=ctx.tracer)
 
 
 def _open_claims(ctx: RunContext, graph: GreedyStringGraph, side: str):

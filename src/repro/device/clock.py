@@ -35,8 +35,7 @@ class SimClock:
 
     def __init__(self) -> None:
         self._by_category: dict[str, float] = {cat: 0.0 for cat in CATEGORIES}
-        # Charges arrive from executor worker/prefetch threads as well as
-        # the main thread; += on a dict slot is not atomic under threads.
+        # += on a dict slot is not atomic under threads.
         self._lock = threading.Lock()
 
     def charge(self, category: str, seconds: float) -> None:

@@ -66,8 +66,7 @@ class MemoryPool:
         self._peak = 0
         self._lifetime_peak = 0
         self._alloc_count = 0
-        # Device allocations may arrive from executor worker threads (the
-        # device lock serializes device *work*, but frees can interleave).
+        # The capacity check and the add are one step under threads.
         self._lock = threading.Lock()
 
     # -- allocation --------------------------------------------------------
@@ -172,8 +171,7 @@ class BufferPool:
     Buffers live in the free list as flat ``uint8`` arrays; :meth:`take`
     carves a view of the requested shape/dtype off the front. Retention is
     capped at ``max_bytes`` (excess buffers are dropped to the garbage
-    collector). Thread-safe: device frees arrive from executor worker
-    threads.
+    collector). Thread-safe.
     """
 
     def __init__(self, max_bytes: int = 64 << 20, *, enabled: bool = True):

@@ -160,7 +160,6 @@ class DistributedAssembler:
         if self.config.trace:
             tracer = SpanTracer(meta={"mode": "distributed",
                                       "n_nodes": self.n_nodes,
-                                      "workers": self.config.resolved_workers(),
                                       "seed": self.config.seed})
         try:
             return self._run(source, root, tracer)

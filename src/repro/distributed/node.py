@@ -227,7 +227,7 @@ class WorkerNode:
         The simulated process died but its private storage survives; the
         replacement node reopens the same directory. What must not survive
         are this object's open stream writers (the exclusivity registry
-        would reject the replacement's files) and its executor threads.
+        would reject the replacement's files).
         """
         for writer in list(self.map_partitions._writers.values()):
             try:
@@ -241,4 +241,3 @@ class WorkerNode:
             except Exception:
                 pass
         self.shuffled._writers.clear()
-        self.ctx.executor.shutdown()

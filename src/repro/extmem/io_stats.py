@@ -32,8 +32,7 @@ class IOAccountant:
         # Cached for the seekless fast path below.
         self._read_bw = self.disk.read_bandwidth
         self._write_bw = self.disk.write_bandwidth
-        # Read-ahead producers and write-behind drains account from
-        # background threads concurrently with the main thread.
+        # += on the counters is not atomic under threads.
         self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------

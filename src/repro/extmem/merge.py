@@ -95,14 +95,13 @@ class _Window:
 
     Refills append into a pair of persistent window-capacity buffers, so a
     merge round's working set is allocated once. Two aliasing rules keep
-    it byte-identical under the write-behind sink, which holds emitted
-    arrays until a background thread writes them:
+    it correct under a sink that holds the arrays it is handed:
 
     * a chunk fully replacing an empty window is *adopted* as-is
       (zero-copy) — source chunks are never written to;
     * :meth:`emit_all` hands a persistent buffer over to the sink and
-      takes a fresh one, because the window refills long before the sink
-      is done with the emitted records.
+      takes a fresh one, because the window refills while the sink may
+      still hold the emitted records.
     """
 
     __slots__ = ("live", "start", "length", "_buf", "_spare", "_capacity",
@@ -317,8 +316,8 @@ def _algorithm1(windows: list, emit: EmitFn | None, *,
             rank = int(np.searchsorted(keys[i], boundary, side="right"))
             if rank:
                 parts.append(windows[i].take(rank))
-        # det=False: under write-behind the window's simulated midpoint
-        # depends on how far the background writer has drained.
+        # det=False keeps the per-window spans out of the sim export (its
+        # size).
         if tracer.enabled:
             with tracer.span("merge-window", track="merge", ways=len(parts),
                              records=int(sum(p.shape[0] for p in parts))):
@@ -346,7 +345,7 @@ def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
     prefixes in one shot when provided; otherwise the binary ``merge_fn``
     is folded over them pairwise. At least one executor is required.
     Every array handed to ``emit`` is fresh or detached, so a sink may
-    hold it (the write-behind sink does). ``tracer`` records a span per
+    hold it. ``tracer`` records a span per
     equalized-window merge (and an instant per pass-through window); only
     the level-1 disk merge passes a real one — the inner level-2 merges
     would flood the event log.

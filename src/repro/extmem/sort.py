@@ -38,12 +38,9 @@ import numpy as np
 
 from ..device.gpu import VirtualGPU
 from ..device.kernels import raw_view
-from ..device.memory import BufferPool, MemoryPool
-from ..errors import ConfigError, DeviceMemoryError
+from ..device.memory import MemoryPool
+from ..errors import ConfigError
 from ..faults import plan as faults
-from ..parallel import PipelineExecutor, shm
-from ..parallel.process_backend import (RecordingClock, RecordingPool,
-                                        replay_device_log)
 from ..trace.tracer import NULL_TRACER
 from .io_stats import IOAccountant
 from .merge import merge_in_memory_k, merge_streams_k, tournament_fold
@@ -66,9 +63,6 @@ DEVICE_KWAY_FOOTPRINT = 2
 #: Ceiling for the auto-derived merge fanout: past ~16 ways the windows
 #: shrink enough that per-window seek overhead erases the pass saving.
 MAX_AUTO_FANOUT = 16
-
-#: Task path the process backend resolves inside its workers.
-_SORT_TASK = "repro.extmem.sort:_sort_block_task"
 
 
 def derive_fanout(host_block_pairs: int, device_block_pairs: int) -> int:
@@ -121,7 +115,7 @@ class ExternalSorter:
                  accountant: IOAccountant | None, dtype: np.dtype,
                  host_block_pairs: int, device_block_pairs: int,
                  merge_fanout: int = 2, key_field: str = KEY_FIELD,
-                 executor: PipelineExecutor | None = None, tracer=None):
+                 tracer=None):
         if host_block_pairs < 2 or device_block_pairs < 2:
             raise ConfigError("block sizes must be >= 2 records")
         if merge_fanout < 0 or merge_fanout == 1:
@@ -129,9 +123,6 @@ class ExternalSorter:
         self.gpu = gpu
         self.host_pool = host_pool
         self.accountant = accountant
-        #: Pipelined execution (read-ahead, ordered block sorting, write-
-        #: behind); the default is the serial single-worker executor.
-        self.executor = executor if executor is not None else PipelineExecutor(1)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.dtype = np.dtype(dtype)
         self.key_field = key_field
@@ -247,8 +238,6 @@ class ExternalSorter:
         scratch_dir = out_path.parent / (out_path.name + ".scratch")
         scratch_dir.mkdir(parents=True, exist_ok=True)
         try:
-            # det=True: sort_file begins and ends with all background work
-            # drained (write-behind closed, map_ordered fully consumed).
             with self.tracer.span(f"sort:{out_path.name}", track="sort",
                                   det=True) as span:
                 report = self._sort_into(in_path, out_path, scratch_dir, keep)
@@ -267,9 +256,8 @@ class ExternalSorter:
     def _blocks(self, reader: RunReader, keep):
         """Run-formation blocks of ``host_block`` records, in file order.
 
-        The one block source of every backend, pulled on the reading
-        thread. Without ``keep`` a block is one read. With it, each piece
-        read is filtered and its survivors are carried over until exactly
+        Without ``keep`` a block is one read. With it, each piece read is
+        filtered and its survivors are carried over until exactly
         ``host_block`` of them are held (the last block may be shorter):
         the run count then follows the *surviving* records, which is what
         lets :meth:`report_for` reconstruct the report from the sorted
@@ -297,103 +285,36 @@ class ExternalSorter:
                         out=raw_view(held)[n_held:n_held + take.shape[0]])
                 n_held += take.shape[0]
                 if n_held == self.host_block:
+                    # The caller has written the block's run by the time it
+                    # pulls again, so the next block fills the same buffer.
                     yield held
-                    # A yielded block is sorted in place, possibly while
-                    # the next one fills: never reuse it.
-                    held = np.empty(capacity, dtype=self.dtype)
                     n_held = 0
         if n_held:
             yield held[:n_held]
 
-    def _sorted_blocks_via_processes(self, blocks):
-        """Run-formation blocks sorted in worker processes.
-
-        Blocks are pulled here (sequential op order unchanged), shipped to
-        the workers through shared memory, sorted there against a
-        *recording* device, and the returned charge log is replayed onto
-        the real clock and pool at delivery — in submission order, so the
-        modeled-device trajectory is bit-identical to the serial schedule.
-        """
-        executor = self.executor
-        pending: set[str] = set()
-
-        def payloads():
-            for block in blocks:
-                name = shm.put_array(block)
-                pending.add(name)
-                yield {"shm_in": name, "n": int(block.shape[0]),
-                       "dtype": self.dtype, "key_field": self.key_field,
-                       "m_h": self.m_h, "m_d": self.m_d,
-                       "fanout": self.fanout,
-                       "device_name": self.gpu.spec.name,
-                       "capacity_bytes": self.gpu.pool.capacity_bytes,
-                       "buffer_pool": self.gpu.buffers.enabled}
-
-        try:
-            for result in executor.map_tasks(_SORT_TASK, payloads()):
-                try:
-                    sorted_block = shm.get_array(result["shm_out"],
-                                                 (result["n"],), self.dtype)
-                finally:
-                    shm.unlink(result["shm_out"])
-                    shm.unlink(result["shm_in"])
-                    pending.discard(result["shm_in"])
-                with executor.device_lock:
-                    replay_device_log(result["log"], clock=self.gpu.clock,
-                                      pool=self.gpu.pool)
-                yield sorted_block
-        finally:
-            # Abandoned mid-stream: input segments that never reached
-            # delivery must still be removed.
-            for name in list(pending):
-                shm.unlink(name)
-
     def _sort_into(self, in_path: Path, out_path: Path, scratch_dir: Path,
                    keep) -> SortReport:
         record_nbytes = self.dtype.itemsize
-        executor = self.executor
 
-        # Run formation: host blocks sorted through the device. Blocks are
-        # pulled off disk on this thread (sequential op order is fixed) and
-        # sorted on pool workers with submission-order delivery, so the
-        # next block's read overlaps the current block's device sort while
-        # the run files stay byte-identical. Device work is serialized by
-        # the executor's device lock: the modeled GPU is one capacity pool,
-        # and two concurrent block sorts would double its (real) peak.
+        # Run formation: each host block is read, sorted through the device
+        # and written as a run before the next is read.
         run_paths: list[Path] = []
         n_records = 0
-        # det=True at the boundaries: map_ordered is fully consumed when the
-        # span ends, so every worker charge has landed on the clock (float
-        # summation order may differ across worker counts; the sim export's
-        # nanosecond rounding swallows that).
         with self.tracer.span("runs", track="sort", det=True) as runs_span, \
                 RunReader(in_path, self.dtype, self.accountant) as reader:
-            blocks = self._blocks(reader, keep)
-
-            def sort_block(block: np.ndarray) -> np.ndarray:
-                with executor.device_lock:
-                    return self.sort_block_in_host(block)
-
-            sorted_blocks = self._sorted_blocks_via_processes(blocks) \
-                if executor.process_parallel \
-                else executor.map_ordered(sort_block, blocks)
-            try:
-                for sorted_block in sorted_blocks:
-                    with self.host_pool.alloc(sorted_block.shape[0] * record_nbytes *
-                                              HOST_SORT_FOOTPRINT, label="sort-block"):
-                        n_records += sorted_block.shape[0]
-                        run_path = scratch_dir / f"run_{len(run_paths):05d}.run"
-                        # det=False: workers still sorting later blocks charge
-                        # the clock while this run is being written.
-                        with self.tracer.span("run:write", track="sort"), \
-                                RunWriter(run_path, self.dtype,
-                                          self.accountant) as writer:
-                            writer.append(sorted_block)
-                    run_paths.append(run_path)
-            finally:
-                # Prompt cleanup on a mid-run exception: the process path
-                # drains its window and unlinks every leftover segment.
-                sorted_blocks.close()
+            for block in self._blocks(reader, keep):
+                sorted_block = self.sort_block_in_host(block)
+                with self.host_pool.alloc(sorted_block.shape[0] * record_nbytes *
+                                          HOST_SORT_FOOTPRINT, label="sort-block"):
+                    n_records += sorted_block.shape[0]
+                    run_path = scratch_dir / f"run_{len(run_paths):05d}.run"
+                    # det=False keeps the per-run spans out of the sim export
+                    # (its size).
+                    with self.tracer.span("run:write", track="sort"), \
+                            RunWriter(run_path, self.dtype,
+                                      self.accountant) as writer:
+                        writer.append(sorted_block)
+                run_paths.append(run_path)
             runs_span.note(runs=len(run_paths), records=n_records)
 
         initial_runs = len(run_paths)
@@ -410,8 +331,6 @@ class ExternalSorter:
         while len(run_paths) > 1:
             merge_rounds += 1
             next_paths: list[Path] = []
-            # det=True: a round begins and ends with every background
-            # reader/writer of the previous groups drained.
             with self.tracer.span("merge-round", track="sort", det=True,
                                   round=merge_rounds, runs=len(run_paths)):
                 for group_index, start in enumerate(range(0, len(run_paths),
@@ -437,31 +356,11 @@ class ExternalSorter:
                             for p in group]
                         writer = stack.enter_context(
                             RunWriter(merged_path, self.dtype, self.accountant))
-                        # Read-ahead keeps one window per input stream in
-                        # flight; write-behind overlaps the merged window's
-                        # disk write with the next device merge. Both are
-                        # order-preserving, so the merged run is byte-for-byte
-                        # the serial one. The sink closes (draining and
-                        # re-raising any deferred write error) before the
-                        # ExitStack closes the writer underneath it. Each
-                        # wrapped source's close() is registered *after* its
-                        # reader entered the stack, so a failing merge joins
-                        # every producer thread before the file handle it
-                        # reads from is closed underneath it.
-                        sources = []
-                        for i, r in enumerate(readers):
-                            source = executor.read_ahead(
-                                r, self.host_kway_window,
-                                lane=f"read-ahead-{i}")
-                            if source is not r:
-                                stack.callback(source.close)
-                            sources.append(source)
-                        with executor.write_behind(writer.append) as sink:
-                            merge_streams_k(sources, sink.put,
-                                            window_records=self.host_kway_window,
-                                            merge_fn_k=self.merge_windows,
-                                            key_field=self.key_field,
-                                            tracer=self.tracer)
+                        merge_streams_k(readers, writer.append,
+                                        window_records=self.host_kway_window,
+                                        merge_fn_k=self.merge_windows,
+                                        key_field=self.key_field,
+                                        tracer=self.tracer)
                     for path in group:
                         path.unlink()
                     next_paths.append(merged_path)
@@ -471,46 +370,3 @@ class ExternalSorter:
         faults.barrier(faults.RENAME, str(out_path))
         run_paths[0].replace(out_path)
         return SortReport(n_records, initial_runs, merge_rounds, self.fanout)
-
-
-def _sort_block_task(payload: dict) -> dict:
-    """Process-backend sort task: one unsorted host block in, sorted out.
-
-    The worker rebuilds a minimal sorter around a *recording* virtual
-    device (same spec, same capacity — a task that would blow the device
-    budget fails here exactly as it would inline) and runs the very same
-    level-2 :meth:`ExternalSorter.sort_block_in_host`. The sorted block
-    travels back through a fresh segment together with the device charge
-    log, which the parent replays onto the real clock and pool.
-    """
-    dtype = np.dtype(payload["dtype"])
-    segment = shm.attach(payload["shm_in"])
-    try:
-        block = shm.as_array(segment, (payload["n"],), dtype).copy()
-    finally:
-        segment.close()
-    log: list = []
-    gpu = VirtualGPU(payload["device_name"],
-                     capacity_bytes=payload["capacity_bytes"],
-                     clock=RecordingClock(log),
-                     buffers=BufferPool(payload["capacity_bytes"],
-                                        enabled=payload.get("buffer_pool", True)))
-    gpu.pool = RecordingPool("device", payload["capacity_bytes"],
-                             DeviceMemoryError, log)
-    sorter = ExternalSorter(gpu=gpu, host_pool=None, accountant=None,
-                            dtype=dtype, host_block_pairs=payload["m_h"],
-                            device_block_pairs=payload["m_d"],
-                            merge_fanout=payload["fanout"],
-                            key_field=payload["key_field"])
-    sorted_block = sorter.sort_block_in_host(block)
-    out = shm.create(sorted_block.nbytes)
-    shm.disown(out)  # the parent unlinks it after delivery
-    try:
-        shm.as_array(out, sorted_block.shape, dtype)[...] = sorted_block
-    except BaseException:
-        out.close()
-        shm.unlink(out.name)
-        raise
-    out.close()
-    return {"shm_out": out.name, "shm_in": payload["shm_in"],
-            "n": int(sorted_block.shape[0]), "log": log}

@@ -37,10 +37,9 @@ def place_values(radix: int, prime: int, length: int) -> np.ndarray:
     :meth:`repro.fingerprint.rabin_karp.HashSpec.place_values`, which
     memoizes per *spec instance* — an earlier process-global unbounded
     ``lru_cache`` here kept every (radix, prime, length) triple of every
-    scheme ever constructed alive for the life of the process, and was
-    silently cold in forked sort/map workers while still growing in the
-    parent. The returned array is frozen so no caller can corrupt a
-    memoized copy downstream.
+    scheme ever constructed alive for the life of the process. The
+    returned array is frozen so no caller can corrupt a memoized copy
+    downstream.
     """
     check_params(radix, prime)
     if length < 1:

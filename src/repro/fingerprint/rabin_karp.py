@@ -50,7 +50,7 @@ class HashSpec:
         """``σ^i mod q`` for ``i in [0, length)``, memoized on this spec.
 
         The array is computed once per length per instance and returned
-        frozen. Benign under the pipelined thread workers: a race at worst
+        frozen. Benign under the service's batch threads: a race at worst
         computes the identical immutable array twice, and dict get/set are
         atomic under the GIL.
         """

@@ -178,11 +178,11 @@ class PackedReadStore:
     def read_packed_slice(self, start: int, stop: int) -> np.ndarray:
         """Raw packed bytes of reads ``[start, stop)`` as ``(n, ceil(L/4))``.
 
-        The 2-bit-packed form is ~4× smaller than the decoded code matrix,
-        which is what the process-backed map phase ships through shared
-        memory (workers unpack on their own CPU). Same fault-injection and
-        disk-accounting path as :meth:`read_slice` — the decoded variant
-        is exactly ``unpack_codes`` over this.
+        The 2-bit-packed form is ~4× smaller than the decoded code matrix;
+        the map phase joins a host block's device batches in this form and
+        unpacks once. Same fault-injection and disk-accounting path as
+        :meth:`read_slice` — the decoded variant is exactly
+        ``unpack_codes`` over this.
         """
         if self._mode != "r":
             raise StreamProtocolError("store is open write-only")

@@ -13,8 +13,8 @@ Design points:
 
 * **Keys** come from :func:`phase_key`, which hashes the same
   :func:`~repro.core.checkpoint.semantic_payload` the resume fingerprint
-  uses — execution-only knobs (``workers``, ``executor_backend``,
-  ``trace``, the resilience policy) can never split the cache.
+  uses — execution-only knobs (``trace``, the buffer pool, the resilience
+  policy) can never split the cache.
 * **Entries** are directories ``<root>/<key>/files/<relpath>`` plus a
   ``entry.json`` manifest recording each file's expected digest. The
   manifest is the commit point: a ``put`` that dies mid-copy leaves no

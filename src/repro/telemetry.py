@@ -24,24 +24,6 @@ from typing import Iterator, Mapping, Protocol
 from .units import format_duration, format_size
 
 
-def overlap_saved_s(counters: Mapping[str, float]) -> float:
-    """Wall seconds the pipelined overlap removed, from busy/wait counters.
-
-    Background work (worker tasks, read-ahead, write-behind) ran for
-    ``par_busy_s`` seconds; the caller thread only *blocked* on it for
-    ``par_wait_s``. A serialized schedule would have paid the full busy
-    time on the critical path, so the difference is the saving. Zero in
-    serial mode (the counters never move).
-
-    This is the single definition: :attr:`PhaseStats.overlap_saved_s`,
-    ``AssemblyResult.parallelism()`` and the trace-analysis overlap
-    accounting all call it, so per-phase, aggregate and traced numbers
-    cannot drift.
-    """
-    return max(0.0, counters.get("par_busy_s", 0.0)
-               - counters.get("par_wait_s", 0.0))
-
-
 def format_metric(key: str, value: float) -> str:
     """Format a counter/gauge by the unit its name suffix declares.
 
@@ -103,15 +85,6 @@ class PhaseStats:
         """Modeled (simulated-hardware) seconds accrued during the phase."""
         return self.counters.get("sim_seconds", 0.0)
 
-    @property
-    def overlap_saved_s(self) -> float:
-        """Wall seconds the pipelined overlap removed during this phase.
-
-        Delegates to the module-level :func:`overlap_saved_s` helper — the
-        one shared formula (see its docstring).
-        """
-        return overlap_saved_s(self.counters)
-
     def merged_with(self, other: "PhaseStats") -> "PhaseStats":
         """Combine two phases of the same name (times add, peaks max)."""
         merged = PhaseStats(self.name, self.wall_seconds + other.wall_seconds)
@@ -128,8 +101,6 @@ class PhaseStats:
         parts = [f"{self.name}: wall={format_duration(self.wall_seconds)}"]
         if "sim_seconds" in self.counters:
             parts.append(f"sim={format_duration(self.sim_seconds)}")
-        if self.overlap_saved_s > 0.0:
-            parts.append(f"overlap_saved={format_duration(self.overlap_saved_s)}")
         for key in ("disk_read_bytes", "disk_write_bytes"):
             if self.counters.get(key):
                 parts.append(f"{key.split('_')[1]}={format_size(self.counters[key])}")
@@ -144,11 +115,11 @@ class EventMeter:
     """A dict-backed :class:`Meter` for sparse event counters.
 
     Sources that are not memory pools or clocks — e.g. the fault-injection
-    plan counting injected faults and instrumented I/O operations, or the
-    pipelined executor counting busy/wait seconds — bump named counters
-    here and register the meter like any other, so per-phase deltas
-    (faults injected during *sort* vs *reduce*) come for free. Bumps are
-    lock-protected: executor worker threads update concurrently.
+    plan counting injected faults and instrumented I/O operations — bump
+    named counters here and register the meter like any other, so per-phase
+    deltas (faults injected during *sort* vs *reduce*) come for free. Bumps
+    are lock-protected: the service's batch threads share the content
+    store's meter and an armed fault plan's.
     """
 
     def __init__(self) -> None:

@@ -1,11 +1,9 @@
-"""Trace summarization: busy fractions, overlap accounting, reconciliation.
+"""Trace summarization: busy fractions and reconciliation with telemetry.
 
 The tentpole invariant of the tracing layer is that it *agrees with the
 telemetry it sits beside*: per-phase span durations must reconcile with
-:class:`~repro.telemetry.Telemetry` wall times, and the busy/wait spans
-recorded by the executor lanes must reproduce ``overlap_saved_s`` through
-the same shared helper the telemetry uses. :func:`reconcile` checks both;
-the CI trace-smoke leg and ``tests/test_trace.py`` call it on real runs.
+:class:`~repro.telemetry.Telemetry` wall times. :func:`reconcile` checks
+that; ``tests/test_trace.py`` calls it on real runs.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import TraceError
-from ..telemetry import Telemetry, overlap_saved_s
+from ..telemetry import Telemetry
 from .perfetto import pair_spans
 
 
@@ -67,7 +65,7 @@ def _interval_union(intervals: list[tuple[float, float]]) -> float:
 
 @dataclass(frozen=True)
 class TrackSummary:
-    """Activity on one trace track (worker lane, node, pipeline row)."""
+    """Activity on one trace track (node, pipeline row)."""
 
     n_spans: int
     #: Wall seconds covered by at least one span (nested spans not
@@ -86,18 +84,6 @@ class TraceSummary:
     tracks: dict[str, TrackSummary] = field(default_factory=dict)
     #: Summed wall duration of the ``phase`` spans, by phase name.
     phase_wall_s: dict[str, float] = field(default_factory=dict)
-    #: Background busy seconds from executor lifecycle spans.
-    par_busy_s: float = 0.0
-    #: Caller-blocked seconds from executor wait spans.
-    par_wait_s: float = 0.0
-    #: Per-phase busy − wait split of the executor spans.
-    phase_overlap_s: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def overlap_saved_s(self) -> float:
-        """Overlap saving implied by the executor spans (shared formula)."""
-        return overlap_saved_s({"par_busy_s": self.par_busy_s,
-                                "par_wait_s": self.par_wait_s})
 
 
 def summarize(events: str | Path | Iterable[Mapping]) -> TraceSummary:
@@ -111,9 +97,6 @@ def summarize(events: str | Path | Iterable[Mapping]) -> TraceSummary:
               - min(span["wall0"] for span in spans))
     by_track: dict[str, list[tuple[float, float]]] = {}
     phase_wall: dict[str, float] = {}
-    busy = wait = 0.0
-    phase_busy: dict[str, float] = {}
-    phase_wait: dict[str, float] = {}
     for span in spans:
         duration = span["wall1"] - span["wall0"]
         by_track.setdefault(span["track"], []).append(
@@ -121,15 +104,6 @@ def summarize(events: str | Path | Iterable[Mapping]) -> TraceSummary:
         if span["cat"] == "phase":
             phase_wall[span["name"]] = phase_wall.get(span["name"], 0.0) \
                 + duration
-        elif span["cat"] == "executor":
-            kind = span["args"].get("kind")
-            phase = span["phase"]
-            if kind == "busy":
-                busy += duration
-                phase_busy[phase] = phase_busy.get(phase, 0.0) + duration
-            elif kind == "wait":
-                wait += duration
-                phase_wait[phase] = phase_wait.get(phase, 0.0) + duration
     tracks = {
         track: TrackSummary(
             n_spans=len(intervals),
@@ -137,14 +111,8 @@ def summarize(events: str | Path | Iterable[Mapping]) -> TraceSummary:
             busy_fraction=(covered / extent) if extent > 0 else 0.0)
         for track, intervals in by_track.items()
     }
-    phase_overlap = {
-        phase: overlap_saved_s({"par_busy_s": phase_busy.get(phase, 0.0),
-                                "par_wait_s": phase_wait.get(phase, 0.0)})
-        for phase in set(phase_busy) | set(phase_wait)
-    }
     return TraceSummary(extent_s=extent, tracks=tracks,
-                        phase_wall_s=phase_wall, par_busy_s=busy,
-                        par_wait_s=wait, phase_overlap_s=phase_overlap)
+                        phase_wall_s=phase_wall)
 
 
 def resilience_events(events: str | Path | Iterable[Mapping]) -> dict:
@@ -292,17 +260,14 @@ def service_resilience_events(events: str | Path | Iterable[Mapping]) -> dict:
 
 
 def reconcile(summary: TraceSummary, telemetry: Telemetry, *,
-              wall_tol_s: float = 1e-3,
-              overlap_tol_s: float = 1e-6) -> dict:
+              wall_tol_s: float = 1e-3) -> dict:
     """Cross-check a trace summary against the run's telemetry.
 
-    Returns ``{"ok": bool, "phase_delta_s": {...}, "overlap_delta_s": f}``.
-    Phase spans are recorded by the telemetry phase contexts from the very
-    same clock reads that produce ``PhaseStats.wall_seconds``, so the
-    per-phase deltas should be zero to the float; ``wall_tol_s`` (±1 ms)
-    allows for merged repeated phases. The overlap delta compares the
-    trace's busy−wait against the meter's ``overlap_saved_s`` — identical
-    measurements summed in different orders, so tolerance is ULP-scale.
+    Returns ``{"ok": bool, "phase_delta_s": {...}}``. Phase spans are
+    recorded by the telemetry phase contexts from the very same clock reads
+    that produce ``PhaseStats.wall_seconds``, so the per-phase deltas
+    should be zero to the float; ``wall_tol_s`` (±1 ms) allows for merged
+    repeated phases.
     """
     phase_delta: dict[str, float] = {}
     for stats in telemetry:
@@ -310,15 +275,8 @@ def reconcile(summary: TraceSummary, telemetry: Telemetry, *,
         if traced is None:
             raise TraceError(f"phase {stats.name!r} missing from trace")
         phase_delta[stats.name] = traced - stats.wall_seconds
-    meter_overlap = overlap_saved_s({
-        "par_busy_s": sum(s.counters.get("par_busy_s", 0.0) for s in telemetry),
-        "par_wait_s": sum(s.counters.get("par_wait_s", 0.0) for s in telemetry),
-    })
-    overlap_delta = summary.overlap_saved_s - meter_overlap
-    ok = (all(abs(delta) <= wall_tol_s for delta in phase_delta.values())
-          and abs(overlap_delta) <= overlap_tol_s)
-    return {"ok": ok, "phase_delta_s": phase_delta,
-            "overlap_delta_s": overlap_delta}
+    ok = all(abs(delta) <= wall_tol_s for delta in phase_delta.values())
+    return {"ok": ok, "phase_delta_s": phase_delta}
 
 
 def validate_perfetto(trace: Mapping) -> int:

@@ -2,19 +2,16 @@
 
 Produces the classic ``traceEvents`` JSON that both ``chrome://tracing``
 and ui.perfetto.dev load: one process ("lasagna"), one thread row per
-tracer *track* (executor worker lanes, read-ahead / write-behind threads,
-distributed nodes), spans as complete ("X") events, markers as instant
-("i") events.
+tracer *track* (pipeline, sort, merge, cache, distributed nodes), spans as
+complete ("X") events, markers as instant ("i") events.
 
 Two clocks are exportable:
 
-* ``clock="wall"`` — the real timeline; this is the view that shows PR 3's
-  pipelined overlap (worker lanes busy while the main track waits).
-* ``clock="sim"`` — the modeled-hardware timeline, restricted to events
-  whose ``det`` flag marks their simulated stamps as deterministic. The
-  result is canonically ordered and rounded to 0.1 µs, making it
-  byte-identical across worker counts for the same input — the golden-file
-  property ``tests/test_trace.py`` locks in.
+* ``clock="wall"`` — the real timeline, every span.
+* ``clock="sim"`` — the modeled-hardware timeline, restricted to the events
+  flagged ``det``. The result is canonically ordered and rounded to 0.1 µs,
+  making it byte-identical from run to run for the same input — the
+  golden-file property ``tests/test_trace.py`` locks in.
 """
 
 from __future__ import annotations
@@ -74,10 +71,9 @@ def pair_spans(events: Iterable[Mapping]) -> tuple[list[dict], int]:
 
 def _microseconds(seconds: float, digits: int = 3) -> float:
     # Wall stamps round to nanoseconds (digits=3). Simulated stamps round
-    # to 0.1 µs (digits=1): the clock accumulates charges in whatever order
-    # threads land them, and float summation order perturbs totals by a few
-    # nanoseconds between worker counts — 100 ns quantization swallows that
-    # while modeled phases of even tiny test runs stay distinguishable.
+    # to 0.1 µs (digits=1): the export then does not move with the last
+    # bits of the clock's float sum, while modeled phases of even tiny test
+    # runs stay distinguishable.
     return round(seconds * 1e6, digits)
 
 

@@ -1,16 +1,15 @@
 """The span tracer: begin/end events on named tracks, dual-clock stamped.
 
 The paper's whole evaluation is about *where time goes* (per-phase wall
-times in Tables II/III, the I/O-bound claim behind Fig. 8–10), and the
-pipelined execution layer's value proposition — read-ahead overlapping
-device sorts, write-behind overlapping merges — is invisible in per-phase
-aggregates. This module records the actual timeline:
+times in Tables II/III, the I/O-bound claim behind Fig. 8–10), and
+per-phase aggregates do not show it. This module records the actual
+timeline:
 
 * :class:`SpanTracer` — a thread-safe event log. Every begin/end event is
   stamped against **both** clocks: the wall clock (``time.perf_counter``
   relative to the tracer's epoch) and the run's simulated hardware clock
   (:class:`~repro.device.clock.SimClock` total seconds). Events land on
-  named *tracks* — one per executor worker lane, one per distributed node —
+  named *tracks* — pipeline, sort, merge, cache, one per distributed node —
   which become the rows of the exported timeline.
 * :class:`BoundTracer` — a view over a shared root tracer that injects a
   simulated-clock source and a track prefix; a distributed worker node
@@ -21,12 +20,12 @@ aggregates. This module records the actual timeline:
   allocated and no event is recorded (the ``enabled`` flag additionally
   guards the few call sites that would compute arguments).
 
-Events carry a ``det`` flag marking spans whose *simulated* timestamps are
-deterministic — recorded at points where all background work has drained,
-so the modeled clock reads identically for any worker count. The
-deterministic Perfetto export (:func:`repro.trace.perfetto.build_perfetto`
-with ``clock="sim"``) keeps only those spans, which is what makes traced
-output byte-identical across ``workers`` settings.
+Events carry a ``det`` flag selecting the spans of the simulated-clock
+Perfetto export (:func:`repro.trace.perfetto.build_perfetto` with
+``clock="sim"``): the modeled units (phases, sorts, merge rounds and
+groups, cluster steps), not the per-block, per-run and per-window spans
+that would make up most of its bytes. That export is byte-identical from
+run to run for the same input.
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ _NULL_SPAN = _NullSpan()
 class SpanTracer:
     """Thread-safe span recorder for one run.
 
-    Events accumulate in memory (appends under a lock; worker, prefetch and
-    write-behind threads record concurrently) and are dumped by
+    Events accumulate in memory (appends under a lock; the service's batch
+    threads record concurrently) and are dumped by
     :meth:`write` as a JSONL event log, a run manifest, and two Perfetto
     trace JSON files (wall-clock and deterministic simulated-clock).
     """
@@ -216,11 +215,10 @@ class SpanTracer:
                  sim1: float | None = None, **args: Any) -> None:
         """Record an already-measured span from raw perf_counter stamps.
 
-        The hot executor paths time their work anyway (for the telemetry
-        meter); recording the *same* stamps here makes trace-derived busy/
-        wait totals reconcile exactly with the meter's counters. ``sim0``/
-        ``sim1`` override the simulated stamps (the distributed reduce
-        records token hops at modeled times its own arithmetic produced).
+        For callers that time a region themselves: the span has exactly
+        the duration they measured. ``sim0``/``sim1`` override the
+        simulated stamps (the distributed reduce records token hops at
+        modeled times its own arithmetic produced).
         """
         sim_now = self._sim(clock) if sim0 is None or sim1 is None else 0.0
         base = {
@@ -277,10 +275,10 @@ class SpanTracer:
         """Dump the trace into directory ``path``; returns the files written.
 
         Writes the raw JSONL event log, a run manifest, the wall-clock
-        Perfetto trace (one row per worker lane / node track — load it at
+        Perfetto trace (one row per track — load it at
         ``chrome://tracing`` or ui.perfetto.dev), and the deterministic
         simulated-clock Perfetto trace (``det`` spans only; byte-identical
-        across worker counts).
+        from run to run).
         """
         from .perfetto import build_perfetto
 

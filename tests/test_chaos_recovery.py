@@ -379,43 +379,3 @@ class TestArmedPlanPausesStreamFastPaths:
                                                  workdir=workdir, resume=True)
         assert result_digest(resumed) == result_digest(golden)
         assert scan_residue(workdir) == []
-
-
-class TestArmedPlanForcesSerial:
-    """An armed fault plan must force serial execution on EVERY backend.
-
-    Fault injection sites key replay determinism off operation order, so
-    the forced-serial guard cannot care which backend the executor was
-    configured with — threads and processes alike must run inline while
-    a plan is armed.
-    """
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_armed_plan_forces_inline_execution(self, backend):
-        import os
-
-        from repro.parallel import PipelineExecutor
-
-        executor = PipelineExecutor(4, backend=backend)
-        try:
-            assert executor.parallel
-            with inject(FaultPlan(seed=1)):
-                assert not executor.parallel
-                assert not executor.process_parallel
-                results = list(executor.map_tasks(
-                    "repro.parallel.process_backend:_probe_task",
-                    ({"i": i} for i in range(3))))
-                assert {r["pid"] for r in results} == {os.getpid()}
-            assert executor.parallel  # restored once the plan is disarmed
-        finally:
-            executor.shutdown()
-
-    def test_plan_armed_at_construction_skips_worker_fork(self):
-        from repro.parallel import PipelineExecutor
-
-        with inject(FaultPlan(seed=1)):
-            executor = PipelineExecutor(4, backend="processes")
-            try:
-                assert executor._processes is None
-            finally:
-                executor.shutdown()

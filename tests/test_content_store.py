@@ -252,8 +252,6 @@ def test_pipeline_recomputes_through_damaged_cache(tmp_path, tiny_md,
 
 #: (field, changed value) for every execution-only knob: none may move the key.
 _NON_SEMANTIC_CHANGES = {
-    "workers": 7,
-    "executor_backend": "threads",
     "trace": "/tmp/somewhere",
     "keep_workdir": True,
     "heartbeat_interval": 0.75,

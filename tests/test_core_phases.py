@@ -1,17 +1,24 @@
 """Individual pipeline phases: load, map, sort, reduce, compress."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, MemoryConfig
+from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.load_phase import run_load
 from repro.core.map_phase import overlap_lengths, run_map
+from repro.core.pipeline import Assembler
 from repro.core.reduce_phase import run_reduce
 from repro.core.sort_phase import run_sort
 from repro.errors import ConfigError, DatasetError
+from repro.extmem import ExternalSorter, streams
 from repro.extmem.records import KEY_FIELD, VAL_FIELD
+from repro.faults import result_digest, scan_residue
 from repro.fingerprint import FingerprintScheme
+from repro.seq.datasets import tiny_dataset
 from repro.seq.fastq import write_fastq
 
 
@@ -153,3 +160,56 @@ class TestReduce:
         lengths = list(report.per_length_edges)
         assert lengths == sorted(lengths, reverse=True)
         store.close()
+
+
+class TestCleanupOnMidPhaseFailure:
+    """An exception in the middle of map or sort leaves nothing behind.
+
+    The phases are plain loops: what closes the partition writers, the run
+    writers and the scratch directory is the ``finally`` of ``run_map`` and
+    of ``sort_file`` and the ``with`` blocks inside them.
+    """
+
+    @pytest.mark.parametrize("owner,name,failing_call", [
+        (map_phase, "_fingerprint_block", 3),  # third of four host blocks
+        (ExternalSorter, "sort_block_in_host", 2),  # second run of S:49
+    ], ids=["map", "sort"])
+    def test_no_residue_and_rerun_matches_clean_run(
+            self, tmp_path, monkeypatch, owner, name, failing_call):
+        md, _ = tiny_dataset(tmp_path / "data", genome_length=2000,
+                             read_length=50, coverage=20.0, min_overlap=25,
+                             seed=5)
+        config = AssemblyConfig(min_overlap=25,
+                                memory=MemoryConfig(64 << 20, 1 << 20),
+                                map_batch_reads=16,
+                                host_block_pairs=500, device_block_pairs=128)
+        clean = Assembler(config).assemble(md.store_path,
+                                           workdir=tmp_path / "clean")
+
+        # Judged as a delta: the session may hold streams or threads of
+        # its own.
+        open_before = dict(streams._OPEN_PATHS)
+        threads_before = set(threading.enumerate())
+        real = getattr(owner, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise RuntimeError("mid-phase failure")
+            return real(*args, **kwargs)
+
+        workdir = tmp_path / "work"
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, flaky)
+            with pytest.raises(RuntimeError, match="mid-phase failure"):
+                Assembler(config).assemble(md.store_path, workdir=workdir,
+                                           resume=True)
+        assert len(calls) == failing_call
+        assert streams._OPEN_PATHS == open_before
+        assert scan_residue(workdir) == []
+        assert set(threading.enumerate()) == threads_before
+
+        rerun = Assembler(config).assemble(md.store_path, workdir=workdir,
+                                           resume=True)
+        assert result_digest(rerun) == result_digest(clean)

@@ -13,7 +13,6 @@ from repro.extmem import (ExternalSorter, IOAccountant, RunReader, RunWriter,
                           derive_fanout, merge_rounds_for)
 from repro.extmem.records import kv_dtype, make_records
 from repro.model.sorting import predicted_sort_passes
-from repro.parallel import PipelineExecutor
 
 
 def _make_sorter(host_capacity=200_000, device_capacity=20_000, lanes=1,
@@ -290,9 +289,7 @@ class TestPinnedGolden:
     DISK = {"disk_read_bytes": 240000.0, "disk_write_bytes": 240000.0,
             "disk_read_ops": 9.0, "disk_write_ops": 7.0, "disk_seeks": 3.0}
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("threads", 2), ("processes", 2)])
-    def test_two_lane_partition(self, tmp_path, backend, workers):
+    def test_two_lane_partition(self, tmp_path):
         # 6,000 two-lane records, keys drawn from 1,500 values (ties within
         # and across runs): 2 initial runs of 11 and 10 device chunks, so
         # three level-2 merge levels at fanout 3 through the fused k-way
@@ -308,16 +305,12 @@ class TestPinnedGolden:
         gpu = VirtualGPU("K40", capacity_bytes=900 * dtype.itemsize, clock=clock)
         host_pool = MemoryPool("host", 6400 * dtype.itemsize, HostMemoryError)
         accountant = IOAccountant(clock=clock)
-        executor = PipelineExecutor(workers, backend=backend)
-        try:
-            sorter = ExternalSorter(
-                gpu=gpu, host_pool=host_pool, accountant=accountant,
-                dtype=dtype, host_block_pairs=6400, device_block_pairs=900,
-                merge_fanout=3, executor=executor)
-            _write_run(tmp_path / "in", records)
-            report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
-        finally:
-            executor.shutdown()
+        sorter = ExternalSorter(
+            gpu=gpu, host_pool=host_pool, accountant=accountant,
+            dtype=dtype, host_block_pairs=6400, device_block_pairs=900,
+            merge_fanout=3)
+        _write_run(tmp_path / "in", records)
+        report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
         assert (report.initial_runs, report.merge_rounds) == (2, 1)
         assert hashlib.sha256(
             (tmp_path / "out").read_bytes()).hexdigest() == self.SHA256
@@ -328,11 +321,4 @@ class TestPinnedGolden:
         # _write_run above is unmetered; the accountant saw the sort only.
         assert dict(accountant.counters()) == self.DISK
         for category, golden in self.CLOCK.items():
-            seconds = clock.seconds(category)
-            if backend == "serial":
-                assert seconds.hex() == golden, category
-            else:
-                # Background lanes may land their charges in another
-                # order; float addition then differs in the last bits.
-                assert seconds == pytest.approx(float.fromhex(golden),
-                                                rel=1e-12), category
+            assert clock.seconds(category).hex() == golden, category

@@ -76,8 +76,8 @@ class TestPerSchemeCache:
     """place_values memoization lives on the HashSpec, not the process.
 
     The old process-global ``lru_cache`` grew without bound across
-    schemes and started cold in forked workers; the per-spec cache is
-    owned (and collected) with the scheme that uses it.
+    schemes; the per-spec cache is owned (and collected) with the scheme
+    that uses it.
     """
 
     def test_two_schemes_do_not_collide(self):

@@ -25,13 +25,12 @@ from repro.seq.packing import PackedReadStore
 READ_RANGE = (13, 110)
 
 
-def _config(batch_reads: int, host_bytes: int, **overrides) -> AssemblyConfig:
+def _config(batch_reads: int, host_bytes: int) -> AssemblyConfig:
     """A device that holds exactly one batch under a host of ``host_bytes``."""
     device_bytes = batch_reads * per_read_device_bytes(50, 1)
     return AssemblyConfig(min_overlap=25, map_batch_reads=batch_reads,
                           memory=MemoryConfig(host_bytes, device_bytes,
-                                              name="staging"),
-                          **overrides)
+                                              name="staging"))
 
 
 def _host_bytes_for(k: int, batch_reads: int, per_read: int) -> int:
@@ -89,24 +88,6 @@ def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
     assert model["report"].tuples_written == 2 * 2 * n_reads * len(kept)
     assert ref_host_peak == batch_reads * per_read
     assert host_peak == min(k * batch_reads, n_reads) * per_read
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_staged_equals_unstaged_across_backends(tmp_path, tiny_md, monkeypatch,
-                                                backend):
-    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
-    host_bytes = _host_bytes_for(3, 7, per_read)
-    files, model, host_peak = _map(
-        tmp_path, "staged",
-        _config(7, host_bytes, workers=2, executor_backend=backend),
-        tiny_md.store_path)
-    monkeypatch.setattr(map_phase, "STAGE_READS", 1)
-    ref_files, ref_model, _ = _map(tmp_path, "unstaged", _config(7, host_bytes),
-                                   tiny_md.store_path)
-    assert files == ref_files
-    assert model == ref_model
-    assert host_peak == 3 * 7 * per_read
-    assert model["report"].n_batches == -(-tiny_md.n_reads // 7)
 
 
 def test_whole_store_default_range(tmp_path, tiny_md, monkeypatch):

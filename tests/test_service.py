@@ -151,12 +151,12 @@ def test_different_configs_do_not_dedup(tmp_path, sources):
 
 
 def test_execution_only_knobs_still_dedup(tmp_path, sources):
-    """workers/trace differences cannot split single-flight identity."""
+    """Execution-only differences cannot split single-flight identity."""
     import dataclasses
 
     service = _service(tmp_path)
     base = _job_config()
-    variant = dataclasses.replace(base, workers=2, executor_backend="threads")
+    variant = dataclasses.replace(base, buffer_pool=False)
     report = service.run_jobs([JobSpec("a", "t", sources[0], base),
                                JobSpec("b", "t", sources[0], variant)])
     assert report.counters["pipeline_runs"] == 1

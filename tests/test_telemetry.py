@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.telemetry import (PhaseStats, Telemetry, format_metric,
-                             overlap_saved_s)
+from repro.telemetry import PhaseStats, Telemetry, format_metric
 
 
 class FakeMeter:
@@ -223,7 +222,7 @@ class TestPhaseFailure:
 class TestFormatting:
     def test_format_metric_is_unit_aware(self):
         assert format_metric("host_bytes", 2048.0) == "2.05 kB"
-        assert "s" in format_metric("par_busy_s", 1.5)
+        assert "s" in format_metric("backoff_s", 1.5)
         assert format_metric("queue_depth", 7.0) == "7"
 
     def test_summary_does_not_mislabel_non_byte_gauges(self):
@@ -232,19 +231,6 @@ class TestFormatting:
         summary = stats.summary()
         assert "peak_queue_depth=7 " in summary + " "
         assert "peak_host_bytes=2.05 kB" in summary
-
-
-class TestOverlapHelper:
-    def test_shared_formula(self):
-        assert overlap_saved_s({"par_busy_s": 5.0, "par_wait_s": 2.0}) == 3.0
-        assert overlap_saved_s({"par_busy_s": 1.0, "par_wait_s": 4.0}) == 0.0
-        assert overlap_saved_s({}) == 0.0
-
-    def test_phase_stats_delegates(self):
-        stats = PhaseStats("x", 0.0,
-                           {"par_busy_s": 2.5, "par_wait_s": 0.5})
-        assert stats.overlap_saved_s == \
-            overlap_saved_s(stats.counters) == 2.0
 
 
 class TestPhaseStats:
