@@ -7,9 +7,11 @@ which configuration/input identity, and archives the reduce phase's graph
 arrays, so a re-run with ``Assembler(...).assemble(source, workdir=...,
 resume=True)``:
 
-* skips **load** when the packed store is complete,
-* skips **map + sort** when every sorted partition file is present,
-* skips **reduce** when the archived graph matches,
+* skips **load** when the packed store is intact,
+* skips **map, sort and reduce** when the archived graph is intact (the
+  partition files behind it are then neither needed nor looked at),
+* otherwise falls back to the partition files on disk: sorted runs whose
+  digests match are kept, the rest is recomputed from the reads,
 * always re-runs **compress** (cheap, seconds even at paper scale).
 
 A checkpoint is only honoured when the *configuration fingerprint* (every
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -62,6 +64,41 @@ def file_digest(path: Path) -> str | None:
         return f"{size}:{h.hexdigest()[:16]}"
     except OSError:
         return None
+
+
+def content_digest(path: Path) -> str | None:
+    """sha256 of the whole file, streamed; ``None`` if it cannot be read.
+
+    The content *address*: cache keys, cache manifests and the service's
+    single-flight identity use this one, because two inputs of equal size
+    that differ only in the middle share a :func:`file_digest`. That one
+    stays the ledger's damage detector, where the files are large and the
+    question is "was this write torn", not "are these the same reads".
+    """
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            # A read allocates its whole size up front: keep it small, two
+            # service threads digest their reads at the same moment.
+            while chunk := handle.read(_DIGEST_SPAN):
+                h.update(chunk)
+    except OSError:
+        return None
+    return h.hexdigest()
+
+
+def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
+    """Ledger digests of ``paths`` keyed by their path relative to ``workdir``.
+
+    Missing files are left out: :meth:`CheckpointManager.damaged` reports
+    an artifact only when a digest was recorded for it.
+    """
+    digests = {}
+    for path in paths:
+        digest = file_digest(path)
+        if digest is not None:
+            digests[str(Path(path).relative_to(workdir))] = digest
+    return digests
 
 
 #: Config knobs that never change artifact bytes. Everything here is
@@ -159,31 +196,43 @@ class CheckpointManager:
         self.workdir.mkdir(parents=True, exist_ok=True)
         faults.ledger_write(self.workdir / STATE_FILE, json.dumps(self._state))
 
-    def mark(self, phase: str, artifacts: Iterable[Path] = ()) -> None:
+    def mark(self, phase: str,
+             artifacts: Iterable[Path] | Mapping[str, str] = (), *,
+             report: dict | None = None) -> None:
         """Record ``phase`` as complete (idempotent, durable).
 
         ``artifacts`` are the on-disk files the phase produced; their
         digests go into the ledger so a resumed run can tell a finished
-        artifact from a truncated or corrupted one.
+        artifact from a truncated or corrupted one. A mapping is taken as
+        digests already recorded (:func:`artifact_digests`, or the
+        :meth:`record` another run of the same work left in the cache).
+        ``report`` is the phase report's JSON form, kept beside them.
         """
+        if report is not None:
+            self._state[f"{phase}_report"] = report
         if phase not in self._state["completed"]:
             self._state["completed"].append(phase)
-        digests = {}
-        for path in artifacts:
-            digest = file_digest(Path(path))
-            if digest is not None:
-                digests[str(Path(path).relative_to(self.workdir))] = digest
+        digests = dict(artifacts) if isinstance(artifacts, Mapping) \
+            else artifact_digests(self.workdir, artifacts)
         if digests:
             self._state.setdefault("artifacts", {})[phase] = digests
         self._write_state()
 
+    def record(self, phase: str) -> dict | None:
+        """What :meth:`mark` took for a completed ``phase``, or ``None``.
+
+        ``{"report": ..., "artifacts": {relative path: digest}}``: enough
+        for another workdir's ledger to mark the same phase without the
+        files (the pipeline's cache entries carry these).
+        """
+        report = self._state.get(f"{phase}_report")
+        if not self.completed(phase) or report is None:
+            return None
+        return {"report": report, "artifacts": self.recorded_artifacts(phase)}
+
     def recorded_artifacts(self, phase: str) -> Mapping[str, str]:
         """The ``{relative path: digest}`` map recorded for ``phase``."""
         return dict(self._state.get("artifacts", {}).get(phase, {}))
-
-    def artifacts_intact(self, phase: str) -> bool:
-        """Whether every artifact recorded for ``phase`` digests identically."""
-        return not self.damaged(phase)
 
     def damaged(self, phase: str) -> list[str]:
         """Relative paths of ``phase`` artifacts that are missing or damaged.
@@ -255,10 +304,6 @@ class CheckpointManager:
         """Archive the reduce phase's graph arrays."""
         save_graph_file(self.workdir / GRAPH_FILE, graph)
 
-    def load_graph(self, host_pool=None) -> GreedyStringGraph | None:
-        """Restore the archived graph, or ``None`` if absent/corrupt."""
-        return load_graph_file(self.workdir / GRAPH_FILE, host_pool)
-
 
 def save_graph_file(path: Path, graph: GreedyStringGraph) -> None:
     """Archive a reduce-phase graph's arrays to ``path`` (an ``.npz``)."""
@@ -275,9 +320,9 @@ def save_graph_file(path: Path, graph: GreedyStringGraph) -> None:
 def load_graph_file(path: Path, host_pool=None) -> GreedyStringGraph | None:
     """Restore a graph archived by :func:`save_graph_file`.
 
-    Returns ``None`` if the archive is absent or corrupt. Shared by the
-    checkpoint manager (same-workdir resume) and the content-addressed
-    phase cache (cross-job reuse of a fetched ``graph.npz``).
+    Returns ``None`` if the archive is absent or corrupt: a resumed run's
+    own ``graph.npz`` and one restored from the cache go through the same
+    checks.
     """
     path = Path(path)
     if not path.exists():

@@ -91,34 +91,31 @@ def extract_paths(graph: GreedyStringGraph, *, include_singletons: bool = True
     has_out = graph.target != NO_EDGE
     no_in = graph.in_degree == 0
     seeds = np.nonzero(has_out & no_in)[0]
-    step_vertices: list[np.ndarray] = []
-    step_paths: list[np.ndarray] = []
+    # A vertex is on at most one path, so the walk fills two flat arrays;
+    # a list of per-step arrays costs megabytes in small allocations (a
+    # long path is thousands of steps with a handful of paths alive).
+    flat_vertices = np.empty(graph.n_vertices, dtype=np.int64)
+    flat_paths = np.empty(graph.n_vertices, dtype=np.int64)
+    filled = 0
     current = seeds
     path_ids = np.arange(seeds.shape[0], dtype=np.int64)
-    guard = 0
     while current.size:
-        step_vertices.append(current)
-        step_paths.append(path_ids)
+        stop = filled + current.shape[0]
+        if stop > graph.n_vertices:
+            raise GraphInvariantError("traversal exceeded vertex count (cycle with a seed?)")
+        flat_vertices[filled:stop] = current
+        flat_paths[filled:stop] = path_ids
+        filled = stop
         nxt = graph.target[current]
         alive = nxt != NO_EDGE
         current = nxt[alive]
         path_ids = path_ids[alive]
-        guard += 1
-        if guard > graph.n_vertices + 1:
-            raise GraphInvariantError("traversal exceeded vertex count (cycle with a seed?)")
 
-    if step_vertices:
-        flat_paths = np.concatenate(step_paths)
-        flat_vertices = np.concatenate(step_vertices)
-        # Order by (path, step): steps were appended in order, so a stable
-        # sort on the path id groups each path with steps already ascending.
-        order = np.argsort(flat_paths, kind="stable")
-        flat_paths = flat_paths[order]
-        flat_vertices = flat_vertices[order]
-        lengths = np.bincount(flat_paths, minlength=seeds.shape[0])
-    else:
-        flat_vertices = np.empty(0, dtype=np.int64)
-        lengths = np.empty(0, dtype=np.int64)
+    # Order by (path, step): steps were written in order, so a stable sort
+    # on the path id groups each path with steps already ascending.
+    flat_paths = flat_paths[:filled]
+    flat_vertices = flat_vertices[:filled][np.argsort(flat_paths, kind="stable")]
+    lengths = np.bincount(flat_paths, minlength=seeds.shape[0])
 
     if include_singletons:
         singles = np.nonzero(~has_out & no_in)[0]

@@ -7,7 +7,7 @@ Public surface:
   (weighted fair queuing, admission control, batching, single-flight).
 * :class:`~repro.service.content_store.ContentStore` /
   :func:`~repro.service.content_store.phase_key` — the content-addressed
-  phase-artifact cache shared across jobs and tenants.
+  artifact cache shared across jobs and tenants.
 * :class:`~repro.service.jobs.JobSpec` and friends — the job/report value
   types.
 * :class:`~repro.service.traffic.TrafficMix` — deterministic simulated

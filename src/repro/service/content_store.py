@@ -1,4 +1,4 @@
-"""Content-addressed cache of assembly phase artifacts.
+"""Content-addressed cache of assembly artifacts.
 
 The checkpoint ledger (PR 2) already proves each phase's output is a pure
 function of its input files and the semantic configuration — that is what
@@ -9,20 +9,28 @@ shared across jobs, tenants and re-submissions: an entry is keyed on
 users assembling byte-identical reads under equivalent configurations hit
 the same entry no matter which path their files live at.
 
+The pipeline keeps only what a hit reads: a ``load`` entry (the packed
+reads, keyed on the source's content) and a ``reduce`` entry (the graph,
+keyed on the packed reads' content, with the map / sort / reduce ledger
+records as its meta). Partition files are write-once, read-once
+intermediates and never enter the cache.
+
 Design points:
 
 * **Keys** come from :func:`phase_key`, which hashes the same
   :func:`~repro.core.checkpoint.semantic_payload` the resume fingerprint
   uses — execution-only knobs (``trace``, the buffer pool, the resilience
-  policy) can never split the cache.
+  policy) can never split the cache. Input digests are whole-content
+  (:func:`~repro.core.checkpoint.content_digest`).
 * **Entries** are directories ``<root>/<key>/files/<relpath>`` plus a
-  ``entry.json`` manifest recording each file's expected digest. The
-  manifest is the commit point: a ``put`` that dies mid-copy leaves no
-  manifest and the partial entry is garbage-collected, never served.
-* **Verification**: every ``fetch`` re-digests the stored files against
-  the manifest. A torn-write or bitflip-damaged entry (the cache's own
-  writes run through the :mod:`repro.faults` hooks, so chaos plans can
-  damage them) is evicted and reported as a miss — the caller recomputes.
+  ``entry.json`` manifest recording each file's sha256. The manifest is
+  the commit point: a ``put`` that dies mid-copy leaves no manifest and
+  the partial entry is garbage-collected, never served.
+* **Verification**: every ``fetch`` hashes the bytes it is about to
+  restore against the manifest. A torn-write or bitflip-damaged entry
+  (the cache's own writes run through the :mod:`repro.faults` hooks, so
+  chaos plans can damage them) is evicted and reported as a miss — the
+  caller recomputes.
 * **Eviction** is LRU by bytes against a hard capacity; hits refresh
   recency, evictions and damage show up in the telemetry meter.
 """
@@ -38,7 +46,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..config import AssemblyConfig
-from ..core.checkpoint import file_digest, semantic_payload
+from ..core.checkpoint import semantic_payload
 from ..errors import ConfigError
 from ..faults import plan as faults
 from ..telemetry import EventMeter
@@ -48,6 +56,9 @@ from ..trace.tracer import NULL_TRACER
 MANIFEST_FILE = "entry.json"
 #: Subdirectory of an entry holding the cached artifact files.
 FILES_DIR = "files"
+#: Bytes per read while copying (a read allocates its whole size up front;
+#: the pipeline's entries fit in one).
+_COPY_CHUNK = 256 * 1024
 
 
 def phase_key(phase: str, inputs: Sequence[str], config: AssemblyConfig) -> str:
@@ -68,6 +79,22 @@ def phase_key(phase: str, inputs: Sequence[str], config: AssemblyConfig) -> str:
     ).hexdigest()[:24]
 
 
+def _copy(source: Path, destination: Path) -> tuple[str, int]:
+    """Copy one file through the fault hooks: ``(sha256, bytes)`` of what was read.
+
+    One pass: the bytes hashed are the bytes written, so a digest that
+    matches a manifest vouches for the copy.
+    """
+    digest, nbytes = hashlib.sha256(), 0
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    with open(source, "rb") as reader, open(destination, "wb") as writer:
+        while chunk := reader.read(_COPY_CHUNK):
+            digest.update(chunk)
+            nbytes += len(chunk)
+            faults.deliver_write(destination, chunk, writer)
+    return digest.hexdigest(), nbytes
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     """One committed cache entry (in-memory index record)."""
@@ -75,7 +102,7 @@ class CacheEntry:
     key: str
     phase: str
     nbytes: int
-    #: ``{relative path: expected digest}`` of every cached file.
+    #: ``{relative path: sha256}`` of every cached file.
     files: Mapping[str, str]
     #: Phase report metadata (JSON-able), round-tripped verbatim.
     meta: Mapping[str, object]
@@ -87,8 +114,8 @@ class ContentStore:
     """Content-addressed artifact cache with LRU-by-bytes eviction.
 
     Thread-safe: service jobs running in worker threads fetch and put
-    concurrently under one lock (entries are small at service scale; the
-    copy under lock also pins an entry against concurrent eviction).
+    concurrently under one lock (the copy under lock also pins an entry
+    against concurrent eviction).
     """
 
     def __init__(self, root: str | Path, capacity_bytes: int, *,
@@ -157,7 +184,9 @@ class ContentStore:
 
     def stats(self) -> dict[str, float]:
         """Hit/miss/eviction counters plus current occupancy."""
-        out = dict(self.meter.counters())
+        out = dict.fromkeys(("cache_bytes_fetched", "cache_files_fetched",
+                             "cache_bytes_put"), 0.0)
+        out.update(self.meter.counters())
         out["entries"] = float(len(self._entries))
         out["bytes"] = float(self.total_bytes)
         hits = out.get("cache_hits", 0.0)
@@ -171,50 +200,64 @@ class ContentStore:
               tracer=None) -> dict | None:
         """Restore ``key``'s files into ``workdir``; returns the entry meta.
 
-        Misses (absent key) and *damage* (a stored file whose digest no
+        Misses (absent key) and *damage* (a stored file whose sha256 no
         longer matches the manifest — torn write, bitflip, truncation)
-        both return ``None``; damaged entries are evicted so the caller's
-        recompute can repopulate them. The restore writes run through the
-        fault hooks like every other substrate write.
+        both return ``None``. Every byte is hashed on its way out; a
+        damaged entry is evicted so the caller's recompute can repopulate
+        it, and what was restored of it is removed again. The restore
+        writes run through the fault hooks like every other substrate
+        write.
         """
         tracer = tracer if tracer is not None else self.tracer
         with self._lock:
             entry = self._entries.get(key)
+            nbytes = None
             if entry is not None:
-                src_root = self._entry_dir(key) / FILES_DIR
-                damaged = [rel for rel, digest in sorted(entry.files.items())
-                           if file_digest(src_root / rel) != digest]
-                if damaged:
-                    # Digest re-verification caught a damaged entry: drop it
-                    # and fall back to recompute (never serve corrupt bytes).
+                nbytes = self._restore(entry, Path(workdir))
+                if nbytes is None:
+                    # Never serve corrupt bytes: drop the entry and fall
+                    # back to recompute.
                     self._drop(entry)
                     self.meter.bump("cache_damaged")
-                    entry = None
                     tracer.instant("cache-damaged", track="cache",
-                                   key=key, phase=phase,
-                                   files=damaged)
-            if entry is None:
+                                   key=key, phase=phase)
+            if nbytes is None:
                 self.meter.bump("cache_misses")
                 tracer.instant("cache-miss", track="cache",
                                key=key, phase=phase)
                 return None
-            src_root = self._entry_dir(key) / FILES_DIR
-            for rel in sorted(entry.files):
-                destination = Path(workdir) / rel
-                destination.parent.mkdir(parents=True, exist_ok=True)
-                payload = (src_root / rel).read_bytes()
-                with open(destination, "wb") as handle:
-                    faults.deliver_write(destination, payload, handle)
             # LRU refresh: re-insert at the most-recent end.
             self._entries.pop(key)
             self._entries[key] = entry
             self.meter.bump("cache_hits")
             if entry.phase:
                 self.meter.bump(f"cache_hits_{entry.phase}")
+            self.meter.bump("cache_bytes_fetched", float(nbytes))
+            self.meter.bump("cache_files_fetched", float(len(entry.files)))
             tracer.instant("cache-hit", track="cache",
                            key=key, phase=entry.phase,
-                           bytes=entry.nbytes)
+                           bytes=nbytes, files=len(entry.files))
             return dict(entry.meta)
+
+    def _restore(self, entry: CacheEntry, workdir: Path) -> int | None:
+        """Copy ``entry``'s files into ``workdir``; returns the bytes copied.
+
+        ``None``, with nothing of the entry left in ``workdir``, when a
+        file is gone or the bytes read fail the manifest's digest.
+        """
+        source = self._entry_dir(entry.key) / FILES_DIR
+        nbytes = 0
+        for rel, digest in sorted(entry.files.items()):
+            try:
+                copied, size = _copy(source / rel, workdir / rel)
+            except FileNotFoundError:
+                copied, size = None, 0
+            if copied != digest:
+                for restored in entry.files:
+                    (workdir / restored).unlink(missing_ok=True)
+                return None
+            nbytes += size
+        return nbytes
 
     # -- insertion -------------------------------------------------------------
 
@@ -228,7 +271,7 @@ class ContentStore:
         payload exceeds the whole cache capacity, or the copy hits a
         survivable I/O error (e.g. injected ENOSPC). Injected crashes
         propagate like any substrate write. Digests recorded in the
-        manifest are taken from the *source* files, so damage introduced
+        manifest are taken from the *source* bytes, so damage introduced
         while writing the cache copy is caught at fetch time.
         """
         tracer = tracer if tracer is not None else self.tracer
@@ -236,26 +279,21 @@ class ContentStore:
         with self._lock:
             if key in self._entries:
                 return True
-            digests: dict[str, str] = {}
-            nbytes = 0
-            for path in files:
-                path = Path(path)
-                digest = file_digest(path)
-                if digest is None:
-                    return False
-                digests[str(path.relative_to(workdir))] = digest
-                nbytes += path.stat().st_size
-            if not digests or nbytes > self.capacity_bytes:
+            files = sorted(Path(path) for path in files)
+            try:
+                expected = sum(path.stat().st_size for path in files)
+            except OSError:
+                return False
+            if not files or expected > self.capacity_bytes:
                 self.meter.bump("cache_uncacheable")
                 return False
             entry_dir = self._entry_dir(key)
             try:
-                for rel in sorted(digests):
-                    destination = entry_dir / FILES_DIR / rel
-                    destination.parent.mkdir(parents=True, exist_ok=True)
-                    payload = (workdir / rel).read_bytes()
-                    with open(destination, "wb") as handle:
-                        faults.deliver_write(destination, payload, handle)
+                digests, nbytes = {}, 0
+                for path in files:
+                    rel = str(path.relative_to(workdir))
+                    digests[rel], size = _copy(path, entry_dir / FILES_DIR / rel)
+                    nbytes += size
                 entry = CacheEntry(key=key, phase=phase, nbytes=nbytes,
                                    files=digests, meta=dict(meta or {}),
                                    seq=self._seq)
@@ -272,6 +310,7 @@ class ContentStore:
             self._seq += 1
             self._entries[key] = entry
             self.meter.bump("cache_puts")
+            self.meter.bump("cache_bytes_put", float(nbytes))
             self._enforce_capacity()
             self.meter.gauge("cache_bytes", float(self.total_bytes))
             tracer.instant("cache-put", track="cache",

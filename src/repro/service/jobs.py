@@ -55,7 +55,9 @@ class JobOutcome:
 
     spec: JobSpec
     status: str  #: One of :data:`STATUSES`.
-    result: AssemblyResult | None = None
+    #: Out of the ``repr``: contigs and telemetry print as hundreds of kB,
+    #: and asyncio's runner teardown formats the finished task's result.
+    result: AssemblyResult | None = field(default=None, repr=False)
     error: str | None = None
     #: Wall seconds from execution start to finish (0 for joined jobs).
     wall_seconds: float = 0.0
@@ -126,7 +128,7 @@ class TenantReport:
 class ServiceReport:
     """Everything one service run produced, for benchmarks and audits."""
 
-    outcomes: list[JobOutcome]
+    outcomes: list[JobOutcome] = field(repr=False)
     wall_seconds: float
     #: Job ids in the order their execution *started* (the fairness audit
     #: trail: weighted-fair scheduling bounds every prefix of this list).
@@ -190,9 +192,7 @@ class ServiceReport:
     @property
     def hit_rate(self) -> float:
         """Cache hit rate over this run (0.0 with caching off)."""
-        hits = self.cache.get("cache_hits", 0.0)
-        misses = self.cache.get("cache_misses", 0.0)
-        return hits / (hits + misses) if hits + misses else 0.0
+        return self.cache.get("hit_rate", 0.0)
 
     def summary(self) -> str:
         """Multi-line human-readable service report."""
@@ -213,7 +213,10 @@ class ServiceReport:
             lines.append(
                 f"cache: {self.cache.get('cache_hits', 0):.0f} hits / "
                 f"{self.cache.get('cache_misses', 0):.0f} misses "
-                f"(rate {self.hit_rate:.0%}), "
+                f"(rate {self.hit_rate:.0%}), fetched "
+                f"{format_size(self.cache.get('cache_bytes_fetched', 0))} in "
+                f"{self.cache.get('cache_files_fetched', 0):.0f} files, put "
+                f"{format_size(self.cache.get('cache_bytes_put', 0))}, "
                 f"{self.cache.get('cache_evictions', 0):.0f} evictions, "
                 f"{format_size(self.cache.get('bytes', 0))} held")
         joins = self.counters.get("singleflight_joined", 0)

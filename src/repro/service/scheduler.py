@@ -67,7 +67,7 @@ from collections import deque
 from pathlib import Path
 
 from ..config import ServiceConfig
-from ..core.checkpoint import file_digest
+from ..core.checkpoint import content_digest
 from ..core.pipeline import Assembler
 from ..device.memory import MemoryPool
 from ..errors import (AdmissionError, FaultInjected, JobCancelled,
@@ -179,7 +179,7 @@ class AssemblyService:
     Construct once, then :meth:`run_jobs` a list of :class:`JobSpec`s.
     The content cache (when configured) and the quarantine list persist
     across runs of the same service instance — a warm second run serves
-    phase artifacts from the cache and refuses known-poison content.
+    packed reads and graphs from the cache and refuses known-poison content.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *, tracer=None):
@@ -310,15 +310,17 @@ class AssemblyService:
 
     # -- scheduling core -------------------------------------------------------
 
-    @staticmethod
-    def _identity(spec: JobSpec) -> str | None:
+    def _identity(self, spec: JobSpec) -> str | None:
         """Content identity of a job: what it assembles and how.
 
         Two jobs with equal identity produce byte-identical artifacts, so
         only one needs to run (single-flight). ``None`` (unreadable input)
-        disables dedup for the job — it will fail on its own terms.
+        disables dedup for the job — it will fail on its own terms. The
+        digest covers every byte of the input and is kept for the job's
+        assembler, whose cache keys start from the same one.
         """
-        digest = file_digest(Path(spec.source))
+        digest = content_digest(Path(spec.source))
+        self._source_digests[spec.job_id] = digest
         if digest is None:
             return None
         return phase_key("job", [f"reads:{digest}"], spec.config)
@@ -344,6 +346,7 @@ class AssemblyService:
         self._error_chains: dict[str, list[str]] = {}
         self._followers: dict[str, list[JobSpec]] = {}
         self._identities: dict[str, str | None] = {}
+        self._source_digests: dict[str, str | None] = {}
         self._promoted: dict[str, str] = {}
         outcomes: dict[str, JobOutcome] = {}
         # Single-flight grouping at submit time: the first job of each
@@ -661,8 +664,9 @@ class AssemblyService:
             # resume=True re-enters the checkpoint ledger, so a retried
             # attempt resumes the previous attempt's completed phases —
             # the byte-identity contract the chaos sweep asserts.
-            result = assembler.assemble(spec.source, workdir=workdir,
-                                        resume=True)
+            result = assembler.assemble(
+                spec.source, workdir=workdir, resume=True,
+                source_digest=self._source_digests.get(spec.job_id))
         except JobCancelled as exc:
             return self._interrupted(spec, workdir, "cancelled", str(exc),
                                      start=start, attempts=attempt)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig
+from repro.core.checkpoint import file_digest
 from repro.core.compress_phase import run_compress
 from repro.core.context import RunContext
 from repro.core.load_phase import run_load
@@ -71,6 +72,26 @@ def make_reads(genome_length: int = 1200, read_length: int = 40,
     return ReadSimulator(genome=genome, read_length=read_length,
                          coverage=coverage, seed=seed + 1,
                          error_rate=error_rate).all_reads()
+
+
+def colliding_sources(directory):
+    """Two FASTQ files that differ only where the ledger digest does not look.
+
+    Same size, same first and last 64 KB (all ``file_digest`` hashes); 200
+    reads in the middle of the second are poly-A. A cache key or a job
+    identity built on ``file_digest`` cannot tell them apart.
+    """
+    first, second = directory / "a.fastq", directory / "b.fastq"
+    genome = simulate_genome(5000, seed=77)
+    ReadSimulator(genome, 40, 20.0, seed=77).to_fastq(first)
+    lines = first.read_text().splitlines(keepends=True)
+    n_reads = len(lines) // 4
+    for read in range(n_reads // 2 - 100, n_reads // 2 + 100):
+        lines[4 * read + 1] = "A" * 40 + "\n"
+    second.write_text("".join(lines))
+    assert file_digest(first) == file_digest(second)
+    assert first.read_bytes() != second.read_bytes()
+    return first, second
 
 
 def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleNamespace:

@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.checkpoint as checkpoint
+import repro.core.pipeline as pipeline
 from repro.config import AssemblyConfig, MemoryConfig
-from repro.core.checkpoint import NON_SEMANTIC_KNOBS
-from repro.core.pipeline import Assembler
-from repro.errors import ConfigError
-from repro.faults import BITFLIP, TORN, WRITE, Fault, FaultPlan, inject
+from repro.core.checkpoint import GRAPH_FILE, NON_SEMANTIC_KNOBS, STATE_FILE
+from repro.core.pipeline import PHASES, Assembler
+from repro.errors import ConfigError, FaultInjected
+from repro.faults import (BITFLIP, CRASH, PHASE, TORN, WRITE, Fault, FaultPlan,
+                          inject, result_digest)
 from repro.service import ContentStore, phase_key
 from repro.service.content_store import FILES_DIR, MANIFEST_FILE
+from repro.trace import SpanTracer
+
+from .conftest import colliding_sources
 
 
 def _make_store(tmp_path, capacity=1 << 20, name="cache"):
@@ -47,6 +55,30 @@ def test_put_fetch_roundtrip(tmp_path):
     stats = store.stats()
     assert stats["cache_hits"] == 1 and stats["cache_puts"] == 1
     assert stats["hit_rate"] == 1.0
+
+
+def test_stats_and_instants_say_what_was_moved(tmp_path):
+    tracer = SpanTracer()
+    store = ContentStore(tmp_path / "cache", 1 << 20, tracer=tracer)
+    assert store.stats()["cache_bytes_fetched"] == 0  # present before use
+    work = tmp_path / "w"
+    work.mkdir()
+    (work / "a.bin").write_bytes(b"x" * 100)
+    (work / "b.bin").write_bytes(b"y" * 23)
+    assert store.put("k", "map", work, [work / "a.bin", work / "b.bin"])
+    out = tmp_path / "o"
+    out.mkdir()
+    for _ in range(2):
+        assert store.fetch("k", out) is not None
+    assert store.fetch("absent", out) is None
+    stats = store.stats()
+    assert stats["cache_bytes_put"] == 123
+    assert stats["cache_bytes_fetched"] == 246
+    assert stats["cache_files_fetched"] == 4
+    moved = {name: [event["args"]["bytes"] for event in tracer.events
+                    if event["name"] == name]
+             for name in ("cache-put", "cache-hit")}
+    assert moved == {"cache-put": [123], "cache-hit": [123, 123]}
 
 
 def test_absent_key_is_a_miss(tmp_path):
@@ -169,20 +201,36 @@ def test_adopt_drops_manifest_gibberish(tmp_path):
 # -- damage detection (the fault-plan regression, satellite fix) ---------------
 
 
-def test_damaged_entry_detected_and_dropped(tmp_path):
+def _fetch_after(tmp_path, damage):
+    """Put a blob, ``damage`` its cached copy, fetch: ``(store, out dir, meta)``."""
     store = _make_store(tmp_path)
     work = tmp_path / "w"
     work.mkdir()
     _put_blob(store, work, "k", b"pristine-artifact-bytes")
-    stored = store.root / "k" / FILES_DIR / "blob.bin"
+    damage(store.root / "k" / FILES_DIR / "blob.bin")
+    out = tmp_path / "o"
+    out.mkdir()
+    return store, out, store.fetch("k", out)
+
+
+def _flip_a_bit(stored):
     raw = bytearray(stored.read_bytes())
     raw[3] ^= 0x40
     stored.write_bytes(bytes(raw))
-    out = tmp_path / "o"
-    out.mkdir()
-    assert store.fetch("k", out) is None  # damage = miss, never bad bytes
+
+
+def test_damaged_entry_detected_and_dropped(tmp_path):
+    store, out, meta = _fetch_after(tmp_path, _flip_a_bit)
+    assert meta is None  # damage = miss, never bad bytes
+    assert not (out / "blob.bin").exists()
     assert store.stats()["cache_damaged"] == 1
     assert "k" not in store and not (store.root / "k").exists()
+
+
+def test_missing_cached_file_is_damage(tmp_path):
+    store, out, meta = _fetch_after(tmp_path, lambda stored: stored.unlink())
+    assert meta is None and not (out / "blob.bin").exists()
+    assert store.stats()["cache_damaged"] == 1 and "k" not in store
 
 
 def test_bitflip_during_cache_write_is_caught_at_fetch(tmp_path):
@@ -246,6 +294,155 @@ def test_pipeline_recomputes_through_damaged_cache(tmp_path, tiny_md,
             == baseline.contigs.flat_codes.tobytes()
         assert result.contigs.offsets.tobytes() \
             == baseline.contigs.offsets.tobytes()
+
+
+# -- the pipeline's two entries and the hit path -------------------------------
+
+
+def _count_phase_runs(monkeypatch) -> dict[str, int]:
+    """Count calls of the phase functions the pipeline computes with."""
+    calls = dict.fromkeys(("run_load", "run_map", "run_sort", "run_reduce"), 0)
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.fixture()
+def filled(tmp_path, tiny_md, laptop_config):
+    """A store one cold run has filled, with that run's result and workdir."""
+    store = ContentStore(tmp_path / "cache", 64 << 20)
+    cold = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "cold", resume=True)
+    return store, cold
+
+
+def test_cache_holds_two_entries_and_no_partition_file(filled):
+    store, _ = filled
+    assert store.stats()["cache_puts"] == 2
+    assert store.stats()["cache_misses"] == 2
+    cached = sorted(path.name for path in store.root.rglob("*") if path.is_file()
+                    and path.name != MANIFEST_FILE)
+    assert cached == [GRAPH_FILE, "reads.lsgr"]
+
+
+def test_hit_restores_only_reads_and_graph(tmp_path, tiny_md, laptop_config,
+                                           filled, monkeypatch):
+    store, cold = filled
+    calls = _count_phase_runs(monkeypatch)
+    warm = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
+    assert not any(calls.values())
+    stats = store.stats()
+    assert stats["cache_hits"] == 2 and stats["cache_misses"] == 2
+    assert stats["cache_files_fetched"] == 2
+    assert stats["cache_bytes_fetched"] == stats["cache_bytes_put"] < 1 << 20
+    assert not list((tmp_path / "warm").rglob("*.run"))
+    assert result_digest(warm) == result_digest(cold)  # contigs and reports
+    # The hit wrote the ledger the computed run wrote, digests of the
+    # partition files it never had included.
+    assert (tmp_path / "warm" / STATE_FILE).read_bytes() \
+        == (tmp_path / "cold" / STATE_FILE).read_bytes()
+
+
+def test_hit_passes_the_boundaries_of_a_computed_run(tmp_path, tiny_md,
+                                                     laptop_config, filled):
+    """Barriers and the phase hook see each phase once, in order, on a hit."""
+    store, _ = filled
+    seen = []
+    plan = FaultPlan()
+    with inject(plan):
+        Assembler(laptop_config, content_store=store,
+                  phase_hook=lambda name, sim_s: seen.append(name)).assemble(
+            tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
+    assert store.stats()["cache_hits"] == 2
+    assert seen == ["start", *PHASES]
+    assert [point.path for point in plan.trace if point.site == PHASE] \
+        == list(PHASES)
+
+
+def test_hit_crashed_at_compress_finishes_from_its_ledger(
+        tmp_path, tiny_md, laptop_config, filled, monkeypatch):
+    store, cold = filled
+    work = tmp_path / "warm"
+    plan = FaultPlan([Fault(CRASH, site=PHASE, match="compress")])
+    with inject(plan), pytest.raises(FaultInjected):
+        Assembler(laptop_config, content_store=store).assemble(
+            tiny_md.store_path, workdir=work, resume=True)
+    before = store.stats()
+    calls = _count_phase_runs(monkeypatch)
+    retried = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=work, resume=True)
+    assert store.stats() == before  # not one further look-up
+    assert not any(calls.values())
+    assert result_digest(retried) == result_digest(cold)
+
+
+@pytest.mark.parametrize("how", ["damaged", "evicted"])
+def test_lost_reduce_entry_recomputes_from_cached_reads(
+        tmp_path, tiny_md, laptop_config, filled, monkeypatch, how):
+    store, cold = filled
+    (graph_copy,) = store.root.rglob(GRAPH_FILE)
+    if how == "damaged":
+        raw = bytearray(graph_copy.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        graph_copy.write_bytes(bytes(raw))
+    else:
+        shutil.rmtree(graph_copy.parents[1])
+        store = ContentStore(store.root, 64 << 20)
+    puts_before = store.stats().get("cache_puts", 0)
+    calls = _count_phase_runs(monkeypatch)
+    again = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "again", resume=True)
+    assert calls["run_load"] == 0 and calls["run_map"] == 1
+    assert store.stats().get("cache_damaged", 0) == (how == "damaged")
+    assert store.stats()["cache_puts"] == puts_before + 1
+    assert result_digest(again) == result_digest(cold)
+    # Re-put: the next job hits again.
+    warm = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
+    assert calls["run_map"] == 1 and result_digest(warm) == result_digest(cold)
+
+
+def test_resume_with_an_intact_graph_digests_no_partition(
+        tmp_path, tiny_md, laptop_config, monkeypatch):
+    """Deepest first without a cache: the graph stands for its sorted runs."""
+    work = tmp_path / "w"
+    first = Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
+                                              resume=True)
+    digested = []
+    real = checkpoint.file_digest
+
+    def recording(path):
+        digested.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(checkpoint, "file_digest", recording)
+    monkeypatch.setattr(pipeline, "file_digest", recording)
+    calls = _count_phase_runs(monkeypatch)
+    resumed = Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
+                                                resume=True)
+    assert not any(calls.values())
+    assert sorted(Path(path).name for path in digested) \
+        == [GRAPH_FILE, "reads.lsgr"]
+    assert result_digest(resumed) == result_digest(first)
+
+
+def test_equal_ledger_digests_do_not_share_a_cache_entry(tmp_path):
+    """Sources differing only in the middle: B must not be served A's contigs."""
+    first, second = colliding_sources(tmp_path)
+    config = AssemblyConfig(min_overlap=21)
+    store = ContentStore(tmp_path / "cache", 64 << 20)
+    Assembler(config, content_store=store).assemble(first)
+    served = Assembler(config, content_store=store).assemble(second)
+    direct = Assembler(config).assemble(second)
+    assert result_digest(served) == result_digest(direct)
+    assert store.stats().get("cache_hits", 0) == 0
 
 
 # -- cache-key stability (satellite property test) -----------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Assembler, AssemblyConfig
 from repro.core.checkpoint import (CheckpointManager, config_fingerprint,
-                                   GRAPH_FILE, STATE_FILE)
+                                   load_graph_file, GRAPH_FILE, STATE_FILE)
 from repro.errors import ConfigError
 from repro.graph import GreedyStringGraph
 
@@ -45,17 +45,16 @@ class TestCheckpointManager:
         graph.add_candidates(np.array([0, 4]), np.array([2, 8]), 20)
         manager = CheckpointManager(tmp_path, "g")
         manager.save_graph(graph)
-        restored = manager.load_graph()
+        restored = load_graph_file(tmp_path / GRAPH_FILE)
         assert restored is not None
         restored.check_invariants()
         assert restored.n_edges == graph.n_edges
         assert np.array_equal(restored.target, graph.target)
 
     def test_graph_missing_or_corrupt(self, tmp_path):
-        manager = CheckpointManager(tmp_path, "g")
-        assert manager.load_graph() is None
+        assert load_graph_file(tmp_path / GRAPH_FILE) is None
         (tmp_path / GRAPH_FILE).write_bytes(b"junk")
-        assert manager.load_graph() is None
+        assert load_graph_file(tmp_path / GRAPH_FILE) is None
 
 
 class TestFingerprint:

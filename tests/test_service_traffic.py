@@ -9,16 +9,21 @@ recompute — never to wrong bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.config import ServiceConfig
 from repro.core.checkpoint import STATE_FILE
-from repro.faults import BITFLIP, WRITE, Fault, FaultPlan, inject
-from repro.service import (AssemblyService, TrafficMix, build_sources,
-                           generate_jobs)
+from repro.core.pipeline import Assembler
+from repro.faults import (BITFLIP, WRITE, Fault, FaultPlan, inject,
+                          result_digest)
+from repro.service import (AssemblyService, JobSpec, TrafficMix, build_sources,
+                           default_job_config, generate_jobs)
 from repro.service.content_store import FILES_DIR
+
+from .conftest import colliding_sources
 
 MIX = TrafficMix(n_jobs=10, n_sources=3, seed=42)
 
@@ -87,6 +92,16 @@ def test_cold_then_warm_cache_identity(tmp_path, traffic):
     assert _ledger_hashes(cold) == _ledger_hashes(warm)
     # Scheduling is deterministic: identical mixes, identical order.
     assert cold.execution_order == warm.execution_order
+    # A hit restores what it reads (packed reads and graph), nothing else:
+    # no partition file reaches a warm workdir or, ever, the cache.
+    executed = len(warm.execution_order)
+    assert warm.cache["cache_files_fetched"] == 2 * executed
+    assert warm.cache["cache_bytes_fetched"] < executed * (1 << 20)
+    assert warm.cache["cache_bytes_put"] == 0
+    assert cold.cache["cache_bytes_put"] == cold.cache["bytes"]
+    assert not list((tmp_path / "warm").rglob("*.run"))
+    assert not list((tmp_path / "shared-cache").rglob("*.run"))
+    assert "fetched" in warm.summary() and "put 0 B" in warm.summary()
 
 
 def test_cached_matches_uncached(tmp_path, traffic):
@@ -96,6 +111,30 @@ def test_cached_matches_uncached(tmp_path, traffic):
     assert _contig_bytes(cached) == _contig_bytes(uncached)
     assert _ledger_hashes(cached) == _ledger_hashes(uncached)
     assert uncached.cache == {}
+
+
+def test_report_repr_stays_small(tmp_path, traffic):
+    """asyncio's runner teardown formats the finished task, result included."""
+    mix = dataclasses.replace(MIX, n_jobs=24)
+    jobs = generate_jobs(sorted({spec.source for spec in traffic}), mix)
+    report = _run(tmp_path, jobs, "repr", cache=False)
+    assert report.n_done == 24
+    assert len(repr(report)) < 4096
+    assert len(repr(report.outcomes[0])) < 4096
+
+
+def test_sources_equal_to_the_ledger_digest_do_not_coalesce(tmp_path):
+    """Same size, same first and last 64 KB: still two jobs, two results."""
+    first, second = colliding_sources(tmp_path)
+    config = dataclasses.replace(default_job_config(MIX), min_overlap=21)
+    report = _run(tmp_path, [JobSpec("a", "alice", first, config),
+                             JobSpec("b", "bob", second, config)], "collide")
+    assert report.n_done == 2
+    assert all(outcome.executed for outcome in report.outcomes)
+    assert "singleflight_joined" not in report.counters
+    assert report.cache.get("cache_hits", 0) == 0
+    assert result_digest(report.outcomes[1].result) \
+        == result_digest(Assembler(config).assemble(second))
 
 
 def test_fairness_holds_under_traffic(tmp_path, traffic):
