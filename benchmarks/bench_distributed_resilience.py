@@ -11,27 +11,21 @@ forcing heartbeat detection, restart and ledger-verified replay) — under
     replay reprocesses the dead node's whole partition attempt.
 
 ``cheap``
-    The cheap-recovery stack (DESIGN.md §2g): fast heartbeats
-    (``heartbeat_interval=0.02``), speculative re-execution
-    (``speculation_threshold=0.02``) and intra-partition chunk
-    checkpoints (``chunk_checkpoint_every=512``). All three are
-    policy-only — every cell still asserts byte-identity to the clean run.
+    Short detection plus chunk checkpoints (DESIGN.md §2g): fast
+    heartbeats (``heartbeat_interval=0.02``), a declared-dead timeout of
+    two beats (``node_timeout=0.04``) and intra-partition chunk checkpoints
+    (``chunk_checkpoint_every=512``). All three are policy-only — every
+    cell still asserts byte-identity to the clean run.
 
 Each entry reports the extra modeled reduce time over that policy's own
-clean run (``overhead_pct``), and for faulted cells the *genuinely lost
-work* — wasted attempt seconds plus speculation waste plus displaced
-(moved) work — and the ``overhead_ratio = overhead_s / lost_work_s``. The
-acceptance line for the cheap policy is ``overhead_ratio <= 2`` at
-2 nodes / 1 crash: recovery costs at most twice the work the crash
-actually destroyed, versus ~10x under the seed policy (whose overhead is
-dominated by the 1 s detection timeout, not by lost work).
-
-Known shape: cells where *every* node dies at least once (2 nodes with
-2+ crashes, 4 nodes with 4) can regress slightly under the cheap policy —
-with no idle capacity there is nothing to speculate onto, and the fast
-heartbeat cadence makes each restart's detection charge
-(``misses x heartbeat_interval`` of network traffic) visible. That is the
-documented cost of fast detection, not lost recovery work.
+clean run (``overhead_pct``) and, for faulted cells, the attempt seconds the
+crashes destroyed (``lost_work_s``, with ``overhead_ratio = overhead_s /
+lost_work_s`` when it is non-zero; a crash on a token boundary destroys
+none). What separates the policies is detection latency: ``seed`` pays the
+1 s ``node_timeout`` per crash, ``cheap`` pays 0.04 s. The acceptance lines
+are that ``cheap`` is no slower than ``seed`` on modeled reduce time in
+every faulted cell, and that its ``overhead_pct`` stays <= 50 at 2 nodes /
+1 crash.
 
 Results land in ``benchmarks/results/BENCH_resilience.json``::
 
@@ -40,7 +34,7 @@ Results land in ``benchmarks/results/BENCH_resilience.json``::
                   "fired": ..., "token_s": ..., "total_s": ...,
                   "overhead_pct": ..., "lost_work_s": ...,
                   "overhead_ratio": ..., "restarts": ..., "failovers": ...,
-                  "speculations": ..., "chunk_resumes": ...,
+                  "chunk_resumes": ...,
                   "recovered": true},
                  ...]}
 
@@ -75,13 +69,16 @@ SEED = 23
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_resilience.json"
 
 #: The cheap-recovery policy knobs (all policy-only, out of the checkpoint
-#: fingerprint): fast detection, speculation as soon as a heartbeat is
-#: missed, chunk commits every 512 processed records.
+#: fingerprint): a node is declared dead two fast heartbeats after it goes
+#: silent, chunk commits every 512 processed records.
 CHEAP_KNOBS = {
     "heartbeat_interval": 0.02,
-    "speculation_threshold": 0.02,
+    "node_timeout": 0.04,
     "chunk_checkpoint_every": 512,
 }
+
+#: Ceiling on the cheap policy's reduce overhead at 2 nodes / 1 crash.
+ACCEPT_OVERHEAD_PCT = 50.0
 
 
 def _identity(result) -> tuple:
@@ -102,13 +99,6 @@ def _crash_plan(clean, crashes: int, seed: int) -> FaultPlan:
     return FaultPlan([Fault(NODE_CRASH, site=NODE,
                             match=f"*:reduce[[]{length}]")
                       for length in chosen], seed=seed)
-
-
-def _lost_work_s(notes: dict) -> float:
-    """Simulated seconds of work the crashes genuinely destroyed/displaced."""
-    return (notes.get("wasted_s", 0.0)
-            + notes.get("speculation_wasted_s", 0.0)
-            + notes.get("speculation_moved_s", 0.0))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                         fired = len(plan.events)
                     token_s = result.phase_seconds["reduce"]
                     overhead_s = token_s - clean_token
-                    lost = _lost_work_s(result.notes)
+                    lost = result.notes.get("wasted_s", 0.0)
                     entry = {
                         "policy": policy,
                         "nodes": nodes,
@@ -165,8 +155,6 @@ def main(argv: list[str] | None = None) -> int:
                                            if lost > 0 else None),
                         "restarts": int(result.notes.get("node_restarts", 0)),
                         "failovers": int(result.notes.get("failovers", 0)),
-                        "speculations": int(result.notes.get(
-                            "speculations", 0)),
                         "chunk_resumes": int(result.notes.get(
                             "chunk_resumes", 0)),
                         "recovered": (result.degraded is None
@@ -180,22 +168,28 @@ def main(argv: list[str] | None = None) -> int:
                           f"lost={entry['lost_work_s']:.4f}s "
                           f"ratio={ratio if ratio is not None else '-'} "
                           f"restarts={entry['restarts']} "
-                          f"spec={entry['speculations']} "
                           f"resumes={entry['chunk_resumes']} "
                           f"recovered={entry['recovered']}")
 
     if not all(entry["recovered"] for entry in entries):
         print("WARNING: some faulted runs did not recover byte-identically")
 
-    # The acceptance cell: cheap recovery at 2 nodes / 1 crash must cost at
-    # most twice the work the crash destroyed.
-    accept = [e for e in entries
-              if e["policy"] == "cheap" and e["nodes"] == 2
-              and e["crashes"] == 1 and e["overhead_ratio"] is not None]
-    for entry in accept:
-        verdict = "PASS" if entry["overhead_ratio"] <= 2.0 else "FAIL"
-        print(f"acceptance (cheap, 2 nodes, 1 crash): "
-              f"ratio={entry['overhead_ratio']} <= 2.0 -> {verdict}")
+    # Acceptance: short detection never loses to the 1 s timeout, and at
+    # 2 nodes / 1 crash recovery costs at most half a clean reduce.
+    seed_token = {(e["nodes"], e["crashes"]): e["token_s"]
+                  for e in entries if e["policy"] == "seed"}
+    faulted = [e for e in entries if e["policy"] == "cheap" and e["crashes"]]
+    slower = [(e["nodes"], e["crashes"]) for e in faulted
+              if e["token_s"] > seed_token[e["nodes"], e["crashes"]]]
+    print(f"acceptance (cheap <= seed reduce time in {len(faulted)} faulted "
+          f"cells): {'PASS' if not slower else f'FAIL at {slower}'}")
+    for entry in faulted:
+        if (entry["nodes"], entry["crashes"]) == (2, 1):
+            verdict = "PASS" if entry["overhead_pct"] <= ACCEPT_OVERHEAD_PCT \
+                else "FAIL"
+            print(f"acceptance (cheap, 2 nodes, 1 crash): overhead="
+                  f"{entry['overhead_pct']}% <= {ACCEPT_OVERHEAD_PCT}% "
+                  f"-> {verdict}")
 
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(

@@ -123,9 +123,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                             node_timeout=args.node_timeout,
                             node_restarts=args.node_restarts,
                             allow_degraded=not args.no_degraded,
-                            chunk_checkpoint_every=args.chunk_checkpoint_every,
-                            speculation_threshold=args.speculation_threshold,
-                            allow_join=args.allow_join or bool(args.join_at))
+                            chunk_checkpoint_every=args.chunk_checkpoint_every)
     source = args.reads
     if not str(source).endswith(".lsgr"):
         # The simulated cluster's shared input store is packed; convert first.
@@ -142,9 +140,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
             writer.append_batch(batch)
         writer.close()
         source = packed
-    joins = tuple(args.join_at or ())
-    result = DistributedAssembler(config, args.nodes,
-                                  joins=joins).assemble(source)
+    result = DistributedAssembler(config, args.nodes).assemble(source)
     print(f"assembled on {args.nodes} simulated nodes: "
           f"{result.n_reads:,} reads -> {result.contigs.n_contigs} contigs "
           f"(N50 {result.stats()['n50']})")
@@ -349,19 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default=4096, metavar="N",
                              help="records of reduce progress per durable "
                                   "chunk checkpoint (0 disables)")
-    distributed.add_argument("--speculation-threshold", type=float,
-                             default=0.0, metavar="S",
-                             help="simulated heartbeat-silence before a "
-                                  "backup re-executes a suspect's reduce "
-                                  "work (0 disables; must be >= the "
-                                  "heartbeat interval)")
-    distributed.add_argument("--allow-join", action="store_true",
-                             help="accept nodes joining the cluster mid-run")
-    distributed.add_argument("--join-at", type=int, action="append",
-                             default=None, metavar="HOP",
-                             help="add one node after this many reduce "
-                                  "token hops (repeatable; implies "
-                                  "--allow-join semantics must be enabled)")
     distributed.add_argument("--trace", metavar="PATH", default="",
                              help="dump a cluster-wide span trace (one track "
                                   "per node) into this directory")

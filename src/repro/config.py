@@ -161,25 +161,12 @@ class AssemblyConfig:
     chunk_checkpoint_every:
         Records of reduce work between intra-partition chunk checkpoints.
         Each committed chunk appends a durable entry to the node's ledger,
-        so a restart (or a speculative backup) resumes the partition from
-        the last chunk boundary instead of replaying it whole. ``0``
+        so a restart (or a failover owner) resumes the partition from the
+        last chunk boundary instead of replaying it whole. ``0``
         disables chunking (the pre-chunk restart-replays-the-partition
         behaviour). Policy-only: chunk boundaries never move an output
         byte (per-window candidate ordering is canonicalized), so the knob
         stays out of the checkpoint fingerprint.
-    speculation_threshold:
-        Simulated seconds a reduce owner may go heartbeat-silent before
-        the supervisor launches a backup execution of its remaining chunks
-        on an idle node (first-complete-wins, deterministic tie-break).
-        ``0`` (the default) disables speculation; positive values must be
-        at least ``heartbeat_interval`` (a suspect is only observable at
-        heartbeat granularity). Policy-only, like the other resilience
-        knobs.
-    allow_join:
-        Accept nodes joining mid-run: a joiner rebuilds its share of the
-        remaining partitions through the failover re-shuffle path run in
-        reverse and takes over their reduction. Policy-only; joins never
-        change output bytes.
     seed:
         Seed for fingerprint parameter choice; fixed for reproducibility.
     """
@@ -218,12 +205,6 @@ class AssemblyConfig:
     #: Reduce records between durable intra-partition chunk checkpoints
     #: (0 = whole-partition replay, the pre-chunk behaviour).
     chunk_checkpoint_every: int = 4096
-    #: Heartbeat-silent seconds before a reduce owner is suspected and its
-    #: remaining chunks are speculatively re-executed on an idle node
-    #: (0 = speculation off).
-    speculation_threshold: float = 0.0
-    #: Accept nodes joining mid-run (failover re-shuffle run in reverse).
-    allow_join: bool = False
     seed: int = 0x1A5A67A
 
     def __post_init__(self) -> None:
@@ -249,14 +230,6 @@ class AssemblyConfig:
             raise ConfigError("node_restarts must be >= 0")
         if self.chunk_checkpoint_every < 0:
             raise ConfigError("chunk_checkpoint_every must be >= 0 (0 = off)")
-        if self.speculation_threshold < 0:
-            raise ConfigError("speculation_threshold must be >= 0 (0 = off)")
-        if self.speculation_threshold and \
-                self.speculation_threshold < self.heartbeat_interval:
-            raise ConfigError(
-                "speculation_threshold must be 0 (off) or >= "
-                "heartbeat_interval (suspects are observable only at "
-                "heartbeat granularity)")
 
     def resolved_workers(self) -> int:
         """Always 1: a run has one schedule."""

@@ -117,8 +117,7 @@ NON_SEMANTIC_KNOBS = ("trace", "keep_workdir",
                       "heartbeat_interval", "node_timeout",
                       "reduce_max_attempts", "retry_backoff_s",
                       "node_restarts", "allow_degraded",
-                      "chunk_checkpoint_every", "speculation_threshold",
-                      "allow_join",
+                      "chunk_checkpoint_every",
                       "buffer_pool", "pool_max_bytes")
 
 
@@ -154,7 +153,7 @@ def chunk_key(config: AssemblyConfig, name: str, index: int,
 
     Deliberately **scope-free** (built on :func:`semantic_payload`, not a
     node's scoped fingerprint): the supervisor mirrors chunk progress
-    across nodes, and a speculative backup on a *different* node must be
+    across nodes, and a failover owner on a *different* node must be
     able to verify that a mirrored entry describes the same logical work —
     same semantic config, same partition, same processed prefix — before
     resuming past it. The same key therefore lands in every node's ledger

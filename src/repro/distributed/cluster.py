@@ -89,8 +89,7 @@ class DistributedAssembler:
 
     def __init__(self, config: AssemblyConfig, n_nodes: int, *,
                  network: NetworkSpec | None = None,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None,
-                 joins: tuple[int, ...] = ()):
+                 disk: DiskSpec | None = None, host: HostSpec | None = None):
         if n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         self.config = config
@@ -98,16 +97,6 @@ class DistributedAssembler:
         self.network = network if network is not None else NetworkSpec()
         self.disk = disk
         self.host = host
-        #: Elastic-membership schedule: each entry is a reduce token-hop
-        #: count after which one new node joins the cluster (requires
-        #: ``allow_join``). The joiner takes a fair share of the remaining
-        #: partitions and rebuilds them lazily from lineage.
-        self.joins = tuple(sorted(joins))
-        if self.joins and not config.allow_join:
-            raise ConfigError(
-                "a join schedule requires allow_join=true")
-        if any(j < 0 for j in self.joins):
-            raise ConfigError("join hop counts must be >= 0")
 
     # -- helpers ---------------------------------------------------------------
 
@@ -298,18 +287,7 @@ class DistributedAssembler:
         phase_start = max(before)
         token_time = phase_start
         bitvec_transfer = self.network.transfer_seconds(graph.out_bits.nbytes)
-        ordered = sorted(lengths, reverse=True)
-        pending_joins = list(self.joins)
-        for idx, length in enumerate(ordered):
-            supervisor.phase = "reduce"
-            while pending_joins and \
-                    report.partitions_processed >= pending_joins[0]:
-                # A node joins after the scheduled token hop: it takes a
-                # fair share of the not-yet-reduced tail and rebuilds each
-                # partition lazily as the token approaches it.
-                pending_joins.pop(0)
-                joiner = supervisor.join_node()
-                supervisor.rebalance_to(joiner, ordered[idx:])
+        for length in sorted(lengths, reverse=True):
             if not supervisor.partition_has_data(length):
                 continue
             attempt_wall = time.perf_counter()
@@ -384,9 +362,8 @@ class DistributedAssembler:
         report.edges_added = graph.n_edges
         # The phase ends when the token has folded in every partition's
         # edges: ``token_time`` already waited on every find_done (and every
-        # recovery charge) the graph consumed. A node still recovering past
-        # that point — a speculation loser replaying in the background — is
-        # off the critical path and re-enters at the next barrier.
+        # recovery charge) the graph consumed; every node re-enters at the
+        # next barrier.
         reduce_time = token_time - phase_start
         per_node = [node.ctx.clock.total_seconds - b
                     for node, b in zip(nodes, before)]

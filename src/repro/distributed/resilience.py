@@ -30,29 +30,18 @@ simulated clock so every timeline is deterministic and replayable:
    :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
    restores the old fail-stop behaviour).
 
-Three *cheap recovery* mechanisms shorten the ladder's rungs (DESIGN.md
-§2g):
+One *cheap recovery* mechanism shortens the restart rung (DESIGN.md §2g):
+**incremental chunk checkpoints** (``chunk_checkpoint_every``) — the reduce
+loop commits sub-partition progress to the owner's durable ledger (mirrored
+in the supervisor), so a restart resumes from the last chunk boundary
+instead of replaying the whole partition. Safe because chunk boundaries
+fall on fingerprint-group boundaries, rebuilt streams are byte-identical,
+and duplicate candidate offers are rejected by the graph's out-degree
+bit-vector. Detection latency is ``node_timeout`` and nothing else: there
+is no second, earlier "suspect" clock (DESIGN.md §2g records why).
 
-* **Incremental chunk checkpoints** (``chunk_checkpoint_every``) — the
-  reduce loop commits sub-partition progress to the owner's durable ledger
-  (mirrored in the supervisor), so a restart resumes from the last chunk
-  boundary instead of replaying the whole partition. Safe because chunk
-  boundaries fall on fingerprint-group boundaries, rebuilt streams are
-  byte-identical, and duplicate candidate offers are rejected by the
-  graph's out-degree bit-vector.
-* **Speculative re-execution** (``speculation_threshold``) — a reduce
-  owner that goes heartbeat-silent past the threshold is a *suspect*: an
-  idle node resumes its remaining chunks from the mirror while the victim
-  restarts, both executions run for real, and the first to complete wins
-  (deterministic tie-break on node id). Output is byte-identical either
-  way — the loser's duplicate offers are idempotent.
-* **Elastic membership** (``allow_join``) — a node joining mid-reduce
-  takes a fair share of the remaining partitions through the failover
-  re-shuffle path run in reverse: rebuilt from lineage on the joiner,
-  lazily as the token approaches.
-
-Everything is instrumented: ``failover``/``backoff``/``speculation`` spans,
-``heartbeat-miss``/``node-join`` instants on the cluster track, and an
+Everything is instrumented: ``failover``/``backoff`` spans,
+``heartbeat-miss``/``node-lost`` instants on the cluster track, and an
 :class:`~repro.telemetry.EventMeter` of resilience counters surfaced in
 ``DistributedResult.notes``.
 """
@@ -221,20 +210,13 @@ class ClusterSupervisor:
         #: Read ranges each node mapped, in assignment order — the lineage
         #: that lets a lost node's map piece be recomputed byte-identically.
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
-        self.pulled: set[int] = set()
         self.owner_of: dict[int, int] = {}
         self.phase = "map"
         self.dropped: list[DroppedPartition] = []
         #: Supervisor-side mirror of each partition's last durable chunk:
-        #: ``length -> (index, s_off, p_off, key)``. A speculative backup
-        #: (whose own ledger never saw the partition) resumes from here.
+        #: ``length -> (index, s_off, p_off, key)``. A failover owner (whose
+        #: own ledger never saw the partition) resumes from here.
         self.chunk_mirror: dict[int, tuple[int, int, int, str]] = {}
-        #: Nodes whose slow progress reports have already been observed for
-        #: one full ``speculation_threshold`` — further races against them
-        #: need no fresh observation window. Cleared when a suspect wins a
-        #: race (it caught up).
-        self.suspects: set[int] = set()
-        self.joined: list[int] = []
 
     # -- small helpers ---------------------------------------------------------
 
@@ -568,13 +550,7 @@ class ClusterSupervisor:
             start, stop = queue[0]
             target = self._least_loaded()
             try:
-                self._run_on_node(
-                    target.node_id, f"map[{start}:{stop}]",
-                    lambda node, _a, s=start, e=stop:
-                        node.map_block(self.store, s, e),
-                    in_place=False)
-                self.block_ranges.setdefault(target.node_id,
-                                             []).append((start, stop))
+                self._map_on(target.node_id, start, stop)
                 queue.popleft()
             except _NodeLost:
                 # The lost node's completed blocks are orphaned with it:
@@ -592,27 +568,33 @@ class ClusterSupervisor:
             except _NodeLost:
                 self._remap_lost_blocks(node_id, sealed)
 
+    def _map_on(self, node_id: int, start: int, stop: int) -> None:
+        """Map one read block on a node and record it as that node's lineage."""
+        self._run_on_node(
+            node_id, f"map[{start}:{stop}]",
+            lambda node, _a: node.map_block(self.store, start, stop),
+            in_place=False)
+        self.block_ranges.setdefault(node_id, []).append((start, stop))
+
     def _remap_lost_blocks(self, node_id: int, sealed: set[int]) -> None:
-        """Re-run a seal-time casualty's blocks on a still-open survivor."""
+        """Re-run a seal-time casualty's blocks on a still-open survivor.
+
+        When every survivor has already sealed, nothing is re-run: the
+        blocks stay under the casualty's id as lineage, and the shuffle's
+        rebuild path recomputes its map pieces from them like any other
+        lost peer's.
+        """
         orphans = list(self.block_ranges.pop(node_id, []))
         while orphans:
+            self.meter.bump("failovers")
             open_nodes = [n for n in self.alive() if n.node_id not in sealed]
             if not open_nodes:
-                raise DistributedProtocolError(
-                    f"node {node_id} lost after every survivor sealed its map "
-                    f"output; {len(orphans)} read blocks are unrecoverable")
+                self.block_ranges[node_id] = orphans
+                return
             target = min(open_nodes, key=lambda n: n.ctx.clock.total_seconds)
-            self.meter.bump("failovers")
             try:
                 while orphans:
-                    start, stop = orphans[0]
-                    self._run_on_node(
-                        target.node_id, f"map[{start}:{stop}]",
-                        lambda node, _a, s=start, e=stop:
-                            node.map_block(self.store, s, e),
-                        in_place=False)
-                    self.block_ranges.setdefault(target.node_id,
-                                                 []).append((start, stop))
+                    self._map_on(target.node_id, *orphans[0])
                     orphans.pop(0)
             except _NodeLost:
                 # The stand-in died too; everything it absorbed is orphaned
@@ -634,28 +616,38 @@ class ClusterSupervisor:
                 shuffle_bytes += self._pull_on(node_id, owned)
             except _NodeLost:
                 orphans.extend(owned)
-        # Orphaned ownerships fail over to the least-loaded survivor, whose
-        # rebuild recomputes the lost nodes' pieces from lineage.
-        while orphans:
-            new_owner = self._least_loaded()
-            for length in orphans:
-                self.owner_of[length] = new_owner.node_id
+        if orphans:
+            # The adopter's rebuild recomputes the lost nodes' pieces from
+            # lineage, together with what it already owned.
+            shuffle_bytes += self._fail_over(
+                orphans, lambda owner_id, batch: self._pull_on(
+                    owner_id, sorted(set(self.nodes[owner_id].owned_lengths)
+                                     | set(batch)), rebuild=True))
+        return shuffle_bytes
+
+    def _fail_over(self, orphans: list[int], adopt):
+        """Hand orphaned partitions to the least-loaded survivor until one
+        keeps them.
+
+        ``adopt(owner_id, batch)`` does the phase's work for the sorted
+        ``batch`` on the new owner; when that node is lost in the attempt
+        the same batch goes to the next survivor. Returns what ``adopt``
+        returned.
+        """
+        batch = sorted(set(orphans))
+        while True:
+            owner_id = self._least_loaded().node_id
+            for length in batch:
+                self.owner_of[length] = owner_id
             self.meter.bump("failovers")
             try:
-                shuffle_bytes += self._pull_on(new_owner.node_id,
-                                               sorted(set(new_owner.owned_lengths)
-                                                      | set(orphans)),
-                                               rebuild=True)
-                orphans = []
+                return adopt(owner_id, batch)
             except _NodeLost:
                 continue
-        return shuffle_bytes
 
     def _pull_on(self, node_id: int, owned: list[int], *,
                  rebuild: bool = False) -> int:
         """One node's shuffle pull (or lineage rebuild), guarded."""
-        owned = sorted(owned)
-
         def pull(node: WorkerNode, _attempt: int) -> int:
             node.owned_lengths = owned
             if rebuild or self.lost:
@@ -666,7 +658,6 @@ class ClusterSupervisor:
             return node.pull_owned_partitions(self.nodes, owned)
 
         pulled = self._run_on_node(node_id, "pull", pull)
-        self.pulled.add(node_id)
         self._run_on_node(node_id, "ledger-shuffle",
                           lambda n, _a: n.record_ledger("shuffle"))
         return pulled
@@ -683,26 +674,21 @@ class ClusterSupervisor:
                                   lambda n, _a: n.record_ledger("sort"))
             except _NodeLost:
                 orphans.extend(self.nodes[node_id].owned_lengths)
-        while orphans:
-            new_owner = self._least_loaded()
-            for length in orphans:
-                self.owner_of[length] = new_owner.node_id
-            self.meter.bump("failovers")
-            batch = sorted(set(orphans))
-            try:
-                self._run_on_node(
-                    new_owner.node_id, "sort-failover",
-                    lambda node, _a, b=tuple(batch):
-                        (self._rebuild_on(node, b), node.sort_lengths(b)))
-                # Re-fetch by id: a restart mid-op replaced the object.
-                survivor = self.nodes[new_owner.node_id]
-                survivor.owned_lengths = sorted(set(survivor.owned_lengths)
-                                                | set(batch))
-                self._run_on_node(survivor.node_id, "ledger-sort",
-                                  lambda n, _a: n.record_ledger("sort"))
-                orphans = []
-            except _NodeLost:
-                continue
+        if orphans:
+            self._fail_over(orphans, self._adopt_sorted)
+
+    def _adopt_sorted(self, owner_id: int, batch: list[int]) -> None:
+        """Rebuild, sort and ledger orphaned partitions on their new owner."""
+        self._run_on_node(
+            owner_id, "sort-failover",
+            lambda node, _a: (self._rebuild_on(node, batch),
+                              node.sort_lengths(batch)))
+        # Fetch by id only now: a restart mid-op replaced the object.
+        survivor = self.nodes[owner_id]
+        survivor.owned_lengths = sorted(set(survivor.owned_lengths)
+                                        | set(batch))
+        self._run_on_node(owner_id, "ledger-sort",
+                          lambda n, _a: n.record_ledger("sort"))
 
     # -- reduce ---------------------------------------------------------------
 
@@ -750,9 +736,9 @@ class ClusterSupervisor:
         :func:`~repro.core.checkpoint.chunk_key` re-derives — a stale entry
         from an earlier configuration (or a torn ledger) resumes nothing
         and the partition replays whole, which is always correct. The
-        mirror is what lets a *different* node (failover owner or
-        speculative backup) resume: rebuilt partitions are byte-identical,
-        so record offsets carry across nodes.
+        mirror is what lets a *different* node (the failover owner)
+        resume: rebuilt partitions are byte-identical, so record offsets
+        carry across nodes.
         """
         if not self.config.chunk_checkpoint_every:
             return None
@@ -785,238 +771,6 @@ class ClusterSupervisor:
             if node.ledger.chunk_progress("reduce", name) is not None:
                 node.ledger.clear_chunks("reduce", name)
 
-    # -- speculation ------------------------------------------------------------
-
-    def _suspect_at(self, dead: WorkerNode) -> float:
-        """When the supervisor may *suspect* (not yet declare) a silent node.
-
-        Same heartbeat arithmetic as :meth:`_detect` with
-        ``speculation_threshold`` in place of ``node_timeout`` — a suspect
-        is observable strictly earlier than a declared death, which is the
-        whole budget speculation has to win by.
-        """
-        hb = self.config.heartbeat_interval
-        t_fail = dead.ctx.clock.total_seconds
-        last_hb = math.floor(t_fail / hb) * hb
-        return max(t_fail, last_hb + self.config.speculation_threshold)
-
-    def _straggling(self, owner_id: int) -> bool:
-        """Whether the owner's progress reports mark it a *suspect*.
-
-        A node whose clock trails the least-loaded survivor by more than
-        ``speculation_threshold`` (a restarted crash victim carrying its
-        detection gap, or any straggler) would stall the token; its
-        partitions are raced instead of waited for.
-        """
-        if not self.config.speculation_threshold:
-            return False
-        others = [n.ctx.clock.total_seconds for n in self.alive()
-                  if n.node_id != owner_id]
-        if not others:
-            return False
-        lag = self.nodes[owner_id].ctx.clock.total_seconds - min(others)
-        # A race only pays when the owner's lag exceeds the observation
-        # window plus what moving the partition costs — estimated from the
-        # rebuilds this run has already done (0 until the first sample).
-        counters = self.meter.counters()
-        rebuilt = counters.get("partitions_rebuilt", 0)
-        est_rebuild = counters.get("rebuild_s", 0.0) / rebuilt if rebuilt \
-            else 0.0
-        return lag > self.config.speculation_threshold + est_rebuild
-
-    def _reduce_attempts(self, owner_id: int, length: int, attempt_fn, *,
-                         counter: list[int], failures: list[dict],
-                         ) -> tuple[int, float, float]:
-        """The reduce-specialized ladder: like :meth:`_run_on_node`, plus
-        speculative re-execution when the owner dies or straggles.
-
-        Returns ``(winner_id, t_graph, find_done)``.
-        """
-        op = f"reduce[{length}]"
-        cycles = 0
-        while True:
-            if owner_id in self.lost:
-                raise _NodeLost(owner_id)
-            cycles += 1
-            if cycles > self.n_nodes * (self.config.node_restarts + 2) + 2:
-                raise DistributedProtocolError(
-                    f"recovery did not converge for {op} on node {owner_id}")
-            if self._straggling(owner_id):
-                # The owner is alive but far behind the cluster: its
-                # progress heartbeats give it away after one threshold of
-                # observation, so a backup races it without waiting for it
-                # to fail.
-                result = self._speculate(
-                    owner_id, length, None, attempt_fn, counter, failures)
-                if result is not None:
-                    return result
-            try:
-                t_graph, find_done = self._attempt_cycle(
-                    self.nodes[owner_id], op,
-                    lambda node, _a: attempt_fn(node),
-                    counter=counter, failures=failures)
-                return owner_id, t_graph, find_done
-            except _NodeDeath as death:
-                speculate = (self.config.speculation_threshold > 0
-                             and self.nodes[owner_id].scope in death.victims)
-                suspect_at = self._suspect_at(self.nodes[owner_id]) \
-                    if speculate else 0.0
-                for scope in death.victims:
-                    self._handle_death(self._scope_id(scope))
-                if not speculate:
-                    continue
-                result = self._speculate(owner_id, length, suspect_at,
-                                         attempt_fn, counter, failures)
-                if result is not None:
-                    return result
-
-    def _speculate(self, owner_id: int, length: int, suspect_at: float | None,
-                   attempt_fn, counter: list[int], failures: list[dict],
-                   ) -> tuple[int, float, float] | None:
-        """Race a backup execution against the (suspect) owner.
-
-        The backup is the least-loaded survivor; it idles until the suspect
-        instant (nobody may act on silence it has not yet observed —
-        ``suspect_at=None`` marks a straggler race, where the backup
-        instead spends one threshold watching the owner's slow progress
-        reports), pulls a byte-identical rebuild of the partition if it
-        lacks one, and resumes from the mirrored chunk. The owner replays
-        from its own durable ledger. Both executions are *real* — every
-        offer actually reaches the graph, duplicates rejected — so
-        whichever completes first can be declared the winner purely by
-        simulated arithmetic (earlier ``find_done``, node id breaking
-        ties) without any byte-level consequence. Returns ``None`` when
-        both contenders died, sending the caller around the ladder again.
-        """
-        op = f"reduce[{length}]"
-        backups = [n for n in self.alive() if n.node_id != owner_id]
-        if not backups:
-            return None
-        backup_id = min(backups,
-                        key=lambda n: (n.ctx.clock.total_seconds,
-                                       n.node_id)).node_id
-        self.meter.bump("speculations")
-        contenders: list[tuple[int, float, float, float]] = []
-        wall0 = time.perf_counter()
-        backup = self.nodes[backup_id]
-        if suspect_at is None:
-            # Straggler race: a *new* suspect costs one observation window;
-            # a node already under suspicion is raced immediately.
-            suspect_at = backup.ctx.clock.total_seconds
-            if owner_id not in self.suspects:
-                suspect_at += self.config.speculation_threshold
-        self.suspects.add(owner_id)
-        wait = suspect_at - backup.ctx.clock.total_seconds
-        if wait > 0:
-            # The suspicion clock, not the backup's: it may not act on
-            # silence it has not yet observed.
-            backup.ctx.clock.charge("retry", wait)
-        sim0 = backup.ctx.clock.total_seconds
-        try:
-            self._ensure_partition(backup_id, length)
-            t_graph, find_done = self._attempt_cycle(
-                self.nodes[backup_id], op,
-                lambda node, _a: attempt_fn(node),
-                counter=counter, failures=failures)
-            contenders.append((backup_id, t_graph, find_done, sim0))
-        except _NodeDeath as death:
-            for scope in death.victims:
-                self._handle_death(self._scope_id(scope))
-        except _NodeLost:
-            pass
-        if owner_id not in self.lost:
-            owner = self.nodes[owner_id]
-            sim0 = owner.ctx.clock.total_seconds
-            try:
-                t_graph, find_done = self._attempt_cycle(
-                    owner, op, lambda node, _a: attempt_fn(node),
-                    counter=counter, failures=failures)
-                contenders.append((owner_id, t_graph, find_done, sim0))
-            except _NodeDeath as death:
-                for scope in death.victims:
-                    self._handle_death(self._scope_id(scope))
-            except _NodeLost:
-                pass
-        if not contenders:
-            return None
-        contenders.sort(key=lambda c: (c[2], c[0]))  # find_done, then node id
-        winner_id, t_graph, find_done, _ = contenders[0]
-        self.owner_of[length] = winner_id
-        if winner_id == owner_id:
-            self.suspects.discard(owner_id)
-        self.meter.bump("speculation_wins" if winner_id == backup_id
-                        else "speculation_losses")
-        wall1 = time.perf_counter()
-        for node_id, w_graph, w_done, w_sim0 in contenders:
-            won = node_id == winner_id
-            if not won:
-                self.meter.bump("speculation_wasted_s",
-                                (w_done + w_graph) - w_sim0)
-            elif node_id != owner_id:
-                # Work displaced off the suspect onto the backup (rebuild
-                # plus the find itself): the other half of the benchmark's
-                # "lost work" denominator.
-                self.meter.bump("speculation_moved_s",
-                                (w_done + w_graph) - w_sim0)
-            if self.ctracer.enabled:
-                self.ctracer.complete(
-                    "speculation", wall0, wall1, track="cluster",
-                    cat="resilience", det=True, sim0=w_sim0,
-                    sim1=w_done + w_graph, node=node_id, length=length,
-                    action="win" if won else "lose",
-                    backup=node_id == backup_id)
-        return winner_id, t_graph, find_done
-
-    # -- elastic membership -----------------------------------------------------
-
-    def join_node(self) -> WorkerNode:
-        """Accept a node joining mid-reduce (requires ``allow_join``).
-
-        The joiner gets the next node id and a clock advanced to the
-        cluster frontier (it cannot have done work before it existed).
-        ``n_nodes`` deliberately stays the mapping-time count: lineage
-        rebuilds enumerate the peers that mapped read blocks, and the
-        joiner never did.
-        """
-        if not self.config.allow_join:
-            raise DistributedProtocolError(
-                "a node offered to join but allow_join is off")
-        node_id = len(self.nodes)
-        joiner = WorkerNode(node_id, self.config, self.root, self.messages,
-                            disk=self.disk, host=self.host, tracer=self.tracer)
-        frontier = max((n.ctx.clock for n in self.alive()),
-                       key=lambda c: c.total_seconds, default=None)
-        if frontier is not None:
-            joiner.ctx.clock.advance_to(frontier)
-        joiner.ctx.clock.charge("network", self.network.heartbeat_seconds())
-        self.nodes.append(joiner)
-        self.joined.append(node_id)
-        self.meter.bump("nodes_joined")
-        if self.ctracer.enabled:
-            self.ctracer.instant("node-join", track="cluster",
-                                 cat="resilience", det=True,
-                                 sim_at=joiner.ctx.clock.total_seconds,
-                                 node=node_id, phase=self.phase)
-        return joiner
-
-    def rebalance_to(self, joiner: WorkerNode,
-                     remaining_lengths: list[int]) -> list[int]:
-        """Reassign a fair share of unreduced partitions to a joiner.
-
-        The failover re-shuffle run in reverse: ownership moves now, the
-        byte-identical lineage rebuild happens lazily in
-        :meth:`_ensure_partition` as the token approaches each partition —
-        charged to the joiner's clock, overlapping earlier token hops,
-        which is what bends the scaling curve.
-        """
-        share = len(self.alive())
-        taken = [length for i, length in enumerate(remaining_lengths)
-                 if i % share == share - 1]
-        for length in taken:
-            self.owner_of[length] = joiner.node_id
-        self.meter.bump("join_rebalanced", len(taken))
-        return taken
-
     def reduce_partition(self, length: int, attempt_fn) -> ReduceOutcome:
         """Run one token hop through the ladder.
 
@@ -1041,11 +795,12 @@ class ClusterSupervisor:
             tried.add(owner_id)
             try:
                 self._ensure_partition(owner_id, length)
-                winner_id, t_graph, find_done = self._reduce_attempts(
-                    owner_id, length, attempt_fn,
+                t_graph, find_done = self._run_on_node(
+                    owner_id, f"reduce[{length}]",
+                    lambda node, _a: attempt_fn(node),
                     counter=counter, failures=failures)
                 self.finish_partition(length)
-                return ReduceOutcome(ok=True, node=winner_id, t_graph=t_graph,
+                return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))
             except _NodeLost:

@@ -204,7 +204,7 @@ class RunReader:
     def skip(self, n: int) -> int:
         """Advance past ``n`` records without reading their bytes.
 
-        Used by chunk-checkpoint resume: a restarted (or speculating) node
+        Used by chunk-checkpoint resume: a restarted (or failover) node
         seeks its sorted streams to the last durable chunk boundary instead
         of re-reading the processed prefix. Charged as one seek, zero bytes
         — exactly the cheap-recovery accounting the chunk ledger buys.

@@ -125,10 +125,7 @@ def resilience_events(events: str | Path | Iterable[Mapping]) -> dict:
 
         {"heartbeat_misses": int, "backoffs": int, "backoff_sim_s": float,
          "restarts": int, "reassignments": int, "token_retries": int,
-         "nodes_lost": int, "partitions_dropped": int,
-         "speculations": int, "speculation_wins": int,
-         "speculation_losses": int, "speculation_wasted_sim_s": float,
-         "nodes_joined": int}
+         "nodes_lost": int, "partitions_dropped": int}
 
     A clean run yields all zeros — the fast path emits none of these.
     """
@@ -138,15 +135,12 @@ def resilience_events(events: str | Path | Iterable[Mapping]) -> dict:
         "heartbeat_misses": 0, "backoffs": 0, "backoff_sim_s": 0.0,
         "restarts": 0, "reassignments": 0, "token_retries": 0,
         "nodes_lost": 0, "partitions_dropped": 0,
-        "speculations": 0, "speculation_wins": 0, "speculation_losses": 0,
-        "speculation_wasted_sim_s": 0.0, "nodes_joined": 0,
     }
     markers = {
         "heartbeat-miss": "heartbeat_misses",
         "token-retry": "token_retries",
         "node-lost": "nodes_lost",
         "partition-dropped": "partitions_dropped",
-        "node-join": "nodes_joined",
     }
     spans, _unmatched = pair_spans(events)
     for span in spans:
@@ -160,17 +154,6 @@ def resilience_events(events: str | Path | Iterable[Mapping]) -> dict:
                 counts["restarts"] += 1
             elif action == "reassign":
                 counts["reassignments"] += 1
-        elif name == "speculation":
-            # One span per contender; a race is one win plus its losers.
-            if span["args"].get("action") == "win":
-                counts["speculations"] += 1
-                if span["args"].get("backup"):
-                    counts["speculation_wins"] += 1
-                else:
-                    counts["speculation_losses"] += 1
-            else:
-                counts["speculation_wasted_sim_s"] += \
-                    span["sim1"] - span["sim0"]
         elif name in markers:
             counts[markers[name]] += 1
     return counts

@@ -460,8 +460,6 @@ _NON_SEMANTIC_CHANGES = {
     "buffer_pool": False,
     "pool_max_bytes": 32 << 20,
     "chunk_checkpoint_every": 512,
-    "speculation_threshold": 0.5,
-    "allow_join": True,
 }
 
 #: (field, changed value) for semantic knobs: each must change the key.

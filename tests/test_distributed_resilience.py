@@ -420,96 +420,39 @@ class TestChunkCheckpoints:
         assert resumes >= 1
 
 
-# -- speculative re-execution (tentpole) -----------------------------------------
+# -- the failover rung ---------------------------------------------------------
+
+#: Every kind of node operation the clean probe trace records.
+NODE_OP_KINDS = ("map", "seal-map", "pull", "ledger-shuffle", "sort",
+                 "ledger-sort", "reduce")
 
 
-class TestSpeculation:
-    def _config(self) -> AssemblyConfig:
-        return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                              speculation_threshold=0.25)
-
-    def test_backup_race_is_byte_identical(self, resilience_data, clean_run):
+class TestFailoverRung:
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", NODE_OP_KINDS)
+    def test_lost_node_fails_over_byte_identically(
+            self, resilience_data, clean_run, kind, which):
+        """No restart budget: one crash loses the node, the survivors
+        adopt its work and the output does not move a byte."""
         clean, node_ops = clean_run
-        reduce_op = next(p.op for p in node_ops if ":reduce[" in p.path)
-        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=reduce_op)])
-        with inject(plan):
-            result = DistributedAssembler(self._config(), N_NODES).assemble(
-                resilience_data.store_path)
-        assert result.degraded is None
-        assert _identity(result) == _identity(clean)
-        # The dead owner's partition was raced: exactly one contender won
-        # and every losing contender is accounted as waste, not output.
-        assert result.notes["speculations"] >= 1
-        assert result.notes.get("speculation_wins", 0) \
-            + result.notes.get("speculation_losses", 0) \
-            == result.notes["speculations"]
-
-    def test_speculation_is_deterministic(self, resilience_data, clean_run):
-        _, node_ops = clean_run
-        reduce_op = next(p.op for p in node_ops if ":reduce[" in p.path)
-        runs = []
-        for _ in range(2):
-            plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=reduce_op)])
-            with inject(plan):
-                runs.append(DistributedAssembler(
-                    self._config(), N_NODES).assemble(
-                        resilience_data.store_path))
-        assert runs[0].token_trace == runs[1].token_trace
-        assert runs[0].notes == runs[1].notes
-        assert _identity(runs[0]) == _identity(runs[1])
-
-    def test_threshold_zero_never_speculates(self, resilience_data, config,
-                                             clean_run):
-        _, node_ops = clean_run
-        reduce_op = next(p.op for p in node_ops if ":reduce[" in p.path)
-        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=reduce_op)])
+        points = [p for p in node_ops
+                  if p.path.split(":", 1)[1].split("[", 1)[0] == kind]
+        point = {"first": points[0], "middle": points[len(points) // 2],
+                 "last": points[-1]}[which]
+        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                node_restarts=0)
+        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
         with inject(plan):
             result = DistributedAssembler(config, N_NODES).assemble(
                 resilience_data.store_path)
-        assert "speculations" not in result.notes
-
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigError):
-            AssemblyConfig(speculation_threshold=-1.0)
-        with pytest.raises(ConfigError):
-            AssemblyConfig(heartbeat_interval=0.5, node_timeout=2.0,
-                           speculation_threshold=0.25)
-
-
-# -- elastic membership (tentpole) -----------------------------------------------
-
-
-class TestElasticMembership:
-    def test_joins_require_allow_join(self, config):
-        with pytest.raises(ConfigError, match="allow_join"):
-            DistributedAssembler(config, 2, joins=(1,))
-
-    def test_negative_join_hop_rejected(self):
-        joinable = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                                  allow_join=True)
-        with pytest.raises(ConfigError):
-            DistributedAssembler(joinable, 2, joins=(-1,))
-
-    def test_mid_run_join_is_byte_identical(self, resilience_data, clean_run):
-        clean, _ = clean_run
-        joinable = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                                  allow_join=True)
-        result = DistributedAssembler(joinable, N_NODES,
-                                      joins=(1,)).assemble(
-                                          resilience_data.store_path)
-        assert result.degraded is None
-        assert _identity(result) == _identity(clean)
-        assert result.notes["nodes_joined"] == 1
-        assert result.notes["join_rebalanced"] >= 1
-        # The joiner (node id == mapping-time node count) really took over
-        # partitions: the token visits it like any founding member.
-        joiner_hops = [e for e in result.token_trace
-                       if e["ok"] and e["node"] == N_NODES]
-        assert len(joiner_hops) >= 1
-        ok_lengths = [e["length"] for e in result.token_trace if e["ok"]]
-        assert sorted(ok_lengths) == sorted(set(ok_lengths))
-        assert sorted(ok_lengths) == sorted(
-            e["length"] for e in clean.token_trace)
+        assert [e.kind for e in plan.events] == [NODE_CRASH], \
+            f"crash at {point.path} did not fire"
+        assert result.notes["nodes_lost"] == 1
+        assert result.notes["failovers"] >= 1
+        assert "node_restarts" not in result.notes
+        assert result.degraded is None, f"loss at {point.path} degraded"
+        assert _identity(result) == _identity(clean), \
+            f"loss at {point.path} changed the output"
 
 
 # -- tracing -------------------------------------------------------------------
@@ -539,37 +482,6 @@ class TestTracedResilience:
             result.notes["backoff_s"])
         assert counts["token_retries"] >= 1
         assert counts["nodes_lost"] == counts["partitions_dropped"] == 0
-
-    def test_speculation_spans_counted(self, resilience_data, tmp_path,
-                                       clean_run):
-        _, node_ops = clean_run
-        reduce_op = next(p.op for p in node_ops if ":reduce[" in p.path)
-        trace_dir = tmp_path / "trace"
-        traced = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                                trace=str(trace_dir),
-                                speculation_threshold=0.25)
-        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=reduce_op)])
-        with inject(plan):
-            result = DistributedAssembler(traced, N_NODES).assemble(
-                resilience_data.store_path)
-        events = load_events(trace_dir / EVENTS_FILE)
-        check_balanced(events)
-        counts = resilience_events(events)
-        assert counts["speculations"] == result.notes["speculations"] >= 1
-        assert counts["speculation_wins"] + counts["speculation_losses"] \
-            == counts["speculations"]
-        assert counts["speculation_wasted_sim_s"] >= 0.0
-
-    def test_join_spans_counted(self, resilience_data, tmp_path):
-        trace_dir = tmp_path / "trace"
-        traced = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                                trace=str(trace_dir), allow_join=True)
-        result = DistributedAssembler(traced, N_NODES, joins=(1,)).assemble(
-            resilience_data.store_path)
-        events = load_events(trace_dir / EVENTS_FILE)
-        check_balanced(events)
-        counts = resilience_events(events)
-        assert counts["nodes_joined"] == result.notes["nodes_joined"] == 1
 
     def test_clean_run_emits_no_resilience_events(self, resilience_data,
                                                   tmp_path):
