@@ -191,8 +191,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         device_budget_bytes=parse_size(args.device_budget),
         cache_dir=args.cache_dir,
         cache_bytes=parse_size(args.cache_bytes),
-        batch_max_bytes=parse_size(args.batch_max_bytes),
-        batch_max_jobs=args.batch_max_jobs,
         tenant_weights=weights,
         workdir=args.workdir or "",
         job_max_attempts=args.job_max_attempts,
@@ -360,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submit the whole job list this many times "
                             "(repeats exercise the cache)")
     serve.add_argument("--max-parallel", type=int, default=1,
-                       help="batches executing concurrently (1 = "
+                       help="jobs executing concurrently (1 = "
                             "deterministic fair order)")
     serve.add_argument("--host-mem", default="1 GB",
                        help="per-job host budget (= admission demand)")
@@ -375,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(empty = caching off)")
     serve.add_argument("--cache-bytes", default="256 MB",
                        help="cache capacity (LRU eviction past it)")
-    serve.add_argument("--batch-max-bytes", default="1 MB",
-                       help="inputs at most this large coalesce into "
-                            "batches (0 = batching off)")
-    serve.add_argument("--batch-max-jobs", type=int, default=4)
     serve.add_argument("--weight", action="append", metavar="TENANT=W",
                        help="fair-share weight for a tenant (repeatable; "
                             "default 1.0)")

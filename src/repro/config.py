@@ -138,17 +138,6 @@ class AssemblyConfig:
         event log plus Chrome/Perfetto trace JSON there (see
         :mod:`repro.trace`). Purely observational: does not affect output
         or the checkpoint fingerprint.
-    buffer_pool:
-        Recycle the real numpy buffers behind device arrays through a
-        free list (:class:`repro.device.memory.BufferPool`) instead of
-        allocating fresh ones per transfer/kernel. Wall-clock only: the
-        simulated clock, metered peaks and every artifact byte are
-        identical either way, so it is excluded from the checkpoint
-        fingerprint.
-    pool_max_bytes:
-        Cap on bytes the buffer-pool free list may retain (``0``, the
-        default, derives the cap from the device budget). Wall-clock
-        only, like ``buffer_pool``.
     heartbeat_interval / node_timeout / reduce_max_attempts /
     retry_backoff_s / node_restarts / allow_degraded:
         Distributed-resilience knobs (see
@@ -182,10 +171,7 @@ class AssemblyConfig:
     device_block_pairs: int = 0
     merge_fanout: int = 2
     dedupe_contigs: bool = True
-    keep_workdir: bool = False
     trace: str = ""
-    buffer_pool: bool = True
-    pool_max_bytes: int = 0
     # -- distributed resilience (repro.distributed.resilience) -----------------
     #: Simulated seconds between worker heartbeats to the supervisor.
     heartbeat_interval: float = 0.25
@@ -216,8 +202,6 @@ class AssemblyConfig:
             raise ConfigError("block/batch overrides must be >= 0 (0 = auto)")
         if self.merge_fanout < 0 or self.merge_fanout == 1:
             raise ConfigError("merge_fanout must be 0 (auto) or >= 2")
-        if self.pool_max_bytes < 0:
-            raise ConfigError("pool_max_bytes must be >= 0 (0 = auto)")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be > 0")
         if self.node_timeout < self.heartbeat_interval:
@@ -264,10 +248,10 @@ class ServiceConfig:
     Parameters
     ----------
     max_parallel:
-        Batches executing concurrently. ``1`` (the default) runs jobs on
+        Jobs executing concurrently. ``1`` (the default) runs jobs on
         the scheduler thread in strict weighted-fair order — fully
         deterministic, which is what the traffic harness asserts against;
-        higher values ship batches to worker threads.
+        higher values ship jobs to worker threads.
     host_budget_bytes / device_budget_bytes:
         The shared memory budgets admission control arbitrates. A job's
         demand is its config's ``memory.host_bytes``/``device_bytes``;
@@ -280,12 +264,6 @@ class ServiceConfig:
         jobs and tenants ("" = caching off).
     cache_bytes:
         Cache capacity; least-recently-used entries are evicted past it.
-    batch_max_bytes:
-        Jobs whose input file is at most this large count as *small* and
-        may be coalesced with other small jobs of the same tenant into one
-        batch sharing a single admission grant (0 = batching off).
-    batch_max_jobs:
-        Most jobs coalesced into one batch.
     tenant_weights:
         Fair-share weight per tenant name (unlisted tenants get 1.0). A
         tenant with weight 2 receives twice the service of a weight-1
@@ -314,8 +292,6 @@ class ServiceConfig:
     device_budget_bytes: int = 512 << 20
     cache_dir: str = ""
     cache_bytes: int = 256 << 20
-    batch_max_bytes: int = 1 << 20
-    batch_max_jobs: int = 4
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
     workdir: str = ""
     job_max_attempts: int = 1
@@ -329,10 +305,6 @@ class ServiceConfig:
             raise ConfigError("service memory budgets must be positive")
         if self.cache_bytes <= 0:
             raise ConfigError("cache_bytes must be positive")
-        if self.batch_max_bytes < 0:
-            raise ConfigError("batch_max_bytes must be >= 0 (0 = no batching)")
-        if self.batch_max_jobs < 1:
-            raise ConfigError("batch_max_jobs must be >= 1")
         for tenant, weight in self.tenant_weights.items():
             if weight <= 0:
                 raise ConfigError(

@@ -107,18 +107,13 @@ def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
 #: different setting of any of them:
 #:
 #: * ``trace`` — observation-only: tracing never changes artifacts,
-#: * ``keep_workdir`` — housekeeping,
 #: * the resilience-policy knobs — they change how failures are survived,
-#:   never what a surviving run produces (recovered runs are byte-identical),
-#: * ``buffer_pool`` / ``pool_max_bytes`` — substrate-only: recycling the
-#:   numpy buffers behind device arrays changes wall-clock time and
-#:   allocator traffic, never an artifact byte or a simulated-clock charge.
-NON_SEMANTIC_KNOBS = ("trace", "keep_workdir",
+#:   never what a surviving run produces (recovered runs are byte-identical).
+NON_SEMANTIC_KNOBS = ("trace",
                       "heartbeat_interval", "node_timeout",
                       "reduce_max_attempts", "retry_backoff_s",
                       "node_restarts", "allow_degraded",
-                      "chunk_checkpoint_every",
-                      "buffer_pool", "pool_max_bytes")
+                      "chunk_checkpoint_every")
 
 
 def semantic_payload(config: AssemblyConfig) -> dict:

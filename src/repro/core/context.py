@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from ..config import AssemblyConfig
 from ..device import SimClock, VirtualGPU
-from ..device.memory import BufferPool, MemoryPool
+from ..device.memory import MemoryPool
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import HostMemoryError
 from ..extmem import IOAccountant
@@ -41,10 +41,7 @@ class RunContext:
         self.accountant = IOAccountant(self.disk, self.clock)
         self.gpu = VirtualGPU(config.device_name,
                               capacity_bytes=config.memory.device_bytes,
-                              clock=self.clock,
-                              buffers=BufferPool(
-                                  config.pool_max_bytes or config.memory.device_bytes,
-                                  enabled=config.buffer_pool))
+                              clock=self.clock)
         self.host_pool = MemoryPool("host", config.memory.host_bytes, HostMemoryError)
         self.scheme = FingerprintScheme(lanes=config.fingerprint_lanes,
                                         seed=config.seed & 0xFFFF)
@@ -56,6 +53,7 @@ class RunContext:
             lambda: self.clock.total_seconds)
         # Read by benchmarks/perf/perf_metrics.py (``.meter.counters()``).
         self.executor = SimpleNamespace(meter=EventMeter())
+        self.gpu.buffers = self.executor.meter
         self.telemetry = Telemetry(tracer=self.tracer)
         self.telemetry.register(self.clock)
         self.telemetry.register(self.accountant)
@@ -76,5 +74,5 @@ class RunContext:
 
     def cleanup(self) -> None:
         """Remove an owned working directory."""
-        if self._owns_workdir and not self.config.keep_workdir:
+        if self._owns_workdir:
             shutil.rmtree(self.workdir, ignore_errors=True)

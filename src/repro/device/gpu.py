@@ -30,28 +30,22 @@ from ..errors import (ConfigError, DeviceError, DeviceMemoryError,
                       SortContractError)
 from . import costs, kernels
 from .clock import SimClock
-from .memory import Allocation, BufferPool, MemoryPool
+from .memory import Allocation, MemoryPool
 from .specs import DeviceSpec, get_device_spec
 
 
 class DeviceArray:
     """A numpy array accounted against a device pool.
 
-    When the owning :class:`VirtualGPU` has a :class:`BufferPool`, the
-    backing numpy buffer returns to its free list on :meth:`free` — the
-    handle must not be reused afterwards (kernel entry points enforce this;
-    raw ``.array`` access after free is undefined).
+    :meth:`free` releases the reservation; the handle must not be reused
+    afterwards (kernel entry points enforce this).
     """
 
-    __slots__ = ("array", "_allocation", "_raw", "_buffers")
+    __slots__ = ("array", "_allocation")
 
-    def __init__(self, array: np.ndarray, allocation: Allocation, *,
-                 raw: np.ndarray | None = None,
-                 buffers: BufferPool | None = None):
+    def __init__(self, array: np.ndarray, allocation: Allocation):
         self.array = array
         self._allocation = allocation
-        self._raw = raw
-        self._buffers = buffers
 
     @property
     def nbytes(self) -> int:
@@ -65,14 +59,7 @@ class DeviceArray:
 
     def free(self) -> None:
         """Release device memory (idempotent). The handle must not be reused."""
-        if not self._allocation.live:
-            return
         self._allocation.free()
-        if self._buffers is not None:
-            raw = self._raw if self._raw is not None \
-                else self._buffers.adoptable(self.array)
-            self._raw = None
-            self._buffers.give(raw)
 
     def __enter__(self) -> "DeviceArray":
         return self
@@ -89,8 +76,7 @@ class VirtualGPU:
 
     def __init__(self, spec: DeviceSpec | str = "K40", *,
                  capacity_bytes: int | None = None,
-                 clock: SimClock | None = None,
-                 buffers: BufferPool | None = None):
+                 clock: SimClock | None = None):
         self.spec = get_device_spec(spec) if isinstance(spec, str) else spec
         self.clock = clock if clock is not None else SimClock()
         self.pool = MemoryPool(
@@ -98,10 +84,6 @@ class VirtualGPU:
             capacity_bytes if capacity_bytes is not None else self.spec.mem_bytes,
             DeviceMemoryError,
         )
-        # Free-list retention can never exceed what the capacity model lets
-        # live at once, so the device budget is a natural default cap.
-        self.buffers = buffers if buffers is not None \
-            else BufferPool(self.pool.capacity_bytes)
 
     # -- transfers ----------------------------------------------------------
 
@@ -112,10 +94,10 @@ class VirtualGPU:
         self.clock.charge("h2d", costs.transfer_seconds(self.spec, source.nbytes))
         if source is not array:
             # ascontiguousarray already copied; a second copy would be waste.
-            return DeviceArray(source, allocation, buffers=self.buffers)
-        device, raw = self.buffers.take(source.shape, source.dtype)
+            return DeviceArray(source, allocation)
+        device = np.empty(source.shape, dtype=source.dtype)
         kernels.copy_records(device, source)
-        return DeviceArray(device, allocation, raw=raw, buffers=self.buffers)
+        return DeviceArray(device, allocation)
 
     def to_host(self, darray: DeviceArray, *,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -137,14 +119,12 @@ class VirtualGPU:
 
     def empty(self, shape, dtype, *, label: str = "empty") -> DeviceArray:
         """Allocate an uninitialized device array (no transfer cost)."""
-        array, raw = self.buffers.take(shape, dtype)
-        return DeviceArray(array, self.pool.alloc(array.nbytes, label=label),
-                           raw=raw, buffers=self.buffers)
+        array = np.empty(shape, dtype=dtype)
+        return DeviceArray(array, self.pool.alloc(array.nbytes, label=label))
 
     def _adopt(self, array: np.ndarray, *, label: str) -> DeviceArray:
         """Wrap a kernel-produced array as device-resident (alloc only)."""
-        return DeviceArray(array, self.pool.alloc(array.nbytes, label=label),
-                           buffers=self.buffers)
+        return DeviceArray(array, self.pool.alloc(array.nbytes, label=label))
 
     @staticmethod
     def _check_live(*darrays: DeviceArray) -> None:
@@ -233,7 +213,7 @@ class VirtualGPU:
         """Radix-sort packed KV records by their key field."""
         self._check_live(records)
         keys = self._key_column(records.array, key_field)
-        out, raw = self.buffers.take(records.array.shape, records.array.dtype)
+        out = np.empty(records.array.shape, dtype=records.array.dtype)
         with self.pool.alloc(records.array.nbytes, label="sort-scratch"):
             order = np.argsort(keys, kind="stable")
             # ``order`` is a permutation, so no index can be out of range:
@@ -244,9 +224,7 @@ class VirtualGPU:
         self.clock.charge("kernel", costs.sort_pairs_seconds(
             self.spec, len(records), keys.dtype.itemsize,
             records.array.dtype.itemsize - keys.dtype.itemsize))
-        return DeviceArray(
-            out, self.pool.alloc(out.nbytes, label="sort-out"),
-            raw=raw, buffers=self.buffers)
+        return self._adopt(out, label="sort-out")
 
     def merge_records_device(self, run_a: np.ndarray, run_b: np.ndarray, *,
                              key_field: str = "key",
@@ -287,7 +265,6 @@ class VirtualGPU:
                                 or out.dtype != record_dtype):
             raise ConfigError("merge out= buffer shape/dtype mismatch")
         reserved: list[Allocation] = []
-        scratch_raw = None
         try:
             for part in parts:
                 reserved.append(self.pool.alloc(part.nbytes, label="merge-way"))
@@ -305,9 +282,8 @@ class VirtualGPU:
             # run order, then position — the tie order of a pairwise fold.
             order = np.argsort(np.concatenate(key_columns), kind="stable")
             out_raw = kernels.raw_view(out)
-            gathered, scratch_raw = self.buffers.take((total,), out_raw.dtype)
-            np.concatenate([kernels.raw_view(part) for part in parts],
-                           out=gathered)
+            gathered = np.concatenate(
+                [kernels.raw_view(part) for part in parts])
             # A permutation again: mode="clip" is safe (see the sort kernel).
             np.take(gathered, order, out=out_raw, mode="clip")
             key_nbytes = key_columns[0].dtype.itemsize
@@ -325,7 +301,6 @@ class VirtualGPU:
         finally:
             for allocation in reserved:
                 allocation.free()
-            self.buffers.give(scratch_raw)
 
     def bounds_records(self, haystack: DeviceArray, queries: DeviceArray, *,
                        key_field: str = "key") -> tuple[DeviceArray, DeviceArray]:

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`~repro.service.scheduler.AssemblyService` /
   :class:`~repro.service.scheduler.JobQueue` — the async job scheduler
-  (weighted fair queuing, admission control, batching, single-flight).
+  (weighted fair queuing, admission control, single-flight).
 * :class:`~repro.service.content_store.ContentStore` /
   :func:`~repro.service.content_store.phase_key` — the content-addressed
   artifact cache shared across jobs and tenants.

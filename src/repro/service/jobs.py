@@ -23,11 +23,10 @@ STATUSES = ("done", "failed", "quarantined", "cancelled", "timed_out", "shed")
 class JobSpec:
     """One assembly request submitted to the service.
 
-    ``size_bytes`` (the input file's size) is the admission and batching
-    proxy for job weight; ``config.memory`` is the job's host/device
-    demand against the service budget. ``deadline_s`` bounds the job's
-    *simulated* seconds: the pipeline checks its own modeled clock at
-    phase boundaries and times out deterministically (0 = no deadline).
+    ``config.memory`` is the job's host/device demand against the service
+    budget. ``deadline_s`` bounds the job's *simulated* seconds: the
+    pipeline checks its own modeled clock at phase boundaries and times
+    out deterministically (0 = no deadline).
     """
 
     job_id: str
@@ -39,14 +38,6 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.deadline_s < 0:
             raise ConfigError("deadline_s must be >= 0 (0 = no deadline)")
-
-    @property
-    def size_bytes(self) -> int:
-        """Input size in bytes (0 when the file is missing)."""
-        try:
-            return Path(self.source).stat().st_size
-        except OSError:
-            return 0
 
 
 @dataclass
@@ -134,7 +125,7 @@ class ServiceReport:
     #: trail: weighted-fair scheduling bounds every prefix of this list).
     execution_order: list[str]
     tenants: dict[str, TenantReport]
-    #: Service meter counters (admissions, batches, single-flight joins…).
+    #: Service meter counters (admissions, single-flight joins…).
     counters: Mapping[str, float]
     #: Content-store counters (hits/misses/evictions/bytes), {} if disabled.
     cache: Mapping[str, float] = field(default_factory=dict)
@@ -220,10 +211,8 @@ class ServiceReport:
                 f"{self.cache.get('cache_evictions', 0):.0f} evictions, "
                 f"{format_size(self.cache.get('bytes', 0))} held")
         joins = self.counters.get("singleflight_joined", 0)
-        batches = self.counters.get("batches_coalesced", 0)
-        if joins or batches:
-            lines.append(f"dedup: {joins:.0f} jobs joined in flight; "
-                         f"{batches:.0f} coalesced batches")
+        if joins:
+            lines.append(f"dedup: {joins:.0f} jobs joined in flight")
         retries = self.counters.get("job_retries", 0)
         promotions = self.counters.get("leader_promoted", 0)
         if retries or promotions:

@@ -11,11 +11,8 @@ arbitrates the shared (virtual) GPU and host-memory budget between tenants:
   budget; it is admitted only when a :class:`~repro.device.memory.MemoryPool`
   grant for *both* succeeds, so the sum of admitted demands can never
   exceed the service budget. Blocked admissions park the scheduler until a
-  running batch releases its grant (strict fair order, no bypass — a large
+  running job releases its grant (strict fair order, no bypass — a large
   job cannot be starved by small ones slipping past it).
-* **Batch coalescing** — consecutive small jobs of one tenant share a
-  single admission grant and run as one batch, so a burst of tiny
-  assemblies does not pay per-job admission latency.
 * **Single-flight dedup** — jobs submitted together whose input content
   *and* semantic configuration are identical execute once; the followers
   join the leader's result (and the content cache serves later
@@ -48,9 +45,9 @@ entirely deterministic on the simulated clock:
    ``max_queued`` bound sheds the lowest-weight queued jobs with a typed
    ``admission_shed`` outcome under overload.
 
-``max_parallel=1`` (the default) executes batches inline on the scheduler
+``max_parallel=1`` (the default) executes jobs inline on the scheduler
 thread — fully deterministic, the mode the traffic harness asserts
-against. Higher values ship batches to worker threads; admission and fair
+against. Higher values ship jobs to worker threads; admission and fair
 ordering still hold (the pools and meters are lock-protected), but
 completion interleaving is OS-scheduled.
 """
@@ -137,21 +134,9 @@ class JobQueue:
         return min(candidates, key=lambda t: (
             self.served[t] / self._config.weight(t), t))
 
-    def take_batch(self, tenant: str) -> list[JobSpec]:
-        """Pop the tenant's next batch: one job, or several coalesced.
-
-        Consecutive *small* jobs (input no larger than ``batch_max_bytes``)
-        at the head of the queue coalesce up to ``batch_max_jobs``; a large
-        job always forms a batch of one.
-        """
-        queue = self._queues[tenant]
-        batch = [queue.popleft()]
-        limit = self._config.batch_max_bytes
-        if limit and batch[0].size_bytes <= limit:
-            while (queue and len(batch) < self._config.batch_max_jobs
-                   and queue[0].size_bytes <= limit):
-                batch.append(queue.popleft())
-        return batch
+    def pop(self, tenant: str) -> JobSpec:
+        """Pop the tenant's oldest queued job."""
+        return self._queues[tenant].popleft()
 
     def shed_lowest(self) -> JobSpec | None:
         """Pop the shedding victim: the *newest* job of the lowest-weight
@@ -389,67 +374,55 @@ class AssemblyService:
             if not len(self._queue):
                 if self._inflight == 0:
                     break
-                # No await between clear() and wait(): batch settlement
+                # No await between clear() and wait(): job settlement
                 # (which sets the event) runs on this same loop thread.
                 self._release.clear()
                 await self._release.wait()
                 continue
             tenant = self._queue.pick()
-            batch = self._queue.take_batch(tenant)
-            admitted = []
-            for spec in batch:
-                if self._is_cancelled(spec.job_id):
-                    self._finish_terminal(spec, self._interrupted(
-                        spec, None, "cancelled",
-                        f"job {spec.job_id} cancelled while queued",
-                        executed=False), outcomes)
-                elif (spec.config.memory.host_bytes
-                        > self.host_pool.capacity_bytes
-                        or spec.config.memory.device_bytes
-                        > self.device_pool.capacity_bytes):
-                    # No release can ever satisfy this demand: fail the job
-                    # fast instead of deadlocking the admission queue.
-                    self.meter.bump("admission_rejected")
-                    self._finish_terminal(spec, JobOutcome(
-                        spec, "failed", executed=False,
-                        error="job memory demand exceeds the service budget"),
-                        outcomes)
-                else:
-                    admitted.append(spec)
-            batch = admitted
-            if not batch:
+            spec = self._queue.pop(tenant)
+            demand_host = spec.config.memory.host_bytes
+            demand_device = spec.config.memory.device_bytes
+            if self._is_cancelled(spec.job_id):
+                self._finish_terminal(spec, self._interrupted(
+                    spec, None, "cancelled",
+                    f"job {spec.job_id} cancelled while queued",
+                    executed=False), outcomes)
                 continue
-            demand_host = max(s.config.memory.host_bytes for s in batch)
-            demand_device = max(s.config.memory.device_bytes for s in batch)
-            if len(batch) > 1:
-                self.meter.bump("batches_coalesced")
-                self.meter.bump("jobs_batched", float(len(batch)))
+            if (demand_host > self.host_pool.capacity_bytes
+                    or demand_device > self.device_pool.capacity_bytes):
+                # No release can ever satisfy this demand: fail the job
+                # fast instead of deadlocking the admission queue.
+                self.meter.bump("admission_rejected")
+                self._finish_terminal(spec, JobOutcome(
+                    spec, "failed", executed=False,
+                    error="job memory demand exceeds the service budget"),
+                    outcomes)
+                continue
             await semaphore.acquire()
             grants = await self._admit(demand_host, demand_device)
             if grants is None:
-                # The service started draining while this batch was parked
+                # The service started draining while this job was parked
                 # at admission: it never held a grant, so it is shed.
                 semaphore.release()
-                for spec in batch:
-                    self._shed_one(spec, outcomes, counter="drain_shed",
-                                   reason="service draining")
+                self._shed_one(spec, outcomes, counter="drain_shed",
+                               reason="service draining")
                 continue
-            self._queue.charge(tenant, float(len(batch)))
-            for spec in batch:
-                self._execution_order.append(spec.job_id)
+            self._queue.charge(tenant, 1.0)
+            self._execution_order.append(spec.job_id)
             if self.config.max_parallel == 1:
                 # Inline on the scheduler thread: strict weighted-fair
                 # execution order, which the determinism tests pin down.
                 try:
-                    results = self._execute_batch(batch, root)
+                    result = self._execute_job(spec, root)
                 finally:
-                    self._finish_batch(grants, semaphore)
-                self._settle_batch(batch, results, outcomes)
+                    self._release_grants(grants, semaphore)
+                self._settle(spec, result, outcomes)
             else:
                 self._inflight += 1
                 tasks.append(asyncio.create_task(
-                    self._run_batch_task(batch, root, outcomes, grants,
-                                         semaphore)))
+                    self._run_job_task(spec, root, outcomes, grants,
+                                       semaphore)))
         if tasks:
             await asyncio.gather(*tasks)
         self._resolve_followers(outcomes)
@@ -488,8 +461,8 @@ class AssemblyService:
 
         Pool ``try_alloc`` is the whole mechanism: a grant that would
         oversubscribe simply fails, and the scheduler parks until a
-        running batch signals a release. Returns ``None`` when the
-        service starts draining before the grant lands (the batch was
+        running job signals a release. Returns ``None`` when the
+        service starts draining before the grant lands (the job was
         never admitted and must be shed, not run).
         """
         while True:
@@ -506,51 +479,46 @@ class AssemblyService:
             self._release.clear()
             await self._release.wait()
 
-    def _finish_batch(self, grants: list, semaphore: asyncio.Semaphore) -> None:
+    def _release_grants(self, grants: list,
+                        semaphore: asyncio.Semaphore) -> None:
         for grant in grants:
             grant.free()
         semaphore.release()
         self._release.set()
 
-    async def _run_batch_task(self, batch, root, outcomes, grants,
-                              semaphore) -> None:
+    async def _run_job_task(self, spec, root, outcomes, grants,
+                            semaphore) -> None:
         try:
-            results = await asyncio.to_thread(self._execute_batch, batch, root)
+            result = await asyncio.to_thread(self._execute_job, spec, root)
             # Settlement (telemetry absorption, retry re-queueing, follower
             # promotion) is not thread-safe: it runs on the loop thread,
-            # after the worker thread is done with the batch.
-            self._settle_batch(batch, results, outcomes)
+            # after the worker thread is done with the job.
+            self._settle(spec, result, outcomes)
         finally:
             self._inflight -= 1
-            self._finish_batch(grants, semaphore)
+            self._release_grants(grants, semaphore)
 
     # -- execution -------------------------------------------------------------
 
-    def _execute_batch(self, batch: list[JobSpec],
-                       root: Path) -> list[JobOutcome]:
-        """Run a batch; returns raw outcomes (settlement happens elsewhere)."""
-        return [self._execute_job(spec, root) for spec in batch]
+    def _settle(self, spec: JobSpec, outcome: JobOutcome,
+                outcomes: dict[str, JobOutcome]) -> None:
+        """Apply the failure ladder to a job's raw outcome.
 
-    def _settle_batch(self, batch: list[JobSpec], results: list[JobOutcome],
-                      outcomes: dict[str, JobOutcome]) -> None:
-        """Apply the failure ladder to each raw outcome.
-
-        Retryable failures re-enter admission; exhausted jobs are
+        A retryable failure re-enters admission; an exhausted job is
         quarantined; everything terminal is recorded, absorbed into the
         service telemetry and may promote a single-flight follower.
         """
-        for spec, outcome in zip(batch, results):
-            if outcome.status == "failed" and outcome.executed:
-                chain = self._error_chains.setdefault(spec.job_id, [])
-                chain.append(outcome.error)
-                attempts = self._attempts.get(spec.job_id, 1)
-                if attempts < self.config.job_max_attempts \
-                        and not self._draining:
-                    self._requeue_retry(spec, attempts, outcome)
-                    continue
-                if attempts >= self.config.job_max_attempts:
-                    outcome = self._quarantine(spec, outcome, chain)
-            self._finish_terminal(spec, outcome, outcomes)
+        if outcome.status == "failed" and outcome.executed:
+            chain = self._error_chains.setdefault(spec.job_id, [])
+            chain.append(outcome.error)
+            attempts = self._attempts.get(spec.job_id, 1)
+            if attempts < self.config.job_max_attempts \
+                    and not self._draining:
+                self._requeue_retry(spec, attempts, outcome)
+                return
+            if attempts >= self.config.job_max_attempts:
+                outcome = self._quarantine(spec, outcome, chain)
+        self._finish_terminal(spec, outcome, outcomes)
 
     def _requeue_retry(self, spec: JobSpec, attempts: int,
                        outcome: JobOutcome) -> None:

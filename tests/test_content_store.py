@@ -450,15 +450,12 @@ def test_equal_ledger_digests_do_not_share_a_cache_entry(tmp_path):
 #: (field, changed value) for every execution-only knob: none may move the key.
 _NON_SEMANTIC_CHANGES = {
     "trace": "/tmp/somewhere",
-    "keep_workdir": True,
     "heartbeat_interval": 0.75,
     "node_timeout": 9.0,
     "reduce_max_attempts": 5,
     "retry_backoff_s": 1.25,
     "node_restarts": 3,
     "allow_degraded": False,
-    "buffer_pool": False,
-    "pool_max_bytes": 32 << 20,
     "chunk_checkpoint_every": 512,
 }
 

@@ -64,11 +64,11 @@ class TestFingerprint:
         c = config_fingerprint(AssemblyConfig(min_overlap=20), "s2")
         assert len({a, b, c}) == 3
 
-    def test_insensitive_to_keep_workdir(self):
+    def test_insensitive_to_trace(self):
         import dataclasses
         base = AssemblyConfig(min_overlap=20)
-        kept = dataclasses.replace(base, keep_workdir=True)
-        assert config_fingerprint(base, "s") == config_fingerprint(kept, "s")
+        traced = dataclasses.replace(base, trace="/tmp/somewhere")
+        assert config_fingerprint(base, "s") == config_fingerprint(traced, "s")
 
 
 class TestResume:

@@ -1,13 +1,16 @@
 """VirtualGPU: capacity enforcement, transfer metering, record kernels."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device import SimClock, VirtualGPU, costs, kernels
-from repro.errors import ConfigError, DeviceMemoryError, SortContractError
+from repro.errors import (ConfigError, DeviceError, DeviceMemoryError,
+                          SortContractError)
 from repro.extmem.records import kv_dtype, make_records
 
 
@@ -51,6 +54,75 @@ class TestTransfers:
     def test_context_manager_frees(self, gpu):
         with gpu.to_device(np.zeros(100, dtype=np.uint8)):
             assert gpu.pool.used_bytes == 100
+        assert gpu.pool.used_bytes == 0
+
+    def test_use_after_free_still_raises(self, gpu):
+        darray = gpu.to_device(np.zeros(300, dtype=np.uint64))
+        darray.free()
+        with pytest.raises(DeviceMemoryError, match="use-after-free"):
+            gpu.to_host(darray)
+        with pytest.raises(DeviceMemoryError, match="use-after-free"):
+            gpu.sort_records_device(darray)
+
+    def test_capacity_enforced_after_free(self):
+        """Freeing returns the reservation, and only the reservation."""
+        gpu = VirtualGPU("K40", capacity_bytes=4096)
+        darray = gpu.empty(500, np.uint64)  # 4000 bytes
+        darray.free()
+        gpu.empty(500, np.uint64)
+        with pytest.raises(DeviceMemoryError):
+            gpu.empty(500, np.uint64)
+
+    def test_to_host_out_reuses_buffer(self, gpu):
+        data = np.arange(300, dtype=np.uint64)
+        darray = gpu.to_device(data)
+        out = np.empty_like(data)
+        result = gpu.to_host(darray, out=out)
+        assert result is out
+        assert np.array_equal(out, data)
+
+    def test_to_device_copies(self, gpu):
+        host = np.zeros(300, dtype=np.uint64)
+        darray = gpu.to_device(host)
+        host[0] = 7
+        assert darray.array[0] == 0
+        assert host.flags.writeable
+
+    def test_to_host_into_read_only_array_raises_typed_error(self, gpu):
+        darray = gpu.to_device(np.arange(300, dtype=np.uint64))
+        frozen = np.empty(300, dtype=np.uint64)
+        frozen.setflags(write=False)
+        with pytest.raises(DeviceError, match="read-only"):
+            gpu.to_host(darray, out=frozen)
+
+    def test_device_memory_error_is_a_device_error(self):
+        # Callers catching the base class keep catching OOM too.
+        assert issubclass(DeviceMemoryError, DeviceError)
+
+    def test_freed_device_array_retains_nothing(self, gpu, rng):
+        """The model is the only memory layer: ``free()`` keeps no buffer."""
+        records = make_records(rng.integers(0, 99, 2000, dtype=np.uint64),
+                               np.arange(2000, dtype=np.uint32))
+        on_device = gpu.to_device(records)
+        sorted_d = gpu.sort_records_device(on_device)
+        # The array that owns the memory, should ``.array`` ever be a view.
+        backings = [weakref.ref(d.array if d.array.base is None
+                                else d.array.base)
+                    for d in (on_device, sorted_d)]
+        run = gpu.to_host(sorted_d)
+        on_device.free()
+        sorted_d.free()
+        del on_device, sorted_d
+        assert all(ref() is None for ref in backings)
+        # The merge launch's gather scratch is as large as its output.
+        out = np.empty(2 * run.shape[0], dtype=run.dtype)
+        tracemalloc.start()
+        try:
+            gpu.merge_records_device_k([run, run], out=out)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < out.nbytes
         assert gpu.pool.used_bytes == 0
 
 

@@ -1,4 +1,4 @@
-"""Assembly service: fairness, admission, batching, single-flight, telemetry."""
+"""Assembly service: fairness, admission, single-flight, telemetry."""
 
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ def _service(tmp_path, **overrides):
     {"host_budget_bytes": 0},
     {"device_budget_bytes": -1},
     {"cache_bytes": 0},
-    {"batch_max_bytes": -1},
-    {"batch_max_jobs": 0},
     {"tenant_weights": {"a": 0.0}},
 ])
 def test_service_config_rejects_bad_knobs(kwargs):
@@ -156,7 +154,7 @@ def test_execution_only_knobs_still_dedup(tmp_path, sources):
 
     service = _service(tmp_path)
     base = _job_config()
-    variant = dataclasses.replace(base, buffer_pool=False)
+    variant = dataclasses.replace(base, trace=str(tmp_path / "trace"))
     report = service.run_jobs([JobSpec("a", "t", sources[0], base),
                                JobSpec("b", "t", sources[0], variant)])
     assert report.counters["pipeline_runs"] == 1
@@ -201,8 +199,7 @@ def test_duplicate_job_ids_rejected(tmp_path, sources):
 
 
 def test_jobqueue_orders_by_served_over_weight():
-    queue = JobQueue(ServiceConfig(tenant_weights={"alice": 2.0},
-                                   batch_max_bytes=0))
+    queue = JobQueue(ServiceConfig(tenant_weights={"alice": 2.0}))
     config = _job_config()
     for index in range(6):
         queue.push(JobSpec(f"a{index}", "alice", f"/na/{index}", config))
@@ -211,9 +208,8 @@ def test_jobqueue_orders_by_served_over_weight():
     order = []
     while len(queue):
         tenant = queue.pick()
-        batch = queue.take_batch(tenant)
-        order.extend(spec.job_id for spec in batch)
-        queue.charge(tenant, float(len(batch)))
+        order.append(queue.pop(tenant).job_id)
+        queue.charge(tenant, 1.0)
     # Tie at 0 served breaks to "alice"; thereafter argmin(served/weight).
     assert order == ["a0", "b0", "a1", "a2", "b1", "a3", "a4", "b2", "a5"]
 
@@ -223,8 +219,7 @@ def test_weighted_fair_prefix_bound(tmp_path, sources):
     for index in range(4, 9):
         sources.append(_write_reads(tmp_path / f"extra{index}.fastq",
                                     seed=200 + index))
-    service = _service(tmp_path, batch_max_bytes=0,
-                       tenant_weights={"alice": 2.0})
+    service = _service(tmp_path, tenant_weights={"alice": 2.0})
     config = _job_config()
     specs = []
     for index in range(6):
@@ -247,7 +242,7 @@ def test_weighted_fair_prefix_bound(tmp_path, sources):
 
 
 def test_unweighted_tenants_alternate(tmp_path, sources):
-    service = _service(tmp_path, batch_max_bytes=0)
+    service = _service(tmp_path)
     config = _job_config()
     specs = [JobSpec("a0", "alice", sources[0], config),
              JobSpec("a1", "alice", sources[1], config),
@@ -265,8 +260,7 @@ def test_no_oversubscription_under_concurrency(tmp_path, sources):
     demand_host, demand_device = 32 << 20, 4 << 20
     service = _service(tmp_path, max_parallel=4,
                        host_budget_bytes=int(demand_host * 2.5),
-                       device_budget_bytes=int(demand_device * 2.5),
-                       batch_max_bytes=0)
+                       device_budget_bytes=int(demand_device * 2.5))
     config = _job_config(demand_host, demand_device)
     specs = [JobSpec(f"job{i}", f"tenant{i}", src, config)
              for i, src in enumerate(sources)]
@@ -283,7 +277,7 @@ def test_no_oversubscription_under_concurrency(tmp_path, sources):
 
 def test_serial_admission_never_blocks(tmp_path, sources):
     service = _service(tmp_path, host_budget_bytes=64 << 20,
-                       device_budget_bytes=8 << 20, batch_max_bytes=0)
+                       device_budget_bytes=8 << 20)
     config = _job_config()
     specs = [JobSpec(f"job{i}", "t", src, config)
              for i, src in enumerate(sources[:2])]
@@ -306,41 +300,6 @@ def test_demand_beyond_budget_fails_fast(tmp_path, sources):
     assert not outcomes["big"].executed
     assert outcomes["ok"].ok
     assert report.counters["admission_rejected"] == 1
-
-
-# -- batch coalescing ----------------------------------------------------------
-
-
-def test_small_jobs_coalesce_into_one_batch(tmp_path, sources):
-    service = _service(tmp_path, batch_max_jobs=4,
-                       batch_max_bytes=10 << 20)
-    config = _job_config()
-    specs = [JobSpec(f"job{i}", "t", src, config)
-             for i, src in enumerate(sources)]
-    report = service.run_jobs(specs)
-    assert report.n_failed == 0
-    assert report.counters["batches_coalesced"] == 1
-    assert report.counters["jobs_batched"] == 4
-    assert report.execution_order == [s.job_id for s in specs]
-    # One admission grant for the whole batch.
-    assert report.peak_host_bytes == 32 << 20
-
-
-def test_batching_respects_max_jobs(tmp_path, sources):
-    service = _service(tmp_path, batch_max_jobs=2, batch_max_bytes=10 << 20)
-    config = _job_config()
-    report = service.run_jobs([JobSpec(f"job{i}", "t", src, config)
-                               for i, src in enumerate(sources)])
-    assert report.counters["batches_coalesced"] == 2
-    assert report.counters["jobs_batched"] == 4
-
-
-def test_large_jobs_never_batch(tmp_path, sources):
-    service = _service(tmp_path, batch_max_bytes=1)  # nothing is "small"
-    config = _job_config()
-    report = service.run_jobs([JobSpec(f"job{i}", "t", src, config)
-                               for i, src in enumerate(sources[:2])])
-    assert "batches_coalesced" not in report.counters
 
 
 # -- parallel execution --------------------------------------------------------

@@ -304,7 +304,7 @@ def test_followers_of_unpromotable_leader_carry_their_own_error(
 def test_drain_finishes_inflight_and_sheds_queued(tmp_path, sources):
     config = _job_config()
     trigger = _Trigger("job-done")
-    service = _service(tmp_path, batch_max_bytes=0, tracer=trigger)
+    service = _service(tmp_path, tracer=trigger)
     trigger.action = service.drain
     specs = [JobSpec(f"job{i}", "t", src, config)
              for i, src in enumerate(sources)]
@@ -356,17 +356,16 @@ def test_max_queued_sheds_lowest_weight_newest_first(tmp_path, sources):
 
 
 def test_parallel_mode_retries_and_quarantines(tmp_path, sources):
-    """The ladder holds when batches run on worker threads.
+    """The ladder holds when jobs run on worker threads.
 
     Settlement (retry re-queueing, quarantine, promotion) happens on the
-    loop thread after each worker batch, and the scheduler parks on its
+    loop thread after each worker job, and the scheduler parks on its
     release event until retried work re-enters the queue — this exercises
     that wake-up path, which serial mode never takes.
     """
     poison = _degenerate(tmp_path)
     config = _job_config()
-    service = _service(tmp_path, max_parallel=3, job_max_attempts=2,
-                       batch_max_bytes=0)
+    service = _service(tmp_path, max_parallel=3, job_max_attempts=2)
     specs = [JobSpec("p", "t", poison, config)] + [
         JobSpec(f"job{i}", "t", src, config)
         for i, src in enumerate(sources)]

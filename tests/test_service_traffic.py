@@ -138,7 +138,7 @@ def test_sources_equal_to_the_ledger_digest_do_not_coalesce(tmp_path):
 
 
 def test_fairness_holds_under_traffic(tmp_path, traffic):
-    report = _run(tmp_path, traffic, "fair", cache=False, batch_max_bytes=0)
+    report = _run(tmp_path, traffic, "fair", cache=False)
     tenants = {spec.job_id: spec.tenant for spec in traffic}
     weights = {"alice": 2.0, "bob": 1.0}
     totals = {t: sum(1 for spec in traffic if spec.tenant == t
@@ -154,8 +154,7 @@ def test_fairness_holds_under_traffic(tmp_path, traffic):
 
 def test_no_oversubscription_under_traffic(tmp_path, traffic):
     report = _run(tmp_path, traffic, "busy", cache=False, max_parallel=4,
-                  host_budget_bytes=80 << 20, device_budget_bytes=10 << 20,
-                  batch_max_bytes=0)
+                  host_budget_bytes=80 << 20, device_budget_bytes=10 << 20)
     assert report.n_failed == 0
     assert report.peak_host_bytes <= 80 << 20
     assert report.peak_device_bytes <= 10 << 20
