@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 from . import __version__
 from .config import AssemblyConfig, MemoryConfig
@@ -113,6 +115,27 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pack_fastq(source: str, dest: Path) -> Path:
+    """Pack the FASTQ ``source`` into a new read store at ``dest``."""
+    from .errors import DatasetError
+    from .seq.fastq import fastq_read_batches
+    from .seq.packing import PackedReadStore
+
+    writer = None
+    try:
+        for batch in fastq_read_batches(source, batch_reads=65536,
+                                        on_invalid="mask"):
+            if writer is None:
+                writer = PackedReadStore.create(dest, batch.read_length)
+            writer.append_batch(batch)
+    finally:
+        if writer is not None:
+            writer.close()
+    if writer is None:
+        raise DatasetError(f"input contains no reads: {source}")
+    return dest
+
+
 def _cmd_distributed(args: argparse.Namespace) -> int:
     from .distributed import DistributedAssembler
 
@@ -124,23 +147,13 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                             node_restarts=args.node_restarts,
                             allow_degraded=not args.no_degraded,
                             chunk_checkpoint_every=args.chunk_checkpoint_every)
-    source = args.reads
-    if not str(source).endswith(".lsgr"):
-        # The simulated cluster's shared input store is packed; convert first.
-        import tempfile
-        from .seq.fastq import fastq_read_batches
-        from .seq.packing import PackedReadStore
-
-        packed = tempfile.NamedTemporaryFile(suffix=".lsgr", delete=False).name
-        writer = None
-        for batch in fastq_read_batches(source, batch_reads=65536,
-                                        on_invalid="mask"):
-            if writer is None:
-                writer = PackedReadStore.create(packed, batch.read_length)
-            writer.append_batch(batch)
-        writer.close()
-        source = packed
-    result = DistributedAssembler(config, args.nodes).assemble(source)
+    # The simulated cluster's shared input store is packed: a FASTQ is
+    # converted into a scratch directory that lives as long as the run.
+    with tempfile.TemporaryDirectory(prefix="lasagna-pack-") as scratch:
+        source = args.reads
+        if not str(source).endswith(".lsgr"):
+            source = _pack_fastq(source, Path(scratch) / "reads.lsgr")
+        result = DistributedAssembler(config, args.nodes).assemble(source)
     print(f"assembled on {args.nodes} simulated nodes: "
           f"{result.n_reads:,} reads -> {result.contigs.n_contigs} contigs "
           f"(N50 {result.stats()['n50']})")

@@ -46,8 +46,8 @@ class RunContext:
         self.scheme = FingerprintScheme(lanes=config.fingerprint_lanes,
                                         seed=config.seed & 0xFFFF)
         # The run's tracer view: the caller's tracer (a SpanTracer for a
-        # traced single run, a node-prefixed BoundTracer in a distributed
-        # cluster) bound to this context's simulated clock, so every span
+        # traced single run, a node-prefixed one in a distributed cluster)
+        # bound to this context's simulated clock, so every span
         # recorded below carries correct modeled timestamps.
         self.tracer = (tracer if tracer is not None else NULL_TRACER).bind(
             lambda: self.clock.total_seconds)

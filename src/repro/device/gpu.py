@@ -230,7 +230,11 @@ class VirtualGPU:
                              key_field: str = "key",
                              out: np.ndarray | None = None) -> np.ndarray:
         """The two-way spelling of :meth:`merge_records_device_k`
-        (``GPU_MERGE`` of Algorithm 1; A-records precede equal B-records)."""
+        (``GPU_MERGE`` of Algorithm 1; A-records precede equal B-records).
+
+        The sorter launches the k-ary spelling for every fanout; this name
+        is a patch target of ``benchmarks/perf/perf_spans.py``.
+        """
         return self._merge_launch([run_a, run_b], key_field, out)
 
     def merge_records_device_k(self, parts: Sequence[np.ndarray], *,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,20 +151,21 @@ class DistributedAssembler:
             tracer = SpanTracer(meta={"mode": "distributed",
                                       "n_nodes": self.n_nodes,
                                       "seed": self.config.seed})
-        try:
-            return self._run(source, root, tracer)
-        finally:
-            # Dump even when a phase raised — a trace of a failed run is
-            # exactly what the chaos harness wants to look at.
-            if tracer is not None:
-                tracer.write(Path(self.config.trace))
+        # A store opened here is closed here, also when a phase raises.
+        with (nullcontext(source) if isinstance(source, PackedReadStore)
+              else PackedReadStore.open(source)) as store:
+            try:
+                return self._run(store, root, tracer)
+            finally:
+                # Dump even when a phase raised — a trace of a failed run
+                # is exactly what the chaos harness wants to look at.
+                if tracer is not None:
+                    tracer.write(Path(self.config.trace))
 
-    def _run(self, source, root: Path,
+    def _run(self, store: PackedReadStore, root: Path,
              tracer: SpanTracer | None) -> DistributedResult:
         messages = ActiveMessageLayer(self.network)
         ctracer = tracer if tracer is not None else NULL_TRACER
-        store = source if isinstance(source, PackedReadStore) \
-            else PackedReadStore.open(source)
         supervisor = ClusterSupervisor(self.config, self.n_nodes, root,
                                        self.network, messages, store,
                                        tracer=tracer, disk=self.disk,
@@ -236,7 +238,7 @@ class DistributedAssembler:
                  "am_dropped": float(messages.messages_dropped),
                  "am_delayed": float(messages.messages_delayed)}
         notes.update(supervisor.meter.counters())
-        result = DistributedResult(
+        return DistributedResult(
             n_nodes=self.n_nodes,
             n_reads=store.n_reads,
             read_length=store.read_length,
@@ -250,9 +252,6 @@ class DistributedAssembler:
             token_trace=token_trace,
             degraded=degraded,
         )
-        if not isinstance(source, PackedReadStore):
-            store.close()
-        return result
 
     def _reduce(self, supervisor: ClusterSupervisor, store: PackedReadStore,
                 lengths: list[int], *, tracer=NULL_TRACER,

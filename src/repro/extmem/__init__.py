@@ -19,8 +19,7 @@ from .records import kv_dtype, make_records, record_fields
 from .io_stats import IOAccountant
 from .streams import RunReader, RunWriter
 from .partitions import PartitionStore
-from .merge import (merge_runs, merge_runs_k, merge_in_memory,
-                    merge_in_memory_k, merge_streams, merge_streams_k)
+from .merge import merge_in_memory_k, merge_streams_k
 from .sort import ExternalSorter, SortReport, derive_fanout, merge_rounds_for
 
 __all__ = [
@@ -31,11 +30,7 @@ __all__ = [
     "RunReader",
     "RunWriter",
     "PartitionStore",
-    "merge_runs",
-    "merge_runs_k",
-    "merge_in_memory",
     "merge_in_memory_k",
-    "merge_streams",
     "merge_streams_k",
     "ExternalSorter",
     "SortReport",

@@ -10,20 +10,19 @@ records over each of the ``k`` runs and, per iteration, either
   that boundary can never be preceded by an unread record) — and hands the
   equalized prefixes to the merge executor (``GPU_MERGE``, line 16).
 
-The paper's pairwise Algorithm 1 is exactly the ``k = 2`` case
-(:func:`merge_streams`); :func:`merge_streams_k` is the fanout-k
-generalization that cuts level-1 merge rounds from ``⌈log₂ R⌉`` to
-``⌈log_k R⌉``, as in the k-way external merges of Bonizzoni et al. and
-Guidi et al.
+The paper's pairwise Algorithm 1 is exactly the ``k = 2`` case;
+:func:`merge_streams_k` is the fanout-k generalization that cuts level-1
+merge rounds from ``⌈log₂ R⌉`` to ``⌈log_k R⌉``, as in the k-way external
+merges of Bonizzoni et al. and Guidi et al.
 
 The same routine is used at both levels of the two-level model: disk runs
 merged through host memory, and host blocks merged through device memory;
 only the chunk *source*, the *emit* sink, and the merge executor differ.
-The executor is either a binary ``merge_fn`` (equalized prefixes are folded
-pairwise in a balanced tournament) or a k-ary ``merge_fn_k`` (a gathered
-k-way device kernel). Output order is always globally sorted; ordering
-among equal keys is not preserved across window boundaries (fingerprints
-do not need it).
+The executor is a k-ary ``merge_fn_k`` (a gathered k-way device kernel, or
+:func:`tournament_fold` over a binary merge when the equalized prefixes
+exceed the device budget). Output order is always globally sorted;
+ordering among equal keys is not preserved across window boundaries
+(fingerprints do not need it).
 """
 
 from __future__ import annotations
@@ -37,11 +36,9 @@ from ..errors import ConfigError, SortContractError
 from ..trace.tracer import NULL_TRACER
 from .records import KEY_FIELD
 
-#: ``merge_fn(a, b, out=None)``: merge two sorted parts. The merged run
+#: ``merge_fn_k(parts, out=None)``: merge k sorted parts. The merged run
 #: goes into ``out`` when one is given (and is returned), else into a
 #: fresh array.
-MergeFn = Callable[..., np.ndarray]
-#: ``merge_fn_k(parts, out=None)``: the k-ary spelling of :data:`MergeFn`.
 MergeKFn = Callable[..., np.ndarray]
 EmitFn = Callable[[np.ndarray], None]
 
@@ -68,16 +65,17 @@ class ArraySource:
         return chunk
 
 
-def tournament_fold(parts: list[np.ndarray], merge_fn: MergeFn,
-                     out: np.ndarray | None) -> np.ndarray:
+def tournament_fold(parts: list[np.ndarray],
+                    merge_pair: Callable[..., np.ndarray],
+                    out: np.ndarray | None) -> np.ndarray:
     """Fold k sorted parts into one via balanced pairwise merges.
 
-    Only the final merge lands in ``out``; earlier rounds produce
-    intermediates.
+    ``merge_pair(a, b, out=None)`` merges two sorted parts. Only the final
+    merge lands in ``out``; earlier rounds produce intermediates.
     """
     while len(parts) > 1:
         dest = out if len(parts) == 2 else None
-        folded = [merge_fn(parts[i], parts[i + 1], out=dest)
+        folded = [merge_pair(parts[i], parts[i + 1], out=dest)
                   for i in range(0, len(parts) - 1, 2)]
         if len(parts) % 2:
             folded.append(parts[-1])
@@ -242,8 +240,8 @@ class _RunWindow:
 
 
 def _algorithm1(windows: list, emit: EmitFn | None, *,
-                merge_fn: MergeFn | None, merge_fn_k: MergeKFn | None,
-                out: np.ndarray | None = None, tracer=NULL_TRACER) -> int:
+                merge_fn_k: MergeKFn, out: np.ndarray | None = None,
+                tracer=NULL_TRACER) -> int:
     """The one Algorithm 1 loop; returns the number of records emitted.
 
     ``windows`` are :class:`_Window` or :class:`_RunWindow` (same
@@ -272,10 +270,8 @@ def _algorithm1(windows: list, emit: EmitFn | None, *,
             # a sink may hold it past the next refill.
             merged = np.empty_like(parts[0]) if dest is None else dest
             copy_records(merged, parts[0])
-        elif merge_fn_k is not None:
-            merged = merge_fn_k(parts, out=dest)
         else:
-            merged = tournament_fold(parts, merge_fn, dest)
+            merged = merge_fn_k(parts, out=dest)
         _put(merged, in_place=merged is dest)
 
     active = list(range(len(windows)))
@@ -326,59 +322,35 @@ def _algorithm1(windows: list, emit: EmitFn | None, *,
             _merge_parts(parts)
 
 
-def _check_executors(window_records: int, merge_fn, merge_fn_k) -> None:
-    if window_records < 1:
-        raise ConfigError("window_records must be >= 1")
-    if merge_fn is None and merge_fn_k is None:
-        raise ConfigError("Algorithm 1 needs merge_fn or merge_fn_k")
-
-
 def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
-                    window_records: int, merge_fn: MergeFn | None = None,
-                    merge_fn_k: MergeKFn | None = None,
+                    window_records: int, merge_fn_k: MergeKFn,
                     key_field: str = KEY_FIELD, tracer=NULL_TRACER) -> int:
     """Fanout-k Algorithm 1 over streams; returns the records emitted.
 
-    ``window_records`` is ``M/k`` — the per-run window size; the merge
-    executor therefore never sees more than ``len(sources) *
-    window_records`` records. ``merge_fn_k`` merges the equalized window
-    prefixes in one shot when provided; otherwise the binary ``merge_fn``
-    is folded over them pairwise. At least one executor is required.
+    This is the *first level* of the hybrid sort when the sources are
+    on-disk runs and ``emit`` a run writer's ``append``. ``window_records``
+    is ``M/k`` — the per-run window size; the merge executor
+    ``merge_fn_k`` therefore never sees more than ``len(sources) *
+    window_records`` records, the equalized window prefixes.
     Every array handed to ``emit`` is fresh or detached, so a sink may
     hold it. ``tracer`` records a span per
     equalized-window merge (and an instant per pass-through window); only
     the level-1 disk merge passes a real one — the inner level-2 merges
     would flood the event log.
     """
-    _check_executors(window_records, merge_fn, merge_fn_k)
+    if window_records < 1:
+        raise ConfigError("window_records must be >= 1")
     sources = list(sources)
     if not sources:
         return 0
     empty = sources[0].read(0)
     windows = [_Window(source, index, window_records, key_field, empty)
                for index, source in enumerate(sources)]
-    return _algorithm1(windows, emit, merge_fn=merge_fn,
-                       merge_fn_k=merge_fn_k, tracer=tracer)
-
-
-def merge_streams(source_a: ChunkSource, source_b: ChunkSource, emit: EmitFn, *,
-                  window_records: int, merge_fn: MergeFn,
-                  key_field: str = KEY_FIELD) -> int:
-    """Run pairwise Algorithm 1 (the ``k = 2`` case of
-    :func:`merge_streams_k`); returns the number of records emitted.
-
-    ``window_records`` is ``M/2`` — the per-run window size; the merge
-    executor therefore never sees more than ``2 * window_records`` records.
-    """
-    return merge_streams_k([source_a, source_b], emit,
-                           window_records=window_records, merge_fn=merge_fn,
-                           key_field=key_field)
+    return _algorithm1(windows, emit, merge_fn_k=merge_fn_k, tracer=tracer)
 
 
 def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
-                      merge_fn: MergeFn | None = None,
-                      merge_fn_k: MergeKFn | None = None,
-                      key_field: str = KEY_FIELD,
+                      merge_fn_k: MergeKFn, key_field: str = KEY_FIELD,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Fanout-k Algorithm 1 over in-memory runs; returns the merged run.
 
@@ -391,7 +363,8 @@ def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
     runs = list(runs)
     if not runs:
         raise ConfigError("merge_in_memory_k needs at least one run")
-    _check_executors(window_records, merge_fn, merge_fn_k)
+    if window_records < 1:
+        raise ConfigError("window_records must be >= 1")
     total = sum(run.shape[0] for run in runs)
     if out is None:
         out = np.empty(total, dtype=runs[0].dtype)
@@ -399,37 +372,5 @@ def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
         raise ConfigError("merge out= buffer shape/dtype mismatch")
     windows = [_RunWindow(run, index, window_records, key_field)
                for index, run in enumerate(runs)]
-    _algorithm1(windows, None, merge_fn=merge_fn, merge_fn_k=merge_fn_k,
-                out=out)
+    _algorithm1(windows, None, merge_fn_k=merge_fn_k, out=out)
     return out
-
-
-def merge_in_memory(records_a: np.ndarray, records_b: np.ndarray, *,
-                    window_records: int, merge_fn: MergeFn,
-                    key_field: str = KEY_FIELD) -> np.ndarray:
-    """Pairwise Algorithm 1 over two in-memory runs; returns the merged run."""
-    return merge_in_memory_k([records_a, records_b],
-                             window_records=window_records, merge_fn=merge_fn,
-                             key_field=key_field)
-
-
-def merge_runs_k(readers: Sequence[ChunkSource], writer, *,
-                 window_records: int, merge_fn: MergeFn | None = None,
-                 merge_fn_k: MergeKFn | None = None,
-                 key_field: str = KEY_FIELD, tracer=NULL_TRACER) -> int:
-    """Fanout-k Algorithm 1 over on-disk runs; appends to an open RunWriter.
-
-    This is the *first level*: disk runs merged through host memory.
-    """
-    return merge_streams_k(readers, writer.append,
-                           window_records=window_records, merge_fn=merge_fn,
-                           merge_fn_k=merge_fn_k, key_field=key_field,
-                           tracer=tracer)
-
-
-def merge_runs(reader_a, reader_b, writer, *, window_records: int,
-               merge_fn: MergeFn, key_field: str = KEY_FIELD) -> int:
-    """Pairwise Algorithm 1 over two on-disk runs (``k = 2``)."""
-    return merge_runs_k([reader_a, reader_b], writer,
-                        window_records=window_records, merge_fn=merge_fn,
-                        key_field=key_field)

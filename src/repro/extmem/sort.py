@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,12 +156,6 @@ class ExternalSorter:
         sorted_d.free()
         return out
 
-    def _device_merge(self, run_a: np.ndarray, run_b: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """``GPU_MERGE``: one fused two-way launch per window pair."""
-        return self.gpu.merge_records_device(
-            run_a, run_b, key_field=self.key_field, out=out)
-
     def merge_windows(self, parts: list[np.ndarray],
                       out: np.ndarray | None = None) -> np.ndarray:
         """Merge equalized window prefixes through the device (k-ary executor).
@@ -203,10 +198,11 @@ class ExternalSorter:
     def merge_blocks_in_host(self, records_a: np.ndarray, records_b: np.ndarray,
                              out: np.ndarray | None = None) -> np.ndarray:
         """Merge two sorted host blocks via device-sized windows (level 2)."""
-        return merge_in_memory_k([records_a, records_b],
-                                 window_records=self.device_merge_window,
-                                 merge_fn=self._device_merge,
-                                 key_field=self.key_field, out=out)
+        return merge_in_memory_k(
+            [records_a, records_b], window_records=self.device_merge_window,
+            merge_fn_k=partial(self.gpu.merge_records_device_k,
+                               key_field=self.key_field),
+            key_field=self.key_field, out=out)
 
     # -- level 1: disk-backed run sorting ---------------------------------------
 

@@ -71,7 +71,7 @@ from ..errors import (AdmissionError, FaultInjected, JobCancelled,
                       JobDeadlineExceeded, ReproError)
 from ..faults import plan as faults
 from ..faults.retry import RetryPolicy
-from ..telemetry import EventMeter, Telemetry
+from ..telemetry import EventMeter
 from .content_store import ContentStore, phase_key
 from .jobs import JobOutcome, JobSpec, QuarantineEntry, ServiceReport, TenantReport
 
@@ -183,13 +183,6 @@ class AssemblyService:
         if self.config.cache_dir:
             self.store = ContentStore(self.config.cache_dir,
                                       self.config.cache_bytes, tracer=tracer)
-        #: Aggregate telemetry over all jobs, phase rows namespaced by job
-        #: id (see :meth:`repro.telemetry.Telemetry.absorb`).
-        self.telemetry = Telemetry(tracer=tracer)
-        for meter in (self.host_pool, self.device_pool, self.meter):
-            self.telemetry.register(meter)
-        if self.store is not None:
-            self.telemetry.register(self.store.meter)
         #: Poison jobs that exhausted their attempts, oldest first; their
         #: content identities are barred from future admission.
         self.quarantine: list[QuarantineEntry] = []
@@ -490,9 +483,9 @@ class AssemblyService:
                             semaphore) -> None:
         try:
             result = await asyncio.to_thread(self._execute_job, spec, root)
-            # Settlement (telemetry absorption, retry re-queueing, follower
-            # promotion) is not thread-safe: it runs on the loop thread,
-            # after the worker thread is done with the job.
+            # Settlement (retry re-queueing, follower promotion) is not
+            # thread-safe: it runs on the loop thread, after the worker
+            # thread is done with the job.
             self._settle(spec, result, outcomes)
         finally:
             self._inflight -= 1
@@ -505,8 +498,8 @@ class AssemblyService:
         """Apply the failure ladder to a job's raw outcome.
 
         A retryable failure re-enters admission; an exhausted job is
-        quarantined; everything terminal is recorded, absorbed into the
-        service telemetry and may promote a single-flight follower.
+        quarantined; everything terminal is recorded and may promote a
+        single-flight follower.
         """
         if outcome.status == "failed" and outcome.executed:
             chain = self._error_chains.setdefault(spec.job_id, [])
@@ -558,7 +551,6 @@ class AssemblyService:
         if outcome.promoted_from is None and spec.job_id in self._promoted:
             outcome.promoted_from = self._promoted[spec.job_id]
         outcomes[spec.job_id] = outcome
-        self._absorb(outcome)
         self._maybe_promote(spec, outcome, outcomes)
 
     def _maybe_promote(self, spec: JobSpec, outcome: JobOutcome,
@@ -684,12 +676,6 @@ class AssemblyService:
         return JobOutcome(spec, "failed", error=error, workdir=workdir,
                           attempts=attempt,
                           wall_seconds=time.perf_counter() - start)
-
-    def _absorb(self, outcome: JobOutcome) -> None:
-        if outcome.result is None:
-            return
-        for stats in outcome.result.telemetry:
-            self.telemetry.absorb(stats, namespace=outcome.spec.job_id)
 
     def _resolve_followers(self, outcomes: dict[str, JobOutcome]) -> None:
         """Resolve single-flight followers whose leader reached a verdict.

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Protocol
 
+from .errors import ReproError
+from .trace.tracer import NULL_TRACER
 from .units import format_duration, format_size
 
 
@@ -161,10 +163,9 @@ class EventMeter:
 class _PhaseContext:
     """Context manager produced by :meth:`Telemetry.phase`.
 
-    Phases nest: entering an inner phase folds the gauges observed so far
-    into every *enclosing* context's accumulator before resetting the
-    meters, so an outer phase's peak covers its whole extent — including
-    everything that happened inside inner phases (outer peak ≥ inner peak).
+    Phases are sequential: every meter's gauges are reset on entry and read
+    on exit, so a phase entered while another is open would erase the outer
+    one's peaks. Entering one raises :class:`~repro.errors.ReproError`.
     """
 
     def __init__(self, telemetry: "Telemetry", name: str):
@@ -172,38 +173,30 @@ class _PhaseContext:
         self._name = name
         self._start_wall = 0.0
         self._start_counters: dict[str, float] = {}
-        self._peak_acc: dict[str, float] = {}
         self._span_handle = -1
-
-    def _fold_current_peaks(self) -> dict[str, float]:
-        peaks = self._peak_acc
-        for meter in self._telemetry._meters:
-            for key, value in meter.peaks().items():
-                peaks[key] = max(peaks.get(key, 0.0), value)
-        return peaks
 
     def _snapshot_into(self, stats: PhaseStats) -> None:
         end_counters = self._telemetry._counter_totals()
         for key, value in end_counters.items():
             stats.counters[key] = value - self._start_counters.get(key, 0.0)
-        # Meters are NOT reset here: the gauges since the last reset (this
-        # phase's entry) stay visible, so enclosing phases absorb them too.
-        stats.peaks = dict(self._fold_current_peaks())
+        for meter in self._telemetry._meters:
+            for key, value in meter.peaks().items():
+                stats.peaks[key] = max(stats.peaks.get(key, 0.0), value)
 
     def __enter__(self) -> "_PhaseContext":
-        self._start_counters = self._telemetry._counter_totals()
-        # Bank the peaks the enclosing phases have already seen — resetting
-        # the meters for this phase must not erase them.
-        for enclosing in self._telemetry._active:
-            enclosing._fold_current_peaks()
-        for meter in self._telemetry._meters:
+        telemetry = self._telemetry
+        if telemetry._open is not None:
+            raise ReproError(
+                f"telemetry phase {self._name!r} entered inside open phase "
+                f"{telemetry._open!r}: phases do not nest")
+        self._start_counters = telemetry._counter_totals()
+        for meter in telemetry._meters:
             meter.reset_peaks()
-        self._peak_acc = {}
-        self._telemetry._active.append(self)
-        tracer = self._telemetry.tracer
-        tracer.push_phase(self._name)
+        telemetry._open = self._name
+        tracer = telemetry.tracer
+        tracer.set_phase(self._name)
         # The span begin shares this exact stamp with wall_seconds, so the
-        # traced phase duration reconciles with telemetry to the float.
+        # traced phase duration equals the telemetry row to the float.
         self._start_wall = time.perf_counter()
         self._span_handle = tracer.begin(
             self._name, track="pipeline", cat="phase", det=True,
@@ -219,8 +212,7 @@ class _PhaseContext:
         try:
             if error is None:
                 # A meter raising here propagates to the caller — but via
-                # the finally below it can no longer leak this context on
-                # the active stack.
+                # the finally below it can no longer leave the phase open.
                 self._snapshot_into(stats)
                 self._telemetry._record(stats)
             else:
@@ -233,18 +225,10 @@ class _PhaseContext:
                     pass
                 self._telemetry._failed.append(stats)
         finally:
-            try:
-                self._telemetry._active.remove(self)
-            except ValueError:
-                pass
+            self._telemetry._open = None
             tracer = self._telemetry.tracer
             tracer.end(self._span_handle, at=end_wall, error=error)
-            tracer.pop_phase()
-
-
-#: Separator between a job namespace and a phase name in aggregated stats
-#: (``"job003/map"``). Chosen so it can never collide with a phase name.
-NAMESPACE_SEP = "/"
+            tracer.set_phase("")
 
 
 class Telemetry:
@@ -253,25 +237,15 @@ class Telemetry:
     Phases with the same name occurring more than once (e.g. per-partition
     sort rounds) are merged: wall times and counters accumulate, peaks take
     the maximum — matching how the paper reports one row per phase.
-
-    A *service-level* aggregate collecting many concurrent jobs must not
-    let two jobs' same-named phases collide at collection time: their
-    counter deltas come from different meter sets and their peaks are
-    unrelated, so silently merging ``map`` with ``map`` produces totals
-    attributed to the wrong job. Use :meth:`absorb` with a per-job
-    namespace, and :meth:`merged_by_phase` for correct cross-job totals.
     """
 
-    def __init__(self, *, tracer=None) -> None:
-        if tracer is None:
-            # Lazy: repro.trace's package init reaches back into this
-            # module, so the import must not run at telemetry import time.
-            from .trace.tracer import NULL_TRACER as tracer
+    def __init__(self, *, tracer=NULL_TRACER) -> None:
         self.tracer = tracer
         self._meters: list[Meter] = []
         self._phases: dict[str, PhaseStats] = {}
         self._order: list[str] = []
-        self._active: list[_PhaseContext] = []
+        #: Name of the phase currently open, if any (phases do not nest).
+        self._open: str | None = None
         self._failed: list[PhaseStats] = []
 
     def register(self, meter: Meter) -> None:
@@ -295,40 +269,6 @@ class Telemetry:
         else:
             self._phases[stats.name] = stats
             self._order.append(stats.name)
-
-    def absorb(self, stats: PhaseStats, *, namespace: str | None = None) -> None:
-        """Fold a finished :class:`PhaseStats` from another run into this one.
-
-        With a ``namespace`` (a job id), the stats are recorded under
-        ``"<namespace>/<name>"`` so two concurrent jobs running the same
-        phase land in distinct rows — the collision fix for multi-tenant
-        aggregation. Failed stats go to :attr:`failed`, never the totals.
-        """
-        name = (f"{namespace}{NAMESPACE_SEP}{stats.name}" if namespace
-                else stats.name)
-        copied = PhaseStats(name, stats.wall_seconds, dict(stats.counters),
-                            dict(stats.peaks), stats.error)
-        if copied.error is None:
-            self._record(copied)
-        else:
-            self._failed.append(copied)
-
-    def merged_by_phase(self) -> dict[str, PhaseStats]:
-        """Per-phase totals with job namespaces stripped.
-
-        ``job001/map`` and ``job002/map`` merge into one ``map`` row (wall
-        times and counters add, peaks take the max over jobs) — the
-        cross-job analog of the paper's one-row-per-phase tables.
-        """
-        merged: dict[str, PhaseStats] = {}
-        for stats in self:
-            base = stats.name.rsplit(NAMESPACE_SEP, 1)[-1]
-            renamed = PhaseStats(base, stats.wall_seconds,
-                                 dict(stats.counters), dict(stats.peaks),
-                                 stats.error)
-            merged[base] = (merged[base].merged_with(renamed)
-                            if base in merged else renamed)
-        return merged
 
     def __iter__(self) -> Iterator[PhaseStats]:
         return (self._phases[name] for name in self._order)

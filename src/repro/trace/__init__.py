@@ -2,17 +2,15 @@
 
 See :mod:`repro.trace.tracer` for the recording side,
 :mod:`repro.trace.perfetto` for the Chrome/Perfetto trace-JSON export, and
-:mod:`repro.trace.analysis` for summarization and telemetry reconciliation.
+:mod:`repro.trace.analysis` for reading a finished trace back.
 """
 
-from .analysis import (TraceSummary, TrackSummary, cache_events,
-                       check_balanced, load_events, reconcile,
-                       resilience_events, service_resilience_events,
-                       summarize, validate_perfetto)
+from .analysis import (TraceSummary, TrackSummary, check_balanced,
+                       load_events, summarize, validate_perfetto)
 from .perfetto import build_perfetto, pair_spans
 from .tracer import (EVENTS_FILE, MANIFEST_FILE, NULL_TRACER, PERFETTO_FILE,
-                     PERFETTO_SIM_FILE, TRACE_FORMAT_VERSION, BoundTracer,
-                     NullTracer, SpanTracer)
+                     PERFETTO_SIM_FILE, TRACE_FORMAT_VERSION, NullTracer,
+                     SpanTracer)
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -21,18 +19,13 @@ __all__ = [
     "PERFETTO_FILE",
     "PERFETTO_SIM_FILE",
     "SpanTracer",
-    "BoundTracer",
     "NullTracer",
     "NULL_TRACER",
     "build_perfetto",
     "pair_spans",
     "load_events",
-    "cache_events",
     "check_balanced",
     "summarize",
-    "reconcile",
-    "resilience_events",
-    "service_resilience_events",
     "validate_perfetto",
     "TraceSummary",
     "TrackSummary",

@@ -11,9 +11,10 @@ timeline:
   (:class:`~repro.device.clock.SimClock` total seconds). Events land on
   named *tracks* — pipeline, sort, merge, cache, one per distributed node —
   which become the rows of the exported timeline.
-* :class:`BoundTracer` — a view over a shared root tracer that injects a
-  simulated-clock source and a track prefix; a distributed worker node
-  binds the cluster's tracer with its own clock and a ``nodeNN/`` prefix.
+* :meth:`SpanTracer.bind` — a second tracer over the same event log with
+  its own simulated-clock source and track prefix; a distributed worker
+  node binds the cluster's tracer with its own clock and a ``nodeNN/``
+  prefix.
 * :data:`NULL_TRACER` — the disabled singleton. Every instrument site in
   the pipeline calls through a tracer unconditionally; with tracing off
   the calls hit no-op methods and a cached no-op span, so nothing is
@@ -30,6 +31,7 @@ run to run for the same input.
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import time
@@ -102,6 +104,20 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _EventLog:
+    """What a :class:`SpanTracer` shares with every tracer bound from it."""
+
+    __slots__ = ("lock", "epoch", "events", "open", "next_id", "phase")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.epoch = time.perf_counter()
+        self.events: list[dict] = []
+        self.open: dict[int, tuple[str, str, str, bool]] = {}
+        self.next_id = 0
+        self.phase = ""
+
+
 class SpanTracer:
     """Thread-safe span recorder for one run.
 
@@ -115,13 +131,9 @@ class SpanTracer:
 
     def __init__(self, *, sim_time: SimTime | None = None,
                  meta: Mapping[str, Any] | None = None):
-        self._lock = threading.Lock()
-        self._epoch = time.perf_counter()
-        self._events: list[dict] = []
-        self._open: dict[int, tuple[str, str, str, bool]] = {}
-        self._next_id = 0
-        self._phase_stack: list[str] = []
-        #: Default simulated-clock source (a bound tracer overrides it).
+        self._log = _EventLog()
+        self._prefix = ""
+        #: Default simulated-clock source of the events this tracer records.
         self.sim_time = sim_time
         self.meta = dict(meta or {})
 
@@ -129,7 +141,7 @@ class SpanTracer:
 
     def _wall(self, at: float | None) -> float:
         raw = time.perf_counter() if at is None else at
-        return raw - self._epoch
+        return raw - self._log.epoch
 
     def _sim(self, clock: SimTime | None) -> float:
         source = clock if clock is not None else self.sim_time
@@ -137,26 +149,15 @@ class SpanTracer:
 
     # -- phase tagging --------------------------------------------------------
 
-    @property
-    def current_phase(self) -> str:
-        """The innermost telemetry phase currently open ("" outside phases)."""
-        stack = self._phase_stack
-        return stack[-1] if stack else ""
-
-    def push_phase(self, name: str) -> None:
-        """Enter a telemetry phase: subsequent events are tagged with it."""
-        self._phase_stack.append(name)
-
-    def pop_phase(self) -> None:
-        """Leave the innermost telemetry phase."""
-        if self._phase_stack:
-            self._phase_stack.pop()
+    def set_phase(self, name: str) -> None:
+        """Tag subsequent events with telemetry phase ``name`` ("" for none)."""
+        self._log.phase = name
 
     # -- recording ------------------------------------------------------------
 
     def _record(self, event: dict) -> None:
-        with self._lock:
-            self._events.append(event)
+        with self._log.lock:
+            self._log.events.append(event)
 
     def begin(self, name: str, *, track: str = "main", cat: str = "span",
               det: bool = False, clock: SimTime | None = None,
@@ -168,33 +169,35 @@ class SpanTracer:
         (so a caller timing the region itself produces a span of exactly
         the duration it measured); omitted, the tracer stamps now.
         """
+        log = self._log
+        track = self._prefix + track
         event = {
             "ph": "B", "name": name, "track": track, "cat": cat, "det": det,
-            "phase": self.current_phase,
+            "phase": log.phase,
             "wall": self._wall(at), "sim": self._sim(clock),
         }
         if args:
             event["args"] = dict(args)
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
+        with log.lock:
+            span_id = log.next_id
+            log.next_id += 1
             event["id"] = span_id
-            self._open[span_id] = (name, track, cat, det)
-            self._events.append(event)
+            log.open[span_id] = (name, track, cat, det)
+            log.events.append(event)
         return span_id
 
     def end(self, handle: int, *, clock: SimTime | None = None,
             at: float | None = None, error: str | None = None,
             args: Mapping[str, Any] | None = None) -> None:
         """Record the end event matching a :meth:`begin` handle."""
-        with self._lock:
-            opened = self._open.pop(handle, None)
+        with self._log.lock:
+            opened = self._log.open.pop(handle, None)
         if opened is None:
             return
         name, track, cat, det = opened
         event = {
             "ph": "E", "id": handle, "name": name, "track": track, "cat": cat,
-            "det": det, "phase": self.current_phase,
+            "det": det, "phase": self._log.phase,
             "wall": self._wall(at), "sim": self._sim(clock),
         }
         if error is not None:
@@ -220,30 +223,32 @@ class SpanTracer:
         simulated stamps (the distributed reduce records token hops at
         modeled times its own arithmetic produced).
         """
+        log = self._log
         sim_now = self._sim(clock) if sim0 is None or sim1 is None else 0.0
         base = {
-            "name": name, "track": track, "cat": cat, "det": det,
-            "phase": self.current_phase,
+            "name": name, "track": self._prefix + track, "cat": cat,
+            "det": det, "phase": log.phase,
         }
         if args:
             base["args"] = dict(args)
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
+        with log.lock:
+            span_id = log.next_id
+            log.next_id += 1
             begin = dict(base, ph="B", id=span_id, wall=self._wall(begin_wall),
                          sim=sim_now if sim0 is None else float(sim0))
             end = dict(base, ph="E", id=span_id, wall=self._wall(end_wall),
                        sim=sim_now if sim1 is None else float(sim1))
-            self._events.append(begin)
-            self._events.append(end)
+            log.events.append(begin)
+            log.events.append(end)
 
     def instant(self, name: str, *, track: str = "main", cat: str = "span",
                 det: bool = False, clock: SimTime | None = None,
                 sim_at: float | None = None, **args: Any) -> None:
         """Record a zero-duration marker event."""
         event = {
-            "ph": "I", "name": name, "track": track, "cat": cat, "det": det,
-            "phase": self.current_phase, "wall": self._wall(None),
+            "ph": "I", "name": name, "track": self._prefix + track,
+            "cat": cat, "det": det,
+            "phase": self._log.phase, "wall": self._wall(None),
             "sim": self._sim(clock) if sim_at is None else float(sim_at),
         }
         if args:
@@ -255,19 +260,25 @@ class SpanTracer:
     @property
     def events(self) -> list[dict]:
         """A snapshot of every recorded event, in record order."""
-        with self._lock:
-            return list(self._events)
+        with self._log.lock:
+            return list(self._log.events)
 
     @property
     def open_spans(self) -> int:
         """Spans begun but not yet ended (non-zero mid-run or after a crash)."""
-        with self._lock:
-            return len(self._open)
+        with self._log.lock:
+            return len(self._log.open)
 
     def bind(self, sim_time: SimTime | None = None, *,
-             prefix: str = "") -> "BoundTracer":
-        """A view recording into this tracer with its own clock/track prefix."""
-        return BoundTracer(self, sim_time, prefix)
+             prefix: str = "") -> "SpanTracer":
+        """A tracer recording into this one's event log with its own clock
+        (falling back to this one's) and ``prefix`` appended to the track
+        prefix, so several contexts interleave into one log with
+        distinguishable tracks and correct modeled timestamps."""
+        bound = copy.copy(self)
+        bound.sim_time = sim_time or self.sim_time
+        bound._prefix = self._prefix + prefix
+        return bound
 
     # -- output ---------------------------------------------------------------
 
@@ -316,90 +327,6 @@ class SpanTracer:
         return files
 
 
-class BoundTracer:
-    """A recording view over a shared root :class:`SpanTracer`.
-
-    Injects a simulated-clock source (a run's / node's own
-    :class:`~repro.device.clock.SimClock`) and a track prefix, so several
-    contexts can interleave into one event log with distinguishable tracks
-    and correct modeled timestamps. Binds compose: a node-prefixed view
-    bound again with a clock keeps the prefix.
-    """
-
-    enabled = True
-
-    def __init__(self, root: SpanTracer, sim_time: SimTime | None,
-                 prefix: str = ""):
-        self.root = root
-        self._sim_time = sim_time
-        self._prefix = prefix
-
-    def _clock(self, clock: SimTime | None) -> SimTime | None:
-        return clock if clock is not None else self._sim_time
-
-    def _track(self, track: str) -> str:
-        return self._prefix + track
-
-    @property
-    def current_phase(self) -> str:
-        """The shared root's innermost open phase."""
-        return self.root.current_phase
-
-    def push_phase(self, name: str) -> None:
-        """Enter a telemetry phase on the shared root."""
-        self.root.push_phase(name)
-
-    def pop_phase(self) -> None:
-        """Leave the innermost telemetry phase on the shared root."""
-        self.root.pop_phase()
-
-    def begin(self, name: str, *, track: str = "main", cat: str = "span",
-              det: bool = False, clock: SimTime | None = None,
-              at: float | None = None, args: Mapping[str, Any] | None = None,
-              ) -> int:
-        """Record a begin event through the root (prefixed track, own clock)."""
-        return self.root.begin(name, track=self._track(track), cat=cat,
-                               det=det, clock=self._clock(clock), at=at,
-                               args=args)
-
-    def end(self, handle: int, *, clock: SimTime | None = None,
-            at: float | None = None, error: str | None = None,
-            args: Mapping[str, Any] | None = None) -> None:
-        """Record the matching end event through the root."""
-        self.root.end(handle, clock=self._clock(clock), at=at, error=error,
-                      args=args)
-
-    def span(self, name: str, *, track: str = "main", cat: str = "span",
-             det: bool = False, clock: SimTime | None = None,
-             **args: Any) -> _Span:
-        """A ``with``-able span recording through the root."""
-        return _Span(self.root, name, self._track(track), cat, det,
-                     self._clock(clock), args or None)
-
-    def complete(self, name: str, begin_wall: float, end_wall: float, *,
-                 track: str = "main", cat: str = "span", det: bool = False,
-                 clock: SimTime | None = None, sim0: float | None = None,
-                 sim1: float | None = None, **args: Any) -> None:
-        """Record an already-measured span through the root."""
-        self.root.complete(name, begin_wall, end_wall,
-                           track=self._track(track), cat=cat, det=det,
-                           clock=self._clock(clock), sim0=sim0, sim1=sim1,
-                           **args)
-
-    def instant(self, name: str, *, track: str = "main", cat: str = "span",
-                det: bool = False, clock: SimTime | None = None,
-                sim_at: float | None = None, **args: Any) -> None:
-        """Record a marker event through the root."""
-        self.root.instant(name, track=self._track(track), cat=cat, det=det,
-                          clock=self._clock(clock), sim_at=sim_at, **args)
-
-    def bind(self, sim_time: SimTime | None = None, *,
-             prefix: str = "") -> "BoundTracer":
-        """Bind again: new clock (falling back to this one), appended prefix."""
-        return BoundTracer(self.root, sim_time or self._sim_time,
-                           self._prefix + prefix)
-
-
 class NullTracer:
     """The disabled tracer: every method is a no-op, every span is cached.
 
@@ -410,12 +337,8 @@ class NullTracer:
     """
 
     enabled = False
-    current_phase = ""
 
-    def push_phase(self, name: str) -> None:
-        """No-op."""
-
-    def pop_phase(self) -> None:
+    def set_phase(self, name: str) -> None:
         """No-op."""
 
     def begin(self, name: str, **kwargs: Any) -> int:

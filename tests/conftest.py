@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.sort_phase import run_sort
 from repro.seq.datasets import tiny_dataset
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
+from repro.trace import pair_spans
 
 
 @pytest.fixture()
@@ -92,6 +94,15 @@ def colliding_sources(directory):
     assert file_digest(first) == file_digest(second)
     assert first.read_bytes() != second.read_bytes()
     return first, second
+
+
+def spans_by_name(events) -> defaultdict[str, list[dict]]:
+    """A trace's spans and instants, grouped by name: what a counted event
+    left on the timeline, to hold against the meter that owns its count."""
+    groups: defaultdict[str, list[dict]] = defaultdict(list)
+    for span in pair_spans(events)[0]:
+        groups[span["name"]].append(span)
+    return groups
 
 
 def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleNamespace:

@@ -9,8 +9,10 @@ fault-kind rotations; a failed seed reproduces locally with the same value.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.faults import (BITFLIP, CRASH, LEDGER, PHASE, READ, TORN, WRITE,
                           CrashLoop, Fault, FaultPlan, inject, result_digest,
                           scan_residue)
 from repro.seq.datasets import tiny_dataset
+from repro.seq.packing import PackedReadStore
 
 #: Seeds the crash loop sweeps; CI's chaos job overrides with 3 fixed seeds.
 CHAOS_SEEDS = [int(s) for s in
@@ -223,8 +226,8 @@ def test_merge_rejects_unsorted_input(tmp_path):
             RunReader(tmp_path / "bad.run", dtype) as b:
         with pytest.raises(SortContractError):
             merge_streams_k([a, b], out.append, window_records=8,
-                            merge_fn=lambda x, y: np.sort(
-                                np.concatenate([x, y]), order="key"))
+                            merge_fn_k=lambda parts, out=None: np.sort(
+                                np.concatenate(parts), order="key"))
 
 
 def test_corrupted_sorted_partition_detected_on_resume(chaos_data, config,
@@ -306,6 +309,31 @@ class TestDistributedToken:
             with pytest.raises(DistributedProtocolError, match="token lost"):
                 DistributedAssembler(strict, self.N_NODES).assemble(
                     md.store_path)
+
+    def test_failing_run_closes_the_store_it_opened(self, chaos_data, config,
+                                                    monkeypatch):
+        md, _ = chaos_data
+        opened = []
+        real_open = PackedReadStore.open
+
+        def spy(cls, path, meter=None):
+            opened.append(real_open(path, meter))
+            return opened[-1]
+
+        monkeypatch.setattr(PackedReadStore, "open", classmethod(spy))
+        plan = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run",
+                                once=False)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with inject(plan), pytest.raises(DistributedProtocolError):
+                DistributedAssembler(replace(config, allow_degraded=False),
+                                     self.N_NODES).assemble(md.store_path)
+            with pytest.raises(ValueError, match="closed file"):
+                opened[0].read_packed_slice(0, 1)
+            del opened[:]
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestArmedPlanPausesStreamFastPaths:

@@ -1,8 +1,11 @@
 """The lasagna CLI."""
 
+import tempfile
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import DatasetError
 
 
 class TestParser:
@@ -70,6 +73,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "3 simulated nodes" in out and "shuffle" in out
         assert contigs.exists()
+
+    def test_distributed_fastq_leaves_no_packed_copy(self, tmp_path,
+                                                     monkeypatch):
+        reads = tmp_path / "r.fastq"
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        main(["simulate-reads", "--genome-length", "800", "--read-length", "40",
+              "--coverage", "8", "-o", str(reads)])
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["distributed", str(reads), "--nodes", "2",
+                     "--min-overlap", "20"]) == 0
+        assert list(scratch.iterdir()) == []
+        empty = tmp_path / "empty.fastq"
+        empty.write_text("")
+        with pytest.raises(DatasetError, match="no reads.*empty.fastq"):
+            main(["distributed", str(empty), "--nodes", "2",
+                  "--min-overlap", "20"])
+        assert list(scratch.iterdir()) == []
 
     def test_figures(self, capsys):
         assert main(["figures"]) == 0

@@ -21,8 +21,9 @@ from repro.faults import (CHUNK, MESSAGE, MSG_DELAY, MSG_DROP, NODE,
                           NODE_CRASH, Fault, FaultPlan, RetryPolicy, inject)
 from repro.faults.plan import DEFAULT_MSG_DELAY_S
 from repro.seq.datasets import tiny_dataset
-from repro.trace import (EVENTS_FILE, check_balanced, load_events,
-                         resilience_events)
+from repro.trace import EVENTS_FILE, check_balanced, load_events
+
+from .conftest import spans_by_name
 
 MIN_OVERLAP = 24
 N_NODES = 3
@@ -474,14 +475,20 @@ class TestTracedResilience:
                 resilience_data.store_path)
         events = load_events(trace_dir / EVENTS_FILE)
         check_balanced(events)
-        counts = resilience_events(events)
-        assert counts["restarts"] == result.notes["node_restarts"] >= 1
-        assert counts["heartbeat_misses"] >= 1
-        assert counts["backoffs"] == result.notes["backoffs"] >= 1
-        assert counts["backoff_sim_s"] == pytest.approx(
-            result.notes["backoff_s"])
-        assert counts["token_retries"] >= 1
-        assert counts["nodes_lost"] == counts["partitions_dropped"] == 0
+        # Every rung left on the timeline what its meter counted.
+        traced = spans_by_name(events)
+        restarts = [span for span in traced["failover"]
+                    if span["args"]["action"] == "restart"]
+        assert len(restarts) == result.notes["node_restarts"] >= 1
+        assert len(traced["heartbeat-miss"]) \
+            == result.notes["heartbeat_misses"] >= 1
+        assert len(traced["backoff"]) == result.notes["backoffs"] >= 1
+        assert sum(span["sim1"] - span["sim0"] for span in traced["backoff"]) \
+            == pytest.approx(result.notes["backoff_s"])
+        assert len(traced["token-retry"]) >= 1
+        assert not traced["node-lost"] and not traced["partition-dropped"]
+        assert "nodes_lost" not in result.notes
+        assert "partitions_dropped" not in result.notes
 
     def test_clean_run_emits_no_resilience_events(self, resilience_data,
                                                   tmp_path):
@@ -489,5 +496,7 @@ class TestTracedResilience:
         traced = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                                 trace=str(trace_dir))
         DistributedAssembler(traced, 2).assemble(resilience_data.store_path)
-        counts = resilience_events(load_events(trace_dir / EVENTS_FILE))
-        assert all(v == 0 for v in counts.values())
+        traced = spans_by_name(load_events(trace_dir / EVENTS_FILE))
+        assert not any(span["cat"] == "resilience"
+                       for spans in traced.values() for span in spans)
+        assert not traced["token-retry"]

@@ -1,4 +1,4 @@
-"""Algorithm 1: window-equalized merging (pairwise and fanout-k)."""
+"""Algorithm 1: window-equalized merging (fanout-k; pairwise is ``[a, b]``)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device.kernels import merge_sorted_records_k
 from repro.errors import ConfigError, SortContractError
-from repro.extmem import (RunReader, RunWriter, merge_in_memory,
-                          merge_in_memory_k, merge_runs, merge_runs_k,
+from repro.extmem import (RunReader, RunWriter, merge_in_memory_k,
                           merge_streams_k)
 from repro.extmem.merge import ArraySource
 from repro.extmem.records import kv_dtype, make_records
@@ -33,6 +32,12 @@ def _host_merge(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return _land(merged, out)
 
 
+def _host_merge_k(parts, out=None) -> np.ndarray:
+    _, (merged,) = merge_sorted_records_k(
+        [part["key"] for part in parts], [(part,) for part in parts])
+    return _land(merged, out)
+
+
 sorted_keys = st.lists(st.integers(0, 50), min_size=0, max_size=120)
 
 
@@ -41,7 +46,8 @@ class TestMergeInMemory:
     @settings(max_examples=80)
     def test_multiset_and_order(self, a_keys, b_keys, window):
         a, b = _run(a_keys), _run(b_keys)
-        merged = merge_in_memory(a, b, window_records=window, merge_fn=_host_merge)
+        merged = merge_in_memory_k([a, b], window_records=window,
+                                   merge_fn_k=_host_merge_k)
         expected = np.sort(np.concatenate([a["key"], b["key"]]))
         assert np.array_equal(merged["key"], expected)
         # values form the same multiset (no record lost or duplicated)
@@ -51,33 +57,38 @@ class TestMergeInMemory:
     def test_window_one_still_correct(self):
         """Degenerate windows force the equalization path constantly."""
         a, b = _run([1, 1, 1, 2, 5]), _run([1, 3, 3, 9])
-        merged = merge_in_memory(a, b, window_records=1, merge_fn=_host_merge)
+        merged = merge_in_memory_k([a, b], window_records=1,
+                                   merge_fn_k=_host_merge_k)
         assert merged["key"].tolist() == [1, 1, 1, 1, 2, 3, 3, 5, 9]
 
     def test_pass_through_fast_path(self):
-        """Totally ordered windows are copied without calling merge_fn."""
+        """Totally ordered windows are copied without calling the executor."""
         calls = []
 
-        def spy(a, b, out=None):
-            calls.append((a.shape[0], b.shape[0]))
-            return _host_merge(a, b, out)
+        def spy(parts, out=None):
+            calls.append([part.shape[0] for part in parts])
+            return _host_merge_k(parts, out)
 
         a, b = _run([1, 2, 3, 4]), _run([10, 11, 12, 13])
-        merged = merge_in_memory(a, b, window_records=4, merge_fn=spy)
+        merged = merge_in_memory_k([a, b], window_records=4, merge_fn_k=spy)
         assert merged["key"].tolist() == [1, 2, 3, 4, 10, 11, 12, 13]
         assert calls == []
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):
-            merge_in_memory(_run([1]), _run([2]), window_records=0,
-                            merge_fn=_host_merge)
+            merge_in_memory_k([_run([1]), _run([2])], window_records=0,
+                              merge_fn_k=_host_merge_k)
+        with pytest.raises(ConfigError):
+            merge_streams_k([ArraySource(_run([1]))], lambda _: None,
+                            window_records=0, merge_fn_k=_host_merge_k)
 
     def test_empty_inputs(self):
-        merged = merge_in_memory(_run([]), _run([]), window_records=4,
-                                 merge_fn=_host_merge)
+        merged = merge_in_memory_k([_run([]), _run([])], window_records=4,
+                                   merge_fn_k=_host_merge_k)
         assert merged.shape[0] == 0
-        one_sided = merge_in_memory(_run([1, 2]), _run([]), window_records=4,
-                                    merge_fn=_host_merge)
+        one_sided = merge_in_memory_k([_run([1, 2]), _run([])],
+                                      window_records=4,
+                                      merge_fn_k=_host_merge_k)
         assert one_sided["key"].tolist() == [1, 2]
 
 
@@ -87,7 +98,7 @@ class TestMergeStreamsK:
     def test_multiset_and_order(self, runs_keys, window):
         runs = [_run(keys) for keys in runs_keys]
         merged = merge_in_memory_k(runs, window_records=window,
-                                   merge_fn=_host_merge)
+                                   merge_fn_k=_host_merge_k)
         expected = np.sort(np.concatenate([r["key"] for r in runs]))
         assert np.array_equal(merged["key"], expected)
         assert sorted(merged["val"].tolist()) \
@@ -96,11 +107,11 @@ class TestMergeStreamsK:
     @given(sorted_keys, sorted_keys, st.integers(1, 40))
     @settings(max_examples=40)
     def test_k2_matches_pairwise(self, a_keys, b_keys, window):
+        """Windowed Algorithm 1 at k = 2 against one plain pairwise merge."""
         a, b = _run(a_keys), _run(b_keys)
-        pairwise = merge_in_memory(a, b, window_records=window,
-                                   merge_fn=_host_merge)
+        pairwise = _host_merge(a, b)
         kway = merge_in_memory_k([a, b], window_records=window,
-                                 merge_fn=_host_merge)
+                                 merge_fn_k=_host_merge_k)
         assert np.array_equal(pairwise["key"], kway["key"])
 
     def test_pass_through_fast_path(self):
@@ -135,22 +146,22 @@ class TestMergeStreamsK:
 
     def test_single_and_empty_sources(self):
         only = merge_in_memory_k([_run([3, 1])], window_records=4,
-                                 merge_fn=_host_merge)
+                                 merge_fn_k=_host_merge_k)
         assert only["key"].tolist() == [1, 3]
         padded = merge_in_memory_k([_run([]), _run([2, 4]), _run([])],
-                                   window_records=4, merge_fn=_host_merge)
+                                   window_records=4, merge_fn_k=_host_merge_k)
         assert padded["key"].tolist() == [2, 4]
         with pytest.raises(ConfigError):
-            merge_in_memory_k([], window_records=4, merge_fn=_host_merge)
+            merge_in_memory_k([], window_records=4, merge_fn_k=_host_merge_k)
 
     def test_requires_an_executor(self):
-        with pytest.raises(ConfigError, match="merge_fn"):
+        with pytest.raises(TypeError, match="merge_fn_k"):
             merge_streams_k([ArraySource(_run([1]))], lambda _: None,
                             window_records=4)
 
     def test_no_sources_emits_nothing(self):
         assert merge_streams_k([], lambda _: None, window_records=4,
-                               merge_fn=_host_merge) == 0
+                               merge_fn_k=_host_merge_k) == 0
 
 
 def _tagged_run(keys, tag: int) -> np.ndarray:
@@ -170,9 +181,7 @@ def _both_window_kinds(runs, window):
 
         def executor(parts, out=None):
             seen.append([part.shape[0] for part in parts])
-            _, (merged,) = merge_sorted_records_k(
-                [part["key"] for part in parts], [(part,) for part in parts])
-            return _land(merged, out)
+            return _host_merge_k(parts, out)
 
         if in_memory:
             merged = merge_in_memory_k(runs, window_records=window,
@@ -216,19 +225,19 @@ class TestViewWindows:
         """Pass-through and survivor windows are copied, never aliased."""
         runs = [_tagged_run([1, 2], 0), _tagged_run([10, 11], 1)]
         merged = merge_in_memory_k(runs, window_records=4,
-                                   merge_fn=_host_merge)
+                                   merge_fn_k=_host_merge_k)
         assert not any(np.shares_memory(merged, run) for run in runs)
 
     def test_lands_in_out(self):
         runs = [_tagged_run([1, 4, 7], 0), _tagged_run([2, 4, 8], 1)]
         out = np.empty(6, dtype=runs[0].dtype)
         merged = merge_in_memory_k(runs, window_records=2,
-                                   merge_fn=_host_merge, out=out)
+                                   merge_fn_k=_host_merge_k, out=out)
         assert merged is out
         assert out["key"].tolist() == [1, 2, 4, 4, 7, 8]
         assert out["val"].tolist() == [0, 1000, 1, 1001, 2, 1002]
         with pytest.raises(ConfigError, match="out="):
-            merge_in_memory_k(runs, window_records=2, merge_fn=_host_merge,
+            merge_in_memory_k(runs, window_records=2, merge_fn_k=_host_merge_k,
                               out=np.empty(5, dtype=runs[0].dtype))
 
     def test_unsorted_run_rejected(self):
@@ -237,7 +246,7 @@ class TestViewWindows:
                            np.zeros(3, dtype=np.uint32))
         with pytest.raises(SortContractError, match="merge input 1"):
             merge_in_memory_k([good, bad], window_records=2,
-                              merge_fn=_host_merge)
+                              merge_fn_k=_host_merge_k)
 
 
 class TestMergeRunsK:
@@ -251,8 +260,9 @@ class TestMergeRunsK:
                    for index in range(len(runs))]
         try:
             with RunWriter(tmp_path / "merged", dtype) as writer:
-                emitted = merge_runs_k(readers, writer, window_records=48,
-                                       merge_fn=_host_merge)
+                emitted = merge_streams_k(readers, writer.append,
+                                          window_records=48,
+                                          merge_fn_k=_host_merge_k)
         finally:
             for reader in readers:
                 reader.close()
@@ -274,8 +284,9 @@ class TestMergeRuns:
         with RunReader(tmp_path / "a", dtype) as reader_a, \
                 RunReader(tmp_path / "b", dtype) as reader_b, \
                 RunWriter(tmp_path / "c", dtype) as writer:
-            emitted = merge_runs(reader_a, reader_b, writer,
-                                 window_records=64, merge_fn=_host_merge)
+            emitted = merge_streams_k([reader_a, reader_b], writer.append,
+                                      window_records=64,
+                                      merge_fn_k=_host_merge_k)
         assert emitted == 800
         with RunReader(tmp_path / "c", dtype) as reader:
             merged = reader.read_all()

@@ -8,7 +8,6 @@ from repro.config import AssemblyConfig, MemoryConfig, ServiceConfig
 from repro.errors import AdmissionError, ConfigError
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.service import AssemblyService, JobQueue, JobSpec
-from repro.telemetry import PhaseStats, Telemetry
 
 
 def _write_reads(path, seed, *, genome_length=500, read_length=40,
@@ -59,44 +58,7 @@ def test_tenant_weight_defaults_to_one():
     assert config.weight("anyone-else") == 1.0
 
 
-# -- telemetry namespacing (the concurrent-job collision fix) ------------------
-
-
-def test_absorb_namespaces_keep_concurrent_jobs_apart():
-    telemetry = Telemetry()
-    job1 = PhaseStats("map", wall_seconds=1.0, counters={"sim_seconds": 2.0},
-                      peaks={"device_bytes": 100.0})
-    job2 = PhaseStats("map", wall_seconds=3.0, counters={"sim_seconds": 4.0},
-                      peaks={"device_bytes": 300.0})
-    telemetry.absorb(job1, namespace="job001")
-    telemetry.absorb(job2, namespace="job002")
-    # Without namespacing these two collide into one merged "map" row and
-    # per-job attribution is lost — the bug this PR fixes.
-    assert "job001/map" in telemetry and "job002/map" in telemetry
-    assert "map" not in telemetry
-    assert telemetry["job001/map"].wall_seconds == 1.0
-    assert telemetry["job002/map"].peaks["device_bytes"] == 300.0
-
-
-def test_merged_by_phase_strips_namespaces():
-    telemetry = Telemetry()
-    telemetry.absorb(PhaseStats("map", 1.0, {"sim_seconds": 2.0},
-                                {"device_bytes": 100.0}), namespace="job001")
-    telemetry.absorb(PhaseStats("map", 3.0, {"sim_seconds": 4.0},
-                                {"device_bytes": 300.0}), namespace="job002")
-    merged = telemetry.merged_by_phase()
-    assert set(merged) == {"map"}
-    assert merged["map"].wall_seconds == 4.0          # walls add
-    assert merged["map"].counters["sim_seconds"] == 6.0
-    assert merged["map"].peaks["device_bytes"] == 300.0  # peaks max
-
-
-def test_absorb_failed_stats_stay_out_of_totals():
-    telemetry = Telemetry()
-    telemetry.absorb(PhaseStats("sort", 1.0, error="Boom: x"),
-                     namespace="job001")
-    assert "job001/sort" not in telemetry
-    assert [stats.name for stats in telemetry.failed] == ["job001/sort"]
+# -- per-job telemetry ---------------------------------------------------------
 
 
 def test_service_telemetry_has_one_row_per_job_phase(tmp_path, sources):
@@ -105,11 +67,14 @@ def test_service_telemetry_has_one_row_per_job_phase(tmp_path, sources):
     report = service.run_jobs([JobSpec("a", "t", sources[0], config),
                                JobSpec("b", "t", sources[1], config)])
     assert report.n_failed == 0
-    for phase in ("load", "map", "sort", "reduce", "compress"):
-        assert f"a/{phase}" in service.telemetry
-        assert f"b/{phase}" in service.telemetry
-    assert set(service.telemetry.merged_by_phase()) \
-        == {"load", "map", "sort", "reduce", "compress"}
+    # Each job's rows stay on its own result: same-named phases of two jobs
+    # never meet in one Telemetry.
+    a, b = (outcome.result.telemetry for outcome in report.outcomes)
+    assert a is not b
+    for telemetry in (a, b):
+        assert [stats.name for stats in telemetry] \
+            == ["load", "map", "sort", "reduce", "compress"]
+    assert not hasattr(service, "telemetry")
 
 
 # -- single-flight dedup -------------------------------------------------------

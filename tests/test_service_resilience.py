@@ -18,7 +18,9 @@ from repro.faults import ENOSPC, WRITE, Fault, FaultPlan, inject, scan_residue
 from repro.faults.retry import RetryPolicy
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.service import AssemblyService, JobSpec
-from repro.trace import NullTracer, SpanTracer, service_resilience_events
+from repro.trace import NullTracer, SpanTracer, pair_spans
+
+from .conftest import spans_by_name
 
 #: Seeds the chaos sweep runs; each draws its own crash/ENOSPC op index.
 CHAOS_SEEDS = [11, 23, 47]
@@ -391,14 +393,22 @@ def test_service_resilience_events_rolls_up_the_ladder(tmp_path, sources):
     report = service.run_jobs([JobSpec("p", "t", poison, config),
                                JobSpec("gone", "t", sources[0], config),
                                JobSpec("ok", "t", sources[1], config)])
-    counts = service_resilience_events(tracer.events)
-    assert counts["job_retries"] == 1
-    assert counts["quarantined"] == 1
-    assert counts["cancelled"] == 1
-    assert counts["retry_backoff_sim_s"] == pytest.approx(
-        report.counters["retry_backoff_sim_s"])
-    assert counts["admission_shed"] == 0 and counts["drain_shed"] == 0
-    assert counts["leaders_promoted"] == 0
+    # Every rung left on the service track what the meter counted.
+    traced = spans_by_name(tracer.events)
+    counters = report.counters
+    assert len(traced["job-retry"]) == counters["job_retries"] == 1
+    assert len(traced["quarantined"]) == counters["jobs_quarantined"] == 1
+    assert len(traced["job-cancelled"]) == counters["jobs_cancelled"] == 1
+    assert sum(span["args"]["backoff_s"] for span in traced["job-retry"]) \
+        == pytest.approx(counters["retry_backoff_sim_s"])
+    assert not any(traced[name] for name in (
+        "shed", "leader-promoted", "job-timed-out", "quarantine-hit"))
+    assert counters.keys().isdisjoint({
+        "admission_shed", "drain_shed", "leader_promoted", "jobs_timed_out",
+        "quarantine_hits"})
+    assert all(span["track"] == "service"
+               for name in ("job-retry", "quarantined", "job-cancelled")
+               for span in traced[name])
 
 
 def test_clean_run_emits_no_ladder_events(tmp_path, sources):
@@ -407,8 +417,8 @@ def test_clean_run_emits_no_ladder_events(tmp_path, sources):
     config = _job_config()
     report = service.run_jobs([JobSpec("a", "t", sources[0], config)])
     assert report.n_done == 1
-    counts = service_resilience_events(tracer.events)
-    assert all(value == 0 for value in counts.values())
+    assert {span["name"] for span in pair_spans(tracer.events)[0]
+            if span["track"] == "service"} == {"job-start", "job-done"}
 
 
 def test_report_summary_and_accounting_split_outcome_classes(tmp_path, sources):

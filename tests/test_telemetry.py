@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.telemetry import PhaseStats, Telemetry, format_metric
 
 
@@ -51,49 +52,6 @@ class TestTelemetry:
         with telemetry.phase("map"):
             meter.bump(10)
         assert telemetry["map"].peaks["gauge"] == 10
-
-    def test_nested_phase_outer_peak_covers_inner(self):
-        """The outer phase's peak must reflect its whole extent — activity
-        before, during, and after an inner phase (outer peak >= inner)."""
-        telemetry = Telemetry()
-        meter = FakeMeter()
-        telemetry.register(meter)
-        with telemetry.phase("outer"):
-            meter.bump(20)   # pre-inner spike: the outer maximum
-            meter.drop(20)
-            with telemetry.phase("inner"):
-                meter.bump(5)
-                meter.drop(5)
-            meter.bump(1)
-            meter.drop(1)
-        assert telemetry["inner"].peaks["gauge"] == 5
-        assert telemetry["outer"].peaks["gauge"] == 20
-        assert telemetry["outer"].peaks["gauge"] \
-            >= telemetry["inner"].peaks["gauge"]
-
-    def test_nested_phase_inner_spike_propagates_outward(self):
-        telemetry = Telemetry()
-        meter = FakeMeter()
-        telemetry.register(meter)
-        with telemetry.phase("outer"):
-            meter.bump(3)
-            meter.drop(3)
-            with telemetry.phase("inner"):
-                meter.bump(50)   # inner spike: also the outer maximum
-                meter.drop(50)
-        assert telemetry["inner"].peaks["gauge"] == 50
-        assert telemetry["outer"].peaks["gauge"] == 50
-
-    def test_nested_phase_counters_still_delta(self):
-        telemetry = Telemetry()
-        meter = FakeMeter()
-        telemetry.register(meter)
-        with telemetry.phase("outer"):
-            meter.bump(10)
-            with telemetry.phase("inner"):
-                meter.bump(7)
-        assert telemetry["inner"].counters["bytes"] == 7
-        assert telemetry["outer"].counters["bytes"] == 17
 
     def test_sequential_phases_still_isolated_after_nesting(self):
         """A later sibling phase must not inherit an earlier phase's peak."""
@@ -196,27 +154,31 @@ class TestPhaseFailure:
         with pytest.raises(RuntimeError, match="meter broke"):
             with telemetry.phase("load"):
                 meter.explode = True
-        # The context came off the active stack despite the snapshot error,
-        # so later phases still work.
+        # The phase was closed despite the snapshot error, so later phases
+        # still work.
         meter.explode = False
         with telemetry.phase("load"):
             pass
         assert telemetry["load"].error is None
 
     def test_inner_failure_leaves_outer_phase_intact(self):
+        """Phases do not nest: entering one inside another raises, records
+        nothing for the inner name and leaves the outer phase measured."""
         telemetry = Telemetry()
         meter = FakeMeter()
         telemetry.register(meter)
         with telemetry.phase("outer"):
             meter.bump(3)
-            with pytest.raises(ValueError):
+            with pytest.raises(ReproError, match="'inner'.*'outer'"):
                 with telemetry.phase("inner"):
-                    meter.bump(4)
-                    raise ValueError("inner boom")
+                    meter.bump(100)
             meter.bump(5)
-        assert "inner" not in telemetry
-        assert telemetry["outer"].counters["bytes"] == 12
-        assert telemetry.failed[0].name == "inner"
+        assert "inner" not in telemetry and telemetry.failed == []
+        assert telemetry["outer"].counters["bytes"] == 8
+        assert telemetry["outer"].peaks["gauge"] == 8
+        with telemetry.phase("inner"):
+            pass
+        assert "inner" in telemetry
 
 
 class TestFormatting:
