@@ -100,9 +100,9 @@ def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
     """The paper's eager schedule under per-phase telemetry.
 
     The plain phase composition — ``run_sort`` over every partition, then
-    ``run_reduce`` over all of them, which is also what the cluster nodes
-    run — where ``Assembler`` sorts each length just before reduce reads it,
-    minus the records that can no longer win. Same graph and contigs;
+    ``run_reduce`` over all of them — where ``Assembler`` sorts each length
+    just before reduce reads it, minus the records that can no longer win
+    (and the cluster does the same a round of ``n_nodes`` lengths at a time). Same graph and contigs;
     nothing is filtered, so candidate counts are the exact overlap set's.
     """
     ctx = RunContext(config)

@@ -11,8 +11,10 @@ simulated clock, what each one moves: records sorted, disk bytes, passes
 per partition and per-phase time. The contigs must be the same bytes.
 
 The eager side is the plain phase composition ``run_sort`` over every
-partition, then ``run_reduce`` over all of them — what the cluster nodes
-run (they sort in parallel before the reduce token starts to circulate).
+partition, then ``run_reduce`` over all of them. Nothing in the program
+runs it any more: the cluster applies the same filter in rounds of one
+length per node (``bench_fig10_distributed.py`` sweeps the round size, and
+its one-round row is this eager schedule on ``n`` nodes).
 """
 
 import numpy as np

@@ -160,6 +160,13 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     for phase, seconds in result.phase_seconds.items():
         print(f"  {phase:<9} {format_duration(seconds)}")
     print(f"  total     {format_duration(result.total_seconds)} (modeled)")
+    notes = result.notes
+    print(f"  rounds    {int(notes['rounds'])} of {args.nodes} overlap "
+          f"lengths (one per node), longest first")
+    print(f"  shuffled  {int(notes['records_shuffled']):,} of "
+          f"{int(notes['records_mapped']):,} mapped records "
+          f"({notes['records_shuffled'] / notes['records_mapped']:.1%}) were "
+          f"still open when pulled; {result.shuffle_bytes:,} B over the network")
     if result.degraded is not None:
         # Degraded completion is a successful exit: the survivors finished
         # and the report says exactly what the output is missing.

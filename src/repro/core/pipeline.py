@@ -282,8 +282,8 @@ class Assembler:
         Reduce takes the longest overlaps first and a vertex takes one
         out-edge, so when a length's turn comes most of its records belong
         to vertices that are already closed. Each length is therefore
-        sorted just before reduce reads it, with the graph so far as the
-        filter (:func:`~repro.core.sort_phase.run_sort`). The longest
+        sorted just before reduce reads it, with the out-degree bits so far
+        as the filter (:func:`~repro.core.sort_phase.run_sort`). The longest
         length is sorted before the graph exists: nothing can be dropped
         yet, and it gets the whole host budget. The graph is the eager
         composition's (bits are only ever set, so a dropped record is one
@@ -324,8 +324,10 @@ class Assembler:
             if sorted_before is None:
                 faults.note_phase("sort")
                 with telemetry.phase("sort"):
+                    beside = {} if graph is None else {
+                        "closed": graph.out_bits, "resident_bytes": graph.nbytes}
                     sort_report.reports.update(run_sort(
-                        ctx, partitions, lengths=(length,), graph=graph).reports)
+                        ctx, partitions, lengths=(length,), **beside).reports)
             faults.note_phase("reduce")
             with telemetry.phase("reduce"):
                 graph, reduce_report = run_reduce(

@@ -6,11 +6,13 @@ two-level :class:`~repro.extmem.sort.ExternalSorter` — disk blocks of
 sorted/merged on the virtual GPU. The unsorted partition is deleted once
 its sorted counterpart exists (write-only/read-only file discipline).
 
-Given the greedy graph built so far, the sort also *filters*: reduce runs
-longest overlap first and a vertex takes one out-edge, so a record whose
-vertex claim is already taken when its length's turn comes can never
-produce an edge. Such records are dropped while the runs are formed; they
-are neither sorted nor written nor streamed through reduce.
+Given the out-degree bit-vector of the greedy graph built so far, the sort
+also *filters*: reduce runs longest overlap first and a vertex takes one
+out-edge, so a record whose vertex claim is already taken when its length's
+turn comes can never produce an edge. Such records are dropped while the
+runs are formed; they are neither sorted nor written nor streamed through
+reduce. :func:`_open_claims` is that filter, for this sorter and for the
+cluster node that serves (or recomputes) a map piece alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable
 from ..extmem import ExternalSorter, PartitionStore
 from ..extmem.records import VAL_FIELD
 from ..extmem.sort import SortReport
-from ..graph import GreedyStringGraph
+from ..graph.bitvector import PackedBitVector
 from .context import RunContext
 
 
@@ -63,26 +65,28 @@ def make_sorter(ctx: RunContext, dtype, resident_bytes: int = 0) -> ExternalSort
                           merge_fanout=config.merge_fanout, tracer=ctx.tracer)
 
 
-def _open_claims(ctx: RunContext, graph: GreedyStringGraph, side: str):
+def _open_claims(ctx: RunContext, closed: PackedBitVector, side: str):
     """The ``keep`` filter of one side: records whose claim is still open.
 
-    A candidate ``u → v`` claims ``u`` and ``v ^ 1`` (the two bits
+    ``closed`` is the graph's out-degree bit-vector, or any older copy of
+    it. A candidate ``u → v`` claims ``u`` and ``v ^ 1`` (the two bits
     :meth:`~repro.graph.GreedyStringGraph.add_candidates` tests); ``u`` is
     the suffix record's vertex, ``v`` the prefix record's. Bits are only
     ever set, so a record closed now is refused in every candidate it
-    could still take part in.
+    could still take part in, and a stale copy only keeps more.
     """
     def keep(piece):
         ctx.charge_host(piece.nbytes)
         vertices = piece[VAL_FIELD]
-        return ~graph.out_bits.get(vertices if side == "S" else vertices ^ 1)
+        return ~closed.get(vertices if side == "S" else vertices ^ 1)
 
     return keep
 
 
 def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
-             graph: GreedyStringGraph | None = None) -> SortPhaseReport:
+             closed: PackedBitVector | None = None,
+             resident_bytes: int = 0) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -90,13 +94,13 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
     reconstructed from the sorted record count so the phase report is
     identical to an uninterrupted run's.
 
-    ``lengths`` restricts the call to those partitions. With ``graph`` (the
-    greedy graph of every longer length, resident in host memory) the
-    records it has already closed are dropped, and the sorter's host block
-    is cut from the budget the graph leaves.
+    ``lengths`` restricts the call to those partitions. With ``closed``
+    (the out-degree bit-vector after every longer length) the records it
+    has already closed are dropped. ``resident_bytes`` is host memory held
+    by something else meanwhile (the graph): the sorter's host block is cut
+    from the budget it leaves.
     """
-    sorter = make_sorter(ctx, partitions.dtype,
-                         graph.nbytes if graph is not None else 0)
+    sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
     reports: dict[tuple[str, int], SortReport] = {}
     for length in partitions.lengths() if lengths is None else lengths:
         for side in ("S", "P"):
@@ -109,6 +113,6 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
                 continue
             reports[(side, length)] = sorter.sort_file(
                 unsorted_path, sorted_path,
-                keep=_open_claims(ctx, graph, side) if graph is not None else None)
+                keep=_open_claims(ctx, closed, side) if closed is not None else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

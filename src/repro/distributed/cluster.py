@@ -18,6 +18,18 @@ behind Fig. 10:
   through partitions in descending length order; the critical path follows
   the paper's ``t_o · p/n + t_g · p`` law.
 * **compress** — on the master, as in the single-node pipeline.
+
+Shuffle, sort and reduce run in **rounds** of ``n_nodes`` consecutive
+overlap lengths, longest first: one length per owner per round
+(:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
+of the graph's out-degree bit-vector and broadcasting it; every map piece
+served (or recomputed) during the round leaves its producer without the
+records that copy has closed, so they are never shuffled, sorted or
+matched. Bits are only ever set: a frozen copy drops nothing the token's
+own, newer bit-vector would keep, and the graph is the eager schedule's.
+The barriers are the same three per round, and a phase's reported seconds
+are the sum of its rounds' critical paths. With one node a round is one
+length and the schedule is the single-node pipeline's.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from ..core.reduce_phase import (REDUCE_WINDOW_DIVISOR, ReduceReport,
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
 from ..extmem import RunReader
+from ..extmem.partitions import SIDES
 from ..graph import GreedyStringGraph
 from ..graph.contigs import ContigSet
 from ..seq.packing import PackedReadStore
@@ -117,6 +130,19 @@ class DistributedAssembler:
                     for node, b in zip(nodes, before)]
         return max(per_node), per_node
 
+    def _rounds(self, lengths: list[int]) -> list[list[int]]:
+        """The overlap lengths in rounds, longest first, ``n_nodes`` a round.
+
+        One length per owner: all of a round's overlap finding runs side by
+        side (the paper's ``t_o · p/n``), and the filter it was pulled
+        under is at most one round old. Fewer lengths a round leave owners
+        idle; more of them sort records a fresher bit-vector would have
+        dropped (EXPERIMENTS.md Fig. 10 has the sweep).
+        """
+        ordered = sorted(lengths, reverse=True)
+        return [ordered[i:i + self.n_nodes]
+                for i in range(0, len(ordered), self.n_nodes)]
+
     @staticmethod
     def _cluster_span(tracer, name: str, wall0: float, sim0: float,
                       seconds: float, **args) -> None:
@@ -174,50 +200,67 @@ class DistributedAssembler:
         phase_seconds: dict[str, float] = {}
         per_node_seconds: dict[str, list[float]] = {}
 
+        def close(phase: str, wall0: float, start: float, seconds: float,
+                  per_node: list[float], **args) -> None:
+            """Book one barrier-separated stretch of ``phase``."""
+            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
+            per_node_seconds[phase] = [
+                a + b for a, b in zip(
+                    per_node_seconds.get(phase, [0.0] * self.n_nodes), per_node)]
+            self._cluster_span(ctracer, phase, wall0, start, seconds, **args)
+            self._barrier(nodes)
+
         # -- map: master hands blocks to the least-loaded node ---------------
         before = self._clock_totals(nodes)
         wall0 = time.perf_counter()
         n_blocks = max(1, self.n_nodes * BLOCKS_PER_NODE)
         supervisor.map_phase(n_blocks)
-        phase_seconds["map"], per_node_seconds["map"] = self._phase_delta(nodes, before)
-        self._cluster_span(ctracer, "map", wall0, max(before),
-                           phase_seconds["map"], blocks=n_blocks)
-        self._barrier(nodes)
+        close("map", wall0, max(before), *self._phase_delta(nodes, before),
+              blocks=n_blocks)
 
-        # -- shuffle: all-to-all partition aggregation ------------------------
-        before = self._clock_totals(nodes)
-        wall0 = time.perf_counter()
         lengths = list(overlap_lengths(nodes[0].ctx, store.read_length))
-        shuffle_bytes = supervisor.shuffle_phase(lengths)
-        phase_seconds["shuffle"], per_node_seconds["shuffle"] = \
-            self._phase_delta(nodes, before)
-        self._cluster_span(ctracer, "shuffle", wall0, max(before),
-                           phase_seconds["shuffle"], bytes=shuffle_bytes)
-        self._barrier(nodes)
+        rounds = self._rounds(lengths)
+        graph = None
+        reduce_report = ReduceReport()
+        token_trace: list[dict] = []
+        shuffle_bytes = 0
+        for index, round_lengths in enumerate(rounds):
+            # -- shuffle: all-to-all aggregation of what is still open --------
+            before = self._clock_totals(nodes)
+            wall0 = time.perf_counter()
+            # Nothing is closed before the first round's edges: no filter.
+            supervisor.begin_round(
+                graph.out_bits.copy() if graph is not None else None)
+            pulled = supervisor.shuffle_phase(round_lengths)
+            shuffle_bytes += pulled
+            close("shuffle", wall0, max(before),
+                  *self._phase_delta(nodes, before), round=index, bytes=pulled)
 
-        # -- sort: local per-node external sorts --------------------------------
-        before = self._clock_totals(nodes)
-        wall0 = time.perf_counter()
-        supervisor.sort_phase()
-        phase_seconds["sort"], per_node_seconds["sort"] = self._phase_delta(nodes, before)
-        self._cluster_span(ctracer, "sort", wall0, max(before),
-                           phase_seconds["sort"])
-        self._barrier(nodes)
+            # -- sort: local per-node external sorts ---------------------------
+            before = self._clock_totals(nodes)
+            wall0 = time.perf_counter()
+            supervisor.sort_phase()
+            close("sort", wall0, max(before),
+                  *self._phase_delta(nodes, before), round=index)
 
-        # -- reduce: parallel overlap finding, token-serialized edges ------------
-        reduce_start = max(self._clock_totals(nodes))
-        wall0 = time.perf_counter()
-        reduce_result = self._reduce(supervisor, store, lengths,
-                                     tracer=ctracer)
-        graph, reduce_report, reduce_time, reduce_per_node, token_trace = \
-            reduce_result
-        phase_seconds["reduce"] = reduce_time
-        per_node_seconds["reduce"] = reduce_per_node
-        self._cluster_span(ctracer, "reduce", wall0, reduce_start, reduce_time,
-                           partitions=reduce_report.partitions_processed)
-        self._barrier(nodes)
-        # Map pieces are the recovery lineage: only now, with every
-        # partition reduced (or formally dropped), may they be released.
+            # -- reduce: parallel overlap finding, token-serialized edges -------
+            if graph is None:
+                # As on a single node, the longest lengths are sorted before
+                # the graph takes its share of the master's host memory.
+                graph = GreedyStringGraph(store.n_reads, store.read_length,
+                                          nodes[0].ctx.host_pool)
+            start = max(self._clock_totals(nodes))
+            wall0 = time.perf_counter()
+            done = reduce_report.partitions_processed
+            seconds, per_node = self._reduce(supervisor, graph, reduce_report,
+                                             round_lengths, token_trace,
+                                             tracer=ctracer)
+            close("reduce", wall0, start, seconds, per_node, round=index,
+                  partitions=reduce_report.partitions_processed - done)
+        reduce_report.edges_added = graph.n_edges
+        # Map pieces are the recovery lineage and the source of every later
+        # round's pull: only now, with every partition reduced (or formally
+        # dropped), may they be released.
         for node in supervisor.alive():
             node.drop_map_partitions()
 
@@ -234,9 +277,18 @@ class DistributedAssembler:
         edges = graph.n_edges
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
+        # What the token's partitions held against what the map wrote: the
+        # share of records the rounds' snapshots let through.
         notes = {"am_messages": float(messages.messages_sent),
                  "am_dropped": float(messages.messages_dropped),
-                 "am_delayed": float(messages.messages_delayed)}
+                 "am_delayed": float(messages.messages_delayed),
+                 "rounds": float(len(rounds)),
+                 "records_mapped": float(
+                     2 * len(SIDES) * len(lengths) * store.n_reads),
+                 "records_shuffled": float(sum(
+                     nodes[hop["node"]].shuffled.records_in(
+                         side, hop["length"], sorted_run=True)
+                     for hop in token_trace if hop["ok"] for side in SIDES))}
         notes.update(supervisor.meter.counters())
         return DistributedResult(
             n_nodes=self.n_nodes,
@@ -249,15 +301,18 @@ class DistributedAssembler:
             reduce_report=reduce_report,
             edges=edges,
             notes=notes,
-            token_trace=token_trace,
+            token_trace=tuple(token_trace),
             degraded=degraded,
         )
 
-    def _reduce(self, supervisor: ClusterSupervisor, store: PackedReadStore,
-                lengths: list[int], *, tracer=NULL_TRACER,
-                ) -> tuple[GreedyStringGraph, ReduceReport, float, list[float],
-                           tuple[dict, ...]]:
-        """Token-serialized distributed reduce under the failure ladder.
+    def _reduce(self, supervisor: ClusterSupervisor, graph: GreedyStringGraph,
+                report: ReduceReport, lengths: list[int],
+                token_trace: list[dict], *, tracer=NULL_TRACER,
+                ) -> tuple[float, list[float]]:
+        """One round of the token-serialized reduce under the failure ladder.
+
+        Continues ``graph``, ``report`` and ``token_trace`` over ``lengths``;
+        returns the round's critical-path seconds and per-node seconds.
 
         Overlap finding for partition ``l`` happens on its owner and is
         charged to that node's clock; the greedy edge insertion must hold
@@ -277,11 +332,6 @@ class DistributedAssembler:
         ``allow_degraded`` is off).
         """
         nodes = supervisor.nodes
-        master = nodes[0]
-        graph = GreedyStringGraph(store.n_reads, store.read_length,
-                                  master.ctx.host_pool)
-        report = ReduceReport()
-        token_trace: list[dict] = []
         before = self._clock_totals(nodes)
         phase_start = max(before)
         token_time = phase_start
@@ -358,12 +408,10 @@ class DistributedAssembler:
                                 sim0=token_hold, sim1=token_time,
                                 length=length, node=outcome.node,
                                 attempt=outcome.attempts - 1)
-        report.edges_added = graph.n_edges
-        # The phase ends when the token has folded in every partition's
+        # The round ends when the token has folded in every partition's
         # edges: ``token_time`` already waited on every find_done (and every
         # recovery charge) the graph consumed; every node re-enters at the
         # next barrier.
-        reduce_time = token_time - phase_start
         per_node = [node.ctx.clock.total_seconds - b
                     for node, b in zip(nodes, before)]
-        return graph, report, reduce_time, per_node, tuple(token_trace)
+        return token_time - phase_start, per_node

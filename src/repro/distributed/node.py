@@ -5,6 +5,14 @@ has access to private storage for shuffling and sorting intermediate data
 … must not be shared across nodes"), its own memory budgets, virtual GPU
 and simulated clock, and registers active-message handlers for serving its
 map-phase partition pieces during the shuffle.
+
+The cluster shuffles, sorts and reduces in rounds (see
+:mod:`repro.distributed.cluster`). A node's per-round state is two fields:
+``owned_lengths`` (what it pulls, sorts and holds the token for this round)
+and ``closed`` (the round's frozen copy of the graph's out-degree
+bit-vector). Every map piece leaves its producer through
+:meth:`WorkerNode.read_piece`, which drops the records ``closed`` has
+already closed before they touch the network.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ from ..config import AssemblyConfig
 from ..core.checkpoint import CheckpointManager, config_fingerprint
 from ..core.context import RunContext
 from ..core.map_phase import run_map
-from ..core.sort_phase import make_sorter, run_sort
+from ..core.sort_phase import _open_claims, run_sort
+from ..device.kernels import raw_view
 from ..device.specs import DiskSpec, HostSpec
 from ..extmem import PartitionStore, RunReader, RunWriter
 from ..extmem.records import kv_dtype
+from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
 from ..trace.tracer import NULL_TRACER
 from .message import ActiveMessageLayer, node_scope
@@ -55,11 +65,15 @@ class WorkerNode:
                                              self.dtype, self.ctx.accountant)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
                                        self.dtype, self.ctx.accountant)
+        #: Partition lengths this node owns in the current round.
         self.owned_lengths: list[int] = []
+        #: The round's out-degree snapshot (``None`` before the first edge).
+        self.closed: PackedBitVector | None = None
         self.mapped_reads = 0
         # Per-node artifact ledger (state.json in the node's private dir):
-        # each phase records digests of the files it produced, so a
-        # restarted replacement can tell intact partitions from damaged
+        # each phase records digests of the files it produced (shuffle and
+        # sort: of the current round, a mark replaces the round before), so
+        # a restarted replacement can tell intact partitions from damaged
         # ones and replay only the latter. A fresh WorkerNode on the same
         # workdir reloads the dead node's surviving ledger — that survival
         # is the whole point of checkpointed node recovery.
@@ -87,14 +101,30 @@ class WorkerNode:
 
     # -- shuffle ------------------------------------------------------------
 
-    def _serve_partition(self, side: str, length: int) -> tuple[np.ndarray, int]:
-        """AM handler: read one local map partition and return its records."""
-        path = self.map_partitions.path(side, length)
+    def read_piece(self, pieces: PartitionStore, side: str, length: int,
+                   ) -> np.ndarray:
+        """One map piece of ``pieces``, minus what the round has closed.
+
+        The one way a piece enters a shuffled partition, whether served
+        from this node's own map output or recomputed for a lost peer: the
+        same snapshot gives the same records either way.
+        """
+        path = pieces.path(side, length)
         if not path.exists():
-            empty = np.empty(0, dtype=self.dtype)
-            return empty, 0
+            return np.empty(0, dtype=self.dtype)
         with RunReader(path, self.dtype, self.ctx.accountant) as reader:
             records = reader.read_all()
+        if self.closed is not None:
+            keep = _open_claims(self.ctx, self.closed, side)(records)
+            # Gathered as bytes, like the sorter's survivors: numpy moves a
+            # packed dtype field by field otherwise.
+            records = np.take(raw_view(records), np.flatnonzero(keep),
+                              mode="clip").view(self.dtype)
+        return records
+
+    def _serve_partition(self, side: str, length: int) -> tuple[np.ndarray, int]:
+        """AM handler: the still-open records of one local map partition."""
+        records = self.read_piece(self.map_partitions, side, length)
         return records, records.nbytes
 
     def pull_owned_partitions(self, peers: list["WorkerNode"], lengths: list[int],
@@ -135,25 +165,17 @@ class WorkerNode:
 
     # -- sort ----------------------------------------------------------------
 
-    def sort_owned(self):
-        """Sort every owned shuffled partition with local budgets.
+    def sort_lengths(self, lengths: Iterable[int], *, unserved: bool = False):
+        """Sort the given shuffled partitions with what the host has left.
 
         Idempotent: partitions whose sorted file already exists (a restarted
         node replaying the phase) are skipped by :func:`run_sort`.
+        ``unserved`` partitions were renamed into place, not pulled (a lone
+        node's shuffle): nothing has filtered them yet, so the sort does.
         """
-        return run_sort(self.ctx, self.shuffled)
-
-    def sort_lengths(self, lengths: Iterable[int]) -> None:
-        """Sort just the given shuffled partitions (targeted recovery)."""
-        sorter = make_sorter(self.ctx, self.dtype)
-        for length in sorted(lengths):
-            for side in ("S", "P"):
-                unsorted_path = self.shuffled.path(side, length)
-                if not unsorted_path.exists():
-                    continue
-                sorter.sort_file(unsorted_path,
-                                 self.shuffled.path(side, length, sorted_run=True))
-                self.shuffled.delete(side, length)
+        return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
+                        closed=self.closed if unserved else None,
+                        resident_bytes=self.ctx.host_pool.used_bytes)
 
     # -- recovery ------------------------------------------------------------
 
@@ -174,12 +196,14 @@ class WorkerNode:
         self.ledger.mark(phase, artifacts)
 
     def damaged_lengths(self, phase: str) -> list[int]:
-        """Owned lengths whose ``phase`` artifacts fail their ledger digest."""
-        damaged = set()
-        for rel in self.ledger.damaged(phase):
-            stem = Path(rel).name.split(".")[0]  # e.g. "S_00033"
-            damaged.add(int(stem.split("_")[1]))
-        return sorted(damaged)
+        """Owned lengths whose ``phase`` artifacts fail their ledger digest.
+
+        A record left by an earlier round names files the token has
+        consumed since: not owned any more, not damaged.
+        """
+        return sorted({PartitionStore.length_of(rel)
+                       for rel in self.ledger.damaged(phase)}
+                      & set(self.owned_lengths))
 
     def rebuild_partitions(self, n_nodes: int, alive: dict[int, "WorkerNode"],
                            lengths: Iterable[int],
@@ -188,7 +212,8 @@ class WorkerNode:
         """Reconstruct shuffled partitions byte-identically from lineage.
 
         A shuffled partition is the concatenation, in node-id order, of each
-        peer's retained map-phase piece. Pieces of live peers are re-pulled
+        peer's retained map-phase piece as the round's snapshot filters it
+        (:meth:`read_piece`). Pieces of live peers are re-pulled
         over the active-message layer; pieces of lost peers (or of this node
         itself after a single-node rename consumed the piece) come from
         ``recompute_piece(peer_id, side, length)``, which re-derives them
@@ -229,15 +254,5 @@ class WorkerNode:
         are this object's open stream writers (the exclusivity registry
         would reject the replacement's files).
         """
-        for writer in list(self.map_partitions._writers.values()):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self.map_partitions._writers.clear()
-        for writer in list(self.shuffled._writers.values()):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self.shuffled._writers.clear()
+        self.map_partitions.abandon()
+        self.shuffled.abandon()

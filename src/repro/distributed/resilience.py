@@ -30,6 +30,18 @@ simulated clock so every timeline is deterministic and replayable:
    :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
    restores the old fail-stop behaviour).
 
+Shuffle, sort and reduce run in rounds (:mod:`repro.distributed.cluster`),
+and recovery is scoped to the round in flight. Ownership is per round
+(:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
+alive nodes); the round's frozen out-degree snapshot is held here
+(:meth:`ClusterSupervisor.begin_round`) and handed again to a restarted
+node; a node ledger's ``shuffle`` / ``sort`` records name the current
+round's files only, so a replay or failover touches the one or two
+partitions a node owns *now*, never one the token has consumed. Every
+pull and every rebuild inside a round filters with that one snapshot
+(:meth:`WorkerNode.read_piece`), which is what keeps a rebuilt partition
+the lost one byte for byte.
+
 One *cheap recovery* mechanism shortens the restart rung (DESIGN.md §2g):
 **incremental chunk checkpoints** (``chunk_checkpoint_every``) — the reduce
 loop commits sub-partition progress to the owner's durable ledger (mirrored
@@ -63,10 +75,11 @@ from ..core.checkpoint import chunk_key
 from ..core.map_phase import run_map
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
-from ..extmem import PartitionStore, RunReader
+from ..extmem import PartitionStore
 from ..faults import plan as faults
 from ..faults.plan import NODE_CRASH
 from ..faults.retry import RetryPolicy
+from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
 from ..telemetry import EventMeter
 from ..trace.tracer import NULL_TRACER
@@ -212,6 +225,9 @@ class ClusterSupervisor:
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
         self.owner_of: dict[int, int] = {}
         self.phase = "map"
+        #: The current round's out-degree snapshot, as every node holds it:
+        #: kept here to hand to a restarted node.
+        self.closed: PackedBitVector | None = None
         self.dropped: list[DroppedPartition] = []
         #: Supervisor-side mirror of each partition's last durable chunk:
         #: ``length -> (index, s_off, p_off, key)``. A failover owner (whose
@@ -402,6 +418,15 @@ class ClusterSupervisor:
             "network", misses * self.network.heartbeat_seconds())
         fresh.owned_lengths = list(dead.owned_lengths)
         fresh.mapped_reads = dead.mapped_reads
+        if self.closed is not None:
+            fresh.closed = self.closed
+            fresh.ctx.clock.charge(
+                "network", self.network.transfer_seconds(self.closed.nbytes))
+        # What the dead worker's host still held is not its own (the
+        # master's graph): the replacement sorts beside it all the same.
+        if dead.ctx.host_pool.used_bytes:
+            fresh.ctx.host_pool.alloc(dead.ctx.host_pool.used_bytes,
+                                      label="resident")
         self.nodes[node_id] = fresh
         self.meter.bump("node_restarts")
         try:
@@ -440,6 +465,8 @@ class ClusterSupervisor:
 
         Ledger-driven: only artifacts whose digests are missing or damaged
         are recomputed; everything the crash did not touch is kept as-is.
+        Past map, that is the current round's partitions and nothing else:
+        earlier rounds' are consumed, later rounds' do not exist yet.
         """
         if self.phase == "map":
             # Map pieces are append-streams shared by every block the node
@@ -465,13 +492,22 @@ class ClusterSupervisor:
             damaged = self._damaged_for_sort(node)
             if damaged:
                 self._rebuild_on(node, damaged)
-            node.sort_owned()
+            self._sort_owned(node)
         elif self.phase == "reduce":
             damaged = node.damaged_lengths("sort")
             if damaged:
                 self._rebuild_on(node, damaged)
                 node.sort_lengths(damaged)
                 self.meter.bump("partitions_replayed", len(damaged))
+
+    def _sort_owned(self, node: WorkerNode):
+        """Sort the node's partitions of this round.
+
+        A lone node's pull renames its map pieces instead of serving them,
+        so there the sort is what applies the round's snapshot.
+        """
+        return node.sort_lengths(node.owned_lengths,
+                                 unserved=self.n_nodes == 1)
 
     def _damaged_for_sort(self, node: WorkerNode) -> list[int]:
         """Shuffle artifacts to rebuild mid-sort.
@@ -510,11 +546,12 @@ class ClusterSupervisor:
                         ) -> Callable[[int, str, int], np.ndarray]:
         """Recompute lost peers' map pieces from the shared packed store.
 
-        One filtered map pass per peer covers every needed length; the
-        piece comes out byte-identical because the peer's blocks are
-        re-fingerprinted in their original assignment order. Work is
-        charged to the rebuilding node's own clock — recovery is never
-        free.
+        One map pass per peer, restricted to the needed lengths; the piece
+        comes out byte-identical because the peer's blocks are
+        re-fingerprinted in their original assignment order and leave
+        through the same :meth:`WorkerNode.read_piece` (the rebuilder's
+        snapshot is the round's, like the lost peer's was). Work is charged
+        to the rebuilding node's own clock — recovery is never free.
         """
         only = frozenset(lengths)
         stores: dict[int, PartitionStore] = {}
@@ -529,12 +566,7 @@ class ClusterSupervisor:
                             read_range=(start, stop), only_lengths=only)
                 tmp.finalize()
                 stores[peer_id] = tmp
-            path = stores[peer_id].path(side, length)
-            if not path.exists():
-                return np.empty(0, dtype=rebuilder.dtype)
-            with RunReader(path, rebuilder.dtype,
-                           rebuilder.ctx.accountant) as reader:
-                return reader.read_all()
+            return rebuilder.read_piece(stores[peer_id], side, length)
 
         return recompute
 
@@ -601,17 +633,47 @@ class ClusterSupervisor:
                 # again and moves to the next open survivor.
                 orphans = self.block_ranges.pop(target.node_id, []) + orphans
 
+    def begin_round(self, closed: PackedBitVector | None) -> None:
+        """Freeze the round's filter: every node gets the same ``closed``.
+
+        The master broadcasts its copy of the bit-vector (one transfer per
+        peer on its clock). Every pull and every rebuild until the next
+        round filters with it, so a partition rebuilt after a failure is
+        the lost one byte for byte.
+        """
+        self.closed = closed
+        alive = self.alive()
+        for node in alive:
+            node.closed = closed
+        if closed is not None and len(alive) > 1:
+            alive[0].ctx.clock.charge(
+                "network",
+                (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
+
     def shuffle_phase(self, lengths: list[int]) -> int:
-        """All-to-all aggregation with owner failover. Returns bytes pulled."""
+        """One round's all-to-all aggregation with owner failover.
+
+        Ownership is round-robin over the alive nodes, so a round of
+        ``n_nodes`` consecutive lengths gives each of them one. Returns
+        bytes pulled.
+        """
         self.phase = "shuffle"
         alive_ids = [n.node_id for n in self.alive()]
-        self.owner_of = {length: alive_ids[(length - lengths[0]) % len(alive_ids)]
-                         for length in lengths}
+        for length in lengths:
+            self.owner_of[length] = alive_ids[
+                (length - self.config.min_overlap) % len(alive_ids)]
+        # Ownership turns over before anyone pulls: a node restarted while
+        # serving a peer must not take last round's lengths for its own.
+        for node_id in alive_ids:
+            self.nodes[node_id].owned_lengths = sorted(
+                length for length in lengths
+                if self.owner_of[length] == node_id)
         shuffle_bytes = 0
         orphans: list[int] = []
-        for node_id in list(alive_ids):
-            owned = [length for length in lengths
-                     if self.owner_of[length] == node_id]
+        for node_id in alive_ids:
+            owned = self.nodes[node_id].owned_lengths
+            if not owned:
+                continue
             try:
                 shuffle_bytes += self._pull_on(node_id, owned)
             except _NodeLost:
@@ -663,13 +725,14 @@ class ClusterSupervisor:
         return pulled
 
     def sort_phase(self) -> None:
-        """Per-node local sorts with owner failover."""
+        """One round's per-node local sorts with owner failover."""
         self.phase = "sort"
         orphans: list[int] = []
-        for node_id in [n.node_id for n in self.alive()]:
+        for node_id in [n.node_id for n in self.alive()
+                        if n.owned_lengths]:
             try:
                 self._run_on_node(node_id, "sort",
-                                  lambda node, _a: node.sort_owned())
+                                  lambda node, _a: self._sort_owned(node))
                 self._run_on_node(node_id, "ledger-sort",
                                   lambda n, _a: n.record_ledger("sort"))
             except _NodeLost:
@@ -873,9 +936,7 @@ class ClusterSupervisor:
         for node in self.nodes:
             total = 0
             for rel, digest in node.ledger.recorded_artifacts("sort").items():
-                name = Path(rel).name
-                if name.endswith(".sorted.run") and \
-                        int(name.split(".")[0].split("_")[1]) == length:
+                if PartitionStore.length_of(rel) == length:
                     total += int(digest.split(":")[0]) // node.dtype.itemsize
             per_node.append(total)
         return max(per_node, default=0)

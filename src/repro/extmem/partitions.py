@@ -45,6 +45,11 @@ class PartitionStore:
         stem = f"{side}_{length:05d}"
         return self.root / (f"{stem}.sorted.run" if sorted_run else f"{stem}.run")
 
+    @staticmethod
+    def length_of(name: str | Path) -> int:
+        """The overlap length in a partition file's name (inverse of :meth:`path`)."""
+        return int(Path(name).name.split(".")[0].split("_")[1])
+
     # -- writing (map phase) -----------------------------------------------
 
     def append(self, side: str, length: int, records: np.ndarray, *,
@@ -106,6 +111,20 @@ class PartitionStore:
         self._writers.clear()
         self._finalized = True
 
+    def abandon(self) -> None:
+        """Drop every open writer without sealing the store.
+
+        What a dead process leaves behind: the files stay as they are, the
+        handles (and their claim on the stream-exclusivity registry) go.
+        Close errors are swallowed; the writers were lost either way.
+        """
+        for writer in self._writers.values():
+            try:
+                writer.close()
+            except Exception:
+                pass
+        self._writers.clear()
+
     def __enter__(self) -> "PartitionStore":
         return self
 
@@ -118,11 +137,8 @@ class PartitionStore:
         """All partition lengths present on disk, ascending."""
         if self._writers:
             raise StreamProtocolError("finalize() the store before reading partitions")
-        found = set()
-        for path in self.root.glob("[SP]_*.run"):
-            stem = path.name.split(".")[0]
-            found.add(int(stem.split("_")[1]))
-        return sorted(found)
+        return sorted({self.length_of(path)
+                       for path in self.root.glob("[SP]_*.run")})
 
     def open_run(self, side: str, length: int, *, sorted_run: bool = False) -> RunReader:
         """Open one partition for sequential reading."""

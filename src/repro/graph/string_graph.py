@@ -169,10 +169,13 @@ class GreedyStringGraph:
 
     def check_invariants(self) -> None:
         """Validate degree bounds and complement symmetry; raises on breakage."""
+        # Out-degree <= 1 holds by representation: one target per vertex.
         sources, targets, overlaps = self.edge_list()
-        if np.unique(sources).shape[0] != sources.shape[0]:
-            raise GraphInvariantError("out-degree > 1 detected")
-        if targets.size and np.unique(targets).shape[0] != targets.shape[0]:
+        if targets.size and (targets.min() < 0
+                             or targets.max() >= self.n_vertices):
+            raise GraphInvariantError("edge target out of range")
+        if targets.size and np.bincount(
+                targets, minlength=self.n_vertices).max() > 1:
             raise GraphInvariantError("in-degree > 1 detected")
         if (self.in_degree > 1).any():
             raise GraphInvariantError("in-degree counter exceeded 1")

@@ -12,6 +12,13 @@ Phase-level composition over ``n`` nodes:
   finding parallel, bit-vector token serial), with
   ``n_max = t_o / t_g`` bounding useful scaling,
 * **load**/**compress** stay serial on the master.
+
+``kept_fraction`` is the share of mapped records the cluster's rounds let
+through their out-degree filter (1.0: the paper's eager schedule, which the
+defaults are calibrated on). A serving node still reads its whole map
+piece, so the shuffle's read term stays; what is written, sent, sorted and
+matched (``t_o``) scales with it. Edge insertion (``t_g``) does not: the
+accepted edges are the same.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ REDUCE_GRAPH_FRACTION = 0.06
 def model_distributed_seconds(workload: Workload, memory: MemoryConfig,
                               device: DeviceSpec | str, n_nodes: int, *,
                               network: NetworkSpec | None = None,
+                              kept_fraction: float = 1.0,
                               ) -> dict[str, float]:
     """Modeled per-phase seconds for an ``n_nodes`` cluster run."""
     network = network if network is not None else NetworkSpec()
@@ -41,19 +49,20 @@ def model_distributed_seconds(workload: Workload, memory: MemoryConfig,
     if n_nodes > 1:
         per_node_bytes = total_tuple_bytes / n_nodes
         remote_fraction = (n_nodes - 1) / n_nodes
+        kept_bytes = kept_fraction * per_node_bytes
         phases["shuffle"] = (per_node_bytes / MODEL_DISK_READ
-                             + per_node_bytes / MODEL_DISK_WRITE
+                             + kept_bytes / MODEL_DISK_WRITE
                              + network.transfer_seconds(
-                                 int(per_node_bytes * remote_fraction)))
+                                 int(kept_bytes * remote_fraction)))
     else:
         phases["shuffle"] = 0.0
-    phases["sort"] = single["sort"] / n_nodes
+    phases["sort"] = kept_fraction * single["sort"] / n_nodes
 
     p = 2 * workload.n_partition_lengths
     t_total = single["reduce"]
     t_g = REDUCE_GRAPH_FRACTION * t_total / p
     t_o = (1.0 - REDUCE_GRAPH_FRACTION) * t_total / p
-    phases["reduce"] = t_o * p / n_nodes + t_g * p
+    phases["reduce"] = kept_fraction * t_o * p / n_nodes + t_g * p
     phases["compress"] = single["compress"]
     phases["total"] = sum(phases.values())
     return phases

@@ -109,8 +109,9 @@ def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleName
     """The paper's eager schedule: sort every partition, then reduce them all.
 
     The reference ``Assembler``'s lazy schedule is compared against: the
-    plain phase composition the cluster nodes also run. The sorted
-    partitions stay under ``workdir / "partitions"``.
+    plain phase composition, nothing filtered (the cluster's, too, when all
+    its lengths go in one round). The sorted partitions stay under
+    ``workdir / "partitions"``.
     """
     ctx = RunContext(config, workdir=workdir)
     try:

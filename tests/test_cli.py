@@ -72,6 +72,9 @@ class TestCommands:
                      "--min-overlap", "20", "-o", str(contigs)]) == 0
         out = capsys.readouterr().out
         assert "3 simulated nodes" in out and "shuffle" in out
+        # 20 overlap lengths, three a round; most records are closed by then.
+        assert "rounds    7 of 3 overlap lengths" in out
+        assert "mapped records" in out and "still open when pulled" in out
         assert contigs.exists()
 
     def test_distributed_fastq_leaves_no_packed_copy(self, tmp_path,

@@ -109,11 +109,25 @@ class TestCluster:
     def test_reduce_scales_sublinearly(self, dist_results):
         """Overlap finding parallelizes; the token serializes the rest."""
         _, results = dist_results
-        assert results[4].phase_seconds["reduce"] <= results[1].phase_seconds["reduce"]
+        assert results[4].phase_seconds["reduce"] \
+            <= results[2].phase_seconds["reduce"] \
+            <= results[1].phase_seconds["reduce"]
 
     def test_shuffle_bytes_grow_with_nodes(self, dist_results):
         _, results = dist_results
         assert results[4].shuffle_bytes > results[2].shuffle_bytes
+
+    def test_rounds_are_one_length_per_node(self, dist_results):
+        """25 overlap lengths: ceil(25 / n) rounds, and wider rounds pull
+        under an older bit-vector, so they let more records through."""
+        _, results = dist_results
+        assert {n: r.notes["rounds"] for n, r in results.items()} \
+            == {1: 25, 2: 13, 4: 7}
+        kept = [results[n].notes["records_shuffled"] for n in (1, 2, 4)]
+        assert kept == sorted(kept) and kept[0] < kept[-1]
+        assert kept[-1] < results[4].notes["records_mapped"]
+        candidates = [results[n].reduce_report.candidates for n in (1, 2, 4)]
+        assert candidates == sorted(candidates)
 
     def test_per_node_balance(self, dist_results):
         """Master load-balancing: no node does more than ~2x the mean map work."""

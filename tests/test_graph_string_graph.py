@@ -134,3 +134,22 @@ class TestAccounting:
         graph.target[3] = -1  # break complement symmetry
         with pytest.raises(GraphInvariantError):
             graph.check_invariants()
+
+    def test_invariant_checker_catches_a_repeated_target(self, tmp_path):
+        """Two vertices pointing at one target: in-degree 2, and an archive
+        holding it does not load."""
+        from repro.core.checkpoint import load_graph_file, save_graph_file
+
+        graph = GreedyStringGraph(4, 10)
+        graph.add_candidates(np.array([0, 4]), np.array([2, 6]), 6)
+        graph.check_invariants()
+        save_graph_file(tmp_path / "ok.npz", graph)
+        assert load_graph_file(tmp_path / "ok.npz") is not None
+        graph.target[4] = 2  # 0 -> 2 and 4 -> 2
+        with pytest.raises(GraphInvariantError, match="in-degree > 1"):
+            graph.check_invariants()
+        save_graph_file(tmp_path / "bad.npz", graph)
+        assert load_graph_file(tmp_path / "bad.npz") is None
+        graph.target[4] = 99  # not a vertex at all
+        with pytest.raises(GraphInvariantError, match="out of range"):
+            graph.check_invariants()

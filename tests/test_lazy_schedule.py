@@ -2,9 +2,10 @@
 minus the records the out-degree bit-vector has already closed.
 
 ``Assembler`` must build exactly the graph of the eager composition
-(``run_sort`` over every partition, then ``run_reduce`` over all of them —
-what the cluster nodes run, see ``conftest.eager_composition``) while
-sorting only the records that can still win.
+(``run_sort`` over every partition, then ``run_reduce`` over all of them,
+see ``conftest.eager_composition``) while sorting only the records that can
+still win. (The cluster runs the same filter in rounds of one length per
+node: ``tests/test_distributed_rounds.py``.)
 """
 
 from __future__ import annotations
@@ -129,6 +130,15 @@ def runs(data, tmp_path_factory):
 
 
 class TestWhatIsSorted:
+    def test_modeled_time_and_records_are_pinned(self, runs):
+        """The filter takes the bit-vector, not the graph, since the cluster
+        shares it; the single-node run charges the same host seconds in the
+        same order. Floats of the commit before that change."""
+        _, result, _ = runs
+        assert result.telemetry.total_sim_seconds() == 0.9870239745774726
+        assert result.sort_report.total_records == 15_616
+        assert result.reduce_report.candidates == 2_126
+
     def test_partitions_are_eager_minus_closed_records(self, runs):
         """A record is dropped iff its claim was taken at a longer length."""
         eager, result, lazy_partitions = runs

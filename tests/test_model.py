@@ -219,6 +219,26 @@ class TestFig10:
         floor = model_distributed_seconds(w, SUPERMIC, "K20X", 4096)["reduce"]
         assert reduce_times[-1] < 2.5 * floor
 
+    def test_kept_fraction_scales_what_the_filter_touches(self):
+        """Rounds drop closed records before the wire: written, sent,
+        sorted and matched bytes shrink; the read of the map pieces, the
+        map itself and the token's edge insertions do not."""
+        w = workload("H.Genome")
+        eager = model_distributed_seconds(w, SUPERMIC, "K20X", 4)
+        assert eager == model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+                                                  kept_fraction=1.0)
+        kept = model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+                                         kept_fraction=0.2)
+        for phase in ("load", "map", "compress"):
+            assert kept[phase] == eager[phase]
+        assert kept["sort"] == pytest.approx(0.2 * eager["sort"])
+        assert 0.2 * eager["shuffle"] < kept["shuffle"] < eager["shuffle"]
+        floor = model_distributed_seconds(w, SUPERMIC, "K20X", 4096)["reduce"]
+        assert floor < kept["reduce"] < eager["reduce"]
+        none = model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+                                         kept_fraction=0.0)
+        assert none["reduce"] == pytest.approx(floor, rel=1e-2)
+
 
 class TestPaperValuesConsistency:
     @pytest.mark.parametrize("table", [TABLE2_K40, TABLE3_K20])

@@ -243,14 +243,25 @@ class TestTracedDistributed:
                        if e["track"].startswith("node")}
         assert any(track.startswith("node00/") for track in node_tracks)
         assert any(track.startswith("node01/") for track in node_tracks)
-        # Cluster phase spans follow Fig. 10 order and each one's modeled
-        # extent is exactly the phase's reported critical-path seconds.
+        # Cluster phase spans: map, then one shuffle / sort / reduce per
+        # round in that order, then compress. Each phase's modeled extents
+        # add up to its reported critical-path seconds, so the track still
+        # tiles ``total_seconds``.
         spans, _ = pair_spans(events)
-        by_name = {s["name"]: s for s in spans if s["track"] == "cluster"
-                   and s["cat"] == "cluster"}
-        order = ["map", "shuffle", "sort", "reduce", "compress"]
-        for earlier, later in zip(order, order[1:]):
-            assert by_name[earlier]["sim0"] <= by_name[later]["sim0"] + 1e-9
-        for name in order:
-            assert by_name[name]["sim1"] - by_name[name]["sim0"] == \
-                pytest.approx(result.phase_seconds[name])
+        cluster = [s for s in spans if s["track"] == "cluster"
+                   and s["cat"] == "cluster"]  # in the order they were emitted
+        n_rounds = int(result.notes["rounds"])
+        assert n_rounds == 13  # 25 overlap lengths, two a round
+        assert [s["name"] for s in cluster] == \
+            ["map"] + ["shuffle", "sort", "reduce"] * n_rounds + ["compress"]
+        for earlier, later in zip(cluster, cluster[1:]):
+            assert earlier["sim0"] <= later["sim0"] + 1e-9
+        for phase in ("shuffle", "sort", "reduce"):
+            assert [s["args"]["round"] for s in cluster if s["name"] == phase] \
+                == list(range(n_rounds))
+        extent = {}
+        for span in cluster:
+            extent[span["name"]] = extent.get(span["name"], 0.0) \
+                + span["sim1"] - span["sim0"]
+        assert extent == pytest.approx(result.phase_seconds)
+        assert sum(extent.values()) == pytest.approx(result.total_seconds)
