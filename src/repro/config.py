@@ -127,9 +127,6 @@ class AssemblyConfig:
         that to ``1 + ⌈log_k R⌉`` at the cost of ``k``-times-smaller merge
         windows. ``0`` derives the largest fanout whose windows still hold
         a device chunk (:func:`repro.extmem.sort.derive_fanout`).
-    dedupe_contigs:
-        Drop the reverse-complement twin of each contig (extension; the
-        paper leaves complement duplicates unspecified).
     trace:
         Directory to dump a structured span trace into ("" = tracing off,
         the default). When set, the run records begin/end events for every
@@ -170,7 +167,6 @@ class AssemblyConfig:
     host_block_pairs: int = 0
     device_block_pairs: int = 0
     merge_fanout: int = 2
-    dedupe_contigs: bool = True
     trace: str = ""
     # -- distributed resilience (repro.distributed.resilience) -----------------
     #: Simulated seconds between worker heartbeats to the supervisor.

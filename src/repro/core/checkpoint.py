@@ -15,8 +15,9 @@ resume=True)``:
 * always re-runs **compress** (cheap, seconds even at paper scale).
 
 A checkpoint is only honoured when the *configuration fingerprint* (every
-assembly-relevant config field plus the input's size/identity) matches —
-otherwise the stale state is discarded and the run starts clean.
+assembly-relevant config field plus the sha256 of the input's content)
+matches — otherwise the stale state is discarded and the run starts clean.
+An input replaced in place by another of the same size is a new input.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from ..config import AssemblyConfig
 from ..faults import plan as faults
 from ..graph import GreedyStringGraph
 from ..graph.bitvector import PackedBitVector
+
+#: Canonical phase order, as reported in the paper's tables.
+PHASES = ("load", "map", "sort", "reduce", "compress")
 
 STATE_FILE = "state.json"
 GRAPH_FILE = "graph.npz"
@@ -241,7 +245,7 @@ class CheckpointManager:
 
     def invalidate_from(self, phase: str) -> None:
         """Drop ``phase`` and everything after it from the ledger."""
-        order = ["load", "map", "sort", "reduce"]
+        order = PHASES[:-1]  # compress is never recorded
         if phase in order:
             keep = order[:order.index(phase)]
             self._state["completed"] = [p for p in self._state["completed"]

@@ -42,9 +42,7 @@ def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadSto
     would not fit the 64 GB host.
     """
     with ctx.tracer.span("compress:paths", track="pipeline", det=True) as span:
-        paths = extract_paths(graph)
-        if ctx.config.dedupe_contigs:
-            paths = paths.deduplicated()
+        paths = extract_paths(graph).deduplicated()
         span.note(paths=paths.n_paths)
 
     n_vertices = graph.n_vertices

@@ -9,6 +9,7 @@ traffic the paper's load phase performs.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
 
 from ..errors import DatasetError
@@ -24,34 +25,34 @@ def run_load(ctx: RunContext, source: str | Path | PackedReadStore) -> PackedRea
     """Stream ``source`` into the run's packed store; returns it (read mode)."""
     store_path = ctx.workdir / "reads.lsgr"
     fastq_source = False
-    if isinstance(source, PackedReadStore):
-        batches = source.iter_batches(LOAD_BATCH_READS)
-    else:
-        source = Path(source)
-        if not source.exists():
-            raise DatasetError(f"input not found: {source}")
-        if source.suffix == ".lsgr":
-            batches = PackedReadStore.open(source, ctx.accountant).iter_batches(
-                LOAD_BATCH_READS)
+    with ExitStack() as files:
+        if isinstance(source, PackedReadStore):
+            batches = source.iter_batches(LOAD_BATCH_READS)
         else:
-            fastq_source = True
-            batches = fastq_read_batches(source, batch_reads=LOAD_BATCH_READS,
-                                         on_invalid="mask")
+            source = Path(source)
+            if not source.exists():
+                raise DatasetError(f"input not found: {source}")
+            if source.suffix == ".lsgr":
+                batches = files.enter_context(PackedReadStore.open(
+                    source, ctx.accountant)).iter_batches(LOAD_BATCH_READS)
+            else:
+                fastq_source = True
+                batches = fastq_read_batches(source, batch_reads=LOAD_BATCH_READS,
+                                             on_invalid="mask")
 
-    writer: PackedReadStore | None = None
-    n_reads = 0
-    with ctx.tracer.span("load:stream", track="pipeline", det=True) as span:
-        for batch in batches:
-            if writer is None:
-                writer = PackedReadStore.create(store_path, batch.read_length,
-                                                ctx.accountant)
-            if fastq_source:
-                # Model the FASTQ text traffic: sequence + quality lines + headers.
-                ctx.accountant.add_read(batch.n_reads * (2 * batch.read_length + 16))
-            writer.append_batch(batch)
-            n_reads += batch.n_reads
-        span.note(reads=n_reads)
+        writer: PackedReadStore | None = None
+        n_reads = 0
+        with ctx.tracer.span("load:stream", track="pipeline", det=True) as span:
+            for batch in batches:
+                if writer is None:
+                    writer = files.enter_context(PackedReadStore.create(
+                        store_path, batch.read_length, ctx.accountant))
+                if fastq_source:
+                    # Model the FASTQ text traffic: sequence + quality lines + headers.
+                    ctx.accountant.add_read(batch.n_reads * (2 * batch.read_length + 16))
+                writer.append_batch(batch)
+                n_reads += batch.n_reads
+            span.note(reads=n_reads)
     if writer is None:
         raise DatasetError("input contains no reads")
-    writer.close()
     return PackedReadStore.open(store_path, ctx.accountant)

@@ -41,7 +41,7 @@ fingerprints it and appends it before it reads the next.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,6 +112,15 @@ class MapReport:
     n_batches: int
     tuples_written: int
     lengths: tuple[int, ...]
+
+    def to_json(self) -> dict:
+        """The report's JSON form (ledger state and cache meta alike)."""
+        return {**asdict(self), "lengths": list(self.lengths)}
+
+    @classmethod
+    def from_json(cls, saved: dict) -> MapReport:
+        """Inverse of :meth:`to_json`."""
+        return cls(**{**saved, "lengths": tuple(saved["lengths"])})
 
 
 def _place(dst: np.ndarray, orientation: int, src: np.ndarray,

@@ -23,7 +23,7 @@ graph stands for map, sort and reduce together.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..config import AssemblyConfig
@@ -34,8 +34,8 @@ from ..extmem.records import kv_dtype
 from ..faults import plan as faults
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
-from .checkpoint import (GRAPH_FILE, CheckpointManager, artifact_digests,
-                         config_fingerprint, content_digest, file_digest,
+from .checkpoint import (GRAPH_FILE, PHASES, CheckpointManager,
+                         artifact_digests, config_fingerprint, content_digest,
                          load_graph_file, save_graph_file)
 from .compress_phase import run_compress
 from .context import RunContext
@@ -44,43 +44,6 @@ from .map_phase import MapReport, run_map
 from .reduce_phase import ReduceReport, run_reduce
 from .results import AssemblyResult
 from .sort_phase import SortPhaseReport, run_sort
-from ..extmem.sort import SortReport
-
-#: Canonical phase order, as reported in the paper's tables.
-PHASES = ("load", "map", "sort", "reduce", "compress")
-
-
-def _map_report_from_json(saved: dict) -> MapReport:
-    return MapReport(**{**saved, "lengths": tuple(saved["lengths"])})
-
-
-def _sort_report_json(report: SortPhaseReport) -> dict:
-    """JSON form of a sort report (ledger state and cache meta alike).
-
-    All four SortReport fields must round-trip: dropping fanout would
-    resurrect the default (2) on resume and silently change both the
-    report and the fingerprint-relevant sort shape.
-    """
-    return {f"{side}:{length}": [r.n_records, r.initial_runs,
-                                 r.merge_rounds, r.fanout]
-            for (side, length), r in report.reports.items()}
-
-
-def _sort_report_from_json(saved: dict) -> SortPhaseReport:
-    reports = {}
-    for key, values in saved.items():
-        side, length = key.split(":")
-        reports[(side, int(length))] = SortReport(*values)
-    return SortPhaseReport(reports)
-
-
-def _reduce_report_from_json(saved: dict) -> ReduceReport:
-    """Inverse of ``asdict(report)`` after a JSON round trip (string keys)."""
-    return ReduceReport(**{
-        **saved,
-        "per_length_edges": {int(k): v for k, v
-                             in saved["per_length_edges"].items()},
-    })
 
 
 def _source_identity(source) -> str:
@@ -131,8 +94,8 @@ class Assembler:
         additionally exports the string graph and contig paths as GFA 1.0.
         ``source_digest`` is the input's
         :func:`~repro.core.checkpoint.content_digest` when the caller has
-        already taken it (the service has, for single-flight); it is only
-        used with a content store.
+        already taken it (the service has, for single-flight); it keys the
+        checkpoint ledger and the content store's ``load`` entry.
         """
         if resume and workdir is None:
             raise ConfigError("resume=True requires an explicit workdir")
@@ -144,10 +107,16 @@ class Assembler:
                 "source": _source_identity(source),
                 "seed": self.config.seed,
             })
+        if source_digest is None and (resume or self.content_store is not None):
+            source_digest = content_digest(
+                source.path if isinstance(source, PackedReadStore) else source)
         ctx = RunContext(self.config, workdir=workdir, disk=self.disk,
                          host=self.host, tracer=tracer)
-        manager = CheckpointManager(
-            ctx.workdir, config_fingerprint(self.config, _source_identity(source))
+        # The ledger's input identity is its content: an input replaced in
+        # place by another of the same size must not resume the old one.
+        # Unreadable input keeps the path identity; run_load says why.
+        manager = CheckpointManager(ctx.workdir, config_fingerprint(
+            self.config, source_digest or _source_identity(source))
         ) if resume else None
         try:
             return self._run(ctx, source, manager, source_digest, gfa_path)
@@ -164,25 +133,23 @@ class Assembler:
     def _run(self, ctx: RunContext, source, manager: CheckpointManager | None,
              source_digest: str | None, gfa_path=None) -> AssemblyResult:
         self._boundary(ctx, "start")
-        faults.note_phase("load")
-        with ctx.telemetry.phase("load"):
-            store = self._load(ctx, source, manager, source_digest)
+        store = None
         try:
-            self._phase_end(ctx, "load")
+            with self._phase(ctx, "load"):
+                store = self._load(ctx, source, manager, source_digest)
             graph, map_report, sort_report, reduce_report = self._graph(
                 ctx, store, manager)
-            faults.note_phase("compress")
-            with ctx.telemetry.phase("compress"):
+            with self._phase(ctx, "compress"):
                 contigs, paths = run_compress(ctx, graph, store,
                                               release_graph=gfa_path is None)
-            self._phase_end(ctx, "compress")
             if gfa_path is not None:
                 from ..graph.gfa import write_gfa
 
                 write_gfa(gfa_path, graph, paths=paths)
             graph.release()
         finally:
-            store.close()
+            if store is not None:
+                store.close()
         return AssemblyResult(
             config=self.config,
             n_reads=store.n_reads,
@@ -196,22 +163,56 @@ class Assembler:
             paths=paths,
         )
 
-    def _phase_end(self, ctx: RunContext, name: str) -> None:
-        """The injectable crash point after a phase, then the phase hook.
+    @contextmanager
+    def _phase(self, ctx: RunContext, name: str, boundary: bool = True):
+        """One step of phase ``name``: its fault label and telemetry row,
+        then, on a clean exit, its boundary.
 
-        Both run *outside* the telemetry phase contexts (a raised
+        The boundary is the injectable crash point, then the phase hook.
+        Both run *outside* the telemetry row (a raised
         ``JobCancelled``/``JobDeadlineExceeded`` must not mark a phase
         failed), the barrier first, so injected crashes and cooperative
-        stops at the same boundary keep their relative order. A phase
-        that was looked up instead of computed ends here all the same:
-        every run passes the five boundaries once each, in order.
+        stops at the same boundary keep their relative order. A phase that
+        was looked up instead of computed ends here all the same: every run
+        passes the five boundaries once each, in order. The per-length
+        sort and reduce steps re-enter their rows with ``boundary=False``.
         """
-        faults.barrier(faults.PHASE, name)
-        self._boundary(ctx, name)
+        faults.note_phase(name)
+        with ctx.telemetry.phase(name):
+            yield
+        if boundary:
+            faults.barrier(faults.PHASE, name)
+            self._boundary(ctx, name)
 
     def _boundary(self, ctx: RunContext, name: str) -> None:
         if self.phase_hook is not None:
             self.phase_hook(name, ctx.clock.total_seconds)
+
+    def _restore(self, ctx: RunContext, manager, phase: str, path: Path,
+                 open_fn, key: str | None, records=()) -> tuple[object, dict]:
+        """What ``phase`` left in ``path``, opened, and the records behind it.
+
+        From this workdir's ledger when it has ``phase`` and the
+        ``records`` and the artifact is undamaged and opens; else (the
+        artifact removed and the ledger invalidated from ``phase``) from
+        the cache entry ``key``. ``(None, {})`` sends the run forward.
+        """
+        if manager is not None and manager.completed(phase):
+            saved = {name: manager.record(name) for name in records}
+            if all(saved.values()) and not manager.damaged(phase):
+                found = open_fn()
+                if found is not None:
+                    return found, saved
+            path.unlink(missing_ok=True)
+            manager.invalidate_from(phase)
+        if key is not None:
+            meta = self.content_store.fetch(key, ctx.workdir, phase=phase,
+                                            tracer=ctx.tracer)
+            if meta is not None:
+                found = open_fn()
+                if found is not None:
+                    return found, meta
+        return None, {}
 
     # -- load ------------------------------------------------------------------
 
@@ -241,27 +242,17 @@ class Assembler:
               source_digest: str | None) -> PackedReadStore:
         """The packed reads: this workdir's, else the cache's, else loaded."""
         store_path = ctx.workdir / "reads.lsgr"
-        if manager is not None and manager.completed("load"):
-            store = None if manager.damaged("load") else self._open_store(ctx)
-            if store is not None:
-                return store
-            manager.invalidate_from("load")
-        key = store = None
-        if self.content_store is not None:
-            if source_digest is None:
-                source_digest = content_digest(
-                    source.path if isinstance(source, PackedReadStore) else source)
-            if source_digest is not None:  # else unreadable: run_load says so
-                key = self._cache_key("load", source_digest)
-                if self.content_store.fetch(key, ctx.workdir, phase="load",
-                                            tracer=ctx.tracer) is not None:
-                    store = self._open_store(ctx)
+        # No digest: the input is unreadable and run_load says so.
+        key = self._cache_key("load", source_digest) \
+            if self.content_store is not None and source_digest else None
+        store, _ = self._restore(ctx, manager, "load", store_path,
+                                 lambda: self._open_store(ctx), key)
         if store is None:
             store = run_load(ctx, source)
             if key is not None:
                 self.content_store.put(key, "load", ctx.workdir, [store_path],
                                        tracer=ctx.tracer)
-        if manager is not None:
+        if manager is not None and not manager.completed("load"):
             manager.mark("load", [store_path])
         return store
 
@@ -273,11 +264,12 @@ class Assembler:
         """Map, sort and reduce: the graph and the three reports behind it.
 
         Resolved from the end. The graph is all compress reads, so when it
-        is available (:meth:`_lookup_graph`) map and sort are marked from
-        the records that came with it and nothing of theirs is fetched,
-        digested or recomputed. Otherwise the run goes forward from the
-        files on disk: map (unless the ledger has it), then sort and
-        reduce one overlap length at a time, longest first.
+        is available (:meth:`_restore` of ``graph.npz``) map and sort are
+        marked from the records that came with it and nothing of theirs is
+        fetched, digested or recomputed. Otherwise the run goes forward
+        from the files on disk: map (unless the ledger has it, see
+        :meth:`_map`), then sort and reduce one overlap length at a time,
+        longest first.
 
         Reduce takes the longest overlaps first and a vertex takes one
         out-edge, so when a length's turn comes most of its records belong
@@ -292,154 +284,92 @@ class Assembler:
         Sort and reduce are recorded after the loop, so fault barriers and
         phase hooks see ``sort`` then ``reduce`` exactly once each; a
         workdir with some lengths sorted (an interrupted loop) uses those
-        files as they are.
+        files as they are, and ``run_sort`` rebuilds their reports.
         """
-        telemetry = ctx.telemetry
         key = self._cache_key("reduce", content_digest(store.path)) \
             if self.content_store is not None else None
-        faults.note_phase("map")
-        with telemetry.phase("map"):
-            graph, records = self._lookup_graph(ctx, manager, key)
+        graph_path = ctx.workdir / GRAPH_FILE
+        with self._phase(ctx, "map"):
+            graph, records = self._restore(
+                ctx, manager, "reduce", graph_path,
+                lambda: load_graph_file(graph_path, ctx.host_pool), key,
+                records=PHASES[1:4])
             if graph is None:
                 partitions, map_report, records["map"] = self._map(
                     ctx, store, manager)
             else:
                 self._mark(manager, "map", records)
-        self._phase_end(ctx, "map")
         if graph is not None:
             for phase in ("sort", "reduce"):
-                faults.note_phase(phase)
-                with telemetry.phase(phase):
+                with self._phase(ctx, phase):
                     self._mark(manager, phase, records)
-                self._phase_end(ctx, phase)
-            return (graph, _map_report_from_json(records["map"]["report"]),
-                    _sort_report_from_json(records["sort"]["report"]),
-                    _reduce_report_from_json(records["reduce"]["report"]))
+            return (graph, MapReport.from_json(records["map"]["report"]),
+                    SortPhaseReport.from_json(records["sort"]["report"]),
+                    ReduceReport.from_json(records["reduce"]["report"]))
 
-        sorted_before = manager.record("sort") if manager is not None else None
-        sort_report = SortPhaseReport({}) if sorted_before is None \
-            else _sort_report_from_json(sorted_before["report"])
+        sort_report = SortPhaseReport({})
         reduce_report = None
         for length in sorted(partitions.lengths(), reverse=True):
-            if sorted_before is None:
-                faults.note_phase("sort")
-                with telemetry.phase("sort"):
-                    beside = {} if graph is None else {
-                        "closed": graph.out_bits, "resident_bytes": graph.nbytes}
-                    sort_report.reports.update(run_sort(
-                        ctx, partitions, lengths=(length,), **beside).reports)
-            faults.note_phase("reduce")
-            with telemetry.phase("reduce"):
+            with self._phase(ctx, "sort", boundary=False):
+                beside = {} if graph is None else {
+                    "closed": graph.out_bits, "resident_bytes": graph.nbytes}
+                sort_report.reports.update(run_sort(
+                    ctx, partitions, lengths=(length,), **beside).reports)
+            with self._phase(ctx, "reduce", boundary=False):
                 graph, reduce_report = run_reduce(
                     ctx, partitions, store, lengths=(length,), graph=graph,
                     report=reduce_report)
-        faults.note_phase("sort")
-        with telemetry.phase("sort"):
-            records["sort"] = sorted_before or self._record(
-                ctx, manager, "sort", _sort_report_json(sort_report),
+        with self._phase(ctx, "sort"):
+            records["sort"] = self._record(
+                ctx, manager, "sort", sort_report.to_json(),
                 [partitions.path(side, length, sorted_run=True)
                  for (side, length) in sort_report.reports])
-        self._phase_end(ctx, "sort")
-        faults.note_phase("reduce")
-        with telemetry.phase("reduce"):
-            graph_path = ctx.workdir / GRAPH_FILE
+        with self._phase(ctx, "reduce"):
             if manager is not None:
                 manager.save_graph(graph)
             elif key is not None:
                 # No ledger writing the archive for us: materialize it so
                 # the cache entry has bytes to hold.
                 save_graph_file(graph_path, graph)
-            records["reduce"] = self._record(ctx, manager, "reduce",
-                                             asdict(reduce_report), [graph_path])
+            records["reduce"] = self._record(
+                ctx, manager, "reduce", reduce_report.to_json(), [graph_path])
             if key is not None:
                 self.content_store.put(key, "reduce", ctx.workdir, [graph_path],
                                        meta=records, tracer=ctx.tracer)
-        self._phase_end(ctx, "reduce")
         return graph, map_report, sort_report, reduce_report
-
-    def _lookup_graph(self, ctx: RunContext, manager, key: str | None,
-                      ) -> tuple[GreedyStringGraph | None, dict]:
-        """The finished graph and the records of the phases behind it.
-
-        From this workdir's ledger when its ``graph.npz`` is intact, else
-        from the cache's ``reduce`` entry. ``(None, {})`` sends the run
-        forward; only then are the partition files on disk looked at.
-        """
-        graph_path = ctx.workdir / GRAPH_FILE
-        if manager is not None and manager.completed("reduce"):
-            graph = None if manager.damaged("reduce") \
-                else load_graph_file(graph_path, ctx.host_pool)
-            records = {phase: manager.record(phase)
-                       for phase in ("map", "sort", "reduce")}
-            if graph is not None and all(records.values()):
-                return graph, records
-            graph_path.unlink(missing_ok=True)
-            manager.invalidate_from("reduce")
-        if key is not None:
-            records = self.content_store.fetch(key, ctx.workdir, phase="reduce",
-                                               tracer=ctx.tracer)
-            if records is not None:
-                graph = load_graph_file(graph_path, ctx.host_pool)
-                if graph is not None:
-                    return graph, records
-        if manager is not None:
-            self._validate_partitions(ctx, manager)
-        return None, {}
-
-    def _validate_partitions(self, ctx: RunContext,
-                             manager: CheckpointManager) -> None:
-        """Cross-check the ledger's map and sort against the files on disk.
-
-        The sort phase consumes the map phase's partition files, so a
-        missing *sorted* run cannot be regenerated from a "map complete"
-        checkpoint unless its unsorted input still exists — in that case
-        the invalidation must cascade back to map. (A ledger marked from a
-        cache hit has no partition file at all: it cascades to map.)
-        """
-        dtype = kv_dtype(ctx.config.fingerprint_lanes)
-        partitions = PartitionStore(ctx.workdir / "partitions", dtype, None)
-        saved_map = manager.record("map")
-        lengths = saved_map["report"]["lengths"] if saved_map else []
-        if manager.completed("sort"):
-            # Digest-damaged sorted runs must also be *removed* — the sort
-            # rerun trusts any sorted file it finds on disk.
-            damaged = manager.damaged("sort")
-            for rel in damaged:
-                (ctx.workdir / rel).unlink(missing_ok=True)
-            sorted_complete = all(
-                partitions.path(side, length, sorted_run=True).exists()
-                for length in lengths for side in ("S", "P"))
-            if not sorted_complete or damaged:
-                manager.invalidate_from("sort")
-        if manager.completed("map") and not manager.completed("sort"):
-            # A partition is usable if its sorted run already exists, or if
-            # the unsorted input survives *undamaged* — a torn unsorted run
-            # would silently sort to a wrong (smaller) partition.
-            recorded = manager.recorded_artifacts("map")
-            for length in lengths:
-                for side in ("S", "P"):
-                    if partitions.path(side, length, sorted_run=True).exists():
-                        continue
-                    unsorted = partitions.path(side, length)
-                    rel = str(unsorted.relative_to(ctx.workdir))
-                    if not unsorted.exists() or (
-                            rel in recorded
-                            and file_digest(unsorted) != recorded[rel]):
-                        manager.invalidate_from("map")
-                        return
 
     def _map(self, ctx: RunContext, store: PackedReadStore, manager,
              ) -> tuple[PartitionStore, MapReport, dict | None]:
-        """Partitions, report and record: the ledger's, else computed."""
+        """Partitions, report and record: the ledger's, else computed.
+
+        The ledger's map stands when every partition is usable: its sorted
+        run exists, or its unsorted input survives *undamaged* (a torn
+        unsorted run would silently sort to a wrong, smaller partition).
+        Damaged recorded sorted runs are removed first, because the sort
+        trusts any sorted file it finds. A ledger marked from a cache hit
+        has no partition file at all, so its map is computed again.
+        """
         record = manager.record("map") if manager is not None else None
         if record is not None:
+            damaged = manager.damaged("sort")
+            for rel in damaged:
+                (ctx.workdir / rel).unlink(missing_ok=True)
+            if damaged:
+                manager.invalidate_from("sort")
             partitions = PartitionStore(
                 ctx.workdir / "partitions",
                 kv_dtype(ctx.config.fingerprint_lanes), ctx.accountant)
-            return partitions, _map_report_from_json(record["report"]), record
+            torn = {ctx.workdir / rel for rel in manager.damaged("map")}
+            if all(partitions.path(side, length, sorted_run=True).exists()
+                   or (partitions.path(side, length).exists()
+                       and partitions.path(side, length) not in torn)
+                   for length in record["report"]["lengths"]
+                   for side in ("S", "P")):
+                return partitions, MapReport.from_json(record["report"]), record
+            manager.invalidate_from("map")
         partitions, report = run_map(ctx, store)
         record = self._record(
-            ctx, manager, "map", {**asdict(report), "lengths": list(report.lengths)},
+            ctx, manager, "map", report.to_json(),
             [partitions.path(side, length) for length in report.lengths
              for side in ("S", "P")])
         return partitions, report, record
@@ -449,9 +379,12 @@ class Assembler:
         """Record a computed phase: its report's JSON form and the digests.
 
         Goes into the ledger now and, as part of the ``reduce`` entry's
-        meta, into the cache when the graph is done. ``None`` (and no file
-        is digested) when the run keeps neither.
+        meta, into the cache when the graph is done. The ledger's record
+        when it has ``phase`` already (a resumed run's sort); ``None`` (and
+        no file is digested) when the run keeps neither.
         """
+        if manager is not None and manager.completed(phase):
+            return manager.record(phase)
         if manager is None and self.content_store is None:
             return None
         record = {"report": report,

@@ -19,7 +19,7 @@ bit-vector. With two fingerprint lanes, the auxiliary lane must also agree
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -51,6 +51,16 @@ class ReduceReport:
     aux_rejected: int = 0
     edges_added: int = 0
     per_length_edges: dict[int, int] = field(default_factory=dict)
+
+    def to_json(self) -> dict:
+        """The report's JSON form (ledger state and cache meta alike)."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, saved: dict) -> ReduceReport:
+        """Inverse of :meth:`to_json` after a JSON round trip (string keys)."""
+        return cls(**{**saved, "per_length_edges": {
+            int(k): v for k, v in saved["per_length_edges"].items()}})
 
 
 def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadStore,

@@ -44,6 +44,26 @@ class SortPhaseReport:
         """Worst-case disk passes over any one partition."""
         return max((r.disk_passes for r in self.reports.values()), default=0)
 
+    def to_json(self) -> dict:
+        """The report's JSON form (ledger state and cache meta alike).
+
+        All four SortReport fields must round-trip: dropping fanout would
+        resurrect the default (2) on resume and silently change both the
+        report and the fingerprint-relevant sort shape.
+        """
+        return {f"{side}:{length}": [r.n_records, r.initial_runs,
+                                     r.merge_rounds, r.fanout]
+                for (side, length), r in self.reports.items()}
+
+    @classmethod
+    def from_json(cls, saved: dict) -> SortPhaseReport:
+        """Inverse of :meth:`to_json`."""
+        reports = {}
+        for key, values in saved.items():
+            side, length = key.split(":")
+            reports[(side, int(length))] = SortReport(*values)
+        return cls(reports)
+
 
 def make_sorter(ctx: RunContext, dtype, resident_bytes: int = 0) -> ExternalSorter:
     """Build the external sorter for this run's budgets and record dtype.

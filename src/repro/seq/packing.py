@@ -171,6 +171,8 @@ class PackedReadStore:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:  # a write that raised stays uncommitted
+            self._handle.close()
         self.close()
 
     # -- reading -----------------------------------------------------------

@@ -17,8 +17,8 @@ from repro.config import AssemblyConfig, MemoryConfig
 from repro.core.checkpoint import GRAPH_FILE, NON_SEMANTIC_KNOBS, STATE_FILE
 from repro.core.pipeline import PHASES, Assembler
 from repro.errors import ConfigError, FaultInjected
-from repro.faults import (BITFLIP, CRASH, PHASE, TORN, WRITE, Fault, FaultPlan,
-                          inject, result_digest)
+from repro.faults import (BITFLIP, CRASH, PHASE, READ, TORN, WRITE, Fault,
+                          FaultPlan, inject, result_digest)
 from repro.service import ContentStore, phase_key
 from repro.service.content_store import FILES_DIR, MANIFEST_FILE
 from repro.trace import SpanTracer
@@ -366,6 +366,39 @@ def test_hit_passes_the_boundaries_of_a_computed_run(tmp_path, tiny_md,
         == list(PHASES)
 
 
+@pytest.mark.parametrize("resolution", ["ledger-graph", "ledger-map",
+                                        "cache-hit-no-ledger"])
+def test_every_resolution_passes_the_boundaries_once(
+        tmp_path, tiny_md, laptop_config, resolution):
+    """However a run is resolved, each boundary is passed once, in order."""
+    work = tmp_path / "w"
+    store = ContentStore(tmp_path / "cache", 64 << 20)
+    cache = store if resolution == "cache-hit-no-ledger" else None
+    if resolution == "ledger-map":
+        # Killed at reduce's first read: load and map marked, one length sorted.
+        crash = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run")])
+        with inject(crash), pytest.raises(FaultInjected):
+            Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
+                                              resume=True)
+        state = json.loads((work / STATE_FILE).read_text())
+        assert state["completed"] == ["load", "map"]
+    else:
+        Assembler(laptop_config, content_store=cache).assemble(
+            tiny_md.store_path, workdir=work, resume=cache is None)
+    seen = []
+    plan = FaultPlan()
+    with inject(plan):
+        Assembler(laptop_config, content_store=cache,
+                  phase_hook=lambda name, sim_s: seen.append(name)).assemble(
+            tiny_md.store_path, workdir=tmp_path / "again" if cache else work,
+            resume=cache is None)
+    assert seen == ["start", *PHASES]
+    assert [point.path for point in plan.trace if point.site == PHASE] \
+        == list(PHASES)
+    if cache is not None:
+        assert store.stats()["cache_hits"] == 2
+
+
 def test_hit_crashed_at_compress_finishes_from_its_ledger(
         tmp_path, tiny_md, laptop_config, filled, monkeypatch):
     store, cold = filled
@@ -423,7 +456,6 @@ def test_resume_with_an_intact_graph_digests_no_partition(
         return real(path)
 
     monkeypatch.setattr(checkpoint, "file_digest", recording)
-    monkeypatch.setattr(pipeline, "file_digest", recording)
     calls = _count_phase_runs(monkeypatch)
     resumed = Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
                                                 resume=True)
@@ -467,7 +499,6 @@ _SEMANTIC_CHANGES = {
     "host_block_pairs": 4096,
     "device_block_pairs": 512,
     "merge_fanout": 4,
-    "dedupe_contigs": False,
     "device_name": "V100",
     "seed": 1234,
     "memory": MemoryConfig(2 << 30, 128 << 20),

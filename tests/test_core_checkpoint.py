@@ -9,7 +9,10 @@ from repro import Assembler, AssemblyConfig
 from repro.core.checkpoint import (CheckpointManager, config_fingerprint,
                                    load_graph_file, GRAPH_FILE, STATE_FILE)
 from repro.errors import ConfigError
+from repro.faults import result_digest
 from repro.graph import GreedyStringGraph
+
+from .conftest import colliding_sources
 
 
 class TestCheckpointManager:
@@ -119,3 +122,32 @@ class TestResume:
         assert changed.map_report.lengths[0] == 30
         state = json.loads((work / STATE_FILE).read_text())
         assert set(state["completed"]) >= {"load", "map", "sort", "reduce"}
+
+    def test_input_replaced_in_place_is_a_new_input(self, tmp_path):
+        """Same path, same size, other reads: resume must not serve the old."""
+        first, second = colliding_sources(tmp_path)
+        config = AssemblyConfig(min_overlap=25)
+        fresh = Assembler(config).assemble(second)
+        work = tmp_path / "w"
+        old = Assembler(config).assemble(first, workdir=work, resume=True)
+        first.write_bytes(second.read_bytes())
+        resumed = Assembler(config).assemble(first, workdir=work, resume=True)
+        assert result_digest(old) != result_digest(fresh)
+        assert result_digest(resumed) == result_digest(fresh)
+
+    def test_resume_at_reduce_reports_the_uninterrupted_sort(self, tmp_path,
+                                                             tiny_md):
+        """Sort marked, reduce not: the sort report is rebuilt from the
+        sorted files, equal to the uninterrupted run's and the ledger's."""
+        config = AssemblyConfig(min_overlap=25)
+        work = tmp_path / "w"
+        full = Assembler(config).assemble(tiny_md.store_path, workdir=work,
+                                          resume=True)
+        state = json.loads((work / STATE_FILE).read_text())
+        CheckpointManager(work, state["fingerprint"]).invalidate_from("reduce")
+        (work / GRAPH_FILE).unlink()
+        resumed = Assembler(config).assemble(tiny_md.store_path, workdir=work,
+                                             resume=True)
+        assert resumed.sort_report.reports == full.sort_report.reports
+        assert json.loads((work / STATE_FILE).read_text())["sort_report"] \
+            == state["sort_report"] == full.sort_report.to_json()

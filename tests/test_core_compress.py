@@ -84,15 +84,3 @@ class TestCompress:
         assert np.array_equal(contigs.contig_codes(123), codes[123])
         store.close()
         ctx.cleanup()
-
-    def test_no_dedupe_keeps_twins(self, chain_setup):
-        ctx, graph, store, _, _ = chain_setup
-        config = AssemblyConfig(min_overlap=6, dedupe_contigs=False)
-        ctx_no_dedupe = RunContext(config, workdir=ctx.workdir / "nd")
-        contigs, _ = run_compress(ctx_no_dedupe, graph, store,
-                                  release_graph=False)
-        texts = [decode(c) for c in contigs]
-        from repro.seq.alphabet import reverse_complement_str
-        long_texts = [t for t in texts if len(t) > 12]
-        assert any(reverse_complement_str(t) in long_texts for t in long_texts)
-        ctx_no_dedupe.cleanup()

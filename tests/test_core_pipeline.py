@@ -1,5 +1,8 @@
 """End-to-end pipeline behaviour."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,16 +118,6 @@ class TestVariants:
         accuracy = contig_accuracy(result.contigs, md.genome())
         assert accuracy["incorrect"] == 0
 
-    def test_no_dedupe_doubles_contigs(self, tmp_path):
-        from repro.seq.datasets import tiny_dataset
-
-        md, _ = tiny_dataset(tmp_path, genome_length=800, read_length=40,
-                             coverage=12.0, min_overlap=20, seed=6)
-        base = Assembler(AssemblyConfig(min_overlap=20)).assemble(md.store_path)
-        doubled = Assembler(AssemblyConfig(min_overlap=20, dedupe_contigs=False)
-                            ).assemble(md.store_path)
-        assert doubled.contigs.n_contigs >= 2 * base.contigs.n_contigs - 1
-
     def test_noisy_reads_degrade_gracefully(self, tmp_path):
         """Substitution errors break exact overlaps: fewer edges, shorter
         contigs, but never crashes or invalid output."""
@@ -151,3 +144,11 @@ class TestVariants:
         Assembler(AssemblyConfig(min_overlap=15)).assemble(md.store_path,
                                                            workdir=work)
         assert (work / "reads.lsgr").exists()
+
+    def test_lsgr_source_leaves_no_file_open(self, tiny_md):
+        """The load phase closes the ``.lsgr`` source it opened."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            Assembler(AssemblyConfig(min_overlap=25)).assemble(tiny_md.store_path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
