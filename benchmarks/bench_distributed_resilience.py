@@ -18,7 +18,10 @@ forcing heartbeat detection, restart and ledger-verified replay) — under
     cell still asserts byte-identity to the clean run.
 
 Each entry reports the extra modeled reduce time over that policy's own
-clean run (``overhead_pct``) and, for faulted cells, the attempt seconds the
+clean run (``overhead_pct``; the clean run is made under an empty
+``FaultPlan`` too, because an armed plan keeps every sorted run on disk
+for reduce, DESIGN.md §2f, and recovery is what is measured) and, for
+faulted cells, the attempt seconds the
 crashes destroyed (``lost_work_s``, with ``overhead_ratio = overhead_s /
 lost_work_s`` when it is non-zero; a crash on a token boundary destroys
 none). What separates the policies is detection latency: ``seed`` pays the
@@ -127,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         for nodes in node_counts:
             for policy, config in policies.items():
                 assembler = DistributedAssembler(config, nodes)
-                clean = assembler.assemble(md.store_path)
+                with inject(FaultPlan()):
+                    clean = assembler.assemble(md.store_path)
                 baseline = _identity(clean)
                 clean_token = clean.phase_seconds["reduce"]
                 for crashes in crash_counts:

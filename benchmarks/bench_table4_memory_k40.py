@@ -54,6 +54,13 @@ def test_table4_memory_peaks_k40(benchmark):
                              cell("device", "sort", "sort"),
                              cell("device", "reduce", "reduce"))
     host_table.add_note("measured column rescaled to paper units by 1/scale")
+    host_table.add_note(
+        "measured map = the staged map host block, which reserves every "
+        "staged batch's device working set, not the records the host holds")
+    host_table.add_note(
+        "measured sort/reduce include the sorted runs held in host memory "
+        "for reduce (one side beside the other side's sort, both while "
+        "reduce reads them)")
     emit("table4", host_table, device_table)
 
     # Structure: device sort peak is identical for every dataset large enough

@@ -46,6 +46,10 @@ def test_table5_memory_peaks_k20(benchmark):
         table.add_row(paper_name, cell("host", "map"), cell("host", "sort"),
                       cell("host", "reduce"), cell("device", "map"),
                       cell("device", "sort"), cell("device", "reduce"))
+    table.add_note(
+        "measured host map = the staged map host block (Table IV's note)")
+    table.add_note(
+        "measured host sort/reduce include the sorted runs held for reduce")
     emit("table5", table)
 
     # Device peaks halve with the device (Table IV vs V pattern).

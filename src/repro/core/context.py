@@ -59,6 +59,10 @@ class RunContext:
         self.telemetry.register(self.accountant)
         self.telemetry.register(self.gpu.pool)
         self.telemetry.register(self.host_pool)
+        #: Event counts per phase row (how many sorted runs reduce took
+        #: from host memory and how many off the disk).
+        self.events = EventMeter()
+        self.telemetry.register(self.events)
         # Under chaos injection, fault events show up as per-phase counters
         # (faults_injected, fault_ops, …) so benchmarks can report which
         # phase absorbed the failures and what recovery cost.

@@ -8,10 +8,12 @@ Phase names match the rows of the paper's Tables II/III ("Load", "Map",
 Sort and reduce are interleaved per overlap length, longest first: a
 length's partitions are sorted just before reduce reads them, minus the
 records the greedy graph has already closed (see
-:meth:`Assembler._graph`). The re-entered ``sort`` / ``reduce``
-phases merge into one telemetry row each. The paper's eager order is the
-plain composition ``run_sort(ctx, partitions)`` → ``run_reduce(ctx,
-partitions, store)``; it builds the same graph.
+:meth:`Assembler._graph`), and a run the sort leaves in one piece is
+handed to reduce in host memory while its file is still written. The
+re-entered ``sort`` / ``reduce`` phases merge into one telemetry row each.
+The paper's eager order is the plain composition ``run_sort(ctx,
+partitions)`` → ``run_reduce(ctx, partitions, store)``; it builds the same
+graph.
 
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
 skipped using the :mod:`~repro.core.checkpoint` ledger — a 16-hour
@@ -280,6 +282,8 @@ class Assembler:
         yet, and it gets the whole host budget. The graph is the eager
         composition's (bits are only ever set, so a dropped record is one
         every later candidate of its vertex would have been refused for).
+        From the second length on, a run the sort forms in one piece is
+        also held in host memory and reduce reads it from there.
 
         Sort and reduce are recorded after the loop, so fault barriers and
         phase hooks see ``sort`` then ``reduce`` exactly once each; a
@@ -309,16 +313,22 @@ class Assembler:
 
         sort_report = SortPhaseReport({})
         reduce_report = None
-        for length in sorted(partitions.lengths(), reverse=True):
-            with self._phase(ctx, "sort", boundary=False):
-                beside = {} if graph is None else {
-                    "closed": graph.out_bits, "resident_bytes": graph.nbytes}
-                sort_report.reports.update(run_sort(
-                    ctx, partitions, lengths=(length,), **beside).reports)
-            with self._phase(ctx, "reduce", boundary=False):
-                graph, reduce_report = run_reduce(
-                    ctx, partitions, store, lengths=(length,), graph=graph,
-                    report=reduce_report)
+        try:
+            for length in sorted(partitions.lengths(), reverse=True):
+                with self._phase(ctx, "sort", boundary=False):
+                    beside = {} if graph is None else {
+                        "closed": graph.out_bits, "resident_bytes": graph.nbytes,
+                        "graph_built": True}
+                    sort_report.reports.update(run_sort(
+                        ctx, partitions, lengths=(length,), **beside).reports)
+                with self._phase(ctx, "reduce", boundary=False):
+                    graph, reduce_report = run_reduce(
+                        ctx, partitions, store, lengths=(length,), graph=graph,
+                        report=reduce_report)
+        finally:
+            # A run held for a reduce that never came (the loop raised)
+            # gives its host memory back.
+            partitions.abandon()
         with self._phase(ctx, "sort"):
             records["sort"] = self._record(
                 ctx, manager, "sort", sort_report.to_json(),

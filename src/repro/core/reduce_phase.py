@@ -6,7 +6,10 @@ suffix run ``S_l`` and prefix run ``P_l`` are streamed through paired
 windows that always cover the same fingerprint range: the windows are cut
 at the smaller of their two tail fingerprints, so a fingerprint present in
 the suffix window can only match inside the current prefix window — one
-disk pass per partition.
+pass per partition. The runs come through
+:meth:`~repro.extmem.PartitionStore.open_run`: off the disk, or, for a
+run the sort just formed in one piece and held, from host memory at no
+disk charge (:mod:`repro.core.sort_phase`).
 
 Each window pair goes to the device, where vectorized lower/upper bounds of
 every suffix fingerprint in the prefix window yield per-suffix match counts
@@ -26,6 +29,7 @@ import numpy as np
 
 from ..device.kernels import copy_records, raw_view
 from ..extmem import PartitionStore, RunReader
+from ..extmem.partitions import SIDES
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
@@ -87,13 +91,16 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
         if not (s_path.exists() and p_path.exists()):
             continue
         edges_before = graph.n_edges
+        held = sum(partitions.holds(side, length) for side in SIDES)
+        ctx.events.bump("sorted_runs_held", held)
+        ctx.events.bump("sorted_runs_from_disk", len(SIDES) - held)
         with ctx.tracer.span("reduce:partition", track="pipeline", det=True,
                              length=length) as span:
-            with RunReader(s_path, partitions.dtype, ctx.accountant) as suffixes, \
-                    RunReader(p_path, partitions.dtype, ctx.accountant) as prefixes:
+            with partitions.open_run("S", length, sorted_run=True) as suffixes, \
+                    partitions.open_run("P", length, sorted_run=True) as prefixes:
                 reduce_partition(ctx, graph, suffixes, prefixes, length, window,
                                  report)
-            span.note(edges=(graph.n_edges - edges_before) // 2)
+            span.note(edges=(graph.n_edges - edges_before) // 2, held=held)
         report.partitions_processed += 1
         report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
     report.edges_added = graph.n_edges

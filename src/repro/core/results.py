@@ -83,6 +83,12 @@ class AssemblyResult:
         stats = self.stats()
         mapped = self.map_report.tuples_written
         n_sorted = self.sort_report.total_records
+        # Counted on the reduce row: a graph looked up instead of built
+        # read no run at all.
+        reduce = self.telemetry["reduce"].counters \
+            if "reduce" in self.telemetry else {}
+        from_disk = int(reduce.get("sorted_runs_from_disk", 0))
+        held = int(reduce.get("sorted_runs_held", 0))
         lines = [
             f"reads: {self.n_reads:,} × {self.read_length} bp",
             f"tuples mapped: {mapped:,}",
@@ -91,6 +97,9 @@ class AssemblyResult:
             f"sorted: {n_sorted:,} of {mapped:,} mapped "
             f"({100 * n_sorted / mapped:.1f} %)",
             f"sort disk passes (max): {self.sort_report.max_disk_passes}",
+            # The rest were handed over in host memory by the sort.
+            f"sorted runs reduce read from disk: {from_disk:,} of "
+            f"{from_disk + held:,}",
             f"candidates: {self.reduce_report.candidates:,} "
             f"(aux-rejected {self.reduce_report.aux_rejected:,})",
             f"edges: {self.reduce_report.edges_added:,}",

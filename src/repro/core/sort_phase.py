@@ -13,6 +13,13 @@ turn comes can never produce an edge. Such records are dropped while the
 runs are formed; they are neither sorted nor written nor streamed through
 reduce. :func:`_open_claims` is that filter, for this sorter and for the
 cluster node that serves (or recomputes) a map piece alike.
+
+A length sorted on its own just before reduce reads it may also *hold*
+its runs: a partition the sort leaves in one run (no merge round) is still
+in the sorter's host buffer when the file is renamed into place, so the
+store keeps that array, its bytes reserved in the host pool, and reduce
+reads it from there instead of off the disk (:func:`_holder` says when).
+The sorted file is written all the same.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Iterable
 from ..extmem import ExternalSorter, PartitionStore
 from ..extmem.records import VAL_FIELD
 from ..extmem.sort import SortReport
+from ..faults import plan as faults
 from ..graph.bitvector import PackedBitVector
 from .context import RunContext
 
@@ -103,10 +111,52 @@ def _open_claims(ctx: RunContext, closed: PackedBitVector, side: str):
     return keep
 
 
+def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
+            graph_built: bool, block_bytes: int):
+    """The whole rule for holding freshly sorted runs.
+
+    Returns ``None`` when this :func:`run_sort` call holds nothing, else
+    ``for_partition(side, length)``: the ``hold`` callback of that
+    partition's sort, which keeps the run
+    (:meth:`~repro.extmem.PartitionStore.hold`, its bytes reserved in the
+    host pool). A run is held only
+
+    * once the graph exists (``graph_built``): it is allocated after the
+      first sort (the cluster's first round) and must find its bytes free;
+    * when the call sorts a single length, so at most one length's runs
+      wait for reduce;
+    * while no fault plan is armed, so every reduce read stays an
+      injectable op;
+    * when the sort formed it in one piece (the sorter offers no other);
+    * if the sorter's whole block budget (``block_bytes``) stays free
+      beside it while the other side is still to be sorted, so that sort
+      reserves what it would have without it (same report, same charges,
+      no :class:`~repro.errors.HostMemoryError`); nothing need stay free
+      after the last one.
+    """
+    if not graph_built or len(lengths) != 1 or faults.active():
+        return None
+
+    def for_partition(side: str, length: int):
+        spare = block_bytes if side == "S" else 0
+
+        def hold(records) -> bool:
+            if ctx.host_pool.free_bytes - records.nbytes < spare:
+                return False
+            partitions.hold(side, length, records,
+                            ctx.host_pool.alloc(records.nbytes, label="held-run"))
+            return True
+
+        return hold
+
+    return for_partition
+
+
 def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
              closed: PackedBitVector | None = None,
-             resident_bytes: int = 0) -> SortPhaseReport:
+             resident_bytes: int = 0,
+             graph_built: bool = False) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -119,10 +169,17 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
     has already closed are dropped. ``resident_bytes`` is host memory held
     by something else meanwhile (the graph): the sorter's host block is cut
     from the budget it leaves.
+
+    ``graph_built`` says whether the greedy graph exists yet; with it,
+    :func:`_holder` decides which freshly sorted runs stay in host memory
+    for the reader that comes next.
     """
     sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
+    lengths = partitions.lengths() if lengths is None else list(lengths)
+    holder = _holder(ctx, partitions, lengths, graph_built,
+                     sorter.m_h * partitions.dtype.itemsize)
     reports: dict[tuple[str, int], SortReport] = {}
-    for length in partitions.lengths() if lengths is None else lengths:
+    for length in lengths:
         for side in ("S", "P"):
             unsorted_path = partitions.path(side, length)
             sorted_path = partitions.path(side, length, sorted_run=True)
@@ -133,6 +190,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
                 continue
             reports[(side, length)] = sorter.sort_file(
                 unsorted_path, sorted_path,
-                keep=_open_claims(ctx, closed, side) if closed is not None else None)
+                keep=_open_claims(ctx, closed, side) if closed is not None else None,
+                hold=holder(side, length) if holder else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

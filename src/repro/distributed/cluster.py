@@ -16,7 +16,9 @@ behind Fig. 10:
 * **reduce** — overlap finding is parallel per partition owner, but edge
   insertion is serialized by the out-degree bit-vector token traveling
   through partitions in descending length order; the critical path follows
-  the paper's ``t_o · p/n + t_g · p`` law.
+  the paper's ``t_o · p/n + t_g · p`` law. From the second round on an
+  owner reads the runs its sort formed in one piece from host memory
+  (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline.
 
 Shuffle, sort and reduce run in **rounds** of ``n_nodes`` consecutive
@@ -48,7 +50,6 @@ from ..core.reduce_phase import (REDUCE_WINDOW_DIVISOR, ReduceReport,
                                  reduce_partition)
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
-from ..extmem import RunReader
 from ..extmem.partitions import SIDES
 from ..graph import GreedyStringGraph
 from ..graph.contigs import ContigSet
@@ -318,6 +319,13 @@ class DistributedAssembler:
         charged to that node's clock; the greedy edge insertion must hold
         the bit-vector token, whose timeline is tracked explicitly:
         ``token_time = max(token_time + transfer, find_done) + t_graph``.
+        ``transfer`` is the bit-vector crossing the network to a node that
+        lacks its current bits. The round's first owner has them (the
+        round's broadcast, :meth:`ClusterSupervisor.begin_round`, sent
+        exactly these bits; before the first round they are all zero), and
+        so does the node that just folded in the previous partition; every
+        other hop pays it. A lone node's reduce is therefore the
+        single-node pipeline's.
 
         A node failing mid-partition does not lose the token: the master
         still holds it while the supervisor runs retry → restart → failover
@@ -336,22 +344,26 @@ class DistributedAssembler:
         phase_start = max(before)
         token_time = phase_start
         bitvec_transfer = self.network.transfer_seconds(graph.out_bits.nbytes)
+        bits_on = None  # the one node with the current bits; None: all
         for length in sorted(lengths, reverse=True):
             if not supervisor.partition_has_data(length):
                 continue
             attempt_wall = time.perf_counter()
+            held = [0]  # sorted runs the surviving attempt read from memory
 
             def attempt(node: WorkerNode, length=length) -> tuple[float, float]:
-                s_path = node.shuffled.path("S", length, sorted_run=True)
-                p_path = node.shuffled.path("P", length, sorted_run=True)
                 _, m_d = node.ctx.config.resolved_blocks(node.dtype.itemsize)
                 window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
                 chunk_every = node.ctx.config.chunk_checkpoint_every
                 host_before = node.ctx.clock.seconds("host")
-                with RunReader(s_path, node.dtype,
-                               node.ctx.accountant) as suffixes, \
-                        RunReader(p_path, node.dtype,
-                                  node.ctx.accountant) as prefixes:
+                held[0] = sum(node.shuffled.holds(side, length)
+                              for side in SIDES)
+                # Both runs are closed however the attempt ends, which frees
+                # a held one: a retry reads the files.
+                with node.shuffled.open_run("S", length,
+                                            sorted_run=True) as suffixes, \
+                        node.shuffled.open_run("P", length,
+                                               sorted_run=True) as prefixes:
                     # Resume from the last durable chunk (this node's ledger
                     # or the supervisor mirror): seek past the committed
                     # prefix instead of reprocessing it. New commits carry
@@ -397,7 +409,10 @@ class DistributedAssembler:
             # The node holds the token from the instant it both received
             # the bit-vector and finished overlap finding, until its
             # edge insertions are folded in (t_g).
-            token_hold = max(token_time + bitvec_transfer, outcome.find_done)
+            transfer = bitvec_transfer \
+                if bits_on not in (None, outcome.node) else 0.0
+            bits_on = outcome.node
+            token_hold = max(token_time + transfer, outcome.find_done)
             token_time = token_hold + outcome.t_graph
             token_trace.append({"length": length, "node": outcome.node,
                                 "attempt": outcome.attempts - 1, "ok": True,
@@ -407,7 +422,7 @@ class DistributedAssembler:
                                 track="cluster", cat="reduce", det=True,
                                 sim0=token_hold, sim1=token_time,
                                 length=length, node=outcome.node,
-                                attempt=outcome.attempts - 1)
+                                attempt=outcome.attempts - 1, held=held[0])
         # The round ends when the token has folded in every partition's
         # edges: ``token_time`` already waited on every find_done (and every
         # recovery charge) the graph consumed; every node re-enters at the

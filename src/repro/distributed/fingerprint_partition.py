@@ -35,7 +35,7 @@ from ..core.context import RunContext
 from ..device import SimClock, VirtualGPU
 from ..device.specs import DiskSpec
 from ..errors import ConfigError
-from ..extmem import IOAccountant, PartitionStore
+from ..extmem import HeldRun, IOAccountant, PartitionStore
 from ..extmem.records import KEY_FIELD
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
@@ -70,27 +70,6 @@ class _NodeContext:
         self.host_spec = HostSpec()
 
     charge_host = RunContext.charge_host
-
-
-class _ArrayRun:
-    """RunReader-shaped view over an in-memory record slice."""
-
-    def __init__(self, records: np.ndarray):
-        self._records = records
-        self._cursor = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= self._records.shape[0]
-
-    @property
-    def remaining(self) -> int:
-        return self._records.shape[0] - self._cursor
-
-    def read(self, n: int) -> np.ndarray:
-        chunk = self._records[self._cursor:self._cursor + n]
-        self._cursor += chunk.shape[0]
-        return chunk
 
 
 def _range_boundaries(n_ranges: int) -> np.ndarray:
@@ -156,7 +135,7 @@ def reduce_fingerprint_partitioned(config: AssemblyConfig,
             if s_slice.shape[0] == 0 or p_slice.shape[0] == 0:
                 continue
             sink = _CollectingGraph(length, node_id)
-            reduce_partition(ctx, sink, _ArrayRun(s_slice), _ArrayRun(p_slice),
+            reduce_partition(ctx, sink, HeldRun(s_slice), HeldRun(p_slice),
                              length, window, report)
         report.partitions_processed += 1
 

@@ -172,10 +172,14 @@ class WorkerNode:
         node replaying the phase) are skipped by :func:`run_sort`.
         ``unserved`` partitions were renamed into place, not pulled (a lone
         node's shuffle): nothing has filtered them yet, so the sort does.
+        The round's frozen bit-vector exists once the graph does, and
+        :func:`run_sort` then holds runs for this round's reduce by the
+        single node's rule.
         """
         return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
                         closed=self.closed if unserved else None,
-                        resident_bytes=self.ctx.host_pool.used_bytes)
+                        resident_bytes=self.ctx.host_pool.used_bytes,
+                        graph_built=self.closed is not None)
 
     # -- recovery ------------------------------------------------------------
 

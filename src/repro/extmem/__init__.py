@@ -5,7 +5,8 @@ This package implements the paper's semi-streaming machinery (§III):
 * :mod:`repro.extmem.records` — the (fingerprint, read-id) KV record layout,
 * :mod:`repro.extmem.io_stats` — disk accounting + modeled disk time,
 * :mod:`repro.extmem.streams` — sequential read-only / write-only run files
-  (the paper's Fig. 3 memory types),
+  (the paper's Fig. 3 memory types), and a run still in host memory read
+  the same way,
 * :mod:`repro.extmem.partitions` — the per-overlap-length partition store
   produced by the map phase,
 * :mod:`repro.extmem.merge` — Algorithm 1 generalized to fanout-k
@@ -17,7 +18,7 @@ This package implements the paper's semi-streaming machinery (§III):
 
 from .records import kv_dtype, make_records, record_fields
 from .io_stats import IOAccountant
-from .streams import RunReader, RunWriter
+from .streams import HeldRun, RunReader, RunWriter
 from .partitions import PartitionStore
 from .merge import merge_in_memory_k, merge_streams_k
 from .sort import ExternalSorter, SortReport, derive_fanout, merge_rounds_for
@@ -27,6 +28,7 @@ __all__ = [
     "make_records",
     "record_fields",
     "IOAccountant",
+    "HeldRun",
     "RunReader",
     "RunWriter",
     "PartitionStore",

@@ -6,8 +6,13 @@ tuples and splits them by length into ``l_max − l_min`` partitions per side
 partition" (§III.A). Partitions below ``l_min`` are never materialized and
 the ``l_max`` partition is dropped to avoid self-loops.
 
-The store owns the naming scheme and the writer lifecycle; sort and reduce
-phases address partitions as ``(side, length)`` pairs.
+The store owns the naming scheme, the writer lifecycle and the sorted runs
+held in host memory; sort and reduce phases address partitions as
+``(side, length)`` pairs. A sort that leaves a length's run in one piece
+may :meth:`PartitionStore.hold` the array after the file is written and
+renamed: the next :meth:`PartitionStore.open_run` of that sorted run reads
+it from memory instead of off the disk, once. The file stays the run of
+record (ledger, resume and cache see only files).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from ..errors import ConfigError, StreamProtocolError
 from ..faults import plan as faults
 from .io_stats import IOAccountant
-from .streams import RunReader, RunWriter
+from .streams import HeldRun, RunReader, RunWriter
 
 SIDES = ("S", "P")
 
@@ -34,6 +39,7 @@ class PartitionStore:
         self.accountant = accountant
         self.root.mkdir(parents=True, exist_ok=True)
         self._writers: dict[tuple[str, int], RunWriter] = {}
+        self._held: dict[tuple[str, int], HeldRun] = {}
         self._finalized = False
 
     # -- paths ------------------------------------------------------------
@@ -112,11 +118,12 @@ class PartitionStore:
         self._finalized = True
 
     def abandon(self) -> None:
-        """Drop every open writer without sealing the store.
+        """Drop every open writer and held run without sealing the store.
 
         What a dead process leaves behind: the files stay as they are, the
-        handles (and their claim on the stream-exclusivity registry) go.
-        Close errors are swallowed; the writers were lost either way.
+        handles (and their claim on the stream-exclusivity registry) and
+        the host memory of held runs go. Close errors are swallowed; the
+        writers were lost either way.
         """
         for writer in self._writers.values():
             try:
@@ -124,6 +131,9 @@ class PartitionStore:
             except Exception:
                 pass
         self._writers.clear()
+        for held in self._held.values():
+            held.close()
+        self._held.clear()
 
     def __enter__(self) -> "PartitionStore":
         return self
@@ -140,10 +150,40 @@ class PartitionStore:
         return sorted({self.length_of(path)
                        for path in self.root.glob("[SP]_*.run")})
 
-    def open_run(self, side: str, length: int, *, sorted_run: bool = False) -> RunReader:
-        """Open one partition for sequential reading."""
+    def open_run(self, side: str, length: int, *, sorted_run: bool = False,
+                 ) -> RunReader | HeldRun:
+        """Open one partition for sequential reading.
+
+        A sorted run :meth:`hold` kept is read from host memory, by its
+        first reader only (closing it frees the reservation); any other
+        open reads the file.
+        """
+        held = self._held.pop((side, length), None) if sorted_run else None
+        if held is not None:
+            return held
         return RunReader(self.path(side, length, sorted_run=sorted_run),
                          self.dtype, self.accountant)
+
+    # -- sorted runs held in host memory ------------------------------------
+
+    def hold(self, side: str, length: int, records: np.ndarray,
+             allocation=None) -> None:
+        """Keep the sorted run ``(side, length)`` in host memory.
+
+        ``records`` must be the bytes of its sorted file; ``allocation``
+        reserves them until the next :meth:`open_run` of the run is closed
+        or the run is dropped (:meth:`delete`, :meth:`abandon`).
+        """
+        self._held[(side, length)] = HeldRun(records, allocation)
+
+    def holds(self, side: str, length: int) -> bool:
+        """Whether the next :meth:`open_run` of this sorted run reads memory."""
+        return (side, length) in self._held
+
+    def _drop(self, key: tuple[str, int]) -> None:
+        held = self._held.pop(key, None)
+        if held is not None:
+            held.close()
 
     def records_in(self, side: str, length: int, *, sorted_run: bool = False) -> int:
         """Record count of one partition (0 if the file is absent)."""
@@ -157,5 +197,8 @@ class PartitionStore:
         return sum(path.stat().st_size for path in self.root.glob("*.run"))
 
     def delete(self, side: str, length: int, *, sorted_run: bool = False) -> None:
-        """Remove a partition file (after it has been consumed)."""
+        """Remove a partition file (after it has been consumed), and the
+        run held for it."""
+        if sorted_run:
+            self._drop((side, length))
         self.path(side, length, sorted_run=sorted_run).unlink(missing_ok=True)

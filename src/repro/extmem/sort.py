@@ -219,13 +219,18 @@ class ExternalSorter:
                           self.fanout)
 
     def sort_file(self, in_path: str | Path, out_path: str | Path, *,
-                  keep=None) -> SortReport:
+                  keep=None, hold=None) -> SortReport:
         """Sort a run file into ``out_path``; returns the :class:`SortReport`.
 
         ``keep(records) -> bool mask`` filters the input during run
         formation: only the records it keeps are sorted, written and
         counted, so the report (and :meth:`report_for` of the sorted file's
         size) describes the surviving records alone.
+
+        ``hold(records) -> bool`` is offered the sorted run, still in host
+        memory, when run formation made exactly one (no merge round): the
+        file is written and renamed all the same, and ``hold`` says whether
+        it kept the array.
 
         Crash-safe: scratch space is torn down on both success and failure,
         and ``out_path`` appears atomically (rename of a finished run).
@@ -236,10 +241,12 @@ class ExternalSorter:
         try:
             with self.tracer.span(f"sort:{out_path.name}", track="sort",
                                   det=True) as span:
-                report = self._sort_into(in_path, out_path, scratch_dir, keep)
+                report, run = self._sort_into(in_path, out_path, scratch_dir,
+                                              keep)
+                held = run is not None and hold is not None and hold(run)
                 span.note(read=in_path.stat().st_size // self.dtype.itemsize,
                           kept=report.n_records, runs=report.initial_runs,
-                          rounds=report.merge_rounds)
+                          rounds=report.merge_rounds, held=int(held))
             return report
         finally:
             # A real crash never runs cleanup: when an injected crash is
@@ -268,6 +275,7 @@ class ExternalSorter:
         capacity = min(self.host_block, reader.total_records)
         held = np.empty(capacity, dtype=self.dtype)
         n_held = 0
+        full_blocks = 0
         while not reader.exhausted:
             piece = reader.read(self.host_block)
             survivors = np.flatnonzero(keep(piece))
@@ -284,12 +292,20 @@ class ExternalSorter:
                     # The caller has written the block's run by the time it
                     # pulls again, so the next block fills the same buffer.
                     yield held
+                    full_blocks += 1
                     n_held = 0
-        if n_held:
+        if n_held and not full_blocks:
+            # The only block, so the only run: shrink the buffer to it in
+            # place. A run kept after the sort then retains its records'
+            # bytes, not the unfiltered file's.
+            held.resize(n_held)
+            yield held
+        elif n_held:
             yield held[:n_held]
 
     def _sort_into(self, in_path: Path, out_path: Path, scratch_dir: Path,
-                   keep) -> SortReport:
+                   keep) -> tuple[SortReport, np.ndarray | None]:
+        """The sort and, when it formed exactly one run, that run's array."""
         record_nbytes = self.dtype.itemsize
 
         # Run formation: each host block is read, sorted through the device
@@ -319,7 +335,7 @@ class ExternalSorter:
             empty_path.write_bytes(b"")
             faults.barrier(faults.RENAME, str(out_path))
             empty_path.replace(out_path)
-            return SortReport(0, 0, 0, self.fanout)
+            return SortReport(0, 0, 0, self.fanout), None
 
         # Merge rounds: fanout-k Algorithm 1 through host windows.
         merge_rounds = 0
@@ -365,4 +381,5 @@ class ExternalSorter:
 
         faults.barrier(faults.RENAME, str(out_path))
         run_paths[0].replace(out_path)
-        return SortReport(n_records, initial_runs, merge_rounds, self.fanout)
+        return (SortReport(n_records, initial_runs, merge_rounds, self.fanout),
+                sorted_block if initial_runs == 1 else None)

@@ -231,3 +231,69 @@ class RunReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+class HeldRun:
+    """A run already in host memory, read through :class:`RunReader`'s surface.
+
+    Reads return views of ``records`` and charge no disk: the records never
+    left host memory. ``allocation`` (a
+    :class:`~repro.device.memory.Allocation` reserving their bytes, if
+    any) is freed on :meth:`close`, and the array is let go with it.
+    """
+
+    def __init__(self, records: np.ndarray, allocation=None):
+        self._records = records
+        self._allocation = allocation
+        self._total = records.shape[0]
+        self._consumed = 0
+
+    @property
+    def total_records(self) -> int:
+        """Records in the whole run."""
+        return self._total
+
+    @property
+    def remaining(self) -> int:
+        """Records not yet consumed."""
+        return self._total - self._consumed
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether the run has been fully consumed."""
+        return self.remaining == 0
+
+    def _check_open(self, op: str) -> None:
+        if self._records is None:
+            raise StreamProtocolError(f"held run: {op} after close")
+
+    def read(self, n: int) -> np.ndarray:
+        """Consume up to ``n`` records (empty at the end of the run)."""
+        self._check_open("read")
+        n = max(0, min(n, self.remaining))
+        records = self._records[self._consumed:self._consumed + n]
+        self._consumed += n
+        return records
+
+    def read_all(self) -> np.ndarray:
+        """Consume the entire remainder in one call."""
+        return self.read(self.remaining)
+
+    def skip(self, n: int) -> int:
+        """Advance past ``n`` records; returns the number skipped."""
+        self._check_open("skip")
+        n = max(0, min(n, self.remaining))
+        self._consumed += n
+        return n
+
+    def close(self) -> None:
+        """Release the records and their reservation."""
+        self._records = None
+        if self._allocation is not None:
+            self._allocation.free()
+
+    def __enter__(self) -> "HeldRun":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

@@ -118,7 +118,7 @@ class TestReduceStreamingEquivalence:
         key-equality join of the two sorted lists, for any window size."""
         from repro.core.context import RunContext
         from repro.core.reduce_phase import ReduceReport, reduce_partition
-        from repro.distributed.fingerprint_partition import _ArrayRun
+        from repro.extmem import HeldRun
         from repro.extmem.records import make_records
 
         s_sorted = np.sort(np.array(s_keys, dtype=np.uint64))
@@ -141,8 +141,8 @@ class TestReduceStreamingEquivalence:
 
         ctx = RunContext(AssemblyConfig(min_overlap=20))
         try:
-            reduce_partition(ctx, Collector(), _ArrayRun(suffixes),
-                             _ArrayRun(prefixes), 20, window, ReduceReport())
+            reduce_partition(ctx, Collector(), HeldRun(suffixes),
+                             HeldRun(prefixes), 20, window, ReduceReport())
         finally:
             ctx.cleanup()
         expected = [(int(sv), int(pv))

@@ -133,9 +133,11 @@ class TestWhatIsSorted:
     def test_modeled_time_and_records_are_pinned(self, runs):
         """The filter takes the bit-vector, not the graph, since the cluster
         shares it; the single-node run charges the same host seconds in the
-        same order. Floats of the commit before that change."""
+        same order. Floats of the commit before that change, less the one
+        term that moved since: reduce's disk reads of the runs the sort
+        now hands over in host memory (0.9870239745774726 before)."""
         _, result, _ = runs
-        assert result.telemetry.total_sim_seconds() == 0.9870239745774726
+        assert result.telemetry.total_sim_seconds() == 0.7144466412441389
         assert result.sort_report.total_records == 15_616
         assert result.reduce_report.candidates == 2_126
 
