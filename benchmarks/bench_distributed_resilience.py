@@ -7,15 +7,15 @@ forcing heartbeat detection, restart and ledger-verified replay) — under
 **two recovery policies**:
 
 ``seed``
-    The historical ladder: detection waits out ``node_timeout`` and the
-    replay reprocesses the dead node's whole partition attempt.
+    The default ladder: detection waits out ``node_timeout`` (1 s).
 
 ``cheap``
-    Short detection plus chunk checkpoints (DESIGN.md §2g): fast
-    heartbeats (``heartbeat_interval=0.02``), a declared-dead timeout of
-    two beats (``node_timeout=0.04``) and intra-partition chunk checkpoints
-    (``chunk_checkpoint_every=512``). All three are policy-only — every
-    cell still asserts byte-identity to the clean run.
+    Short detection: fast heartbeats (``heartbeat_interval=0.02``) and a
+    declared-dead timeout of two beats (``node_timeout=0.04``). Both are
+    policy-only — every cell still asserts byte-identity to the clean run.
+
+Under both, the restarted node replays the dead node's whole partition
+(DESIGN.md §2g records why there is no resume inside a partition).
 
 Each entry reports the extra modeled reduce time over that policy's own
 clean run (``overhead_pct``; the clean run is made under an empty
@@ -37,7 +37,6 @@ Results land in ``benchmarks/results/BENCH_resilience.json``::
                   "fired": ..., "token_s": ..., "total_s": ...,
                   "overhead_pct": ..., "lost_work_s": ...,
                   "overhead_ratio": ..., "restarts": ..., "failovers": ...,
-                  "chunk_resumes": ...,
                   "recovered": true},
                  ...]}
 
@@ -73,11 +72,10 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_resilience.json"
 
 #: The cheap-recovery policy knobs (all policy-only, out of the checkpoint
 #: fingerprint): a node is declared dead two fast heartbeats after it goes
-#: silent, chunk commits every 512 processed records.
+#: silent.
 CHEAP_KNOBS = {
     "heartbeat_interval": 0.02,
     "node_timeout": 0.04,
-    "chunk_checkpoint_every": 512,
 }
 
 #: Ceiling on the cheap policy's reduce overhead at 2 nodes / 1 crash.
@@ -159,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
                                            if lost > 0 else None),
                         "restarts": int(result.notes.get("node_restarts", 0)),
                         "failovers": int(result.notes.get("failovers", 0)),
-                        "chunk_resumes": int(result.notes.get(
-                            "chunk_resumes", 0)),
                         "recovered": (result.degraded is None
                                       and _identity(result) == baseline),
                     }
@@ -172,7 +168,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"lost={entry['lost_work_s']:.4f}s "
                           f"ratio={ratio if ratio is not None else '-'} "
                           f"restarts={entry['restarts']} "
-                          f"resumes={entry['chunk_resumes']} "
                           f"recovered={entry['recovered']}")
 
     if not all(entry["recovered"] for entry in entries):

@@ -145,8 +145,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                             heartbeat_interval=args.heartbeat_interval,
                             node_timeout=args.node_timeout,
                             node_restarts=args.node_restarts,
-                            allow_degraded=not args.no_degraded,
-                            chunk_checkpoint_every=args.chunk_checkpoint_every)
+                            allow_degraded=not args.no_degraded)
     # The simulated cluster's shared input store is packed: a FASTQ is
     # converted into a scratch directory that lives as long as the run.
     with tempfile.TemporaryDirectory(prefix="lasagna-pack-") as scratch:
@@ -359,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     distributed.add_argument("--no-degraded", action="store_true",
                              help="fail the run instead of completing in "
                                   "degraded mode when partitions are lost")
-    distributed.add_argument("--chunk-checkpoint-every", type=int,
-                             default=4096, metavar="N",
-                             help="records of reduce progress per durable "
-                                  "chunk checkpoint (0 disables)")
     distributed.add_argument("--trace", metavar="PATH", default="",
                              help="dump a cluster-wide span trace (one track "
                                   "per node) into this directory")

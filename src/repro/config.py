@@ -143,16 +143,8 @@ class AssemblyConfig:
         retries with deterministic backoff, per-node restart budget, and
         whether exhausted recovery degrades (report + surviving nodes)
         rather than raising. All are execution-policy only: a clean run's
-        artifacts and timings are identical for any values.
-    chunk_checkpoint_every:
-        Records of reduce work between intra-partition chunk checkpoints.
-        Each committed chunk appends a durable entry to the node's ledger,
-        so a restart (or a failover owner) resumes the partition from the
-        last chunk boundary instead of replaying it whole. ``0``
-        disables chunking (the pre-chunk restart-replays-the-partition
-        behaviour). Policy-only: chunk boundaries never move an output
-        byte (per-window candidate ordering is canonicalized), so the knob
-        stays out of the checkpoint fingerprint.
+        artifacts and timings are identical for any values. A failed
+        reduce attempt replays its partition whole from the sorted runs.
     seed:
         Seed for fingerprint parameter choice; fixed for reproducibility.
     """
@@ -184,9 +176,6 @@ class AssemblyConfig:
     #: Finish on surviving nodes with a DegradedRunReport when recovery is
     #: exhausted (False = raise DistributedProtocolError instead).
     allow_degraded: bool = True
-    #: Reduce records between durable intra-partition chunk checkpoints
-    #: (0 = whole-partition replay, the pre-chunk behaviour).
-    chunk_checkpoint_every: int = 4096
     seed: int = 0x1A5A67A
 
     def __post_init__(self) -> None:
@@ -208,8 +197,6 @@ class AssemblyConfig:
             raise ConfigError("retry_backoff_s must be >= 0")
         if self.node_restarts < 0:
             raise ConfigError("node_restarts must be >= 0")
-        if self.chunk_checkpoint_every < 0:
-            raise ConfigError("chunk_checkpoint_every must be >= 0 (0 = off)")
 
     def resolved_workers(self) -> int:
         """Always 1: a run has one schedule."""

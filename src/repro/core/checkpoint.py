@@ -116,8 +116,7 @@ def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
 NON_SEMANTIC_KNOBS = ("trace",
                       "heartbeat_interval", "node_timeout",
                       "reduce_max_attempts", "retry_backoff_s",
-                      "node_restarts", "allow_degraded",
-                      "chunk_checkpoint_every")
+                      "node_restarts", "allow_degraded")
 
 
 def semantic_payload(config: AssemblyConfig) -> dict:
@@ -142,25 +141,6 @@ def config_fingerprint(config: AssemblyConfig, source_id: str) -> str:
     """Stable hash of everything that invalidates intermediate state."""
     payload = semantic_payload(config)
     payload["source"] = source_id
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-def chunk_key(config: AssemblyConfig, name: str, index: int,
-              s_off: int, p_off: int) -> str:
-    """Content key of one committed intra-partition reduce chunk.
-
-    Deliberately **scope-free** (built on :func:`semantic_payload`, not a
-    node's scoped fingerprint): the supervisor mirrors chunk progress
-    across nodes, and a failover owner on a *different* node must be
-    able to verify that a mirrored entry describes the same logical work —
-    same semantic config, same partition, same processed prefix — before
-    resuming past it. The same key therefore lands in every node's ledger
-    for the same chunk.
-    """
-    payload = semantic_payload(config)
-    payload["chunk"] = {"name": name, "index": index,
-                        "s_off": s_off, "p_off": p_off}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
@@ -251,50 +231,13 @@ class CheckpointManager:
             self._state["completed"] = [p for p in self._state["completed"]
                                         if p in keep]
             artifacts = self._state.get("artifacts", {})
-            chunks = self._state.get("chunks", {})
             for dropped in order[order.index(phase):]:
                 artifacts.pop(dropped, None)
-                chunks.pop(dropped, None)
             self._write_state()
 
-    # -- intra-partition chunk checkpoints -------------------------------------
-
-    def mark_chunk(self, phase: str, name: str, index: int,
-                   s_off: int, p_off: int, key: str) -> None:
-        """Record durable progress through one partition of ``phase``.
-
-        Only the *latest* chunk per partition is kept — progress is a
-        monotone prefix ``(s_off, p_off)`` of the sorted input streams, so
-        earlier entries are subsumed. The append is durable (it rides the
-        same :func:`repro.faults.ledger_write` path as phase marks), and a
-        crash *between* finishing the chunk's work and this append simply
-        re-executes one chunk — candidate re-submission is idempotent.
-        """
-        chunks = self._state.setdefault("chunks", {}).setdefault(phase, {})
-        chunks[name] = {"index": index, "s_off": s_off, "p_off": p_off,
-                        "key": key}
-        self._write_state()
-
-    def chunk_progress(self, phase: str, name: str) -> dict | None:
-        """The last durable chunk entry for ``phase``/``name`` (or None)."""
-        entry = self._state.get("chunks", {}).get(phase, {}).get(name)
-        return dict(entry) if entry else None
-
-    def clear_chunks(self, phase: str, name: str | None = None) -> None:
-        """Forget chunk progress (one partition, or the whole phase).
-
-        Called when a partition's reduction completes — the phase-level
-        artifact mark supersedes chunk granularity — and when a partition
-        fails over to an owner whose streams were rebuilt from scratch.
-        """
-        chunks = self._state.get("chunks", {}).get(phase)
-        if not chunks:
-            return
-        if name is None:
-            self._state.get("chunks", {}).pop(phase, None)
-        else:
-            chunks.pop(name, None)
-        self._write_state()
+    # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
+    def mark_chunk(self, *args) -> None:
+        """Records nothing: the ledger keeps no progress inside a phase."""
 
     # -- graph archival -------------------------------------------------------
 

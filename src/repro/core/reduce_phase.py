@@ -109,9 +109,7 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
 
 def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
                       suffixes: RunReader, prefixes: RunReader,
-                      length: int, window: int, report: ReduceReport, *,
-                      chunk_records: int = 0,
-                      on_chunk=None) -> None:
+                      length: int, window: int, report: ReduceReport) -> None:
     """Algorithm 2 over one length partition's sorted S/P streams.
 
     Streams paired windows whose fingerprint ranges are equalized at the
@@ -120,23 +118,13 @@ def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
     record budget; it grows transiently when one fingerprint spans a whole
     window (a deep repeat).
 
-    ``chunk_records``/``on_chunk`` drive intra-partition checkpointing:
-    every time at least ``chunk_records`` records have been *processed*
-    since the last commit, ``on_chunk(index, s_done, p_done)`` is called
-    with the chunk's ordinal and the cumulative processed record counts of
-    the two streams. The counts are processed-window cuts, **not** reader
-    consumption — the leftover buffers are read-but-unprocessed, and a
-    resume must reprocess them. Chunk boundaries always fall on fingerprint
-    group boundaries (the window cut lands on key boundaries), so a resume
-    that seeks both streams to ``(s_done, p_done)`` re-enters a valid
-    window stream and — per-window canonicalization — produces the exact
-    bytes of an unchunked run.
+    The partition is the unit of recovery: nothing is committed part-way,
+    and a failed attempt is re-run from the start of both streams. Its
+    re-offered candidates are rejected by the graph's out-degree
+    bit-vector, so the edges are the uninterrupted run's.
     """
     empty = suffixes.read(0)
     s_buf, p_buf = empty, empty
-    s_done = p_done = 0       # processed records (committed-able prefix)
-    committed = 0             # s_done + p_done at the last chunk commit
-    chunk_index = 0
 
     def refill(buf: np.ndarray, reader: RunReader, target: int) -> np.ndarray:
         if buf.shape[0] >= target or reader.exhausted:
@@ -174,13 +162,6 @@ def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
         if cut_s and cut_p:
             _match_windows(ctx, graph, s_buf[:cut_s], p_buf[:cut_p], length, report)
         s_buf, p_buf = s_buf[cut_s:], p_buf[cut_p:]
-        s_done += cut_s
-        p_done += cut_p
-        if chunk_records and on_chunk is not None and \
-                (s_done + p_done) - committed >= chunk_records:
-            on_chunk(chunk_index, s_done, p_done)
-            chunk_index += 1
-            committed = s_done + p_done
         target = window
         if not tails:
             return

@@ -329,7 +329,8 @@ class DistributedAssembler:
 
         A node failing mid-partition does not lose the token: the master
         still holds it while the supervisor runs retry → restart → failover
-        on the owner — duplicate candidate re-submissions from replays are
+        on the owner, and the surviving attempt replays the partition whole
+        from its sorted runs — duplicate candidate re-submissions are
         rejected by the bit-vector, so the edge set is unchanged and
         recovered runs are byte-identical. Because ``find_done`` is taken
         from the surviving attempt's clock (which absorbed every wasted
@@ -354,38 +355,17 @@ class DistributedAssembler:
             def attempt(node: WorkerNode, length=length) -> tuple[float, float]:
                 _, m_d = node.ctx.config.resolved_blocks(node.dtype.itemsize)
                 window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
-                chunk_every = node.ctx.config.chunk_checkpoint_every
                 host_before = node.ctx.clock.seconds("host")
                 held[0] = sum(node.shuffled.holds(side, length)
                               for side in SIDES)
                 # Both runs are closed however the attempt ends, which frees
-                # a held one: a retry reads the files.
+                # a held one: a retry reads the files from the start.
                 with node.shuffled.open_run("S", length,
                                             sorted_run=True) as suffixes, \
                         node.shuffled.open_run("P", length,
                                                sorted_run=True) as prefixes:
-                    # Resume from the last durable chunk (this node's ledger
-                    # or the supervisor mirror): seek past the committed
-                    # prefix instead of reprocessing it. New commits carry
-                    # absolute offsets so a later resume composes.
-                    resume = supervisor.chunk_resume(node, length)
-                    base, s_off, p_off = (-1, 0, 0) if resume is None \
-                        else resume
-                    if resume is not None:
-                        suffixes.skip(s_off)
-                        prefixes.skip(p_off)
-                    on_chunk = None
-                    if chunk_every:
-                        def on_chunk(i, s_done, p_done, node=node,
-                                     length=length, base=base,
-                                     s_off=s_off, p_off=p_off):
-                            supervisor.commit_chunk(
-                                node, length, base + 1 + i,
-                                s_off + s_done, p_off + p_done)
                     reduce_partition(node.ctx, graph, suffixes, prefixes,
-                                     length, window, report,
-                                     chunk_records=chunk_every,
-                                     on_chunk=on_chunk)
+                                     length, window, report)
                 t_graph = node.ctx.clock.seconds("host") - host_before
                 find_done = node.ctx.clock.total_seconds - t_graph
                 return t_graph, find_done

@@ -42,15 +42,11 @@ pull and every rebuild inside a round filters with that one snapshot
 (:meth:`WorkerNode.read_piece`), which is what keeps a rebuilt partition
 the lost one byte for byte.
 
-One *cheap recovery* mechanism shortens the restart rung (DESIGN.md §2g):
-**incremental chunk checkpoints** (``chunk_checkpoint_every``) — the reduce
-loop commits sub-partition progress to the owner's durable ledger (mirrored
-in the supervisor), so a restart resumes from the last chunk boundary
-instead of replaying the whole partition. Safe because chunk boundaries
-fall on fingerprint-group boundaries, rebuilt streams are byte-identical,
-and duplicate candidate offers are rejected by the graph's out-degree
-bit-vector. Detection latency is ``node_timeout`` and nothing else: there
-is no second, earlier "suspect" clock (DESIGN.md §2g records why).
+A failed reduce attempt (retry, restart or failover) replays its partition
+whole from the sorted runs, like every other node operation; the candidates
+it offers again are rejected by the out-degree bit-vector (DESIGN.md §2g
+records why chunk checkpoints were deleted). Detection latency is
+``node_timeout`` and nothing else.
 
 Everything is instrumented: ``failover``/``backoff`` spans,
 ``heartbeat-miss``/``node-lost`` instants on the cluster track, and an
@@ -71,7 +67,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..config import AssemblyConfig
-from ..core.checkpoint import chunk_key
 from ..core.map_phase import run_map
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
@@ -229,10 +224,6 @@ class ClusterSupervisor:
         #: kept here to hand to a restarted node.
         self.closed: PackedBitVector | None = None
         self.dropped: list[DroppedPartition] = []
-        #: Supervisor-side mirror of each partition's last durable chunk:
-        #: ``length -> (index, s_off, p_off, key)``. A failover owner (whose
-        #: own ledger never saw the partition) resumes from here.
-        self.chunk_mirror: dict[int, tuple[int, int, int, str]] = {}
 
     # -- small helpers ---------------------------------------------------------
 
@@ -246,16 +237,6 @@ class ClusterSupervisor:
             raise DistributedProtocolError(
                 "no surviving nodes: every worker exhausted its restart budget")
         return min(candidates, key=lambda n: n.ctx.clock.total_seconds)
-
-    @staticmethod
-    def _scope_id(scope: str) -> int:
-        return int(scope.removeprefix("node"))
-
-    def _last_event_kind(self) -> str | None:
-        plan = faults.active_plan()
-        if plan is None or not plan.events:
-            return None
-        return plan.events[-1].kind
 
     # -- the bounded attempt loop ---------------------------------------------
 
@@ -299,7 +280,9 @@ class ClusterSupervisor:
                     victims = self._victims_of(node, exc)
                     for scope in victims:
                         faults.clear_crash(scope=scope)
-                    fatal = self._last_event_kind() == NODE_CRASH
+                    plan = faults.active_plan()
+                    fatal = plan is not None and bool(plan.events) \
+                        and plan.events[-1].kind == NODE_CRASH
                 others = [s for s in victims if s != node.scope]
                 if others or fatal or not in_place \
                         or local + 1 >= self.policy.max_attempts:
@@ -364,7 +347,7 @@ class ClusterSupervisor:
                                            in_place=in_place)
             except _NodeDeath as death:
                 for scope in death.victims:
-                    self._handle_death(self._scope_id(scope))
+                    self._handle_death(int(scope.removeprefix("node")))
 
     def _handle_death(self, node_id: int) -> None:
         """Detect, then restart or permanently lose one dead node."""
@@ -769,70 +752,17 @@ class ClusterSupervisor:
             return True
         return self._ledgered_records(length) > 0
 
-    # -- intra-partition chunk checkpoints --------------------------------------
+    # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
+    def commit_chunk(self, *args) -> None:
+        """Commits nothing: a partition is replayed whole."""
 
-    def commit_chunk(self, node: WorkerNode, length: int, index: int,
-                     s_off: int, p_off: int) -> None:
-        """Make one chunk of reduce progress durable.
+    # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
+    def chunk_resume(self, *args) -> None:
+        """Resumes nothing: a partition is replayed whole."""
 
-        Ordering is the protocol: the chunk's candidate offers are already
-        in the graph when this runs, then the :data:`~repro.faults.CHUNK`
-        kill-point fires (a crash here loses only this one chunk — the
-        resume point stays at the previous commit and the re-offered
-        candidates are rejected as duplicates), then the entry lands in the
-        owner's durable ledger and finally in the supervisor mirror. Chunk
-        commits piggyback on heartbeats, so they cost no simulated time.
-        """
-        name = f"reduce[{length}]"
-        faults.barrier(faults.CHUNK, f"{node.scope}:{name}#{index}")
-        key = chunk_key(self.config, name, index, s_off, p_off)
-        node.ledger.mark_chunk("reduce", name, index, s_off, p_off, key)
-        self.chunk_mirror[length] = (index, s_off, p_off, key)
-        self.meter.bump("chunks_committed")
-
-    def chunk_resume(self, node: WorkerNode, length: int,
-                     ) -> tuple[int, int, int] | None:
-        """Where ``node`` may resume partition ``length``: the freshest of
-        its own durable ledger entry and the supervisor mirror.
-
-        Entries are trusted only when their scope-free
-        :func:`~repro.core.checkpoint.chunk_key` re-derives — a stale entry
-        from an earlier configuration (or a torn ledger) resumes nothing
-        and the partition replays whole, which is always correct. The
-        mirror is what lets a *different* node (the failover owner)
-        resume: rebuilt partitions are byte-identical, so record offsets
-        carry across nodes.
-        """
-        if not self.config.chunk_checkpoint_every:
-            return None
-        name = f"reduce[{length}]"
-        candidates = [node.ledger.chunk_progress("reduce", name)]
-        mirror = self.chunk_mirror.get(length)
-        if mirror is not None:
-            candidates.append({"index": mirror[0], "s_off": mirror[1],
-                               "p_off": mirror[2], "key": mirror[3]})
-        best = None
-        for entry in candidates:
-            if not entry:
-                continue
-            expected = chunk_key(self.config, name, entry["index"],
-                                 entry["s_off"], entry["p_off"])
-            if entry.get("key") != expected:
-                continue
-            if best is None or entry["index"] > best["index"]:
-                best = entry
-        if best is None:
-            return None
-        self.meter.bump("chunk_resumes")
-        return best["index"], best["s_off"], best["p_off"]
-
-    def finish_partition(self, length: int) -> None:
-        """Retire a reduced partition's chunk state (mark supersedes it)."""
-        self.chunk_mirror.pop(length, None)
-        name = f"reduce[{length}]"
-        for node in self.alive():
-            if node.ledger.chunk_progress("reduce", name) is not None:
-                node.ledger.clear_chunks("reduce", name)
+    # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
+    def finish_partition(self, *args) -> None:
+        """Retires nothing: no progress is kept inside a partition."""
 
     def reduce_partition(self, length: int, attempt_fn) -> ReduceOutcome:
         """Run one token hop through the ladder.
@@ -862,7 +792,6 @@ class ClusterSupervisor:
                     owner_id, f"reduce[{length}]",
                     lambda node, _a: attempt_fn(node),
                     counter=counter, failures=failures)
-                self.finish_partition(length)
                 return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))

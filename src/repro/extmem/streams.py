@@ -201,14 +201,12 @@ class RunReader:
         """Consume the entire remainder in one call (small runs only)."""
         return self.read(self.remaining)
 
+    # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
     def skip(self, n: int) -> int:
         """Advance past ``n`` records without reading their bytes.
 
-        Used by chunk-checkpoint resume: a restarted (or failover) node
-        seeks its sorted streams to the last durable chunk boundary instead
-        of re-reading the processed prefix. Charged as one seek, zero bytes
-        — exactly the cheap-recovery accounting the chunk ledger buys.
-        Returns the number of records actually skipped.
+        Charged as one seek, zero bytes. Returns the number of records
+        actually skipped.
         """
         if self._handle.closed:
             raise StreamProtocolError(f"{self.path}: skip after close")
@@ -278,13 +276,6 @@ class HeldRun:
     def read_all(self) -> np.ndarray:
         """Consume the entire remainder in one call."""
         return self.read(self.remaining)
-
-    def skip(self, n: int) -> int:
-        """Advance past ``n`` records; returns the number skipped."""
-        self._check_open("skip")
-        n = max(0, min(n, self.remaining))
-        self._consumed += n
-        return n
 
     def close(self) -> None:
         """Release the records and their reservation."""

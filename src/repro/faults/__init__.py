@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from .plan import (BITFLIP, CHUNK, CRASH, ENOSPC, FSYNC_LOSS, KINDS, LEDGER,
+from .plan import (BITFLIP, CRASH, ENOSPC, FSYNC_LOSS, KINDS, LEDGER,
                    MESSAGE, MSG_DELAY, MSG_DROP, NODE, NODE_CRASH, PHASE,
                    READ, RENAME, SITES, TORN, WRITE, Fault, FaultEvent,
                    FaultPlan, TracePoint, active, active_plan, barrier,
@@ -26,7 +26,7 @@ from .plan import (BITFLIP, CHUNK, CRASH, ENOSPC, FSYNC_LOSS, KINDS, LEDGER,
 from .retry import RetryPolicy
 
 __all__ = [
-    "BITFLIP", "CHUNK", "CRASH", "ENOSPC", "FSYNC_LOSS", "KINDS",
+    "BITFLIP", "CRASH", "ENOSPC", "FSYNC_LOSS", "KINDS",
     "LEDGER", "MESSAGE", "MSG_DELAY", "MSG_DROP", "NODE", "NODE_CRASH",
     "PHASE", "READ", "RENAME", "SITES", "TORN", "WRITE",
     "Fault", "FaultEvent", "FaultPlan", "RetryPolicy", "TracePoint",

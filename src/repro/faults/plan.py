@@ -59,8 +59,7 @@ RENAME = "rename"    #: sort_file's atomic publish of a finished run
 PHASE = "phase"      #: pipeline phase boundaries (label = phase name)
 MESSAGE = "message"  #: active-message delivery (label = "src->dst:handler")
 NODE = "node"        #: distributed node-op boundaries (label = "scope:op")
-CHUNK = "chunk"      #: intra-partition chunk commits (label = "scope:op#index")
-SITES = (WRITE, READ, LEDGER, RENAME, PHASE, MESSAGE, NODE, CHUNK)
+SITES = (WRITE, READ, LEDGER, RENAME, PHASE, MESSAGE, NODE)
 
 #: Fault kinds that make sense per site (seeded plans draw from these).
 _SITE_KINDS = {
@@ -71,7 +70,6 @@ _SITE_KINDS = {
     PHASE: (CRASH,),
     MESSAGE: (MSG_DROP, MSG_DELAY, NODE_CRASH),
     NODE: (NODE_CRASH, CRASH),
-    CHUNK: (NODE_CRASH, CRASH),
 }
 
 #: Extra in-flight latency of a ``msg-delay`` fault with ``seconds=0``.
@@ -385,13 +383,11 @@ class FaultPlan:
         path.write_bytes(self._flip(payload, fault.offset))
 
     def barrier(self, site: str, label: str) -> None:
-        """Visit a payload-less crash point (rename, phase, chunk commit).
+        """Visit a payload-less crash point (rename, phase).
 
         Both whole-process ``crash`` and distributed ``node-crash`` kinds
-        die here: chunk-commit barriers sit inside node operations, where a
-        scheduled node death must land between finishing a chunk's work and
-        appending it to the ledger — the window the chunk protocol has to
-        survive.
+        die here: a node's sort publishes its runs through rename barriers
+        inside a node operation.
         """
         fault = self._visit(site, label)
         if fault is not None and fault.kind in (CRASH, NODE_CRASH):

@@ -488,7 +488,6 @@ _NON_SEMANTIC_CHANGES = {
     "retry_backoff_s": 1.25,
     "node_restarts": 3,
     "allow_degraded": False,
-    "chunk_checkpoint_every": 512,
 }
 
 #: (field, changed value) for semantic knobs: each must change the key.

@@ -11,6 +11,7 @@ from repro.core.checkpoint import (CheckpointManager, config_fingerprint,
 from repro.errors import ConfigError
 from repro.faults import result_digest
 from repro.graph import GreedyStringGraph
+from repro.service.content_store import phase_key
 
 from .conftest import colliding_sources
 
@@ -72,6 +73,13 @@ class TestFingerprint:
         base = AssemblyConfig(min_overlap=20)
         traced = dataclasses.replace(base, trace="/tmp/somewhere")
         assert config_fingerprint(base, "s") == config_fingerprint(traced, "s")
+
+    def test_pinned_keys(self):
+        """Adding or deleting a non-semantic config field moves neither key:
+        every ledger and cache entry written before stays valid."""
+        assert config_fingerprint(AssemblyConfig(), "s") == "06fbdc3a098e351b"
+        assert phase_key("reduce", ["reads:abc"], AssemblyConfig()) \
+            == "c5b9645ad7286c47b1cfb723"
 
 
 class TestResume:

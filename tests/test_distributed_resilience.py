@@ -17,8 +17,8 @@ from repro.distributed import (ActiveMessageLayer, DistributedAssembler,
                                NetworkSpec, node_scope)
 from repro.errors import (ConfigError, FaultInjected, MessageDropped,
                           RetryExhausted)
-from repro.faults import (CHUNK, MESSAGE, MSG_DELAY, MSG_DROP, NODE,
-                          NODE_CRASH, Fault, FaultPlan, RetryPolicy, inject)
+from repro.faults import (MESSAGE, MSG_DELAY, MSG_DROP, NODE, NODE_CRASH,
+                          READ, Fault, FaultPlan, RetryPolicy, inject)
 from repro.faults.plan import DEFAULT_MSG_DELAY_S
 from repro.seq.datasets import tiny_dataset
 from repro.trace import EVENTS_FILE, check_balanced, load_events
@@ -356,69 +356,57 @@ class TestDegradedMode:
             AssemblyConfig(node_restarts=-1)
 
 
-# -- incremental chunk checkpoints (tentpole) -----------------------------------
+# -- a crash inside a partition ------------------------------------------------
 
-#: Shrunken device windows + a small chunk budget so the 600bp dataset's
-#: partitions span several chunks (~4 commits per partition, ~46 barriers).
-CHUNK_EVERY = 128
-CHUNK_DEVICE_BLOCK = 48
+#: Device windows this small make a reduce partition span many reads.
+MID_PARTITION_DEVICE_BLOCK = 48
 
 
 @pytest.fixture(scope="module")
-def chunked_clean(resilience_data):
-    """A clean chunk-checkpointed run plus its chunk-barrier probe trace."""
+def busiest_reduces(resilience_data):
+    """The config, and the ``READ`` points inside each of the two reduce
+    node ops with the most reads (from a probe run)."""
     config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                            device_block_pairs=CHUNK_DEVICE_BLOCK,
-                            chunk_checkpoint_every=CHUNK_EVERY)
+                            device_block_pairs=MID_PARTITION_DEVICE_BLOCK)
     plan = FaultPlan()
     with inject(plan):
-        result = DistributedAssembler(config, N_NODES).assemble(
+        DistributedAssembler(config, N_NODES).assemble(
             resilience_data.store_path)
-    chunk_points = [t for t in plan.trace if t.site == CHUNK]
-    return result, chunk_points
+    reads: dict[str, list] = {}
+    op = None
+    for point in plan.trace:
+        if point.site == NODE:
+            op = point.path if ":reduce[" in point.path else None
+        elif point.site == READ and op is not None:
+            reads.setdefault(op, []).append(point)
+    busiest = sorted(reads.values(), key=len, reverse=True)[:2]
+    assert len(busiest) == 2 and len(busiest[1]) >= 10, \
+        "partitions never spanned several reads"
+    return config, busiest
 
 
-class TestChunkCheckpoints:
-    def test_chunking_is_execution_only(self, clean_run, chunked_clean):
-        """Chunk commits change recovery cost, never a single output byte.
-
-        The chunked fixture also shrinks the device window; per-window
-        canonicalization makes the result byte-identical to the default
-        clean run regardless, so the comparison stays one golden identity.
-        """
+class TestMidPartitionCrash:
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_node_crash_inside_a_partition_restarts_byte_identically(
+            self, resilience_data, clean_run, busiest_reduces, rank, which):
+        """The restart rung from a crash part-way through a partition: the
+        restarted node replays the partition whole."""
         clean, _ = clean_run
-        chunked, chunk_points = chunked_clean
-        assert _identity(chunked) == _identity(clean)
-        assert len(chunk_points) >= 24, "partitions never spanned chunks"
-        assert any(p.path.endswith("#3") for p in chunk_points), \
-            "no partition reached a fourth chunk"
-        assert chunked.notes["chunks_committed"] == len(chunk_points)
-        # A clean run resumes nothing and leaves no chunk rows behind.
-        assert "chunk_resumes" not in chunked.notes
-
-    def test_node_crash_at_every_chunk_boundary_recovers(
-            self, resilience_data, chunked_clean):
-        """The intra-partition kill-point sweep: byte-identical every time."""
-        chunked, chunk_points = chunked_clean
-        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                                device_block_pairs=CHUNK_DEVICE_BLOCK,
-                                chunk_checkpoint_every=CHUNK_EVERY)
-        resumes = 0
-        for point in chunk_points:
-            plan = FaultPlan([Fault(NODE_CRASH, site=CHUNK, at_op=point.op)])
-            with inject(plan):
-                recovered = DistributedAssembler(config, N_NODES).assemble(
-                    resilience_data.store_path)
-            assert [e.kind for e in plan.events] == [NODE_CRASH], \
-                f"chunk kill-point {point.path} did not fire"
-            assert recovered.degraded is None
-            assert _identity(recovered) == _identity(chunked), \
-                f"crash at {point.path} changed the output"
-            assert recovered.notes["node_restarts"] >= 1
-            resumes += recovered.notes.get("chunk_resumes", 0)
-        # Crashing past the first boundary leaves durable chunks to skip, so
-        # the sweep as a whole must exercise the resume path.
-        assert resumes >= 1
+        config, busiest = busiest_reduces
+        points = busiest[rank]
+        point = {"first": points[0], "middle": points[len(points) // 2],
+                 "last": points[-1]}[which]
+        plan = FaultPlan([Fault(NODE_CRASH, site=READ, at_op=point.op)])
+        with inject(plan):
+            recovered = DistributedAssembler(config, N_NODES).assemble(
+                resilience_data.store_path)
+        assert [e.kind for e in plan.events] == [NODE_CRASH], \
+            f"crash at {point.path} (op {point.op}) did not fire"
+        assert recovered.notes["node_restarts"] >= 1
+        assert recovered.degraded is None
+        assert _identity(recovered) == _identity(clean), \
+            f"crash at {point.path} (op {point.op}) changed the output"
 
 
 # -- the failover rung ---------------------------------------------------------

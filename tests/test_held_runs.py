@@ -287,7 +287,7 @@ def test_a_held_run_opens_once(store):
     with partitions.open_run("S", 30, sorted_run=True) as first:
         assert isinstance(first, HeldRun)
         assert first.total_records == 100
-        assert first.skip(10) == 10
+        assert first.read(10).tobytes() == records[:10].tobytes()
         assert first.read(30).tobytes() == records[10:40].tobytes()
         assert first.read_all().tobytes() == records[40:].tobytes()
         assert first.exhausted and first.read(5).shape == (0,)
