@@ -332,7 +332,8 @@ class DistributedAssembler:
         on the owner, and the surviving attempt replays the partition whole
         from its sorted runs — duplicate candidate re-submissions are
         rejected by the bit-vector, so the edge set is unchanged and
-        recovered runs are byte-identical. Because ``find_done`` is taken
+        recovered runs are byte-identical; ``report`` counts the surviving
+        attempt only. Because ``find_done`` is taken
         from the surviving attempt's clock (which absorbed every wasted
         attempt, backoff and recovery charge) and ``token_hold ≥
         token_time``, the token timeline accrues transfer + recompute costs
@@ -350,7 +351,9 @@ class DistributedAssembler:
             if not supervisor.partition_has_data(length):
                 continue
             attempt_wall = time.perf_counter()
+            edges_before = graph.n_edges
             held = [0]  # sorted runs the surviving attempt read from memory
+            counted = [ReduceReport()]  # the surviving attempt's counters
 
             def attempt(node: WorkerNode, length=length) -> tuple[float, float]:
                 _, m_d = node.ctx.config.resolved_blocks(node.dtype.itemsize)
@@ -358,6 +361,7 @@ class DistributedAssembler:
                 host_before = node.ctx.clock.seconds("host")
                 held[0] = sum(node.shuffled.holds(side, length)
                               for side in SIDES)
+                counted[0] = ReduceReport()
                 # Both runs are closed however the attempt ends, which frees
                 # a held one: a retry reads the files from the start.
                 with node.shuffled.open_run("S", length,
@@ -365,7 +369,7 @@ class DistributedAssembler:
                         node.shuffled.open_run("P", length,
                                                sorted_run=True) as prefixes:
                     reduce_partition(node.ctx, graph, suffixes, prefixes,
-                                     length, window, report)
+                                     length, window, counted[0])
                 t_graph = node.ctx.clock.seconds("host") - host_before
                 find_done = node.ctx.clock.total_seconds - t_graph
                 return t_graph, find_done
@@ -385,7 +389,12 @@ class DistributedAssembler:
                                    attempt=failure["attempt"])
             if not outcome.ok:
                 continue  # dropped partition: the token never visits it
+            # A failed attempt's work was replayed: count the survivor's only.
             report.partitions_processed += 1
+            report.candidates += counted[0].candidates
+            report.window_rounds += counted[0].window_rounds
+            report.aux_rejected += counted[0].aux_rejected
+            report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
             # The node holds the token from the instant it both received
             # the bit-vector and finished overlap finding, until its
             # edge insertions are folded in (t_g).

@@ -364,13 +364,13 @@ MID_PARTITION_DEVICE_BLOCK = 48
 
 @pytest.fixture(scope="module")
 def busiest_reduces(resilience_data):
-    """The config, and the ``READ`` points inside each of the two reduce
-    node ops with the most reads (from a probe run)."""
+    """The config, its clean (probe) run, and the ``READ`` points inside
+    each of the two reduce node ops with the most reads."""
     config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                             device_block_pairs=MID_PARTITION_DEVICE_BLOCK)
     plan = FaultPlan()
     with inject(plan):
-        DistributedAssembler(config, N_NODES).assemble(
+        probe = DistributedAssembler(config, N_NODES).assemble(
             resilience_data.store_path)
     reads: dict[str, list] = {}
     op = None
@@ -382,7 +382,7 @@ def busiest_reduces(resilience_data):
     busiest = sorted(reads.values(), key=len, reverse=True)[:2]
     assert len(busiest) == 2 and len(busiest[1]) >= 10, \
         "partitions never spanned several reads"
-    return config, busiest
+    return config, probe, busiest
 
 
 class TestMidPartitionCrash:
@@ -391,9 +391,11 @@ class TestMidPartitionCrash:
     def test_node_crash_inside_a_partition_restarts_byte_identically(
             self, resilience_data, clean_run, busiest_reduces, rank, which):
         """The restart rung from a crash part-way through a partition: the
-        restarted node replays the partition whole."""
+        restarted node replays the partition whole, and the crashed
+        attempt's candidates and windows are not counted beside the
+        replay's."""
         clean, _ = clean_run
-        config, busiest = busiest_reduces
+        config, probe, busiest = busiest_reduces
         points = busiest[rank]
         point = {"first": points[0], "middle": points[len(points) // 2],
                  "last": points[-1]}[which]
@@ -407,6 +409,7 @@ class TestMidPartitionCrash:
         assert recovered.degraded is None
         assert _identity(recovered) == _identity(clean), \
             f"crash at {point.path} (op {point.op}) changed the output"
+        assert recovered.reduce_report == probe.reduce_report
 
 
 # -- the failover rung ---------------------------------------------------------

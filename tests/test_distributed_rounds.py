@@ -77,6 +77,8 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
     assert result.notes["rounds"] == -(-37 // n_nodes)
     assert result.total_seconds == sum(result.phase_seconds.values())
     assert sum(1 for hop in result.token_trace if hop["ok"]) == 37
+    assert result.reduce_report.per_length_edges \
+        == single.reduce_report.per_length_edges
     if n_nodes == 1:
         # One length a round, renamed not pulled, filtered by the sort:
         # the single-node lazy schedule.
