@@ -197,9 +197,10 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     node can accumulate several blocks before finalizing (the caller then
     owns ``finalize()``); otherwise one is created and finalized here.
     ``only_lengths`` keeps the fingerprinting and the appends to the given
-    partition lengths — how node recovery recomputes a lost peer's piece of
-    one partition byte-identically without rebuilding every length (the
-    modeled scan launches are charged whole either way).
+    partition lengths, each file byte for byte what a full pass writes —
+    how a survivor adopts a lost node's pieces for the lengths the token
+    has still to reduce, in one pass over its blocks (the modeled scan
+    launches are charged whole either way).
     """
     read_length = store.read_length
     lengths = overlap_lengths(ctx, read_length)

@@ -82,29 +82,44 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
         graph = GreedyStringGraph(store.n_reads, store.read_length, ctx.host_pool)
     if report is None:
         report = ReduceReport()
-    _, m_d = ctx.config.resolved_blocks(partitions.dtype.itemsize)
-    window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
     for length in sorted(partitions.lengths() if lengths is None else lengths,
                          reverse=True):
-        s_path = partitions.path("S", length, sorted_run=True)
-        p_path = partitions.path("P", length, sorted_run=True)
-        if not (s_path.exists() and p_path.exists()):
+        if not all(partitions.path(side, length, sorted_run=True).exists()
+                   for side in SIDES):
             continue
         edges_before = graph.n_edges
-        held = sum(partitions.holds(side, length) for side in SIDES)
-        ctx.events.bump("sorted_runs_held", held)
-        ctx.events.bump("sorted_runs_from_disk", len(SIDES) - held)
         with ctx.tracer.span("reduce:partition", track="pipeline", det=True,
                              length=length) as span:
-            with partitions.open_run("S", length, sorted_run=True) as suffixes, \
-                    partitions.open_run("P", length, sorted_run=True) as prefixes:
-                reduce_partition(ctx, graph, suffixes, prefixes, length, window,
-                                 report)
+            held = reduce_length(ctx, graph, partitions, length, report)
             span.note(edges=(graph.n_edges - edges_before) // 2, held=held)
+        ctx.events.bump("sorted_runs_held", held)
+        ctx.events.bump("sorted_runs_from_disk", len(SIDES) - held)
         report.partitions_processed += 1
         report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
     report.edges_added = graph.n_edges
     return graph, report
+
+
+def reduce_length(ctx: RunContext, graph: GreedyStringGraph,
+                  partitions: PartitionStore, length: int, report: ReduceReport,
+                  *, reduce=None) -> int:
+    """One length's reduce step: its sorted runs through Algorithm 2.
+
+    Opens ``S`` and ``P`` of ``length`` (a held run from host memory, else
+    the file) and reduces them with the window the device block leaves.
+    ``reduce`` replaces :func:`reduce_partition` (a caller's own binding
+    of it). Returns how many of the two runs were held.
+    """
+    _, m_d = ctx.config.resolved_blocks(partitions.dtype.itemsize)
+    window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
+    held = sum(partitions.holds(side, length) for side in SIDES)
+    # Both runs are closed however the step ends, which frees a held one:
+    # a retry reads the files from the start.
+    with partitions.open_run("S", length, sorted_run=True) as suffixes, \
+            partitions.open_run("P", length, sorted_run=True) as prefixes:
+        (reduce or reduce_partition)(ctx, graph, suffixes, prefixes, length,
+                                     window, report)
+    return held
 
 
 def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,

@@ -25,10 +25,11 @@ Shuffle, sort and reduce run in **rounds** of ``n_nodes`` consecutive
 overlap lengths, longest first: one length per owner per round
 (:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
 of the graph's out-degree bit-vector and broadcasting it; every map piece
-served (or recomputed) during the round leaves its producer without the
-records that copy has closed, so they are never shuffled, sorted or
-matched. Bits are only ever set: a frozen copy drops nothing the token's
-own, newer bit-vector would keep, and the graph is the eager schedule's.
+served during the round (by its producer, or by the survivor that adopted
+a lost producer's pieces) leaves without the records that copy has
+closed, so they are never shuffled, sorted or matched. Bits are only ever
+set: a frozen copy drops nothing the token's own, newer bit-vector would
+keep, and the graph is the eager schedule's.
 The barriers are the same three per round, and a phase's reported seconds
 are the sum of its rounds' critical paths. With one node a round is one
 length and the schedule is the single-node pipeline's.
@@ -46,8 +47,7 @@ from pathlib import Path
 from ..config import AssemblyConfig
 from ..core.compress_phase import run_compress
 from ..core.map_phase import overlap_lengths
-from ..core.reduce_phase import (REDUCE_WINDOW_DIVISOR, ReduceReport,
-                                 reduce_partition)
+from ..core.reduce_phase import ReduceReport, reduce_length, reduce_partition
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
 from ..extmem.partitions import SIDES
@@ -259,9 +259,9 @@ class DistributedAssembler:
             close("reduce", wall0, start, seconds, per_node, round=index,
                   partitions=reduce_report.partitions_processed - done)
         reduce_report.edges_added = graph.n_edges
-        # Map pieces are the recovery lineage and the source of every later
-        # round's pull: only now, with every partition reduced (or formally
-        # dropped), may they be released.
+        # Map pieces, own and adopted, are the source of every later round's
+        # pull and of every rebuild: only now, with every partition reduced
+        # (or formally dropped), may they be released.
         for node in supervisor.alive():
             node.drop_map_partitions()
 
@@ -356,20 +356,11 @@ class DistributedAssembler:
             counted = [ReduceReport()]  # the surviving attempt's counters
 
             def attempt(node: WorkerNode, length=length) -> tuple[float, float]:
-                _, m_d = node.ctx.config.resolved_blocks(node.dtype.itemsize)
-                window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
                 host_before = node.ctx.clock.seconds("host")
-                held[0] = sum(node.shuffled.holds(side, length)
-                              for side in SIDES)
                 counted[0] = ReduceReport()
-                # Both runs are closed however the attempt ends, which frees
-                # a held one: a retry reads the files from the start.
-                with node.shuffled.open_run("S", length,
-                                            sorted_run=True) as suffixes, \
-                        node.shuffled.open_run("P", length,
-                                               sorted_run=True) as prefixes:
-                    reduce_partition(node.ctx, graph, suffixes, prefixes,
-                                     length, window, counted[0])
+                # Through this module's name: the harness times it here.
+                held[0] = reduce_length(node.ctx, graph, node.shuffled, length,
+                                        counted[0], reduce=reduce_partition)
                 t_graph = node.ctx.clock.seconds("host") - host_before
                 find_done = node.ctx.clock.total_seconds - t_graph
                 return t_graph, find_done

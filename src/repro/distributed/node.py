@@ -10,18 +10,24 @@ The cluster shuffles, sorts and reduces in rounds (see
 :mod:`repro.distributed.cluster`). A node's per-round state is two fields:
 ``owned_lengths`` (what it pulls, sorts and holds the token for this round)
 and ``closed`` (the round's frozen copy of the graph's out-degree
-bit-vector). Every map piece leaves its producer through
+bit-vector). Every map piece leaves its holder through
 :meth:`WorkerNode.read_piece`, which drops the records ``closed`` has
 already closed before they touch the network.
+
+A node's map pieces are the input of every later round's pull, so they
+outlive the node: when it is lost, one survivor maps its recorded blocks
+again, once (:meth:`WorkerNode.adopt`), and serves those pieces under the
+lost node's id from then on. :meth:`WorkerNode.pull_partitions` asks each
+producer's current holder for its piece; a rebuild is the same pull.
 """
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
-
-from typing import Callable, Iterable
 
 from ..config import AssemblyConfig
 from ..core.checkpoint import CheckpointManager, config_fingerprint
@@ -31,6 +37,7 @@ from ..core.sort_phase import _open_claims, run_sort
 from ..device.kernels import raw_view
 from ..device.specs import DiskSpec, HostSpec
 from ..extmem import PartitionStore, RunReader, RunWriter
+from ..extmem.partitions import SIDES
 from ..extmem.records import kv_dtype
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
@@ -67,6 +74,9 @@ class WorkerNode:
                                        self.dtype, self.ctx.accountant)
         #: Partition lengths this node owns in the current round.
         self.owned_lengths: list[int] = []
+        #: Map pieces this node derived for lost producers, by producer id
+        #: (:meth:`adopt`).
+        self.adopted: dict[int, PartitionStore] = {}
         #: The round's out-degree snapshot (``None`` before the first edge).
         self.closed: PackedBitVector | None = None
         self.mapped_reads = 0
@@ -105,8 +115,8 @@ class WorkerNode:
                    ) -> np.ndarray:
         """One map piece of ``pieces``, minus what the round has closed.
 
-        The one way a piece enters a shuffled partition, whether served
-        from this node's own map output or recomputed for a lost peer: the
+        The one way a piece enters a shuffled partition, whether it is this
+        node's own map output or one it derived for a lost producer: the
         same snapshot gives the same records either way.
         """
         path = pieces.path(side, length)
@@ -122,46 +132,74 @@ class WorkerNode:
                               mode="clip").view(self.dtype)
         return records
 
-    def _serve_partition(self, side: str, length: int) -> tuple[np.ndarray, int]:
-        """AM handler: the still-open records of one local map partition."""
-        records = self.read_piece(self.map_partitions, side, length)
+    def _serve_partition(self, producer: int, side: str, length: int,
+                         ) -> tuple[np.ndarray, int]:
+        """AM handler: the still-open records of ``producer``'s map piece."""
+        records = self.read_piece(self.adopted.get(producer, self.map_partitions),
+                                  side, length)
         return records, records.nbytes
 
-    def pull_owned_partitions(self, peers: list["WorkerNode"], lengths: list[int],
-                              ) -> int:
-        """Aggregate this node's partitions from every peer (incl. itself).
+    def pull_partitions(self, holders: list[int], lengths: Iterable[int]) -> int:
+        """Aggregate this node's shuffled partitions of ``lengths``.
 
-        Returns the number of bytes pulled over the network.
+        A partition is the concatenation, in producer-id order, of every
+        producer's map piece as the round's snapshot filters it, requested
+        from ``holders[producer]``: the producer itself, or the survivor
+        that adopted it. A lone node renames its own pieces into place
+        instead (its sort applies the snapshot). Returns the bytes pulled
+        over the network.
         """
         pulled = 0
-        remote_peers = [peer for peer in peers if peer.node_id != self.node_id]
+        lone = holders == [self.node_id] and self.node_id not in self.adopted
         for length in lengths:
-            for side in ("S", "P"):
+            for side in SIDES:
                 destination = self.shuffled.path(side, length)
-                local_piece = self.map_partitions.path(side, length)
-                if not remote_peers:
-                    # Single node: the data is already in place — rename only.
-                    if local_piece.exists():
-                        local_piece.replace(destination)
+                if lone:
+                    piece = self.map_partitions.path(side, length)
+                    if piece.exists():
+                        piece.replace(destination)
                     continue
-                writer = RunWriter(destination, self.dtype, self.ctx.accountant)
-                try:
-                    for peer in peers:
+                with RunWriter(destination, self.dtype,
+                               self.ctx.accountant) as writer:
+                    for producer, holder in enumerate(holders):
                         records = self.messages.request(
-                            self.node_id, peer.node_id, FETCH_PARTITION, side, length)
+                            self.node_id, holder, FETCH_PARTITION,
+                            producer, side, length)
                         if records.shape[0]:
                             writer.append(records)
-                            if peer.node_id != self.node_id:
+                            if holder != self.node_id:
                                 pulled += records.nbytes
-                finally:
-                    writer.close()
-        self.owned_lengths = sorted(lengths)
         return pulled
 
+    def adopt(self, store: PackedReadStore,
+              lineage: dict[int, list[tuple[int, int]]],
+              only_lengths: frozenset[int]) -> None:
+        """Derive lost producers' map pieces and hold them from now on.
+
+        ``lineage`` maps each producer to the read blocks it mapped, in
+        their original order; mapped again in that order into a store of
+        their own (``adopted/peerNN/``), they give the producer's pieces
+        byte for byte, for the ``only_lengths`` still to be reduced. The
+        pieces are served like this node's own until
+        :meth:`drop_map_partitions`.
+        """
+        derived = {}
+        for producer, blocks in lineage.items():
+            root = self.ctx.workdir / "adopted" / f"peer{producer:02d}"
+            shutil.rmtree(root, ignore_errors=True)
+            with PartitionStore(root, self.dtype, self.ctx.accountant) as pieces:
+                for start, stop in blocks:
+                    run_map(self.ctx, store, pieces, read_range=(start, stop),
+                            only_lengths=only_lengths)
+            derived[producer] = pieces
+        self.adopted.update(derived)
+
     def drop_map_partitions(self) -> None:
-        """Delete served map-phase files (consumed by the shuffle)."""
+        """Delete the map pieces, own and adopted (every length is reduced)."""
         for path in self.map_partitions.root.glob("*.run"):
             path.unlink()
+        shutil.rmtree(self.ctx.workdir / "adopted", ignore_errors=True)
+        self.adopted.clear()
 
     # -- sort ----------------------------------------------------------------
 
@@ -181,6 +219,11 @@ class WorkerNode:
                         resident_bytes=self.ctx.host_pool.used_bytes,
                         graph_built=self.closed is not None)
 
+    def has_sorted(self, length: int) -> bool:
+        """Whether both sorted runs of ``length`` are on this node's disk."""
+        return all(self.shuffled.path(side, length, sorted_run=True).exists()
+                   for side in SIDES)
+
     # -- recovery ------------------------------------------------------------
 
     def record_ledger(self, phase: str) -> None:
@@ -189,11 +232,11 @@ class WorkerNode:
             artifacts = sorted(self.map_partitions.root.glob("[SP]_*.run"))
         elif phase == "shuffle":
             artifacts = [self.shuffled.path(side, length)
-                         for length in self.owned_lengths for side in ("S", "P")
+                         for length in self.owned_lengths for side in SIDES
                          if self.shuffled.path(side, length).exists()]
         elif phase == "sort":
             artifacts = [self.shuffled.path(side, length, sorted_run=True)
-                         for length in self.owned_lengths for side in ("S", "P")
+                         for length in self.owned_lengths for side in SIDES
                          if self.shuffled.path(side, length, sorted_run=True).exists()]
         else:
             raise ValueError(f"no ledger phase {phase!r}")
@@ -208,47 +251,6 @@ class WorkerNode:
         return sorted({PartitionStore.length_of(rel)
                        for rel in self.ledger.damaged(phase)}
                       & set(self.owned_lengths))
-
-    def rebuild_partitions(self, n_nodes: int, alive: dict[int, "WorkerNode"],
-                           lengths: Iterable[int],
-                           recompute_piece: Callable[[int, str, int], np.ndarray],
-                           ) -> int:
-        """Reconstruct shuffled partitions byte-identically from lineage.
-
-        A shuffled partition is the concatenation, in node-id order, of each
-        peer's retained map-phase piece as the round's snapshot filters it
-        (:meth:`read_piece`). Pieces of live peers are re-pulled
-        over the active-message layer; pieces of lost peers (or of this node
-        itself after a single-node rename consumed the piece) come from
-        ``recompute_piece(peer_id, side, length)``, which re-derives them
-        from the shared packed store. Returns bytes pulled over the network.
-        """
-        pulled = 0
-        for length in sorted(lengths, reverse=True):
-            for side in ("S", "P"):
-                # Drop damaged leftovers of the dead attempt first: a stale
-                # sorted file would make the sort skip the rebuilt input.
-                self.shuffled.delete(side, length)
-                self.shuffled.delete(side, length, sorted_run=True)
-                writer = RunWriter(self.shuffled.path(side, length), self.dtype,
-                                   self.ctx.accountant)
-                try:
-                    for peer_id in range(n_nodes):
-                        peer = alive.get(peer_id)
-                        if peer is not None and \
-                                peer.map_partitions.path(side, length).exists():
-                            records = self.messages.request(
-                                self.node_id, peer_id, FETCH_PARTITION,
-                                side, length)
-                        else:
-                            records = recompute_piece(peer_id, side, length)
-                        if records.shape[0]:
-                            writer.append(records)
-                            if peer_id != self.node_id:
-                                pulled += records.nbytes
-                finally:
-                    writer.close()
-        return pulled
 
     def abandon(self) -> None:
         """Tear down a declared-dead node's in-process residue.

@@ -17,14 +17,15 @@ simulated clock so every timeline is deterministic and replayable:
 3. **Checkpointed node restart** — a fresh :class:`WorkerNode` reopens the
    dead node's private storage; the per-phase artifact ledger (digests
    written at each phase boundary) tells it which partitions survived and
-   which must be replayed. Only damaged partitions are rebuilt — from the
-   retained map-phase pieces of live peers, or recomputed from the shared
-   packed store for lost peers — byte-identically, because a shuffled
-   partition is the concatenation of per-peer pieces in node-id order and
-   each piece is re-derived in its original block order.
-4. **Failover re-shuffle** — a node whose restart budget is exhausted is
-   *lost*; its orphaned partitions are reassigned to surviving owners and
-   rebuilt on demand as the token reaches them.
+   which must be replayed. Only damaged partitions are rebuilt, by pulling
+   them again — byte-identically, because a shuffled partition is the
+   concatenation of per-producer pieces in node-id order and every piece
+   is still held by its producer or by the survivor that adopted it.
+4. **Failover** — a node past its restart budget is *lost*. One rule, in
+   every phase: the least-loaded survivor maps the lost node's recorded
+   blocks again, once, and holds those pieces under the lost id
+   (:meth:`WorkerNode.adopt`); the lost node's partitions move only when
+   the token reaches them (:meth:`ClusterSupervisor.reduce_partition`).
 5. **Degraded-mode completion** — when a partition survives no owner, the
    run finishes on the surviving nodes and reports the drop in a
    :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
@@ -38,7 +39,7 @@ alive nodes); the round's frozen out-degree snapshot is held here
 node; a node ledger's ``shuffle`` / ``sort`` records name the current
 round's files only, so a replay or failover touches the one or two
 partitions a node owns *now*, never one the token has consumed. Every
-pull and every rebuild inside a round filters with that one snapshot
+pull inside a round, a rebuild included, filters with that one snapshot
 (:meth:`WorkerNode.read_piece`), which is what keeps a rebuilt partition
 the lost one byte for byte.
 
@@ -57,20 +58,16 @@ Everything is instrumented: ``failover``/``backoff`` spans,
 from __future__ import annotations
 
 import math
-import shutil
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
-
-import numpy as np
 
 from ..config import AssemblyConfig
-from ..core.map_phase import run_map
+from ..core.map_phase import overlap_lengths, run_map
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
 from ..extmem import PartitionStore
+from ..extmem.partitions import SIDES
 from ..faults import plan as faults
 from ..faults.plan import NODE_CRASH
 from ..faults.retry import RetryPolicy
@@ -215,9 +212,11 @@ class ClusterSupervisor:
                       for i in range(n_nodes)]
         self.lost: set[int] = set()
         self.restarts_used: dict[int, int] = {}
-        #: Read ranges each node mapped, in assignment order — the lineage
-        #: that lets a lost node's map piece be recomputed byte-identically.
+        #: Read ranges each node mapped, in assignment order: the lineage a
+        #: survivor maps again when the node is lost. Never moves between ids.
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
+        #: Lengths the token has reduced (or dropped): no adopter derives them.
+        self.reduced: set[int] = set()
         self.owner_of: dict[int, int] = {}
         self.phase = "map"
         #: The current round's out-degree snapshot, as every node holds it:
@@ -401,6 +400,7 @@ class ClusterSupervisor:
             "network", misses * self.network.heartbeat_seconds())
         fresh.owned_lengths = list(dead.owned_lengths)
         fresh.mapped_reads = dead.mapped_reads
+        fresh.adopted = dead.adopted
         if self.closed is not None:
             fresh.closed = self.closed
             fresh.ctx.clock.charge(
@@ -440,6 +440,40 @@ class ClusterSupervisor:
                                  cat="resilience", det=True,
                                  sim_at=dead.ctx.clock.total_seconds,
                                  node=node_id, phase=self.phase)
+        self._adopt(node_id)
+
+    def _adopt(self, lost_id: int) -> None:
+        """Hand a lost node's lineage to the least-loaded survivor, once.
+
+        The survivor maps the lost node's recorded blocks again (and those
+        of every node the lost one had adopted), keeping the lengths the
+        token has still to reduce, and holds the pieces from then on. With
+        no survivor there is nothing left to pull for.
+        """
+        producers = sorted({lost_id, *self.nodes[lost_id].adopted})
+        self.meter.bump("failovers")
+        while self.alive():
+            try:
+                self._run_on_node(self._least_loaded().node_id, "adopt",
+                                  lambda node, _a: self._derive(node, producers))
+                return
+            except _NodeLost:
+                continue
+
+    def _derive(self, node: WorkerNode, producers: list[int]) -> None:
+        """``node`` maps the producers' blocks again, for unreduced lengths."""
+        node.adopt(self.store,
+                   {p: self.block_ranges.get(p, []) for p in producers},
+                   frozenset(overlap_lengths(node.ctx, self.store.read_length))
+                   - self.reduced)
+
+    def _holders(self) -> list[int]:
+        """Who holds each producer's map pieces now, by producer id."""
+        holders = list(range(self.n_nodes))
+        for node in self.alive():
+            for producer in node.adopted:
+                holders[producer] = node.node_id
+        return holders
 
     # -- checkpointed replay ---------------------------------------------------
 
@@ -501,120 +535,59 @@ class ClusterSupervisor:
         from corruption by digest alone.
         """
         return [length for length in node.damaged_lengths("shuffle")
-                if not (node.shuffled.path("S", length, sorted_run=True).exists()
-                        and node.shuffled.path("P", length,
-                                               sorted_run=True).exists())]
+                if not node.has_sorted(length)]
 
-    def _rebuild_on(self, node: WorkerNode, lengths: Iterable[int]) -> int:
-        """Rebuild shuffled partitions on ``node`` from retained lineage."""
+    def _rebuild_on(self, node: WorkerNode, lengths: list[int]) -> int:
+        """Pull shuffled partitions again, after deleting what is left of them."""
         lengths = sorted(set(lengths))
-        if not lengths:
-            return 0
-        alive = {n.node_id: n for n in self.alive() if n is not node}
-        alive[node.node_id] = node
-        recompute = self._piece_provider(node, lengths)
         sim0 = node.ctx.clock.total_seconds
-        try:
-            pulled = node.rebuild_partitions(self.n_nodes, alive, lengths,
-                                             recompute)
-        finally:
-            shutil.rmtree(node.ctx.workdir / "recover", ignore_errors=True)
+        if self.n_nodes == 1 and not node.adopted:
+            # A lone node's pull renamed its pieces away: it adopts itself.
+            self._derive(node, [node.node_id])
+        for length in lengths:
+            for side in SIDES:
+                # A stale sorted file would make the sort skip the new input.
+                node.shuffled.delete(side, length)
+                node.shuffled.delete(side, length, sorted_run=True)
+        pulled = node.pull_partitions(self._holders(), lengths)
         self.meter.bump("partitions_rebuilt", len(lengths))
         # Rebuild time is work the failure destroyed — the benchmark's
         # "lost work" denominator.
         self.meter.bump("rebuild_s", node.ctx.clock.total_seconds - sim0)
         return pulled
 
-    def _piece_provider(self, rebuilder: WorkerNode, lengths: list[int],
-                        ) -> Callable[[int, str, int], np.ndarray]:
-        """Recompute lost peers' map pieces from the shared packed store.
-
-        One map pass per peer, restricted to the needed lengths; the piece
-        comes out byte-identical because the peer's blocks are
-        re-fingerprinted in their original assignment order and leave
-        through the same :meth:`WorkerNode.read_piece` (the rebuilder's
-        snapshot is the round's, like the lost peer's was). Work is charged
-        to the rebuilding node's own clock — recovery is never free.
-        """
-        only = frozenset(lengths)
-        stores: dict[int, PartitionStore] = {}
-
-        def recompute(peer_id: int, side: str, length: int) -> np.ndarray:
-            if peer_id not in stores:
-                tmp = PartitionStore(
-                    rebuilder.ctx.workdir / "recover" / f"peer{peer_id:02d}",
-                    rebuilder.dtype, rebuilder.ctx.accountant)
-                for start, stop in self.block_ranges.get(peer_id, []):
-                    run_map(rebuilder.ctx, self.store, tmp,
-                            read_range=(start, stop), only_lengths=only)
-                tmp.finalize()
-                stores[peer_id] = tmp
-            return rebuilder.read_piece(stores[peer_id], side, length)
-
-        return recompute
-
     # -- phase drivers ---------------------------------------------------------
 
     def map_phase(self, n_blocks: int) -> None:
-        """Hand read blocks to the least-loaded alive node, surviving loss."""
+        """Hand read blocks to the least-loaded alive node, surviving loss.
+
+        A block is recorded as its node's lineage once mapped; a node lost
+        mid-block leaves it to the next least-loaded node, and what it had
+        recorded to its adopter (:meth:`_adopt`).
+        """
         self.phase = "map"
-        block_reads = -(-self.store.n_reads // n_blocks)
-        queue = deque((start, min(start + block_reads, self.store.n_reads))
-                      for start in range(0, self.store.n_reads, block_reads))
-        while queue:
-            start, stop = queue[0]
-            target = self._least_loaded()
-            try:
-                self._map_on(target.node_id, start, stop)
-                queue.popleft()
-            except _NodeLost:
-                # The lost node's completed blocks are orphaned with it:
-                # requeue them (ahead of the current block) for survivors.
-                self.meter.bump("failovers")
-                queue.extendleft(
-                    reversed(self.block_ranges.pop(target.node_id, [])))
-        sealed: set[int] = set()
+        n_reads = self.store.n_reads
+        block_reads = -(-n_reads // n_blocks)
+        for start in range(0, n_reads, block_reads):
+            stop = min(start + block_reads, n_reads)
+            while True:
+                node_id = self._least_loaded().node_id
+                try:
+                    self._run_on_node(
+                        node_id, f"map[{start}:{stop}]",
+                        lambda node, _a: node.map_block(self.store, start, stop),
+                        in_place=False)
+                except _NodeLost:
+                    continue
+                self.block_ranges.setdefault(node_id, []).append((start, stop))
+                break
         for node_id in [n.node_id for n in self.alive()]:
             try:
                 self._run_on_node(
                     node_id, "seal-map",
                     lambda n, _a: (n.finish_map(), n.record_ledger("map")))
-                sealed.add(node_id)
             except _NodeLost:
-                self._remap_lost_blocks(node_id, sealed)
-
-    def _map_on(self, node_id: int, start: int, stop: int) -> None:
-        """Map one read block on a node and record it as that node's lineage."""
-        self._run_on_node(
-            node_id, f"map[{start}:{stop}]",
-            lambda node, _a: node.map_block(self.store, start, stop),
-            in_place=False)
-        self.block_ranges.setdefault(node_id, []).append((start, stop))
-
-    def _remap_lost_blocks(self, node_id: int, sealed: set[int]) -> None:
-        """Re-run a seal-time casualty's blocks on a still-open survivor.
-
-        When every survivor has already sealed, nothing is re-run: the
-        blocks stay under the casualty's id as lineage, and the shuffle's
-        rebuild path recomputes its map pieces from them like any other
-        lost peer's.
-        """
-        orphans = list(self.block_ranges.pop(node_id, []))
-        while orphans:
-            self.meter.bump("failovers")
-            open_nodes = [n for n in self.alive() if n.node_id not in sealed]
-            if not open_nodes:
-                self.block_ranges[node_id] = orphans
-                return
-            target = min(open_nodes, key=lambda n: n.ctx.clock.total_seconds)
-            try:
-                while orphans:
-                    self._map_on(target.node_id, *orphans[0])
-                    orphans.pop(0)
-            except _NodeLost:
-                # The stand-in died too; everything it absorbed is orphaned
-                # again and moves to the next open survivor.
-                orphans = self.block_ranges.pop(target.node_id, []) + orphans
+                pass  # its blocks are already adopted
 
     def begin_round(self, closed: PackedBitVector | None) -> None:
         """Freeze the round's filter: every node gets the same ``closed``.
@@ -634,11 +607,12 @@ class ClusterSupervisor:
                 (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
 
     def shuffle_phase(self, lengths: list[int]) -> int:
-        """One round's all-to-all aggregation with owner failover.
+        """One round's all-to-all aggregation.
 
         Ownership is round-robin over the alive nodes, so a round of
-        ``n_nodes`` consecutive lengths gives each of them one. Returns
-        bytes pulled.
+        ``n_nodes`` consecutive lengths gives each of them one. A node lost
+        on the way keeps its lengths until the token re-homes them
+        (:meth:`reduce_partition`). Returns bytes pulled.
         """
         self.phase = "shuffle"
         alive_ids = [n.node_id for n in self.alive()]
@@ -652,105 +626,45 @@ class ClusterSupervisor:
                 length for length in lengths
                 if self.owner_of[length] == node_id)
         shuffle_bytes = 0
-        orphans: list[int] = []
         for node_id in alive_ids:
             owned = self.nodes[node_id].owned_lengths
             if not owned:
                 continue
             try:
-                shuffle_bytes += self._pull_on(node_id, owned)
+                shuffle_bytes += self._run_on_node(
+                    node_id, "pull", lambda node, _a: node.pull_partitions(
+                        self._holders(), owned))
+                self._run_on_node(node_id, "ledger-shuffle",
+                                  lambda n, _a: n.record_ledger("shuffle"))
             except _NodeLost:
-                orphans.extend(owned)
-        if orphans:
-            # The adopter's rebuild recomputes the lost nodes' pieces from
-            # lineage, together with what it already owned.
-            shuffle_bytes += self._fail_over(
-                orphans, lambda owner_id, batch: self._pull_on(
-                    owner_id, sorted(set(self.nodes[owner_id].owned_lengths)
-                                     | set(batch)), rebuild=True))
+                pass
         return shuffle_bytes
 
-    def _fail_over(self, orphans: list[int], adopt):
-        """Hand orphaned partitions to the least-loaded survivor until one
-        keeps them.
-
-        ``adopt(owner_id, batch)`` does the phase's work for the sorted
-        ``batch`` on the new owner; when that node is lost in the attempt
-        the same batch goes to the next survivor. Returns what ``adopt``
-        returned.
-        """
-        batch = sorted(set(orphans))
-        while True:
-            owner_id = self._least_loaded().node_id
-            for length in batch:
-                self.owner_of[length] = owner_id
-            self.meter.bump("failovers")
-            try:
-                return adopt(owner_id, batch)
-            except _NodeLost:
-                continue
-
-    def _pull_on(self, node_id: int, owned: list[int], *,
-                 rebuild: bool = False) -> int:
-        """One node's shuffle pull (or lineage rebuild), guarded."""
-        def pull(node: WorkerNode, _attempt: int) -> int:
-            node.owned_lengths = owned
-            if rebuild or self.lost:
-                # Some peer is gone (or this is a failover): the rebuild
-                # path pulls live pieces and recomputes lost ones from
-                # lineage instead of messaging dead nodes.
-                return self._rebuild_on(node, owned)
-            return node.pull_owned_partitions(self.nodes, owned)
-
-        pulled = self._run_on_node(node_id, "pull", pull)
-        self._run_on_node(node_id, "ledger-shuffle",
-                          lambda n, _a: n.record_ledger("shuffle"))
-        return pulled
-
     def sort_phase(self) -> None:
-        """One round's per-node local sorts with owner failover."""
+        """One round's per-node local sorts (a lost node's wait for the token)."""
         self.phase = "sort"
-        orphans: list[int] = []
-        for node_id in [n.node_id for n in self.alive()
-                        if n.owned_lengths]:
+        for node_id in [n.node_id for n in self.alive() if n.owned_lengths]:
             try:
                 self._run_on_node(node_id, "sort",
                                   lambda node, _a: self._sort_owned(node))
                 self._run_on_node(node_id, "ledger-sort",
                                   lambda n, _a: n.record_ledger("sort"))
             except _NodeLost:
-                orphans.extend(self.nodes[node_id].owned_lengths)
-        if orphans:
-            self._fail_over(orphans, self._adopt_sorted)
-
-    def _adopt_sorted(self, owner_id: int, batch: list[int]) -> None:
-        """Rebuild, sort and ledger orphaned partitions on their new owner."""
-        self._run_on_node(
-            owner_id, "sort-failover",
-            lambda node, _a: (self._rebuild_on(node, batch),
-                              node.sort_lengths(batch)))
-        # Fetch by id only now: a restart mid-op replaced the object.
-        survivor = self.nodes[owner_id]
-        survivor.owned_lengths = sorted(set(survivor.owned_lengths)
-                                        | set(batch))
-        self._run_on_node(owner_id, "ledger-sort",
-                          lambda n, _a: n.record_ledger("sort"))
+                pass
 
     # -- reduce ---------------------------------------------------------------
 
     def partition_has_data(self, length: int) -> bool:
-        """Whether any node holds (or ever ledgered) data for ``length``.
+        """Whether the token must visit ``length``.
 
         Genuinely empty partitions are skipped by the token loop exactly as
-        in the fail-stop driver; partitions whose files are merely damaged
-        or orphaned still have ledger records and go through recovery.
+        in the fail-stop driver. A lost owner's partition is visited and
+        rebuilt whether or not it was ledgered (it may have been lost before
+        its sort); a damaged one still has its ledger records.
         """
-        node = self.nodes[self.owner_of[length]]
-        if node.node_id not in self.lost \
-                and node.shuffled.path("S", length, sorted_run=True).exists() \
-                and node.shuffled.path("P", length, sorted_run=True).exists():
-            return True
-        return self._ledgered_records(length) > 0
+        owner = self.owner_of[length]
+        return owner in self.lost or self.nodes[owner].has_sorted(length) \
+            or self._ledgered_records(length) > 0
 
     # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
     def commit_chunk(self, *args) -> None:
@@ -783,6 +697,7 @@ class ClusterSupervisor:
             if owner_id in self.lost or len(tried) >= _MAX_OWNERS_PER_PARTITION:
                 replacement = self._next_owner(length, tried, failures, counter)
                 if isinstance(replacement, ReduceOutcome):
+                    self.reduced.add(length)
                     return replacement
                 owner_id = replacement
             tried.add(owner_id)
@@ -792,6 +707,7 @@ class ClusterSupervisor:
                     owner_id, f"reduce[{length}]",
                     lambda node, _a: attempt_fn(node),
                     counter=counter, failures=failures)
+                self.reduced.add(length)
                 return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))
@@ -840,9 +756,7 @@ class ClusterSupervisor:
     def _ensure_partition(self, owner_id: int, length: int) -> None:
         """Make sure the owner holds sorted data for ``length`` (failover)."""
         node = self.nodes[owner_id]
-        s_sorted = node.shuffled.path("S", length, sorted_run=True)
-        p_sorted = node.shuffled.path("P", length, sorted_run=True)
-        if s_sorted.exists() and p_sorted.exists():
+        if node.has_sorted(length):
             return
         if length in node.owned_lengths and not self._ledgered_records(length):
             return  # genuinely empty partition: nothing to rebuild
@@ -850,25 +764,17 @@ class ClusterSupervisor:
             owner_id, f"rebuild[{length}]",
             lambda n, _a: (self._rebuild_on(n, [length]),
                            n.sort_lengths([length])))
+        node = self.nodes[owner_id]  # a restart mid-op replaced the object
         if length not in node.owned_lengths:
             node.owned_lengths = sorted(set(node.owned_lengths) | {length})
 
     def _ledgered_records(self, length: int) -> int:
-        """Candidate records of one partition, from the sort ledgers.
-
-        Several nodes may have ledgered the same partition (the original
-        owner and a failover owner record byte-identical rebuilds), so the
-        count is the *max* over nodes of each node's S+P record total —
-        never the sum.
-        """
-        per_node = []
-        for node in self.nodes:
-            total = 0
-            for rel, digest in node.ledger.recorded_artifacts("sort").items():
-                if PartitionStore.length_of(rel) == length:
-                    total += int(digest.split(":")[0]) // node.dtype.itemsize
-            per_node.append(total)
-        return max(per_node, default=0)
+        """Candidate records of one partition, from its owner's sort ledger."""
+        return max((sum(int(digest.split(":")[0]) // node.dtype.itemsize
+                        for rel, digest
+                        in node.ledger.recorded_artifacts("sort").items()
+                        if PartitionStore.length_of(rel) == length)
+                    for node in self.nodes), default=0)
 
     # -- reporting -------------------------------------------------------------
 
