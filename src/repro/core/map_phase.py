@@ -49,7 +49,6 @@ from ..device import costs
 from ..errors import ConfigError
 from ..extmem import PartitionStore
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
-from ..faults import plan as faults
 from ..fingerprint import FingerprintScheme
 from ..fingerprint.scan import ScanWorkspace
 from ..seq.alphabet import reverse_complement
@@ -85,11 +84,8 @@ def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int) -> int:
 
     Enough to reach :data:`STAGE_READS`, as far as the host budget holds
     their buffers; a device batch that is already that large is its own
-    block. With a fault plan armed blocks stay single batches: every
-    logical append is then an injectable write, delivered in batch order.
+    block.
     """
-    if faults.active():
-        return 1
     host_budget = int(ctx.config.memory.host_bytes * ctx.config.memory.buffer_fraction)
     return max(1, min(-(-STAGE_READS // batch_reads),
                       host_budget // (batch_reads * per_read)))

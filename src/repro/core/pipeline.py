@@ -249,13 +249,19 @@ class Assembler:
             if self.content_store is not None and source_digest else None
         store, _ = self._restore(ctx, manager, "load", store_path,
                                  lambda: self._open_store(ctx), key)
-        if store is None:
-            store = run_load(ctx, source)
-            if key is not None:
-                self.content_store.put(key, "load", ctx.workdir, [store_path],
-                                       tracer=ctx.tracer)
-        if manager is not None and not manager.completed("load"):
-            manager.mark("load", [store_path])
+        try:
+            if store is None:
+                store = run_load(ctx, source)
+                if key is not None:
+                    self.content_store.put(key, "load", ctx.workdir,
+                                           [store_path], tracer=ctx.tracer)
+            if manager is not None and not manager.completed("load"):
+                manager.mark("load", [store_path])
+        except BaseException:
+            # The caller never gets the store: close it here.
+            if store is not None:
+                store.close()
+            raise
         return store
 
     # -- map, sort, reduce -----------------------------------------------------

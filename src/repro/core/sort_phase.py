@@ -31,7 +31,6 @@ from typing import Iterable
 from ..extmem import ExternalSorter, PartitionStore
 from ..extmem.records import VAL_FIELD
 from ..extmem.sort import SortReport
-from ..faults import plan as faults
 from ..graph.bitvector import PackedBitVector
 from .context import RunContext
 
@@ -125,8 +124,6 @@ def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
       first sort (the cluster's first round) and must find its bytes free;
     * when the call sorts a single length, so at most one length's runs
       wait for reduce;
-    * while no fault plan is armed, so every reduce read stays an
-      injectable op;
     * when the sort formed it in one piece (the sorter offers no other);
     * if the sorter's whole block budget (``block_bytes``) stays free
       beside it while the other side is still to be sorted, so that sort
@@ -134,7 +131,7 @@ def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
       no :class:`~repro.errors.HostMemoryError`); nothing need stay free
       after the last one.
     """
-    if not graph_built or len(lengths) != 1 or faults.active():
+    if not graph_built or len(lengths) != 1:
         return None
 
     def for_partition(side: str, length: int):

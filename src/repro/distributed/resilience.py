@@ -274,35 +274,19 @@ class ClusterSupervisor:
                 if isinstance(exc, MessageDropped):
                     # Nobody died — drops are retried in place; only an
                     # exhausted budget makes the destination a suspect.
-                    victims, fatal = [], False
+                    victim, fatal = None, False
                 else:
-                    victims = self._victims_of(node, exc)
-                    for scope in victims:
-                        faults.clear_crash(scope=scope)
-                    plan = faults.active_plan()
-                    fatal = plan is not None and bool(plan.events) \
-                        and plan.events[-1].kind == NODE_CRASH
-                others = [s for s in victims if s != node.scope]
-                if others or fatal or not in_place \
+                    # The scope that died: this node, or a peer that died
+                    # servicing our message.
+                    victim = exc.scope or node.scope
+                    fatal = exc.kind == NODE_CRASH
+                    faults.clear_crash(scope=victim)
+                if victim not in (None, node.scope) or fatal or not in_place \
                         or local + 1 >= self.policy.max_attempts:
-                    victims = victims or self._victims_of(node, exc)
-                    raise _NodeDeath(victims or [node.scope], exc, op) from exc
+                    suspect = victim or exc.destination or node.scope
+                    raise _NodeDeath([suspect], exc, op) from exc
                 self._backoff(node, local + 1, op)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _victims_of(self, node: WorkerNode, exc: BaseException) -> list[str]:
-        """Which node scopes this failure killed."""
-        if isinstance(exc, MessageDropped):
-            # Nobody died — but a *persistent* drop makes the destination
-            # unreachable; the last recorded event names the suspect.
-            plan = faults.active_plan()
-            if plan is not None and plan.events:
-                label = plan.events[-1].path  # "node00->node01:handler"
-                if "->" in label:
-                    return [label.split("->")[1].split(":")[0]]
-            return [node.scope]
-        return [s for s in faults.crashed_scopes() if s is not None] \
-            or [node.scope]
 
     def _backoff(self, node: WorkerNode, attempt: int, op: str) -> None:
         """Charge one deterministic backoff wait to the node's clock."""

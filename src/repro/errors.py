@@ -66,7 +66,12 @@ class MessageDropped(DistributedProtocolError):
 
     The requester's handler never ran; the sender may retry — the supervisor
     treats this as a transient failure, unlike handler-side protocol errors.
+    ``destination`` names the node scope the message was for.
     """
+
+    def __init__(self, message: str, destination: str | None = None):
+        super().__init__(message)
+        self.destination = destination
 
 
 class RetryExhausted(ReproError):
@@ -126,8 +131,15 @@ class FaultInjected(ReproError):
     the process dying at an exact byte boundary, so production code must
     never catch it except where a real deployment would survive the
     corresponding failure (e.g. the distributed reduce retrying a dead
-    node's partition).
+    node's partition). ``kind`` is the fault kind that fired and ``scope``
+    the node scope that died (``None`` outside any node).
     """
+
+    def __init__(self, message: str, kind: str | None = None,
+                 scope: str | None = None):
+        super().__init__(message)
+        self.kind = kind
+        self.scope = scope
 
 
 class RecoveryError(ReproError):

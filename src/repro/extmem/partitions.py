@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, StreamProtocolError
-from ..faults import plan as faults
 from .io_stats import IOAccountant
 from .streams import HeldRun, RunReader, RunWriter
 
@@ -91,17 +90,7 @@ class PartitionStore:
         order, through one grouped
         :meth:`~repro.extmem.io_stats.IOAccountant.add_write_run` (partition
         writers never seek) — but each writer sees a single real append.
-        With a fault plan armed every logical append is delivered
-        individually, so write-op counts are those of the unstaged loop.
         """
-        if faults.active():
-            lo = 0
-            for n in rows:
-                for length, prefix, suffix in pairs:
-                    self.append("P", length, prefix[lo:lo + n])
-                    self.append("S", length, suffix[lo:lo + n])
-                lo += n
-            return
         for length, prefix, suffix in pairs:
             self.append("P", length, prefix, meter=False)
             self.append("S", length, suffix, meter=False)
@@ -111,11 +100,27 @@ class PartitionStore:
                 [n * width for n in rows for _ in range(2 * len(pairs))])
 
     def finalize(self) -> None:
-        """Close all open partition writers (end of the map phase)."""
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
+        """Close all open partition writers (end of the map phase).
+
+        Every writer is closed even when one's final write raises; the
+        first error is re-raised once all of them are.
+        """
+        error = self._close_writers()
         self._finalized = True
+        if error is not None:
+            raise error
+
+    def _close_writers(self) -> Exception | None:
+        """Close every open writer; returns the first close error, if any."""
+        error = None
+        for writer in self._writers.values():
+            try:
+                writer.close()
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        self._writers.clear()
+        return error
 
     def abandon(self) -> None:
         """Drop every open writer and held run without sealing the store.
@@ -125,12 +130,7 @@ class PartitionStore:
         the host memory of held runs go. Close errors are swallowed; the
         writers were lost either way.
         """
-        for writer in self._writers.values():
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
+        self._close_writers()
         for held in self._held.values():
             held.close()
         self._held.clear()
@@ -174,7 +174,8 @@ class PartitionStore:
         reserves them until the next :meth:`open_run` of the run is closed
         or the run is dropped (:meth:`delete`, :meth:`abandon`).
         """
-        self._held[(side, length)] = HeldRun(records, allocation)
+        self._held[(side, length)] = HeldRun(
+            self.path(side, length, sorted_run=True), records, allocation)
 
     def holds(self, side: str, length: int) -> bool:
         """Whether the next :meth:`open_run` of this sorted run reads memory."""

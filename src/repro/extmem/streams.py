@@ -88,14 +88,9 @@ class RunWriter:
             raise StreamProtocolError(
                 f"{self.path}: dtype mismatch ({records.dtype} != {self.dtype})")
         data = np.ascontiguousarray(records)
-        if faults.active():
-            # Fault sites must observe one OS-visible write per append, in
-            # order, so coalescing pauses while a plan is armed.
+        if data.nbytes >= _COALESCE_BYTES:
             self._drain_tail()
-            faults.deliver_write(self.path, data.tobytes(), self._handle)
-        elif data.nbytes >= _COALESCE_BYTES:
-            self._drain_tail()
-            self._handle.write(data)  # buffer-protocol export, no bytes copy
+            faults.deliver_write(self.path, data, self._handle)
         else:
             self._tail += data.tobytes()
             if len(self._tail) >= _COALESCE_BYTES:
@@ -108,24 +103,27 @@ class RunWriter:
 
     def _drain_tail(self) -> None:
         if self._tail:
-            # Clear the tail *before* delivery: if an armed plan crashes or
-            # tears the write, the unwind path (close() also drains) must
-            # not re-deliver the same prefix. A plan arming mid-stream thus
-            # sees the buffered tail as one ordinary injectable write — a
-            # coalesced tail can never mask a scheduled torn write.
+            # Clear the tail *before* delivery: if a plan crashes or tears
+            # the write, the unwind path (close() also drains) must not
+            # re-deliver the same prefix. The buffered tail is one ordinary
+            # injectable write.
             data = bytes(self._tail)
             self._tail.clear()
-            if faults.active():
-                faults.deliver_write(self.path, data, self._handle)
-            else:
-                self._handle.write(data)
+            faults.deliver_write(self.path, data, self._handle)
 
     def close(self) -> None:
-        """Finish the run; the path becomes available for reading."""
+        """Finish the run; the path becomes available for reading.
+
+        The handle and the path are released even when the final write
+        raises (a full disk, an injected fault): a retry in the same
+        process must be able to open the path again.
+        """
         if not self._handle.closed:
-            self._drain_tail()
-            self._handle.close()
-            _unregister(self.path)
+            try:
+                self._drain_tail()
+            finally:
+                self._handle.close()
+                _unregister(self.path)
 
     def __enter__(self) -> "RunWriter":
         return self
@@ -183,14 +181,8 @@ class RunReader:
         n = min(n, self.remaining)
         if n <= 0:
             return np.empty(0, dtype=self.dtype)
-        if faults.active():
-            raw = faults.filter_read(
-                self.path, self._handle.read(n * self.dtype.itemsize))
-            records = np.frombuffer(raw, dtype=self.dtype).copy()
-        else:
-            # No plan armed: read straight into the fresh array, skipping
-            # the intermediate bytes object filter_read would inspect.
-            records = np.fromfile(self._handle, dtype=self.dtype, count=n)
+        records = faults.filter_read(
+            self.path, np.fromfile(self._handle, dtype=self.dtype, count=n))
         if self._accountant is not None:
             self._accountant.add_read(records.nbytes, seeks=self._pending_seek)
         self._pending_seek = 0
@@ -235,12 +227,15 @@ class HeldRun:
     """A run already in host memory, read through :class:`RunReader`'s surface.
 
     Reads return views of ``records`` and charge no disk: the records never
-    left host memory. ``allocation`` (a
+    left host memory. Each read still passes the fault layer's ``READ``
+    hook under ``path`` (the run's file), as a :class:`RunReader` of that
+    file would. ``allocation`` (a
     :class:`~repro.device.memory.Allocation` reserving their bytes, if
     any) is freed on :meth:`close`, and the array is let go with it.
     """
 
-    def __init__(self, records: np.ndarray, allocation=None):
+    def __init__(self, path: str | Path, records: np.ndarray, allocation=None):
+        self.path = Path(path)
         self._records = records
         self._allocation = allocation
         self._total = records.shape[0]
@@ -268,8 +263,11 @@ class HeldRun:
     def read(self, n: int) -> np.ndarray:
         """Consume up to ``n`` records (empty at the end of the run)."""
         self._check_open("read")
-        n = max(0, min(n, self.remaining))
-        records = self._records[self._consumed:self._consumed + n]
+        n = min(n, self.remaining)
+        if n <= 0:
+            return self._records[:0]
+        records = faults.filter_read(
+            self.path, self._records[self._consumed:self._consumed + n])
         self._consumed += n
         return records
 

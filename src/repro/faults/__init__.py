@@ -19,10 +19,10 @@ from __future__ import annotations
 from .plan import (BITFLIP, CRASH, ENOSPC, FSYNC_LOSS, KINDS, LEDGER,
                    MESSAGE, MSG_DELAY, MSG_DROP, NODE, NODE_CRASH, PHASE,
                    READ, RENAME, SITES, TORN, WRITE, Fault, FaultEvent,
-                   FaultPlan, TracePoint, active, active_plan, barrier,
-                   clear_crash, crash_pending, crashed_scopes,
-                   deliver_message, deliver_write, filter_read, inject,
-                   ledger_write, node_op, note_phase, scoped)
+                   FaultPlan, TracePoint, active_plan, barrier, clear_crash,
+                   crash_pending, deliver_message, deliver_write,
+                   filter_read, inject, ledger_write, node_op, note_phase,
+                   scoped)
 from .retry import RetryPolicy
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
     "LEDGER", "MESSAGE", "MSG_DELAY", "MSG_DROP", "NODE", "NODE_CRASH",
     "PHASE", "READ", "RENAME", "SITES", "TORN", "WRITE",
     "Fault", "FaultEvent", "FaultPlan", "RetryPolicy", "TracePoint",
-    "active", "active_plan", "barrier", "clear_crash", "crash_pending",
-    "crashed_scopes", "deliver_message", "deliver_write", "filter_read",
+    "active_plan", "barrier", "clear_crash", "crash_pending",
+    "deliver_message", "deliver_write", "filter_read",
     "inject", "ledger_write", "node_op", "note_phase", "scoped",
     "CrashLoop", "CrashLoopReport", "CrashOutcome",
     "result_digest", "scan_residue",

@@ -7,7 +7,8 @@ the module-level hooks below. With no plan active the hooks are
 pass-throughs costing one global load; under :func:`inject` every hook
 visit increments a global *operation counter* and is matched against the
 plan's scheduled :class:`Fault` list, so a crash can be replayed at any
-exact byte boundary of any run:
+exact byte boundary of any run (arming a plan changes nothing else: no
+code asks whether one is armed):
 
 * ``crash``      — die before the operation (the write never happens),
 * ``torn``       — write a prefix of the payload, then die,
@@ -33,6 +34,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
+
+import numpy as np
 
 from ..errors import ConfigError, FaultInjected, MessageDropped
 from ..telemetry import EventMeter
@@ -293,7 +296,7 @@ class FaultPlan:
         self._crashed_scopes.add(self._scope)
         raise FaultInjected(
             f"injected {event.kind} at op {event.op} ({event.site}: "
-            f"{event.path}): {reason}")
+            f"{event.path}): {reason}", event.kind, self._scope)
 
     @staticmethod
     def _cut(payload: bytes, offset: int | None) -> int:
@@ -415,7 +418,8 @@ class FaultPlan:
         if fault.kind == MSG_DROP:
             self._record(event)
             raise MessageDropped(
-                f"injected msg-drop at op {event.op}: {label} lost in flight")
+                f"injected msg-drop at op {event.op}: {label} lost in flight",
+                dst_scope)
         if fault.kind == MSG_DELAY:
             self._record(event)
             return fault.seconds or DEFAULT_MSG_DELAY_S
@@ -472,15 +476,6 @@ def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
         _ACTIVE = None
 
 
-def active() -> bool:
-    """Whether a fault plan is currently armed.
-
-    Hot-path I/O consults this to take zero-copy fast paths that skip the
-    bytes round trips fault delivery and filtering need.
-    """
-    return _ACTIVE is not None
-
-
 def crash_pending() -> bool:
     """Whether an injected crash is unwinding the stack right now.
 
@@ -499,13 +494,6 @@ def clear_crash(scope: str | None = _ALL_SCOPES) -> None:
     """
     if _ACTIVE is not None:
         _ACTIVE.clear_crash(scope)
-
-
-def crashed_scopes() -> tuple[str | None, ...]:
-    """Scopes with unacknowledged crashes on the active plan (or ``()``)."""
-    if _ACTIVE is None:
-        return ()
-    return _ACTIVE.crashed_scopes
 
 
 @contextmanager
@@ -545,8 +533,8 @@ def deliver_write(path: Path, payload, handle: BinaryIO) -> None:
 
     ``payload`` may be ``bytes`` or any buffer-protocol object (e.g. a
     contiguous record array). With no plan active it is handed straight to
-    the OS; the bytes materialization — which fault bookkeeping needs for
-    slicing and flipping — is only paid when a plan is armed.
+    the OS; the bytes copy fault bookkeeping needs for slicing and flipping
+    is only made when a plan is armed.
     """
     if _ACTIVE is None:
         handle.write(payload)
@@ -556,11 +544,18 @@ def deliver_write(path: Path, payload, handle: BinaryIO) -> None:
         _ACTIVE.deliver_write(path, payload, handle)
 
 
-def filter_read(path: Path, raw: bytes) -> bytes:
-    """Pass ``raw`` bytes just read from ``path`` through the active plan."""
+def filter_read(path: Path, raw):
+    """Pass ``raw`` just read from ``path`` through the active plan.
+
+    ``raw`` is ``bytes`` or a record array, and the same type comes back.
+    With no plan active it is returned untouched.
+    """
     if _ACTIVE is None:
         return raw
-    return _ACTIVE.filter_read(path, raw)
+    if isinstance(raw, bytes):
+        return _ACTIVE.filter_read(path, raw)
+    filtered = _ACTIVE.filter_read(path, raw.tobytes())
+    return np.frombuffer(filtered, dtype=raw.dtype).copy()
 
 
 def ledger_write(path: Path, text: str) -> None:

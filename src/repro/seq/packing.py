@@ -154,18 +154,23 @@ class PackedReadStore:
         self._n_reads += batch.n_reads
 
     def close(self) -> None:
-        """Finalize (write mode: patch the read count into the header)."""
+        """Finalize (write mode: patch the read count into the header).
+
+        The handle is released even when the header write raises.
+        """
         if self._handle.closed:
             return
-        if self._mode == "w":
-            # The header patch is the store's commit point: a crash just
-            # before it leaves n_reads=0, which a resumed load re-runs.
-            self._handle.seek(0)
-            faults.deliver_write(
-                self._path,
-                _HEADER.pack(_MAGIC, _VERSION, self._read_length, self._n_reads),
-                self._handle)
-        self._handle.close()
+        try:
+            if self._mode == "w":
+                # The header patch is the store's commit point: a crash just
+                # before it leaves n_reads=0, which a resumed load re-runs.
+                self._handle.seek(0)
+                faults.deliver_write(
+                    self._path,
+                    _HEADER.pack(_MAGIC, _VERSION, self._read_length, self._n_reads),
+                    self._handle)
+        finally:
+            self._handle.close()
 
     def __enter__(self) -> "PackedReadStore":
         return self

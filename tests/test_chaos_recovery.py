@@ -9,6 +9,7 @@ fault-kind rotations; a failed seed reproduces locally with the same value.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -27,9 +28,10 @@ from repro.errors import (ConfigError, DistributedProtocolError, FaultInjected,
 from repro.extmem import PartitionStore, RunReader, RunWriter
 from repro.extmem.merge import merge_streams_k
 from repro.extmem.records import kv_dtype, make_records
-from repro.faults import (BITFLIP, CRASH, LEDGER, PHASE, READ, TORN, WRITE,
-                          CrashLoop, Fault, FaultPlan, inject, result_digest,
-                          scan_residue)
+from repro.extmem.streams import _COALESCE_BYTES
+from repro.faults import (BITFLIP, CRASH, ENOSPC, LEDGER, PHASE, READ, TORN,
+                          WRITE, CrashLoop, Fault, FaultPlan, inject,
+                          result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -210,6 +212,49 @@ def test_partition_store_append_after_finalize_is_typed(tmp_path):
         store.append("S", 24, records)
 
 
+# -- satellite: a final write that raises still releases the file -------------
+
+
+def test_a_failed_close_releases_the_path_for_a_retry(tmp_path):
+    """A full disk while the buffered tail drains in ``close()``: a retry
+    in the same process (the service's) must be able to open the path."""
+    dtype = kv_dtype(1)
+    records = make_records(np.arange(10, dtype=np.uint64),
+                           np.zeros(10, dtype=np.uint32))
+    path = tmp_path / "x.run"
+    writer = RunWriter(path, dtype)
+    writer.append(records)
+    with inject(FaultPlan([Fault(ENOSPC, site=WRITE)])):
+        with pytest.raises(OSError) as raised:
+            writer.close()
+    assert raised.value.errno == errno.ENOSPC
+    with RunWriter(path, dtype) as retry:
+        retry.append(records)
+    assert path.read_bytes() == records.tobytes()
+
+
+def test_finalize_closes_every_writer_then_raises_the_first_error(tmp_path):
+    dtype = kv_dtype(1)
+    store = PartitionStore(tmp_path, dtype)
+    records = make_records(np.array([1], dtype=np.uint64),
+                           np.array([0], dtype=np.uint32))
+    for side in ("S", "P"):
+        store.append(side, 24, records)
+    with inject(FaultPlan([Fault(ENOSPC, site=WRITE)])):
+        with pytest.raises(OSError):
+            store.finalize()
+    for side in ("S", "P"):
+        RunWriter(store.path(side, 24), dtype).close()  # both released
+
+
+def test_a_failed_header_commit_closes_the_read_store(tmp_path):
+    store = PackedReadStore.create(tmp_path / "reads.lsgr", 36)
+    with inject(FaultPlan([Fault(ENOSPC, site=WRITE)])):
+        with pytest.raises(OSError):
+            store.close()
+    assert store._handle.closed
+
+
 # -- corruption detection ------------------------------------------------------
 
 
@@ -336,17 +381,17 @@ class TestDistributedToken:
                     if issubclass(w.category, ResourceWarning)]
 
 
-class TestArmedPlanPausesStreamFastPaths:
-    """A plan arming mid-stream must pause the pooled I/O fast paths.
+class TestPlanArmedMidStream:
+    """A plan armed after a stream opened sees the stream as it is.
 
-    RunWriter coalesces small appends in a tail buffer and RunReader
-    uses ``np.fromfile`` — both bypass the fault sites. The regression:
-    a plan armed *after* a stream opened (with a tail already buffered)
-    silently missed its scheduled faults, and crash unwinds re-delivered
-    the buffered prefix, breaking replay byte-identity.
+    RunWriter coalesces small appends in a tail buffer and RunReader reads
+    with ``np.fromfile``, armed or not; the buffered tail reaches the fault
+    site as one ordinary write when it drains, and every read passes the
+    read filter.
     """
 
-    def test_buffered_tail_is_one_injectable_write(self, tmp_path):
+    @pytest.mark.parametrize("drain", ["close", "64KB"])
+    def test_buffered_tail_is_one_injectable_write(self, tmp_path, drain):
         dtype = kv_dtype(1)
         records = make_records(np.arange(10, dtype=np.uint64),
                                np.zeros(10, dtype=np.uint32))
@@ -357,14 +402,21 @@ class TestArmedPlanPausesStreamFastPaths:
         plan = FaultPlan([Fault(TORN, site=WRITE, offset=4)])
         with inject(plan):
             with pytest.raises(FaultInjected):
-                writer.append(records)
-        # The tear landed on the *buffered tail*, proving the tail reached
-        # the fault site as one ordinary write the moment the plan armed.
+                if drain == "close":
+                    writer.close()
+                else:
+                    # Below the coalescing size on its own, past it with
+                    # the buffered tail: the append drains the tail.
+                    n = _COALESCE_BYTES // dtype.itemsize - 1
+                    writer.append(make_records(
+                        np.arange(n, dtype=np.uint64),
+                        np.zeros(n, dtype=np.uint32)))
         assert [e.kind for e in plan.events] == [TORN]
         writer.close()
-        # ...and the unwind (close also drains) did not re-deliver the
-        # cleared tail: exactly the torn prefix reached disk.
+        # The tail was cleared before delivery, so neither the unwind nor
+        # a later close re-delivers it: exactly the torn prefix is on disk.
         assert path.stat().st_size == 4
+        RunWriter(path, dtype).close()  # the path was released
 
     def test_armed_plan_routes_reads_through_filter(self, tmp_path):
         dtype = kv_dtype(1)
@@ -373,24 +425,24 @@ class TestArmedPlanPausesStreamFastPaths:
         with RunWriter(path, dtype) as writer:
             writer.append(make_records(keys, np.zeros(20, dtype=np.uint32)))
         with RunReader(path, dtype) as reader:
-            first = reader.read(5)  # fast path: no plan armed
+            first = reader.read(5)  # no plan armed
             assert np.array_equal(first["key"], keys[:5])
             plan = FaultPlan([Fault(BITFLIP, site=READ, offset=3)])
             with inject(plan):
                 flipped = reader.read(5)
-            # The scheduled corruption fired, so the mid-run arming was
-            # honored (np.fromfile would have skipped filter_read).
+            # The scheduled corruption fired on a read the stream had
+            # opened before the plan was armed.
             assert [e.kind for e in plan.events] == [BITFLIP]
             assert not np.array_equal(flipped["key"], keys[5:10])
-            rest = reader.read_all()  # fast path restored after disarm
+            rest = reader.read_all()  # disarmed: read untouched
             assert np.array_equal(rest["key"], keys[10:])
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_seeded_chaos_through_coalesced_streams(self, chaos_data, config,
                                                     tmp_path, seed):
         """Regression seed: the crash loop's write/read faults must fire and
-        recover byte-identically even though the pipeline's hot paths
-        coalesce writes and fast-path reads when unfaulted."""
+        recover byte-identically through the coalescing writers and the
+        ``np.fromfile`` reads the pipeline always uses."""
         md, _ = chaos_data
         golden = Assembler(config).assemble(md.store_path,
                                             workdir=tmp_path / "golden",

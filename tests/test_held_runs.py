@@ -5,8 +5,8 @@ in the sorter's host buffer when its file is renamed into place; the
 partition store keeps that array (its bytes reserved in the host pool) and
 the next reader of the run takes it from there instead of off the disk.
 Nothing else may move: the sorted files, the graph, the contigs, the ledger
-and the reports are those of a run that holds nothing (an armed, empty
-``FaultPlan`` turns holding off), whatever the host budget.
+and the reports are those of a run that holds nothing (``sort_phase._holder``
+patched to hold no run), whatever the host budget.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.core import pipeline, reduce_phase
+from repro.core import pipeline, reduce_phase, sort_phase
 from repro.device.memory import MemoryPool
 from repro.distributed import DistributedAssembler
 from repro.errors import HostMemoryError, StreamProtocolError
 from repro.extmem import HeldRun, IOAccountant, PartitionStore, RunReader
 from repro.extmem.records import kv_dtype, make_records
-from repro.faults import FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
 from repro.trace import EVENTS_FILE, load_events
 
@@ -73,14 +72,14 @@ def _artifacts(workdir) -> dict[str, bytes]:
 @pytest.mark.parametrize("lanes", (1, 2))
 @pytest.mark.parametrize("memory", (INCORE, OUTOFCORE, CRAMPED),
                          ids=lambda memory: memory.name)
-def test_artifacts_match_a_run_holding_nothing(data, tmp_path, memory, lanes):
+def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
+                                               memory, lanes):
     config = _config(memory, lanes)
     held = Assembler(config).assemble(data.store_path, workdir=tmp_path / "held",
                                       resume=True)
-    with inject(FaultPlan()):
-        plain = Assembler(config).assemble(data.store_path,
-                                           workdir=tmp_path / "plain",
-                                           resume=True)
+    monkeypatch.setattr(sort_phase, "_holder", lambda *args: None)
+    plain = Assembler(config).assemble(data.store_path,
+                                       workdir=tmp_path / "plain", resume=True)
     assert _artifacts(tmp_path / "held") == _artifacts(tmp_path / "plain")
     assert held.contigs.flat_codes.tobytes() == plain.contigs.flat_codes.tobytes()
     assert held.contigs.offsets.tobytes() == plain.contigs.offsets.tobytes()

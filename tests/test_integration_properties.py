@@ -141,8 +141,9 @@ class TestReduceStreamingEquivalence:
 
         ctx = RunContext(AssemblyConfig(min_overlap=20))
         try:
-            reduce_partition(ctx, Collector(), HeldRun(suffixes),
-                             HeldRun(prefixes), 20, window, ReduceReport())
+            reduce_partition(ctx, Collector(), HeldRun("S.sorted.run", suffixes),
+                             HeldRun("P.sorted.run", prefixes), 20, window,
+                             ReduceReport())
         finally:
             ctx.cleanup()
         expected = [(int(sv), int(pv))

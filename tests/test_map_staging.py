@@ -16,9 +16,6 @@ from repro.config import AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import per_read_device_bytes, run_map
-from repro.errors import FaultInjected
-from repro.extmem.records import kv_dtype
-from repro.faults import READ, WRITE, FaultPlan, inject
 from repro.seq.packing import PackedReadStore
 
 #: A window that starts mid-store and ends in a ragged batch for 5 and 7.
@@ -113,66 +110,3 @@ def test_place_is_file_order():
         forward[10:12], reverse[10:12]])
     assert np.array_equal(out, np.stack([expected, expected]))
 
-
-# -- fault plans see the unstaged write sequence ------------------------------
-
-
-def _unstaged_ops(store_path, partitions_root, lengths, n_reads, batch_reads):
-    """``(site, path, records)`` per instrumented op of an unstaged map."""
-    ops = []
-    for start in range(0, n_reads, batch_reads):
-        n = min(batch_reads, n_reads - start)
-        ops.append((READ, str(store_path), n))
-        for _orientation in (0, 1):
-            for length in lengths:
-                for side in ("P", "S"):
-                    ops.append((WRITE, str(partitions_root
-                                           / f"{side}_{length:05d}.run"), n))
-    return ops
-
-
-def test_armed_plan_sees_unstaged_write_sequence(tmp_path, tiny_md):
-    """Staging would give k = 3 here; an armed plan must not notice it."""
-    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
-    config = _config(7, _host_bytes_for(3, 7, per_read))
-    n_reads = 40
-    kwargs = {"read_range": (0, n_reads)}
-
-    probe = FaultPlan()
-    with inject(probe):
-        files, _, host_peak = _map(tmp_path, "probe", config,
-                                   tiny_md.store_path, **kwargs)
-    assert host_peak == 7 * per_read  # single-batch blocks
-    lengths = range(config.min_overlap, tiny_md.spec.read_length)
-    expected = _unstaged_ops(tiny_md.store_path,
-                             tmp_path / "probe" / "partitions", lengths,
-                             n_reads, 7)
-    assert [(point.site, point.path) for point in probe.trace] \
-        == [(site, path) for site, path, _ in expected]
-    unarmed_files, _, _ = _map(tmp_path, "unarmed", config, tiny_md.store_path,
-                               **kwargs)
-    assert files == unarmed_files
-
-    # Crash at a write in the middle of the second batch's reverse-complement
-    # fan-out: every partition holds exactly the appends that preceded it.
-    crash_op = (1 + 4 * len(lengths)) + 1 + 2 * len(lengths) + 9
-    assert expected[crash_op][0] == WRITE
-    workdir = tmp_path / "crash"
-    ctx = RunContext(config, workdir=workdir)
-    try:
-        store = PackedReadStore.open(tiny_md.store_path, meter=ctx.accountant)
-        with inject(FaultPlan.crash_at(crash_op, site=WRITE)):
-            with pytest.raises(FaultInjected):
-                run_map(ctx, store, **kwargs)
-        store.close()
-    finally:
-        ctx.cleanup()
-    width = kv_dtype(1).itemsize
-    sizes: dict[str, int] = {}
-    for site, path, n in expected[:crash_op]:
-        if site == WRITE:
-            name = path.replace(str(tmp_path / "probe"), str(workdir))
-            sizes[name] = sizes.get(name, 0) + n * width
-    on_disk = {str(path): path.stat().st_size
-               for path in (workdir / "partitions").iterdir()}
-    assert {path: size for path, size in on_disk.items() if size} == sizes
