@@ -55,8 +55,8 @@ def test_table4_memory_peaks_k40(benchmark):
                              cell("device", "reduce", "reduce"))
     host_table.add_note("measured column rescaled to paper units by 1/scale")
     host_table.add_note(
-        "measured map = the staged map host block, which reserves every "
-        "staged batch's device working set, not the records the host holds")
+        "measured map = the staged map host block: the records of up to "
+        "STAGE_READS reads, every kept length, both sides and orientations")
     host_table.add_note(
         "measured sort/reduce include the sorted runs held in host memory "
         "for reduce (one side beside the other side's sort, both while "

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import AssemblyConfig
+from ..errors import ConfigError
 from ..faults import plan as faults
 from ..graph import GreedyStringGraph
 from ..graph.bitvector import PackedBitVector
@@ -248,41 +249,51 @@ class CheckpointManager:
 
 def save_graph_file(path: Path, graph: GreedyStringGraph) -> None:
     """Archive a reduce-phase graph's arrays to ``path`` (an ``.npz``)."""
-    np.savez(path,
-             target=graph.target,
-             overlap=graph.overlap,
-             in_degree=graph.in_degree,
-             out_bits=np.frombuffer(graph.out_bits.to_bytes(), dtype=np.uint64),
-             meta=np.array([graph.n_reads, graph.read_length,
-                            graph._n_edges, graph._candidates_seen],
-                           dtype=np.int64))
+    np.savez(path, **_graph_members(graph))
+
+
+def _graph_members(graph: GreedyStringGraph) -> dict[str, np.ndarray]:
+    return {"target": graph.target,
+            "overlap": graph.overlap,
+            "out_bits": np.frombuffer(graph.out_bits.to_bytes(), dtype=np.uint64),
+            "meta": np.array([graph.n_reads, graph.read_length,
+                              graph._n_edges, graph._candidates_seen],
+                             dtype=np.int64)}
 
 
 def load_graph_file(path: Path, host_pool=None) -> GreedyStringGraph | None:
     """Restore a graph archived by :func:`save_graph_file`.
 
-    Returns ``None`` if the archive is absent or corrupt: a resumed run's
-    own ``graph.npz`` and one restored from the cache go through the same
-    checks.
+    Returns ``None`` if the archive is absent, corrupt or in another
+    layout (members or dtypes other than the ones a graph of its size
+    saves now, e.g. an int64 ``target`` beside an ``in_degree``): a resumed
+    run's own ``graph.npz`` and one restored from the cache go through the
+    same checks, and the caller recomputes what it would have misread.
     """
     path = Path(path)
     if not path.exists():
         return None
     try:
-        archive = np.load(path)
-        n_reads, read_length, n_edges, candidates = archive["meta"].tolist()
-    except (OSError, ValueError, KeyError):
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        n_reads, read_length, n_edges, candidates = members["meta"].tolist()
+        graph = GreedyStringGraph(int(n_reads), int(read_length))
+    except (OSError, ValueError, KeyError, ConfigError):
         return None
-    graph = GreedyStringGraph(int(n_reads), int(read_length), host_pool)
-    graph.target = archive["target"]
-    graph.overlap = archive["overlap"]
-    graph.in_degree = archive["in_degree"]
-    graph.out_bits = PackedBitVector(graph.n_vertices,
-                                     archive["out_bits"].copy())
+    layout = {name: (array.dtype, array.shape)
+              for name, array in _graph_members(graph).items()}
+    if layout != {name: (array.dtype, array.shape)
+                  for name, array in members.items()}:
+        return None
+    graph.target = members["target"]
+    graph.overlap = members["overlap"]
+    graph.out_bits = PackedBitVector(graph.n_vertices, members["out_bits"])
     graph._n_edges = int(n_edges)
     graph._candidates_seen = int(candidates)
     try:
         graph.check_invariants()
     except Exception:
         return None
+    if host_pool is not None:
+        graph._allocation = host_pool.alloc(graph.nbytes, label="string-graph")
     return graph

@@ -83,12 +83,12 @@ def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int) -> int:
     """Device batches per host block.
 
     Enough to reach :data:`STAGE_READS`, as far as the host budget holds
-    their buffers; a device batch that is already that large is its own
-    block.
+    the block's staged records (``per_read`` bytes a read); a device batch
+    that is already that large is its own block.
     """
     host_budget = int(ctx.config.memory.host_bytes * ctx.config.memory.buffer_fraction)
     return max(1, min(-(-STAGE_READS // batch_reads),
-                      host_budget // (batch_reads * per_read)))
+                      host_budget // max(1, batch_reads * per_read)))
 
 
 def overlap_lengths(ctx: RunContext, read_length: int) -> tuple[int, ...]:
@@ -208,12 +208,15 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         partitions = PartitionStore(ctx.workdir / "partitions", dtype, ctx.accountant)
     lanes = ctx.config.fingerprint_lanes
     per_read = per_read_device_bytes(read_length, lanes)
-    block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read)
     n_batches = 0
     tuples_written = 0
     start, stop = read_range if read_range is not None else (0, store.n_reads)
     kept = tuple(length for length in lengths
                  if only_lengths is None or length in only_lengths)
+    # What the host holds of a read: its P and S records, both orientations,
+    # at every kept length (``staged`` below).
+    per_read_host = 2 * 2 * len(kept) * dtype.itemsize
+    block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read_host)
 
     tracer = ctx.tracer
     batch_charges: dict[int, list[float]] = {}
@@ -262,7 +265,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
             # per-block spans out of the sim export (its size).
             with tracer.span("map:block", track="pipeline",
                              first_batch=n_batches + 1, reads=block_n), \
-                    ctx.host_pool.alloc(block_n * per_read, label="map-host-buffers"):
+                    ctx.host_pool.alloc(block_n * per_read_host,
+                                        label="map-host-buffers"):
                 # Modeled accounting is per device batch and in batch
                 # order: scratch reservations, kernel charges and (through
                 # ``rows``) the metered appends are the same for any block

@@ -214,6 +214,10 @@ class Assembler:
                 found = open_fn()
                 if found is not None:
                     return found, meta
+                # Intact bytes that do not open (another program's
+                # layout): the entry goes, so the recompute's put replaces
+                # it instead of finding the key taken.
+                self.content_store.discard(key)
         return None, {}
 
     # -- load ------------------------------------------------------------------

@@ -19,7 +19,12 @@ fixpoint equals the sequential result.
 
 The graph lives in *host* memory (the paper keeps it there: 2.5 G edges ≈
 12 GB, far beyond device capacity, and fine-grained device locking was found
-"detrimental"); an optional host memory pool accounts its footprint.
+"detrimental"); an optional host memory pool accounts its footprint. The
+graph is the edge and nothing else: per vertex a ``uint32`` target, a
+one-byte overlap (two when reads are longer than 256 bases) and one
+out-degree bit, 5.125 B a vertex. In-degrees are not stored: an edge
+``u → v`` comes with its twin ``v' → u'``, so ``v`` has an in-edge exactly
+when ``v'`` has an out-edge (:meth:`GreedyStringGraph.has_in_edge`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from ..device.memory import MemoryPool
 from ..errors import ConfigError, GraphInvariantError
 from .bitvector import PackedBitVector
 
-NO_EDGE = np.int64(-1)
+#: ``target`` of a vertex without an out-edge (never a vertex id: the
+#: constructor keeps ``2 · n_reads`` below it).
+NO_EDGE = np.uint32(0xFFFF_FFFF)
 
 
 def complement_vertices(vertices: np.ndarray | int):
@@ -45,13 +52,17 @@ class GreedyStringGraph:
                  host_pool: MemoryPool | None = None):
         if n_reads < 0 or read_length < 1:
             raise ConfigError("need n_reads >= 0 and read_length >= 1")
+        if 2 * n_reads >= NO_EDGE:
+            raise ConfigError(f"{n_reads} reads give more vertices than a "
+                              "uint32 target can name")
         self.n_reads = n_reads
         self.read_length = read_length
         self.n_vertices = 2 * n_reads
         self.out_bits = PackedBitVector(self.n_vertices)
-        self.target = np.full(self.n_vertices, NO_EDGE, dtype=np.int64)
-        self.overlap = np.zeros(self.n_vertices, dtype=np.uint16)
-        self.in_degree = np.zeros(self.n_vertices, dtype=np.uint8)
+        self.target = np.full(self.n_vertices, NO_EDGE, dtype=np.uint32)
+        # Overlaps are shorter than the reads: one byte holds them up to L = 256.
+        self.overlap = np.zeros(self.n_vertices,
+                                dtype=np.uint8 if read_length <= 256 else np.uint16)
         self._n_edges = 0
         self._candidates_seen = 0
         self._allocation = None
@@ -61,8 +72,7 @@ class GreedyStringGraph:
     @property
     def nbytes(self) -> int:
         """Host-memory footprint of the graph arrays."""
-        return (self.target.nbytes + self.overlap.nbytes + self.in_degree.nbytes
-                + self.out_bits.nbytes)
+        return self.target.nbytes + self.overlap.nbytes + self.out_bits.nbytes
 
     @property
     def n_edges(self) -> int:
@@ -143,20 +153,25 @@ class GreedyStringGraph:
         self.overlap[u] = length
         self.overlap[cu] = length
         self.out_bits.set(np.concatenate([u, cu]))
-        np.add.at(self.in_degree, v, 1)
-        np.add.at(self.in_degree, cv, 1)
         self._n_edges += 2 * u.shape[0]
 
     # -- queries ----------------------------------------------------------
 
     def out_vertex(self, vertex: int) -> int:
         """Target of ``vertex``'s out-edge, or -1."""
-        return int(self.target[vertex])
+        target = self.target[vertex]
+        return -1 if target == NO_EDGE else int(target)
+
+    def has_in_edge(self) -> np.ndarray:
+        """Per vertex, whether an edge ends there: ``v`` has an in-edge
+        exactly when its complement ``v ^ 1`` has an out-edge (the twin)."""
+        return self.out_bits.get(np.arange(self.n_vertices) ^ 1)
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All edges as ``(sources, targets, overlaps)`` arrays."""
+        """All edges as int64 ``(sources, targets, overlaps)`` arrays."""
         sources = np.nonzero(self.target != NO_EDGE)[0]
-        return sources, self.target[sources], self.overlap[sources].astype(np.int64)
+        return (sources, self.target[sources].astype(np.int64),
+                self.overlap[sources].astype(np.int64))
 
     def overhangs(self) -> np.ndarray:
         """Per-vertex overhang length: ``L − overlap`` (or ``L`` with no edge)."""
@@ -177,8 +192,6 @@ class GreedyStringGraph:
         if targets.size and np.bincount(
                 targets, minlength=self.n_vertices).max() > 1:
             raise GraphInvariantError("in-degree > 1 detected")
-        if (self.in_degree > 1).any():
-            raise GraphInvariantError("in-degree counter exceeded 1")
         comp_targets = self.target[targets ^ 1]
         if not np.array_equal(comp_targets, sources ^ 1):
             raise GraphInvariantError("complement edge symmetry broken")

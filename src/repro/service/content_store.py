@@ -319,6 +319,15 @@ class ContentStore:
 
     # -- eviction --------------------------------------------------------------
 
+    def discard(self, key: str) -> None:
+        """Drop ``key``'s entry: its bytes passed the manifest but the
+        caller cannot use them (an archive in another layout)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._drop(entry)
+                self.meter.bump("cache_unusable")
+
     def _drop(self, entry: CacheEntry) -> None:
         self._entries.pop(entry.key, None)
         shutil.rmtree(self._entry_dir(entry.key), ignore_errors=True)

@@ -96,6 +96,31 @@ def colliding_sources(directory):
     return first, second
 
 
+#: ``graph.npz`` layouts this program must not load (:func:`foreign_graph`).
+FOREIGN_GRAPH_LAYOUTS = ("int64-target", "in-degree-member", "uint16-overlap")
+
+
+def foreign_graph(path, layout: str) -> None:
+    """Rewrite the ``graph.npz`` at ``path``: the same graph, another layout.
+
+    ``int64-target`` is the layout before the graph was compacted (an int64
+    ``target`` with ``-1`` for no edge, a uint16 ``overlap`` and a uint8
+    ``in_degree``); the other two differ from today's in one member only.
+    """
+    with np.load(path) as archive:
+        members = dict(archive)
+    target = members["target"]
+    no_edge = target == np.uint32(0xFFFF_FFFF)
+    if layout == "int64-target":
+        members["target"] = np.where(no_edge, -1, target.astype(np.int64))
+    if layout in ("int64-target", "uint16-overlap"):
+        members["overlap"] = members["overlap"].astype(np.uint16)
+    if layout in ("int64-target", "in-degree-member"):
+        members["in_degree"] = np.bincount(
+            target[~no_edge], minlength=target.shape[0]).astype(np.uint8)
+    np.savez(path, **members)
+
+
 def spans_by_name(events) -> defaultdict[str, list[dict]]:
     """A trace's spans and instants, grouped by name: what a counted event
     left on the timeline, to hold against the meter that owns its count."""
@@ -122,7 +147,6 @@ def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleName
             graph, reduce_report = run_reduce(ctx, partitions, store)
             out = SimpleNamespace(
                 target=graph.target.copy(), overlap=graph.overlap.copy(),
-                in_degree=graph.in_degree.copy(),
                 out_bits=graph.out_bits.to_bytes(), n_edges=graph.n_edges,
                 n_reads=store.n_reads, read_length=store.read_length,
                 map_report=map_report, sort_report=sort_report,

@@ -23,7 +23,7 @@ from repro.service import ContentStore, phase_key
 from repro.service.content_store import FILES_DIR, MANIFEST_FILE
 from repro.trace import SpanTracer
 
-from .conftest import colliding_sources
+from .conftest import FOREIGN_GRAPH_LAYOUTS, colliding_sources, foreign_graph
 
 
 def _make_store(tmp_path, capacity=1 << 20, name="cache"):
@@ -440,6 +440,37 @@ def test_lost_reduce_entry_recomputes_from_cached_reads(
     warm = Assembler(laptop_config, content_store=store).assemble(
         tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
     assert calls["run_map"] == 1 and result_digest(warm) == result_digest(cold)
+
+
+@pytest.mark.parametrize("layout", FOREIGN_GRAPH_LAYOUTS)
+def test_foreign_graph_entry_is_recomputed_and_replaced(
+        tmp_path, tiny_md, laptop_config, filled, monkeypatch, layout):
+    """An intact entry whose graph is in another layout is a miss: the run
+    recomputes from the cached reads and its put replaces the entry."""
+    store, cold = filled
+    (graph_copy,) = store.root.rglob(GRAPH_FILE)
+    foreign_graph(graph_copy, layout)
+    manifest = graph_copy.parents[1] / MANIFEST_FILE
+    entry = json.loads(manifest.read_text())
+    entry["files"][GRAPH_FILE] = checkpoint.content_digest(graph_copy)
+    manifest.write_text(json.dumps(entry))
+    store = ContentStore(store.root, 64 << 20)
+    calls = _count_phase_runs(monkeypatch)
+    again = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "again", resume=True)
+    assert calls["run_load"] == 0 and calls["run_reduce"] > 0
+    stats = store.stats()
+    assert stats["cache_unusable"] == 1 and stats["cache_puts"] == 1
+    assert result_digest(again) == result_digest(cold)
+    cold_fasta, again_fasta = tmp_path / "cold.fa", tmp_path / "again.fa"
+    cold.write_fasta(cold_fasta)
+    again.write_fasta(again_fasta)
+    assert again_fasta.read_bytes() == cold_fasta.read_bytes()
+    # The replaced entry holds this program's graph: the next job hits.
+    warm = Assembler(laptop_config, content_store=store).assemble(
+        tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
+    assert calls["run_map"] == 1 and result_digest(warm) == result_digest(cold)
+    assert store.stats()["cache_unusable"] == 1
 
 
 def test_resume_with_an_intact_graph_digests_no_partition(

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig
+from repro.core import pipeline
 from repro.core.checkpoint import (CheckpointManager, config_fingerprint,
-                                   load_graph_file, GRAPH_FILE, STATE_FILE)
-from repro.errors import ConfigError
+                                   file_digest, load_graph_file,
+                                   save_graph_file, GRAPH_FILE, STATE_FILE)
+from repro.device import MemoryPool
+from repro.errors import ConfigError, HostMemoryError
 from repro.faults import result_digest
 from repro.graph import GreedyStringGraph
 from repro.service.content_store import phase_key
 
-from .conftest import colliding_sources
+from .conftest import FOREIGN_GRAPH_LAYOUTS, colliding_sources, foreign_graph
 
 
 class TestCheckpointManager:
@@ -59,6 +62,51 @@ class TestCheckpointManager:
         assert load_graph_file(tmp_path / GRAPH_FILE) is None
         (tmp_path / GRAPH_FILE).write_bytes(b"junk")
         assert load_graph_file(tmp_path / GRAPH_FILE) is None
+
+
+class TestForeignGraphLayout:
+    """A ``graph.npz`` in another layout is absent: recomputed, never read."""
+
+    @pytest.mark.parametrize("layout", FOREIGN_GRAPH_LAYOUTS)
+    def test_not_loaded(self, tmp_path, layout):
+        graph = GreedyStringGraph(10, 30)
+        graph.add_candidates(np.array([0, 4]), np.array([2, 8]), 20)
+        save_graph_file(tmp_path / GRAPH_FILE, graph)
+        assert load_graph_file(tmp_path / GRAPH_FILE) is not None
+        foreign_graph(tmp_path / GRAPH_FILE, layout)
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        assert load_graph_file(tmp_path / GRAPH_FILE, pool) is None
+        assert pool.used_bytes == 0
+
+    @pytest.mark.parametrize("layout", FOREIGN_GRAPH_LAYOUTS)
+    def test_resume_recomputes_the_graph(self, tmp_path, tiny_md, monkeypatch,
+                                         layout):
+        config = AssemblyConfig(min_overlap=25)
+        fresh = Assembler(config).assemble(tiny_md.store_path,
+                                           workdir=tmp_path / "fresh")
+        work = tmp_path / "w"
+        Assembler(config).assemble(tiny_md.store_path, workdir=work, resume=True)
+        # A ledger whose digest vouches for the foreign archive: the bytes
+        # are intact, only their layout is not this program's.
+        foreign_graph(work / GRAPH_FILE, layout)
+        state = json.loads((work / STATE_FILE).read_text())
+        state["artifacts"]["reduce"] = {
+            GRAPH_FILE: file_digest(work / GRAPH_FILE)}
+        (work / STATE_FILE).write_text(json.dumps(state))
+        reduced = []
+        real = pipeline.run_reduce
+        monkeypatch.setattr(pipeline, "run_reduce",
+                            lambda *a, **k: reduced.append(1) or real(*a, **k))
+        resumed = Assembler(config).assemble(tiny_md.store_path, workdir=work,
+                                             resume=True)
+        assert reduced
+        assert result_digest(resumed) == result_digest(fresh)
+        fresh.write_fasta(tmp_path / "fresh.fa")
+        resumed.write_fasta(tmp_path / "resumed.fa")
+        assert (tmp_path / "resumed.fa").read_bytes() \
+            == (tmp_path / "fresh.fa").read_bytes()
+        # The recomputed archive is this program's again.
+        assert load_graph_file(work / GRAPH_FILE) is not None
 
 
 class TestFingerprint:

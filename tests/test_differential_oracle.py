@@ -108,7 +108,6 @@ def test_pipeline_finds_no_false_edges(genomes):
     survived the aux-lane/byte-level verification."""
     _, batch, reference = genomes[GENOME_SEEDS[2]]
     truth = {(s, p) for s, p, _ in exact_overlaps(batch, MIN_OVERLAP)}
-    targets = reference.target
-    edges = [(v, int(targets[v])) for v in range(targets.shape[0])
-             if targets[v] >= 0]
+    sources, targets, _ = reference.edge_list()
+    edges = list(zip(sources.tolist(), targets.tolist()))
     assert edges and all(edge in truth for edge in edges)

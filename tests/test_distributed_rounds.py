@@ -38,7 +38,6 @@ def final_graph(monkeypatch):
 
     def spy(ctx, graph, store, **kwargs):
         seen.update(target=graph.target.copy(), overlap=graph.overlap.copy(),
-                    in_degree=graph.in_degree.copy(),
                     out_bits=graph.out_bits.to_bytes())
         return compress(ctx, graph, store, **kwargs)
 
@@ -69,7 +68,7 @@ def wide(tmp_path_factory):
 def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes):
     md, config, single, archive = wide
     result = DistributedAssembler(config, n_nodes).assemble(md.store_path)
-    for name in ("target", "overlap", "in_degree"):
+    for name in ("target", "overlap"):
         assert np.array_equal(final_graph[name], archive[name]), name
     assert final_graph["out_bits"] == archive["out_bits"].tobytes()
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)

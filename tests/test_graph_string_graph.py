@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.device import MemoryPool
 from repro.errors import ConfigError, GraphInvariantError, HostMemoryError
 from repro.graph import GreedyStringGraph, complement_vertices
+from repro.graph.string_graph import NO_EDGE
 
 
 def sequential_greedy(n_reads, read_length, candidate_batches):
@@ -67,6 +68,71 @@ class TestGreedyEquivalence:
         # 2->4 accepted (2 and 5 both still free).
         assert accepted == 2
         assert graph.candidates_seen == 3
+
+
+def int64_reference(n_reads, read_length, batches):
+    """The graph as int64 arrays with ``-1`` for no edge (the old layout)."""
+    target = np.full(2 * n_reads, -1, dtype=np.int64)
+    overlap = np.zeros(2 * n_reads, dtype=np.int64)
+    for u, (v, length) in sequential_greedy(n_reads, read_length,
+                                            batches).items():
+        target[u], overlap[u] = v, length
+    return target, overlap
+
+
+class TestCompactLayout:
+    """The edge and nothing else: a uint32 target, a narrow overlap, a bit."""
+
+    @given(candidate_batches_strategy, st.integers(0, 2**32 - 1),
+           st.sampled_from([20, 256, 300]))
+    @settings(max_examples=60)
+    def test_matches_an_int64_graph(self, shape, seed, read_length):
+        rng = np.random.default_rng(seed)
+        n_reads = 30
+        # Overlaps up to L - 1 (255 for L = 256, the widest uint8 one).
+        lengths = sorted({read_length + 4 - length for _, length in shape},
+                         reverse=True)
+        batches = [(np.array(pool, dtype=np.int64),
+                    rng.integers(0, 2 * n_reads, len(pool)), length)
+                   for (pool, _), length in zip(shape, lengths)]
+        graph = GreedyStringGraph(n_reads, read_length)
+        for sources, targets, length in batches:
+            graph.add_candidates(sources, targets, length)
+        graph.check_invariants()
+        target, overlap = int64_reference(n_reads, read_length, batches)
+        # An in-edge is read off the complement's out-degree bit.
+        in_degree = np.bincount(target[target >= 0], minlength=2 * n_reads)
+        assert in_degree.max(initial=0) <= 1
+        assert np.array_equal(graph.has_in_edge(), in_degree == 1)
+        sources, targets, overlaps = graph.edge_list()
+        assert sources.dtype == targets.dtype == overlaps.dtype == np.int64
+        assert np.array_equal(sources, np.flatnonzero(target >= 0))
+        assert np.array_equal(targets, target[sources])
+        assert np.array_equal(overlaps, overlap[sources])
+        assert np.array_equal(graph.overhangs(),
+                              np.where(target >= 0, read_length - overlap,
+                                       read_length))
+        assert [graph.out_vertex(v) for v in range(2 * n_reads)] \
+            == target.tolist()
+
+    @pytest.mark.parametrize("read_length, overlap_bytes",
+                             [(2, 1), (100, 1), (256, 1), (257, 2), (1000, 2)])
+    def test_five_and_an_eighth_bytes_a_vertex(self, read_length, overlap_bytes):
+        graph = GreedyStringGraph(24_800, read_length)
+        assert graph.target.dtype == np.uint32
+        assert graph.overlap.dtype.itemsize == overlap_bytes
+        assert graph.nbytes == 49_600 * (4 + overlap_bytes + 1 / 8)
+
+    def test_longest_overlap_fits_the_narrow_type(self):
+        graph = GreedyStringGraph(2, 256)
+        graph.add_candidates(np.array([0]), np.array([2]), 255)
+        assert graph.edge_list()[2].tolist() == [255, 255]
+        assert graph.overhangs()[0] == 1
+
+    def test_too_many_reads_for_a_uint32_target(self):
+        """Raised before a byte is allocated (the arrays would be 21 GB)."""
+        with pytest.raises(ConfigError, match="uint32"):
+            GreedyStringGraph(2**31, 100)
 
 
 class TestRules:
@@ -131,7 +197,7 @@ class TestAccounting:
     def test_invariant_checker_catches_tampering(self):
         graph = GreedyStringGraph(3, 10)
         graph.add_candidates(np.array([0]), np.array([2]), 6)
-        graph.target[3] = -1  # break complement symmetry
+        graph.target[3] = NO_EDGE  # break complement symmetry
         with pytest.raises(GraphInvariantError):
             graph.check_invariants()
 

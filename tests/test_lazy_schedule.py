@@ -92,7 +92,8 @@ class TestSameGraphAsEager:
         result, archive = _lazy(config, store_path, root / "lazy")
         assert np.array_equal(archive["target"], eager.target)
         assert np.array_equal(archive["overlap"], eager.overlap)
-        assert np.array_equal(archive["in_degree"], eager.in_degree)
+        # In-edges are the complements' out-degree bits: equal bits, equal
+        # in-degrees.
         assert archive["out_bits"].tobytes() == eager.out_bits
         assert result.reduce_report.edges_added == eager.n_edges
         assert result.reduce_report.per_length_edges \
@@ -105,7 +106,7 @@ class TestSameGraphAsEager:
 
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
-    """800 reads whose graph (17,800 B) is 44.5 % of the ``cramped`` host."""
+    """800 reads whose graph (8,200 B) is 20.5 % of the ``cramped`` host."""
     md, _ = tiny_dataset(tmp_path_factory.mktemp("lazy-data"),
                          genome_length=2000, read_length=50, coverage=20.0,
                          min_overlap=MIN_OVERLAP, seed=11)
@@ -114,7 +115,8 @@ def data(tmp_path_factory):
 
 #: An ``outofcore``-shaped budget: ``m_h`` comes from the host bytes, the
 #: longest partition needs a merge round, and the resident graph takes
-#: 44.5 % of the host from the second length on.
+#: 20.5 % of the host from the second length on (the paper's graph takes
+#: about 19 % of its host).
 CRAMPED = AssemblyConfig(min_overlap=MIN_OVERLAP, fingerprint_lanes=2,
                          memory=MemoryConfig(40_000, 16_000, name="cramped"))
 
@@ -133,11 +135,13 @@ class TestWhatIsSorted:
     def test_modeled_time_and_records_are_pinned(self, runs):
         """The filter takes the bit-vector, not the graph, since the cluster
         shares it; the single-node run charges the same host seconds in the
-        same order. Floats of the commit before that change, less the one
-        term that moved since: reduce's disk reads of the runs the sort
-        now hands over in host memory (0.9870239745774726 before)."""
+        same order. Floats of the commit before that change, less the two
+        terms that moved since: reduce's disk reads of the runs the sort
+        now hands over in host memory (0.9870239745774726 before), then the
+        sort passes the graph's halving freed (0.7144466412441389 with a
+        17,800 B graph)."""
         _, result, _ = runs
-        assert result.telemetry.total_sim_seconds() == 0.7144466412441389
+        assert result.telemetry.total_sim_seconds() == 0.6095202764966668
         assert result.sort_report.total_records == 15_616
         assert result.reduce_report.candidates == 2_126
 
@@ -189,7 +193,7 @@ class TestWhatIsSorted:
         eager, result, lazy_partitions = runs
         capacity = CRAMPED.memory.host_bytes
         graph_bytes = GreedyStringGraph(eager.n_reads, eager.read_length).nbytes
-        assert 0.3 < graph_bytes / capacity < 0.6
+        assert 0.15 < graph_bytes / capacity < 0.3
         peak = max(stats.peaks.get("host_bytes", 0.0) for stats in result.telemetry)
         assert graph_bytes < result.telemetry["sort"].peaks["host_bytes"] \
             <= peak <= capacity

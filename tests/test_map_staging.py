@@ -16,6 +16,7 @@ from repro.config import AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import per_read_device_bytes, run_map
+from repro.extmem.records import kv_dtype
 from repro.seq.packing import PackedReadStore
 
 #: A window that starts mid-store and ends in a ragged batch for 5 and 7.
@@ -28,12 +29,6 @@ def _config(batch_reads: int, host_bytes: int) -> AssemblyConfig:
     return AssemblyConfig(min_overlap=25, map_batch_reads=batch_reads,
                           memory=MemoryConfig(host_bytes, device_bytes,
                                               name="staging"))
-
-
-def _host_bytes_for(k: int, batch_reads: int, per_read: int) -> int:
-    """A host size whose budget holds exactly ``k`` device batches."""
-    fraction = MemoryConfig(1 << 20, 1 << 10).buffer_fraction
-    return int((k * batch_reads * per_read + per_read // 2) / fraction) + 1
 
 
 def _map(tmp_path, name: str, config: AssemblyConfig, store_path, **kwargs):
@@ -58,14 +53,27 @@ def _map(tmp_path, name: str, config: AssemblyConfig, store_path, **kwargs):
 
 
 @pytest.mark.parametrize("batch_reads", [1, 5, 7])
-@pytest.mark.parametrize("blocks", ["k1", "k3", "whole"])
+@pytest.mark.parametrize("blocks", ["k1", "k3", "whole", "device-sized"])
 def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
                                 blocks):
-    per_read = per_read_device_bytes(tiny_md.spec.read_length, 1)
-    n_reads = READ_RANGE[1] - READ_RANGE[0]
-    k = {"k1": 1, "k3": 3, "whole": -(-n_reads // batch_reads)}[blocks]
-    config = _config(batch_reads, _host_bytes_for(k, batch_reads, per_read))
     kept = frozenset(range(27, 40, 3))
+    # The host holds a read's staged records: P and S, both orientations,
+    # one record per kept length (240 B, a 20th of its device working set).
+    per_read = 2 * 2 * len(kept) * kv_dtype(1).itemsize
+    n_reads = READ_RANGE[1] - READ_RANGE[0]
+    # So the smallest host a config allows, the device's size, stages 17
+    # batches ("device-sized"). Under a roomy host STAGE_READS bounds the
+    # block: k batches for "k1" / "k3", one block for the range ("whole").
+    device_bytes = _config(batch_reads, 1 << 30).memory.device_bytes
+    fraction = MemoryConfig(1 << 20, 1 << 10).buffer_fraction
+    smallest = int(device_bytes * fraction) // (batch_reads * per_read)
+    assert smallest == 17
+    k = {"k1": 1, "k3": 3, "device-sized": smallest,
+         "whole": -(-map_phase.STAGE_READS // batch_reads)}[blocks]
+    if blocks in ("k1", "k3"):
+        monkeypatch.setattr(map_phase, "STAGE_READS", k * batch_reads)
+    config = _config(batch_reads,
+                     device_bytes if blocks == "device-sized" else 1 << 22)
     kwargs = {"read_range": READ_RANGE, "only_lengths": kept}
 
     ctx = RunContext(config, workdir=tmp_path / "probe")
