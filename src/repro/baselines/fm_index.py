@@ -20,7 +20,6 @@ from ..errors import ConfigError
 from .suffix_array import bwt_from_sa, suffix_array
 
 #: Alphabet: separator (0) + four bases (codes shifted by +1).
-SEPARATOR = 0
 ALPHABET = 5
 
 
@@ -89,7 +88,3 @@ class FMIndex:
     def string_ids_in_interval(self, lo: int, hi: int) -> np.ndarray:
         """Vertex ids of the whole strings inside one SA interval."""
         return self.starts_by_sa_order[self.start_rank[lo]:self.start_rank[hi]]
-
-    def locate(self, lo: int, hi: int) -> np.ndarray:
-        """Text positions of one interval's suffixes (debug/tests)."""
-        return self.sa[lo:hi]

@@ -3,14 +3,20 @@
 Subcommands::
 
     lasagna simulate-reads  --genome-length 50000 --coverage 30 -o reads.fastq
+    lasagna correct-reads reads.fastq -o corrected.fastq
     lasagna assemble reads.fastq --min-overlap 31 -o contigs.fasta
+    lasagna distributed reads.fastq --nodes 4 --min-overlap 31 -o contigs.fasta
+    lasagna serve --cache-dir cache --min-overlap 31 alice:reads.fastq bob:reads.fastq
     lasagna stats contigs.fasta
     lasagna datasets
     lasagna model --dataset hgenome_sim --memory qb2 --device K40
+    lasagna figures
 
 ``assemble`` runs the full pipeline with laptop-scale default budgets;
-``model`` prints the analytic paper-scale phase times for a registered
-dataset (the Table II/III regeneration without running anything).
+``distributed`` runs it on a simulated cluster and ``serve`` runs many
+tenants' jobs through the service and its content cache; ``model`` prints
+the analytic paper-scale phase times for a registered dataset (the Table
+II/III regeneration without running anything) and ``figures`` charts them.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct_reads(args: argparse.Namespace) -> int:
+    from .errors import DatasetError
     from .seq.correction import correct_and_filter
     from .seq.fastq import fastq_read_batches, write_fastq
     from .seq.alphabet import decode
@@ -70,6 +77,8 @@ def _cmd_correct_reads(args: argparse.Namespace) -> int:
     import numpy as np
 
     batches = list(fastq_read_batches(args.reads, batch_reads=1 << 30))
+    if not batches:
+        raise DatasetError(f"input contains no reads: {args.reads}")
     batch = batches[0] if len(batches) == 1 else ReadBatch(
         np.concatenate([b.codes for b in batches]))
     filtered, report, dropped = correct_and_filter(

@@ -203,25 +203,12 @@ class AssemblyConfig:
         # Read by benchmarks/perf/run.py (``parallel.workers``).
         return 1
 
-    def with_memory(self, memory: MemoryConfig) -> "AssemblyConfig":
-        """Return a copy using a different memory configuration."""
-        return replace(self, memory=memory)
-
     def resolved_blocks(self, record_nbytes: int) -> tuple[int, int]:
         """Resolve ``(m_h, m_d)`` pairs for a record width, honouring overrides."""
         m_h = self.host_block_pairs or self.memory.host_pairs(record_nbytes)
         m_d = self.device_block_pairs or self.memory.device_pairs(record_nbytes)
         m_d = min(m_d, m_h)
         return max(2, m_h), max(2, m_d)
-
-    def resolved_fanout(self, record_nbytes: int) -> int:
-        """Resolve the merge fanout ``k`` for a record width (0 = derive)."""
-        if self.merge_fanout:
-            return self.merge_fanout
-        from .extmem.sort import derive_fanout
-
-        m_h, m_d = self.resolved_blocks(record_nbytes)
-        return derive_fanout(m_h, m_d)
 
 
 @dataclass(frozen=True)

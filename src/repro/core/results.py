@@ -39,7 +39,7 @@ class AssemblyResult:
     reduce_report: ReduceReport
     n_paths: int
     #: The contig path table (one path per contig, aligned with ``contigs``);
-    #: doubles as the read→contig placement map for scaffolding.
+    #: the crash loop's ``result_digest`` hashes it.
     paths: PathSet | None = None
 
     # -- contig access -----------------------------------------------------

@@ -26,11 +26,6 @@ class DeviceSpec:
     clock_hz: float
     pcie_bandwidth: float  #: host<->device bytes/second
 
-    @property
-    def flops(self) -> float:
-        """Rough FP32 throughput (2 ops/core/cycle), used for compute terms."""
-        return 2.0 * self.cores * self.clock_hz
-
 
 @dataclass(frozen=True)
 class HostSpec:

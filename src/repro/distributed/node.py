@@ -47,9 +47,6 @@ from .message import ActiveMessageLayer, node_scope
 #: AM handler name for pulling a map-phase partition piece from a peer.
 FETCH_PARTITION = "fetch_partition"
 
-#: Per-node ledger phases, in pipeline order.
-LEDGER_PHASES = ("map", "shuffle", "sort")
-
 
 class WorkerNode:
     """Private state + handlers of one cluster node."""

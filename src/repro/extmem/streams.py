@@ -62,17 +62,11 @@ class RunWriter:
         except BaseException:
             _unregister(self.path)
             raise
-        self._records_written = 0
         # Writes charge bandwidth only: the write-only memory is appended
         # through the OS write-behind cache, which amortizes head movement
         # (the paper's map phase streams 74 partition files concurrently).
         self._pending_seek = 0
         self._tail = bytearray()
-
-    @property
-    def records_written(self) -> int:
-        """Records appended so far."""
-        return self._records_written
 
     def append(self, records: np.ndarray, *, meter: bool = True) -> int:
         """Append a record array (must match the run dtype); returns nbytes.
@@ -98,7 +92,6 @@ class RunWriter:
         if meter and self._accountant is not None:
             self._accountant.add_write(data.nbytes, seeks=self._pending_seek)
         self._pending_seek = 0
-        self._records_written += records.shape[0]
         return data.nbytes
 
     def _drain_tail(self) -> None:

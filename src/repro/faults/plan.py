@@ -193,25 +193,6 @@ class FaultPlan:
                       offset=rng.randrange(64), delay=1 + rng.randrange(4))
         return cls([fault], seed=seed)
 
-    @classmethod
-    def seeded_cluster(cls, seed: int, n_ops: int, *,
-                       kinds: Sequence[str] = (NODE_CRASH, MSG_DROP, MSG_DELAY),
-                       ) -> "FaultPlan":
-        """Draw one node-level fault over the cluster's op space from ``seed``.
-
-        The distributed analogue of :meth:`seeded`: node crashes land on
-        node-op boundaries, message faults on active-message deliveries —
-        the same ``(seed, n_ops)`` always reproduces the same fault.
-        """
-        if n_ops < 1:
-            raise ConfigError("seeded plans need n_ops >= 1")
-        rng = random.Random(seed)
-        kind = rng.choice(list(kinds))
-        site = NODE if kind == NODE_CRASH else MESSAGE
-        fault = Fault(kind, site=site, at_op=rng.randrange(n_ops),
-                      seconds=rng.random() * 0.01 if kind == MSG_DELAY else 0.0)
-        return cls([fault], seed=seed)
-
     # -- state ----------------------------------------------------------------
 
     @property

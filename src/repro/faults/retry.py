@@ -59,10 +59,6 @@ class RetryPolicy:
         jitter = 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
         return min(raw * jitter, self.max_backoff_s)
 
-    def delays(self, key: str = "") -> tuple[float, ...]:
-        """The full backoff schedule: one delay per retry this policy allows."""
-        return tuple(self.backoff_s(k, key) for k in range(1, self.max_attempts))
-
     def run(self, fn: Callable[[int], object], *, key: str = "",
             retry_on: Tuple[Type[BaseException], ...] = (Exception,),
             on_backoff: Callable[[int, float, BaseException], None] | None = None):

@@ -53,12 +53,6 @@ def place_values(radix: int, prime: int, length: int) -> np.ndarray:
     return out
 
 
-def mulmod(a: np.ndarray | int, b: np.ndarray | int, prime: int) -> np.ndarray:
-    """``(a * b) mod prime`` element-wise, overflow-free for residues < 2³¹."""
-    product = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
-    return product % np.uint64(prime)
-
-
 def submod(a: np.ndarray | int, b: np.ndarray | int, prime: int) -> np.ndarray:
     """``(a - b) mod prime`` element-wise without signed underflow."""
     p = np.uint64(prime)

@@ -10,7 +10,7 @@ vertex at most one (§III.C).
 from .bitvector import PackedBitVector
 from .contigs import ContigSet, spell_contigs
 from .gfa import write_gfa
-from .string_graph import GreedyStringGraph, complement_vertices
+from .string_graph import GreedyStringGraph
 from .traverse import PathSet, extract_paths
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "spell_contigs",
     "write_gfa",
     "GreedyStringGraph",
-    "complement_vertices",
     "PathSet",
     "extract_paths",
 ]

@@ -40,11 +40,6 @@ from .bitvector import PackedBitVector
 NO_EDGE = np.uint32(0xFFFF_FFFF)
 
 
-def complement_vertices(vertices: np.ndarray | int):
-    """The Watson–Crick complement vertex of each oriented-read vertex."""
-    return np.asarray(vertices) ^ 1 if not np.isscalar(vertices) else vertices ^ 1
-
-
 class GreedyStringGraph:
     """At-most-one-in/one-out string graph over ``2 · n_reads`` vertices."""
 

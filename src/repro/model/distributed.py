@@ -66,9 +66,3 @@ def model_distributed_seconds(workload: Workload, memory: MemoryConfig,
     phases["compress"] = single["compress"]
     phases["total"] = sum(phases.values())
     return phases
-
-
-def max_useful_nodes(workload: Workload, memory: MemoryConfig,
-                     device: DeviceSpec | str) -> float:
-    """The paper's scalability bound ``n_max = t_o / t_g`` for reduce."""
-    return (1.0 - REDUCE_GRAPH_FRACTION) / REDUCE_GRAPH_FRACTION

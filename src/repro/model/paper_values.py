@@ -23,9 +23,6 @@ TABLE1 = {
                  "size_gb": 398.0, "min_overlap": 63},
 }
 
-PHASE_ORDER = ("map", "sort", "reduce", "compress", "load")
-
-
 def _phases(map_, sort, reduce, compress, load, total):
     return {
         "map": parse_duration(map_),

@@ -22,9 +22,6 @@ _ENCODE_LUT = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(BASES):
     _ENCODE_LUT[ord(_b)] = _i
     _ENCODE_LUT[ord(_b.lower())] = _i
-# Ambiguity code: N maps to A under the "mask" policy (flagged under "strict").
-_N_BYTE = ord("N")
-
 _DECODE_LUT = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
 
 

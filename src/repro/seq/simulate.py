@@ -163,57 +163,3 @@ class ReadSimulator:
 
         return write_fastq(path, records())
 
-
-@dataclass(frozen=True)
-class PairedReadSimulator:
-    """Paired-end (FR) shotgun simulator.
-
-    Samples fragments of ``insert_size ± insert_std`` and reads both ends
-    Illumina-style: mate 1 is the fragment's forward prefix, mate 2 the
-    reverse complement of its suffix. The output is one
-    :class:`~repro.seq.records.ReadBatch` laid out mate-1s first, mate-2s
-    second, so pair ``i`` is reads ``(i, n_pairs + i)`` — the convention
-    :mod:`repro.scaffold` consumes.
-    """
-
-    genome: np.ndarray
-    read_length: int
-    coverage: float
-    insert_size: int = 300
-    insert_std: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        genome = np.asarray(self.genome, dtype=np.uint8)
-        object.__setattr__(self, "genome", genome)
-        if self.read_length < 2 or self.insert_size < 2 * self.read_length:
-            raise DatasetError("need insert_size >= 2 * read_length >= 4")
-        if self.insert_size >= genome.size:
-            raise DatasetError("insert_size must be smaller than the genome")
-        if self.coverage <= 0 or self.insert_std < 0:
-            raise DatasetError("coverage > 0 and insert_std >= 0 required")
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of fragment pairs (2 reads each)."""
-        return max(1, int(round(self.coverage * self.genome.size
-                                / (2 * self.read_length))))
-
-    def all_reads(self) -> tuple[ReadBatch, int]:
-        """Materialize every read: ``(batch, n_pairs)``.
-
-        ``batch`` holds ``2 * n_pairs`` reads: rows ``[0, n_pairs)`` are
-        mate 1s, rows ``[n_pairs, 2 n_pairs)`` the matching mate 2s.
-        """
-        rng = np.random.default_rng(self.seed)
-        n = self.n_pairs
-        inserts = np.clip(
-            np.round(rng.normal(self.insert_size, self.insert_std, size=n)),
-            2 * self.read_length, self.genome.size - 1).astype(np.int64)
-        starts = rng.integers(0, self.genome.size - inserts, size=n)
-        window = np.arange(self.read_length, dtype=np.int64)
-        mate1 = self.genome[starts[:, None] + window]
-        tail_starts = starts + inserts - self.read_length
-        mate2 = reverse_complement(self.genome[tail_starts[:, None] + window])
-        codes = np.concatenate([mate1, mate2])
-        return ReadBatch(np.ascontiguousarray(codes)), n

@@ -39,14 +39,6 @@ def nx(lengths: Sequence[int] | np.ndarray, fraction: float) -> int:
     return int(ordered[np.searchsorted(cumulative, cumulative[-1] * fraction)])
 
 
-def gc_content(codes: np.ndarray) -> float:
-    """Fraction of G/C bases in a code array (codes 1 and 2)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size == 0:
-        return 0.0
-    return float(np.count_nonzero((codes == 1) | (codes == 2)) / codes.size)
-
-
 def assembly_stats(contig_lengths: Iterable[int]) -> dict[str, int | float]:
     """Summary statistics of an assembly's contig lengths."""
     arr = np.asarray(list(contig_lengths), dtype=np.int64)

@@ -56,11 +56,6 @@ def format_size(nbytes: float, *, precision: int = 2) -> str:
     return f"{sign}{nbytes:.0f} B"
 
 
-def format_count(n: float) -> str:
-    """Render a count with thousands separators, e.g. ``1,247,518,392``."""
-    return f"{int(n):,}"
-
-
 _DURATION_PART_RE = re.compile(r"([0-9]*\.?[0-9]+)\s*(h|hr|hrs|hour|hours|m|min|mins|s|sec|secs)")
 
 

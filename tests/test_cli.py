@@ -62,6 +62,11 @@ class TestCommands:
         from repro.seq.fastq import read_fastq
         n_fixed = sum(1 for _ in read_fastq(fixed))
         assert 0 < n_fixed <= 600
+        empty = tmp_path / "empty.fastq"
+        empty.write_text("")
+        with pytest.raises(DatasetError, match="no reads.*empty.fastq"):
+            main(["correct-reads", str(empty), "-o", str(tmp_path / "out.fastq")])
+        assert not (tmp_path / "out.fastq").exists()
 
     def test_distributed(self, tmp_path, capsys):
         reads = tmp_path / "r.fastq"

@@ -75,15 +75,6 @@ class TestAssemblyConfig:
 
     def test_merge_fanout_defaults_pairwise(self):
         assert AssemblyConfig().merge_fanout == 2
-        assert AssemblyConfig().resolved_fanout(20) == 2
-
-    def test_merge_fanout_auto_derives_from_budgets(self):
-        from repro.extmem.sort import derive_fanout
-
-        config = AssemblyConfig(merge_fanout=0)
-        m_h, m_d = config.resolved_blocks(20)
-        assert config.resolved_fanout(20) == derive_fanout(m_h, m_d) >= 2
-        assert AssemblyConfig(merge_fanout=8).resolved_fanout(20) == 8
 
     def test_resolved_blocks_defaults_from_memory(self):
         config = AssemblyConfig(memory=MemoryConfig(10_000, 1_000,
@@ -99,9 +90,3 @@ class TestAssemblyConfig:
         config = AssemblyConfig(host_block_pairs=10, device_block_pairs=100)
         m_h, m_d = config.resolved_blocks(20)
         assert m_d <= m_h
-
-    def test_with_memory(self):
-        config = AssemblyConfig()
-        new = config.with_memory(MemoryConfig.preset("qb2"))
-        assert new.memory.name == "qb2"
-        assert new.min_overlap == config.min_overlap

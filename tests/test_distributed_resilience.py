@@ -85,9 +85,16 @@ class TestRetryPolicy:
                 assert 0.9 * raw <= delay <= min(1.1 * raw, 5.0)
 
     def test_delays_one_per_allowed_retry(self):
-        policy = RetryPolicy(max_attempts=4)
-        assert len(policy.delays("k")) == 3
-        assert RetryPolicy(max_attempts=1).delays() == ()
+        def doomed(attempt: int):
+            raise ValueError("persistent")
+
+        for max_attempts, retries in ((4, 3), (1, 0)):
+            backoffs = []
+            with pytest.raises(RetryExhausted):
+                RetryPolicy(max_attempts=max_attempts).run(
+                    doomed, key="k",
+                    on_backoff=lambda a, d, e: backoffs.append(a))
+            assert backoffs == list(range(1, retries + 1))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -113,7 +120,7 @@ class TestRetryPolicy:
                             on_backoff=lambda a, d, e: backoffs.append((a, d)))
         assert result == "done"
         assert calls == [0, 1, 2]
-        assert [d for _, d in backoffs] == list(policy.delays("flaky"))
+        assert backoffs == [(k, policy.backoff_s(k, "flaky")) for k in (1, 2)]
 
     def test_run_exhaustion_is_typed(self):
         policy = RetryPolicy(max_attempts=2, seed=11)
@@ -156,16 +163,6 @@ class TestScopedCrashes:
             with pytest.raises(FaultInjected):
                 plan.node_op("node02", "reduce[30]")
         assert [e.kind for e in plan.events] == [NODE_CRASH]
-
-    def test_seeded_cluster_plans_deterministic(self):
-        first, second = (FaultPlan.seeded_cluster(5, 50),
-                         FaultPlan.seeded_cluster(5, 50))
-        assert first.pending == second.pending
-        for seed in range(10):
-            fault = FaultPlan.seeded_cluster(seed, 20).pending[0]
-            assert (fault.site == NODE) == (fault.kind == NODE_CRASH)
-            if fault.site == MESSAGE:
-                assert fault.kind in (MSG_DROP, MSG_DELAY)
 
 
 # -- message-layer faults ------------------------------------------------------

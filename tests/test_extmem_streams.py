@@ -20,7 +20,6 @@ class TestRoundtrip:
         with RunWriter(path, records.dtype) as writer:
             writer.append(records[:30])
             writer.append(records[30:])
-            assert writer.records_written == 50
         with RunReader(path, records.dtype) as reader:
             assert reader.total_records == 50
             out = reader.read_all()

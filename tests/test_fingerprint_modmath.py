@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
-from repro.fingerprint.modmath import (MODULUS_PRIMES, RADIX_PRIMES, mulmod,
+from repro.fingerprint.modmath import (MODULUS_PRIMES, RADIX_PRIMES,
                                        place_values, submod)
 
 
@@ -53,23 +53,11 @@ class TestPlaceValues:
 
 class TestModOps:
     @given(st.integers(0, 2**31 - 2), st.integers(0, 2**31 - 2))
-    def test_mulmod_no_overflow(self, a, b):
-        prime = MODULUS_PRIMES[1]
-        a %= prime
-        b %= prime
-        assert int(mulmod(np.uint64(a), np.uint64(b), prime)) == (a * b) % prime
-
-    @given(st.integers(0, 2**31 - 2), st.integers(0, 2**31 - 2))
     def test_submod(self, a, b):
         prime = MODULUS_PRIMES[2]
         a %= prime
         b %= prime
         assert int(submod(np.uint64(a), np.uint64(b), prime)) == (a - b) % prime
-
-    def test_vectorized(self):
-        prime = 13
-        out = mulmod(np.array([3, 5], dtype=np.uint64), 7, prime)
-        assert out.tolist() == [21 % 13, 35 % 13]
 
 
 class TestPerSchemeCache:

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.fingerprint import (naive_prefix_fingerprints, naive_suffix_fingerprints,
                                prefix_fingerprints_batch, suffix_fingerprints_batch)
-from repro.fingerprint.rabin_karp import HashSpec
+from repro.fingerprint.rabin_karp import (HashSpec, naive_prefix_fingerprints_scalar,
+                                          naive_suffix_fingerprints_scalar)
 from repro.seq.alphabet import encode
 
 hash_specs = st.sampled_from([HashSpec.lane(i) for i in range(4)]
@@ -32,6 +33,8 @@ class TestPrefixScan:
         for row_index in range(codes.shape[0]):
             expected = naive_prefix_fingerprints(codes[row_index], spec)
             assert np.array_equal(batch_result[row_index], expected)
+            assert np.array_equal(
+                naive_prefix_fingerprints_scalar(codes[row_index], spec), expected)
 
     def test_paper_read_shape(self):
         """The worked example's read (length 10) runs through the scan."""
@@ -40,7 +43,8 @@ class TestPrefixScan:
         result = prefix_fingerprints_batch(codes, spec)
         assert result.shape == (1, 10)
         assert int(result[0, 0]) == int(codes[0, 0]) % 13
-        assert int(result[0, -1]) == spec.fingerprint(codes[0])
+        assert int(result[0, -1]) == spec.fingerprint(codes[0]) \
+            == spec.fingerprint_scalar(codes[0])
 
     def test_empty_batch(self):
         out = prefix_fingerprints_batch(np.empty((0, 5), dtype=np.uint8),
@@ -62,6 +66,8 @@ class TestSuffixScan:
         for row_index in range(codes.shape[0]):
             expected = naive_suffix_fingerprints(codes[row_index], spec)
             assert np.array_equal(suffixes[row_index], expected)
+            assert np.array_equal(
+                naive_suffix_fingerprints_scalar(codes[row_index], spec), expected)
 
     def test_position_zero_is_whole_read(self):
         codes = encode("ACGTACGT")[None, :]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import MemoryPool
 from repro.errors import ConfigError, GraphInvariantError, HostMemoryError
-from repro.graph import GreedyStringGraph, complement_vertices
+from repro.graph import GreedyStringGraph
 from repro.graph.string_graph import NO_EDGE
 
 
@@ -189,10 +189,6 @@ class TestAccounting:
         assert pool.used_bytes == graph.nbytes
         graph.release()
         assert pool.used_bytes == 0
-
-    def test_complement_vertices(self):
-        assert complement_vertices(4) == 5
-        assert complement_vertices(np.array([0, 3])).tolist() == [1, 2]
 
     def test_invariant_checker_catches_tampering(self):
         graph = GreedyStringGraph(3, 10)

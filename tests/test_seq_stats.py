@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DatasetError
-from repro.seq.stats import assembly_stats, gc_content, n50, nx
+from repro.seq.stats import assembly_stats, n50, nx
 
 lengths_strategy = st.lists(st.integers(1, 10_000), min_size=1, max_size=200)
 
@@ -52,13 +52,6 @@ class TestNx:
     @given(lengths_strategy, st.floats(0.05, 0.95))
     def test_monotone_in_fraction(self, lengths, fraction):
         assert nx(lengths, fraction) >= nx(lengths, min(0.99, fraction + 0.04))
-
-
-class TestGcContent:
-    def test_known(self):
-        assert gc_content(np.array([1, 2, 1, 2], dtype=np.uint8)) == 1.0
-        assert gc_content(np.array([0, 3], dtype=np.uint8)) == 0.0
-        assert gc_content(np.array([], dtype=np.uint8)) == 0.0
 
 
 class TestAssemblyStats:

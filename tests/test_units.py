@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
-from repro.units import (format_count, format_duration, format_size,
-                         parse_duration, parse_size)
+from repro.units import (format_duration, format_size, parse_duration,
+                         parse_size)
 
 
 class TestParseSize:
@@ -84,7 +84,3 @@ class TestDurations:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_whole_seconds(self, seconds):
         assert parse_duration(format_duration(seconds)) == seconds
-
-
-def test_format_count():
-    assert format_count(1_247_518_392) == "1,247,518,392"
