@@ -218,10 +218,9 @@ class ServiceConfig:
     Parameters
     ----------
     max_parallel:
-        Jobs executing concurrently. ``1`` (the default) runs jobs on
-        the scheduler thread in strict weighted-fair order — fully
-        deterministic, which is what the traffic harness asserts against;
-        higher values ship jobs to worker threads.
+        Worker threads the service runs jobs on. ``1`` (the default) runs
+        one job at a time in strict weighted-fair order — fully
+        deterministic, which is what the traffic harness asserts against.
     host_budget_bytes / device_budget_bytes:
         The shared memory budgets admission control arbitrates. A job's
         demand is its config's ``memory.host_bytes``/``device_bytes``;

@@ -74,20 +74,12 @@ class MessageDropped(DistributedProtocolError):
         self.destination = destination
 
 
-class RetryExhausted(ReproError):
-    """A bounded :class:`repro.faults.RetryPolicy` ran out of attempts.
-
-    Carries no recovery semantics itself; the distributed supervisor
-    escalates it to node restart, partition failover or degraded mode.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for assembly-service (``repro.service``) failures.
 
     Distinguishes service-layer conditions — admission decisions, job
     lifecycle control — from pipeline errors: a caller of
-    :meth:`~repro.service.AssemblyService.run` can treat a
+    :meth:`~repro.service.AssemblyService.run_jobs` can treat a
     :class:`ServiceError` as "the service refused or interrupted the job"
     rather than "the assembly itself broke".
     """

@@ -1,21 +1,21 @@
 """Deterministic bounded retry with exponential backoff and seeded jitter.
 
-The distributed supervisor wraps every node operation in a
-:class:`RetryPolicy`; the I/O layer can adopt the same policy for
-survivable errors (``ENOSPC``, dropped messages). Determinism is the whole
-point: the backoff before attempt ``k`` of operation ``key`` is a pure
-function of ``(seed, key, k)``, so the same fault plan under the same
-config produces an identical retry timeline — byte-identical ``token_trace``
-and sim trace, replayable from a CI seed.
+Both failure ladders take their backoff from a :class:`RetryPolicy`: the
+distributed supervisor's attempt loop charges it to the simulated clock
+before a node operation is retried, and the service before a failed job
+re-enters admission. Determinism is the whole point: the backoff before
+attempt ``k`` of operation ``key`` is a pure function of ``(seed, key,
+k)``, so the same fault plan under the same config produces an identical
+retry timeline — byte-identical ``token_trace`` and sim trace, replayable
+from a CI seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Tuple, Type
 
-from ..errors import ConfigError, RetryExhausted
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,3 @@ class RetryPolicy:
         rng = random.Random(f"{self.seed}:{key}:{attempt}")
         jitter = 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
         return min(raw * jitter, self.max_backoff_s)
-
-    def run(self, fn: Callable[[int], object], *, key: str = "",
-            retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-            on_backoff: Callable[[int, float, BaseException], None] | None = None):
-        """Call ``fn(attempt)`` until it returns or attempts run out.
-
-        ``on_backoff(attempt, delay_s, exc)`` fires before each retry — the
-        supervisor charges the delay to the simulated clock there. When the
-        last attempt fails, :class:`~repro.errors.RetryExhausted` is raised
-        from the final exception.
-        """
-        for attempt in range(self.max_attempts):
-            try:
-                return fn(attempt)
-            except retry_on as exc:
-                if attempt + 1 >= self.max_attempts:
-                    raise RetryExhausted(
-                        f"{key or 'operation'} failed after "
-                        f"{self.max_attempts} attempts: {exc}") from exc
-                if on_backoff is not None:
-                    on_backoff(attempt + 1, self.backoff_s(attempt + 1, key), exc)
-        raise AssertionError("unreachable")  # pragma: no cover

@@ -22,8 +22,6 @@ generation).
 
 from __future__ import annotations
 
-import math
-
 from ..config import MemoryConfig
 from ..device import costs
 from ..device.specs import DeviceSpec, HostSpec, get_device_spec
@@ -40,19 +38,6 @@ DEVICE_FRACTION = {"map": 0.90, "sort": 0.75, "reduce": 0.41}
 
 #: Host fraction the map phase's batch/staging buffers occupy.
 MAP_HOST_FRACTION = 0.13
-
-
-def _sort_structure(workload: Workload, memory: MemoryConfig) -> tuple[int, int, int]:
-    """(host_block, device_chunk, disk_rounds) for one partition sort."""
-    from ..extmem.sort import DEVICE_SORT_FOOTPRINT, HOST_SORT_FOOTPRINT
-
-    m_h = memory.host_pairs(workload.record_nbytes)
-    m_d = memory.device_pairs(workload.record_nbytes)
-    host_block = max(2, m_h // HOST_SORT_FOOTPRINT)
-    device_chunk = max(2, m_d // DEVICE_SORT_FOOTPRINT)
-    runs = max(1, math.ceil(workload.records_per_partition / host_block))
-    disk_rounds = math.ceil(math.log2(runs)) if runs > 1 else 0
-    return host_block, device_chunk, disk_rounds
 
 
 def model_phase_seconds(workload: Workload, memory: MemoryConfig,
@@ -101,24 +86,17 @@ def model_phase_components(workload: Workload, memory: MemoryConfig,
     }
 
     # -- sort: two-level external sort of every partition ----------------------
-    host_block, device_chunk, disk_rounds = _sort_structure(workload, memory)
-    one_pass = (total_tuples_bytes / MODEL_DISK_READ
-                + total_tuples_bytes / MODEL_DISK_WRITE)
-    # Run formation interleaves reading input blocks with writing sorted runs
-    # (duplex-penalized); merge rounds stream two long runs into one — pure
-    # sequential traffic at full bandwidth.
-    sort_disk = one_pass / DUPLEX_EFFICIENCY + disk_rounds * one_pass
-    # Device work per partition: one radix sort of everything, plus one merge
-    # sweep per level-2 round and per level-1 round.
-    level2_rounds = max(0, math.ceil(math.log2(max(1, host_block / device_chunk))))
-    device_touches = 1 + level2_rounds + disk_rounds
-    sort_kernels = partitions * (
-        costs.sort_pairs_seconds(spec, n_part, 16, 4)
-        + (level2_rounds + disk_rounds) * costs.merge_pairs_seconds(spec, n_part, 16, 4))
-    sort_pcie = partitions * device_touches * 2 * costs.transfer_seconds(
-        spec, n_part * rec)
-    out["sort"] = {"disk": sort_disk, "device": sort_kernels + sort_pcie,
-                   "host": 0.0}
+    # Figs. 8–9's partition sort, once per partition (imported here:
+    # sorting.py imports this module's disk constants).
+    from ..extmem.sort import DEVICE_SORT_FOOTPRINT, HOST_SORT_FOOTPRINT
+    from .sorting import partition_sort_components
+
+    host_block = max(2, memory.host_pairs(rec) // HOST_SORT_FOOTPRINT)
+    device_chunk = max(2, memory.device_pairs(rec) // DEVICE_SORT_FOOTPRINT)
+    sort = partition_sort_components(spec, n_part, rec, host_block,
+                                     device_chunk)
+    out["sort"] = {"disk": partitions * sort["disk"],
+                   "device": partitions * sort["device"], "host": 0.0}
 
     # -- reduce: one streaming pass over all sorted partitions ------------------
     out["reduce"] = {

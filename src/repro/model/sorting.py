@@ -56,14 +56,30 @@ def model_partition_sort_seconds(host_block_records: int, device_block_records: 
                                  record_nbytes: int = PAPER_RECORD_NBYTES) -> float:
     """Modeled seconds to sort one partition under the given block sizes."""
     spec = get_device_spec(device) if isinstance(device, str) else device
-    n = partition_records
-    nbytes = n * record_nbytes
+    parts = partition_sort_components(
+        spec, partition_records, record_nbytes, host_block_records,
+        device_block_records, merge_fanout=merge_fanout)
+    return parts["disk"] + parts["device"]
 
-    runs = max(1, math.ceil(n / max(1, host_block_records)))
+
+def partition_sort_components(spec: DeviceSpec, n_records: int,
+                              record_nbytes: int, host_block_records: int,
+                              device_block_records: int, *,
+                              merge_fanout: int = 2) -> dict[str, float]:
+    """One partition's sort time as ``disk`` and ``device`` seconds.
+
+    Figs. 8–9 read it for one H.Genome partition; Tables II–V
+    (:func:`repro.model.single_node.model_phase_components`) scale it by
+    the partition count.
+    """
+    nbytes = n_records * record_nbytes
+
+    runs = max(1, math.ceil(n_records / max(1, host_block_records)))
     disk_rounds = merge_rounds_for(runs, merge_fanout)
     one_pass = nbytes / MODEL_DISK_READ + nbytes / MODEL_DISK_WRITE
-    # Run formation pays the duplex penalty; merge rounds stream at full speed
-    # (same composition as repro.model.single_node).
+    # Run formation interleaves reading input blocks with writing sorted
+    # runs and pays the duplex penalty; merge rounds stream long runs into
+    # one at full bandwidth.
     disk = one_pass / DUPLEX_EFFICIENCY + disk_rounds * one_pass
 
     device_runs = max(1, math.ceil(host_block_records
@@ -71,9 +87,11 @@ def model_partition_sort_seconds(host_block_records: int, device_block_records: 
     level2_rounds = merge_rounds_for(device_runs, merge_fanout)
     # A k-way round merges via a tournament ⌈log₂ k⌉ deep.
     round_depth = max(1, math.ceil(math.log2(merge_fanout)))
+    # One radix sort of everything, plus one merge sweep per level-2 round
+    # (inside a host block) and per level-1 round (on disk).
     device_touches = 1 + level2_rounds + disk_rounds
-    kernels = (costs.sort_pairs_seconds(spec, n, 16, 4)
+    kernels = (costs.sort_pairs_seconds(spec, n_records, 16, 4)
                + (level2_rounds + disk_rounds) * round_depth
-               * costs.merge_pairs_seconds(spec, n, 16, 4))
+               * costs.merge_pairs_seconds(spec, n_records, 16, 4))
     pcie = device_touches * 2 * costs.transfer_seconds(spec, nbytes)
-    return disk + kernels + pcie
+    return {"disk": disk, "device": kernels + pcie}

@@ -46,8 +46,7 @@ class JobOutcome:
 
     spec: JobSpec
     status: str  #: One of :data:`STATUSES`.
-    #: Out of the ``repr``: contigs and telemetry print as hundreds of kB,
-    #: and asyncio's runner teardown formats the finished task's result.
+    #: Out of the ``repr``: contigs and telemetry print as hundreds of kB.
     result: AssemblyResult | None = field(default=None, repr=False)
     error: str | None = None
     #: Wall seconds from execution start to finish (0 for joined jobs).
@@ -87,8 +86,9 @@ class JobOutcome:
 class QuarantineEntry:
     """One poison job: it exhausted its attempts and is barred from the queue.
 
-    The service keeps these across :meth:`~repro.service.AssemblyService.run`
-    calls; a later submission with the same content identity fails fast
+    The service keeps these across
+    :meth:`~repro.service.AssemblyService.run_jobs` calls; a later
+    submission with the same content identity fails fast
     (``quarantine_hits``) instead of burning attempts on known-poison work.
     """
 

@@ -1,4 +1,4 @@
-"""Multi-tenant assembly service: async scheduler over the pipeline.
+"""Multi-tenant assembly service: a job scheduler over the pipeline.
 
 One :class:`AssemblyService` admits many concurrent assembly jobs and
 arbitrates the shared (virtual) GPU and host-memory budget between tenants:
@@ -45,22 +45,26 @@ entirely deterministic on the simulated clock:
    ``max_queued`` bound sheds the lowest-weight queued jobs with a typed
    ``admission_shed`` outcome under overload.
 
-``max_parallel=1`` (the default) executes jobs inline on the scheduler
-thread — fully deterministic, the mode the traffic harness asserts
-against. Higher values ship jobs to worker threads; admission and fair
-ordering still hold (the pools and meters are lock-protected), but
-completion interleaving is OS-scheduled.
+The scheduler is one loop on the thread that calls
+:meth:`AssemblyService.run_jobs`: it picks, admits and settles every job,
+and a pool of ``max_parallel`` worker threads runs the pipelines. It waits
+for a free worker before each pick, so ``max_parallel=1`` (the default)
+runs one job at a time in strict weighted-fair order — fully
+deterministic, the mode the traffic harness asserts against. With more
+workers admission and fair ordering still hold, but completion
+interleaving is OS-scheduled.
 """
 
 from __future__ import annotations
 
-import asyncio
 import ctypes
 import shutil
 import tempfile
 import threading
 import time
 from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
+                                wait)
 from pathlib import Path
 
 from ..config import ServiceConfig
@@ -86,7 +90,7 @@ _M_ARENA_MAX = -8
 
 
 def _share_malloc_arena() -> None:
-    """Make worker threads allocate from the main heap, not one arena each.
+    """Make job threads allocate from the main heap, not one arena each.
 
     glibc gives every thread its own arena, and a freed phase buffer stays
     resident at the top of the arena that served it (up to twice the
@@ -190,16 +194,9 @@ class AssemblyService:
         self._cancel_lock = threading.Lock()
         self._cancelled: set[str] = set()
         self._draining = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._release: asyncio.Event | None = None
-        if self.config.max_parallel > 1:
-            _share_malloc_arena()
+        _share_malloc_arena()
 
     # -- public entry points ---------------------------------------------------
-
-    def run_jobs(self, specs: list[JobSpec]) -> ServiceReport:
-        """Schedule and run ``specs`` to completion; blocking wrapper."""
-        return asyncio.run(self.run(specs))
 
     def cancel(self, job_id: str) -> None:
         """Request cooperative cancellation of ``job_id``.
@@ -218,29 +215,29 @@ class AssemblyService:
         """Stop admission: queued jobs are shed, in-flight jobs finish.
 
         Thread-safe and idempotent; callable before a run (everything
-        submitted is shed) or during one (from another thread). Jobs whose
-        admission grant was already acquired always run to completion —
-        drain never sheds admitted work. The final :class:`ServiceReport`
-        carries ``drained=True`` and the shed outcomes.
+        submitted is shed) or during one (from another thread or a job's
+        phase hook); the scheduler observes it before its next pick or
+        admission. Jobs whose admission grant was already acquired always
+        run to completion — drain never sheds admitted work. The final
+        :class:`ServiceReport` carries ``drained=True`` and the shed
+        outcomes.
         """
         self._draining = True
         self.meter.bump("drain_requests")
-        loop, release = self._loop, self._release
-        if loop is not None and release is not None:
-            try:
-                # The scheduler may be parked on the release event with an
-                # empty running set; wake it so the drain is observed.
-                loop.call_soon_threadsafe(release.set)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
 
     @property
     def draining(self) -> bool:
         """Whether admission has been stopped by :meth:`drain`."""
         return self._draining
 
-    async def run(self, specs: list[JobSpec]) -> ServiceReport:
-        """Schedule and run ``specs`` to completion on the current loop."""
+    def run_jobs(self, specs: list[JobSpec]) -> ServiceReport:
+        """Schedule and run ``specs`` to completion on the calling thread.
+
+        The pipelines run on a pool of ``max_parallel`` worker threads,
+        all of which are joined before this returns (or raises: an
+        interrupt cancels the running jobs, which stop at their next phase
+        boundary).
+        """
         seen: set[str] = set()
         for spec in specs:
             if spec.job_id in seen:
@@ -251,8 +248,19 @@ class AssemblyService:
         root.mkdir(parents=True, exist_ok=True)
         quarantined_before = len(self.quarantine)
         start = time.perf_counter()
+        # Admitted jobs in submission order, with the grants they hold.
+        running: dict[Future, tuple[JobSpec, list]] = {}
         try:
-            outcomes = await self._run_async(specs, root)
+            with ThreadPoolExecutor(self.config.max_parallel,
+                                    thread_name_prefix="lasagna-job") as pool:
+                try:
+                    outcomes = self._schedule(specs, root, pool, running)
+                except BaseException:
+                    for spec, grants in running.values():
+                        self.cancel(spec.job_id)
+                        for grant in grants:
+                            grant.free()
+                    raise
         finally:
             if not self.config.workdir:
                 shutil.rmtree(root, ignore_errors=True)
@@ -313,13 +321,12 @@ class AssemblyService:
                            base_backoff_s=self.config.job_retry_backoff_s,
                            seed=spec.config.seed)
 
-    async def _run_async(self, specs: list[JobSpec],
-                         root: Path) -> dict[str, JobOutcome]:
+    def _schedule(self, specs: list[JobSpec], root: Path,
+                  pool: ThreadPoolExecutor,
+                  running: dict[Future, tuple[JobSpec, list]],
+                  ) -> dict[str, JobOutcome]:
         self._queue = JobQueue(self.config)
         self._execution_order: list[str] = []
-        self._release = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        self._inflight = 0
         self._attempts: dict[str, int] = {}
         self._error_chains: dict[str, list[str]] = {}
         self._followers: dict[str, list[JobSpec]] = {}
@@ -358,19 +365,18 @@ class AssemblyService:
             if identity is not None:
                 leaders[identity] = spec.job_id
             self._push_bounded(spec, outcomes)
-        semaphore = asyncio.Semaphore(self.config.max_parallel)
-        tasks: list[asyncio.Task] = []
         while True:
+            if len(running) == self.config.max_parallel:
+                # A free worker before each pick: with one worker the
+                # previous job is settled (a retry re-queued) first.
+                self._settle_next(running, outcomes)
             if self._draining and len(self._queue):
                 self._shed_queue(outcomes, counter="drain_shed",
                                  reason="service draining")
             if not len(self._queue):
-                if self._inflight == 0:
+                if not running:
                     break
-                # No await between clear() and wait(): job settlement
-                # (which sets the event) runs on this same loop thread.
-                self._release.clear()
-                await self._release.wait()
+                self._settle_next(running, outcomes)
                 continue
             tenant = self._queue.pick()
             spec = self._queue.pop(tenant)
@@ -392,34 +398,43 @@ class AssemblyService:
                     error="job memory demand exceeds the service budget"),
                     outcomes)
                 continue
-            await semaphore.acquire()
-            grants = await self._admit(demand_host, demand_device)
+            grants = self._admit(demand_host, demand_device, running,
+                                 outcomes)
             if grants is None:
                 # The service started draining while this job was parked
                 # at admission: it never held a grant, so it is shed.
-                semaphore.release()
                 self._shed_one(spec, outcomes, counter="drain_shed",
                                reason="service draining")
                 continue
             self._queue.charge(tenant, 1.0)
             self._execution_order.append(spec.job_id)
-            if self.config.max_parallel == 1:
-                # Inline on the scheduler thread: strict weighted-fair
-                # execution order, which the determinism tests pin down.
-                try:
-                    result = self._execute_job(spec, root)
-                finally:
-                    self._release_grants(grants, semaphore)
-                self._settle(spec, result, outcomes)
-            else:
-                self._inflight += 1
-                tasks.append(asyncio.create_task(
-                    self._run_job_task(spec, root, outcomes, grants,
-                                       semaphore)))
-        if tasks:
-            await asyncio.gather(*tasks)
+            if self._is_cancelled(spec.job_id):
+                for grant in grants:
+                    grant.free()
+                self._finish_terminal(spec, self._interrupted(
+                    spec, None, "cancelled",
+                    f"job {spec.job_id} cancelled before execution",
+                    executed=False), outcomes)
+                continue
+            attempt = self._attempts.get(spec.job_id, 0) + 1
+            self._attempts[spec.job_id] = attempt
+            running[pool.submit(self._execute_job, spec, root,
+                                attempt)] = (spec, grants)
         self._resolve_followers(outcomes)
         return outcomes
+
+    def _settle_next(self, running: dict[Future, tuple[JobSpec, list]],
+                     outcomes: dict[str, JobOutcome]) -> None:
+        """Wait for a running job to finish, free its grants, settle it.
+
+        Jobs that finished together settle in submission order.
+        """
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in [f for f in running if f in done]:
+            spec, grants = running.pop(future)
+            for grant in grants:
+                grant.free()
+            self._settle(spec, future.result(), outcomes)
 
     def _push_bounded(self, spec: JobSpec,
                       outcomes: dict[str, JobOutcome]) -> None:
@@ -448,19 +463,19 @@ class AssemblyService:
             error=f"{counter}: {reason}",
             attempts=self._attempts.get(spec.job_id, 0)), outcomes)
 
-    async def _admit(self, demand_host: int,
-                     demand_device: int) -> list | None:
+    def _admit(self, demand_host: int, demand_device: int,
+               running: dict[Future, tuple[JobSpec, list]],
+               outcomes: dict[str, JobOutcome]) -> list | None:
         """Wait until both budget grants succeed; returns the grants.
 
         Pool ``try_alloc`` is the whole mechanism: a grant that would
-        oversubscribe simply fails, and the scheduler parks until a
-        running job signals a release. Returns ``None`` when the
-        service starts draining before the grant lands (the job was
-        never admitted and must be shed, not run).
+        oversubscribe simply fails, and the scheduler settles the next
+        running job to finish before it tries again (only running jobs
+        hold grants, and a demand beyond the budget never gets here).
+        Returns ``None`` when the service starts draining before the
+        grant lands (the job was never admitted and must be shed, not run).
         """
-        while True:
-            if self._draining:
-                return None
+        while not self._draining:
             host_grant = self.host_pool.try_alloc(demand_host, label="admission")
             if host_grant is not None:
                 device_grant = self.device_pool.try_alloc(demand_device,
@@ -469,27 +484,8 @@ class AssemblyService:
                     return [host_grant, device_grant]
                 host_grant.free()
             self.meter.bump("admission_blocked")
-            self._release.clear()
-            await self._release.wait()
-
-    def _release_grants(self, grants: list,
-                        semaphore: asyncio.Semaphore) -> None:
-        for grant in grants:
-            grant.free()
-        semaphore.release()
-        self._release.set()
-
-    async def _run_job_task(self, spec, root, outcomes, grants,
-                            semaphore) -> None:
-        try:
-            result = await asyncio.to_thread(self._execute_job, spec, root)
-            # Settlement (retry re-queueing, follower promotion) is not
-            # thread-safe: it runs on the loop thread, after the worker
-            # thread is done with the job.
-            self._settle(spec, result, outcomes)
-        finally:
-            self._inflight -= 1
-            self._release_grants(grants, semaphore)
+            self._settle_next(running, outcomes)
+        return None
 
     # -- execution -------------------------------------------------------------
 
@@ -501,6 +497,8 @@ class AssemblyService:
         quarantined; everything terminal is recorded and may promote a
         single-flight follower.
         """
+        if outcome.ok:  # a success after retries keeps their audit trail
+            outcome.error_chain = tuple(self._error_chains.get(spec.job_id, ()))
         if outcome.status == "failed" and outcome.executed:
             chain = self._error_chains.setdefault(spec.job_id, [])
             chain.append(outcome.error)
@@ -524,7 +522,6 @@ class AssemblyService:
                             attempt=attempts + 1, backoff_s=backoff,
                             error=outcome.error)
         self._queue.push(spec)
-        self._release.set()
 
     def _quarantine(self, spec: JobSpec, outcome: JobOutcome,
                     chain: list[str]) -> JobOutcome:
@@ -581,7 +578,6 @@ class AssemblyService:
                             job=promoted.job_id, leader=spec.job_id,
                             leader_status=outcome.status)
         self._queue.push(promoted)
-        self._release.set()
 
     def _phase_guard(self, spec: JobSpec):
         """The per-job cooperative stop check, run at phase boundaries.
@@ -603,14 +599,10 @@ class AssemblyService:
                     f"(modeled {sim_seconds:.6f}s)")
         return hook
 
-    def _execute_job(self, spec: JobSpec, root: Path) -> JobOutcome:
-        if self._is_cancelled(spec.job_id):
-            return self._interrupted(
-                spec, None, "cancelled",
-                f"job {spec.job_id} cancelled before execution",
-                executed=False)
-        attempt = self._attempts.get(spec.job_id, 0) + 1
-        self._attempts[spec.job_id] = attempt
+    def _execute_job(self, spec: JobSpec, root: Path,
+                     attempt: int) -> JobOutcome:
+        """One attempt of a job, on a worker thread: it runs the pipeline
+        and builds the outcome; the scheduler thread settles it."""
         workdir = root / "jobs" / spec.job_id
         workdir.mkdir(parents=True, exist_ok=True)
         assembler = Assembler(spec.config, content_store=self.store,
@@ -645,9 +637,7 @@ class AssemblyService:
                             job=spec.job_id, wall_s=wall)
         return JobOutcome(spec, "done", result=result, wall_seconds=wall,
                           sim_seconds=result.telemetry.total_sim_seconds(),
-                          workdir=workdir, attempts=attempt,
-                          error_chain=tuple(
-                              self._error_chains.get(spec.job_id, ())))
+                          workdir=workdir, attempts=attempt)
 
     def _interrupted(self, spec: JobSpec, workdir: Path | None, status: str,
                      error: str, *, executed: bool = True,

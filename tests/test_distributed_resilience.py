@@ -15,8 +15,7 @@ from repro.config import AssemblyConfig
 from repro.device import SimClock
 from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
                                DistributedAssembler, NetworkSpec, node_scope)
-from repro.errors import (ConfigError, FaultInjected, MessageDropped,
-                          RetryExhausted)
+from repro.errors import ConfigError, FaultInjected, MessageDropped
 from repro.faults import (MESSAGE, MSG_DELAY, MSG_DROP, NODE, NODE_CRASH,
                           READ, Fault, FaultPlan, RetryPolicy, inject)
 from repro.faults.plan import DEFAULT_MSG_DELAY_S
@@ -84,18 +83,6 @@ class TestRetryPolicy:
             if raw * 0.9 <= 5.0:
                 assert 0.9 * raw <= delay <= min(1.1 * raw, 5.0)
 
-    def test_delays_one_per_allowed_retry(self):
-        def doomed(attempt: int):
-            raise ValueError("persistent")
-
-        for max_attempts, retries in ((4, 3), (1, 0)):
-            backoffs = []
-            with pytest.raises(RetryExhausted):
-                RetryPolicy(max_attempts=max_attempts).run(
-                    doomed, key="k",
-                    on_backoff=lambda a, d, e: backoffs.append(a))
-            assert backoffs == list(range(1, retries + 1))
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             RetryPolicy(max_attempts=0)
@@ -105,34 +92,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_multiplier=0.5)
         with pytest.raises(ConfigError):
             RetryPolicy(jitter_fraction=1.0)
-
-    def test_run_retries_until_success(self):
-        policy = RetryPolicy(max_attempts=3, seed=11)
-        calls, backoffs = [], []
-
-        def flaky(attempt: int) -> str:
-            calls.append(attempt)
-            if attempt < 2:
-                raise ValueError("transient")
-            return "done"
-
-        result = policy.run(flaky, key="flaky",
-                            on_backoff=lambda a, d, e: backoffs.append((a, d)))
-        assert result == "done"
-        assert calls == [0, 1, 2]
-        assert backoffs == [(k, policy.backoff_s(k, "flaky")) for k in (1, 2)]
-
-    def test_run_exhaustion_is_typed(self):
-        policy = RetryPolicy(max_attempts=2, seed=11)
-        calls = []
-
-        def doomed(attempt: int):
-            calls.append(attempt)
-            raise ValueError("persistent")
-
-        with pytest.raises(RetryExhausted, match="doomed.*2 attempts"):
-            policy.run(doomed, key="doomed", retry_on=(ValueError,))
-        assert calls == [0, 1]
 
 
 # -- per-scope crash bookkeeping ----------------------------------------------

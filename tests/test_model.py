@@ -8,9 +8,11 @@ EXPERIMENTS.md instead.
 import pytest
 
 from repro.config import MemoryConfig
+from repro.device.specs import device_catalog
+from repro.extmem.sort import DEVICE_SORT_FOOTPRINT, HOST_SORT_FOOTPRINT
 from repro.model import (Workload, model_distributed_seconds, model_memory_peaks,
-                         model_partition_sort_seconds, model_phase_seconds,
-                         model_sga_seconds)
+                         model_partition_sort_seconds, model_phase_components,
+                         model_phase_seconds, model_sga_seconds)
 from repro.model.comparison import model_lasagna_comparable_seconds
 from repro.model.paper_values import (DATASET_ORDER, FIG9_GPU_ORDER_FAST_TO_SLOW,
                                       FIG10_TOTAL_HOURS, TABLE1, TABLE2_K40,
@@ -169,6 +171,25 @@ class TestFig9:
             return (max(times) - min(times)) / min(times)
 
         assert spread(40_000_000) < spread(2_560_000_000) / 2
+
+
+class TestOneSortFormula:
+    @pytest.mark.parametrize("memory", [QB2, SUPERMIC], ids=["qb2", "supermic"])
+    @pytest.mark.parametrize("dataset", sorted(dataset_registry()))
+    def test_table_sort_is_the_figure_partition_sort_per_partition(
+            self, dataset, memory):
+        """Tables II–V charge every partition what Figs. 8–9 model for one."""
+        w = Workload.from_spec(dataset_registry()[dataset])
+        rec = w.record_nbytes
+        host_block = max(2, memory.host_pairs(rec) // HOST_SORT_FOOTPRINT)
+        device_chunk = max(2, memory.device_pairs(rec) // DEVICE_SORT_FOOTPRINT)
+        for gpu in device_catalog():
+            sort = model_phase_components(w, memory, gpu)["sort"]
+            one = model_partition_sort_seconds(
+                host_block, device_chunk, gpu,
+                partition_records=w.records_per_partition, record_nbytes=rec)
+            assert sort["disk"] + sort["device"] == pytest.approx(
+                2 * w.n_partition_lengths * one, rel=1e-12)
 
 
 class TestTable6:

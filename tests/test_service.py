@@ -330,3 +330,35 @@ def test_parallel_service_workers_share_one_malloc_arena(tmp_path):
     subprocess.run([sys.executable, "-c", _ARENA_PROBE, str(tmp_path / "svc"),
                     str(info)], check=True, env=env)
     assert info.read_text().count("<heap nr=") == 1
+
+
+# -- the calling thread --------------------------------------------------------
+
+
+def test_run_jobs_works_from_a_coroutine(tmp_path, sources):
+    """The scheduler is a plain loop: a running event loop does not stop it."""
+    import asyncio
+
+    config = _job_config()
+    specs = [JobSpec(f"job{i}", "t", src, config)
+             for i, src in enumerate(sources[:2])]
+
+    async def serve():
+        return _service(tmp_path, max_parallel=2).run_jobs(specs)
+
+    report = asyncio.run(serve())
+    assert report.n_done == 2 and report.n_failed == 0
+
+
+def test_importing_the_service_does_not_import_asyncio():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    probe = "import sys, repro.service; print('asyncio' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

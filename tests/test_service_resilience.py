@@ -10,6 +10,7 @@ contigs via the checkpoint ledger.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -358,12 +359,12 @@ def test_max_queued_sheds_lowest_weight_newest_first(tmp_path, sources):
 
 
 def test_parallel_mode_retries_and_quarantines(tmp_path, sources):
-    """The ladder holds when jobs run on worker threads.
+    """The ladder holds with three jobs running at once.
 
     Settlement (retry re-queueing, quarantine, promotion) happens on the
-    loop thread after each worker job, and the scheduler parks on its
-    release event until retried work re-enters the queue — this exercises
-    that wake-up path, which serial mode never takes.
+    scheduler thread as each job finishes, and with the queue empty the
+    scheduler waits on the running jobs until retried work re-enters it —
+    a path one worker never takes.
     """
     poison = _degenerate(tmp_path)
     config = _job_config()
@@ -378,6 +379,52 @@ def test_parallel_mode_retries_and_quarantines(tmp_path, sources):
     assert all(outcomes[f"job{i}"].ok for i in range(len(sources)))
     assert report.counters["job_retries"] == 1
     assert report.counters["jobs_quarantined"] == 1
+
+
+@pytest.mark.parametrize("max_parallel", [1, 3])
+@pytest.mark.parametrize("scenario", ["quarantine", "drain"])
+def test_run_jobs_leaves_no_thread_behind(tmp_path, sources, max_parallel,
+                                          scenario):
+    """Every worker thread a run starts has exited when ``run_jobs`` returns,
+    through a retried-then-quarantined job and through a drain alike."""
+    config = _job_config()
+    specs = [JobSpec(f"job{i}", "t", src, config)
+             for i, src in enumerate(sources)]
+    if scenario == "quarantine":
+        service = _service(tmp_path, max_parallel=max_parallel,
+                           job_max_attempts=2)
+        specs.insert(0, JobSpec("p", "t", _degenerate(tmp_path), config))
+    else:
+        trigger = _Trigger("job-done")
+        service = _service(tmp_path, tracer=trigger,
+                           max_parallel=max_parallel)
+        trigger.action = service.drain
+    before = set(threading.enumerate())
+    report = service.run_jobs(specs)
+    assert set(threading.enumerate()) - before == set()
+    if scenario == "quarantine":
+        assert report.n_quarantined == 1
+        assert report.counters["job_retries"] == 1
+    else:
+        assert report.drained and report.n_done >= 1
+
+
+def test_an_interrupted_run_cancels_its_running_jobs(tmp_path, sources):
+    """Ctrl-C (here: raised by the first job to finish) does not wait the
+    other running job out: it is cancelled, and its worker joined."""
+    def interrupt():
+        raise KeyboardInterrupt
+
+    config = _job_config()
+    service = _service(tmp_path, tracer=_Trigger("job-done", action=interrupt),
+                       max_parallel=2)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        service.run_jobs([JobSpec(f"job{i}", "t", src, config)
+                          for i, src in enumerate(sources)])
+    assert set(threading.enumerate()) - before == set()
+    assert service.meter.counters()["cancel_requests"] == 1
+    assert service.host_pool.used_bytes == 0  # every grant released
 
 
 # -- instrumentation and accounting --------------------------------------------

@@ -114,7 +114,7 @@ def test_cached_matches_uncached(tmp_path, traffic):
 
 
 def test_report_repr_stays_small(tmp_path, traffic):
-    """asyncio's runner teardown formats the finished task, result included."""
+    """A report prints small: contigs and telemetry stay out of its repr."""
     mix = dataclasses.replace(MIX, n_jobs=24)
     jobs = generate_jobs(sorted({spec.source for spec in traffic}), mix)
     report = _run(tmp_path, jobs, "repr", cache=False)
