@@ -3,7 +3,7 @@
 For each cluster size in {2, 4, 8} this runs the distributed assembler
 clean, then with k ∈ {1, 2, 4} injected ``node-crash`` faults (each kills
 the owner of one deterministic reduce partition at its token boundary,
-forcing heartbeat detection, restart and ledger-verified replay) — under
+forcing heartbeat detection, restart and replay from lineage) — under
 **two recovery policies**:
 
 ``seed``

@@ -216,9 +216,8 @@ class CheckpointManager:
     def damaged(self, phase: str) -> list[str]:
         """Relative paths of ``phase`` artifacts that are missing or damaged.
 
-        The distributed supervisor replays exactly these after a node
-        restart: partitions whose ledger digest still matches survived the
-        crash and are *not* recomputed.
+        A resumed run recomputes exactly these: artifacts whose ledger
+        digest still matches survived the interruption and are kept.
         """
         recorded = self.recorded_artifacts(phase)
         return [rel for rel, digest in recorded.items()

@@ -19,6 +19,9 @@ outlive the node: when it is lost, one survivor maps its recorded blocks
 again, once (:meth:`WorkerNode.adopt`), and serves those pieces under the
 lost node's id from then on. :meth:`WorkerNode.pull_partitions` asks each
 producer's current holder for its piece; a rebuild is the same pull.
+
+A node keeps no ledger: a restarted node's files are checked against the
+lineage its supervisor holds (:mod:`repro.distributed.resilience`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Iterable
 import numpy as np
 
 from ..config import AssemblyConfig
-from ..core.checkpoint import CheckpointManager, config_fingerprint
 from ..core.context import RunContext
 from ..core.map_phase import run_map
 from ..core.sort_phase import _open_claims, run_sort
@@ -77,16 +79,6 @@ class WorkerNode:
         #: The round's out-degree snapshot (``None`` before the first edge).
         self.closed: PackedBitVector | None = None
         self.mapped_reads = 0
-        # Per-node artifact ledger (state.json in the node's private dir):
-        # each phase records digests of the files it produced (shuffle and
-        # sort: of the current round, a mark replaces the round before), so
-        # a restarted replacement can tell intact partitions from damaged
-        # ones and replay only the latter. A fresh WorkerNode on the same
-        # workdir reloads the dead node's surviving ledger — that survival
-        # is the whole point of checkpointed node recovery.
-        self.ledger = CheckpointManager(
-            self.ctx.workdir,
-            config_fingerprint(config, node_scope(node_id)))
         messages.register_node(node_id, self.ctx.clock)
         messages.register_handler(node_id, FETCH_PARTITION, self._serve_partition)
 
@@ -222,32 +214,6 @@ class WorkerNode:
                    for side in SIDES)
 
     # -- recovery ------------------------------------------------------------
-
-    def record_ledger(self, phase: str) -> None:
-        """Digest this phase's on-disk artifacts into the node ledger."""
-        if phase == "map":
-            artifacts = sorted(self.map_partitions.root.glob("[SP]_*.run"))
-        elif phase == "shuffle":
-            artifacts = [self.shuffled.path(side, length)
-                         for length in self.owned_lengths for side in SIDES
-                         if self.shuffled.path(side, length).exists()]
-        elif phase == "sort":
-            artifacts = [self.shuffled.path(side, length, sorted_run=True)
-                         for length in self.owned_lengths for side in SIDES
-                         if self.shuffled.path(side, length, sorted_run=True).exists()]
-        else:
-            raise ValueError(f"no ledger phase {phase!r}")
-        self.ledger.mark(phase, artifacts)
-
-    def damaged_lengths(self, phase: str) -> list[int]:
-        """Owned lengths whose ``phase`` artifacts fail their ledger digest.
-
-        A record left by an earlier round names files the token has
-        consumed since: not owned any more, not damaged.
-        """
-        return sorted({PartitionStore.length_of(rel)
-                       for rel in self.ledger.damaged(phase)}
-                      & set(self.owned_lengths))
 
     def abandon(self) -> None:
         """Tear down a declared-dead node's in-process residue.

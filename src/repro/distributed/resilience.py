@@ -14,13 +14,13 @@ simulated clock so every timeline is deterministic and replayable:
    ``node-crash`` kills the process outright), the supervisor declares the
    node dead at ``last_heartbeat + node_timeout`` on the simulated clock,
    emitting one ``heartbeat-miss`` instant per missed beat.
-3. **Checkpointed node restart** — a fresh :class:`WorkerNode` reopens the
-   dead node's private storage; the per-phase artifact ledger (digests
-   written at each phase boundary) tells it which partitions survived and
-   which must be replayed. Only damaged partitions are rebuilt, by pulling
-   them again — byte-identically, because a shuffled partition is the
-   concatenation of per-producer pieces in node-id order and every piece
-   is still held by its producer or by the survivor that adopted it.
+3. **Node restart from lineage** — a fresh :class:`WorkerNode` reopens the
+   dead node's private storage, which keeps no ledger: a finished piece of
+   work whose output no longer has the size the supervisor's lineage
+   implies is redone. A short shuffled partition is pulled again
+   byte-identically, because it is the concatenation of per-producer
+   pieces in node-id order and every piece is still held by its producer
+   or by the survivor that adopted it.
 4. **Failover** — a node past its restart budget is *lost*. One rule, in
    every phase: the least-loaded survivor maps the lost node's recorded
    blocks again, once, and holds those pieces under the lost id
@@ -36,9 +36,8 @@ and recovery is scoped to the round in flight. Ownership is per round
 (:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
 alive nodes); the round's frozen out-degree snapshot is held here
 (:meth:`ClusterSupervisor.begin_round`) and handed again to a restarted
-node; a node ledger's ``shuffle`` / ``sort`` records name the current
-round's files only, so a replay or failover touches the one or two
-partitions a node owns *now*, never one the token has consumed. Every
+node; a replay checks the partitions a node owns *now* and nothing
+else, so it never touches one the token has consumed. Every
 pull inside a round, a rebuild included, filters with that one snapshot
 (:meth:`WorkerNode.read_piece`), which is what keeps a rebuilt partition
 the lost one byte for byte.
@@ -69,7 +68,7 @@ from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
 from ..extmem import PartitionStore
 from ..extmem.partitions import SIDES
 from ..faults import plan as faults
-from ..faults.plan import NODE_CRASH
+from ..faults.plan import FSYNC_LOSS, NODE_CRASH
 from ..faults.retry import RetryPolicy
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
@@ -89,13 +88,20 @@ _MAX_MISS_INSTANTS = 16
 _MAX_OWNERS_PER_PARTITION = 2
 
 
+def _short(store: PartitionStore, side: str, length: int, records: int) -> bool:
+    """Whether a partition file no longer holds exactly ``records``."""
+    path = store.path(side, length)
+    size = path.stat().st_size if path.exists() else 0
+    return size != records * store.dtype.itemsize
+
+
 @dataclass(frozen=True)
 class DroppedPartition:
     """One partition degraded mode gave up on."""
 
     length: int
     owner: int           #: last owner that failed it
-    records: int         #: candidate records lost (from the sort ledger)
+    records: int         #: candidate records lost (what its pull wrote)
     reason: str
 
     def __str__(self) -> str:
@@ -215,6 +221,9 @@ class ClusterSupervisor:
         #: Read ranges each node mapped, in assignment order: the lineage a
         #: survivor maps again when the node is lost. Never moves between ids.
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
+        #: Records each returned pull wrote, by ``(side, length)``: what a
+        #: restarted owner's unsorted partition must still hold.
+        self.pulled: dict[tuple[str, int], int] = {}
         #: Lengths the token has reduced (or dropped): no adopter derives them.
         self.reduced: set[int] = set()
         self.owner_of: dict[int, int] = {}
@@ -246,10 +255,12 @@ class ClusterSupervisor:
         """Run ``fn(node, attempt)`` with bounded in-place retries.
 
         Raises :class:`_NodeDeath` when retries exhaust, when the fault was
-        an explicit ``node-crash`` (the process is gone — retrying in place
-        is meaningless), when the failure killed a *different* node (a peer
-        died servicing our message), or immediately when ``in_place`` is
-        off — operations that append to shared state (map blocks) cannot be
+        a process death (an explicit ``node-crash``, or the crash an
+        ``fsync-loss`` arms: retrying in place would use the file it lost
+        as if it were whole), when the failure killed a *different* node (a
+        peer died servicing our message, or the writer of a lost write), or
+        immediately when ``in_place`` is off — operations that append to
+        shared state (map blocks, the seal of their streams) cannot be
         re-run in place without duplicating their partial output, so they
         go straight to wipe-and-replay recovery.
         """
@@ -276,15 +287,19 @@ class ClusterSupervisor:
                     # exhausted budget makes the destination a suspect.
                     victim, fatal = None, False
                 else:
-                    # The scope that died: this node, or a peer that died
-                    # servicing our message.
+                    # The scope that died: this node, a peer that died
+                    # servicing our message, or the writer of a lost write.
                     victim = exc.scope or node.scope
-                    fatal = exc.kind == NODE_CRASH
+                    fatal = exc.kind in (NODE_CRASH, FSYNC_LOSS)
                     faults.clear_crash(scope=victim)
                 if victim not in (None, node.scope) or fatal or not in_place \
                         or local + 1 >= self.policy.max_attempts:
                     suspect = victim or exc.destination or node.scope
-                    raise _NodeDeath([suspect], exc, op) from exc
+                    victims = [suspect]
+                    if not in_place and suspect != node.scope:
+                        # Cut short, it left this node's streams unknown.
+                        victims.append(node.scope)
+                    raise _NodeDeath(victims, exc, op) from exc
                 self._backoff(node, local + 1, op)
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -397,7 +412,9 @@ class ClusterSupervisor:
         self.nodes[node_id] = fresh
         self.meter.bump("node_restarts")
         try:
-            self._replay(fresh)
+            # What the replay writes, and a crash inside it, are fresh's.
+            with faults.scoped(fresh.scope):
+                self._replay(fresh)
             replay_ok = True
         except (FaultInjected, MessageDropped):
             # The replacement died during its own replay: acknowledge and
@@ -448,8 +465,12 @@ class ClusterSupervisor:
         """``node`` maps the producers' blocks again, for unreduced lengths."""
         node.adopt(self.store,
                    {p: self.block_ranges.get(p, []) for p in producers},
-                   frozenset(overlap_lengths(node.ctx, self.store.read_length))
-                   - self.reduced)
+                   self._unreduced(node))
+
+    def _unreduced(self, node: WorkerNode) -> frozenset[int]:
+        """The lengths the token has still to reduce: what pieces serve."""
+        return frozenset(overlap_lengths(node.ctx, self.store.read_length)) \
+            - self.reduced
 
     def _holders(self) -> list[int]:
         """Who holds each producer's map pieces now, by producer id."""
@@ -459,47 +480,68 @@ class ClusterSupervisor:
                 holders[producer] = node.node_id
         return holders
 
-    # -- checkpointed replay ---------------------------------------------------
+    # -- replay from lineage ---------------------------------------------------
 
     def _replay(self, node: WorkerNode) -> None:
         """Bring a restarted node's storage back to the current phase.
 
-        Ledger-driven: only artifacts whose digests are missing or damaged
-        are recomputed; everything the crash did not touch is kept as-is.
-        Past map, that is the current round's partitions and nothing else:
-        earlier rounds' are consumed, later rounds' do not exist yet.
+        A finished piece of work whose output no longer has the size its
+        lineage implies is redone: a producer's map piece holds two records
+        per read of its recorded blocks for every unreduced length, a
+        shuffled partition what its returned pull wrote. The failed
+        operation then runs again (the caller's loop).
         """
-        if self.phase == "map":
+        served = dict(node.adopted)
+        unreduced = self._unreduced(node)
+        if self.phase in ("map", "seal-map"):
             # Map pieces are append-streams shared by every block the node
             # ran: there is no per-block undo, so wipe and re-run the
             # node's recorded blocks in their original order (byte-identical
-            # by construction).
+            # by construction), and seal them again if they were sealed.
             blocks = self.block_ranges.get(node.node_id, [])
             for path in node.map_partitions.root.glob("*.run"):
                 path.unlink()
             for start, stop in blocks:
                 run_map(node.ctx, self.store, node.map_partitions,
                         read_range=(start, stop))
+            if self.phase == "seal-map":
+                node.finish_map()
             self.meter.bump("partitions_replayed", len(blocks))
-        elif self.phase == "shuffle":
-            # A crash mid-pull needs no replay: the retried pull truncates
-            # and rewrites each partition. Only ledger-recorded partitions
-            # that no longer digest clean are rebuilt.
-            damaged = node.damaged_lengths("shuffle")
-            if damaged:
-                self._rebuild_on(node, damaged)
-                self.meter.bump("partitions_replayed", len(damaged))
-        elif self.phase == "sort":
-            damaged = self._damaged_for_sort(node)
-            if damaged:
-                self._rebuild_on(node, damaged)
+        elif node.node_id not in served:
+            # A lone node's pull renamed its pieces of pulled lengths away.
+            own = unreduced - {length for _, length in self.pulled} \
+                if self.n_nodes == 1 else unreduced
+            if self._short_pieces(node.map_partitions, node.node_id, own):
+                self._derive(node, [node.node_id])
+        for producer, pieces in served.items():
+            if self._short_pieces(pieces, producer, unreduced):
+                self._derive(node, [producer])
+        short = [length for length in node.owned_lengths
+                 if self._short_partition(node, length)]
+        if short:
+            self._rebuild_on(node, short)
+            self.meter.bump("partitions_replayed", len(short))
+        if self.phase in ("sort", "reduce"):
             self._sort_owned(node)
-        elif self.phase == "reduce":
-            damaged = node.damaged_lengths("sort")
-            if damaged:
-                self._rebuild_on(node, damaged)
-                node.sort_lengths(damaged)
-                self.meter.bump("partitions_replayed", len(damaged))
+
+    def _short_pieces(self, pieces: PartitionStore, producer: int,
+                      lengths: frozenset[int]) -> bool:
+        """Whether a map piece of ``producer`` lost records of its blocks."""
+        records = 2 * sum(stop - start
+                          for start, stop in self.block_ranges.get(producer, []))
+        return any(_short(pieces, side, length, records)
+                   for length in lengths for side in SIDES)
+
+    def _short_partition(self, node: WorkerNode, length: int) -> bool:
+        """Whether an unsorted side of ``length`` lost what its pull wrote.
+
+        A sorted run is trusted: ``sort_file`` publishes it by atomic rename.
+        """
+        return any(
+            (side, length) in self.pulled
+            and not node.shuffled.path(side, length, sorted_run=True).exists()
+            and _short(node.shuffled, side, length, self.pulled[(side, length)])
+            for side in SIDES)
 
     def _sort_owned(self, node: WorkerNode):
         """Sort the node's partitions of this round.
@@ -510,16 +552,16 @@ class ClusterSupervisor:
         return node.sort_lengths(node.owned_lengths,
                                  unserved=self.n_nodes == 1)
 
-    def _damaged_for_sort(self, node: WorkerNode) -> list[int]:
-        """Shuffle artifacts to rebuild mid-sort.
+    def _pull(self, node: WorkerNode, lengths: list[int]) -> int:
+        """``node`` pulls ``lengths``; what it wrote becomes their lineage."""
+        pulled = node.pull_partitions(self._holders(), lengths)
+        self.pulled.update({(side, length): node.shuffled.records_in(side, length)
+                            for length in lengths for side in SIDES})
+        return pulled
 
-        An unsorted partition that fails its shuffle-ledger digest is only
-        *damaged* if its sorted successor is absent too — the sort consumes
-        (deletes) its input after the atomic publish, which is indistinct
-        from corruption by digest alone.
-        """
-        return [length for length in node.damaged_lengths("shuffle")
-                if not node.has_sorted(length)]
+    def _pulled_records(self, length: int) -> int:
+        """Records the pull of ``length`` wrote, both sides."""
+        return sum(self.pulled.get((side, length), 0) for side in SIDES)
 
     def _rebuild_on(self, node: WorkerNode, lengths: list[int]) -> int:
         """Pull shuffled partitions again, after deleting what is left of them."""
@@ -533,7 +575,7 @@ class ClusterSupervisor:
                 # A stale sorted file would make the sort skip the new input.
                 node.shuffled.delete(side, length)
                 node.shuffled.delete(side, length, sorted_run=True)
-        pulled = node.pull_partitions(self._holders(), lengths)
+        pulled = self._pull(node, lengths)
         self.meter.bump("partitions_rebuilt", len(lengths))
         # Rebuild time is work the failure destroyed — the benchmark's
         # "lost work" denominator.
@@ -565,11 +607,13 @@ class ClusterSupervisor:
                     continue
                 self.block_ranges.setdefault(node_id, []).append((start, stop))
                 break
+        # Sealing drains the streams the blocks appended to: like a block,
+        # a failed seal is not retried in place but wiped and mapped again.
+        self.phase = "seal-map"
         for node_id in [n.node_id for n in self.alive()]:
             try:
-                self._run_on_node(
-                    node_id, "seal-map",
-                    lambda n, _a: (n.finish_map(), n.record_ledger("map")))
+                self._run_on_node(node_id, "seal-map",
+                                  lambda n, _a: n.finish_map(), in_place=False)
             except _NodeLost:
                 pass  # its blocks are already adopted
 
@@ -616,10 +660,7 @@ class ClusterSupervisor:
                 continue
             try:
                 shuffle_bytes += self._run_on_node(
-                    node_id, "pull", lambda node, _a: node.pull_partitions(
-                        self._holders(), owned))
-                self._run_on_node(node_id, "ledger-shuffle",
-                                  lambda n, _a: n.record_ledger("shuffle"))
+                    node_id, "pull", lambda node, _a: self._pull(node, owned))
             except _NodeLost:
                 pass
         return shuffle_bytes
@@ -631,8 +672,6 @@ class ClusterSupervisor:
             try:
                 self._run_on_node(node_id, "sort",
                                   lambda node, _a: self._sort_owned(node))
-                self._run_on_node(node_id, "ledger-sort",
-                                  lambda n, _a: n.record_ledger("sort"))
             except _NodeLost:
                 pass
 
@@ -643,12 +682,12 @@ class ClusterSupervisor:
 
         Genuinely empty partitions are skipped by the token loop exactly as
         in the fail-stop driver. A lost owner's partition is visited and
-        rebuilt whether or not it was ledgered (it may have been lost before
-        its sort); a damaged one still has its ledger records.
+        rebuilt whether or not its pull returned; any other has its sorted
+        runs or the records its pull wrote.
         """
         owner = self.owner_of[length]
         return owner in self.lost or self.nodes[owner].has_sorted(length) \
-            or self._ledgered_records(length) > 0
+            or self._pulled_records(length) > 0
 
     # Wrapped by benchmarks/perf/perf_spans.py, its only reader.
     def commit_chunk(self, *args) -> None:
@@ -711,7 +750,7 @@ class ClusterSupervisor:
                     f"{sorted(tried) or [last_owner]}")
             drop = DroppedPartition(
                 length=length, owner=last_owner,
-                records=self._ledgered_records(length),
+                records=self._pulled_records(length),
                 reason=f"no surviving owner after "
                        f"{max(counter[0], 1)} attempts")
             self.dropped.append(drop)
@@ -742,7 +781,7 @@ class ClusterSupervisor:
         node = self.nodes[owner_id]
         if node.has_sorted(length):
             return
-        if length in node.owned_lengths and not self._ledgered_records(length):
+        if length in node.owned_lengths and not self._pulled_records(length):
             return  # genuinely empty partition: nothing to rebuild
         self._run_on_node(
             owner_id, f"rebuild[{length}]",
@@ -751,14 +790,6 @@ class ClusterSupervisor:
         node = self.nodes[owner_id]  # a restart mid-op replaced the object
         if length not in node.owned_lengths:
             node.owned_lengths = sorted(set(node.owned_lengths) | {length})
-
-    def _ledgered_records(self, length: int) -> int:
-        """Candidate records of one partition, from its owner's sort ledger."""
-        return max((sum(int(digest.split(":")[0]) // node.dtype.itemsize
-                        for rel, digest
-                        in node.ledger.recorded_artifacts("sort").items()
-                        if PartitionStore.length_of(rel) == length)
-                    for node in self.nodes), default=0)
 
     # -- reporting -------------------------------------------------------------
 

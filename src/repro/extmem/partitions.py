@@ -50,11 +50,6 @@ class PartitionStore:
         stem = f"{side}_{length:05d}"
         return self.root / (f"{stem}.sorted.run" if sorted_run else f"{stem}.run")
 
-    @staticmethod
-    def length_of(name: str | Path) -> int:
-        """The overlap length in a partition file's name (inverse of :meth:`path`)."""
-        return int(Path(name).name.split(".")[0].split("_")[1])
-
     # -- writing (map phase) -----------------------------------------------
 
     def append(self, side: str, length: int, records: np.ndarray, *,
@@ -147,7 +142,8 @@ class PartitionStore:
         """All partition lengths present on disk, ascending."""
         if self._writers:
             raise StreamProtocolError("finalize() the store before reading partitions")
-        return sorted({self.length_of(path)
+        # Names are ``{side}_{length:05d}[.sorted].run`` (:meth:`path`).
+        return sorted({int(path.name[2:].split(".")[0])
                        for path in self.root.glob("[SP]_*.run")})
 
     def open_run(self, side: str, length: int, *, sorted_run: bool = False,

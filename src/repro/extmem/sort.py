@@ -295,10 +295,11 @@ class ExternalSorter:
                     full_blocks += 1
                     n_held = 0
         if n_held and not full_blocks:
-            # The only block, so the only run: shrink the buffer to it in
-            # place. A run kept after the sort then retains its records'
-            # bytes, not the unfiltered file's.
-            held.resize(n_held)
+            # The only block, so the only run: copy it out and drop the
+            # buffer. A run kept after the sort then retains its records'
+            # bytes, not the unfiltered file's. (An in-place resize checks
+            # refcounts, which a trace function such as pdb's raises.)
+            held = held[:n_held].copy()
             yield held
         elif n_held:
             yield held[:n_held]

@@ -14,7 +14,9 @@ code asks whether one is armed):
 * ``torn``       — write a prefix of the payload, then die,
 * ``enospc``     — the device is full: a survivable ``OSError`` (ENOSPC),
 * ``fsync-loss`` — the write is acknowledged but silently dropped (lost
-  page-cache data); the process dies ``delay`` operations later,
+  page-cache data); the process that wrote it (its scope: a cluster
+  node, or ``None``) dies ``delay`` operations later, wherever the run
+  is by then,
 * ``bitflip``    — one payload bit is corrupted in flight; execution
   continues (silent corruption — the hardest failure to survive).
 
@@ -164,10 +166,12 @@ class FaultPlan:
         self._scope: str | None = None
         self._phase: str | None = None
         self._armed_crash_op: int | None = None
-        #: Acknowledged-but-unsynced writes: (path, offset|None, original).
-        #: ``offset=None`` marks a whole-file write; ``original=None`` means
-        #: the file did not exist before it. Reverted when the crash fires.
-        self._lost_writes: list[tuple[Path, int | None, bytes | None]] = []
+        #: Acknowledged-but-unsynced writes: (path, offset|None, original,
+        #: scope). ``offset=None`` marks a whole-file write; ``original=None``
+        #: means the file did not exist before it. Reverted when the crash
+        #: fires, which kills the scope that wrote (``None``: unscoped).
+        self._lost_writes: list[tuple[Path, int | None, bytes | None,
+                                      str | None]] = []
 
     # -- constructors ---------------------------------------------------------
 
@@ -237,8 +241,11 @@ class FaultPlan:
         self.meter.bump("fault_ops")
         if self._armed_crash_op is not None and op >= self._armed_crash_op:
             self._armed_crash_op = None
+            # The page cache that lost the write belongs to the writer.
+            writer = self._lost_writes[-1][3] if self._lost_writes \
+                else self._scope
             self._die(FaultEvent(op, FSYNC_LOSS, site, name),
-                      "crash after acknowledged-but-lost write")
+                      "crash after acknowledged-but-lost write", writer)
         for fault in self._pending:
             if fault.triggers(op, site, name):
                 if fault.once:
@@ -253,7 +260,7 @@ class FaultPlan:
 
     def _revert_lost_writes(self) -> None:
         """Undo acknowledged-but-unsynced writes — the page cache just died."""
-        for path, offset, original in self._lost_writes:
+        for path, offset, original, _scope in self._lost_writes:
             try:
                 if offset is None:
                     if original is None:
@@ -271,13 +278,14 @@ class FaultPlan:
                 pass
         self._lost_writes.clear()
 
-    def _die(self, event: FaultEvent, reason: str) -> None:
+    def _die(self, event: FaultEvent, reason: str, scope: str | None) -> None:
+        """Record ``event`` and kill ``scope`` (``None``: unscoped)."""
         self._record(event)
         self._revert_lost_writes()
-        self._crashed_scopes.add(self._scope)
+        self._crashed_scopes.add(scope)
         raise FaultInjected(
             f"injected {event.kind} at op {event.op} ({event.site}: "
-            f"{event.path}): {reason}", event.kind, self._scope)
+            f"{event.path}): {reason}", event.kind, scope)
 
     @staticmethod
     def _cut(payload: bytes, offset: int | None) -> int:
@@ -300,11 +308,11 @@ class FaultPlan:
             raise OSError(errno.ENOSPC,
                           f"injected: no space left on device writing {path}")
         if fault.kind == CRASH:
-            self._die(event, "crash before write")
+            self._die(event, "crash before write", self._scope)
         if fault.kind == TORN:
             handle.write(payload[:self._cut(payload, fault.offset)])
             handle.flush()
-            self._die(event, "torn write (prefix reached disk)")
+            self._die(event, "torn write (prefix reached disk)", self._scope)
         if fault.kind == FSYNC_LOSS:
             # Page-cache semantics: the write is acknowledged and visible to
             # every in-process reader, but the bytes are reverted when the
@@ -321,7 +329,7 @@ class FaultPlan:
                 pass
             handle.write(payload)
             self._record(event)
-            self._lost_writes.append((Path(path), pos, original))
+            self._lost_writes.append((Path(path), pos, original, self._scope))
             self._armed_crash_op = self._op + fault.delay
             return
         # BITFLIP: corrupt one bit in flight, keep running.
@@ -337,7 +345,7 @@ class FaultPlan:
         if fault.kind == BITFLIP:
             self._record(event)
             return self._flip(raw, fault.offset)
-        self._die(event, "crash during read")
+        self._die(event, "crash during read", self._scope)
         return raw  # unreachable
 
     def ledger_write(self, path: Path, text: str) -> None:
@@ -349,15 +357,15 @@ class FaultPlan:
             return
         event = FaultEvent(self._op - 1, fault.kind, LEDGER, str(path))
         if fault.kind == CRASH:
-            self._die(event, "crash before ledger write")
+            self._die(event, "crash before ledger write", self._scope)
         if fault.kind == TORN:
             path.write_bytes(payload[:self._cut(payload, fault.offset)])
-            self._die(event, "torn ledger write")
+            self._die(event, "torn ledger write", self._scope)
         if fault.kind == FSYNC_LOSS:
             original = path.read_bytes() if path.exists() else None
             path.write_bytes(payload)
             self._record(event)
-            self._lost_writes.append((Path(path), None, original))
+            self._lost_writes.append((Path(path), None, original, self._scope))
             self._armed_crash_op = self._op + fault.delay
             return
         if fault.kind == ENOSPC:
@@ -376,7 +384,7 @@ class FaultPlan:
         fault = self._visit(site, label)
         if fault is not None and fault.kind in (CRASH, NODE_CRASH):
             self._die(FaultEvent(self._op - 1, fault.kind, site, label),
-                      "crash at barrier")
+                      "crash at barrier", self._scope)
 
     # -- node-level fault execution --------------------------------------------
 
@@ -405,11 +413,7 @@ class FaultPlan:
             self._record(event)
             return fault.seconds or DEFAULT_MSG_DELAY_S
         # NODE_CRASH: the destination process dies servicing the request.
-        previous, self._scope = self._scope, dst_scope
-        try:
-            self._die(event, f"destination {dst_scope} died mid-request")
-        finally:
-            self._scope = previous
+        self._die(event, f"destination {dst_scope} died mid-request", dst_scope)
         return 0.0  # unreachable
 
     def node_op(self, scope: str, op: str) -> None:
@@ -417,12 +421,8 @@ class FaultPlan:
         label = f"{scope}:{op}"
         fault = self._visit(NODE, label)
         if fault is not None and fault.kind in (NODE_CRASH, CRASH):
-            previous, self._scope = self._scope, scope
-            try:
-                self._die(FaultEvent(self._op - 1, fault.kind, NODE, label),
-                          f"node {scope} crashed at {op}")
-            finally:
-                self._scope = previous
+            self._die(FaultEvent(self._op - 1, fault.kind, NODE, label),
+                      f"node {scope} crashed at {op}", scope)
 
     @staticmethod
     def _flip(payload: bytes, offset: int | None) -> bytes:

@@ -2,9 +2,10 @@
 
 The property at the center: a seeded node-crash run that fully recovers is
 *byte-identical* to the clean run — same contigs, same offsets, same edge
-set — because restarts replay ledger-damaged partitions from retained
-lineage in their original byte order. Degraded runs (recovery exhausted)
-complete on the survivors and report the drop instead of raising.
+set — because a restarted node redoes, from retained lineage and in the
+original byte order, whatever no longer has the size that lineage
+implies. Degraded runs (recovery exhausted) complete on the survivors and
+report the drop instead of raising.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import pytest
 from repro.config import AssemblyConfig
 from repro.device import SimClock
 from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
-                               DistributedAssembler, NetworkSpec, node_scope)
+                               DistributedAssembler, NetworkSpec, WorkerNode,
+                               node_scope)
 from repro.errors import ConfigError, FaultInjected, MessageDropped
-from repro.faults import (MESSAGE, MSG_DELAY, MSG_DROP, NODE, NODE_CRASH,
-                          READ, Fault, FaultPlan, RetryPolicy, inject)
+from repro.extmem.partitions import SIDES
+from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, MSG_DELAY, MSG_DROP,
+                          NODE, NODE_CRASH, READ, WRITE, Fault, FaultPlan,
+                          RetryPolicy, inject, scoped)
 from repro.faults.plan import DEFAULT_MSG_DELAY_S
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
@@ -113,6 +117,22 @@ class TestScopedCrashes:
             assert plan.crashed_scopes == ("node01",)
             plan.clear_crash()  # bare call: everything
             assert not plan.crashed
+
+    def test_a_lost_write_kills_the_scope_that_wrote_it(self, tmp_path):
+        """The crash an ``fsync-loss`` arms may fire in another node's
+        operation; it is still the writer's page cache that died."""
+        path = tmp_path / "piece.run"
+        plan = FaultPlan([Fault(FSYNC_LOSS, site=WRITE)])
+        with inject(plan), open(path, "wb") as handle:
+            with scoped("node00"):
+                plan.deliver_write(path, b"records", handle)
+            handle.flush()
+            plan.node_op("node01", "pull")
+            with scoped("node01"), pytest.raises(FaultInjected) as died:
+                plan.node_op("node01", "sort")
+        assert died.value.kind == FSYNC_LOSS and died.value.scope == "node00"
+        assert plan.crashed_scopes == ("node00",)
+        assert path.read_bytes() == b""
 
     def test_node_op_match_is_scope_and_op_specific(self):
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="node02:reduce*")])
@@ -372,8 +392,7 @@ class TestMidPartitionCrash:
 # -- the failover rung ---------------------------------------------------------
 
 #: Every kind of node operation the clean probe trace records.
-NODE_OP_KINDS = ("map", "seal-map", "pull", "ledger-shuffle", "sort",
-                 "ledger-sort", "reduce")
+NODE_OP_KINDS = ("map", "seal-map", "pull", "sort", "reduce")
 
 
 class TestFailoverRung:
@@ -427,6 +446,192 @@ class TestFailoverRung:
                 assert [lone.shuffled.path(side, length).read_bytes()
                         for side in ("S", "P")] == renamed
             lone.drop_map_partitions()
+
+
+# -- replay from lineage --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def probe_trace(resilience_data):
+    """Every instrumented operation of a clean run, in order."""
+    plan = FaultPlan()
+    with inject(plan):
+        DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7),
+                             N_NODES).assemble(resilience_data.store_path)
+    return plan.trace
+
+
+@pytest.fixture()
+def adoptions(monkeypatch):
+    """``(adopter, producers)`` of every map-piece derivation, in order."""
+    calls = []
+    adopt = WorkerNode.adopt
+
+    def spy(self, store, lineage, only_lengths):
+        calls.append((self.node_id, sorted(lineage)))
+        return adopt(self, store, lineage, only_lengths)
+
+    monkeypatch.setattr(WorkerNode, "adopt", spy)
+    return calls
+
+
+def _next_op(trace, after: int, predicate) -> int:
+    """The first operation after ``after`` that ``predicate`` accepts."""
+    return next(point.op for point in trace
+                if point.op > after and predicate(point))
+
+
+def _lost_until(write: int, crash: int) -> Fault:
+    """An ``fsync-loss`` at op ``write`` whose writer dies at op ``crash``."""
+    return Fault(FSYNC_LOSS, site=WRITE, at_op=write, delay=crash - write - 1)
+
+
+class TestReplayFromLineage:
+    """Each rung of a restarted node's one rule: a finished piece of work
+    whose output no longer has the size its lineage implies is redone."""
+
+    @staticmethod
+    def _run(data, faults, **knobs):
+        plan = FaultPlan(faults)
+        with inject(plan):
+            result = DistributedAssembler(
+                AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, **knobs),
+                N_NODES).assemble(data.store_path)
+        return plan, result
+
+    def test_a_short_own_piece_after_map_is_derived_again(
+            self, resilience_data, clean_run, probe_trace, adoptions):
+        """node00's map piece loses a write and node00 dies at its first
+        pull: the piece is short of two records a read of node00's blocks,
+        so the restarted node adopts itself — maps its own blocks again and
+        serves those pieces."""
+        clean, _ = clean_run
+        write = next(point for point in probe_trace if point.site == WRITE
+                     and "/node00/map_parts/" in point.path)
+        pull = _next_op(probe_trace, write.op,
+                        lambda point: point.path == "node00:pull")
+        plan, result = self._run(resilience_data, [_lost_until(write.op, pull)])
+        assert [event.op for event in plan.events] == [write.op, pull]
+        assert adoptions == [(0, [0])]
+        assert result.notes["node_restarts"] == 1
+        assert "partitions_rebuilt" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_short_adopted_piece_is_derived_again(
+            self, resilience_data, clean_run, adoptions):
+        """node02 dies at its pull twice and is lost; a survivor adopts its
+        blocks. One adopted piece loses a write and the adopter dies at the
+        next node operation: restarted, it finds the piece short of two
+        records a read of node02's blocks and derives node02 again."""
+        clean, _ = clean_run
+        lose = [Fault(NODE_CRASH, site=NODE, match="node02:pull", once=False)]
+        probe, _ = self._run(resilience_data, lose)
+        write = next(point for point in probe.trace if point.site == WRITE
+                     and "/adopted/peer02/" in point.path)
+        adopter = int(write.path.split("/adopted/")[0][-2:])
+        crash = _next_op(probe.trace, write.op,
+                         lambda point: point.site == NODE)
+        adoptions.clear()
+        plan, result = self._run(resilience_data,
+                                 lose + [_lost_until(write.op, crash)])
+        assert plan.events[-1].op == crash
+        assert adoptions == [(adopter, [2]), (adopter, [2])]
+        assert result.notes["nodes_lost"] == 1
+        assert result.notes["node_restarts"] == 2  # node02 once, adopter once
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_short_pulled_partition_is_pulled_again_in_the_sort(
+            self, resilience_data, clean_run, probe_trace, adoptions):
+        """node00's pulled partition loses a write and node00 dies at its
+        sort: the unsorted file is short of what the pull wrote, so it is
+        pulled again before the round's lengths are sorted."""
+        clean, _ = clean_run
+        write = next(point for point in probe_trace if point.site == WRITE
+                     and "/node00/partitions/" in point.path
+                     and ".sorted" not in point.path)
+        sort = _next_op(probe_trace, write.op,
+                        lambda point: point.path == "node00:sort")
+        plan, result = self._run(resilience_data, [_lost_until(write.op, sort)])
+        assert [event.op for event in plan.events] == [write.op, sort]
+        assert result.notes["node_restarts"] == 1
+        assert result.notes["partitions_rebuilt"] == 1
+        assert adoptions == []
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_node_that_dies_in_its_own_replay_goes_around_again(
+            self, resilience_data, clean_run, probe_trace):
+        """node00 dies at its first sort, and a read inside its replay (the
+        round's sort) kills the replacement too: the supervisor detects
+        that death and restarts it again."""
+        clean, _ = clean_run
+        sort = next(point.op for point in probe_trace
+                    if point.path == "node00:sort")
+        first = [Fault(NODE_CRASH, site=NODE, at_op=sort)]
+        probe, _ = self._run(resilience_data, first, node_restarts=2)
+        read = _next_op(probe.trace, sort, lambda point: point.site == READ)
+        assert read < _next_op(probe.trace, sort,
+                               lambda point: point.site == NODE), \
+            "the read is not inside the replay"
+        plan, result = self._run(
+            resilience_data, first + [Fault(CRASH, site=READ, at_op=read)],
+            node_restarts=2)
+        assert [event.kind for event in plan.events] == [NODE_CRASH, CRASH]
+        assert result.notes["node_restarts"] == 2
+        assert "nodes_lost" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    @pytest.mark.parametrize("damaged", (False, True), ids=("intact", "short"))
+    def test_a_lone_node_restarted_after_its_pull(self, resilience_data,
+                                                  tmp_path, damaged):
+        """A lone node's pull renames its map pieces into place: after the
+        pull those pieces are gone by design, and a restart derives
+        nothing. A renamed partition that lost a record is pulled again,
+        and for that the node first maps its own blocks again."""
+        length = MIN_OVERLAP + 5
+        network = NetworkSpec()
+        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
+        sorted_runs = []
+        with PackedReadStore.open(resilience_data.store_path) as store:
+            for run in ("clean", "restarted"):
+                supervisor = ClusterSupervisor(
+                    config, 1, tmp_path / run, network,
+                    ActiveMessageLayer(network), store)
+                supervisor.map_phase(4)
+                supervisor.begin_round(None)
+                supervisor.shuffle_phase([length])
+                plan = FaultPlan()
+                if run == "restarted":
+                    plan = FaultPlan([Fault(NODE_CRASH, site=NODE,
+                                            match="node00:sort")])
+                    if damaged:
+                        lone = supervisor.nodes[0]
+                        path = lone.shuffled.path("S", length)
+                        path.write_bytes(
+                            path.read_bytes()[:-lone.dtype.itemsize])
+                with inject(plan):
+                    supervisor.sort_phase()
+                lone = supervisor.nodes[0]
+                sorted_runs.append([
+                    lone.shuffled.path(side, length, sorted_run=True)
+                    .read_bytes() for side in SIDES])
+                adopted = list(lone.adopted)
+                lone.drop_map_partitions()
+        counters = supervisor.meter.counters()
+        assert counters["node_restarts"] == 1
+        assert counters.get("partitions_rebuilt", 0) == int(damaged)
+        assert adopted == ([0] if damaged else [])
+        assert sorted_runs[1] == sorted_runs[0]
+
+
+def test_a_clean_run_keeps_no_node_ledger(resilience_data, config, tmp_path):
+    DistributedAssembler(config, N_NODES).assemble(resilience_data.store_path,
+                                                   workdir=tmp_path)
+    assert len(list(tmp_path.glob("node*/partitions"))) == N_NODES
+    assert not list(tmp_path.rglob("state.json"))
 
 
 # -- tracing -------------------------------------------------------------------

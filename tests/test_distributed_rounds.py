@@ -145,7 +145,7 @@ def _rounds_of(node_ops) -> list[list]:
         kind = _kind(point)
         if kind in ("map", "seal-map"):
             continue
-        if kind == "pull" and previous not in ("pull", "ledger-shuffle"):
+        if kind == "pull" and previous != "pull":
             rounds.append([])
         rounds[-1].append(point)
         previous = kind
@@ -248,8 +248,8 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
 @pytest.mark.parametrize("kind", ("pull", "sort", "reduce"))
 def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
     """A node restarted in the last round rebuilds nothing the token has
-    consumed: its ledger's ``shuffle`` / ``sort`` records name one round's
-    files, and the round before's are no longer its own."""
+    consumed: its replay checks the partitions it owns this round against
+    what their pulls wrote, and the round before's are no longer its own."""
     md, clean, clean_files, rounds, _ = golden
     point = next(p for p in rounds[-1] if _kind(p) == kind)
     plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])

@@ -1,0 +1,132 @@
+"""Write faults on cluster nodes: recovered or raised, never silent.
+
+The sweep runs a 2-node assembly and injects one fault at one WRITE
+operation of its clean probe: ``crash``, ``torn`` (a 5-byte prefix, not a
+whole record, reaches the disk) or ``fsync-loss`` (the write is
+acknowledged, then lost when its writer dies ``delay`` operations later,
+wherever the run is by then). Every cell must return the clean run's
+contigs with no degraded report, or raise. Tier-1 runs a fixed seeded
+sample of the cells; ``REPRO_WRITE_SWEEP=full`` (as CI's
+``distributed-chaos`` job sets it) runs every WRITE op with ``crash``,
+``torn`` and ``fsync-loss`` at delays 1, 4, 16 and 64.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+
+from repro.config import AssemblyConfig
+from repro.distributed import DistributedAssembler
+from repro.errors import FaultInjected
+from repro.faults import CRASH, FSYNC_LOSS, TORN, WRITE, Fault, FaultPlan, inject
+from repro.seq.datasets import tiny_dataset
+
+MIN_OVERLAP = 20
+N_NODES = 2
+#: 64 map-piece writes (32 a node, all drained by ``seal-map``) and 64
+#: partition writes (a pull and a sorted run per partition).
+N_WRITES = 128
+N_MAP_PIECE_WRITES = 64
+TORN_OFFSET = 5
+
+CELLS = [(index, kind, delay) for index in range(N_WRITES)
+         for kind, delays in ((CRASH, (1,)), (TORN, (1,)),
+                              (FSYNC_LOSS, (1, 4, 16, 64)))
+         for delay in delays]
+SAMPLE_SIZE = 32
+SAMPLE_SEED = 7
+SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
+    else sorted(random.Random(SAMPLE_SEED).sample(CELLS, SAMPLE_SIZE))
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """The dataset, the clean run and the WRITE points of its probe."""
+    root = tmp_path_factory.mktemp("write-faults")
+    md, _ = tiny_dataset(root, genome_length=600, read_length=36,
+                         coverage=8.0, min_overlap=MIN_OVERLAP, seed=7)
+    probe = FaultPlan()
+    with inject(probe):
+        clean = DistributedAssembler(_config(), N_NODES).assemble(
+            md.store_path)
+    writes = [point for point in probe.trace if point.site == WRITE]
+    assert len(writes) == N_WRITES
+    assert sum("/map_parts/" in point.path for point in writes) \
+        == N_MAP_PIECE_WRITES
+    return md, clean, writes
+
+
+def _config() -> AssemblyConfig:
+    return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
+
+
+def _contigs(result) -> tuple[bytes, bytes]:
+    return (result.contigs.flat_codes.tobytes(),
+            result.contigs.offsets.tobytes())
+
+
+def _faulted(md, fault: Fault):
+    """The plan and the result of one faulted run."""
+    plan = FaultPlan([fault])
+    with inject(plan):
+        result = DistributedAssembler(_config(), N_NODES).assemble(
+            md.store_path)
+    assert plan.events, f"{fault} never fired"
+    return plan, result
+
+
+@pytest.mark.parametrize("index, kind, delay", SWEPT,
+                         ids=[f"w{i:03d}-{k}-d{d}" for i, k, d in SWEPT])
+def test_a_write_fault_recovers_or_raises(sweep, index, kind, delay):
+    md, clean, writes = sweep
+    point = writes[index]
+    try:
+        _, result = _faulted(md, Fault(kind, site=WRITE, at_op=point.op,
+                                       delay=delay, offset=TORN_OFFSET))
+    except FaultInjected:
+        return  # a crash outside every node operation ends the run
+    assert result.degraded is None, point.path
+    assert _contigs(result) == _contigs(clean), \
+        f"{kind} (delay {delay}) at op {point.op} ({point.path}) " \
+        "changed the contigs"
+
+
+@pytest.mark.parametrize("kind", (CRASH, TORN))
+def test_seal_map_restarts_instead_of_retrying_in_place(sweep, kind):
+    """Every map-piece write drains inside ``seal-map``. A seal cut short
+    is not retried in place (its streams lost their buffered tails): the
+    node restarts, wipes its pieces and maps its blocks again."""
+    md, clean, writes = sweep
+    for point in writes:
+        if "/map_parts/" not in point.path:
+            continue
+        _, result = _faulted(md, Fault(kind, site=WRITE, at_op=point.op,
+                                       offset=TORN_OFFSET))
+        assert result.notes["node_restarts"] == 1, point.path
+        assert result.notes["partitions_replayed"] >= 1, point.path
+        assert result.degraded is None, point.path
+        assert _contigs(result) == _contigs(clean), point.path
+
+
+def test_a_lost_write_restarts_its_writer(sweep):
+    """node00's pulled ``P_00034`` is acknowledged, then lost when node00
+    dies three operations later, inside node01's pull. The crash is
+    node00's: it restarts, finds the partition short of what its pull
+    wrote and pulls it again, instead of node01 retrying in place while
+    node00 sorts a partition that lost its records."""
+    md, clean, writes = sweep
+    point = next(point for point in writes
+                 if point.path.endswith("node00/partitions/P_00034.run"))
+    plan, result = _faulted(md, Fault(FSYNC_LOSS, site=WRITE, at_op=point.op,
+                                      delay=3))
+    assert [event.kind for event in plan.events] == [FSYNC_LOSS, FSYNC_LOSS]
+    assert plan.events[1].path == "node01->node01:fetch_partition"
+    assert result.notes["node_restarts"] == 1
+    assert result.notes["partitions_rebuilt"] == 1
+    assert result.degraded is None
+    assert result.reduce_report.candidates == clean.reduce_report.candidates
+    assert result.edges == clean.edges
+    assert _contigs(result) == _contigs(clean)

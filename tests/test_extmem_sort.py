@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ class TestSortFile:
         _write_run(tmp_path / "in", records)
         sorter.sort_file(tmp_path / "in", tmp_path / "out")
         assert list(tmp_path.glob("out.scratch*")) == []
+
+    def test_filtered_sort_under_a_trace_function(self, tmp_path, rng):
+        """A trace function (pdb, coverage, ``sys.settrace``) holds extra
+        references to a frame's locals: the filtered single-run sort must
+        not depend on refcounts."""
+        records = make_records(rng.integers(0, 2**62, 1000, dtype=np.uint64),
+                               np.arange(1000, dtype=np.uint32))
+        _write_run(tmp_path / "in", records)
+
+        def keep(piece):
+            return piece["val"] % 3 != 0
+
+        plain, _, _ = _make_sorter()
+        expected = plain.sort_file(tmp_path / "in", tmp_path / "plain",
+                                   keep=keep)
+        traced, _, _ = _make_sorter()
+        previous = sys.gettrace()
+        sys.settrace(lambda *args: None)
+        try:
+            report = traced.sort_file(tmp_path / "in", tmp_path / "traced",
+                                      keep=keep)
+        finally:
+            sys.settrace(previous)
+        assert report == expected and report.n_records == 666
+        assert (tmp_path / "traced").read_bytes() \
+            == (tmp_path / "plain").read_bytes()
 
 
 class TestMergeFanout:
