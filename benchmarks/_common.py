@@ -99,10 +99,11 @@ def pipeline_result(paper_name: str, preset: str) -> AssemblyResult:
 def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
     """The paper's eager schedule under per-phase telemetry.
 
-    The plain phase composition — ``run_sort`` over every partition, then
-    ``run_reduce`` over all of them — where ``Assembler`` sorts each length
-    just before reduce reads it, minus the records that can no longer win
-    (and the cluster does the same a round of ``n_nodes`` lengths at a time). Same graph and contigs;
+    The plain phase composition — ``run_map`` and ``run_sort`` over every
+    partition, then ``run_reduce`` over all of them — where ``Assembler``
+    maps the lengths in bands and sorts each one just before reduce reads
+    it, minus the records that can no longer win (and the cluster sorts a
+    round of ``n_nodes`` lengths at a time so). Same graph and contigs;
     nothing is filtered, so candidate counts are the exact overlap set's.
     """
     ctx = RunContext(config)
@@ -112,7 +113,7 @@ def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
             store = run_load(ctx, store_path)
         try:
             with phase("map"):
-                partitions, _ = run_map(ctx, store)
+                partitions, map_report = run_map(ctx, store)
             with phase("sort"):
                 sort_report = run_sort(ctx, partitions)
             with phase("reduce"):
@@ -123,7 +124,8 @@ def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
             store.close()
     finally:
         ctx.cleanup()
-    return SimpleNamespace(telemetry=ctx.telemetry, sort_report=sort_report,
+    return SimpleNamespace(telemetry=ctx.telemetry, map_report=map_report,
+                           sort_report=sort_report,
                            reduce_report=reduce_report, contigs=contigs)
 
 

@@ -152,6 +152,9 @@ class CheckpointManager:
     def __init__(self, workdir: Path, fingerprint: str):
         self.workdir = Path(workdir)
         self.fingerprint = fingerprint
+        #: Whether the ledger on disk is this fingerprint's: only then may
+        #: the run reuse the files it finds in the workdir.
+        self.resumed = False
         self._state = self._load()
 
     def _load(self) -> dict:
@@ -165,6 +168,7 @@ class CheckpointManager:
         if state.get("fingerprint") != self.fingerprint:
             # Stale: different config or input. Start clean.
             return {"fingerprint": self.fingerprint, "completed": []}
+        self.resumed = True
         return state
 
     def completed(self, phase: str) -> bool:

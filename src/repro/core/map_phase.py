@@ -21,18 +21,26 @@ contribution to partition ``lengths[j]`` and lands in the staged record
 block as it is computed. The partition files are byte-identical to the
 all-positions scan's.
 
+Given the greedy graph's out-degree bit-vector (``closed``), the map
+writes only the records whose claim is still open: the ``S`` record of a
+vertex ``u`` needs ``u`` open, the ``P`` record of ``v`` needs ``v ^ 1``
+open (the rule of :func:`repro.core.sort_phase._open_claims`, moved
+upstream). Each host block is compacted to its oriented reads with an open
+claim, and each of those is keyed on the side it still needs only. A
+partition file is then the unfiltered one minus the closed records, in the
+same order.
+
 The phase works at the two levels of the paper's hierarchy. The *modeled*
 unit is the device batch (``map_batch_reads``, or as many reads as the
-device budget holds): scratch reservation, kernel charges, disk metering
-and ``MapReport.n_batches`` are all per device batch. The unit that numpy,
-the partition writers and the trace (one ``map:block`` span) see is the
-*host block* of :func:`_stage_batches` consecutive device batches, read,
-fingerprinted and appended in one go, so a small device budget does not
-turn into one interpreter round trip per five reads. A partition file
+device budget holds): kernel charges, disk metering and
+``MapReport.n_batches`` are all per device batch. The unit that numpy, the
+partition writers, the pools and the trace (one ``map:block`` span) see is
+the *host block* of :func:`_stage_batches` consecutive device batches,
+read, fingerprinted and appended in one go, so a small device budget does
+not turn into one interpreter round trip per five reads. A partition file
 holds, per device batch, the forward-strand records then the
-reverse-complement records; :func:`_fingerprint_block` lays a block's
-records out in exactly that order, so the files do not depend on the
-block size.
+reverse-complement records; :func:`_oriented` lays a block's reads out in
+exactly that order, so the files do not depend on the block size.
 
 There is one schedule: :func:`run_map` is a plain loop that reads a block,
 fingerprints it and appends it before it reads the next.
@@ -51,6 +59,7 @@ from ..extmem import PartitionStore
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
 from ..fingerprint import FingerprintScheme
 from ..fingerprint.scan import ScanWorkspace
+from ..graph.bitvector import PackedBitVector
 from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore, unpack_codes
 from .context import RunContext
@@ -79,14 +88,18 @@ def _auto_batch_reads(ctx: RunContext, read_length: int) -> int:
     return max(1, budget // per_read)
 
 
-def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int) -> int:
+def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int,
+                   resident_bytes: int = 0) -> int:
     """Device batches per host block.
 
     Enough to reach :data:`STAGE_READS`, as far as the host budget holds
     the block's staged records (``per_read`` bytes a read); a device batch
-    that is already that large is its own block.
+    that is already that large is its own block. ``resident_bytes`` is
+    host memory something else holds meanwhile (the string graph): the
+    block is cut from what it leaves, as the sorter's is.
     """
-    host_budget = int(ctx.config.memory.host_bytes * ctx.config.memory.buffer_fraction)
+    memory = ctx.config.memory
+    host_budget = int((memory.host_bytes - resident_bytes) * memory.buffer_fraction)
     return max(1, min(-(-STAGE_READS // batch_reads),
                       host_budget // max(1, batch_reads * per_read)))
 
@@ -117,6 +130,34 @@ class MapReport:
     def from_json(cls, saved: dict) -> MapReport:
         """Inverse of :meth:`to_json`."""
         return cls(**{**saved, "lengths": tuple(saved["lengths"])})
+
+
+def _batch_reads(ctx: RunContext, read_length: int) -> int:
+    return ctx.config.map_batch_reads or _auto_batch_reads(ctx, read_length)
+
+
+def band_report(ctx: RunContext, store: PackedReadStore, lengths,
+                closed: PackedBitVector | None = None) -> MapReport:
+    """What ``run_map(ctx, store, only_lengths=lengths, closed=closed)``
+    reports, without mapping.
+
+    An open vertex ``w`` has one ``S`` record (its own claim) and is the
+    ``w ^ 1`` of one ``P`` record, at every length; nothing is closed
+    without ``closed``. A resumed run reports the lengths it finds sorted
+    with this, as the sort reports a sorted run it finds
+    (:meth:`~repro.extmem.ExternalSorter.report_for`).
+    """
+    n_reads = store.n_reads
+    return MapReport(n_reads, -(-n_reads // _batch_reads(ctx, store.read_length)),
+                     2 * open_vertices(store, closed) * len(lengths),
+                     overlap_lengths(ctx, store.read_length))
+
+
+def open_vertices(store: PackedReadStore,
+                  closed: PackedBitVector | None = None) -> int:
+    """Oriented reads ``closed`` leaves open: the records of each side of
+    every length a map with ``closed`` writes."""
+    return 2 * store.n_reads - (0 if closed is None else closed.count())
 
 
 def _place(dst: np.ndarray, orientation: int, src: np.ndarray,
@@ -151,19 +192,14 @@ def _scan_workspace() -> ScanWorkspace:
     return workspace
 
 
-def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
-                       batch_reads: int, scheme: FingerprintScheme,
-                       lengths: tuple[int, ...], out: np.ndarray) -> None:
-    """Pure-numpy fingerprint kernel for one host block, both orientations.
+def _oriented(packed: np.ndarray, first_read: int, read_length: int,
+              batch_reads: int) -> tuple[np.ndarray, np.ndarray]:
+    """A host block's oriented reads and their vertex ids, in file order.
 
     ``packed`` holds the block's 2-bit-packed reads, ``first_read`` is the
-    id of the first. Fills ``out``, a ``(2, len(lengths), 2·n)`` record
-    array: ``out[0][j]`` / ``out[1][j]`` are the records the block
-    contributes to the ``P`` / ``S`` partition of ``lengths[j]``, in file
-    order (see :func:`_place`) — same values and field layout as one record
-    assembly per device batch, orientation and length. The oriented reads
-    and their vertex ids are laid out in file order first, so one
-    ``key_matrices`` call writes every key straight into its record.
+    id of the first. Returns ``(codes, vertices)``: ``(2·n, L)`` codes and
+    ``2·n`` vertex ids, per device batch the forward reads then their
+    reverse complements (see :func:`_place`).
     """
     forward_codes = unpack_codes(packed, read_length)
     n = forward_codes.shape[0]
@@ -174,16 +210,63 @@ def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
             (forward_codes, reverse_complement(forward_codes))):
         _place(codes.T, orientation, oriented.T, batch_reads)
         _place(vertices, orientation, forward | np.uint32(orientation), batch_reads)
+    return codes, vertices
+
+
+def _key_fields(records: np.ndarray, lanes: int) -> list[np.ndarray]:
+    return [records[field] for field in (KEY_FIELD, AUX_FIELD)[:lanes]]
+
+
+def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
+                       batch_reads: int, scheme: FingerprintScheme,
+                       lengths: tuple[int, ...], out: np.ndarray) -> None:
+    """Pure-numpy fingerprint kernel for one host block, both orientations.
+
+    Fills ``out``, a ``(2, len(lengths), 2·n)`` record array:
+    ``out[0][j]`` / ``out[1][j]`` are the records the block contributes to
+    the ``P`` / ``S`` partition of ``lengths[j]``, in file order — same
+    values and field layout as one record assembly per device batch,
+    orientation and length. The oriented reads and their vertex ids are
+    laid out in file order first (:func:`_oriented`), so one
+    ``key_matrices`` call writes every key straight into its record.
+    """
+    codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
     scheme.key_matrices(codes, lengths, _scan_workspace(),
-                        out=[out[field]
-                             for field in (KEY_FIELD, AUX_FIELD)[:scheme.lanes]])
+                        out=_key_fields(out, scheme.lanes))
     out[VAL_FIELD] = vertices
+
+
+def _fingerprint_open(packed: np.ndarray, first_read: int, read_length: int,
+                      batch_reads: int, scheme: FingerprintScheme,
+                      lengths: tuple[int, ...], closed: PackedBitVector,
+                      dtype: np.dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """:func:`_fingerprint_block` minus the records ``closed`` refuses.
+
+    Returns ``(records, open_masks)``, each ``[P, S]``: ``records[i]`` is
+    a ``(len(lengths), k)`` record array, the block's open claims of that
+    side in file order; ``open_masks[i]`` marks them among the block's
+    ``2·n`` oriented reads. Each side keys only its own rows.
+    """
+    codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
+    records, masks = [], []
+    for side, claimants in (("P", vertices ^ np.uint32(1)), ("S", vertices)):
+        mask = ~closed.get(claimants)
+        rows = np.flatnonzero(mask)
+        staged = np.empty((1, len(lengths), rows.size), dtype=dtype)
+        scheme.key_matrices(codes[rows], lengths, _scan_workspace(),
+                            out=_key_fields(staged, scheme.lanes), sides=side)
+        staged[VAL_FIELD] = vertices[rows]
+        records.append(staged[0])
+        masks.append(mask)
+    return records, masks
 
 
 def run_map(ctx: RunContext, store: PackedReadStore,
             partitions: PartitionStore | None = None, *,
             read_range: tuple[int, int] | None = None,
             only_lengths: frozenset[int] | set[int] | None = None,
+            closed: PackedBitVector | None = None,
+            resident_bytes: int = 0,
             ) -> tuple[PartitionStore, MapReport]:
     """Fingerprint reads and write the S/P length partitions.
 
@@ -197,10 +280,16 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     how a survivor adopts a lost node's pieces for the lengths the token
     has still to reduce, in one pass over its blocks (the modeled scan
     launches are charged whole either way).
+
+    ``closed`` is the out-degree bit-vector of the graph built so far:
+    records whose claim it has taken are neither fingerprinted nor
+    written, and the scan launches are charged for the oriented reads that
+    are, plus one compaction pass per device batch. ``resident_bytes`` is
+    host memory the graph holds meanwhile (:func:`_stage_batches`).
     """
     read_length = store.read_length
     lengths = overlap_lengths(ctx, read_length)
-    batch_reads = ctx.config.map_batch_reads or _auto_batch_reads(ctx, read_length)
+    batch_reads = _batch_reads(ctx, read_length)
 
     dtype = kv_dtype(ctx.config.fingerprint_lanes)
     caller_owns_store = partitions is not None
@@ -216,72 +305,91 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     # What the host holds of a read: its P and S records, both orientations,
     # at every kept length (``staged`` below).
     per_read_host = 2 * 2 * len(kept) * dtype.itemsize
-    block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read_host)
+    block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read_host,
+                                               resident_bytes)
 
     tracer = ctx.tracer
-    batch_charges: dict[int, list[float]] = {}
+    spec = ctx.gpu.spec
+    batch_charges: dict[tuple[int, ...], list[float]] = {}
 
-    def kernel_charges(n: int) -> list[float]:
+    def orientation(rows: int, records: int) -> list[float]:
+        """One orientation's launches: one scan per hash per direction over
+        its ``rows`` keyed reads (Figs. 5-6), then the fan-out of its
+        ``records`` (P and S) at every kept length."""
+        return [*[costs.scan_seconds(spec, rows, read_length)] * (2 * 2 * lanes),
+                costs.elementwise_seconds(spec, records * len(kept) * dtype.itemsize)]
+
+    def kernel_charges(n: int, forward_rows: int, forward_records: int,
+                       reverse_rows: int, reverse_records: int) -> list[float]:
         """The kernel launches of one device batch of ``n`` reads, in order.
 
-        Per orientation one scan launch per hash lane per direction
-        (Figs. 5-6) and the partition fan-out; the second orientation
-        starts with the reverse-complement pass. Built once per distinct
-        batch size (the last batch of a store may be shorter).
+        The second orientation starts with the reverse-complement pass; a
+        compacted batch ends with the pass that compacted it. Built once
+        per distinct batch shape.
         """
-        charges = batch_charges.get(n)
+        key = (n, forward_rows, forward_records, reverse_rows, reverse_records)
+        charges = batch_charges.get(key)
         if charges is None:
-            spec = ctx.gpu.spec
-            scans = [costs.scan_seconds(spec, n, read_length)] * (2 * 2 * lanes)
-            fan_out = costs.elementwise_seconds(
-                spec, 2 * n * len(kept) * dtype.itemsize)
-            charges = batch_charges[n] = [
-                *scans, fan_out,
+            charges = batch_charges[key] = [
+                *orientation(forward_rows, forward_records),
                 costs.elementwise_seconds(spec, n * read_length * 2),
-                *scans, fan_out]
+                *orientation(reverse_rows, reverse_records)]
+            if closed is not None:
+                charges.append(costs.elementwise_seconds(spec, 2 * n * read_length))
         return charges
 
-    def packed_blocks():
-        """``(first read, packed reads)`` per host block.
-
-        One sequential read per *device batch* — the modeled disk sees the
-        same ops whatever the block size — joined into one array.
-        """
+    try:
         for block_start in range(start, stop, block_reads):
             block_stop = min(block_start + block_reads, stop)
-            parts = [store.read_packed_slice(lo, min(lo + batch_reads, block_stop))
-                     for lo in range(block_start, block_stop, batch_reads)]
-            yield block_start, parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    try:
-        for first_read, packed in packed_blocks():
-            block_n = packed.shape[0]
-            staged = np.empty((2, len(kept), 2 * block_n), dtype=dtype)
-            _fingerprint_block(packed, first_read, read_length, batch_reads,
-                               ctx.scheme, kept, staged)
-            rows = []
+            block_n = block_stop - block_start
+            # One sequential read per host block, metered per device batch:
+            # the modeled disk sees the same ops whatever the block size.
+            packed = store.read_packed_slice(block_start, block_stop,
+                                             meter_reads=batch_reads)
+            batches = [(lo, min(batch_reads, block_n - lo))
+                       for lo in range(0, block_n, batch_reads)]
+            # Per device batch, forward then reverse complement: the
+            # oriented reads keyed and their (P, S) records.
+            if closed is None:
+                staged = np.empty((2, len(kept), 2 * block_n), dtype=dtype)
+                _fingerprint_block(packed, block_start, read_length,
+                                   batch_reads, ctx.scheme, kept, staged)
+                prefix, suffix = staged
+                keyed = [n for _, n in batches for _ in range(2)]
+                rows = [(n, n) for n in keyed]
+            else:
+                (prefix, suffix), (p_open, s_open) = _fingerprint_open(
+                    packed, block_start, read_length, batch_reads, ctx.scheme,
+                    kept, closed, dtype)
+                starts = [2 * lo + offset for lo, n in batches
+                          for offset in (0, n)]
+                keyed = np.add.reduceat(p_open | s_open, starts).tolist()
+                rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
+                                np.add.reduceat(s_open, starts).tolist()))
+            records = [p + s for p, s in rows]
+            charges = []
+            for i, (_, n) in enumerate(batches):
+                charges += kernel_charges(n, keyed[2 * i], records[2 * i],
+                                          keyed[2 * i + 1], records[2 * i + 1])
+            n_batches += len(batches)
+            staged_bytes = prefix.nbytes + suffix.nbytes
             # One span per host block (a span per device batch costs more
             # than the batch at small device budgets). det=False keeps the
             # per-block spans out of the sim export (its size).
             with tracer.span("map:block", track="pipeline",
-                             first_batch=n_batches + 1, reads=block_n), \
-                    ctx.host_pool.alloc(block_n * per_read_host,
-                                        label="map-host-buffers"):
-                # Modeled accounting is per device batch and in batch
-                # order: scratch reservations, kernel charges and (through
-                # ``rows``) the metered appends are the same for any block
-                # size.
-                for lo in range(0, block_n, batch_reads):
-                    n = min(batch_reads, block_n - lo)
-                    n_batches += 1
-                    rows += (n, n)  # forward, reverse-complement
-                    with ctx.gpu.scratch(n * per_read, label="map-batch"):
-                        ctx.gpu.charge_kernels(kernel_charges(n))
+                             first_batch=n_batches - len(batches) + 1,
+                             reads=block_n), \
+                    ctx.host_pool.alloc(staged_bytes, label="map-host-buffers"), \
+                    ctx.gpu.scratch(max(n for _, n in batches) * per_read,
+                                    label="map-batch"):
+                # The charges are per device batch and in batch order, so
+                # the clock's float does not depend on the block size.
+                ctx.gpu.charge_kernels(charges)
                 partitions.append_pairs(
-                    [(length, staged[0][j], staged[1][j])
+                    [(length, prefix[j], suffix[j])
                      for j, length in enumerate(kept)],
                     rows)
-                tuples_written += 2 * 2 * block_n * len(kept)
+                tuples_written += (prefix.shape[1] + suffix.shape[1]) * len(kept)
     finally:
         # Even on an injected crash the writers must close: the in-process
         # crash loop re-runs the pipeline, and a stale _OPEN_PATHS entry

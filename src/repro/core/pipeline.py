@@ -5,15 +5,17 @@ one :class:`~repro.core.context.RunContext` carrying the budgets and meters.
 Phase names match the rows of the paper's Tables II/III ("Load", "Map",
 "Sort", "Reduce", "Compress").
 
-Sort and reduce are interleaved per overlap length, longest first: a
-length's partitions are sorted just before reduce reads them, minus the
-records the greedy graph has already closed (see
-:meth:`Assembler._graph`), and a run the sort leaves in one piece is
-handed to reduce in host memory while its file is still written. The
-re-entered ``sort`` / ``reduce`` phases merge into one telemetry row each.
-The paper's eager order is the plain composition ``run_sort(ctx,
-partitions)`` → ``run_reduce(ctx, partitions, store)``; it builds the same
-graph.
+Map, sort and reduce are interleaved, longest overlap first: the lengths
+are mapped in bands of 1, 4, 16, ... lengths, each band just before its
+lengths are sorted and reduced, and each length is sorted just before
+reduce reads it. Map and sort both leave out the records the greedy graph
+has already closed (see :meth:`Assembler._graph`), and a run the sort
+leaves in one piece is handed to reduce in host memory while its file is
+still written. An in-core run keeps the partitions of every band after
+the first in host memory instead of writing them. The re-entered
+``map`` / ``sort`` / ``reduce`` phases merge into one telemetry row each. The paper's eager order is the plain
+composition ``run_map(ctx, store)`` → ``run_sort(ctx, partitions)`` →
+``run_reduce(ctx, partitions, store)``; it builds the same graph.
 
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
 skipped using the :mod:`~repro.core.checkpoint` ledger — a 16-hour
@@ -25,6 +27,7 @@ graph stands for map, sort and reduce together.
 
 from __future__ import annotations
 
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from ..config import AssemblyConfig
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError, DatasetError
 from ..extmem import PartitionStore
+from ..extmem.partitions import SIDES
 from ..extmem.records import kv_dtype
 from ..faults import plan as faults
 from ..graph import GreedyStringGraph
@@ -42,10 +46,57 @@ from .checkpoint import (GRAPH_FILE, PHASES, CheckpointManager,
 from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
-from .map_phase import MapReport, run_map
+from .map_phase import (MapReport, band_report, open_vertices,
+                        overlap_lengths, run_map)
 from .reduce_phase import ReduceReport, run_reduce
 from .results import AssemblyResult
-from .sort_phase import SortPhaseReport, run_sort
+from .sort_phase import SortPhaseReport, make_sorter, run_sort
+
+
+#: The map's bands grow by this factor, longest lengths first: 1, 4, 16, ...
+#: lengths. Each band walks the store once more, but maps only the claims
+#: the graph has left open at its start (DESIGN.md, *the map writes only
+#: what can still win*).
+BAND_GROWTH = 4
+
+
+def _bands(lengths) -> list[list[int]]:
+    """``lengths`` longest first, cut into bands of 1, 4, 16, ... lengths."""
+    order = sorted(lengths, reverse=True)
+    bands, size = [], 1
+    while order:
+        bands.append(order[:size])
+        order, size = order[size:], size * BAND_GROWTH
+    return bands
+
+
+def _keep_in_memory(ctx: RunContext, store: PackedReadStore,
+                    partitions: PartitionStore, lengths, closed,
+                    resident_bytes: int) -> None:
+    """Keep a band's unsorted partitions in host memory, in an in-core run.
+
+    A run is in-core when every record an eager map writes would fit in
+    one host block of the sorter; the paper's regime (data ≫ host) is not,
+    and keeps every partition on disk. Each side of each length receives
+    one record per open vertex
+    (:func:`~repro.core.map_phase.open_vertices`), so the band's bytes are
+    known before it is mapped. They are kept if the sorter's whole host
+    block stays free beside them, as a held sorted run must leave it
+    (:func:`~repro.core.sort_phase._holder`): the map's host block and
+    every sort of the band then reserve what they would with the
+    partitions on disk. Kept partitions cost no disk write, read or seek,
+    so the disk traffic of an in-core map does not depend on the data
+    (DESIGN.md, *In-core runs keep the later bands in host memory*).
+    """
+    dtype = partitions.dtype
+    lengths_in_all = len(overlap_lengths(ctx, store.read_length))
+    if 2 * open_vertices(store) * lengths_in_all > make_sorter(ctx, dtype).m_h:
+        return
+    n_records = open_vertices(store, closed)
+    block = make_sorter(ctx, dtype, resident_bytes).m_h
+    if 2 * len(lengths) * n_records * dtype.itemsize \
+            <= ctx.host_pool.free_bytes - block * dtype.itemsize:
+        partitions.reserve(lengths, n_records, ctx.host_pool)
 
 
 def _source_identity(source) -> str:
@@ -120,6 +171,10 @@ class Assembler:
         manager = CheckpointManager(ctx.workdir, config_fingerprint(
             self.config, source_digest or _source_identity(source))
         ) if resume else None
+        if manager is None or not manager.resumed:
+            # Partition files are reused only under this run's ledger
+            # (:meth:`_graph`): another run's are gone before it writes one.
+            shutil.rmtree(ctx.workdir / "partitions", ignore_errors=True)
         try:
             return self._run(ctx, source, manager, source_digest, gfa_path)
         finally:
@@ -278,67 +333,96 @@ class Assembler:
         Resolved from the end. The graph is all compress reads, so when it
         is available (:meth:`_restore` of ``graph.npz``) map and sort are
         marked from the records that came with it and nothing of theirs is
-        fetched, digested or recomputed. Otherwise the run goes forward
-        from the files on disk: map (unless the ledger has it, see
-        :meth:`_map`), then sort and reduce one overlap length at a time,
-        longest first.
+        fetched, digested or recomputed. Otherwise the run goes forward one
+        band of overlap lengths at a time, longest first (:func:`_bands`):
+        map the band, then sort and reduce each of its lengths.
 
         Reduce takes the longest overlaps first and a vertex takes one
         out-edge, so when a length's turn comes most of its records belong
-        to vertices that are already closed. Each length is therefore
-        sorted just before reduce reads it, with the out-degree bits so far
-        as the filter (:func:`~repro.core.sort_phase.run_sort`). The longest
-        length is sorted before the graph exists: nothing can be dropped
-        yet, and it gets the whole host budget. The graph is the eager
-        composition's (bits are only ever set, so a dropped record is one
-        every later candidate of its vertex would have been refused for).
-        From the second length on, a run the sort forms in one piece is
-        also held in host memory and reduce reads it from there.
+        to vertices that are already closed. From the second band on, the
+        map writes only the records whose claim the out-degree bits leave
+        open at the band's start
+        (:func:`~repro.core.map_phase.run_map`'s ``closed``), and each
+        length is sorted just before reduce reads it with the bits so far
+        as a second, newer filter
+        (:func:`~repro.core.sort_phase.run_sort`). The first band is mapped
+        and its length sorted before the graph exists: nothing can be
+        dropped yet, and they get the whole host budget. In an in-core
+        run, a later band's partitions are kept in host memory
+        (:func:`_keep_in_memory`), so the map's disk traffic is the first
+        band's whatever the data. The graph is the eager composition's
+        (bits are only ever set, so a dropped record is one every later
+        candidate of its vertex would have been refused for). From the second length on, a run the sort forms in one piece
+        is also held in host memory and reduce reads it from there.
 
-        Sort and reduce are recorded after the loop, so fault barriers and
-        phase hooks see ``sort`` then ``reduce`` exactly once each; a
-        workdir with some lengths sorted (an interrupted loop) uses those
-        files as they are, and ``run_sort`` rebuilds their reports.
+        Map, sort and reduce are recorded after the loop, in that order, so
+        fault barriers and phase hooks see each exactly once. The map's
+        record is the summed report alone: the sort consumes every file the
+        map writes. One rule resumes the loop: a length whose sorted runs
+        exist is neither mapped nor sorted again (sorted runs the ledger's
+        sort record no longer vouches for are deleted first), and every
+        other length of its band is mapped again from scratch
+        (:meth:`_map_band`). The map report of a band is computed from the
+        bits it starts from
+        (:func:`~repro.core.map_phase.band_report`) and ``run_sort``
+        rebuilds the reports of the runs it finds, so a resumed run reports
+        what an uninterrupted one does.
         """
         key = self._cache_key("reduce", content_digest(store.path)) \
             if self.content_store is not None else None
         graph_path = ctx.workdir / GRAPH_FILE
-        with self._phase(ctx, "map"):
+        with self._phase(ctx, "map", boundary=False):
             graph, records = self._restore(
                 ctx, manager, "reduce", graph_path,
                 lambda: load_graph_file(graph_path, ctx.host_pool), key,
                 records=PHASES[1:4])
-            if graph is None:
-                partitions, map_report, records["map"] = self._map(
-                    ctx, store, manager)
-            else:
-                self._mark(manager, "map", records)
         if graph is not None:
-            for phase in ("sort", "reduce"):
+            for phase in ("map", "sort", "reduce"):
                 with self._phase(ctx, phase):
                     self._mark(manager, phase, records)
             return (graph, MapReport.from_json(records["map"]["report"]),
                     SortPhaseReport.from_json(records["sort"]["report"]),
                     ReduceReport.from_json(records["reduce"]["report"]))
 
+        if manager is not None:
+            damaged = manager.damaged("sort")
+            for rel in damaged:
+                (ctx.workdir / rel).unlink(missing_ok=True)
+            if damaged:
+                manager.invalidate_from("sort")
+        lengths = overlap_lengths(ctx, store.read_length)
+        band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None
-        try:
-            for length in sorted(partitions.lengths(), reverse=True):
-                with self._phase(ctx, "sort", boundary=False):
-                    beside = {} if graph is None else {
-                        "closed": graph.out_bits, "resident_bytes": graph.nbytes,
-                        "graph_built": True}
-                    sort_report.reports.update(run_sort(
-                        ctx, partitions, lengths=(length,), **beside).reports)
-                with self._phase(ctx, "reduce", boundary=False):
-                    graph, reduce_report = run_reduce(
-                        ctx, partitions, store, lengths=(length,), graph=graph,
-                        report=reduce_report)
-        finally:
-            # A run held for a reduce that never came (the loop raised)
-            # gives its host memory back.
-            partitions.abandon()
+        for band in _bands(lengths):
+            partitions = PartitionStore(ctx.workdir / "partitions",
+                                        kv_dtype(ctx.config.fingerprint_lanes),
+                                        ctx.accountant)
+            try:
+                with self._phase(ctx, "map", boundary=False):
+                    band_reports.append(
+                        self._map_band(ctx, store, partitions, band, graph))
+                for length in band:
+                    with self._phase(ctx, "sort", boundary=False):
+                        beside = {} if graph is None else {
+                            "closed": graph.out_bits,
+                            "resident_bytes": graph.nbytes, "graph_built": True}
+                        sort_report.reports.update(run_sort(
+                            ctx, partitions, lengths=(length,), **beside).reports)
+                    with self._phase(ctx, "reduce", boundary=False):
+                        graph, reduce_report = run_reduce(
+                            ctx, partitions, store, lengths=(length,),
+                            graph=graph, report=reduce_report)
+            finally:
+                # Writers of a map that raised close, and a run held for a
+                # reduce that never came gives its host memory back.
+                partitions.abandon()
+        map_report = MapReport(
+            store.n_reads, sum(report.n_batches for report in band_reports),
+            sum(report.tuples_written for report in band_reports), lengths)
+        with self._phase(ctx, "map"):
+            records["map"] = self._record(ctx, manager, "map",
+                                          map_report.to_json(), [])
         with self._phase(ctx, "sort"):
             records["sort"] = self._record(
                 ctx, manager, "sort", sort_report.to_json(),
@@ -358,41 +442,33 @@ class Assembler:
                                        meta=records, tracer=ctx.tracer)
         return graph, map_report, sort_report, reduce_report
 
-    def _map(self, ctx: RunContext, store: PackedReadStore, manager,
-             ) -> tuple[PartitionStore, MapReport, dict | None]:
-        """Partitions, report and record: the ledger's, else computed.
+    @staticmethod
+    def _map_band(ctx: RunContext, store: PackedReadStore,
+                  partitions: PartitionStore, band: list[int],
+                  graph: GreedyStringGraph | None) -> MapReport:
+        """Map what ``band`` still needs; the band's report either way.
 
-        The ledger's map stands when every partition is usable: its sorted
-        run exists, or its unsorted input survives *undamaged* (a torn
-        unsorted run would silently sort to a wrong, smaller partition).
-        Damaged recorded sorted runs are removed first, because the sort
-        trusts any sorted file it finds. A ledger marked from a cache hit
-        has no partition file at all, so its map is computed again.
+        A length whose two sorted runs exist is not mapped (a resumed
+        run's); of a length with one side sorted, the other side's new file
+        is the one kept. With the graph, only the claims it leaves open are
+        mapped, in the host memory it leaves.
         """
-        record = manager.record("map") if manager is not None else None
-        if record is not None:
-            damaged = manager.damaged("sort")
-            for rel in damaged:
-                (ctx.workdir / rel).unlink(missing_ok=True)
-            if damaged:
-                manager.invalidate_from("sort")
-            partitions = PartitionStore(
-                ctx.workdir / "partitions",
-                kv_dtype(ctx.config.fingerprint_lanes), ctx.accountant)
-            torn = {ctx.workdir / rel for rel in manager.damaged("map")}
-            if all(partitions.path(side, length, sorted_run=True).exists()
-                   or (partitions.path(side, length).exists()
-                       and partitions.path(side, length) not in torn)
-                   for length in record["report"]["lengths"]
-                   for side in ("S", "P")):
-                return partitions, MapReport.from_json(record["report"]), record
-            manager.invalidate_from("map")
-        partitions, report = run_map(ctx, store)
-        record = self._record(
-            ctx, manager, "map", report.to_json(),
-            [partitions.path(side, length) for length in report.lengths
-             for side in ("S", "P")])
-        return partitions, report, record
+        closed = None if graph is None else graph.out_bits
+        resident = 0 if graph is None else graph.nbytes
+        todo = {length for length in band if not all(
+            partitions.path(side, length, sorted_run=True).exists()
+            for side in SIDES)}
+        if todo:
+            if graph is not None:
+                _keep_in_memory(ctx, store, partitions, todo, closed, resident)
+            run_map(ctx, store, partitions, only_lengths=todo, closed=closed,
+                    resident_bytes=resident)
+        partitions.finalize()
+        for length in todo:
+            for side in SIDES:
+                if partitions.path(side, length, sorted_run=True).exists():
+                    partitions.delete(side, length)
+        return band_report(ctx, store, band, closed)
 
     def _record(self, ctx: RunContext, manager, phase: str, report: dict,
                 artifacts) -> dict | None:

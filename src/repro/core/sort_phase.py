@@ -180,13 +180,17 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
         for side in ("S", "P"):
             unsorted_path = partitions.path(side, length)
             sorted_path = partitions.path(side, length, sorted_run=True)
-            if not unsorted_path.exists():
+            if partitions.in_memory(side, length):
+                source = partitions.open_run(side, length)
+            elif unsorted_path.exists():
+                source = unsorted_path
+            else:
                 if sorted_path.exists():
                     reports[(side, length)] = sorter.report_for(
                         partitions.records_in(side, length, sorted_run=True))
                 continue
             reports[(side, length)] = sorter.sort_file(
-                unsorted_path, sorted_path,
+                source, sorted_path,
                 keep=_open_claims(ctx, closed, side) if closed is not None else None,
                 hold=holder(side, length) if holder else None)
             partitions.delete(side, length)

@@ -70,6 +70,21 @@ class IOAccountant:
             elif nbytes > 0:
                 self.clock.charge("disk_write", nbytes / self._write_bw)
 
+    def add_read_run(self, sizes) -> None:
+        """Record consecutive seekless reads with grouped locking.
+
+        The read-side twin of :meth:`add_write_run`: bit-identical to one
+        :meth:`add_read` per element. The map phase reads a host block of
+        the packed store at once and meters it per device batch.
+        """
+        with self._lock:
+            self._read_bytes += sum(sizes)
+            self._read_ops += len(sizes)
+        if self.clock is not None:
+            bw = self._read_bw
+            self.clock.charge_many(
+                "disk_read", [n / bw for n in sizes if n > 0])
+
     def add_write_run(self, sizes) -> None:
         """Record consecutive seekless writes with grouped locking.
 

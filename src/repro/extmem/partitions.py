@@ -13,6 +13,12 @@ may :meth:`PartitionStore.hold` the array after the file is written and
 renamed: the next :meth:`PartitionStore.open_run` of that sorted run reads
 it from memory instead of off the disk, once. The file stays the run of
 record (ledger, resume and cache see only files).
+
+Unsorted partitions whose sizes are known before the map writes them may
+be kept in host memory instead (:meth:`PartitionStore.reserve`): their
+appends fill preallocated arrays, no file is written and the sort reads
+them from there. Nothing resumes from an unsorted partition (a resumed run
+maps again every length it finds unsorted), so no file is missed.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ class PartitionStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._writers: dict[tuple[str, int], RunWriter] = {}
         self._held: dict[tuple[str, int], HeldRun] = {}
+        #: Unsorted partitions kept in host memory: array, records filled,
+        #: and the reservation of its bytes.
+        self._in_memory: dict[tuple[str, int], list] = {}
         self._finalized = False
 
     # -- paths ------------------------------------------------------------
@@ -65,6 +74,16 @@ class PartitionStore:
             raise StreamProtocolError(
                 f"{self.root}: append to ({side}, {length}) after finalize()")
         key = (side, length)
+        kept = self._in_memory.get(key)
+        if kept is not None:
+            array, filled, _ = kept
+            if filled + records.shape[0] > array.shape[0]:
+                raise StreamProtocolError(
+                    f"{self.path(side, length)}: more records than reserved "
+                    f"({array.shape[0]})")
+            array[filled:filled + records.shape[0]] = records
+            kept[1] = filled + records.shape[0]
+            return
         writer = self._writers.get(key)
         if writer is None:
             writer = RunWriter(self.path(side, length), self.dtype, self.accountant)
@@ -76,23 +95,45 @@ class PartitionStore:
 
         ``pairs`` is a list of ``(length, prefix_records, suffix_records)``.
         Every record array is ``len(rows)`` consecutive logical appends laid
-        back to back — ``rows[i]`` records each — which is how the map phase
-        stages the device batches of one host block (per batch, the forward
-        then the reverse-complement records). The result is what one
-        ``append("P", ...)`` then ``append("S", ...)`` per tuple, per entry
-        of ``rows``, would have produced: same writers, same bytes, and the
-        same accounting — one seekless write per logical append, in that
-        order, through one grouped
-        :meth:`~repro.extmem.io_stats.IOAccountant.add_write_run` (partition
-        writers never seek) — but each writer sees a single real append.
+        back to back — ``rows[i]`` is ``(prefix, suffix)`` records each —
+        which is how the map phase stages the device batches of one host
+        block (per batch, the forward then the reverse-complement records).
+        The result is what one ``append("P", ...)`` then ``append("S",
+        ...)`` per tuple, per entry of ``rows``, would have produced: same
+        writers, same bytes, and the same accounting — one seekless write
+        per logical append, in that order, through one grouped
+        :meth:`~repro.extmem.io_stats.IOAccountant.add_write_run`
+        (partition writers never seek) — but each writer sees a single real
+        append. Partitions kept in host memory are not metered: their
+        records never reach the disk.
         """
         for length, prefix, suffix in pairs:
             self.append("P", length, prefix, meter=False)
             self.append("S", length, suffix, meter=False)
-        if self.accountant is not None:
+        on_disk = sum(("P", length) not in self._in_memory
+                      for length, _, _ in pairs)
+        if self.accountant is not None and on_disk:
             width = self.dtype.itemsize
             self.accountant.add_write_run(
-                [n * width for n in rows for _ in range(2 * len(pairs))])
+                [n * width for counts in rows for _ in range(on_disk)
+                 for n in counts])
+
+    def reserve(self, lengths, n_records: int, host_pool) -> None:
+        """Keep the unsorted partitions of ``lengths`` in host memory.
+
+        Each side of each length is to receive exactly ``n_records``
+        records: their arrays are allocated, and their bytes reserved in
+        ``host_pool``, now. Appends fill them instead of writing files (an
+        append beyond the reservation raises
+        :class:`~repro.errors.StreamProtocolError`), :meth:`open_run` reads
+        them, and :meth:`delete` or :meth:`abandon` lets them go.
+        """
+        for length in lengths:
+            for side in SIDES:
+                self._in_memory[(side, length)] = [
+                    np.empty(n_records, dtype=self.dtype), 0,
+                    host_pool.alloc(n_records * self.dtype.itemsize,
+                                    label="held-partition")]
 
     def finalize(self) -> None:
         """Close all open partition writers (end of the map phase).
@@ -129,6 +170,8 @@ class PartitionStore:
         for held in self._held.values():
             held.close()
         self._held.clear()
+        for key in list(self._in_memory):
+            self._let_go(key)
 
     def __enter__(self) -> "PartitionStore":
         return self
@@ -144,7 +187,13 @@ class PartitionStore:
             raise StreamProtocolError("finalize() the store before reading partitions")
         # Names are ``{side}_{length:05d}[.sorted].run`` (:meth:`path`).
         return sorted({int(path.name[2:].split(".")[0])
-                       for path in self.root.glob("[SP]_*.run")})
+                       for path in self.root.glob("[SP]_*.run")}
+                      | {length for _, length in self._in_memory})
+
+    def in_memory(self, side: str, length: int) -> bool:
+        """Whether the unsorted partition is kept in host memory
+        (:meth:`reserve`)."""
+        return (side, length) in self._in_memory
 
     def open_run(self, side: str, length: int, *, sorted_run: bool = False,
                  ) -> RunReader | HeldRun:
@@ -152,11 +201,17 @@ class PartitionStore:
 
         A sorted run :meth:`hold` kept is read from host memory, by its
         first reader only (closing it frees the reservation); any other
-        open reads the file.
+        open reads the file. An unsorted partition kept in host memory
+        (:meth:`reserve`) is read from there, by every reader, read-only.
         """
         held = self._held.pop((side, length), None) if sorted_run else None
         if held is not None:
             return held
+        kept = None if sorted_run else self._in_memory.get((side, length))
+        if kept is not None:
+            records = kept[0][:kept[1]]
+            records.flags.writeable = False
+            return HeldRun(self.path(side, length), records)
         return RunReader(self.path(side, length, sorted_run=sorted_run),
                          self.dtype, self.accountant)
 
@@ -184,6 +239,9 @@ class PartitionStore:
 
     def records_in(self, side: str, length: int, *, sorted_run: bool = False) -> int:
         """Record count of one partition (0 if the file is absent)."""
+        kept = None if sorted_run else self._in_memory.get((side, length))
+        if kept is not None:
+            return kept[1]
         path = self.path(side, length, sorted_run=sorted_run)
         if not path.exists():
             return 0
@@ -198,4 +256,11 @@ class PartitionStore:
         run held for it."""
         if sorted_run:
             self._drop((side, length))
+        else:
+            self._let_go((side, length))
         self.path(side, length, sorted_run=sorted_run).unlink(missing_ok=True)
+
+    def _let_go(self, key: tuple[str, int]) -> None:
+        kept = self._in_memory.pop(key, None)
+        if kept is not None:
+            kept[2].free()

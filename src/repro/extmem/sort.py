@@ -46,7 +46,7 @@ from ..trace.tracer import NULL_TRACER
 from .io_stats import IOAccountant
 from .merge import merge_in_memory_k, merge_streams_k, tournament_fold
 from .records import KEY_FIELD
-from .streams import RunReader, RunWriter
+from .streams import HeldRun, RunReader, RunWriter
 
 #: A block being sorted in host memory needs itself + its sorted copy.
 HOST_SORT_FOOTPRINT = 2
@@ -218,9 +218,13 @@ class ExternalSorter:
                           merge_rounds_for(initial_runs, self.fanout),
                           self.fanout)
 
-    def sort_file(self, in_path: str | Path, out_path: str | Path, *,
+    def sort_file(self, in_path: str | Path | HeldRun, out_path: str | Path, *,
                   keep=None, hold=None) -> SortReport:
         """Sort a run file into ``out_path``; returns the :class:`SortReport`.
+
+        ``in_path`` may also be a run already in host memory (a
+        :class:`~repro.extmem.streams.HeldRun`): it is read from there, and
+        closed once read.
 
         ``keep(records) -> bool mask`` filters the input during run
         formation: only the records it keeps are sorted, written and
@@ -235,7 +239,11 @@ class ExternalSorter:
         Crash-safe: scratch space is torn down on both success and failure,
         and ``out_path`` appears atomically (rename of a finished run).
         """
-        in_path, out_path = Path(in_path), Path(out_path)
+        if isinstance(in_path, str):
+            in_path = Path(in_path)
+        out_path = Path(out_path)
+        read = (in_path.stat().st_size // self.dtype.itemsize
+                if isinstance(in_path, Path) else in_path.total_records)
         scratch_dir = out_path.parent / (out_path.name + ".scratch")
         scratch_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -244,8 +252,8 @@ class ExternalSorter:
                 report, run = self._sort_into(in_path, out_path, scratch_dir,
                                               keep)
                 held = run is not None and hold is not None and hold(run)
-                span.note(read=in_path.stat().st_size // self.dtype.itemsize,
-                          kept=report.n_records, runs=report.initial_runs,
+                span.note(read=read, kept=report.n_records,
+                          runs=report.initial_runs,
                           rounds=report.merge_rounds, held=int(held))
             return report
         finally:
@@ -304,7 +312,8 @@ class ExternalSorter:
         elif n_held:
             yield held[:n_held]
 
-    def _sort_into(self, in_path: Path, out_path: Path, scratch_dir: Path,
+    def _sort_into(self, in_path: Path | HeldRun, out_path: Path,
+                   scratch_dir: Path,
                    keep) -> tuple[SortReport, np.ndarray | None]:
         """The sort and, when it formed exactly one run, that run's array."""
         record_nbytes = self.dtype.itemsize
@@ -314,7 +323,8 @@ class ExternalSorter:
         run_paths: list[Path] = []
         n_records = 0
         with self.tracer.span("runs", track="sort", det=True) as runs_span, \
-                RunReader(in_path, self.dtype, self.accountant) as reader:
+                (RunReader(in_path, self.dtype, self.accountant)
+                 if isinstance(in_path, Path) else in_path) as reader:
             for block in self._blocks(reader, keep):
                 sorted_block = self.sort_block_in_host(block)
                 with self.host_pool.alloc(sorted_block.shape[0] * record_nbytes *

@@ -20,13 +20,13 @@ are the reference, Figs. 5–6 as drawn: one ``(n_reads, L)`` matrix per
 hash lane, a fresh temporary per step, ``⌈log₂ L⌉`` doubling steps, every
 column of both sides. :func:`key_rows` is what the map phase runs: told
 which overlap lengths the partitions keep, it evaluates the scan in closed
-form (a cumulative sum against place values), reduces only the kept rows
-and writes the packed keys length-major — partition-file order — a
-cache-sized tile of reads at a time. All intermediates are exact in
-``uint64``, so the kernel's keys are the reference's bit for bit; tests
-assert it. The virtual GPU still *charges* the paper's full Hillis–Steele
-launches: the model simulates the paper's kernel, not this host-side
-evaluation of it.
+form for those rows only (one matrix product against place values per
+side), reduces them and writes the packed keys length-major —
+partition-file order — a cache-sized tile of reads at a time. Every
+intermediate is an exact integer, so the kernel's keys are the
+reference's bit for bit; tests assert it. The virtual GPU still *charges*
+the paper's full Hillis–Steele launches: the model simulates the paper's
+kernel, not this host-side evaluation of it.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class ScanWorkspace:
     One workspace per thread (the map phase keeps them in thread-local
     storage): arrays handed out for one name alias previous arrays handed
     out for the same name. The kernel takes one tile's buffers at a time,
-    so a workspace holds :data:`TILE_BYTES` of scan tensor plus the tile's
-    code and kept rows, whatever the batch size.
+    so a workspace holds one tile's codes and key sums, whatever the batch
+    size.
     """
 
     __slots__ = ("_raw",)
@@ -122,12 +122,17 @@ class ScanWorkspace:
         return sum(raw.nbytes for raw in self._raw.values())
 
 
-#: Scan tensor bytes per tile: ``(n_specs, L, tile)`` ``uint64`` stays
-#: L2-resident (93 rows at ``L`` = 100 under two lanes).
+#: Bound on a tile's ``float64`` key sums, ``(n_specs · len(lengths),
+#: tile)`` with at most ``L`` lengths: 93 reads at ``L`` = 100 under two
+#: lanes.
 TILE_BYTES = 300_000
 
 #: A packed key is ``high << 32 | low`` of two 31-bit residues.
 PACK_SHIFT = np.uint64(32)
+
+#: Longest read :func:`key_rows` keys exactly: a sum of ``L`` terms below
+#: ``3·2^31`` stays below ``2^53``, where ``float64`` holds every integer.
+MAX_EXACT_LENGTH = 1 << 20
 
 
 def tile_rows(n_specs: int, length: int) -> int:
@@ -136,22 +141,29 @@ def tile_rows(n_specs: int, length: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _scan_consts(specs: tuple[HashSpec, ...], length: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Place values and moduli shaped to broadcast over ``(S, L, rows)``.
+def _place_weights(specs: tuple[HashSpec, ...], lengths: tuple[int, ...]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place values of every kept length, as matrix rows, and the moduli.
 
-    ``forward[s, i, 0] = radix_s^i mod q_s``,
-    ``inverse[s, j, 0] = radix_s^(-j) mod q_s`` (derived from the reversed
-    forward row by one scalar modular inverse, as in
-    :func:`repro.fingerprint.rabin_karp.naive_prefix_fingerprints`) and
-    ``q[s, 0, 0] = q_s``.
+    Returns ``(prefix, suffix, q)``. ``prefix`` is ``(n_specs ·
+    len(lengths), max(lengths))`` ``float64``: row ``s · K + i`` holds
+    ``radix_s^(l-1), ..., radix_s, 1`` (mod ``q_s``) in its first ``l =
+    lengths[i]`` columns and zeros after, so its product with a read's
+    first ``max(lengths)`` codes is the length-``l`` prefix's Horner sum.
+    ``suffix`` holds the same rows shifted right to end at the last
+    column, which weigh a read's last ``max(lengths)`` codes into the
+    length-``l`` suffix's sum. ``q`` is ``(n_specs, 1, 1)`` ``uint64``.
     """
-    forward = np.stack([spec.place_values(length) for spec in specs])
-    q = np.array([spec.prime for spec in specs], dtype=np.uint64)[:, None]
-    unscale = np.array([pow(spec.radix, -(length - 1), spec.prime)
-                        for spec in specs], dtype=np.uint64)[:, None]
-    inverse = (forward[:, ::-1] * unscale) % q
-    consts = forward[:, :, None], inverse[:, :, None], q[:, :, None]
+    last = lengths[-1]
+    prefix = np.zeros((len(specs), len(lengths), last))
+    suffix = np.zeros_like(prefix)
+    for s, spec in enumerate(specs):
+        powers = spec.place_values(last)[::-1].astype(np.float64)
+        for i, length in enumerate(lengths):
+            prefix[s, i, :length] = powers[last - length:]
+            suffix[s, i, last - length:] = powers[last - length:]
+    q = np.array([spec.prime for spec in specs], dtype=np.uint64)[:, None, None]
+    consts = (prefix.reshape(-1, last), suffix.reshape(-1, last), q)
     for array in consts:
         array.setflags(write=False)
     return consts
@@ -159,61 +171,62 @@ def _scan_consts(specs: tuple[HashSpec, ...], length: int
 
 def key_rows(codes: np.ndarray, specs: tuple[HashSpec, ...],
              lengths: np.ndarray, workspace: ScanWorkspace,
-             out: list[np.ndarray]) -> None:
-    """Packed prefix and suffix keys of the given lengths, length-major.
+             out: list[np.ndarray], sides: tuple[int, ...] = (0, 1)) -> None:
+    """Packed prefix and/or suffix keys of the given lengths, length-major.
 
     ``codes`` is ``(m, L)`` ``uint8``, ``lengths`` strictly increasing
     within ``1..L``; key lane ``k`` packs hashes ``specs[2k]`` (high word)
-    and ``specs[2k+1]``. Fills ``out[k][0, i, r]`` with the key of the
-    length-``lengths[i]`` prefix of read ``r`` and ``out[k][1, i, r]`` with
-    that of its suffix, each ``out[k]`` a ``(2, len(lengths), m)``
-    ``uint64`` array of any strides — bit-identical to packing the kept
-    columns of :func:`prefix_fingerprints_batch` /
-    :func:`suffix_fingerprints_batch`.
+    and ``specs[2k+1]``. ``sides`` names what is computed, ``0`` the
+    prefixes and ``1`` the suffixes: ``out[k][i, j, r]`` is the key of the
+    length-``lengths[j]`` prefix (``sides[i] == 0``) or suffix of read
+    ``r``, each ``out[k]`` a ``(len(sides), len(lengths), m)`` ``uint64``
+    array of any strides — bit-identical to packing the kept columns of
+    :func:`prefix_fingerprints_batch` / :func:`suffix_fingerprints_batch`.
 
-    Closed form instead of the log-step doubling scan, on
-    ``(n_specs, L, rows)`` tensors so the cumulative sums run down axis 1
-    as whole-row vector adds:
-    ``f(read[:l]) = σ^(l-1) · Σ_{j<l} codes[j]·σ^(-j) mod q`` and, directly
-    rather than from the prefixes,
-    ``f(read[L-l:]) = Σ_{k<l} codes[L-1-k]·σ^k mod q`` — the same scan over
-    the reversed read against forward place values, so both sides keep row
-    ``l - 1``. Only kept rows are reduced: three ``% q`` per kept length
-    where the all-columns scan spends five per position. Every
-    intermediate is exact in ``uint64``: codes ≤ 3 times a residue stays
-    below ``2^33`` unreduced, a cumulative sum of those is bounded by
-    ``3·(q − 1)·L < 2^64`` for any ``L < 2^30``, and products of residues
-    stay below ``2^62``.
+    Closed form instead of the log-step doubling scan, for the kept rows
+    only: ``f(read[:l]) = Σ_{j<l} codes[j]·σ^(l-1-j) mod q`` and, directly
+    rather than from the prefixes, ``f(read[L-l:]) = Σ_{k<l}
+    codes[L-1-k]·σ^k mod q``. For every kept length and hash at once that
+    is one matrix product of the place-value rows of
+    :func:`_place_weights` with the tile's first (prefixes) or last
+    (suffixes) ``max(lengths)`` codes, then one ``% q``. The product runs
+    in ``float64`` and is exact: each term is a code ≤ 3 times a residue
+    below ``2^31``, so every partial sum of at most ``L`` of them is an
+    integer below ``2^53`` for ``L`` up to :data:`MAX_EXACT_LENGTH`, and
+    the order of the additions cannot change it.
 
     Reads are walked in tiles of :func:`tile_rows`, so the workspace holds
     one tile whatever ``m`` is; ``m = 0`` touches nothing.
     """
     m, length = codes.shape
+    if length > MAX_EXACT_LENGTH:
+        raise ConfigError(f"reads longer than {MAX_EXACT_LENGTH} bases "
+                          f"cannot be keyed exactly")
     n_specs = len(specs)
-    forward, inverse, q = _scan_consts(specs, length)
-    first, last = int(lengths[0]), int(lengths[-1])
-    # A contiguous range is read through a view, a sparse one gathered.
-    rows = slice(first - 1, last) if last - first + 1 == len(lengths) \
-        else lengths - 1
-    rescale = forward[:, rows]
+    prefix_weights, suffix_weights, q = _place_weights(
+        specs, tuple(int(l) for l in lengths))
+    last = int(lengths[-1])
+    # The columns the products read: the first ``last`` (prefixes), the
+    # final ``last`` (suffixes).
+    lo_col = 0 if 0 in sides else length - last
+    hi_col = length if 1 in sides else last
     tile = tile_rows(n_specs, length)
     for lo in range(0, m, tile):
         hi = min(lo + tile, m)
-        # One strided uint8 -> uint64 pass; both scans then read whole rows.
-        positions = workspace.take("codes", (length, hi - lo))
-        np.copyto(positions, codes[lo:hi].T)
-        sums = workspace.take("sums", (n_specs, length, hi - lo))
+        positions = workspace.take("codes", (hi_col - lo_col, hi - lo), np.float64)
+        np.copyto(positions, codes[lo:hi, lo_col:hi_col].T)
+        sums = workspace.take("sums", (prefix_weights.shape[0], hi - lo),
+                              np.float64)
         kept = workspace.take("kept", (n_specs, len(lengths), hi - lo))
-        for side, (source, places) in enumerate(((positions, inverse),
-                                                 (positions[::-1], forward))):
-            np.multiply(source, places, out=sums)
-            np.cumsum(sums, axis=1, out=sums)
-            np.remainder(sums[:, rows], q, out=kept)
+        for slot, side in enumerate(sides):
             if side == 0:
-                np.multiply(kept, rescale, out=kept)
-                np.remainder(kept, q, out=kept)
+                np.matmul(prefix_weights, positions[:last], out=sums)
+            else:
+                np.matmul(suffix_weights, positions[-last:], out=sums)
+            np.copyto(kept, sums.reshape(kept.shape), casting="unsafe")
+            np.remainder(kept, q, out=kept)
             for lane, keys in enumerate(out):
                 high = kept[2 * lane]
                 np.left_shift(high, PACK_SHIFT, out=high)
                 np.bitwise_or(high, kept[2 * lane + 1],
-                              out=keys[side, :, lo:hi])
+                              out=keys[slot, :, lo:hi])

@@ -67,27 +67,32 @@ class FingerprintScheme:
 
     def key_matrices(self, codes: np.ndarray, lengths,
                      workspace: ScanWorkspace | None = None,
-                     out: list[np.ndarray] | None = None,
-                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Prefix and suffix keys of the given lengths for a read batch.
+                     out: list[np.ndarray] | None = None, *,
+                     sides: str = "PS") -> tuple[list[np.ndarray], ...]:
+        """Prefix and/or suffix keys of the given lengths for a read batch.
 
         ``codes`` is ``(m, L)``; ``lengths`` is strictly increasing within
-        ``1..L`` (the map phase passes the partition lengths). Returns
-        ``(prefix_keys, suffix_keys)``; each is a list of ``lanes`` matrices
-        of shape ``(len(lengths), m)`` ``uint64``, where row ``i`` of a
-        prefix matrix keys the length-``lengths[i]`` prefix of every read
-        and row ``i`` of a suffix matrix the suffix of that length —
-        length-major, which is partition-file order.
+        ``1..L`` (the map phase passes the partition lengths). ``sides`` is
+        ``"PS"``, ``"P"`` (prefixes only) or ``"S"`` (suffixes only).
+        Returns one list per side, ``(prefix_keys, suffix_keys)`` by
+        default; each is a list of ``lanes`` matrices of shape
+        ``(len(lengths), m)`` ``uint64``, where row ``i`` of a prefix matrix
+        keys the length-``lengths[i]`` prefix of every read and row ``i`` of
+        a suffix matrix the suffix of that length — length-major, which is
+        partition-file order.
 
-        ``out`` is one ``(2, len(lengths), m)`` ``uint64`` array per lane,
-        of any strides (the map phase hands in the key fields of its staged
-        record block); the returned matrices are its two halves. Without it
-        they are freshly allocated. ``workspace`` is scratch only — nothing
-        returned aliases it — and is worth passing when calls repeat.
+        ``out`` is one ``(len(sides), len(lengths), m)`` ``uint64`` array
+        per lane, of any strides (the map phase hands in the key fields of
+        its staged record block); the returned matrices are its slices.
+        Without it they are freshly allocated. ``workspace`` is scratch
+        only — nothing returned aliases it — and is worth passing when
+        calls repeat.
         """
         codes = np.asarray(codes)
         if codes.ndim != 2:
             raise ConfigError("key_matrices expects a (n_reads, L) batch")
+        if sides not in ("PS", "P", "S"):
+            raise ConfigError(f"key_matrices sides must be PS, P or S, not {sides!r}")
         m, read_length = codes.shape
         lengths = np.asarray(lengths, dtype=np.int64)
         if (lengths.ndim != 1 or lengths.size == 0 or lengths[0] < 1
@@ -95,7 +100,7 @@ class FingerprintScheme:
             raise ConfigError(
                 f"key_matrices lengths must be strictly increasing within "
                 f"1..{read_length} and not empty")
-        shape = (2, lengths.shape[0], m)
+        shape = (len(sides), lengths.shape[0], m)
         if out is None:
             out = [np.empty(shape, dtype=np.uint64) for _ in range(self.lanes)]
         elif len(out) != self.lanes or any(
@@ -103,8 +108,9 @@ class FingerprintScheme:
             raise ConfigError(
                 f"key_matrices out must be {self.lanes} uint64 arrays of "
                 f"shape {shape}")
-        key_rows(codes, self.hash_specs, lengths, workspace or ScanWorkspace(), out)
-        return [keys[0] for keys in out], [keys[1] for keys in out]
+        key_rows(codes, self.hash_specs, lengths, workspace or ScanWorkspace(),
+                 out, tuple("PS".index(side) for side in sides))
+        return tuple([keys[slot] for keys in out] for slot in range(len(sides)))
 
     # -- scalar reference ------------------------------------------------------
 

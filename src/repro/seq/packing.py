@@ -45,6 +45,10 @@ class IOMeter(Protocol):
         """Record a sequential write of ``nbytes``."""
         ...
 
+    def add_read_run(self, sizes) -> None:
+        """Record consecutive sequential reads of ``sizes`` bytes each."""
+        ...
+
 
 def pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack a ``(n, L)`` code matrix into ``(n, ceil(L/4))`` bytes."""
@@ -182,14 +186,17 @@ class PackedReadStore:
 
     # -- reading -----------------------------------------------------------
 
-    def read_packed_slice(self, start: int, stop: int) -> np.ndarray:
+    def read_packed_slice(self, start: int, stop: int, *,
+                          meter_reads: int | None = None) -> np.ndarray:
         """Raw packed bytes of reads ``[start, stop)`` as ``(n, ceil(L/4))``.
 
         The 2-bit-packed form is ~4× smaller than the decoded code matrix;
-        the map phase joins a host block's device batches in this form and
-        unpacks once. Same fault-injection and disk-accounting path as
+        the map phase reads a host block in this form and unpacks once.
+        Same fault-injection and disk-accounting path as
         :meth:`read_slice` — the decoded variant is exactly
-        ``unpack_codes`` over this.
+        ``unpack_codes`` over this. ``meter_reads`` meters the one read as
+        consecutive reads of that many reads each (the last may be
+        shorter), as the map phase's device batches model it.
         """
         if self._mode != "r":
             raise StreamProtocolError("store is open write-only")
@@ -200,7 +207,12 @@ class PackedReadStore:
         raw = faults.filter_read(self._path,
                                  self._handle.read(count * self._bytes_per_read))
         if self._meter is not None:
-            self._meter.add_read(len(raw))
+            if meter_reads is None:
+                self._meter.add_read(len(raw))
+            else:
+                self._meter.add_read_run(
+                    [(min(lo + meter_reads, stop) - lo) * self._bytes_per_read
+                     for lo in range(start, stop, meter_reads)])
         return np.frombuffer(raw, dtype=np.uint8).reshape(count, self._bytes_per_read)
 
     def read_slice(self, start: int, stop: int) -> ReadBatch:

@@ -299,6 +299,11 @@ def test_pipeline_recomputes_through_damaged_cache(tmp_path, tiny_md,
 # -- the pipeline's two entries and the hit path -------------------------------
 
 
+#: ``run_map`` calls of one computed run of ``tiny_md``: one a band of its
+#: 25 overlap lengths (1, 4, 16 and 4 lengths).
+MAP_CALLS = 4
+
+
 def _count_phase_runs(monkeypatch) -> dict[str, int]:
     """Count calls of the phase functions the pipeline computes with."""
     calls = dict.fromkeys(("run_load", "run_map", "run_sort", "run_reduce"), 0)
@@ -375,13 +380,15 @@ def test_every_resolution_passes_the_boundaries_once(
     store = ContentStore(tmp_path / "cache", 64 << 20)
     cache = store if resolution == "cache-hit-no-ledger" else None
     if resolution == "ledger-map":
-        # Killed at reduce's first read: load and map marked, one length sorted.
+        # Killed at reduce's first read: load marked, one length sorted
+        # (map is marked after the loop, with sort and reduce).
         crash = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run")])
         with inject(crash), pytest.raises(FaultInjected):
             Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
                                               resume=True)
         state = json.loads((work / STATE_FILE).read_text())
-        assert state["completed"] == ["load", "map"]
+        assert state["completed"] == ["load"]
+        assert len(list((work / "partitions").glob("*.sorted.run"))) == 2
     else:
         Assembler(laptop_config, content_store=cache).assemble(
             tiny_md.store_path, workdir=work, resume=cache is None)
@@ -432,14 +439,15 @@ def test_lost_reduce_entry_recomputes_from_cached_reads(
     calls = _count_phase_runs(monkeypatch)
     again = Assembler(laptop_config, content_store=store).assemble(
         tiny_md.store_path, workdir=tmp_path / "again", resume=True)
-    assert calls["run_load"] == 0 and calls["run_map"] == 1
+    assert calls["run_load"] == 0 and calls["run_map"] == MAP_CALLS
     assert store.stats().get("cache_damaged", 0) == (how == "damaged")
     assert store.stats()["cache_puts"] == puts_before + 1
     assert result_digest(again) == result_digest(cold)
     # Re-put: the next job hits again.
     warm = Assembler(laptop_config, content_store=store).assemble(
         tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
-    assert calls["run_map"] == 1 and result_digest(warm) == result_digest(cold)
+    assert calls["run_map"] == MAP_CALLS \
+        and result_digest(warm) == result_digest(cold)
 
 
 @pytest.mark.parametrize("layout", FOREIGN_GRAPH_LAYOUTS)
@@ -469,7 +477,8 @@ def test_foreign_graph_entry_is_recomputed_and_replaced(
     # The replaced entry holds this program's graph: the next job hits.
     warm = Assembler(laptop_config, content_store=store).assemble(
         tiny_md.store_path, workdir=tmp_path / "warm", resume=True)
-    assert calls["run_map"] == 1 and result_digest(warm) == result_digest(cold)
+    assert calls["run_map"] == MAP_CALLS \
+        and result_digest(warm) == result_digest(cold)
     assert store.stats()["cache_unusable"] == 1
 
 

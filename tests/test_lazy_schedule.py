@@ -10,19 +10,25 @@ node: ``tests/test_distributed_rounds.py``.)
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
+from repro.core import pipeline
 from repro.core.context import RunContext
+from repro.core.map_phase import band_report, run_map
 from repro.core.sort_phase import make_sorter
 from repro.extmem import PartitionStore
 from repro.extmem.records import KEY_FIELD, VAL_FIELD, kv_dtype
-from repro.faults import (CRASH, PHASE, RENAME, Fault, FaultPlan, inject,
-                          result_digest, scan_residue)
+from repro.faults import (CRASH, PHASE, READ, RENAME, WRITE, Fault,
+                          FaultPlan, inject, result_digest, scan_residue)
 from repro.errors import FaultInjected
 from repro.graph import GreedyStringGraph
+from repro.graph.bitvector import PackedBitVector
 from repro.graph.string_graph import NO_EDGE
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
@@ -131,27 +137,81 @@ def runs(data, tmp_path_factory):
     return eager, result, lazy_partitions
 
 
+def _records(partitions: PartitionStore, side: str, length: int):
+    with partitions.open_run(side, length) as reader:
+        return reader.read_all()
+
+
+@pytest.fixture(scope="module")
+def mapped(data, tmp_path_factory):
+    """``(eager, banded)``: every unsorted partition of the eager map, and
+    of ``Assembler``'s banded map as its sort found it."""
+    root = tmp_path_factory.mktemp("lazy-mapped")
+    ctx = RunContext(CRAMPED, workdir=root / "eager")
+    try:
+        with PackedReadStore.open(data.store_path) as store:
+            partitions, _ = run_map(ctx, store)
+        eager = {(side, length): _records(partitions, side, length)
+                 for length in partitions.lengths() for side in ("S", "P")}
+    finally:
+        ctx.cleanup()
+    banded = {}
+    real = pipeline.run_sort
+
+    def spy(ctx, partitions, *, lengths, **kwargs):
+        for length in lengths:
+            for side in ("S", "P"):
+                banded[(side, length)] = _records(partitions, side, length)
+        return real(ctx, partitions, lengths=lengths, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "run_sort", spy)
+        Assembler(CRAMPED).assemble(data.store_path, workdir=root / "banded")
+    return eager, banded
+
+
 class TestWhatIsSorted:
     def test_modeled_time_and_records_are_pinned(self, runs):
         """The filter takes the bit-vector, not the graph, since the cluster
         shares it; the single-node run charges the same host seconds in the
-        same order. Floats of the commit before that change, less the two
-        terms that moved since: reduce's disk reads of the runs the sort
-        now hands over in host memory (0.9870239745774726 before), then the
-        sort passes the graph's halving freed (0.7144466412441389 with a
-        17,800 B graph)."""
+        same order. Floats of the commit before that change, less the terms
+        that moved since: reduce's disk reads of the runs the sort now hands
+        over in host memory (0.9870239745774726 before), the sort passes
+        the graph's halving freed (0.7144466412441389 with a 17,800 B
+        graph), then the banded map's writes and the sort's reads of the
+        records it no longer writes (0.6095202764966668 with one eager
+        map)."""
         _, result, _ = runs
-        assert result.telemetry.total_sim_seconds() == 0.6095202764966668
+        assert result.telemetry.total_sim_seconds() == 0.596634955804027
         assert result.sort_report.total_records == 15_616
         assert result.reduce_report.candidates == 2_126
+        assert result.map_report.tuples_written == 24_656
 
-    def test_partitions_are_eager_minus_closed_records(self, runs):
-        """A record is dropped iff its claim was taken at a longer length."""
+    def test_partitions_are_eager_minus_closed_records(self, runs, mapped):
+        """A band maps a record iff its claim was open at the band's start,
+        and the sort keeps it iff its claim was open at its length's turn."""
         eager, result, lazy_partitions = runs
-        dropped = 0
-        for length in eager.partitions.lengths():
+        eager_mapped, banded = mapped
+        lengths = eager.partitions.lengths()
+        assert [len(band) for band in pipeline._bands(lengths)] == [1, 4, 16, 4]
+        assert set(banded) == set(eager_mapped)
+        unmapped = 0
+        for band in pipeline._bands(lengths):
             # A vertex's bit was set when its out-edge was placed, at the
             # overlap length the edge carries.
+            closed = (eager.target != NO_EDGE) & (eager.overlap > band[0])
+            for length in band:
+                for side, flip in (("S", 0), ("P", 1)):
+                    records = eager_mapped[(side, length)]
+                    expected = records[~closed[records[VAL_FIELD] ^ flip]]
+                    got = banded[(side, length)]
+                    assert got.tobytes() == expected.tobytes(), (side, length)
+                    unmapped += records.shape[0] - got.shape[0]
+        assert unmapped > 0
+        assert result.map_report.tuples_written \
+            == eager.map_report.tuples_written - unmapped
+        dropped = 0
+        for length in lengths:
             closed = (eager.target != NO_EDGE) & (eager.overlap > length)
             for side, flip in (("S", 0), ("P", 1)):
                 records = _sorted_records(eager.partitions, side, length)
@@ -159,9 +219,28 @@ class TestWhatIsSorted:
                 got = _sorted_records(lazy_partitions, side, length)
                 assert got.tobytes() == expected.tobytes(), (side, length)
                 dropped += records.shape[0] - got.shape[0]
-        assert dropped > 0
+        assert dropped > unmapped
         assert result.sort_report.total_records \
             == eager.sort_report.total_records - dropped
+
+    def test_a_band_report_counts_what_the_band_maps(self, data, runs,
+                                                     tmp_path):
+        """``band_report`` (what a resumed run reports for the lengths it
+        finds sorted) is what ``run_map`` reports for the band it maps."""
+        eager, _, _ = runs
+        band = pipeline._bands(eager.partitions.lengths())[2]
+        closed = PackedBitVector(2 * eager.n_reads)
+        closed.set(np.flatnonzero((eager.target != NO_EDGE)
+                                  & (eager.overlap > band[0])))
+        ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
+        try:
+            with PackedReadStore.open(data.store_path) as store:
+                _, report = run_map(ctx, store, only_lengths=set(band),
+                                    closed=closed)
+                assert report == band_report(ctx, store, band, closed)
+            assert 0 < report.tuples_written < 2 * 2 * eager.n_reads * len(band)
+        finally:
+            ctx.cleanup()
 
     def test_reports_follow_the_surviving_records(self, runs, tmp_path):
         """``report_for`` of the sorted file's size, under the budget the
@@ -260,3 +339,150 @@ class TestCrashAndResume:
                  if point.site == RENAME}
         assert len(again) == len(renames) - len(done) and not again & done
         assert scan_residue(workdir) == []
+
+
+#: The ``cramped`` data with room to spare: from the second band on, each
+#: band's partitions fit in the 15 % of the host the sorter's block leaves.
+ROOMY = AssemblyConfig(min_overlap=MIN_OVERLAP, fingerprint_lanes=2,
+                       memory=MemoryConfig(4_000_000, 1_000_000, name="roomy"))
+
+
+class TestBandsInHostMemory:
+    """A band after the first whose partitions fit beside the sorter's
+    block is kept in host memory: it costs no disk write, read or seek,
+    and the sort forms the runs the files would have given."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, data, tmp_path_factory):
+        """``(root, kept, on_disk)``: ``ROOMY`` runs with and without it."""
+        root = tmp_path_factory.mktemp("in-memory")
+        kept, _ = _lazy(ROOMY, data.store_path, root / "kept")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_keep_in_memory", lambda *args: None)
+            on_disk, _ = _lazy(ROOMY, data.store_path, root / "disk")
+        return root, kept, on_disk
+
+    def test_same_sorted_runs_graph_and_contigs(self, pair):
+        root, kept, on_disk = pair
+        assert result_digest(kept) == result_digest(on_disk)
+        assert kept.map_report == on_disk.map_report
+        assert kept.sort_report == on_disk.sort_report
+        runs = sorted((root / "disk" / "partitions").glob("*.sorted.run"))
+        assert len(runs) == 2 * 25
+        for run in runs:
+            assert (root / "kept" / "partitions" / run.name).read_bytes() \
+                == run.read_bytes(), run.name
+        assert not list((root / "kept" / "partitions").glob("[SP]_?????.run"))
+
+    def test_only_the_first_band_reaches_the_disk(self, data, pair):
+        """The disk sees the first band's two partitions, whatever the
+        data: every oriented read has both claims open before any edge."""
+        _, kept, on_disk = pair
+        first_band = 2 * 2 * data.n_reads * kv_dtype(2).itemsize
+        mapped, sorted_ = (kept.telemetry[phase].counters
+                           for phase in ("map", "sort"))
+        assert mapped["disk_write_bytes"] == first_band
+        assert on_disk.telemetry["map"].counters["disk_write_bytes"] \
+            > first_band
+        assert sorted_["disk_read_bytes"] == first_band
+        assert sorted_["disk_seeks"] == 2
+        assert on_disk.telemetry["sort"].counters["disk_seeks"] == 2 * 25
+        assert kept.telemetry.total_sim_seconds() \
+            < on_disk.telemetry.total_sim_seconds()
+
+    def test_a_crash_reading_a_kept_partition_resumes(self, data, pair,
+                                                      tmp_path):
+        _, kept, _ = pair
+        probe = FaultPlan()
+        with inject(probe):
+            Assembler(ROOMY).assemble(data.store_path,
+                                      workdir=tmp_path / "probe", resume=True)
+        second_band = pipeline._bands(range(MIN_OVERLAP, 50))[1]
+        # The sort's reads of the second band's unsorted partitions.
+        reads = [point for point in probe.trace if point.site == READ
+                 and point.phase == "sort"
+                 and re.fullmatch(r"[SP]_\d{5}\.run", Path(point.path).name)
+                 and _length_of(point.path) in second_band]
+        assert reads
+        workdir = tmp_path / "w"
+        with inject(FaultPlan.crash_at(reads[len(reads) // 2].op, site=READ)):
+            with pytest.raises(FaultInjected):
+                Assembler(ROOMY).assemble(data.store_path, workdir=workdir,
+                                          resume=True)
+        resumed = Assembler(ROOMY).assemble(data.store_path, workdir=workdir,
+                                            resume=True)
+        assert result_digest(resumed) == result_digest(kept)
+        assert resumed.map_report == kept.map_report
+        assert scan_residue(workdir) == []
+
+
+def _length_of(path: str) -> int:
+    """The overlap length in a partition path (``.../S_00045.run``)."""
+    return int(path.rsplit("/", 1)[-1][2:7])
+
+
+class TestCrashInABand:
+    """A crash in a later band resumes to the clean run: the lengths whose
+    sorted runs exist are neither mapped nor sorted again, and the rest of
+    their band is mapped again from scratch."""
+
+    @pytest.fixture(scope="class")
+    def probe(self, data, tmp_path_factory):
+        plan = FaultPlan()
+        with inject(plan):
+            Assembler(CRAMPED).assemble(
+                data.store_path, workdir=tmp_path_factory.mktemp("probe"),
+                resume=True)
+        bands = pipeline._bands(range(MIN_OVERLAP, 50))
+        assert [len(band) for band in bands] == [1, 4, 16, 4]
+        return plan.trace, bands
+
+    def _crash_and_resume(self, data, tmp_path, point, site):
+        workdir = tmp_path / "w"
+        with inject(FaultPlan.crash_at(point.op, site=site)):
+            with pytest.raises(FaultInjected):
+                Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
+                                            resume=True)
+        done = {path.name for path in
+                (workdir / "partitions").glob("*.sorted.run")}
+        replay = FaultPlan()
+        with inject(replay):
+            resumed = Assembler(CRAMPED).assemble(data.store_path,
+                                                  workdir=workdir, resume=True)
+        assert scan_residue(workdir) == []
+        mapped = {_length_of(point.path) for point in replay.trace
+                  if point.site == WRITE and point.phase == "map"}
+        renamed = {point.path.rsplit("/", 1)[-1] for point in replay.trace
+                   if point.site == RENAME}
+        return resumed, done, mapped, renamed
+
+    def test_a_crash_in_the_second_band_map(self, data, runs, probe, tmp_path):
+        _, golden, _ = runs
+        trace, bands = probe
+        writes = [point for point in trace if point.site == WRITE
+                  and point.phase == "map"
+                  and _length_of(point.path) in bands[1]]
+        resumed, done, mapped, renamed = self._crash_and_resume(
+            data, tmp_path, writes[len(writes) // 2], WRITE)
+        assert result_digest(resumed) == result_digest(golden)
+        assert resumed.map_report == golden.map_report
+        # The first band's length was sorted; every other length is mapped.
+        assert done == {"S_00049.sorted.run", "P_00049.sorted.run"}
+        assert mapped == set(range(MIN_OVERLAP, 49))
+        assert not renamed & done
+
+    def test_a_crash_in_the_third_band_sort(self, data, runs, probe, tmp_path):
+        _, golden, _ = runs
+        trace, bands = probe
+        renames = [point for point in trace if point.site == RENAME
+                   and _length_of(point.path) in bands[2]]
+        resumed, done, mapped, renamed = self._crash_and_resume(
+            data, tmp_path, renames[len(renames) // 2], RENAME)
+        assert result_digest(resumed) == result_digest(golden)
+        sorted_lengths = {_length_of(name) for name in done
+                          if name.startswith("P")}
+        assert set(bands[0] + bands[1]) < sorted_lengths < set(
+            bands[0] + bands[1] + bands[2])
+        # Only what is left of the third band, and the fourth, is mapped.
+        assert mapped == set(range(MIN_OVERLAP, 50)) - sorted_lengths
+        assert len(renamed) == 2 * 25 - len(done) and not renamed & done

@@ -3,8 +3,9 @@
 The map phase stages ``k`` device batches per host block (DESIGN.md §2f).
 Everything the model sees is per device batch, so a staged run must equal a
 run forced to ``k = 1`` in every partition byte, report field, clock
-category, disk counter and device peak; the host pool alone differs — it
-reserves the block that is really staged.
+category, disk counter and device peak; the pools alone differ — the host
+pool reserves the block that is really staged, and the device pool serves
+one scratch reservation per host block.
 """
 
 import hashlib
@@ -16,7 +17,9 @@ from repro.config import AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import per_read_device_bytes, run_map
+from repro.errors import HostMemoryError
 from repro.extmem.records import kv_dtype
+from repro.graph.bitvector import PackedBitVector
 from repro.seq.packing import PackedReadStore
 
 #: A window that starts mid-store and ends in a ragged batch for 5 and 7.
@@ -45,9 +48,9 @@ def _map(tmp_path, name: str, config: AssemblyConfig, store_path, **kwargs):
         model = {"report": report,
                  "clock": dict(ctx.clock.counters()),
                  "disk": dict(ctx.accountant.counters()),
-                 "device_peak": ctx.gpu.pool.lifetime_peak_bytes,
-                 "device_allocs": ctx.gpu.pool.counters()}
-        return files, model, ctx.host_pool.lifetime_peak_bytes
+                 "device_peak": ctx.gpu.pool.lifetime_peak_bytes}
+        allocs = ctx.gpu.pool.counters()["device_allocs"]
+        return files, model, (ctx.host_pool.lifetime_peak_bytes, allocs)
     finally:
         ctx.cleanup()
 
@@ -80,19 +83,23 @@ def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
     assert map_phase._stage_batches(ctx, batch_reads, per_read) == k
     ctx.cleanup()
 
-    files, model, host_peak = _map(tmp_path, "staged", config,
-                                   tiny_md.store_path, **kwargs)
+    files, model, (host_peak, allocs) = _map(tmp_path, "staged", config,
+                                             tiny_md.store_path, **kwargs)
     monkeypatch.setattr(map_phase, "STAGE_READS", 1)
-    ref_files, ref_model, ref_host_peak = _map(tmp_path, "unstaged", config,
-                                               tiny_md.store_path, **kwargs)
+    ref_files, ref_model, (ref_host_peak, ref_allocs) = _map(
+        tmp_path, "unstaged", config, tiny_md.store_path, **kwargs)
 
     assert len(files) == 2 * len(kept)
     assert files == ref_files
     assert model == ref_model  # exact floats
     assert model["report"].n_batches == -(-n_reads // batch_reads)
+    # One store read per host block, metered as one per device batch.
+    assert model["disk"]["disk_read_ops"] == model["report"].n_batches
     assert model["report"].tuples_written == 2 * 2 * n_reads * len(kept)
     assert ref_host_peak == batch_reads * per_read
     assert host_peak == min(k * batch_reads, n_reads) * per_read
+    assert ref_allocs == model["report"].n_batches
+    assert allocs == -(-n_reads // (k * batch_reads))
 
 
 def test_whole_store_default_range(tmp_path, tiny_md, monkeypatch):
@@ -118,3 +125,29 @@ def test_place_is_file_order():
         forward[10:12], reverse[10:12]])
     assert np.array_equal(out, np.stack([expected, expected]))
 
+
+
+def test_a_block_fits_beside_the_resident_graph(tmp_path, tiny_md):
+    """With the graph resident (a later band), the host block is cut from
+    what the graph leaves: a block sized from the whole budget would not
+    fit beside it."""
+    config = AssemblyConfig(min_overlap=25, fingerprint_lanes=2,
+                            memory=MemoryConfig(40_000, 16_000, name="cramped"))
+    graph_bytes = 8_200
+    closed = PackedBitVector(2 * tiny_md.n_reads)  # every claim open
+    for resident in (graph_bytes, 0):
+        ctx = RunContext(config, workdir=tmp_path / f"resident-{resident}")
+        try:
+            with PackedReadStore.open(tiny_md.store_path) as store, \
+                    ctx.host_pool.alloc(graph_bytes, label="string-graph"):
+                if not resident:
+                    with pytest.raises(HostMemoryError):
+                        run_map(ctx, store, closed=closed)
+                    continue
+                _, report = run_map(ctx, store, closed=closed,
+                                    resident_bytes=resident)
+            assert report.tuples_written == 2 * 2 * tiny_md.n_reads * 25
+            assert ctx.host_pool.lifetime_peak_bytes \
+                <= config.memory.host_bytes
+        finally:
+            ctx.cleanup()
