@@ -132,12 +132,14 @@ def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
 def longest_partition_passes(result) -> int:
     """Disk passes over the longest partition: the paper's pass count.
 
-    That partition is sorted unfiltered, before the graph is allocated,
-    with the whole host budget (shorter ones are filtered first and share
-    the host with the graph; see ``bench_ablation_lazy_sort.py``, D7).
+    That partition, the whole-read length's ``P_L`` (as many records as
+    each side of an overlap length), is sorted unfiltered, before the
+    graph is allocated, with the whole host budget (shorter ones are
+    filtered first and share the host with the graph; see
+    ``bench_ablation_lazy_sort.py``, D7).
     """
     reports = result.sort_report.reports
-    return reports[("S", max(length for _, length in reports))].disk_passes
+    return reports[("P", max(length for _, length in reports))].disk_passes
 
 
 def emit(bench_name: str, *renderables) -> None:

@@ -37,8 +37,7 @@ def test_ablation_greedy_vs_transitive_reduction(benchmark):
     oriented[1::2] = batch.reverse_complements().codes
 
     def build_greedy():
-        return greedy_graph_from_overlaps(overlaps, batch.n_reads,
-                                          batch.read_length)
+        return greedy_graph_from_overlaps(overlaps, batch)
 
     greedy = benchmark.pedantic(build_greedy, rounds=1, iterations=1)
     start = time.perf_counter()

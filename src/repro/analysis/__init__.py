@@ -1,8 +1,10 @@
 """Assembly-quality metrics and paper-vs-measured reporting."""
 
 from .ascii_plot import AsciiChart
-from .metrics import contig_accuracy, genome_fraction
+from .metrics import (aligned_n50, assembly_quality, contig_accuracy,
+                      dup_ratio, genome_fraction)
 from .reporting import ComparisonTable, format_cell
 
-__all__ = ["AsciiChart", "contig_accuracy", "genome_fraction",
+__all__ = ["AsciiChart", "aligned_n50", "assembly_quality",
+           "contig_accuracy", "dup_ratio", "genome_fraction",
            "ComparisonTable", "format_cell"]

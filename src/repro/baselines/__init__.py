@@ -15,13 +15,15 @@
   (paper §II.A.1).
 """
 
-from .naive_overlap import exact_overlaps, greedy_graph_from_overlaps
+from .naive_overlap import (duplicate_reads, exact_overlaps,
+                            greedy_graph_from_overlaps)
 from .suffix_array import suffix_array
 from .fm_index import FMIndex
 from .sga import SGAAssembler, SGAResult
 from .debruijn import DeBruijnAssembler
 
 __all__ = [
+    "duplicate_reads",
     "exact_overlaps",
     "greedy_graph_from_overlaps",
     "suffix_array",

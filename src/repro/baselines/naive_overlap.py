@@ -5,7 +5,9 @@ prefix of length ``l ∈ [l_min, L)`` and probes each suffix against that
 table — the textbook O(n·L²) construction the paper's §III opens with
 ("in theory, one can generate all suffixes and prefixes…"). It exists to
 validate the fingerprint pipeline: any candidate edge the pipeline finds
-that this module does not is a fingerprint false positive.
+that this module does not is a fingerprint false positive. Duplicate reads
+are decided the same way, by comparing whole reads as strings
+(:func:`duplicate_reads`), where the pipeline compares fingerprints.
 """
 
 from __future__ import annotations
@@ -26,6 +28,24 @@ def _oriented_codes(batch: ReadBatch) -> np.ndarray:
     out[0::2] = batch.codes
     out[1::2] = batch.reverse_complements().codes
     return out
+
+
+def duplicate_reads(batch: ReadBatch) -> np.ndarray:
+    """Reads equal to a lower-numbered read, on either strand, ascending.
+
+    The pipeline's rule (:func:`~repro.core.reduce_phase.close_duplicates`)
+    decided by exact string equality: each class of equal reads keeps its
+    lowest read, and a read equal to its own reverse complement is no
+    duplicate of itself.
+    """
+    reverse = batch.reverse_complements().codes
+    first: dict[bytes, int] = {}
+    duplicates = []
+    for read in range(batch.n_reads):
+        canonical = min(batch.codes[read].tobytes(), reverse[read].tobytes())
+        if first.setdefault(canonical, read) != read:
+            duplicates.append(read)
+    return np.array(duplicates, dtype=np.int64)
 
 
 def exact_overlaps(batch: ReadBatch, min_overlap: int,
@@ -87,19 +107,21 @@ def greedy_graph_pipeline_order(batch: ReadBatch, min_overlap: int, scheme,
     (fanout, block sizes, node count) must produce exactly this graph.
     """
     return greedy_graph_from_overlaps(
-        pipeline_order_overlaps(batch, min_overlap, scheme),
-        batch.n_reads, batch.read_length)
+        pipeline_order_overlaps(batch, min_overlap, scheme), batch)
 
 
 def greedy_graph_from_overlaps(overlaps: list[tuple[int, int, int]],
-                               n_reads: int, read_length: int) -> GreedyStringGraph:
+                               batch: ReadBatch) -> GreedyStringGraph:
     """Feed an exact overlap list through the same greedy rule.
 
-    ``overlaps`` must already be in descending-length order (as
-    :func:`exact_overlaps` returns). The result is the reference graph the
-    pipeline's graph is compared against.
+    The duplicate reads of ``batch`` are dropped first
+    (:func:`duplicate_reads`), as the pipeline drops them at the whole-read
+    length before any overlap. ``overlaps`` must already be in
+    descending-length order (as :func:`exact_overlaps` returns). The
+    result is the reference graph the pipeline's graph is compared against.
     """
-    graph = GreedyStringGraph(n_reads, read_length)
+    graph = GreedyStringGraph(batch.n_reads, batch.read_length)
+    graph.close_reads(duplicate_reads(batch))
     index = 0
     while index < len(overlaps):
         l = overlaps[index][2]

@@ -7,7 +7,7 @@ Subcommands::
     lasagna assemble reads.fastq --min-overlap 31 -o contigs.fasta
     lasagna distributed reads.fastq --nodes 4 --min-overlap 31 -o contigs.fasta
     lasagna serve --cache-dir cache --min-overlap 31 alice:reads.fastq bob:reads.fastq
-    lasagna stats contigs.fasta
+    lasagna stats contigs.fasta [--reference genome.fasta]
     lasagna datasets
     lasagna model --dataset hgenome_sim --memory qb2 --device K40
     lasagna figures
@@ -102,9 +102,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .seq.fastq import read_fasta
     from .seq.stats import assembly_stats
 
-    lengths = [len(seq) for _, seq in read_fasta(args.fasta)]
-    for key, value in assembly_stats(lengths).items():
+    sequences = [seq for _, seq in read_fasta(args.fasta)]
+    for key, value in assembly_stats(map(len, sequences)).items():
         print(f"{key}: {value}")
+    if args.reference:
+        from .analysis.metrics import assembly_quality
+        from .seq.alphabet import encode
+
+        genome = encode("".join(seq for _, seq in read_fasta(args.reference)))
+        quality = assembly_quality([encode(seq) for seq in sequences], genome)
+        print(f"genome_fraction: {quality['genome_fraction']:.6f}")
+        print(f"dup_ratio: {quality['dup_ratio']:.6f}")
+        print(f"aligned_n50: {quality['aligned_n50']}")
     return 0
 
 
@@ -169,8 +178,10 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         print(f"  {phase:<9} {format_duration(seconds)}")
     print(f"  total     {format_duration(result.total_seconds)} (modeled)")
     notes = result.notes
-    print(f"  rounds    {int(notes['rounds'])} of {args.nodes} overlap "
-          f"lengths (one per node), longest first")
+    print(f"  rounds    {int(notes['rounds'])}: the whole-read length, then "
+          f"{args.nodes} overlap lengths a round (one per node), longest first")
+    print(f"  dropped   {result.reduce_report.reads_closed:,} duplicate reads "
+          f"at the whole-read length")
     print(f"  shuffled  {int(notes['records_shuffled']):,} of "
           f"{int(notes['records_mapped']):,} mapped records "
           f"({notes['records_shuffled'] / notes['records_mapped']:.1%}) were "
@@ -338,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="contig statistics of a FASTA")
     stats.add_argument("fasta")
+    stats.add_argument("--reference", default="",
+                       help="reference FASTA: also print genome_fraction, "
+                            "dup_ratio and the reference-aligned N50")
     stats.set_defaults(func=_cmd_stats)
 
     datasets = sub.add_parser("datasets", help="list the Table I analog registry")

@@ -260,16 +260,17 @@ def _graph_members(graph: GreedyStringGraph) -> dict[str, np.ndarray]:
             "overlap": graph.overlap,
             "out_bits": np.frombuffer(graph.out_bits.to_bytes(), dtype=np.uint64),
             "meta": np.array([graph.n_reads, graph.read_length,
-                              graph._n_edges, graph._candidates_seen],
-                             dtype=np.int64)}
+                              graph._n_edges, graph._candidates_seen,
+                              graph._reads_closed], dtype=np.int64)}
 
 
 def load_graph_file(path: Path, host_pool=None) -> GreedyStringGraph | None:
     """Restore a graph archived by :func:`save_graph_file`.
 
     Returns ``None`` if the archive is absent, corrupt or in another
-    layout (members or dtypes other than the ones a graph of its size
-    saves now, e.g. an int64 ``target`` beside an ``in_degree``): a resumed
+    layout (members, dtypes or shapes other than the ones a graph of its
+    size saves now, e.g. an int64 ``target`` beside an ``in_degree``, or a
+    four-entry ``meta`` from before duplicate reads were dropped): a resumed
     run's own ``graph.npz`` and one restored from the cache go through the
     same checks, and the caller recomputes what it would have misread.
     """
@@ -279,7 +280,8 @@ def load_graph_file(path: Path, host_pool=None) -> GreedyStringGraph | None:
     try:
         with np.load(path) as archive:
             members = {name: archive[name] for name in archive.files}
-        n_reads, read_length, n_edges, candidates = members["meta"].tolist()
+        n_reads, read_length, n_edges, candidates, reads_closed = \
+            members["meta"].tolist()
         graph = GreedyStringGraph(int(n_reads), int(read_length))
     except (OSError, ValueError, KeyError, ConfigError):
         return None
@@ -293,6 +295,7 @@ def load_graph_file(path: Path, host_pool=None) -> GreedyStringGraph | None:
     graph.out_bits = PackedBitVector(graph.n_vertices, members["out_bits"])
     graph._n_edges = int(n_edges)
     graph._candidates_seen = int(candidates)
+    graph._reads_closed = int(reads_closed)
     try:
         graph.check_invariants()
     except Exception:

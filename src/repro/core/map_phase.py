@@ -7,9 +7,12 @@ lane per direction per orientation). Each ``(length, fingerprint, vertex)``
 tuple is then routed to the per-length partition files:
 
 * lengths below ``l_min`` are discarded (too short to be an overlap),
-* length ``l_max`` (whole-read matches) is dropped to avoid self-loops,
 * suffix tuples go to the ``S`` partition of their length, prefixes to the
-  ``P`` partition.
+  ``P`` partition,
+* the whole-read length ``l_max = L`` is no overlap; its prefix tuples (a
+  whole read's suffix is its prefix, so ``S_L`` would equal ``P_L``) go to
+  the one partition ``P_L``, where reduce finds the duplicate reads
+  (:func:`~repro.core.reduce_phase.close_duplicates`).
 
 The paper materializes the tuples on the GPU, sorts them by length, and
 writes one file per partition. The virtual GPU is charged the paper's
@@ -56,6 +59,7 @@ import numpy as np
 from ..device import costs
 from ..errors import ConfigError
 from ..extmem import PartitionStore
+from ..extmem.partitions import partition_sides
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype
 from ..fingerprint import FingerprintScheme
 from ..fingerprint.scan import ScanWorkspace
@@ -105,12 +109,18 @@ def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int,
 
 
 def overlap_lengths(ctx: RunContext, read_length: int) -> tuple[int, ...]:
-    """The partition lengths ``[l_min, l_max)`` for this run."""
+    """The lengths an edge can have: ``[l_min, l_max)``."""
     l_min = ctx.config.min_overlap
     if l_min >= read_length:
         raise ConfigError(
             f"min_overlap {l_min} must be smaller than the read length {read_length}")
     return tuple(range(l_min, read_length))
+
+
+def partition_lengths(ctx: RunContext, read_length: int) -> tuple[int, ...]:
+    """The lengths the map writes: every overlap length, then the
+    whole-read length (its ``P`` side only)."""
+    return (*overlap_lengths(ctx, read_length), read_length)
 
 
 @dataclass(frozen=True)
@@ -142,15 +152,17 @@ def band_report(ctx: RunContext, store: PackedReadStore, lengths,
     reports, without mapping.
 
     An open vertex ``w`` has one ``S`` record (its own claim) and is the
-    ``w ^ 1`` of one ``P`` record, at every length; nothing is closed
-    without ``closed``. A resumed run reports the lengths it finds sorted
-    with this, as the sort reports a sorted run it finds
+    ``w ^ 1`` of one ``P`` record, at every length (the whole-read length
+    has the ``P`` record only); nothing is closed without ``closed``. A
+    resumed run reports the lengths it finds sorted with this, as the sort
+    reports a sorted run it finds
     (:meth:`~repro.extmem.ExternalSorter.report_for`).
     """
-    n_reads = store.n_reads
-    return MapReport(n_reads, -(-n_reads // _batch_reads(ctx, store.read_length)),
-                     2 * open_vertices(store, closed) * len(lengths),
-                     overlap_lengths(ctx, store.read_length))
+    n_reads, read_length = store.n_reads, store.read_length
+    sides = sum(len(partition_sides(length, read_length)) for length in lengths)
+    return MapReport(n_reads, -(-n_reads // _batch_reads(ctx, read_length)),
+                     open_vertices(store, closed) * sides,
+                     overlap_lengths(ctx, read_length))
 
 
 def open_vertices(store: PackedReadStore,
@@ -219,21 +231,29 @@ def _key_fields(records: np.ndarray, lanes: int) -> list[np.ndarray]:
 
 def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                        batch_reads: int, scheme: FingerprintScheme,
-                       lengths: tuple[int, ...], out: np.ndarray) -> None:
+                       lengths: tuple[int, ...], out: np.ndarray,
+                       whole: np.ndarray | None = None) -> None:
     """Pure-numpy fingerprint kernel for one host block, both orientations.
 
     Fills ``out``, a ``(2, len(lengths), 2·n)`` record array:
     ``out[0][j]`` / ``out[1][j]`` are the records the block contributes to
     the ``P`` / ``S`` partition of ``lengths[j]``, in file order — same
     values and field layout as one record assembly per device batch,
-    orientation and length. The oriented reads and their vertex ids are
-    laid out in file order first (:func:`_oriented`), so one
-    ``key_matrices`` call writes every key straight into its record.
+    orientation and length. ``whole``, a ``(1, 1, 2·n)`` record array,
+    receives the block's ``P_L`` records (the whole reads). The oriented
+    reads and their vertex ids are laid out in file order first
+    (:func:`_oriented`), so each ``key_matrices`` call writes every key
+    straight into its record.
     """
     codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
-    scheme.key_matrices(codes, lengths, _scan_workspace(),
-                        out=_key_fields(out, scheme.lanes))
-    out[VAL_FIELD] = vertices
+    if lengths:
+        scheme.key_matrices(codes, lengths, _scan_workspace(),
+                            out=_key_fields(out, scheme.lanes))
+        out[VAL_FIELD] = vertices
+    if whole is not None:
+        scheme.key_matrices(codes, (read_length,), _scan_workspace(),
+                            out=_key_fields(whole, scheme.lanes), sides="P")
+        whole[VAL_FIELD] = vertices
 
 
 def _fingerprint_open(packed: np.ndarray, first_read: int, read_length: int,
@@ -243,19 +263,25 @@ def _fingerprint_open(packed: np.ndarray, first_read: int, read_length: int,
     """:func:`_fingerprint_block` minus the records ``closed`` refuses.
 
     Returns ``(records, open_masks)``, each ``[P, S]``: ``records[i]`` is
-    a ``(len(lengths), k)`` record array, the block's open claims of that
-    side in file order; ``open_masks[i]`` marks them among the block's
-    ``2·n`` oriented reads. Each side keys only its own rows.
+    a ``(k_lengths, k)`` record array, the block's open claims of that
+    side in file order, one row per length of ``lengths`` that has the
+    side (the whole-read length has ``P`` only); ``open_masks[i]`` marks
+    them among the block's ``2·n`` oriented reads. Each side keys only its
+    own rows.
     """
     codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
     records, masks = [], []
     for side, claimants in (("P", vertices ^ np.uint32(1)), ("S", vertices)):
         mask = ~closed.get(claimants)
         rows = np.flatnonzero(mask)
-        staged = np.empty((1, len(lengths), rows.size), dtype=dtype)
-        scheme.key_matrices(codes[rows], lengths, _scan_workspace(),
-                            out=_key_fields(staged, scheme.lanes), sides=side)
-        staged[VAL_FIELD] = vertices[rows]
+        keyed = tuple(length for length in lengths
+                      if side in partition_sides(length, read_length))
+        staged = np.empty((1, len(keyed), rows.size), dtype=dtype)
+        if keyed:
+            scheme.key_matrices(codes[rows], keyed, _scan_workspace(),
+                                out=_key_fields(staged, scheme.lanes),
+                                sides=side)
+            staged[VAL_FIELD] = vertices[rows]
         records.append(staged[0])
         masks.append(mask)
     return records, masks
@@ -275,6 +301,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     store is mapped. An existing ``partitions`` store may be passed so a
     node can accumulate several blocks before finalizing (the caller then
     owns ``finalize()``); otherwise one is created and finalized here.
+    By default every overlap length and the whole-read length's ``P_L``
+    are written (:func:`partition_lengths`).
     ``only_lengths`` keeps the fingerprinting and the appends to the given
     partition lengths, each file byte for byte what a full pass writes —
     how a survivor adopts a lost node's pieces for the lengths the token
@@ -300,11 +328,15 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     n_batches = 0
     tuples_written = 0
     start, stop = read_range if read_range is not None else (0, store.n_reads)
-    kept = tuple(length for length in lengths
+    kept = tuple(length for length in partition_lengths(ctx, read_length)
                  if only_lengths is None or length in only_lengths)
+    # The kept lengths with both sides, and whether P_L is kept.
+    pairs = tuple(length for length in kept if length < read_length)
+    whole = len(kept) - len(pairs)
+    p_lengths = len(pairs) + whole
     # What the host holds of a read: its P and S records, both orientations,
     # at every kept length (``staged`` below).
-    per_read_host = 2 * 2 * len(kept) * dtype.itemsize
+    per_read_host = 2 * (p_lengths + len(pairs)) * dtype.itemsize
     block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read_host,
                                                resident_bytes)
 
@@ -312,15 +344,21 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     spec = ctx.gpu.spec
     batch_charges: dict[tuple[int, ...], list[float]] = {}
 
-    def orientation(rows: int, records: int) -> list[float]:
+    # The prefix direction's scans, and the suffix direction's unless the
+    # band is the whole-read length alone.
+    scans = 2 * lanes * (2 if pairs else 1)
+
+    def orientation(rows: int, records: tuple[int, int]) -> list[float]:
         """One orientation's launches: one scan per hash per direction over
         its ``rows`` keyed reads (Figs. 5-6), then the fan-out of its
-        ``records`` (P and S) at every kept length."""
-        return [*[costs.scan_seconds(spec, rows, read_length)] * (2 * 2 * lanes),
-                costs.elementwise_seconds(spec, records * len(kept) * dtype.itemsize)]
+        ``records`` (P, S) at every kept length with that side."""
+        prefixes, suffixes = records
+        fanned = prefixes * p_lengths + suffixes * len(pairs)
+        return [*[costs.scan_seconds(spec, rows, read_length)] * scans,
+                costs.elementwise_seconds(spec, fanned * dtype.itemsize)]
 
-    def kernel_charges(n: int, forward_rows: int, forward_records: int,
-                       reverse_rows: int, reverse_records: int) -> list[float]:
+    def kernel_charges(n: int, forward_rows: int, forward_records: tuple,
+                       reverse_rows: int, reverse_records: tuple) -> list[float]:
         """The kernel launches of one device batch of ``n`` reads, in order.
 
         The second orientation starts with the reverse-complement pass; a
@@ -351,12 +389,16 @@ def run_map(ctx: RunContext, store: PackedReadStore,
             # Per device batch, forward then reverse complement: the
             # oriented reads keyed and their (P, S) records.
             if closed is None:
-                staged = np.empty((2, len(kept), 2 * block_n), dtype=dtype)
+                staged = np.empty((2, len(pairs), 2 * block_n), dtype=dtype)
+                whole_staged = np.empty((1, whole, 2 * block_n), dtype=dtype)
                 _fingerprint_block(packed, block_start, read_length,
-                                   batch_reads, ctx.scheme, kept, staged)
-                prefix, suffix = staged
+                                   batch_reads, ctx.scheme, pairs, staged,
+                                   whole_staged if whole else None)
+                prefix = [*staged[0], *whole_staged[0]]
+                suffix = list(staged[1])
                 keyed = [n for _, n in batches for _ in range(2)]
                 rows = [(n, n) for n in keyed]
+                staged_bytes = staged.nbytes + whole_staged.nbytes
             else:
                 (prefix, suffix), (p_open, s_open) = _fingerprint_open(
                     packed, block_start, read_length, batch_reads, ctx.scheme,
@@ -366,13 +408,16 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                 keyed = np.add.reduceat(p_open | s_open, starts).tolist()
                 rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
                                 np.add.reduceat(s_open, starts).tolist()))
-            records = [p + s for p, s in rows]
+                staged_bytes = prefix.nbytes + suffix.nbytes
             charges = []
             for i, (_, n) in enumerate(batches):
-                charges += kernel_charges(n, keyed[2 * i], records[2 * i],
-                                          keyed[2 * i + 1], records[2 * i + 1])
+                charges += kernel_charges(n, keyed[2 * i], rows[2 * i],
+                                          keyed[2 * i + 1], rows[2 * i + 1])
             n_batches += len(batches)
-            staged_bytes = prefix.nbytes + suffix.nbytes
+            # One (length, P records, S records or None) entry per kept length.
+            appended = [(length, prefix[j],
+                         suffix[j] if length < read_length else None)
+                        for j, length in enumerate(kept)]
             # One span per host block (a span per device batch costs more
             # than the batch at small device budgets). det=False keeps the
             # per-block spans out of the sim export (its size).
@@ -385,11 +430,10 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                 # The charges are per device batch and in batch order, so
                 # the clock's float does not depend on the block size.
                 ctx.gpu.charge_kernels(charges)
-                partitions.append_pairs(
-                    [(length, prefix[j], suffix[j])
-                     for j, length in enumerate(kept)],
-                    rows)
-                tuples_written += (prefix.shape[1] + suffix.shape[1]) * len(kept)
+                partitions.append_pairs(appended, rows)
+                tuples_written += sum(
+                    p.shape[0] + (0 if s is None else s.shape[0])
+                    for _, p, s in appended)
     finally:
         # Even on an injected crash the writers must close: the in-process
         # crash loop re-runs the pipeline, and a stale _OPEN_PATHS entry

@@ -5,11 +5,13 @@ one :class:`~repro.core.context.RunContext` carrying the budgets and meters.
 Phase names match the rows of the paper's Tables II/III ("Load", "Map",
 "Sort", "Reduce", "Compress").
 
-Map, sort and reduce are interleaved, longest overlap first: the lengths
-are mapped in bands of 1, 4, 16, ... lengths, each band just before its
-lengths are sorted and reduced, and each length is sorted just before
-reduce reads it. Map and sort both leave out the records the greedy graph
-has already closed (see :meth:`Assembler._graph`), and a run the sort
+Map, sort and reduce are interleaved, longest overlap first: the first
+band is the whole-read length ``L``, whose reduce drops the duplicate
+reads, then the overlap lengths are mapped in bands of 1, 4, 16, ...
+lengths, each band just before its lengths are sorted and reduced, and
+each length is sorted just before reduce reads it. Map and sort both leave
+out the records the greedy graph has already closed (see
+:meth:`Assembler._graph`), and a run the sort
 leaves in one piece is handed to reduce in host memory while its file is
 still written. An in-core run keeps the partitions of every band after
 the first in host memory instead of writing them. The re-entered
@@ -35,7 +37,7 @@ from ..config import AssemblyConfig
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError, DatasetError
 from ..extmem import PartitionStore
-from ..extmem.partitions import SIDES
+from ..extmem.partitions import partition_sides
 from ..extmem.records import kv_dtype
 from ..faults import plan as faults
 from ..graph import GreedyStringGraph
@@ -47,23 +49,24 @@ from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
 from .map_phase import (MapReport, band_report, open_vertices,
-                        overlap_lengths, run_map)
+                        overlap_lengths, partition_lengths, run_map)
 from .reduce_phase import ReduceReport, run_reduce
 from .results import AssemblyResult
 from .sort_phase import SortPhaseReport, make_sorter, run_sort
 
 
-#: The map's bands grow by this factor, longest lengths first: 1, 4, 16, ...
-#: lengths. Each band walks the store once more, but maps only the claims
-#: the graph has left open at its start (DESIGN.md, *the map writes only
-#: what can still win*).
+#: The map's overlap bands grow by this factor, longest lengths first: 1,
+#: 4, 16, ... lengths. Each band walks the store once more, but maps only
+#: the claims the graph has left open at its start (DESIGN.md, *the map
+#: writes only what can still win*).
 BAND_GROWTH = 4
 
 
-def _bands(lengths) -> list[list[int]]:
-    """``lengths`` longest first, cut into bands of 1, 4, 16, ... lengths."""
+def _bands(lengths, read_length: int) -> list[list[int]]:
+    """The whole-read length alone, then the overlap ``lengths`` longest
+    first, cut into bands of 1, 4, 16, ... lengths."""
     order = sorted(lengths, reverse=True)
-    bands, size = [], 1
+    bands, size = [[read_length]], 1
     while order:
         bands.append(order[:size])
         order, size = order[size:], size * BAND_GROWTH
@@ -89,8 +92,8 @@ def _keep_in_memory(ctx: RunContext, store: PackedReadStore,
     (DESIGN.md, *In-core runs keep the later bands in host memory*).
     """
     dtype = partitions.dtype
-    lengths_in_all = len(overlap_lengths(ctx, store.read_length))
-    if 2 * open_vertices(store) * lengths_in_all > make_sorter(ctx, dtype).m_h:
+    if band_report(ctx, store, partition_lengths(ctx, store.read_length)
+                   ).tuples_written > make_sorter(ctx, dtype).m_h:
         return
     n_records = open_vertices(store, closed)
     block = make_sorter(ctx, dtype, resident_bytes).m_h
@@ -334,8 +337,12 @@ class Assembler:
         is available (:meth:`_restore` of ``graph.npz``) map and sort are
         marked from the records that came with it and nothing of theirs is
         fetched, digested or recomputed. Otherwise the run goes forward one
-        band of overlap lengths at a time, longest first (:func:`_bands`):
-        map the band, then sort and reduce each of its lengths.
+        band of lengths at a time, longest first (:func:`_bands`): map the
+        band, then sort and reduce each of its lengths. The first band is
+        the whole-read length ``L``: one partition ``P_L``, sorted, whose
+        reduce creates the graph and drops every duplicate read
+        (:func:`~repro.core.reduce_phase.close_duplicates`), so no band of
+        overlap lengths maps, sorts or reduces a duplicate.
 
         Reduce takes the longest overlaps first and a vertex takes one
         out-edge, so when a length's turn comes most of its records belong
@@ -345,12 +352,12 @@ class Assembler:
         (:func:`~repro.core.map_phase.run_map`'s ``closed``), and each
         length is sorted just before reduce reads it with the bits so far
         as a second, newer filter
-        (:func:`~repro.core.sort_phase.run_sort`). The first band is mapped
-        and its length sorted before the graph exists: nothing can be
-        dropped yet, and they get the whole host budget. In an in-core
+        (:func:`~repro.core.sort_phase.run_sort`). The ``L`` band is mapped
+        and sorted before the graph exists: nothing can be dropped yet, and
+        it gets the whole host budget. In an in-core
         run, a later band's partitions are kept in host memory
-        (:func:`_keep_in_memory`), so the map's disk traffic is the first
-        band's whatever the data. The graph is the eager composition's
+        (:func:`_keep_in_memory`), so the map's disk traffic is ``P_L``'s
+        whatever the data. The graph is the eager composition's
         (bits are only ever set, so a dropped record is one every later
         candidate of its vertex would have been refused for). From the second length on, a run the sort forms in one piece
         is also held in host memory and reduce reads it from there.
@@ -359,7 +366,8 @@ class Assembler:
         fault barriers and phase hooks see each exactly once. The map's
         record is the summed report alone: the sort consumes every file the
         map writes. One rule resumes the loop: a length whose sorted runs
-        exist is neither mapped nor sorted again (sorted runs the ledger's
+        exist is neither mapped nor sorted again (``L``'s reduce closes the
+        duplicates again from its sorted run; sorted runs the ledger's
         sort record no longer vouches for are deleted first), and every
         other length of its band is mapped again from scratch
         (:meth:`_map_band`). The map report of a band is computed from the
@@ -394,7 +402,7 @@ class Assembler:
         band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None
-        for band in _bands(lengths):
+        for band in _bands(lengths, store.read_length):
             partitions = PartitionStore(ctx.workdir / "partitions",
                                         kv_dtype(ctx.config.fingerprint_lanes),
                                         ctx.accountant)
@@ -448,16 +456,17 @@ class Assembler:
                   graph: GreedyStringGraph | None) -> MapReport:
         """Map what ``band`` still needs; the band's report either way.
 
-        A length whose two sorted runs exist is not mapped (a resumed
-        run's); of a length with one side sorted, the other side's new file
-        is the one kept. With the graph, only the claims it leaves open are
-        mapped, in the host memory it leaves.
+        A length whose sorted runs exist is not mapped (a resumed run's;
+        ``P_L`` is the whole-read length's one run); of a length with one
+        side sorted, the other side's new file is the one kept. With the
+        graph, only the claims it leaves open are mapped, in the host
+        memory it leaves.
         """
         closed = None if graph is None else graph.out_bits
         resident = 0 if graph is None else graph.nbytes
         todo = {length for length in band if not all(
             partitions.path(side, length, sorted_run=True).exists()
-            for side in SIDES)}
+            for side in partition_sides(length, store.read_length))}
         if todo:
             if graph is not None:
                 _keep_in_memory(ctx, store, partitions, todo, closed, resident)
@@ -465,7 +474,7 @@ class Assembler:
                     resident_bytes=resident)
         partitions.finalize()
         for length in todo:
-            for side in SIDES:
+            for side in partition_sides(length, store.read_length):
                 if partitions.path(side, length, sorted_run=True).exists():
                     partitions.delete(side, length)
         return band_report(ctx, store, band, closed)

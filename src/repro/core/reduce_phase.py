@@ -18,6 +18,12 @@ every suffix fingerprint in the prefix window yield per-suffix match counts
 :class:`~repro.graph.GreedyStringGraph` filters through its out-degree
 bit-vector. With two fingerprint lanes, the auxiliary lane must also agree
 — the paper's 128-bit false-positive guard.
+
+The whole-read length ``L`` comes first and adds no edge: its one sorted
+run ``P_L`` groups the oriented reads by their whole sequence, and
+:func:`close_duplicates` drops every read that equals a lower-numbered one
+on either strand (:meth:`~repro.graph.GreedyStringGraph.close_reads`).
+Every later length then finds those reads closed.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from ..device.kernels import copy_records, raw_view
 from ..extmem import PartitionStore, RunReader
-from ..extmem.partitions import SIDES
+from ..extmem.partitions import partition_sides
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
@@ -54,7 +60,10 @@ class ReduceReport:
     candidates: int = 0
     aux_rejected: int = 0
     edges_added: int = 0
+    #: Overlap length → edges it added (the whole-read length adds none).
     per_length_edges: dict[int, int] = field(default_factory=dict)
+    #: Reads dropped as exact duplicates at the whole-read length.
+    reads_closed: int = 0
 
     def to_json(self) -> dict:
         """The report's JSON form (ledger state and cache meta alike)."""
@@ -84,8 +93,9 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
         report = ReduceReport()
     for length in sorted(partitions.lengths() if lengths is None else lengths,
                          reverse=True):
+        sides = partition_sides(length, store.read_length)
         if not all(partitions.path(side, length, sorted_run=True).exists()
-                   for side in SIDES):
+                   for side in sides):
             continue
         edges_before = graph.n_edges
         with ctx.tracer.span("reduce:partition", track="pipeline", det=True,
@@ -93,9 +103,10 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
             held = reduce_length(ctx, graph, partitions, length, report)
             span.note(edges=(graph.n_edges - edges_before) // 2, held=held)
         ctx.events.bump("sorted_runs_held", held)
-        ctx.events.bump("sorted_runs_from_disk", len(SIDES) - held)
+        ctx.events.bump("sorted_runs_from_disk", len(sides) - held)
         report.partitions_processed += 1
-        report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
+        if length < store.read_length:
+            report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
     report.edges_added = graph.n_edges
     return graph, report
 
@@ -108,18 +119,101 @@ def reduce_length(ctx: RunContext, graph: GreedyStringGraph,
     Opens ``S`` and ``P`` of ``length`` (a held run from host memory, else
     the file) and reduces them with the window the device block leaves.
     ``reduce`` replaces :func:`reduce_partition` (a caller's own binding
-    of it). Returns how many of the two runs were held.
+    of it). At the whole-read length the one run ``P_L`` goes through
+    :func:`close_duplicates` instead. Returns how many runs were held.
     """
-    _, m_d = ctx.config.resolved_blocks(partitions.dtype.itemsize)
-    window = max(1, m_d // REDUCE_WINDOW_DIVISOR)
-    held = sum(partitions.holds(side, length) for side in SIDES)
-    # Both runs are closed however the step ends, which frees a held one:
+    held = sum(partitions.holds(side, length)
+               for side in partition_sides(length, graph.read_length))
+    # The runs are closed however the step ends, which frees a held one:
     # a retry reads the files from the start.
+    if length == graph.read_length:
+        with partitions.open_run("P", length, sorted_run=True) as run:
+            close_duplicates(ctx, graph, run, report)
+        return held
     with partitions.open_run("S", length, sorted_run=True) as suffixes, \
             partitions.open_run("P", length, sorted_run=True) as prefixes:
         (reduce or reduce_partition)(ctx, graph, suffixes, prefixes, length,
-                                     window, report)
+                                     _window(ctx, partitions.dtype), report)
     return held
+
+
+def _window(ctx: RunContext, dtype) -> int:
+    """Records a side's reduce window holds: a share of the device block."""
+    _, m_d = ctx.config.resolved_blocks(dtype.itemsize)
+    return max(1, m_d // REDUCE_WINDOW_DIVISOR)
+
+
+def _refill(buf: np.ndarray, reader: RunReader, target: int) -> np.ndarray:
+    """``buf`` topped up from ``reader`` to ``target`` records (or its end)."""
+    if buf.shape[0] >= target or reader.exhausted:
+        return buf
+    extra = reader.read(target - buf.shape[0])
+    if buf.shape[0] == 0:
+        return extra
+    # Joined as bytes: numpy concatenates a packed dtype field by field.
+    return np.concatenate([raw_view(buf), raw_view(extra)]).view(buf.dtype)
+
+
+def close_duplicates(ctx: RunContext, graph: GreedyStringGraph,
+                     run: RunReader, report: ReduceReport) -> None:
+    """Drop the exact duplicate reads the sorted ``P_L`` run shows.
+
+    ``P_L`` keys every oriented read by its whole sequence. Within each
+    group of records with equal key (and aux lane, the false-positive
+    guard), the lowest read id is kept and every other read is dropped,
+    both orientations (:meth:`~repro.graph.GreedyStringGraph.close_reads`);
+    a read that meets itself (its two orientations, a palindrome) is not
+    a duplicate. A read equal to another on either strand shares a group
+    with it in both orientations, so the rule keeps exactly the lowest read
+    of each class of equal reads. The run streams in the reduce window,
+    cut at key boundaries so a group is never split, and each window is
+    metered like a reduce window. Like a partition, the step is replayed
+    whole after a failure: closing a read twice changes nothing.
+    """
+    buf = run.read(0)
+    window = target = _window(ctx, buf.dtype)
+    while True:
+        buf = _refill(buf, run, target)
+        if buf.shape[0] == 0:
+            return
+        cut = buf.shape[0]
+        if not run.exhausted:
+            keys = buf[KEY_FIELD]
+            cut = int(np.searchsorted(keys, keys[-1], side="left"))
+            if cut == 0:
+                # One whole-read sequence fills the window: widen it.
+                target += window
+                continue
+        _close_window(ctx, graph, buf[:cut], report)
+        buf, target = buf[cut:], window
+
+
+def _close_window(ctx: RunContext, graph: GreedyStringGraph,
+                  window: np.ndarray, report: ReduceReport) -> None:
+    """One window of :func:`close_duplicates`: whole key groups only."""
+    report.window_rounds += 1
+    # The tie order of _match_windows, then one segmented pass that marks
+    # every record whose read is not its group's lowest.
+    ctx.gpu.charge_elementwise(2 * window.nbytes)
+    with ctx.gpu.to_device(window, label="reduce-L") as window_d, \
+            ctx.gpu.empty(window.shape[0], np.bool_,
+                          label="reduce-L-closed") as closing_d:
+        ctx.gpu.charge_elementwise(window.nbytes)
+        records = window_d.array
+        lanes = [records[field] for field in (KEY_FIELD, AUX_FIELD)
+                 if field in records.dtype.names]
+        order = np.lexsort((records[VAL_FIELD], *lanes[::-1]))
+        same = np.ones(order.shape[0] - 1, dtype=bool)
+        for lane in lanes:
+            ordered = lane[order]
+            same &= ordered[1:] == ordered[:-1]
+        first = np.concatenate(([True], ~same))
+        reads = records[VAL_FIELD][order] >> 1
+        closing_d.array[order] = reads != reads[first][np.cumsum(first) - 1]
+        closing = ctx.gpu.to_host(closing_d)
+    duplicates = window[VAL_FIELD][closing] >> 1
+    ctx.charge_host(duplicates.shape[0] * 16)
+    report.reads_closed += graph.close_reads(duplicates)
 
 
 def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
@@ -140,20 +234,10 @@ def reduce_partition(ctx: RunContext, graph: GreedyStringGraph,
     """
     empty = suffixes.read(0)
     s_buf, p_buf = empty, empty
-
-    def refill(buf: np.ndarray, reader: RunReader, target: int) -> np.ndarray:
-        if buf.shape[0] >= target or reader.exhausted:
-            return buf
-        extra = reader.read(target - buf.shape[0])
-        if buf.shape[0] == 0:
-            return extra
-        # Joined as bytes: numpy concatenates a packed dtype field by field.
-        return np.concatenate([raw_view(buf), raw_view(extra)]).view(buf.dtype)
-
     target = window
     while True:
-        s_buf = refill(s_buf, suffixes, target)
-        p_buf = refill(p_buf, prefixes, target)
+        s_buf = _refill(s_buf, suffixes, target)
+        p_buf = _refill(p_buf, prefixes, target)
         if s_buf.shape[0] == 0 or p_buf.shape[0] == 0:
             return
         s_keys, p_keys = s_buf[KEY_FIELD], p_buf[KEY_FIELD]

@@ -100,6 +100,7 @@ class AssemblyResult:
             # The rest were handed over in host memory by the sort.
             f"sorted runs reduce read from disk: {from_disk:,} of "
             f"{from_disk + held:,}",
+            f"duplicate reads dropped: {self.reduce_report.reads_closed:,}",
             f"candidates: {self.reduce_report.candidates:,} "
             f"(aux-rejected {self.reduce_report.aux_rejected:,})",
             f"edges: {self.reduce_report.edges_added:,}",

@@ -21,18 +21,25 @@ behind Fig. 10:
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline.
 
-Shuffle, sort and reduce run in **rounds** of ``n_nodes`` consecutive
-overlap lengths, longest first: one length per owner per round
+Shuffle, sort and reduce run in **rounds**, longest length first. The first
+round is the whole-read length ``L`` alone: every node's map also writes
+its ``P_L`` piece, and ``L``'s owner pulls and sorts them and closes the
+duplicate reads under the token before any edge is added
+(:func:`~repro.core.reduce_phase.close_duplicates`). Then come rounds of
+``n_nodes`` consecutive overlap lengths: one length per owner per round
 (:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
 of the graph's out-degree bit-vector and broadcasting it; every map piece
 served during the round (by its producer, or by the survivor that adopted
 a lost producer's pieces) leaves without the records that copy has
 closed, so they are never shuffled, sorted or matched. Bits are only ever
 set: a frozen copy drops nothing the token's own, newer bit-vector would
-keep, and the graph is the eager schedule's.
+keep, and the graph is the eager schedule's. Every overlap round's
+snapshot drops the duplicates before the wire, and every overlap length is
+sorted once the graph exists, so an owner may hold its runs for reduce.
 The barriers are the same three per round, and a phase's reported seconds
 are the sum of its rounds' critical paths. With one node a round is one
-length and the schedule is the single-node pipeline's.
+length and the schedule is the single-node pipeline's: its first length
+is ``Assembler``'s first band.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from pathlib import Path
 
 from ..config import AssemblyConfig
 from ..core.compress_phase import run_compress
-from ..core.map_phase import overlap_lengths
+from ..core.map_phase import partition_lengths
 from ..core.reduce_phase import ReduceReport, reduce_length, reduce_partition
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
@@ -132,17 +139,23 @@ class DistributedAssembler:
         return max(per_node), per_node
 
     def _rounds(self, lengths: list[int]) -> list[list[int]]:
-        """The overlap lengths in rounds, longest first, ``n_nodes`` a round.
+        """The partition lengths in rounds, longest first: the whole-read
+        length alone, then ``n_nodes`` overlap lengths a round.
 
         One length per owner: all of a round's overlap finding runs side by
         side (the paper's ``t_o · p/n``), and the filter it was pulled
         under is at most one round old. Fewer lengths a round leave owners
         idle; more of them sort records a fresher bit-vector would have
-        dropped (EXPERIMENTS.md Fig. 10 has the sweep).
+        dropped (EXPERIMENTS.md Fig. 10 has the sweep). ``L`` goes alone
+        so that no overlap length is pulled before the duplicates are
+        closed, nor sorted before the graph exists: in ``L``'s round an
+        overlap length would carry every duplicate's records and be read
+        off the disk by reduce, where a lone node holds it (DESIGN.md,
+        *duplicate reads close in a whole-read band first*).
         """
-        ordered = sorted(lengths, reverse=True)
-        return [ordered[i:i + self.n_nodes]
-                for i in range(0, len(ordered), self.n_nodes)]
+        whole, *ordered = sorted(lengths, reverse=True)
+        return [[whole]] + [ordered[i:i + self.n_nodes]
+                            for i in range(0, len(ordered), self.n_nodes)]
 
     @staticmethod
     def _cluster_span(tracer, name: str, wall0: float, sim0: float,
@@ -219,7 +232,7 @@ class DistributedAssembler:
         close("map", wall0, max(before), *self._phase_delta(nodes, before),
               blocks=n_blocks)
 
-        lengths = list(overlap_lengths(nodes[0].ctx, store.read_length))
+        lengths = list(partition_lengths(nodes[0].ctx, store.read_length))
         rounds = self._rounds(lengths)
         graph = None
         reduce_report = ReduceReport()
@@ -284,8 +297,7 @@ class DistributedAssembler:
                  "am_dropped": float(messages.messages_dropped),
                  "am_delayed": float(messages.messages_delayed),
                  "rounds": float(len(rounds)),
-                 "records_mapped": float(
-                     2 * len(SIDES) * len(lengths) * store.n_reads),
+                 "records_mapped": float(supervisor.records_mapped),
                  "records_shuffled": float(sum(
                      nodes[hop["node"]].shuffled.records_in(
                          side, hop["length"], sorted_run=True)
@@ -351,7 +363,7 @@ class DistributedAssembler:
             if not supervisor.partition_has_data(length):
                 continue
             attempt_wall = time.perf_counter()
-            edges_before = graph.n_edges
+            edges_before, closed_before = graph.n_edges, graph.reads_closed
             held = [0]  # sorted runs the surviving attempt read from memory
             counted = [ReduceReport()]  # the surviving attempt's counters
 
@@ -385,7 +397,12 @@ class DistributedAssembler:
             report.candidates += counted[0].candidates
             report.window_rounds += counted[0].window_rounds
             report.aux_rejected += counted[0].aux_rejected
-            report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
+            # Like the edges, from the graph: a failed attempt may have
+            # closed reads its replay then finds closed.
+            report.reads_closed += graph.reads_closed - closed_before
+            if length < graph.read_length:
+                report.per_length_edges[length] = \
+                    (graph.n_edges - edges_before) // 2
             # The node holds the token from the instant it both received
             # the bit-vector and finished overlap finding, until its
             # edge insertions are folded in (t_g).

@@ -39,7 +39,7 @@ from ..core.sort_phase import _open_claims, run_sort
 from ..device.kernels import raw_view
 from ..device.specs import DiskSpec, HostSpec
 from ..extmem import PartitionStore, RunReader, RunWriter
-from ..extmem.partitions import SIDES
+from ..extmem.partitions import partition_sides
 from ..extmem.records import kv_dtype
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
@@ -56,8 +56,11 @@ class WorkerNode:
     def __init__(self, node_id: int, config: AssemblyConfig, root: Path,
                  messages: ActiveMessageLayer, *,
                  disk: DiskSpec | None = None, host: HostSpec | None = None,
-                 tracer=None):
+                 tracer=None, read_length: int | None = None):
         self.node_id = node_id
+        #: The whole-read length, whose partition has a ``P`` side only
+        #: (:func:`~repro.extmem.partitions.partition_sides`).
+        self.read_length = read_length
         # All of this node's spans land on "nodeNN/..." tracks of the shared
         # cluster tracer, stamped against this node's own simulated clock
         # (the RunContext binds the clock on top of the prefix).
@@ -89,10 +92,13 @@ class WorkerNode:
 
     # -- map ---------------------------------------------------------------
 
-    def map_block(self, store: PackedReadStore, start: int, stop: int) -> None:
-        """Fingerprint reads ``[start, stop)`` into the local map partitions."""
-        run_map(self.ctx, store, self.map_partitions, read_range=(start, stop))
+    def map_block(self, store: PackedReadStore, start: int, stop: int) -> int:
+        """Fingerprint reads ``[start, stop)`` into the local map partitions
+        (every overlap length and ``P_L``); returns the records written."""
+        _, report = run_map(self.ctx, store, self.map_partitions,
+                            read_range=(start, stop))
         self.mapped_reads += stop - start
+        return report.tuples_written
 
     def finish_map(self) -> None:
         """Close local map-phase partition writers."""
@@ -141,7 +147,7 @@ class WorkerNode:
         pulled = 0
         lone = holders == [self.node_id] and self.node_id not in self.adopted
         for length in lengths:
-            for side in SIDES:
+            for side in partition_sides(length, self.read_length):
                 destination = self.shuffled.path(side, length)
                 if lone:
                     piece = self.map_partitions.path(side, length)
@@ -209,9 +215,9 @@ class WorkerNode:
                         graph_built=self.closed is not None)
 
     def has_sorted(self, length: int) -> bool:
-        """Whether both sorted runs of ``length`` are on this node's disk."""
+        """Whether every sorted run of ``length`` is on this node's disk."""
         return all(self.shuffled.path(side, length, sorted_run=True).exists()
-                   for side in SIDES)
+                   for side in partition_sides(length, self.read_length))
 
     # -- recovery ------------------------------------------------------------
 

@@ -62,11 +62,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import AssemblyConfig
-from ..core.map_phase import overlap_lengths, run_map
+from ..core.map_phase import partition_lengths, run_map
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
 from ..extmem import PartitionStore
-from ..extmem.partitions import SIDES
+from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
 from ..faults.plan import FSYNC_LOSS, NODE_CRASH
 from ..faults.retry import RetryPolicy
@@ -214,8 +214,11 @@ class ClusterSupervisor:
                                   seed=config.seed)
         self.meter = EventMeter()
         self.nodes = [WorkerNode(i, config, root, messages, disk=disk,
-                                 host=host, tracer=tracer)
+                                 host=host, tracer=tracer,
+                                 read_length=store.read_length)
                       for i in range(n_nodes)]
+        #: Records the map blocks wrote, each block counted once.
+        self.records_mapped = 0
         self.lost: set[int] = set()
         self.restarts_used: dict[int, int] = {}
         #: Read ranges each node mapped, in assignment order: the lineage a
@@ -390,7 +393,8 @@ class ClusterSupervisor:
         wall0 = time.perf_counter()
         dead.abandon()
         fresh = WorkerNode(node_id, self.config, self.root, self.messages,
-                           disk=self.disk, host=self.host, tracer=self.tracer)
+                           disk=self.disk, host=self.host, tracer=self.tracer,
+                           read_length=self.store.read_length)
         fresh.ctx.clock.advance_to(dead.ctx.clock)
         gap = detect_at - fresh.ctx.clock.total_seconds
         if gap > 0:
@@ -469,7 +473,7 @@ class ClusterSupervisor:
 
     def _unreduced(self, node: WorkerNode) -> frozenset[int]:
         """The lengths the token has still to reduce: what pieces serve."""
-        return frozenset(overlap_lengths(node.ctx, self.store.read_length)) \
+        return frozenset(partition_lengths(node.ctx, self.store.read_length)) \
             - self.reduced
 
     def _holders(self) -> list[int]:
@@ -530,7 +534,8 @@ class ClusterSupervisor:
         records = 2 * sum(stop - start
                           for start, stop in self.block_ranges.get(producer, []))
         return any(_short(pieces, side, length, records)
-                   for length in lengths for side in SIDES)
+                   for length in lengths
+                   for side in partition_sides(length, self.store.read_length))
 
     def _short_partition(self, node: WorkerNode, length: int) -> bool:
         """Whether an unsorted side of ``length`` lost what its pull wrote.
@@ -541,7 +546,7 @@ class ClusterSupervisor:
             (side, length) in self.pulled
             and not node.shuffled.path(side, length, sorted_run=True).exists()
             and _short(node.shuffled, side, length, self.pulled[(side, length)])
-            for side in SIDES)
+            for side in partition_sides(length, self.store.read_length))
 
     def _sort_owned(self, node: WorkerNode):
         """Sort the node's partitions of this round.
@@ -555,12 +560,14 @@ class ClusterSupervisor:
     def _pull(self, node: WorkerNode, lengths: list[int]) -> int:
         """``node`` pulls ``lengths``; what it wrote becomes their lineage."""
         pulled = node.pull_partitions(self._holders(), lengths)
-        self.pulled.update({(side, length): node.shuffled.records_in(side, length)
-                            for length in lengths for side in SIDES})
+        self.pulled.update({
+            (side, length): node.shuffled.records_in(side, length)
+            for length in lengths
+            for side in partition_sides(length, self.store.read_length)})
         return pulled
 
     def _pulled_records(self, length: int) -> int:
-        """Records the pull of ``length`` wrote, both sides."""
+        """Records the pull of ``length`` wrote, every side."""
         return sum(self.pulled.get((side, length), 0) for side in SIDES)
 
     def _rebuild_on(self, node: WorkerNode, lengths: list[int]) -> int:
@@ -599,13 +606,14 @@ class ClusterSupervisor:
             while True:
                 node_id = self._least_loaded().node_id
                 try:
-                    self._run_on_node(
+                    written = self._run_on_node(
                         node_id, f"map[{start}:{stop}]",
                         lambda node, _a: node.map_block(self.store, start, stop),
                         in_place=False)
                 except _NodeLost:
                     continue
                 self.block_ranges.setdefault(node_id, []).append((start, stop))
+                self.records_mapped += written
                 break
         # Sealing drains the streams the blocks appended to: like a block,
         # a failed seal is not retried in place but wiped and mapped again.

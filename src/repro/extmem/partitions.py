@@ -3,8 +3,10 @@
 The map phase converts each read batch into ``(length, fingerprint, vertex)``
 tuples and splits them by length into ``l_max − l_min`` partitions per side
 (S = suffixes, P = prefixes), "each into a file corresponding to the
-partition" (§III.A). Partitions below ``l_min`` are never materialized and
-the ``l_max`` partition is dropped to avoid self-loops.
+partition" (§III.A). Partitions below ``l_min`` are never materialized.
+The whole-read partition ``l_max = L`` holds no overlap: it exists to find
+duplicate reads, and has its ``P`` side only, since a whole read's suffix
+is its prefix (:func:`partition_sides`).
 
 The store owns the naming scheme, the writer lifecycle and the sorted runs
 held in host memory; sort and reduce phases address partitions as
@@ -32,6 +34,12 @@ from .io_stats import IOAccountant
 from .streams import HeldRun, RunReader, RunWriter
 
 SIDES = ("S", "P")
+
+
+def partition_sides(length: int, read_length: int) -> tuple[str, ...]:
+    """The sides partition ``length`` has: both, except the whole-read
+    partition (``length == read_length``), whose ``S`` would equal ``P``."""
+    return ("P",) if length == read_length else SIDES
 
 
 class PartitionStore:
@@ -93,7 +101,8 @@ class PartitionStore:
     def append_pairs(self, pairs, rows) -> None:
         """Land a staged fan-out: several logical appends per writer, one write.
 
-        ``pairs`` is a list of ``(length, prefix_records, suffix_records)``.
+        ``pairs`` is a list of ``(length, prefix_records, suffix_records)``;
+        ``suffix_records`` is ``None`` for the whole-read partition.
         Every record array is ``len(rows)`` consecutive logical appends laid
         back to back — ``rows[i]`` is ``(prefix, suffix)`` records each —
         which is how the map phase stages the device batches of one host
@@ -109,14 +118,16 @@ class PartitionStore:
         """
         for length, prefix, suffix in pairs:
             self.append("P", length, prefix, meter=False)
-            self.append("S", length, suffix, meter=False)
-        on_disk = sum(("P", length) not in self._in_memory
-                      for length, _, _ in pairs)
+            if suffix is not None:
+                self.append("S", length, suffix, meter=False)
+        # Per partition on disk, whether it has an S side.
+        on_disk = [suffix is not None for length, _, suffix in pairs
+                   if ("P", length) not in self._in_memory]
         if self.accountant is not None and on_disk:
             width = self.dtype.itemsize
             self.accountant.add_write_run(
-                [n * width for counts in rows for _ in range(on_disk)
-                 for n in counts])
+                [n * width for counts in rows for both in on_disk
+                 for n in (counts if both else counts[:1])])
 
     def reserve(self, lengths, n_records: int, host_pool) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory.

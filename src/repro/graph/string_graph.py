@@ -25,6 +25,12 @@ one-byte overlap (two when reads are longer than 256 bases) and one
 out-degree bit, 5.125 B a vertex. In-degrees are not stored: an edge
 ``u → v`` comes with its twin ``v' → u'``, so ``v`` has an in-edge exactly
 when ``v'`` has an out-edge (:meth:`GreedyStringGraph.has_in_edge`).
+
+A read can also be *dropped* before any edge exists: an exact duplicate of
+a lower-numbered read, on either strand, closes both of its orientations
+(:meth:`GreedyStringGraph.close_reads`). A dropped vertex has its out-bit
+set and no target, so every later candidate that claims it is refused, and
+it is on no path (:meth:`GreedyStringGraph.dropped`).
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ class GreedyStringGraph:
                                 dtype=np.uint8 if read_length <= 256 else np.uint16)
         self._n_edges = 0
         self._candidates_seen = 0
+        self._reads_closed = 0
         self._allocation = None
         if host_pool is not None:
             self._allocation = host_pool.alloc(self.nbytes, label="string-graph")
@@ -73,6 +80,11 @@ class GreedyStringGraph:
     def n_edges(self) -> int:
         """Directed edges inserted (complement pairs count as two)."""
         return self._n_edges
+
+    @property
+    def reads_closed(self) -> int:
+        """Reads dropped as duplicates (:meth:`close_reads`)."""
+        return self._reads_closed
 
     @property
     def candidates_seen(self) -> int:
@@ -121,6 +133,27 @@ class GreedyStringGraph:
             u, v = u[~accept], v[~accept]
         return accepted_total
 
+    def close_reads(self, reads: np.ndarray) -> int:
+        """Drop ``reads``: set both orientations' out-bits, add no edge.
+
+        Every candidate that claims a vertex of a dropped read is refused
+        from then on, so the read ends up on no path. Reads must not have
+        an edge yet (duplicates are closed before the first overlap
+        length); a read already dropped is not counted twice. Returns the
+        number of reads newly dropped.
+        """
+        reads = np.unique(np.asarray(reads, dtype=np.int64))
+        if reads.size and (reads[0] < 0 or reads[-1] >= self.n_reads):
+            raise ConfigError("read id out of range")
+        vertices = reads << 1
+        if np.any(self.target[vertices] != NO_EDGE) \
+                or np.any(self.target[vertices | 1] != NO_EDGE):
+            raise ConfigError("cannot drop a read that has an edge")
+        fresh = vertices[~self.out_bits.get(vertices)]
+        self.out_bits.set(np.concatenate([fresh, fresh | 1]))
+        self._reads_closed += int(fresh.shape[0])
+        return int(fresh.shape[0])
+
     @staticmethod
     def _first_claim_mask(claim_a: np.ndarray, claim_b: np.ndarray) -> np.ndarray:
         """Candidates whose both claims are first-claimed by themselves."""
@@ -160,7 +193,13 @@ class GreedyStringGraph:
     def has_in_edge(self) -> np.ndarray:
         """Per vertex, whether an edge ends there: ``v`` has an in-edge
         exactly when its complement ``v ^ 1`` has an out-edge (the twin)."""
-        return self.out_bits.get(np.arange(self.n_vertices) ^ 1)
+        return self.target[np.arange(self.n_vertices) ^ 1] != NO_EDGE
+
+    def dropped(self) -> np.ndarray:
+        """Per vertex, whether its read was dropped (:meth:`close_reads`):
+        the out-bit is set and there is no target."""
+        bits = self.out_bits.get(np.arange(self.n_vertices))
+        return bits & (self.target == NO_EDGE)
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All edges as int64 ``(sources, targets, overlaps)`` arrays."""
@@ -192,7 +231,13 @@ class GreedyStringGraph:
             raise GraphInvariantError("complement edge symmetry broken")
         if not np.array_equal(self.overlap[targets ^ 1], self.overlap[sources]):
             raise GraphInvariantError("complement overlap symmetry broken")
-        bits_set = self.out_bits.get(np.arange(self.n_vertices)) if self.n_vertices else \
-            np.zeros(0, dtype=bool)
-        if not np.array_equal(np.nonzero(bits_set)[0], sources):
+        bits_set = self.out_bits.get(np.arange(self.n_vertices))
+        if not bits_set[sources].all():
             raise GraphInvariantError("out-degree bit-vector out of sync")
+        # A set bit without a target is a dropped read, and only both of
+        # its orientations together are.
+        dropped = bits_set & (self.target == NO_EDGE)
+        if not np.array_equal(dropped[0::2], dropped[1::2]):
+            raise GraphInvariantError("dropped read with one orientation open")
+        if int(dropped.sum()) != 2 * self._reads_closed:
+            raise GraphInvariantError("dropped reads out of sync with their count")

@@ -84,12 +84,14 @@ def extract_paths(graph: GreedyStringGraph, *, include_singletons: bool = True
 
     ``include_singletons`` controls whether reads with no overlaps at all
     (in-degree 0, out-degree 0) become single-read paths; either way, every
-    read appears in at most one returned path. Vertices on cycles are
+    read appears in at most one returned path, and a dropped read
+    (:meth:`~repro.graph.GreedyStringGraph.close_reads`) in none. Vertices on cycles are
     unreachable from any seed and are skipped (with equal-length reads a
     cycle can only arise from repeats spanning whole reads).
     """
     has_out = graph.target != NO_EDGE
-    no_in = ~graph.has_in_edge()
+    # Dropped reads (duplicates) have neither edge and are on no path.
+    no_in = ~graph.has_in_edge() & ~graph.dropped()
     seeds = np.nonzero(has_out & no_in)[0]
     # A vertex is on at most one path, so the walk fills two flat arrays;
     # a list of per-step arrays costs megabytes in small allocations (a

@@ -97,7 +97,8 @@ def colliding_sources(directory):
 
 
 #: ``graph.npz`` layouts this program must not load (:func:`foreign_graph`).
-FOREIGN_GRAPH_LAYOUTS = ("int64-target", "in-degree-member", "uint16-overlap")
+FOREIGN_GRAPH_LAYOUTS = ("int64-target", "in-degree-member", "uint16-overlap",
+                         "four-entry-meta")
 
 
 def foreign_graph(path, layout: str) -> None:
@@ -105,7 +106,10 @@ def foreign_graph(path, layout: str) -> None:
 
     ``int64-target`` is the layout before the graph was compacted (an int64
     ``target`` with ``-1`` for no edge, a uint16 ``overlap`` and a uint8
-    ``in_degree``); the other two differ from today's in one member only.
+    ``in_degree``); the other three differ from today's in one member only.
+    ``four-entry-meta`` is the archive of a program that kept duplicate
+    reads (no ``reads_closed`` in ``meta``): the same reads' graph with
+    every duplicate still on a path, which must never be served.
     """
     with np.load(path) as archive:
         members = dict(archive)
@@ -115,6 +119,8 @@ def foreign_graph(path, layout: str) -> None:
         members["target"] = np.where(no_edge, -1, target.astype(np.int64))
     if layout in ("int64-target", "uint16-overlap"):
         members["overlap"] = members["overlap"].astype(np.uint16)
+    if layout == "four-entry-meta":
+        members["meta"] = members["meta"][:4]
     if layout in ("int64-target", "in-degree-member"):
         members["in_degree"] = np.bincount(
             target[~no_edge], minlength=target.shape[0]).astype(np.uint8)

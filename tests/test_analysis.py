@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ComparisonTable, contig_accuracy, format_cell, genome_fraction
+from repro.analysis import (ComparisonTable, aligned_n50, assembly_quality,
+                            contig_accuracy, dup_ratio, format_cell,
+                            genome_fraction)
 from repro.graph.contigs import ContigSet
+from repro.seq.stats import n50
 from repro.seq.alphabet import encode, reverse_complement
 
 
@@ -60,6 +63,42 @@ class TestGenomeFraction:
     def test_overlapping_contigs_not_double_counted(self):
         fraction = genome_fraction(contig_set("ACGTTGCA", "GTTGCAAC"), GENOME)
         assert fraction == pytest.approx(10 / 24)
+
+
+class TestDupRatio:
+    def test_each_base_spelled_once(self):
+        text = "".join("ACGT"[c] for c in GENOME)
+        assert dup_ratio(contig_set(text[:14], text[14:]), GENOME) == 1.0
+
+    def test_a_contig_inside_another_is_spelled_twice(self):
+        text = "".join("ACGT"[c] for c in GENOME)
+        rc_piece = "".join("ACGT"[c] for c in reverse_complement(GENOME[4:14]))
+        # 24 + 8 + 10 bases over 24 covered.
+        assert dup_ratio(contig_set(text, text[2:10], rc_piece), GENOME) \
+            == pytest.approx(42 / 24)
+
+    def test_a_wrong_contig_adds_bases_and_no_cover(self):
+        assert dup_ratio(contig_set("ACGTTGCA", "AAAAAAAAAAA"), GENOME) \
+            == pytest.approx(19 / 8)
+        assert dup_ratio(contig_set("AAAAAAAAAAA"), GENOME) == float("inf")
+
+
+class TestAlignedN50:
+    def test_equals_n50_when_every_contig_matches(self):
+        contigs = contig_set("ACGTTGCAACGG", "GGTTAACC", "CGTCGAT")
+        assert aligned_n50(contigs, GENOME) == n50([12, 8, 7]) == 8
+
+    def test_a_wrong_contig_counts_against_the_assembly(self):
+        # 8 matching bases of 19: the matching ones never reach half.
+        assert aligned_n50(contig_set("ACGTTGCA", "AAAAAAAAAAA"), GENOME) == 0
+        # 12 + 8 matching of 24: the 12 reaches half.
+        contigs = contig_set("ACGTTGCAACGG", "GGTTAACC", "AAAA")
+        assert aligned_n50(contigs, GENOME) == 12
+
+    def test_assembly_quality_has_all_three(self):
+        text = "".join("ACGT"[c] for c in GENOME)
+        assert assembly_quality(contig_set(text, text), GENOME) == {
+            "genome_fraction": 1.0, "dup_ratio": 2.0, "aligned_n50": 24}
 
 
 class TestReporting:

@@ -48,11 +48,12 @@ class TestExactOverlaps:
 class TestGreedyFromOverlaps:
     def test_builds_valid_graph(self, tiny_batch):
         overlaps = exact_overlaps(tiny_batch, 25)
-        graph = greedy_graph_from_overlaps(overlaps, tiny_batch.n_reads,
-                                           tiny_batch.read_length)
+        graph = greedy_graph_from_overlaps(overlaps, tiny_batch)
         graph.check_invariants()
         assert graph.n_edges > 0
 
     def test_empty_overlap_list(self):
-        graph = greedy_graph_from_overlaps([], 5, 30)
+        reads = ReadBatch(np.random.default_rng(5).integers(
+            0, 4, (5, 30), dtype=np.uint8))
+        graph = greedy_graph_from_overlaps([], reads)
         assert graph.n_edges == 0

@@ -39,6 +39,13 @@ class TestCommands:
         assert main(["stats", str(contigs)]) == 0
         assert "n50" in capsys.readouterr().out
 
+        assert main(["stats", str(contigs), "--reference", str(genome)]) == 0
+        out = capsys.readouterr().out
+        printed = dict(line.split(": ") for line in out.splitlines())
+        assert float(printed["genome_fraction"]) >= 0.99
+        assert float(printed["dup_ratio"]) <= 1.05
+        assert 0 < int(printed["aligned_n50"]) <= int(printed["n50"])
+
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
         out = capsys.readouterr().out
@@ -77,8 +84,11 @@ class TestCommands:
                      "--min-overlap", "20", "-o", str(contigs)]) == 0
         out = capsys.readouterr().out
         assert "3 simulated nodes" in out and "shuffle" in out
-        # 20 overlap lengths, three a round; most records are closed by then.
-        assert "rounds    7 of 3 overlap lengths" in out
+        # The whole-read length alone, then 20 overlap lengths three a
+        # round; most records are closed by then.
+        assert "rounds    8: the whole-read length, then 3 overlap lengths " \
+            "a round" in out
+        assert "duplicate reads at the whole-read length" in out
         assert "mapped records" in out and "still open when pulled" in out
         assert contigs.exists()
 

@@ -299,9 +299,10 @@ def test_pipeline_recomputes_through_damaged_cache(tmp_path, tiny_md,
 # -- the pipeline's two entries and the hit path -------------------------------
 
 
-#: ``run_map`` calls of one computed run of ``tiny_md``: one a band of its
-#: 25 overlap lengths (1, 4, 16 and 4 lengths).
-MAP_CALLS = 4
+#: ``run_map`` calls of one computed run of ``tiny_md``: one for the
+#: whole-read length, then one a band of its 25 overlap lengths (1, 4, 16
+#: and 4 lengths).
+MAP_CALLS = 5
 
 
 def _count_phase_runs(monkeypatch) -> dict[str, int]:
@@ -380,15 +381,17 @@ def test_every_resolution_passes_the_boundaries_once(
     store = ContentStore(tmp_path / "cache", 64 << 20)
     cache = store if resolution == "cache-hit-no-ledger" else None
     if resolution == "ledger-map":
-        # Killed at reduce's first read: load marked, one length sorted
-        # (map is marked after the loop, with sort and reduce).
+        # Killed at reduce's first read: load marked, the whole-read length
+        # sorted, its one run P_L (map is marked after the loop, with sort
+        # and reduce).
         crash = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run")])
         with inject(crash), pytest.raises(FaultInjected):
             Assembler(laptop_config).assemble(tiny_md.store_path, workdir=work,
                                               resume=True)
         state = json.loads((work / STATE_FILE).read_text())
         assert state["completed"] == ["load"]
-        assert len(list((work / "partitions").glob("*.sorted.run"))) == 2
+        assert [path.name for path in (work / "partitions").glob("*.sorted.run")] \
+            == ["P_00050.sorted.run"]
     else:
         Assembler(laptop_config, content_store=cache).assemble(
             tiny_md.store_path, workdir=work, resume=cache is None)

@@ -10,6 +10,7 @@ from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.load_phase import run_load
 from repro.core.map_phase import overlap_lengths, run_map
+from repro.extmem.partitions import partition_sides
 from repro.core.pipeline import Assembler
 from repro.core.reduce_phase import run_reduce
 from repro.core.sort_phase import run_sort
@@ -66,10 +67,12 @@ class TestMap:
         store = run_load(ctx, tiny_md.store_path)
         partitions, report = run_map(ctx, store)
         lengths = overlap_lengths(ctx, store.read_length)
-        assert partitions.lengths() == sorted(lengths)
-        # l_max is absent (self-loop partition dropped)
-        assert store.read_length not in partitions.lengths()
-        expected = 2 * 2 * store.n_reads * len(lengths)
+        assert partitions.lengths() == [*lengths, store.read_length]
+        # l_max holds whole reads for the duplicate filter: its P side only
+        # (a whole read's suffix is its prefix).
+        assert partitions.records_in("P", store.read_length) == 2 * store.n_reads
+        assert not partitions.path("S", store.read_length).exists()
+        expected = 2 * 2 * store.n_reads * len(lengths) + 2 * store.n_reads
         assert report.tuples_written == expected
         for length in lengths:
             assert partitions.records_in("S", length) == 2 * store.n_reads
@@ -124,9 +127,9 @@ class TestSortPhase:
         partitions, _ = run_map(ctx, store)
         report = run_sort(ctx, partitions)
         assert report.total_records == 4 * store.n_reads * \
-            len(overlap_lengths(ctx, store.read_length))
+            len(overlap_lengths(ctx, store.read_length)) + 2 * store.n_reads
         for length in partitions.lengths():
-            for side in ("S", "P"):
+            for side in partition_sides(length, store.read_length):
                 assert not partitions.path(side, length).exists()
                 with partitions.open_run(side, length, sorted_run=True) as reader:
                     keys = reader.read_all()[KEY_FIELD]

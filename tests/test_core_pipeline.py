@@ -49,8 +49,7 @@ class TestCorrectness:
         # rebuild the graph via a fresh pipeline-less reduce
         from repro.baselines import exact_overlaps, greedy_graph_from_overlaps
 
-        graph = greedy_graph_from_overlaps(exact_overlaps(batch, 25),
-                                           batch.n_reads, batch.read_length)
+        graph = greedy_graph_from_overlaps(exact_overlaps(batch, 25), batch)
         paths = extract_paths(graph).deduplicated()
         oriented = np.empty((2 * batch.n_reads, batch.read_length), dtype=np.uint8)
         oriented[0::2] = batch.codes

@@ -1,8 +1,10 @@
 """Differential oracle: the pipeline vs the exact O(n·L²) baseline.
 
-Every pipeline configuration — merge fanout, block sizes, node count — must
-produce *exactly* the greedy string graph the brute-force oracle builds from
-exact suffix–prefix overlaps fed in pipeline stream order. A single missing
+Every pipeline configuration — merge fanout, block sizes, node count, a
+served job — must produce *exactly* the greedy string graph the brute-force
+oracle builds from exact suffix–prefix overlaps fed in pipeline stream
+order, after dropping the duplicate reads it finds by comparing the reads
+themselves. A single missing
 or extra edge on any configuration is a correctness bug (a fingerprint
 collision mishandled, a partition lost in a merge round, a token dropped),
 not a tolerance issue — so the comparison is array equality, never "close".
@@ -15,11 +17,12 @@ import pytest
 
 from repro.baselines.naive_overlap import (exact_overlaps,
                                            greedy_graph_pipeline_order)
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, ServiceConfig
 from repro.core.pipeline import Assembler
 from repro.distributed.cluster import DistributedAssembler
 from repro.fingerprint import FingerprintScheme
 from repro.seq.datasets import tiny_dataset
+from repro.service import AssemblyService, JobSpec
 
 GENOME_SEEDS = (7, 13, 29)
 #: 2 and 4 explicit, 0 = derive the widest fanout the device window allows.
@@ -100,6 +103,28 @@ def test_distributed_contigs_invariant_across_node_counts(genomes):
     for other in runs[1:]:
         assert other.edges == base.edges
         assert np.array_equal(other.contigs.flat_codes, base.contigs.flat_codes)
+
+
+@pytest.mark.parametrize("genome_seed", GENOME_SEEDS)
+def test_served_graph_matches_oracle(genomes, tmp_path, genome_seed):
+    """A job through the service, cold then served from the cache: the
+    cached graph is the oracle's, and both jobs' contigs are a direct
+    assembly's."""
+    md, _, reference = genomes[genome_seed]
+    service_config = ServiceConfig(cache_dir=str(tmp_path / "cache"),
+                                   workdir=str(tmp_path / "jobs"))
+    direct = Assembler(_config(2)).assemble(md.store_path)
+    for job in ("cold", "warm"):
+        report = AssemblyService(service_config).run_jobs(
+            [JobSpec(job, "alice", md.store_path, _config(2))])
+        contigs = report.outcomes[0].result.contigs
+        assert np.array_equal(contigs.flat_codes, direct.contigs.flat_codes)
+        assert np.array_equal(contigs.offsets, direct.contigs.offsets)
+    (cached,) = (tmp_path / "cache").rglob("graph.npz")
+    archive = np.load(cached)
+    assert np.array_equal(archive["target"], reference.target)
+    assert np.array_equal(archive["overlap"], reference.overlap)
+    assert archive["out_bits"].tobytes() == reference.out_bits.to_bytes()
 
 
 def test_pipeline_finds_no_false_edges(genomes):

@@ -388,6 +388,36 @@ class TestMidPartitionCrash:
             f"crash at {point.path} (op {point.op}) changed the output"
         assert recovered.reduce_report == probe.reduce_report
 
+    @pytest.mark.parametrize("which", ["middle", "last"])
+    def test_a_crash_while_closing_duplicates_counts_each_read_once(
+            self, resilience_data, clean_run, busiest_reduces, which):
+        """A crash part-way through the whole-read length's ``P_L``: the
+        replay finds the reads the crashed attempt closed already closed,
+        and the report still counts every dropped read once."""
+        clean, _ = clean_run
+        config, probe, _ = busiest_reduces
+        plan = FaultPlan()
+        with inject(plan):
+            DistributedAssembler(config, N_NODES).assemble(
+                resilience_data.store_path)
+        whole = f":reduce[{probe.read_length}]"
+        points, inside = [], False
+        for point in plan.trace:
+            if point.site == NODE:
+                inside = point.path.endswith(whole)
+            elif point.site == READ and inside:
+                points.append(point)
+        assert len(points) >= 3 and probe.reduce_report.reads_closed > 0
+        point = points[len(points) // 2] if which == "middle" else points[-1]
+        crash = FaultPlan([Fault(NODE_CRASH, site=READ, at_op=point.op)])
+        with inject(crash):
+            recovered = DistributedAssembler(config, N_NODES).assemble(
+                resilience_data.store_path)
+        assert [e.kind for e in crash.events] == [NODE_CRASH]
+        assert recovered.notes["node_restarts"] >= 1
+        assert _identity(recovered) == _identity(clean)
+        assert recovered.reduce_report == probe.reduce_report
+
 
 # -- the failover rung ---------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The cluster's rounds: filter before the wire.
 
-Shuffle, sort and reduce run in rounds of ``n_nodes`` overlap lengths,
-longest first; each round's map pieces leave their producers minus the
+Shuffle, sort and reduce run in rounds, longest first: the whole-read
+length alone (it closes the duplicate reads), then ``n_nodes`` overlap
+lengths a round; each round's map pieces leave their producers minus the
 records the out-degree bit-vector of the rounds before has closed. The
 graph must be the single-node ``Assembler``'s for every node count, the
 wire must carry less than the one-round (eager) schedule's, and a crash
@@ -19,6 +20,7 @@ import pytest
 
 from repro import Assembler, AssemblyConfig
 from repro.distributed import DistributedAssembler, cluster, node, resilience
+from repro.extmem.partitions import partition_sides
 from repro.faults import NODE, NODE_CRASH, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
 
@@ -47,8 +49,10 @@ def final_graph(monkeypatch):
 
 # -- (a) the graph is the single node's, whatever the round size --------------
 
-#: Parent commit, 40 nodes (one eager round) on the dataset below.
-EAGER_SHUFFLE_BYTES = 698_400
+#: One eager round (``OneRound``, 40 nodes) on the dataset below: the
+#: parent commit's 698,400 B plus the pieces of ``P_L``, and its
+#: candidates (the duplicates' are offered, and refused).
+EAGER_SHUFFLE_BYTES = 707_840
 EAGER_CANDIDATES = 2_984
 
 
@@ -73,9 +77,9 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
     assert final_graph["out_bits"] == archive["out_bits"].tobytes()
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
     assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
-    assert result.notes["rounds"] == -(-37 // n_nodes)
+    assert result.notes["rounds"] == 1 + -(-37 // n_nodes)
     assert result.total_seconds == sum(result.phase_seconds.values())
-    assert sum(1 for hop in result.token_trace if hop["ok"]) == 37
+    assert sum(1 for hop in result.token_trace if hop["ok"]) == 37 + 1
     assert result.reduce_report.per_length_edges \
         == single.reduce_report.per_length_edges
     if n_nodes == 1:
@@ -91,11 +95,14 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
         assert result.phase_seconds["reduce"] == pytest.approx(
             single.telemetry["reduce"].sim_seconds)
     elif n_nodes == 40:
-        # One round: nothing is closed when it is pulled. Today's eager
-        # schedule, to the byte.
-        assert result.shuffle_bytes == EAGER_SHUFFLE_BYTES
-        assert result.reduce_report.candidates == EAGER_CANDIDATES
-        assert result.notes["records_shuffled"] == result.notes["records_mapped"]
+        # The whole-read round, then one round of every overlap length:
+        # only the duplicates are closed when it is pulled. The eager
+        # schedule less the duplicates' records, to the byte.
+        assert result.shuffle_bytes == 632_720 < EAGER_SHUFFLE_BYTES
+        assert result.reduce_report.candidates == 2_356 < EAGER_CANDIDATES
+        assert result.notes["records_shuffled"] \
+            == result.notes["records_mapped"] \
+            - 2 * 2 * 37 * result.reduce_report.reads_closed
     else:
         assert result.shuffle_bytes < EAGER_SHUFFLE_BYTES
         assert single.reduce_report.candidates \
@@ -106,8 +113,8 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
 
 
 @pytest.mark.parametrize("n_nodes, shuffle_bytes, candidates", [
-    (2, 90_888, 1_850),
-    (4, 165_408, 2_402),
+    (2, 58_320, 1_216),
+    (4, 114_168, 1_598),
 ])
 def test_shuffle_bytes_and_candidates_pinned(tmp_path, n_nodes, shuffle_bytes,
                                              candidates):
@@ -169,7 +176,7 @@ def _sorted_partitions(result, workdir) -> dict[str, bytes]:
     files = {}
     for hop in result.token_trace:
         if hop["ok"]:
-            for side in ("S", "P"):
+            for side in partition_sides(hop["length"], result.read_length):
                 name = f"{side}_{hop['length']:05d}.sorted.run"
                 files[name] = (workdir / f"node{hop['node']:02d}" / "partitions"
                                / name).read_bytes()
@@ -214,7 +221,7 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
 
     for module in (node, resilience):
         monkeypatch.setattr(module, "run_map", spy)
-    assert len(rounds) == 4 and len(clean_files) == 2 * 12
+    assert len(rounds) == 5 and len(clean_files) == 2 * 12 + 1
     victim = random.Random(SWEEP_SEED).randrange(1, len(rounds))
     points = rounds[victim]
     assert {"pull", "sort", "reduce"} <= {_kind(point) for point in points}

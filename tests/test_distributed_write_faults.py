@@ -26,10 +26,11 @@ from repro.seq.datasets import tiny_dataset
 
 MIN_OVERLAP = 20
 N_NODES = 2
-#: 64 map-piece writes (32 a node, all drained by ``seal-map``) and 64
-#: partition writes (a pull and a sorted run per partition).
-N_WRITES = 128
-N_MAP_PIECE_WRITES = 64
+#: 66 map-piece writes (33 a node: ``P_L`` and both sides of 16 overlap
+#: lengths, all drained by ``seal-map``) and 66 partition writes (a pull
+#: and a sorted run per partition).
+N_WRITES = 132
+N_MAP_PIECE_WRITES = 66
 TORN_OFFSET = 5
 
 CELLS = [(index, kind, delay) for index in range(N_WRITES)
@@ -38,8 +39,13 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
          for delay in delays]
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
+#: The tier-1 sample is drawn from the cells of the first 128 writes (the
+#: sweep's size when the sample was fixed), so the sampled cell ids stay
+#: the same when a change adds writes; the full sweep runs every cell.
+SAMPLED_WRITES = 128
 SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
-    else sorted(random.Random(SAMPLE_SEED).sample(CELLS, SAMPLE_SIZE))
+    else sorted(random.Random(SAMPLE_SEED).sample(
+        [cell for cell in CELLS if cell[0] < SAMPLED_WRITES], SAMPLE_SIZE))
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import AssemblyConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
-from repro.core.map_phase import overlap_lengths, run_map
+from repro.core.map_phase import partition_lengths, run_map
 from repro.errors import ConfigError
 from repro.extmem.records import (AUX_FIELD, KEY_FIELD, VAL_FIELD, kv_dtype,
                                   make_records)
@@ -213,10 +213,12 @@ def test_run_map_files_are_the_reference_assemblies(tmp_path, tiny_md, lanes,
     ctx = RunContext(config, workdir=tmp_path / "work")
     try:
         with PackedReadStore.open(tiny_md.store_path) as store:
-            lengths = overlap_lengths(ctx, store.read_length)
+            lengths = partition_lengths(ctx, store.read_length)
             partitions, report = run_map(ctx, store)
             expected = _expected_partitions(ctx.scheme, store, lengths,
                                             batch_reads)
+            # The whole-read length has its P side only (S_L equals P_L).
+            del expected["S", store.read_length]
         assert report.n_batches == -(-tiny_md.n_reads // batch_reads)
         found = _read_partitions(partitions)
         assert found.keys() == expected.keys()
@@ -231,7 +233,8 @@ def test_only_lengths_rebuilds_equal_the_full_map(tmp_path, tiny_md):
                             fingerprint_lanes=2, map_batch_reads=7)
     read_range = (13, 110)
     files = {}
-    for name, only in (("full", None), ("one", {31}), ("some", {25, 26, 40, 49})):
+    for name, only in (("full", None), ("one", {31}), ("some", {25, 26, 40, 49}),
+                       ("whole", {50}), ("whole-and-one", {31, 50})):
         ctx = RunContext(config, workdir=tmp_path / name)
         try:
             with PackedReadStore.open(tiny_md.store_path) as store:
@@ -239,12 +242,14 @@ def test_only_lengths_rebuilds_equal_the_full_map(tmp_path, tiny_md):
                                              only_lengths=only)
             files[name] = {path.name: path.read_bytes()
                            for path in partitions.root.iterdir()}
-            n_kept = len(only or report.lengths)
-            assert report.tuples_written == 2 * 2 * 97 * n_kept
-            assert len(files[name]) == 2 * n_kept
+            # The whole-read length 50 (in a full map too) has its P side only.
+            whole = only is None or 50 in only
+            n_kept = len(only or report.lengths) - (only is not None and whole)
+            assert report.tuples_written == 2 * 97 * (2 * n_kept + whole)
+            assert len(files[name]) == 2 * n_kept + whole
         finally:
             ctx.cleanup()
-    for name in ("one", "some"):
+    for name in ("one", "some", "whole", "whole-and-one"):
         assert files[name] == {file: files["full"][file] for file in files[name]}
 
 

@@ -85,10 +85,12 @@ def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
     assert held.contigs.offsets.tobytes() == plain.contigs.offsets.tobytes()
     assert held.sort_report == plain.sort_report
     assert held.reduce_report == plain.reduce_report
-    # The longest length is sorted before the graph exists: always disk.
+    # The whole-read length is sorted before the graph exists: its one run
+    # (P_L) always comes off the disk.
     from_disk, in_memory = _runs_read(held)
-    assert from_disk >= 2 and in_memory > 0
-    assert from_disk + in_memory == 2 * held.reduce_report.partitions_processed
+    assert from_disk >= 1 and in_memory > 0
+    assert from_disk + in_memory \
+        == 2 * held.reduce_report.partitions_processed - 1
     assert _runs_read(plain) == (from_disk + in_memory, 0)
     # Only reduce's reads moved: the sort charged what it did.
     for phase in ("load", "map", "sort", "compress"):
@@ -102,14 +104,15 @@ def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
 
 def test_a_tight_budget_reads_what_it_cannot_hold(data, tmp_path):
     """The sorter's block budget beside a held run is not negotiable: under
-    the cramped host more runs come off the disk than the longest pair."""
+    the cramped host more runs come off the disk than the whole-read
+    length's one."""
     result = Assembler(_config(CRAMPED)).assemble(data.store_path,
                                                   workdir=tmp_path / "w")
     from_disk, in_memory = _runs_read(result)
-    assert from_disk > 2 and in_memory > 0
+    assert from_disk > 1 and in_memory > 0
     roomy = Assembler(_config(INCORE)).assemble(data.store_path,
                                                 workdir=tmp_path / "roomy")
-    assert _runs_read(roomy) == (2, from_disk + in_memory - 2)
+    assert _runs_read(roomy) == (1, from_disk + in_memory - 1)
 
 
 @pytest.mark.parametrize("memory", (INCORE, OUTOFCORE, CRAMPED),
@@ -251,9 +254,13 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
                                          resume=True)
     clean = Assembler(config).assemble(data.store_path,
                                        workdir=tmp_path / "clean", resume=True)
-    # The three lengths sorted before the raise are read off the disk.
-    assert _runs_read(resumed)[0] == 6
-    assert _runs_read(clean)[0] == 2
+    # The lengths sorted before the raise are read off the disk: the
+    # whole-read length's one run (it goes through close_duplicates, not
+    # reduce_partition) and three overlap lengths' runs, or two when the
+    # whole-read length was run_reduce's first call.
+    assert _runs_read(resumed)[0] \
+        == {"reduce_partition": 1 + 2 * 3, "run_reduce": 1 + 2 * 2}[where]
+    assert _runs_read(clean)[0] == 1
     assert resumed.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
     assert np.load(workdir / "graph.npz")["target"].tobytes() \
@@ -338,7 +345,8 @@ def test_the_trace_notes_what_was_held(data, tmp_path):
     from_disk, in_memory = _runs_read(result)
     assert sum(span["args"]["held"] for span in reduced) == in_memory
     assert sum(span["args"]["held"] for span in sorted_) == in_memory
-    assert len(reduced) * 2 == from_disk + in_memory
+    # Two runs a length, one for the whole-read length.
+    assert len(reduced) * 2 - 1 == from_disk + in_memory
 
     cluster_trace = tmp_path / "cluster-trace"
     DistributedAssembler(_config(CRAMPED, trace=str(cluster_trace)), 1

@@ -23,6 +23,7 @@ from repro.core.context import RunContext
 from repro.core.map_phase import band_report, run_map
 from repro.core.sort_phase import make_sorter
 from repro.extmem import PartitionStore
+from repro.extmem.partitions import partition_sides
 from repro.extmem.records import KEY_FIELD, VAL_FIELD, kv_dtype
 from repro.faults import (CRASH, PHASE, READ, RENAME, WRITE, Fault,
                           FaultPlan, inject, result_digest, scan_residue)
@@ -37,6 +38,8 @@ from repro.seq.simulate import ReadSimulator, simulate_genome
 from .conftest import eager_composition
 
 MIN_OVERLAP = 25
+#: The read length of ``data``: its whole-read partition has a P side only.
+READ_LENGTH = 50
 
 
 def _genome(kind: str, length: int, seed: int) -> np.ndarray:
@@ -152,7 +155,8 @@ def mapped(data, tmp_path_factory):
         with PackedReadStore.open(data.store_path) as store:
             partitions, _ = run_map(ctx, store)
         eager = {(side, length): _records(partitions, side, length)
-                 for length in partitions.lengths() for side in ("S", "P")}
+                 for length in partitions.lengths()
+                 for side in partition_sides(length, READ_LENGTH)}
     finally:
         ctx.cleanup()
     banded = {}
@@ -160,7 +164,7 @@ def mapped(data, tmp_path_factory):
 
     def spy(ctx, partitions, *, lengths, **kwargs):
         for length in lengths:
-            for side in ("S", "P"):
+            for side in partition_sides(length, READ_LENGTH):
                 banded[(side, length)] = _records(partitions, side, length)
         return real(ctx, partitions, lengths=lengths, **kwargs)
 
@@ -168,6 +172,24 @@ def mapped(data, tmp_path_factory):
         patch.setattr(pipeline, "run_sort", spy)
         Assembler(CRAMPED).assemble(data.store_path, workdir=root / "banded")
     return eager, banded
+
+
+def _dropped(eager) -> np.ndarray:
+    """Per vertex of the eager graph, whether its read was dropped as a
+    duplicate: its bit is set and it has no out-edge."""
+    n_vertices = eager.target.shape[0]
+    bits = PackedBitVector.from_bytes(eager.out_bits, n_vertices)
+    return bits.get(np.arange(n_vertices)) & (eager.target == NO_EDGE)
+
+
+def _closed_after(eager, length: int) -> np.ndarray:
+    """The vertices closed once every length longer than ``length`` is
+    reduced: the duplicates (closed at the whole-read length) and the
+    sources of the longer edges."""
+    if length == READ_LENGTH:
+        return np.zeros(eager.target.shape[0], dtype=bool)
+    return _dropped(eager) | ((eager.target != NO_EDGE)
+                              & (eager.overlap > length))
 
 
 class TestWhatIsSorted:
@@ -180,12 +202,15 @@ class TestWhatIsSorted:
         the graph's halving freed (0.7144466412441389 with a 17,800 B
         graph), then the banded map's writes and the sort's reads of the
         records it no longer writes (0.6095202764966668 with one eager
-        map)."""
+        map), then the whole-read band that drops the 137 duplicate reads
+        before any overlap band (0.596634955804027 with the duplicates
+        mapped, sorted and reduced)."""
         _, result, _ = runs
-        assert result.telemetry.total_sim_seconds() == 0.596634955804027
-        assert result.sort_report.total_records == 15_616
-        assert result.reduce_report.candidates == 2_126
-        assert result.map_report.tuples_written == 24_656
+        assert result.telemetry.total_sim_seconds() == 0.561234481690924
+        assert result.sort_report.total_records == 9_496
+        assert result.reduce_report.candidates == 1_324
+        assert result.map_report.tuples_written == 16_540
+        assert result.reduce_report.reads_closed == 137
 
     def test_partitions_are_eager_minus_closed_records(self, runs, mapped):
         """A band maps a record iff its claim was open at the band's start,
@@ -193,15 +218,19 @@ class TestWhatIsSorted:
         eager, result, lazy_partitions = runs
         eager_mapped, banded = mapped
         lengths = eager.partitions.lengths()
-        assert [len(band) for band in pipeline._bands(lengths)] == [1, 4, 16, 4]
+        bands = pipeline._bands(lengths[:-1], READ_LENGTH)
+        assert [len(band) for band in bands] == [1, 1, 4, 16, 4]
         assert set(banded) == set(eager_mapped)
         unmapped = 0
-        for band in pipeline._bands(lengths):
+        for band in bands:
             # A vertex's bit was set when its out-edge was placed, at the
-            # overlap length the edge carries.
-            closed = (eager.target != NO_EDGE) & (eager.overlap > band[0])
+            # overlap length the edge carries, or at the whole-read length
+            # when its read was dropped.
+            closed = _closed_after(eager, band[0])
             for length in band:
                 for side, flip in (("S", 0), ("P", 1)):
+                    if side not in partition_sides(length, READ_LENGTH):
+                        continue
                     records = eager_mapped[(side, length)]
                     expected = records[~closed[records[VAL_FIELD] ^ flip]]
                     got = banded[(side, length)]
@@ -212,8 +241,10 @@ class TestWhatIsSorted:
             == eager.map_report.tuples_written - unmapped
         dropped = 0
         for length in lengths:
-            closed = (eager.target != NO_EDGE) & (eager.overlap > length)
+            closed = _closed_after(eager, length)
             for side, flip in (("S", 0), ("P", 1)):
+                if side not in partition_sides(length, READ_LENGTH):
+                    continue
                 records = _sorted_records(eager.partitions, side, length)
                 expected = records[~closed[records[VAL_FIELD] ^ flip]]
                 got = _sorted_records(lazy_partitions, side, length)
@@ -228,10 +259,9 @@ class TestWhatIsSorted:
         """``band_report`` (what a resumed run reports for the lengths it
         finds sorted) is what ``run_map`` reports for the band it maps."""
         eager, _, _ = runs
-        band = pipeline._bands(eager.partitions.lengths())[2]
+        band = pipeline._bands(eager.partitions.lengths()[:-1], READ_LENGTH)[3]
         closed = PackedBitVector(2 * eager.n_reads)
-        closed.set(np.flatnonzero((eager.target != NO_EDGE)
-                                  & (eager.overlap > band[0])))
+        closed.set(np.flatnonzero(_closed_after(eager, band[0])))
         ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
         try:
             with PackedReadStore.open(data.store_path) as store:
@@ -259,12 +289,15 @@ class TestWhatIsSorted:
                 n_records = lazy_partitions.records_in(side, length,
                                                        sorted_run=True)
                 assert report == sorter.report_for(n_records), (side, length)
-            # Nothing can be dropped before the first edge is placed, and the
-            # graph is not allocated yet: the paper's pass count holds.
-            for side in ("S", "P"):
+            # Nothing can be dropped before the duplicates are closed, and
+            # the graph is not allocated yet: the paper's pass count holds
+            # for the whole-read length's one run.
+            assert longest == READ_LENGTH
+            for side in partition_sides(longest, READ_LENGTH):
                 assert result.sort_report.reports[(side, longest)] \
                     == eager.sort_report.reports[(side, longest)]
-            assert result.sort_report.reports[("S", longest)].disk_passes == 2
+            assert ("S", longest) not in result.sort_report.reports
+            assert result.sort_report.reports[("P", longest)].disk_passes == 2
         finally:
             ctx.cleanup()
 
@@ -368,25 +401,26 @@ class TestBandsInHostMemory:
         assert kept.map_report == on_disk.map_report
         assert kept.sort_report == on_disk.sort_report
         runs = sorted((root / "disk" / "partitions").glob("*.sorted.run"))
-        assert len(runs) == 2 * 25
+        assert len(runs) == 2 * 25 + 1
         for run in runs:
             assert (root / "kept" / "partitions" / run.name).read_bytes() \
                 == run.read_bytes(), run.name
         assert not list((root / "kept" / "partitions").glob("[SP]_?????.run"))
 
     def test_only_the_first_band_reaches_the_disk(self, data, pair):
-        """The disk sees the first band's two partitions, whatever the
-        data: every oriented read has both claims open before any edge."""
+        """The disk sees the first band's one partition, ``P_L``, whatever
+        the data: every oriented read is in it, before any read is
+        closed."""
         _, kept, on_disk = pair
-        first_band = 2 * 2 * data.n_reads * kv_dtype(2).itemsize
+        first_band = 2 * data.n_reads * kv_dtype(2).itemsize
         mapped, sorted_ = (kept.telemetry[phase].counters
                            for phase in ("map", "sort"))
         assert mapped["disk_write_bytes"] == first_band
         assert on_disk.telemetry["map"].counters["disk_write_bytes"] \
             > first_band
         assert sorted_["disk_read_bytes"] == first_band
-        assert sorted_["disk_seeks"] == 2
-        assert on_disk.telemetry["sort"].counters["disk_seeks"] == 2 * 25
+        assert sorted_["disk_seeks"] == 1
+        assert on_disk.telemetry["sort"].counters["disk_seeks"] == 2 * 25 + 1
         assert kept.telemetry.total_sim_seconds() \
             < on_disk.telemetry.total_sim_seconds()
 
@@ -397,7 +431,7 @@ class TestBandsInHostMemory:
         with inject(probe):
             Assembler(ROOMY).assemble(data.store_path,
                                       workdir=tmp_path / "probe", resume=True)
-        second_band = pipeline._bands(range(MIN_OVERLAP, 50))[1]
+        second_band = pipeline._bands(range(MIN_OVERLAP, 50), READ_LENGTH)[1]
         # The sort's reads of the second band's unsorted partitions.
         reads = [point for point in probe.trace if point.site == READ
                  and point.phase == "sort"
@@ -433,8 +467,8 @@ class TestCrashInABand:
             Assembler(CRAMPED).assemble(
                 data.store_path, workdir=tmp_path_factory.mktemp("probe"),
                 resume=True)
-        bands = pipeline._bands(range(MIN_OVERLAP, 50))
-        assert [len(band) for band in bands] == [1, 4, 16, 4]
+        bands = pipeline._bands(range(MIN_OVERLAP, 50), READ_LENGTH)
+        assert [len(band) for band in bands] == [1, 1, 4, 16, 4]
         return plan.trace, bands
 
     def _crash_and_resume(self, data, tmp_path, point, site):
@@ -467,8 +501,8 @@ class TestCrashInABand:
         assert result_digest(resumed) == result_digest(golden)
         assert resumed.map_report == golden.map_report
         # The first band's length was sorted; every other length is mapped.
-        assert done == {"S_00049.sorted.run", "P_00049.sorted.run"}
-        assert mapped == set(range(MIN_OVERLAP, 49))
+        assert done == {"P_00050.sorted.run"}
+        assert mapped == set(range(MIN_OVERLAP, 50))
         assert not renamed & done
 
     def test_a_crash_in_the_third_band_sort(self, data, runs, probe, tmp_path):
@@ -485,4 +519,4 @@ class TestCrashInABand:
             bands[0] + bands[1] + bands[2])
         # Only what is left of the third band, and the fourth, is mapped.
         assert mapped == set(range(MIN_OVERLAP, 50)) - sorted_lengths
-        assert len(renamed) == 2 * 25 - len(done) and not renamed & done
+        assert len(renamed) == 2 * 25 + 1 - len(done) and not renamed & done

@@ -146,7 +146,8 @@ def test_a_block_fits_beside_the_resident_graph(tmp_path, tiny_md):
                     continue
                 _, report = run_map(ctx, store, closed=closed,
                                     resident_bytes=resident)
-            assert report.tuples_written == 2 * 2 * tiny_md.n_reads * 25
+            # Every overlap length's two sides, and P_L.
+            assert report.tuples_written == 2 * tiny_md.n_reads * (2 * 25 + 1)
             assert ctx.host_pool.lifetime_peak_bytes \
                 <= config.memory.host_bytes
         finally:

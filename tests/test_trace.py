@@ -251,7 +251,8 @@ class TestTracedDistributed:
         cluster = [s for s in spans if s["track"] == "cluster"
                    and s["cat"] == "cluster"]  # in the order they were emitted
         n_rounds = int(result.notes["rounds"])
-        assert n_rounds == 13  # 25 overlap lengths, two a round
+        # The whole-read length alone, then 25 overlap lengths two a round.
+        assert n_rounds == 14
         assert [s["name"] for s in cluster] == \
             ["map"] + ["shuffle", "sort", "reduce"] * n_rounds + ["compress"]
         for earlier, later in zip(cluster, cluster[1:]):

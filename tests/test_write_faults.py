@@ -31,10 +31,10 @@ from repro.faults import (CRASH, FSYNC_LOSS, TORN, WRITE, Fault, FaultPlan,
 from repro.seq.datasets import tiny_dataset
 
 MIN_OVERLAP = 20
-#: 2 packed-store writes, 32 unsorted partition writes (16 lengths in
-#: bands of 1, 4 and 11) and 32 sorted-run writes (one run each).
-N_WRITES = 66
-N_PARTITION_WRITES = 32
+#: 2 packed-store writes, 33 unsorted partition writes (``P_L``, then 16
+#: lengths in bands of 1, 4 and 11) and 33 sorted-run writes (one run each).
+N_WRITES = 68
+N_PARTITION_WRITES = 33
 TORN_OFFSET = 5
 
 CELLS = [(index, kind, delay) for index in range(N_WRITES)
@@ -43,8 +43,13 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
          for delay in delays]
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
+#: The tier-1 sample is drawn from the cells of the first 66 writes (the
+#: sweep's size when the sample was fixed), so the sampled cell ids stay
+#: the same when a change adds writes; the full sweep runs every cell.
+SAMPLED_WRITES = 66
 SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
-    else sorted(random.Random(SAMPLE_SEED).sample(CELLS, SAMPLE_SIZE))
+    else sorted(random.Random(SAMPLE_SEED).sample(
+        [cell for cell in CELLS if cell[0] < SAMPLED_WRITES], SAMPLE_SIZE))
 
 
 def _config() -> AssemblyConfig:
