@@ -39,7 +39,7 @@ def main() -> None:
         result = DistributedAssembler(config, n_nodes).assemble(md.store_path)
         row = f"{n_nodes:>5}  " + "".join(
             f"{format_duration(result.phase_seconds[p]):>10}" for p in phases)
-        kept = result.notes["records_shuffled"] / result.notes["records_mapped"]
+        kept = result.notes["records_shuffled"] / result.notes["records_eager"]
         print(row + f"{format_duration(result.total_seconds):>10}  "
               f"{result.edges:>8,}  {int(result.notes['rounds']):>6}  "
               f"{kept:>6.1%}")

@@ -182,9 +182,9 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
           f"{args.nodes} overlap lengths a round (one per node), longest first")
     print(f"  dropped   {result.reduce_report.reads_closed:,} duplicate reads "
           f"at the whole-read length")
-    print(f"  shuffled  {int(notes['records_shuffled']):,} of "
-          f"{int(notes['records_mapped']):,} mapped records "
-          f"({notes['records_shuffled'] / notes['records_mapped']:.1%}) were "
+    print(f"  shuffled  {int(notes['records_shuffled']):,} mapped records of "
+          f"the eager map's {int(notes['records_eager']):,} "
+          f"({notes['records_shuffled'] / notes['records_eager']:.1%}) were "
           f"still open when pulled; {result.shuffle_bytes:,} B over the network")
     if result.degraded is not None:
         # Degraded completion is a successful exit: the survivors finished

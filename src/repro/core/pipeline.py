@@ -48,11 +48,11 @@ from .checkpoint import (GRAPH_FILE, PHASES, CheckpointManager,
 from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
-from .map_phase import (MapReport, band_report, open_vertices,
-                        overlap_lengths, partition_lengths, run_map)
+from .map_phase import (MapReport, band_report, keep_in_memory,
+                        open_vertices, overlap_lengths, run_map)
 from .reduce_phase import ReduceReport, run_reduce
 from .results import AssemblyResult
-from .sort_phase import SortPhaseReport, make_sorter, run_sort
+from .sort_phase import SortPhaseReport, run_sort
 
 
 #: The map's overlap bands grow by this factor, longest lengths first: 1,
@@ -76,30 +76,13 @@ def _bands(lengths, read_length: int) -> list[list[int]]:
 def _keep_in_memory(ctx: RunContext, store: PackedReadStore,
                     partitions: PartitionStore, lengths, closed,
                     resident_bytes: int) -> None:
-    """Keep a band's unsorted partitions in host memory, in an in-core run.
-
-    A run is in-core when every record an eager map writes would fit in
-    one host block of the sorter; the paper's regime (data ≫ host) is not,
-    and keeps every partition on disk. Each side of each length receives
-    one record per open vertex
-    (:func:`~repro.core.map_phase.open_vertices`), so the band's bytes are
-    known before it is mapped. They are kept if the sorter's whole host
-    block stays free beside them, as a held sorted run must leave it
-    (:func:`~repro.core.sort_phase._holder`): the map's host block and
-    every sort of the band then reserve what they would with the
-    partitions on disk. Kept partitions cost no disk write, read or seek,
-    so the disk traffic of an in-core map does not depend on the data
-    (DESIGN.md, *In-core runs keep the later bands in host memory*).
-    """
-    dtype = partitions.dtype
-    if band_report(ctx, store, partition_lengths(ctx, store.read_length)
-                   ).tuples_written > make_sorter(ctx, dtype).m_h:
-        return
-    n_records = open_vertices(store, closed)
-    block = make_sorter(ctx, dtype, resident_bytes).m_h
-    if 2 * len(lengths) * n_records * dtype.itemsize \
-            <= ctx.host_pool.free_bytes - block * dtype.itemsize:
-        partitions.reserve(lengths, n_records, ctx.host_pool)
+    """Keep a band's unsorted partitions in host memory, in an in-core run
+    (:func:`~repro.core.map_phase.keep_in_memory`): each side of each
+    length receives one record per vertex ``closed`` leaves open
+    (:func:`~repro.core.map_phase.open_vertices`), so the disk traffic of
+    an in-core map does not depend on the data."""
+    keep_in_memory(ctx, store, partitions, lengths,
+                   open_vertices(store, closed), resident_bytes)
 
 
 def _source_identity(source) -> str:

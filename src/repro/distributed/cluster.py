@@ -6,8 +6,10 @@ clock, and a barrier at the end of each phase advances every clock to the
 slowest participant's. The phase timings this produces are the series
 behind Fig. 10:
 
-* **map** — the master hands read blocks to whichever node is least loaded
-  (modeling GASNet work-request messages); scales ~1/n.
+* **map** — in the first round the master hands read blocks to whichever
+  node is least loaded (modeling GASNet work-request messages); in every
+  later round each node maps its recorded blocks again, for the round's
+  lengths only; scales ~1/n.
 * **shuffle** — all-to-all: each node pulls its owned length partitions
   from every peer; only exists for n > 1 (the scaling overhead the paper
   calls out).
@@ -21,25 +23,32 @@ behind Fig. 10:
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline.
 
-Shuffle, sort and reduce run in **rounds**, longest length first. The first
-round is the whole-read length ``L`` alone: every node's map also writes
-its ``P_L`` piece, and ``L``'s owner pulls and sorts them and closes the
-duplicate reads under the token before any edge is added
+Every node reads the shared read store through its own disk meter
+(:meth:`WorkerNode.metered`), as a single node's map and compress do.
+
+Map, shuffle, sort and reduce run in **rounds**, longest length first.
+The first round is the whole-read length ``L`` alone: the hand-out maps
+each block's ``P_L`` piece, and ``L``'s owner pulls and sorts them and
+closes the duplicate reads under the token before any edge is added
 (:func:`~repro.core.reduce_phase.close_duplicates`). Then come rounds of
 ``n_nodes`` consecutive overlap lengths: one length per owner per round
 (:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
-of the graph's out-degree bit-vector and broadcasting it; every map piece
-served during the round (by its producer, or by the survivor that adopted
-a lost producer's pieces) leaves without the records that copy has
-closed, so they are never shuffled, sorted or matched. Bits are only ever
+of the graph's out-degree bit-vector and broadcasting it; then every node
+maps the blocks of the producers it holds for the round's lengths under
+that copy (:meth:`ClusterSupervisor.map_round`), so the records it has
+closed are never written, shuffled, sorted or matched. Bits are only ever
 set: a frozen copy drops nothing the token's own, newer bit-vector would
-keep, and the graph is the eager schedule's. Every overlap round's
-snapshot drops the duplicates before the wire, and every overlap length is
-sorted once the graph exists, so an owner may hold its runs for reduce.
-The barriers are the same three per round, and a phase's reported seconds
-are the sum of its rounds' critical paths. With one node a round is one
-length and the schedule is the single-node pipeline's: its first length
-is ``Assembler``'s first band.
+keep, and the graph is the eager schedule's. In an in-core run the
+round's pieces and pulled partitions stay in host memory; the ``P_L``
+round, mapped before the graph exists, and every out-of-core run go
+through the disk, as on a single node. Every overlap round's snapshot
+drops the duplicates, and every overlap length is sorted once the graph
+exists, so an owner may hold its runs for reduce. Each stretch ends at a
+barrier (the broadcast is booked as shuffle), and a phase's reported
+seconds are the sum of its rounds' critical paths. With one node a round
+is one length, its pieces are its partitions, and the schedule is the
+single-node pipeline's with one length a band: its first length is
+``Assembler``'s first band.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from pathlib import Path
 
 from ..config import AssemblyConfig
 from ..core.compress_phase import run_compress
-from ..core.map_phase import partition_lengths
+from ..core.map_phase import band_report, partition_lengths
 from ..core.reduce_phase import ReduceReport, reduce_length, reduce_partition
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
@@ -224,27 +233,40 @@ class DistributedAssembler:
             self._cluster_span(ctracer, phase, wall0, start, seconds, **args)
             self._barrier(nodes)
 
-        # -- map: master hands blocks to the least-loaded node ---------------
-        before = self._clock_totals(nodes)
-        wall0 = time.perf_counter()
-        n_blocks = max(1, self.n_nodes * BLOCKS_PER_NODE)
-        supervisor.map_phase(n_blocks)
-        close("map", wall0, max(before), *self._phase_delta(nodes, before),
-              blocks=n_blocks)
-
         lengths = list(partition_lengths(nodes[0].ctx, store.read_length))
         rounds = self._rounds(lengths)
+        n_blocks = max(1, self.n_nodes * BLOCKS_PER_NODE)
         graph = None
         reduce_report = ReduceReport()
         token_trace: list[dict] = []
         shuffle_bytes = 0
         for index, round_lengths in enumerate(rounds):
-            # -- shuffle: all-to-all aggregation of what is still open --------
+            # -- the round's snapshot: broadcast before anything is mapped ----
             before = self._clock_totals(nodes)
             wall0 = time.perf_counter()
             # Nothing is closed before the first round's edges: no filter.
             supervisor.begin_round(
-                graph.out_bits.copy() if graph is not None else None)
+                graph.out_bits.copy() if graph is not None else None,
+                round_lengths)
+            if graph is not None:
+                close("shuffle", wall0, max(before),
+                      *self._phase_delta(nodes, before), round=index,
+                      snapshot=True)
+
+            # -- map: what the round's lengths still have open -----------------
+            before = self._clock_totals(nodes)
+            wall0 = time.perf_counter()
+            if index == 0:
+                # The master hands read blocks to the least-loaded node.
+                supervisor.map_phase(n_blocks)
+            else:
+                supervisor.map_round()
+            close("map", wall0, max(before), *self._phase_delta(nodes, before),
+                  round=index, blocks=n_blocks)
+
+            # -- shuffle: all-to-all aggregation of the round's pieces ---------
+            before = self._clock_totals(nodes)
+            wall0 = time.perf_counter()
             pulled = supervisor.shuffle_phase(round_lengths)
             shuffle_bytes += pulled
             close("shuffle", wall0, max(before),
@@ -271,18 +293,18 @@ class DistributedAssembler:
                                              tracer=ctracer)
             close("reduce", wall0, start, seconds, per_node, round=index,
                   partitions=reduce_report.partitions_processed - done)
+            # The pieces fed the round's pulls and any rebuild until its
+            # last partition was reduced (or formally dropped).
+            for node in supervisor.alive():
+                node.drop_pieces()
         reduce_report.edges_added = graph.n_edges
-        # Map pieces, own and adopted, are the source of every later round's
-        # pull and of every rebuild: only now, with every partition reduced
-        # (or formally dropped), may they be released.
-        for node in supervisor.alive():
-            node.drop_map_partitions()
 
         # -- compress: on the master --------------------------------------------
         master = (supervisor.alive() or [nodes[0]])[0]
         before = self._clock_totals(nodes)
         wall0 = time.perf_counter()
-        contigs, _paths = run_compress(master.ctx, graph, store)
+        with master.metered(store) as reads:
+            contigs, _paths = run_compress(master.ctx, graph, reads)
         phase_seconds["compress"], per_node_seconds["compress"] = \
             self._phase_delta(nodes, before)
         self._cluster_span(ctracer, "compress", wall0, max(before),
@@ -291,13 +313,16 @@ class DistributedAssembler:
         edges = graph.n_edges
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
-        # What the token's partitions held against what the map wrote: the
-        # share of records the rounds' snapshots let through.
+        # What the rounds' maps wrote, and what the token's partitions held.
         notes = {"am_messages": float(messages.messages_sent),
                  "am_dropped": float(messages.messages_dropped),
                  "am_delayed": float(messages.messages_delayed),
                  "rounds": float(len(rounds)),
-                 "records_mapped": float(supervisor.records_mapped),
+                 # Each round's pulls carry every piece its map wrote; the
+                 # eager map writes every side of every length.
+                 "records_mapped": float(sum(supervisor.pulled.values())),
+                 "records_eager": float(band_report(
+                     nodes[0].ctx, store, lengths).tuples_written),
                  "records_shuffled": float(sum(
                      nodes[hop["node"]].shuffled.records_in(
                          side, hop["length"], sorted_run=True)

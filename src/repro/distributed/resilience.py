@@ -15,32 +15,34 @@ simulated clock so every timeline is deterministic and replayable:
    node dead at ``last_heartbeat + node_timeout`` on the simulated clock,
    emitting one ``heartbeat-miss`` instant per missed beat.
 3. **Node restart from lineage** — a fresh :class:`WorkerNode` reopens the
-   dead node's private storage, which keeps no ledger: a finished piece of
-   work whose output no longer has the size the supervisor's lineage
-   implies is redone. A short shuffled partition is pulled again
-   byte-identically, because it is the concatenation of per-producer
-   pieces in node-id order and every piece is still held by its producer
-   or by the survivor that adopted it.
+   dead node's private storage, which keeps no ledger. Its map pieces of
+   the round in flight died with it (or lost writes): it maps them again
+   from the recorded read blocks when a pull first needs them. A shuffled
+   partition whose size no longer matches what its pull wrote is pulled
+   again byte-identically, because it is the concatenation of
+   per-producer pieces in node-id order and every piece is held, this
+   round, by its producer or by the survivor that took its id.
 4. **Failover** — a node past its restart budget is *lost*. One rule, in
-   every phase: the least-loaded survivor maps the lost node's recorded
-   blocks again, once, and holds those pieces under the lost id
-   (:meth:`WorkerNode.adopt`); the lost node's partitions move only when
-   the token reaches them (:meth:`ClusterSupervisor.reduce_partition`).
+   every phase: the least-loaded survivor takes the lost node's producer
+   ids and maps their recorded blocks with its own (the round in flight's
+   when a pull first needs them); the lost node's partitions move only
+   when the token reaches them (:meth:`ClusterSupervisor.reduce_partition`).
 5. **Degraded-mode completion** — when a partition survives no owner, the
    run finishes on the surviving nodes and reports the drop in a
    :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
    restores the old fail-stop behaviour).
 
-Shuffle, sort and reduce run in rounds (:mod:`repro.distributed.cluster`),
-and recovery is scoped to the round in flight. Ownership is per round
-(:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
-alive nodes); the round's frozen out-degree snapshot is held here
+Map, shuffle, sort and reduce run in rounds
+(:mod:`repro.distributed.cluster`), and recovery is scoped to the round in
+flight. The lineage is the read blocks each producer mapped
+(``block_ranges``) plus the round's frozen out-degree snapshot, held here
 (:meth:`ClusterSupervisor.begin_round`) and handed again to a restarted
-node; a replay checks the partitions a node owns *now* and nothing
-else, so it never touches one the token has consumed. Every
-pull inside a round, a rebuild included, filters with that one snapshot
-(:meth:`WorkerNode.read_piece`), which is what keeps a rebuilt partition
-the lost one byte for byte.
+node: every piece of a round, mapped again or not, is the producer's
+records minus what that one snapshot closed, which is what keeps a
+rebuilt partition the lost one byte for byte. Ownership is per round
+(:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
+alive nodes); a replay checks the partitions a node owns *now* and
+nothing else, so it never touches one the token has consumed.
 
 A failed reduce attempt (retry, restart or failover) replays its partition
 whole from the sorted runs, like every other node operation; the candidates
@@ -62,7 +64,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import AssemblyConfig
-from ..core.map_phase import partition_lengths, run_map
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
 from ..extmem import PartitionStore
@@ -213,30 +214,34 @@ class ClusterSupervisor:
                                   base_backoff_s=config.retry_backoff_s,
                                   seed=config.seed)
         self.meter = EventMeter()
-        self.nodes = [WorkerNode(i, config, root, messages, disk=disk,
-                                 host=host, tracer=tracer,
-                                 read_length=store.read_length)
-                      for i in range(n_nodes)]
-        #: Records the map blocks wrote, each block counted once.
-        self.records_mapped = 0
+        self.nodes = [self._worker(i) for i in range(n_nodes)]
         self.lost: set[int] = set()
         self.restarts_used: dict[int, int] = {}
-        #: Read ranges each node mapped, in assignment order: the lineage a
-        #: survivor maps again when the node is lost. Never moves between ids.
+        #: Read ranges each producer mapped in the hand-out, in assignment
+        #: order: the blocks its holder maps every round. Never move
+        #: between ids.
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
+        #: The node holding each producer id: the producer, or the survivor
+        #: that took it over when it was lost.
+        self.holder = list(range(n_nodes))
         #: Records each returned pull wrote, by ``(side, length)``: what a
         #: restarted owner's unsorted partition must still hold.
         self.pulled: dict[tuple[str, int], int] = {}
-        #: Lengths the token has reduced (or dropped): no adopter derives them.
-        self.reduced: set[int] = set()
         self.owner_of: dict[int, int] = {}
         self.phase = "map"
-        #: The current round's out-degree snapshot, as every node holds it:
-        #: kept here to hand to a restarted node.
+        #: The current round's lengths and out-degree snapshot, as every
+        #: node holds it: kept here to hand to a restarted node.
+        self.round_lengths: tuple[int, ...] = ()
         self.closed: PackedBitVector | None = None
         self.dropped: list[DroppedPartition] = []
 
     # -- small helpers ---------------------------------------------------------
+
+    def _worker(self, node_id: int) -> WorkerNode:
+        return WorkerNode(node_id, self.config, self.root, self.messages,
+                          disk=self.disk, host=self.host, tracer=self.tracer,
+                          read_length=self.store.read_length,
+                          lone=self.n_nodes == 1)
 
     def alive(self) -> list[WorkerNode]:
         """Current nodes not declared lost, in node-id order."""
@@ -392,9 +397,7 @@ class ClusterSupervisor:
         t_fail = dead.ctx.clock.total_seconds
         wall0 = time.perf_counter()
         dead.abandon()
-        fresh = WorkerNode(node_id, self.config, self.root, self.messages,
-                           disk=self.disk, host=self.host, tracer=self.tracer,
-                           read_length=self.store.read_length)
+        fresh = self._worker(node_id)
         fresh.ctx.clock.advance_to(dead.ctx.clock)
         gap = detect_at - fresh.ctx.clock.total_seconds
         if gap > 0:
@@ -402,14 +405,13 @@ class ClusterSupervisor:
         fresh.ctx.clock.charge(
             "network", misses * self.network.heartbeat_seconds())
         fresh.owned_lengths = list(dead.owned_lengths)
-        fresh.mapped_reads = dead.mapped_reads
-        fresh.adopted = dead.adopted
         if self.closed is not None:
             fresh.closed = self.closed
             fresh.ctx.clock.charge(
                 "network", self.network.transfer_seconds(self.closed.nbytes))
-        # What the dead worker's host still held is not its own (the
-        # master's graph): the replacement sorts beside it all the same.
+        # What the dead worker's host still held, its pieces and partitions
+        # let go, is not its own (the master's graph): the replacement
+        # maps and sorts beside it all the same.
         if dead.ctx.host_pool.used_bytes:
             fresh.ctx.host_pool.alloc(dead.ctx.host_pool.used_bytes,
                                       label="resident")
@@ -448,94 +450,61 @@ class ClusterSupervisor:
         self._adopt(node_id)
 
     def _adopt(self, lost_id: int) -> None:
-        """Hand a lost node's lineage to the least-loaded survivor, once.
-
-        The survivor maps the lost node's recorded blocks again (and those
-        of every node the lost one had adopted), keeping the lengths the
-        token has still to reduce, and holds the pieces from then on. With
-        no survivor there is nothing left to pull for.
-        """
-        producers = sorted({lost_id, *self.nodes[lost_id].adopted})
+        """Hand a lost node's producer ids (its own and those it took over)
+        to the least-loaded survivor, which maps their blocks with its own
+        (:meth:`_restore_pieces`, :meth:`map_round`). With no survivor
+        there is nothing left to pull for."""
         self.meter.bump("failovers")
-        while self.alive():
-            try:
-                self._run_on_node(self._least_loaded().node_id, "adopt",
-                                  lambda node, _a: self._derive(node, producers))
-                return
-            except _NodeLost:
-                continue
+        if self.alive():
+            survivor = self._least_loaded().node_id
+            for producer in self._held_by(lost_id):
+                self.holder[producer] = survivor
 
-    def _derive(self, node: WorkerNode, producers: list[int]) -> None:
-        """``node`` maps the producers' blocks again, for unreduced lengths."""
-        node.adopt(self.store,
-                   {p: self.block_ranges.get(p, []) for p in producers},
-                   self._unreduced(node))
+    def _held_by(self, node_id: int) -> list[int]:
+        """The producer ids ``node_id`` holds, ascending."""
+        return [p for p, holder in enumerate(self.holder) if holder == node_id]
 
-    def _unreduced(self, node: WorkerNode) -> frozenset[int]:
-        """The lengths the token has still to reduce: what pieces serve."""
-        return frozenset(partition_lengths(node.ctx, self.store.read_length)) \
-            - self.reduced
+    def _map_pieces(self, node: WorkerNode, producers: list[int]) -> None:
+        """``node`` maps the producers' blocks for the round, sealed."""
+        node.map_pieces(self.store,
+                        {p: self.block_ranges.get(p, []) for p in producers},
+                        self.round_lengths)
 
-    def _holders(self) -> list[int]:
-        """Who holds each producer's map pieces now, by producer id."""
-        holders = list(range(self.n_nodes))
-        for node in self.alive():
-            for producer in node.adopted:
-                holders[producer] = node.node_id
-        return holders
+    def _restore_pieces(self) -> None:
+        """Every holder maps again the pieces of the round it lost (a
+        restart) or took over (a loss), in its own fault scope: a death
+        in there is the holder's."""
+        for holder in self.alive():
+            missing = [p for p in self._held_by(holder.node_id)
+                       if p not in holder.pieces]
+            if missing:
+                with faults.scoped(holder.scope):
+                    self._map_pieces(holder, missing)
 
     # -- replay from lineage ---------------------------------------------------
 
     def _replay(self, node: WorkerNode) -> None:
-        """Bring a restarted node's storage back to the current phase.
+        """Bring a restarted node's storage back to the round in flight.
 
-        A finished piece of work whose output no longer has the size its
-        lineage implies is redone: a producer's map piece holds two records
-        per read of its recorded blocks for every unreduced length, a
-        shuffled partition what its returned pull wrote. The failed
-        operation then runs again (the caller's loop).
+        The hand-out appends to a node's own pieces: there they are mapped
+        again from the blocks recorded so far (and sealed again once the
+        seal has begun); any other piece is mapped again when a pull first
+        needs it. A pulled partition with no sorted run that no longer
+        holds what its pull wrote is pulled again. The failed operation
+        then runs again (the caller's loop).
         """
-        served = dict(node.adopted)
-        unreduced = self._unreduced(node)
         if self.phase in ("map", "seal-map"):
-            # Map pieces are append-streams shared by every block the node
-            # ran: there is no per-block undo, so wipe and re-run the
-            # node's recorded blocks in their original order (byte-identical
-            # by construction), and seal them again if they were sealed.
             blocks = self.block_ranges.get(node.node_id, [])
-            for path in node.map_partitions.root.glob("*.run"):
-                path.unlink()
-            for start, stop in blocks:
-                run_map(node.ctx, self.store, node.map_partitions,
-                        read_range=(start, stop))
-            if self.phase == "seal-map":
-                node.finish_map()
+            node.map_pieces(self.store, {node.node_id: blocks},
+                            self.round_lengths, seal=self.phase == "seal-map")
             self.meter.bump("partitions_replayed", len(blocks))
-        elif node.node_id not in served:
-            # A lone node's pull renamed its pieces of pulled lengths away.
-            own = unreduced - {length for _, length in self.pulled} \
-                if self.n_nodes == 1 else unreduced
-            if self._short_pieces(node.map_partitions, node.node_id, own):
-                self._derive(node, [node.node_id])
-        for producer, pieces in served.items():
-            if self._short_pieces(pieces, producer, unreduced):
-                self._derive(node, [producer])
         short = [length for length in node.owned_lengths
                  if self._short_partition(node, length)]
         if short:
             self._rebuild_on(node, short)
             self.meter.bump("partitions_replayed", len(short))
         if self.phase in ("sort", "reduce"):
-            self._sort_owned(node)
-
-    def _short_pieces(self, pieces: PartitionStore, producer: int,
-                      lengths: frozenset[int]) -> bool:
-        """Whether a map piece of ``producer`` lost records of its blocks."""
-        records = 2 * sum(stop - start
-                          for start, stop in self.block_ranges.get(producer, []))
-        return any(_short(pieces, side, length, records)
-                   for length in lengths
-                   for side in partition_sides(length, self.store.read_length))
+            node.sort_lengths(node.owned_lengths)
 
     def _short_partition(self, node: WorkerNode, length: int) -> bool:
         """Whether an unsorted side of ``length`` lost what its pull wrote.
@@ -548,18 +517,10 @@ class ClusterSupervisor:
             and _short(node.shuffled, side, length, self.pulled[(side, length)])
             for side in partition_sides(length, self.store.read_length))
 
-    def _sort_owned(self, node: WorkerNode):
-        """Sort the node's partitions of this round.
-
-        A lone node's pull renames its map pieces instead of serving them,
-        so there the sort is what applies the round's snapshot.
-        """
-        return node.sort_lengths(node.owned_lengths,
-                                 unserved=self.n_nodes == 1)
-
     def _pull(self, node: WorkerNode, lengths: list[int]) -> int:
         """``node`` pulls ``lengths``; what it wrote becomes their lineage."""
-        pulled = node.pull_partitions(self._holders(), lengths)
+        self._restore_pieces()
+        pulled = node.pull_partitions(self.store, self.holder, lengths)
         self.pulled.update({
             (side, length): node.shuffled.records_in(side, length)
             for length in lengths
@@ -574,14 +535,13 @@ class ClusterSupervisor:
         """Pull shuffled partitions again, after deleting what is left of them."""
         lengths = sorted(set(lengths))
         sim0 = node.ctx.clock.total_seconds
-        if self.n_nodes == 1 and not node.adopted:
-            # A lone node's pull renamed its pieces away: it adopts itself.
-            self._derive(node, [node.node_id])
         for length in lengths:
             for side in SIDES:
                 # A stale sorted file would make the sort skip the new input.
                 node.shuffled.delete(side, length)
                 node.shuffled.delete(side, length, sorted_run=True)
+        if node.lone:
+            self._map_pieces(node, [node.node_id])  # its pieces are these
         pulled = self._pull(node, lengths)
         self.meter.bump("partitions_rebuilt", len(lengths))
         # Rebuild time is work the failure destroyed — the benchmark's
@@ -591,12 +551,30 @@ class ClusterSupervisor:
 
     # -- phase drivers ---------------------------------------------------------
 
+    def begin_round(self, closed: PackedBitVector | None, lengths) -> None:
+        """Freeze the round: its lengths, and the filter every node gets.
+
+        The master broadcasts its copy of the bit-vector (one transfer per
+        peer on its clock). Every piece of the round is mapped under it,
+        so a partition rebuilt after a failure is the lost one byte for byte.
+        """
+        self.round_lengths = tuple(lengths)
+        self.closed = closed
+        alive = self.alive()
+        for node in alive:
+            node.closed = closed
+        if closed is not None and len(alive) > 1:
+            alive[0].ctx.clock.charge(
+                "network",
+                (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
+
     def map_phase(self, n_blocks: int) -> None:
-        """Hand read blocks to the least-loaded alive node, surviving loss.
+        """The first round's map: hand read blocks to the least-loaded
+        alive node, surviving loss.
 
         A block is recorded as its node's lineage once mapped; a node lost
         mid-block leaves it to the next least-loaded node, and what it had
-        recorded to its adopter (:meth:`_adopt`).
+        recorded to the survivor that takes its id (:meth:`_adopt`).
         """
         self.phase = "map"
         n_reads = self.store.n_reads
@@ -606,41 +584,35 @@ class ClusterSupervisor:
             while True:
                 node_id = self._least_loaded().node_id
                 try:
-                    written = self._run_on_node(
+                    self._run_on_node(
                         node_id, f"map[{start}:{stop}]",
-                        lambda node, _a: node.map_block(self.store, start, stop),
+                        lambda node, _a: node.map_block(
+                            self.store, start, stop, self.round_lengths),
                         in_place=False)
                 except _NodeLost:
                     continue
                 self.block_ranges.setdefault(node_id, []).append((start, stop))
-                self.records_mapped += written
                 break
         # Sealing drains the streams the blocks appended to: like a block,
-        # a failed seal is not retried in place but wiped and mapped again.
+        # a failed seal is not retried in place but mapped again.
         self.phase = "seal-map"
         for node_id in [n.node_id for n in self.alive()]:
             try:
                 self._run_on_node(node_id, "seal-map",
                                   lambda n, _a: n.finish_map(), in_place=False)
             except _NodeLost:
-                pass  # its blocks are already adopted
+                pass  # its blocks are mapped by the survivor holding them
 
-    def begin_round(self, closed: PackedBitVector | None) -> None:
-        """Freeze the round's filter: every node gets the same ``closed``.
-
-        The master broadcasts its copy of the bit-vector (one transfer per
-        peer on its clock). Every pull and every rebuild until the next
-        round filters with it, so a partition rebuilt after a failure is
-        the lost one byte for byte.
-        """
-        self.closed = closed
-        alive = self.alive()
-        for node in alive:
-            node.closed = closed
-        if closed is not None and len(alive) > 1:
-            alive[0].ctx.clock.charge(
-                "network",
-                (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
+    def map_round(self) -> None:
+        """A later round's map: every holder maps the blocks of the
+        producers it holds, for the round's lengths under its snapshot."""
+        self.phase = "map-round"
+        for node_id in [n.node_id for n in self.alive()]:
+            try:
+                self._run_on_node(node_id, "map-round", lambda node, _a: (
+                    self._map_pieces(node, self._held_by(node.node_id))))
+            except _NodeLost:
+                pass
 
     def shuffle_phase(self, lengths: list[int]) -> int:
         """One round's all-to-all aggregation.
@@ -678,8 +650,8 @@ class ClusterSupervisor:
         self.phase = "sort"
         for node_id in [n.node_id for n in self.alive() if n.owned_lengths]:
             try:
-                self._run_on_node(node_id, "sort",
-                                  lambda node, _a: self._sort_owned(node))
+                self._run_on_node(node_id, "sort", lambda node, _a: (
+                    node.sort_lengths(node.owned_lengths)))
             except _NodeLost:
                 pass
 
@@ -728,7 +700,6 @@ class ClusterSupervisor:
             if owner_id in self.lost or len(tried) >= _MAX_OWNERS_PER_PARTITION:
                 replacement = self._next_owner(length, tried, failures, counter)
                 if isinstance(replacement, ReduceOutcome):
-                    self.reduced.add(length)
                     return replacement
                 owner_id = replacement
             tried.add(owner_id)
@@ -738,7 +709,6 @@ class ClusterSupervisor:
                     owner_id, f"reduce[{length}]",
                     lambda node, _a: attempt_fn(node),
                     counter=counter, failures=failures)
-                self.reduced.add(length)
                 return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))

@@ -206,6 +206,13 @@ class PartitionStore:
         (:meth:`reserve`)."""
         return (side, length) in self._in_memory
 
+    @property
+    def host_bytes(self) -> int:
+        """Host memory this store reserves: kept partitions and held runs."""
+        return sum(kept[0].nbytes for kept in self._in_memory.values()) \
+            + sum(held.total_records for held in self._held.values()) \
+            * self.dtype.itemsize
+
     def open_run(self, side: str, length: int, *, sorted_run: bool = False,
                  ) -> RunReader | HeldRun:
         """Open one partition for sequential reading.

@@ -1,13 +1,20 @@
-"""WorkerNode internals: map accumulation, partition serving, shuffle."""
+"""WorkerNode internals: round maps, piece serving, shuffle."""
 
 import numpy as np
 import pytest
 
 from repro import AssemblyConfig
+from repro.config import MemoryConfig
+from repro.core.map_phase import run_map
+from repro.core.sort_phase import _open_claims
 from repro.distributed import ActiveMessageLayer, NetworkSpec, WorkerNode
 from repro.distributed.node import FETCH_PARTITION
+from repro.extmem import PartitionStore
 from repro.graph.bitvector import PackedBitVector
 from repro.seq.packing import PackedReadStore
+
+#: The lengths the tests map: two overlap lengths of ``tiny_md``.
+LENGTHS = (25, 27)
 
 
 @pytest.fixture()
@@ -17,7 +24,16 @@ def cluster_pair(tmp_path, tiny_md):
     nodes = [WorkerNode(i, config, tmp_path, messages) for i in range(2)]
     store = PackedReadStore.open(tiny_md.store_path)
     yield nodes, store, messages
+    for node in nodes:
+        node.abandon()
     store.close()
+
+
+def _every_third(store) -> PackedBitVector:
+    """A snapshot that has closed every third vertex."""
+    closed = PackedBitVector(2 * store.n_reads)
+    closed.set(np.arange(0, 2 * store.n_reads, 3, dtype=np.int64))
+    return closed
 
 
 class TestMapBlocks:
@@ -25,12 +41,14 @@ class TestMapBlocks:
         nodes, store, _ = cluster_pair
         node = nodes[0]
         half = store.n_reads // 2
-        node.map_block(store, 0, half)
-        node.map_block(store, half, store.n_reads)
+        node.map_block(store, 0, half, LENGTHS)
+        node.map_block(store, half, store.n_reads, LENGTHS)
         node.finish_map()
-        assert node.mapped_reads == store.n_reads
-        length = 25
-        assert node.map_partitions.records_in("S", length) == 2 * store.n_reads
+        for length in LENGTHS:
+            for side in ("S", "P"):
+                assert node.pieces[0].records_in(side, length) \
+                    == 2 * store.n_reads
+        assert node.pieces[0].records_in("S", 26) == 0
 
     def test_private_workdirs(self, cluster_pair):
         nodes, _, _ = cluster_pair
@@ -40,7 +58,7 @@ class TestMapBlocks:
 class TestServing:
     def test_fetch_partition_roundtrip(self, cluster_pair):
         nodes, store, messages = cluster_pair
-        nodes[0].map_block(store, 0, 20)
+        nodes[0].map_block(store, 0, 20, LENGTHS)
         nodes[0].finish_map()
         records = messages.request(1, 0, FETCH_PARTITION, 0, "S", 25)
         assert records.shape[0] == 2 * 20
@@ -56,8 +74,8 @@ class TestServing:
 def _map_halves(nodes, store) -> int:
     """Node 0 maps the first half of the reads, node 1 the rest."""
     half = store.n_reads // 2
-    nodes[0].map_block(store, 0, half)
-    nodes[1].map_block(store, half, store.n_reads)
+    nodes[0].map_block(store, 0, half, LENGTHS)
+    nodes[1].map_block(store, half, store.n_reads, LENGTHS)
     for node in nodes:
         node.finish_map()
     return half
@@ -67,7 +85,7 @@ class TestShuffle:
     def test_pull_aggregates_all_peers(self, cluster_pair):
         nodes, store, _ = cluster_pair
         _map_halves(nodes, store)
-        pulled = nodes[0].pull_partitions([0, 1], [25, 27])
+        pulled = nodes[0].pull_partitions(store, [0, 1], [25, 27])
         assert pulled > 0
         assert nodes[0].shuffled.records_in("S", 25) == 2 * store.n_reads
         assert nodes[0].shuffled.records_in("P", 27) == 2 * store.n_reads
@@ -76,7 +94,7 @@ class TestShuffle:
         """Blocks mapped on different nodes carry their global read-ids."""
         nodes, store, _ = cluster_pair
         _map_halves(nodes, store)
-        nodes[0].pull_partitions([0, 1], [25])
+        nodes[0].pull_partitions(store, [0, 1], [25])
         with nodes[0].shuffled.open_run("S", 25) as reader:
             vertices = reader.read_all()["val"]
         read_ids = np.unique(vertices >> 1)
@@ -84,44 +102,79 @@ class TestShuffle:
         assert read_ids.max() == store.n_reads - 1
         assert read_ids.shape[0] == store.n_reads
 
-    def test_drop_map_partitions(self, cluster_pair):
+    def test_drop_pieces(self, cluster_pair):
         nodes, store, _ = cluster_pair
-        nodes[0].map_block(store, 0, 10)
+        nodes[0].map_block(store, 0, 10, LENGTHS)
         nodes[0].finish_map()
-        nodes[0].drop_map_partitions()
-        assert list(nodes[0].map_partitions.root.glob("*.run")) == []
+        nodes[0].drop_pieces()
+        assert nodes[0].pieces == {}
+        assert not (nodes[0].ctx.workdir / "map_parts").exists()
 
 
 class TestAdoption:
     def test_an_adopted_piece_is_the_piece_its_producer_served(self,
                                                                  cluster_pair):
-        """Node 1 maps node 0's block again and serves node 0's pieces: the
-        same records, through the same snapshot filter, as node 0 would
-        have sent, and a pull from the adopter is the pull from both."""
+        """Node 1 maps node 0's block under the same snapshot and serves it
+        as producer 0's piece: the records node 0 served, and a pull from
+        node 1 alone is the pull from both."""
         nodes, store, messages = cluster_pair
-        half = _map_halves(nodes, store)
-        closed = PackedBitVector(2 * store.n_reads)
-        closed.set(np.arange(0, 2 * store.n_reads, 3, dtype=np.int64))
+        half = store.n_reads // 2
+        closed = _every_third(store)
         for node in nodes:
             node.closed = closed
+        nodes[0].map_pieces(store, {0: [(0, half)]}, LENGTHS)
+        nodes[1].map_pieces(store, {1: [(half, store.n_reads)]}, LENGTHS)
         live = {side: messages.request(1, 0, FETCH_PARTITION, 0, side, 25)
                 for side in ("S", "P")}
-        nodes[0].pull_partitions([0, 1], [25])
-        pulled = {side: nodes[0].shuffled.path(side, 25).read_bytes()
-                  for side in ("S", "P")}
+        nodes[0].pull_partitions(store, [0, 1], [25])
+        pulled = {}
+        for side in ("S", "P"):
+            with nodes[0].shuffled.open_run(side, 25) as reader:
+                pulled[side] = reader.read_all().tobytes()
 
-        nodes[1].adopt(store, {0: [(0, half)]}, frozenset({25, 26}))
-        assert sorted(nodes[1].adopted) == [0]
+        nodes[1].map_pieces(store, {0: [(0, half)]}, LENGTHS)
+        assert sorted(nodes[1].pieces) == [0, 1]
         for side in ("S", "P"):
             adopted = messages.request(0, 1, FETCH_PARTITION, 0, side, 25)
             assert 0 < adopted.shape[0] < 2 * half
             assert adopted.tobytes() == live[side].tobytes()
-        nodes[1].pull_partitions([1, 1], [25])
+        nodes[1].pull_partitions(store, [1, 1], [25])
         for side in ("S", "P"):
-            assert nodes[1].shuffled.path(side, 25).read_bytes() == pulled[side]
-        # Only the lengths still to be reduced were derived.
-        assert not nodes[1].adopted[0].path("S", 27).exists()
+            with nodes[1].shuffled.open_run(side, 25) as reader:
+                assert reader.read_all().tobytes() == pulled[side]
+        # Only the round's lengths were mapped.
+        assert nodes[1].pieces[0].records_in("S", 26) == 0
 
-        nodes[1].drop_map_partitions()
-        assert nodes[1].adopted == {}
-        assert not (nodes[1].ctx.workdir / "adopted").exists()
+
+class TestRoundMap:
+    @pytest.mark.parametrize("memory", [None, MemoryConfig(40_000, 16_000,
+                                                           name="cramped")],
+                             ids=["in-core", "cramped"])
+    def test_a_round_mapped_piece_is_the_eager_piece_filtered(
+            self, tmp_path, tiny_md, memory):
+        """The oracle: a piece mapped under a snapshot is the eager map's
+        piece of the same blocks with the records ``_open_claims`` refuses
+        taken out, in the same order. In-core pieces stay in host memory;
+        on the cramped budget they are files."""
+        config = AssemblyConfig(min_overlap=25, **({} if memory is None
+                                                   else {"memory": memory}))
+        node = WorkerNode(0, config, tmp_path, ActiveMessageLayer(NetworkSpec()))
+        blocks = [(0, 13), (40, 71)]
+        with PackedReadStore.open(tiny_md.store_path) as store:
+            node.closed = closed = _every_third(store)
+            node.map_pieces(store, {3: blocks}, LENGTHS)
+            eager = PartitionStore(tmp_path / "eager", node.dtype)
+            for start, stop in blocks:
+                run_map(node.ctx, store, eager, read_range=(start, stop),
+                        only_lengths=frozenset(LENGTHS))
+            eager.finalize()
+        for length in LENGTHS:
+            for side in ("S", "P"):
+                assert node.pieces[3].in_memory(side, length) == (memory is None)
+                with eager.open_run(side, length) as reader:
+                    records = reader.read_all()
+                keep = _open_claims(node.ctx, closed, side)(records)
+                assert 0 < keep.sum() < records.shape[0]
+                assert node.read_piece(3, side, length).tobytes() \
+                    == records[keep].tobytes()
+        node.abandon()

@@ -10,9 +10,11 @@ report the drop instead of raising.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.device import SimClock
 from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
                                DistributedAssembler, NetworkSpec, WorkerNode,
@@ -452,30 +454,29 @@ class TestFailoverRung:
         assert _identity(result) == _identity(clean), \
             f"loss at {point.path} changed the output"
 
-    def test_a_lone_node_adopts_itself_to_rebuild_a_renamed_partition(
+    def test_a_lone_node_maps_its_partitions_again_to_rebuild_one(
             self, resilience_data, tmp_path):
-        """A lone node's pull renames its pieces into place, so a rebuild
-        finds none left: the node maps its own blocks again, once, and the
-        rebuilt partition is the renamed one byte for byte."""
+        """A lone node's pieces are its partitions, so a rebuild has no
+        peer to pull from: the node maps its blocks again, and the rebuilt
+        partition is the first one byte for byte."""
         length = MIN_OVERLAP + 5
         network = NetworkSpec()
         with PackedReadStore.open(resilience_data.store_path) as store:
             supervisor = ClusterSupervisor(
                 AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7), 1, tmp_path,
                 network, ActiveMessageLayer(network), store)
+            supervisor.begin_round(None, [length])
             supervisor.map_phase(4)
-            supervisor.begin_round(None)
             supervisor.shuffle_phase([length])
             lone = supervisor.nodes[0]
-            renamed = [lone.shuffled.path(side, length).read_bytes()
-                       for side in ("S", "P")]
-            assert not lone.map_partitions.path("S", length).exists()
+            mapped = [lone.shuffled.path(side, length).read_bytes()
+                      for side in ("S", "P")]
+            assert not (lone.ctx.workdir / "map_parts").exists()
             for _ in range(2):
                 supervisor._rebuild_on(lone, [length])
-                assert list(lone.adopted) == [0]
                 assert [lone.shuffled.path(side, length).read_bytes()
-                        for side in ("S", "P")] == renamed
-            lone.drop_map_partitions()
+                        for side in ("S", "P")] == mapped
+            supervisor.nodes[0].drop_pieces()
 
 
 # -- replay from lineage --------------------------------------------------------
@@ -492,17 +493,22 @@ def probe_trace(resilience_data):
 
 
 @pytest.fixture()
-def adoptions(monkeypatch):
-    """``(adopter, producers)`` of every map-piece derivation, in order."""
+def piece_maps(monkeypatch):
+    """``(holder, producers, lengths)`` of every piece map, in order."""
     calls = []
-    adopt = WorkerNode.adopt
+    map_pieces = WorkerNode.map_pieces
 
-    def spy(self, store, lineage, only_lengths):
-        calls.append((self.node_id, sorted(lineage)))
-        return adopt(self, store, lineage, only_lengths)
+    def spy(self, store, lineage, lengths, **kwargs):
+        calls.append((self.node_id, tuple(sorted(lineage)), tuple(lengths)))
+        return map_pieces(self, store, lineage, lengths, **kwargs)
 
-    monkeypatch.setattr(WorkerNode, "adopt", spy)
+    monkeypatch.setattr(WorkerNode, "map_pieces", spy)
     return calls
+
+
+def _again(clean: list, faulted: list) -> list:
+    """The piece maps of a faulted run that its clean run did not make."""
+    return sorted((Counter(faulted) - Counter(clean)).elements())
 
 
 def _next_op(trace, after: int, predicate) -> int:
@@ -529,51 +535,64 @@ class TestReplayFromLineage:
                 N_NODES).assemble(data.store_path)
         return plan, result
 
-    def test_a_short_own_piece_after_map_is_derived_again(
-            self, resilience_data, clean_run, probe_trace, adoptions):
+    def _clean_maps(self, data, piece_maps) -> list:
+        self._run(data, [])
+        calls = list(piece_maps)
+        piece_maps.clear()
+        return calls
+
+    def test_a_restarted_holder_maps_its_pieces_again(
+            self, resilience_data, clean_run, probe_trace, piece_maps):
         """node00's map piece loses a write and node00 dies at its first
-        pull: the piece is short of two records a read of node00's blocks,
-        so the restarted node adopts itself — maps its own blocks again and
-        serves those pieces."""
+        pull: its pieces of the round died with it, so the restarted node
+        maps them again from its recorded blocks and serves those."""
         clean, _ = clean_run
+        clean_maps = self._clean_maps(resilience_data, piece_maps)
         write = next(point for point in probe_trace if point.site == WRITE
                      and "/node00/map_parts/" in point.path)
         pull = _next_op(probe_trace, write.op,
                         lambda point: point.path == "node00:pull")
         plan, result = self._run(resilience_data, [_lost_until(write.op, pull)])
         assert [event.op for event in plan.events] == [write.op, pull]
-        assert adoptions == [(0, [0])]
+        assert _again(clean_maps, piece_maps) \
+            == [(0, (0,), (clean.read_length,))]
         assert result.notes["node_restarts"] == 1
         assert "partitions_rebuilt" not in result.notes
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
-    def test_a_short_adopted_piece_is_derived_again(
-            self, resilience_data, clean_run, adoptions):
-        """node02 dies at its pull twice and is lost; a survivor adopts its
-        blocks. One adopted piece loses a write and the adopter dies at the
-        next node operation: restarted, it finds the piece short of two
-        records a read of node02's blocks and derives node02 again."""
+    def test_a_restarted_survivor_maps_the_pieces_it_took_again(
+            self, resilience_data, clean_run, piece_maps):
+        """node02 dies at its seal twice and is lost; a survivor takes its
+        id and maps its blocks with its own. On the cramped budget a piece
+        of a later round is a file: one of node02's loses a write, and the
+        survivor dies at the next node operation. Restarted, it maps every
+        piece it holds again when the round's first pull needs them."""
         clean, _ = clean_run
-        lose = [Fault(NODE_CRASH, site=NODE, match="node02:pull", once=False)]
-        probe, _ = self._run(resilience_data, lose)
+        cramped = {"memory": MemoryConfig(40_000, 16_000, name="cramped")}
+        lose = [Fault(NODE_CRASH, site=NODE, match="node02:seal-map",
+                      once=False)]
+        probe, _ = self._run(resilience_data, lose, **cramped)
         write = next(point for point in probe.trace if point.site == WRITE
-                     and "/adopted/peer02/" in point.path)
-        adopter = int(write.path.split("/adopted/")[0][-2:])
+                     and "/map_parts/peer02/S_" in point.path)
+        survivor = int(write.path.split("/map_parts/")[0][-2:])
         crash = _next_op(probe.trace, write.op,
                          lambda point: point.site == NODE)
-        adoptions.clear()
+        piece_maps.clear()
         plan, result = self._run(resilience_data,
-                                 lose + [_lost_until(write.op, crash)])
+                                 lose + [_lost_until(write.op, crash)],
+                                 **cramped)
         assert plan.events[-1].op == crash
-        assert adoptions == [(adopter, [2]), (adopter, [2])]
+        held = [call for call in piece_maps
+                if call[:2] == (survivor, tuple(sorted((survivor, 2))))]
+        assert held[0] == held[1] != held[2]  # round 1 twice, then one a round
         assert result.notes["nodes_lost"] == 1
-        assert result.notes["node_restarts"] == 2  # node02 once, adopter once
+        assert result.notes["node_restarts"] == 2  # node02 once, survivor once
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
     def test_a_short_pulled_partition_is_pulled_again_in_the_sort(
-            self, resilience_data, clean_run, probe_trace, adoptions):
+            self, resilience_data, clean_run, probe_trace):
         """node00's pulled partition loses a write and node00 dies at its
         sort: the unsorted file is short of what the pull wrote, so it is
         pulled again before the round's lengths are sorted."""
@@ -587,7 +606,7 @@ class TestReplayFromLineage:
         assert [event.op for event in plan.events] == [write.op, sort]
         assert result.notes["node_restarts"] == 1
         assert result.notes["partitions_rebuilt"] == 1
-        assert adoptions == []
+        assert "failovers" not in result.notes
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -617,10 +636,10 @@ class TestReplayFromLineage:
     @pytest.mark.parametrize("damaged", (False, True), ids=("intact", "short"))
     def test_a_lone_node_restarted_after_its_pull(self, resilience_data,
                                                   tmp_path, damaged):
-        """A lone node's pull renames its map pieces into place: after the
-        pull those pieces are gone by design, and a restart derives
-        nothing. A renamed partition that lost a record is pulled again,
-        and for that the node first maps its own blocks again."""
+        """A lone node's pieces are its partitions, and its pull moves
+        nothing. Restarted before its sort, it finds an intact partition
+        as its map left it; one short of a record it maps again from its
+        recorded blocks, and pulls nothing."""
         length = MIN_OVERLAP + 5
         network = NetworkSpec()
         config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
@@ -630,8 +649,8 @@ class TestReplayFromLineage:
                 supervisor = ClusterSupervisor(
                     config, 1, tmp_path / run, network,
                     ActiveMessageLayer(network), store)
+                supervisor.begin_round(None, [length])
                 supervisor.map_phase(4)
-                supervisor.begin_round(None)
                 supervisor.shuffle_phase([length])
                 plan = FaultPlan()
                 if run == "restarted":
@@ -648,12 +667,10 @@ class TestReplayFromLineage:
                 sorted_runs.append([
                     lone.shuffled.path(side, length, sorted_run=True)
                     .read_bytes() for side in SIDES])
-                adopted = list(lone.adopted)
-                lone.drop_map_partitions()
+                supervisor.nodes[0].drop_pieces()
         counters = supervisor.meter.counters()
         assert counters["node_restarts"] == 1
         assert counters.get("partitions_rebuilt", 0) == int(damaged)
-        assert adopted == ([0] if damaged else [])
         assert sorted_runs[1] == sorted_runs[0]
 
 

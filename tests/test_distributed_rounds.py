@@ -1,27 +1,29 @@
-"""The cluster's rounds: filter before the wire.
+"""The cluster's rounds: map what can still win, just before the pull.
 
-Shuffle, sort and reduce run in rounds, longest first: the whole-read
-length alone (it closes the duplicate reads), then ``n_nodes`` overlap
-lengths a round; each round's map pieces leave their producers minus the
-records the out-degree bit-vector of the rounds before has closed. The
-graph must be the single-node ``Assembler``'s for every node count, the
-wire must carry less than the one-round (eager) schedule's, and a crash
-inside a later round must recover every sorted partition byte for byte:
-the snapshot a round was pulled under is re-sent to a restarted node and
-applied to a lost one's pieces, which its adopter derived once.
+Map, shuffle, sort and reduce run in rounds, longest first: the
+whole-read length alone (it closes the duplicate reads), then ``n_nodes``
+overlap lengths a round; each round's map pieces are mapped at its start,
+minus the records the out-degree bit-vector of the rounds before has
+closed. The graph must be the single-node ``Assembler``'s for every node
+count, the wire must carry less than the one-round (eager) schedule's,
+and a crash inside a later round must recover every sorted partition byte
+for byte: the snapshot a round was mapped under is re-sent to a restarted
+node, which maps its pieces again, and a lost node's blocks are mapped,
+under the same snapshot, by the survivor that takes its id.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig
-from repro.distributed import DistributedAssembler, cluster, node, resilience
+from repro.distributed import DistributedAssembler, cluster, node
 from repro.extmem.partitions import partition_sides
-from repro.faults import NODE, NODE_CRASH, Fault, FaultPlan, inject
+from repro.faults import NODE, NODE_CRASH, WRITE, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
 
 
@@ -83,26 +85,30 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
     assert result.reduce_report.per_length_edges \
         == single.reduce_report.per_length_edges
     if n_nodes == 1:
-        # One length a round, renamed not pulled, filtered by the sort:
-        # the single-node lazy schedule. The cluster's map is eager, so its
-        # sort reads every record the single node's banded map left out.
+        # One length a round, mapped into place, never pulled: the
+        # single-node lazy schedule. The lone node maps under the bits of
+        # every length, the single node under those of each band's first,
+        # so its sort reads no more than the single node's.
         assert result.shuffle_bytes == 0
         assert result.phase_seconds["shuffle"] == 0.0
         assert result.reduce_report.candidates == single.reduce_report.candidates
         assert result.notes["records_shuffled"] == single.sort_report.total_records
         assert result.phase_seconds["sort"] \
-            >= single.telemetry["sort"].sim_seconds
+            <= single.telemetry["sort"].sim_seconds
         assert result.phase_seconds["reduce"] == pytest.approx(
             single.telemetry["reduce"].sim_seconds)
     elif n_nodes == 40:
         # The whole-read round, then one round of every overlap length:
-        # only the duplicates are closed when it is pulled. The eager
-        # schedule less the duplicates' records, to the byte.
+        # only the duplicates are closed when it is mapped. The eager
+        # schedule less the duplicates' records, to the byte, and the map
+        # writes no more than that.
         assert result.shuffle_bytes == 632_720 < EAGER_SHUFFLE_BYTES
         assert result.reduce_report.candidates == 2_356 < EAGER_CANDIDATES
+        eager = 2 * result.n_reads * (2 * 37 + 1)
+        assert result.notes["records_eager"] == eager
         assert result.notes["records_shuffled"] \
             == result.notes["records_mapped"] \
-            - 2 * 2 * 37 * result.reduce_report.reads_closed
+            == eager - 2 * 2 * 37 * result.reduce_report.reads_closed
     else:
         assert result.shuffle_bytes < EAGER_SHUFFLE_BYTES
         assert single.reduce_report.candidates \
@@ -147,13 +153,15 @@ def _kind(point) -> str:
 
 
 def _rounds_of(node_ops) -> list[list]:
-    """The shuffle / sort / reduce node ops of a probe trace, by round."""
-    rounds, previous = [], None
+    """The node ops of a probe trace after the hand-out of read blocks, by
+    round: a later round's maps, then every round's pulls, sorts and
+    reduces."""
+    rounds, previous = [], "reduce"
     for point in node_ops:
         kind = _kind(point)
         if kind in ("map", "seal-map"):
             continue
-        if kind == "pull" and previous != "pull":
+        if previous == "reduce" and kind != "reduce":
             rounds.append([])
         rounds[-1].append(point)
         previous = kind
@@ -198,38 +206,44 @@ def golden(tmp_path_factory):
         _rounds_of(node_ops), _blocks_of(node_ops)
 
 
-@pytest.mark.parametrize("node_restarts", (1, 0), ids=("restart", "lost-peer"))
-def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
-                                                           monkeypatch,
-                                                           node_restarts):
-    """Every node op of one seeded round >= 1: pull, sort and reduce alike.
-
-    With a restart budget the replacement gets the round's snapshot
-    re-sent and replays only that round; without one the node is lost, one
-    survivor maps its blocks again, once, and serves its pieces filtered
-    like the served ones.
-    """
-    md, clean, clean_files, rounds, blocks = golden
-    remapped = []  # read ranges mapped again for lost lengths, in order
+@pytest.fixture()
+def mapped(monkeypatch):
+    """``(read range, lengths)`` of every block the next runs map, in order."""
+    calls = []
     run_map = node.run_map
 
-    def spy(ctx, store, partitions=None, *, read_range=None, only_lengths=None):
-        if only_lengths is not None:
-            remapped.append(read_range)
-        return run_map(ctx, store, partitions, read_range=read_range,
-                       only_lengths=only_lengths)
+    def spy(ctx, store, partitions=None, **kwargs):
+        calls.append((kwargs["read_range"], tuple(sorted(kwargs["only_lengths"]))))
+        return run_map(ctx, store, partitions, **kwargs)
 
-    for module in (node, resilience):
-        monkeypatch.setattr(module, "run_map", spy)
+    monkeypatch.setattr(node, "run_map", spy)
+    return calls
+
+
+@pytest.mark.parametrize("node_restarts", (1, 0), ids=("restart", "lost-peer"))
+def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
+                                                           mapped,
+                                                           node_restarts):
+    """Every node op of one seeded round >= 1: map, pull, sort and reduce.
+
+    With a restart budget the replacement gets the round's snapshot
+    re-sent and replays only that round; without one the node is lost,
+    and one survivor maps its blocks with its own from then on.
+    """
+    md, clean, clean_files, rounds, blocks = golden
+    DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7),
+                         N_NODES).assemble(md.store_path)
+    clean_maps = Counter(mapped)
     assert len(rounds) == 5 and len(clean_files) == 2 * 12 + 1
     victim = random.Random(SWEEP_SEED).randrange(1, len(rounds))
     points = rounds[victim]
-    assert {"pull", "sort", "reduce"} <= {_kind(point) for point in points}
+    assert {"map-round", "pull", "sort", "reduce"} \
+        <= {_kind(point) for point in points}
     config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                             node_restarts=node_restarts)
     for point in points:
         workdir = tmp_path / f"op{point.op}"
-        remapped.clear()
+        mapped.clear()
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
         with inject(plan):
             recovered = DistributedAssembler(config, N_NODES).assemble(
@@ -244,20 +258,27 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
         assert recovered.reduce_report.candidates \
             >= clean.reduce_report.candidates  # replays re-offer, never lose
         # A restart re-pulls on top of the clean run's bytes; a lost peer's
-        # pieces leave its adopter instead (often to itself), other bytes.
+        # pieces leave the survivor holding them instead (often to itself),
+        # other bytes.
         if node_restarts:
             assert recovered.shuffle_bytes >= clean.shuffle_bytes
-        # A lost node's blocks are mapped again exactly once, in order,
-        # however many of its partitions are rebuilt after the loss.
-        victim = point.path.split(":", 1)[0]
-        assert remapped == ([] if node_restarts else blocks[victim]), point.path
+        # Every piece of every round is mapped. What the crashed node held
+        # of its round is mapped again at most once, by itself or by the
+        # survivor that took its id, when a pull first needs it.
+        again = Counter(mapped) - clean_maps
+        assert set(mapped) == set(clean_maps), point.path
+        victim_blocks = sorted(blocks[point.path.split(":", 1)[0]])
+        assert sorted(block for block, _ in again.elements()) \
+            in ([], victim_blocks), point.path
 
 
 @pytest.mark.parametrize("kind", ("pull", "sort", "reduce"))
 def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
     """A node restarted in the last round rebuilds nothing the token has
     consumed: its replay checks the partitions it owns this round against
-    what their pulls wrote, and the round before's are no longer its own."""
+    what their pulls wrote, and the round before's are no longer its own.
+    The run is in-core, so a partition pulled but not yet sorted died
+    with the node and is pulled again."""
     md, clean, clean_files, rounds, _ = golden
     point = next(p for p in rounds[-1] if _kind(p) == kind)
     plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
@@ -266,5 +287,123 @@ def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
             AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7), N_NODES).assemble(
                 md.store_path, workdir=tmp_path / "w")
     assert recovered.notes["node_restarts"] == 1
-    assert "partitions_rebuilt" not in recovered.notes
+    assert recovered.notes.get("partitions_rebuilt", 0) == (kind == "sort")
     assert _sorted_partitions(recovered, tmp_path / "w") == clean_files
+
+
+# -- (d) the held path: in-core rounds stay in host memory ----------------------
+
+
+def test_an_in_core_run_writes_only_sorted_runs_after_the_whole_read_round(
+        wide, tmp_path):
+    """4 nodes, in-core: the whole-read round's pieces and pulled ``P_L``
+    go through the disk, and after its reduce every round's pieces and
+    pulled partitions stay in host memory; the sorted runs are all the
+    disk is written."""
+    md, config, single, _ = wide
+    plan = FaultPlan()
+    with inject(plan):
+        result = DistributedAssembler(config, 4).assemble(
+            md.store_path, workdir=tmp_path)
+    whole = next(point.op for point in plan.trace if point.site == NODE
+                 and point.path.endswith(f":reduce[{result.read_length}]"))
+    before = [point.path for point in plan.trace
+              if point.site == WRITE and point.op < whole]
+    after = [point.path for point in plan.trace
+             if point.site == WRITE and point.op > whole]
+    assert sum("/map_parts/" in path for path in before) == 4
+    assert len(after) == 2 * 37
+    assert all(".sorted.run" in path for path in after)
+    assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
+
+
+@pytest.fixture()
+def piece_maps(monkeypatch):
+    """``(holder, producers, lengths)`` of every piece map, in order."""
+    calls = []
+    map_pieces = node.WorkerNode.map_pieces
+
+    def spy(self, store, lineage, lengths, **kwargs):
+        calls.append((self.node_id, tuple(sorted(lineage)), tuple(lengths)))
+        return map_pieces(self, store, lineage, lengths, **kwargs)
+
+    monkeypatch.setattr(node.WorkerNode, "map_pieces", spy)
+    return calls
+
+
+def _crash_at(golden, tmp_path, path: str, round_index: int, **knobs):
+    """The run with ``path``'s node op of round ``round_index`` crashed."""
+    md, _, _, rounds, _ = golden
+    point = next(p for p in rounds[round_index] if p.path == path)
+    plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
+    with inject(plan):
+        result = DistributedAssembler(
+            AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, **knobs),
+            N_NODES).assemble(md.store_path, workdir=tmp_path)
+    assert [e.kind for e in plan.events] == [NODE_CRASH]
+    assert result.degraded is None
+    return result
+
+
+def _maps_again(golden, piece_maps, recovered_maps) -> Counter:
+    """The piece maps a faulted run made beyond the clean run's."""
+    md = golden[0]
+    piece_maps.clear()
+    DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7),
+                         N_NODES).assemble(md.store_path)
+    return Counter(recovered_maps) - Counter(piece_maps)
+
+
+def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
+        golden, tmp_path, piece_maps):
+    """node01 dies at its round-2 pull, its pieces held in host memory:
+    they died with it. The replacement maps them again, once, and every
+    sorted byte is the clean run's."""
+    _, clean, clean_files, rounds, _ = golden
+    recovered = _crash_at(golden, tmp_path, "node01:pull", 2)
+    maps = list(piece_maps)
+    assert recovered.notes["node_restarts"] == 1
+    assert "partitions_rebuilt" not in recovered.notes
+    round_lengths = next(lengths for holder, _, lengths in maps[3:6]
+                         if holder == 1)
+    assert _maps_again(golden, piece_maps, maps) \
+        == Counter({(1, (1,), round_lengths): 1})
+    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert recovered.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()
+
+
+def test_an_owner_crash_between_pull_and_sort_pulls_its_partition_again(
+        golden, tmp_path):
+    """node02 dies at its round-3 sort, with the partition it pulled held
+    in host memory: the replacement finds it missing and pulls it again
+    from the pieces the round's holders still hold."""
+    _, clean, clean_files, _, _ = golden
+    recovered = _crash_at(golden, tmp_path, "node02:sort", 3)
+    assert recovered.notes["node_restarts"] == 1
+    assert recovered.notes["partitions_rebuilt"] == 1
+    assert recovered.shuffle_bytes == clean.shuffle_bytes
+    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert recovered.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()
+
+
+def test_a_node_lost_mid_run_is_mapped_by_a_survivor_every_round(
+        golden, tmp_path, piece_maps):
+    """node00 is lost at its round-1 pull: one survivor takes its id, maps
+    its blocks for that round at once and for every later round beside
+    its own, and the sorted runs and contigs are the clean run's."""
+    _, clean, clean_files, rounds, _ = golden
+    recovered = _crash_at(golden, tmp_path, "node00:pull", 1, node_restarts=0)
+    assert recovered.notes["nodes_lost"] == 1
+    taken = [(holder, producers) for holder, producers, _ in piece_maps
+             if 0 in producers]
+    # Round 1: node00 itself, then the survivor at the loss; rounds 2-4:
+    # the survivor, with its own id.
+    survivor = taken[1][0]
+    assert survivor != 0
+    assert taken == [(0, (0,)), (survivor, (0,))] \
+        + [(survivor, tuple(sorted((0, survivor))))] * (len(rounds) - 2)
+    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert recovered.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()

@@ -1,7 +1,9 @@
 """Write faults on cluster nodes: recovered or raised, never silent.
 
-The sweep runs a 2-node assembly and injects one fault at one WRITE
-operation of its clean probe: ``crash``, ``torn`` (a 5-byte prefix, not a
+The sweep runs a 2-node assembly on the ``cramped`` budget (40 kB host:
+the run is not in-core, so every round's pieces and pulled partitions go
+through the disk) and injects one fault at one WRITE operation of its
+clean probe: ``crash``, ``torn`` (a 5-byte prefix, not a
 whole record, reaches the disk) or ``fsync-loss`` (the write is
 acknowledged, then lost when its writer dies ``delay`` operations later,
 wherever the run is by then). Every cell must return the clean run's
@@ -18,19 +20,22 @@ import random
 
 import pytest
 
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler
 from repro.errors import FaultInjected
-from repro.faults import CRASH, FSYNC_LOSS, TORN, WRITE, Fault, FaultPlan, inject
+from repro.faults import (CRASH, FSYNC_LOSS, NODE, TORN, WRITE, Fault,
+                          FaultPlan, inject)
 from repro.seq.datasets import tiny_dataset
 
 MIN_OVERLAP = 20
 N_NODES = 2
-#: 66 map-piece writes (33 a node: ``P_L`` and both sides of 16 overlap
-#: lengths, all drained by ``seal-map``) and 66 partition writes (a pull
-#: and a sorted run per partition).
+#: 66 map-piece writes (33 a node: ``P_L``, drained by ``seal-map``, and
+#: both sides of 16 overlap lengths, drained as each round's map seals
+#: them) and 66 partition writes (a pull and a sorted run per partition).
 N_WRITES = 132
 N_MAP_PIECE_WRITES = 66
+#: Map-piece writes drained inside ``seal-map`` (one a node).
+N_SEALED_WRITES = 2
 TORN_OFFSET = 5
 
 CELLS = [(index, kind, delay) for index in range(N_WRITES)
@@ -62,11 +67,23 @@ def sweep(tmp_path_factory):
     assert len(writes) == N_WRITES
     assert sum("/map_parts/" in point.path for point in writes) \
         == N_MAP_PIECE_WRITES
-    return md, clean, writes
+    return md, clean, writes, _sealed(probe.trace)
+
+
+def _sealed(trace) -> list:
+    """The WRITE points of ``trace`` inside a ``seal-map`` node op."""
+    sealed, op = [], None
+    for point in trace:
+        if point.site == NODE:
+            op = point.path.split(":", 1)[1]
+        elif point.site == WRITE and op == "seal-map":
+            sealed.append(point)
+    return sealed
 
 
 def _config() -> AssemblyConfig:
-    return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
+    return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                          memory=MemoryConfig(40_000, 16_000, name="cramped"))
 
 
 def _contigs(result) -> tuple[bytes, bytes]:
@@ -87,7 +104,7 @@ def _faulted(md, fault: Fault):
 @pytest.mark.parametrize("index, kind, delay", SWEPT,
                          ids=[f"w{i:03d}-{k}-d{d}" for i, k, d in SWEPT])
 def test_a_write_fault_recovers_or_raises(sweep, index, kind, delay):
-    md, clean, writes = sweep
+    md, clean, writes, _ = sweep
     point = writes[index]
     try:
         _, result = _faulted(md, Fault(kind, site=WRITE, at_op=point.op,
@@ -102,13 +119,14 @@ def test_a_write_fault_recovers_or_raises(sweep, index, kind, delay):
 
 @pytest.mark.parametrize("kind", (CRASH, TORN))
 def test_seal_map_restarts_instead_of_retrying_in_place(sweep, kind):
-    """Every map-piece write drains inside ``seal-map``. A seal cut short
-    is not retried in place (its streams lost their buffered tails): the
-    node restarts, wipes its pieces and maps its blocks again."""
-    md, clean, writes = sweep
-    for point in writes:
-        if "/map_parts/" not in point.path:
-            continue
+    """The hand-out's map-piece writes drain inside ``seal-map``. A seal
+    cut short is not retried in place (its streams lost their buffered
+    tails): the node restarts, wipes its pieces and maps its blocks
+    again."""
+    md, clean, _, sealed = sweep
+    assert len(sealed) == N_SEALED_WRITES
+    for point in sealed:
+        assert "/map_parts/" in point.path
         _, result = _faulted(md, Fault(kind, site=WRITE, at_op=point.op,
                                        offset=TORN_OFFSET))
         assert result.notes["node_restarts"] == 1, point.path
@@ -123,7 +141,7 @@ def test_a_lost_write_restarts_its_writer(sweep):
     node00's: it restarts, finds the partition short of what its pull
     wrote and pulls it again, instead of node01 retrying in place while
     node00 sorts a partition that lost its records."""
-    md, clean, writes = sweep
+    md, clean, writes, _ = sweep
     point = next(point for point in writes
                  if point.path.endswith("node00/partitions/P_00034.run"))
     plan, result = _faulted(md, Fault(FSYNC_LOSS, site=WRITE, at_op=point.op,

@@ -243,10 +243,11 @@ class TestTracedDistributed:
                        if e["track"].startswith("node")}
         assert any(track.startswith("node00/") for track in node_tracks)
         assert any(track.startswith("node01/") for track in node_tracks)
-        # Cluster phase spans: map, then one shuffle / sort / reduce per
-        # round in that order, then compress. Each phase's modeled extents
-        # add up to its reported critical-path seconds, so the track still
-        # tiles ``total_seconds``.
+        # Cluster phase spans: one map / shuffle / sort / reduce per round
+        # in that order, a later round's map preceded by the broadcast of
+        # its snapshot (booked as shuffle), then compress. Each phase's
+        # modeled extents add up to its reported critical-path seconds, so
+        # the track still tiles ``total_seconds``.
         spans, _ = pair_spans(events)
         cluster = [s for s in spans if s["track"] == "cluster"
                    and s["cat"] == "cluster"]  # in the order they were emitted
@@ -254,12 +255,16 @@ class TestTracedDistributed:
         # The whole-read length alone, then 25 overlap lengths two a round.
         assert n_rounds == 14
         assert [s["name"] for s in cluster] == \
-            ["map"] + ["shuffle", "sort", "reduce"] * n_rounds + ["compress"]
+            ["map", "shuffle", "sort", "reduce"] \
+            + ["shuffle", "map", "shuffle", "sort", "reduce"] * (n_rounds - 1) \
+            + ["compress"]
         for earlier, later in zip(cluster, cluster[1:]):
             assert earlier["sim0"] <= later["sim0"] + 1e-9
-        for phase in ("shuffle", "sort", "reduce"):
+        for phase in ("map", "sort", "reduce"):
             assert [s["args"]["round"] for s in cluster if s["name"] == phase] \
                 == list(range(n_rounds))
+        assert [s["args"]["round"] for s in cluster if s["name"] == "shuffle"] \
+            == [0] + [index for index in range(1, n_rounds) for _ in (0, 1)]
         extent = {}
         for span in cluster:
             extent[span["name"]] = extent.get(span["name"], 0.0) \
