@@ -181,24 +181,28 @@ def keep_in_memory(ctx: RunContext, store: PackedReadStore,
     A run is in-core when every record an eager map of ``store`` writes
     would fit in one host block of the sorter; the paper's regime (data ≫
     host) is not, and keeps every partition on disk. Each side of each of
-    ``lengths`` is to receive ``n_records`` records, so their bytes are
-    known before they are written. They are kept
+    ``lengths`` (the whole-read length has ``P`` only) is to receive
+    ``n_records`` records, so their bytes are known before they are
+    written. They are kept
     (:meth:`~repro.extmem.PartitionStore.reserve`) if the sorter's whole
     host block, cut beside ``resident_bytes`` (the graph), stays free
     beside them, as a held sorted run must leave it
     (:func:`~repro.core.sort_phase._holder`): the map's host block and
     every sort of these partitions then reserve what they would with the
     partitions on disk. Kept partitions cost no disk write, read or seek
-    (DESIGN.md, *In-core runs keep the later bands in host memory*).
+    (DESIGN.md, *An in-core run writes only its runs of record*).
     """
     dtype = partitions.dtype
     if band_report(ctx, store, partition_lengths(ctx, store.read_length)
                    ).tuples_written > make_sorter(ctx, dtype).m_h:
         return
+    sides = sum(len(partition_sides(length, store.read_length))
+                for length in lengths)
     block = make_sorter(ctx, dtype, resident_bytes).m_h
-    if 2 * len(lengths) * n_records * dtype.itemsize \
+    if sides * n_records * dtype.itemsize \
             <= ctx.host_pool.free_bytes - block * dtype.itemsize:
-        partitions.reserve(lengths, n_records, ctx.host_pool)
+        partitions.reserve(lengths, n_records, ctx.host_pool,
+                           store.read_length)
 
 
 def _place(dst: np.ndarray, orientation: int, src: np.ndarray,

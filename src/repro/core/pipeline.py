@@ -13,8 +13,8 @@ each length is sorted just before reduce reads it. Map and sort both leave
 out the records the greedy graph has already closed (see
 :meth:`Assembler._graph`), and a run the sort
 leaves in one piece is handed to reduce in host memory while its file is
-still written. An in-core run keeps the partitions of every band after
-the first in host memory instead of writing them. The re-entered
+still written. An in-core run keeps the partitions of every band in host
+memory instead of writing them: the sorted runs are all it writes. The re-entered
 ``map`` / ``sort`` / ``reduce`` phases merge into one telemetry row each. The paper's eager order is the plain
 composition ``run_map(ctx, store)`` → ``run_sort(ctx, partitions)`` →
 ``run_reduce(ctx, partitions, store)``; it builds the same graph.
@@ -78,9 +78,10 @@ def _keep_in_memory(ctx: RunContext, store: PackedReadStore,
                     resident_bytes: int) -> None:
     """Keep a band's unsorted partitions in host memory, in an in-core run
     (:func:`~repro.core.map_phase.keep_in_memory`): each side of each
-    length receives one record per vertex ``closed`` leaves open
-    (:func:`~repro.core.map_phase.open_vertices`), so the disk traffic of
-    an in-core map does not depend on the data."""
+    length receives one record per vertex ``closed`` leaves open (every
+    vertex before the graph exists; :func:`~repro.core.map_phase.
+    open_vertices`), so the bytes are known up front and an in-core map
+    writes nothing, whatever the data."""
     keep_in_memory(ctx, store, partitions, lengths,
                    open_vertices(store, closed), resident_bytes)
 
@@ -337,13 +338,15 @@ class Assembler:
         as a second, newer filter
         (:func:`~repro.core.sort_phase.run_sort`). The ``L`` band is mapped
         and sorted before the graph exists: nothing can be dropped yet, and
-        it gets the whole host budget. In an in-core
-        run, a later band's partitions are kept in host memory
-        (:func:`_keep_in_memory`), so the map's disk traffic is ``P_L``'s
-        whatever the data. The graph is the eager composition's
-        (bits are only ever set, so a dropped record is one every later
-        candidate of its vertex would have been refused for). From the second length on, a run the sort forms in one piece
-        is also held in host memory and reduce reads it from there.
+        it gets the whole host budget. In an in-core run every band's
+        partitions, ``P_L``'s too, are kept in host memory
+        (:func:`_keep_in_memory`), so the map writes nothing whatever the
+        data. The graph is the eager composition's (bits are only ever
+        set, so a dropped record is one every later candidate of its
+        vertex would have been refused for). A run the sort forms in one
+        piece is also held in host memory and reduce reads it from there;
+        ``P_L``'s, sorted before the graph exists, only if the graph's
+        bytes stay free beside it.
 
         Map, sort and reduce are recorded after the loop, in that order, so
         fault barriers and phase hooks see each exactly once. The map's
@@ -395,9 +398,11 @@ class Assembler:
                         self._map_band(ctx, store, partitions, band, graph))
                 for length in band:
                     with self._phase(ctx, "sort", boundary=False):
-                        beside = {} if graph is None else {
-                            "closed": graph.out_bits,
-                            "resident_bytes": graph.nbytes, "graph_built": True}
+                        beside = {"graph_bytes": GreedyStringGraph.bytes_for(
+                            store.n_reads, store.read_length)} \
+                            if graph is None else {
+                                "closed": graph.out_bits,
+                                "resident_bytes": graph.nbytes}
                         sort_report.reports.update(run_sort(
                             ctx, partitions, lengths=(length,), **beside).reports)
                     with self._phase(ctx, "reduce", boundary=False):
@@ -443,7 +448,8 @@ class Assembler:
         ``P_L`` is the whole-read length's one run); of a length with one
         side sorted, the other side's new file is the one kept. With the
         graph, only the claims it leaves open are mapped, in the host
-        memory it leaves.
+        memory it leaves. An in-core run keeps the band's partitions in
+        host memory, the first band's too (:func:`_keep_in_memory`).
         """
         closed = None if graph is None else graph.out_bits
         resident = 0 if graph is None else graph.nbytes
@@ -451,8 +457,7 @@ class Assembler:
             partitions.path(side, length, sorted_run=True).exists()
             for side in partition_sides(length, store.read_length))}
         if todo:
-            if graph is not None:
-                _keep_in_memory(ctx, store, partitions, todo, closed, resident)
+            _keep_in_memory(ctx, store, partitions, todo, closed, resident)
             run_map(ctx, store, partitions, only_lengths=todo, closed=closed,
                     resident_bytes=resident)
         partitions.finalize()

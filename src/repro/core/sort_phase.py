@@ -111,7 +111,7 @@ def _open_claims(ctx: RunContext, closed: PackedBitVector, side: str):
 
 
 def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
-            graph_built: bool, block_bytes: int):
+            graph_bytes: int, block_bytes: int):
     """The whole rule for holding freshly sorted runs.
 
     Returns ``None`` when this :func:`run_sort` call holds nothing, else
@@ -120,22 +120,21 @@ def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
     (:meth:`~repro.extmem.PartitionStore.hold`, its bytes reserved in the
     host pool). A run is held only
 
-    * once the graph exists (``graph_built``): it is allocated after the
-      first sort (the cluster's first round) and must find its bytes free;
     * when the call sorts a single length, so at most one length's runs
       wait for reduce;
     * when the sort formed it in one piece (the sorter offers no other);
-    * if the sorter's whole block budget (``block_bytes``) stays free
-      beside it while the other side is still to be sorted, so that sort
-      reserves what it would have without it (same report, same charges,
-      no :class:`~repro.errors.HostMemoryError`); nothing need stay free
-      after the last one.
+    * if what is still to come stays free beside it: the sorter's whole
+      block budget (``block_bytes``) while the other side is still to be
+      sorted, so that sort reserves what it would have without it (same
+      report, same charges, no :class:`~repro.errors.HostMemoryError`);
+      and, before the graph exists, the graph's own bytes
+      (``graph_bytes``), which it takes once the sort is done.
     """
-    if not graph_built or len(lengths) != 1:
+    if len(lengths) != 1:
         return None
 
     def for_partition(side: str, length: int):
-        spare = block_bytes if side == "S" else 0
+        spare = max(block_bytes if side == "S" else 0, graph_bytes)
 
         def hold(records) -> bool:
             if ctx.host_pool.free_bytes - records.nbytes < spare:
@@ -153,7 +152,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
              closed: PackedBitVector | None = None,
              resident_bytes: int = 0,
-             graph_built: bool = False) -> SortPhaseReport:
+             graph_bytes: int = 0) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -167,13 +166,14 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
     by something else meanwhile (the graph): the sorter's host block is cut
     from the budget it leaves.
 
-    ``graph_built`` says whether the greedy graph exists yet; with it,
     :func:`_holder` decides which freshly sorted runs stay in host memory
-    for the reader that comes next.
+    for the reader that comes next; ``graph_bytes`` is what the greedy
+    graph takes of the host once it is built after this call (0 once it
+    exists).
     """
     sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
     lengths = partitions.lengths() if lengths is None else list(lengths)
-    holder = _holder(ctx, partitions, lengths, graph_built,
+    holder = _holder(ctx, partitions, lengths, graph_bytes,
                      sorter.m_h * partitions.dtype.itemsize)
     reports: dict[tuple[str, int], SortReport] = {}
     for length in lengths:

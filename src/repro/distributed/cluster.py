@@ -18,8 +18,8 @@ behind Fig. 10:
 * **reduce** — overlap finding is parallel per partition owner, but edge
   insertion is serialized by the out-degree bit-vector token traveling
   through partitions in descending length order; the critical path follows
-  the paper's ``t_o · p/n + t_g · p`` law. From the second round on an
-  owner reads the runs its sort formed in one piece from host memory
+  the paper's ``t_o · p/n + t_g · p`` law. An owner reads the runs its
+  sort formed in one piece from host memory
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline.
 
@@ -38,12 +38,14 @@ maps the blocks of the producers it holds for the round's lengths under
 that copy (:meth:`ClusterSupervisor.map_round`), so the records it has
 closed are never written, shuffled, sorted or matched. Bits are only ever
 set: a frozen copy drops nothing the token's own, newer bit-vector would
-keep, and the graph is the eager schedule's. In an in-core run the
-round's pieces and pulled partitions stay in host memory; the ``P_L``
-round, mapped before the graph exists, and every out-of-core run go
-through the disk, as on a single node. Every overlap round's snapshot
-drops the duplicates, and every overlap length is sorted once the graph
-exists, so an owner may hold its runs for reduce. Each stretch ends at a
+keep, and the graph is the eager schedule's. In an in-core run every
+round's pieces and pulled partitions stay in host memory, the hand-out's
+``P_L`` pieces and ``L``'s pulled partition too, and the sorted runs are
+all the nodes write; every out-of-core run goes through the disk, as on a
+single node. Every overlap round's snapshot drops the duplicates. An
+owner may hold a single length's runs for reduce: ``L``'s owner, sorting
+before the graph exists, if the graph's bytes stay free beside them.
+Each stretch ends at a
 barrier (the broadcast is booked as shuffle), and a phase's reported
 seconds are the sum of its rounds' critical paths. With one node a round
 is one length, its pieces are its partitions, and the schedule is the
@@ -156,10 +158,10 @@ class DistributedAssembler:
         under is at most one round old. Fewer lengths a round leave owners
         idle; more of them sort records a fresher bit-vector would have
         dropped (EXPERIMENTS.md Fig. 10 has the sweep). ``L`` goes alone
-        so that no overlap length is pulled before the duplicates are
-        closed, nor sorted before the graph exists: in ``L``'s round an
-        overlap length would carry every duplicate's records and be read
-        off the disk by reduce, where a lone node holds it (DESIGN.md,
+        so that no overlap length is pulled or sorted before the
+        duplicates are closed: in ``L``'s round an overlap length would
+        carry every duplicate's records, and a lone node, sorting two
+        lengths at once, would hold neither's runs for reduce (DESIGN.md,
         *duplicate reads close in a whole-read band first*).
         """
         whole, *ordered = sorted(lengths, reverse=True)

@@ -12,9 +12,11 @@ Per round (:mod:`repro.distributed.cluster`) a node holds its
 took over): their read blocks mapped for the round's lengths under
 ``closed`` (:meth:`WorkerNode.map_pieces`). In an in-core run the pieces
 and the partitions pulled from them stay in host memory
-(:func:`~repro.core.map_phase.keep_in_memory`). A lone node's pieces are
-its partitions. A node keeps no ledger: a restarted node is checked
-against the lineage its supervisor holds
+(:func:`~repro.core.map_phase.keep_in_memory`), the first round's ``P_L``
+too (a hand-out piece grows one read block at a time,
+:meth:`WorkerNode.map_block`): the sorted runs are all a node writes. A
+lone node's pieces are its partitions. A node keeps no ledger: a
+restarted node is checked against the lineage its supervisor holds
 (:mod:`repro.distributed.resilience`).
 """
 
@@ -43,10 +45,12 @@ from .message import ActiveMessageLayer, node_scope
 FETCH_PARTITION = "fetch_partition"
 
 
-def _open_in(closed: PackedBitVector, blocks) -> int:
-    """Oriented reads of ``blocks`` that ``closed`` leaves open."""
-    return sum(2 * (stop - start) - int(np.count_nonzero(
-        closed.get(np.arange(2 * start, 2 * stop)))) for start, stop in blocks)
+def _open_in(closed: PackedBitVector | None, blocks) -> int:
+    """Oriented reads of ``blocks`` that ``closed`` leaves open (all of
+    them without ``closed``)."""
+    return sum(2 * (stop - start) - (0 if closed is None else int(
+        np.count_nonzero(closed.get(np.arange(2 * start, 2 * stop)))))
+        for start, stop in blocks)
 
 
 class WorkerNode:
@@ -56,11 +60,15 @@ class WorkerNode:
                  messages: ActiveMessageLayer, *,
                  disk: DiskSpec | None = None, host: HostSpec | None = None,
                  tracer=None, read_length: int | None = None,
-                 lone: bool = False):
+                 graph_bytes: int = 0, lone: bool = False):
         self.node_id = node_id
         #: The whole-read length, whose partition has a ``P`` side only
         #: (:func:`~repro.extmem.partitions.partition_sides`).
         self.read_length = read_length
+        #: What the master's graph takes of a host once it is built: a run
+        #: sorted before then leaves it free
+        #: (:func:`~repro.core.sort_phase._holder`).
+        self.graph_bytes = graph_bytes
         #: The cluster's only node: its pieces are its partitions.
         self.lone = lone
         # All of this node's spans land on "nodeNN/..." tracks of the shared
@@ -120,8 +128,22 @@ class WorkerNode:
     def map_block(self, store: PackedReadStore, start: int, stop: int,
                   lengths: Iterable[int]) -> None:
         """Append reads ``[start, stop)`` to this node's own pieces of the
-        first round's ``lengths`` (the master's hand-out of read blocks)."""
-        pieces = self.pieces.get(self.node_id) or self._fresh_pieces(self.node_id)
+        first round's ``lengths`` (the master's hand-out of read blocks).
+
+        Each block adds ``2 · (stop − start)`` records to each side of each
+        length, so a piece's size is known before each block is written:
+        the first block decides by :func:`keep_in_memory` whether the
+        pieces stay in host memory, and kept pieces grow by every block.
+        """
+        lengths = sorted(lengths)
+        pieces = self.pieces.get(self.node_id)
+        if pieces is None:
+            pieces = self._fresh_pieces(self.node_id)
+            keep_in_memory(self.ctx, store, pieces, lengths, 2 * (stop - start),
+                           self.resident_bytes)
+        elif pieces.in_memory("P", lengths[0]):
+            pieces.reserve(lengths, 2 * (stop - start), self.ctx.host_pool,
+                           store.read_length)
         with self.metered(store) as mine:
             run_map(self.ctx, mine, pieces, read_range=(start, stop),
                     only_lengths=frozenset(lengths))
@@ -146,9 +168,8 @@ class WorkerNode:
         for producer, blocks in lineage.items():
             pieces = self._fresh_pieces(producer)
             try:
-                if self.closed is not None:
-                    keep_in_memory(self.ctx, store, pieces, lengths,
-                                   _open_in(self.closed, blocks), resident)
+                keep_in_memory(self.ctx, store, pieces, lengths,
+                               _open_in(self.closed, blocks), resident)
                 with self.metered(store) as mine:
                     for start, stop in blocks:
                         run_map(self.ctx, mine, pieces, read_range=(start, stop),
@@ -197,10 +218,9 @@ class WorkerNode:
             return 0
         pulled = 0
         for length in lengths:
-            if self.closed is not None:
-                keep_in_memory(self.ctx, store, self.shuffled, [length],
-                               open_vertices(store, self.closed),
-                               self.resident_bytes)
+            keep_in_memory(self.ctx, store, self.shuffled, [length],
+                           open_vertices(store, self.closed),
+                           self.resident_bytes)
             for side in partition_sides(length, self.read_length):
                 kept = self.shuffled.in_memory(side, length)
                 writer = None if kept else RunWriter(
@@ -231,12 +251,14 @@ class WorkerNode:
 
         Idempotent: partitions whose sorted file already exists (a restarted
         node replaying the phase) are skipped by :func:`run_sort`. The
-        round's map filtered them. Once the graph exists :func:`run_sort`
-        holds runs for this round's reduce by the single node's rule.
+        round's map filtered them. :func:`run_sort` holds runs for this
+        round's reduce by the single node's rule; before the graph exists
+        (the round has no snapshot) a run leaves the graph's bytes free.
         """
         return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
                         resident_bytes=self.resident_bytes,
-                        graph_built=self.closed is not None)
+                        graph_bytes=0 if self.closed is not None
+                        else self.graph_bytes)
 
     def has_sorted(self, length: int) -> bool:
         """Whether every sorted run of ``length`` is on this node's disk."""

@@ -71,6 +71,7 @@ from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
 from ..faults.plan import FSYNC_LOSS, NODE_CRASH
 from ..faults.retry import RetryPolicy
+from ..graph import GreedyStringGraph
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
 from ..telemetry import EventMeter
@@ -241,6 +242,8 @@ class ClusterSupervisor:
         return WorkerNode(node_id, self.config, self.root, self.messages,
                           disk=self.disk, host=self.host, tracer=self.tracer,
                           read_length=self.store.read_length,
+                          graph_bytes=GreedyStringGraph.bytes_for(
+                              self.store.n_reads, self.store.read_length),
                           lone=self.n_nodes == 1)
 
     def alive(self) -> list[WorkerNode]:

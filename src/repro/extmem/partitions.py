@@ -54,7 +54,7 @@ class PartitionStore:
         self._writers: dict[tuple[str, int], RunWriter] = {}
         self._held: dict[tuple[str, int], HeldRun] = {}
         #: Unsorted partitions kept in host memory: array, records filled,
-        #: and the reservation of its bytes.
+        #: and the reservations of its bytes (one a :meth:`reserve`).
         self._in_memory: dict[tuple[str, int], list] = {}
         self._finalized = False
 
@@ -129,22 +129,28 @@ class PartitionStore:
                 [n * width for counts in rows for both in on_disk
                  for n in (counts if both else counts[:1])])
 
-    def reserve(self, lengths, n_records: int, host_pool) -> None:
+    def reserve(self, lengths, n_records: int, host_pool,
+                read_length: int) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory.
 
-        Each side of each length is to receive exactly ``n_records``
-        records: their arrays are allocated, and their bytes reserved in
-        ``host_pool``, now. Appends fill them instead of writing files (an
-        append beyond the reservation raises
-        :class:`~repro.errors.StreamProtocolError`), :meth:`open_run` reads
-        them, and :meth:`delete` or :meth:`abandon` lets them go.
+        Each side of each length (:func:`partition_sides`: the whole-read
+        length ``read_length`` has ``P`` only) is to receive ``n_records``
+        more records: their room is allocated, and its bytes reserved in
+        ``host_pool``, now. A partition kept already grows by that much (a
+        node's hand-out piece, one read block at a time). Appends fill
+        them instead of writing files (an append beyond the reservation
+        raises :class:`~repro.errors.StreamProtocolError`), :meth:`open_run`
+        reads them, and :meth:`delete` or :meth:`abandon` lets them go.
         """
         for length in lengths:
-            for side in SIDES:
-                self._in_memory[(side, length)] = [
-                    np.empty(n_records, dtype=self.dtype), 0,
-                    host_pool.alloc(n_records * self.dtype.itemsize,
-                                    label="held-partition")]
+            for side in partition_sides(length, read_length):
+                kept = self._in_memory.setdefault(
+                    (side, length), [np.empty(0, dtype=self.dtype), 0, []])
+                array, filled, allocations = kept
+                allocations.append(host_pool.alloc(
+                    n_records * self.dtype.itemsize, label="held-partition"))
+                kept[0] = np.empty(array.shape[0] + n_records, dtype=self.dtype)
+                kept[0][:filled] = array[:filled]
 
     def finalize(self) -> None:
         """Close all open partition writers (end of the map phase).
@@ -281,4 +287,5 @@ class PartitionStore:
     def _let_go(self, key: tuple[str, int]) -> None:
         kept = self._in_memory.pop(key, None)
         if kept is not None:
-            kept[2].free()
+            for allocation in kept[2]:
+                allocation.free()

@@ -76,6 +76,14 @@ class GreedyStringGraph:
         """Host-memory footprint of the graph arrays."""
         return self.target.nbytes + self.overlap.nbytes + self.out_bits.nbytes
 
+    @staticmethod
+    def bytes_for(n_reads: int, read_length: int) -> int:
+        """:attr:`nbytes` of the graph over ``n_reads`` reads of
+        ``read_length`` bases, before it is built."""
+        n_vertices = 2 * n_reads
+        return n_vertices * (4 + (1 if read_length <= 256 else 2)) \
+            + 8 * -(-n_vertices // 64)
+
     @property
     def n_edges(self) -> int:
         """Directed edges inserted (complement pairs count as two)."""

@@ -20,6 +20,7 @@ from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
                                DistributedAssembler, NetworkSpec, WorkerNode,
                                node_scope)
 from repro.errors import ConfigError, FaultInjected, MessageDropped
+from repro.extmem import PartitionStore
 from repro.extmem.partitions import SIDES
 from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, MSG_DELAY, MSG_DROP,
                           NODE, NODE_CRASH, READ, WRITE, Fault, FaultPlan,
@@ -33,6 +34,9 @@ from .conftest import spans_by_name
 
 MIN_OVERLAP = 24
 N_NODES = 3
+#: 40 kB of host: every round's pieces and pulled partitions are files. The
+#: default budget is in-core, and keeps them in host memory.
+CRAMPED = MemoryConfig(40_000, 16_000, name="cramped")
 
 
 @pytest.fixture(scope="module")
@@ -458,12 +462,14 @@ class TestFailoverRung:
             self, resilience_data, tmp_path):
         """A lone node's pieces are its partitions, so a rebuild has no
         peer to pull from: the node maps its blocks again, and the rebuilt
-        partition is the first one byte for byte."""
+        partition is the first one byte for byte (on the cramped budget,
+        where the partition is a file)."""
         length = MIN_OVERLAP + 5
         network = NetworkSpec()
         with PackedReadStore.open(resilience_data.store_path) as store:
             supervisor = ClusterSupervisor(
-                AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7), 1, tmp_path,
+                AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                               memory=CRAMPED), 1, tmp_path,
                 network, ActiveMessageLayer(network), store)
             supervisor.begin_round(None, [length])
             supervisor.map_phase(4)
@@ -488,6 +494,18 @@ def probe_trace(resilience_data):
     plan = FaultPlan()
     with inject(plan):
         DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7),
+                             N_NODES).assemble(resilience_data.store_path)
+    return plan.trace
+
+
+@pytest.fixture(scope="module")
+def cramped_trace(resilience_data):
+    """:func:`probe_trace` on the cramped budget, where pieces and pulled
+    partitions are files."""
+    plan = FaultPlan()
+    with inject(plan):
+        DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                            memory=CRAMPED),
                              N_NODES).assemble(resilience_data.store_path)
     return plan.trace
 
@@ -535,29 +553,72 @@ class TestReplayFromLineage:
                 N_NODES).assemble(data.store_path)
         return plan, result
 
-    def _clean_maps(self, data, piece_maps) -> list:
-        self._run(data, [])
+    def _clean_maps(self, data, piece_maps, **knobs) -> list:
+        self._run(data, [], **knobs)
         calls = list(piece_maps)
         piece_maps.clear()
         return calls
 
     def test_a_restarted_holder_maps_its_pieces_again(
-            self, resilience_data, clean_run, probe_trace, piece_maps):
+            self, resilience_data, clean_run, cramped_trace, piece_maps):
         """node00's map piece loses a write and node00 dies at its first
         pull: its pieces of the round died with it, so the restarted node
-        maps them again from its recorded blocks and serves those."""
+        maps them again from its recorded blocks and serves those (on the
+        cramped budget, where a piece is a file)."""
         clean, _ = clean_run
-        clean_maps = self._clean_maps(resilience_data, piece_maps)
-        write = next(point for point in probe_trace if point.site == WRITE
+        clean_maps = self._clean_maps(resilience_data, piece_maps,
+                                      memory=CRAMPED)
+        write = next(point for point in cramped_trace if point.site == WRITE
                      and "/node00/map_parts/" in point.path)
-        pull = _next_op(probe_trace, write.op,
+        pull = _next_op(cramped_trace, write.op,
                         lambda point: point.path == "node00:pull")
-        plan, result = self._run(resilience_data, [_lost_until(write.op, pull)])
+        plan, result = self._run(resilience_data, [_lost_until(write.op, pull)],
+                                 memory=CRAMPED)
         assert [event.op for event in plan.events] == [write.op, pull]
         assert _again(clean_maps, piece_maps) \
             == [(0, (0,), (clean.read_length,))]
         assert result.notes["node_restarts"] == 1
         assert "partitions_rebuilt" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_restarted_holder_maps_its_kept_pieces_again(
+            self, resilience_data, clean_run, probe_trace, piece_maps):
+        """In-core, the hand-out's pieces stay in host memory and nothing
+        is written before the first pull. node00 dies at that pull: its
+        kept pieces died with it, and the restarted node maps them again
+        from its recorded blocks, into host memory, and serves those."""
+        clean, _ = clean_run
+        clean_maps = self._clean_maps(resilience_data, piece_maps)
+        pull = next(point.op for point in probe_trace
+                    if point.path == "node00:pull")
+        assert not [point for point in probe_trace
+                    if point.site == WRITE and point.op < pull]
+        plan, result = self._run(resilience_data,
+                                 [Fault(NODE_CRASH, site=NODE, at_op=pull)])
+        assert [event.op for event in plan.events] == [pull]
+        assert _again(clean_maps, piece_maps) \
+            == [(0, (0,), (clean.read_length,))]
+        assert result.notes["node_restarts"] == 1
+        assert "partitions_rebuilt" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_holder_restarted_mid_hand_out_grows_its_kept_pieces(
+            self, resilience_data, clean_run, probe_trace):
+        """In-core, node00 dies at its second hand-out block: restarted,
+        it maps its recorded block again into kept pieces, and the blocks
+        that follow grow them; nothing but sorted runs is written."""
+        clean, _ = clean_run
+        second = [point.op for point in probe_trace if point.site == NODE
+                  and point.path.startswith("node00:map[")][1]
+        plan, result = self._run(resilience_data,
+                                 [Fault(NODE_CRASH, site=NODE, at_op=second)])
+        assert [event.op for event in plan.events] == [second]
+        assert result.notes["node_restarts"] == 1
+        assert result.notes["partitions_replayed"] == 1
+        assert all(".sorted.run" in point.path for point in plan.trace
+                   if point.site == WRITE)
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -569,7 +630,7 @@ class TestReplayFromLineage:
         survivor dies at the next node operation. Restarted, it maps every
         piece it holds again when the round's first pull needs them."""
         clean, _ = clean_run
-        cramped = {"memory": MemoryConfig(40_000, 16_000, name="cramped")}
+        cramped = {"memory": CRAMPED}
         lose = [Fault(NODE_CRASH, site=NODE, match="node02:seal-map",
                       once=False)]
         probe, _ = self._run(resilience_data, lose, **cramped)
@@ -592,21 +653,60 @@ class TestReplayFromLineage:
         assert _identity(result) == _identity(clean)
 
     def test_a_short_pulled_partition_is_pulled_again_in_the_sort(
-            self, resilience_data, clean_run, probe_trace):
+            self, resilience_data, clean_run, cramped_trace):
         """node00's pulled partition loses a write and node00 dies at its
         sort: the unsorted file is short of what the pull wrote, so it is
-        pulled again before the round's lengths are sorted."""
+        pulled again before the round's lengths are sorted (on the cramped
+        budget, where a pulled partition is a file)."""
         clean, _ = clean_run
-        write = next(point for point in probe_trace if point.site == WRITE
+        write = next(point for point in cramped_trace if point.site == WRITE
                      and "/node00/partitions/" in point.path
                      and ".sorted" not in point.path)
-        sort = _next_op(probe_trace, write.op,
+        sort = _next_op(cramped_trace, write.op,
                         lambda point: point.path == "node00:sort")
-        plan, result = self._run(resilience_data, [_lost_until(write.op, sort)])
+        plan, result = self._run(resilience_data, [_lost_until(write.op, sort)],
+                                 memory=CRAMPED)
         assert [event.op for event in plan.events] == [write.op, sort]
         assert result.notes["node_restarts"] == 1
         assert result.notes["partitions_rebuilt"] == 1
         assert "failovers" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    @pytest.mark.parametrize("op", ("sort", "reduce"))
+    def test_the_whole_read_owner_restarted_before_it_closes(
+            self, resilience_data, clean_run, probe_trace, monkeypatch, op):
+        """In-core, the owner of ``L`` keeps its pulled ``P_L`` and holds
+        its one sorted run for the closing of the duplicates. Dead at its
+        sort, it lost the kept partition, which is pulled again from the
+        pieces; dead at the closing, it lost the held run, and the closing
+        reads the run's file. Either way the contigs are the clean run's."""
+        clean, _ = clean_run
+        whole = clean.read_length
+        closing = next(point for point in probe_trace if point.site == NODE
+                       and point.path.endswith(f":reduce[{whole}]"))
+        owner = closing.path.split(":")[0]
+        crash = closing.op if op == "reduce" else next(
+            point.op for point in probe_trace
+            if point.path == f"{owner}:sort")
+        # Nothing but the sorted P_L reaches the disk before the closing.
+        (write,) = [point.path for point in probe_trace
+                    if point.site == WRITE and point.op < closing.op]
+        assert f"/{owner}/partitions/P_{whole:05d}.sorted.run" in write
+        held = []
+        hold = PartitionStore.hold
+
+        def spying(self, side, length, records, allocation=None):
+            held.append((side, length))
+            hold(self, side, length, records, allocation)
+
+        monkeypatch.setattr(PartitionStore, "hold", spying)
+        plan, result = self._run(resilience_data,
+                                 [Fault(NODE_CRASH, site=NODE, at_op=crash)])
+        assert [event.op for event in plan.events] == [crash]
+        assert ("P", whole) in held
+        assert result.notes["node_restarts"] == 1
+        assert result.notes.get("partitions_rebuilt", 0) == int(op == "sort")
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -639,10 +739,12 @@ class TestReplayFromLineage:
         """A lone node's pieces are its partitions, and its pull moves
         nothing. Restarted before its sort, it finds an intact partition
         as its map left it; one short of a record it maps again from its
-        recorded blocks, and pulls nothing."""
+        recorded blocks, and pulls nothing (on the cramped budget, where
+        the partition is a file)."""
         length = MIN_OVERLAP + 5
         network = NetworkSpec()
-        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
+        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                memory=CRAMPED)
         sorted_runs = []
         with PackedReadStore.open(resilience_data.store_path) as store:
             for run in ("clean", "restarted"):

@@ -294,26 +294,18 @@ def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
 # -- (d) the held path: in-core rounds stay in host memory ----------------------
 
 
-def test_an_in_core_run_writes_only_sorted_runs_after_the_whole_read_round(
-        wide, tmp_path):
-    """4 nodes, in-core: the whole-read round's pieces and pulled ``P_L``
-    go through the disk, and after its reduce every round's pieces and
-    pulled partitions stay in host memory; the sorted runs are all the
-    disk is written."""
+def test_an_in_core_run_writes_only_sorted_runs(wide, tmp_path):
+    """4 nodes, in-core: every round's pieces and pulled partitions stay
+    in host memory, the whole-read round's ``P_L`` pieces and partition
+    too; the sorted runs are all the disk is written."""
     md, config, single, _ = wide
     plan = FaultPlan()
     with inject(plan):
         result = DistributedAssembler(config, 4).assemble(
             md.store_path, workdir=tmp_path)
-    whole = next(point.op for point in plan.trace if point.site == NODE
-                 and point.path.endswith(f":reduce[{result.read_length}]"))
-    before = [point.path for point in plan.trace
-              if point.site == WRITE and point.op < whole]
-    after = [point.path for point in plan.trace
-             if point.site == WRITE and point.op > whole]
-    assert sum("/map_parts/" in path for path in before) == 4
-    assert len(after) == 2 * 37
-    assert all(".sorted.run" in path for path in after)
+    writes = [point.path for point in plan.trace if point.site == WRITE]
+    assert len(writes) == 2 * 37 + 1
+    assert all(".sorted.run" in path for path in writes)
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
 
 

@@ -122,6 +122,10 @@ class TestCompactLayout:
         assert graph.target.dtype == np.uint32
         assert graph.overlap.dtype.itemsize == overlap_bytes
         assert graph.nbytes == 49_600 * (4 + overlap_bytes + 1 / 8)
+        assert GreedyStringGraph.bytes_for(24_800, read_length) == graph.nbytes
+        # A vertex count off a whole word rounds the out-bits up.
+        assert GreedyStringGraph.bytes_for(3, read_length) \
+            == GreedyStringGraph(3, read_length).nbytes
 
     def test_longest_overlap_fits_the_narrow_type(self):
         graph = GreedyStringGraph(2, 256)

@@ -85,12 +85,16 @@ def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
     assert held.contigs.offsets.tobytes() == plain.contigs.offsets.tobytes()
     assert held.sort_report == plain.sort_report
     assert held.reduce_report == plain.reduce_report
-    # The whole-read length is sorted before the graph exists: its one run
-    # (P_L) always comes off the disk.
+    # In-core, every run reduce reads is held, the whole-read length's one
+    # run (P_L) too: it is held beside the graph's bytes, before the graph
+    # exists. Out of core the largest runs come off the disk.
     from_disk, in_memory = _runs_read(held)
-    assert from_disk >= 1 and in_memory > 0
     assert from_disk + in_memory \
         == 2 * held.reduce_report.partitions_processed - 1
+    if memory is INCORE:
+        assert from_disk == 0
+    else:
+        assert from_disk >= 1 and in_memory > 0
     assert _runs_read(plain) == (from_disk + in_memory, 0)
     # Only reduce's reads moved: the sort charged what it did.
     for phase in ("load", "map", "sort", "compress"):
@@ -104,15 +108,15 @@ def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
 
 def test_a_tight_budget_reads_what_it_cannot_hold(data, tmp_path):
     """The sorter's block budget beside a held run is not negotiable: under
-    the cramped host more runs come off the disk than the whole-read
-    length's one."""
+    the cramped host several runs come off the disk, where an in-core run
+    reads none."""
     result = Assembler(_config(CRAMPED)).assemble(data.store_path,
                                                   workdir=tmp_path / "w")
     from_disk, in_memory = _runs_read(result)
     assert from_disk > 1 and in_memory > 0
     roomy = Assembler(_config(INCORE)).assemble(data.store_path,
                                                 workdir=tmp_path / "roomy")
-    assert _runs_read(roomy) == (1, from_disk + in_memory - 1)
+    assert _runs_read(roomy) == (0, from_disk + in_memory)
 
 
 @pytest.mark.parametrize("memory", (INCORE, OUTOFCORE, CRAMPED),
@@ -257,10 +261,11 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
     # The lengths sorted before the raise are read off the disk: the
     # whole-read length's one run (it goes through close_duplicates, not
     # reduce_partition) and three overlap lengths' runs, or two when the
-    # whole-read length was run_reduce's first call.
+    # whole-read length was run_reduce's first call. A clean in-core run
+    # holds every run, P_L's too.
     assert _runs_read(resumed)[0] \
         == {"reduce_partition": 1 + 2 * 3, "run_reduce": 1 + 2 * 2}[where]
-    assert _runs_read(clean)[0] == 1
+    assert _runs_read(clean)[0] == 0
     assert resumed.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
     assert np.load(workdir / "graph.npz")["target"].tobytes() \
@@ -269,7 +274,66 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
         == clean.reduce_report.per_length_edges
 
 
+def test_an_exception_closing_the_duplicates_frees_the_held_whole_read_run(
+        data, tmp_path, monkeypatch):
+    """In-core, ``P_L``'s one run is held across the graph's creation: a
+    raise in its closing frees it, and a resumed run reads it off the disk
+    and assembles what a clean run does."""
+    config = _config(INCORE)
+    seen = {}
+
+    def failing(ctx, graph, run, report):
+        seen.update(ctx=ctx, graph=graph, held=isinstance(run, HeldRun))
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(reduce_phase, "close_duplicates", failing)
+    workdir = tmp_path / "w"
+    with pytest.raises(RuntimeError, match="boom"):
+        Assembler(config).assemble(data.store_path, workdir=workdir,
+                                   resume=True)
+    assert seen["held"]
+    seen["graph"].release()
+    assert seen["ctx"].host_pool.used_bytes == 0
+    monkeypatch.undo()
+
+    resumed = Assembler(config).assemble(data.store_path, workdir=workdir,
+                                         resume=True)
+    clean = Assembler(config).assemble(data.store_path,
+                                       workdir=tmp_path / "clean", resume=True)
+    assert _runs_read(resumed)[0] == 1 and _runs_read(clean)[0] == 0
+    assert resumed.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()
+    assert resumed.reduce_report == clean.reduce_report
+
+
 # -- the store's seam --------------------------------------------------------------
+
+
+def test_reserving_the_whole_read_length_keeps_its_one_side(tmp_path):
+    """``P_L`` has no ``S`` side: reserving ``{L}`` allocates one array of
+    ``2n`` records, and the host pool sees exactly those bytes. A kept
+    partition grows by what a later reservation adds."""
+    dtype = kv_dtype(1)
+    partitions = PartitionStore(tmp_path / "parts", dtype, IOAccountant())
+    pool = MemoryPool("host", 1 << 20, HostMemoryError)
+    n_reads, read_length = 100, 50
+    partitions.reserve([read_length], 2 * n_reads, pool, read_length)
+    assert partitions.in_memory("P", read_length)
+    assert not partitions.in_memory("S", read_length)
+    assert pool.used_bytes == partitions.host_bytes \
+        == 2 * n_reads * dtype.itemsize
+    records = make_records(np.arange(2 * n_reads + 6, dtype=np.uint64),
+                           np.arange(2 * n_reads + 6, dtype=np.uint32))
+    partitions.append("P", read_length, records[:2 * n_reads])
+    with pytest.raises(StreamProtocolError, match="more records than reserved"):
+        partitions.append("P", read_length, records[:1])
+    partitions.reserve([read_length], 6, pool, read_length)
+    partitions.append("P", read_length, records[2 * n_reads:])
+    assert pool.used_bytes == records.nbytes
+    with partitions.open_run("P", read_length) as run:
+        assert run.read_all().tobytes() == records.tobytes()
+    partitions.delete("P", read_length)
+    assert pool.used_bytes == 0 and not list(partitions.root.iterdir())
 
 
 @pytest.fixture()

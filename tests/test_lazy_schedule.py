@@ -407,19 +407,19 @@ class TestBandsInHostMemory:
                 == run.read_bytes(), run.name
         assert not list((root / "kept" / "partitions").glob("[SP]_?????.run"))
 
-    def test_only_the_first_band_reaches_the_disk(self, data, pair):
-        """The disk sees the first band's one partition, ``P_L``, whatever
-        the data: every oriented read is in it, before any read is
-        closed."""
+    def test_no_unsorted_partition_reaches_the_disk(self, data, pair):
+        """Every band is kept, the first one's ``P_L`` too (every oriented
+        read, before any read is closed): the map writes nothing, and the
+        sort reads nothing and seeks nowhere, whatever the data."""
         _, kept, on_disk = pair
         first_band = 2 * data.n_reads * kv_dtype(2).itemsize
         mapped, sorted_ = (kept.telemetry[phase].counters
                            for phase in ("map", "sort"))
-        assert mapped["disk_write_bytes"] == first_band
+        assert mapped["disk_write_bytes"] == 0
         assert on_disk.telemetry["map"].counters["disk_write_bytes"] \
             > first_band
-        assert sorted_["disk_read_bytes"] == first_band
-        assert sorted_["disk_seeks"] == 1
+        assert sorted_["disk_read_bytes"] == 0
+        assert sorted_["disk_seeks"] == 0
         assert on_disk.telemetry["sort"].counters["disk_seeks"] == 2 * 25 + 1
         assert kept.telemetry.total_sim_seconds() \
             < on_disk.telemetry.total_sim_seconds()
