@@ -11,12 +11,14 @@ reads, then the overlap lengths are mapped in bands of 1, 4, 16, ...
 lengths, each band just before its lengths are sorted and reduced, and
 each length is sorted just before reduce reads it. Map and sort both leave
 out the records the greedy graph has already closed (see
-:meth:`Assembler._graph`), and a run the sort
-leaves in one piece is handed to reduce in host memory while its file is
-still written. An in-core run keeps the partitions of every band in host
-memory instead of writing them: the sorted runs are all it writes. The re-entered
-``map`` / ``sort`` / ``reduce`` phases merge into one telemetry row each. The paper's eager order is the plain
-composition ``run_map(ctx, store)`` → ``run_sort(ctx, partitions)`` →
+:meth:`Assembler._graph`), and a run the sort leaves in one piece is
+handed to reduce in host memory; its file is written only for a
+checkpoint ledger (``resume=True``). An in-core run keeps the partitions
+of every band in host memory instead of writing them, and holds the packed
+reads after the first walk: without a ledger it uses the disk for load
+alone. The re-entered ``map`` / ``sort`` / ``reduce`` phases merge into
+one telemetry row each. The paper's eager order is the plain composition
+``run_map(ctx, store)`` → ``run_sort(ctx, partitions)`` →
 ``run_reduce(ctx, partitions, store)``; it builds the same graph.
 
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
@@ -48,7 +50,7 @@ from .checkpoint import (GRAPH_FILE, PHASES, CheckpointManager,
 from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
-from .map_phase import (MapReport, band_report, keep_in_memory,
+from .map_phase import (MapReport, band_report, in_core, keep_in_memory,
                         open_vertices, overlap_lengths, run_map)
 from .reduce_phase import ReduceReport, run_reduce
 from .results import AssemblyResult
@@ -341,12 +343,17 @@ class Assembler:
         it gets the whole host budget. In an in-core run every band's
         partitions, ``P_L``'s too, are kept in host memory
         (:func:`_keep_in_memory`), so the map writes nothing whatever the
-        data. The graph is the eager composition's (bits are only ever
-        set, so a dropped record is one every later candidate of its
-        vertex would have been refused for). A run the sort forms in one
-        piece is also held in host memory and reduce reads it from there;
-        ``P_L``'s, sorted before the graph exists, only if the graph's
-        bytes stay free beside it.
+        data, and the packed store is held in host memory from the first
+        band's walk on (:meth:`~repro.seq.packing.PackedReadStore.hold`),
+        so every later walk, compress's too, reads no disk. The graph is
+        the eager composition's (bits are only ever set, so a dropped
+        record is one every later candidate of its vertex would have been
+        refused for). A run the sort forms in one piece is also held in
+        host memory and reduce reads it from there; ``P_L``'s, sorted
+        before the graph exists, only if the graph's bytes stay free
+        beside it. A held run's file is written for the ledger alone: a
+        run without one (``manager`` is ``None``) writes no sorted run that
+        reduce does not read.
 
         Map, sort and reduce are recorded after the loop, in that order, so
         fault barriers and phase hooks see each exactly once. The map's
@@ -385,6 +392,8 @@ class Assembler:
             if damaged:
                 manager.invalidate_from("sort")
         lengths = overlap_lengths(ctx, store.read_length)
+        if in_core(ctx, store):
+            store.hold(ctx.host_pool)
         band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None
@@ -404,7 +413,8 @@ class Assembler:
                                 "closed": graph.out_bits,
                                 "resident_bytes": graph.nbytes}
                         sort_report.reports.update(run_sort(
-                            ctx, partitions, lengths=(length,), **beside).reports)
+                            ctx, partitions, lengths=(length,),
+                            write_held=manager is not None, **beside).reports)
                     with self._phase(ctx, "reduce", boundary=False):
                         graph, reduce_report = run_reduce(
                             ctx, partitions, store, lengths=(length,),

@@ -9,7 +9,8 @@ the suffix window can only match inside the current prefix window — one
 pass per partition. The runs come through
 :meth:`~repro.extmem.PartitionStore.open_run`: off the disk, or, for a
 run the sort just formed in one piece and held, from host memory at no
-disk charge (:mod:`repro.core.sort_phase`).
+disk charge (:mod:`repro.core.sort_phase`); a held run of a run without a
+checkpoint ledger has no file at all.
 
 Each window pair goes to the device, where vectorized lower/upper bounds of
 every suffix fingerprint in the prefix window yield per-suffix match counts
@@ -94,7 +95,8 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
     for length in sorted(partitions.lengths() if lengths is None else lengths,
                          reverse=True):
         sides = partition_sides(length, store.read_length)
-        if not all(partitions.path(side, length, sorted_run=True).exists()
+        if not all(partitions.holds(side, length)
+                   or partitions.path(side, length, sorted_run=True).exists()
                    for side in sides):
             continue
         edges_before = graph.n_edges

@@ -16,10 +16,11 @@ cluster node that serves (or recomputes) a map piece alike.
 
 A length sorted on its own just before reduce reads it may also *hold*
 its runs: a partition the sort leaves in one run (no merge round) is still
-in the sorter's host buffer when the file is renamed into place, so the
-store keeps that array, its bytes reserved in the host pool, and reduce
-reads it from there instead of off the disk (:func:`_holder` says when).
-The sorted file is written all the same.
+in the sorter's host buffer before it is written, so the store keeps that
+array, its bytes reserved in the host pool, and reduce reads it from there
+instead of off the disk (:func:`_holder` says when). A held run's file is
+written only when a checkpoint ledger will vouch for it (``write_held``):
+without one, the held array is the only copy and reduce its only reader.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
              closed: PackedBitVector | None = None,
              resident_bytes: int = 0,
-             graph_bytes: int = 0) -> SortPhaseReport:
+             graph_bytes: int = 0,
+             write_held: bool = True) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -169,7 +171,8 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
     :func:`_holder` decides which freshly sorted runs stay in host memory
     for the reader that comes next; ``graph_bytes`` is what the greedy
     graph takes of the host once it is built after this call (0 once it
-    exists).
+    exists). A held run's file is written only with ``write_held``: a run
+    that keeps a checkpoint ledger needs it, and nothing else reads it.
     """
     sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
     lengths = partitions.lengths() if lengths is None else list(lengths)
@@ -192,6 +195,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
             reports[(side, length)] = sorter.sort_file(
                 source, sorted_path,
                 keep=_open_claims(ctx, closed, side) if closed is not None else None,
-                hold=holder(side, length) if holder else None)
+                hold=holder(side, length) if holder else None,
+                write_held=write_held)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

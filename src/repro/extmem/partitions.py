@@ -11,10 +11,11 @@ is its prefix (:func:`partition_sides`).
 The store owns the naming scheme, the writer lifecycle and the sorted runs
 held in host memory; sort and reduce phases address partitions as
 ``(side, length)`` pairs. A sort that leaves a length's run in one piece
-may :meth:`PartitionStore.hold` the array after the file is written and
-renamed: the next :meth:`PartitionStore.open_run` of that sorted run reads
-it from memory instead of off the disk, once. The file stays the run of
-record (ledger, resume and cache see only files).
+may :meth:`PartitionStore.hold` the array: the next
+:meth:`PartitionStore.open_run` of that sorted run reads it from memory
+instead of off the disk, once. Its file is the run of record of a
+checkpoint ledger (ledger, resume and cache see only files); a run
+without a ledger writes none, and the held array is the only copy.
 
 Unsorted partitions whose sizes are known before the map writes them may
 be kept in host memory instead (:meth:`PartitionStore.reserve`): their
@@ -245,7 +246,8 @@ class PartitionStore:
              allocation=None) -> None:
         """Keep the sorted run ``(side, length)`` in host memory.
 
-        ``records`` must be the bytes of its sorted file; ``allocation``
+        ``records`` must be the bytes of its sorted file, written or not;
+        ``allocation``
         reserves them until the next :meth:`open_run` of the run is closed
         or the run is dropped (:meth:`delete`, :meth:`abandon`).
         """

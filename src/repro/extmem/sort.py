@@ -219,7 +219,7 @@ class ExternalSorter:
                           self.fanout)
 
     def sort_file(self, in_path: str | Path | HeldRun, out_path: str | Path, *,
-                  keep=None, hold=None) -> SortReport:
+                  keep=None, hold=None, write_held: bool = True) -> SortReport:
         """Sort a run file into ``out_path``; returns the :class:`SortReport`.
 
         ``in_path`` may also be a run already in host memory (a
@@ -232,9 +232,12 @@ class ExternalSorter:
         size) describes the surviving records alone.
 
         ``hold(records) -> bool`` is offered the sorted run, still in host
-        memory, when run formation made exactly one (no merge round): the
-        file is written and renamed all the same, and ``hold`` says whether
-        it kept the array.
+        memory, when run formation makes exactly one (no merge round), and
+        says whether it kept the array. The run is offered before it is
+        written: a run ``hold`` kept is written and renamed into
+        ``out_path`` only with ``write_held`` (the file is then the run of
+        record of a checkpoint ledger); without it no file appears, and the
+        kept array is the run's only copy.
 
         Crash-safe: scratch space is torn down on both success and failure,
         and ``out_path`` appears atomically (rename of a finished run).
@@ -249,9 +252,8 @@ class ExternalSorter:
         try:
             with self.tracer.span(f"sort:{out_path.name}", track="sort",
                                   det=True) as span:
-                report, run = self._sort_into(in_path, out_path, scratch_dir,
-                                              keep)
-                held = run is not None and hold is not None and hold(run)
+                report, held = self._sort_into(in_path, out_path, scratch_dir,
+                                               keep, hold, write_held)
                 span.note(read=read, kept=report.n_records,
                           runs=report.initial_runs,
                           rounds=report.merge_rounds, held=int(held))
@@ -265,7 +267,8 @@ class ExternalSorter:
                 scratch_dir.rmdir()
 
     def _blocks(self, reader: RunReader, keep):
-        """Run-formation blocks of ``host_block`` records, in file order.
+        """Run-formation blocks of ``host_block`` records, in file order,
+        each with whether it is known to be the last.
 
         Without ``keep`` a block is one read. With it, each piece read is
         filtered and its survivors are carried over until exactly
@@ -277,7 +280,8 @@ class ExternalSorter:
         """
         if keep is None:
             while not reader.exhausted:
-                yield reader.read(self.host_block)
+                block = reader.read(self.host_block)
+                yield block, reader.exhausted
             return
         # A file shorter than a block never fills one: do not ask for more.
         capacity = min(self.host_block, reader.total_records)
@@ -299,7 +303,9 @@ class ExternalSorter:
                 if n_held == self.host_block:
                     # The caller has written the block's run by the time it
                     # pulls again, so the next block fills the same buffer.
-                    yield held
+                    # Later pieces may all be filtered out: then this block
+                    # proves to be the last only once the reader is.
+                    yield held, reader.exhausted and not survivors.shape[0]
                     full_blocks += 1
                     n_held = 0
         if n_held and not full_blocks:
@@ -308,45 +314,70 @@ class ExternalSorter:
             # bytes, not the unfiltered file's. (An in-place resize checks
             # refcounts, which a trace function such as pdb's raises.)
             held = held[:n_held].copy()
-            yield held
+            yield held, True
         elif n_held:
-            yield held[:n_held]
+            yield held[:n_held], True
+
+    def _write_run(self, scratch_dir: Path, index: int,
+                   records: np.ndarray) -> Path:
+        """Write one initial run into ``scratch_dir``; returns its path."""
+        run_path = scratch_dir / f"run_{index:05d}.run"
+        # det=False keeps the per-run spans out of the sim export (its size).
+        with self.tracer.span("run:write", track="sort"), \
+                RunWriter(run_path, self.dtype, self.accountant) as writer:
+            writer.append(records)
+        return run_path
 
     def _sort_into(self, in_path: Path | HeldRun, out_path: Path,
-                   scratch_dir: Path,
-                   keep) -> tuple[SortReport, np.ndarray | None]:
-        """The sort and, when it formed exactly one run, that run's array."""
+                   scratch_dir: Path, keep, hold,
+                   write_held: bool) -> tuple[SortReport, bool]:
+        """The sort, and whether ``hold`` kept its one run (see
+        :meth:`sort_file`)."""
         record_nbytes = self.dtype.itemsize
 
         # Run formation: each host block is read, sorted through the device
-        # and written as a run before the next is read.
+        # and written as a run before the next is read. A last block that
+        # is the only one waits: it is offered to ``hold`` first.
         run_paths: list[Path] = []
+        pending = None
         n_records = 0
         with self.tracer.span("runs", track="sort", det=True) as runs_span, \
                 (RunReader(in_path, self.dtype, self.accountant)
                  if isinstance(in_path, Path) else in_path) as reader:
-            for block in self._blocks(reader, keep):
+            for block, last in self._blocks(reader, keep):
                 sorted_block = self.sort_block_in_host(block)
                 with self.host_pool.alloc(sorted_block.shape[0] * record_nbytes *
                                           HOST_SORT_FOOTPRINT, label="sort-block"):
                     n_records += sorted_block.shape[0]
-                    run_path = scratch_dir / f"run_{len(run_paths):05d}.run"
-                    # det=False keeps the per-run spans out of the sim export
-                    # (its size).
-                    with self.tracer.span("run:write", track="sort"), \
-                            RunWriter(run_path, self.dtype,
-                                      self.accountant) as writer:
-                        writer.append(sorted_block)
-                run_paths.append(run_path)
-            runs_span.note(runs=len(run_paths), records=n_records)
+                    if hold is not None and last and not run_paths:
+                        pending = sorted_block
+                    else:
+                        run_paths.append(self._write_run(
+                            scratch_dir, len(run_paths), sorted_block))
+            initial_runs = len(run_paths) + (pending is not None)
+            # Offered once the block's reservation is gone, as the finished
+            # sort's run. A full block is written before the reader shows
+            # it was the last: that run is offered after its write.
+            held = hold is not None and initial_runs == 1 and hold(
+                sorted_block if pending is None else pending)
+            if pending is not None and (write_held or not held):
+                run_paths.append(self._write_run(scratch_dir, 0, pending))
+            runs_span.note(runs=initial_runs, records=n_records)
 
-        initial_runs = len(run_paths)
+        report = SortReport(n_records, initial_runs,
+                            merge_rounds_for(initial_runs, self.fanout),
+                            self.fanout)
+        if held and not write_held:
+            for path in run_paths:
+                path.unlink()
+            return report, True
+
         if initial_runs == 0:
             empty_path = scratch_dir / "empty.run"
             empty_path.write_bytes(b"")
             faults.barrier(faults.RENAME, str(out_path))
             empty_path.replace(out_path)
-            return SortReport(0, 0, 0, self.fanout), None
+            return report, False
 
         # Merge rounds: fanout-k Algorithm 1 through host windows.
         merge_rounds = 0
@@ -392,5 +423,4 @@ class ExternalSorter:
 
         faults.barrier(faults.RENAME, str(out_path))
         run_paths[0].replace(out_path)
-        return (SortReport(n_records, initial_runs, merge_rounds, self.fanout),
-                sorted_block if initial_runs == 1 else None)
+        return report, held

@@ -11,7 +11,9 @@ the pipeline needs:
 
 A 398 GB FASTQ human-genome dataset packs to ~29 GB in this form — the same
 ~13× reduction the paper exploits to re-stream reads cheaply during contig
-generation.
+generation. An in-core run need not re-stream them at all: a store may
+:meth:`~PackedReadStore.hold` its payload in host memory, and every walk
+after the first reads it from there.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ class PackedReadStore:
         self._n_reads = n_reads
         self._meter = meter
         self._bytes_per_read = -(-read_length // 4)
+        #: The payload held in host memory (:meth:`hold`): the array, how
+        #: many reads of it are filled, and the reservation of its bytes.
+        self._held: np.ndarray | None = None
+        self._held_reads = 0
+        self._allocation = None
         self._handle = open(path, "wb" if mode == "w" else "rb")
         if mode == "w":
             self._handle.write(_HEADER.pack(_MAGIC, _VERSION, read_length, 0))
@@ -160,8 +167,13 @@ class PackedReadStore:
     def close(self) -> None:
         """Finalize (write mode: patch the read count into the header).
 
-        The handle is released even when the header write raises.
+        The handle is released even when the header write raises, and a
+        held payload's host memory (:meth:`hold`) is given back.
         """
+        self._held = None
+        if self._allocation is not None:
+            self._allocation.free()
+            self._allocation = None
         if self._handle.closed:
             return
         try:
@@ -186,6 +198,25 @@ class PackedReadStore:
 
     # -- reading -----------------------------------------------------------
 
+    def hold(self, host_pool) -> None:
+        """Keep the payload in host memory, from the next walk on.
+
+        Its bytes are reserved in ``host_pool`` now (an
+        :class:`~repro.device.memory.Allocation` that :meth:`close` frees).
+        A read off the disk that starts within the reads held so far lands
+        in the copy too, so the first walk of the store fills it; a read of
+        held reads comes from the copy and charges no disk, but still
+        passes the fault layer's ``READ`` hook under the store's path, as
+        a read of the file would. The copy keeps the bytes the disk gave,
+        before the hook: a corrupted read corrupts that read alone.
+        """
+        if self._mode != "r":
+            raise StreamProtocolError("store is open write-only")
+        self._allocation = host_pool.alloc(self.nbytes, label="held-store")
+        self._held = np.empty((self._n_reads, self._bytes_per_read),
+                              dtype=np.uint8)
+        self._held_reads = 0
+
     def read_packed_slice(self, start: int, stop: int, *,
                           meter_reads: int | None = None) -> np.ndarray:
         """Raw packed bytes of reads ``[start, stop)`` as ``(n, ceil(L/4))``.
@@ -196,16 +227,26 @@ class PackedReadStore:
         :meth:`read_slice` — the decoded variant is exactly
         ``unpack_codes`` over this. ``meter_reads`` meters the one read as
         consecutive reads of that many reads each (the last may be
-        shorter), as the map phase's device batches model it.
+        shorter), as the map phase's device batches model it. Reads the
+        store holds (:meth:`hold`) come from host memory, unmetered.
         """
         if self._mode != "r":
             raise StreamProtocolError("store is open write-only")
         if not 0 <= start <= stop <= self._n_reads:
             raise DatasetError(f"slice [{start}, {stop}) out of range 0..{self._n_reads}")
         count = stop - start
+        if self._held is not None and stop <= self._held_reads:
+            held = self._held[start:stop]
+            held.flags.writeable = False
+            return faults.filter_read(self._path, held).reshape(
+                count, self._bytes_per_read)
         self._handle.seek(_HEADER.size + start * self._bytes_per_read)
-        raw = faults.filter_read(self._path,
-                                 self._handle.read(count * self._bytes_per_read))
+        disk = self._handle.read(count * self._bytes_per_read)
+        raw = faults.filter_read(self._path, disk)
+        if self._held is not None and start <= self._held_reads:
+            self._held[start:stop] = np.frombuffer(disk, dtype=np.uint8).reshape(
+                count, self._bytes_per_read)
+            self._held_reads = max(self._held_reads, stop)
         if self._meter is not None:
             if meter_reads is None:
                 self._meter.add_read(len(raw))

@@ -8,9 +8,10 @@ whole record, reaches the disk) or ``fsync-loss`` (the write is
 acknowledged, then lost when its writer dies ``delay`` operations later,
 wherever the run is by then). Every cell must return the clean run's
 contigs with no degraded report, or raise. Tier-1 runs a fixed seeded
-sample of the cells; ``REPRO_WRITE_SWEEP=full`` (as CI's
-``distributed-chaos`` job sets it) runs every WRITE op with ``crash``,
-``torn`` and ``fsync-loss`` at delays 1, 4, 16 and 64.
+sample of the cells, ``P_L``'s writes among them;
+``REPRO_WRITE_SWEEP=full`` (as CI's ``distributed-chaos`` job sets it)
+runs every WRITE op with ``crash``, ``torn`` and ``fsync-loss`` at delays
+1, 4, 16 and 64.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.faults import (CRASH, FSYNC_LOSS, NODE, TORN, WRITE, Fault,
 from repro.seq.datasets import tiny_dataset
 
 MIN_OVERLAP = 20
+READ_LENGTH = 36
 N_NODES = 2
 #: 66 map-piece writes (33 a node: ``P_L``, drained by ``seal-map``, and
 #: both sides of 16 overlap lengths, drained as each round's map seals
@@ -44,20 +46,31 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
          for delay in delays]
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
-#: The tier-1 sample is drawn from the cells of the first 128 writes (the
-#: sweep's size when the sample was fixed), so the sampled cell ids stay
-#: the same when a change adds writes; the full sweep runs every cell.
-SAMPLED_WRITES = 128
+#: The whole-read partition's writes: a hand-out piece on each node, then
+#: its owner's pulled partition and sorted run.
+P_L_WRITES = (0, 1, 2, 3)
+
+
+def _sample(cells) -> list:
+    """The tier-1 sample: a seeded draw from every write's cells, and one
+    cell of each of ``P_L``'s writes. The draw over the first writes does
+    not move when writes are added after them."""
+    rng = random.Random(SAMPLE_SEED)
+    drawn = set(rng.sample(cells, SAMPLE_SIZE))
+    for index in P_L_WRITES:
+        drawn.add(rng.choice([cell for cell in cells if cell[0] == index]))
+    return sorted(drawn)
+
+
 SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
-    else sorted(random.Random(SAMPLE_SEED).sample(
-        [cell for cell in CELLS if cell[0] < SAMPLED_WRITES], SAMPLE_SIZE))
+    else _sample(CELLS)
 
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     """The dataset, the clean run and the WRITE points of its probe."""
     root = tmp_path_factory.mktemp("write-faults")
-    md, _ = tiny_dataset(root, genome_length=600, read_length=36,
+    md, _ = tiny_dataset(root, genome_length=600, read_length=READ_LENGTH,
                          coverage=8.0, min_overlap=MIN_OVERLAP, seed=7)
     probe = FaultPlan()
     with inject(probe):
@@ -67,6 +80,8 @@ def sweep(tmp_path_factory):
     assert len(writes) == N_WRITES
     assert sum("/map_parts/" in point.path for point in writes) \
         == N_MAP_PIECE_WRITES
+    assert all(f"P_{READ_LENGTH:05d}" in writes[index].path
+               for index in P_L_WRITES)
     return md, clean, writes, _sealed(probe.trace)
 
 

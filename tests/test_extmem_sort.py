@@ -12,7 +12,7 @@ from repro.device import MemoryPool, SimClock, VirtualGPU
 from repro.errors import ConfigError, HostMemoryError
 from repro.extmem import (ExternalSorter, IOAccountant, RunReader, RunWriter,
                           derive_fanout, merge_rounds_for)
-from repro.extmem.records import kv_dtype, make_records
+from repro.extmem.records import VAL_FIELD, kv_dtype, make_records
 from repro.model.sorting import predicted_sort_passes
 
 
@@ -155,6 +155,46 @@ class TestSortFile:
         assert report == expected and report.n_records == 666
         assert (tmp_path / "traced").read_bytes() \
             == (tmp_path / "plain").read_bytes()
+
+
+class TestHeldRuns:
+    """``hold`` is offered a one-piece run before it is written: a run it
+    keeps reaches the disk only with ``write_held``, and is the bytes the
+    file would have held."""
+
+    @staticmethod
+    def _sort(sorter, tmp_path, name, write_held, keep=None):
+        kept = {}
+
+        def hold(records):
+            kept["run"] = records.copy()
+            return True
+
+        report = sorter.sort_file(tmp_path / "in", tmp_path / name,
+                                  keep=keep, hold=hold, write_held=write_held)
+        return report, kept["run"]
+
+    @pytest.mark.parametrize("shape", ("one-block", "filtered-full-block"))
+    def test_a_held_run_is_written_only_when_asked(self, tmp_path, rng, shape):
+        accountant = IOAccountant()
+        sorter, _, host_pool = _make_sorter(accountant=accountant)
+        block = sorter.host_block
+        n = block // 2 if shape == "one-block" else 3 * block
+        records = make_records(rng.integers(0, 2**62, n, dtype=np.uint64),
+                               np.arange(n, dtype=np.uint32))
+        _write_run(tmp_path / "in", records)
+        # A full first block, then pieces the filter empties: the block
+        # is written before the reader shows it was the only one.
+        keep = None if shape == "one-block" \
+            else (lambda piece: piece[VAL_FIELD] < block)
+        held, run = self._sort(sorter, tmp_path, "held.run", False, keep)
+        assert not (tmp_path / "held.run").exists()
+        assert not (tmp_path / "held.run.scratch").exists()
+        assert (accountant.write_bytes == 0) == (shape == "one-block")
+        written, _ = self._sort(sorter, tmp_path, "written.run", True, keep)
+        assert held == written and held.initial_runs == 1
+        assert (tmp_path / "written.run").read_bytes() == run.tobytes()
+        assert host_pool.used_bytes == 0
 
 
 class TestMergeFanout:

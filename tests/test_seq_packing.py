@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DatasetError, StreamProtocolError
+from repro.device import MemoryPool
+from repro.errors import DatasetError, HostMemoryError, StreamProtocolError
+from repro.extmem import IOAccountant
+from repro.faults import BITFLIP, READ, Fault, FaultPlan, inject
 from repro.seq.packing import PackedReadStore, pack_codes, unpack_codes
 from repro.seq.records import ReadBatch
 
@@ -117,3 +120,54 @@ class TestStore:
         with PackedReadStore.open(path, Meter()) as store:
             store.read_slice(0, 8)
         assert Meter.reads == 16
+
+
+class TestHeldStore:
+    """A held store reads its payload off the disk once, on the first walk,
+    and from host memory after; each read still passes the ``READ`` hook."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path, rng):
+        codes = rng.integers(0, 4, (40, 10), dtype=np.uint8)
+        path = tmp_path / "r.lsgr"
+        with PackedReadStore.create(path, 10) as store:
+            store.append_batch(ReadBatch(codes))
+        return path, codes
+
+    def test_later_walks_read_host_memory(self, stored):
+        path, codes = stored
+        accountant = IOAccountant()
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        plan = FaultPlan()
+        with inject(plan), PackedReadStore.open(path, accountant) as store:
+            store.hold(pool)
+            assert pool.used_bytes == store.nbytes
+            for _ in range(3):
+                walked = np.concatenate([store.read_slice(start, start + 16).codes
+                                         for start in (0, 16)]
+                                        + [store.read_slice(32, 40).codes])
+                assert np.array_equal(walked, codes)
+            assert accountant.read_bytes == store.nbytes
+        assert pool.used_bytes == 0
+        assert [point.site for point in plan.trace] == [READ] * 9
+        assert {point.path for point in plan.trace} == {str(path)}
+
+    def test_a_corrupted_read_corrupts_that_read_alone(self, stored):
+        path, codes = stored
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        plan = FaultPlan([Fault(BITFLIP, site=READ, at_op=0, offset=0)])
+        with inject(plan), PackedReadStore.open(path) as store:
+            store.hold(pool)
+            assert not np.array_equal(store.read_slice(0, 40).codes, codes)
+            assert np.array_equal(store.read_slice(0, 40).codes, codes)
+        assert plan.events
+
+    def test_a_store_that_raises_gives_its_memory_back(self, stored):
+        path, _ = stored
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        with pytest.raises(RuntimeError, match="boom"):
+            with PackedReadStore.open(path) as store:
+                store.hold(pool)
+                store.read_slice(0, 8)
+                raise RuntimeError("boom")
+        assert pool.used_bytes == 0

@@ -12,9 +12,10 @@ are what hold the resume rule of ``Assembler._graph`` to account. The
 host budget is one that keeps every band's partitions on disk (a roomy
 one keeps the later bands in host memory, and they have no write to
 fault: ``tests/test_lazy_schedule.py::TestBandsInHostMemory``). Tier-1
-runs a fixed seeded sample of the cells; ``REPRO_WRITE_SWEEP=full`` (as
-CI's ``distributed-chaos`` job sets it) runs every WRITE op with
-``crash``, ``torn`` and ``fsync-loss`` at delays 1, 4, 16 and 64.
+runs a fixed seeded sample of the cells, ``P_L``'s writes among them;
+``REPRO_WRITE_SWEEP=full`` (as CI's ``distributed-chaos`` job sets it)
+runs every WRITE op with ``crash``, ``torn`` and ``fsync-loss`` at delays
+1, 4, 16 and 64.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.faults import (CRASH, FSYNC_LOSS, TORN, WRITE, Fault, FaultPlan,
 from repro.seq.datasets import tiny_dataset
 
 MIN_OVERLAP = 20
+READ_LENGTH = 36
 #: 2 packed-store writes, 33 unsorted partition writes (``P_L``, then 16
 #: lengths in bands of 1, 4 and 11) and 33 sorted-run writes (one run each).
 N_WRITES = 68
@@ -43,13 +45,23 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
          for delay in delays]
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
-#: The tier-1 sample is drawn from the cells of the first 66 writes (the
-#: sweep's size when the sample was fixed), so the sampled cell ids stay
-#: the same when a change adds writes; the full sweep runs every cell.
-SAMPLED_WRITES = 66
+#: The whole-read partition's writes: ``P_L``'s map, then its sorted run.
+P_L_WRITES = (2, 3)
+
+
+def _sample(cells) -> list:
+    """The tier-1 sample: a seeded draw from every write's cells, and one
+    cell of each of ``P_L``'s writes. The draw over the first writes does
+    not move when writes are added after them."""
+    rng = random.Random(SAMPLE_SEED)
+    drawn = set(rng.sample(cells, SAMPLE_SIZE))
+    for index in P_L_WRITES:
+        drawn.add(rng.choice([cell for cell in cells if cell[0] == index]))
+    return sorted(drawn)
+
+
 SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
-    else sorted(random.Random(SAMPLE_SEED).sample(
-        [cell for cell in CELLS if cell[0] < SAMPLED_WRITES], SAMPLE_SIZE))
+    else _sample(CELLS)
 
 
 def _config() -> AssemblyConfig:
@@ -61,7 +73,7 @@ def _config() -> AssemblyConfig:
 def sweep(tmp_path_factory):
     """The dataset, the clean run and the WRITE points of its probe."""
     root = tmp_path_factory.mktemp("write-faults")
-    md, _ = tiny_dataset(root, genome_length=600, read_length=36,
+    md, _ = tiny_dataset(root, genome_length=600, read_length=READ_LENGTH,
                          coverage=8.0, min_overlap=MIN_OVERLAP, seed=7)
     probe = FaultPlan()
     with inject(probe):
@@ -74,6 +86,8 @@ def sweep(tmp_path_factory):
     maps = [i for i, point in enumerate(writes) if point.phase == "map"]
     assert len(maps) == N_PARTITION_WRITES
     assert maps != list(range(maps[0], maps[0] + len(maps)))
+    assert all(f"P_{READ_LENGTH:05d}" in writes[index].path
+               for index in P_L_WRITES)
     return md, clean, writes
 
 
