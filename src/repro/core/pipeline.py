@@ -12,14 +12,14 @@ lengths, each band just before its lengths are sorted and reduced, and
 each length is sorted just before reduce reads it. Map and sort both leave
 out the records the greedy graph has already closed (see
 :meth:`Assembler._graph`), and a run the sort leaves in one piece is
-handed to reduce in host memory; its file is written only for a
-checkpoint ledger (``resume=True``). An in-core run keeps the partitions
-of every band in host memory instead of writing them, and holds the packed
-reads after the first walk: without a ledger it uses the disk for load
-alone. The re-entered ``map`` / ``sort`` / ``reduce`` phases merge into
-one telemetry row each. The paper's eager order is the plain composition
-``run_map(ctx, store)`` → ``run_sort(ctx, partitions)`` →
-``run_reduce(ctx, partitions, store)``; it builds the same graph.
+handed to reduce in host memory, never written. An in-core run keeps the
+partitions of every band in host memory too, and holds the packed reads
+after the first walk: it uses the disk for load alone (and a ledger's
+``state.json`` and ``graph.npz``). The re-entered ``map`` / ``sort`` /
+``reduce`` phases merge into one telemetry row each. The paper's eager
+order is the plain composition ``run_map(ctx, store)`` →
+``run_sort(ctx, partitions)`` → ``run_reduce(ctx, partitions, store)``;
+it builds the same graph.
 
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
 skipped using the :mod:`~repro.core.checkpoint` ledger — a 16-hour
@@ -351,9 +351,9 @@ class Assembler:
         refused for). A run the sort forms in one piece is also held in
         host memory and reduce reads it from there; ``P_L``'s, sorted
         before the graph exists, only if the graph's bytes stay free
-        beside it. A held run's file is written for the ledger alone: a
-        run without one (``manager`` is ``None``) writes no sorted run that
-        reduce does not read.
+        beside it. A held run is never written: the ledger's sort record
+        vouches for the runs that spilled, and a resume maps and sorts
+        again every length that has no sorted file.
 
         Map, sort and reduce are recorded after the loop, in that order, so
         fault barriers and phase hooks see each exactly once. The map's
@@ -414,7 +414,7 @@ class Assembler:
                                 "resident_bytes": graph.nbytes}
                         sort_report.reports.update(run_sort(
                             ctx, partitions, lengths=(length,),
-                            write_held=manager is not None, **beside).reports)
+                            **beside).reports)
                     with self._phase(ctx, "reduce", boundary=False):
                         graph, reduce_report = run_reduce(
                             ctx, partitions, store, lengths=(length,),

@@ -9,8 +9,7 @@ the suffix window can only match inside the current prefix window — one
 pass per partition. The runs come through
 :meth:`~repro.extmem.PartitionStore.open_run`: off the disk, or, for a
 run the sort just formed in one piece and held, from host memory at no
-disk charge (:mod:`repro.core.sort_phase`); a held run of a run without a
-checkpoint ledger has no file at all.
+disk charge (:mod:`repro.core.sort_phase`); a held run has no file.
 
 Each window pair goes to the device, where vectorized lower/upper bounds of
 every suffix fingerprint in the prefix window yield per-suffix match counts
@@ -126,8 +125,8 @@ def reduce_length(ctx: RunContext, graph: GreedyStringGraph,
     """
     held = sum(partitions.holds(side, length)
                for side in partition_sides(length, graph.read_length))
-    # The runs are closed however the step ends, which frees a held one:
-    # a retry reads the files from the start.
+    # The runs are closed however the step ends, which frees a held one
+    # (it has no file: a retry sorts the partition again).
     if length == graph.read_length:
         with partitions.open_run("P", length, sorted_run=True) as run:
             close_duplicates(ctx, graph, run, report)

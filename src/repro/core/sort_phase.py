@@ -18,9 +18,9 @@ A length sorted on its own just before reduce reads it may also *hold*
 its runs: a partition the sort leaves in one run (no merge round) is still
 in the sorter's host buffer before it is written, so the store keeps that
 array, its bytes reserved in the host pool, and reduce reads it from there
-instead of off the disk (:func:`_holder` says when). A held run's file is
-written only when a checkpoint ledger will vouch for it (``write_held``):
-without one, the held array is the only copy and reduce its only reader.
+instead of off the disk (:func:`_holder` says when). A held run is never
+written, with a checkpoint ledger or without: the array is its only copy
+and reduce its only reader.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
              closed: PackedBitVector | None = None,
              resident_bytes: int = 0,
-             graph_bytes: int = 0,
-             write_held: bool = True) -> SortPhaseReport:
+             graph_bytes: int = 0) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -171,8 +170,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
     :func:`_holder` decides which freshly sorted runs stay in host memory
     for the reader that comes next; ``graph_bytes`` is what the greedy
     graph takes of the host once it is built after this call (0 once it
-    exists). A held run's file is written only with ``write_held``: a run
-    that keeps a checkpoint ledger needs it, and nothing else reads it.
+    exists). A held run gets no file.
     """
     sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
     lengths = partitions.lengths() if lengths is None else list(lengths)
@@ -195,7 +193,6 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
             reports[(side, length)] = sorter.sort_file(
                 source, sorted_path,
                 keep=_open_claims(ctx, closed, side) if closed is not None else None,
-                hold=holder(side, length) if holder else None,
-                write_held=write_held)
+                hold=holder(side, length) if holder else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

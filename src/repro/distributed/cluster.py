@@ -315,7 +315,8 @@ class DistributedAssembler:
         edges = graph.n_edges
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
-        # What the rounds' maps wrote, and what the token's partitions held.
+        # What the rounds' maps wrote, and what the token's partitions held
+        # (what their pulls wrote: the cluster's sorts drop nothing).
         notes = {"am_messages": float(messages.messages_sent),
                  "am_dropped": float(messages.messages_dropped),
                  "am_delayed": float(messages.messages_delayed),
@@ -326,8 +327,7 @@ class DistributedAssembler:
                  "records_eager": float(band_report(
                      nodes[0].ctx, store, lengths).tuples_written),
                  "records_shuffled": float(sum(
-                     nodes[hop["node"]].shuffled.records_in(
-                         side, hop["length"], sorted_run=True)
+                     supervisor.pulled.get((side, hop["length"]), 0)
                      for hop in token_trace if hop["ok"] for side in SIDES))}
         notes.update(supervisor.meter.counters())
         return DistributedResult(

@@ -14,10 +14,10 @@ took over): their read blocks mapped for the round's lengths under
 and the partitions pulled from them stay in host memory
 (:func:`~repro.core.map_phase.keep_in_memory`), the first round's ``P_L``
 too (a hand-out piece grows one read block at a time,
-:meth:`WorkerNode.map_block`): the sorted runs are all a node writes. A
-lone node's pieces are its partitions. A node keeps no ledger: a
-restarted node is checked against the lineage its supervisor holds
-(:mod:`repro.distributed.resilience`).
+:meth:`WorkerNode.map_block`), and a sorted run held for reduce is never
+written. A lone node's pieces are its partitions. A node keeps no
+ledger: a restarted node is checked against the lineage its supervisor
+holds (:mod:`repro.distributed.resilience`).
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ class WorkerNode:
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
                                        self.dtype, self.ctx.accountant)
-        #: Partition lengths this node owns in the current round.
+        #: Partition lengths this node owns in the current round, until the
+        #: token has reduced them.
         self.owned_lengths: list[int] = []
         #: The round's map pieces, by producer id (:meth:`map_pieces`).
         self.pieces: dict[int, PartitionStore] = {}
@@ -251,9 +252,10 @@ class WorkerNode:
 
         Idempotent: partitions whose sorted file already exists (a restarted
         node replaying the phase) are skipped by :func:`run_sort`. The
-        round's map filtered them. :func:`run_sort` holds runs for this
-        round's reduce by the single node's rule; before the graph exists
-        (the round has no snapshot) a run leaves the graph's bytes free.
+        round's map filtered them. :func:`run_sort` holds runs (no file)
+        for this round's reduce by the single node's rule; before the graph
+        exists (the round has no snapshot) a run leaves the graph's bytes
+        free.
         """
         return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
                         resident_bytes=self.resident_bytes,
@@ -261,8 +263,9 @@ class WorkerNode:
                         else self.graph_bytes)
 
     def has_sorted(self, length: int) -> bool:
-        """Whether every sorted run of ``length`` is on this node's disk."""
-        return all(self.shuffled.path(side, length, sorted_run=True).exists()
+        """Whether every sorted run of ``length`` is held or on disk."""
+        return all(self.shuffled.holds(side, length)
+                   or self.shuffled.path(side, length, sorted_run=True).exists()
                    for side in partition_sides(length, self.read_length))
 
     # -- recovery ------------------------------------------------------------

@@ -41,12 +41,13 @@ node: every piece of a round, mapped again or not, is the producer's
 records minus what that one snapshot closed, which is what keeps a
 rebuilt partition the lost one byte for byte. Ownership is per round
 (:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
-alive nodes); a replay checks the partitions a node owns *now* and
-nothing else, so it never touches one the token has consumed.
+alive nodes); a replay checks the partitions a node owns *now* and the
+token has yet to reach, and nothing else.
 
 A failed reduce attempt (retry, restart or failover) replays its partition
-whole from the sorted runs, like every other node operation; the candidates
-it offers again are rejected by the out-degree bit-vector (DESIGN.md §2g
+whole, like every other node operation: from its sorted runs, or pulled
+and sorted again when a held run went with the attempt; the candidates it
+offers again are rejected by the out-degree bit-vector (DESIGN.md §2g
 records why chunk checkpoints were deleted). Detection latency is
 ``node_timeout`` and nothing else.
 
@@ -66,7 +67,6 @@ from pathlib import Path
 from ..config import AssemblyConfig
 from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
-from ..extmem import PartitionStore
 from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
 from ..faults.plan import FSYNC_LOSS, NODE_CRASH
@@ -88,13 +88,6 @@ _MAX_MISS_INSTANTS = 16
 #: fresh failover owner is poisoned data, not node failure — burning every
 #: surviving node on it would turn one bad partition into a dead cluster.
 _MAX_OWNERS_PER_PARTITION = 2
-
-
-def _short(store: PartitionStore, side: str, length: int, records: int) -> bool:
-    """Whether a partition file no longer holds exactly ``records``."""
-    path = store.path(side, length)
-    size = path.stat().st_size if path.exists() else 0
-    return size != records * store.dtype.itemsize
 
 
 @dataclass(frozen=True)
@@ -513,11 +506,13 @@ class ClusterSupervisor:
         """Whether an unsorted side of ``length`` lost what its pull wrote.
 
         A sorted run is trusted: ``sort_file`` publishes it by atomic rename.
+        A torn write leaves a partial record, so fewer whole ones.
         """
         return any(
             (side, length) in self.pulled
             and not node.shuffled.path(side, length, sorted_run=True).exists()
-            and _short(node.shuffled, side, length, self.pulled[(side, length)])
+            and node.shuffled.records_in(side, length)
+            != self.pulled[(side, length)]
             for side in partition_sides(length, self.store.read_length))
 
     def _pull(self, node: WorkerNode, lengths: list[int]) -> int:
@@ -551,6 +546,11 @@ class ClusterSupervisor:
         # "lost work" denominator.
         self.meter.bump("rebuild_s", node.ctx.clock.total_seconds - sim0)
         return pulled
+
+    def _resort(self, node: WorkerNode, length: int) -> None:
+        """Pull and sort ``length`` on ``node`` again, from lineage."""
+        self._rebuild_on(node, [length])
+        node.sort_lengths([length])
 
     # -- phase drivers ---------------------------------------------------------
 
@@ -688,13 +688,21 @@ class ClusterSupervisor:
         """Run one token hop through the ladder.
 
         ``attempt_fn(node)`` performs the actual read + reduce on ``node``
-        and returns ``(t_graph, find_done)``. Ownership moves to a survivor
-        when the owner is lost; after :data:`_MAX_OWNERS_PER_PARTITION`
-        owners have failed the same partition it is dropped (degraded) or,
-        with ``allow_degraded=False``, the historical
+        and returns ``(t_graph, find_done)``; it consumes a held run
+        however it ends, so a retry in place pulls and sorts it again
+        first. Ownership moves to a survivor when the owner is lost; after
+        :data:`_MAX_OWNERS_PER_PARTITION` owners have failed the same
+        partition it is dropped (degraded) or, with
+        ``allow_degraded=False``, the historical
         ``DistributedProtocolError`` is raised.
         """
         self.phase = "reduce"
+
+        def attempt(node: WorkerNode, _attempt: int):
+            if not node.has_sorted(length) and self._pulled_records(length):
+                self._resort(node, length)
+            return attempt_fn(node)
+
         counter = [0]
         failures: list[dict] = []
         tried: set[int] = set()
@@ -709,9 +717,11 @@ class ClusterSupervisor:
             try:
                 self._ensure_partition(owner_id, length)
                 t_graph, find_done = self._run_on_node(
-                    owner_id, f"reduce[{length}]",
-                    lambda node, _a: attempt_fn(node),
+                    owner_id, f"reduce[{length}]", attempt,
                     counter=counter, failures=failures)
+                owner = self.nodes[owner_id]  # reduced: no replay brings it back
+                owner.owned_lengths = [
+                    owned for owned in owner.owned_lengths if owned != length]
                 return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))
@@ -764,10 +774,8 @@ class ClusterSupervisor:
             return
         if length in node.owned_lengths and not self._pulled_records(length):
             return  # genuinely empty partition: nothing to rebuild
-        self._run_on_node(
-            owner_id, f"rebuild[{length}]",
-            lambda n, _a: (self._rebuild_on(n, [length]),
-                           n.sort_lengths([length])))
+        self._run_on_node(owner_id, f"rebuild[{length}]",
+                          lambda n, _a: self._resort(n, length))
         node = self.nodes[owner_id]  # a restart mid-op replaced the object
         if length not in node.owned_lengths:
             node.owned_lengths = sorted(set(node.owned_lengths) | {length})

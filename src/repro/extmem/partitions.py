@@ -11,11 +11,9 @@ is its prefix (:func:`partition_sides`).
 The store owns the naming scheme, the writer lifecycle and the sorted runs
 held in host memory; sort and reduce phases address partitions as
 ``(side, length)`` pairs. A sort that leaves a length's run in one piece
-may :meth:`PartitionStore.hold` the array: the next
-:meth:`PartitionStore.open_run` of that sorted run reads it from memory
-instead of off the disk, once. Its file is the run of record of a
-checkpoint ledger (ledger, resume and cache see only files); a run
-without a ledger writes none, and the held array is the only copy.
+may :meth:`PartitionStore.hold` the array, its only copy (no file is
+written): the next :meth:`PartitionStore.open_run` of that sorted run
+reads it from memory, once.
 
 Unsorted partitions whose sizes are known before the map writes them may
 be kept in host memory instead (:meth:`PartitionStore.reserve`): their

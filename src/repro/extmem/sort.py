@@ -219,7 +219,7 @@ class ExternalSorter:
                           self.fanout)
 
     def sort_file(self, in_path: str | Path | HeldRun, out_path: str | Path, *,
-                  keep=None, hold=None, write_held: bool = True) -> SortReport:
+                  keep=None, hold=None) -> SortReport:
         """Sort a run file into ``out_path``; returns the :class:`SortReport`.
 
         ``in_path`` may also be a run already in host memory (a
@@ -233,14 +233,12 @@ class ExternalSorter:
 
         ``hold(records) -> bool`` is offered the sorted run, still in host
         memory, when run formation makes exactly one (no merge round), and
-        says whether it kept the array. The run is offered before it is
-        written: a run ``hold`` kept is written and renamed into
-        ``out_path`` only with ``write_held`` (the file is then the run of
-        record of a checkpoint ledger); without it no file appears, and the
-        kept array is the run's only copy.
+        says whether it kept the array: a kept run is never written (no
+        ``out_path`` appears), and the array is its only copy.
 
-        Crash-safe: scratch space is torn down on both success and failure,
-        and ``out_path`` appears atomically (rename of a finished run).
+        Crash-safe: scratch space (made by the first run written) is torn
+        down on both success and failure, and ``out_path`` appears
+        atomically (rename of a finished run).
         """
         if isinstance(in_path, str):
             in_path = Path(in_path)
@@ -248,12 +246,11 @@ class ExternalSorter:
         read = (in_path.stat().st_size // self.dtype.itemsize
                 if isinstance(in_path, Path) else in_path.total_records)
         scratch_dir = out_path.parent / (out_path.name + ".scratch")
-        scratch_dir.mkdir(parents=True, exist_ok=True)
         try:
             with self.tracer.span(f"sort:{out_path.name}", track="sort",
                                   det=True) as span:
                 report, held = self._sort_into(in_path, out_path, scratch_dir,
-                                               keep, hold, write_held)
+                                               keep, hold)
                 span.note(read=read, kept=report.n_records,
                           runs=report.initial_runs,
                           rounds=report.merge_rounds, held=int(held))
@@ -329,8 +326,7 @@ class ExternalSorter:
         return run_path
 
     def _sort_into(self, in_path: Path | HeldRun, out_path: Path,
-                   scratch_dir: Path, keep, hold,
-                   write_held: bool) -> tuple[SortReport, bool]:
+                   scratch_dir: Path, keep, hold) -> tuple[SortReport, bool]:
         """The sort, and whether ``hold`` kept its one run (see
         :meth:`sort_file`)."""
         record_nbytes = self.dtype.itemsize
@@ -360,23 +356,22 @@ class ExternalSorter:
             # it was the last: that run is offered after its write.
             held = hold is not None and initial_runs == 1 and hold(
                 sorted_block if pending is None else pending)
-            if pending is not None and (write_held or not held):
+            if pending is not None and not held:
                 run_paths.append(self._write_run(scratch_dir, 0, pending))
             runs_span.note(runs=initial_runs, records=n_records)
 
         report = SortReport(n_records, initial_runs,
                             merge_rounds_for(initial_runs, self.fanout),
                             self.fanout)
-        if held and not write_held:
+        if held:
             for path in run_paths:
                 path.unlink()
             return report, True
 
         if initial_runs == 0:
-            empty_path = scratch_dir / "empty.run"
-            empty_path.write_bytes(b"")
+            # Nothing to write: an empty file appears whole or not at all.
             faults.barrier(faults.RENAME, str(out_path))
-            empty_path.replace(out_path)
+            out_path.write_bytes(b"")
             return report, False
 
         # Merge rounds: fanout-k Algorithm 1 through host windows.
@@ -423,4 +418,4 @@ class ExternalSorter:
 
         faults.barrier(faults.RENAME, str(out_path))
         run_paths[0].replace(out_path)
-        return report, held
+        return report, False

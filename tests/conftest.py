@@ -16,6 +16,7 @@ from repro.core.load_phase import run_load
 from repro.core.map_phase import run_map
 from repro.core.reduce_phase import run_reduce
 from repro.core.sort_phase import run_sort
+from repro.extmem import PartitionStore
 from repro.seq.datasets import tiny_dataset
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
@@ -134,6 +135,31 @@ def spans_by_name(events) -> defaultdict[str, list[dict]]:
     for span in pair_spans(events)[0]:
         groups[span["name"]].append(span)
     return groups
+
+
+def spy_held_runs(patch) -> dict:
+    """The bytes of every sorted run held from now on (``patch`` is a
+    ``MonkeyPatch``), by the path its file would have: a held run has none."""
+    held = {}
+    hold = PartitionStore.hold
+
+    def spying(self, side, length, records, allocation=None):
+        held[self.path(side, length, sorted_run=True)] = records.tobytes()
+        hold(self, side, length, records, allocation)
+
+    patch.setattr(PartitionStore, "hold", spying)
+    return held
+
+
+def sorted_runs(root, held: dict | None = None) -> dict[str, bytes]:
+    """The sorted runs of the partition directory ``root`` by file name:
+    its files, and the runs ``held`` (:func:`spy_held_runs`) kept there."""
+    runs = {path.name: path.read_bytes() for path in root.glob("*.sorted.run")}
+    for path, records in (held or {}).items():
+        if path.parent == root:
+            assert path.name not in runs, f"{path} is held and written"
+            runs[path.name] = records
+    return runs
 
 
 def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleNamespace:

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.core.checkpoint import STATE_FILE, file_digest
 from repro.core.pipeline import PHASES, Assembler
 from repro.distributed.cluster import DistributedAssembler
@@ -40,6 +40,11 @@ CHAOS_SEEDS = [int(s) for s in
                os.environ.get("REPRO_CHAOS_SEEDS", "11").split(",")]
 
 MIN_OVERLAP = 24
+#: A budget whose longer lengths' sorts spill (several runs, merged on
+#: disk), so their sorted files exist for the ledger to vouch for; the
+#: default budget is in-core and holds every run, which leaves no file.
+SPILLING = MemoryConfig(40_000, 16_000, name="cramped")
+SPILLING_BLOCK_PAIRS = 256
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +163,16 @@ def test_interrupt_after_each_phase_then_resume(chaos_data, config, tmp_path,
 def test_fanout_change_invalidates_resume_state(chaos_data, tmp_path):
     md, _ = chaos_data
     workdir = tmp_path / "w"
-    base = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, merge_fanout=2)
+    base = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, merge_fanout=2,
+                          memory=SPILLING,
+                          host_block_pairs=SPILLING_BLOCK_PAIRS)
     Assembler(base).assemble(md.store_path, workdir=workdir, resume=True)
 
-    wider = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, merge_fanout=4)
+    wider = replace(base, merge_fanout=4)
     second = Assembler(wider).assemble(md.store_path, workdir=workdir,
                                        resume=True)
     # The fingerprint change must force a sort-phase rerun, not a skip: the
-    # sorted runs are written again (an in-core run reads no partition).
+    # runs that spill are written again.
     assert second.telemetry["sort"].counters.get("disk_write_bytes", 0) > 0
     assert all(r.fanout == 4 for r in second.sort_report.reports.values())
 
@@ -280,6 +287,8 @@ def test_merge_rejects_unsorted_input(tmp_path):
 def test_corrupted_sorted_partition_detected_on_resume(chaos_data, config,
                                                        tmp_path):
     md, _ = chaos_data
+    config = replace(config, memory=SPILLING,
+                     host_block_pairs=SPILLING_BLOCK_PAIRS)
     workdir = tmp_path / "w"
     golden = Assembler(config).assemble(md.store_path, workdir=workdir,
                                         resume=True)

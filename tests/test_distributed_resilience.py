@@ -677,10 +677,11 @@ class TestReplayFromLineage:
     def test_the_whole_read_owner_restarted_before_it_closes(
             self, resilience_data, clean_run, probe_trace, monkeypatch, op):
         """In-core, the owner of ``L`` keeps its pulled ``P_L`` and holds
-        its one sorted run for the closing of the duplicates. Dead at its
-        sort, it lost the kept partition, which is pulled again from the
-        pieces; dead at the closing, it lost the held run, and the closing
-        reads the run's file. Either way the contigs are the clean run's."""
+        its one sorted run for the closing of the duplicates, never
+        written. Dead at its sort, it lost the kept partition; dead at the
+        closing, it lost the held run. Either way the partition is pulled
+        again from the pieces and sorted, and the contigs are the clean
+        run's."""
         clean, _ = clean_run
         whole = clean.read_length
         closing = next(point for point in probe_trace if point.site == NODE
@@ -689,10 +690,9 @@ class TestReplayFromLineage:
         crash = closing.op if op == "reduce" else next(
             point.op for point in probe_trace
             if point.path == f"{owner}:sort")
-        # Nothing but the sorted P_L reaches the disk before the closing.
-        (write,) = [point.path for point in probe_trace
+        # Nothing reaches the disk before the closing.
+        assert not [point.path for point in probe_trace
                     if point.site == WRITE and point.op < closing.op]
-        assert f"/{owner}/partitions/P_{whole:05d}.sorted.run" in write
         held = []
         hold = PartitionStore.hold
 
@@ -706,7 +706,8 @@ class TestReplayFromLineage:
         assert [event.op for event in plan.events] == [crash]
         assert ("P", whole) in held
         assert result.notes["node_restarts"] == 1
-        assert result.notes.get("partitions_rebuilt", 0) == int(op == "sort")
+        assert result.notes["partitions_rebuilt"] == 1
+        assert held.count(("P", whole)) == 1 + (op == "reduce")
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -766,9 +767,13 @@ class TestReplayFromLineage:
                 with inject(plan):
                     supervisor.sort_phase()
                 lone = supervisor.nodes[0]
-                sorted_runs.append([
-                    lone.shuffled.path(side, length, sorted_run=True)
-                    .read_bytes() for side in SIDES])
+                runs = []
+                for side in SIDES:
+                    # Held in host memory, or off the disk.
+                    with lone.shuffled.open_run(side, length,
+                                                sorted_run=True) as run:
+                        runs.append(run.read_all().tobytes())
+                sorted_runs.append(runs)
                 supervisor.nodes[0].drop_pieces()
         counters = supervisor.meter.counters()
         assert counters["node_restarts"] == 1

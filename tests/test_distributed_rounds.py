@@ -9,7 +9,10 @@ count, the wire must carry less than the one-round (eager) schedule's,
 and a crash inside a later round must recover every sorted partition byte
 for byte: the snapshot a round was mapped under is re-sent to a restarted
 node, which maps its pieces again, and a lost node's blocks are mapped,
-under the same snapshot, by the survivor that takes its id.
+under the same snapshot, by the survivor that takes its id. An in-core
+run holds its sorted runs and writes none, so the partitions the token
+read are taken from the runs held (``conftest.spy_held_runs``) where no
+file was written.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import Assembler, AssemblyConfig
+from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler, cluster, node
 from repro.extmem.partitions import partition_sides
 from repro.faults import NODE, NODE_CRASH, WRITE, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
+
+from .conftest import spy_held_runs
 
 
 class OneRound(DistributedAssembler):
@@ -115,6 +120,24 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
             <= result.reduce_report.candidates < EAGER_CANDIDATES
 
 
+def test_records_shuffled_counts_held_and_written_runs(wide):
+    """The records the token's partitions held, from what their sorts
+    kept: the same whether the runs are held (in-core) or written
+    (``cramped``)."""
+    md, config, single, _ = wide
+    cramped = AssemblyConfig(min_overlap=25, fingerprint_lanes=2,
+                             memory=MemoryConfig(40_000, 16_000,
+                                                 name="cramped"))
+    in_core = DistributedAssembler(config, 4).assemble(md.store_path)
+    on_disk = DistributedAssembler(cramped, 4).assemble(md.store_path)
+    assert in_core.notes["records_shuffled"] \
+        == on_disk.notes["records_shuffled"] > 0
+    assert in_core.notes["records_shuffled"] \
+        <= in_core.notes["records_mapped"]
+    assert np.array_equal(in_core.contigs.flat_codes,
+                          on_disk.contigs.flat_codes)
+
+
 # -- (b) what crosses the wire -------------------------------------------------
 
 
@@ -179,16 +202,23 @@ def _blocks_of(node_ops) -> dict[str, list[tuple[int, int]]]:
     return blocks
 
 
-def _sorted_partitions(result, workdir) -> dict[str, bytes]:
-    """The sorted files the token read, by name."""
-    files = {}
+def _sorted_partitions(result, workdir, held) -> dict[str, bytes]:
+    """The sorted runs the token read, by name: the file, else the run
+    last held for it (``held``, :func:`spy_held_runs`)."""
+    runs = {}
     for hop in result.token_trace:
         if hop["ok"]:
             for side in partition_sides(hop["length"], result.read_length):
                 name = f"{side}_{hop['length']:05d}.sorted.run"
-                files[name] = (workdir / f"node{hop['node']:02d}" / "partitions"
-                               / name).read_bytes()
-    return files
+                path = workdir / f"node{hop['node']:02d}" / "partitions" / name
+                runs[name] = path.read_bytes() if path.exists() else held[path]
+    return runs
+
+
+@pytest.fixture()
+def held(monkeypatch) -> dict:
+    """The runs the next runs hold, by the path their file would have."""
+    return spy_held_runs(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +228,13 @@ def golden(tmp_path_factory):
                          coverage=8.0, min_overlap=MIN_OVERLAP, seed=7)
     config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
     plan = FaultPlan()
-    with inject(plan):
+    with pytest.MonkeyPatch.context() as patch, inject(plan):
+        held = spy_held_runs(patch)
         result = DistributedAssembler(config, N_NODES).assemble(
             md.store_path, workdir=root / "golden")
+    assert not list((root / "golden").glob("node*/partitions/*.sorted.run"))
     node_ops = [t for t in plan.trace if t.site == NODE]
-    return md, result, _sorted_partitions(result, root / "golden"), \
+    return md, result, _sorted_partitions(result, root / "golden", held), \
         _rounds_of(node_ops), _blocks_of(node_ops)
 
 
@@ -222,7 +254,7 @@ def mapped(monkeypatch):
 
 @pytest.mark.parametrize("node_restarts", (1, 0), ids=("restart", "lost-peer"))
 def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
-                                                           mapped,
+                                                           mapped, held,
                                                            node_restarts):
     """Every node op of one seeded round >= 1: map, pull, sort and reduce.
 
@@ -252,7 +284,8 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
         assert recovered.degraded is None, point.path
         assert recovered.notes.get("node_restarts", 0) == node_restarts
         assert recovered.notes.get("nodes_lost", 0) == 1 - node_restarts
-        assert _sorted_partitions(recovered, workdir) == clean_files, point.path
+        assert _sorted_partitions(recovered, workdir, held) == clean_files, \
+            point.path
         assert recovered.contigs.flat_codes.tobytes() \
             == clean.contigs.flat_codes.tobytes()
         assert recovered.reduce_report.candidates \
@@ -273,12 +306,13 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
 
 
 @pytest.mark.parametrize("kind", ("pull", "sort", "reduce"))
-def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
+def test_restart_replays_the_current_round_only(golden, tmp_path, held, kind):
     """A node restarted in the last round rebuilds nothing the token has
-    consumed: its replay checks the partitions it owns this round against
-    what their pulls wrote, and the round before's are no longer its own.
-    The run is in-core, so a partition pulled but not yet sorted died
-    with the node and is pulled again."""
+    consumed: its replay checks the partitions it owns this round and the
+    token has yet to reduce against what their pulls wrote, and the round
+    before's are no longer its own. The run is in-core, so a partition
+    pulled but not yet reduced (unsorted, or sorted and held: a held run
+    is never written) died with the node and is pulled again."""
     md, clean, clean_files, rounds, _ = golden
     point = next(p for p in rounds[-1] if _kind(p) == kind)
     plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
@@ -287,25 +321,26 @@ def test_restart_replays_the_current_round_only(golden, tmp_path, kind):
             AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7), N_NODES).assemble(
                 md.store_path, workdir=tmp_path / "w")
     assert recovered.notes["node_restarts"] == 1
-    assert recovered.notes.get("partitions_rebuilt", 0) == (kind == "sort")
-    assert _sorted_partitions(recovered, tmp_path / "w") == clean_files
+    assert recovered.notes.get("partitions_rebuilt", 0) \
+        == (kind in ("sort", "reduce"))
+    assert _sorted_partitions(recovered, tmp_path / "w", held) == clean_files
 
 
 # -- (d) the held path: in-core rounds stay in host memory ----------------------
 
 
-def test_an_in_core_run_writes_only_sorted_runs(wide, tmp_path):
+def test_an_in_core_run_writes_nothing(wide, tmp_path, held):
     """4 nodes, in-core: every round's pieces and pulled partitions stay
     in host memory, the whole-read round's ``P_L`` pieces and partition
-    too; the sorted runs are all the disk is written."""
+    too, and every sorted run is held for its reduce: nothing is written
+    to the disk."""
     md, config, single, _ = wide
     plan = FaultPlan()
     with inject(plan):
         result = DistributedAssembler(config, 4).assemble(
             md.store_path, workdir=tmp_path)
-    writes = [point.path for point in plan.trace if point.site == WRITE]
-    assert len(writes) == 2 * 37 + 1
-    assert all(".sorted.run" in path for path in writes)
+    assert [point.path for point in plan.trace if point.site == WRITE] == []
+    assert len(held) == 2 * 37 + 1
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
 
 
@@ -347,7 +382,7 @@ def _maps_again(golden, piece_maps, recovered_maps) -> Counter:
 
 
 def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
-        golden, tmp_path, piece_maps):
+        golden, tmp_path, piece_maps, held):
     """node01 dies at its round-2 pull, its pieces held in host memory:
     they died with it. The replacement maps them again, once, and every
     sorted byte is the clean run's."""
@@ -360,13 +395,13 @@ def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
                          if holder == 1)
     assert _maps_again(golden, piece_maps, maps) \
         == Counter({(1, (1,), round_lengths): 1})
-    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert _sorted_partitions(recovered, tmp_path, held) == clean_files
     assert recovered.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
 
 
 def test_an_owner_crash_between_pull_and_sort_pulls_its_partition_again(
-        golden, tmp_path):
+        golden, tmp_path, held):
     """node02 dies at its round-3 sort, with the partition it pulled held
     in host memory: the replacement finds it missing and pulls it again
     from the pieces the round's holders still hold."""
@@ -375,13 +410,13 @@ def test_an_owner_crash_between_pull_and_sort_pulls_its_partition_again(
     assert recovered.notes["node_restarts"] == 1
     assert recovered.notes["partitions_rebuilt"] == 1
     assert recovered.shuffle_bytes == clean.shuffle_bytes
-    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert _sorted_partitions(recovered, tmp_path, held) == clean_files
     assert recovered.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
 
 
 def test_a_node_lost_mid_run_is_mapped_by_a_survivor_every_round(
-        golden, tmp_path, piece_maps):
+        golden, tmp_path, piece_maps, held):
     """node00 is lost at its round-1 pull: one survivor takes its id, maps
     its blocks for that round at once and for every later round beside
     its own, and the sorted runs and contigs are the clean run's."""
@@ -396,6 +431,6 @@ def test_a_node_lost_mid_run_is_mapped_by_a_survivor_every_round(
     assert survivor != 0
     assert taken == [(0, (0,)), (survivor, (0,))] \
         + [(survivor, tuple(sorted((0, survivor))))] * (len(rounds) - 2)
-    assert _sorted_partitions(recovered, tmp_path) == clean_files
+    assert _sorted_partitions(recovered, tmp_path, held) == clean_files
     assert recovered.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()

@@ -2,7 +2,10 @@
 
 The sweep runs a 2-node assembly on the ``cramped`` budget (40 kB host:
 the run is not in-core, so every round's pieces and pulled partitions go
-through the disk) and injects one fault at one WRITE operation of its
+through the disk) with 256-record sort blocks (the longer lengths' sorts
+spill, the shorter lengths' runs are held and never written, and a
+restarted owner pulls and sorts those again) and injects one fault at one
+WRITE operation of its
 clean probe: ``crash``, ``torn`` (a 5-byte prefix, not a
 whole record, reaches the disk) or ``fsync-loss`` (the write is
 acknowledged, then lost when its writer dies ``delay`` operations later,
@@ -33,9 +36,12 @@ READ_LENGTH = 36
 N_NODES = 2
 #: 66 map-piece writes (33 a node: ``P_L``, drained by ``seal-map``, and
 #: both sides of 16 overlap lengths, drained as each round's map seals
-#: them) and 66 partition writes (a pull and a sorted run per partition).
-N_WRITES = 132
+#: them), 33 pulls (one a partition) and 29 writes of the sorts that
+#: spill (their runs and merges).
+N_WRITES = 128
 N_MAP_PIECE_WRITES = 66
+N_SORT_WRITES = 29
+HOST_BLOCK_PAIRS = 256
 #: Map-piece writes drained inside ``seal-map`` (one a node).
 N_SEALED_WRITES = 2
 TORN_OFFSET = 5
@@ -47,7 +53,7 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
 #: The whole-read partition's writes: a hand-out piece on each node, then
-#: its owner's pulled partition and sorted run.
+#: its owner's pulled partition and its sort's first run.
 P_L_WRITES = (0, 1, 2, 3)
 
 
@@ -80,6 +86,8 @@ def sweep(tmp_path_factory):
     assert len(writes) == N_WRITES
     assert sum("/map_parts/" in point.path for point in writes) \
         == N_MAP_PIECE_WRITES
+    assert sum(".sorted.run" in point.path for point in writes) \
+        == N_SORT_WRITES
     assert all(f"P_{READ_LENGTH:05d}" in writes[index].path
                for index in P_L_WRITES)
     return md, clean, writes, _sealed(probe.trace)
@@ -98,7 +106,8 @@ def _sealed(trace) -> list:
 
 def _config() -> AssemblyConfig:
     return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                          memory=MemoryConfig(40_000, 16_000, name="cramped"))
+                          memory=MemoryConfig(40_000, 16_000, name="cramped"),
+                          host_block_pairs=HOST_BLOCK_PAIRS)
 
 
 def _contigs(result) -> tuple[bytes, bytes]:

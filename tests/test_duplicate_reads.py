@@ -152,20 +152,24 @@ def test_a_crash_between_the_sort_and_the_closing_resumes_clean(
         hand_built, tmp_path):
     """Killed at reduce's first read, P_L's: the resumed run neither maps
     nor sorts the whole-read length again and closes the duplicates from
-    its sorted run."""
+    its sorted run. (Its 8-record sort blocks make P_L's sort spill: a
+    run held in host memory has no file, and its length is mapped and
+    sorted again.)"""
     _, path = hand_built
-    clean = Assembler(_config()).assemble(path, workdir=tmp_path / "clean",
-                                          resume=True)
+    config = _config(host_block_pairs=16)
+    clean = Assembler(config).assemble(path, workdir=tmp_path / "clean",
+                                       resume=True)
+    assert clean.sort_report.reports[("P", READ_LENGTH)].initial_runs > 1
     workdir = tmp_path / "w"
     crash = FaultPlan([Fault(CRASH, site=READ, match="*P_00020.sorted.run")])
     with inject(crash), pytest.raises(FaultInjected):
-        Assembler(_config()).assemble(path, workdir=workdir, resume=True)
+        Assembler(config).assemble(path, workdir=workdir, resume=True)
     assert [p.name for p in (workdir / "partitions").glob("*.sorted.run")] \
         == ["P_00020.sorted.run"]
     replay = FaultPlan()
     with inject(replay):
-        resumed = Assembler(_config()).assemble(path, workdir=workdir,
-                                                resume=True)
+        resumed = Assembler(config).assemble(path, workdir=workdir,
+                                             resume=True)
     assert result_digest(resumed) == result_digest(clean)
     assert resumed.reduce_report.reads_closed == 4
     assert not any(point.path.endswith("P_00020.run") for point in replay.trace)

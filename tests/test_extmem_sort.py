@@ -159,23 +159,23 @@ class TestSortFile:
 
 class TestHeldRuns:
     """``hold`` is offered a one-piece run before it is written: a run it
-    keeps reaches the disk only with ``write_held``, and is the bytes the
-    file would have held."""
+    keeps never reaches the disk, and is the bytes the file would have
+    held."""
 
     @staticmethod
-    def _sort(sorter, tmp_path, name, write_held, keep=None):
+    def _sort(sorter, tmp_path, name, keeps, keep=None):
         kept = {}
 
         def hold(records):
             kept["run"] = records.copy()
-            return True
+            return keeps
 
         report = sorter.sort_file(tmp_path / "in", tmp_path / name,
-                                  keep=keep, hold=hold, write_held=write_held)
+                                  keep=keep, hold=hold)
         return report, kept["run"]
 
     @pytest.mark.parametrize("shape", ("one-block", "filtered-full-block"))
-    def test_a_held_run_is_written_only_when_asked(self, tmp_path, rng, shape):
+    def test_a_held_run_is_never_written(self, tmp_path, rng, shape):
         accountant = IOAccountant()
         sorter, _, host_pool = _make_sorter(accountant=accountant)
         block = sorter.host_block
@@ -187,11 +187,12 @@ class TestHeldRuns:
         # is written before the reader shows it was the only one.
         keep = None if shape == "one-block" \
             else (lambda piece: piece[VAL_FIELD] < block)
-        held, run = self._sort(sorter, tmp_path, "held.run", False, keep)
+        held, run = self._sort(sorter, tmp_path, "held.run", True, keep)
         assert not (tmp_path / "held.run").exists()
         assert not (tmp_path / "held.run.scratch").exists()
         assert (accountant.write_bytes == 0) == (shape == "one-block")
-        written, _ = self._sort(sorter, tmp_path, "written.run", True, keep)
+        # Declined, the same run is written: the bytes hold kept.
+        written, _ = self._sort(sorter, tmp_path, "written.run", False, keep)
         assert held == written and held.initial_runs == 1
         assert (tmp_path / "written.run").read_bytes() == run.tobytes()
         assert host_pool.used_bytes == 0

@@ -88,8 +88,11 @@ class TestCheckpointCorruption:
                                             resume=True)
         assert second.reduce_report.edges_added == first.reduce_report.edges_added
 
-    def test_deleted_sorted_partition_triggers_resort(self, tmp_path, tiny_md):
-        config = AssemblyConfig(min_overlap=25)
+    def test_deleted_sorted_partition_triggers_resort(self, tmp_path, tiny_md,
+                                                       cramped_config):
+        # Runs formed in several pieces are merged on disk: the ledger
+        # vouches for them (a run held in host memory has no file).
+        config = cramped_config
         work = tmp_path / "w"
         first = Assembler(config).assemble(tiny_md.store_path, workdir=work,
                                            resume=True)

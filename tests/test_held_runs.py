@@ -1,15 +1,18 @@
 """Sorted runs held in host memory between sort and reduce.
 
-From the second length on, a partition the sort leaves in one run is still
-in the sorter's host buffer when its file is renamed into place; the
-partition store keeps that array (its bytes reserved in the host pool) and
-the next reader of the run takes it from there instead of off the disk.
-Nothing else may move: the sorted files, the graph, the contigs, the ledger
-and the reports are those of a run that holds nothing (``sort_phase._holder``
-patched to hold no run), whatever the host budget.
+A partition the sort leaves in one run is still in the sorter's host
+buffer before its file is written; the partition store keeps that array
+(its bytes reserved in the host pool), no file is written, and the next
+reader of the run takes it from there instead of off the disk. Nothing
+else may move: the held arrays and the sorted files together, the graph,
+the contigs, the ledger's reports and the sort's reports are those of a
+run that holds nothing (``sort_phase._holder`` patched to hold no run),
+whatever the host budget.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from repro.extmem.records import kv_dtype, make_records
 from repro.seq.datasets import tiny_dataset
 from repro.trace import EVENTS_FILE, load_events
 
-from .conftest import spans_by_name
+from .conftest import sorted_runs, spans_by_name, spy_held_runs
 
 MIN_OVERLAP = 25
 
@@ -57,13 +60,11 @@ def _runs_read(result) -> tuple[int, int]:
             int(counters.get("sorted_runs_held", 0)))
 
 
-def _artifacts(workdir) -> dict[str, bytes]:
-    """The workdir's ledger, graph archive and sorted runs, by name."""
-    files = {"state.json": (workdir / "state.json").read_bytes(),
-             "graph.npz": (workdir / "graph.npz").read_bytes()}
-    for path in sorted((workdir / "partitions").glob("*.sorted.run")):
-        files[path.name] = path.read_bytes()
-    return files
+def _ledger(workdir) -> tuple[dict, dict]:
+    """The workdir's ledger, and the sort record's artifacts taken out of
+    it."""
+    state = json.loads((workdir / "state.json").read_text())
+    return state, state["artifacts"].pop("sort", {})
 
 
 # -- the same artifacts as a run that holds nothing ----------------------------
@@ -75,12 +76,26 @@ def _artifacts(workdir) -> dict[str, bytes]:
 def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
                                                memory, lanes):
     config = _config(memory, lanes)
+    kept = spy_held_runs(monkeypatch)
     held = Assembler(config).assemble(data.store_path, workdir=tmp_path / "held",
                                       resume=True)
     monkeypatch.setattr(sort_phase, "_holder", lambda *args: None)
     plain = Assembler(config).assemble(data.store_path,
                                        workdir=tmp_path / "plain", resume=True)
-    assert _artifacts(tmp_path / "held") == _artifacts(tmp_path / "plain")
+    # A held run has no file: the runs held and the runs written are
+    # the files of a run that holds nothing, byte for byte.
+    assert kept
+    runs = sorted_runs(tmp_path / "held" / "partitions")
+    assert sorted_runs(tmp_path / "held" / "partitions", kept) \
+        == sorted_runs(tmp_path / "plain" / "partitions")
+    assert (tmp_path / "held" / "graph.npz").read_bytes() \
+        == (tmp_path / "plain" / "graph.npz").read_bytes()
+    # The ledger vouches for the runs written, and for nothing else.
+    (state, vouched), (plain_state, plain_vouched) = \
+        _ledger(tmp_path / "held"), _ledger(tmp_path / "plain")
+    assert state == plain_state
+    assert vouched == {rel: digest for rel, digest in plain_vouched.items()
+                       if rel.removeprefix("partitions/") in runs}
     assert held.contigs.flat_codes.tobytes() == plain.contigs.flat_codes.tobytes()
     assert held.contigs.offsets.tobytes() == plain.contigs.offsets.tobytes()
     assert held.sort_report == plain.sort_report
@@ -96,12 +111,17 @@ def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
     else:
         assert from_disk >= 1 and in_memory > 0
     assert _runs_read(plain) == (from_disk + in_memory, 0)
-    # Only reduce's reads moved: the sort charged what it did.
+    # Only the sort's writes and reduce's reads moved.
     for phase in ("load", "map", "sort", "compress"):
         assert held.telemetry[phase].counters["disk_read_bytes"] \
             == plain.telemetry[phase].counters["disk_read_bytes"]
+    for phase in ("load", "map", "compress"):
         assert held.telemetry[phase].counters["sim_seconds"] \
             == pytest.approx(plain.telemetry[phase].counters["sim_seconds"])
+    assert held.telemetry["sort"].counters["disk_write_bytes"] \
+        < plain.telemetry["sort"].counters["disk_write_bytes"]
+    assert held.telemetry["sort"].counters["sim_seconds"] \
+        < plain.telemetry["sort"].counters["sim_seconds"]
     assert held.telemetry["reduce"].counters["disk_read_bytes"] \
         < plain.telemetry["reduce"].counters["disk_read_bytes"]
 
@@ -212,8 +232,9 @@ def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
 def test_an_exception_at_the_third_length_frees_every_held_byte(
         data, tmp_path, monkeypatch, where):
     """Raised inside the readers (``reduce_partition``) or before reduce
-    opened them (``run_reduce``); a resumed run then reads those lengths'
-    runs off the disk and assembles what a clean run does."""
+    opened them (``run_reduce``); the held runs leave no file, so a resumed
+    run maps and sorts those lengths again and assembles what a clean run
+    does."""
     config = _config(INCORE)
     seen = {}
 
@@ -252,20 +273,17 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
     assert seen["held"]
     seen["graph"].release()
     assert seen["ctx"].host_pool.used_bytes == 0
+    assert sorted_runs(workdir / "partitions") == {}
     monkeypatch.undo()
 
     resumed = Assembler(config).assemble(data.store_path, workdir=workdir,
                                          resume=True)
     clean = Assembler(config).assemble(data.store_path,
                                        workdir=tmp_path / "clean", resume=True)
-    # The lengths sorted before the raise are read off the disk: the
-    # whole-read length's one run (it goes through close_duplicates, not
-    # reduce_partition) and three overlap lengths' runs, or two when the
-    # whole-read length was run_reduce's first call. A clean in-core run
-    # holds every run, P_L's too.
-    assert _runs_read(resumed)[0] \
-        == {"reduce_partition": 1 + 2 * 3, "run_reduce": 1 + 2 * 2}[where]
-    assert _runs_read(clean)[0] == 0
+    # Every length is mapped and sorted again, and its runs held: an
+    # in-core run reads no sorted run off the disk, resumed or not.
+    assert _runs_read(resumed)[0] == _runs_read(clean)[0] == 0
+    assert resumed.sort_report == clean.sort_report
     assert resumed.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
     assert np.load(workdir / "graph.npz")["target"].tobytes() \
@@ -277,8 +295,8 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
 def test_an_exception_closing_the_duplicates_frees_the_held_whole_read_run(
         data, tmp_path, monkeypatch):
     """In-core, ``P_L``'s one run is held across the graph's creation: a
-    raise in its closing frees it, and a resumed run reads it off the disk
-    and assembles what a clean run does."""
+    raise in its closing frees it, and a resumed run maps and sorts it
+    again and assembles what a clean run does."""
     config = _config(INCORE)
     seen = {}
 
@@ -300,7 +318,7 @@ def test_an_exception_closing_the_duplicates_frees_the_held_whole_read_run(
                                          resume=True)
     clean = Assembler(config).assemble(data.store_path,
                                        workdir=tmp_path / "clean", resume=True)
-    assert _runs_read(resumed)[0] == 1 and _runs_read(clean)[0] == 0
+    assert _runs_read(resumed)[0] == _runs_read(clean)[0] == 0
     assert resumed.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
     assert resumed.reduce_report == clean.reduce_report

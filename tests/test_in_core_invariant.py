@@ -5,12 +5,12 @@ partition and no map piece: every band's partitions, the whole-read
 band's ``P_L`` too, and every cluster round's pieces and pulled
 partitions stay in host memory. On a single node the packed store is held
 in host memory from the first walk on, and a sorted run the sort holds for
-reduce is written only for a checkpoint ledger: a run without one writes
-nothing after load and reads the store off the disk once. A run with one
-writes its sorted runs, the runs of record, and nothing else. Sort and
-reduce read no partition byte and seek nowhere. The same holds on a
-single node, on a lone cluster node and on four nodes, whose sorted runs
-are what a restarted owner reads.
+reduce is never written: a run writes no run file after load and reads
+the store off the disk once, and a checkpoint ledger adds ``state.json``
+and ``graph.npz`` alone (a resume maps and sorts again what has no file).
+Sort and reduce read no partition byte and seek nowhere. The same holds
+on a single node, on a lone cluster node and on four nodes, whose
+restarted owners pull and sort again from the round's pieces.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from repro.core.checkpoint import STATE_FILE
 from repro.distributed import ClusterSupervisor, DistributedAssembler
 from repro.errors import FaultInjected
 from repro.extmem import RunReader
-from repro.faults import (READ, WRITE, FaultPlan, inject, result_digest,
-                          scan_residue)
+from repro.faults import (PHASE, READ, WRITE, FaultPlan, inject,
+                          result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -35,6 +35,8 @@ MIN_OVERLAP = 25
 READ_LENGTH = 50
 #: Every overlap length's two sorted runs, and ``P_L``'s one.
 SORTED_RUNS = 2 * (READ_LENGTH - MIN_OVERLAP) + 1
+#: The whole-read band, then the overlap lengths in bands of 1, 4, 16, 4.
+BANDS = 5
 STORE = "reads.lsgr"
 
 
@@ -72,11 +74,10 @@ def _writes_after_load(plan: FaultPlan) -> list[str]:
             if point.site == WRITE and point.phase != "load"]
 
 
-def _only_sorted_runs(writes: list[str]) -> None:
-    """Each write is a sorted run's, one a run (formed in one piece)."""
-    assert len(writes) == SORTED_RUNS
-    assert all(".sorted.run" in path for path in writes)
-    assert not [path for path in writes if "/map_parts/" in path]
+def _files(workdir) -> list[str]:
+    """Every file under ``workdir``, by its relative path."""
+    return sorted(str(path.relative_to(workdir))
+                  for path in workdir.rglob("*") if path.is_file())
 
 
 def _store_walks(plan: FaultPlan) -> list[list[int]]:
@@ -124,47 +125,93 @@ def test_a_single_node_without_a_ledger(data, config, tmp_path, opened):
         assert counters["disk_read_bytes"] == 0, phase
         assert counters["disk_seeks"] == 0, phase
     assert not list((tmp_path / "partitions").glob("*.run"))
-    assert len(_store_walks(plan)) == 6  # 5 bands, then compress
+    assert len(_store_walks(plan)) == BANDS + 1  # then compress
 
 
 def test_a_single_node(data, config, tmp_path, opened):
-    """With a ledger (``resume=True``): the sorted runs are written for it,
-    and it vouches for each of them; reduce still reads none of them off
-    the disk."""
+    """With a ledger (``resume=True``) too: no run file is written after
+    load, the ledger vouches for the store and the graph alone, and
+    reduce reads no sorted run off the disk."""
     plan = FaultPlan()
     with inject(plan):
         result = Assembler(config).assemble(data.store_path,
                                             workdir=tmp_path, resume=True)
-    _only_sorted_runs(_writes_after_load(plan))
+    assert _writes_after_load(plan) == []
     assert opened == []
-    assert result.telemetry["map"].counters["disk_write_bytes"] == 0
+    for phase in ("map", "sort", "reduce", "compress"):
+        assert result.telemetry[phase].counters["disk_write_bytes"] == 0, phase
     for phase in ("sort", "reduce"):
         counters = result.telemetry[phase].counters
         assert counters["disk_read_bytes"] == 0, phase
         assert counters["disk_seeks"] == 0, phase
-    runs = sorted((tmp_path / "partitions").glob("*.sorted.run"))
-    assert len(runs) == SORTED_RUNS
-    assert not list((tmp_path / "partitions").glob("[SP]_?????.run"))
-    vouched = json.loads((tmp_path / STATE_FILE).read_text())["artifacts"]["sort"]
-    assert sorted(vouched) == [str(run.relative_to(tmp_path)) for run in runs]
+    assert _files(tmp_path) == ["graph.npz", STORE, STATE_FILE]
+    vouched = json.loads((tmp_path / STATE_FILE).read_text())["artifacts"]
+    assert vouched.keys() == {"load", "reduce"}
+    assert result.telemetry["reduce"].counters["sorted_runs_held"] \
+        == SORTED_RUNS
 
 
-def test_a_crash_after_a_held_sort_resumes(data, config, tmp_path):
-    """Killed writing a run its sort has just held (the third overlap
-    length's ``S``): the resumed run is the clean one, byte for byte."""
+def _crash_points(plan: FaultPlan) -> list[tuple[str, int]]:
+    """Where the crash sweep kills an in-core ledger run: each phase
+    boundary, and in each band its map (the middle of its walk of the
+    store) and its reduce (the first read of a held run after the walk)."""
+    walks = _store_walks(plan)[:BANDS]
+    held_reads = [point.op for point in plan.trace
+                  if point.site == READ and ".sorted.run" in point.path]
+    return [(PHASE, point.op) for point in plan.trace if point.site == PHASE] \
+        + [(READ, walk[len(walk) // 2]) for walk in walks] \
+        + [(READ, next(op for op in held_reads if op > walk[-1]))
+           for walk in walks]
+
+
+def test_a_crash_anywhere_resumes(data, config, tmp_path):
+    """Killed at each phase boundary and in each band's map and reduce:
+    the runs it held are gone with it, and the resumed run maps and sorts
+    them again into the clean run, byte for byte."""
     probe = FaultPlan()
     with inject(probe):
         clean = Assembler(config).assemble(data.store_path,
                                            workdir=tmp_path / "clean",
                                            resume=True)
-    sorted_writes = [point for point in probe.trace if point.site == WRITE
-                     and ".sorted.run" in point.path]
-    op = sorted_writes[2 * 2 + 1].op  # past P_L and two overlap lengths
+    points = _crash_points(probe)
+    assert len(points) == 5 + 2 * BANDS
+    for point in points:
+        site, op = point
+        workdir = tmp_path / f"w{op}"
+        plan = FaultPlan.crash_at(op, site=site)
+        with inject(plan), pytest.raises(FaultInjected):
+            Assembler(config).assemble(data.store_path, workdir=workdir,
+                                       resume=True)
+        assert plan.events, point
+        assert not list(workdir.rglob("*.sorted.run")), point
+        resumed = Assembler(config).assemble(data.store_path, workdir=workdir,
+                                             resume=True)
+        assert result_digest(resumed) == result_digest(clean), point
+        assert scan_residue(workdir) == [], point
+        assert _files(workdir) == _files(tmp_path / "clean"), point
+        for name in ("graph.npz", STATE_FILE):
+            assert (workdir / name).read_bytes() \
+                == (tmp_path / "clean" / name).read_bytes(), (point, name)
+
+
+def test_a_crash_after_a_held_sort_resumes(data, config, tmp_path):
+    """Killed reading a run its sort has just held (the third overlap
+    length's ``S``): no file is left of it, and the resumed run is the
+    clean one, byte for byte."""
+    probe = FaultPlan()
+    with inject(probe):
+        clean = Assembler(config).assemble(data.store_path,
+                                           workdir=tmp_path / "clean",
+                                           resume=True)
+    third = f"S_{READ_LENGTH - 3:05d}.sorted.run"
+    held_reads = [point for point in probe.trace
+                  if point.site == READ and point.path.endswith(third)]
     workdir = tmp_path / "w"
-    with inject(FaultPlan.crash_at(op, site=WRITE)):
+    with inject(FaultPlan.crash_at(held_reads[0].op, site=READ)):
         with pytest.raises(FaultInjected):
             Assembler(config).assemble(data.store_path, workdir=workdir,
                                        resume=True)
+    assert not list(workdir.rglob("*.sorted.run"))
     resumed = Assembler(config).assemble(data.store_path, workdir=workdir,
                                          resume=True)
     assert result_digest(resumed) == result_digest(clean)
@@ -172,9 +219,6 @@ def test_a_crash_after_a_held_sort_resumes(data, config, tmp_path):
     for name in ("graph.npz", STATE_FILE):
         assert (workdir / name).read_bytes() \
             == (tmp_path / "clean" / name).read_bytes(), name
-    for run in (tmp_path / "clean" / "partitions").glob("*.sorted.run"):
-        assert (workdir / "partitions" / run.name).read_bytes() \
-            == run.read_bytes(), run.name
 
 
 # -- the fault surface of a held store ------------------------------------------
@@ -240,7 +284,7 @@ def test_a_held_store_gives_its_memory_back_when_the_run_raises(
     assert seen["ctx"].host_pool.used_bytes == 0
 
 
-# -- the cluster keeps writing its sorted runs -----------------------------------
+# -- the cluster writes no run it holds ------------------------------------------
 
 
 @pytest.mark.parametrize("n_nodes", (1, 4))
@@ -271,14 +315,12 @@ def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
     with inject(plan):
         result = DistributedAssembler(config, n_nodes).assemble(
             data.store_path, workdir=tmp_path)
-    _only_sorted_runs(_writes_after_load(plan))
+    assert _writes_after_load(plan) == []
     assert opened == []
     assert {run for run, *_ in moved} == {"sort_phase", "_reduce"}
     assert all(read == 0 and seeks == 0 for _, _, read, seeks in moved), moved
-    assert len(list(tmp_path.glob("node*/partitions/*.sorted.run"))) \
-        == SORTED_RUNS
-    assert not list(tmp_path.glob("node*/partitions/[SP]_?????.run"))
-    assert not list(tmp_path.glob("node*/map_parts/*/*.run"))
+    assert not list(tmp_path.glob("node*/**/*.run"))
+    assert result.notes["records_shuffled"] > 0
     single = Assembler(config).assemble(data.store_path)
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
     assert np.array_equal(result.contigs.offsets, single.contigs.offsets)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.core import pipeline
+from repro.core import pipeline, sort_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import band_report, run_map
 from repro.core.sort_phase import make_sorter
@@ -35,7 +35,7 @@ from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 from repro.seq.simulate import ReadSimulator, simulate_genome
 
-from .conftest import eager_composition
+from .conftest import eager_composition, sorted_runs, spy_held_runs
 
 MIN_OVERLAP = 25
 #: The read length of ``data``: its whole-read partition has a P side only.
@@ -70,12 +70,15 @@ def _lazy(config, store_path, workdir):
     return result, np.load(workdir / "graph.npz")
 
 
-def _sorted_records(partitions: PartitionStore, side: str, length: int):
-    with partitions.open_run(side, length, sorted_run=True) as reader:
-        records = reader.read_all()
+def _canonical(records: np.ndarray) -> np.ndarray:
     # External sorting orders by key only; (key, val) makes it canonical
     # (records of one vertex and length never share a key twice).
     return records[np.lexsort((records[VAL_FIELD], records[KEY_FIELD]))]
+
+
+def _sorted_records(partitions: PartitionStore, side: str, length: int):
+    with partitions.open_run(side, length, sorted_run=True) as reader:
+        return _canonical(reader.read_all())
 
 
 class TestSameGraphAsEager:
@@ -132,12 +135,18 @@ CRAMPED = AssemblyConfig(min_overlap=MIN_OVERLAP, fingerprint_lanes=2,
 
 @pytest.fixture(scope="module")
 def runs(data, tmp_path_factory):
+    """``(eager, lazy, lazy_runs)``: the lazy run's sorted runs by
+    ``(side, length)``, the ones it held and the ones it wrote."""
     root = tmp_path_factory.mktemp("lazy-runs")
     eager = eager_composition(CRAMPED, data.store_path, root / "eager")
-    result, _ = _lazy(CRAMPED, data.store_path, root / "lazy")
-    lazy_partitions = PartitionStore(root / "lazy" / "partitions",
-                                     kv_dtype(CRAMPED.fingerprint_lanes))
-    return eager, result, lazy_partitions
+    with pytest.MonkeyPatch.context() as patch:
+        held = spy_held_runs(patch)
+        result, _ = _lazy(CRAMPED, data.store_path, root / "lazy")
+    dtype = kv_dtype(CRAMPED.fingerprint_lanes)
+    lazy_runs = {(name[0], int(name[2:7])): np.frombuffer(run, dtype)
+                 for name, run in sorted_runs(root / "lazy" / "partitions",
+                                              held).items()}
+    return eager, result, lazy_runs
 
 
 def _records(partitions: PartitionStore, side: str, length: int):
@@ -204,9 +213,10 @@ class TestWhatIsSorted:
         records it no longer writes (0.6095202764966668 with one eager
         map), then the whole-read band that drops the 137 duplicate reads
         before any overlap band (0.596634955804027 with the duplicates
-        mapped, sorted and reduced)."""
+        mapped, sorted and reduced), then the writes of the runs the sort
+        holds (0.561234481690924 while a ledger run wrote them)."""
         _, result, _ = runs
-        assert result.telemetry.total_sim_seconds() == 0.561234481690924
+        assert result.telemetry.total_sim_seconds() == 0.5609272816909241
         assert result.sort_report.total_records == 9_496
         assert result.reduce_report.candidates == 1_324
         assert result.map_report.tuples_written == 16_540
@@ -215,7 +225,7 @@ class TestWhatIsSorted:
     def test_partitions_are_eager_minus_closed_records(self, runs, mapped):
         """A band maps a record iff its claim was open at the band's start,
         and the sort keeps it iff its claim was open at its length's turn."""
-        eager, result, lazy_partitions = runs
+        eager, result, lazy_runs = runs
         eager_mapped, banded = mapped
         lengths = eager.partitions.lengths()
         bands = pipeline._bands(lengths[:-1], READ_LENGTH)
@@ -247,7 +257,7 @@ class TestWhatIsSorted:
                     continue
                 records = _sorted_records(eager.partitions, side, length)
                 expected = records[~closed[records[VAL_FIELD] ^ flip]]
-                got = _sorted_records(lazy_partitions, side, length)
+                got = _canonical(lazy_runs[(side, length)])
                 assert got.tobytes() == expected.tobytes(), (side, length)
                 dropped += records.shape[0] - got.shape[0]
         assert dropped > unmapped
@@ -275,19 +285,18 @@ class TestWhatIsSorted:
     def test_reports_follow_the_surviving_records(self, runs, tmp_path):
         """``report_for`` of the sorted file's size, under the budget the
         partition was sorted with — what a resumed run reconstructs."""
-        eager, result, lazy_partitions = runs
+        eager, result, lazy_runs = runs
         ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
         try:
-            dtype = lazy_partitions.dtype
+            dtype = kv_dtype(CRAMPED.fingerprint_lanes)
             graph_bytes = GreedyStringGraph(eager.n_reads, eager.read_length).nbytes
             whole = make_sorter(ctx, dtype)
             beside_graph = make_sorter(ctx, dtype, graph_bytes)
             assert beside_graph.host_block < whole.host_block
-            longest = max(lazy_partitions.lengths())
+            longest = max(length for _, length in lazy_runs)
             for (side, length), report in result.sort_report.reports.items():
                 sorter = whole if length == longest else beside_graph
-                n_records = lazy_partitions.records_in(side, length,
-                                                       sorted_run=True)
+                n_records = lazy_runs[(side, length)].shape[0]
                 assert report == sorter.report_for(n_records), (side, length)
             # Nothing can be dropped before the duplicates are closed, and
             # the graph is not allocated yet: the paper's pass count holds
@@ -302,7 +311,7 @@ class TestWhatIsSorted:
             ctx.cleanup()
 
     def test_host_budget_holds_with_the_graph_resident(self, runs, tmp_path):
-        eager, result, lazy_partitions = runs
+        eager, result, _ = runs
         capacity = CRAMPED.memory.host_bytes
         graph_bytes = GreedyStringGraph(eager.n_reads, eager.read_length).nbytes
         assert 0.15 < graph_bytes / capacity < 0.3
@@ -311,7 +320,7 @@ class TestWhatIsSorted:
             <= peak <= capacity
         ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
         try:
-            dtype = lazy_partitions.dtype
+            dtype = kv_dtype(CRAMPED.fingerprint_lanes)
             whole = make_sorter(ctx, dtype)
             # Today's sorter, unless something is resident...
             assert (whole.m_h, whole.m_d) == CRAMPED.resolved_blocks(dtype.itemsize)
@@ -331,8 +340,14 @@ class TestWhatIsSorted:
 
 
 class TestCrashAndResume:
-    def test_crash_after_sort_resumes_with_reduce_alone(self, data, runs, tmp_path):
+    def test_crash_after_sort_resumes_with_reduce_alone(self, data, runs,
+                                                        tmp_path, monkeypatch):
+        """In a run that holds nothing (``_holder`` patched), every sorted
+        run is on disk and vouched for by the ledger. (A held run has no
+        file: its length is mapped and sorted again,
+        ``test_in_core_invariant.py::test_a_crash_anywhere_resumes``.)"""
         _, golden, _ = runs
+        monkeypatch.setattr(sort_phase, "_holder", lambda *args: None)
         workdir = tmp_path / "w"
         with inject(FaultPlan([Fault(CRASH, site=PHASE, match="sort")])):
             with pytest.raises(FaultInjected):
@@ -387,31 +402,31 @@ class TestBandsInHostMemory:
 
     @pytest.fixture(scope="class")
     def pair(self, data, tmp_path_factory):
-        """``(root, kept, on_disk)``: ``ROOMY`` runs with and without it."""
+        """``(root, kept, on_disk, held)``: ``ROOMY`` runs with and without
+        it, and the sorted runs both held."""
         root = tmp_path_factory.mktemp("in-memory")
-        kept, _ = _lazy(ROOMY, data.store_path, root / "kept")
         with pytest.MonkeyPatch.context() as patch:
+            held = spy_held_runs(patch)
+            kept, _ = _lazy(ROOMY, data.store_path, root / "kept")
             patch.setattr(pipeline, "_keep_in_memory", lambda *args: None)
             on_disk, _ = _lazy(ROOMY, data.store_path, root / "disk")
-        return root, kept, on_disk
+        return root, kept, on_disk, held
 
     def test_same_sorted_runs_graph_and_contigs(self, pair):
-        root, kept, on_disk = pair
+        root, kept, on_disk, held = pair
         assert result_digest(kept) == result_digest(on_disk)
         assert kept.map_report == on_disk.map_report
         assert kept.sort_report == on_disk.sort_report
-        runs = sorted((root / "disk" / "partitions").glob("*.sorted.run"))
+        runs = sorted_runs(root / "disk" / "partitions", held)
         assert len(runs) == 2 * 25 + 1
-        for run in runs:
-            assert (root / "kept" / "partitions" / run.name).read_bytes() \
-                == run.read_bytes(), run.name
-        assert not list((root / "kept" / "partitions").glob("[SP]_?????.run"))
+        assert sorted_runs(root / "kept" / "partitions", held) == runs
+        assert not list((root / "kept" / "partitions").glob("*.run"))
 
     def test_no_unsorted_partition_reaches_the_disk(self, data, pair):
         """Every band is kept, the first one's ``P_L`` too (every oriented
         read, before any read is closed): the map writes nothing, and the
         sort reads nothing and seeks nowhere, whatever the data."""
-        _, kept, on_disk = pair
+        _, kept, on_disk, _ = pair
         first_band = 2 * data.n_reads * kv_dtype(2).itemsize
         mapped, sorted_ = (kept.telemetry[phase].counters
                            for phase in ("map", "sort"))
@@ -426,7 +441,7 @@ class TestBandsInHostMemory:
 
     def test_a_crash_reading_a_kept_partition_resumes(self, data, pair,
                                                       tmp_path):
-        _, kept, _ = pair
+        _, kept, _, _ = pair
         probe = FaultPlan()
         with inject(probe):
             Assembler(ROOMY).assemble(data.store_path,
@@ -519,4 +534,8 @@ class TestCrashInABand:
             bands[0] + bands[1] + bands[2])
         # Only what is left of the third band, and the fourth, is mapped.
         assert mapped == set(range(MIN_OVERLAP, 50)) - sorted_lengths
-        assert len(renamed) == 2 * 25 + 1 - len(done) and not renamed & done
+        # The runs the sort spills are renamed into place, those it holds
+        # are not.
+        spilled = {point.path for point in trace if point.site == RENAME}
+        assert len(spilled) < 2 * 25 + 1
+        assert len(renamed) == len(spilled) - len(done) and not renamed & done

@@ -1,10 +1,11 @@
-"""A run without a checkpoint ledger writes no sorted run it does not read.
+"""A checkpoint ledger adds its own files, and nothing else.
 
-A sorted run the sort holds for reduce is written only for a ledger
-(``resume=True``), which vouches for it and resumes from it; a run without
-one keeps it in host memory alone. Nothing else may move: the contigs, the
-graph and the map, sort and reduce reports are the ledger run's, on an
-in-core budget and on one that keeps every band on disk. A content-store
+A sorted run the sort holds for reduce is never written, with a ledger
+(``resume=True``) or without: the ledger vouches for the runs that spill
+and a resume maps and sorts again what has no file. Nothing else may
+move: the sorted runs written, the contigs, the graph and the map, sort
+and reduce reports are the ledger run's, on an in-core budget and on one
+that keeps every band on disk. A content-store
 run without a ledger still puts its ``reduce`` entry, and a later ledger
 run served from it, or recomputing once its graph is gone, gives the same
 bytes.
@@ -50,6 +51,11 @@ def _sorted_runs(workdir) -> list:
     return sorted((workdir / "partitions").glob("*.sorted.run"))
 
 
+def _files(workdir) -> set[str]:
+    return {str(path.relative_to(workdir))
+            for path in workdir.rglob("*") if path.is_file()}
+
+
 @pytest.mark.parametrize("memory", (INCORE, CRAMPED),
                          ids=lambda memory: memory.name)
 def test_a_ledger_changes_the_files_alone(data, tmp_path, memory):
@@ -67,14 +73,17 @@ def test_a_ledger_changes_the_files_alone(data, tmp_path, memory):
     assert plain.reduce_report == ledger.reduce_report
     assert (tmp_path / "plain.gfa").read_bytes() \
         == (tmp_path / "ledger.gfa").read_bytes()
-    # The same runs are held either way; only the ledger run writes them.
+    # The same runs are held either way, and neither run writes them: the
+    # ledger run adds its ledger and its graph archive alone.
     assert _held(plain) == _held(ledger) > 0
-    assert len(_sorted_runs(tmp_path / "ledger")) == SORTED_RUNS
     written = _sorted_runs(tmp_path / "plain")
     assert len(written) == SORTED_RUNS - _held(plain)
     for run in written:
         assert run.read_bytes() \
             == (tmp_path / "ledger" / "partitions" / run.name).read_bytes()
+    assert _files(tmp_path / "ledger") - _files(tmp_path / "plain") \
+        == {"state.json", GRAPH_FILE}
+    assert _files(tmp_path / "plain") < _files(tmp_path / "ledger")
 
 
 def test_a_cache_entry_put_without_a_ledger_serves_ledger_runs(data, tmp_path):

@@ -11,7 +11,11 @@ map writes a band's partitions while reduce is under way, so these cells
 are what hold the resume rule of ``Assembler._graph`` to account. The
 host budget is one that keeps every band's partitions on disk (a roomy
 one keeps the later bands in host memory, and they have no write to
-fault: ``tests/test_lazy_schedule.py::TestBandsInHostMemory``). Tier-1
+fault: ``tests/test_lazy_schedule.py::TestBandsInHostMemory``), and its
+256-record sort blocks make the longer lengths' sorts spill (several
+runs, merged) while the shorter lengths' runs are held and never
+written: a resume finds the first on disk, vouched for by the ledger,
+and maps and sorts the second again. Tier-1
 runs a fixed seeded sample of the cells, ``P_L``'s writes among them;
 ``REPRO_WRITE_SWEEP=full`` (as CI's ``distributed-chaos`` job sets it)
 runs every WRITE op with ``crash``, ``torn`` and ``fsync-loss`` at delays
@@ -34,9 +38,12 @@ from repro.seq.datasets import tiny_dataset
 MIN_OVERLAP = 20
 READ_LENGTH = 36
 #: 2 packed-store writes, 33 unsorted partition writes (``P_L``, then 16
-#: lengths in bands of 1, 4 and 11) and 33 sorted-run writes (one run each).
-N_WRITES = 68
+#: lengths in bands of 1, 4 and 11) and 23 writes of the sorts that spill
+#: (their runs and merges); the other 26 sorted runs are held.
+N_WRITES = 58
 N_PARTITION_WRITES = 33
+N_SORT_WRITES = 23
+HOST_BLOCK_PAIRS = 256
 TORN_OFFSET = 5
 
 CELLS = [(index, kind, delay) for index in range(N_WRITES)
@@ -45,7 +52,7 @@ CELLS = [(index, kind, delay) for index in range(N_WRITES)
          for delay in delays]
 SAMPLE_SIZE = 32
 SAMPLE_SEED = 7
-#: The whole-read partition's writes: ``P_L``'s map, then its sorted run.
+#: The whole-read partition's writes: ``P_L``'s map, then its sort's first run.
 P_L_WRITES = (2, 3)
 
 
@@ -66,7 +73,8 @@ SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
 
 def _config() -> AssemblyConfig:
     return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                          memory=MemoryConfig(40_000, 16_000, name="cramped"))
+                          memory=MemoryConfig(40_000, 16_000, name="cramped"),
+                          host_block_pairs=HOST_BLOCK_PAIRS)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +94,10 @@ def sweep(tmp_path_factory):
     maps = [i for i, point in enumerate(writes) if point.phase == "map"]
     assert len(maps) == N_PARTITION_WRITES
     assert maps != list(range(maps[0], maps[0] + len(maps)))
+    assert sum(".sorted.run" in point.path for point in writes) \
+        == N_SORT_WRITES
+    assert 0 < clean.telemetry["reduce"].counters["sorted_runs_held"] \
+        < N_PARTITION_WRITES
     assert all(f"P_{READ_LENGTH:05d}" in writes[index].path
                for index in P_L_WRITES)
     return md, clean, writes
