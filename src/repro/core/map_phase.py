@@ -67,7 +67,6 @@ from ..graph.bitvector import PackedBitVector
 from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore, unpack_codes
 from .context import RunContext
-from .sort_phase import make_sorter
 
 #: Reads a host block is filled up to (whole device batches, host budget
 #: permitting). Per-call interpreter overhead is amortized well below this.
@@ -171,48 +170,6 @@ def open_vertices(store: PackedReadStore,
     """Oriented reads ``closed`` leaves open: the records of each side of
     every length a map with ``closed`` writes."""
     return 2 * store.n_reads - (0 if closed is None else closed.count())
-
-
-def in_core(ctx: RunContext, store: PackedReadStore) -> bool:
-    """Whether the run is in-core: every record an eager map of ``store``
-    writes would fit in one host block of the sorter.
-
-    By budget alone, whatever the data. The paper's regime (data ≫ host)
-    is not in-core, and keeps every partition on disk and reads the packed
-    store off the disk at every walk.
-    """
-    return band_report(ctx, store, partition_lengths(ctx, store.read_length)
-                       ).tuples_written \
-        <= make_sorter(ctx, kv_dtype(ctx.config.fingerprint_lanes)).m_h
-
-
-def keep_in_memory(ctx: RunContext, store: PackedReadStore,
-                   partitions: PartitionStore, lengths, n_records: int,
-                   resident_bytes: int) -> None:
-    """Keep unsorted partitions in host memory, in an in-core run
-    (:func:`in_core`); any other run keeps them on disk.
-
-    Each side of each of ``lengths`` (the whole-read length has ``P``
-    only) is to receive ``n_records`` records, so their bytes are known
-    before they are written. They are kept
-    (:meth:`~repro.extmem.PartitionStore.reserve`) if the sorter's whole
-    host block, cut beside ``resident_bytes`` (the graph), stays free
-    beside them, as a held sorted run must leave it
-    (:func:`~repro.core.sort_phase._holder`): the map's host block and
-    every sort of these partitions then reserve what they would with the
-    partitions on disk. Kept partitions cost no disk write, read or seek
-    (DESIGN.md, *An in-core run writes only its runs of record*).
-    """
-    if not in_core(ctx, store):
-        return
-    dtype = partitions.dtype
-    sides = sum(len(partition_sides(length, store.read_length))
-                for length in lengths)
-    block = make_sorter(ctx, dtype, resident_bytes).m_h
-    if sides * n_records * dtype.itemsize \
-            <= ctx.host_pool.free_bytes - block * dtype.itemsize:
-        partitions.reserve(lengths, n_records, ctx.host_pool,
-                           store.read_length)
 
 
 def _place(dst: np.ndarray, orientation: int, src: np.ndarray,

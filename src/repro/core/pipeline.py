@@ -11,11 +11,12 @@ reads, then the overlap lengths are mapped in bands of 1, 4, 16, ...
 lengths, each band just before its lengths are sorted and reduced, and
 each length is sorted just before reduce reads it. Map and sort both leave
 out the records the greedy graph has already closed (see
-:meth:`Assembler._graph`), and a run the sort leaves in one piece is
-handed to reduce in host memory, never written. An in-core run keeps the
-partitions of every band in host memory too, and holds the packed reads
-after the first walk: it uses the disk for load alone (and a ledger's
-``state.json`` and ``graph.npz``). The re-entered ``map`` / ``sort`` /
+:meth:`Assembler._graph`). The run's
+:class:`~repro.core.residency.Residency` plan places what can stay in host
+memory: a run the sort leaves in one piece is handed to reduce from there,
+never written, and an in-core run keeps the partitions of every band and
+the packed reads there too, so it uses the disk for load alone (and a
+ledger's ``state.json`` and ``graph.npz``). The re-entered ``map`` / ``sort`` /
 ``reduce`` phases merge into one telemetry row each. The paper's eager
 order is the plain composition ``run_map(ctx, store)`` →
 ``run_sort(ctx, partitions)`` → ``run_reduce(ctx, partitions, store)``;
@@ -50,9 +51,10 @@ from .checkpoint import (GRAPH_FILE, PHASES, CheckpointManager,
 from .compress_phase import run_compress
 from .context import RunContext
 from .load_phase import run_load
-from .map_phase import (MapReport, band_report, in_core, keep_in_memory,
-                        open_vertices, overlap_lengths, run_map)
+from .map_phase import (MapReport, band_report, open_vertices,
+                        overlap_lengths, run_map)
 from .reduce_phase import ReduceReport, run_reduce
+from .residency import Residency
 from .results import AssemblyResult
 from .sort_phase import SortPhaseReport, run_sort
 
@@ -73,19 +75,6 @@ def _bands(lengths, read_length: int) -> list[list[int]]:
         bands.append(order[:size])
         order, size = order[size:], size * BAND_GROWTH
     return bands
-
-
-def _keep_in_memory(ctx: RunContext, store: PackedReadStore,
-                    partitions: PartitionStore, lengths, closed,
-                    resident_bytes: int) -> None:
-    """Keep a band's unsorted partitions in host memory, in an in-core run
-    (:func:`~repro.core.map_phase.keep_in_memory`): each side of each
-    length receives one record per vertex ``closed`` leaves open (every
-    vertex before the graph exists; :func:`~repro.core.map_phase.
-    open_vertices`), so the bytes are known up front and an in-core map
-    writes nothing, whatever the data."""
-    keep_in_memory(ctx, store, partitions, lengths,
-                   open_vertices(store, closed), resident_bytes)
 
 
 def _source_identity(source) -> str:
@@ -340,20 +329,14 @@ class Assembler:
         as a second, newer filter
         (:func:`~repro.core.sort_phase.run_sort`). The ``L`` band is mapped
         and sorted before the graph exists: nothing can be dropped yet, and
-        it gets the whole host budget. In an in-core run every band's
-        partitions, ``P_L``'s too, are kept in host memory
-        (:func:`_keep_in_memory`), so the map writes nothing whatever the
-        data, and the packed store is held in host memory from the first
-        band's walk on (:meth:`~repro.seq.packing.PackedReadStore.hold`),
-        so every later walk, compress's too, reads no disk. The graph is
-        the eager composition's (bits are only ever set, so a dropped
-        record is one every later candidate of its vertex would have been
-        refused for). A run the sort forms in one piece is also held in
-        host memory and reduce reads it from there; ``P_L``'s, sorted
-        before the graph exists, only if the graph's bytes stay free
-        beside it. A held run is never written: the ledger's sort record
-        vouches for the runs that spilled, and a resume maps and sorts
-        again every length that has no sorted file.
+        it gets the whole host budget. The graph is the eager
+        composition's (bits are only ever set, so a dropped record is one
+        every later candidate of its vertex would have been refused for).
+        One :class:`~repro.core.residency.Residency` plan, built here,
+        places the packed store, every band's partitions and every sorted
+        run in host memory or on disk. A held run is never written: the
+        ledger's sort record vouches for the runs that spilled, and a
+        resume maps and sorts again every length that has no sorted file.
 
         Map, sort and reduce are recorded after the loop, in that order, so
         fault barriers and phase hooks see each exactly once. The map's
@@ -392,8 +375,8 @@ class Assembler:
             if damaged:
                 manager.invalidate_from("sort")
         lengths = overlap_lengths(ctx, store.read_length)
-        if in_core(ctx, store):
-            store.hold(ctx.host_pool)
+        plan = Residency(ctx, store)
+        plan.hold_store(store)
         band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None
@@ -403,18 +386,14 @@ class Assembler:
                                         ctx.accountant)
             try:
                 with self._phase(ctx, "map", boundary=False):
-                    band_reports.append(
-                        self._map_band(ctx, store, partitions, band, graph))
+                    band_reports.append(self._map_band(
+                        ctx, store, partitions, band, graph, plan))
                 for length in band:
                     with self._phase(ctx, "sort", boundary=False):
-                        beside = {"graph_bytes": GreedyStringGraph.bytes_for(
-                            store.n_reads, store.read_length)} \
-                            if graph is None else {
-                                "closed": graph.out_bits,
-                                "resident_bytes": graph.nbytes}
                         sort_report.reports.update(run_sort(
                             ctx, partitions, lengths=(length,),
-                            **beside).reports)
+                            closed=None if graph is None else graph.out_bits,
+                            plan=plan).reports)
                     with self._phase(ctx, "reduce", boundary=False):
                         graph, reduce_report = run_reduce(
                             ctx, partitions, store, lengths=(length,),
@@ -451,25 +430,26 @@ class Assembler:
     @staticmethod
     def _map_band(ctx: RunContext, store: PackedReadStore,
                   partitions: PartitionStore, band: list[int],
-                  graph: GreedyStringGraph | None) -> MapReport:
+                  graph: GreedyStringGraph | None, plan: Residency) -> MapReport:
         """Map what ``band`` still needs; the band's report either way.
 
         A length whose sorted runs exist is not mapped (a resumed run's;
         ``P_L`` is the whole-read length's one run); of a length with one
         side sorted, the other side's new file is the one kept. With the
         graph, only the claims it leaves open are mapped, in the host
-        memory it leaves. An in-core run keeps the band's partitions in
-        host memory, the first band's too (:func:`_keep_in_memory`).
+        memory it leaves. Each side of each length receives one record per
+        vertex the graph leaves open (every vertex before it exists), so
+        the ``plan`` knows the band's bytes before it is mapped and may
+        keep its partitions in host memory, the first band's too.
         """
         closed = None if graph is None else graph.out_bits
-        resident = 0 if graph is None else graph.nbytes
         todo = {length for length in band if not all(
             partitions.path(side, length, sorted_run=True).exists()
             for side in partition_sides(length, store.read_length))}
         if todo:
-            _keep_in_memory(ctx, store, partitions, todo, closed, resident)
+            plan.keep(partitions, todo, open_vertices(store, closed))
             run_map(ctx, store, partitions, only_lengths=todo, closed=closed,
-                    resident_bytes=resident)
+                    resident_bytes=plan.resident_bytes)
         partitions.finalize()
         for length in todo:
             for side in partition_sides(length, store.read_length):

@@ -94,7 +94,7 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
     for length in sorted(partitions.lengths() if lengths is None else lengths,
                          reverse=True):
         sides = partition_sides(length, store.read_length)
-        if not all(partitions.holds(side, length)
+        if not all(partitions.kept(side, length, sorted_run=True)
                    or partitions.path(side, length, sorted_run=True).exists()
                    for side in sides):
             continue
@@ -123,7 +123,7 @@ def reduce_length(ctx: RunContext, graph: GreedyStringGraph,
     of it). At the whole-read length the one run ``P_L`` goes through
     :func:`close_duplicates` instead. Returns how many runs were held.
     """
-    held = sum(partitions.holds(side, length)
+    held = sum(partitions.kept(side, length, sorted_run=True)
                for side in partition_sides(length, graph.read_length))
     # The runs are closed however the step ends, which frees a held one
     # (it has no file: a retry sorts the partition again).

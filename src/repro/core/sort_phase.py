@@ -18,15 +18,16 @@ A length sorted on its own just before reduce reads it may also *hold*
 its runs: a partition the sort leaves in one run (no merge round) is still
 in the sorter's host buffer before it is written, so the store keeps that
 array, its bytes reserved in the host pool, and reduce reads it from there
-instead of off the disk (:func:`_holder` says when). A held run is never
-written, with a checkpoint ledger or without: the array is its only copy
-and reduce its only reader.
+instead of off the disk (the run's
+:class:`~repro.core.residency.Residency` plan says when). A held run is
+never written, with a checkpoint ledger or without: the array is its only
+copy and reduce its only reader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from functools import partial
 from typing import Iterable
 
 from ..extmem import ExternalSorter, PartitionStore
@@ -111,49 +112,10 @@ def _open_claims(ctx: RunContext, closed: PackedBitVector, side: str):
     return keep
 
 
-def _holder(ctx: RunContext, partitions: PartitionStore, lengths: list[int],
-            graph_bytes: int, block_bytes: int):
-    """The whole rule for holding freshly sorted runs.
-
-    Returns ``None`` when this :func:`run_sort` call holds nothing, else
-    ``for_partition(side, length)``: the ``hold`` callback of that
-    partition's sort, which keeps the run
-    (:meth:`~repro.extmem.PartitionStore.hold`, its bytes reserved in the
-    host pool). A run is held only
-
-    * when the call sorts a single length, so at most one length's runs
-      wait for reduce;
-    * when the sort formed it in one piece (the sorter offers no other);
-    * if what is still to come stays free beside it: the sorter's whole
-      block budget (``block_bytes``) while the other side is still to be
-      sorted, so that sort reserves what it would have without it (same
-      report, same charges, no :class:`~repro.errors.HostMemoryError`);
-      and, before the graph exists, the graph's own bytes
-      (``graph_bytes``), which it takes once the sort is done.
-    """
-    if len(lengths) != 1:
-        return None
-
-    def for_partition(side: str, length: int):
-        spare = max(block_bytes if side == "S" else 0, graph_bytes)
-
-        def hold(records) -> bool:
-            if ctx.host_pool.free_bytes - records.nbytes < spare:
-                return False
-            partitions.hold(side, length, records,
-                            ctx.host_pool.alloc(records.nbytes, label="held-run"))
-            return True
-
-        return hold
-
-    return for_partition
-
-
 def run_sort(ctx: RunContext, partitions: PartitionStore, *,
              lengths: Iterable[int] | None = None,
              closed: PackedBitVector | None = None,
-             resident_bytes: int = 0,
-             graph_bytes: int = 0) -> SortPhaseReport:
+             plan=None) -> SortPhaseReport:
     """Sort every S/P partition in place; returns per-partition reports.
 
     A resumed run may find some partitions already sorted (their unsorted
@@ -163,25 +125,25 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
 
     ``lengths`` restricts the call to those partitions. With ``closed``
     (the out-degree bit-vector after every longer length) the records it
-    has already closed are dropped. ``resident_bytes`` is host memory held
-    by something else meanwhile (the graph): the sorter's host block is cut
-    from the budget it leaves.
+    has already closed are dropped.
 
-    :func:`_holder` decides which freshly sorted runs stay in host memory
-    for the reader that comes next; ``graph_bytes`` is what the greedy
-    graph takes of the host once it is built after this call (0 once it
-    exists). A held run gets no file.
+    With the run's residency ``plan`` the sorter's host block is cut from
+    what its :attr:`~repro.core.residency.Residency.resident_bytes` (the
+    graph) leave of the budget, and, when the call sorts a single length,
+    the plan's :meth:`~repro.core.residency.Residency.hold` decides which
+    freshly sorted runs stay in host memory for the reduce that comes
+    next. A held run gets no file. Without a plan nothing is held.
     """
-    sorter = make_sorter(ctx, partitions.dtype, resident_bytes)
+    sorter = make_sorter(ctx, partitions.dtype,
+                         0 if plan is None else plan.resident_bytes)
     lengths = partitions.lengths() if lengths is None else list(lengths)
-    holder = _holder(ctx, partitions, lengths, graph_bytes,
-                     sorter.m_h * partitions.dtype.itemsize)
+    holds = plan is not None and len(lengths) == 1
     reports: dict[tuple[str, int], SortReport] = {}
     for length in lengths:
         for side in ("S", "P"):
             unsorted_path = partitions.path(side, length)
             sorted_path = partitions.path(side, length, sorted_run=True)
-            if partitions.in_memory(side, length):
+            if partitions.kept(side, length):
                 source = partitions.open_run(side, length)
             elif unsorted_path.exists():
                 source = unsorted_path
@@ -193,6 +155,7 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
             reports[(side, length)] = sorter.sort_file(
                 source, sorted_path,
                 keep=_open_claims(ctx, closed, side) if closed is not None else None,
-                hold=holder(side, length) if holder else None)
+                hold=partial(plan.hold, partitions, side, length)
+                if holds else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

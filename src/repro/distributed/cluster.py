@@ -38,14 +38,11 @@ maps the blocks of the producers it holds for the round's lengths under
 that copy (:meth:`ClusterSupervisor.map_round`), so the records it has
 closed are never written, shuffled, sorted or matched. Bits are only ever
 set: a frozen copy drops nothing the token's own, newer bit-vector would
-keep, and the graph is the eager schedule's. In an in-core run every
-round's pieces and pulled partitions stay in host memory, the hand-out's
-``P_L`` pieces and ``L``'s pulled partition too, and the sorted runs are
-all the nodes write; every out-of-core run goes through the disk, as on a
-single node. Every overlap round's snapshot drops the duplicates. An
-owner may hold a single length's runs for reduce: ``L``'s owner, sorting
-before the graph exists, if the graph's bytes stay free beside them.
-Each stretch ends at a
+keep, and the graph is the eager schedule's. Every overlap round's
+snapshot drops the duplicates. Each node's residency plan places its
+pieces, pulled partitions and sorted runs as a single node's does
+(:class:`~repro.core.residency.Residency`): an in-core cluster writes
+nothing. Each stretch ends at a
 barrier (the broadcast is booked as shuffle), and a phase's reported
 seconds are the sum of its rounds' critical paths. With one node a round
 is one length, its pieces are its partitions, and the schedule is the

@@ -10,12 +10,12 @@ Per round (:mod:`repro.distributed.cluster`) a node holds its
 ``owned_lengths``, the frozen out-degree snapshot ``closed``, and the
 ``pieces`` of every producer id it holds (its own, and each lost node's it
 took over): their read blocks mapped for the round's lengths under
-``closed`` (:meth:`WorkerNode.map_pieces`). In an in-core run the pieces
-and the partitions pulled from them stay in host memory
-(:func:`~repro.core.map_phase.keep_in_memory`), the first round's ``P_L``
-too (a hand-out piece grows one read block at a time,
-:meth:`WorkerNode.map_block`), and a sorted run held for reduce is never
-written. A lone node's pieces are its partitions. A node keeps no
+``closed`` (:meth:`WorkerNode.map_pieces`). The node's
+:class:`~repro.core.residency.Residency` plan places them: in an in-core
+run the pieces and the partitions pulled from them stay in host memory,
+the first round's ``P_L`` too (a hand-out piece grows one read block at a
+time, :meth:`WorkerNode.map_block`), and a sorted run held for reduce is
+never written. A lone node's pieces are its partitions. A node keeps no
 ledger: a restarted node is checked against the lineage its supervisor
 holds (:mod:`repro.distributed.resilience`).
 """
@@ -30,7 +30,8 @@ import numpy as np
 
 from ..config import AssemblyConfig
 from ..core.context import RunContext
-from ..core.map_phase import keep_in_memory, open_vertices, run_map
+from ..core.map_phase import open_vertices, run_map
+from ..core.residency import Residency
 from ..core.sort_phase import run_sort
 from ..device.specs import DiskSpec, HostSpec
 from ..extmem import PartitionStore, RunWriter
@@ -57,18 +58,13 @@ class WorkerNode:
     """Private state + handlers of one cluster node."""
 
     def __init__(self, node_id: int, config: AssemblyConfig, root: Path,
-                 messages: ActiveMessageLayer, *,
+                 messages: ActiveMessageLayer, store: PackedReadStore, *,
                  disk: DiskSpec | None = None, host: HostSpec | None = None,
-                 tracer=None, read_length: int | None = None,
-                 graph_bytes: int = 0, lone: bool = False):
+                 tracer=None, lone: bool = False):
         self.node_id = node_id
         #: The whole-read length, whose partition has a ``P`` side only
         #: (:func:`~repro.extmem.partitions.partition_sides`).
-        self.read_length = read_length
-        #: What the master's graph takes of a host once it is built: a run
-        #: sorted before then leaves it free
-        #: (:func:`~repro.core.sort_phase._holder`).
-        self.graph_bytes = graph_bytes
+        self.read_length = store.read_length
         #: The cluster's only node: its pieces are its partitions.
         self.lone = lone
         # All of this node's spans land on "nodeNN/..." tracks of the shared
@@ -78,6 +74,8 @@ class WorkerNode:
             prefix=f"node{node_id:02d}/")
         self.ctx = RunContext(config, workdir=root / f"node{node_id:02d}",
                               disk=disk, host=host, tracer=node_tracer)
+        #: Where this node's pieces, partitions and sorted runs live.
+        self.plan = Residency(self.ctx, store)
         self.messages = messages
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
@@ -96,13 +94,6 @@ class WorkerNode:
     def scope(self) -> str:
         """This node's fault-plan scope label (``node00``, ``node01``, …)."""
         return node_scope(self.node_id)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Host memory held by other than the round's partitions and pieces
-        (the master's graph): what a sort or a map block is cut beside."""
-        return self.ctx.host_pool.used_bytes - sum(
-            store.host_bytes for store in {self.shuffled, *self.pieces.values()})
 
     def metered(self, store: PackedReadStore) -> PackedReadStore:
         """The shared read store, its reads charged to this node's disk."""
@@ -133,18 +124,16 @@ class WorkerNode:
 
         Each block adds ``2 · (stop − start)`` records to each side of each
         length, so a piece's size is known before each block is written:
-        the first block decides by :func:`keep_in_memory` whether the
-        pieces stay in host memory, and kept pieces grow by every block.
+        the plan decides at the first block whether the pieces stay in host
+        memory, and kept pieces grow by every block.
         """
         lengths = sorted(lengths)
         pieces = self.pieces.get(self.node_id)
         if pieces is None:
             pieces = self._fresh_pieces(self.node_id)
-            keep_in_memory(self.ctx, store, pieces, lengths, 2 * (stop - start),
-                           self.resident_bytes)
-        elif pieces.in_memory("P", lengths[0]):
-            pieces.reserve(lengths, 2 * (stop - start), self.ctx.host_pool,
-                           store.read_length)
+            self.plan.keep(pieces, lengths, 2 * (stop - start))
+        elif pieces.kept("P", lengths[0]):
+            self.plan.grow(pieces, lengths, 2 * (stop - start))
         with self.metered(store) as mine:
             run_map(self.ctx, mine, pieces, read_range=(start, stop),
                     only_lengths=frozenset(lengths))
@@ -165,12 +154,11 @@ class WorkerNode:
         leaves the pieces open for more blocks (a replay of the hand-out).
         """
         lengths = sorted(lengths)
-        resident = self.resident_bytes
+        resident = self.plan.resident_bytes
         for producer, blocks in lineage.items():
             pieces = self._fresh_pieces(producer)
             try:
-                keep_in_memory(self.ctx, store, pieces, lengths,
-                               _open_in(self.closed, blocks), resident)
+                self.plan.keep(pieces, lengths, _open_in(self.closed, blocks))
                 with self.metered(store) as mine:
                     for start, stop in blocks:
                         run_map(self.ctx, mine, pieces, read_range=(start, stop),
@@ -194,7 +182,7 @@ class WorkerNode:
     def read_piece(self, producer: int, side: str, length: int) -> np.ndarray:
         """``producer``'s piece, as the round's map left it (none: no block)."""
         pieces = self.pieces[producer]
-        if not (pieces.in_memory(side, length)
+        if not (pieces.kept(side, length)
                 or pieces.path(side, length).exists()):
             return np.empty(0, dtype=self.dtype)
         with pieces.open_run(side, length) as reader:
@@ -212,18 +200,21 @@ class WorkerNode:
 
         A partition is the concatenation, in producer-id order, of every
         producer's piece, requested from ``holders[producer]``, and has one
-        record per vertex the snapshot leaves open. Returns the bytes
-        pulled over the network.
+        record per vertex the snapshot leaves open. A pull retried in place
+        starts each partition again. Returns the bytes pulled over the
+        network.
         """
         if self.lone:
             return 0
         pulled = 0
         for length in lengths:
-            keep_in_memory(self.ctx, store, self.shuffled, [length],
-                           open_vertices(store, self.closed),
-                           self.resident_bytes)
-            for side in partition_sides(length, self.read_length):
-                kept = self.shuffled.in_memory(side, length)
+            sides = partition_sides(length, self.read_length)
+            for side in sides:
+                self.shuffled.delete(side, length)
+            self.plan.keep(self.shuffled, [length],
+                           open_vertices(store, self.closed))
+            for side in sides:
+                kept = self.shuffled.kept(side, length)
                 writer = None if kept else RunWriter(
                     self.shuffled.path(side, length), self.dtype,
                     self.ctx.accountant)
@@ -252,19 +243,15 @@ class WorkerNode:
 
         Idempotent: partitions whose sorted file already exists (a restarted
         node replaying the phase) are skipped by :func:`run_sort`. The
-        round's map filtered them. :func:`run_sort` holds runs (no file)
-        for this round's reduce by the single node's rule; before the graph
-        exists (the round has no snapshot) a run leaves the graph's bytes
-        free.
+        round's map filtered them. The node's plan holds runs (no file) for
+        this round's reduce, as a single node's does.
         """
         return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
-                        resident_bytes=self.resident_bytes,
-                        graph_bytes=0 if self.closed is not None
-                        else self.graph_bytes)
+                        plan=self.plan)
 
     def has_sorted(self, length: int) -> bool:
         """Whether every sorted run of ``length`` is held or on disk."""
-        return all(self.shuffled.holds(side, length)
+        return all(self.shuffled.kept(side, length, sorted_run=True)
                    or self.shuffled.path(side, length, sorted_run=True).exists()
                    for side in partition_sides(length, self.read_length))
 

@@ -71,7 +71,6 @@ from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
 from ..faults.plan import FSYNC_LOSS, NODE_CRASH
 from ..faults.retry import RetryPolicy
-from ..graph import GreedyStringGraph
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
 from ..telemetry import EventMeter
@@ -233,11 +232,8 @@ class ClusterSupervisor:
 
     def _worker(self, node_id: int) -> WorkerNode:
         return WorkerNode(node_id, self.config, self.root, self.messages,
-                          disk=self.disk, host=self.host, tracer=self.tracer,
-                          read_length=self.store.read_length,
-                          graph_bytes=GreedyStringGraph.bytes_for(
-                              self.store.n_reads, self.store.read_length),
-                          lone=self.n_nodes == 1)
+                          self.store, disk=self.disk, host=self.host,
+                          tracer=self.tracer, lone=self.n_nodes == 1)
 
     def alive(self) -> list[WorkerNode]:
         """Current nodes not declared lost, in node-id order."""

@@ -8,18 +8,20 @@ The whole-read partition ``l_max = L`` holds no overlap: it exists to find
 duplicate reads, and has its ``P`` side only, since a whole read's suffix
 is its prefix (:func:`partition_sides`).
 
-The store owns the naming scheme, the writer lifecycle and the sorted runs
-held in host memory; sort and reduce phases address partitions as
-``(side, length)`` pairs. A sort that leaves a length's run in one piece
-may :meth:`PartitionStore.hold` the array, its only copy (no file is
-written): the next :meth:`PartitionStore.open_run` of that sorted run
-reads it from memory, once.
-
-Unsorted partitions whose sizes are known before the map writes them may
-be kept in host memory instead (:meth:`PartitionStore.reserve`): their
-appends fill preallocated arrays, no file is written and the sort reads
-them from there. Nothing resumes from an unsorted partition (a resumed run
-maps again every length it finds unsorted), so no file is missed.
+The store owns the naming scheme, the writer lifecycle and the runs kept
+in host memory; sort and reduce phases address partitions as
+``(side, length)`` pairs. Where a run lives is the run's
+:class:`~repro.core.residency.Residency` plan's call; the store keeps one
+map of the runs in host memory (:class:`~repro.extmem.streams.HeldRun`
+objects, each with its host-pool reservations), asked by
+:meth:`PartitionStore.kept` and let go by one release path. An unsorted
+partition whose size is known before the map writes it may be reserved
+(:meth:`PartitionStore.reserve`): its appends fill the array, no file is
+written and every reader reads it from there. A sorted run the sort left in
+one piece may be kept (:meth:`PartitionStore.keep`), its only copy: the
+next :meth:`PartitionStore.open_run` of it reads it from memory, once.
+Nothing resumes from a run without a file (a resumed run maps and sorts
+again every length that has no sorted file), so no file is missed.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ class PartitionStore:
         self.accountant = accountant
         self.root.mkdir(parents=True, exist_ok=True)
         self._writers: dict[tuple[str, int], RunWriter] = {}
-        self._held: dict[tuple[str, int], HeldRun] = {}
-        #: Unsorted partitions kept in host memory: array, records filled,
-        #: and the reservations of its bytes (one a :meth:`reserve`).
-        self._in_memory: dict[tuple[str, int], list] = {}
+        #: The runs in host memory, by ``(side, length, sorted_run)``.
+        self._memory: dict[tuple[str, int, bool], HeldRun] = {}
         self._finalized = False
 
     # -- paths ------------------------------------------------------------
@@ -80,21 +80,14 @@ class PartitionStore:
             # opens "wb") and corrupt the sorted phase's input.
             raise StreamProtocolError(
                 f"{self.root}: append to ({side}, {length}) after finalize()")
-        key = (side, length)
-        kept = self._in_memory.get(key)
+        kept = self._memory.get((side, length, False))
         if kept is not None:
-            array, filled, _ = kept
-            if filled + records.shape[0] > array.shape[0]:
-                raise StreamProtocolError(
-                    f"{self.path(side, length)}: more records than reserved "
-                    f"({array.shape[0]})")
-            array[filled:filled + records.shape[0]] = records
-            kept[1] = filled + records.shape[0]
+            kept.append(records)
             return
-        writer = self._writers.get(key)
+        writer = self._writers.get((side, length))
         if writer is None:
             writer = RunWriter(self.path(side, length), self.dtype, self.accountant)
-            self._writers[key] = writer
+            self._writers[(side, length)] = writer
         writer.append(records, meter=meter)
 
     def append_pairs(self, pairs, rows) -> None:
@@ -121,35 +114,44 @@ class PartitionStore:
                 self.append("S", length, suffix, meter=False)
         # Per partition on disk, whether it has an S side.
         on_disk = [suffix is not None for length, _, suffix in pairs
-                   if ("P", length) not in self._in_memory]
+                   if not self.kept("P", length)]
         if self.accountant is not None and on_disk:
             width = self.dtype.itemsize
             self.accountant.add_write_run(
                 [n * width for counts in rows for both in on_disk
                  for n in (counts if both else counts[:1])])
 
-    def reserve(self, lengths, n_records: int, host_pool,
+    def reserve(self, lengths, n_records: int, allocate,
                 read_length: int) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory.
 
         Each side of each length (:func:`partition_sides`: the whole-read
         length ``read_length`` has ``P`` only) is to receive ``n_records``
-        more records: their room is allocated, and its bytes reserved in
-        ``host_pool``, now. A partition kept already grows by that much (a
-        node's hand-out piece, one read block at a time). Appends fill
+        more records: their room is made now, its bytes reserved by
+        ``allocate(nbytes)``. A partition kept already grows by that much
+        (a node's hand-out piece, one read block at a time). Appends fill
         them instead of writing files (an append beyond the reservation
         raises :class:`~repro.errors.StreamProtocolError`), :meth:`open_run`
         reads them, and :meth:`delete` or :meth:`abandon` lets them go.
         """
         for length in lengths:
             for side in partition_sides(length, read_length):
-                kept = self._in_memory.setdefault(
-                    (side, length), [np.empty(0, dtype=self.dtype), 0, []])
-                array, filled, allocations = kept
-                allocations.append(host_pool.alloc(
-                    n_records * self.dtype.itemsize, label="held-partition"))
-                kept[0] = np.empty(array.shape[0] + n_records, dtype=self.dtype)
-                kept[0][:filled] = array[:filled]
+                kept = self._memory.setdefault(
+                    (side, length, False),
+                    HeldRun(self.path(side, length), np.empty(0, self.dtype)))
+                kept.grow(n_records, allocate(n_records * self.dtype.itemsize))
+
+    def keep(self, side: str, length: int, records: np.ndarray,
+             allocation=None) -> None:
+        """Keep the sorted run ``(side, length)`` in host memory, unwritten.
+
+        ``records`` are the bytes its sorted file would hold; ``allocation``
+        reserves them until the next :meth:`open_run` of the run is closed
+        or the run is dropped (:meth:`delete`, :meth:`abandon`).
+        """
+        self._memory[(side, length, True)] = HeldRun(
+            self.path(side, length, sorted_run=True), records,
+            () if allocation is None else (allocation,))
 
     def finalize(self) -> None:
         """Close all open partition writers (end of the map phase).
@@ -175,19 +177,16 @@ class PartitionStore:
         return error
 
     def abandon(self) -> None:
-        """Drop every open writer and held run without sealing the store.
+        """Drop every open writer and kept run without sealing the store.
 
         What a dead process leaves behind: the files stay as they are, the
         handles (and their claim on the stream-exclusivity registry) and
-        the host memory of held runs go. Close errors are swallowed; the
+        the host memory of kept runs go. Close errors are swallowed; the
         writers were lost either way.
         """
         self._close_writers()
-        for held in self._held.values():
-            held.close()
-        self._held.clear()
-        for key in list(self._in_memory):
-            self._let_go(key)
+        for key in list(self._memory):
+            self._release(key)
 
     def __enter__(self) -> "PartitionStore":
         return self
@@ -204,68 +203,34 @@ class PartitionStore:
         # Names are ``{side}_{length:05d}[.sorted].run`` (:meth:`path`).
         return sorted({int(path.name[2:].split(".")[0])
                        for path in self.root.glob("[SP]_*.run")}
-                      | {length for _, length in self._in_memory})
+                      | {length for _, length, _ in self._memory})
 
-    def in_memory(self, side: str, length: int) -> bool:
-        """Whether the unsorted partition is kept in host memory
-        (:meth:`reserve`)."""
-        return (side, length) in self._in_memory
-
-    @property
-    def host_bytes(self) -> int:
-        """Host memory this store reserves: kept partitions and held runs."""
-        return sum(kept[0].nbytes for kept in self._in_memory.values()) \
-            + sum(held.total_records for held in self._held.values()) \
-            * self.dtype.itemsize
+    def kept(self, side: str, length: int, *, sorted_run: bool = False) -> bool:
+        """Whether the partition (or its sorted run) is in host memory: the
+        next :meth:`open_run` of it reads no file."""
+        return (side, length, sorted_run) in self._memory
 
     def open_run(self, side: str, length: int, *, sorted_run: bool = False,
                  ) -> RunReader | HeldRun:
         """Open one partition for sequential reading.
 
-        A sorted run :meth:`hold` kept is read from host memory, by its
+        A sorted run :meth:`keep` kept is read from host memory, by its
         first reader only (closing it frees the reservation); any other
         open reads the file. An unsorted partition kept in host memory
         (:meth:`reserve`) is read from there, by every reader, read-only.
         """
-        held = self._held.pop((side, length), None) if sorted_run else None
-        if held is not None:
-            return held
-        kept = None if sorted_run else self._in_memory.get((side, length))
-        if kept is not None:
-            records = kept[0][:kept[1]]
-            records.flags.writeable = False
-            return HeldRun(self.path(side, length), records)
-        return RunReader(self.path(side, length, sorted_run=sorted_run),
-                         self.dtype, self.accountant)
-
-    # -- sorted runs held in host memory ------------------------------------
-
-    def hold(self, side: str, length: int, records: np.ndarray,
-             allocation=None) -> None:
-        """Keep the sorted run ``(side, length)`` in host memory.
-
-        ``records`` must be the bytes of its sorted file, written or not;
-        ``allocation``
-        reserves them until the next :meth:`open_run` of the run is closed
-        or the run is dropped (:meth:`delete`, :meth:`abandon`).
-        """
-        self._held[(side, length)] = HeldRun(
-            self.path(side, length, sorted_run=True), records, allocation)
-
-    def holds(self, side: str, length: int) -> bool:
-        """Whether the next :meth:`open_run` of this sorted run reads memory."""
-        return (side, length) in self._held
-
-    def _drop(self, key: tuple[str, int]) -> None:
-        held = self._held.pop(key, None)
-        if held is not None:
-            held.close()
+        key = (side, length, sorted_run)
+        if key not in self._memory:
+            return RunReader(self.path(side, length, sorted_run=sorted_run),
+                             self.dtype, self.accountant)
+        return self._memory.pop(key) if sorted_run else self._memory[key].reader()
 
     def records_in(self, side: str, length: int, *, sorted_run: bool = False) -> int:
-        """Record count of one partition (0 if the file is absent)."""
-        kept = None if sorted_run else self._in_memory.get((side, length))
+        """Record count of one partition (0 if it has neither a file nor a
+        run in host memory)."""
+        kept = self._memory.get((side, length, sorted_run))
         if kept is not None:
-            return kept[1]
+            return kept.total_records
         path = self.path(side, length, sorted_run=sorted_run)
         if not path.exists():
             return 0
@@ -277,15 +242,12 @@ class PartitionStore:
 
     def delete(self, side: str, length: int, *, sorted_run: bool = False) -> None:
         """Remove a partition file (after it has been consumed), and the
-        run held for it."""
-        if sorted_run:
-            self._drop((side, length))
-        else:
-            self._let_go((side, length))
+        run kept in host memory for it."""
+        self._release((side, length, sorted_run))
         self.path(side, length, sorted_run=sorted_run).unlink(missing_ok=True)
 
-    def _let_go(self, key: tuple[str, int]) -> None:
-        kept = self._in_memory.pop(key, None)
+    def _release(self, key: tuple[str, int, bool]) -> None:
+        """Let a run in host memory go, with its reservations."""
+        kept = self._memory.pop(key, None)
         if kept is not None:
-            for allocation in kept[2]:
-                allocation.free()
+            kept.close()

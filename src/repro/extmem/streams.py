@@ -217,22 +217,53 @@ class RunReader:
 
 
 class HeldRun:
-    """A run already in host memory, read through :class:`RunReader`'s surface.
+    """A run in host memory, read through :class:`RunReader`'s surface.
 
     Reads return views of ``records`` and charge no disk: the records never
     left host memory. Each read still passes the fault layer's ``READ``
     hook under ``path`` (the run's file), as a :class:`RunReader` of that
-    file would. ``allocation`` (a
-    :class:`~repro.device.memory.Allocation` reserving their bytes, if
-    any) is freed on :meth:`close`, and the array is let go with it.
+    file would. ``allocations`` (the
+    :class:`~repro.device.memory.Allocation` objects reserving their
+    bytes) are freed on :meth:`close`, and the array is let go with it.
+
+    A run filled in place (an unsorted partition kept in host memory)
+    starts empty: :meth:`grow` reserves room, :meth:`append` fills it and
+    :meth:`reader` reads what it holds so far.
     """
 
-    def __init__(self, path: str | Path, records: np.ndarray, allocation=None):
+    def __init__(self, path: str | Path, records: np.ndarray, allocations=()):
         self.path = Path(path)
         self._records = records
-        self._allocation = allocation
+        self._allocations = list(allocations)
         self._total = records.shape[0]
         self._consumed = 0
+
+    def grow(self, n_records: int, allocation) -> None:
+        """Make room for ``n_records`` more records, reserved by
+        ``allocation``."""
+        records = np.empty(self._records.shape[0] + n_records,
+                           dtype=self._records.dtype)
+        records[:self._total] = self._records[:self._total]
+        self._records = records
+        self._allocations.append(allocation)
+
+    def append(self, records: np.ndarray) -> None:
+        """Fill the room :meth:`grow` made (beyond it raises
+        :class:`~repro.errors.StreamProtocolError`)."""
+        end = self._total + records.shape[0]
+        if end > self._records.shape[0]:
+            raise StreamProtocolError(
+                f"{self.path}: more records than reserved "
+                f"({self._records.shape[0]})")
+        self._records[self._total:end] = records
+        self._total = end
+
+    def reader(self) -> "HeldRun":
+        """A read-only reader of the records held so far; it reserves
+        nothing, so closing it frees nothing."""
+        records = self._records[:self._total]
+        records.flags.writeable = False
+        return HeldRun(self.path, records)
 
     @property
     def total_records(self) -> int:
@@ -269,10 +300,10 @@ class HeldRun:
         return self.read(self.remaining)
 
     def close(self) -> None:
-        """Release the records and their reservation."""
+        """Release the records and their reservations."""
         self._records = None
-        if self._allocation is not None:
-            self._allocation.free()
+        for allocation in self._allocations:
+            allocation.free()
 
     def __enter__(self) -> "HeldRun":
         return self

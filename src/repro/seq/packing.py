@@ -198,11 +198,11 @@ class PackedReadStore:
 
     # -- reading -----------------------------------------------------------
 
-    def hold(self, host_pool) -> None:
+    def hold(self, host_pool):
         """Keep the payload in host memory, from the next walk on.
 
-        Its bytes are reserved in ``host_pool`` now (an
-        :class:`~repro.device.memory.Allocation` that :meth:`close` frees).
+        Its bytes are reserved in ``host_pool`` now: the returned
+        :class:`~repro.device.memory.Allocation`, which :meth:`close` frees.
         A read off the disk that starts within the reads held so far lands
         in the copy too, so the first walk of the store fills it; a read of
         held reads comes from the copy and charges no disk, but still
@@ -216,6 +216,7 @@ class PackedReadStore:
         self._held = np.empty((self._n_reads, self._bytes_per_read),
                               dtype=np.uint8)
         self._held_reads = 0
+        return self._allocation
 
     def read_packed_slice(self, start: int, stop: int, *,
                           meter_reads: int | None = None) -> np.ndarray:

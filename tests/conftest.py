@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.context import RunContext
 from repro.core.load_phase import run_load
 from repro.core.map_phase import run_map
 from repro.core.reduce_phase import run_reduce
+from repro.core.residency import Residency
 from repro.core.sort_phase import run_sort
 from repro.extmem import PartitionStore
 from repro.seq.datasets import tiny_dataset
@@ -141,14 +143,36 @@ def spy_held_runs(patch) -> dict:
     """The bytes of every sorted run held from now on (``patch`` is a
     ``MonkeyPatch``), by the path its file would have: a held run has none."""
     held = {}
-    hold = PartitionStore.hold
+    keep = PartitionStore.keep
 
     def spying(self, side, length, records, allocation=None):
         held[self.path(side, length, sorted_run=True)] = records.tobytes()
-        hold(self, side, length, records, allocation)
+        keep(self, side, length, records, allocation)
 
-    patch.setattr(PartitionStore, "hold", spying)
+    patch.setattr(PartitionStore, "keep", spying)
     return held
+
+
+#: The residency plan's question for each artifact it may keep in host
+#: memory (:class:`~repro.core.residency.Residency`).
+_PLACEMENTS = {"store": "hold_store", "partitions": "keep", "runs": "hold"}
+
+
+@pytest.fixture(scope="session")
+def on_disk():
+    """The placement reference: ``with on_disk("runs"):`` every run started
+    inside holds no sorted run, ``"partitions"`` keeps no unsorted
+    partition and ``"store"`` no packed store in host memory;
+    ``on_disk()`` places all three on disk. Nothing else of a run moves."""
+    @contextmanager
+    def placing(*artifacts):
+        with pytest.MonkeyPatch.context() as patch:
+            for artifact in artifacts or _PLACEMENTS:
+                patch.setattr(Residency, _PLACEMENTS[artifact],
+                              lambda self, *args: False)
+            yield
+
+    return placing
 
 
 def sorted_runs(root, held: dict | None = None) -> dict[str, bytes]:

@@ -21,8 +21,8 @@ LENGTHS = (25, 27)
 def cluster_pair(tmp_path, tiny_md):
     config = AssemblyConfig(min_overlap=25)
     messages = ActiveMessageLayer(NetworkSpec())
-    nodes = [WorkerNode(i, config, tmp_path, messages) for i in range(2)]
     store = PackedReadStore.open(tiny_md.store_path)
+    nodes = [WorkerNode(i, config, tmp_path, messages, store) for i in range(2)]
     yield nodes, store, messages
     for node in nodes:
         node.abandon()
@@ -158,9 +158,10 @@ class TestRoundMap:
         on the cramped budget they are files."""
         config = AssemblyConfig(min_overlap=25, **({} if memory is None
                                                    else {"memory": memory}))
-        node = WorkerNode(0, config, tmp_path, ActiveMessageLayer(NetworkSpec()))
         blocks = [(0, 13), (40, 71)]
         with PackedReadStore.open(tiny_md.store_path) as store:
+            node = WorkerNode(0, config, tmp_path,
+                              ActiveMessageLayer(NetworkSpec()), store)
             node.closed = closed = _every_third(store)
             node.map_pieces(store, {3: blocks}, LENGTHS)
             eager = PartitionStore(tmp_path / "eager", node.dtype)
@@ -170,7 +171,7 @@ class TestRoundMap:
             eager.finalize()
         for length in LENGTHS:
             for side in ("S", "P"):
-                assert node.pieces[3].in_memory(side, length) == (memory is None)
+                assert node.pieces[3].kept(side, length) == (memory is None)
                 with eager.open_run(side, length) as reader:
                     records = reader.read_all()
                 keep = _open_claims(node.ctx, closed, side)(records)

@@ -694,13 +694,13 @@ class TestReplayFromLineage:
         assert not [point.path for point in probe_trace
                     if point.site == WRITE and point.op < closing.op]
         held = []
-        hold = PartitionStore.hold
+        keep = PartitionStore.keep
 
         def spying(self, side, length, records, allocation=None):
             held.append((side, length))
-            hold(self, side, length, records, allocation)
+            keep(self, side, length, records, allocation)
 
-        monkeypatch.setattr(PartitionStore, "hold", spying)
+        monkeypatch.setattr(PartitionStore, "keep", spying)
         plan, result = self._run(resilience_data,
                                  [Fault(NODE_CRASH, site=NODE, at_op=crash)])
         assert [event.op for event in plan.events] == [crash]

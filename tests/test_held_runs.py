@@ -6,8 +6,8 @@ buffer before its file is written; the partition store keeps that array
 reader of the run takes it from there instead of off the disk. Nothing
 else may move: the held arrays and the sorted files together, the graph,
 the contigs, the ledger's reports and the sort's reports are those of a
-run that holds nothing (``sort_phase._holder`` patched to hold no run),
-whatever the host budget.
+run that holds nothing (``conftest.on_disk("runs")``), whatever the host
+budget.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.core import pipeline, reduce_phase, sort_phase
+from repro.core import pipeline, reduce_phase
 from repro.device.memory import MemoryPool
 from repro.distributed import DistributedAssembler
 from repro.errors import HostMemoryError, StreamProtocolError
@@ -74,14 +74,15 @@ def _ledger(workdir) -> tuple[dict, dict]:
 @pytest.mark.parametrize("memory", (INCORE, OUTOFCORE, CRAMPED),
                          ids=lambda memory: memory.name)
 def test_artifacts_match_a_run_holding_nothing(data, tmp_path, monkeypatch,
-                                               memory, lanes):
+                                               on_disk, memory, lanes):
     config = _config(memory, lanes)
     kept = spy_held_runs(monkeypatch)
     held = Assembler(config).assemble(data.store_path, workdir=tmp_path / "held",
                                       resume=True)
-    monkeypatch.setattr(sort_phase, "_holder", lambda *args: None)
-    plain = Assembler(config).assemble(data.store_path,
-                                       workdir=tmp_path / "plain", resume=True)
+    with on_disk("runs"):
+        plain = Assembler(config).assemble(data.store_path,
+                                           workdir=tmp_path / "plain",
+                                           resume=True)
     # A held run has no file: the runs held and the runs written are
     # the files of a run that holds nothing, byte for byte.
     assert kept
@@ -146,14 +147,14 @@ def test_a_held_run_retains_the_bytes_it_reserves(data, tmp_path, monkeypatch,
     """Filtered runs are gathered into a buffer sized before the filter;
     the array kept must not be a view that keeps all of it alive."""
     kept = []
-    hold = PartitionStore.hold
+    keep = PartitionStore.keep
 
     def spying(self, side, length, records, allocation=None):
         owner = records if records.base is None else records.base
         kept.append((owner.nbytes, records.nbytes, allocation.nbytes))
-        hold(self, side, length, records, allocation)
+        keep(self, side, length, records, allocation)
 
-    monkeypatch.setattr(PartitionStore, "hold", spying)
+    monkeypatch.setattr(PartitionStore, "keep", spying)
     Assembler(_config(memory)).assemble(data.store_path, workdir=tmp_path / "w")
     assert kept
     for retained, nbytes, reserved in kept:
@@ -202,13 +203,13 @@ def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
     last round; one eager round) it holds nothing."""
     n_nodes = 2
     kept = []
-    hold = PartitionStore.hold
+    keep = PartitionStore.keep
 
     def counting(self, side, length, records, allocation=None):
         kept.append((side, length))
-        hold(self, side, length, records, allocation)
+        keep(self, side, length, records, allocation)
 
-    monkeypatch.setattr(PartitionStore, "hold", counting)
+    monkeypatch.setattr(PartitionStore, "keep", counting)
     config = _config(CRAMPED)
     single = Assembler(config).assemble(data.store_path)
     kept.clear()
@@ -259,8 +260,8 @@ def test_an_exception_at_the_third_length_frees_every_held_byte(
             if seen["calls"] == 3:
                 (length,) = lengths
                 seen.update(ctx=ctx, graph=graph,
-                            held=partitions.holds("S", length)
-                            and partitions.holds("P", length))
+                            held=partitions.kept("S", length, sorted_run=True)
+                            and partitions.kept("P", length, sorted_run=True))
                 raise RuntimeError("boom")
             return real(ctx, partitions, store, lengths=lengths, graph=graph,
                         report=report)
@@ -335,17 +336,16 @@ def test_reserving_the_whole_read_length_keeps_its_one_side(tmp_path):
     partitions = PartitionStore(tmp_path / "parts", dtype, IOAccountant())
     pool = MemoryPool("host", 1 << 20, HostMemoryError)
     n_reads, read_length = 100, 50
-    partitions.reserve([read_length], 2 * n_reads, pool, read_length)
-    assert partitions.in_memory("P", read_length)
-    assert not partitions.in_memory("S", read_length)
-    assert pool.used_bytes == partitions.host_bytes \
-        == 2 * n_reads * dtype.itemsize
+    partitions.reserve([read_length], 2 * n_reads, pool.alloc, read_length)
+    assert partitions.kept("P", read_length)
+    assert not partitions.kept("S", read_length)
+    assert pool.used_bytes == 2 * n_reads * dtype.itemsize
     records = make_records(np.arange(2 * n_reads + 6, dtype=np.uint64),
                            np.arange(2 * n_reads + 6, dtype=np.uint32))
     partitions.append("P", read_length, records[:2 * n_reads])
     with pytest.raises(StreamProtocolError, match="more records than reserved"):
         partitions.append("P", read_length, records[:1])
-    partitions.reserve([read_length], 6, pool, read_length)
+    partitions.reserve([read_length], 6, pool.alloc, read_length)
     partitions.append("P", read_length, records[2 * n_reads:])
     assert pool.used_bytes == records.nbytes
     with partitions.open_run("P", read_length) as run:
@@ -370,8 +370,9 @@ def store(tmp_path):
 def test_a_held_run_opens_once(store):
     partitions, records = store
     pool = MemoryPool("host", 10_000, HostMemoryError)
-    partitions.hold("S", 30, records, pool.alloc(records.nbytes))
-    assert partitions.holds("S", 30) and pool.used_bytes == records.nbytes
+    partitions.keep("S", 30, records, pool.alloc(records.nbytes))
+    assert partitions.kept("S", 30, sorted_run=True) \
+        and pool.used_bytes == records.nbytes
     with partitions.open_run("S", 30, sorted_run=True) as first:
         assert isinstance(first, HeldRun)
         assert first.total_records == 100
@@ -379,7 +380,7 @@ def test_a_held_run_opens_once(store):
         assert first.read(30).tobytes() == records[10:40].tobytes()
         assert first.read_all().tobytes() == records[40:].tobytes()
         assert first.exhausted and first.read(5).shape == (0,)
-    assert pool.used_bytes == 0 and not partitions.holds("S", 30)
+    assert pool.used_bytes == 0 and not partitions.kept("S", 30, sorted_run=True)
     assert partitions.accountant.read_bytes == 0
     with pytest.raises(StreamProtocolError):
         first.read(1)
@@ -391,26 +392,26 @@ def test_a_held_run_opens_once(store):
 
 def test_only_sorted_runs_are_taken_from_memory(store):
     partitions, records = store
-    partitions.hold("S", 30, records)
+    partitions.keep("S", 30, records)
     with open(partitions.path("S", 30), "wb") as handle:
         handle.write(records.tobytes())
     with partitions.open_run("S", 30) as unsorted:
         assert isinstance(unsorted, RunReader)
-    assert partitions.holds("S", 30)
+    assert partitions.kept("S", 30, sorted_run=True)
 
 
 @pytest.mark.parametrize("drop", ("delete", "abandon"))
 def test_a_dropped_run_frees_its_reservation(store, drop):
     partitions, records = store
     pool = MemoryPool("host", 10_000, HostMemoryError)
-    partitions.hold("S", 30, records, pool.alloc(records.nbytes))
+    partitions.keep("S", 30, records, pool.alloc(records.nbytes))
     if drop == "delete":
         partitions.delete("S", 30, sorted_run=True)
         assert not partitions.path("S", 30, sorted_run=True).exists()
     else:
         partitions.abandon()
         assert partitions.path("S", 30, sorted_run=True).exists()
-    assert pool.used_bytes == 0 and not partitions.holds("S", 30)
+    assert pool.used_bytes == 0 and not partitions.kept("S", 30, sorted_run=True)
 
 
 # -- what the trace says -------------------------------------------------------------

@@ -95,11 +95,6 @@ def _store_walks(plan: FaultPlan) -> list[list[int]]:
     return walks
 
 
-def _store_unheld(monkeypatch) -> None:
-    """The store reads every walk off the disk, as before it was held."""
-    monkeypatch.setattr(PackedReadStore, "hold", lambda self, pool: None)
-
-
 def _disk_read(result, *phases) -> int:
     return sum(result.telemetry[phase].counters["disk_read_bytes"]
                for phase in phases)
@@ -226,7 +221,7 @@ def test_a_crash_after_a_held_sort_resumes(data, config, tmp_path):
 
 @pytest.mark.parametrize("resume", (False, True), ids=("no-ledger", "ledger"))
 def test_the_read_trace_is_that_of_an_unheld_store(data, config, tmp_path,
-                                                   monkeypatch, resume):
+                                                   on_disk, resume):
     """Each read of the held store passes the ``READ`` hook under the
     store's path, as a read of the file did: same points, same order."""
     def reads(workdir) -> list[tuple[str, str, str]]:
@@ -238,8 +233,7 @@ def test_the_read_trace_is_that_of_an_unheld_store(data, config, tmp_path,
                  point.phase) for point in plan.trace if point.site == READ]
 
     held = reads(tmp_path / "held")
-    with monkeypatch.context() as patch:
-        _store_unheld(patch)
+    with on_disk("store"):
         unheld = reads(tmp_path / "unheld")
     assert held == unheld
     assert sum(path.endswith(STORE) for _, path, _ in held) > 6

@@ -38,13 +38,13 @@ def data(tmp_path_factory):
 def holds(monkeypatch):
     """The ``(side, length)`` of every sorted run held in host memory."""
     kept = []
-    hold = PartitionStore.hold
+    keep = PartitionStore.keep
 
     def counting(self, side, length, records, allocation=None):
         kept.append((side, length))
-        hold(self, side, length, records, allocation)
+        keep(self, side, length, records, allocation)
 
-    monkeypatch.setattr(PartitionStore, "hold", counting)
+    monkeypatch.setattr(PartitionStore, "keep", counting)
     return kept
 
 

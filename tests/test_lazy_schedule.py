@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.core import pipeline, sort_phase
+from repro.core import pipeline
 from repro.core.context import RunContext
 from repro.core.map_phase import band_report, run_map
 from repro.core.sort_phase import make_sorter
@@ -341,22 +341,22 @@ class TestWhatIsSorted:
 
 class TestCrashAndResume:
     def test_crash_after_sort_resumes_with_reduce_alone(self, data, runs,
-                                                        tmp_path, monkeypatch):
-        """In a run that holds nothing (``_holder`` patched), every sorted
+                                                        tmp_path, on_disk):
+        """In a run that holds nothing (``on_disk("runs")``), every sorted
         run is on disk and vouched for by the ledger. (A held run has no
         file: its length is mapped and sorted again,
         ``test_in_core_invariant.py::test_a_crash_anywhere_resumes``.)"""
         _, golden, _ = runs
-        monkeypatch.setattr(sort_phase, "_holder", lambda *args: None)
         workdir = tmp_path / "w"
-        with inject(FaultPlan([Fault(CRASH, site=PHASE, match="sort")])):
-            with pytest.raises(FaultInjected):
-                Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
-                                            resume=True)
-        # Sort is recorded, the graph the loop had built is gone.
-        assert not (workdir / "graph.npz").exists()
-        resumed = Assembler(CRAMPED).assemble(data.store_path, workdir=workdir,
-                                              resume=True)
+        with on_disk("runs"):
+            with inject(FaultPlan([Fault(CRASH, site=PHASE, match="sort")])):
+                with pytest.raises(FaultInjected):
+                    Assembler(CRAMPED).assemble(data.store_path,
+                                                workdir=workdir, resume=True)
+            # Sort is recorded, the graph the loop had built is gone.
+            assert not (workdir / "graph.npz").exists()
+            resumed = Assembler(CRAMPED).assemble(data.store_path,
+                                                  workdir=workdir, resume=True)
         assert result_digest(resumed) == result_digest(golden)
         sort = resumed.telemetry["sort"].counters
         assert sort["disk_write_bytes"] == 0 and sort["disk_read_bytes"] == 0
@@ -401,16 +401,16 @@ class TestBandsInHostMemory:
     and the sort forms the runs the files would have given."""
 
     @pytest.fixture(scope="class")
-    def pair(self, data, tmp_path_factory):
+    def pair(self, data, tmp_path_factory, on_disk):
         """``(root, kept, on_disk, held)``: ``ROOMY`` runs with and without
         it, and the sorted runs both held."""
         root = tmp_path_factory.mktemp("in-memory")
         with pytest.MonkeyPatch.context() as patch:
             held = spy_held_runs(patch)
             kept, _ = _lazy(ROOMY, data.store_path, root / "kept")
-            patch.setattr(pipeline, "_keep_in_memory", lambda *args: None)
-            on_disk, _ = _lazy(ROOMY, data.store_path, root / "disk")
-        return root, kept, on_disk, held
+            with on_disk("partitions"):
+                disk, _ = _lazy(ROOMY, data.store_path, root / "disk")
+        return root, kept, disk, held
 
     def test_same_sorted_runs_graph_and_contigs(self, pair):
         root, kept, on_disk, held = pair
