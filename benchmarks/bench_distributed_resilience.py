@@ -101,7 +101,7 @@ def _crash_plan(clean, crashes: int, seed: int) -> FaultPlan:
     # fnmatch treats "[...]" as a character class — escape the bracket.
     return FaultPlan([Fault(NODE_CRASH, site=NODE,
                             match=f"*:reduce[[]{length}]")
-                      for length in chosen], seed=seed)
+                      for length in chosen])
 
 
 def main(argv: list[str] | None = None) -> int:

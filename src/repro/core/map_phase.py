@@ -435,8 +435,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     p.shape[0] + (0 if s is None else s.shape[0])
                     for _, p, s in appended)
     finally:
-        # Even on an injected crash the writers must close: the in-process
-        # crash loop re-runs the pipeline, and a stale _OPEN_PATHS entry
+        # Even on an injected crash the writers must close: the fault sweep
+        # resumes the pipeline in-process, and a stale _OPEN_PATHS entry
         # would wrongly reject the recovery run's writers.
         if not caller_owns_store:
             partitions.finalize()

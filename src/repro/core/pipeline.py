@@ -398,6 +398,7 @@ class Assembler:
                         graph, reduce_report = run_reduce(
                             ctx, partitions, store, lengths=(length,),
                             graph=graph, report=reduce_report)
+                plan.check_block(store, graph)
             finally:
                 # Writers of a map that raised close, and a run held for a
                 # reduce that never came gives its host memory back.

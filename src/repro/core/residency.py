@@ -17,9 +17,12 @@ reads the pool's free or used bytes to decide a placement (DESIGN.md §2f,
 
 from __future__ import annotations
 
+from ..errors import ConfigError
 from ..extmem import PartitionStore
 from ..extmem.partitions import partition_sides
 from ..extmem.records import kv_dtype
+from ..extmem.sort import HOST_SORT_FOOTPRINT
+from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
 from .context import RunContext
 from .map_phase import open_vertices, partition_lengths
@@ -39,6 +42,30 @@ class Residency:
         #: Whether every record an eager map writes fits one sorter block.
         self.in_core = eager_records <= make_sorter(ctx, self.dtype).m_h
         self._placed = []
+        self.check_block(store)
+
+    def check_block(self, store: PackedReadStore,
+                    graph: GreedyStringGraph | None = None) -> None:
+        """Refuse an explicit ``host_block_pairs`` whose largest sort
+        request (the whole block, or the partition if smaller, twice over)
+        cannot fit on this host: alone before the map (``P_L``, a record
+        a vertex, is sorted before the graph exists), and beside ``graph``
+        once it exists (a later partition holds the claims it leaves open).
+        """
+        if not self.ctx.config.host_block_pairs:
+            return
+        closed, beside = (None, 0) if graph is None \
+            else (graph.out_bits, graph.nbytes)
+        request = min(make_sorter(self.ctx, self.dtype).host_block,
+                      open_vertices(store, closed)) \
+            * self.dtype.itemsize * HOST_SORT_FOOTPRINT
+        budget = self.ctx.config.memory.host_bytes
+        if request + beside > budget:
+            raise ConfigError(
+                f"host_block_pairs={self.ctx.config.host_block_pairs}: a "
+                f"sort block of {request:,} B"
+                + (f" beside the {beside:,} B string graph" if beside else "")
+                + f" does not fit in {budget:,} B of host memory")
 
     # -- what the host holds -------------------------------------------------
 

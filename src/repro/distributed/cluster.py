@@ -202,22 +202,29 @@ class DistributedAssembler:
         # A store opened here is closed here, also when a phase raises.
         with (nullcontext(source) if isinstance(source, PackedReadStore)
               else PackedReadStore.open(source)) as store:
+            messages = ActiveMessageLayer(self.network)
+            supervisor = ClusterSupervisor(self.config, self.n_nodes, root,
+                                           self.network, messages, store,
+                                           tracer=tracer, disk=self.disk,
+                                           host=self.host)
             try:
-                return self._run(store, root, tracer)
+                return self._run(store, supervisor, messages, tracer)
+            except BaseException:
+                # A run that dies (a full disk ends it) lets go of every
+                # node's streams, as its processes' exits would.
+                for node in supervisor.nodes:
+                    node.abandon()
+                raise
             finally:
                 # Dump even when a phase raised — a trace of a failed run
-                # is exactly what the chaos harness wants to look at.
+                # is exactly what a fault sweep wants to look at.
                 if tracer is not None:
                     tracer.write(Path(self.config.trace))
 
-    def _run(self, store: PackedReadStore, root: Path,
+    def _run(self, store: PackedReadStore, supervisor: ClusterSupervisor,
+             messages: ActiveMessageLayer,
              tracer: SpanTracer | None) -> DistributedResult:
-        messages = ActiveMessageLayer(self.network)
         ctracer = tracer if tracer is not None else NULL_TRACER
-        supervisor = ClusterSupervisor(self.config, self.n_nodes, root,
-                                       self.network, messages, store,
-                                       tracer=tracer, disk=self.disk,
-                                       host=self.host)
         nodes = supervisor.nodes  # mutated in place on node restarts
         phase_seconds: dict[str, float] = {}
         per_node_seconds: dict[str, list[float]] = {}
@@ -292,6 +299,7 @@ class DistributedAssembler:
                                              tracer=ctracer)
             close("reduce", wall0, start, seconds, per_node, round=index,
                   partitions=reduce_report.partitions_processed - done)
+            nodes[0].plan.check_block(store, graph)
             # The pieces fed the round's pulls and any rebuild until its
             # last partition was reduced (or formally dropped).
             for node in supervisor.alive():
@@ -316,7 +324,6 @@ class DistributedAssembler:
         # (what their pulls wrote: the cluster's sorts drop nothing).
         notes = {"am_messages": float(messages.messages_sent),
                  "am_dropped": float(messages.messages_dropped),
-                 "am_delayed": float(messages.messages_delayed),
                  "rounds": float(len(rounds)),
                  # Each round's pulls carry every piece its map wrote; the
                  # eager map writes every side of every length.

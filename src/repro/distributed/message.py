@@ -37,7 +37,6 @@ class ActiveMessageLayer:
         self._clocks: dict[int, Any] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.messages_delayed = 0
         self.bytes_by_pair: dict[tuple[int, int], int] = {}
 
     def register_node(self, node_id: int, clock) -> None:
@@ -61,21 +60,17 @@ class ActiveMessageLayer:
         if src not in self._clocks:
             raise DistributedProtocolError(f"unregistered source node {src}")
         # Node-level chaos: the delivery itself may be dropped (the sender
-        # pays for the attempted request, then sees MessageDropped), delayed
-        # (extra in-flight latency on the sender's clock) or may kill the
-        # destination node mid-request (FaultInjected unwinds to the sender).
+        # pays for the attempted request, then sees MessageDropped) or may
+        # kill the destination node mid-request (FaultInjected unwinds to
+        # the sender).
         try:
-            extra_delay = faults.deliver_message(
-                node_scope(src), node_scope(dst), name)
+            faults.deliver_message(node_scope(src), node_scope(dst), name)
         except MessageDropped:
             self.messages_dropped += 1
             if src != dst:
                 self._clocks[src].charge(
                     "network", self.network.transfer_seconds(request_bytes))
             raise
-        if extra_delay > 0.0:
-            self.messages_delayed += 1
-            self._clocks[src].charge("network", extra_delay)
         response, response_bytes = self._handlers[key](*args)
         self.messages_sent += 1
         if src != dst:

@@ -133,12 +133,3 @@ class FaultInjected(ReproError):
         self.kind = kind
         self.scope = scope
 
-
-class RecoveryError(ReproError):
-    """Crash recovery failed to converge to the golden run.
-
-    Raised by the :class:`repro.faults.CrashLoop` driver when a resumed run
-    diverges from the unfaulted golden result or leaves scratch/ledger
-    residue behind — the exact failure the checkpointed multi-pass design
-    exists to prevent.
-    """

@@ -20,18 +20,18 @@ code asks whether one is armed):
 * ``bitflip``    — one payload bit is corrupted in flight; execution
   continues (silent corruption — the hardest failure to survive).
 
-Plans are values: the same seed and schedule reproduce the same faults at
-the same operations, which is what lets a failed chaos seed from CI be
-replayed locally. Every injected event is recorded on the plan and exposed
-through a :class:`~repro.telemetry.EventMeter`, so per-phase telemetry
-reports how many faults each phase absorbed.
+Plans are values: the same schedule reproduces the same faults at the
+same operations, which is what lets a failed sweep cell from CI be
+replayed locally (:mod:`repro.faults.sweep`). Every injected event is
+recorded on the plan and exposed through a
+:class:`~repro.telemetry.EventMeter`, so per-phase telemetry reports how
+many faults each phase absorbed.
 """
 
 from __future__ import annotations
 
 import errno
 import fnmatch
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,9 +51,7 @@ FSYNC_LOSS = "fsync-loss"
 BITFLIP = "bitflip"
 NODE_CRASH = "node-crash"  #: a whole worker process dies at an op boundary
 MSG_DROP = "msg-drop"      #: an active message vanishes in flight
-MSG_DELAY = "msg-delay"    #: an active message arrives late (extra latency)
-KINDS = (CRASH, TORN, ENOSPC, FSYNC_LOSS, BITFLIP,
-         NODE_CRASH, MSG_DROP, MSG_DELAY)
+KINDS = (CRASH, TORN, ENOSPC, FSYNC_LOSS, BITFLIP, NODE_CRASH, MSG_DROP)
 
 # -- hook sites ---------------------------------------------------------------
 
@@ -65,20 +63,6 @@ PHASE = "phase"      #: pipeline phase boundaries (label = phase name)
 MESSAGE = "message"  #: active-message delivery (label = "src->dst:handler")
 NODE = "node"        #: distributed node-op boundaries (label = "scope:op")
 SITES = (WRITE, READ, LEDGER, RENAME, PHASE, MESSAGE, NODE)
-
-#: Fault kinds that make sense per site (seeded plans draw from these).
-_SITE_KINDS = {
-    WRITE: (CRASH, TORN, ENOSPC, FSYNC_LOSS, BITFLIP),
-    READ: (CRASH, BITFLIP),
-    LEDGER: (CRASH, TORN, FSYNC_LOSS),
-    RENAME: (CRASH,),
-    PHASE: (CRASH,),
-    MESSAGE: (MSG_DROP, MSG_DELAY, NODE_CRASH),
-    NODE: (NODE_CRASH, CRASH),
-}
-
-#: Extra in-flight latency of a ``msg-delay`` fault with ``seconds=0``.
-DEFAULT_MSG_DELAY_S = 1e-3
 
 #: Sentinel: ``clear_crash()`` without a scope clears every scope (the
 #: single-node chaos path, where no scopes exist). ``None`` is a real scope.
@@ -104,16 +88,12 @@ class Fault:
     offset: int | None = None
     delay: int = 1
     once: bool = True
-    #: Extra latency of a ``msg-delay`` fault (0 = :data:`DEFAULT_MSG_DELAY_S`).
-    seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}; options: {KINDS}")
         if self.site != "*" and self.site not in SITES:
             raise ConfigError(f"unknown fault site {self.site!r}; options: {SITES}")
-        if self.seconds < 0:
-            raise ConfigError("fault delay seconds must be >= 0")
 
     def triggers(self, op: int, site: str, name: str) -> bool:
         """Whether this fault fires at hook visit ``op`` of ``site``/``name``."""
@@ -145,16 +125,15 @@ class TracePoint:
 
 
 class FaultPlan:
-    """A seeded, deterministic schedule of injectable failures.
+    """A deterministic schedule of injectable failures.
 
     A plan with an empty fault list is a pure *probe*: it records the trace
     of every instrumented operation (and which pipeline phase it fell in),
-    which is how :class:`~repro.faults.crashloop.CrashLoop` enumerates the
-    distinct crash points of a workload before killing it at each one.
+    which is how the fault sweep (:func:`~repro.faults.sweep.cells`)
+    enumerates the cells of a workload before injecting each one.
     """
 
-    def __init__(self, faults: Sequence[Fault] = (), *, seed: int = 0):
-        self.seed = seed
+    def __init__(self, faults: Sequence[Fault] = ()):
         self._pending = list(faults)
         self.events: list[FaultEvent] = []
         self.trace: list[TracePoint] = []
@@ -166,11 +145,11 @@ class FaultPlan:
         self._scope: str | None = None
         self._phase: str | None = None
         self._armed_crash_op: int | None = None
-        #: Acknowledged-but-unsynced writes: (path, offset|None, original,
-        #: scope). ``offset=None`` marks a whole-file write; ``original=None``
-        #: means the file did not exist before it. Reverted when the crash
-        #: fires, which kills the scope that wrote (``None``: unscoped).
-        self._lost_writes: list[tuple[Path, int | None, bytes | None,
+        #: Acknowledged-but-unsynced writes: (path, offset, original,
+        #: scope); ``original=None`` means the file did not exist before.
+        #: Reverted when the crash fires, which kills the scope that wrote
+        #: (``None``: unscoped).
+        self._lost_writes: list[tuple[Path, int, bytes | None,
                                       str | None]] = []
 
     # -- constructors ---------------------------------------------------------
@@ -178,24 +157,7 @@ class FaultPlan:
     @classmethod
     def crash_at(cls, op: int, *, site: str = "*", match: str = "*") -> "FaultPlan":
         """A plan that dies at exactly the ``op``-th instrumented operation."""
-        return cls([Fault(CRASH, site=site, match=match, at_op=op)], seed=op)
-
-    @classmethod
-    def seeded(cls, seed: int, n_ops: int, *,
-               kinds: Sequence[str] = (CRASH, TORN, FSYNC_LOSS),
-               site: str = "*") -> "FaultPlan":
-        """Draw one fault uniformly over ``n_ops`` operations from ``seed``.
-
-        The same ``(seed, n_ops)`` pair always yields the same fault — the
-        contract that makes a failed CI chaos seed reproducible locally.
-        """
-        if n_ops < 1:
-            raise ConfigError("seeded plans need n_ops >= 1")
-        rng = random.Random(seed)
-        kind = rng.choice(list(kinds))
-        fault = Fault(kind, site=site, at_op=rng.randrange(n_ops),
-                      offset=rng.randrange(64), delay=1 + rng.randrange(4))
-        return cls([fault], seed=seed)
+        return cls([Fault(CRASH, site=site, match=match, at_op=op)])
 
     # -- state ----------------------------------------------------------------
 
@@ -203,16 +165,6 @@ class FaultPlan:
     def ops_seen(self) -> int:
         """Instrumented operations visited so far."""
         return self._op
-
-    @property
-    def pending(self) -> tuple[Fault, ...]:
-        """Faults not yet fired."""
-        return tuple(self._pending)
-
-    @property
-    def crashed(self) -> bool:
-        """Whether any scope has an unacknowledged simulated crash."""
-        return bool(self._crashed_scopes)
 
     @property
     def crashed_scopes(self) -> tuple[str | None, ...]:
@@ -262,16 +214,13 @@ class FaultPlan:
         """Undo acknowledged-but-unsynced writes — the page cache just died."""
         for path, offset, original, _scope in self._lost_writes:
             try:
-                if offset is None:
-                    if original is None:
-                        path.unlink(missing_ok=True)
-                    else:
-                        path.write_bytes(original)
+                if original is None:
+                    path.unlink(missing_ok=True)
                 else:
                     with open(path, "r+b") as handle:
                         handle.seek(offset)
-                        handle.write(original or b"")
-                        handle.truncate(offset + len(original or b""))
+                        handle.write(original)
+                        handle.truncate(offset + len(original))
             except OSError:
                 # The file moved or vanished since (e.g. an atomic rename
                 # published it); the unsynced pages travelled with it.
@@ -307,12 +256,10 @@ class FaultPlan:
             self._record(event)
             raise OSError(errno.ENOSPC,
                           f"injected: no space left on device writing {path}")
-        if fault.kind == CRASH:
-            self._die(event, "crash before write", self._scope)
-        if fault.kind == TORN:
-            handle.write(payload[:self._cut(payload, fault.offset)])
-            handle.flush()
-            self._die(event, "torn write (prefix reached disk)", self._scope)
+        if fault.kind == BITFLIP:  # corrupt one bit in flight, keep running
+            self._record(event)
+            handle.write(self._flip(payload, fault.offset))
+            return
         if fault.kind == FSYNC_LOSS:
             # Page-cache semantics: the write is acknowledged and visible to
             # every in-process reader, but the bytes are reverted when the
@@ -332,9 +279,10 @@ class FaultPlan:
             self._lost_writes.append((Path(path), pos, original, self._scope))
             self._armed_crash_op = self._op + fault.delay
             return
-        # BITFLIP: corrupt one bit in flight, keep running.
-        self._record(event)
-        handle.write(self._flip(payload, fault.offset))
+        if fault.kind == TORN:
+            handle.write(payload[:self._cut(payload, fault.offset)])
+            handle.flush()
+        self._die(event, f"{fault.kind} at write", self._scope)
 
     def filter_read(self, path: Path, raw: bytes) -> bytes:
         """Pass freshly read bytes through the plan (crash or corrupt)."""
@@ -346,41 +294,32 @@ class FaultPlan:
             self._record(event)
             return self._flip(raw, fault.offset)
         self._die(event, "crash during read", self._scope)
-        return raw  # unreachable
 
     def ledger_write(self, path: Path, text: str) -> None:
-        """Write checkpoint-ledger text, applying any matching fault."""
+        """Write checkpoint-ledger text, applying any matching fault: an
+        ``fsync-loss`` is reverted when its crash fires, a ``torn`` write
+        leaves a prefix and dies, any other kind dies before the write."""
         fault = self._visit(LEDGER, str(path))
         payload = text.encode()
         if fault is None:
             path.write_bytes(payload)
             return
         event = FaultEvent(self._op - 1, fault.kind, LEDGER, str(path))
-        if fault.kind == CRASH:
-            self._die(event, "crash before ledger write", self._scope)
-        if fault.kind == TORN:
-            path.write_bytes(payload[:self._cut(payload, fault.offset)])
-            self._die(event, "torn ledger write", self._scope)
         if fault.kind == FSYNC_LOSS:
             original = path.read_bytes() if path.exists() else None
             path.write_bytes(payload)
             self._record(event)
-            self._lost_writes.append((Path(path), None, original, self._scope))
+            self._lost_writes.append((Path(path), 0, original, self._scope))
             self._armed_crash_op = self._op + fault.delay
             return
-        if fault.kind == ENOSPC:
-            self._record(event)
-            raise OSError(errno.ENOSPC, f"injected: no space writing {path}")
-        self._record(event)
-        path.write_bytes(self._flip(payload, fault.offset))
+        if fault.kind == TORN:
+            path.write_bytes(payload[:self._cut(payload, fault.offset)])
+        self._die(event, f"{fault.kind} at ledger write", self._scope)
 
     def barrier(self, site: str, label: str) -> None:
-        """Visit a payload-less crash point (rename, phase).
-
-        Both whole-process ``crash`` and distributed ``node-crash`` kinds
-        die here: a node's sort publishes its runs through rename barriers
-        inside a node operation.
-        """
+        """Visit a payload-less crash point (rename, phase): ``crash`` and
+        ``node-crash`` die here (a node's sort publishes its runs through
+        rename barriers inside a node operation)."""
         fault = self._visit(site, label)
         if fault is not None and fault.kind in (CRASH, NODE_CRASH):
             self._die(FaultEvent(self._op - 1, fault.kind, site, label),
@@ -389,32 +328,27 @@ class FaultPlan:
     # -- node-level fault execution --------------------------------------------
 
     def deliver_message(self, src_scope: str, dst_scope: str,
-                        handler: str) -> float:
-        """Visit one active-message delivery; returns extra latency seconds.
+                        handler: str) -> None:
+        """Visit one active-message delivery.
 
         ``msg-drop`` raises :class:`~repro.errors.MessageDropped` (the
         handler never runs; the sender may retry). ``node-crash`` kills the
         *destination* node — its scope is marked crashed and
         :class:`~repro.errors.FaultInjected` unwinds to the requester, who
-        observed the peer die mid-request. ``msg-delay`` returns the extra
-        in-flight seconds for the caller to charge.
+        observed the peer die mid-request.
         """
         label = f"{src_scope}->{dst_scope}:{handler}"
         fault = self._visit(MESSAGE, label)
         if fault is None:
-            return 0.0
+            return
         event = FaultEvent(self._op - 1, fault.kind, MESSAGE, label)
         if fault.kind == MSG_DROP:
             self._record(event)
             raise MessageDropped(
                 f"injected msg-drop at op {event.op}: {label} lost in flight",
                 dst_scope)
-        if fault.kind == MSG_DELAY:
-            self._record(event)
-            return fault.seconds or DEFAULT_MSG_DELAY_S
         # NODE_CRASH: the destination process dies servicing the request.
         self._die(event, f"destination {dst_scope} died mid-request", dst_scope)
-        return 0.0  # unreachable
 
     def node_op(self, scope: str, op: str) -> None:
         """Visit one distributed node-operation boundary (may kill ``scope``)."""
@@ -464,7 +398,7 @@ def crash_pending() -> bool:
     ``finally`` blocks) consults this to leave residue behind, so recovery
     is tested against realistic post-crash state.
     """
-    return _ACTIVE is not None and _ACTIVE.crashed
+    return _ACTIVE is not None and bool(_ACTIVE._crashed_scopes)
 
 
 def clear_crash(scope: str | None = _ALL_SCOPES) -> None:
@@ -502,11 +436,10 @@ def node_op(scope: str, op: str) -> None:
         _ACTIVE.node_op(scope, op)
 
 
-def deliver_message(src_scope: str, dst_scope: str, handler: str) -> float:
-    """Visit an active-message delivery; returns injected extra latency."""
-    if _ACTIVE is None:
-        return 0.0
-    return _ACTIVE.deliver_message(src_scope, dst_scope, handler)
+def deliver_message(src_scope: str, dst_scope: str, handler: str) -> None:
+    """Visit an active-message delivery under the active plan."""
+    if _ACTIVE is not None:
+        _ACTIVE.deliver_message(src_scope, dst_scope, handler)
 
 
 def deliver_write(path: Path, payload, handle: BinaryIO) -> None:

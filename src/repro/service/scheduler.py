@@ -71,8 +71,8 @@ from ..config import ServiceConfig
 from ..core.checkpoint import content_digest
 from ..core.pipeline import Assembler
 from ..device.memory import MemoryPool
-from ..errors import (AdmissionError, FaultInjected, JobCancelled,
-                      JobDeadlineExceeded, ReproError)
+from ..errors import (AdmissionError, JobCancelled, JobDeadlineExceeded,
+                      ReproError)
 from ..faults import plan as faults
 from ..faults.retry import RetryPolicy
 from ..telemetry import EventMeter
@@ -625,12 +625,10 @@ class AssemblyService:
         except JobDeadlineExceeded as exc:
             return self._interrupted(spec, workdir, "timed_out", str(exc),
                                      start=start, attempts=attempt)
-        except FaultInjected as exc:
-            # An injected crash killed the job, not the service: clear the
-            # armed crash like the chaos harness's process restart would.
-            faults.clear_crash()
-            return self._failed(spec, workdir, exc, start, attempt)
         except (ReproError, OSError) as exc:
+            # The attempt failed, not the service: if an injected crash
+            # killed it, clear the crash like a process restart would.
+            faults.clear_crash()
             return self._failed(spec, workdir, exc, start, attempt)
         wall = time.perf_counter() - start
         self.tracer.instant("job-done", track="service",

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+import atexit
+import os
+import shutil
+import tempfile
+from collections import Counter, defaultdict
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,10 +24,46 @@ from repro.core.reduce_phase import run_reduce
 from repro.core.residency import Residency
 from repro.core.sort_phase import run_sort
 from repro.extmem import PartitionStore
+from repro.faults import sample
 from repro.seq.datasets import tiny_dataset
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.trace import pair_spans
+
+
+#: ``REPRO_SWEEP=full`` runs every cell of the three fault sweeps
+#: (``test_write_faults``, ``test_distributed_write_faults`` and
+#: ``test_service_resilience``); without it each runs its tier-1 sample.
+FULL_SWEEP = os.environ.get("REPRO_SWEEP") == "full"
+
+#: How the fault sweeps' cells ended, by module: ``clean`` (the clean
+#: run's result) or ``raised`` (a named error).
+SWEEP_OUTCOMES: defaultdict[str, Counter] = defaultdict(Counter)
+
+
+def swept(cells, fraction: float, pinned=frozenset()) -> list:
+    """The cells a sweep module runs: all of them under ``REPRO_SWEEP=full``;
+    else the seeded sample at ``fraction`` and the ``pinned`` ids (cells an
+    earlier draw put in tier-1, kept there)."""
+    if FULL_SWEEP:
+        return list(cells)
+    picked = {cell.key for cell in sample(cells, fraction)}
+    return [cell for cell in cells if cell.key in picked or cell.id in pinned]
+
+
+def probe_root(prefix: str) -> Path:
+    """A directory for a sweep's probe, which runs when the module is
+    collected (its cells are the parameters); removed at exit."""
+    root = Path(tempfile.mkdtemp(prefix=prefix))
+    atexit.register(shutil.rmtree, root, True)
+    return root
+
+
+def pytest_terminal_summary(terminalreporter):
+    for module, outcomes in sorted(SWEEP_OUTCOMES.items()):
+        terminalreporter.write_line(
+            f"{module}: {outcomes['clean']} cells with the clean result, "
+            f"{outcomes['raised']} with a named error")
 
 
 @pytest.fixture()

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import DatasetError
+from repro.faults import NODE, NODE_CRASH, Fault, FaultPlan, inject
+from repro.seq.datasets import tiny_dataset
 
 
 class TestParser:
@@ -109,6 +111,21 @@ class TestCommands:
             main(["distributed", str(empty), "--nodes", "2",
                   "--min-overlap", "20"])
         assert list(scratch.iterdir()) == []
+
+    def test_a_degraded_distributed_run_exits_0(self, tmp_path, capsys):
+        """A partition that no node can reduce is dropped: the survivors
+        finish, the summary says what the output is missing, and the run
+        exits 0."""
+        md, _ = tiny_dataset(tmp_path, genome_length=600, read_length=36,
+                             coverage=8.0, min_overlap=24, seed=7)
+        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="*:reduce[[]30]",
+                                once=False)])
+        with inject(plan):
+            assert main(["distributed", str(md.store_path), "--nodes", "3",
+                         "--min-overlap", "24"]) == 0
+        out = capsys.readouterr().out
+        assert "DEGRADED RUN: 1 partition(s) dropped" in out
+        assert "overlap lengths [30]" in out
 
     def test_figures(self, capsys):
         assert main(["figures"]) == 0

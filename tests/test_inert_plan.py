@@ -4,8 +4,8 @@ The fault layer observes the one program; it never selects another. A run
 under an empty ``FaultPlan`` must therefore be the unarmed run exactly: the
 same modeled seconds, every telemetry counter and peak but the plan's own
 ``fault_ops``, the same sorted runs held in host memory, and the same bytes
-in every workdir file and contig. This is what makes the crash loop and the
-chaos sweeps a test of the program the benchmark measures.
+in every workdir file and contig. This is what makes the fault sweeps a
+test of the program the benchmark measures.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.core.residency import Residency
 from repro.device.memory import MemoryPool
 from repro.distributed import DistributedAssembler
+from repro.errors import ConfigError
 from repro.extmem import ExternalSorter
 from repro.faults import FaultPlan, inject
 from repro.faults.plan import MESSAGE, MSG_DROP, Fault
@@ -147,3 +148,36 @@ def test_a_pull_retried_in_place_starts_its_partition_again(tiny_md):
     assert retried.reduce_report == clean.reduce_report
     assert retried.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2])
+def test_a_sort_block_that_cannot_fit_is_refused_before_it_is_needed(
+        tiny_md, tmp_path, n_nodes):
+    """An explicit ``host_block_pairs`` of 2,000 with 2 lanes asks 40,000 B
+    of each sort once the partitions outgrow it. 36 kB cannot hold that
+    at all: the run stops before it maps. 40 kB holds it, but not beside
+    the 8,200 B graph: the run stops after ``P_L``, before it maps an
+    overlap length, not in the next sort. 56 kB holds both."""
+    def config(host_kb: int) -> AssemblyConfig:
+        return AssemblyConfig(
+            min_overlap=MIN_OVERLAP, fingerprint_lanes=2,
+            host_block_pairs=2000,
+            memory=MemoryConfig(host_kb * 1000, 16_000, name="explicit"))
+
+    def assemble(host_kb: int, workdir):
+        if n_nodes == 1:
+            return Assembler(config(host_kb)).assemble(tiny_md.store_path,
+                                                       workdir=workdir)
+        return DistributedAssembler(config(host_kb), n_nodes).assemble(
+            tiny_md.store_path, workdir=workdir)
+
+    with pytest.raises(ConfigError, match=r"sort block of 40,000 B does "
+                       r"not fit in 36,000 B of host memory"):
+        assemble(36, tmp_path / "36")
+    assert not list((tmp_path / "36").rglob("*.run"))
+    with pytest.raises(ConfigError, match=r"sort block of 40,000 B beside "
+                       r"the 8,200 B string graph does not fit in 40,000 B"):
+        assemble(40, tmp_path / "40")
+    written = {path.name for path in (tmp_path / "40").rglob("*.run")}
+    assert written and all(name.startswith("P_00050") for name in written)
+    assert assemble(56, tmp_path / "56").contigs.n_contigs > 0

@@ -1,32 +1,35 @@
 """The service failure ladder: retries, deadlines, cancel, failover, drain.
 
-Every scenario here is deterministic on the simulated clock: the chaos
-sweep injects crashes and ENOSPC *inside job bodies* at seeded operation
-indices, and the same seed must reproduce the same statuses, errors and
-counters run after run — with retried jobs converging to byte-identical
-contigs via the checkpoint ledger.
+Every scenario here is deterministic on the simulated clock. The chaos
+sweep (:mod:`repro.faults.sweep`) injects one fault at one cell of a clean
+service run's probe: every operation of its job bodies, with each kind
+its site takes. A fault that kills an attempt is retried once, which
+resumes from the checkpoint ledger; every cell must end with every job's
+byte-identical contigs or with a job failed on a named error, and the
+same cell must reproduce the same statuses, errors and counters run after
+run. The cells are the probe's, taken when the module is collected.
+Tier-1 runs a fixed seeded sample; ``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig, ServiceConfig
-from repro.faults import ENOSPC, WRITE, Fault, FaultPlan, inject, scan_residue
+from repro.faults import (FSYNC_LOSS, FaultPlan, cells, inject, run_cell,
+                          scan_residue)
 from repro.faults.retry import RetryPolicy
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.service import AssemblyService, JobSpec
 from repro.trace import NullTracer, SpanTracer, pair_spans
 
-from .conftest import spans_by_name
-
-#: Seeds the chaos sweep runs; each draws its own crash/ENOSPC op index.
-CHAOS_SEEDS = [11, 23, 47]
+from .conftest import SWEEP_OUTCOMES, probe_root, spans_by_name, swept
 
 MIN_OVERLAP = 20
+#: The tier-1 sample's share of the chaos sweep's cells.
+FRACTION = 1 / 50
 
 
 def _write_reads(path, seed, *, genome_length=400):
@@ -90,60 +93,62 @@ def _goldens(report):
     return {o.spec.job_id: o.contig_bytes() for o in report.outcomes}
 
 
-# -- the tentpole: seeded chaos sweep with bounded retry -----------------------
+# -- the chaos sweep: a fault at every cell of the job bodies -------------------
 
 
-def _probe_ops(tmp_path, sources):
-    """Trace of every instrumented op in the whole clean service run."""
-    plan = FaultPlan()
-    service = _service(tmp_path, "probe")
+def _chaos_specs(root):
     config = _job_config()
-    specs = [JobSpec(f"job{i}", f"t{i % 2}", src, config)
-             for i, src in enumerate(sources)]
-    with inject(plan):
-        report = service.run_jobs(specs)
-    assert report.n_done == len(specs)
-    return plan.trace, _goldens(report)
+    return [JobSpec(f"job{i}", f"t{i % 2}",
+                    _write_reads(root / f"reads{i}.fastq", seed=300 + i),
+                    config)
+            for i in range(3)]
 
 
-@pytest.mark.parametrize("seed", CHAOS_SEEDS)
-@pytest.mark.parametrize("kind", ["crash", "enospc"])
-def test_chaos_sweep_retries_to_byte_identical_results(
-        tmp_path, sources, seed, kind):
+def _chaos_run(root, name):
+    """One run of the sweep's three jobs; an attempt a fault killed is
+    retried once."""
+    return _service(root, name, job_max_attempts=2).run_jobs(CHAOS_SPECS)
+
+
+CHAOS_ROOT = probe_root("service-chaos-")
+CHAOS_SPECS = _chaos_specs(CHAOS_ROOT)
+_PROBE = FaultPlan()
+with inject(_PROBE):
+    _CLEAN = _chaos_run(CHAOS_ROOT, "probe")
+CHAOS_SWEPT = swept(cells(_PROBE.trace, root=CHAOS_ROOT / "probe"), FRACTION)
+
+
+@pytest.mark.parametrize("cell", CHAOS_SWEPT,
+                         ids=[cell.id for cell in CHAOS_SWEPT])
+def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     """A fault inside a job body is retried and converges byte-for-byte."""
-    trace, goldens = _probe_ops(tmp_path, sources)
-    assert len(trace) > 25
-    # An ENOSPC only fires on write hooks; a crash can land on any op.
-    candidates = [t.op for t in trace if kind == "crash" or t.site == WRITE]
-    op = random.Random(seed).choice(candidates)
-    config = _job_config()
-    specs = [JobSpec(f"job{i}", f"t{i % 2}", src, config)
-             for i, src in enumerate(sources)]
-
-    def faulted_run(name):
-        plan = FaultPlan.crash_at(op) if kind == "crash" else FaultPlan(
-            [Fault(ENOSPC, site=WRITE, at_op=op)], seed=op)
-        service = _service(tmp_path, name, job_max_attempts=3)
-        with inject(plan):
-            report = service.run_jobs(specs)
-        assert plan.events, f"op {op} never fired"
-        return report
-
-    report = faulted_run(f"chaos-{kind}-{seed}-a")
-    # The fault is once-armed: exactly one attempt dies, its retry resumes
-    # from the checkpoint ledger and every job converges to the golden.
-    assert report.n_done == len(specs)
-    assert report.counters["job_retries"] == 1
-    assert report.counters["job_attempts_failed"] == 1
-    assert report.counters["retry_backoff_sim_s"] > 0
-    assert _goldens(report) == goldens
+    assert _CLEAN.n_done == len(CHAOS_SPECS)
+    plan, report = run_cell(cell, lambda: _chaos_run(tmp_path, "a"))
+    assert plan.events, f"{cell.key} never fired"
+    if report is None or report.n_done < len(CHAOS_SPECS):
+        assert report is None or all(
+            o.error for o in report.outcomes if not o.ok), cell.key
+        SWEEP_OUTCOMES[__name__]["raised"] += 1
+        return
+    assert _goldens(report) == _goldens(_CLEAN), cell.key
+    # An fsync-loss kills its writer only if the run lasts ``delay`` more
+    # operations. A killed attempt is the one retry; its retry resumes
+    # from the checkpoint ledger.
+    killed = cell.kind != FSYNC_LOSS or len(plan.events) == 2
+    counters = report.counters
+    assert counters.get("job_retries", 0) == killed, cell.key
+    assert counters.get("job_attempts_failed", 0) == killed, cell.key
     retried = [o for o in report.outcomes if o.attempts == 2]
-    assert len(retried) == 1 and retried[0].error_chain
-    # Same seed, fresh service: byte-identical statuses, errors, counters.
-    again = faulted_run(f"chaos-{kind}-{seed}-b")
+    assert len(retried) == killed, cell.key
+    if killed:
+        assert counters["retry_backoff_sim_s"] > 0
+        assert retried[0].error_chain
+    # The same cell, fresh service: byte-identical statuses, errors, counters.
+    _, again = run_cell(cell, lambda: _chaos_run(tmp_path, "b"))
     assert _statuses(again) == _statuses(report)
     assert again.counters == report.counters
-    assert _goldens(again) == goldens
+    assert _goldens(again) == _goldens(_CLEAN)
+    SWEEP_OUTCOMES[__name__]["clean"] += 1
 
 
 def test_retry_backoff_follows_the_seeded_policy(tmp_path):

@@ -164,7 +164,7 @@ def test_chaos_seed_against_the_cache(tmp_path, traffic):
     """A bitflip on a cache write degrades to recompute, never wrong bytes."""
     baseline = _run(tmp_path, traffic, "baseline", cache=False)
     plan = FaultPlan([Fault(BITFLIP, site=WRITE, match=f"*{FILES_DIR}*",
-                            once=False)], seed=MIX.seed)
+                            once=False)])
     with inject(plan):
         damaged = _run(tmp_path, traffic, "damaged")
     assert plan.events, "the chaos seed never fired"

@@ -1,128 +1,137 @@
-"""Write faults on a single node: resumed to the clean run, or a named error.
+"""Faults on a single node: resumed to the clean run, or a named error.
 
-The sweep runs ``Assembler.assemble(resume=True)`` and injects one fault at
-one WRITE operation of its clean probe: ``crash``, ``torn`` (a 5-byte
-prefix, not a whole record, reaches the disk) or ``fsync-loss`` (the write
-is acknowledged, then lost when the run dies ``delay`` operations later,
-wherever it is by then). A run the fault killed is resumed once on the
-same workdir. Every cell must end with the clean run's contigs and
-reports, or raise a named :class:`~repro.errors.ReproError`. The banded
-map writes a band's partitions while reduce is under way, so these cells
-are what hold the resume rule of ``Assembler._graph`` to account. The
-host budget is one that keeps every band's partitions on disk (a roomy
-one keeps the later bands in host memory, and they have no write to
-fault: ``tests/test_lazy_schedule.py::TestBandsInHostMemory``), and its
-256-record sort blocks make the longer lengths' sorts spill (several
-runs, merged) while the shorter lengths' runs are held and never
-written: a resume finds the first on disk, vouched for by the ledger,
-and maps and sorts the second again. Tier-1
-runs a fixed seeded sample of the cells, ``P_L``'s writes among them;
-``REPRO_WRITE_SWEEP=full`` (as CI's ``distributed-chaos`` job sets it)
-runs every WRITE op with ``crash``, ``torn`` and ``fsync-loss`` at delays
-1, 4, 16 and 64.
+The sweep (:mod:`repro.faults.sweep`) runs
+``Assembler.assemble(resume=True)`` under one fault at one cell of its
+clean probe: every WRITE, READ, LEDGER, RENAME and PHASE operation, with
+each kind its site takes: ``crash``, ``torn`` (a 5-byte prefix, not a
+whole record, reaches the disk), ``enospc`` (the disk is full) or
+``fsync-loss`` (the write is acknowledged, then lost when the run dies 1,
+4, 16 or 64 operations later, wherever it is by then). A run the fault
+killed is resumed once on the same workdir. Every cell must end with the
+clean run's result (an equal digest, a converged ledger and no residue)
+or raise a named :class:`~repro.errors.ReproError`.
+
+It runs on two budgets. ``incore`` is the default budget: the run holds
+its packed store, every band and every sorted run in host memory, and
+writes the store only. ``cramped`` keeps every band's partitions on disk,
+and its 256-record sort blocks make the longer lengths' sorts spill
+(several runs, merged) while the shorter lengths' runs are held and never
+written: a resume finds the first on disk, vouched for by the ledger, and
+maps and sorts the second again. The banded map writes a band's
+partitions while reduce is under way, so these cells are what hold the
+resume rule of ``Assembler._graph`` to account.
+
+The cells are the probe's, taken when the module is collected. Tier-1
+runs a fixed seeded sample and the cells an earlier draw put in tier-1
+(``P_L``'s writes among them); ``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
 
-import os
-import random
-
 import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.errors import FaultInjected, ReproError
-from repro.faults import (CRASH, FSYNC_LOSS, TORN, WRITE, Fault, FaultPlan,
-                          inject, result_digest, scan_residue)
+from repro.faults import (WRITE, FaultPlan, cells, inject, ledger_converged,
+                          result_digest, run_cell, sample, scan_residue)
 from repro.seq.datasets import tiny_dataset
 
-MIN_OVERLAP = 20
+from .conftest import SWEEP_OUTCOMES, probe_root, swept
+
 READ_LENGTH = 36
-#: 2 packed-store writes, 33 unsorted partition writes (``P_L``, then 16
-#: lengths in bands of 1, 4 and 11) and 23 writes of the sorts that spill
-#: (their runs and merges); the other 26 sorted runs are held.
-N_WRITES = 58
+CONFIGS = {
+    "cramped": AssemblyConfig(min_overlap=20, seed=7,
+                              memory=MemoryConfig(40_000, 16_000,
+                                                  name="cramped"),
+                              host_block_pairs=256),
+    "incore": AssemblyConfig(min_overlap=24, seed=7),
+}
+#: ``cramped``: 2 packed-store writes, 33 unsorted partition writes
+#: (``P_L``, then 16 lengths in bands of 1, 4 and 11) and 23 writes of
+#: the sorts that spill (their runs and merges); the other 26 sorted runs
+#: are held. ``incore`` writes the packed store only.
+N_WRITES = {"cramped": 58, "incore": 2}
 N_PARTITION_WRITES = 33
 N_SORT_WRITES = 23
-HOST_BLOCK_PAIRS = 256
-TORN_OFFSET = 5
-
-CELLS = [(index, kind, delay) for index in range(N_WRITES)
-         for kind, delays in ((CRASH, (1,)), (TORN, (1,)),
-                              (FSYNC_LOSS, (1, 4, 16, 64)))
-         for delay in delays]
-SAMPLE_SIZE = 32
-SAMPLE_SEED = 7
-#: The whole-read partition's writes: ``P_L``'s map, then its sort's first run.
-P_L_WRITES = (2, 3)
-
-
-def _sample(cells) -> list:
-    """The tier-1 sample: a seeded draw from every write's cells, and one
-    cell of each of ``P_L``'s writes. The draw over the first writes does
-    not move when writes are added after them."""
-    rng = random.Random(SAMPLE_SEED)
-    drawn = set(rng.sample(cells, SAMPLE_SIZE))
-    for index in P_L_WRITES:
-        drawn.add(rng.choice([cell for cell in cells if cell[0] == index]))
-    return sorted(drawn)
+#: The tier-1 sample's share of each budget's cells.
+FRACTIONS = {"cramped": 1 / 100, "incore": 1 / 8}
+#: ``cramped`` cells an earlier draw put in tier-1.
+PINNED = frozenset("""
+    w002-crash-d1 w003-torn-d1 w004-crash-d1 w004-fsync-loss-d64
+    w005-crash-d1 w005-fsync-loss-d64 w005-torn-d1 w006-torn-d1
+    w007-fsync-loss-d16 w007-fsync-loss-d1 w008-crash-d1 w010-fsync-loss-d4
+    w012-fsync-loss-d64 w018-torn-d1 w019-crash-d1 w020-fsync-loss-d4
+    w027-fsync-loss-d4 w031-torn-d1 w033-fsync-loss-d16 w033-fsync-loss-d64
+    w035-fsync-loss-d16 w036-torn-d1 w037-crash-d1 w043-torn-d1
+    w045-fsync-loss-d16 w047-crash-d1 w048-torn-d1 w049-fsync-loss-d16
+    w049-fsync-loss-d64 w049-torn-d1 w053-fsync-loss-d16 w053-fsync-loss-d4
+    w055-fsync-loss-d4""".split())
 
 
-SWEPT = CELLS if os.environ.get("REPRO_WRITE_SWEEP") == "full" \
-    else _sample(CELLS)
+def _assemble(budget: str, workdir):
+    return Assembler(CONFIGS[budget]).assemble(DATA.store_path,
+                                               workdir=workdir, resume=True)
 
 
-def _config() -> AssemblyConfig:
-    return AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
-                          memory=MemoryConfig(40_000, 16_000, name="cramped"),
-                          host_block_pairs=HOST_BLOCK_PAIRS)
+def _probe(budget: str):
+    """The clean run of ``budget``, its probe's trace and cells."""
+    workdir = ROOT / budget
+    plan = FaultPlan()
+    with inject(plan):
+        clean = _assemble(budget, workdir)
+    return clean, plan.trace, cells(plan.trace, root=workdir)
 
 
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    """The dataset, the clean run and the WRITE points of its probe."""
-    root = tmp_path_factory.mktemp("write-faults")
-    md, _ = tiny_dataset(root, genome_length=600, read_length=READ_LENGTH,
-                         coverage=8.0, min_overlap=MIN_OVERLAP, seed=7)
-    probe = FaultPlan()
-    with inject(probe):
-        clean = Assembler(_config()).assemble(md.store_path,
-                                              workdir=root / "probe",
-                                              resume=True)
-    writes = [point for point in probe.trace if point.site == WRITE]
-    assert len(writes) == N_WRITES
+ROOT = probe_root("write-faults-")
+DATA, _ = tiny_dataset(ROOT, genome_length=600, read_length=READ_LENGTH,
+                       coverage=8.0, min_overlap=20, seed=7)
+PROBES = {budget: _probe(budget) for budget in CONFIGS}
+SWEPT = [(budget, cell) for budget, (_, _, all_cells) in PROBES.items()
+         for cell in swept(all_cells, FRACTIONS[budget],
+                           PINNED if budget == "cramped" else ())]
+
+
+def test_the_budgets_write_what_the_sweep_assumes():
+    writes = {budget: [point for point in trace if point.site == WRITE]
+              for budget, (_, trace, _) in PROBES.items()}
+    assert {budget: len(points) for budget, points in writes.items()} \
+        == N_WRITES
+    assert all(point.path.endswith(".lsgr") for point in writes["incore"])
+    cramped = writes["cramped"]
+    # The packed store, then ``P_L``'s partition and its sort's first run.
+    assert all(f"P_{READ_LENGTH:05d}" in point.path for point in cramped[2:4])
     # The bands' partition writes fall between earlier bands' sorts.
-    maps = [i for i, point in enumerate(writes) if point.phase == "map"]
+    maps = [i for i, point in enumerate(cramped) if point.phase == "map"]
     assert len(maps) == N_PARTITION_WRITES
     assert maps != list(range(maps[0], maps[0] + len(maps)))
-    assert sum(".sorted.run" in point.path for point in writes) \
+    assert sum(".sorted.run" in point.path for point in cramped) \
         == N_SORT_WRITES
-    assert 0 < clean.telemetry["reduce"].counters["sorted_runs_held"] \
-        < N_PARTITION_WRITES
-    assert all(f"P_{READ_LENGTH:05d}" in writes[index].path
-               for index in P_L_WRITES)
-    return md, clean, writes
+    assert 0 < PROBES["cramped"][0].telemetry["reduce"].counters[
+        "sorted_runs_held"] < N_PARTITION_WRITES
 
 
-@pytest.mark.parametrize("index, kind, delay", SWEPT,
-                         ids=[f"w{i:03d}-{k}-d{d}" for i, k, d in SWEPT])
-def test_a_write_fault_resumes_or_raises(sweep, tmp_path, index, kind, delay):
-    md, clean, writes = sweep
-    point = writes[index]
+def test_appending_cells_leaves_earlier_picks_unchanged():
+    """Each cell's membership is its own: a sample of a sweep grown by
+    more cells is the sample of what it was, and of what was added."""
+    cramped, incore = PROBES["cramped"][2], PROBES["incore"][2]
+    for head in (cramped[:len(cramped) // 3], cramped):
+        assert sample(head + incore, 0.1) \
+            == sample(head, 0.1) + sample(incore, 0.1)
+
+
+@pytest.mark.parametrize(
+    "budget, cell", SWEPT,
+    ids=[cell.id if budget == "cramped" else f"{budget}-{cell.id}"
+         for budget, cell in SWEPT])
+def test_a_write_fault_resumes_or_raises(tmp_path, budget, cell):
+    clean = PROBES[budget][0]
     workdir = tmp_path / "w"
-    plan = FaultPlan([Fault(kind, site=WRITE, at_op=point.op, delay=delay,
-                            offset=TORN_OFFSET)])
-    try:
-        with inject(plan):
-            result = Assembler(_config()).assemble(md.store_path,
-                                                   workdir=workdir, resume=True)
-    except FaultInjected:
-        try:
-            result = Assembler(_config()).assemble(md.store_path,
-                                                   workdir=workdir, resume=True)
-        except ReproError:
-            return  # a named error, not a silent wrong assembly
-    assert plan.events, f"{kind} at op {point.op} never fired"
+    plan, result = run_cell(cell, lambda: _assemble(budget, workdir))
+    assert plan.events, f"{cell.key} never fired"
+    if result is None:
+        SWEEP_OUTCOMES[__name__]["raised"] += 1
+        return
     assert result_digest(result) == result_digest(clean), \
-        f"{kind} (delay {delay}) at op {point.op} ({point.path}) " \
-        "changed the result"
-    assert scan_residue(workdir) == []
+        f"{cell.key} changed the result"
+    assert ledger_converged(workdir), cell.key
+    assert scan_residue(workdir) == [], cell.key
+    SWEEP_OUTCOMES[__name__]["clean"] += 1
