@@ -63,9 +63,8 @@ class RunContext:
         #: from host memory and how many off the disk).
         self.events = EventMeter()
         self.telemetry.register(self.events)
-        # Under chaos injection, fault events show up as per-phase counters
-        # (faults_injected, fault_ops, …) so benchmarks can report which
-        # phase absorbed the failures and what recovery cost.
+        # Under fault injection, the operations each phase visited show up
+        # as a per-phase counter (fault_ops).
         fault_plan = faults.active_plan()
         if fault_plan is not None:
             self.telemetry.register(fault_plan.meter)

@@ -23,9 +23,8 @@ code asks whether one is armed):
 Plans are values: the same schedule reproduces the same faults at the
 same operations, which is what lets a failed sweep cell from CI be
 replayed locally (:mod:`repro.faults.sweep`). Every injected event is
-recorded on the plan and exposed through a
-:class:`~repro.telemetry.EventMeter`, so per-phase telemetry reports how
-many faults each phase absorbed.
+recorded on the plan's ``events``; its :class:`~repro.telemetry.EventMeter`
+counts the operations each phase visited (``fault_ops``).
 """
 
 from __future__ import annotations
@@ -207,8 +206,6 @@ class FaultPlan:
 
     def _record(self, event: FaultEvent) -> None:
         self.events.append(event)
-        self.meter.bump("faults_injected")
-        self.meter.bump(f"faults_{event.kind.replace('-', '_')}")
 
     def _revert_lost_writes(self) -> None:
         """Undo acknowledged-but-unsynced writes — the page cache just died."""

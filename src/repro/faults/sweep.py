@@ -10,9 +10,11 @@ cell per distinct behaviour of the kinds its site takes, and
 (:class:`~repro.errors.FaultInjected`, or the ``OSError(ENOSPC)`` of a
 full disk), it is resumed once, unarmed; the cell then ends with the clean
 run's result or a named :class:`~repro.errors.ReproError`, nothing else.
-On a single node the clean result is an equal :func:`result_digest`, a
-converged ledger (:func:`ledger_converged`) and no residue
-(:func:`scan_residue`). Tier-1 runs a fixed :func:`sample` of the cells.
+The sweeps pass only the first (every cell recovers) and count a named
+error apart. On a single node the clean result is an equal
+:func:`result_digest`, a converged ledger (:func:`ledger_converged`) and
+no residue (:func:`scan_residue`). Tier-1 runs a fixed :func:`sample` of
+the cells.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,6 +61,8 @@ _SITE_TAGS = {WRITE: "w", READ: "r", LEDGER: "l", RENAME: "n", PHASE: "p",
 
 #: Payload bytes a ``torn`` write leaves on disk (not a whole record).
 TORN_OFFSET = 5
+#: The seed of the tier-1 sample's hash (:func:`sample`).
+_SAMPLE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -82,18 +87,20 @@ class Cell:
                                 offset=TORN_OFFSET)])
 
 
-def cells(trace: Iterable[TracePoint], *, root: str | Path = "",
-          sites: Sequence[str] = tuple(_SITE_KINDS)) -> list[Cell]:
-    """The cells of a probe's ``trace`` at ``sites``: each point with each
-    kind its site takes, at each of that kind's delays. ``root`` is the
-    probe's workdir, which paths are named relative to."""
-    prefix = f"{root}/" if str(root) else ""
+def cells(trace: Iterable[TracePoint], root: str | Path,
+          sites: Sequence[str] | None = None) -> list[Cell]:
+    """The cells of a probe's ``trace``: each point at ``sites`` (all the
+    sweep knows by default) with each kind its site takes, at each of that
+    kind's delays. ``root`` is the probe's workdir: a file is named
+    relative to it (its input too, outside it), so no key holds the name
+    of a temporary directory and the sample is the same in every run."""
     seen: Counter = Counter()
     out = []
     for point in trace:
-        if point.site not in sites:
+        if point.site not in (_SITE_KINDS if sites is None else sites):
             continue
-        name = point.path.removeprefix(prefix)
+        name = os.path.relpath(point.path, root) \
+            if os.path.isabs(point.path) else point.path
         here = f"{point.site}:{name}#{seen[point.site, name]}"
         tag = f"{_SITE_TAGS[point.site]}{seen[point.site]:03d}"
         seen[point.site, name] += 1
@@ -105,38 +112,39 @@ def cells(trace: Iterable[TracePoint], *, root: str | Path = "",
     return out
 
 
-def sample(all_cells: Iterable[Cell], fraction: float, *,
-           seed: int = 7) -> list[Cell]:
+def sample(all_cells: Iterable[Cell], fraction: float) -> list[Cell]:
     """The cells whose seeded hash of their :attr:`~Cell.key` falls below
     ``fraction``. Membership is each cell's own, so cells added to a
     sweep never move the earlier picks."""
     bound = fraction * 2 ** 64
     return [cell for cell in all_cells
             if int.from_bytes(hashlib.sha256(
-                f"{seed}:{cell.key}".encode()).digest()[:8], "big") < bound]
+                f"{_SAMPLE_SEED}:{cell.key}".encode()).digest()[:8],
+                "big") < bound]
 
 
 def run_cell(cell: Cell, run: Callable[[], object]):
     """The outcome rule for one cell: ``run()`` under its fault and, if
     the fault killed it, once more unarmed (the resume).
 
-    Returns the plan (what fired is on its ``events``) and the result to
-    compare with the clean run's, or ``None`` for a named
-    :class:`~repro.errors.ReproError`. Any other exception fails the cell.
+    Returns the plan (what fired is on its ``events``), then the result to
+    compare with the clean run's and ``None``, or ``None`` and the named
+    :class:`~repro.errors.ReproError` the cell ended with. Any other
+    exception fails the cell.
     """
     plan = cell.plan()
     try:
         try:
             with inject(plan):
-                return plan, run()
+                return plan, run(), None
         except FaultInjected:
             pass
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
-        return plan, run()
-    except ReproError:
-        return plan, None
+        return plan, run(), None
+    except ReproError as exc:
+        return plan, None, exc
 
 
 def result_digest(result: AssemblyResult) -> str:

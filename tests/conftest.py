@@ -24,7 +24,7 @@ from repro.core.reduce_phase import run_reduce
 from repro.core.residency import Residency
 from repro.core.sort_phase import run_sort
 from repro.extmem import PartitionStore
-from repro.faults import sample
+from repro.faults import FaultPlan, cells, inject, sample
 from repro.seq.datasets import tiny_dataset
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
@@ -41,19 +41,68 @@ FULL_SWEEP = os.environ.get("REPRO_SWEEP") == "full"
 SWEEP_OUTCOMES: defaultdict[str, Counter] = defaultdict(Counter)
 
 
-def swept(cells, fraction: float, pinned=frozenset()) -> list:
-    """The cells a sweep module runs: all of them under ``REPRO_SWEEP=full``;
-    else the seeded sample at ``fraction`` and the ``pinned`` ids (cells an
-    earlier draw put in tier-1, kept there)."""
-    if FULL_SWEEP:
-        return list(cells)
-    picked = {cell.key for cell in sample(cells, fraction)}
-    return [cell for cell in cells if cell.key in picked or cell.id in pinned]
+class Probe:
+    """A sweep module's clean run, taken when the module is collected (its
+    cells are the sweep's parameters): ``run(workdir)`` under an empty
+    plan, its result, trace and cells at ``sites``.
+
+    A probe that raises does not fail the module's collection, which would
+    take the module's other tests down with it: its cells are one ``None``,
+    and ``clean`` and ``trace`` raise the probe's error in each test that
+    reads them.
+    """
+
+    def __init__(self, run, workdir: Path, sites=None):
+        plan = FaultPlan()
+        try:
+            with inject(plan):
+                self._clean, self._error = run(workdir), None
+        except Exception as exc:
+            self._clean, self._error = None, exc
+        self._trace = plan.trace
+        self.failed = self._error is not None
+        self.cells = [None] if self.failed else cells(plan.trace, workdir,
+                                                      sites)
+
+    @property
+    def clean(self):
+        if self.failed:
+            raise self._error
+        return self._clean
+
+    @property
+    def trace(self) -> list:
+        if self.failed:
+            raise self._error
+        return self._trace
+
+
+def swept(probe: Probe, fraction: float, pinned=frozenset()) -> list:
+    """The cells a sweep module runs: all of them under ``REPRO_SWEEP=full``
+    (or the ``None`` of a failed probe); else the seeded sample at
+    ``fraction`` and the cells whose key is ``pinned``."""
+    if FULL_SWEEP or probe.failed:
+        return probe.cells
+    picked = {cell.key for cell in sample(probe.cells, fraction)} | pinned
+    return [cell for cell in probe.cells if cell.key in picked]
+
+
+def cell_id(cell) -> str:
+    """A sweep cell's test id (``probe`` for a failed probe's ``None``)."""
+    return "probe" if cell is None else cell.id
+
+
+def named_error(module: str, cell, error) -> None:
+    """Count a cell of ``module`` that ended with a named ``error`` and
+    fail it. Every cell of the three sweeps resumes to the clean result,
+    and the one named error a sweep has met (a cluster rerun's
+    ``StreamProtocolError``) was a fault of recovery, not a refusal."""
+    SWEEP_OUTCOMES[module]["raised"] += 1
+    pytest.fail(f"{cell.key} ended with a named error: {error}")
 
 
 def probe_root(prefix: str) -> Path:
-    """A directory for a sweep's probe, which runs when the module is
-    collected (its cells are the parameters); removed at exit."""
+    """A directory for a sweep's probe; removed at exit."""
     root = Path(tempfile.mkdtemp(prefix=prefix))
     atexit.register(shutil.rmtree, root, True)
     return root

@@ -1,4 +1,4 @@
-"""Faults on cluster nodes: recovered or raised, never silent.
+"""Faults on cluster nodes: every one recovered, none silent.
 
 The sweep (:mod:`repro.faults.sweep`) runs a 2-node assembly on the
 ``cramped`` budget (40 kB host: the run is not in-core, so every round's
@@ -18,11 +18,11 @@ again) and injects one fault at one cell of its clean probe:
   ``node-crash`` (the destination dies mid-request).
 
 A run the fault killed is run once more on the same workdir. Every cell
-must return the clean run's contigs with no degraded report, or raise a
-named :class:`~repro.errors.ReproError`. The cells are the probe's, taken
-when the module is collected. Tier-1 runs a fixed seeded sample and the
-cells an earlier draw put in tier-1 (``P_L``'s writes among them);
-``REPRO_SWEEP=full`` runs every cell.
+must return the clean run's contigs with no degraded report; a cell that
+ends with a named :class:`~repro.errors.ReproError` instead is counted
+apart, and fails. The cells are the probe's, taken when the module is
+collected. Tier-1 runs a fixed seeded sample and the cells pinned by key
+(:data:`PINNED`); ``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import pytest
 from repro.config import AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler
 from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, NODE, TORN, WRITE,
-                          Fault, FaultPlan, cells, inject, run_cell)
+                          Fault, FaultPlan, inject, run_cell)
 from repro.faults.sweep import TORN_OFFSET
 from repro.seq.datasets import tiny_dataset
 
-from .conftest import SWEEP_OUTCOMES, probe_root, swept
+from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
+                       probe_root, swept)
 
 READ_LENGTH = 36
 N_NODES = 2
@@ -54,18 +55,45 @@ N_SEALED_WRITES = 2
 IN_PLACE = ("map-round", "pull", "sort", "reduce")
 #: The tier-1 sample's share of the cells.
 FRACTION = 1 / 300
-#: Cells an earlier draw put in tier-1.
-PINNED = frozenset("""
-    w000-crash-d1 w001-torn-d1 w002-crash-d1 w003-fsync-loss-d16
-    w006-fsync-loss-d1 w008-torn-d1 w009-fsync-loss-d64 w010-crash-d1
-    w010-fsync-loss-d4 w011-fsync-loss-d64 w012-fsync-loss-d1
-    w014-fsync-loss-d16 w015-fsync-loss-d1 w016-crash-d1 w021-crash-d1
-    w025-fsync-loss-d16 w036-fsync-loss-d4 w038-crash-d1 w041-crash-d1
-    w055-torn-d1 w062-fsync-loss-d1 w067-fsync-loss-d16 w067-fsync-loss-d1
-    w071-fsync-loss-d1 w072-fsync-loss-d1 w074-crash-d1 w086-fsync-loss-d4
-    w091-fsync-loss-d1 w094-crash-d1 w096-fsync-loss-d4 w098-fsync-loss-d1
-    w099-fsync-loss-d1 w099-fsync-loss-d64 w107-crash-d1 w107-fsync-loss-d4
-    w111-crash-d1""".split())
+#: Cells an earlier draw put in tier-1 (``P_L``'s writes among them), by
+#: key.
+PINNED = frozenset(f"write:{name}" for name in """
+    node00/map_parts/peer00/P_00036.run#0:crash:1
+    node01/map_parts/peer01/P_00036.run#0:torn:1
+    node00/partitions/P_00036.run#0:crash:1
+    node00/partitions/P_00036.sorted.run.scratch/run_00000.run#0:fsync-loss:16
+    node00/partitions/P_00036.sorted.run.scratch/merge_000_00000.run#0:fsync-loss:1
+    node00/map_parts/peer00/P_00034.run#0:torn:1
+    node00/map_parts/peer00/S_00034.run#0:fsync-loss:64
+    node00/map_parts/peer00/P_00035.run#0:crash:1
+    node00/map_parts/peer00/P_00035.run#0:fsync-loss:4
+    node00/map_parts/peer00/S_00035.run#0:fsync-loss:64
+    node01/map_parts/peer01/P_00034.run#0:fsync-loss:1
+    node01/map_parts/peer01/P_00035.run#0:fsync-loss:16
+    node01/map_parts/peer01/S_00035.run#0:fsync-loss:1
+    node00/partitions/S_00034.run#0:crash:1
+    node00/partitions/S_00034.sorted.run.scratch/run_00001.run#0:crash:1
+    node00/partitions/P_00034.sorted.run.scratch/merge_000_00000.run#0:fsync-loss:16
+    node01/map_parts/peer01/P_00032.run#0:fsync-loss:4
+    node01/map_parts/peer01/P_00033.run#0:crash:1
+    node00/partitions/P_00032.run#0:crash:1
+    node01/partitions/P_00033.sorted.run.scratch/merge_000_00000.run#0:torn:1
+    node01/map_parts/peer01/P_00031.run#0:fsync-loss:1
+    node01/partitions/P_00031.run#0:fsync-loss:1
+    node01/partitions/P_00031.run#0:fsync-loss:16
+    node00/map_parts/peer00/S_00029.run#0:fsync-loss:1
+    node01/map_parts/peer01/P_00028.run#0:fsync-loss:1
+    node01/map_parts/peer01/P_00029.run#0:crash:1
+    node01/map_parts/peer01/P_00027.run#0:fsync-loss:4
+    node01/partitions/P_00027.run#0:fsync-loss:1
+    node00/map_parts/peer00/P_00025.run#0:crash:1
+    node01/map_parts/peer01/P_00024.run#0:fsync-loss:4
+    node01/map_parts/peer01/P_00025.run#0:fsync-loss:1
+    node01/map_parts/peer01/S_00025.run#0:fsync-loss:1
+    node01/map_parts/peer01/S_00025.run#0:fsync-loss:64
+    node00/map_parts/peer00/S_00023.run#0:crash:1
+    node00/map_parts/peer00/S_00023.run#0:fsync-loss:4
+    node01/map_parts/peer01/S_00023.run#0:crash:1""".split())
 
 
 def _config() -> AssemblyConfig:
@@ -82,24 +110,27 @@ def _assemble(workdir):
 ROOT = probe_root("distributed-write-faults-")
 DATA, _ = tiny_dataset(ROOT, genome_length=600, read_length=READ_LENGTH,
                        coverage=8.0, min_overlap=20, seed=7)
-_PROBE = FaultPlan()
-with inject(_PROBE):
-    CLEAN = _assemble(ROOT / "probe")
-TRACE = _PROBE.trace
-WRITES = [point for point in TRACE if point.site == WRITE]
-SWEPT = swept(cells(TRACE, root=ROOT / "probe", sites=(WRITE, NODE, MESSAGE)),
-              FRACTION, PINNED)
+PROBE = Probe(_assemble, ROOT / "probe", sites=(WRITE, NODE, MESSAGE))
+SWEPT = swept(PROBE, FRACTION, PINNED)
+
+
+def _writes() -> list:
+    return [point for point in PROBE.trace if point.site == WRITE]
 
 
 def test_the_cluster_writes_what_the_sweep_assumes():
-    assert len(WRITES) == N_WRITES
-    assert sum("/map_parts/" in point.path for point in WRITES) \
+    writes = _writes()
+    assert len(writes) == N_WRITES
+    assert sum("/map_parts/" in point.path for point in writes) \
         == N_MAP_PIECE_WRITES
-    assert sum(".sorted.run" in point.path for point in WRITES) \
+    assert sum(".sorted.run" in point.path for point in writes) \
         == N_SORT_WRITES
     # A hand-out piece on each node, then its owner's pulled partition and
     # its sort's first run.
-    assert all(f"P_{READ_LENGTH:05d}" in point.path for point in WRITES[:4])
+    assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:4])
+    keys = {cell.key for cell in PROBE.cells}
+    assert PINNED <= keys
+    assert not any(str(ROOT) in key for key in keys)
 
 
 def _sealed(trace) -> list:
@@ -127,15 +158,15 @@ def _faulted(fault: Fault, workdir):
     return plan, result
 
 
-@pytest.mark.parametrize("cell", SWEPT, ids=[cell.id for cell in SWEPT])
+@pytest.mark.parametrize("cell", SWEPT, ids=[cell_id(cell) for cell in SWEPT])
 def test_a_write_fault_recovers_or_raises(tmp_path, cell):
-    plan, result = run_cell(cell, lambda: _assemble(tmp_path / "w"))
+    clean = PROBE.clean
+    plan, result, error = run_cell(cell, lambda: _assemble(tmp_path / "w"))
     assert plan.events, f"{cell.key} never fired"
-    if result is None:
-        SWEEP_OUTCOMES[__name__]["raised"] += 1
-        return
+    if error is not None:
+        named_error(__name__, cell, error)
     assert result.degraded is None, cell.key
-    assert _contigs(result) == _contigs(CLEAN), \
+    assert _contigs(result) == _contigs(clean), \
         f"{cell.key} changed the contigs"
     if cell.point.site == NODE:
         op = cell.point.path.split(":", 1)[1]
@@ -151,7 +182,7 @@ def test_seal_map_restarts_instead_of_retrying_in_place(tmp_path, kind):
     cut short is not retried in place (its streams lost their buffered
     tails): the node restarts, wipes its pieces and maps its blocks
     again."""
-    sealed = _sealed(TRACE)
+    sealed = _sealed(PROBE.trace)
     assert len(sealed) == N_SEALED_WRITES
     for point in sealed:
         assert "/map_parts/" in point.path
@@ -160,7 +191,7 @@ def test_seal_map_restarts_instead_of_retrying_in_place(tmp_path, kind):
         assert result.notes["node_restarts"] == 1, point.path
         assert result.notes["partitions_replayed"] >= 1, point.path
         assert result.degraded is None, point.path
-        assert _contigs(result) == _contigs(CLEAN), point.path
+        assert _contigs(result) == _contigs(PROBE.clean), point.path
 
 
 def test_a_lost_write_restarts_its_writer(tmp_path):
@@ -169,7 +200,8 @@ def test_a_lost_write_restarts_its_writer(tmp_path):
     node00's: it restarts, finds the partition short of what its pull
     wrote and pulls it again, instead of node01 retrying in place while
     node00 sorts a partition that lost its records."""
-    point = next(point for point in WRITES
+    clean = PROBE.clean
+    point = next(point for point in _writes()
                  if point.path.endswith("node00/partitions/P_00034.run"))
     plan, result = _faulted(Fault(FSYNC_LOSS, site=WRITE, at_op=point.op,
                                   delay=3), tmp_path)
@@ -178,6 +210,6 @@ def test_a_lost_write_restarts_its_writer(tmp_path):
     assert result.notes["node_restarts"] == 1
     assert result.notes["partitions_rebuilt"] == 1
     assert result.degraded is None
-    assert result.reduce_report.candidates == CLEAN.reduce_report.candidates
-    assert result.edges == CLEAN.edges
-    assert _contigs(result) == _contigs(CLEAN)
+    assert result.reduce_report.candidates == clean.reduce_report.candidates
+    assert result.edges == clean.edges
+    assert _contigs(result) == _contigs(clean)

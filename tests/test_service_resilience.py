@@ -5,10 +5,11 @@ sweep (:mod:`repro.faults.sweep`) injects one fault at one cell of a clean
 service run's probe: every operation of its job bodies, with each kind
 its site takes. A fault that kills an attempt is retried once, which
 resumes from the checkpoint ledger; every cell must end with every job's
-byte-identical contigs or with a job failed on a named error, and the
-same cell must reproduce the same statuses, errors and counters run after
-run. The cells are the probe's, taken when the module is collected.
-Tier-1 runs a fixed seeded sample; ``REPRO_SWEEP=full`` runs every cell.
+byte-identical contigs, and the same cell must reproduce the same
+statuses, errors and counters run after run. A cell that leaves a job
+failed for good is counted apart, and fails. The cells are the probe's,
+taken when the module is collected. Tier-1 runs a fixed seeded sample;
+``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import threading
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig, ServiceConfig
-from repro.faults import (FSYNC_LOSS, FaultPlan, cells, inject, run_cell,
-                          scan_residue)
+from repro.faults import FSYNC_LOSS, run_cell, scan_residue
 from repro.faults.retry import RetryPolicy
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.service import AssemblyService, JobSpec
 from repro.trace import NullTracer, SpanTracer, pair_spans
 
-from .conftest import SWEEP_OUTCOMES, probe_root, spans_by_name, swept
+from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
+                       probe_root, spans_by_name, swept)
 
 MIN_OVERLAP = 20
 #: The tier-1 sample's share of the chaos sweep's cells.
@@ -104,33 +105,34 @@ def _chaos_specs(root):
             for i in range(3)]
 
 
-def _chaos_run(root, name):
+def _chaos_run(workdir):
     """One run of the sweep's three jobs; an attempt a fault killed is
     retried once."""
-    return _service(root, name, job_max_attempts=2).run_jobs(CHAOS_SPECS)
+    return _service(workdir.parent, workdir.name,
+                    job_max_attempts=2).run_jobs(CHAOS_SPECS)
 
 
 CHAOS_ROOT = probe_root("service-chaos-")
 CHAOS_SPECS = _chaos_specs(CHAOS_ROOT)
-_PROBE = FaultPlan()
-with inject(_PROBE):
-    _CLEAN = _chaos_run(CHAOS_ROOT, "probe")
-CHAOS_SWEPT = swept(cells(_PROBE.trace, root=CHAOS_ROOT / "probe"), FRACTION)
+CHAOS_PROBE = Probe(_chaos_run, CHAOS_ROOT / "probe")
+CHAOS_SWEPT = swept(CHAOS_PROBE, FRACTION)
 
 
 @pytest.mark.parametrize("cell", CHAOS_SWEPT,
-                         ids=[cell.id for cell in CHAOS_SWEPT])
+                         ids=[cell_id(cell) for cell in CHAOS_SWEPT])
 def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     """A fault inside a job body is retried and converges byte-for-byte."""
-    assert _CLEAN.n_done == len(CHAOS_SPECS)
-    plan, report = run_cell(cell, lambda: _chaos_run(tmp_path, "a"))
+    clean = CHAOS_PROBE.clean
+    assert clean.n_done == len(CHAOS_SPECS)
+    plan, report, error = run_cell(cell, lambda: _chaos_run(tmp_path / "a"))
     assert plan.events, f"{cell.key} never fired"
-    if report is None or report.n_done < len(CHAOS_SPECS):
-        assert report is None or all(
-            o.error for o in report.outcomes if not o.ok), cell.key
-        SWEEP_OUTCOMES[__name__]["raised"] += 1
-        return
-    assert _goldens(report) == _goldens(_CLEAN), cell.key
+    if error is None:
+        # A job that failed for good: what the service made of its error.
+        error = [(o.spec.job_id, o.status, o.error)
+                 for o in report.outcomes if not o.ok]
+    if error:
+        named_error(__name__, cell, error)
+    assert _goldens(report) == _goldens(clean), cell.key
     # An fsync-loss kills its writer only if the run lasts ``delay`` more
     # operations. A killed attempt is the one retry; its retry resumes
     # from the checkpoint ledger.
@@ -144,10 +146,10 @@ def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
         assert counters["retry_backoff_sim_s"] > 0
         assert retried[0].error_chain
     # The same cell, fresh service: byte-identical statuses, errors, counters.
-    _, again = run_cell(cell, lambda: _chaos_run(tmp_path, "b"))
+    _, again, _ = run_cell(cell, lambda: _chaos_run(tmp_path / "b"))
     assert _statuses(again) == _statuses(report)
     assert again.counters == report.counters
-    assert _goldens(again) == _goldens(_CLEAN)
+    assert _goldens(again) == _goldens(clean)
     SWEEP_OUTCOMES[__name__]["clean"] += 1
 
 

@@ -1,4 +1,4 @@
-"""Faults on a single node: resumed to the clean run, or a named error.
+"""Faults on a single node: every one resumed to the clean run.
 
 The sweep (:mod:`repro.faults.sweep`) runs
 ``Assembler.assemble(resume=True)`` under one fault at one cell of its
@@ -8,8 +8,9 @@ whole record, reaches the disk), ``enospc`` (the disk is full) or
 ``fsync-loss`` (the write is acknowledged, then lost when the run dies 1,
 4, 16 or 64 operations later, wherever it is by then). A run the fault
 killed is resumed once on the same workdir. Every cell must end with the
-clean run's result (an equal digest, a converged ledger and no residue)
-or raise a named :class:`~repro.errors.ReproError`.
+clean run's result: an equal digest, a converged ledger and no residue. A
+cell that ends with a named :class:`~repro.errors.ReproError` instead is
+counted apart, and fails.
 
 It runs on two budgets. ``incore`` is the default budget: the run holds
 its packed store, every band and every sorted run in host memory, and
@@ -22,20 +23,24 @@ partitions while reduce is under way, so these cells are what hold the
 resume rule of ``Assembler._graph`` to account.
 
 The cells are the probe's, taken when the module is collected. Tier-1
-runs a fixed seeded sample and the cells an earlier draw put in tier-1
-(``P_L``'s writes among them); ``REPRO_SWEEP=full`` runs every cell.
+runs a fixed seeded sample and the cells pinned by key (:data:`PINNED`);
+``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.faults import (WRITE, FaultPlan, cells, inject, ledger_converged,
-                          result_digest, run_cell, sample, scan_residue)
+from repro.core.pipeline import PHASES
+from repro.faults import (WRITE, ledger_converged, result_digest, run_cell,
+                          sample, scan_residue)
 from repro.seq.datasets import tiny_dataset
 
-from .conftest import SWEEP_OUTCOMES, probe_root, swept
+from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
+                       probe_root, swept)
 
 READ_LENGTH = 36
 CONFIGS = {
@@ -54,17 +59,46 @@ N_PARTITION_WRITES = 33
 N_SORT_WRITES = 23
 #: The tier-1 sample's share of each budget's cells.
 FRACTIONS = {"cramped": 1 / 100, "incore": 1 / 8}
-#: ``cramped`` cells an earlier draw put in tier-1.
-PINNED = frozenset("""
-    w002-crash-d1 w003-torn-d1 w004-crash-d1 w004-fsync-loss-d64
-    w005-crash-d1 w005-fsync-loss-d64 w005-torn-d1 w006-torn-d1
-    w007-fsync-loss-d16 w007-fsync-loss-d1 w008-crash-d1 w010-fsync-loss-d4
-    w012-fsync-loss-d64 w018-torn-d1 w019-crash-d1 w020-fsync-loss-d4
-    w027-fsync-loss-d4 w031-torn-d1 w033-fsync-loss-d16 w033-fsync-loss-d64
-    w035-fsync-loss-d16 w036-torn-d1 w037-crash-d1 w043-torn-d1
-    w045-fsync-loss-d16 w047-crash-d1 w048-torn-d1 w049-fsync-loss-d16
-    w049-fsync-loss-d64 w049-torn-d1 w053-fsync-loss-d16 w053-fsync-loss-d4
-    w055-fsync-loss-d4""".split())
+#: Cells kept in tier-1 beside the sample, by key: the compress phase's
+#: crash (the sample misses the phase's two points), and the ``cramped``
+#: cells an earlier draw put in tier-1 (``P_L``'s writes among them).
+PINNED = {
+    "incore": frozenset({"phase:compress#0:crash:1"}),
+    "cramped": frozenset(f"write:partitions/{name}" for name in """
+        P_00036.run#0:crash:1
+        P_00036.sorted.run.scratch/run_00000.run#0:torn:1
+        P_00036.sorted.run.scratch/run_00001.run#0:crash:1
+        P_00036.sorted.run.scratch/run_00001.run#0:fsync-loss:64
+        P_00036.sorted.run.scratch/run_00002.run#0:crash:1
+        P_00036.sorted.run.scratch/run_00002.run#0:fsync-loss:64
+        P_00036.sorted.run.scratch/run_00002.run#0:torn:1
+        P_00036.sorted.run.scratch/merge_000_00000.run#0:torn:1
+        P_00036.sorted.run.scratch/merge_001_00000.run#0:fsync-loss:1
+        P_00036.sorted.run.scratch/merge_001_00000.run#0:fsync-loss:16
+        P_00035.run#0:crash:1
+        S_00035.sorted.run.scratch/run_00000.run#0:fsync-loss:4
+        S_00035.sorted.run.scratch/merge_000_00000.run#0:fsync-loss:64
+        P_00032.run#0:torn:1
+        S_00032.run#0:crash:1
+        P_00033.run#0:fsync-loss:4
+        P_00034.sorted.run.scratch/run_00000.run#0:fsync-loss:4
+        S_00033.sorted.run.scratch/run_00001.run#0:torn:1
+        P_00033.sorted.run.scratch/run_00000.run#0:fsync-loss:16
+        P_00033.sorted.run.scratch/run_00000.run#0:fsync-loss:64
+        P_00033.sorted.run.scratch/merge_000_00000.run#0:fsync-loss:16
+        P_00020.run#0:torn:1
+        S_00020.run#0:crash:1
+        S_00023.run#0:torn:1
+        S_00024.run#0:fsync-loss:16
+        S_00025.run#0:crash:1
+        P_00026.run#0:torn:1
+        S_00026.run#0:fsync-loss:16
+        S_00026.run#0:fsync-loss:64
+        S_00026.run#0:torn:1
+        S_00028.run#0:fsync-loss:16
+        S_00028.run#0:fsync-loss:4
+        S_00029.run#0:fsync-loss:4""".split()),
+}
 
 
 def _assemble(budget: str, workdir):
@@ -72,27 +106,18 @@ def _assemble(budget: str, workdir):
                                                workdir=workdir, resume=True)
 
 
-def _probe(budget: str):
-    """The clean run of ``budget``, its probe's trace and cells."""
-    workdir = ROOT / budget
-    plan = FaultPlan()
-    with inject(plan):
-        clean = _assemble(budget, workdir)
-    return clean, plan.trace, cells(plan.trace, root=workdir)
-
-
 ROOT = probe_root("write-faults-")
 DATA, _ = tiny_dataset(ROOT, genome_length=600, read_length=READ_LENGTH,
                        coverage=8.0, min_overlap=20, seed=7)
-PROBES = {budget: _probe(budget) for budget in CONFIGS}
-SWEPT = [(budget, cell) for budget, (_, _, all_cells) in PROBES.items()
-         for cell in swept(all_cells, FRACTIONS[budget],
-                           PINNED if budget == "cramped" else ())]
+PROBES = {budget: Probe(partial(_assemble, budget), ROOT / budget)
+          for budget in CONFIGS}
+SWEPT = [(budget, cell) for budget, probe in PROBES.items()
+         for cell in swept(probe, FRACTIONS[budget], PINNED[budget])]
 
 
 def test_the_budgets_write_what_the_sweep_assumes():
-    writes = {budget: [point for point in trace if point.site == WRITE]
-              for budget, (_, trace, _) in PROBES.items()}
+    writes = {budget: [point for point in probe.trace if point.site == WRITE]
+              for budget, probe in PROBES.items()}
     assert {budget: len(points) for budget, points in writes.items()} \
         == N_WRITES
     assert all(point.path.endswith(".lsgr") for point in writes["incore"])
@@ -105,14 +130,25 @@ def test_the_budgets_write_what_the_sweep_assumes():
     assert maps != list(range(maps[0], maps[0] + len(maps)))
     assert sum(".sorted.run" in point.path for point in cramped) \
         == N_SORT_WRITES
-    assert 0 < PROBES["cramped"][0].telemetry["reduce"].counters[
+    assert 0 < PROBES["cramped"].clean.telemetry["reduce"].counters[
         "sorted_runs_held"] < N_PARTITION_WRITES
+    for budget, probe in PROBES.items():
+        keys = {cell.key for cell in probe.cells}
+        assert PINNED[budget] <= keys, budget
+        # The input, outside the workdir, too: the keys are the same in
+        # every run, and so is the sample.
+        assert not any(str(ROOT) in key for key in keys), budget
+
+
+def test_the_incore_sample_covers_every_phase():
+    assert {cell.point.phase for budget, cell in SWEPT
+            if budget == "incore"} == set(PHASES)
 
 
 def test_appending_cells_leaves_earlier_picks_unchanged():
     """Each cell's membership is its own: a sample of a sweep grown by
     more cells is the sample of what it was, and of what was added."""
-    cramped, incore = PROBES["cramped"][2], PROBES["incore"][2]
+    cramped, incore = PROBES["cramped"].cells, PROBES["incore"].cells
     for head in (cramped[:len(cramped) // 3], cramped):
         assert sample(head + incore, 0.1) \
             == sample(head, 0.1) + sample(incore, 0.1)
@@ -120,16 +156,15 @@ def test_appending_cells_leaves_earlier_picks_unchanged():
 
 @pytest.mark.parametrize(
     "budget, cell", SWEPT,
-    ids=[cell.id if budget == "cramped" else f"{budget}-{cell.id}"
+    ids=[cell_id(cell) if budget == "cramped" else f"{budget}-{cell_id(cell)}"
          for budget, cell in SWEPT])
 def test_a_write_fault_resumes_or_raises(tmp_path, budget, cell):
-    clean = PROBES[budget][0]
+    clean = PROBES[budget].clean
     workdir = tmp_path / "w"
-    plan, result = run_cell(cell, lambda: _assemble(budget, workdir))
+    plan, result, error = run_cell(cell, lambda: _assemble(budget, workdir))
     assert plan.events, f"{cell.key} never fired"
-    if result is None:
-        SWEEP_OUTCOMES[__name__]["raised"] += 1
-        return
+    if error is not None:
+        named_error(__name__, cell, error)
     assert result_digest(result) == result_digest(clean), \
         f"{cell.key} changed the result"
     assert ledger_converged(workdir), cell.key
