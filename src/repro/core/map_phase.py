@@ -1,10 +1,11 @@
 """Map phase: fingerprint generation and length partitioning (§III.A).
 
 Batches of reads stream host→device; for each read *and its reverse
-complement* the fingerprints of every prefix and suffix are produced by the
-Hillis–Steele scan kernels of Figs. 5–6 (one virtual kernel launch per hash
-lane per direction per orientation). Each ``(length, fingerprint, vertex)``
-tuple is then routed to the per-length partition files:
+complement* the fingerprints of the kept prefix and suffix lengths are
+produced by the Hillis–Steele scan kernels of Figs. 5–6 (one virtual kernel
+launch per hash lane per direction per orientation). Each ``(length,
+fingerprint, vertex)`` tuple is then routed to the per-length partition
+files:
 
 * lengths below ``l_min`` are discarded (too short to be an overlap),
 * suffix tuples go to the ``S`` partition of their length, prefixes to the
@@ -15,9 +16,14 @@ tuple is then routed to the per-length partition files:
   (:func:`~repro.core.reduce_phase.close_duplicates`).
 
 The paper materializes the tuples on the GPU, sorts them by length, and
-writes one file per partition. The virtual GPU is charged the paper's
-full scan launches and the fan-out; the host evaluates the same mapping
-without the discarded tuples and without the intermediate sort:
+writes one file per partition. A pass here keeps a band of lengths, so
+each scan launch is charged as the seeded window scan of
+:mod:`repro.fingerprint.scan` over its side's kept window ``lo..hi``: a
+tree reduction of the ``lo − 1`` codes before it, then the doubling scan
+over its ``hi − lo + 1`` positions (the whole read when the pass keeps
+every length down to 1). The fan-out is charged too. The host evaluates
+the same mapping without the discarded tuples and without the
+intermediate sort:
 :mod:`repro.fingerprint.scan`'s kernel is told the partition lengths and
 keys only those, length-major, so row ``j`` of its output *is* the block's
 contribution to partition ``lengths[j]`` and lands in the staged record
@@ -306,13 +312,15 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     ``only_lengths`` keeps the fingerprinting and the appends to the given
     partition lengths, each file byte for byte what a full pass writes —
     how a survivor adopts a lost node's pieces for the lengths the token
-    has still to reduce, in one pass over its blocks (the modeled scan
-    launches are charged whole either way).
+    has still to reduce, in one pass over its blocks. Each side's scan
+    launches are charged as one seeded window scan over that side's kept
+    lengths, shortest to longest (:func:`repro.device.costs.scan_seconds`).
 
     ``closed`` is the out-degree bit-vector of the graph built so far:
     records whose claim it has taken are neither fingerprinted nor
-    written, and the scan launches are charged for the oriented reads that
-    are, plus one compaction pass per device batch. ``resident_bytes`` is
+    written: the prefix launches are charged for the oriented reads with
+    an open ``P`` claim and the suffix launches for those with an open
+    ``S`` claim, plus one compaction pass per device batch. ``resident_bytes`` is
     host memory the graph holds meanwhile (:func:`_stage_batches`).
     """
     read_length = store.read_length
@@ -342,36 +350,40 @@ def run_map(ctx: RunContext, store: PackedReadStore,
 
     tracer = ctx.tracer
     spec = ctx.gpu.spec
-    batch_charges: dict[tuple[int, ...], list[float]] = {}
+    batch_charges: dict[tuple, list[float]] = {}
 
-    # The prefix direction's scans, and the suffix direction's unless the
-    # band is the whole-read length alone.
-    scans = 2 * lanes * (2 if pairs else 1)
+    # The window of lengths each direction keys: the prefix direction's,
+    # and the suffix direction's unless the band is the whole-read length
+    # alone.
+    windows = [(side[0], side[-1]) for side in (kept, pairs) if side]
 
-    def orientation(rows: int, records: tuple[int, int]) -> list[float]:
-        """One orientation's launches: one scan per hash per direction over
-        its ``rows`` keyed reads (Figs. 5-6), then the fan-out of its
-        ``records`` (P, S) at every kept length with that side."""
+    def orientation(records: tuple[int, int]) -> list[float]:
+        """One orientation's launches: one seeded window scan per hash per
+        direction over the reads keyed on that side (``records``, P then
+        S), then the fan-out of those records at every kept length with
+        that side."""
         prefixes, suffixes = records
         fanned = prefixes * p_lengths + suffixes * len(pairs)
-        return [*[costs.scan_seconds(spec, rows, read_length)] * scans,
+        return [*[costs.scan_seconds(spec, rows, hi, lo=lo)
+                  for rows, (lo, hi) in zip(records, windows)
+                  for _ in range(2 * lanes)],
                 costs.elementwise_seconds(spec, fanned * dtype.itemsize)]
 
-    def kernel_charges(n: int, forward_rows: int, forward_records: tuple,
-                       reverse_rows: int, reverse_records: tuple) -> list[float]:
+    def kernel_charges(n: int, forward: tuple[int, int],
+                       reverse: tuple[int, int]) -> list[float]:
         """The kernel launches of one device batch of ``n`` reads, in order.
 
         The second orientation starts with the reverse-complement pass; a
         compacted batch ends with the pass that compacted it. Built once
         per distinct batch shape.
         """
-        key = (n, forward_rows, forward_records, reverse_rows, reverse_records)
+        key = (n, forward, reverse)
         charges = batch_charges.get(key)
         if charges is None:
             charges = batch_charges[key] = [
-                *orientation(forward_rows, forward_records),
+                *orientation(forward),
                 costs.elementwise_seconds(spec, n * read_length * 2),
-                *orientation(reverse_rows, reverse_records)]
+                *orientation(reverse)]
             if closed is not None:
                 charges.append(costs.elementwise_seconds(spec, 2 * n * read_length))
         return charges
@@ -396,8 +408,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                                    whole_staged if whole else None)
                 prefix = [*staged[0], *whole_staged[0]]
                 suffix = list(staged[1])
-                keyed = [n for _, n in batches for _ in range(2)]
-                rows = [(n, n) for n in keyed]
+                rows = [(n, n) for _, n in batches for _ in range(2)]
                 staged_bytes = staged.nbytes + whole_staged.nbytes
             else:
                 (prefix, suffix), (p_open, s_open) = _fingerprint_open(
@@ -405,14 +416,12 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                     kept, closed, dtype)
                 starts = [2 * lo + offset for lo, n in batches
                           for offset in (0, n)]
-                keyed = np.add.reduceat(p_open | s_open, starts).tolist()
                 rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
                                 np.add.reduceat(s_open, starts).tolist()))
                 staged_bytes = prefix.nbytes + suffix.nbytes
             charges = []
             for i, (_, n) in enumerate(batches):
-                charges += kernel_charges(n, keyed[2 * i], rows[2 * i],
-                                          keyed[2 * i + 1], rows[2 * i + 1])
+                charges += kernel_charges(n, rows[2 * i], rows[2 * i + 1])
             n_batches += len(batches)
             # One (length, P records, S records or None) entry per kept length.
             appended = [(length, prefix[j],

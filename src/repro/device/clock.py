@@ -12,6 +12,8 @@ from __future__ import annotations
 import threading
 from typing import Mapping
 
+import numpy as np
+
 from ..errors import ConfigError
 
 #: Recognized charge categories. Keeping this closed catches typos early.
@@ -52,18 +54,17 @@ class SimClock:
 
         Bit-identical to calling :meth:`charge` once per element: the
         accumulator gains each value in sequence (float addition is not
-        associative, so the elements are never pre-summed).
+        associative, so the elements are never pre-summed). One numpy pass:
+        ``np.add.accumulate`` adds left to right, one element at a time.
         """
         if category not in self._by_category:
             raise ConfigError(f"unknown sim-clock category {category!r}")
-        for seconds in charges:
-            if seconds < 0:
-                raise ConfigError("cannot charge negative time")
+        values = np.array([0.0, *charges], dtype=np.float64)
+        if (values < 0).any():
+            raise ConfigError("cannot charge negative time")
         with self._lock:
-            total = self._by_category[category]
-            for seconds in charges:
-                total += seconds
-            self._by_category[category] = total
+            values[0] = self._by_category[category]
+            self._by_category[category] = float(np.add.accumulate(values)[-1])
 
     @property
     def total_seconds(self) -> float:

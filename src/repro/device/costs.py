@@ -17,7 +17,9 @@ The model is deliberately simple and bandwidth-centric:
   overhead for path determination.
 * **Vectorized binary search**: ``log2(n)`` dependent probes per query, each
   costing a cache-line-sized transaction.
-* **Scan** (Hillis–Steele): ``log2(width)`` passes over the batch.
+* **Scan** (Hillis–Steele, seeded): a tree reduction up to the window's
+  first position, then ``log2(k)`` passes over the window's ``k``
+  positions (the whole row when the window starts at 1).
 * **Transfers**: bytes over the PCIe link; **disk**: bytes over the disk
   bandwidth plus a seek per sequential stream switch.
 
@@ -78,12 +80,24 @@ def search_seconds(spec: DeviceSpec, n_queries: int, n_haystack: int) -> float:
     return n_queries * probes * PROBE_BYTES / _effective_bw(spec)
 
 
-def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, element_nbytes: int = 8) -> float:
-    """Hillis–Steele scan over an ``(n_rows, width)`` batch (fingerprint map)."""
+def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, element_nbytes: int = 8,
+                 *, lo: int = 1) -> float:
+    """Seeded window scan over positions ``lo..width`` of ``n_rows`` rows
+    (fingerprint map).
+
+    A tree reduction folds each row's first ``lo − 1`` elements into a
+    seed (each read once and written once, halving), then the Hillis–Steele
+    scan makes ``⌈log₂ k⌉`` passes over the ``k = width − lo + 1`` window
+    positions. ``lo = 1`` is the whole-row scan, to the float.
+    """
     if n_rows <= 0 or width <= 0:
         return 0.0
-    passes = max(1.0, math.ceil(math.log2(width)))
-    return 2.0 * passes * n_rows * width * element_nbytes / _effective_bw(spec)
+    window = width - lo + 1
+    passes = max(1.0, math.ceil(math.log2(window)))
+    seconds = 2.0 * passes * n_rows * window * element_nbytes / _effective_bw(spec)
+    if lo > 1:
+        seconds += 2.0 * n_rows * (lo - 1) * element_nbytes / _effective_bw(spec)
+    return seconds
 
 
 def elementwise_seconds(spec: DeviceSpec, nbytes_touched: int) -> float:

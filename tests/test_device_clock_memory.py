@@ -1,6 +1,7 @@
 """SimClock and MemoryPool."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.device import MemoryPool, SimClock
 from repro.errors import ConfigError, DeviceMemoryError, ReproError
@@ -24,6 +25,23 @@ class TestSimClock:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             SimClock().charge("kernel", -1.0)
+
+    @given(st.floats(0, 1e6), st.lists(st.floats(0, 1e6), max_size=64))
+    def test_charge_many_is_repeated_charge(self, start, charges):
+        """One accumulate pass leaves the float the loop of charges does."""
+        one, many = SimClock(), SimClock()
+        for clock in (one, many):
+            clock.charge("kernel", start)
+        for seconds in charges:
+            one.charge("kernel", seconds)
+        many.charge_many("kernel", charges)
+        assert many.seconds("kernel").hex() == one.seconds("kernel").hex()
+
+    def test_charge_many_rejects_a_negative_and_charges_nothing(self):
+        clock = SimClock()
+        with pytest.raises(ConfigError):
+            clock.charge_many("kernel", [1.0, -1.0])
+        assert clock.seconds("kernel") == 0.0
 
     def test_advance_to_takes_maximum(self):
         slow, fast = SimClock(), SimClock()

@@ -1,9 +1,13 @@
 """Cost model: monotonicity and hardware-ordering properties."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.config import MemoryConfig
 from repro.device import costs
 from repro.device.specs import DiskSpec, HostSpec, get_device_spec
+from repro.model import Workload, model_phase_seconds
+from repro.seq.datasets import dataset_registry
 
 K40 = get_device_spec("K40")
 V100 = get_device_spec("V100")
@@ -37,6 +41,34 @@ class TestKernelCosts:
         small = costs.search_seconds(K40, 1000, 2**10)
         large = costs.search_seconds(K40, 1000, 2**20)
         assert large == pytest.approx(2 * small, rel=0.01)
+
+
+class TestSeededScan:
+    """The banded map's kernel: a seed up to ``lo``, then the window."""
+
+    @given(st.integers(1, 10**9), st.integers(1, 10**4))
+    def test_seed_free_window_is_the_whole_row_scan(self, n_rows, width):
+        seeded = costs.scan_seconds(K40, n_rows, width, lo=1)
+        assert seeded == costs.scan_seconds(K40, n_rows, width)
+
+    def test_seed_and_window_terms(self):
+        """``P_L`` alone (``lo = hi = 100``) is one pass over one column
+        plus the 99-column seed; the ``{79..94}`` band scans 16 columns in
+        four passes beside a 78-column seed."""
+        unit = costs.scan_seconds(K40, 1000, 1)
+        assert costs.scan_seconds(K40, 1000, 100, lo=100) \
+            == pytest.approx(unit * (1 + 99))
+        assert costs.scan_seconds(K40, 1000, 94, lo=79) \
+            == pytest.approx(unit * (4 * 16 + 78))
+
+    def test_paper_schedule_map_is_pinned(self):
+        """The paper-scale map of H.Genome on K40 charges the whole-read
+        scan; its float does not move with the banded map's kernel."""
+        hgenome = Workload.from_spec(dataset_registry()["hgenome_sim"])
+        phases = model_phase_seconds(hgenome, MemoryConfig.preset("qb2"), "K40")
+        assert phases["map"] == 12945.30753567498
+        assert costs.scan_seconds(K40, hgenome.n_reads, hgenome.read_length) \
+            == 88.20837115151515
 
 
 class TestTransferAndDisk:

@@ -43,8 +43,8 @@ def reference_keys(scheme, codes, lengths):
         prefix_hi = prefix_fingerprints_batch(codes, spec_hi)
         prefix_lo = prefix_fingerprints_batch(codes, spec_lo)
         prefix.append(pack_pair(prefix_hi, prefix_lo)[:, lengths - 1].T)
-        suffix.append(pack_pair(suffix_fingerprints_batch(prefix_hi, spec_hi),
-                                suffix_fingerprints_batch(prefix_lo, spec_lo)
+        suffix.append(pack_pair(suffix_fingerprints_batch(codes, spec_hi),
+                                suffix_fingerprints_batch(codes, spec_lo)
                                 )[:, read_length - lengths].T)
     return prefix, suffix
 

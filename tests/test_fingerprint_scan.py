@@ -2,7 +2,9 @@
 
 This is the core correctness property of the map phase: the batched
 log-step scan (Figs. 5–6) must agree exactly with Horner's rule on every
-prefix and with direct evaluation on every suffix.
+prefix and with direct evaluation on every suffix, and a seeded window
+scan of lengths ``lo..hi`` with the whole-read scan's kept columns and
+with the map phase's kernel (``key_rows``).
 """
 
 import numpy as np
@@ -10,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.fingerprint import (naive_prefix_fingerprints, naive_suffix_fingerprints,
-                               prefix_fingerprints_batch, suffix_fingerprints_batch)
+from repro.fingerprint import (FingerprintScheme, naive_prefix_fingerprints,
+                               naive_suffix_fingerprints, prefix_fingerprints_batch,
+                               suffix_fingerprints_batch)
 from repro.fingerprint.rabin_karp import (HashSpec, naive_prefix_fingerprints_scalar,
                                           naive_suffix_fingerprints_scalar)
+from repro.fingerprint.scan import ScanWorkspace, key_rows
+from repro.fingerprint.scheme import pack_pair
 from repro.seq.alphabet import encode
 
 hash_specs = st.sampled_from([HashSpec.lane(i) for i in range(4)]
@@ -61,8 +66,7 @@ class TestSuffixScan:
     @settings(max_examples=60)
     def test_matches_naive(self, rows, spec):
         codes = np.array(rows, dtype=np.uint8)
-        prefixes = prefix_fingerprints_batch(codes, spec)
-        suffixes = suffix_fingerprints_batch(prefixes, spec)
+        suffixes = suffix_fingerprints_batch(codes, spec)
         for row_index in range(codes.shape[0]):
             expected = naive_suffix_fingerprints(codes[row_index], spec)
             assert np.array_equal(suffixes[row_index], expected)
@@ -73,7 +77,7 @@ class TestSuffixScan:
         codes = encode("ACGTACGT")[None, :]
         spec = HashSpec.lane(0)
         prefixes = prefix_fingerprints_batch(codes, spec)
-        suffixes = suffix_fingerprints_batch(prefixes, spec)
+        suffixes = suffix_fingerprints_batch(codes, spec)
         assert suffixes[0, 0] == prefixes[0, -1]
 
 
@@ -89,8 +93,72 @@ class TestOverlapProperty:
         rare the other way)."""
         length = min(length, len(a), len(b))
         codes_a, codes_b = encode(a)[None, :], encode(b)[None, :]
-        suffix_fp = suffix_fingerprints_batch(
-            prefix_fingerprints_batch(codes_a, spec), spec)[0, len(a) - length]
+        suffix_fp = suffix_fingerprints_batch(codes_a, spec)[0, len(a) - length]
         prefix_fp = prefix_fingerprints_batch(codes_b, spec)[0, length - 1]
         if a[len(a) - length:] == b[:length]:
             assert suffix_fp == prefix_fp
+
+
+windowed_reads = st.integers(1, 24).flatmap(
+    lambda length: st.tuples(
+        st.lists(st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                 min_size=1, max_size=6),
+        st.integers(1, length).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo, length)))))
+
+
+class TestWindowScan:
+    """The seeded window scan the banded map is charged for."""
+
+    @given(windowed_reads, st.sampled_from((0, 1)), st.sampled_from((1, 2)),
+           st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_window_is_kept_columns_and_kernel_keys(self, drawn, side, lanes,
+                                                    seed):
+        """Any ``1 ≤ lo ≤ hi ≤ L``, either side, one or two key lanes."""
+        rows, (lo, hi) = drawn
+        codes = np.array(rows, dtype=np.uint8)
+        length = codes.shape[1]
+        scheme = FingerprintScheme(lanes=lanes, seed=seed)
+        lengths = np.arange(lo, hi + 1)
+        kernel = [np.empty((1, lengths.size, codes.shape[0]), dtype=np.uint64)
+                  for _ in range(lanes)]
+        key_rows(codes, scheme.hash_specs, lengths, ScanWorkspace(), kernel,
+                 sides=(side,))
+        for lane in range(lanes):
+            windows, wholes = [], []
+            for spec in scheme.hash_specs[2 * lane:2 * lane + 2]:
+                if side == 0:
+                    windows.append(prefix_fingerprints_batch(codes, spec, (lo, hi)))
+                    wholes.append(prefix_fingerprints_batch(codes, spec)[:, lo - 1:hi])
+                else:
+                    windows.append(suffix_fingerprints_batch(codes, spec, (lo, hi)))
+                    wholes.append(suffix_fingerprints_batch(
+                        codes, spec)[:, length - hi:length - lo + 1])
+                assert np.array_equal(windows[-1], wholes[-1])
+            keys = pack_pair(*windows)
+            # key_rows is length-major; a suffix window is by start position.
+            by_length = keys.T if side == 0 else keys[:, ::-1].T
+            assert np.array_equal(kernel[lane][0], by_length)
+
+    def test_every_window_of_a_short_read(self):
+        """Each ``(lo, hi)`` of ``L`` = 9 against the scalar reference."""
+        codes = encode("GATACCAGT")[None, :]
+        spec = HashSpec.lane(1)
+        prefixes = naive_prefix_fingerprints(codes[0], spec)
+        suffixes = naive_suffix_fingerprints(codes[0], spec)
+        for lo in range(1, 10):
+            for hi in range(lo, 10):
+                assert np.array_equal(
+                    prefix_fingerprints_batch(codes, spec, (lo, hi))[0],
+                    prefixes[lo - 1:hi])
+                assert np.array_equal(
+                    suffix_fingerprints_batch(codes, spec, (lo, hi))[0],
+                    suffixes[9 - hi:10 - lo])
+
+    @pytest.mark.parametrize("window", [(0, 3), (4, 3), (2, 11)])
+    def test_rejects_a_window_outside_the_read(self, window):
+        codes = np.zeros((2, 10), dtype=np.uint8)
+        for scan in (prefix_fingerprints_batch, suffix_fingerprints_batch):
+            with pytest.raises(ConfigError, match="window"):
+                scan(codes, HashSpec(5, 13), window)
