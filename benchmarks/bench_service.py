@@ -22,7 +22,7 @@ shedding fires. Results land in
      "byte_identical_contigs": true, "byte_identical_ledgers": true,
      "fairness": {"alice": {...}, "bob": {...}},
      "resilience": {"crash_op": ..., "job_retries": ...,
-                    "retry_backoff_sim_s": ..., "jobs_quarantined": ...,
+                    "pipeline_runs": ...,
                     "byte_identical_after_retry": true,
                     "shed_bound": ..., "admission_shed": ...}}
 
@@ -168,10 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         "resilience": {
             "crash_op": crash_op,
             "job_retries": int(faulted.counters.get("job_retries", 0)),
-            "retry_backoff_sim_s": round(
-                faulted.counters.get("retry_backoff_sim_s", 0.0), 6),
-            "jobs_quarantined": int(
-                faulted.counters.get("jobs_quarantined", 0)),
+            "pipeline_runs": int(faulted.counters.get("pipeline_runs", 0)),
             "byte_identical_after_retry": retry_identical,
             "shed_bound": shed_bound,
             "admission_shed": int(shed.counters.get("admission_shed", 0)),
@@ -188,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     resilience = payload["resilience"]
     print(f"faulted (crash at op {crash_op}): "
           f"{resilience['job_retries']} retries, "
-          f"{resilience['jobs_quarantined']} quarantined, "
+          f"{resilience['pipeline_runs']} pipeline runs, "
           f"identical after retry={retry_identical}; "
           f"shed {resilience['admission_shed']} jobs at "
           f"max_queued={shed_bound}")

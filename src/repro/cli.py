@@ -233,7 +233,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenant_weights=weights,
         workdir=args.workdir or "",
         job_max_attempts=args.job_max_attempts,
-        job_retry_backoff_s=args.job_retry_backoff,
         max_queued=args.max_queued,
     ))
     report = service.run_jobs(specs)
@@ -242,14 +241,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not outcome.ok:
             print(f"  {outcome.spec.job_id} ({outcome.spec.tenant}) "
                   f"{outcome.status.upper()}: {outcome.error}")
-    # Exit codes grade the failure: 2 = poison jobs were quarantined (an
-    # operator should look at the error chains), 1 = other failures or
-    # service-interrupted jobs, 0 = everything completed.
-    if report.n_quarantined:
-        return 2
-    if report.n_done < len(report.outcomes):
-        return 1
-    return 0
+    return 1 if report.n_done < len(report.outcomes) else 0
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -417,12 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workdir",
                        help="root for per-job workdirs (default: temp)")
     serve.add_argument("--job-max-attempts", type=int, default=1,
-                       help="executions a failing job may burn before it is "
-                            "quarantined (1 = no retries)")
-    serve.add_argument("--job-retry-backoff", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="base simulated-seconds backoff before a retry "
-                            "(seeded-jitter exponential schedule)")
+                       help="executions a failing job may burn before it "
+                            "fails (1 = no retries)")
     serve.add_argument("--deadline", type=float, default=0.0,
                        metavar="SECONDS",
                        help="per-job simulated-clock deadline; jobs past it "

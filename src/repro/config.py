@@ -241,15 +241,10 @@ class ServiceConfig:
         Root directory for per-job workdirs and reports ("" = a temp dir
         owned, and removed, by the service).
     job_max_attempts:
-        Executions granted per job before it is quarantined. ``1`` (the
-        default) quarantines on first failure; higher values re-queue a
+        Executions granted per job before it fails for good. ``1`` (the
+        default) fails on the first failure; higher values re-queue a
         failed job through admission, so its budget demand is re-acquired
-        fairly rather than held across the backoff.
-    job_retry_backoff_s:
-        Base backoff before a job's first retry; doubles per attempt with
-        seeded jitter (the same :class:`repro.faults.RetryPolicy` schedule
-        the distributed supervisor uses, keyed by job id and charged to
-        the simulated clock — deterministic per seed).
+        fairly rather than held between attempts.
     max_queued:
         Queue-depth bound for load shedding: whenever more jobs than this
         are queued, the lowest-weight queued jobs are shed with a typed
@@ -264,7 +259,6 @@ class ServiceConfig:
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
     workdir: str = ""
     job_max_attempts: int = 1
-    job_retry_backoff_s: float = 0.05
     max_queued: int = 0
 
     def __post_init__(self) -> None:
@@ -280,8 +274,6 @@ class ServiceConfig:
                     f"tenant weight must be positive ({tenant!r}: {weight})")
         if self.job_max_attempts < 1:
             raise ConfigError("job_max_attempts must be >= 1")
-        if self.job_retry_backoff_s < 0:
-            raise ConfigError("job_retry_backoff_s must be >= 0")
         if self.max_queued < 0:
             raise ConfigError("max_queued must be >= 0 (0 = unbounded)")
 

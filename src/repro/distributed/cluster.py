@@ -320,14 +320,14 @@ class DistributedAssembler:
         edges = graph.n_edges
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
-        # What the rounds' maps wrote, and what the token's partitions held
-        # (what their pulls wrote: the cluster's sorts drop nothing).
+        # ``records_eager``: what the eager map writes (every side of every
+        # length). ``records_shuffled``: what the token's partitions held,
+        # which is what their pulls wrote (the cluster's sorts drop nothing);
+        # a dropped partition's records are the degraded report's
+        # ``candidates_dropped``.
         notes = {"am_messages": float(messages.messages_sent),
                  "am_dropped": float(messages.messages_dropped),
                  "rounds": float(len(rounds)),
-                 # Each round's pulls carry every piece its map wrote; the
-                 # eager map writes every side of every length.
-                 "records_mapped": float(sum(supervisor.pulled.values())),
                  "records_eager": float(band_report(
                      nodes[0].ctx, store, lengths).tuples_written),
                  "records_shuffled": float(sum(

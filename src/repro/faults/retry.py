@@ -1,9 +1,11 @@
 """Deterministic bounded retry with exponential backoff and seeded jitter.
 
-Both failure ladders take their backoff from a :class:`RetryPolicy`: the
-distributed supervisor's attempt loop charges it to the simulated clock
-before a node operation is retried, and the service before a failed job
-re-enters admission. Determinism is the whole point: the backoff before
+The cluster's failure ladder takes its backoff from a :class:`RetryPolicy`:
+the distributed supervisor's attempt loop charges it to the node's
+simulated clock before a node operation is retried. (The service retries a
+failed job without one: each attempt runs a fresh pipeline whose clock
+starts at 0, so a backoff would charge nothing.) Determinism is the whole
+point: the backoff before
 attempt ``k`` of operation ``key`` is a pure function of ``(seed, key,
 k)``, so the same fault plan under the same config produces an identical
 retry timeline — byte-identical ``token_trace`` and sim trace, replayable

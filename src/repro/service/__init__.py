@@ -15,8 +15,7 @@ Public surface:
 """
 
 from .content_store import CacheEntry, ContentStore, phase_key
-from .jobs import (STATUSES, JobOutcome, JobSpec, QuarantineEntry,
-                   ServiceReport, TenantReport)
+from .jobs import STATUSES, JobOutcome, JobSpec, ServiceReport, TenantReport
 from .scheduler import AssemblyService, JobQueue
 from .traffic import TrafficMix, build_sources, default_job_config, generate_jobs
 
@@ -27,7 +26,6 @@ __all__ = [
     "JobOutcome",
     "JobQueue",
     "JobSpec",
-    "QuarantineEntry",
     "STATUSES",
     "ServiceReport",
     "TenantReport",

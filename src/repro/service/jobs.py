@@ -13,10 +13,10 @@ from ..units import format_duration, format_size
 
 #: Every status a job outcome can carry. ``done`` is the only success;
 #: the rest are *distinct* failure classes — ``failed`` means the job's
-#: own execution or admission failed, ``quarantined`` that it exhausted
-#: its attempt budget, and ``cancelled``/``timed_out``/``shed`` that the
-#: service interrupted or refused it (never counted as ``failed``).
-STATUSES = ("done", "failed", "quarantined", "cancelled", "timed_out", "shed")
+#: own execution (on its last attempt) or admission failed, and
+#: ``cancelled``/``timed_out``/``shed`` that the service interrupted or
+#: refused it (never counted as ``failed``).
+STATUSES = ("done", "failed", "cancelled", "timed_out", "shed")
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,13 @@ class JobOutcome:
     workdir: Path | None = None
     #: Executions this job was granted (retries count; joined jobs get 0).
     attempts: int = 0
-    #: One error string per failed attempt, oldest first — the quarantine
-    #: audit trail. The final entry equals ``error`` for terminal failures.
+    #: One error string per failed attempt, oldest first — the retry
+    #: audit trail. The final entry equals ``error`` for a job that
+    #: exhausted its attempts.
     error_chain: tuple[str, ...] = ()
-    #: Job id of the failed single-flight leader this job was promoted
-    #: over (it re-ran the cohort's work instead of inheriting failure).
+    #: Job id of the cancelled or timed-out single-flight leader this job
+    #: was promoted over (it re-ran the cohort's work instead of inheriting
+    #: the leader's outcome).
     promoted_from: str | None = None
 
     @property
@@ -82,24 +84,6 @@ class JobOutcome:
                 + self.result.contigs.offsets.tobytes())
 
 
-@dataclass(frozen=True)
-class QuarantineEntry:
-    """One poison job: it exhausted its attempts and is barred from the queue.
-
-    The service keeps these across
-    :meth:`~repro.service.AssemblyService.run_jobs` calls; a later
-    submission with the same content identity fails fast
-    (``quarantine_hits``) instead of burning attempts on known-poison work.
-    """
-
-    job_id: str
-    tenant: str
-    #: Content identity (``None`` = unreadable input, identity unknown).
-    identity: str | None
-    attempts: int
-    error_chain: tuple[str, ...]
-
-
 @dataclass
 class TenantReport:
     """Per-tenant service accounting (one counter per outcome class)."""
@@ -108,7 +92,6 @@ class TenantReport:
     weight: float
     jobs: int = 0
     failed: int = 0
-    quarantined: int = 0
     cancelled: int = 0
     timed_out: int = 0
     shed: int = 0
@@ -132,10 +115,6 @@ class ServiceReport:
     #: Peak admitted bytes against each service budget.
     peak_host_bytes: int = 0
     peak_device_bytes: int = 0
-    #: Poison jobs quarantined during this run (error chains included).
-    quarantine: tuple[QuarantineEntry, ...] = ()
-    #: Whether the service was draining when the run finished.
-    drained: bool = False
 
     def _count(self, status: str) -> int:
         return sum(1 for outcome in self.outcomes if outcome.status == status)
@@ -150,15 +129,9 @@ class ServiceReport:
         """Jobs whose own execution or admission failed.
 
         Excludes ``cancelled``/``timed_out``/``shed`` (the service
-        interrupted or refused those) and counts ``quarantined`` jobs —
-        quarantine *is* terminal failure, just with an attempt audit trail.
+        interrupted or refused those).
         """
-        return self._count("failed") + self.n_quarantined
-
-    @property
-    def n_quarantined(self) -> int:
-        """Jobs that exhausted their attempt budget this run."""
-        return self._count("quarantined")
+        return self._count("failed")
 
     @property
     def n_cancelled(self) -> int:
@@ -172,7 +145,7 @@ class ServiceReport:
 
     @property
     def n_shed(self) -> int:
-        """Jobs refused by load shedding or a drain."""
+        """Jobs refused by load shedding."""
         return self._count("shed")
 
     @property
@@ -188,8 +161,7 @@ class ServiceReport:
     def summary(self) -> str:
         """Multi-line human-readable service report."""
         classes = [f"{self.n_done} done", f"{self.n_failed} failed"]
-        for label, count in (("quarantined", self.n_quarantined),
-                             ("cancelled", self.n_cancelled),
+        for label, count in (("cancelled", self.n_cancelled),
                              ("timed out", self.n_timed_out),
                              ("shed", self.n_shed)):
             if count:
@@ -197,8 +169,7 @@ class ServiceReport:
         lines = [
             f"jobs: {', '.join(classes)} "
             f"in {format_duration(self.wall_seconds)} "
-            f"({self.jobs_per_second:.2f} jobs/s)"
-            + (" [drained]" if self.drained else ""),
+            f"({self.jobs_per_second:.2f} jobs/s)",
         ]
         if self.cache:
             lines.append(
@@ -216,17 +187,13 @@ class ServiceReport:
         retries = self.counters.get("job_retries", 0)
         promotions = self.counters.get("leader_promoted", 0)
         if retries or promotions:
-            lines.append(f"resilience: {retries:.0f} retries "
-                         f"({self.counters.get('retry_backoff_sim_s', 0.0):.3f}"
-                         f" sim-s backoff); {promotions:.0f} leaders promoted")
+            lines.append(f"resilience: {retries:.0f} retries, "
+                         f"{promotions:.0f} leaders promoted")
         lines.append(f"admitted peaks: host {format_size(self.peak_host_bytes)}"
                      f", device {format_size(self.peak_device_bytes)}")
-        for entry in self.quarantine:
-            lines.append(f"quarantined {entry.job_id} ({entry.tenant}) after "
-                         f"{entry.attempts} attempts: {entry.error_chain[-1]}")
         for report in self.tenants.values():
             parts = [f"{report.jobs} jobs", f"{report.failed} failed"]
-            for label in ("quarantined", "cancelled", "timed_out", "shed"):
+            for label in ("cancelled", "timed_out", "shed"):
                 count = getattr(report, label)
                 if count:
                     parts.append(f"{count} {label.replace('_', ' ')}")

@@ -23,27 +23,21 @@ mirror of the cluster's ladder in :mod:`repro.distributed.resilience`),
 entirely deterministic on the simulated clock:
 
 1. **Bounded retry** — a failed job re-enters admission (its budget demand
-   is re-acquired fairly, never held across the backoff) up to
-   ``job_max_attempts`` times; the backoff before attempt *k* comes from
-   the same seeded-jitter :class:`repro.faults.RetryPolicy` schedule the
-   distributed supervisor uses, keyed by job id and charged to the
-   ``retry_backoff_sim_s`` counter.
+   is re-acquired fairly) up to ``job_max_attempts`` times; each attempt
+   resumes through the job's checkpoint ledger. A job that exhausts its
+   attempts ends ``"failed"`` with one error an attempt in its
+   ``error_chain``.
 2. **Deadlines and cancellation** — ``JobSpec.deadline_s`` bounds a job's
    *modeled* seconds and :meth:`AssemblyService.cancel` requests a
    cooperative stop; both are checked at pipeline phase boundaries and
    produce the distinct ``"timed_out"`` / ``"cancelled"`` outcomes (never
    ``"failed"``).
-3. **Single-flight leader failover** — when a leader dies (quarantined,
-   cancelled or timed out), the oldest follower is promoted and re-runs
-   the cohort's work instead of every follower inheriting the failure.
-4. **Quarantine** — a job that exhausts its attempts lands in the service's
-   quarantine list with its full error chain; submissions with the same
-   content identity fail fast (``quarantine_hits``) and never poison the
-   queue again.
-5. **Drain and load shedding** — :meth:`AssemblyService.drain` stops
-   admission (queued jobs are shed, in-flight jobs finish), and a
-   ``max_queued`` bound sheds the lowest-weight queued jobs with a typed
-   ``admission_shed`` outcome under overload.
+3. **Single-flight leader failover** — when a leader is cancelled or
+   times out, the oldest follower is promoted and re-runs the cohort's
+   work instead of every follower inheriting an outcome that was the
+   leader's own.
+4. **Load shedding** — a ``max_queued`` bound sheds the lowest-weight
+   queued jobs with a typed ``admission_shed`` outcome under overload.
 
 The scheduler is one loop on the thread that calls
 :meth:`AssemblyService.run_jobs`: it picks, admits and settles every job,
@@ -74,16 +68,18 @@ from ..device.memory import MemoryPool
 from ..errors import (AdmissionError, JobCancelled, JobDeadlineExceeded,
                       ReproError)
 from ..faults import plan as faults
-from ..faults.retry import RetryPolicy
 from ..telemetry import EventMeter
 from .content_store import ContentStore, phase_key
-from .jobs import JobOutcome, JobSpec, QuarantineEntry, ServiceReport, TenantReport
+from .jobs import JobOutcome, JobSpec, ServiceReport, TenantReport
 
 #: Leader outcomes that promote the oldest follower instead of spreading
-#: to the cohort. ``"failed"`` (admission rejection) and ``"shed"`` are
-#: excluded: identical content implies an identical demand or an equally
-#: draining service, so a promoted re-run could only fail the same way.
-_PROMOTE_ON = ("quarantined", "cancelled", "timed_out")
+#: to the cohort: the ones that belong to the leader's own job, not to its
+#: content. ``"failed"`` (admission rejection or exhausted attempts) is
+#: excluded: the pipeline is deterministic and identical content implies
+#: an identical demand, so a promoted re-run could only fail the same way.
+#: ``"shed"`` is excluded too: a promoted follower would take back the
+#: queue slot the bound just refused.
+_PROMOTE_ON = ("cancelled", "timed_out")
 
 #: glibc ``mallopt`` parameter capping the number of malloc arenas.
 _M_ARENA_MAX = -8
@@ -166,9 +162,9 @@ class AssemblyService:
     """The multi-tenant assembly service (see the module docstring).
 
     Construct once, then :meth:`run_jobs` a list of :class:`JobSpec`s.
-    The content cache (when configured) and the quarantine list persist
-    across runs of the same service instance — a warm second run serves
-    packed reads and graphs from the cache and refuses known-poison content.
+    The content cache (when configured) persists across runs of the same
+    service instance — a warm second run serves packed reads and graphs
+    from the cache.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *, tracer=None):
@@ -187,13 +183,8 @@ class AssemblyService:
         if self.config.cache_dir:
             self.store = ContentStore(self.config.cache_dir,
                                       self.config.cache_bytes, tracer=tracer)
-        #: Poison jobs that exhausted their attempts, oldest first; their
-        #: content identities are barred from future admission.
-        self.quarantine: list[QuarantineEntry] = []
-        self._poisoned: dict[str, QuarantineEntry] = {}
         self._cancel_lock = threading.Lock()
         self._cancelled: set[str] = set()
-        self._draining = False
         _share_malloc_arena()
 
     # -- public entry points ---------------------------------------------------
@@ -211,25 +202,6 @@ class AssemblyService:
             self._cancelled.add(job_id)
         self.meter.bump("cancel_requests")
 
-    def drain(self) -> None:
-        """Stop admission: queued jobs are shed, in-flight jobs finish.
-
-        Thread-safe and idempotent; callable before a run (everything
-        submitted is shed) or during one (from another thread or a job's
-        phase hook); the scheduler observes it before its next pick or
-        admission. Jobs whose admission grant was already acquired always
-        run to completion — drain never sheds admitted work. The final
-        :class:`ServiceReport` carries ``drained=True`` and the shed
-        outcomes.
-        """
-        self._draining = True
-        self.meter.bump("drain_requests")
-
-    @property
-    def draining(self) -> bool:
-        """Whether admission has been stopped by :meth:`drain`."""
-        return self._draining
-
     def run_jobs(self, specs: list[JobSpec]) -> ServiceReport:
         """Schedule and run ``specs`` to completion on the calling thread.
 
@@ -246,7 +218,6 @@ class AssemblyService:
         root = Path(self.config.workdir) if self.config.workdir \
             else Path(tempfile.mkdtemp(prefix="lasagna-service-"))
         root.mkdir(parents=True, exist_ok=True)
-        quarantined_before = len(self.quarantine)
         start = time.perf_counter()
         # Admitted jobs in submission order, with the grants they hold.
         running: dict[Future, tuple[JobSpec, list]] = {}
@@ -271,13 +242,9 @@ class AssemblyService:
             report = tenants.setdefault(spec.tenant, TenantReport(
                 spec.tenant, self.config.weight(spec.tenant)))
             report.jobs += 1
-            for status, slot in (("failed", "failed"),
-                                 ("quarantined", "quarantined"),
-                                 ("cancelled", "cancelled"),
-                                 ("timed_out", "timed_out"),
-                                 ("shed", "shed")):
-                if outcome.status == status:
-                    setattr(report, slot, getattr(report, slot) + 1)
+            if outcome.status in ("failed", "cancelled", "timed_out", "shed"):
+                setattr(report, outcome.status,
+                        getattr(report, outcome.status) + 1)
         for tenant, units in self._queue.served.items():
             if tenant in tenants:
                 tenants[tenant].served_units = units
@@ -290,8 +257,6 @@ class AssemblyService:
             cache=self.store.stats() if self.store is not None else {},
             peak_host_bytes=self.host_pool.lifetime_peak_bytes,
             peak_device_bytes=self.device_pool.lifetime_peak_bytes,
-            quarantine=tuple(self.quarantine[quarantined_before:]),
-            drained=self._draining,
         )
 
     # -- scheduling core -------------------------------------------------------
@@ -315,12 +280,6 @@ class AssemblyService:
         with self._cancel_lock:
             return job_id in self._cancelled
 
-    def _retry_policy(self, spec: JobSpec) -> RetryPolicy:
-        """The job's deterministic backoff schedule (seeded by its config)."""
-        return RetryPolicy(max_attempts=self.config.job_max_attempts,
-                           base_backoff_s=self.config.job_retry_backoff_s,
-                           seed=spec.config.seed)
-
     def _schedule(self, specs: list[JobSpec], root: Path,
                   pool: ThreadPoolExecutor,
                   running: dict[Future, tuple[JobSpec, list]],
@@ -330,7 +289,6 @@ class AssemblyService:
         self._attempts: dict[str, int] = {}
         self._error_chains: dict[str, list[str]] = {}
         self._followers: dict[str, list[JobSpec]] = {}
-        self._identities: dict[str, str | None] = {}
         self._source_digests: dict[str, str | None] = {}
         self._promoted: dict[str, str] = {}
         outcomes: dict[str, JobOutcome] = {}
@@ -345,19 +303,6 @@ class AssemblyService:
                     executed=False)
                 continue
             identity = self._identity(spec)
-            self._identities[spec.job_id] = identity
-            entry = self._poisoned.get(identity) if identity else None
-            if entry is not None:
-                # Known-poison content: fail fast, never re-enter the queue.
-                self.meter.bump("quarantine_hits")
-                self.tracer.instant("quarantine-hit", track="service",
-                                    job=spec.job_id, poison=entry.job_id)
-                outcomes[spec.job_id] = JobOutcome(
-                    spec, "failed", executed=False,
-                    error=f"content quarantined (poison job {entry.job_id} "
-                          f"exhausted {entry.attempts} attempts: "
-                          f"{entry.error_chain[-1]})")
-                continue
             if identity is not None and identity in leaders:
                 self._followers.setdefault(leaders[identity], []).append(spec)
                 self.meter.bump("singleflight_joined")
@@ -370,9 +315,6 @@ class AssemblyService:
                 # A free worker before each pick: with one worker the
                 # previous job is settled (a retry re-queued) first.
                 self._settle_next(running, outcomes)
-            if self._draining and len(self._queue):
-                self._shed_queue(outcomes, counter="drain_shed",
-                                 reason="service draining")
             if not len(self._queue):
                 if not running:
                     break
@@ -400,12 +342,6 @@ class AssemblyService:
                 continue
             grants = self._admit(demand_host, demand_device, running,
                                  outcomes)
-            if grants is None:
-                # The service started draining while this job was parked
-                # at admission: it never held a grant, so it is shed.
-                self._shed_one(spec, outcomes, counter="drain_shed",
-                               reason="service draining")
-                continue
             self._queue.charge(tenant, 1.0)
             self._execution_order.append(spec.job_id)
             if self._is_cancelled(spec.job_id):
@@ -443,39 +379,25 @@ class AssemblyService:
         bound = self.config.max_queued
         while bound and len(self._queue) > bound:
             victim = self._queue.shed_lowest()
-            self._shed_one(
-                victim, outcomes, counter="admission_shed",
-                reason=f"queue depth exceeded max_queued={bound}")
-
-    def _shed_queue(self, outcomes: dict[str, JobOutcome], *,
-                    counter: str, reason: str) -> None:
-        while len(self._queue):
-            self._shed_one(self._queue.shed_lowest(), outcomes,
-                           counter=counter, reason=reason)
-
-    def _shed_one(self, spec: JobSpec, outcomes: dict[str, JobOutcome], *,
-                  counter: str, reason: str) -> None:
-        self.meter.bump(counter)
-        self.tracer.instant("shed", track="service", job=spec.job_id,
-                            tenant=spec.tenant, reason=counter)
-        self._finish_terminal(spec, JobOutcome(
-            spec, "shed", executed=False,
-            error=f"{counter}: {reason}",
-            attempts=self._attempts.get(spec.job_id, 0)), outcomes)
+            self.meter.bump("admission_shed")
+            self.tracer.instant("shed", track="service", job=victim.job_id,
+                                tenant=victim.tenant, reason="admission_shed")
+            self._finish_terminal(victim, JobOutcome(
+                victim, "shed", executed=False,
+                error=f"admission_shed: queue depth exceeded "
+                      f"max_queued={bound}"), outcomes)
 
     def _admit(self, demand_host: int, demand_device: int,
                running: dict[Future, tuple[JobSpec, list]],
-               outcomes: dict[str, JobOutcome]) -> list | None:
+               outcomes: dict[str, JobOutcome]) -> list:
         """Wait until both budget grants succeed; returns the grants.
 
         Pool ``try_alloc`` is the whole mechanism: a grant that would
         oversubscribe simply fails, and the scheduler settles the next
         running job to finish before it tries again (only running jobs
         hold grants, and a demand beyond the budget never gets here).
-        Returns ``None`` when the service starts draining before the
-        grant lands (the job was never admitted and must be shed, not run).
         """
-        while not self._draining:
+        while True:
             host_grant = self.host_pool.try_alloc(demand_host, label="admission")
             if host_grant is not None:
                 device_grant = self.device_pool.try_alloc(demand_device,
@@ -485,7 +407,6 @@ class AssemblyService:
                 host_grant.free()
             self.meter.bump("admission_blocked")
             self._settle_next(running, outcomes)
-        return None
 
     # -- execution -------------------------------------------------------------
 
@@ -493,55 +414,24 @@ class AssemblyService:
                 outcomes: dict[str, JobOutcome]) -> None:
         """Apply the failure ladder to a job's raw outcome.
 
-        A retryable failure re-enters admission; an exhausted job is
-        quarantined; everything terminal is recorded and may promote a
+        A failed attempt re-enters admission while the job has attempts
+        left; everything terminal is recorded and may promote a
         single-flight follower.
         """
-        if outcome.ok:  # a success after retries keeps their audit trail
-            outcome.error_chain = tuple(self._error_chains.get(spec.job_id, ()))
         if outcome.status == "failed" and outcome.executed:
-            chain = self._error_chains.setdefault(spec.job_id, [])
-            chain.append(outcome.error)
-            attempts = self._attempts.get(spec.job_id, 1)
-            if attempts < self.config.job_max_attempts \
-                    and not self._draining:
-                self._requeue_retry(spec, attempts, outcome)
+            self._error_chains.setdefault(spec.job_id, []).append(
+                outcome.error)
+            attempts = self._attempts[spec.job_id]
+            if attempts < self.config.job_max_attempts:
+                self.meter.bump("job_retries")
+                self.tracer.instant("job-retry", track="service",
+                                    job=spec.job_id, attempt=attempts + 1,
+                                    error=outcome.error)
+                self._queue.push(spec)
                 return
-            if attempts >= self.config.job_max_attempts:
-                outcome = self._quarantine(spec, outcome, chain)
+        # A success after retries and an exhausted job keep their audit trail.
+        outcome.error_chain = tuple(self._error_chains.get(spec.job_id, ()))
         self._finish_terminal(spec, outcome, outcomes)
-
-    def _requeue_retry(self, spec: JobSpec, attempts: int,
-                       outcome: JobOutcome) -> None:
-        """Send a failed job back through admission with a modeled backoff."""
-        backoff = self._retry_policy(spec).backoff_s(attempts,
-                                                     key=spec.job_id)
-        self.meter.bump("job_retries")
-        self.meter.bump("retry_backoff_sim_s", backoff)
-        self.tracer.instant("job-retry", track="service", job=spec.job_id,
-                            attempt=attempts + 1, backoff_s=backoff,
-                            error=outcome.error)
-        self._queue.push(spec)
-
-    def _quarantine(self, spec: JobSpec, outcome: JobOutcome,
-                    chain: list[str]) -> JobOutcome:
-        """Exhausted attempts: record the poison job and bar its identity."""
-        entry = QuarantineEntry(
-            job_id=spec.job_id, tenant=spec.tenant,
-            identity=self._identities.get(spec.job_id),
-            attempts=self._attempts.get(spec.job_id, 1),
-            error_chain=tuple(chain))
-        self.quarantine.append(entry)
-        if entry.identity is not None:
-            self._poisoned[entry.identity] = entry
-        self.meter.bump("jobs_quarantined")
-        self.tracer.instant("quarantined", track="service", job=spec.job_id,
-                            attempts=entry.attempts, error=outcome.error)
-        return JobOutcome(
-            spec, "quarantined", error=outcome.error,
-            error_chain=entry.error_chain, attempts=entry.attempts,
-            wall_seconds=outcome.wall_seconds, workdir=outcome.workdir,
-            promoted_from=self._promoted.get(spec.job_id))
 
     def _finish_terminal(self, spec: JobSpec, outcome: JobOutcome,
                          outcomes: dict[str, JobOutcome]) -> None:
@@ -669,9 +559,10 @@ class AssemblyService:
         """Resolve single-flight followers whose leader reached a verdict.
 
         A successful leader shares its result. A leader that failed
-        without triggering promotion (admission rejection, shed) gives
-        each follower *its own* outcome naming the leader — followers
-        never inherit the leader's error string wholesale.
+        without triggering promotion (admission rejection, exhausted
+        attempts, shed) gives each follower *its own* outcome naming the
+        leader — followers never inherit the leader's error string
+        wholesale.
         """
         for leader_id, specs in self._followers.items():
             leader = outcomes[leader_id]

@@ -127,11 +127,9 @@ def test_execution_only_knobs_still_dedup(tmp_path, sources):
 
 
 def test_failed_leader_promotes_its_follower(tmp_path):
-    """A dead single-flight leader's follower is promoted, not failed.
-
-    Both jobs run a degenerate input, so the promoted follower dies too —
-    but it dies on *its own* execution (with its own error chain), instead
-    of inheriting the leader's failure without ever running.
+    """A leader that fails on its own execution is not re-run by its
+    follower: the pipeline is deterministic, so identical content fails
+    the same way. The follower fails naming the leader, without running.
     """
     missing = tmp_path / "never-written.fastq"
     missing.write_bytes(b"@r\nACGT\n+\nIIII\n")  # readable but degenerate
@@ -139,15 +137,15 @@ def test_failed_leader_promotes_its_follower(tmp_path):
     config = _job_config()
     report = service.run_jobs([JobSpec("a", "t", missing, config),
                                JobSpec("b", "t", missing, config)])
-    assert report.counters["pipeline_runs"] == 2
-    assert report.counters["leader_promoted"] == 1
+    assert report.counters["pipeline_runs"] == 1
+    assert "leader_promoted" not in report.counters
     leader, follower = report.outcomes
-    assert leader.status == "quarantined" and leader.executed
-    assert follower.status == "quarantined" and follower.executed
-    assert follower.promoted_from == "a" and follower.joined is None
-    assert leader.attempts == 1 and follower.attempts == 1
-    assert follower.error_chain  # its own attempt's error, not the leader's
-    assert {entry.job_id for entry in report.quarantine} == {"a", "b"}
+    assert leader.status == "failed" and leader.executed
+    assert follower.status == "failed" and not follower.executed
+    assert follower.joined == "a" and follower.promoted_from is None
+    assert leader.attempts == 1 and follower.attempts == 0
+    assert leader.error_chain == (leader.error,)
+    assert "leader a" in follower.error  # its own error, naming the leader
 
 
 def test_duplicate_job_ids_rejected(tmp_path, sources):

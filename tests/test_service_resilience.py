@@ -1,4 +1,4 @@
-"""The service failure ladder: retries, deadlines, cancel, failover, drain.
+"""The service failure ladder: retries, deadlines, cancel, failover, shedding.
 
 Every scenario here is deterministic on the simulated clock. The chaos
 sweep (:mod:`repro.faults.sweep`) injects one fault at one cell of a clean
@@ -19,8 +19,7 @@ import threading
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig, ServiceConfig
-from repro.faults import FSYNC_LOSS, run_cell, scan_residue
-from repro.faults.retry import RetryPolicy
+from repro.faults import FSYNC_LOSS, run_cell
 from repro.seq.simulate import ReadSimulator, simulate_genome
 from repro.service import AssemblyService, JobSpec
 from repro.trace import NullTracer, SpanTracer, pair_spans
@@ -70,18 +69,18 @@ class _Trigger(NullTracer):
 
     The scheduler's ``job-start``/``job-done`` instants are emitted at
     deterministic points of the (serial) run, so triggering off them makes
-    mid-flight cancellation and drain exactly reproducible.
+    mid-flight cancellation exactly reproducible.
     """
 
-    def __init__(self, marker, job=None, action=None):
+    def __init__(self, marker, job):
         self._marker = marker
         self._job = job
-        self.action = action
+        self.action = None
         self.fired = False
 
     def instant(self, name, **kwargs):
         if (not self.fired and name == self._marker
-                and (self._job is None or kwargs.get("job") == self._job)):
+                and kwargs.get("job") == self._job):
             self.fired = True
             self.action()
 
@@ -143,7 +142,6 @@ def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     retried = [o for o in report.outcomes if o.attempts == 2]
     assert len(retried) == killed, cell.key
     if killed:
-        assert counters["retry_backoff_sim_s"] > 0
         assert retried[0].error_chain
     # The same cell, fresh service: byte-identical statuses, errors, counters.
     _, again, _ = run_cell(cell, lambda: _chaos_run(tmp_path / "b"))
@@ -153,57 +151,42 @@ def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     SWEEP_OUTCOMES[__name__]["clean"] += 1
 
 
-def test_retry_backoff_follows_the_seeded_policy(tmp_path):
-    """The metered backoff equals the shared RetryPolicy schedule exactly."""
-    poison = _degenerate(tmp_path)
-    config = _job_config()
-    service = _service(tmp_path, job_max_attempts=4, job_retry_backoff_s=0.2)
-    report = service.run_jobs([JobSpec("p", "t", poison, config)])
-    policy = RetryPolicy(max_attempts=4, base_backoff_s=0.2, seed=config.seed)
-    expected = sum(policy.backoff_s(attempt, key="p")
-                   for attempt in (1, 2, 3))
-    assert report.counters["job_retries"] == 3
-    assert report.counters["retry_backoff_sim_s"] == pytest.approx(expected)
-
-
-# -- quarantine ----------------------------------------------------------------
+# -- exhausted attempts --------------------------------------------------------
 
 
 def test_poison_job_quarantines_after_exact_attempts(tmp_path, sources):
+    """A job that exhausts its attempts fails, with one error an attempt."""
     poison = _degenerate(tmp_path)
     config = _job_config()
     service = _service(tmp_path, job_max_attempts=3)
     report = service.run_jobs([JobSpec("p", "t", poison, config),
                                JobSpec("ok", "t", sources[0], config)])
     outcomes = {o.spec.job_id: o for o in report.outcomes}
-    assert outcomes["p"].status == "quarantined"
+    assert outcomes["p"].status == "failed"
     assert outcomes["p"].attempts == 3
     assert len(outcomes["p"].error_chain) == 3
     assert outcomes["p"].error == outcomes["p"].error_chain[-1]
     assert outcomes["ok"].ok  # unrelated work completes
     assert report.counters["job_retries"] == 2
-    assert report.counters["jobs_quarantined"] == 1
-    assert report.n_quarantined == 1 and report.n_failed == 1
-    (entry,) = report.quarantine
-    assert entry.job_id == "p" and entry.attempts == 3
-    assert len(entry.error_chain) == 3
+    assert report.counters["job_attempts_failed"] == 3
+    assert report.n_failed == 1
 
 
-def test_quarantined_content_never_repoisons_the_queue(tmp_path):
+def test_a_poison_cohort_shares_one_attempt_budget(tmp_path):
+    """Identical poison submissions run the leader's attempts only: its
+    followers are not promoted over a failure the content causes."""
     poison = _degenerate(tmp_path)
     config = _job_config()
     service = _service(tmp_path, job_max_attempts=2)
-    first = service.run_jobs([JobSpec("p", "t", poison, config)])
-    assert first.n_quarantined == 1
-    runs_before = service.meter.counters()["pipeline_runs"]
-    # Same content, new job id, later run of the same service: fails fast.
-    second = service.run_jobs([JobSpec("p2", "t", poison, config)])
-    (outcome,) = second.outcomes
-    assert outcome.status == "failed" and not outcome.executed
-    assert "quarantined" in outcome.error and "p" in outcome.error
-    assert service.meter.counters()["pipeline_runs"] == runs_before
-    assert service.meter.counters()["quarantine_hits"] == 1
-    assert second.quarantine == ()  # nothing new was quarantined
+    report = service.run_jobs([JobSpec(f"p{i}", "t", poison, config)
+                               for i in range(3)])
+    leader, *followers = report.outcomes
+    assert report.counters["pipeline_runs"] == 2
+    assert leader.status == "failed" and len(leader.error_chain) == 2
+    for outcome in followers:
+        assert outcome.status == "failed" and not outcome.executed
+        assert outcome.joined == "p0" and "leader p0" in outcome.error
+    assert "leader_promoted" not in report.counters
 
 
 # -- deadlines and cancellation ------------------------------------------------
@@ -308,42 +291,7 @@ def test_followers_of_unpromotable_leader_carry_their_own_error(
     assert "leader_promoted" not in report.counters
 
 
-# -- drain and load shedding ---------------------------------------------------
-
-
-def test_drain_finishes_inflight_and_sheds_queued(tmp_path, sources):
-    config = _job_config()
-    trigger = _Trigger("job-done")
-    service = _service(tmp_path, tracer=trigger)
-    trigger.action = service.drain
-    specs = [JobSpec(f"job{i}", "t", src, config)
-             for i, src in enumerate(sources)]
-    report = service.run_jobs(specs)
-    assert report.drained
-    outcomes = {o.spec.job_id: o for o in report.outcomes}
-    assert outcomes["job0"].ok  # in-flight when drain hit: ran to completion
-    for job_id in ("job1", "job2"):
-        assert outcomes[job_id].status == "shed"
-        assert not outcomes[job_id].executed
-        assert "drain" in outcomes[job_id].error
-    assert report.counters["drain_shed"] == 2
-    assert report.n_shed == 2 and report.n_failed == 0
-    # Zero residue: only the executed job left a workdir, and it is clean.
-    jobs_root = service.config.workdir + "/jobs"
-    from pathlib import Path
-    dirs = sorted(p.name for p in Path(jobs_root).iterdir())
-    assert dirs == ["job0"]
-    assert scan_residue(Path(jobs_root)) == []
-
-
-def test_drain_before_run_sheds_everything(tmp_path, sources):
-    config = _job_config()
-    service = _service(tmp_path)
-    service.drain()
-    report = service.run_jobs([JobSpec("a", "t", sources[0], config)])
-    assert report.drained
-    assert report.outcomes[0].status == "shed"
-    assert "pipeline_runs" not in report.counters
+# -- load shedding -------------------------------------------------------------
 
 
 def test_max_queued_sheds_lowest_weight_newest_first(tmp_path, sources):
@@ -368,7 +316,7 @@ def test_max_queued_sheds_lowest_weight_newest_first(tmp_path, sources):
 def test_parallel_mode_retries_and_quarantines(tmp_path, sources):
     """The ladder holds with three jobs running at once.
 
-    Settlement (retry re-queueing, quarantine, promotion) happens on the
+    Settlement (retry re-queueing, failure, promotion) happens on the
     scheduler thread as each job finishes, and with the queue empty the
     scheduler waits on the running jobs until retried work re-enters it —
     a path one worker never takes.
@@ -381,50 +329,52 @@ def test_parallel_mode_retries_and_quarantines(tmp_path, sources):
         for i, src in enumerate(sources)]
     report = service.run_jobs(specs)
     outcomes = {o.spec.job_id: o for o in report.outcomes}
-    assert outcomes["p"].status == "quarantined"
+    assert outcomes["p"].status == "failed"
     assert outcomes["p"].attempts == 2
     assert all(outcomes[f"job{i}"].ok for i in range(len(sources)))
     assert report.counters["job_retries"] == 1
-    assert report.counters["jobs_quarantined"] == 1
+    assert report.n_failed == 1
 
 
-@pytest.mark.parametrize("max_parallel", [1, 3])
-@pytest.mark.parametrize("scenario", ["quarantine", "drain"])
-def test_run_jobs_leaves_no_thread_behind(tmp_path, sources, max_parallel,
-                                          scenario):
+@pytest.mark.parametrize("max_parallel", [1, 3],
+                         ids=["quarantine-1", "quarantine-3"])
+def test_run_jobs_leaves_no_thread_behind(tmp_path, sources, max_parallel):
     """Every worker thread a run starts has exited when ``run_jobs`` returns,
-    through a retried-then-quarantined job and through a drain alike."""
+    through a job that is retried and then exhausts its attempts."""
     config = _job_config()
-    specs = [JobSpec(f"job{i}", "t", src, config)
-             for i, src in enumerate(sources)]
-    if scenario == "quarantine":
-        service = _service(tmp_path, max_parallel=max_parallel,
-                           job_max_attempts=2)
-        specs.insert(0, JobSpec("p", "t", _degenerate(tmp_path), config))
-    else:
-        trigger = _Trigger("job-done")
-        service = _service(tmp_path, tracer=trigger,
-                           max_parallel=max_parallel)
-        trigger.action = service.drain
+    specs = [JobSpec("p", "t", _degenerate(tmp_path), config)] + [
+        JobSpec(f"job{i}", "t", src, config) for i, src in enumerate(sources)]
+    service = _service(tmp_path, max_parallel=max_parallel,
+                       job_max_attempts=2)
     before = set(threading.enumerate())
     report = service.run_jobs(specs)
     assert set(threading.enumerate()) - before == set()
-    if scenario == "quarantine":
-        assert report.n_quarantined == 1
-        assert report.counters["job_retries"] == 1
-    else:
-        assert report.drained and report.n_done >= 1
+    assert report.n_failed == 1
+    assert report.counters["job_retries"] == 1
 
 
 def test_an_interrupted_run_cancels_its_running_jobs(tmp_path, sources):
     """Ctrl-C (here: raised by the first job to finish) does not wait the
-    other running job out: it is cancelled, and its worker joined."""
-    def interrupt():
-        raise KeyboardInterrupt
+    other running job out: it is cancelled, and its worker joined.
+
+    ``job0`` raises from its ``job-done`` while ``job1`` is held inside its
+    ``job-start`` until then, so ``job1`` is running when the interrupt
+    reaches the scheduler: jobs that finish together settle in submission
+    order, and an interrupt from ``job1`` could come after ``job0`` had
+    settled and left nothing running to cancel.
+    """
+    job0_done = threading.Event()
+
+    class Interleave(NullTracer):
+        def instant(self, name, **kwargs):
+            if name == "job-start" and kwargs["job"] == "job1":
+                assert job0_done.wait(timeout=60), "job0 never finished"
+            elif name == "job-done" and kwargs["job"] == "job0":
+                job0_done.set()
+                raise KeyboardInterrupt
 
     config = _job_config()
-    service = _service(tmp_path, tracer=_Trigger("job-done", action=interrupt),
-                       max_parallel=2)
+    service = _service(tmp_path, tracer=Interleave(), max_parallel=2)
     before = set(threading.enumerate())
     with pytest.raises(KeyboardInterrupt):
         service.run_jobs([JobSpec(f"job{i}", "t", src, config)
@@ -451,17 +401,14 @@ def test_service_resilience_events_rolls_up_the_ladder(tmp_path, sources):
     traced = spans_by_name(tracer.events)
     counters = report.counters
     assert len(traced["job-retry"]) == counters["job_retries"] == 1
-    assert len(traced["quarantined"]) == counters["jobs_quarantined"] == 1
+    assert len(traced["job-failed"]) == counters["job_attempts_failed"] == 2
     assert len(traced["job-cancelled"]) == counters["jobs_cancelled"] == 1
-    assert sum(span["args"]["backoff_s"] for span in traced["job-retry"]) \
-        == pytest.approx(counters["retry_backoff_sim_s"])
     assert not any(traced[name] for name in (
-        "shed", "leader-promoted", "job-timed-out", "quarantine-hit"))
+        "shed", "leader-promoted", "job-timed-out"))
     assert counters.keys().isdisjoint({
-        "admission_shed", "drain_shed", "leader_promoted", "jobs_timed_out",
-        "quarantine_hits"})
+        "admission_shed", "leader_promoted", "jobs_timed_out"})
     assert all(span["track"] == "service"
-               for name in ("job-retry", "quarantined", "job-cancelled")
+               for name in ("job-retry", "job-failed", "job-cancelled")
                for span in traced[name])
 
 
@@ -485,13 +432,12 @@ def test_report_summary_and_accounting_split_outcome_classes(tmp_path, sources):
          JobSpec("gone", "t", sources[0], config),
          JobSpec("late", "t", sources[1], config, deadline_s=1e-12),
          JobSpec("ok", "t", sources[2], config)])
-    assert (report.n_done, report.n_failed, report.n_quarantined,
-            report.n_cancelled, report.n_timed_out, report.n_shed) \
-        == (1, 1, 1, 1, 1, 0)
+    assert (report.n_done, report.n_failed, report.n_cancelled,
+            report.n_timed_out, report.n_shed) == (1, 1, 1, 1, 0)
     tenant = report.tenants["t"]
-    assert (tenant.jobs, tenant.quarantined, tenant.cancelled,
+    assert (tenant.jobs, tenant.failed, tenant.cancelled,
             tenant.timed_out, tenant.shed) == (4, 1, 1, 1, 0)
     text = report.summary()
+    assert "1 failed" in text
     assert "1 cancelled" in text and "1 timed out" in text
-    assert "quarantined p" in text
     assert "retries" in text
