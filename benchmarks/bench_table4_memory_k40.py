@@ -61,6 +61,10 @@ def test_table4_memory_peaks_k40(benchmark):
         "measured sort/reduce include the sorted runs held in host memory "
         "for reduce (one side beside the other side's sort, both while "
         "reduce reads them)")
+    host_table.add_note(
+        "measured contig = the placement tables plus one compress step, the "
+        "largest batch of reads that fits beside them (the whole budget "
+        "once the reads outgrow it)")
     emit("table4", host_table, device_table)
 
     # Structure: device sort peak is identical for every dataset large enough

@@ -133,25 +133,14 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pack_fastq(source: str, dest: Path) -> Path:
-    """Pack the FASTQ ``source`` into a new read store at ``dest``."""
-    from .errors import DatasetError
-    from .seq.fastq import fastq_read_batches
-    from .seq.packing import PackedReadStore
+def _pack_fastq(source: str, config: AssemblyConfig, scratch: Path) -> Path:
+    """Pack the FASTQ ``source`` into a read store in ``scratch``: the load
+    phase's streaming steps, sized by ``config``'s host budget."""
+    from .core.context import RunContext
+    from .core.load_phase import run_load
 
-    writer = None
-    try:
-        for batch in fastq_read_batches(source, batch_reads=65536,
-                                        on_invalid="mask"):
-            if writer is None:
-                writer = PackedReadStore.create(dest, batch.read_length)
-            writer.append_batch(batch)
-    finally:
-        if writer is not None:
-            writer.close()
-    if writer is None:
-        raise DatasetError(f"input contains no reads: {source}")
-    return dest
+    with run_load(RunContext(config, workdir=scratch), source) as store:
+        return store.path
 
 
 def _cmd_distributed(args: argparse.Namespace) -> int:
@@ -169,7 +158,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="lasagna-pack-") as scratch:
         source = args.reads
         if not str(source).endswith(".lsgr"):
-            source = _pack_fastq(source, Path(scratch) / "reads.lsgr")
+            source = _pack_fastq(source, config, Path(scratch))
         result = DistributedAssembler(config, args.nodes).assemble(source)
     print(f"assembled on {args.nodes} simulated nodes: "
           f"{result.n_reads:,} reads -> {result.contigs.n_contigs} contigs "

@@ -15,7 +15,10 @@ Stage 2 lays contigs out exactly as Fig. 7 describes:
    vertex belongs to at most one path;
 3. the packed reads are streamed from disk once; each read in a path
    contributes its first ``overhang`` bases (reverse-complemented first if
-   the vertex is a complement vertex) at its offset.
+   the vertex is a complement vertex) at its offset. Each streaming step
+   is the largest batch of reads whose codes and reverse complements fit
+   beside the placement tables in the host budget
+   (:func:`~repro.core.residency.stream_batch_reads`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from ..graph.contigs import ContigSet
 from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore
 from .context import RunContext
-
-#: Reads decoded per streaming step while spelling contigs.
-COMPRESS_BATCH_READS = 65536
+from .residency import compress_read_bytes, stream_batch_reads
 
 
 def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadStore,
@@ -85,23 +86,27 @@ def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadSto
                          bases=total_bases), \
             ctx.host_pool.alloc(flat.nbytes + dest_offset.nbytes + take_bases.nbytes,
                                 label="compress-contigs"):
-        for batch in store.iter_batches(COMPRESS_BATCH_READS):
-            for orientation in (0, 1):
-                vertices = (batch.read_ids.astype(np.int64) << 1) | orientation
-                selected = np.nonzero(dest_offset[vertices] >= 0)[0]
-                if selected.size == 0:
-                    continue
-                codes = batch.codes[selected]
-                if orientation == 1:
-                    codes = reverse_complement(codes)
-                takes = take_bases[vertices[selected]].astype(np.int64)
-                dests = dest_offset[vertices[selected]]
-                # Ragged placement: read i contributes codes[i, :takes[i]]
-                # at flat[dests[i]:dests[i]+takes[i]].
-                rows = np.repeat(np.arange(selected.shape[0]), takes)
-                base = np.repeat(np.cumsum(takes) - takes, takes)
-                cols = np.arange(rows.shape[0]) - base
-                positions = np.repeat(dests, takes) + cols
-                flat[positions] = codes[rows, cols]
-                ctx.gpu.charge_elementwise(2 * positions.shape[0])
+        read_bytes = compress_read_bytes(store.read_length)
+        for batch in store.iter_batches(stream_batch_reads(ctx, read_bytes)):
+            with ctx.host_pool.alloc(batch.n_reads * read_bytes,
+                                     label="compress-batch"):
+                for orientation in (0, 1):
+                    vertices = (batch.read_ids.astype(np.int64) << 1) \
+                        | orientation
+                    selected = np.nonzero(dest_offset[vertices] >= 0)[0]
+                    if selected.size == 0:
+                        continue
+                    codes = batch.codes[selected]
+                    if orientation == 1:
+                        codes = reverse_complement(codes)
+                    takes = take_bases[vertices[selected]].astype(np.int64)
+                    dests = dest_offset[vertices[selected]]
+                    # Ragged placement: read i contributes codes[i, :takes[i]]
+                    # at flat[dests[i]:dests[i]+takes[i]].
+                    rows = np.repeat(np.arange(selected.shape[0]), takes)
+                    base = np.repeat(np.cumsum(takes) - takes, takes)
+                    cols = np.arange(rows.shape[0]) - base
+                    positions = np.repeat(dests, takes) + cols
+                    flat[positions] = codes[rows, cols]
+                    ctx.gpu.charge_elementwise(2 * positions.shape[0])
     return ContigSet(flat, contig_offsets), paths

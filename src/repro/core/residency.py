@@ -10,8 +10,11 @@ store and the partitions stay only in an *in-core* run, by budget alone;
 the paper's regime (data ≫ host) is not in-core. Each placement is
 reserved in the host pool through the plan and leaves the sorter's whole
 host block free beside it, so every later map block and sort reserves
-what it would with the artifact on disk. The plan is the only code that
-reads the pool's free or used bytes to decide a placement (DESIGN.md §2f,
+what it would with the artifact on disk. Load, before the plan exists,
+and compress, after the graph is gone, stream the reads in steps sized
+the same way: the largest batch that fits what the pool has free
+(:func:`stream_batch_reads`). This module is the only code that reads the
+pool's free or used bytes to decide a placement (DESIGN.md §2f,
 *Residency*).
 """
 
@@ -27,6 +30,31 @@ from ..seq.packing import PackedReadStore
 from .context import RunContext
 from .map_phase import open_vertices, partition_lengths
 from .sort_phase import make_sorter
+
+#: The most reads one streaming step of load or compress takes.
+STREAM_BATCH_READS = 65536
+
+
+def load_read_bytes(read_length: int, *, fastq: bool) -> int:
+    """Host bytes one read costs a load step: its source record (the FASTQ
+    text the accountant charges, or its packed bytes), its codes and the
+    packed bytes it is written as."""
+    packed = -(-read_length // 4)
+    return (2 * read_length + 16 if fastq else packed) + read_length + packed
+
+
+def compress_read_bytes(read_length: int) -> int:
+    """Host bytes one read costs a compress step: its decoded codes and
+    their reverse complement."""
+    return 2 * read_length
+
+
+def stream_batch_reads(ctx: RunContext, read_bytes: int) -> int:
+    """The reads of one streaming step: the largest batch of
+    ``read_bytes`` a read that fits what the host pool has free, at most
+    :data:`STREAM_BATCH_READS`. The step's reservation raises
+    ``HostMemoryError`` if not one read fits."""
+    return max(1, min(STREAM_BATCH_READS, ctx.host_pool.free_bytes // read_bytes))
 
 
 class Residency:

@@ -127,24 +127,27 @@ def run_cell(cell: Cell, run: Callable[[], object]):
     """The outcome rule for one cell: ``run()`` under its fault and, if
     the fault killed it, once more unarmed (the resume).
 
-    Returns the plan (what fired is on its ``events``), then the result to
+    Returns the plan (what fired is on its ``events``); then the result to
     compare with the clean run's and ``None``, or ``None`` and the named
-    :class:`~repro.errors.ReproError` the cell ended with. Any other
-    exception fails the cell.
+    :class:`~repro.errors.ReproError` the cell ended with; then whether the
+    armed run died and the cell needed the rerun. Any other exception
+    fails the cell.
     """
     plan = cell.plan()
+    rerun = False
     try:
         try:
             with inject(plan):
-                return plan, run(), None
+                return plan, run(), None, rerun
         except FaultInjected:
             pass
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
-        return plan, run(), None
+        rerun = True
+        return plan, run(), None, rerun
     except ReproError as exc:
-        return plan, None, exc
+        return plan, None, exc, rerun
 
 
 def result_digest(result: AssemblyResult) -> str:

@@ -68,7 +68,9 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
     Works on a single read (1-D) or a whole batch (2-D, one read per row) —
     the batch form is what the map phase uses, one kernel for the batch.
     """
-    return complement_codes(codes)[..., ::-1].copy()
+    # One new array: the complement is written straight from the reversed view.
+    return np.subtract(np.uint8(ALPHABET_SIZE - 1),
+                       np.asarray(codes, dtype=np.uint8)[..., ::-1])
 
 
 def reverse_complement_str(seq: str) -> str:

@@ -1,16 +1,18 @@
 """Streaming FASTA/FASTQ readers and writers.
 
 The load phase consumes FASTQ (the format every Table I dataset ships in)
-and the contig output is FASTA. Both readers are generators that never hold
-more than one record in memory, matching the read-only-memory contract of
-the semi-streaming model; batch helpers group records for the GPU.
+and the contig output is FASTA. Both readers are generators that hold one
+record at a time, matching the read-only-memory contract of the
+semi-streaming model. :func:`fastq_read_batches` groups records into
+batches for the GPU and holds one batch at a time: as many reads as its
+caller asks for, which the load phase sizes from the host budget.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from ..errors import DatasetError
 from .records import ReadBatch
@@ -105,14 +107,18 @@ def write_fasta(path: str | Path | TextIO, records: Iterable[tuple[str, str]],
     return count
 
 
-def fastq_read_batches(path: str | Path, *, batch_reads: int,
+def fastq_read_batches(path: str | Path, *,
+                       batch_reads: int | Callable[[int], int],
                        on_invalid: str = "strict") -> Iterator[ReadBatch]:
     """Stream a FASTQ file as :class:`ReadBatch` objects of ``batch_reads``.
 
-    All reads must share one length (fixed-length Illumina datasets); a
-    mismatch raises :class:`~repro.errors.DatasetError`.
+    ``batch_reads`` may be a function of the read length, which is known
+    once the first record is read: the load phase's batch rule. All reads
+    must share one length (fixed-length Illumina datasets); a mismatch
+    raises :class:`~repro.errors.DatasetError`.
     """
-    if batch_reads < 1:
+    step = batch_reads if callable(batch_reads) else lambda _: batch_reads
+    if not callable(batch_reads) and batch_reads < 1:
         raise DatasetError("batch_reads must be >= 1")
     pending: list[str] = []
     start_id = 0
@@ -120,13 +126,14 @@ def fastq_read_batches(path: str | Path, *, batch_reads: int,
     for _, seq, _ in read_fastq(path):
         if read_length is None:
             read_length = len(seq)
+            size = step(read_length)
         elif len(seq) != read_length:
             raise DatasetError(
                 f"variable read length ({len(seq)} vs {read_length}); "
                 "fixed-length datasets are required (see DESIGN.md)"
             )
         pending.append(seq)
-        if len(pending) == batch_reads:
+        if len(pending) == size:
             yield ReadBatch.from_strings(pending, start_id=start_id, on_invalid=on_invalid)
             start_id += len(pending)
             pending = []

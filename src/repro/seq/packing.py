@@ -69,8 +69,12 @@ def unpack_codes(packed: np.ndarray, read_length: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns a ``(n, read_length)`` matrix."""
     packed = np.asarray(packed, dtype=np.uint8)
     n = packed.shape[0]
-    expanded = (packed[:, :, None] >> _UNPACK_SHIFTS) & np.uint8(3)
-    return expanded.reshape(n, -1)[:, :read_length].copy()
+    expanded = packed[:, :, None] >> _UNPACK_SHIFTS
+    expanded &= np.uint8(3)
+    codes = expanded.reshape(n, -1)
+    # One array, copied only to drop a partial last byte's padding.
+    return codes if codes.shape[1] == read_length \
+        else codes[:, :read_length].copy()
 
 
 class PackedReadStore:

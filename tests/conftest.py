@@ -37,7 +37,9 @@ from repro.trace import pair_spans
 FULL_SWEEP = os.environ.get("REPRO_SWEEP") == "full"
 
 #: How the fault sweeps' cells ended, by module: ``clean`` (the clean
-#: run's result) or ``raised`` (a named error).
+#: run's result) or ``raised`` (a named error); ``rerun`` counts the cells,
+#: of either outcome, whose armed run died and that needed the unarmed
+#: rerun.
 SWEEP_OUTCOMES: defaultdict[str, Counter] = defaultdict(Counter)
 
 
@@ -112,7 +114,8 @@ def pytest_terminal_summary(terminalreporter):
     for module, outcomes in sorted(SWEEP_OUTCOMES.items()):
         terminalreporter.write_line(
             f"{module}: {outcomes['clean']} cells with the clean result, "
-            f"{outcomes['raised']} with a named error")
+            f"{outcomes['raised']} with a named error; {outcomes['rerun']} "
+            f"needed the rerun")
 
 
 @pytest.fixture()

@@ -161,7 +161,9 @@ def _faulted(fault: Fault, workdir):
 @pytest.mark.parametrize("cell", SWEPT, ids=[cell_id(cell) for cell in SWEPT])
 def test_a_write_fault_recovers_or_raises(tmp_path, cell):
     clean = PROBE.clean
-    plan, result, error = run_cell(cell, lambda: _assemble(tmp_path / "w"))
+    plan, result, error, rerun = run_cell(cell,
+                                          lambda: _assemble(tmp_path / "w"))
+    SWEEP_OUTCOMES[__name__]["rerun"] += rerun
     assert plan.events, f"{cell.key} never fired"
     if error is not None:
         named_error(__name__, cell, error)

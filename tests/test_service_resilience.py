@@ -123,7 +123,9 @@ def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     """A fault inside a job body is retried and converges byte-for-byte."""
     clean = CHAOS_PROBE.clean
     assert clean.n_done == len(CHAOS_SPECS)
-    plan, report, error = run_cell(cell, lambda: _chaos_run(tmp_path / "a"))
+    plan, report, error, rerun = run_cell(cell,
+                                          lambda: _chaos_run(tmp_path / "a"))
+    SWEEP_OUTCOMES[__name__]["rerun"] += rerun
     assert plan.events, f"{cell.key} never fired"
     if error is None:
         # A job that failed for good: what the service made of its error.
@@ -144,7 +146,7 @@ def test_chaos_sweep_retries_to_byte_identical_results(tmp_path, cell):
     if killed:
         assert retried[0].error_chain
     # The same cell, fresh service: byte-identical statuses, errors, counters.
-    _, again, _ = run_cell(cell, lambda: _chaos_run(tmp_path / "b"))
+    _, again, _, _ = run_cell(cell, lambda: _chaos_run(tmp_path / "b"))
     assert _statuses(again) == _statuses(report)
     assert again.counters == report.counters
     assert _goldens(again) == _goldens(clean)

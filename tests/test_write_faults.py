@@ -161,7 +161,9 @@ def test_appending_cells_leaves_earlier_picks_unchanged():
 def test_a_write_fault_resumes_or_raises(tmp_path, budget, cell):
     clean = PROBES[budget].clean
     workdir = tmp_path / "w"
-    plan, result, error = run_cell(cell, lambda: _assemble(budget, workdir))
+    plan, result, error, rerun = run_cell(cell,
+                                          lambda: _assemble(budget, workdir))
+    SWEEP_OUTCOMES[__name__]["rerun"] += rerun
     assert plan.events, f"{cell.key} never fired"
     if error is not None:
         named_error(__name__, cell, error)
