@@ -135,14 +135,12 @@ class AssemblyConfig:
         event log plus Chrome/Perfetto trace JSON there (see
         :mod:`repro.trace`). Purely observational: does not affect output
         or the checkpoint fingerprint.
-    heartbeat_interval / node_timeout / reduce_max_attempts /
-    retry_backoff_s / node_restarts / allow_degraded:
+    heartbeat_interval / node_timeout / node_restarts / allow_degraded:
         Distributed-resilience knobs (see
         :mod:`repro.distributed.resilience`): heartbeat cadence and
-        declared-dead timeout on the simulated clock, bounded per-operation
-        retries with deterministic backoff, per-node restart budget, and
-        whether exhausted recovery degrades (report + surviving nodes)
-        rather than raising. All are execution-policy only: a clean run's
+        declared-dead timeout on the simulated clock, per-node restart
+        budget, and whether exhausted recovery degrades (report + surviving
+        nodes) rather than raising. All are execution-policy only: a clean run's
         artifacts and timings are identical for any values. A failed
         reduce attempt replays its partition whole from the sorted runs.
     seed:
@@ -165,12 +163,6 @@ class AssemblyConfig:
     heartbeat_interval: float = 0.25
     #: Simulated seconds without a heartbeat before a node is declared dead.
     node_timeout: float = 1.0
-    #: Bounded attempts per node operation (2 = one retry, the historical
-    #: distributed-reduce behaviour).
-    reduce_max_attempts: int = 2
-    #: Base backoff before the first retry; doubles per attempt with seeded
-    #: jitter (see repro.faults.RetryPolicy).
-    retry_backoff_s: float = 0.05
     #: Fresh WorkerNode restarts granted per node before it is declared lost.
     node_restarts: int = 1
     #: Finish on surviving nodes with a DegradedRunReport when recovery is
@@ -191,10 +183,6 @@ class AssemblyConfig:
             raise ConfigError("heartbeat_interval must be > 0")
         if self.node_timeout < self.heartbeat_interval:
             raise ConfigError("node_timeout must be >= heartbeat_interval")
-        if self.reduce_max_attempts < 1:
-            raise ConfigError("reduce_max_attempts must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ConfigError("retry_backoff_s must be >= 0")
         if self.node_restarts < 0:
             raise ConfigError("node_restarts must be >= 0")
 

@@ -116,7 +116,6 @@ def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
 #:   never what a surviving run produces (recovered runs are byte-identical).
 NON_SEMANTIC_KNOBS = ("trace",
                       "heartbeat_interval", "node_timeout",
-                      "reduce_max_attempts", "retry_backoff_s",
                       "node_restarts", "allow_degraded")
 
 

@@ -25,9 +25,9 @@ CATEGORIES = (
     "disk_write",
     "host",
     "network",
-    # Resilience overhead: heartbeat-timeout detection gaps and retry
-    # backoff waits charged by the distributed supervisor. Zero on every
-    # clean run, so Fig. 10 series are unchanged unless faults fire.
+    # Resilience overhead: heartbeat-timeout detection gaps charged by the
+    # distributed supervisor. Zero on every clean run, so Fig. 10 series
+    # are unchanged unless faults fire.
     "retry",
 )
 

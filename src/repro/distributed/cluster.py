@@ -21,7 +21,8 @@ behind Fig. 10:
   the paper's ``t_o · p/n + t_g · p`` law. An owner reads the runs its
   sort formed in one piece from host memory
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
-* **compress** — on the master, as in the single-node pipeline.
+* **compress** — on the master, as in the single-node pipeline (a node
+  operation: the first alive node's, run again after a death).
 
 Every node reads the shared read store through its own disk meter
 (:meth:`WorkerNode.metered`), as a single node's map and compress do.
@@ -307,11 +308,15 @@ class DistributedAssembler:
         reduce_report.edges_added = graph.n_edges
 
         # -- compress: on the master --------------------------------------------
-        master = (supervisor.alive() or [nodes[0]])[0]
         before = self._clock_totals(nodes)
         wall0 = time.perf_counter()
-        with master.metered(store) as reads:
-            contigs, _paths = run_compress(master.ctx, graph, reads)
+
+        def spell(node: WorkerNode, _attempt: int) -> ContigSet:
+            # Through this module's name: the harness times it here.
+            with node.metered(store) as reads:
+                return run_compress(node.ctx, graph, reads)[0]
+
+        contigs = supervisor.compress(spell)
         phase_seconds["compress"], per_node_seconds["compress"] = \
             self._phase_delta(nodes, before)
         self._cluster_span(ctracer, "compress", wall0, max(before),
@@ -326,7 +331,6 @@ class DistributedAssembler:
         # a dropped partition's records are the degraded report's
         # ``candidates_dropped``.
         notes = {"am_messages": float(messages.messages_sent),
-                 "am_dropped": float(messages.messages_dropped),
                  "rounds": float(len(rounds)),
                  "records_eager": float(band_report(
                      nodes[0].ctx, store, lengths).tuples_written),
@@ -371,14 +375,14 @@ class DistributedAssembler:
         single-node pipeline's.
 
         A node failing mid-partition does not lose the token: the master
-        still holds it while the supervisor runs retry → restart → failover
+        still holds it while the supervisor runs restart → failover
         on the owner, and the surviving attempt replays the partition whole
         from its sorted runs — duplicate candidate re-submissions are
         rejected by the bit-vector, so the edge set is unchanged and
         recovered runs are byte-identical; ``report`` counts the surviving
         attempt only. Because ``find_done`` is taken
         from the surviving attempt's clock (which absorbed every wasted
-        attempt, backoff and recovery charge) and ``token_hold ≥
+        attempt and recovery charge) and ``token_hold ≥
         token_time``, the token timeline accrues transfer + recompute costs
         and never goes backward. Partitions that exhaust every owner are
         dropped into the degraded report by the supervisor (or raise when

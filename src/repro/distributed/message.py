@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import DistributedProtocolError, MessageDropped
+from ..errors import DistributedProtocolError
 from ..faults import plan as faults
 from .network import NetworkSpec
 
@@ -36,7 +36,6 @@ class ActiveMessageLayer:
         self._handlers: dict[tuple[int, str], Handler] = {}
         self._clocks: dict[int, Any] = {}
         self.messages_sent = 0
-        self.messages_dropped = 0
         self.bytes_by_pair: dict[tuple[int, int], int] = {}
 
     def register_node(self, node_id: int, clock) -> None:
@@ -59,18 +58,9 @@ class ActiveMessageLayer:
             raise DistributedProtocolError(f"node {dst} has no handler {name!r}")
         if src not in self._clocks:
             raise DistributedProtocolError(f"unregistered source node {src}")
-        # Node-level chaos: the delivery itself may be dropped (the sender
-        # pays for the attempted request, then sees MessageDropped) or may
-        # kill the destination node mid-request (FaultInjected unwinds to
-        # the sender).
-        try:
-            faults.deliver_message(node_scope(src), node_scope(dst), name)
-        except MessageDropped:
-            self.messages_dropped += 1
-            if src != dst:
-                self._clocks[src].charge(
-                    "network", self.network.transfer_seconds(request_bytes))
-            raise
+        # Node-level chaos: the delivery may kill the destination node
+        # mid-request (FaultInjected unwinds to the sender).
+        faults.deliver_message(node_scope(src), node_scope(dst), name)
         response, response_bytes = self._handlers[key](*args)
         self.messages_sent += 1
         if src != dst:

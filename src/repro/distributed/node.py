@@ -200,8 +200,8 @@ class WorkerNode:
 
         A partition is the concatenation, in producer-id order, of every
         producer's piece, requested from ``holders[producer]``, and has one
-        record per vertex the snapshot leaves open. A pull retried in place
-        starts each partition again. Returns the bytes pulled over the
+        record per vertex the snapshot leaves open. A pull run again (a
+        peer died mid-pull) starts each partition again. Returns the bytes pulled over the
         network.
         """
         if self.lone:

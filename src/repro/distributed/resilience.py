@@ -1,20 +1,23 @@
-"""Distributed resilience: heartbeats, deterministic retry, node recovery.
+"""Distributed resilience: heartbeats, node restart, failover, degraded mode.
 
 The paper's distributed reduce is a chain: the out-degree bit-vector token
 travels through partition owners in descending length order, so one dead
 node stalls the whole assembly. This module gives the simulated cluster the
 failure ladder a production deployment would have, entirely on the
-simulated clock so every timeline is deterministic and replayable:
+simulated clock so every timeline is deterministic and replayable.
 
-1. **Bounded in-place retry** — every node operation (map block, shuffle
-   pull, sort, reduce attempt) runs under a
-   :class:`~repro.faults.RetryPolicy`: exponential backoff with seeded
-   jitter, charged to the node's ``retry`` clock category.
-2. **Heartbeat/timeout detection** — when retries exhaust (or an injected
-   ``node-crash`` kills the process outright), the supervisor declares the
-   node dead at ``last_heartbeat + node_timeout`` on the simulated clock,
-   emitting one ``heartbeat-miss`` instant per missed beat.
-3. **Node restart from lineage** — a fresh :class:`WorkerNode` reopens the
+One entry rule: any fault a node operation (map block, seal, shuffle pull,
+sort, reduce attempt, compress) raises is the death of the scope that
+died: the operation's own node, the writer of a lost write, or the
+destination of a message. An injected :class:`~repro.errors.FaultInjected`
+names that scope; a full disk (``OSError(ENOSPC)``) is the death of the
+node whose disk it is. Nothing is retried in place: the operation runs
+again after its node's recovery.
+
+1. **Heartbeat/timeout detection** — the supervisor declares the node dead
+   at ``last_heartbeat + node_timeout`` on the simulated clock, emitting
+   one ``heartbeat-miss`` instant per missed beat.
+2. **Node restart from lineage** — a fresh :class:`WorkerNode` reopens the
    dead node's private storage, which keeps no ledger. Its map pieces of
    the round in flight died with it (or lost writes): it maps them again
    from the recorded read blocks when a pull first needs them. A shuffled
@@ -22,12 +25,13 @@ simulated clock so every timeline is deterministic and replayable:
    again byte-identically, because it is the concatenation of
    per-producer pieces in node-id order and every piece is held, this
    round, by its producer or by the survivor that took its id.
-4. **Failover** — a node past its restart budget is *lost*. One rule, in
+3. **Failover** — a node past its restart budget is *lost*. One rule, in
    every phase: the least-loaded survivor takes the lost node's producer
    ids and maps their recorded blocks with its own (the round in flight's
    when a pull first needs them); the lost node's partitions move only
    when the token reaches them (:meth:`ClusterSupervisor.reduce_partition`).
-5. **Degraded-mode completion** — when a partition survives no owner, the
+   A disk that stays full uses up its node's restarts the same way.
+4. **Degraded-mode completion** — when a partition survives no owner, the
    run finishes on the surviving nodes and reports the drop in a
    :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
    restores the old fail-stop behaviour).
@@ -44,21 +48,22 @@ rebuilt partition the lost one byte for byte. Ownership is per round
 alive nodes); a replay checks the partitions a node owns *now* and the
 token has yet to reach, and nothing else.
 
-A failed reduce attempt (retry, restart or failover) replays its partition
+A failed reduce attempt (restart or failover) replays its partition
 whole, like every other node operation: from its sorted runs, or pulled
 and sorted again when a held run went with the attempt; the candidates it
 offers again are rejected by the out-degree bit-vector (DESIGN.md §2g
 records why chunk checkpoints were deleted). Detection latency is
 ``node_timeout`` and nothing else.
 
-Everything is instrumented: ``failover``/``backoff`` spans,
-``heartbeat-miss``/``node-lost`` instants on the cluster track, and an
+Everything is instrumented: ``failover`` spans, ``heartbeat-miss``/
+``node-lost`` instants on the cluster track, and an
 :class:`~repro.telemetry.EventMeter` of resilience counters surfaced in
 ``DistributedResult.notes``.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import time
 from dataclasses import dataclass, field
@@ -66,11 +71,9 @@ from pathlib import Path
 
 from ..config import AssemblyConfig
 from ..device.specs import DiskSpec, HostSpec
-from ..errors import DistributedProtocolError, FaultInjected, MessageDropped
+from ..errors import DistributedProtocolError, FaultInjected
 from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
-from ..faults.plan import FSYNC_LOSS, NODE_CRASH
-from ..faults.retry import RetryPolicy
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
 from ..telemetry import EventMeter
@@ -117,7 +120,6 @@ class DegradedRunReport:
     lost_nodes: tuple[int, ...]
     node_restarts: int
     failovers: int
-    retries: int
     candidates_total: int = 0
 
     @property
@@ -137,8 +139,7 @@ class DegradedRunReport:
         lines = [
             f"DEGRADED RUN: {len(self.dropped)} partition(s) dropped, "
             f"{len(self.lost_nodes)} node(s) lost "
-            f"({self.node_restarts} restarts, {self.failovers} failovers, "
-            f"{self.retries} retries)",
+            f"({self.node_restarts} restarts, {self.failovers} failovers)",
             f"  contig-level impact: {self.candidates_dropped:,} candidate "
             f"overlaps lost ({share:.2f}% of all candidates); contigs may "
             f"end early at overlap lengths {list(self.dropped_lengths)}",
@@ -164,11 +165,25 @@ class ReduceOutcome:
 class _NodeDeath(Exception):
     """Internal: a node (or a peer) must go through death detection."""
 
-    def __init__(self, victims: list[str], cause: BaseException, op: str):
+    def __init__(self, victims: list[str], op: str):
         super().__init__(f"{victims} died at {op}")
         self.victims = victims
-        self.cause = cause
-        self.op = op
+
+
+def _victim(exc: BaseException, scope: str) -> str:
+    """The scope whose death ``exc``, raised in ``scope``'s operation, is.
+
+    An injected fault names the scope that died (this node, a peer that
+    died servicing its message, the writer of a lost write), and its crash
+    is acknowledged; a full disk is the death of the node whose disk it is
+    (the plan names it; a real one is the operation's). Any other
+    ``OSError`` is no node's death and is raised again.
+    """
+    if isinstance(exc, OSError) and exc.errno != errno.ENOSPC:
+        raise exc
+    victim = getattr(exc, "scope", None) or scope
+    faults.clear_crash(scope=victim)
+    return victim
 
 
 class _NodeLost(Exception):
@@ -184,9 +199,9 @@ class ClusterSupervisor:
 
     The cluster driver delegates every node operation here; clean runs take
     the zero-overhead fast path (one ``node_op`` hook visit per operation,
-    nothing else), faulted runs go through retry → restart → failover →
-    degraded, with all detection and backoff time charged to the simulated
-    clocks so the token timeline stays causal and monotone.
+    nothing else), faulted runs go through detect → restart → failover →
+    degraded, with all detection time charged to the simulated clocks so
+    the token timeline stays causal and monotone.
     """
 
     def __init__(self, config: AssemblyConfig, n_nodes: int, root: Path,
@@ -203,9 +218,6 @@ class ClusterSupervisor:
         self.ctracer = tracer if tracer is not None else NULL_TRACER
         self.disk = disk
         self.host = host
-        self.policy = RetryPolicy(max_attempts=config.reduce_max_attempts,
-                                  base_backoff_s=config.retry_backoff_s,
-                                  seed=config.seed)
         self.meter = EventMeter()
         self.nodes = [self._worker(i) for i in range(n_nodes)]
         self.lost: set[int] = set()
@@ -239,84 +251,52 @@ class ClusterSupervisor:
         """Current nodes not declared lost, in node-id order."""
         return [n for n in self.nodes if n.node_id not in self.lost]
 
-    def _least_loaded(self) -> WorkerNode:
+    def _survivors(self) -> list[WorkerNode]:
+        """:meth:`alive`, which must not be empty."""
         candidates = self.alive()
         if not candidates:
             raise DistributedProtocolError(
                 "no surviving nodes: every worker exhausted its restart budget")
-        return min(candidates, key=lambda n: n.ctx.clock.total_seconds)
+        return candidates
 
-    # -- the bounded attempt loop ---------------------------------------------
+    def _least_loaded(self) -> WorkerNode:
+        return min(self._survivors(), key=lambda n: n.ctx.clock.total_seconds)
+
+    # -- one attempt ---------------------------------------------------------
 
     def _attempt_cycle(self, node: WorkerNode, op: str, fn, *,
                        counter: list[int] | None = None,
                        failures: list[dict] | None = None,
                        in_place: bool = True):
-        """Run ``fn(node, attempt)`` with bounded in-place retries.
+        """Run ``fn(node, attempt)`` once.
 
-        Raises :class:`_NodeDeath` when retries exhaust, when the fault was
-        a process death (an explicit ``node-crash``, or the crash an
-        ``fsync-loss`` arms: retrying in place would use the file it lost
-        as if it were whole), when the failure killed a *different* node (a
-        peer died servicing our message, or the writer of a lost write), or
-        immediately when ``in_place`` is off — operations that append to
-        shared state (map blocks, the seal of their streams) cannot be
-        re-run in place without duplicating their partial output, so they
-        go straight to wipe-and-replay recovery.
+        A fault it raises is a death (:func:`_victim`) and raises
+        :class:`_NodeDeath`. With ``in_place`` off (operations that append
+        to the node's own streams: map blocks, the seal of their streams)
+        a death of another scope kills this node too: cut short, the
+        operation left its streams unknown.
         """
-        for local in range(self.policy.max_attempts):
-            if counter is not None:
-                attempt = counter[0]
-                counter[0] += 1
-            else:
-                attempt = local
-            before = node.ctx.clock.total_seconds
-            try:
-                with faults.scoped(node.scope):
-                    faults.node_op(node.scope, op)
-                    return fn(node, attempt)
-            except (FaultInjected, MessageDropped) as exc:
-                wasted = node.ctx.clock.total_seconds - before
-                self.meter.bump("retries")
-                self.meter.bump("wasted_s", wasted)
-                if failures is not None:
-                    failures.append({"node": node.node_id, "attempt": attempt,
-                                     "wasted_s": wasted})
-                if isinstance(exc, MessageDropped):
-                    # Nobody died — drops are retried in place; only an
-                    # exhausted budget makes the destination a suspect.
-                    victim, fatal = None, False
-                else:
-                    # The scope that died: this node, a peer that died
-                    # servicing our message, or the writer of a lost write.
-                    victim = exc.scope or node.scope
-                    fatal = exc.kind in (NODE_CRASH, FSYNC_LOSS)
-                    faults.clear_crash(scope=victim)
-                if victim not in (None, node.scope) or fatal or not in_place \
-                        or local + 1 >= self.policy.max_attempts:
-                    suspect = victim or exc.destination or node.scope
-                    victims = [suspect]
-                    if not in_place and suspect != node.scope:
-                        # Cut short, it left this node's streams unknown.
-                        victims.append(node.scope)
-                    raise _NodeDeath(victims, exc, op) from exc
-                self._backoff(node, local + 1, op)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _backoff(self, node: WorkerNode, attempt: int, op: str) -> None:
-        """Charge one deterministic backoff wait to the node's clock."""
-        delay = self.policy.backoff_s(attempt, key=op)
-        sim0 = node.ctx.clock.total_seconds
-        node.ctx.clock.charge("retry", delay)
-        self.meter.bump("backoffs")
-        self.meter.bump("backoff_s", delay)
-        self.meter.gauge("backoff_s_max", delay)
-        if self.ctracer.enabled:
-            wall = time.perf_counter()
-            self.ctracer.complete("backoff", wall, wall, track="cluster",
-                                  cat="resilience", det=True, sim0=sim0,
-                                  sim1=sim0 + delay, node=node.node_id,
-                                  attempt=attempt, op=op)
+        if counter is not None:
+            attempt = counter[0]
+            counter[0] += 1
+        else:
+            attempt = 0
+        before = node.ctx.clock.total_seconds
+        try:
+            with faults.scoped(node.scope):
+                faults.node_op(node.scope, op)
+                return fn(node, attempt)
+        except (FaultInjected, OSError) as exc:
+            victim = _victim(exc, node.scope)
+            wasted = node.ctx.clock.total_seconds - before
+            self.meter.bump("wasted_s", wasted)
+            if failures is not None:
+                failures.append({"node": node.node_id, "attempt": attempt,
+                                 "wasted_s": wasted})
+            victims = [victim]
+            if not in_place and victim != node.scope:
+                victims.append(node.scope)
+            raise _NodeDeath(victims, op) from exc
 
     # -- death, detection, restart, loss ---------------------------------------
 
@@ -326,10 +306,10 @@ class ClusterSupervisor:
                      in_place: bool = True):
         """The full ladder for one operation on one node.
 
-        Retries in place; on death runs heartbeat detection and either
-        restarts the node (replaying damaged state) and tries again, or —
-        budget exhausted — marks it lost and raises :class:`_NodeLost` for
-        the phase driver to fail the work over.
+        On a death runs heartbeat detection and either restarts the dead
+        node (replaying damaged state) and runs the operation again, or —
+        budget exhausted — marks it lost; with this node lost it raises
+        :class:`_NodeLost` for the phase driver to fail the work over.
         """
         cycles = 0
         while True:
@@ -409,16 +389,17 @@ class ClusterSupervisor:
                                       label="resident")
         self.nodes[node_id] = fresh
         self.meter.bump("node_restarts")
+        dead_again: list[str] = []
         try:
             # What the replay writes, and a crash inside it, are fresh's.
             with faults.scoped(fresh.scope):
                 self._replay(fresh)
-            replay_ok = True
-        except (FaultInjected, MessageDropped):
-            # The replacement died during its own replay: acknowledge and
-            # go around the ladder again — the restart budget bounds this.
-            faults.clear_crash(scope=fresh.scope)
-            replay_ok = False
+        except (FaultInjected, OSError) as exc:
+            # A death inside the replay cut it short: the replacement goes
+            # round the ladder again (the restart budget bounds this), and
+            # so does the scope that died, if it is another.
+            dead_again = list(dict.fromkeys(
+                [fresh.scope, _victim(exc, fresh.scope)]))
         if self.ctracer.enabled:
             self.ctracer.complete("failover", wall0, time.perf_counter(),
                                   track="cluster", cat="resilience", det=True,
@@ -426,8 +407,8 @@ class ClusterSupervisor:
                                   sim1=fresh.ctx.clock.total_seconds,
                                   node=node_id, action="restart",
                                   phase=self.phase)
-        if not replay_ok:
-            self._handle_death(node_id)
+        for scope in dead_again:
+            self._handle_death(int(scope.removeprefix("node")))
 
     def _mark_lost(self, node_id: int) -> None:
         dead = self.nodes[node_id]
@@ -593,7 +574,7 @@ class ClusterSupervisor:
                 self.block_ranges.setdefault(node_id, []).append((start, stop))
                 break
         # Sealing drains the streams the blocks appended to: like a block,
-        # a failed seal is not retried in place but mapped again.
+        # a seal a peer's death cut short restarts its node too.
         self.phase = "seal-map"
         for node_id in [n.node_id for n in self.alive()]:
             try:
@@ -622,7 +603,7 @@ class ClusterSupervisor:
         (:meth:`reduce_partition`). Returns bytes pulled.
         """
         self.phase = "shuffle"
-        alive_ids = [n.node_id for n in self.alive()]
+        alive_ids = [n.node_id for n in self._survivors()]
         for length in lengths:
             self.owner_of[length] = alive_ids[
                 (length - self.config.min_overlap) % len(alive_ids)]
@@ -685,8 +666,9 @@ class ClusterSupervisor:
 
         ``attempt_fn(node)`` performs the actual read + reduce on ``node``
         and returns ``(t_graph, find_done)``; it consumes a held run
-        however it ends, so a retry in place pulls and sorts it again
-        first. Ownership moves to a survivor when the owner is lost; after
+        however it ends, so an attempt run again on a node that was not
+        restarted (another scope died) pulls and sorts it again first.
+        Ownership moves to a survivor when the owner is lost; after
         :data:`_MAX_OWNERS_PER_PARTITION` owners have failed the same
         partition it is dropped (degraded) or, with
         ``allow_degraded=False``, the historical
@@ -776,6 +758,21 @@ class ClusterSupervisor:
         if length not in node.owned_lengths:
             node.owned_lengths = sorted(set(node.owned_lengths) | {length})
 
+    # -- compress ---------------------------------------------------------------
+
+    def compress(self, spell):
+        """``spell(node, attempt)`` on the master (the first alive node),
+        as a node operation: a death in it restarts the node that died and
+        compress runs again; a lost master hands it to the next alive
+        node."""
+        self.phase = "compress"
+        while True:
+            try:
+                return self._run_on_node(self._survivors()[0].node_id,
+                                         "compress", spell)
+            except _NodeLost:
+                continue
+
     # -- reporting -------------------------------------------------------------
 
     def degraded_report(self, candidates_total: int) -> DegradedRunReport | None:
@@ -788,7 +785,6 @@ class ClusterSupervisor:
             lost_nodes=tuple(sorted(self.lost)),
             node_restarts=int(counters.get("node_restarts", 0)),
             failovers=int(counters.get("failovers", 0)),
-            retries=int(counters.get("retries", 0)),
             # Processed candidates plus the dropped ones = the clean total.
             candidates_total=candidates_total
             + sum(d.records for d in self.dropped))

@@ -61,19 +61,6 @@ class DistributedProtocolError(ReproError):
     """A node violated the distributed pipeline's message protocol."""
 
 
-class MessageDropped(DistributedProtocolError):
-    """An active message was lost in flight (injected ``msg-drop``).
-
-    The requester's handler never ran; the sender may retry — the supervisor
-    treats this as a transient failure, unlike handler-side protocol errors.
-    ``destination`` names the node scope the message was for.
-    """
-
-    def __init__(self, message: str, destination: str | None = None):
-        super().__init__(message)
-        self.destination = destination
-
-
 class ServiceError(ReproError):
     """Base class for assembly-service (``repro.service``) failures.
 

@@ -12,7 +12,8 @@ code asks whether one is armed):
 
 * ``crash``      — die before the operation (the write never happens),
 * ``torn``       — write a prefix of the payload, then die,
-* ``enospc``     — the device is full: a survivable ``OSError`` (ENOSPC),
+* ``enospc``     — the device is full: a survivable ``OSError`` (ENOSPC)
+  whose ``scope`` is the writer's (on a cluster, its node's death),
 * ``fsync-loss`` — the write is acknowledged but silently dropped (lost
   page-cache data); the process that wrote it (its scope: a cluster
   node, or ``None``) dies ``delay`` operations later, wherever the run
@@ -38,7 +39,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, FaultInjected, MessageDropped
+from ..errors import ConfigError, FaultInjected
 from ..telemetry import EventMeter
 
 # -- fault kinds ---------------------------------------------------------------
@@ -49,8 +50,7 @@ ENOSPC = "enospc"
 FSYNC_LOSS = "fsync-loss"
 BITFLIP = "bitflip"
 NODE_CRASH = "node-crash"  #: a whole worker process dies at an op boundary
-MSG_DROP = "msg-drop"      #: an active message vanishes in flight
-KINDS = (CRASH, TORN, ENOSPC, FSYNC_LOSS, BITFLIP, NODE_CRASH, MSG_DROP)
+KINDS = (CRASH, TORN, ENOSPC, FSYNC_LOSS, BITFLIP, NODE_CRASH)
 
 # -- hook sites ---------------------------------------------------------------
 
@@ -251,8 +251,10 @@ class FaultPlan:
         event = FaultEvent(self._op - 1, fault.kind, WRITE, str(path))
         if fault.kind == ENOSPC:
             self._record(event)
-            raise OSError(errno.ENOSPC,
-                          f"injected: no space left on device writing {path}")
+            full = OSError(errno.ENOSPC,
+                           f"injected: no space left on device writing {path}")
+            full.scope = self._scope  # whose disk is full
+            raise full
         if fault.kind == BITFLIP:  # corrupt one bit in flight, keep running
             self._record(event)
             handle.write(self._flip(payload, fault.offset))
@@ -328,24 +330,16 @@ class FaultPlan:
                         handler: str) -> None:
         """Visit one active-message delivery.
 
-        ``msg-drop`` raises :class:`~repro.errors.MessageDropped` (the
-        handler never runs; the sender may retry). ``node-crash`` kills the
-        *destination* node — its scope is marked crashed and
-        :class:`~repro.errors.FaultInjected` unwinds to the requester, who
-        observed the peer die mid-request.
+        A fault here kills the *destination* node — its scope is marked
+        crashed and :class:`~repro.errors.FaultInjected` unwinds to the
+        requester, who observed the peer die mid-request.
         """
         label = f"{src_scope}->{dst_scope}:{handler}"
         fault = self._visit(MESSAGE, label)
         if fault is None:
             return
-        event = FaultEvent(self._op - 1, fault.kind, MESSAGE, label)
-        if fault.kind == MSG_DROP:
-            self._record(event)
-            raise MessageDropped(
-                f"injected msg-drop at op {event.op}: {label} lost in flight",
-                dst_scope)
-        # NODE_CRASH: the destination process dies servicing the request.
-        self._die(event, f"destination {dst_scope} died mid-request", dst_scope)
+        self._die(FaultEvent(self._op - 1, fault.kind, MESSAGE, label),
+                  f"destination {dst_scope} died mid-request", dst_scope)
 
     def node_op(self, scope: str, op: str) -> None:
         """Visit one distributed node-operation boundary (may kill ``scope``)."""

@@ -10,6 +10,8 @@ cell per distinct behaviour of the kinds its site takes, and
 (:class:`~repro.errors.FaultInjected`, or the ``OSError(ENOSPC)`` of a
 full disk), it is resumed once, unarmed; the cell then ends with the clean
 run's result or a named :class:`~repro.errors.ReproError`, nothing else.
+On a cluster a fault inside a node operation is a node's death, which
+the failure ladder absorbs: no cell of the 2-node sweep needs the rerun.
 The sweeps pass only the first (every cell recovers) and count a named
 error apart. On a single node the clean result is an equal
 :func:`result_digest`, a converged ledger (:func:`ledger_converged`) and
@@ -32,7 +34,7 @@ from ..core.checkpoint import STATE_FILE
 from ..core.pipeline import PHASES
 from ..core.results import AssemblyResult
 from ..errors import FaultInjected, ReproError
-from .plan import (CRASH, ENOSPC, FSYNC_LOSS, LEDGER, MESSAGE, MSG_DROP, NODE,
+from .plan import (CRASH, ENOSPC, FSYNC_LOSS, LEDGER, MESSAGE, NODE,
                    NODE_CRASH, PHASE, READ, RENAME, TORN, WRITE, Fault,
                    FaultPlan, TracePoint, inject)
 
@@ -41,10 +43,10 @@ _ONCE = (1,)
 LOSS_DELAYS = (1, 4, 16, 64)
 
 #: The kinds a sweep injects at each site, each at the delays that behave
-#: differently: only an ``fsync-loss`` waits. At a node operation a
-#: ``crash`` is retried in place and a ``node-crash`` restarts the node.
-#: ``bitflip`` is silent, so it is no cell: the checks that look for it
-#: answer for it (DESIGN.md §4b).
+#: differently: only an ``fsync-loss`` waits. At a node operation or a
+#: message every fault is a node's death, so ``node-crash`` is the one
+#: kind there. ``bitflip`` is silent, so it is no cell: the checks that
+#: look for it answer for it (DESIGN.md §4b).
 _SITE_KINDS = {
     WRITE: ((CRASH, _ONCE), (TORN, _ONCE), (ENOSPC, _ONCE),
             (FSYNC_LOSS, LOSS_DELAYS)),
@@ -52,8 +54,8 @@ _SITE_KINDS = {
     LEDGER: ((CRASH, _ONCE), (TORN, _ONCE), (FSYNC_LOSS, LOSS_DELAYS)),
     RENAME: ((CRASH, _ONCE),),
     PHASE: ((CRASH, _ONCE),),
-    MESSAGE: ((MSG_DROP, _ONCE), (NODE_CRASH, _ONCE)),
-    NODE: ((CRASH, _ONCE), (NODE_CRASH, _ONCE)),
+    MESSAGE: ((NODE_CRASH, _ONCE),),
+    NODE: ((NODE_CRASH, _ONCE),),
 }
 #: The first letter of a cell's test id, by site.
 _SITE_TAGS = {WRITE: "w", READ: "r", LEDGER: "l", RENAME: "n", PHASE: "p",

@@ -138,7 +138,7 @@ class EventMeter:
         """Record an instantaneous observation; ``peaks()`` keeps the max.
 
         Unlike counters, gauges are high-water marks per phase (e.g. the
-        longest single backoff the resilience layer charged) and reset at
+        content store's bytes after each put) and reset at
         phase boundaries like every other meter gauge.
         """
         with self._lock:

@@ -528,8 +528,6 @@ _NON_SEMANTIC_CHANGES = {
     "trace": "/tmp/somewhere",
     "heartbeat_interval": 0.75,
     "node_timeout": 9.0,
-    "reduce_max_attempts": 5,
-    "retry_backoff_s": 1.25,
     "node_restarts": 3,
     "allow_degraded": False,
 }

@@ -1,4 +1,4 @@
-"""Distributed resilience: retry policy, heartbeats, recovery, degraded mode.
+"""Distributed resilience: heartbeats, recovery, degraded mode.
 
 The property at the center: a seeded node-crash run that fully recovers is
 *byte-identical* to the clean run — same contigs, same offsets, same edge
@@ -19,12 +19,11 @@ from repro.device import SimClock
 from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
                                DistributedAssembler, NetworkSpec, WorkerNode,
                                node_scope)
-from repro.errors import ConfigError, FaultInjected, MessageDropped
+from repro.errors import ConfigError, FaultInjected
 from repro.extmem import PartitionStore
 from repro.extmem.partitions import SIDES
-from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, MSG_DROP, NODE,
-                          NODE_CRASH, READ, WRITE, Fault, FaultPlan,
-                          RetryPolicy, inject, scoped)
+from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, NODE, NODE_CRASH, READ,
+                          WRITE, Fault, FaultPlan, inject, scoped)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 from repro.trace import EVENTS_FILE, check_balanced, load_events
@@ -67,40 +66,6 @@ def clean_run(resilience_data):
 def _identity(result) -> tuple:
     return (result.contigs.flat_codes.tobytes(),
             result.contigs.offsets.tobytes(), result.edges)
-
-
-# -- RetryPolicy ---------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_backoff_is_a_pure_function_of_seed_key_attempt(self):
-        policy = RetryPolicy(seed=3)
-        assert policy.backoff_s(1, key="op") == policy.backoff_s(1, key="op")
-        assert policy.backoff_s(1, key="op") != policy.backoff_s(2, key="op")
-        assert policy.backoff_s(1, key="op") != policy.backoff_s(1, key="other")
-        assert RetryPolicy(seed=4).backoff_s(1, key="op") \
-            != policy.backoff_s(1, key="op")
-
-    def test_backoff_grows_within_jitter_and_caps(self):
-        policy = RetryPolicy(max_attempts=8, base_backoff_s=1.0,
-                             backoff_multiplier=2.0, max_backoff_s=5.0,
-                             jitter_fraction=0.1)
-        for attempt in range(1, 8):
-            raw = 1.0 * 2.0 ** (attempt - 1)
-            delay = policy.backoff_s(attempt)
-            assert delay <= 5.0
-            if raw * 0.9 <= 5.0:
-                assert 0.9 * raw <= delay <= min(1.1 * raw, 5.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(base_backoff_s=-1.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter_fraction=1.0)
 
 
 # -- per-scope crash bookkeeping ----------------------------------------------
@@ -162,15 +127,15 @@ class TestMessageFaults:
         layer.register_handler(1, "echo", lambda x: (x, 8))
         return layer, clocks
 
-    def test_msg_drop_charges_sender_and_is_retryable(self):
+    def test_a_request_after_its_destination_died_goes_through(self):
         layer, clocks = self._layer()
-        plan = FaultPlan([Fault(MSG_DROP, site=MESSAGE, match="*echo")])
+        plan = FaultPlan([Fault(NODE_CRASH, site=MESSAGE, match="*echo")])
         with inject(plan):
-            with pytest.raises(MessageDropped):
+            with pytest.raises(FaultInjected):
                 layer.request(0, 1, "echo", 7)
-            assert layer.messages_dropped == 1
-            assert clocks[0].seconds("network") > 0  # the attempt was paid for
+            assert clocks[0].seconds("network") == 0  # nothing crossed
             assert layer.request(0, 1, "echo", 7) == 7  # once-fault disarmed
+        assert layer.messages_sent == 1
 
     def test_node_crash_in_flight_kills_destination(self):
         layer, _ = self._layer()
@@ -217,17 +182,18 @@ class TestRecoveryByteIdentity:
                 f"crash at op {op} changed the output"
             assert recovered.notes["node_restarts"] >= 1
 
-    def test_shuffle_msg_drop_retry_is_byte_identical(self, resilience_data,
-                                                      config, clean_run):
+    def test_shuffle_node_crash_in_flight_is_byte_identical(
+            self, resilience_data, config, clean_run):
+        """The destination of a pull's fetch dies: it restarts, and the
+        pull runs again on its own node, which is not restarted."""
         clean, _ = clean_run
-        plan = FaultPlan([Fault(MSG_DROP, site=MESSAGE,
+        plan = FaultPlan([Fault(NODE_CRASH, site=MESSAGE,
                                 match="*fetch_partition")])
         with inject(plan):
             result = DistributedAssembler(config, N_NODES).assemble(
                 resilience_data.store_path)
-        assert result.notes["am_dropped"] == 1
-        assert result.notes["retries"] >= 1
-        assert result.notes["backoffs"] >= 1
+        assert [event.kind for event in plan.events] == [NODE_CRASH]
+        assert result.notes["node_restarts"] == 1
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -254,7 +220,7 @@ class TestTokenTimeline:
         clean, _ = clean_run
         assert clean.token_trace
         assert all(e["ok"] and e["attempt"] == 0 for e in clean.token_trace)
-        for knob in ("retries", "backoffs", "node_restarts", "failovers"):
+        for knob in ("wasted_s", "node_restarts", "failovers"):
             assert knob not in clean.notes
 
     def test_token_time_monotone_under_faults(self, resilience_data, config,
@@ -316,8 +282,6 @@ class TestDegradedMode:
             AssemblyConfig(heartbeat_interval=0.0)
         with pytest.raises(ConfigError):
             AssemblyConfig(heartbeat_interval=2.0, node_timeout=1.0)
-        with pytest.raises(ConfigError):
-            AssemblyConfig(reduce_max_attempts=0)
         with pytest.raises(ConfigError):
             AssemblyConfig(node_restarts=-1)
 
@@ -780,11 +744,12 @@ class TestTracedResilience:
         trace_dir = tmp_path / "trace"
         traced = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                                 trace=str(trace_dir))
-        # A drop in the shuffle (retried in place, with backoff) plus a node
-        # crash at the first reduce boundary (restart + replay).
+        # A peer that dies mid-fetch in the shuffle (node01) plus a node
+        # crash at the first reduce boundary (node00, the owner of the
+        # whole-read length): a restart + replay each.
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="*:reduce[[]*"),
-                          Fault(MSG_DROP, site=MESSAGE,
-                                match="*fetch_partition")])
+                          Fault(NODE_CRASH, site=MESSAGE,
+                                match="*->node01:fetch_partition")])
         with inject(plan):
             result = DistributedAssembler(traced, N_NODES).assemble(
                 resilience_data.store_path)
@@ -797,9 +762,6 @@ class TestTracedResilience:
         assert len(restarts) == result.notes["node_restarts"] >= 1
         assert len(traced["heartbeat-miss"]) \
             == result.notes["heartbeat_misses"] >= 1
-        assert len(traced["backoff"]) == result.notes["backoffs"] >= 1
-        assert sum(span["sim1"] - span["sim0"] for span in traced["backoff"]) \
-            == pytest.approx(result.notes["backoff_s"])
         assert len(traced["token-retry"]) >= 1
         assert not traced["node-lost"] and not traced["partition-dropped"]
         assert "nodes_lost" not in result.notes

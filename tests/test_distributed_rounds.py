@@ -175,13 +175,13 @@ def _kind(point) -> str:
 
 
 def _rounds_of(node_ops) -> list[list]:
-    """The node ops of a probe trace after the hand-out of read blocks, by
-    round: a later round's maps, then every round's pulls, sorts and
-    reduces."""
+    """The node ops of a probe trace after the hand-out of read blocks and
+    before compress, by round: a later round's maps, then every round's
+    pulls, sorts and reduces."""
     rounds, previous = [], "reduce"
     for point in node_ops:
         kind = _kind(point)
-        if kind in ("map", "seal-map"):
+        if kind in ("map", "seal-map", "compress"):
             continue
         if previous == "reduce" and kind != "reduce":
             rounds.append([])

@@ -8,21 +8,23 @@ held and never written, and a restarted owner pulls and sorts those
 again) and injects one fault at one cell of its clean probe:
 
 * every WRITE operation, with ``crash``, ``torn`` (a 5-byte prefix, not a
-  whole record, reaches the disk), ``enospc`` (the disk is full: the run
-  dies) or ``fsync-loss`` (the write is acknowledged, then lost when its
-  writer dies 1, 4, 16 or 64 operations later, wherever the run is by
-  then);
-* every node operation, with ``crash`` (retried in place where the
-  operation allows it) or ``node-crash`` (the node restarts);
-* every active message, with ``msg-drop`` (retried in place) or
-  ``node-crash`` (the destination dies mid-request).
+  whole record, reaches the disk), ``enospc`` (the disk is full) or
+  ``fsync-loss`` (the write is acknowledged, then lost when its writer
+  dies 1, 4, 16 or 64 operations later, wherever the run is by then);
+* every node operation (the master's compress among them), with
+  ``node-crash``;
+* every active message, with ``node-crash`` (the destination dies
+  mid-request).
 
-A run the fault killed is run once more on the same workdir. Every cell
-must return the clean run's contigs with no degraded report; a cell that
-ends with a named :class:`~repro.errors.ReproError` instead is counted
-apart, and fails. The cells are the probe's, taken when the module is
-collected. Tier-1 runs a fixed seeded sample and the cells pinned by key
-(:data:`PINNED`); ``REPRO_SWEEP=full`` runs every cell.
+Every one of them is a node's death: the writer's, the operation's node
+or the message's destination. That node restarts from lineage, once, and
+the operation runs again, so the run is never killed: every cell must
+return the clean run's contigs, with no degraded report, without the
+sweep's rerun. A cell that ends with a named
+:class:`~repro.errors.ReproError` instead is counted apart, and fails.
+The cells are the probe's, taken when the module is collected. Tier-1
+runs a fixed seeded sample and the cells pinned by key (:data:`PINNED`);
+``REPRO_SWEEP=full`` runs every cell.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler
-from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, NODE, TORN, WRITE,
-                          Fault, FaultPlan, inject, run_cell)
+from repro.errors import DistributedProtocolError
+from repro.faults import (CRASH, ENOSPC, FSYNC_LOSS, MESSAGE, NODE,
+                          NODE_CRASH, TORN, WRITE, Fault, FaultPlan, inject,
+                          run_cell)
 from repro.faults.sweep import TORN_OFFSET
 from repro.seq.datasets import tiny_dataset
 
@@ -48,16 +52,26 @@ N_NODES = 2
 N_WRITES = 128
 N_MAP_PIECE_WRITES = 66
 N_SORT_WRITES = 29
+#: Node operations (the hand-out's blocks and seals, each round's maps,
+#: pulls, sorts and reduces, then compress) and active messages (one to
+#: each producer for each side of each pulled partition).
+N_NODE_OPS = 78
+N_MESSAGES = 66
 #: Map-piece writes drained inside ``seal-map`` (one a node).
 N_SEALED_WRITES = 2
-#: Node operations a ``crash`` is retried in place at; the others append
-#: to the node's streams, so it restarts instead.
-IN_PLACE = ("map-round", "pull", "sort", "reduce")
 #: The tier-1 sample's share of the cells.
 FRACTION = 1 / 300
+#: A node operation's cell (the sample reaches none), the master's
+#: compress, a full disk, and the lost write whose writer's death lands in
+#: compress, after the token reduced every partition it owned.
+PINNED_RUNGS = frozenset("""
+    node:node01:map-round#6:node-crash:1
+    node:node00:compress#0:node-crash:1
+    write:node01/partitions/P_00035.run#0:enospc:1
+    write:node01/partitions/P_00023.run#0:fsync-loss:64""".split())
 #: Cells an earlier draw put in tier-1 (``P_L``'s writes among them), by
-#: key.
-PINNED = frozenset(f"write:{name}" for name in """
+#: key, and :data:`PINNED_RUNGS`.
+PINNED = PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node00/map_parts/peer00/P_00036.run#0:crash:1
     node01/map_parts/peer01/P_00036.run#0:torn:1
     node00/partitions/P_00036.run#0:crash:1
@@ -128,6 +142,12 @@ def test_the_cluster_writes_what_the_sweep_assumes():
     # A hand-out piece on each node, then its owner's pulled partition and
     # its sort's first run.
     assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:4])
+    node_ops = [point.path for point in PROBE.trace if point.site == NODE]
+    assert len(node_ops) == N_NODE_OPS and node_ops[-1] == "node00:compress"
+    assert sum(point.site == MESSAGE for point in PROBE.trace) == N_MESSAGES
+    # Seven cells a write (crash, torn, enospc, four fsync-loss delays),
+    # one a node operation and one a message.
+    assert len(PROBE.cells) == 7 * N_WRITES + N_NODE_OPS + N_MESSAGES
     keys = {cell.key for cell in PROBE.cells}
     assert PINNED <= keys
     assert not any(str(ROOT) in key for key in keys)
@@ -167,23 +187,20 @@ def test_a_write_fault_recovers_or_raises(tmp_path, cell):
     assert plan.events, f"{cell.key} never fired"
     if error is not None:
         named_error(__name__, cell, error)
+    assert not rerun, f"{cell.key} ended the run"
     assert result.degraded is None, cell.key
     assert _contigs(result) == _contigs(clean), \
         f"{cell.key} changed the contigs"
-    if cell.point.site == NODE:
-        op = cell.point.path.split(":", 1)[1]
-        in_place = cell.kind == CRASH and op.startswith(IN_PLACE)
-        assert result.notes.get("node_restarts", 0) == (not in_place), \
-            cell.key
+    if cell.point.site != WRITE or cell.kind == ENOSPC:
+        assert result.notes.get("node_restarts", 0) == 1, cell.key
     SWEEP_OUTCOMES[__name__]["clean"] += 1
 
 
 @pytest.mark.parametrize("kind", (CRASH, TORN))
 def test_seal_map_restarts_instead_of_retrying_in_place(tmp_path, kind):
     """The hand-out's map-piece writes drain inside ``seal-map``. A seal
-    cut short is not retried in place (its streams lost their buffered
-    tails): the node restarts, wipes its pieces and maps its blocks
-    again."""
+    cut short (its streams lost their buffered tails) restarts its node,
+    which wipes its pieces and maps its blocks again."""
     sealed = _sealed(PROBE.trace)
     assert len(sealed) == N_SEALED_WRITES
     for point in sealed:
@@ -215,3 +232,43 @@ def test_a_lost_write_restarts_its_writer(tmp_path):
     assert result.reduce_report.candidates == clean.reduce_report.candidates
     assert result.edges == clean.edges
     assert _contigs(result) == _contigs(clean)
+
+
+def test_a_disk_that_stays_full_loses_its_node(tmp_path):
+    """node01's disk is full for good: each of its writes raises
+    ``ENOSPC``, which is node01's death. It restarts once, dies again and
+    is lost, and node00 fails its work over: the clean contigs, in one
+    run."""
+    _, result = _faulted(Fault(ENOSPC, site=WRITE, match="*node01/*",
+                               once=False), tmp_path)
+    assert result.notes["node_restarts"] == 1
+    assert result.notes["nodes_lost"] == 1
+    assert result.degraded is None
+    assert _contigs(result) == _contigs(PROBE.clean)
+
+
+def test_a_disk_full_on_every_node_ends_the_run_by_name(tmp_path):
+    with inject(FaultPlan([Fault(ENOSPC, site=WRITE, once=False)])), \
+            pytest.raises(DistributedProtocolError, match="no surviving"):
+        _assemble(tmp_path)
+
+
+def test_a_full_disk_under_a_peers_pull_is_the_holders_death(tmp_path):
+    """node01 dies serving node00's pull and restarts without its pieces;
+    node00's pull, run again, has node01 map them again first, in
+    node01's scope. A full disk there is node01's death, not node00's:
+    node01, restarted once already, is lost, and node00 finishes alone."""
+    crash = Fault(NODE_CRASH, site=MESSAGE,
+                  match="node00->node01:fetch_partition")
+    probe, _ = _faulted(crash, tmp_path / "probe")
+    died = probe.events[0].op
+    remap = next(point for point in probe.trace if point.op > died
+                 and point.site == WRITE and "node01/map_parts/" in point.path)
+    plan = FaultPlan([crash, Fault(ENOSPC, site=WRITE, at_op=remap.op)])
+    with inject(plan):
+        result = _assemble(tmp_path / "full")
+    assert [event.kind for event in plan.events] == [NODE_CRASH, ENOSPC]
+    assert result.notes["node_restarts"] == 1
+    assert result.notes["nodes_lost"] == 1
+    assert result.degraded is None
+    assert _contigs(result) == _contigs(PROBE.clean)

@@ -22,7 +22,7 @@ from repro.distributed import DistributedAssembler
 from repro.errors import ConfigError
 from repro.extmem import ExternalSorter
 from repro.faults import FaultPlan, inject
-from repro.faults.plan import MESSAGE, MSG_DROP, Fault
+from repro.faults.plan import MESSAGE, NODE_CRASH, Fault
 from repro.graph import GreedyStringGraph
 
 from .conftest import spy_held_runs
@@ -129,9 +129,11 @@ def test_a_held_run_leaves_the_graph_room(tiny_md, monkeypatch):
 
 
 def test_a_pull_retried_in_place_starts_its_partition_again(tiny_md):
-    """A message dropped in the middle of a pull is retried in place: a
-    kept partition starts again instead of growing by what the first
-    attempt appended, so the token sees what a clean pull gives."""
+    """The destination of a fetch dies in the middle of a pull: it
+    restarts, and the pull runs again on its own node, which was not
+    restarted. A kept partition starts again instead of growing by what
+    the first attempt appended, so the token sees what a clean pull
+    gives."""
     config = BUDGETS["in-core"]
     clean = DistributedAssembler(config, 2).assemble(tiny_md.store_path)
     probe = FaultPlan()
@@ -140,10 +142,11 @@ def test_a_pull_retried_in_place_starts_its_partition_again(tiny_md):
     fetches = [point for point in probe.trace if point.site == MESSAGE
                and point.path.endswith(":fetch_partition")]
     # The first pull's second fetch: the first producer's piece is in.
-    plan = FaultPlan([Fault(MSG_DROP, site=MESSAGE, at_op=fetches[1].op)])
+    plan = FaultPlan([Fault(NODE_CRASH, site=MESSAGE, at_op=fetches[1].op)])
     with inject(plan):
         retried = DistributedAssembler(config, 2).assemble(tiny_md.store_path)
-    assert retried.notes["retries"] == 1
+    assert [event.kind for event in plan.events] == [NODE_CRASH]
+    assert retried.notes["node_restarts"] == 1
     assert retried.notes["records_shuffled"] == clean.notes["records_shuffled"]
     assert retried.reduce_report == clean.reduce_report
     assert retried.contigs.flat_codes.tobytes() \
