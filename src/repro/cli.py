@@ -175,6 +175,9 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
           f"the eager map's {int(notes['records_eager']):,} "
           f"({notes['records_shuffled'] / notes['records_eager']:.1%}) were "
           f"still open when pulled; {result.shuffle_bytes:,} B over the network")
+    if result.lost_nodes:
+        print("  lost      " + ", ".join(f"node{node:02d}"
+                                         for node in result.lost_nodes))
     if result.degraded is not None:
         # Degraded completion is a successful exit: the survivors finished
         # and the report says exactly what the output is missing.

@@ -35,21 +35,19 @@ DEFAULT_BUFFER_FRACTION = 0.85
 class MemoryConfig:
     """Host and device memory budgets for one run.
 
-    ``buffer_fraction`` is the share of each budget available to key–value
-    buffers; :meth:`host_pairs`/:meth:`device_pairs` convert budgets into the
-    paper's ``m_h``/``m_d`` block sizes for a given record width.
+    :data:`DEFAULT_BUFFER_FRACTION` of each budget is available to
+    key–value buffers; :meth:`host_pairs`/:meth:`device_pairs` convert
+    budgets into the paper's ``m_h``/``m_d`` block sizes for a given record
+    width.
     """
 
     host_bytes: int
     device_bytes: int
-    buffer_fraction: float = DEFAULT_BUFFER_FRACTION
     name: str = "custom"
 
     def __post_init__(self) -> None:
         if self.host_bytes <= 0 or self.device_bytes <= 0:
             raise ConfigError("memory budgets must be positive")
-        if not 0.0 < self.buffer_fraction <= 1.0:
-            raise ConfigError("buffer_fraction must be in (0, 1]")
         if self.device_bytes > self.host_bytes:
             raise ConfigError("device memory cannot exceed host memory")
 
@@ -86,11 +84,13 @@ class MemoryConfig:
 
     def host_pairs(self, record_nbytes: int) -> int:
         """``m_h``: key–value pairs fitting in the host buffer budget."""
-        return max(2, int(self.host_bytes * self.buffer_fraction) // record_nbytes)
+        return max(2, int(self.host_bytes * DEFAULT_BUFFER_FRACTION)
+                   // record_nbytes)
 
     def device_pairs(self, record_nbytes: int) -> int:
         """``m_d``: key–value pairs fitting in the device buffer budget."""
-        return max(2, int(self.device_bytes * self.buffer_fraction) // record_nbytes)
+        return max(2, int(self.device_bytes * DEFAULT_BUFFER_FRACTION)
+                   // record_nbytes)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,6 @@ def semantic_payload(config: AssemblyConfig) -> dict:
     payload["memory"] = {
         "host_bytes": config.memory.host_bytes,
         "device_bytes": config.memory.device_bytes,
-        "buffer_fraction": config.memory.buffer_fraction,
     }
     for knob in NON_SEMANTIC_KNOBS:
         payload.pop(knob, None)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import DEFAULT_BUFFER_FRACTION
 from ..graph import GreedyStringGraph, PathSet, extract_paths
 from ..graph.contigs import ContigSet
 from ..seq.alphabet import reverse_complement
@@ -55,7 +56,7 @@ def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadSto
     # The path table can exceed device memory (at paper scale it does), so
     # the scan streams device-sized chunks with a running carry.
     chunk_records = max(
-        2, int(ctx.config.memory.device_bytes * ctx.config.memory.buffer_fraction)
+        2, int(ctx.config.memory.device_bytes * DEFAULT_BUFFER_FRACTION)
         // (3 * paths.overhangs.dtype.itemsize))
     read_offsets = np.empty(total, dtype=np.int64)
     carry = 0

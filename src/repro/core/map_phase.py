@@ -62,6 +62,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..config import DEFAULT_BUFFER_FRACTION
 from ..device import costs
 from ..errors import ConfigError
 from ..extmem import PartitionStore
@@ -94,7 +95,7 @@ def per_read_device_bytes(read_length: int, lanes: int) -> int:
 def _auto_batch_reads(ctx: RunContext, read_length: int) -> int:
     """Largest batch whose device working set fits the device budget."""
     per_read = per_read_device_bytes(read_length, ctx.config.fingerprint_lanes)
-    budget = int(ctx.config.memory.device_bytes * ctx.config.memory.buffer_fraction)
+    budget = int(ctx.config.memory.device_bytes * DEFAULT_BUFFER_FRACTION)
     return max(1, budget // per_read)
 
 
@@ -108,8 +109,8 @@ def _stage_batches(ctx: RunContext, batch_reads: int, per_read: int,
     host memory something else holds meanwhile (the string graph): the
     block is cut from what it leaves, as the sorter's is.
     """
-    memory = ctx.config.memory
-    host_budget = int((memory.host_bytes - resident_bytes) * memory.buffer_fraction)
+    host_budget = int((ctx.config.memory.host_bytes - resident_bytes)
+                      * DEFAULT_BUFFER_FRACTION)
     return max(1, min(-(-STAGE_READS // batch_reads),
                       host_budget // max(1, batch_reads * per_read)))
 

@@ -135,15 +135,10 @@ class Residency:
                     for length in lengths)
         if self.in_core and sides * n_records * self.dtype.itemsize \
                 <= self.ctx.host_pool.free_bytes - self._block_bytes():
-            self.grow(partitions, lengths, n_records)
-
-    def grow(self, partitions: PartitionStore, lengths, n_records: int) -> None:
-        """Make ``n_records`` more room in kept partitions (a node's
-        hand-out piece, one read block at a time)."""
-        partitions.reserve(
-            lengths, n_records,
-            lambda nbytes: self._reserve(nbytes, "held-partition"),
-            self.read_length)
+            partitions.reserve(
+                lengths, n_records,
+                lambda nbytes: self._reserve(nbytes, "held-partition"),
+                self.read_length)
 
     def hold(self, partitions: PartitionStore, side: str, length: int,
              records) -> bool:

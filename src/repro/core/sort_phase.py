@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
+from ..config import DEFAULT_BUFFER_FRACTION
 from ..extmem import ExternalSorter, PartitionStore
 from ..extmem.records import VAL_FIELD
 from ..extmem.sort import SortReport
@@ -86,7 +87,7 @@ def make_sorter(ctx: RunContext, dtype, resident_bytes: int = 0) -> ExternalSort
     m_h, m_d = config.resolved_blocks(dtype.itemsize)
     if resident_bytes and not config.host_block_pairs:
         left = int((config.memory.host_bytes - resident_bytes)
-                   * config.memory.buffer_fraction)
+                   * DEFAULT_BUFFER_FRACTION)
         m_h = max(2, left // dtype.itemsize)
     return ExternalSorter(gpu=ctx.gpu, host_pool=ctx.host_pool,
                           accountant=ctx.accountant, dtype=dtype,

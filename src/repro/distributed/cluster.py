@@ -6,10 +6,10 @@ clock, and a barrier at the end of each phase advances every clock to the
 slowest participant's. The phase timings this produces are the series
 behind Fig. 10:
 
-* **map** — in the first round the master hands read blocks to whichever
-  node is least loaded (modeling GASNet work-request messages); in every
-  later round each node maps its recorded blocks again, for the round's
-  lengths only; scales ~1/n.
+* **map** — the read blocks are dealt round-robin before the first round
+  (the paper's master hands them out on GASNet work requests; on identical
+  nodes that is the same deal); in every round each node maps its blocks
+  for the round's lengths only; scales ~1/n.
 * **shuffle** — all-to-all: each node pulls its owned length partitions
   from every peer; only exists for n > 1 (the scaling overhead the paper
   calls out).
@@ -28,15 +28,15 @@ Every node reads the shared read store through its own disk meter
 (:meth:`WorkerNode.metered`), as a single node's map and compress do.
 
 Map, shuffle, sort and reduce run in **rounds**, longest length first.
-The first round is the whole-read length ``L`` alone: the hand-out maps
-each block's ``P_L`` piece, and ``L``'s owner pulls and sorts them and
+The first round is the whole-read length ``L`` alone: every node maps
+its blocks' ``P_L`` pieces, and ``L``'s owner pulls and sorts them and
 closes the duplicate reads under the token before any edge is added
 (:func:`~repro.core.reduce_phase.close_duplicates`). Then come rounds of
 ``n_nodes`` consecutive overlap lengths: one length per owner per round
 (:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
 of the graph's out-degree bit-vector and broadcasting it; then every node
 maps the blocks of the producers it holds for the round's lengths under
-that copy (:meth:`ClusterSupervisor.map_round`), so the records it has
+that copy (:meth:`ClusterSupervisor.map_phase`), so the records it has
 closed are never written, shuffled, sorted or matched. Bits are only ever
 set: a frozen copy drops nothing the token's own, newer bit-vector would
 keep, and the graph is the eager schedule's. Every overlap round's
@@ -75,10 +75,7 @@ from ..trace.tracer import NULL_TRACER, SpanTracer
 from .message import ActiveMessageLayer
 from .network import NetworkSpec
 from .node import WorkerNode
-from .resilience import ClusterSupervisor, DegradedRunReport
-
-#: Map blocks handed out per node on average (load-balancing granularity).
-BLOCKS_PER_NODE = 4
+from .resilience import BLOCKS_PER_NODE, ClusterSupervisor, DegradedRunReport
 
 
 @dataclass
@@ -104,6 +101,8 @@ class DistributedResult:
     #: ``None`` for clean/fully recovered runs; a report naming the dropped
     #: partitions when the run completed in degraded mode.
     degraded: DegradedRunReport | None = None
+    #: The nodes lost for good (past their restart budget), ascending.
+    lost_nodes: tuple[int, ...] = ()
 
     @property
     def total_seconds(self) -> float:
@@ -242,7 +241,7 @@ class DistributedAssembler:
 
         lengths = list(partition_lengths(nodes[0].ctx, store.read_length))
         rounds = self._rounds(lengths)
-        n_blocks = max(1, self.n_nodes * BLOCKS_PER_NODE)
+        n_blocks = self.n_nodes * BLOCKS_PER_NODE
         graph = None
         reduce_report = ReduceReport()
         token_trace: list[dict] = []
@@ -263,11 +262,7 @@ class DistributedAssembler:
             # -- map: what the round's lengths still have open -----------------
             before = self._clock_totals(nodes)
             wall0 = time.perf_counter()
-            if index == 0:
-                # The master hands read blocks to the least-loaded node.
-                supervisor.map_phase(n_blocks)
-            else:
-                supervisor.map_round()
+            supervisor.map_phase()
             close("map", wall0, max(before), *self._phase_delta(nodes, before),
                   round=index, blocks=n_blocks)
 
@@ -351,6 +346,7 @@ class DistributedAssembler:
             notes=notes,
             token_trace=tuple(token_trace),
             degraded=degraded,
+            lost_nodes=tuple(sorted(supervisor.lost)),
         )
 
     def _reduce(self, supervisor: ClusterSupervisor, graph: GreedyStringGraph,

@@ -13,9 +13,8 @@ took over): their read blocks mapped for the round's lengths under
 ``closed`` (:meth:`WorkerNode.map_pieces`). The node's
 :class:`~repro.core.residency.Residency` plan places them: in an in-core
 run the pieces and the partitions pulled from them stay in host memory,
-the first round's ``P_L`` too (a hand-out piece grows one read block at a
-time, :meth:`WorkerNode.map_block`), and a sorted run held for reduce is
-never written. A lone node's pieces are its partitions. A node keeps no
+the first round's ``P_L`` too, and a sorted run held for reduce is never
+written. A lone node's pieces are its partitions. A node keeps no
 ledger: a restarted node is checked against the lineage its supervisor
 holds (:mod:`repro.distributed.resilience`).
 """
@@ -117,41 +116,14 @@ class WorkerNode:
         self.pieces[producer] = pieces
         return pieces
 
-    def map_block(self, store: PackedReadStore, start: int, stop: int,
-                  lengths: Iterable[int]) -> None:
-        """Append reads ``[start, stop)`` to this node's own pieces of the
-        first round's ``lengths`` (the master's hand-out of read blocks).
-
-        Each block adds ``2 · (stop − start)`` records to each side of each
-        length, so a piece's size is known before each block is written:
-        the plan decides at the first block whether the pieces stay in host
-        memory, and kept pieces grow by every block.
-        """
-        lengths = sorted(lengths)
-        pieces = self.pieces.get(self.node_id)
-        if pieces is None:
-            pieces = self._fresh_pieces(self.node_id)
-            self.plan.keep(pieces, lengths, 2 * (stop - start))
-        elif pieces.kept("P", lengths[0]):
-            self.plan.grow(pieces, lengths, 2 * (stop - start))
-        with self.metered(store) as mine:
-            run_map(self.ctx, mine, pieces, read_range=(start, stop),
-                    only_lengths=frozenset(lengths))
-
-    def finish_map(self) -> None:
-        """Seal this node's own pieces of the hand-out."""
-        (self.pieces.get(self.node_id) or self._fresh_pieces(self.node_id)) \
-            .finalize()
-
     def map_pieces(self, store: PackedReadStore,
                    lineage: dict[int, list[tuple[int, int]]],
-                   lengths: Iterable[int], *, seal: bool = True) -> None:
+                   lengths: Iterable[int]) -> None:
         """Map each producer's read blocks, in their original order, into a
         fresh piece store, for ``lengths`` under the round's snapshot.
 
         A piece is its producer's records minus the claims the snapshot
-        has closed, in map order, whichever node maps it. ``seal=False``
-        leaves the pieces open for more blocks (a replay of the hand-out).
+        has closed, in map order, whichever node maps it.
         """
         lengths = sorted(lengths)
         resident = self.plan.resident_bytes
@@ -164,8 +136,7 @@ class WorkerNode:
                         run_map(self.ctx, mine, pieces, read_range=(start, stop),
                                 only_lengths=frozenset(lengths),
                                 closed=self.closed, resident_bytes=resident)
-                if seal:
-                    pieces.finalize()
+                pieces.finalize()
             except BaseException:
                 pieces.abandon()
                 raise

@@ -6,8 +6,8 @@ node stalls the whole assembly. This module gives the simulated cluster the
 failure ladder a production deployment would have, entirely on the
 simulated clock so every timeline is deterministic and replayable.
 
-One entry rule: any fault a node operation (map block, seal, shuffle pull,
-sort, reduce attempt, compress) raises is the death of the scope that
+One entry rule: any fault a node operation (map, shuffle pull, sort,
+reduce attempt, compress) raises is the death of the scope that
 died: the operation's own node, the writer of a lost write, or the
 destination of a message. An injected :class:`~repro.errors.FaultInjected`
 names that scope; a full disk (``OSError(ENOSPC)``) is the death of the
@@ -38,7 +38,7 @@ again after its node's recovery.
 
 Map, shuffle, sort and reduce run in rounds
 (:mod:`repro.distributed.cluster`), and recovery is scoped to the round in
-flight. The lineage is the read blocks each producer mapped
+flight. The lineage is the read blocks dealt to each producer
 (``block_ranges``) plus the round's frozen out-degree snapshot, held here
 (:meth:`ClusterSupervisor.begin_round`) and handed again to a restarted
 node: every piece of a round, mapped again or not, is the producer's
@@ -81,6 +81,9 @@ from ..trace.tracer import NULL_TRACER
 from .message import ActiveMessageLayer
 from .network import NetworkSpec
 from .node import WorkerNode
+
+#: Read blocks dealt per node before the first round.
+BLOCKS_PER_NODE = 4
 
 #: Hard cap on heartbeat-miss instants emitted per detection (trace hygiene).
 _MAX_MISS_INSTANTS = 16
@@ -165,9 +168,9 @@ class ReduceOutcome:
 class _NodeDeath(Exception):
     """Internal: a node (or a peer) must go through death detection."""
 
-    def __init__(self, victims: list[str], op: str):
-        super().__init__(f"{victims} died at {op}")
-        self.victims = victims
+    def __init__(self, victim: str, op: str):
+        super().__init__(f"{victim} died at {op}")
+        self.victim = victim
 
 
 def _victim(exc: BaseException, scope: str) -> str:
@@ -222,10 +225,14 @@ class ClusterSupervisor:
         self.nodes = [self._worker(i) for i in range(n_nodes)]
         self.lost: set[int] = set()
         self.restarts_used: dict[int, int] = {}
-        #: Read ranges each producer mapped in the hand-out, in assignment
-        #: order: the blocks its holder maps every round. Never move
-        #: between ids.
+        #: The read blocks each producer's holder maps every round, dealt
+        #: round-robin before anything is mapped (block ``i`` to producer
+        #: ``i mod n``). Never move between ids.
         self.block_ranges: dict[int, list[tuple[int, int]]] = {}
+        block_reads = -(-store.n_reads // (n_nodes * BLOCKS_PER_NODE))
+        for i, start in enumerate(range(0, store.n_reads, block_reads)):
+            self.block_ranges.setdefault(i % n_nodes, []).append(
+                (start, min(start + block_reads, store.n_reads)))
         #: The node holding each producer id: the producer, or the survivor
         #: that took it over when it was lost.
         self.holder = list(range(n_nodes))
@@ -233,7 +240,7 @@ class ClusterSupervisor:
         #: restarted owner's unsorted partition must still hold.
         self.pulled: dict[tuple[str, int], int] = {}
         self.owner_of: dict[int, int] = {}
-        self.phase = "map"
+        self.phase = "map-round"
         #: The current round's lengths and out-degree snapshot, as every
         #: node holds it: kept here to hand to a restarted node.
         self.round_lengths: tuple[int, ...] = ()
@@ -266,15 +273,13 @@ class ClusterSupervisor:
 
     def _attempt_cycle(self, node: WorkerNode, op: str, fn, *,
                        counter: list[int] | None = None,
-                       failures: list[dict] | None = None,
-                       in_place: bool = True):
+                       failures: list[dict] | None = None):
         """Run ``fn(node, attempt)`` once.
 
         A fault it raises is a death (:func:`_victim`) and raises
-        :class:`_NodeDeath`. With ``in_place`` off (operations that append
-        to the node's own streams: map blocks, the seal of their streams)
-        a death of another scope kills this node too: cut short, the
-        operation left its streams unknown.
+        :class:`_NodeDeath`. No operation appends to streams an earlier one
+        opened (map pieces are fresh stores, a pull starts its partitions
+        again), so one cut short by another scope's death runs again as is.
         """
         if counter is not None:
             attempt = counter[0]
@@ -293,17 +298,13 @@ class ClusterSupervisor:
             if failures is not None:
                 failures.append({"node": node.node_id, "attempt": attempt,
                                  "wasted_s": wasted})
-            victims = [victim]
-            if not in_place and victim != node.scope:
-                victims.append(node.scope)
-            raise _NodeDeath(victims, op) from exc
+            raise _NodeDeath(victim, op) from exc
 
     # -- death, detection, restart, loss ---------------------------------------
 
     def _run_on_node(self, node_id: int, op: str, fn, *,
                      counter: list[int] | None = None,
-                     failures: list[dict] | None = None,
-                     in_place: bool = True):
+                     failures: list[dict] | None = None):
         """The full ladder for one operation on one node.
 
         On a death runs heartbeat detection and either restarts the dead
@@ -321,11 +322,9 @@ class ClusterSupervisor:
                     f"recovery did not converge for {op} on node {node_id}")
             try:
                 return self._attempt_cycle(self.nodes[node_id], op, fn,
-                                           counter=counter, failures=failures,
-                                           in_place=in_place)
+                                           counter=counter, failures=failures)
             except _NodeDeath as death:
-                for scope in death.victims:
-                    self._handle_death(int(scope.removeprefix("node")))
+                self._handle_death(int(death.victim.removeprefix("node")))
 
     def _handle_death(self, node_id: int) -> None:
         """Detect, then restart or permanently lose one dead node."""
@@ -425,7 +424,7 @@ class ClusterSupervisor:
     def _adopt(self, lost_id: int) -> None:
         """Hand a lost node's producer ids (its own and those it took over)
         to the least-loaded survivor, which maps their blocks with its own
-        (:meth:`_restore_pieces`, :meth:`map_round`). With no survivor
+        (:meth:`_restore_pieces`, :meth:`map_phase`). With no survivor
         there is nothing left to pull for."""
         self.meter.bump("failovers")
         if self.alive():
@@ -459,18 +458,11 @@ class ClusterSupervisor:
     def _replay(self, node: WorkerNode) -> None:
         """Bring a restarted node's storage back to the round in flight.
 
-        The hand-out appends to a node's own pieces: there they are mapped
-        again from the blocks recorded so far (and sealed again once the
-        seal has begun); any other piece is mapped again when a pull first
-        needs it. A pulled partition with no sorted run that no longer
-        holds what its pull wrote is pulled again. The failed operation
-        then runs again (the caller's loop).
+        Its pieces are mapped again when a pull first needs them. A pulled
+        partition with no sorted run that no longer holds what its pull
+        wrote is pulled again. The failed operation then runs again (the
+        caller's loop).
         """
-        if self.phase in ("map", "seal-map"):
-            blocks = self.block_ranges.get(node.node_id, [])
-            node.map_pieces(self.store, {node.node_id: blocks},
-                            self.round_lengths, seal=self.phase == "seal-map")
-            self.meter.bump("partitions_replayed", len(blocks))
         short = [length for length in node.owned_lengths
                  if self._short_partition(node, length)]
         if short:
@@ -548,44 +540,9 @@ class ClusterSupervisor:
                 "network",
                 (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
 
-    def map_phase(self, n_blocks: int) -> None:
-        """The first round's map: hand read blocks to the least-loaded
-        alive node, surviving loss.
-
-        A block is recorded as its node's lineage once mapped; a node lost
-        mid-block leaves it to the next least-loaded node, and what it had
-        recorded to the survivor that takes its id (:meth:`_adopt`).
-        """
-        self.phase = "map"
-        n_reads = self.store.n_reads
-        block_reads = -(-n_reads // n_blocks)
-        for start in range(0, n_reads, block_reads):
-            stop = min(start + block_reads, n_reads)
-            while True:
-                node_id = self._least_loaded().node_id
-                try:
-                    self._run_on_node(
-                        node_id, f"map[{start}:{stop}]",
-                        lambda node, _a: node.map_block(
-                            self.store, start, stop, self.round_lengths),
-                        in_place=False)
-                except _NodeLost:
-                    continue
-                self.block_ranges.setdefault(node_id, []).append((start, stop))
-                break
-        # Sealing drains the streams the blocks appended to: like a block,
-        # a seal a peer's death cut short restarts its node too.
-        self.phase = "seal-map"
-        for node_id in [n.node_id for n in self.alive()]:
-            try:
-                self._run_on_node(node_id, "seal-map",
-                                  lambda n, _a: n.finish_map(), in_place=False)
-            except _NodeLost:
-                pass  # its blocks are mapped by the survivor holding them
-
-    def map_round(self) -> None:
-        """A later round's map: every holder maps the blocks of the
-        producers it holds, for the round's lengths under its snapshot."""
+    def map_phase(self) -> None:
+        """A round's map: every holder maps the blocks of the producers it
+        holds, for the round's lengths under its snapshot."""
         self.phase = "map-round"
         for node_id in [n.node_id for n in self.alive()]:
             try:

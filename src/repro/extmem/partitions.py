@@ -127,19 +127,19 @@ class PartitionStore:
 
         Each side of each length (:func:`partition_sides`: the whole-read
         length ``read_length`` has ``P`` only) is to receive ``n_records``
-        more records: their room is made now, its bytes reserved by
-        ``allocate(nbytes)``. A partition kept already grows by that much
-        (a node's hand-out piece, one read block at a time). Appends fill
-        them instead of writing files (an append beyond the reservation
-        raises :class:`~repro.errors.StreamProtocolError`), :meth:`open_run`
-        reads them, and :meth:`delete` or :meth:`abandon` lets them go.
+        records: their room is made now, its bytes reserved by
+        ``allocate(nbytes)``; a partition kept already starts again. Appends
+        fill them instead of writing files (an append beyond the
+        reservation raises :class:`~repro.errors.StreamProtocolError`),
+        :meth:`open_run` reads them, and :meth:`delete` or :meth:`abandon`
+        lets them go.
         """
         for length in lengths:
             for side in partition_sides(length, read_length):
-                kept = self._memory.setdefault(
-                    (side, length, False),
-                    HeldRun(self.path(side, length), np.empty(0, self.dtype)))
-                kept.grow(n_records, allocate(n_records * self.dtype.itemsize))
+                self._release((side, length, False))
+                self._memory[(side, length, False)] = HeldRun.room(
+                    self.path(side, length), n_records, self.dtype,
+                    allocate(n_records * self.dtype.itemsize))
 
     def keep(self, side: str, length: int, records: np.ndarray,
              allocation=None) -> None:

@@ -227,8 +227,8 @@ class HeldRun:
     bytes) are freed on :meth:`close`, and the array is let go with it.
 
     A run filled in place (an unsorted partition kept in host memory)
-    starts empty: :meth:`grow` reserves room, :meth:`append` fills it and
-    :meth:`reader` reads what it holds so far.
+    starts empty with its room reserved (:meth:`room`): :meth:`append`
+    fills it and :meth:`reader` reads what it holds so far.
     """
 
     def __init__(self, path: str | Path, records: np.ndarray, allocations=()):
@@ -238,17 +238,17 @@ class HeldRun:
         self._total = records.shape[0]
         self._consumed = 0
 
-    def grow(self, n_records: int, allocation) -> None:
-        """Make room for ``n_records`` more records, reserved by
+    @classmethod
+    def room(cls, path: str | Path, n_records: int, dtype,
+             allocation) -> "HeldRun":
+        """An empty run with room for ``n_records`` records, reserved by
         ``allocation``."""
-        records = np.empty(self._records.shape[0] + n_records,
-                           dtype=self._records.dtype)
-        records[:self._total] = self._records[:self._total]
-        self._records = records
-        self._allocations.append(allocation)
+        run = cls(path, np.empty(n_records, dtype=dtype), (allocation,))
+        run._total = 0
+        return run
 
     def append(self, records: np.ndarray) -> None:
-        """Fill the room :meth:`grow` made (beyond it raises
+        """Fill the room :meth:`room` made (beyond it raises
         :class:`~repro.errors.StreamProtocolError`)."""
         end = self._total + records.shape[0]
         if end > self._records.shape[0]:

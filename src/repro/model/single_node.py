@@ -22,7 +22,7 @@ generation).
 
 from __future__ import annotations
 
-from ..config import MemoryConfig
+from ..config import DEFAULT_BUFFER_FRACTION, MemoryConfig
 from ..device import costs
 from ..device.specs import DeviceSpec, HostSpec, get_device_spec
 from .workload import Workload
@@ -147,7 +147,7 @@ def model_memory_peaks(workload: Workload, memory: MemoryConfig,
     device_cap = min(memory.device_bytes, spec.mem_bytes)
     map_host = MAP_HOST_FRACTION * memory.host_bytes
     sort_host = min(max(map_host, 2.0 * workload.partition_nbytes),
-                    memory.buffer_fraction * memory.host_bytes)
+                    DEFAULT_BUFFER_FRACTION * memory.host_bytes)
     reduce_host = workload.graph_nbytes + 0.1 * memory.host_bytes * 0.5
     contig_host = workload.graph_nbytes + workload.contig_nbytes \
         + 0.05 * memory.host_bytes

@@ -114,8 +114,8 @@ class TestCommands:
 
     def test_a_degraded_distributed_run_exits_0(self, tmp_path, capsys):
         """A partition that no node can reduce is dropped: the survivors
-        finish, the summary says what the output is missing, and the run
-        exits 0."""
+        finish, the summary names the lost nodes and says what the output
+        is missing, and the run exits 0."""
         md, _ = tiny_dataset(tmp_path, genome_length=600, read_length=36,
                              coverage=8.0, min_overlap=24, seed=7)
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="*:reduce[[]30]",
@@ -124,6 +124,7 @@ class TestCommands:
             assert main(["distributed", str(md.store_path), "--nodes", "3",
                          "--min-overlap", "24"]) == 0
         out = capsys.readouterr().out
+        assert "  lost      node00, node01\n" in out
         assert "DEGRADED RUN: 1 partition(s) dropped" in out
         assert "overlap lengths [30]" in out
 

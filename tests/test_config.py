@@ -31,17 +31,15 @@ class TestMemoryConfig:
             MemoryConfig.preset("qb2").scaled(0)
 
     def test_pairs_derivation(self):
-        memory = MemoryConfig(1000, 100, buffer_fraction=0.5)
-        assert memory.host_pairs(10) == 50
-        assert memory.device_pairs(10) == 5
+        memory = MemoryConfig(1000, 100)  # 85 % of each budget
+        assert memory.host_pairs(10) == 85
+        assert memory.device_pairs(10) == 8
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             MemoryConfig(0, 1)
         with pytest.raises(ConfigError):
             MemoryConfig(100, 200)  # device > host
-        with pytest.raises(ConfigError):
-            MemoryConfig(100, 10, buffer_fraction=0.0)
 
     def test_paper_pass_count_calibration(self):
         """The calibration DESIGN.md relies on: a 2.5 G-record partition of
@@ -77,10 +75,9 @@ class TestAssemblyConfig:
         assert AssemblyConfig().merge_fanout == 2
 
     def test_resolved_blocks_defaults_from_memory(self):
-        config = AssemblyConfig(memory=MemoryConfig(10_000, 1_000,
-                                                    buffer_fraction=0.5))
+        config = AssemblyConfig(memory=MemoryConfig(10_000, 1_000))
         m_h, m_d = config.resolved_blocks(10)
-        assert m_h == 500 and m_d == 50
+        assert m_h == 850 and m_d == 85
 
     def test_resolved_blocks_overrides(self):
         config = AssemblyConfig(host_block_pairs=1000, device_block_pairs=100)

@@ -38,12 +38,12 @@ def _every_third(store) -> PackedBitVector:
 
 class TestMapBlocks:
     def test_blocks_accumulate(self, cluster_pair):
+        """A producer's blocks land in one piece, in order."""
         nodes, store, _ = cluster_pair
         node = nodes[0]
         half = store.n_reads // 2
-        node.map_block(store, 0, half, LENGTHS)
-        node.map_block(store, half, store.n_reads, LENGTHS)
-        node.finish_map()
+        node.map_pieces(store, {0: [(0, half), (half, store.n_reads)]},
+                        LENGTHS)
         for length in LENGTHS:
             for side in ("S", "P"):
                 assert node.pieces[0].records_in(side, length) \
@@ -58,15 +58,14 @@ class TestMapBlocks:
 class TestServing:
     def test_fetch_partition_roundtrip(self, cluster_pair):
         nodes, store, messages = cluster_pair
-        nodes[0].map_block(store, 0, 20, LENGTHS)
-        nodes[0].finish_map()
+        nodes[0].map_pieces(store, {0: [(0, 20)]}, LENGTHS)
         records = messages.request(1, 0, FETCH_PARTITION, 0, "S", 25)
         assert records.shape[0] == 2 * 20
         assert nodes[1].ctx.clock.seconds("network") > 0
 
     def test_fetch_missing_partition_is_empty(self, cluster_pair):
-        nodes, _, messages = cluster_pair
-        nodes[0].finish_map()
+        nodes, store, messages = cluster_pair
+        nodes[0].map_pieces(store, {0: []}, LENGTHS)
         records = messages.request(1, 0, FETCH_PARTITION, 0, "S", 30)
         assert records.shape[0] == 0
 
@@ -74,10 +73,8 @@ class TestServing:
 def _map_halves(nodes, store) -> int:
     """Node 0 maps the first half of the reads, node 1 the rest."""
     half = store.n_reads // 2
-    nodes[0].map_block(store, 0, half, LENGTHS)
-    nodes[1].map_block(store, half, store.n_reads, LENGTHS)
-    for node in nodes:
-        node.finish_map()
+    nodes[0].map_pieces(store, {0: [(0, half)]}, LENGTHS)
+    nodes[1].map_pieces(store, {1: [(half, store.n_reads)]}, LENGTHS)
     return half
 
 
@@ -104,8 +101,7 @@ class TestShuffle:
 
     def test_drop_pieces(self, cluster_pair):
         nodes, store, _ = cluster_pair
-        nodes[0].map_block(store, 0, 10, LENGTHS)
-        nodes[0].finish_map()
+        nodes[0].map_pieces(store, {0: [(0, 10)]}, LENGTHS)
         nodes[0].drop_pieces()
         assert nodes[0].pieces == {}
         assert not (nodes[0].ctx.workdir / "map_parts").exists()

@@ -374,8 +374,9 @@ class TestMidPartitionCrash:
 
 # -- the failover rung ---------------------------------------------------------
 
-#: Every kind of node operation the clean probe trace records.
-NODE_OP_KINDS = ("map", "seal-map", "pull", "sort", "reduce")
+#: Every kind of node operation the clean probe trace records before
+#: compress; ``map`` is round 0's, the first operation of each node.
+NODE_OP_KINDS = ("map", "pull", "sort", "reduce")
 
 
 class TestFailoverRung:
@@ -386,8 +387,12 @@ class TestFailoverRung:
         """No restart budget: one crash loses the node, the survivors
         adopt its work and the output does not move a byte."""
         clean, node_ops = clean_run
-        points = [p for p in node_ops
-                  if p.path.split(":", 1)[1].split("[", 1)[0] == kind]
+        points = node_ops[:N_NODES] if kind == "map" else [
+            p for p in node_ops
+            if p.path.split(":", 1)[1].split("[", 1)[0] == kind]
+        if kind == "map":
+            assert [p.path for p in points] == [
+                f"node{i:02d}:map-round" for i in range(N_NODES)]
         point = {"first": points[0], "middle": points[len(points) // 2],
                  "last": points[-1]}[which]
         config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
@@ -399,6 +404,7 @@ class TestFailoverRung:
         assert [e.kind for e in plan.events] == [NODE_CRASH], \
             f"crash at {point.path} did not fire"
         assert result.notes["nodes_lost"] == 1
+        assert result.lost_nodes == (int(point.path[len("node"):][:2]),)
         assert result.notes["failovers"] >= 1
         assert "node_restarts" not in result.notes
         assert result.degraded is None, f"loss at {point.path} degraded"
@@ -419,7 +425,7 @@ class TestFailoverRung:
                                memory=CRAMPED), 1, tmp_path,
                 network, ActiveMessageLayer(network), store)
             supervisor.begin_round(None, [length])
-            supervisor.map_phase(4)
+            supervisor.map_phase()
             supervisor.shuffle_phase([length])
             lone = supervisor.nodes[0]
             mapped = [lone.shuffled.path(side, length).read_bytes()
@@ -531,8 +537,8 @@ class TestReplayFromLineage:
 
     def test_a_restarted_holder_maps_its_kept_pieces_again(
             self, resilience_data, clean_run, probe_trace, piece_maps):
-        """In-core, the hand-out's pieces stay in host memory and nothing
-        is written before the first pull. node00 dies at that pull: its
+        """In-core, round 0's pieces stay in host memory and nothing is
+        written before the first pull. node00 dies at that pull: its
         kept pieces died with it, and the restarted node maps them again
         from its recorded blocks, into host memory, and serves those."""
         clean, _ = clean_run
@@ -551,34 +557,17 @@ class TestReplayFromLineage:
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
-    def test_a_holder_restarted_mid_hand_out_grows_its_kept_pieces(
-            self, resilience_data, clean_run, probe_trace):
-        """In-core, node00 dies at its second hand-out block: restarted,
-        it maps its recorded block again into kept pieces, and the blocks
-        that follow grow them; nothing but sorted runs is written."""
-        clean, _ = clean_run
-        second = [point.op for point in probe_trace if point.site == NODE
-                  and point.path.startswith("node00:map[")][1]
-        plan, result = self._run(resilience_data,
-                                 [Fault(NODE_CRASH, site=NODE, at_op=second)])
-        assert [event.op for event in plan.events] == [second]
-        assert result.notes["node_restarts"] == 1
-        assert result.notes["partitions_replayed"] == 1
-        assert all(".sorted.run" in point.path for point in plan.trace
-                   if point.site == WRITE)
-        assert result.degraded is None
-        assert _identity(result) == _identity(clean)
-
     def test_a_restarted_survivor_maps_the_pieces_it_took_again(
             self, resilience_data, clean_run, piece_maps):
-        """node02 dies at its seal twice and is lost; a survivor takes its
-        id and maps its blocks with its own. On the cramped budget a piece
-        of a later round is a file: one of node02's loses a write, and the
-        survivor dies at the next node operation. Restarted, it maps every
-        piece it holds again when the round's first pull needs them."""
+        """node02 dies at its round-0 map twice and is lost; a survivor
+        takes its id and maps its blocks with its own. On the cramped
+        budget a piece of a later round is a file: one of node02's loses a
+        write, and the survivor dies at the next node operation. Restarted,
+        it maps every piece it holds again when the round's first pull
+        needs them."""
         clean, _ = clean_run
         cramped = {"memory": CRAMPED}
-        lose = [Fault(NODE_CRASH, site=NODE, match="node02:seal-map",
+        lose = [Fault(NODE_CRASH, site=NODE, match="node02:map-round",
                       once=False)]
         probe, _ = self._run(resilience_data, lose, **cramped)
         write = next(point for point in probe.trace if point.site == WRITE
@@ -700,7 +689,7 @@ class TestReplayFromLineage:
                     config, 1, tmp_path / run, network,
                     ActiveMessageLayer(network), store)
                 supervisor.begin_round(None, [length])
-                supervisor.map_phase(4)
+                supervisor.map_phase()
                 supervisor.shuffle_phase([length])
                 plan = FaultPlan()
                 if run == "restarted":

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
-from repro.distributed import DistributedAssembler, cluster, node
+from repro.distributed import DistributedAssembler, cluster, node, resilience
+from repro.distributed.resilience import BLOCKS_PER_NODE
 from repro.extmem.partitions import partition_sides
 from repro.faults import NODE, NODE_CRASH, WRITE, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
@@ -175,13 +176,12 @@ def _kind(point) -> str:
 
 
 def _rounds_of(node_ops) -> list[list]:
-    """The node ops of a probe trace after the hand-out of read blocks and
-    before compress, by round: a later round's maps, then every round's
-    pulls, sorts and reduces."""
+    """The node ops of a probe trace before compress, by round: every
+    round's maps, pulls, sorts and reduces."""
     rounds, previous = [], "reduce"
     for point in node_ops:
         kind = _kind(point)
-        if kind in ("map", "seal-map", "compress"):
+        if kind == "compress":
             continue
         if previous == "reduce" and kind != "reduce":
             rounds.append([])
@@ -190,14 +190,14 @@ def _rounds_of(node_ops) -> list[list]:
     return rounds
 
 
-def _blocks_of(node_ops) -> dict[str, list[tuple[int, int]]]:
-    """The read blocks each node mapped, in order, by node scope."""
-    blocks: dict[str, list[tuple[int, int]]] = {}
-    for point in node_ops:
-        scope, op = point.path.split(":", 1)
-        if op.startswith("map["):
-            start, stop = op[len("map["):-1].split(":")
-            blocks.setdefault(scope, []).append((int(start), int(stop)))
+def _dealt(n_reads: int) -> dict[int, list]:
+    """The read blocks each node maps, in order, by node id: block ``i``
+    of ``N_NODES * BLOCKS_PER_NODE`` is node ``i mod N_NODES``'s."""
+    size = -(-n_reads // (N_NODES * BLOCKS_PER_NODE))
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for i, start in enumerate(range(0, n_reads, size)):
+        blocks.setdefault(i % N_NODES, []).append(
+            (start, min(start + size, n_reads)))
     return blocks
 
 
@@ -234,7 +234,7 @@ def golden(tmp_path_factory):
     assert not list((root / "golden").glob("node*/partitions/*.sorted.run"))
     node_ops = [t for t in plan.trace if t.site == NODE]
     return md, result, _sorted_partitions(result, root / "golden", held), \
-        _rounds_of(node_ops), _blocks_of(node_ops)
+        _rounds_of(node_ops), _dealt(result.n_reads)
 
 
 @pytest.fixture()
@@ -299,7 +299,7 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
         # survivor that took its id, when a pull first needs it.
         again = Counter(mapped) - clean_maps
         assert set(mapped) == set(clean_maps), point.path
-        victim_blocks = sorted(blocks[point.path.split(":", 1)[0]])
+        victim_blocks = sorted(blocks[int(point.path[len("node"):][:2])])
         assert sorted(block for block, _ in again.elements()) \
             in ([], victim_blocks), point.path
 
@@ -390,7 +390,7 @@ def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
     maps = list(piece_maps)
     assert recovered.notes["node_restarts"] == 1
     assert "partitions_rebuilt" not in recovered.notes
-    round_lengths = next(lengths for holder, _, lengths in maps[3:6]
+    round_lengths = next(lengths for holder, _, lengths in maps[6:9]
                          if holder == 1)
     assert _maps_again(golden, piece_maps, maps) \
         == Counter({(1, (1,), round_lengths): 1})
@@ -424,12 +424,80 @@ def test_a_node_lost_mid_run_is_mapped_by_a_survivor_every_round(
     assert recovered.notes["nodes_lost"] == 1
     taken = [(holder, producers) for holder, producers, _ in piece_maps
              if 0 in producers]
-    # Round 1: node00 itself, then the survivor at the loss; rounds 2-4:
-    # the survivor, with its own id.
-    survivor = taken[1][0]
+    # Rounds 0 and 1: node00 itself, then in round 1 the survivor at the
+    # loss; rounds 2-4: the survivor, with its own id.
+    survivor = taken[2][0]
     assert survivor != 0
-    assert taken == [(0, (0,)), (survivor, (0,))] \
+    assert recovered.lost_nodes == (0,)
+    assert taken == [(0, (0,)), (0, (0,)), (survivor, (0,))] \
         + [(survivor, tuple(sorted((0, survivor))))] * (len(rounds) - 2)
     assert _sorted_partitions(recovered, tmp_path, held) == clean_files
     assert recovered.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
+
+
+# -- (e) round 0 deals its read blocks and maps like every later round --------
+
+
+@pytest.fixture()
+def deals(monkeypatch):
+    """``block_ranges`` as each map phase of the next runs starts."""
+    seen = []
+    map_phase = resilience.ClusterSupervisor.map_phase
+
+    def spy(self):
+        seen.append({producer: list(blocks)
+                     for producer, blocks in self.block_ranges.items()})
+        return map_phase(self)
+
+    monkeypatch.setattr(resilience.ClusterSupervisor, "map_phase", spy)
+    return seen
+
+
+@pytest.mark.parametrize("node_restarts", (None, 1, 0),
+                         ids=("clean", "restart", "lost"))
+def test_round_0_deals_its_blocks_round_robin(golden, tmp_path, deals,
+                                              piece_maps, node_restarts):
+    """133 reads in 12 blocks of 12 (the last of one read), dealt before
+    anything is mapped: block ``i`` to node ``i mod 3``. Round 0 maps them
+    as every later round does, and the contigs are ``Assembler``'s; also
+    with node01 crashed at round 0's map, restarted or lost. A lost node01's
+    blocks are mapped by the survivor that takes its id."""
+    md, clean, _, rounds, _ = golden
+    config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7)
+    single = Assembler(config).assemble(md.store_path,
+                                        workdir=tmp_path / "single")
+    faults = []
+    if node_restarts is not None:
+        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                node_restarts=node_restarts)
+        point = next(p for p in rounds[0] if p.path == "node01:map-round")
+        faults = [Fault(NODE_CRASH, site=NODE, at_op=point.op)]
+    plan = FaultPlan(faults)
+    with inject(plan):
+        result = DistributedAssembler(config, N_NODES).assemble(
+            md.store_path, workdir=tmp_path / "cluster")
+    assert [e.kind for e in plan.events] == [NODE_CRASH] * len(faults)
+    assert result.n_reads == 133
+    assert deals[0] == {
+        0: [(0, 12), (36, 48), (72, 84), (108, 120)],
+        1: [(12, 24), (48, 60), (84, 96), (120, 132)],
+        2: [(24, 36), (60, 72), (96, 108), (132, 133)]} == _dealt(133)
+    assert all(deal == deals[0] for deal in deals)  # never moved
+    assert result.degraded is None
+    assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
+    assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
+    whole = (result.read_length,)
+    round_0 = [(holder, producers) for holder, producers, lengths in piece_maps
+               if lengths == whole]
+    if node_restarts == 0:
+        assert result.lost_nodes == (1,)
+        assert result.notes["nodes_lost"] == 1
+        survivor = next(holder for holder, producers in round_0
+                        if 1 in producers)
+        assert survivor != 1
+        assert (1, (1,)) not in round_0
+    else:
+        assert result.lost_nodes == ()
+        assert result.notes.get("node_restarts", 0) == (node_restarts or 0)
+        assert round_0 == [(0, (0,)), (1, (1,)), (2, (2,))]

@@ -34,10 +34,8 @@ import pytest
 from repro.config import AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler
 from repro.errors import DistributedProtocolError
-from repro.faults import (CRASH, ENOSPC, FSYNC_LOSS, MESSAGE, NODE,
-                          NODE_CRASH, TORN, WRITE, Fault, FaultPlan, inject,
-                          run_cell)
-from repro.faults.sweep import TORN_OFFSET
+from repro.faults import (ENOSPC, FSYNC_LOSS, MESSAGE, NODE, NODE_CRASH,
+                          WRITE, Fault, FaultPlan, inject, run_cell)
 from repro.seq.datasets import tiny_dataset
 
 from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
@@ -45,27 +43,25 @@ from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
 
 READ_LENGTH = 36
 N_NODES = 2
-#: 66 map-piece writes (33 a node: ``P_L``, drained by ``seal-map``, and
-#: both sides of 16 overlap lengths, drained as each round's map seals
-#: them), 33 pulls (one a partition) and 29 writes of the sorts that
-#: spill (their runs and merges).
+#: 66 map-piece writes (33 a node: ``P_L`` and both sides of 16 overlap
+#: lengths, drained as each round's map seals them), 33 pulls (one a
+#: partition) and 29 writes of the sorts that spill (their runs and
+#: merges).
 N_WRITES = 128
 N_MAP_PIECE_WRITES = 66
 N_SORT_WRITES = 29
-#: Node operations (the hand-out's blocks and seals, each round's maps,
-#: pulls, sorts and reduces, then compress) and active messages (one to
-#: each producer for each side of each pulled partition).
-N_NODE_OPS = 78
+#: Node operations (each round's maps, pulls, sorts and reduces, then
+#: compress) and active messages (one to each producer for each side of
+#: each pulled partition).
+N_NODE_OPS = 70
 N_MESSAGES = 66
-#: Map-piece writes drained inside ``seal-map`` (one a node).
-N_SEALED_WRITES = 2
 #: The tier-1 sample's share of the cells.
 FRACTION = 1 / 300
 #: A node operation's cell (the sample reaches none), the master's
 #: compress, a full disk, and the lost write whose writer's death lands in
 #: compress, after the token reduced every partition it owned.
 PINNED_RUNGS = frozenset("""
-    node:node01:map-round#6:node-crash:1
+    node:node01:map-round#7:node-crash:1
     node:node00:compress#0:node-crash:1
     write:node01/partitions/P_00035.run#0:enospc:1
     write:node01/partitions/P_00023.run#0:fsync-loss:64""".split())
@@ -139,7 +135,7 @@ def test_the_cluster_writes_what_the_sweep_assumes():
         == N_MAP_PIECE_WRITES
     assert sum(".sorted.run" in point.path for point in writes) \
         == N_SORT_WRITES
-    # A hand-out piece on each node, then its owner's pulled partition and
+    # Round 0's piece on each node, then its owner's pulled partition and
     # its sort's first run.
     assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:4])
     node_ops = [point.path for point in PROBE.trace if point.site == NODE]
@@ -151,17 +147,6 @@ def test_the_cluster_writes_what_the_sweep_assumes():
     keys = {cell.key for cell in PROBE.cells}
     assert PINNED <= keys
     assert not any(str(ROOT) in key for key in keys)
-
-
-def _sealed(trace) -> list:
-    """The WRITE points of ``trace`` inside a ``seal-map`` node op."""
-    sealed, op = [], None
-    for point in trace:
-        if point.site == NODE:
-            op = point.path.split(":", 1)[1]
-        elif point.site == WRITE and op == "seal-map":
-            sealed.append(point)
-    return sealed
 
 
 def _contigs(result) -> tuple[bytes, bytes]:
@@ -194,23 +179,6 @@ def test_a_write_fault_recovers_or_raises(tmp_path, cell):
     if cell.point.site != WRITE or cell.kind == ENOSPC:
         assert result.notes.get("node_restarts", 0) == 1, cell.key
     SWEEP_OUTCOMES[__name__]["clean"] += 1
-
-
-@pytest.mark.parametrize("kind", (CRASH, TORN))
-def test_seal_map_restarts_instead_of_retrying_in_place(tmp_path, kind):
-    """The hand-out's map-piece writes drain inside ``seal-map``. A seal
-    cut short (its streams lost their buffered tails) restarts its node,
-    which wipes its pieces and maps its blocks again."""
-    sealed = _sealed(PROBE.trace)
-    assert len(sealed) == N_SEALED_WRITES
-    for point in sealed:
-        assert "/map_parts/" in point.path
-        _, result = _faulted(Fault(kind, site=WRITE, at_op=point.op,
-                                   offset=TORN_OFFSET), tmp_path / str(point.op))
-        assert result.notes["node_restarts"] == 1, point.path
-        assert result.notes["partitions_replayed"] >= 1, point.path
-        assert result.degraded is None, point.path
-        assert _contigs(result) == _contigs(PROBE.clean), point.path
 
 
 def test_a_lost_write_restarts_its_writer(tmp_path):

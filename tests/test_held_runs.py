@@ -330,8 +330,9 @@ def test_an_exception_closing_the_duplicates_frees_the_held_whole_read_run(
 
 def test_reserving_the_whole_read_length_keeps_its_one_side(tmp_path):
     """``P_L`` has no ``S`` side: reserving ``{L}`` allocates one array of
-    ``2n`` records, and the host pool sees exactly those bytes. A kept
-    partition grows by what a later reservation adds."""
+    ``2n`` records, and the host pool sees exactly those bytes. A later
+    reservation of a kept partition starts it again: it lets the first
+    one's bytes go and holds only what it reserved."""
     dtype = kv_dtype(1)
     partitions = PartitionStore(tmp_path / "parts", dtype, IOAccountant())
     pool = MemoryPool("host", 1 << 20, HostMemoryError)
@@ -346,10 +347,10 @@ def test_reserving_the_whole_read_length_keeps_its_one_side(tmp_path):
     with pytest.raises(StreamProtocolError, match="more records than reserved"):
         partitions.append("P", read_length, records[:1])
     partitions.reserve([read_length], 6, pool.alloc, read_length)
+    assert pool.used_bytes == 6 * dtype.itemsize
     partitions.append("P", read_length, records[2 * n_reads:])
-    assert pool.used_bytes == records.nbytes
     with partitions.open_run("P", read_length) as run:
-        assert run.read_all().tobytes() == records.tobytes()
+        assert run.read_all().tobytes() == records[2 * n_reads:].tobytes()
     partitions.delete("P", read_length)
     assert pool.used_bytes == 0 and not list(partitions.root.iterdir())
 

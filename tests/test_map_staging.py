@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.config import AssemblyConfig, MemoryConfig
+from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import per_read_device_bytes, run_map
@@ -68,8 +68,8 @@ def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
     # batches ("device-sized"). Under a roomy host STAGE_READS bounds the
     # block: k batches for "k1" / "k3", one block for the range ("whole").
     device_bytes = _config(batch_reads, 1 << 30).memory.device_bytes
-    fraction = MemoryConfig(1 << 20, 1 << 10).buffer_fraction
-    smallest = int(device_bytes * fraction) // (batch_reads * per_read)
+    smallest = int(device_bytes * DEFAULT_BUFFER_FRACTION) \
+        // (batch_reads * per_read)
     assert smallest == 17
     k = {"k1": 1, "k3": 3, "device-sized": smallest,
          "whole": -(-map_phase.STAGE_READS // batch_reads)}[blocks]

@@ -4,9 +4,9 @@ One :class:`~repro.core.residency.Residency` plan a run (one a cluster
 node) decides which artifacts stay in host memory. The placements are
 pinned by the host-pool reservations they make: ``held-store`` for the
 packed store, ``held-partition`` for each reservation of kept unsorted
-partitions (a pull's, a piece's, a band's; a hand-out piece grows by one a
-block), ``held-run`` for each sorted run held for reduce; a sorted run that
-is not held spills to its file.
+partitions (a pull's, a piece's, a band's: one a partition side),
+``held-run`` for each sorted run held for reduce; a sorted run that is not
+held spills to its file.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _assemble(config: AssemblyConfig, n_nodes: int, store_path):
 @pytest.mark.parametrize(("budget", "n_nodes", "expected"), [
     # held store, kept-partition reservations, held runs, spilled runs
     ("in-core", 1, (1, 51, 51, 0)),
-    ("in-core", 2, (0, 159, 51, 0)),
+    ("in-core", 2, (0, 153, 51, 0)),
     ("cramped", 1, (0, 0, 46, 5)),
     ("cramped", 2, (0, 0, 45, 6)),
 ])
