@@ -43,12 +43,12 @@ keep, and the graph is the eager schedule's. Every overlap round's
 snapshot drops the duplicates. Each node's residency plan places its
 pieces, pulled partitions and sorted runs as a single node's does
 (:class:`~repro.core.residency.Residency`): an in-core cluster writes
-nothing. Each stretch ends at a
-barrier (the broadcast is booked as shuffle), and a phase's reported
-seconds are the sum of its rounds' critical paths. With one node a round
-is one length, its pieces are its partitions, and the schedule is the
-single-node pipeline's with one length a band: its first length is
-``Assembler``'s first band.
+nothing, and a piece is let go when its owner has pulled it. Each
+stretch ends at a barrier (the broadcast is booked as shuffle), and a
+phase's reported seconds are the sum of its rounds' critical paths. With
+one node a round is one length, its pieces are its partitions, and the
+schedule is the single-node pipeline's with one length a band: its
+first length is ``Assembler``'s first band.
 """
 
 from __future__ import annotations
@@ -296,8 +296,7 @@ class DistributedAssembler:
             close("reduce", wall0, start, seconds, per_node, round=index,
                   partitions=reduce_report.partitions_processed - done)
             nodes[0].plan.check_block(store, graph)
-            # The pieces fed the round's pulls and any rebuild until its
-            # last partition was reduced (or formally dropped).
+            # What the round's pulls did not take (a lost owner's lengths).
             for node in supervisor.alive():
                 node.drop_pieces()
         reduce_report.edges_added = graph.n_edges

@@ -10,13 +10,13 @@ Per round (:mod:`repro.distributed.cluster`) a node holds its
 ``owned_lengths``, the frozen out-degree snapshot ``closed``, and the
 ``pieces`` of every producer id it holds (its own, and each lost node's it
 took over): their read blocks mapped for the round's lengths under
-``closed`` (:meth:`WorkerNode.map_pieces`). The node's
-:class:`~repro.core.residency.Residency` plan places them: in an in-core
-run the pieces and the partitions pulled from them stay in host memory,
-the first round's ``P_L`` too, and a sorted run held for reduce is never
-written. A lone node's pieces are its partitions. A node keeps no
-ledger: a restarted node is checked against the lineage its supervisor
-holds (:mod:`repro.distributed.resilience`).
+``closed`` (:meth:`WorkerNode.map_pieces`), each until its owner pulls
+it. The node's :class:`~repro.core.residency.Residency` plan places them:
+in an in-core run the pieces and the partitions pulled from them stay in
+host memory, the first round's ``P_L`` too, and a sorted run held for
+reduce is never written. A lone node's pieces are its partitions. A node
+keeps no ledger: what a restart or a pull took is mapped again from the
+lineage its supervisor holds (:mod:`repro.distributed.resilience`).
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from ..core.map_phase import open_vertices, run_map
 from ..core.residency import Residency
 from ..core.sort_phase import run_sort
 from ..device.specs import DiskSpec, HostSpec
+from ..errors import StreamProtocolError
 from ..extmem import PartitionStore, RunWriter
-from ..extmem.partitions import partition_sides
+from ..extmem.partitions import SIDES, partition_sides
 from ..extmem.records import kv_dtype
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
@@ -82,8 +83,11 @@ class WorkerNode:
         #: Partition lengths this node owns in the current round, until the
         #: token has reduced them.
         self.owned_lengths: list[int] = []
-        #: The round's map pieces, by producer id (:meth:`map_pieces`).
+        #: The round's map pieces by producer id (:meth:`map_pieces`), the
+        #: lengths each was mapped for, and the pieces served (let go).
         self.pieces: dict[int, PartitionStore] = {}
+        self.mapped: dict[int, set[int]] = {}
+        self.served: set[tuple[int, str, int]] = set()
         #: The round's out-degree snapshot (``None`` before the first edge).
         self.closed: PackedBitVector | None = None
         messages.register_node(node_id, self.ctx.clock)
@@ -100,35 +104,32 @@ class WorkerNode:
 
     # -- map ---------------------------------------------------------------
 
-    def _fresh_pieces(self, producer: int) -> PartitionStore:
-        """An empty piece store for ``producer``, replacing any older one."""
-        old = self.pieces.pop(producer, None)
-        if old is not None:
-            old.abandon()
-        if self.lone:
-            self.shuffled.abandon()
-            pieces = self.shuffled = PartitionStore(
-                self.ctx.workdir / "partitions", self.dtype, self.ctx.accountant)
-        else:
+    def _fresh_pieces(self, producer: int, lengths) -> PartitionStore:
+        """``producer``'s piece store (a lone node's partitions), its pieces
+        of ``lengths`` let go to be mapped anew."""
+        if producer not in self.pieces:
             root = self.ctx.workdir / "map_parts" / f"peer{producer:02d}"
             shutil.rmtree(root, ignore_errors=True)
-            pieces = PartitionStore(root, self.dtype, self.ctx.accountant)
-        self.pieces[producer] = pieces
-        return pieces
+            self.pieces[producer] = self.shuffled if self.lone else \
+                PartitionStore(root, self.dtype, self.ctx.accountant)
+            self.mapped[producer] = set()
+        self.pieces[producer].reopen(lengths)
+        return self.pieces[producer]
 
     def map_pieces(self, store: PackedReadStore,
                    lineage: dict[int, list[tuple[int, int]]],
                    lengths: Iterable[int]) -> None:
-        """Map each producer's read blocks, in their original order, into a
-        fresh piece store, for ``lengths`` under the round's snapshot.
+        """Map each producer's read blocks, in their original order, into
+        its piece store, for ``lengths`` under the round's snapshot.
 
         A piece is its producer's records minus the claims the snapshot
-        has closed, in map order, whichever node maps it.
+        has closed, in map order, whichever node maps it. A map cut short
+        lets the producer's whole store go.
         """
         lengths = sorted(lengths)
         resident = self.plan.resident_bytes
         for producer, blocks in lineage.items():
-            pieces = self._fresh_pieces(producer)
+            pieces = self._fresh_pieces(producer, lengths)
             try:
                 self.plan.keep(pieces, lengths, _open_in(self.closed, blocks))
                 with self.metered(store) as mine:
@@ -139,19 +140,32 @@ class WorkerNode:
                 pieces.finalize()
             except BaseException:
                 pieces.abandon()
+                del self.pieces[producer], self.mapped[producer]
                 raise
+            self.mapped[producer].update(lengths)
+            self.served -= {(producer, side, length)
+                            for length in lengths for side in SIDES}
+
+    def holds(self, producer: int, length: int) -> bool:
+        """Whether ``producer``'s pieces of ``length`` are mapped, unserved."""
+        return length in self.mapped.get(producer, ()) and not any(
+            (producer, side, length) in self.served for side in SIDES)
 
     def drop_pieces(self) -> None:
-        """Let the round's pieces go (its last partition is reduced)."""
+        """Let go of what the round's pulls left, after its last reduce."""
         for pieces in self.pieces.values():
             pieces.abandon()
         shutil.rmtree(self.ctx.workdir / "map_parts", ignore_errors=True)
-        self.pieces.clear()
+        self.pieces, self.mapped, self.served = {}, {}, set()
 
     # -- shuffle ------------------------------------------------------------
 
     def read_piece(self, producer: int, side: str, length: int) -> np.ndarray:
-        """``producer``'s piece, as the round's map left it (none: no block)."""
+        """``producer``'s piece, as the round's map left it (none: no block
+        wrote it); a piece served is gone."""
+        if (producer, side, length) in self.served:
+            raise StreamProtocolError(f"{self.scope}: producer {producer}'s "
+                                      f"piece ({side}, {length}) was served")
         pieces = self.pieces[producer]
         if not (pieces.kept(side, length)
                 or pieces.path(side, length).exists()):
@@ -161,8 +175,10 @@ class WorkerNode:
 
     def _serve_partition(self, producer: int, side: str, length: int,
                          ) -> tuple[np.ndarray, int]:
-        """AM handler: ``producer``'s piece of one partition."""
+        """AM handler: ``producer``'s piece of one partition, handed over."""
         records = self.read_piece(producer, side, length)
+        self.pieces[producer].delete(side, length)
+        self.served.add((producer, side, length))
         return records, records.nbytes
 
     def pull_partitions(self, store: PackedReadStore, holders: list[int],

@@ -22,9 +22,8 @@ again after its node's recovery.
    the round in flight died with it (or lost writes): it maps them again
    from the recorded read blocks when a pull first needs them. A shuffled
    partition whose size no longer matches what its pull wrote is pulled
-   again byte-identically, because it is the concatenation of
-   per-producer pieces in node-id order and every piece is held, this
-   round, by its producer or by the survivor that took its id.
+   again byte-identically: it is the concatenation of per-producer pieces
+   in node-id order, and each holder maps again the pieces it served.
 3. **Failover** — a node past its restart budget is *lost*. One rule, in
    every phase: the least-loaded survivor takes the lost node's producer
    ids and maps their recorded blocks with its own (the round in flight's
@@ -278,7 +277,7 @@ class ClusterSupervisor:
 
         A fault it raises is a death (:func:`_victim`) and raises
         :class:`_NodeDeath`. No operation appends to streams an earlier one
-        opened (map pieces are fresh stores, a pull starts its partitions
+        opened (a map writes its pieces anew, a pull starts its partitions
         again), so one cut short by another scope's death runs again as is.
         """
         if counter is not None:
@@ -436,22 +435,30 @@ class ClusterSupervisor:
         """The producer ids ``node_id`` holds, ascending."""
         return [p for p, holder in enumerate(self.holder) if holder == node_id]
 
-    def _map_pieces(self, node: WorkerNode, producers: list[int]) -> None:
-        """``node`` maps the producers' blocks for the round, sealed."""
+    def _map_pieces(self, node: WorkerNode, producers: list[int],
+                    lengths=None) -> None:
+        """``node`` maps the producers' blocks for ``lengths`` (the round's)."""
         node.map_pieces(self.store,
                         {p: self.block_ranges.get(p, []) for p in producers},
-                        self.round_lengths)
+                        lengths or self.round_lengths)
 
-    def _restore_pieces(self) -> None:
-        """Every holder maps again the pieces of the round it lost (a
-        restart) or took over (a loss), in its own fault scope: a death
-        in there is the holder's."""
+    def _restore_pieces(self, lengths: list[int]) -> None:
+        """Every holder maps again, in its own fault scope, the pieces of
+        ``lengths`` and of the round's untaken lengths it lost, took over
+        or served; each ``(producer, length)`` is one ``pieces_remapped``."""
+        wanted = [length for length in self.round_lengths
+                  if length in lengths or ("P", length) not in self.pulled]
         for holder in self.alive():
-            missing = [p for p in self._held_by(holder.node_id)
-                       if p not in holder.pieces]
-            if missing:
+            stale: dict[tuple[int, ...], list[int]] = {}
+            for producer in self._held_by(holder.node_id):
+                need = tuple(length for length in wanted
+                             if not holder.holds(producer, length))
+                if need:
+                    stale.setdefault(need, []).append(producer)
+            for need, producers in stale.items():
                 with faults.scoped(holder.scope):
-                    self._map_pieces(holder, missing)
+                    self._map_pieces(holder, producers, need)
+                self.meter.bump("pieces_remapped", len(need) * len(producers))
 
     # -- replay from lineage ---------------------------------------------------
 
@@ -486,7 +493,7 @@ class ClusterSupervisor:
 
     def _pull(self, node: WorkerNode, lengths: list[int]) -> int:
         """``node`` pulls ``lengths``; what it wrote becomes their lineage."""
-        self._restore_pieces()
+        self._restore_pieces(lengths)
         pulled = node.pull_partitions(self.store, self.holder, lengths)
         self.pulled.update({
             (side, length): node.shuffled.records_in(side, length)

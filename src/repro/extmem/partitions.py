@@ -164,6 +164,14 @@ class PartitionStore:
         if error is not None:
             raise error
 
+    def reopen(self, lengths) -> None:
+        """Take appends again, to write the partitions of ``lengths`` anew:
+        their runs and files go. The others stay as they are."""
+        for length in lengths:
+            for side in SIDES:
+                self.delete(side, length)
+        self._finalized = False
+
     def _close_writers(self) -> Exception | None:
         """Close every open writer; returns the first close error, if any."""
         error = None

@@ -268,6 +268,8 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
     assert len(rounds) == 5 and len(clean_files) == 2 * 12 + 1
     victim = random.Random(SWEEP_SEED).randrange(1, len(rounds))
     points = rounds[victim]
+    lengths = {int(point.path.split("[")[1][:-1]) for point in points
+               if _kind(point) == "reduce"}
     assert {"map-round", "pull", "sort", "reduce"} \
         <= {_kind(point) for point in points}
     config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
@@ -294,14 +296,30 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
         # other bytes.
         if node_restarts:
             assert recovered.shuffle_bytes >= clean.shuffle_bytes
-        # Every piece of every round is mapped. What the crashed node held
-        # of its round is mapped again at most once, by itself or by the
-        # survivor that took its id, when a pull first needs it.
+        # A piece is let go when its owner pulls it. Before the pull, what
+        # the crashed node held of its round is mapped again at most once,
+        # by itself or by the survivor that took its id, for the lengths no
+        # pull had taken. After the pull, the rebuilt partition's pieces
+        # are mapped again: every producer's blocks, once, for that length
+        # alone. One ``pieces_remapped`` a producer and length.
         again = Counter(mapped) - clean_maps
-        assert set(mapped) == set(clean_maps), point.path
-        victim_blocks = sorted(blocks[int(point.path[len("node"):][:2])])
-        assert sorted(block for block, _ in again.elements()) \
-            in ([], victim_blocks), point.path
+        remapped = recovered.notes.get("pieces_remapped", 0)
+        crashed = int(point.path[len("node"):][:2])
+        (owned,) = [hop["length"] for hop in clean.token_trace
+                    if hop["node"] == crashed and hop["length"] in lengths]
+        if _kind(point) in ("sort", "reduce"):
+            assert sorted(again.elements()) == sorted(
+                (block, (owned,)) for dealt in blocks.values()
+                for block in dealt), point.path
+            assert remapped == N_NODES, point.path
+        else:
+            assert sorted(block for block, _ in again.elements()) \
+                in ([], sorted(blocks[crashed])), point.path
+            if again:
+                (need,) = {need for _, need in again}
+                assert owned in need and remapped == len(need), point.path
+            else:  # the map ran again, or a survivor mapped the whole round
+                assert remapped in (0, len(lengths)), point.path
 
 
 @pytest.mark.parametrize("kind", ("pull", "sort", "reduce"))
@@ -341,6 +359,58 @@ def test_an_in_core_run_writes_nothing(wide, tmp_path, held):
     assert [point.path for point in plan.trace if point.site == WRITE] == []
     assert len(held) == 2 * 37 + 1
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
+
+
+def _pieces_left(monkeypatch) -> tuple[list, list]:
+    """After each round's shuffle of the next runs, every piece of a pulled
+    length a holder still has (a run in host memory or a file); and each
+    run's supervisor."""
+    left, supervisors = [], []
+    shuffle_phase = resilience.ClusterSupervisor.shuffle_phase
+
+    def spy(self, lengths):
+        pulled = shuffle_phase(self, lengths)
+        if self not in supervisors:
+            supervisors.append(self)
+        left.extend((holder.node_id, producer, side, length)
+                    for holder in self.alive()
+                    for producer, pieces in holder.pieces.items()
+                    for length in lengths for side in partition_sides(
+                        length, self.store.read_length)
+                    if pieces.kept(side, length)
+                    or pieces.path(side, length).exists())
+        return pulled
+
+    monkeypatch.setattr(resilience.ClusterSupervisor, "shuffle_phase", spy)
+    return left, supervisors
+
+
+def test_a_pulled_piece_is_let_go_by_its_holder(wide, monkeypatch):
+    """4 nodes, in-core: after each round's shuffle no holder keeps a
+    piece of a pulled length, in host memory or as a file. Against the
+    same run with every piece kept until the round's end (a serve that
+    only reads), no node's modeled host-pool peak is higher and one is
+    lower, and the contigs and modeled seconds are the same."""
+    md, config, single, _ = wide
+    left, supervisors = _pieces_left(monkeypatch)
+    handed = DistributedAssembler(config, 4).assemble(md.store_path)
+    assert left == [] and len(supervisors) == 1
+
+    def serve_and_keep(self, producer, side, length):
+        records = self.read_piece(producer, side, length)
+        return records, records.nbytes
+
+    monkeypatch.setattr(node.WorkerNode, "_serve_partition", serve_and_keep)
+    kept = DistributedAssembler(config, 4).assemble(md.store_path)
+    assert len(left) > 0 and len(supervisors) == 2
+    peaks = [[worker.ctx.host_pool.lifetime_peak_bytes
+              for worker in supervisor.nodes] for supervisor in supervisors]
+    assert all(a <= b for a, b in zip(*peaks)) and peaks[0] != peaks[1]
+    assert handed.total_seconds == kept.total_seconds
+    assert handed.phase_seconds == kept.phase_seconds
+    assert np.array_equal(handed.contigs.flat_codes, kept.contigs.flat_codes)
+    assert np.array_equal(handed.contigs.flat_codes, single.contigs.flat_codes)
+    assert handed.notes.get("pieces_remapped", 0) == 0
 
 
 @pytest.fixture()
@@ -383,8 +453,8 @@ def _maps_again(golden, piece_maps, recovered_maps) -> Counter:
 def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
         golden, tmp_path, piece_maps, held):
     """node01 dies at its round-2 pull, its pieces held in host memory:
-    they died with it. The replacement maps them again, once, and every
-    sorted byte is the clean run's."""
+    they died with it. The replacement maps again, once, those no pull has
+    taken yet, and every sorted byte is the clean run's."""
     _, clean, clean_files, rounds, _ = golden
     recovered = _crash_at(golden, tmp_path, "node01:pull", 2)
     maps = list(piece_maps)
@@ -392,8 +462,13 @@ def test_a_crash_at_a_later_pull_maps_the_held_pieces_again(
     assert "partitions_rebuilt" not in recovered.notes
     round_lengths = next(lengths for holder, _, lengths in maps[6:9]
                          if holder == 1)
+    # node00 pulled its length first: the lengths no pull has taken yet.
+    pulled = next(hop["length"] for hop in clean.token_trace
+                  if hop["node"] == 0 and hop["length"] in round_lengths)
+    untaken = tuple(length for length in round_lengths if length != pulled)
     assert _maps_again(golden, piece_maps, maps) \
-        == Counter({(1, (1,), round_lengths): 1})
+        == Counter({(1, (1,), untaken): 1})
+    assert recovered.notes["pieces_remapped"] == len(untaken) == 2
     assert _sorted_partitions(recovered, tmp_path, held) == clean_files
     assert recovered.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
