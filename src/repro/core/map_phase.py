@@ -30,14 +30,16 @@ contribution to partition ``lengths[j]`` and lands in the staged record
 block as it is computed. The partition files are byte-identical to the
 all-positions scan's.
 
-Given the greedy graph's out-degree bit-vector (``closed``), the map
-writes only the records whose claim is still open: the ``S`` record of a
-vertex ``u`` needs ``u`` open, the ``P`` record of ``v`` needs ``v ^ 1``
-open (the rule of :func:`repro.core.sort_phase._open_claims`, moved
-upstream). Each host block is compacted to its oriented reads with an open
-claim, and each of those is keyed on the side it still needs only. A
-partition file is then the unfiltered one minus the closed records, in the
-same order.
+Every band, the first too, goes through one kernel, :func:`_fingerprint_block`.
+Given the greedy graph's out-degree bit-vector (``closed``; without it
+every claim is open), the map writes only the records whose claim is
+still open: the ``S`` record of a vertex ``u`` needs ``u`` open, the ``P``
+record of ``v`` needs ``v ^ 1`` open (the rule of
+:func:`repro.core.sort_phase._open_claims`, moved upstream). Each host
+block is compacted to its oriented reads with an open claim, and each of
+those is keyed on the side it still needs only. A partition file is then
+the unfiltered one minus the closed records, in the same order.
+:func:`band_report` counts what a map writes; :func:`run_map` returns it.
 
 The phase works at the two levels of the paper's hierarchy. The *modeled*
 unit is the device batch (``map_batch_reads``, or as many reads as the
@@ -154,9 +156,10 @@ def _batch_reads(ctx: RunContext, read_length: int) -> int:
 
 
 def band_report(ctx: RunContext, store: PackedReadStore, lengths,
-                closed: PackedBitVector | None = None) -> MapReport:
-    """What ``run_map(ctx, store, only_lengths=lengths, closed=closed)``
-    reports, without mapping.
+                closed: PackedBitVector | None = None,
+                read_range: tuple[int, int] | None = None) -> MapReport:
+    """What ``run_map(ctx, store, read_range=read_range,
+    only_lengths=lengths, closed=closed)`` writes: the report it returns.
 
     An open vertex ``w`` has one ``S`` record (its own claim) and is the
     ``w ^ 1`` of one ``P`` record, at every length (the whole-read length
@@ -165,18 +168,26 @@ def band_report(ctx: RunContext, store: PackedReadStore, lengths,
     reports a sorted run it finds
     (:meth:`~repro.extmem.ExternalSorter.report_for`).
     """
-    n_reads, read_length = store.n_reads, store.read_length
+    read_length = store.read_length
+    start, stop = read_range if read_range is not None else (0, store.n_reads)
     sides = sum(len(partition_sides(length, read_length)) for length in lengths)
-    return MapReport(n_reads, -(-n_reads // _batch_reads(ctx, read_length)),
-                     open_vertices(store, closed) * sides,
+    return MapReport(stop - start,
+                     -(-(stop - start) // _batch_reads(ctx, read_length)),
+                     open_vertices(store, closed, read_range) * sides,
                      overlap_lengths(ctx, read_length))
 
 
 def open_vertices(store: PackedReadStore,
-                  closed: PackedBitVector | None = None) -> int:
-    """Oriented reads ``closed`` leaves open: the records of each side of
-    every length a map with ``closed`` writes."""
-    return 2 * store.n_reads - (0 if closed is None else closed.count())
+                  closed: PackedBitVector | None = None,
+                  read_range: tuple[int, int] | None = None) -> int:
+    """Oriented reads of ``read_range`` (the whole store by default) that
+    ``closed`` leaves open: the records of each side of every length a map
+    with ``closed`` writes."""
+    if read_range is None:
+        return 2 * store.n_reads - (0 if closed is None else closed.count())
+    start, stop = read_range
+    return 2 * (stop - start) - (0 if closed is None else int(
+        np.count_nonzero(closed.get(np.arange(2 * start, 2 * stop)))))
 
 
 def _place(dst: np.ndarray, orientation: int, src: np.ndarray,
@@ -238,48 +249,24 @@ def _key_fields(records: np.ndarray, lanes: int) -> list[np.ndarray]:
 
 def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                        batch_reads: int, scheme: FingerprintScheme,
-                       lengths: tuple[int, ...], out: np.ndarray,
-                       whole: np.ndarray | None = None) -> None:
+                       lengths: tuple[int, ...], closed: PackedBitVector | None,
+                       dtype: np.dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Pure-numpy fingerprint kernel for one host block, both orientations.
 
-    Fills ``out``, a ``(2, len(lengths), 2·n)`` record array:
-    ``out[0][j]`` / ``out[1][j]`` are the records the block contributes to
-    the ``P`` / ``S`` partition of ``lengths[j]``, in file order — same
-    values and field layout as one record assembly per device batch,
-    orientation and length. ``whole``, a ``(1, 1, 2·n)`` record array,
-    receives the block's ``P_L`` records (the whole reads). The oriented
-    reads and their vertex ids are laid out in file order first
-    (:func:`_oriented`), so each ``key_matrices`` call writes every key
-    straight into its record.
-    """
-    codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
-    if lengths:
-        scheme.key_matrices(codes, lengths, _scan_workspace(),
-                            out=_key_fields(out, scheme.lanes))
-        out[VAL_FIELD] = vertices
-    if whole is not None:
-        scheme.key_matrices(codes, (read_length,), _scan_workspace(),
-                            out=_key_fields(whole, scheme.lanes), sides="P")
-        whole[VAL_FIELD] = vertices
-
-
-def _fingerprint_open(packed: np.ndarray, first_read: int, read_length: int,
-                      batch_reads: int, scheme: FingerprintScheme,
-                      lengths: tuple[int, ...], closed: PackedBitVector,
-                      dtype: np.dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """:func:`_fingerprint_block` minus the records ``closed`` refuses.
-
     Returns ``(records, open_masks)``, each ``[P, S]``: ``records[i]`` is
-    a ``(k_lengths, k)`` record array, the block's open claims of that
-    side in file order, one row per length of ``lengths`` that has the
-    side (the whole-read length has ``P`` only); ``open_masks[i]`` marks
-    them among the block's ``2·n`` oriented reads. Each side keys only its
-    own rows.
+    a ``(k_lengths, k)`` record array, the block's claims of that side
+    that ``closed`` leaves open (every claim without ``closed``) in file
+    order, one row per length of ``lengths`` that has the side (the
+    whole-read length has ``P`` only); ``open_masks[i]`` marks them among
+    the block's ``2·n`` oriented reads. The oriented reads and their
+    vertex ids are laid out in file order first (:func:`_oriented`), and
+    each side keys only its own rows, straight into its records.
     """
     codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
     records, masks = [], []
     for side, claimants in (("P", vertices ^ np.uint32(1)), ("S", vertices)):
-        mask = ~closed.get(claimants)
+        mask = np.ones(vertices.size, dtype=bool) if closed is None \
+            else ~closed.get(claimants)
         rows = np.flatnonzero(mask)
         keyed = tuple(length for length in lengths
                       if side in partition_sides(length, read_length))
@@ -319,13 +306,17 @@ def run_map(ctx: RunContext, store: PackedReadStore,
 
     ``closed`` is the out-degree bit-vector of the graph built so far:
     records whose claim it has taken are neither fingerprinted nor
-    written: the prefix launches are charged for the oriented reads with
-    an open ``P`` claim and the suffix launches for those with an open
-    ``S`` claim, plus one compaction pass per device batch. ``resident_bytes`` is
-    host memory the graph holds meanwhile (:func:`_stage_batches`).
+    written (without it every claim is open): the prefix launches are
+    charged for the oriented reads with an open ``P`` claim and the suffix
+    launches for those with an open ``S`` claim, plus, given ``closed``,
+    one compaction pass per device batch. ``resident_bytes`` is host
+    memory the graph holds meanwhile (:func:`_stage_batches`).
     """
     read_length = store.read_length
-    lengths = overlap_lengths(ctx, read_length)
+    # ``partition_lengths`` refuses a ``min_overlap`` of ``L`` or more
+    # before anything is mapped.
+    kept = tuple(length for length in partition_lengths(ctx, read_length)
+                 if only_lengths is None or length in only_lengths)
     batch_reads = _batch_reads(ctx, read_length)
 
     dtype = kv_dtype(ctx.config.fingerprint_lanes)
@@ -334,18 +325,12 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         partitions = PartitionStore(ctx.workdir / "partitions", dtype, ctx.accountant)
     lanes = ctx.config.fingerprint_lanes
     per_read = per_read_device_bytes(read_length, lanes)
-    n_batches = 0
-    tuples_written = 0
     start, stop = read_range if read_range is not None else (0, store.n_reads)
-    kept = tuple(length for length in partition_lengths(ctx, read_length)
-                 if only_lengths is None or length in only_lengths)
-    # The kept lengths with both sides, and whether P_L is kept.
+    # The kept lengths with both sides: every one but the whole-read length.
     pairs = tuple(length for length in kept if length < read_length)
-    whole = len(kept) - len(pairs)
-    p_lengths = len(pairs) + whole
     # What the host holds of a read: its P and S records, both orientations,
-    # at every kept length (``staged`` below).
-    per_read_host = 2 * (p_lengths + len(pairs)) * dtype.itemsize
+    # at every kept length.
+    per_read_host = 2 * (len(kept) + len(pairs)) * dtype.itemsize
     block_reads = batch_reads * _stage_batches(ctx, batch_reads, per_read_host,
                                                resident_bytes)
 
@@ -364,7 +349,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         S), then the fan-out of those records at every kept length with
         that side."""
         prefixes, suffixes = records
-        fanned = prefixes * p_lengths + suffixes * len(pairs)
+        fanned = prefixes * len(kept) + suffixes * len(pairs)
         return [*[costs.scan_seconds(spec, rows, hi, lo=lo)
                   for rows, (lo, hi) in zip(records, windows)
                   for _ in range(2 * lanes)],
@@ -401,29 +386,15 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                        for lo in range(0, block_n, batch_reads)]
             # Per device batch, forward then reverse complement: the
             # oriented reads keyed and their (P, S) records.
-            if closed is None:
-                staged = np.empty((2, len(pairs), 2 * block_n), dtype=dtype)
-                whole_staged = np.empty((1, whole, 2 * block_n), dtype=dtype)
-                _fingerprint_block(packed, block_start, read_length,
-                                   batch_reads, ctx.scheme, pairs, staged,
-                                   whole_staged if whole else None)
-                prefix = [*staged[0], *whole_staged[0]]
-                suffix = list(staged[1])
-                rows = [(n, n) for _, n in batches for _ in range(2)]
-                staged_bytes = staged.nbytes + whole_staged.nbytes
-            else:
-                (prefix, suffix), (p_open, s_open) = _fingerprint_open(
-                    packed, block_start, read_length, batch_reads, ctx.scheme,
-                    kept, closed, dtype)
-                starts = [2 * lo + offset for lo, n in batches
-                          for offset in (0, n)]
-                rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
-                                np.add.reduceat(s_open, starts).tolist()))
-                staged_bytes = prefix.nbytes + suffix.nbytes
+            (prefix, suffix), (p_open, s_open) = _fingerprint_block(
+                packed, block_start, read_length, batch_reads, ctx.scheme,
+                kept, closed, dtype)
+            starts = [2 * lo + offset for lo, n in batches for offset in (0, n)]
+            rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
+                            np.add.reduceat(s_open, starts).tolist()))
             charges = []
             for i, (_, n) in enumerate(batches):
                 charges += kernel_charges(n, rows[2 * i], rows[2 * i + 1])
-            n_batches += len(batches)
             # One (length, P records, S records or None) entry per kept length.
             appended = [(length, prefix[j],
                          suffix[j] if length < read_length else None)
@@ -432,22 +403,20 @@ def run_map(ctx: RunContext, store: PackedReadStore,
             # than the batch at small device budgets). det=False keeps the
             # per-block spans out of the sim export (its size).
             with tracer.span("map:block", track="pipeline",
-                             first_batch=n_batches - len(batches) + 1,
+                             first_batch=(block_start - start) // batch_reads + 1,
                              reads=block_n), \
-                    ctx.host_pool.alloc(staged_bytes, label="map-host-buffers"), \
+                    ctx.host_pool.alloc(prefix.nbytes + suffix.nbytes,
+                                        label="map-host-buffers"), \
                     ctx.gpu.scratch(max(n for _, n in batches) * per_read,
                                     label="map-batch"):
                 # The charges are per device batch and in batch order, so
                 # the clock's float does not depend on the block size.
                 ctx.gpu.charge_kernels(charges)
                 partitions.append_pairs(appended, rows)
-                tuples_written += sum(
-                    p.shape[0] + (0 if s is None else s.shape[0])
-                    for _, p, s in appended)
     finally:
         # Even on an injected crash the writers must close: the fault sweep
         # resumes the pipeline in-process, and a stale _OPEN_PATHS entry
         # would wrongly reject the recovery run's writers.
         if not caller_owns_store:
             partitions.finalize()
-    return partitions, MapReport(stop - start, n_batches, tuples_written, lengths)
+    return partitions, band_report(ctx, store, kept, closed, read_range)

@@ -46,14 +46,6 @@ from .message import ActiveMessageLayer, node_scope
 FETCH_PARTITION = "fetch_partition"
 
 
-def _open_in(closed: PackedBitVector | None, blocks) -> int:
-    """Oriented reads of ``blocks`` that ``closed`` leaves open (all of
-    them without ``closed``)."""
-    return sum(2 * (stop - start) - (0 if closed is None else int(
-        np.count_nonzero(closed.get(np.arange(2 * start, 2 * stop)))))
-        for start, stop in blocks)
-
-
 class WorkerNode:
     """Private state + handlers of one cluster node."""
 
@@ -131,7 +123,8 @@ class WorkerNode:
         for producer, blocks in lineage.items():
             pieces = self._fresh_pieces(producer, lengths)
             try:
-                self.plan.keep(pieces, lengths, _open_in(self.closed, blocks))
+                self.plan.keep(pieces, lengths, sum(
+                    open_vertices(store, self.closed, block) for block in blocks))
                 with self.metered(store) as mine:
                     for start, stop in blocks:
                         run_map(self.ctx, mine, pieces, read_range=(start, stop),

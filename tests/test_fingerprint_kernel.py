@@ -264,9 +264,8 @@ def test_workspace_does_not_grow_with_the_block():
         # A fresh thread owns a fresh thread-local workspace.
         for n in (100, 2000):
             packed = pack_codes(rng.integers(0, 4, (n, read_length), dtype=np.uint8))
-            staged = np.empty((2, len(lengths), 2 * n), dtype=kv_dtype(2))
             map_phase._fingerprint_block(packed, 0, read_length, n, scheme,
-                                         lengths, staged)
+                                         lengths, None, kv_dtype(2))
             held.append(map_phase._scan_workspace().nbytes)
 
     thread = threading.Thread(target=fingerprint_blocks)

@@ -271,18 +271,25 @@ class TestWhatIsSorted:
 
     def test_a_band_report_counts_what_the_band_maps(self, data, runs,
                                                      tmp_path):
-        """``band_report`` (what a resumed run reports for the lengths it
-        finds sorted) is what ``run_map`` reports for the band it maps."""
+        """``band_report`` (what ``run_map`` returns, and what a resumed run
+        reports for the lengths it finds sorted) counts what the band
+        writes: its records, and one metered store read a device batch."""
         eager, _, _ = runs
         band = pipeline._bands(eager.partitions.lengths()[:-1], READ_LENGTH)[3]
         closed = PackedBitVector(2 * eager.n_reads)
         closed.set(np.flatnonzero(_closed_after(eager, band[0])))
         ctx = RunContext(CRAMPED, workdir=tmp_path / "ctx")
         try:
-            with PackedReadStore.open(data.store_path) as store:
-                _, report = run_map(ctx, store, only_lengths=set(band),
-                                    closed=closed)
-                assert report == band_report(ctx, store, band, closed)
+            with PackedReadStore.open(data.store_path,
+                                      meter=ctx.accountant) as store:
+                partitions, _ = run_map(ctx, store, only_lengths=set(band),
+                                        closed=closed)
+                report = band_report(ctx, store, band, closed)
+            assert report.tuples_written == sum(
+                partitions.records_in(side, length) for length in band
+                for side in partition_sides(length, READ_LENGTH))
+            assert ctx.accountant.counters()["disk_read_ops"] \
+                == report.n_batches
             assert 0 < report.tuples_written < 2 * 2 * eager.n_reads * len(band)
         finally:
             ctx.cleanup()

@@ -17,6 +17,7 @@ from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import per_read_device_bytes, run_map
+from repro.device import costs
 from repro.errors import HostMemoryError
 from repro.extmem.records import kv_dtype
 from repro.graph.bitvector import PackedBitVector
@@ -111,6 +112,43 @@ def test_whole_store_default_range(tmp_path, tiny_md, monkeypatch):
                                    tiny_md.store_path)
     assert tiny_md.n_reads % 7  # the last batch is ragged
     assert files == ref_files and model == ref_model
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"only_lengths": frozenset({50})}, {"read_range": READ_RANGE}],
+    ids=["eager", "whole-read", "read-range"])
+def test_nothing_closed_is_every_claim_open(tmp_path, tiny_md, kwargs):
+    """``closed=None`` maps what a bit-vector with nothing closed maps: the
+    same files and report. The model differs by the compaction pass of
+    each device batch alone, which only a given ``closed`` is charged."""
+    config = _config(7, 1 << 22)
+    files, model, pools = _map(tmp_path, "none", config, tiny_md.store_path,
+                               **kwargs)
+    empty = PackedBitVector(2 * tiny_md.n_reads)
+    ref_files, ref_model, ref_pools = _map(
+        tmp_path, "empty", config, tiny_md.store_path, closed=empty, **kwargs)
+    assert files == ref_files
+    assert model["report"] == ref_model["report"]
+    assert model["disk"] == ref_model["disk"]
+    assert model["device_peak"] == ref_model["device_peak"]
+    assert pools == ref_pools
+
+    start, stop = kwargs.get("read_range", (0, tiny_md.n_reads))
+    batches = [min(7, stop - lo) for lo in range(start, stop, 7)]
+    assert len(batches) == model["report"].n_batches
+    ctx = RunContext(config, workdir=tmp_path / "probe")
+    compaction = sum(costs.elementwise_seconds(ctx.gpu.spec, 2 * n * 50)
+                     for n in batches)
+    ctx.cleanup()
+    clock, ref_clock = model["clock"], ref_model["clock"]
+    assert compaction > 0
+    for counter in ("sim_kernel_seconds", "sim_seconds"):
+        assert ref_clock[counter] - clock[counter] \
+            == pytest.approx(compaction, rel=1e-9)
+    assert {counter: seconds for counter, seconds in clock.items()
+            if counter not in ("sim_kernel_seconds", "sim_seconds")} \
+        == {counter: seconds for counter, seconds in ref_clock.items()
+            if counter not in ("sim_kernel_seconds", "sim_seconds")}
 
 
 def test_place_is_file_order():
