@@ -376,7 +376,7 @@ class Assembler:
                 manager.invalidate_from("sort")
         lengths = overlap_lengths(ctx, store.read_length)
         plan = Residency(ctx, store)
-        plan.hold_store(store)
+        plan.hold_store(store, [(0, store.n_reads)])
         band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None

@@ -3,19 +3,19 @@
 The paper's memory model has two levels below the data: the host holds
 what fits, the disk the rest. A :class:`Residency` plan, one a run (one a
 node on the cluster), decides which artifacts stay in host memory: the
-packed store (:meth:`~Residency.hold_store`), unsorted partitions whose
-sizes are known before they are written (:meth:`~Residency.keep`), and
-sorted runs the sort formed in one piece (:meth:`~Residency.hold`). The
-store and the partitions stay only in an *in-core* run, by budget alone;
-the paper's regime (data ≫ host) is not in-core. Each placement is
-reserved in the host pool through the plan and leaves the sorter's whole
-host block free beside it, so every later map block and sort reserves
-what it would with the artifact on disk. Load, before the plan exists,
-and compress, after the graph is gone, stream the reads in steps sized
-the same way: the largest batch that fits what the pool has free
-(:func:`stream_batch_reads`). This module is the only code that reads the
-pool's free or used bytes to decide a placement (DESIGN.md §2f,
-*Residency*).
+reads of the packed store it maps (:meth:`~Residency.hold_store`),
+unsorted partitions whose sizes are known before they are written
+(:meth:`~Residency.keep`), and sorted runs the sort formed in one piece
+(:meth:`~Residency.hold`). The store's reads and the partitions stay
+only in an *in-core* run, by budget alone; the paper's regime (data ≫
+host) is not in-core. Each placement is reserved in the host pool
+through the plan and leaves the sorter's whole host block free beside
+it, so every later map block and sort reserves what it would with the
+artifact on disk. Load, before the plan exists, and compress, after the
+graph is gone, stream the reads in steps sized the same way: the largest
+batch that fits what the pool has free (:func:`stream_batch_reads`).
+This module is the only code that reads the pool's free or used bytes to
+decide a placement (DESIGN.md §2f, *Residency*).
 """
 
 from __future__ import annotations
@@ -117,11 +117,14 @@ class Residency:
 
     # -- the three questions -------------------------------------------------
 
-    def hold_store(self, store: PackedReadStore) -> None:
-        """Keep the packed store in host memory from its first walk on, in
-        an in-core run."""
+    def hold_store(self, store: PackedReadStore, blocks) -> None:
+        """Keep the packed store's read ``blocks`` (``(start, stop)`` pairs:
+        a single node's whole store, a cluster node's dealt blocks) in host
+        memory from their first read on, in an in-core run."""
         if self.in_core:
-            self._placed.append(store.hold(self.ctx.host_pool))
+            allocation = store.hold(self.ctx.host_pool, blocks)
+            if allocation is not None:
+                self._placed.append(allocation)
 
     def keep(self, partitions: PartitionStore, lengths, n_records: int) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory, in an

@@ -24,8 +24,12 @@ behind Fig. 10:
 * **compress** — on the master, as in the single-node pipeline (a node
   operation: the first alive node's, run again after a death).
 
-Every node reads the shared read store through its own disk meter
-(:meth:`WorkerNode.metered`), as a single node's map and compress do.
+Every node maps through one view of the shared read store, charged to
+its own disk (:attr:`WorkerNode.reads`). In an in-core run its residency
+plan holds the blocks it maps from their first read on, as a single
+node's holds the whole store, so the cluster reads each dealt block off
+the disk once, not once a round. The master's compress reads the whole
+store once, through a view of its own.
 
 Map, shuffle, sort and reduce run in **rounds**, longest length first.
 The first round is the whole-read length ``L`` alone: every node maps
@@ -216,6 +220,7 @@ class DistributedAssembler:
                     node.abandon()
                 raise
             finally:
+                supervisor.close()
                 # Dump even when a phase raised — a trace of a failed run
                 # is exactly what a fault sweep wants to look at.
                 if tracer is not None:

@@ -11,12 +11,17 @@ Per round (:mod:`repro.distributed.cluster`) a node holds its
 ``pieces`` of every producer id it holds (its own, and each lost node's it
 took over): their read blocks mapped for the round's lengths under
 ``closed`` (:meth:`WorkerNode.map_pieces`), each until its owner pulls
-it. The node's :class:`~repro.core.residency.Residency` plan places them:
-in an in-core run the pieces and the partitions pulled from them stay in
-host memory, the first round's ``P_L`` too, and a sorted run held for
-reduce is never written. A lone node's pieces are its partitions. A node
-keeps no ledger: what a restart or a pull took is mapped again from the
-lineage its supervisor holds (:mod:`repro.distributed.resilience`).
+it. The node reads the shared store through one view of its own
+(:attr:`WorkerNode.reads`), charged to its disk, for its whole life. The
+node's :class:`~repro.core.residency.Residency` plan places what it maps:
+in an in-core run the read blocks of the producers it holds stay in host
+memory from their first read on (so every round after the first maps
+them without a disk read), the pieces and the partitions pulled from
+them too, the first round's ``P_L`` too, and a sorted run held for reduce
+is never written. A lone node's pieces are its partitions. A node keeps
+no ledger: what a restart or a pull took is mapped again from the
+lineage its supervisor holds (:mod:`repro.distributed.resilience`), and
+a restarted node reads its blocks off the disk again.
 """
 
 from __future__ import annotations
@@ -66,8 +71,11 @@ class WorkerNode:
             prefix=f"node{node_id:02d}/")
         self.ctx = RunContext(config, workdir=root / f"node{node_id:02d}",
                               disk=disk, host=host, tracer=node_tracer)
-        #: Where this node's pieces, partitions and sorted runs live.
+        #: Where this node's read blocks, pieces, partitions and sorted runs
+        #: live.
         self.plan = Residency(self.ctx, store)
+        #: The node's view of the shared store, for its whole life.
+        self.reads = self.metered(store)
         self.messages = messages
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
@@ -108,28 +116,31 @@ class WorkerNode:
         self.pieces[producer].reopen(lengths)
         return self.pieces[producer]
 
-    def map_pieces(self, store: PackedReadStore,
-                   lineage: dict[int, list[tuple[int, int]]],
+    def map_pieces(self, lineage: dict[int, list[tuple[int, int]]],
                    lengths: Iterable[int]) -> None:
         """Map each producer's read blocks, in their original order, into
         its piece store, for ``lengths`` under the round's snapshot.
 
         A piece is its producer's records minus the claims the snapshot
-        has closed, in map order, whichever node maps it. A map cut short
-        lets the producer's whole store go.
+        has closed, in map order, whichever node maps it. The plan holds
+        the blocks from this read on. A map cut short lets the producer's
+        whole store go.
         """
         lengths = sorted(lengths)
         resident = self.plan.resident_bytes
+        self.plan.hold_store(self.reads, [block for blocks in lineage.values()
+                                          for block in blocks])
         for producer, blocks in lineage.items():
             pieces = self._fresh_pieces(producer, lengths)
             try:
                 self.plan.keep(pieces, lengths, sum(
-                    open_vertices(store, self.closed, block) for block in blocks))
-                with self.metered(store) as mine:
-                    for start, stop in blocks:
-                        run_map(self.ctx, mine, pieces, read_range=(start, stop),
-                                only_lengths=frozenset(lengths),
-                                closed=self.closed, resident_bytes=resident)
+                    open_vertices(self.reads, self.closed, block)
+                    for block in blocks))
+                for start, stop in blocks:
+                    run_map(self.ctx, self.reads, pieces,
+                            read_range=(start, stop),
+                            only_lengths=frozenset(lengths),
+                            closed=self.closed, resident_bytes=resident)
                 pieces.finalize()
             except BaseException:
                 pieces.abandon()
@@ -243,8 +254,10 @@ class WorkerNode:
         The simulated process died but its private storage survives; the
         replacement node reopens the same directory. What must not survive
         are this object's open stream writers (the exclusivity registry
-        would reject the replacement's files) and what it kept in memory.
+        would reject the replacement's files), its view of the store and
+        what it kept in memory, its held read blocks too.
         """
         for pieces in self.pieces.values():
             pieces.abandon()
         self.shuffled.abandon()
+        self.reads.close()

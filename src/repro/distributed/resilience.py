@@ -379,9 +379,9 @@ class ClusterSupervisor:
             fresh.closed = self.closed
             fresh.ctx.clock.charge(
                 "network", self.network.transfer_seconds(self.closed.nbytes))
-        # What the dead worker's host still held, its pieces and partitions
-        # let go, is not its own (the master's graph): the replacement
-        # maps and sorts beside it all the same.
+        # What the dead worker's host still held, its pieces, partitions
+        # and read blocks let go, is not its own (the master's graph): the
+        # replacement maps and sorts beside it all the same.
         if dead.ctx.host_pool.used_bytes:
             fresh.ctx.host_pool.alloc(dead.ctx.host_pool.used_bytes,
                                       label="resident")
@@ -438,8 +438,7 @@ class ClusterSupervisor:
     def _map_pieces(self, node: WorkerNode, producers: list[int],
                     lengths=None) -> None:
         """``node`` maps the producers' blocks for ``lengths`` (the round's)."""
-        node.map_pieces(self.store,
-                        {p: self.block_ranges.get(p, []) for p in producers},
+        node.map_pieces({p: self.block_ranges.get(p, []) for p in producers},
                         lengths or self.round_lengths)
 
     def _restore_pieces(self, lengths: list[int]) -> None:
@@ -736,6 +735,11 @@ class ClusterSupervisor:
                                          "compress", spell)
             except _NodeLost:
                 continue
+
+    def close(self) -> None:
+        """Close every node's view of the store: its held blocks go back."""
+        for node in self.nodes:
+            node.reads.close()
 
     # -- reporting -------------------------------------------------------------
 

@@ -12,8 +12,9 @@ the pipeline needs:
 A 398 GB FASTQ human-genome dataset packs to ~29 GB in this form — the same
 ~13× reduction the paper exploits to re-stream reads cheaply during contig
 generation. An in-core run need not re-stream them at all: a store may
-:meth:`~PackedReadStore.hold` its payload in host memory, and every walk
-after the first reads it from there.
+:meth:`~PackedReadStore.hold` ranges of its reads in host memory (a single
+node the whole payload, a cluster node the blocks it maps), and every walk
+of them after the first reads them from there.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def unpack_codes(packed: np.ndarray, read_length: int) -> np.ndarray:
         else codes[:, :read_length].copy()
 
 
+class _HeldRange:
+    """The host copy of the reads ``[start, stop)`` of a held store, filled
+    up to read ``filled``."""
+
+    __slots__ = ("start", "stop", "reads", "filled")
+
+    def __init__(self, start: int, stop: int, reads: np.ndarray):
+        self.start, self.stop, self.reads, self.filled = start, stop, reads, start
+
+
 class PackedReadStore:
     """Create or open a packed read file.
 
@@ -94,11 +105,10 @@ class PackedReadStore:
         self._n_reads = n_reads
         self._meter = meter
         self._bytes_per_read = -(-read_length // 4)
-        #: The payload held in host memory (:meth:`hold`): the array, how
-        #: many reads of it are filled, and the reservation of its bytes.
-        self._held: np.ndarray | None = None
-        self._held_reads = 0
-        self._allocation = None
+        #: The read ranges held in host memory (:meth:`hold`), and the
+        #: reservations of their bytes.
+        self._held: list[_HeldRange] = []
+        self._allocations = []
         self._handle = open(path, "wb" if mode == "w" else "rb")
         if mode == "w":
             self._handle.write(_HEADER.pack(_MAGIC, _VERSION, read_length, 0))
@@ -174,10 +184,10 @@ class PackedReadStore:
         The handle is released even when the header write raises, and a
         held payload's host memory (:meth:`hold`) is given back.
         """
-        self._held = None
-        if self._allocation is not None:
-            self._allocation.free()
-            self._allocation = None
+        self._held = []
+        for allocation in self._allocations:
+            allocation.free()
+        self._allocations = []
         if self._handle.closed:
             return
         try:
@@ -202,25 +212,34 @@ class PackedReadStore:
 
     # -- reading -----------------------------------------------------------
 
-    def hold(self, host_pool):
-        """Keep the payload in host memory, from the next walk on.
+    def hold(self, host_pool, ranges):
+        """Keep the reads of ``ranges`` (``(start, stop)`` pairs) in host
+        memory, each range from its next walk on.
 
-        Its bytes are reserved in ``host_pool`` now: the returned
-        :class:`~repro.device.memory.Allocation`, which :meth:`close` frees.
-        A read off the disk that starts within the reads held so far lands
-        in the copy too, so the first walk of the store fills it; a read of
-        held reads comes from the copy and charges no disk, but still
-        passes the fault layer's ``READ`` hook under the store's path, as
-        a read of the file would. The copy keeps the bytes the disk gave,
+        The bytes of the ranges not held yet are reserved in ``host_pool``
+        now: the returned :class:`~repro.device.memory.Allocation` (``None``
+        if every range is held already), which :meth:`close` frees. A read
+        off the disk that starts within the reads of a range filled so far
+        (the range's start, before its first read) lands in the range's copy
+        too, so the first walk of a range fills it; a read within a range's
+        filled reads comes from the copy and charges no disk, but still
+        passes the fault layer's ``READ`` hook under the store's path, as a
+        read of the file would. The copy keeps the bytes the disk gave,
         before the hook: a corrupted read corrupts that read alone.
         """
         if self._mode != "r":
             raise StreamProtocolError("store is open write-only")
-        self._allocation = host_pool.alloc(self.nbytes, label="held-store")
-        self._held = np.empty((self._n_reads, self._bytes_per_read),
-                              dtype=np.uint8)
-        self._held_reads = 0
-        return self._allocation
+        held = {(copy.start, copy.stop) for copy in self._held}
+        new = [_HeldRange(start, stop, np.empty(
+                   (stop - start, self._bytes_per_read), dtype=np.uint8))
+               for start, stop in ranges if (start, stop) not in held]
+        if not new:
+            return None
+        allocation = host_pool.alloc(sum(copy.reads.nbytes for copy in new),
+                                     label="held-store")
+        self._allocations.append(allocation)
+        self._held.extend(new)
+        return allocation
 
     def read_packed_slice(self, start: int, stop: int, *,
                           meter_reads: int | None = None) -> np.ndarray:
@@ -240,18 +259,22 @@ class PackedReadStore:
         if not 0 <= start <= stop <= self._n_reads:
             raise DatasetError(f"slice [{start}, {stop}) out of range 0..{self._n_reads}")
         count = stop - start
-        if self._held is not None and stop <= self._held_reads:
-            held = self._held[start:stop]
-            held.flags.writeable = False
-            return faults.filter_read(self._path, held).reshape(
-                count, self._bytes_per_read)
+        for copy in self._held:
+            if copy.start <= start and stop <= copy.filled:
+                held = copy.reads[start - copy.start:stop - copy.start]
+                held.flags.writeable = False
+                return faults.filter_read(self._path, held).reshape(
+                    count, self._bytes_per_read)
         self._handle.seek(_HEADER.size + start * self._bytes_per_read)
         disk = self._handle.read(count * self._bytes_per_read)
         raw = faults.filter_read(self._path, disk)
-        if self._held is not None and start <= self._held_reads:
-            self._held[start:stop] = np.frombuffer(disk, dtype=np.uint8).reshape(
-                count, self._bytes_per_read)
-            self._held_reads = max(self._held_reads, stop)
+        for copy in self._held:
+            first, last = max(start, copy.start), min(stop, copy.stop)
+            if first < last and first <= copy.filled:
+                copy.reads[first - copy.start:last - copy.start] = np.frombuffer(
+                    disk, dtype=np.uint8).reshape(
+                        count, self._bytes_per_read)[first - start:last - start]
+                copy.filled = max(copy.filled, last)
         if self._meter is not None:
             if meter_reads is None:
                 self._meter.add_read(len(raw))

@@ -43,8 +43,7 @@ class TestMapBlocks:
         nodes, store, _ = cluster_pair
         node = nodes[0]
         half = store.n_reads // 2
-        node.map_pieces(store, {0: [(0, half), (half, store.n_reads)]},
-                        LENGTHS)
+        node.map_pieces({0: [(0, half), (half, store.n_reads)]}, LENGTHS)
         for length in LENGTHS:
             for side in ("S", "P"):
                 assert node.pieces[0].records_in(side, length) \
@@ -59,14 +58,14 @@ class TestMapBlocks:
 class TestServing:
     def test_fetch_partition_roundtrip(self, cluster_pair):
         nodes, store, messages = cluster_pair
-        nodes[0].map_pieces(store, {0: [(0, 20)]}, LENGTHS)
+        nodes[0].map_pieces({0: [(0, 20)]}, LENGTHS)
         records = messages.request(1, 0, FETCH_PARTITION, 0, "S", 25)
         assert records.shape[0] == 2 * 20
         assert nodes[1].ctx.clock.seconds("network") > 0
 
     def test_fetch_missing_partition_is_empty(self, cluster_pair):
         nodes, store, messages = cluster_pair
-        nodes[0].map_pieces(store, {0: []}, LENGTHS)
+        nodes[0].map_pieces({0: []}, LENGTHS)
         records = messages.request(1, 0, FETCH_PARTITION, 0, "S", 30)
         assert records.shape[0] == 0
 
@@ -74,7 +73,7 @@ class TestServing:
         """A piece with no records is empty, not missing: read as often as
         asked, and served once, empty."""
         nodes, store, messages = cluster_pair
-        nodes[0].map_pieces(store, {0: []}, LENGTHS)
+        nodes[0].map_pieces({0: []}, LENGTHS)
         for _ in range(2):
             assert nodes[0].read_piece(0, "S", 25).shape[0] == 0
         assert messages.request(1, 0, FETCH_PARTITION, 0, "S", 25).shape[0] \
@@ -96,7 +95,7 @@ class TestServing:
         with PackedReadStore.open(tiny_md.store_path) as store:
             nodes = [WorkerNode(i, config, tmp_path, messages, store)
                      for i in range(2)]
-            nodes[0].map_pieces(store, {0: [(0, 20)]}, LENGTHS)
+            nodes[0].map_pieces({0: [(0, 20)]}, LENGTHS)
             pieces = nodes[0].pieces[0]
             path = pieces.path("S", 25)
             assert pieces.kept("S", 25) == (memory is None)
@@ -122,8 +121,8 @@ class TestServing:
 def _map_halves(nodes, store) -> int:
     """Node 0 maps the first half of the reads, node 1 the rest."""
     half = store.n_reads // 2
-    nodes[0].map_pieces(store, {0: [(0, half)]}, LENGTHS)
-    nodes[1].map_pieces(store, {1: [(half, store.n_reads)]}, LENGTHS)
+    nodes[0].map_pieces({0: [(0, half)]}, LENGTHS)
+    nodes[1].map_pieces({1: [(half, store.n_reads)]}, LENGTHS)
     return half
 
 
@@ -150,7 +149,7 @@ class TestShuffle:
 
     def test_drop_pieces(self, cluster_pair):
         nodes, store, _ = cluster_pair
-        nodes[0].map_pieces(store, {0: [(0, 10)]}, LENGTHS)
+        nodes[0].map_pieces({0: [(0, 10)]}, LENGTHS)
         nodes[0].drop_pieces()
         assert nodes[0].pieces == {}
         assert not (nodes[0].ctx.workdir / "map_parts").exists()
@@ -168,18 +167,18 @@ class TestAdoption:
         closed = _every_third(store)
         for node in nodes:
             node.closed = closed
-        nodes[0].map_pieces(store, {0: [(0, half)]}, LENGTHS)
-        nodes[1].map_pieces(store, {1: [(half, store.n_reads)]}, LENGTHS)
+        nodes[0].map_pieces({0: [(0, half)]}, LENGTHS)
+        nodes[1].map_pieces({1: [(half, store.n_reads)]}, LENGTHS)
         nodes[0].pull_partitions(store, [0, 1], [25])
         pulled = {}
         for side in ("S", "P"):
             with nodes[0].shuffled.open_run(side, 25) as reader:
                 pulled[side] = reader.read_all().tobytes()
-        nodes[0].map_pieces(store, {0: [(0, half)]}, LENGTHS)
+        nodes[0].map_pieces({0: [(0, half)]}, LENGTHS)
         live = {side: messages.request(1, 0, FETCH_PARTITION, 0, side, 25)
                 for side in ("S", "P")}
 
-        nodes[1].map_pieces(store, {0: [(0, half)]}, LENGTHS)
+        nodes[1].map_pieces({0: [(0, half)]}, LENGTHS)
         assert sorted(nodes[1].pieces) == [0, 1]
         for side in ("S", "P"):
             adopted = messages.request(0, 1, FETCH_PARTITION, 0, side, 25)
@@ -187,8 +186,8 @@ class TestAdoption:
             assert adopted.tobytes() == live[side].tobytes()
         # Both of node 1's pieces of 25 are served: mapped again for 25
         # alone, as a rebuild maps them.
-        nodes[1].map_pieces(store, {0: [(0, half)],
-                                    1: [(half, store.n_reads)]}, [25])
+        nodes[1].map_pieces({0: [(0, half)], 1: [(half, store.n_reads)]},
+                            [25])
         nodes[1].pull_partitions(store, [1, 1], [25])
         for side in ("S", "P"):
             with nodes[1].shuffled.open_run(side, 25) as reader:
@@ -215,7 +214,7 @@ class TestRoundMap:
             node = WorkerNode(0, config, tmp_path,
                               ActiveMessageLayer(NetworkSpec()), store)
             node.closed = closed = _every_third(store)
-            node.map_pieces(store, {3: blocks}, LENGTHS)
+            node.map_pieces({3: blocks}, LENGTHS)
             eager = PartitionStore(tmp_path / "eager", node.dtype)
             for start, stop in blocks:
                 run_map(node.ctx, store, eager, read_range=(start, stop),

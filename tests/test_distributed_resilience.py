@@ -436,6 +436,7 @@ class TestFailoverRung:
                 assert [lone.shuffled.path(side, length).read_bytes()
                         for side in ("S", "P")] == mapped
             supervisor.nodes[0].drop_pieces()
+            supervisor.close()
 
 
 # -- replay from lineage --------------------------------------------------------
@@ -469,9 +470,9 @@ def piece_maps(monkeypatch):
     calls = []
     map_pieces = WorkerNode.map_pieces
 
-    def spy(self, store, lineage, lengths, **kwargs):
+    def spy(self, lineage, lengths, **kwargs):
         calls.append((self.node_id, tuple(sorted(lineage)), tuple(lengths)))
-        return map_pieces(self, store, lineage, lengths, **kwargs)
+        return map_pieces(self, lineage, lengths, **kwargs)
 
     monkeypatch.setattr(WorkerNode, "map_pieces", spy)
     return calls
@@ -711,6 +712,7 @@ class TestReplayFromLineage:
                         runs.append(run.read_all().tobytes())
                 sorted_runs.append(runs)
                 supervisor.nodes[0].drop_pieces()
+                supervisor.close()
         counters = supervisor.meter.counters()
         assert counters["node_restarts"] == 1
         assert counters.get("partitions_rebuilt", 0) == int(damaged)

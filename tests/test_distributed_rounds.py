@@ -419,9 +419,9 @@ def piece_maps(monkeypatch):
     calls = []
     map_pieces = node.WorkerNode.map_pieces
 
-    def spy(self, store, lineage, lengths, **kwargs):
+    def spy(self, lineage, lengths, **kwargs):
         calls.append((self.node_id, tuple(sorted(lineage)), tuple(lengths)))
-        return map_pieces(self, store, lineage, lengths, **kwargs)
+        return map_pieces(self, lineage, lengths, **kwargs)
 
     monkeypatch.setattr(node.WorkerNode, "map_pieces", spy)
     return calls

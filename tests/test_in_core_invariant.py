@@ -10,7 +10,11 @@ the store off the disk once, and a checkpoint ledger adds ``state.json``
 and ``graph.npz`` alone (a resume maps and sorts again what has no file).
 Sort and reduce read no partition byte and seek nowhere. The same holds
 on a single node, on a lone cluster node and on four nodes, whose
-restarted owners pull and sort again from the round's pieces.
+restarted owners pull and sort again from the round's pieces. A cluster
+node holds the read blocks it maps from their first read on, so the
+cluster's maps read each dealt block off the disk once, the store once in
+all, and the master's compress reads it once more; a restarted node reads
+its blocks again, and a survivor reads a lost node's once.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import pytest
 from repro import Assembler, AssemblyConfig
 from repro.core import pipeline
 from repro.core.checkpoint import STATE_FILE
+from repro.device.memory import MemoryPool
 from repro.distributed import ClusterSupervisor, DistributedAssembler
+from repro.distributed import node as node_module
 from repro.errors import FaultInjected
 from repro.extmem import RunReader
-from repro.faults import (PHASE, READ, WRITE, FaultPlan, inject,
-                          result_digest, scan_residue)
+from repro.faults import (NODE, NODE_CRASH, PHASE, READ, WRITE, Fault,
+                          FaultPlan, inject, result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -283,7 +289,10 @@ def test_a_held_store_gives_its_memory_back_when_the_run_raises(
 
 @pytest.mark.parametrize("n_nodes", (1, 4))
 def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
-    """The nodes' disks, metered around every round's sort and reduce."""
+    """The nodes' disks, metered around every round's map, sort and
+    reduce and around compress: sort and reduce read nothing, the maps
+    read the store once over the nodes and compress once more, on the
+    master."""
     moved = []
 
     def metered(run, supervisor):
@@ -301,8 +310,9 @@ def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
             return out
         return wrapped
 
-    monkeypatch.setattr(ClusterSupervisor, "sort_phase", metered(
-        ClusterSupervisor.sort_phase, lambda args: args[0]))
+    for phase in ("map_phase", "sort_phase", "compress"):
+        monkeypatch.setattr(ClusterSupervisor, phase, metered(
+            getattr(ClusterSupervisor, phase), lambda args: args[0]))
     monkeypatch.setattr(DistributedAssembler, "_reduce", metered(
         DistributedAssembler._reduce, lambda args: args[1]))
     plan = FaultPlan()
@@ -311,10 +321,148 @@ def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
             data.store_path, workdir=tmp_path)
     assert _writes_after_load(plan) == []
     assert opened == []
-    assert {run for run, *_ in moved} == {"sort_phase", "_reduce"}
-    assert all(read == 0 and seeks == 0 for _, _, read, seeks in moved), moved
+    assert {run for run, *_ in moved} \
+        == {"map_phase", "sort_phase", "_reduce", "compress"}
+    assert all(read == 0 and seeks == 0 for run, _, read, seeks in moved
+               if run in ("sort_phase", "_reduce")), moved
+    # Each dealt block is read off the disk once, in round 0: the store
+    # once over the nodes, as a single node's walks read it.
+    with PackedReadStore.open(data.store_path) as store:
+        nbytes = store.nbytes
+    assert sum(read for run, _, read, _ in moved if run == "map_phase") \
+        == nbytes
+    assert [read for run, _, read, _ in moved if run == "compress"] \
+        == [nbytes] + [0] * (n_nodes - 1)
     assert not list(tmp_path.glob("node*/**/*.run"))
     assert result.notes["records_shuffled"] > 0
     single = Assembler(config).assemble(data.store_path)
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
     assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
+
+
+# -- a cluster node holds the read blocks it maps ---------------------------------
+
+
+@pytest.fixture()
+def workers(monkeypatch) -> list:
+    """``[supervisor, node, map_read]`` of every worker the next runs start,
+    in order (a restarted node's replacement too): ``map_read`` is what
+    the node's maps read off its disk."""
+    made = []
+    worker, run_map = ClusterSupervisor._worker, node_module.run_map
+
+    def spying(self, node_id):
+        made.append([self, worker(self, node_id), 0])
+        return made[-1][1]
+
+    def metered(ctx, *args, **kwargs):
+        before = ctx.accountant.counters()["disk_read_bytes"]
+        out = run_map(ctx, *args, **kwargs)
+        entry = next(entry for entry in made if entry[1].ctx is ctx)
+        entry[2] += ctx.accountant.counters()["disk_read_bytes"] - before
+        return out
+
+    monkeypatch.setattr(ClusterSupervisor, "_worker", spying)
+    monkeypatch.setattr(node_module, "run_map", metered)
+    return made
+
+
+def _block_bytes(supervisor, producers) -> int:
+    """The packed bytes of the read blocks dealt to ``producers``."""
+    per_read = supervisor.store.nbytes // supervisor.store.n_reads
+    return sum((stop - start) * per_read for producer in producers
+               for start, stop in supervisor.block_ranges[producer])
+
+
+def _crash(data, config, tmp_path, path: str, round_index: int, **knobs):
+    """The 4-node run with ``path``'s node op of round ``round_index``
+    crashed: its contigs are the clean run's, byte for byte."""
+    probe = FaultPlan()
+    with inject(probe):
+        clean = DistributedAssembler(config, 4).assemble(
+            data.store_path, workdir=tmp_path / "clean")
+    point = [p for p in probe.trace if p.site == NODE
+             and p.path == path][round_index]
+    plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
+    with inject(plan):
+        result = DistributedAssembler(
+            AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, **knobs),
+            4).assemble(data.store_path, workdir=tmp_path / "crashed")
+    assert [e.kind for e in plan.events] == [NODE_CRASH]
+    assert result.degraded is None
+    assert result.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()
+    assert np.array_equal(result.contigs.offsets, clean.contigs.offsets)
+    return result
+
+
+def test_a_cluster_read_trace_is_that_of_an_unheld_store(
+        data, config, tmp_path, on_disk, workers):
+    """Two in-core nodes hold their blocks: each held read still passes the
+    ``READ`` hook under the store's path, so the fault surface (every
+    point, in order) is that of nodes that hold nothing."""
+    def trace(workdir) -> tuple[list, int]:
+        workers.clear()
+        plan = FaultPlan()
+        with inject(plan):
+            DistributedAssembler(config, 2).assemble(data.store_path,
+                                                     workdir=workdir)
+        return [(point.op, point.site, point.path.replace(str(workdir), ""),
+                 point.phase) for point in plan.trace], \
+            sum(map_read for _, _, map_read in workers)
+
+    held, held_read = trace(tmp_path / "held")
+    with on_disk("store"):
+        unheld, unheld_read = trace(tmp_path / "unheld")
+    assert held == unheld
+    store_reads = sum(site == READ and path.endswith(STORE)
+                      for _, site, path, _ in held)
+    rounds = 1 + -(-(READ_LENGTH - MIN_OVERLAP) // 2)
+    assert store_reads > rounds * 2 * 4  # every round reads every block
+    with PackedReadStore.open(data.store_path) as store:
+        assert held_read == store.nbytes
+        assert unheld_read == rounds * store.nbytes
+
+
+def test_a_restarted_node_reads_its_blocks_again(data, config, tmp_path,
+                                                 workers, monkeypatch):
+    """node01 dies at its round-3 map, after rounds 0-2 mapped its blocks
+    (round 0 off the disk, then from host memory). Its copy dies with it:
+    the replacement reads the blocks off the disk again, once, and its
+    host pool is not charged the dead node's copy (node01 holds nothing
+    else that outlives it: no ``resident`` carry-over at all)."""
+    resident = []
+    alloc = MemoryPool.alloc
+
+    def spying(self, nbytes, *, label=""):
+        if label == "resident":
+            resident.append(nbytes)
+        return alloc(self, nbytes, label=label)
+
+    monkeypatch.setattr(MemoryPool, "alloc", spying)
+    _crash(data, config, tmp_path, "node01:map-round", 3)
+    crashed = workers[-5:]
+    supervisor = crashed[0][0]
+    assert [(node.node_id, map_read) for _, node, map_read in crashed] \
+        == [(node_id, _block_bytes(supervisor, [node_id]))
+            for node_id in (0, 1, 2, 3, 1)]
+    assert resident == []
+
+
+def test_a_survivor_reads_a_lost_nodes_blocks_once(data, config, tmp_path,
+                                                   workers):
+    """node02 is lost at its round-3 map: the survivor that takes its id
+    reads those blocks off the disk once, then holds them beside its own
+    for every later round."""
+    result = _crash(data, config, tmp_path, "node02:map-round", 3,
+                    node_restarts=0)
+    assert result.lost_nodes == (2,)
+    crashed = workers[-4:]
+    supervisor = crashed[0][0]
+    survivor = supervisor.holder[2]
+    assert survivor != 2
+    producers = {node_id: [node_id] for node_id in range(4)}
+    producers[survivor].append(2)
+    assert [map_read for _, _, map_read in crashed] \
+        == [_block_bytes(supervisor, producers[node_id])
+            for node_id in range(4)]

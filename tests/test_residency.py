@@ -63,15 +63,17 @@ def _assemble(config: AssemblyConfig, n_nodes: int, store_path):
 
 
 @pytest.mark.parametrize(("budget", "n_nodes", "expected"), [
-    # held store, kept-partition reservations, held runs, spilled runs
+    # held store, kept-partition reservations, held runs, spilled runs;
+    # in-core, each node holds the read blocks it maps
     ("in-core", 1, (1, 51, 51, 0)),
-    ("in-core", 2, (0, 153, 51, 0)),
+    ("in-core", 2, (2, 153, 51, 0)),
     ("cramped", 1, (0, 0, 46, 5)),
     ("cramped", 2, (0, 0, 45, 6)),
 ])
 def test_placements_are_the_measured_ones(tiny_md, placements, budget,
                                           n_nodes, expected):
-    """The counts the per-artifact rules gave before there was one plan."""
+    """The counts the per-artifact rules gave before there was one plan,
+    and a held store a node once the cluster's nodes held their blocks."""
     _assemble(BUDGETS[budget], n_nodes, tiny_md.store_path)
     held = placements["held-run"]
     assert (placements["held-store"], placements["held-partition"], held,

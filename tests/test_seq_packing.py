@@ -140,7 +140,7 @@ class TestHeldStore:
         pool = MemoryPool("host", 1 << 20, HostMemoryError)
         plan = FaultPlan()
         with inject(plan), PackedReadStore.open(path, accountant) as store:
-            store.hold(pool)
+            store.hold(pool, [(0, store.n_reads)])
             assert pool.used_bytes == store.nbytes
             for _ in range(3):
                 walked = np.concatenate([store.read_slice(start, start + 16).codes
@@ -157,7 +157,7 @@ class TestHeldStore:
         pool = MemoryPool("host", 1 << 20, HostMemoryError)
         plan = FaultPlan([Fault(BITFLIP, site=READ, at_op=0, offset=0)])
         with inject(plan), PackedReadStore.open(path) as store:
-            store.hold(pool)
+            store.hold(pool, [(0, store.n_reads)])
             assert not np.array_equal(store.read_slice(0, 40).codes, codes)
             assert np.array_equal(store.read_slice(0, 40).codes, codes)
         assert plan.events
@@ -167,7 +167,48 @@ class TestHeldStore:
         pool = MemoryPool("host", 1 << 20, HostMemoryError)
         with pytest.raises(RuntimeError, match="boom"):
             with PackedReadStore.open(path) as store:
-                store.hold(pool)
+                store.hold(pool, [(0, store.n_reads)])
                 store.read_slice(0, 8)
                 raise RuntimeError("boom")
         assert pool.used_bytes == 0
+
+    def test_ranges_are_held_alone(self, stored):
+        """Held ranges (a cluster node's read blocks) are read off the disk
+        on their first walk and from host memory after; a read outside
+        them always reads the disk. A range held again reserves nothing."""
+        path, codes = stored
+        accountant = IOAccountant()
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        plan = FaultPlan()
+        blocks = [(0, 10), (20, 30)]
+        with inject(plan), PackedReadStore.open(path, accountant) as store:
+            per_read = store.nbytes // store.n_reads
+            assert store.hold(pool, blocks) is not None
+            assert store.hold(pool, blocks[1:]) is None
+            assert pool.used_bytes == 20 * per_read
+            for _ in range(3):
+                for start, stop in blocks + [(10, 20), (30, 40)]:
+                    assert np.array_equal(store.read_slice(start, stop).codes,
+                                          codes[start:stop])
+            assert accountant.read_bytes == (20 + 3 * 20) * per_read
+        assert pool.used_bytes == 0
+        assert [point.site for point in plan.trace] == [READ] * 12
+
+    def test_a_walk_cut_short_fills_on_from_the_disk(self, stored):
+        """A range's copy fills from its start: a read that starts past the
+        reads filled so far reads the disk and fills nothing, and the
+        next walk reads the disk from where the copy ends."""
+        path, codes = stored
+        accountant = IOAccountant()
+        pool = MemoryPool("host", 1 << 20, HostMemoryError)
+        with PackedReadStore.open(path, accountant) as store:
+            per_read = store.nbytes // store.n_reads
+            store.hold(pool, [(0, 40)])
+            store.read_slice(0, 10)
+            store.read_slice(20, 30)  # past the copy: not held
+            for _ in range(2):
+                for start in range(0, 40, 10):
+                    assert np.array_equal(
+                        store.read_slice(start, start + 10).codes,
+                        codes[start:start + 10])
+            assert accountant.read_bytes == (10 + 10 + 30) * per_read
