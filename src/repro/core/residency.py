@@ -144,17 +144,18 @@ class Residency:
                 self.read_length)
 
     def hold(self, partitions: PartitionStore, side: str, length: int,
-             records) -> bool:
+             more: bool, records) -> bool:
         """Whether the sorted run ``(side, length)``, formed in one piece,
         stays in host memory, never written: ``sort_file``'s ``hold`` hook.
 
-        Held if the sorter's block stays free beside it while the other
-        side is still to be sorted (``S`` goes first). The graph needs no
-        room kept: the run's sort block, twice its bytes, has just fit, and
-        a run sorted before the graph exists has a record a vertex, larger
-        than the graph's share of one.
+        Held if the sorter's block stays free beside it while ``more``
+        runs of the sort call are still to be sorted (of one length: its
+        ``P`` after its ``S``). The graph needs no room kept: the run's
+        sort block, twice its bytes, has just fit, and a run sorted before
+        the graph exists has a record a vertex, larger than the graph's
+        share of one.
         """
-        spare = self._block_bytes() if side == "S" else 0
+        spare = self._block_bytes() if more else 0
         if self.ctx.host_pool.free_bytes - records.nbytes < spare:
             return False
         partitions.keep(side, length, records,

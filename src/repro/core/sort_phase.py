@@ -14,14 +14,14 @@ runs are formed; they are neither sorted nor written nor streamed through
 reduce. :func:`_open_claims` is that filter, for this sorter and for the
 cluster node that serves (or recomputes) a map piece alike.
 
-A length sorted on its own just before reduce reads it may also *hold*
-its runs: a partition the sort leaves in one run (no merge round) is still
-in the sorter's host buffer before it is written, so the store keeps that
-array, its bytes reserved in the host pool, and reduce reads it from there
-instead of off the disk (the run's
-:class:`~repro.core.residency.Residency` plan says when). A held run is
-never written, with a checkpoint ledger or without: the array is its only
-copy and reduce its only reader.
+A sort with the run's :class:`~repro.core.residency.Residency` plan may
+also *hold* its runs for the reduce that comes next: a partition the sort
+leaves in one run (no merge round) is still in the sorter's host buffer
+before it is written, so the store keeps that array, its bytes reserved
+in the host pool, and reduce reads it from there instead of off the disk
+(the plan says when, by one rule for a call of one length or of several).
+A held run is never written, with a checkpoint ledger or without: the
+array is its only copy and reduce its only reader.
 """
 
 from __future__ import annotations
@@ -130,17 +130,18 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
 
     With the run's residency ``plan`` the sorter's host block is cut from
     what its :attr:`~repro.core.residency.Residency.resident_bytes` (the
-    graph) leave of the budget, and, when the call sorts a single length,
-    the plan's :meth:`~repro.core.residency.Residency.hold` decides which
-    freshly sorted runs stay in host memory for the reduce that comes
-    next. A held run gets no file. Without a plan nothing is held.
+    graph) leave of the budget, and the plan's
+    :meth:`~repro.core.residency.Residency.hold` decides which freshly
+    sorted runs stay in host memory for the reduce that comes next, told
+    whether a run of the call is still to be sorted after each (every one
+    but the last length's ``P``). A held run gets no file. Without a plan
+    nothing is held.
     """
     sorter = make_sorter(ctx, partitions.dtype,
                          0 if plan is None else plan.resident_bytes)
     lengths = partitions.lengths() if lengths is None else list(lengths)
-    holds = plan is not None and len(lengths) == 1
     reports: dict[tuple[str, int], SortReport] = {}
-    for length in lengths:
+    for index, length in enumerate(lengths):
         for side in ("S", "P"):
             unsorted_path = partitions.path(side, length)
             sorted_path = partitions.path(side, length, sorted_run=True)
@@ -156,7 +157,8 @@ def run_sort(ctx: RunContext, partitions: PartitionStore, *,
             reports[(side, length)] = sorter.sort_file(
                 source, sorted_path,
                 keep=_open_claims(ctx, closed, side) if closed is not None else None,
-                hold=partial(plan.hold, partitions, side, length)
-                if holds else None)
+                hold=partial(plan.hold, partitions, side, length,
+                             side == "S" or index < len(lengths) - 1)
+                if plan is not None else None)
             partitions.delete(side, length)
     return SortPhaseReport(reports)

@@ -16,8 +16,8 @@ partitions. This package reproduces that structure in-process:
   phase barriers; produces per-node, per-phase timings (the data behind
   Fig. 10) and the same contigs a single-node run yields,
 * :mod:`repro.distributed.resilience` — the failure ladder: heartbeat
-  detection, node restart with replay from lineage, partition failover
-  and degraded-mode completion.
+  detection, node restart (the operation that needs a partition rebuilds
+  it from lineage), partition failover and degraded-mode completion.
 
 Every node's work actually executes (on this process), so the distributed
 pipeline is functionally real; only *time* is simulated, with barriers

@@ -161,9 +161,8 @@ class DistributedAssembler:
         dropped (EXPERIMENTS.md Fig. 10 has the sweep). ``L`` goes alone
         so that no overlap length is pulled or sorted before the
         duplicates are closed: in ``L``'s round an overlap length would
-        carry every duplicate's records, and a lone node, sorting two
-        lengths at once, would hold neither's runs for reduce (DESIGN.md,
-        *duplicate reads close in a whole-read band first*).
+        carry every duplicate's records (DESIGN.md, *duplicate reads close
+        in a whole-read band first*).
         """
         whole, *ordered = sorted(lengths, reverse=True)
         return [[whole]] + [ordered[i:i + self.n_nodes]
@@ -377,7 +376,8 @@ class DistributedAssembler:
         A node failing mid-partition does not lose the token: the master
         still holds it while the supervisor runs restart → failover
         on the owner, and the surviving attempt replays the partition whole
-        from its sorted runs — duplicate candidate re-submissions are
+        from its sorted runs (rebuilt first if they went with the node) —
+        duplicate candidate re-submissions are
         rejected by the bit-vector, so the edge set is unchanged and
         recovered runs are byte-identical; ``report`` counts the surviving
         attempt only. Because ``find_done`` is taken

@@ -18,10 +18,11 @@ in an in-core run the read blocks of the producers it holds stay in host
 memory from their first read on (so every round after the first maps
 them without a disk read), the pieces and the partitions pulled from
 them too, the first round's ``P_L`` too, and a sorted run held for reduce
-is never written. A lone node's pieces are its partitions. A node keeps
-no ledger: what a restart or a pull took is mapped again from the
-lineage its supervisor holds (:mod:`repro.distributed.resilience`), and
-a restarted node reads its blocks off the disk again.
+is never written, however many lengths the node owns. A lone node's
+pieces are its partitions. A node keeps no ledger: what a restart or a
+pull took is mapped again from the lineage its supervisor holds, by the
+operation that needs it (:mod:`repro.distributed.resilience`), and a
+restarted node reads its blocks off the disk again.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class WorkerNode:
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
                                        self.dtype, self.ctx.accountant)
-        #: Partition lengths this node owns in the current round, until the
-        #: token has reduced them.
+        #: Partition lengths this node owns in the current round (a length
+        #: failed over to it is not among them: it never pulled it).
         self.owned_lengths: list[int] = []
         #: The round's map pieces by producer id (:meth:`map_pieces`), the
         #: lengths each was mapped for, and the pieces served (let go).
@@ -232,10 +233,10 @@ class WorkerNode:
     def sort_lengths(self, lengths: Iterable[int]):
         """Sort the given shuffled partitions with what the host has left.
 
-        Idempotent: partitions whose sorted file already exists (a restarted
-        node replaying the phase) are skipped by :func:`run_sort`. The
+        Idempotent: partitions whose sorted file already exists (a sort
+        run again after a death) are skipped by :func:`run_sort`. The
         round's map filtered them. The node's plan holds runs (no file) for
-        this round's reduce, as a single node's does.
+        this round's reduce, as a single node's does, one length or more.
         """
         return run_sort(self.ctx, self.shuffled, lengths=sorted(lengths),
                         plan=self.plan)

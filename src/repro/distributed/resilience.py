@@ -18,12 +18,15 @@ again after its node's recovery.
    at ``last_heartbeat + node_timeout`` on the simulated clock, emitting
    one ``heartbeat-miss`` instant per missed beat.
 2. **Node restart from lineage** — a fresh :class:`WorkerNode` reopens the
-   dead node's private storage, which keeps no ledger. Its map pieces of
-   the round in flight died with it (or lost writes): it maps them again
-   from the recorded read blocks when a pull first needs them. A shuffled
-   partition whose size no longer matches what its pull wrote is pulled
-   again byte-identically: it is the concatenation of per-producer pieces
-   in node-id order, and each holder maps again the pieces it served.
+   dead node's private storage, which keeps no ledger, is sent the round's
+   snapshot again and does no work: the operation that needs something
+   the death took rebuilds it. Its map pieces of the round in flight died
+   with it (or lost writes): it maps them again from the recorded read
+   blocks when a pull first needs them. The sort op, and a reduce attempt
+   that finds no sorted run, pull again a partition whose size no longer
+   matches what its pull wrote (:meth:`ClusterSupervisor._sorted`),
+   byte-identically: it is the concatenation of per-producer pieces in
+   node-id order, and each holder maps again the pieces it served.
 3. **Failover** — a node past its restart budget is *lost*. One rule, in
    every phase: the least-loaded survivor takes the lost node's producer
    ids and maps their recorded blocks with its own (the round in flight's
@@ -44,15 +47,15 @@ node: every piece of a round, mapped again or not, is the producer's
 records minus what that one snapshot closed, which is what keeps a
 rebuilt partition the lost one byte for byte. Ownership is per round
 (:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
-alive nodes); a replay checks the partitions a node owns *now* and the
-token has yet to reach, and nothing else.
+alive nodes); only an operation of the round in flight rebuilds a
+partition, one the token has yet to reach.
 
 A failed reduce attempt (restart or failover) replays its partition
 whole, like every other node operation: from its sorted runs, or pulled
-and sorted again when a held run went with the attempt; the candidates it
-offers again are rejected by the out-degree bit-vector (DESIGN.md §2g
-records why chunk checkpoints were deleted). Detection latency is
-``node_timeout`` and nothing else.
+and sorted again when they went with the attempt or live on a lost
+owner; the candidates it offers again are rejected by the out-degree
+bit-vector (DESIGN.md §2g records why chunk checkpoints were deleted).
+Detection latency is ``node_timeout`` and nothing else.
 
 Everything is instrumented: ``failover`` spans, ``heartbeat-miss``/
 ``node-lost`` instants on the cluster track, and an
@@ -307,7 +310,7 @@ class ClusterSupervisor:
         """The full ladder for one operation on one node.
 
         On a death runs heartbeat detection and either restarts the dead
-        node (replaying damaged state) and runs the operation again, or —
+        node and runs the operation again, or —
         budget exhausted — marks it lost; with this node lost it raises
         :class:`_NodeLost` for the phase driver to fail the work over.
         """
@@ -362,7 +365,11 @@ class ClusterSupervisor:
         return detect_at, misses
 
     def _restart(self, node_id: int, detect_at: float, misses: int) -> None:
-        """Replace a dead node with a fresh worker on the same storage."""
+        """Replace a dead node with a fresh worker on the same storage.
+
+        The replacement gets the round's snapshot again and does no work:
+        the operation that runs again rebuilds what it needs
+        (:meth:`_restore_pieces`, :meth:`_sorted`)."""
         dead = self.nodes[node_id]
         t_fail = dead.ctx.clock.total_seconds
         wall0 = time.perf_counter()
@@ -387,17 +394,6 @@ class ClusterSupervisor:
                                       label="resident")
         self.nodes[node_id] = fresh
         self.meter.bump("node_restarts")
-        dead_again: list[str] = []
-        try:
-            # What the replay writes, and a crash inside it, are fresh's.
-            with faults.scoped(fresh.scope):
-                self._replay(fresh)
-        except (FaultInjected, OSError) as exc:
-            # A death inside the replay cut it short: the replacement goes
-            # round the ladder again (the restart budget bounds this), and
-            # so does the scope that died, if it is another.
-            dead_again = list(dict.fromkeys(
-                [fresh.scope, _victim(exc, fresh.scope)]))
         if self.ctracer.enabled:
             self.ctracer.complete("failover", wall0, time.perf_counter(),
                                   track="cluster", cat="resilience", det=True,
@@ -405,8 +401,6 @@ class ClusterSupervisor:
                                   sim1=fresh.ctx.clock.total_seconds,
                                   node=node_id, action="restart",
                                   phase=self.phase)
-        for scope in dead_again:
-            self._handle_death(int(scope.removeprefix("node")))
 
     def _mark_lost(self, node_id: int) -> None:
         dead = self.nodes[node_id]
@@ -459,23 +453,24 @@ class ClusterSupervisor:
                     self._map_pieces(holder, producers, need)
                 self.meter.bump("pieces_remapped", len(need) * len(producers))
 
-    # -- replay from lineage ---------------------------------------------------
+    # -- rebuild from lineage --------------------------------------------------
 
-    def _replay(self, node: WorkerNode) -> None:
-        """Bring a restarted node's storage back to the round in flight.
+    def _sorted(self, node: WorkerNode, lengths) -> None:
+        """Make ``node``'s sorted runs of ``lengths`` ready, from lineage.
 
-        Its pieces are mapped again when a pull first needs them. A pulled
-        partition with no sorted run that no longer holds what its pull
-        wrote is pulled again. The failed operation then runs again (the
-        caller's loop).
+        The one path that brings an owner's sorted runs back, for the sort
+        op and for a reduce attempt that finds none (a restarted owner, a
+        held run a cut-short attempt consumed, a failover owner). A length
+        with no sorted run is pulled again first if the node does not own
+        it (a failover owner never pulled it) or its unsorted partition no
+        longer holds what its pull wrote; then the node sorts them all.
         """
-        short = [length for length in node.owned_lengths
-                 if self._short_partition(node, length)]
-        if short:
-            self._rebuild_on(node, short)
-            self.meter.bump("partitions_replayed", len(short))
-        if self.phase in ("sort", "reduce"):
-            node.sort_lengths(node.owned_lengths)
+        stale = [length for length in lengths if not node.has_sorted(length)
+                 and (length not in node.owned_lengths
+                      or self._short_partition(node, length))]
+        if stale:
+            self._rebuild_on(node, stale)
+        node.sort_lengths(lengths)
 
     def _short_partition(self, node: WorkerNode, length: int) -> bool:
         """Whether an unsorted side of ``length`` lost what its pull wrote.
@@ -504,7 +499,7 @@ class ClusterSupervisor:
         """Records the pull of ``length`` wrote, every side."""
         return sum(self.pulled.get((side, length), 0) for side in SIDES)
 
-    def _rebuild_on(self, node: WorkerNode, lengths: list[int]) -> int:
+    def _rebuild_on(self, node: WorkerNode, lengths: list[int]) -> None:
         """Pull shuffled partitions again, after deleting what is left of them."""
         lengths = sorted(set(lengths))
         sim0 = node.ctx.clock.total_seconds
@@ -515,17 +510,11 @@ class ClusterSupervisor:
                 node.shuffled.delete(side, length, sorted_run=True)
         if node.lone:
             self._map_pieces(node, [node.node_id])  # its pieces are these
-        pulled = self._pull(node, lengths)
+        self._pull(node, lengths)
         self.meter.bump("partitions_rebuilt", len(lengths))
         # Rebuild time is work the failure destroyed — the benchmark's
         # "lost work" denominator.
         self.meter.bump("rebuild_s", node.ctx.clock.total_seconds - sim0)
-        return pulled
-
-    def _resort(self, node: WorkerNode, length: int) -> None:
-        """Pull and sort ``length`` on ``node`` again, from lineage."""
-        self._rebuild_on(node, [length])
-        node.sort_lengths([length])
 
     # -- phase drivers ---------------------------------------------------------
 
@@ -594,7 +583,7 @@ class ClusterSupervisor:
         for node_id in [n.node_id for n in self.alive() if n.owned_lengths]:
             try:
                 self._run_on_node(node_id, "sort", lambda node, _a: (
-                    node.sort_lengths(node.owned_lengths)))
+                    self._sorted(node, node.owned_lengths)))
             except _NodeLost:
                 pass
 
@@ -628,10 +617,12 @@ class ClusterSupervisor:
         """Run one token hop through the ladder.
 
         ``attempt_fn(node)`` performs the actual read + reduce on ``node``
-        and returns ``(t_graph, find_done)``; it consumes a held run
-        however it ends, so an attempt run again on a node that was not
-        restarted (another scope died) pulls and sorts it again first.
-        Ownership moves to a survivor when the owner is lost; after
+        and returns ``(t_graph, find_done)``. An attempt that finds no
+        sorted run (a restarted owner, a held run an attempt cut short
+        consumed, a failover owner) makes it ready first
+        (:meth:`_sorted`), so a death in that rebuild is a failed attempt
+        like any other. Ownership moves to a survivor when the owner is
+        lost; after
         :data:`_MAX_OWNERS_PER_PARTITION` owners have failed the same
         partition it is dropped (degraded) or, with
         ``allow_degraded=False``, the historical
@@ -640,8 +631,8 @@ class ClusterSupervisor:
         self.phase = "reduce"
 
         def attempt(node: WorkerNode, _attempt: int):
-            if not node.has_sorted(length) and self._pulled_records(length):
-                self._resort(node, length)
+            if not node.has_sorted(length):
+                self._sorted(node, [length])
             return attempt_fn(node)
 
         counter = [0]
@@ -656,13 +647,9 @@ class ClusterSupervisor:
                 owner_id = replacement
             tried.add(owner_id)
             try:
-                self._ensure_partition(owner_id, length)
                 t_graph, find_done = self._run_on_node(
                     owner_id, f"reduce[{length}]", attempt,
                     counter=counter, failures=failures)
-                owner = self.nodes[owner_id]  # reduced: no replay brings it back
-                owner.owned_lengths = [
-                    owned for owned in owner.owned_lengths if owned != length]
                 return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
                                      find_done=find_done, failures=failures,
                                      attempts=max(counter[0], 1))
@@ -707,19 +694,6 @@ class ClusterSupervisor:
                                   node=new_owner.node_id, action="reassign",
                                   length=length)
         return new_owner.node_id
-
-    def _ensure_partition(self, owner_id: int, length: int) -> None:
-        """Make sure the owner holds sorted data for ``length`` (failover)."""
-        node = self.nodes[owner_id]
-        if node.has_sorted(length):
-            return
-        if length in node.owned_lengths and not self._pulled_records(length):
-            return  # genuinely empty partition: nothing to rebuild
-        self._run_on_node(owner_id, f"rebuild[{length}]",
-                          lambda n, _a: self._resort(n, length))
-        node = self.nodes[owner_id]  # a restart mid-op replaced the object
-        if length not in node.owned_lengths:
-            node.owned_lengths = sorted(set(node.owned_lengths) | {length})
 
     # -- compress ---------------------------------------------------------------
 

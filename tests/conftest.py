@@ -36,10 +36,10 @@ from repro.trace import pair_spans
 #: ``test_service_resilience``); without it each runs its tier-1 sample.
 FULL_SWEEP = os.environ.get("REPRO_SWEEP") == "full"
 
-#: How the fault sweeps' cells ended, by module: ``clean`` (the clean
-#: run's result) or ``raised`` (a named error); ``rerun`` counts the cells,
-#: of either outcome, whose armed run died and that needed the unarmed
-#: rerun.
+#: How the fault sweeps' cells ended, by module (``module[budget]`` where
+#: a module sweeps two budgets): ``clean`` (the clean run's result) or
+#: ``raised`` (a named error); ``rerun`` counts the cells, of either
+#: outcome, whose armed run died and that needed the unarmed rerun.
 SWEEP_OUTCOMES: defaultdict[str, Counter] = defaultdict(Counter)
 
 

@@ -439,7 +439,7 @@ class TestFailoverRung:
             supervisor.close()
 
 
-# -- replay from lineage --------------------------------------------------------
+# -- rebuild from lineage -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +496,8 @@ def _lost_until(write: int, crash: int) -> Fault:
 
 class TestReplayFromLineage:
     """Each rung of a restarted node's one rule: a finished piece of work
-    whose output no longer has the size its lineage implies is redone."""
+    whose output no longer has the size its lineage implies is redone, by
+    the operation that needs it (the restart itself does no work)."""
 
     @staticmethod
     def _run(data, faults, **knobs):
@@ -648,26 +649,79 @@ class TestReplayFromLineage:
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
-    def test_a_node_that_dies_in_its_own_replay_goes_around_again(
+    def test_a_node_that_dies_again_in_the_operation_it_runs_again(
             self, resilience_data, clean_run, probe_trace):
-        """node00 dies at its first sort, and a read inside its replay (the
-        round's sort) kills the replacement too: the supervisor detects
-        that death and restarts it again."""
+        """node00 dies at its first sort; its replacement does no work
+        until the sort runs again, which pulls the lost partition again
+        and sorts it. A read inside that sort kills the replacement too:
+        the death goes round the same loop, the node restarts again and
+        the sort runs once more."""
         clean, _ = clean_run
         sort = next(point.op for point in probe_trace
                     if point.path == "node00:sort")
         first = [Fault(NODE_CRASH, site=NODE, at_op=sort)]
         probe, _ = self._run(resilience_data, first, node_restarts=2)
-        read = _next_op(probe.trace, sort, lambda point: point.site == READ)
-        assert read < _next_op(probe.trace, sort,
+        again = _next_op(probe.trace, sort,
+                         lambda point: point.site == NODE)
+        assert [point.path for point in probe.trace
+                if point.op == again] == ["node00:sort"]
+        read = _next_op(probe.trace, again, lambda point: point.site == READ)
+        assert read < _next_op(probe.trace, again,
                                lambda point: point.site == NODE), \
-            "the read is not inside the replay"
+            "the read is not inside the sort run again"
         plan, result = self._run(
             resilience_data, first + [Fault(CRASH, site=READ, at_op=read)],
             node_restarts=2)
         assert [event.kind for event in plan.events] == [NODE_CRASH, CRASH]
         assert result.notes["node_restarts"] == 2
         assert "nodes_lost" not in result.notes
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
+    def test_a_restarted_owner_of_two_lengths_rebuilds_each_at_its_hop(
+            self, resilience_data, clean_run, monkeypatch):
+        """node02 is lost at round 0's map, so in round 1 one survivor owns
+        two of the round's three lengths and holds both lengths' sorted
+        runs. It dies at the first one's reduce: restarted, it rebuilds
+        that length in the attempt that runs again, and the other one only
+        when the token reaches it, after the first length's hop."""
+        clean, _ = clean_run
+        lose = [Fault(NODE_CRASH, site=NODE, match="node02:map-round",
+                      once=False)]
+        _, probe = self._run(resilience_data, lose)
+        hops = [(hop["length"], hop["node"]) for hop in probe.token_trace
+                if hop["ok"]][1:1 + N_NODES]  # round 1
+        (survivor,) = [node for node in (0, 1)
+                       if sum(owner == node for _, owner in hops) == 2]
+        first, second = [length for length, owner in hops
+                         if owner == survivor]
+        events = []
+        rebuild_on = ClusterSupervisor._rebuild_on
+        reduce_partition = ClusterSupervisor.reduce_partition
+
+        def rebuilding(self, node, lengths):
+            events.append(("rebuild", node.node_id, tuple(lengths)))
+            return rebuild_on(self, node, lengths)
+
+        def reducing(self, length, attempt_fn):
+            outcome = reduce_partition(self, length, attempt_fn)
+            events.append(("hop", outcome.node, length))
+            return outcome
+
+        monkeypatch.setattr(ClusterSupervisor, "_rebuild_on", rebuilding)
+        monkeypatch.setattr(ClusterSupervisor, "reduce_partition", reducing)
+        plan, result = self._run(resilience_data, lose + [Fault(
+            NODE_CRASH, site=NODE,
+            match=f"node{survivor:02d}:reduce[[]{first}]")])
+        assert plan.events[-1].path == f"node{survivor:02d}:reduce[{first}]"
+        assert result.notes["nodes_lost"] == 1
+        assert result.notes["node_restarts"] == 2  # node02, the survivor
+        assert result.notes["partitions_rebuilt"] == 2
+        rebuilt = [("rebuild", survivor, (first,)), ("hop", survivor, first),
+                   ("hop", 1 - survivor, hops[1][0]),
+                   ("rebuild", survivor, (second,)), ("hop", survivor, second)]
+        start = events.index(rebuilt[0])
+        assert events[start:start + len(rebuilt)] == rebuilt
         assert result.degraded is None
         assert _identity(result) == _identity(clean)
 
@@ -737,7 +791,7 @@ class TestTracedResilience:
                                 trace=str(trace_dir))
         # A peer that dies mid-fetch in the shuffle (node01) plus a node
         # crash at the first reduce boundary (node00, the owner of the
-        # whole-read length): a restart + replay each.
+        # whole-read length): a restart each, and the operation runs again.
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="*:reduce[[]*"),
                           Fault(NODE_CRASH, site=MESSAGE,
                                 match="*->node01:fetch_partition")])

@@ -258,7 +258,7 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
     """Every node op of one seeded round >= 1: map, pull, sort and reduce.
 
     With a restart budget the replacement gets the round's snapshot
-    re-sent and replays only that round; without one the node is lost,
+    re-sent and only that round is rebuilt; without one the node is lost,
     and one survivor maps its blocks with its own from then on.
     """
     md, clean, clean_files, rounds, blocks = golden
@@ -323,13 +323,15 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
 
 
 @pytest.mark.parametrize("kind", ("pull", "sort", "reduce"))
-def test_restart_replays_the_current_round_only(golden, tmp_path, held, kind):
+def test_a_restart_rebuilds_the_current_round_only(golden, tmp_path, held,
+                                                   kind):
     """A node restarted in the last round rebuilds nothing the token has
-    consumed: its replay checks the partitions it owns this round and the
-    token has yet to reduce against what their pulls wrote, and the round
-    before's are no longer its own. The run is in-core, so a partition
-    pulled but not yet reduced (unsorted, or sorted and held: a held run
-    is never written) died with the node and is pulled again."""
+    consumed: the restart does no work, and only the sort or reduce
+    attempt that runs again checks a partition it owns this round against
+    what its pull wrote; the round before's were reduced. The run is
+    in-core, so a partition pulled but not yet reduced (unsorted, or
+    sorted and held: a held run is never written) died with the node and
+    is pulled again by that operation."""
     md, clean, clean_files, rounds, _ = golden
     point = next(p for p in rounds[-1] if _kind(p) == kind)
     plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])

@@ -1,11 +1,14 @@
 """Faults on cluster nodes: every one recovered, none silent.
 
-The sweep (:mod:`repro.faults.sweep`) runs a 2-node assembly on the
-``cramped`` budget (40 kB host: the run is not in-core, so every round's
-pieces and pulled partitions go through the disk) with 256-record sort
-blocks (the longer lengths' sorts spill, the shorter lengths' runs are
-held and never written, and a restarted owner pulls and sorts those
-again) and injects one fault at one cell of its clean probe:
+The sweep (:mod:`repro.faults.sweep`) runs a 2-node assembly on two
+budgets and injects one fault at one cell of each one's clean probe.
+``cramped`` (40 kB host, 256-record sort blocks) is not in-core: every
+round's pieces and pulled partitions go through the disk, the longer
+lengths' sorts spill, and the shorter lengths' runs are held and never
+written. ``incore`` (the default budget) writes nothing: its pieces,
+pulled partitions, sorted runs and read blocks are held in host memory,
+so a restart loses all of them, and its cells are the node operations
+and messages alone. The cells:
 
 * every WRITE operation, with ``crash``, ``torn`` (a 5-byte prefix, not a
   whole record, reaches the disk), ``enospc`` (the disk is full) or
@@ -17,17 +20,21 @@ again) and injects one fault at one cell of its clean probe:
   mid-request).
 
 Every one of them is a node's death: the writer's, the operation's node
-or the message's destination. That node restarts from lineage, once, and
-the operation runs again, so the run is never killed: every cell must
-return the clean run's contigs, with no degraded report, without the
-sweep's rerun. A cell that ends with a named
+or the message's destination. That node restarts, once, and the
+operation runs again, rebuilding from lineage what the death took, so
+the run is never killed: every cell must return the clean run's contigs,
+with no degraded report, without the sweep's rerun (and an ``incore``
+one must write nothing). A cell that ends with a named
 :class:`~repro.errors.ReproError` instead is counted apart, and fails.
-The cells are the probe's, taken when the module is collected. Tier-1
-runs a fixed seeded sample and the cells pinned by key (:data:`PINNED`);
-``REPRO_SWEEP=full`` runs every cell.
+The cells are the probes', taken when the module is collected. Tier-1
+runs a fixed seeded sample of each budget and the cells pinned by key
+(:data:`PINNED`); ``REPRO_SWEEP=full`` runs every cell. Each budget's
+counts are reported apart.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -55,8 +62,8 @@ N_SORT_WRITES = 29
 #: each pulled partition).
 N_NODE_OPS = 70
 N_MESSAGES = 66
-#: The tier-1 sample's share of the cells.
-FRACTION = 1 / 300
+#: The tier-1 sample's share of each budget's cells.
+FRACTIONS = {"cramped": 1 / 300, "incore": 1 / 30}
 #: A node operation's cell (the sample reaches none), the master's
 #: compress, a full disk, and the lost write whose writer's death lands in
 #: compress, after the token reduced every partition it owned.
@@ -65,9 +72,12 @@ PINNED_RUNGS = frozenset("""
     node:node00:compress#0:node-crash:1
     write:node01/partitions/P_00035.run#0:enospc:1
     write:node01/partitions/P_00023.run#0:fsync-loss:64""".split())
-#: Cells an earlier draw put in tier-1 (``P_L``'s writes among them), by
-#: key, and :data:`PINNED_RUNGS`.
-PINNED = PINNED_RUNGS | frozenset(f"write:{name}" for name in """
+#: Cells kept in tier-1 beside each budget's sample, by key. ``cramped``:
+#: the cells an earlier draw put in tier-1 (``P_L``'s writes among them)
+#: and :data:`PINNED_RUNGS`. ``incore``: a death at a sort (the sort run
+#: again pulls its lost partitions first), at a later round's reduce (the
+#: attempt run again does), of a holder serving a pull, and in compress.
+PINNED = {"cramped": PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node00/map_parts/peer00/P_00036.run#0:crash:1
     node01/map_parts/peer01/P_00036.run#0:torn:1
     node00/partitions/P_00036.run#0:crash:1
@@ -103,29 +113,39 @@ PINNED = PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node01/map_parts/peer01/S_00025.run#0:fsync-loss:64
     node00/map_parts/peer00/S_00023.run#0:crash:1
     node00/map_parts/peer00/S_00023.run#0:fsync-loss:4
-    node01/map_parts/peer01/S_00023.run#0:crash:1""".split())
+    node01/map_parts/peer01/S_00023.run#0:crash:1""".split()),
+          "incore": frozenset("""
+    node:node00:sort#4:node-crash:1
+    node:node01:reduce[29]#0:node-crash:1
+    message:node01->node00:fetch_partition#6:node-crash:1
+    node:node00:compress#0:node-crash:1""".split())}
+CONFIGS = {
+    "cramped": AssemblyConfig(min_overlap=20, seed=7,
+                              memory=MemoryConfig(40_000, 16_000,
+                                                  name="cramped"),
+                              host_block_pairs=256),
+    "incore": AssemblyConfig(min_overlap=20, seed=7),
+}
 
 
-def _config() -> AssemblyConfig:
-    return AssemblyConfig(min_overlap=20, seed=7,
-                          memory=MemoryConfig(40_000, 16_000, name="cramped"),
-                          host_block_pairs=256)
-
-
-def _assemble(workdir):
-    return DistributedAssembler(_config(), N_NODES).assemble(
+def _assemble(budget: str, workdir):
+    return DistributedAssembler(CONFIGS[budget], N_NODES).assemble(
         DATA.store_path, workdir=workdir)
 
 
 ROOT = probe_root("distributed-write-faults-")
 DATA, _ = tiny_dataset(ROOT, genome_length=600, read_length=READ_LENGTH,
                        coverage=8.0, min_overlap=20, seed=7)
-PROBE = Probe(_assemble, ROOT / "probe", sites=(WRITE, NODE, MESSAGE))
-SWEPT = swept(PROBE, FRACTION, PINNED)
+PROBES = {"cramped": Probe(partial(_assemble, "cramped"), ROOT / "probe",
+                           sites=(WRITE, NODE, MESSAGE)),
+          "incore": Probe(partial(_assemble, "incore"), ROOT / "incore",
+                          sites=(NODE, MESSAGE))}
+SWEPT = [(budget, cell) for budget, probe in PROBES.items()
+         for cell in swept(probe, FRACTIONS[budget], PINNED[budget])]
 
 
-def _writes() -> list:
-    return [point for point in PROBE.trace if point.site == WRITE]
+def _writes(budget: str = "cramped") -> list:
+    return [point for point in PROBES[budget].trace if point.site == WRITE]
 
 
 def test_the_cluster_writes_what_the_sweep_assumes():
@@ -138,15 +158,23 @@ def test_the_cluster_writes_what_the_sweep_assumes():
     # Round 0's piece on each node, then its owner's pulled partition and
     # its sort's first run.
     assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:4])
-    node_ops = [point.path for point in PROBE.trace if point.site == NODE]
-    assert len(node_ops) == N_NODE_OPS and node_ops[-1] == "node00:compress"
-    assert sum(point.site == MESSAGE for point in PROBE.trace) == N_MESSAGES
+    for probe in PROBES.values():
+        node_ops = [point.path for point in probe.trace
+                    if point.site == NODE]
+        assert len(node_ops) == N_NODE_OPS
+        assert node_ops[-1] == "node00:compress"
+        assert sum(point.site == MESSAGE for point in probe.trace) \
+            == N_MESSAGES
     # Seven cells a write (crash, torn, enospc, four fsync-loss delays),
-    # one a node operation and one a message.
-    assert len(PROBE.cells) == 7 * N_WRITES + N_NODE_OPS + N_MESSAGES
-    keys = {cell.key for cell in PROBE.cells}
-    assert PINNED <= keys
-    assert not any(str(ROOT) in key for key in keys)
+    # one a node operation and one a message; in-core, no write.
+    assert _writes("incore") == []
+    assert len(PROBES["cramped"].cells) \
+        == 7 * N_WRITES + N_NODE_OPS + N_MESSAGES
+    assert len(PROBES["incore"].cells) == N_NODE_OPS + N_MESSAGES
+    for budget, probe in PROBES.items():
+        keys = {cell.key for cell in probe.cells}
+        assert PINNED[budget] <= keys, budget
+        assert not any(str(ROOT) in key for key in keys), budget
 
 
 def _contigs(result) -> tuple[bytes, bytes]:
@@ -158,27 +186,34 @@ def _faulted(fault: Fault, workdir):
     """The plan and the result of one faulted run."""
     plan = FaultPlan([fault])
     with inject(plan):
-        result = _assemble(workdir)
+        result = _assemble("cramped", workdir)
     assert plan.events, f"{fault} never fired"
     return plan, result
 
 
-@pytest.mark.parametrize("cell", SWEPT, ids=[cell_id(cell) for cell in SWEPT])
-def test_a_write_fault_recovers_or_raises(tmp_path, cell):
-    clean = PROBE.clean
-    plan, result, error, rerun = run_cell(cell,
-                                          lambda: _assemble(tmp_path / "w"))
-    SWEEP_OUTCOMES[__name__]["rerun"] += rerun
+@pytest.mark.parametrize(
+    "budget, cell", SWEPT,
+    ids=[cell_id(cell) if budget == "cramped" else f"{budget}-{cell_id(cell)}"
+         for budget, cell in SWEPT])
+def test_a_write_fault_recovers_or_raises(tmp_path, budget, cell):
+    clean = PROBES[budget].clean
+    outcomes = f"{__name__}[{budget}]"
+    plan, result, error, rerun = run_cell(
+        cell, lambda: _assemble(budget, tmp_path / "w"))
+    SWEEP_OUTCOMES[outcomes]["rerun"] += rerun
     assert plan.events, f"{cell.key} never fired"
     if error is not None:
-        named_error(__name__, cell, error)
+        named_error(outcomes, cell, error)
     assert not rerun, f"{cell.key} ended the run"
     assert result.degraded is None, cell.key
     assert _contigs(result) == _contigs(clean), \
         f"{cell.key} changed the contigs"
     if cell.point.site != WRITE or cell.kind == ENOSPC:
         assert result.notes.get("node_restarts", 0) == 1, cell.key
-    SWEEP_OUTCOMES[__name__]["clean"] += 1
+    if budget == "incore":
+        assert not [point.path for point in plan.trace
+                    if point.site == WRITE], f"{cell.key} wrote"
+    SWEEP_OUTCOMES[outcomes]["clean"] += 1
 
 
 def test_a_lost_write_restarts_its_writer(tmp_path):
@@ -187,7 +222,7 @@ def test_a_lost_write_restarts_its_writer(tmp_path):
     node00's: it restarts, finds the partition short of what its pull
     wrote and pulls it again, instead of node01 retrying in place while
     node00 sorts a partition that lost its records."""
-    clean = PROBE.clean
+    clean = PROBES["cramped"].clean
     point = next(point for point in _writes()
                  if point.path.endswith("node00/partitions/P_00034.run"))
     plan, result = _faulted(Fault(FSYNC_LOSS, site=WRITE, at_op=point.op,
@@ -212,13 +247,13 @@ def test_a_disk_that_stays_full_loses_its_node(tmp_path):
     assert result.notes["node_restarts"] == 1
     assert result.notes["nodes_lost"] == 1
     assert result.degraded is None
-    assert _contigs(result) == _contigs(PROBE.clean)
+    assert _contigs(result) == _contigs(PROBES["cramped"].clean)
 
 
 def test_a_disk_full_on_every_node_ends_the_run_by_name(tmp_path):
     with inject(FaultPlan([Fault(ENOSPC, site=WRITE, once=False)])), \
             pytest.raises(DistributedProtocolError, match="no surviving"):
-        _assemble(tmp_path)
+        _assemble("cramped", tmp_path)
 
 
 def test_a_full_disk_under_a_peers_pull_is_the_holders_death(tmp_path):
@@ -234,9 +269,9 @@ def test_a_full_disk_under_a_peers_pull_is_the_holders_death(tmp_path):
                  and point.site == WRITE and "node01/map_parts/" in point.path)
     plan = FaultPlan([crash, Fault(ENOSPC, site=WRITE, at_op=remap.op)])
     with inject(plan):
-        result = _assemble(tmp_path / "full")
+        result = _assemble("cramped", tmp_path / "full")
     assert [event.kind for event in plan.events] == [NODE_CRASH, ENOSPC]
     assert result.notes["node_restarts"] == 1
     assert result.notes["nodes_lost"] == 1
     assert result.degraded is None
-    assert _contigs(result) == _contigs(PROBE.clean)
+    assert _contigs(result) == _contigs(PROBES["cramped"].clean)

@@ -198,9 +198,13 @@ class _Rounds(DistributedAssembler):
 @pytest.mark.parametrize("per_node", (None, 1, 2, 0),
                          ids=("1", "n", "2n", "all"))
 def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
-    """A node holds only what a single-length sort formed after the first
-    round, so where a round gives it two lengths (2n: all but the short
-    last round; one eager round) it holds nothing."""
+    """A node holds what its sort formed in one piece after the first round
+    (whose partitions, unfiltered, do not fit one piece on this budget),
+    however many lengths its round gives it: at 2n, where a node sorts
+    two lengths a round, it holds runs of both, and the one eager round
+    holds nothing. Each run is held only beside the sorter's whole block
+    while a run of the call is still to be sorted, so no round size runs
+    out of host memory."""
     n_nodes = 2
     kept = []
     keep = PartitionStore.keep
@@ -220,10 +224,13 @@ def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
         == single.contigs.flat_codes.tobytes()
     assert result.edges == single.reduce_report.edges_added
     rounds = cluster._rounds({length for _, length in single.sort_report.reports})
+    later = {length for lengths in rounds[1:] for length in lengths}
     lone = {length for lengths in rounds[1:] for length in lengths
             if sum((other - length) % n_nodes == 0 for other in lengths) == 1}
-    assert {length for _, length in kept} <= lone
-    assert bool(kept) == bool(lone)
+    held = {length for _, length in kept}
+    assert held <= later
+    assert bool(held) == bool(later)
+    assert bool(held - lone) == (per_node == 2)
 
 
 # -- every exit path gives the memory back ---------------------------------------

@@ -10,7 +10,8 @@ the store off the disk once, and a checkpoint ledger adds ``state.json``
 and ``graph.npz`` alone (a resume maps and sorts again what has no file).
 Sort and reduce read no partition byte and seek nowhere. The same holds
 on a single node, on a lone cluster node and on four nodes, whose
-restarted owners pull and sort again from the round's pieces. A cluster
+restarted owners pull and sort again from the round's pieces, and on the
+survivor of a lost node, which owns two lengths a round. A cluster
 node holds the read blocks it maps from their first read on, so the
 cluster's maps read each dealt block off the disk once, the store once in
 all, and the master's compress reads it once more; a restarted node reads
@@ -376,7 +377,8 @@ def _block_bytes(supervisor, producers) -> int:
 
 def _crash(data, config, tmp_path, path: str, round_index: int, **knobs):
     """The 4-node run with ``path``'s node op of round ``round_index``
-    crashed: its contigs are the clean run's, byte for byte."""
+    crashed: its contigs are the clean run's, byte for byte. Returns its
+    result and its plan."""
     probe = FaultPlan()
     with inject(probe):
         clean = DistributedAssembler(config, 4).assemble(
@@ -393,7 +395,7 @@ def _crash(data, config, tmp_path, path: str, round_index: int, **knobs):
     assert result.contigs.flat_codes.tobytes() \
         == clean.contigs.flat_codes.tobytes()
     assert np.array_equal(result.contigs.offsets, clean.contigs.offsets)
-    return result
+    return result, plan
 
 
 def test_a_cluster_read_trace_is_that_of_an_unheld_store(
@@ -450,12 +452,29 @@ def test_a_restarted_node_reads_its_blocks_again(data, config, tmp_path,
 
 
 def test_a_survivor_reads_a_lost_nodes_blocks_once(data, config, tmp_path,
-                                                   workers):
+                                                   workers, monkeypatch):
     """node02 is lost at its round-3 map: the survivor that takes its id
     reads those blocks off the disk once, then holds them beside its own
-    for every later round."""
-    result = _crash(data, config, tmp_path, "node02:map-round", 3,
-                    node_restarts=0)
+    for every later round. One survivor owns two lengths of each later
+    round and holds the sorted runs of both, as an owner of one does: the
+    run writes nothing after load, and reduce reads nothing off a disk."""
+    reduce_read = []
+    run_reduce = DistributedAssembler._reduce
+
+    def metered(self, supervisor, *args, **kwargs):
+        before = [node.ctx.accountant.counters()["disk_read_bytes"]
+                  for node in supervisor.nodes]
+        out = run_reduce(self, supervisor, *args, **kwargs)
+        reduce_read.append(sum(
+            node.ctx.accountant.counters()["disk_read_bytes"] - then
+            for node, then in zip(supervisor.nodes, before)))
+        return out
+
+    monkeypatch.setattr(DistributedAssembler, "_reduce", metered)
+    result, plan = _crash(data, config, tmp_path, "node02:map-round", 3,
+                          node_restarts=0)
+    assert _writes_after_load(plan) == []
+    assert reduce_read and set(reduce_read) == {0}
     assert result.lost_nodes == (2,)
     crashed = workers[-4:]
     supervisor = crashed[0][0]

@@ -107,10 +107,10 @@ def test_a_held_run_leaves_the_graph_room(tiny_md, monkeypatch):
     offers = []
     hold = Residency.hold
 
-    def spying(self, partitions, side, length, records):
+    def spying(self, partitions, side, length, more, records):
         offers.append((length, self.ctx.host_pool.free_bytes - records.nbytes,
                        records.nbytes))
-        return hold(self, partitions, side, length, records)
+        return hold(self, partitions, side, length, more, records)
 
     monkeypatch.setattr(Residency, "hold", spying)
     held = spy_held_runs(monkeypatch)

@@ -161,14 +161,15 @@ def test_appending_cells_leaves_earlier_picks_unchanged():
 def test_a_write_fault_resumes_or_raises(tmp_path, budget, cell):
     clean = PROBES[budget].clean
     workdir = tmp_path / "w"
+    outcomes = f"{__name__}[{budget}]"
     plan, result, error, rerun = run_cell(cell,
                                           lambda: _assemble(budget, workdir))
-    SWEEP_OUTCOMES[__name__]["rerun"] += rerun
+    SWEEP_OUTCOMES[outcomes]["rerun"] += rerun
     assert plan.events, f"{cell.key} never fired"
     if error is not None:
-        named_error(__name__, cell, error)
+        named_error(outcomes, cell, error)
     assert result_digest(result) == result_digest(clean), \
         f"{cell.key} changed the result"
     assert ledger_converged(workdir), cell.key
     assert scan_residue(workdir) == [], cell.key
-    SWEEP_OUTCOMES[__name__]["clean"] += 1
+    SWEEP_OUTCOMES[outcomes]["clean"] += 1
