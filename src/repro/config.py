@@ -125,8 +125,7 @@ class AssemblyConfig:
         is the paper's pairwise Algorithm 1 and makes the sort take
         ``1 + ⌈log₂ R⌉`` disk passes over ``R`` initial runs; ``k`` cuts
         that to ``1 + ⌈log_k R⌉`` at the cost of ``k``-times-smaller merge
-        windows. ``0`` derives the largest fanout whose windows still hold
-        a device chunk (:func:`repro.extmem.sort.derive_fanout`).
+        windows.
     trace:
         Directory to dump a structured span trace into ("" = tracing off,
         the default). When set, the run records begin/end events for every
@@ -177,8 +176,8 @@ class AssemblyConfig:
             raise ConfigError("fingerprint_lanes must be 1 or 2")
         if self.map_batch_reads < 0 or self.host_block_pairs < 0 or self.device_block_pairs < 0:
             raise ConfigError("block/batch overrides must be >= 0 (0 = auto)")
-        if self.merge_fanout < 0 or self.merge_fanout == 1:
-            raise ConfigError("merge_fanout must be 0 (auto) or >= 2")
+        if self.merge_fanout < 2:
+            raise ConfigError("merge_fanout must be >= 2")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be > 0")
         if self.node_timeout < self.heartbeat_interval:

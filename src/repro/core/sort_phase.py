@@ -11,8 +11,9 @@ also *filters*: reduce runs longest overlap first and a vertex takes one
 out-edge, so a record whose vertex claim is already taken when its length's
 turn comes can never produce an edge. Such records are dropped while the
 runs are formed; they are neither sorted nor written nor streamed through
-reduce. :func:`_open_claims` is that filter, for this sorter and for the
-cluster node that serves (or recomputes) a map piece alike.
+reduce. :func:`_open_claims` is that filter; the map applies the same
+rule upstream (:mod:`repro.core.map_phase`), on one node and on every
+cluster node alike.
 
 A sort with the run's :class:`~repro.core.residency.Residency` plan may
 also *hold* its runs for the reduce that comes next: a partition the sort

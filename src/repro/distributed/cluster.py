@@ -386,7 +386,8 @@ class DistributedAssembler:
         token_time``, the token timeline accrues transfer + recompute costs
         and never goes backward. Partitions that exhaust every owner are
         dropped into the degraded report by the supervisor (or raise when
-        ``allow_degraded`` is off).
+        ``allow_degraded`` is off); the token waits for that verdict, up to
+        the clock of the last owner tried.
         """
         nodes = supervisor.nodes
         before = self._clock_totals(nodes)
@@ -426,7 +427,12 @@ class DistributedAssembler:
                                    length=length, node=failure["node"],
                                    attempt=failure["attempt"])
             if not outcome.ok:
-                continue  # dropped partition: the token never visits it
+                # Dropped: no edges to fold in, but the token waited on the
+                # ladder's verdict, as a surviving hop waits on its
+                # find_done: the clock of the last node tried.
+                token_time = max(token_time,
+                                 nodes[outcome.node].ctx.clock.total_seconds)
+                continue
             # A failed attempt's work was replayed: count the survivor's only.
             report.partitions_processed += 1
             report.candidates += counted[0].candidates

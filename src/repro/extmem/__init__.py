@@ -21,7 +21,7 @@ from .io_stats import IOAccountant
 from .streams import HeldRun, RunReader, RunWriter
 from .partitions import PartitionStore
 from .merge import merge_in_memory_k, merge_streams_k
-from .sort import ExternalSorter, SortReport, derive_fanout, merge_rounds_for
+from .sort import ExternalSorter, SortReport, merge_rounds_for
 
 __all__ = [
     "kv_dtype",
@@ -36,6 +36,5 @@ __all__ = [
     "merge_streams_k",
     "ExternalSorter",
     "SortReport",
-    "derive_fanout",
     "merge_rounds_for",
 ]

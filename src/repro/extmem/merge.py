@@ -18,9 +18,11 @@ merges of Bonizzoni et al. and Guidi et al.
 The same routine is used at both levels of the two-level model: disk runs
 merged through host memory, and host blocks merged through device memory;
 only the chunk *source*, the *emit* sink, and the merge executor differ.
-The executor is a k-ary ``merge_fn_k`` (a gathered k-way device kernel, or
-:func:`tournament_fold` over a binary merge when the equalized prefixes
-exceed the device budget). Output order is always globally sorted;
+The executor is a k-ary ``merge_fn_k`` (``ExternalSorter.merge_windows``:
+one gathered k-way device launch, or, for equalized prefixes beyond the
+device budget, this same loop again over device-sized windows), so every
+merge is Algorithm 1, k-way, at both levels. Output order is always
+globally sorted;
 ordering among equal keys is not preserved across window boundaries
 (fingerprints do not need it).
 """
@@ -44,43 +46,11 @@ EmitFn = Callable[[np.ndarray], None]
 
 
 class ChunkSource(Protocol):
-    """Anything that yields successive record chunks (RunReader, array wrapper)."""
+    """Anything that yields successive record chunks (RunReader, HeldRun)."""
 
     def read(self, n: int) -> np.ndarray:
         """Consume up to ``n`` records (empty array at end of stream)."""
         ...
-
-
-class ArraySource:
-    """A :class:`ChunkSource` over an in-memory record array."""
-
-    def __init__(self, records: np.ndarray):
-        self._records = records
-        self._cursor = 0
-
-    def read(self, n: int) -> np.ndarray:
-        """Consume up to ``n`` records from the array."""
-        chunk = self._records[self._cursor:self._cursor + n]
-        self._cursor += chunk.shape[0]
-        return chunk
-
-
-def tournament_fold(parts: list[np.ndarray],
-                    merge_pair: Callable[..., np.ndarray],
-                    out: np.ndarray | None) -> np.ndarray:
-    """Fold k sorted parts into one via balanced pairwise merges.
-
-    ``merge_pair(a, b, out=None)`` merges two sorted parts. Only the final
-    merge lands in ``out``; earlier rounds produce intermediates.
-    """
-    while len(parts) > 1:
-        dest = out if len(parts) == 2 else None
-        folded = [merge_pair(parts[i], parts[i + 1], out=dest)
-                  for i in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            folded.append(parts[-1])
-        parts = folded
-    return parts[0]
 
 
 def _unsorted(index: int, key_field: str) -> SortContractError:
@@ -195,7 +165,7 @@ class _Window:
 class _RunWindow:
     """An in-memory run's merge window: a cursor and a slice of the run.
 
-    Same schedule as :class:`_Window` over an :class:`ArraySource`, but
+    Same schedule as :class:`_Window` over a source holding the run, but
     nothing is ever copied — a refill only moves the slice's end. The
     sortedness contract is checked once, over the whole run.
     """

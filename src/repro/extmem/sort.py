@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from ..errors import ConfigError
 from ..faults import plan as faults
 from ..trace.tracer import NULL_TRACER
 from .io_stats import IOAccountant
-from .merge import merge_in_memory_k, merge_streams_k, tournament_fold
+from .merge import merge_in_memory_k, merge_streams_k
 from .records import KEY_FIELD
 from .streams import HeldRun, RunReader, RunWriter
 
@@ -57,26 +56,8 @@ HOST_SORT_FOOTPRINT = 2
 HOST_KWAY_FOOTPRINT = 2
 #: Device radix sort: input + ping-pong scratch + output.
 DEVICE_SORT_FOOTPRINT = 3
-#: Device merge: two input windows + merged output (+ slack).
-DEVICE_MERGE_FOOTPRINT = 4
 #: Per-way device cost of a gathered k-way merge (inputs + output).
 DEVICE_KWAY_FOOTPRINT = 2
-#: Ceiling for the auto-derived merge fanout: past ~16 ways the windows
-#: shrink enough that per-window seek overhead erases the pass saving.
-MAX_AUTO_FANOUT = 16
-
-
-def derive_fanout(host_block_pairs: int, device_block_pairs: int) -> int:
-    """Auto merge fanout for a host/device budget split.
-
-    Picks the largest ``k`` (capped at :data:`MAX_AUTO_FANOUT`) whose
-    level-1 windows ``m_h / (HOST_KWAY_FOOTPRINT · k)`` still hold at
-    least one device chunk, so the level-2 device streaming below each
-    window stays efficient.
-    """
-    device_chunk = max(2, device_block_pairs // DEVICE_SORT_FOOTPRINT)
-    return max(2, min(MAX_AUTO_FANOUT,
-                      host_block_pairs // (HOST_KWAY_FOOTPRINT * device_chunk)))
 
 
 def merge_rounds_for(initial_runs: int, fanout: int) -> int:
@@ -119,8 +100,8 @@ class ExternalSorter:
                  tracer=None):
         if host_block_pairs < 2 or device_block_pairs < 2:
             raise ConfigError("block sizes must be >= 2 records")
-        if merge_fanout < 0 or merge_fanout == 1:
-            raise ConfigError("merge_fanout must be 0 (auto) or >= 2")
+        if merge_fanout < 2:
+            raise ConfigError("merge_fanout must be >= 2")
         self.gpu = gpu
         self.host_pool = host_pool
         self.accountant = accountant
@@ -129,12 +110,11 @@ class ExternalSorter:
         self.key_field = key_field
         self.m_h = host_block_pairs
         self.m_d = min(device_block_pairs, host_block_pairs)
-        self.fanout = merge_fanout or derive_fanout(self.m_h, self.m_d)
+        self.fanout = merge_fanout
         self.host_block = max(2, self.m_h // HOST_SORT_FOOTPRINT)
         self.host_kway_window = max(
             1, self.m_h // (HOST_KWAY_FOOTPRINT * self.fanout))
         self.device_chunk = max(2, self.m_d // DEVICE_SORT_FOOTPRINT)
-        self.device_merge_window = max(1, self.m_d // DEVICE_MERGE_FOOTPRINT)
         self.device_kway_window = max(
             1, self.m_d // (DEVICE_KWAY_FOOTPRINT * self.fanout))
         #: Largest equalized-window total the gathered device k-way kernel
@@ -160,10 +140,13 @@ class ExternalSorter:
                       out: np.ndarray | None = None) -> np.ndarray:
         """Merge equalized window prefixes through the device (k-ary executor).
 
-        Small totals go through one fused k-way launch; totals beyond the
-        device budget fall back to a pairwise tournament whose legs stream
-        device-sized windows, so the device pool bound holds for any host
-        window size. The merged run lands in ``out`` when one is given.
+        Totals within the device budget go through one fused k-way launch.
+        Larger totals (a level-1 host window's prefixes) are streamed
+        through the same launch by Algorithm 1 itself, in windows of
+        ``device_kway_window`` records a part, as a host block's sorted
+        chunks are: every record crosses the device once per merge, at any
+        fanout, and the device pool bound holds for any host window size.
+        The merged run lands in ``out`` when one is given.
         """
         parts = [part for part in parts if part.shape[0]]
         if not parts:
@@ -174,7 +157,12 @@ class ExternalSorter:
         if total <= self.device_kway_budget:
             return self.gpu.merge_records_device_k(
                 parts, key_field=self.key_field, out=out)
-        return tournament_fold(parts, self.merge_blocks_in_host, out)
+        # At most ``fanout`` windows of ``device_kway_window`` records fit
+        # the budget, so the inner merges launch directly (windows of one
+        # record, on a device too small for that, only pass through).
+        return merge_in_memory_k(
+            parts, window_records=self.device_kway_window,
+            merge_fn_k=self.merge_windows, key_field=self.key_field, out=out)
 
     def sort_block_in_host(self, records: np.ndarray) -> np.ndarray:
         """Sort one host-resident block by streaming device chunks (level 2)."""
@@ -194,15 +182,6 @@ class ExternalSorter:
                     merge_fn_k=self.merge_windows, key_field=self.key_field))
             runs = next_runs
         return runs[0]
-
-    def merge_blocks_in_host(self, records_a: np.ndarray, records_b: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-        """Merge two sorted host blocks via device-sized windows (level 2)."""
-        return merge_in_memory_k(
-            [records_a, records_b], window_records=self.device_merge_window,
-            merge_fn_k=partial(self.gpu.merge_records_device_k,
-                               key_field=self.key_field),
-            key_field=self.key_field, out=out)
 
     # -- level 1: disk-backed run sorting ---------------------------------------
 

@@ -15,7 +15,9 @@ passes are the expensive axis) and GPUs converge as blocks shrink (the
 disk term swamps the device term). A fanout-k merge round performs
 ``⌈log₂ k⌉`` comparison levels per record (the tournament depth of the
 gathered kernel), so raising ``k`` trades kernel comparisons — cheap — for
-disk passes — expensive.
+disk passes — expensive. The program does one device trip per record per
+disk round at every fanout, as ``device_touches`` below charges: a level-1
+window too large for the device is streamed through the same k-way launch.
 """
 
 from __future__ import annotations

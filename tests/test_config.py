@@ -64,6 +64,7 @@ class TestAssemblyConfig:
         {"fingerprint_lanes": 3},
         {"map_batch_reads": -1},
         {"host_block_pairs": -5},
+        {"merge_fanout": 0},
         {"merge_fanout": 1},
         {"merge_fanout": -2},
     ])

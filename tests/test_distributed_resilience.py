@@ -272,6 +272,25 @@ class TestDegradedMode:
         ok = {e["length"] for e in result.token_trace if e["ok"]}
         assert ok == {e["length"] for e in clean.token_trace} - {victim}
 
+    def test_a_dropped_partition_holds_the_token_until_its_verdict(
+            self, resilience_data, config, clean_run):
+        """The token waits for the ladder to give a partition up, as it
+        waits for a surviving hop's overlap finding: a run that lost two
+        nodes on the way does not model a faster reduce than a clean one."""
+        clean, _ = clean_run
+        plan = FaultPlan([Fault(NODE_CRASH, site=NODE,
+                                match="*:reduce[[]30]", once=False)])
+        with inject(plan):
+            result = DistributedAssembler(config, N_NODES).assemble(
+                resilience_data.store_path)
+        assert result.degraded.dropped_lengths == (30,)
+        assert len(result.degraded.lost_nodes) == 2
+        wasted = sum(e["wasted_s"] for e in result.token_trace
+                     if e["length"] == 30)
+        reduce_s = result.phase_seconds["reduce"]
+        assert reduce_s >= clean.phase_seconds["reduce"]
+        assert reduce_s >= wasted
+
     def test_strict_mode_covered_elsewhere(self):
         # allow_degraded=False → DistributedProtocolError("token lost") is
         # exercised in tests/test_chaos_recovery.py::TestDistributedToken.

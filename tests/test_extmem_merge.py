@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device.kernels import merge_sorted_records_k
 from repro.errors import ConfigError, SortContractError
-from repro.extmem import (RunReader, RunWriter, merge_in_memory_k,
+from repro.extmem import (HeldRun, RunReader, RunWriter, merge_in_memory_k,
                           merge_streams_k)
-from repro.extmem.merge import ArraySource
 from repro.extmem.records import kv_dtype, make_records
 
 
@@ -79,7 +78,7 @@ class TestMergeInMemory:
             merge_in_memory_k([_run([1]), _run([2])], window_records=0,
                               merge_fn_k=_host_merge_k)
         with pytest.raises(ConfigError):
-            merge_streams_k([ArraySource(_run([1]))], lambda _: None,
+            merge_streams_k([HeldRun("run", _run([1]))], lambda _: None,
                             window_records=0, merge_fn_k=_host_merge_k)
 
     def test_empty_inputs(self):
@@ -156,7 +155,7 @@ class TestMergeStreamsK:
 
     def test_requires_an_executor(self):
         with pytest.raises(TypeError, match="merge_fn_k"):
-            merge_streams_k([ArraySource(_run([1]))], lambda _: None,
+            merge_streams_k([HeldRun("run", _run([1]))], lambda _: None,
                             window_records=4)
 
     def test_no_sources_emits_nothing(self):
@@ -188,7 +187,8 @@ def _both_window_kinds(runs, window):
                                        merge_fn_k=executor)
         else:
             chunks = [runs[0][:0]]
-            merge_streams_k([ArraySource(run) for run in runs], chunks.append,
+            merge_streams_k([HeldRun(f"run{i}", run)
+                             for i, run in enumerate(runs)], chunks.append,
                             window_records=window, merge_fn_k=executor)
             merged = np.concatenate(chunks)
         results.append((merged.tobytes(), seen))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.device import MemoryPool, SimClock, VirtualGPU
 from repro.errors import ConfigError, HostMemoryError
 from repro.extmem import (ExternalSorter, IOAccountant, RunReader, RunWriter,
-                          derive_fanout, merge_rounds_for)
+                          merge_rounds_for)
 from repro.extmem.records import VAL_FIELD, kv_dtype, make_records
 from repro.model.sorting import predicted_sort_passes
 
@@ -262,22 +262,53 @@ class TestMergeFanout:
         assert report4.disk_passes < report2.disk_passes
         assert bytes4 < bytes2
 
-    def test_auto_fanout_derived_from_budgets(self, tmp_path, rng):
-        records = make_records(rng.integers(0, 2**62, 10_000, dtype=np.uint64),
-                               np.arange(10_000, dtype=np.uint32))
-        sorter, _, _ = _make_sorter(merge_fanout=0)
-        assert sorter.fanout == derive_fanout(sorter.m_h, sorter.m_d) >= 2
-        _write_run(tmp_path / "in", records)
-        report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
-        assert report.fanout == sorter.fanout
-        out = _read_run(tmp_path / "out", records.dtype)
-        assert np.array_equal(out["key"], np.sort(records["key"]))
-
     def test_fanout_validated(self):
         with pytest.raises(ConfigError, match="merge_fanout"):
             _make_sorter(merge_fanout=1)
         with pytest.raises(ConfigError, match="merge_fanout"):
             _make_sorter(merge_fanout=-3)
+        with pytest.raises(ConfigError, match="merge_fanout"):
+            _make_sorter(merge_fanout=0)
+
+    @pytest.mark.parametrize("fanout", (2, 3, 4, 8))
+    def test_one_device_trip_per_record_per_merge(self, tmp_path, fanout):
+        """Every merge is k-way Algorithm 1 through the device, at both
+        levels: a record is uploaded once to be sorted, once per level-2
+        round inside its host block and once per disk merge round, as
+        :mod:`repro.model.sorting` charges, whatever the fanout."""
+        rng = np.random.default_rng(5)
+        n = 40_000
+        records = make_records(rng.integers(0, 2**62, n, dtype=np.uint64),
+                               np.arange(n, dtype=np.uint32))
+        dtype = records.dtype
+        gpu = VirtualGPU("K40", capacity_bytes=1 << 22, clock=SimClock())
+        sorter = ExternalSorter(
+            gpu=gpu, host_pool=MemoryPool("host", 1 << 24, HostMemoryError),
+            accountant=None, dtype=dtype, host_block_pairs=8000,
+            device_block_pairs=600, merge_fanout=fanout)
+        uploaded = [0]
+        to_device, merge_k = gpu.to_device, gpu.merge_records_device_k
+
+        def counted_to_device(array, **kwargs):
+            uploaded[0] += array.nbytes
+            return to_device(array, **kwargs)
+
+        def counted_merge_k(parts, **kwargs):
+            uploaded[0] += sum(part.nbytes for part in parts)
+            return merge_k(parts, **kwargs)
+
+        gpu.to_device = counted_to_device
+        gpu.merge_records_device_k = counted_merge_k
+        _write_run(tmp_path / "in", records)
+        report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
+        out = _read_run(tmp_path / "out", dtype)
+        assert np.array_equal(out["key"], np.sort(records["key"]))
+        chunks_per_block = math.ceil(sorter.host_block / sorter.device_chunk)
+        level2_rounds = merge_rounds_for(chunks_per_block, fanout)
+        # Several device chunks a host block, several runs, a merge round.
+        assert level2_rounds >= 2 and report.initial_runs >= 8
+        assert uploaded[0] / records.nbytes \
+            <= 1 + level2_rounds + report.merge_rounds
 
 
 class TestCrashSafety:
@@ -289,7 +320,6 @@ class TestCrashSafety:
         sorter, _, _ = _make_sorter(host_capacity=120_000)
         sorter.merge_windows = lambda parts, out=None: (_ for _ in ()).throw(
             RuntimeError("injected merge failure"))
-        sorter.merge_blocks_in_host = sorter.merge_windows
         _write_run(tmp_path / "in", records)
         with pytest.raises(RuntimeError, match="injected"):
             sorter.sort_file(tmp_path / "in", tmp_path / "out")
@@ -346,23 +376,49 @@ class TestConfigValidation:
 
 
 class TestPinnedGolden:
-    """Every value below was computed on the commit *before* the fused merge
-    launch, the view windows and the byte-view copies (afb504b): those
-    changes may not move a file byte, a tie, a charge or an allocation."""
+    """6,000 two-lane records, keys drawn from 1,500 values (ties within
+    and across runs): 2 initial runs of 11 and 10 device chunks, so three
+    level-2 merge levels at fanout 3 (four at fanout 2), and one level-1
+    merge whose host windows exceed the device budget and are streamed
+    through the device in device-sized windows.
 
-    SHA256 = "f45f37e5a404dfe69aae78b15fa20acecb187fcd1a0d352875143b5c3c8e5d1b"
-    CLOCK = {"kernel": "0x1.04a34b06c920ep-15", "h2d": "0x1.994ee2add1504p-14",
-             "d2h": "0x1.994ee2add1506p-14", "disk_read": "0x1.9f0fb38a94d24p-6",
-             "disk_write": "0x1.a36e2eb1c432cp-10"}
-    DISK = {"disk_read_bytes": 240000.0, "disk_write_bytes": 240000.0,
-            "disk_read_ops": 9.0, "disk_write_ops": 7.0, "disk_seeks": 3.0}
+    The fanout-2 values were computed on f2d7c5c, where an over-budget
+    window went through a pairwise tournament; at fanout 2 that tournament
+    is the k-way streaming merge, window for window, so they may not move.
+    The fanout-3 disk counters, disk clocks and peaks were computed on afb504b,
+    before the fused merge launch, the view windows and the byte-view
+    copies. Its sha256, ``device_allocs`` and ``kernel`` / ``h2d`` /
+    ``d2h`` clocks were re-pinned when the level-1 merge stopped folding a
+    3-way window pairwise (two device trips a record) and streamed it
+    3-way (one trip, windows of ``m_d / 6`` records, not ``m_d / 4``):
+    more, smaller launches, and a different order among equal keys.
+    """
 
-    def test_two_lane_partition(self, tmp_path):
-        # 6,000 two-lane records, keys drawn from 1,500 values (ties within
-        # and across runs): 2 initial runs of 11 and 10 device chunks, so
-        # three level-2 merge levels at fanout 3 through the fused k-way
-        # launch, and a level-1 merge whose windows exceed the device
-        # budget and fall back to two-way launches.
+    DISK_READ = "0x1.9f0fb38a94d24p-6"
+    DISK_WRITE = "0x1.a36e2eb1c432cp-10"
+    GOLDEN = {
+        2: {"sha256": "c12d98824b133f1350bb9204af69e635"
+                      "a93f025b5c459fdfdf894359a0a28e78",
+            "device_allocs": 318.0, "device_peak": 17920,
+            "clock": {"kernel": "0x1.e40aafe807cf3p-16",
+                      "h2d": "0x1.ddb074d264e7ep-14",
+                      "d2h": "0x1.ddb074d264e72p-14"},
+            "disk": {"disk_read_bytes": 240000.0,
+                     "disk_write_bytes": 240000.0, "disk_read_ops": 6.0,
+                     "disk_write_ops": 4.0, "disk_seeks": 3.0}},
+        3: {"sha256": "8fdacacafd022556b3d6fd9683300e55"
+                      "67ce441194356265c1185fbc57e9b1a7",
+            "device_allocs": 388.0, "device_peak": 17840,
+            "clock": {"kernel": "0x1.04a34b06c920dp-15",
+                      "h2d": "0x1.994ee2add1500p-14",
+                      "d2h": "0x1.994ee2add1509p-14"},
+            "disk": {"disk_read_bytes": 240000.0,
+                     "disk_write_bytes": 240000.0, "disk_read_ops": 9.0,
+                     "disk_write_ops": 7.0, "disk_seeks": 3.0}},
+    }
+
+    def _check(self, tmp_path, fanout):
+        golden = self.GOLDEN[fanout]
         rng = np.random.default_rng(20260927)
         n = 6000
         dtype = kv_dtype(2)
@@ -376,17 +432,25 @@ class TestPinnedGolden:
         sorter = ExternalSorter(
             gpu=gpu, host_pool=host_pool, accountant=accountant,
             dtype=dtype, host_block_pairs=6400, device_block_pairs=900,
-            merge_fanout=3)
+            merge_fanout=fanout)
         _write_run(tmp_path / "in", records)
         report = sorter.sort_file(tmp_path / "in", tmp_path / "out")
         assert (report.initial_runs, report.merge_rounds) == (2, 1)
         assert hashlib.sha256(
-            (tmp_path / "out").read_bytes()).hexdigest() == self.SHA256
-        assert gpu.pool.counters()["device_allocs"] == 361.0
-        assert gpu.pool.lifetime_peak_bytes == 17840
+            (tmp_path / "out").read_bytes()).hexdigest() == golden["sha256"]
+        assert gpu.pool.counters()["device_allocs"] == golden["device_allocs"]
+        assert gpu.pool.lifetime_peak_bytes == golden["device_peak"]
         assert gpu.pool.used_bytes == 0
         assert host_pool.lifetime_peak_bytes == 128000
         # _write_run above is unmetered; the accountant saw the sort only.
-        assert dict(accountant.counters()) == self.DISK
-        for category, golden in self.CLOCK.items():
-            assert clock.seconds(category).hex() == golden, category
+        assert dict(accountant.counters()) == golden["disk"]
+        clocks = dict(golden["clock"], disk_read=self.DISK_READ,
+                      disk_write=self.DISK_WRITE)
+        for category, pinned in clocks.items():
+            assert clock.seconds(category).hex() == pinned, category
+
+    def test_two_lane_partition(self, tmp_path):
+        self._check(tmp_path, 3)
+
+    def test_two_lane_partition_pairwise(self, tmp_path):
+        self._check(tmp_path, 2)
