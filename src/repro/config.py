@@ -112,11 +112,6 @@ class AssemblyConfig:
         1 → one packed 62-bit key (two 31-bit Rabin–Karp hashes);
         2 → two packed keys (~124 bits), the analog of the paper's 128-bit
         fingerprints.
-    map_batch_reads:
-        Reads per *device* batch (one modeled kernel launch) in the map
-        phase. ``0`` sizes the batch automatically from the device budget.
-        The host may stage several device batches per numpy call; modeled
-        costs and partition files do not depend on that.
     host_block_pairs / device_block_pairs:
         Explicit ``m_h``/``m_d`` overrides (paper Fig. 8/9 sweeps); ``0``
         derives them from ``memory``.
@@ -152,7 +147,6 @@ class AssemblyConfig:
     )
     device_name: str = "K40"
     fingerprint_lanes: int = 1
-    map_batch_reads: int = 0
     host_block_pairs: int = 0
     device_block_pairs: int = 0
     merge_fanout: int = 2
@@ -174,8 +168,8 @@ class AssemblyConfig:
             raise ConfigError("min_overlap must be >= 1")
         if self.fingerprint_lanes not in (1, 2):
             raise ConfigError("fingerprint_lanes must be 1 or 2")
-        if self.map_batch_reads < 0 or self.host_block_pairs < 0 or self.device_block_pairs < 0:
-            raise ConfigError("block/batch overrides must be >= 0 (0 = auto)")
+        if self.host_block_pairs < 0 or self.device_block_pairs < 0:
+            raise ConfigError("block overrides must be >= 0 (0 = auto)")
         if self.merge_fanout < 2:
             raise ConfigError("merge_fanout must be >= 2")
         if self.heartbeat_interval <= 0:

@@ -42,9 +42,9 @@ the unfiltered one minus the closed records, in the same order.
 :func:`band_report` counts what a map writes; :func:`run_map` returns it.
 
 The phase works at the two levels of the paper's hierarchy. The *modeled*
-unit is the device batch (``map_batch_reads``, or as many reads as the
-device budget holds): kernel charges, disk metering and
-``MapReport.n_batches`` are all per device batch. The unit that numpy, the
+unit is the device batch (as many reads as the device budget holds):
+kernel charges, disk metering and ``MapReport.n_batches`` are all per
+device batch. The unit that numpy, the
 partition writers, the pools and the trace (one ``map:block`` span) see is
 the *host block* of :func:`_stage_batches` consecutive device batches,
 read, fingerprinted and appended in one go, so a small device budget does
@@ -151,10 +151,6 @@ class MapReport:
         return cls(**{**saved, "lengths": tuple(saved["lengths"])})
 
 
-def _batch_reads(ctx: RunContext, read_length: int) -> int:
-    return ctx.config.map_batch_reads or _auto_batch_reads(ctx, read_length)
-
-
 def band_report(ctx: RunContext, store: PackedReadStore, lengths,
                 closed: PackedBitVector | None = None,
                 read_range: tuple[int, int] | None = None) -> MapReport:
@@ -172,7 +168,7 @@ def band_report(ctx: RunContext, store: PackedReadStore, lengths,
     start, stop = read_range if read_range is not None else (0, store.n_reads)
     sides = sum(len(partition_sides(length, read_length)) for length in lengths)
     return MapReport(stop - start,
-                     -(-(stop - start) // _batch_reads(ctx, read_length)),
+                     -(-(stop - start) // _auto_batch_reads(ctx, read_length)),
                      open_vertices(store, closed, read_range) * sides,
                      overlap_lengths(ctx, read_length))
 
@@ -317,7 +313,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     # before anything is mapped.
     kept = tuple(length for length in partition_lengths(ctx, read_length)
                  if only_lengths is None or length in only_lengths)
-    batch_reads = _batch_reads(ctx, read_length)
+    batch_reads = _auto_batch_reads(ctx, read_length)
 
     dtype = kv_dtype(ctx.config.fingerprint_lanes)
     caller_owns_store = partitions is not None

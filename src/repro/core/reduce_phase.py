@@ -69,6 +69,22 @@ class ReduceReport:
         """The report's JSON form (ledger state and cache meta alike)."""
         return asdict(self)
 
+    def count_length(self, length: int, step: ReduceReport,
+                     graph: GreedyStringGraph, edges_before: int,
+                     closed_before: int) -> None:
+        """Count one reduced length: ``step``'s counters (the step that
+        reduced it), and the edges and closed reads ``graph`` gained since
+        ``edges_before`` / ``closed_before``. Those come from the graph:
+        what a failed attempt added or closed persists, and its replay
+        finds it there."""
+        self.partitions_processed += 1
+        self.candidates += step.candidates
+        self.window_rounds += step.window_rounds
+        self.aux_rejected += step.aux_rejected
+        self.reads_closed += graph.reads_closed - closed_before
+        if length < graph.read_length:
+            self.per_length_edges[length] = (graph.n_edges - edges_before) // 2
+
     @classmethod
     def from_json(cls, saved: dict) -> ReduceReport:
         """Inverse of :meth:`to_json` after a JSON round trip (string keys)."""
@@ -98,16 +114,15 @@ def run_reduce(ctx: RunContext, partitions: PartitionStore, store: PackedReadSto
                    or partitions.path(side, length, sorted_run=True).exists()
                    for side in sides):
             continue
-        edges_before = graph.n_edges
+        edges_before, closed_before = graph.n_edges, graph.reads_closed
+        step = ReduceReport()
         with ctx.tracer.span("reduce:partition", track="pipeline", det=True,
                              length=length) as span:
-            held = reduce_length(ctx, graph, partitions, length, report)
+            held = reduce_length(ctx, graph, partitions, length, step)
             span.note(edges=(graph.n_edges - edges_before) // 2, held=held)
         ctx.events.bump("sorted_runs_held", held)
         ctx.events.bump("sorted_runs_from_disk", len(sides) - held)
-        report.partitions_processed += 1
-        if length < store.read_length:
-            report.per_length_edges[length] = (graph.n_edges - edges_before) // 2
+        report.count_length(length, step, graph, edges_before, closed_before)
     report.edges_added = graph.n_edges
     return graph, report
 

@@ -47,9 +47,11 @@ keep, and the graph is the eager schedule's. Every overlap round's
 snapshot drops the duplicates. Each node's residency plan places its
 pieces, pulled partitions and sorted runs as a single node's does
 (:class:`~repro.core.residency.Residency`): an in-core cluster writes
-nothing, and a piece is let go when its owner has pulled it. Each
-stretch ends at a barrier (the broadcast is booked as shuffle), and a
-phase's reported seconds are the sum of its rounds' critical paths. With
+nothing, and a piece is let go when its owner has pulled it. Every
+stretch, compress's too, is booked by one rule (:meth:`_Timeline.stretch`;
+the broadcast is booked as shuffle): its critical path is the slowest
+node's seconds (the reduce's is the token's), and it ends at a barrier.
+A phase's reported seconds are the sum of its rounds' critical paths. With
 one node a round is one length, its pieces are its partitions, and the
 schedule is the single-node pipeline's with one length a band: its
 first length is ``Assembler``'s first band.
@@ -60,7 +62,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,6 +120,58 @@ class DistributedResult:
         return assembly_stats(self.contigs.lengths())
 
 
+@dataclass
+class _Stretch:
+    """What a stretch's body sees: the common start (the slowest clock at
+    the last barrier), the span's arguments (it may add some) and the
+    critical path, which it sets when it knows it (the reduce's token)."""
+
+    start: float
+    args: dict
+    seconds: float | None = None
+
+
+class _Timeline:
+    """Each phase's modeled seconds: the sum of its stretches' critical
+    paths, booked by one rule (:meth:`stretch`)."""
+
+    def __init__(self, nodes: list[WorkerNode], tracer):
+        self.nodes = nodes  # the supervisor's list, replaced in place on restarts
+        self.tracer = tracer
+        self.phase_seconds: dict[str, float] = {}
+        self.per_node_seconds: dict[str, list[float]] = {}
+
+    @contextmanager
+    def stretch(self, phase: str, **args):
+        """Book the body as one barrier-separated stretch of ``phase``.
+
+        Reads every node's clock before the body. After it, adds the
+        critical path to ``phase``'s seconds and each node's own seconds
+        to its entry, records one span on the ``cluster`` track from the
+        common start to start + the critical path (so the track tiles like
+        Fig. 10's stacked bars), and advances every clock to the slowest
+        node's.
+        """
+        before = [node.ctx.clock.total_seconds for node in self.nodes]
+        stretch = _Stretch(start=max(before), args=args)
+        wall0 = time.perf_counter()
+        yield stretch
+        per_node = [node.ctx.clock.total_seconds - b
+                    for node, b in zip(self.nodes, before)]
+        seconds = max(per_node) if stretch.seconds is None else stretch.seconds
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+        self.per_node_seconds[phase] = [a + b for a, b in zip(
+            self.per_node_seconds.get(phase, [0.0] * len(per_node)), per_node)]
+        if self.tracer.enabled:
+            self.tracer.complete(phase, wall0, time.perf_counter(),
+                                 track="cluster", cat="cluster", det=True,
+                                 sim0=stretch.start,
+                                 sim1=stretch.start + seconds, **stretch.args)
+        slowest = max(self.nodes, key=lambda n: n.ctx.clock.total_seconds)
+        for node in self.nodes:
+            node.ctx.clock.advance_to(slowest.ctx.clock)
+
+
 class DistributedAssembler:
     """Run the pipeline over ``n_nodes`` simulated workers."""
 
@@ -131,24 +185,6 @@ class DistributedAssembler:
         self.network = network if network is not None else NetworkSpec()
         self.disk = disk
         self.host = host
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _clock_totals(nodes: list[WorkerNode]) -> list[float]:
-        return [node.ctx.clock.total_seconds for node in nodes]
-
-    @staticmethod
-    def _barrier(nodes: list[WorkerNode]) -> None:
-        slowest = max(nodes, key=lambda n: n.ctx.clock.total_seconds)
-        for node in nodes:
-            node.ctx.clock.advance_to(slowest.ctx.clock)
-
-    def _phase_delta(self, nodes: list[WorkerNode], before: list[float],
-                     ) -> tuple[float, list[float]]:
-        per_node = [node.ctx.clock.total_seconds - b
-                    for node, b in zip(nodes, before)]
-        return max(per_node), per_node
 
     def _rounds(self, lengths: list[int]) -> list[list[int]]:
         """The partition lengths in rounds, longest first: the whole-read
@@ -167,20 +203,6 @@ class DistributedAssembler:
         whole, *ordered = sorted(lengths, reverse=True)
         return [[whole]] + [ordered[i:i + self.n_nodes]
                             for i in range(0, len(ordered), self.n_nodes)]
-
-    @staticmethod
-    def _cluster_span(tracer, name: str, wall0: float, sim0: float,
-                      seconds: float, **args) -> None:
-        """One span on the ``cluster`` track covering a phase's critical path.
-
-        The simulated extent is the *modeled* one — from the common
-        post-barrier start to start + the phase's critical-path seconds —
-        so the cluster track tiles exactly like Fig. 10's stacked bars.
-        """
-        if tracer.enabled:
-            tracer.complete(name, wall0, time.perf_counter(), track="cluster",
-                            cat="cluster", det=True, sim0=sim0,
-                            sim1=sim0 + seconds, **args)
 
     # -- the run -------------------------------------------------------------
 
@@ -229,20 +251,9 @@ class DistributedAssembler:
              messages: ActiveMessageLayer,
              tracer: SpanTracer | None) -> DistributedResult:
         ctracer = tracer if tracer is not None else NULL_TRACER
-        nodes = supervisor.nodes  # mutated in place on node restarts
-        phase_seconds: dict[str, float] = {}
-        per_node_seconds: dict[str, list[float]] = {}
-
-        def close(phase: str, wall0: float, start: float, seconds: float,
-                  per_node: list[float], **args) -> None:
-            """Book one barrier-separated stretch of ``phase``."""
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-            per_node_seconds[phase] = [
-                a + b for a, b in zip(
-                    per_node_seconds.get(phase, [0.0] * self.n_nodes), per_node)]
-            self._cluster_span(ctracer, phase, wall0, start, seconds, **args)
-            self._barrier(nodes)
-
+        nodes = supervisor.nodes  # replaced in place on node restarts
+        timeline = _Timeline(nodes, ctracer)
+        stretch = timeline.stretch
         lengths = list(partition_lengths(nodes[0].ctx, store.read_length))
         rounds = self._rounds(lengths)
         n_blocks = self.n_nodes * BLOCKS_PER_NODE
@@ -251,74 +262,49 @@ class DistributedAssembler:
         token_trace: list[dict] = []
         shuffle_bytes = 0
         for index, round_lengths in enumerate(rounds):
-            # -- the round's snapshot: broadcast before anything is mapped ----
-            before = self._clock_totals(nodes)
-            wall0 = time.perf_counter()
-            # Nothing is closed before the first round's edges: no filter.
-            supervisor.begin_round(
-                graph.out_bits.copy() if graph is not None else None,
-                round_lengths)
-            if graph is not None:
-                close("shuffle", wall0, max(before),
-                      *self._phase_delta(nodes, before), round=index,
-                      snapshot=True)
-
-            # -- map: what the round's lengths still have open -----------------
-            before = self._clock_totals(nodes)
-            wall0 = time.perf_counter()
-            supervisor.map_phase()
-            close("map", wall0, max(before), *self._phase_delta(nodes, before),
-                  round=index, blocks=n_blocks)
-
-            # -- shuffle: all-to-all aggregation of the round's pieces ---------
-            before = self._clock_totals(nodes)
-            wall0 = time.perf_counter()
-            pulled = supervisor.shuffle_phase(round_lengths)
-            shuffle_bytes += pulled
-            close("shuffle", wall0, max(before),
-                  *self._phase_delta(nodes, before), round=index, bytes=pulled)
-
-            # -- sort: local per-node external sorts ---------------------------
-            before = self._clock_totals(nodes)
-            wall0 = time.perf_counter()
-            supervisor.sort_phase()
-            close("sort", wall0, max(before),
-                  *self._phase_delta(nodes, before), round=index)
-
-            # -- reduce: parallel overlap finding, token-serialized edges -------
+            if graph is None:
+                # Nothing is closed before the first round's edges: no filter.
+                supervisor.begin_round(None, round_lengths)
+            else:
+                # The round's snapshot, broadcast before anything is mapped.
+                with stretch("shuffle", round=index, snapshot=True):
+                    supervisor.begin_round(graph.out_bits.copy(), round_lengths)
+            # Map what the round's lengths still have open.
+            with stretch("map", round=index, blocks=n_blocks):
+                supervisor.map_phase()
+            # All-to-all aggregation of the round's pieces.
+            with stretch("shuffle", round=index) as shuffle:
+                shuffle.args["bytes"] = supervisor.shuffle_phase(round_lengths)
+            shuffle_bytes += shuffle.args["bytes"]
+            # Local per-node external sorts.
+            with stretch("sort", round=index):
+                supervisor.sort_phase()
             if graph is None:
                 # As on a single node, the longest lengths are sorted before
                 # the graph takes its share of the master's host memory.
                 graph = GreedyStringGraph(store.n_reads, store.read_length,
                                           nodes[0].ctx.host_pool)
-            start = max(self._clock_totals(nodes))
-            wall0 = time.perf_counter()
+            # Parallel overlap finding, token-serialized edges.
             done = reduce_report.partitions_processed
-            seconds, per_node = self._reduce(supervisor, graph, reduce_report,
-                                             round_lengths, token_trace,
-                                             tracer=ctracer)
-            close("reduce", wall0, start, seconds, per_node, round=index,
-                  partitions=reduce_report.partitions_processed - done)
+            with stretch("reduce", round=index) as reduce:
+                reduce.seconds = self._reduce(
+                    supervisor, graph, reduce_report, round_lengths,
+                    token_trace, reduce.start, tracer=ctracer)
+                reduce.args["partitions"] = \
+                    reduce_report.partitions_processed - done
             nodes[0].plan.check_block(store, graph)
             # What the round's pulls did not take (a lost owner's lengths).
             for node in supervisor.alive():
                 node.drop_pieces()
         reduce_report.edges_added = graph.n_edges
 
-        # -- compress: on the master --------------------------------------------
-        before = self._clock_totals(nodes)
-        wall0 = time.perf_counter()
-
         def spell(node: WorkerNode, _attempt: int) -> ContigSet:
             # Through this module's name: the harness times it here.
             with node.metered(store) as reads:
                 return run_compress(node.ctx, graph, reads)[0]
 
-        contigs = supervisor.compress(spell)
-        phase_seconds["compress"], per_node_seconds["compress"] = \
-            self._phase_delta(nodes, before)
-        self._cluster_span(ctracer, "compress", wall0, max(before),
-                           phase_seconds["compress"])
+        with stretch("compress"):  # on the master
+            contigs = supervisor.compress(spell)
 
         edges = graph.n_edges
         graph.release()
@@ -341,8 +327,8 @@ class DistributedAssembler:
             n_reads=store.n_reads,
             read_length=store.read_length,
             contigs=contigs,
-            phase_seconds=phase_seconds,
-            per_node_seconds=per_node_seconds,
+            phase_seconds=timeline.phase_seconds,
+            per_node_seconds=timeline.per_node_seconds,
             shuffle_bytes=shuffle_bytes,
             reduce_report=reduce_report,
             edges=edges,
@@ -354,12 +340,13 @@ class DistributedAssembler:
 
     def _reduce(self, supervisor: ClusterSupervisor, graph: GreedyStringGraph,
                 report: ReduceReport, lengths: list[int],
-                token_trace: list[dict], *, tracer=NULL_TRACER,
-                ) -> tuple[float, list[float]]:
+                token_trace: list[dict], start: float, *, tracer=NULL_TRACER,
+                ) -> float:
         """One round of the token-serialized reduce under the failure ladder.
 
         Continues ``graph``, ``report`` and ``token_trace`` over ``lengths``;
-        returns the round's critical-path seconds and per-node seconds.
+        returns the round's critical path: from ``start``, the round's
+        barrier, until the token has folded in its last partition.
 
         Overlap finding for partition ``l`` happens on its owner and is
         charged to that node's clock; the greedy edge insertion must hold
@@ -390,9 +377,7 @@ class DistributedAssembler:
         the clock of the last owner tried.
         """
         nodes = supervisor.nodes
-        before = self._clock_totals(nodes)
-        phase_start = max(before)
-        token_time = phase_start
+        token_time = start
         bitvec_transfer = self.network.transfer_seconds(graph.out_bits.nbytes)
         bits_on = None  # the one node with the current bits; None: all
         for length in sorted(lengths, reverse=True):
@@ -400,18 +385,16 @@ class DistributedAssembler:
                 continue
             attempt_wall = time.perf_counter()
             edges_before, closed_before = graph.n_edges, graph.reads_closed
-            held = [0]  # sorted runs the surviving attempt read from memory
-            counted = [ReduceReport()]  # the surviving attempt's counters
 
-            def attempt(node: WorkerNode, length=length) -> tuple[float, float]:
+            def attempt(node: WorkerNode, length=length):
                 host_before = node.ctx.clock.seconds("host")
-                counted[0] = ReduceReport()
+                step = ReduceReport()
                 # Through this module's name: the harness times it here.
-                held[0] = reduce_length(node.ctx, graph, node.shuffled, length,
-                                        counted[0], reduce=reduce_partition)
+                held = reduce_length(node.ctx, graph, node.shuffled, length,
+                                     step, reduce=reduce_partition)
                 t_graph = node.ctx.clock.seconds("host") - host_before
                 find_done = node.ctx.clock.total_seconds - t_graph
-                return t_graph, find_done
+                return step, held, t_graph, find_done
 
             outcome = supervisor.reduce_partition(length, attempt)
             for failure in outcome.failures:
@@ -433,25 +416,18 @@ class DistributedAssembler:
                 token_time = max(token_time,
                                  nodes[outcome.node].ctx.clock.total_seconds)
                 continue
+            step, held, t_graph, find_done = outcome.value
             # A failed attempt's work was replayed: count the survivor's only.
-            report.partitions_processed += 1
-            report.candidates += counted[0].candidates
-            report.window_rounds += counted[0].window_rounds
-            report.aux_rejected += counted[0].aux_rejected
-            # Like the edges, from the graph: a failed attempt may have
-            # closed reads its replay then finds closed.
-            report.reads_closed += graph.reads_closed - closed_before
-            if length < graph.read_length:
-                report.per_length_edges[length] = \
-                    (graph.n_edges - edges_before) // 2
+            report.count_length(length, step, graph, edges_before,
+                                closed_before)
             # The node holds the token from the instant it both received
             # the bit-vector and finished overlap finding, until its
             # edge insertions are folded in (t_g).
             transfer = bitvec_transfer \
                 if bits_on not in (None, outcome.node) else 0.0
             bits_on = outcome.node
-            token_hold = max(token_time + transfer, outcome.find_done)
-            token_time = token_hold + outcome.t_graph
+            token_hold = max(token_time + transfer, find_done)
+            token_time = token_hold + t_graph
             token_trace.append({"length": length, "node": outcome.node,
                                 "attempt": outcome.attempts - 1, "ok": True,
                                 "sim0": token_hold, "sim1": token_time})
@@ -460,11 +436,9 @@ class DistributedAssembler:
                                 track="cluster", cat="reduce", det=True,
                                 sim0=token_hold, sim1=token_time,
                                 length=length, node=outcome.node,
-                                attempt=outcome.attempts - 1, held=held[0])
+                                attempt=outcome.attempts - 1, held=held)
         # The round ends when the token has folded in every partition's
         # edges: ``token_time`` already waited on every find_done (and every
         # recovery charge) the graph consumed; every node re-enters at the
         # next barrier.
-        per_node = [node.ctx.clock.total_seconds - b
-                    for node, b in zip(nodes, before)]
-        return token_time - phase_start, per_node
+        return token_time - start

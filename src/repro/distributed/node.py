@@ -6,10 +6,9 @@ has access to private storage for shuffling and sorting intermediate data
 and simulated clock, and registers active-message handlers for serving its
 map-phase partition pieces during the shuffle.
 
-Per round (:mod:`repro.distributed.cluster`) a node holds its
-``owned_lengths``, the frozen out-degree snapshot ``closed``, and the
-``pieces`` of every producer id it holds (its own, and each lost node's it
-took over): their read blocks mapped for the round's lengths under
+Per round (:mod:`repro.distributed.cluster`) a node holds the frozen
+out-degree snapshot ``closed`` and the ``pieces`` of every producer id it
+holds (its own, and each lost node's it took over): their read blocks mapped for the round's lengths under
 ``closed`` (:meth:`WorkerNode.map_pieces`), each until its owner pulls
 it. The node reads the shared store through one view of its own
 (:attr:`WorkerNode.reads`), charged to its disk, for its whole life. The
@@ -19,9 +18,10 @@ memory from their first read on (so every round after the first maps
 them without a disk read), the pieces and the partitions pulled from
 them too, the first round's ``P_L`` too, and a sorted run held for reduce
 is never written, however many lengths the node owns. A lone node's
-pieces are its partitions. A node keeps no ledger: what a restart or a
-pull took is mapped again from the lineage its supervisor holds, by the
-operation that needs it (:mod:`repro.distributed.resilience`), and a
+pieces are its partitions. A node keeps no ledger and no list of the
+lengths it owns (its supervisor deals those each round): what a restart
+or a pull took is mapped again from the lineage its supervisor holds, by
+the operation that needs it (:mod:`repro.distributed.resilience`), and a
 restarted node reads its blocks off the disk again.
 """
 
@@ -81,9 +81,6 @@ class WorkerNode:
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
                                        self.dtype, self.ctx.accountant)
-        #: Partition lengths this node owns in the current round (a length
-        #: failed over to it is not among them: it never pulled it).
-        self.owned_lengths: list[int] = []
         #: The round's map pieces by producer id (:meth:`map_pieces`), the
         #: lengths each was mapped for, and the pieces served (let go).
         self.pieces: dict[int, PartitionStore] = {}

@@ -46,9 +46,13 @@ flight. The lineage is the read blocks dealt to each producer
 node: every piece of a round, mapped again or not, is the producer's
 records minus what that one snapshot closed, which is what keeps a
 rebuilt partition the lost one byte for byte. Ownership is per round
-(:meth:`ClusterSupervisor.shuffle_phase` deals the round's lengths to the
-alive nodes); only an operation of the round in flight rebuilds a
-partition, one the token has yet to reach.
+and held here (:meth:`ClusterSupervisor.shuffle_phase` deals the round's
+lengths to the alive nodes, ``ClusterSupervisor.owned``), so a restarted
+node is handed none of it; only an operation of the round in flight
+rebuilds a partition, one the token has yet to reach. The round's map,
+pull and sort run through one per-node loop
+(:meth:`ClusterSupervisor._on_each`), and a reduce attempt's return value
+comes back on its :class:`ReduceOutcome`.
 
 A failed reduce attempt (restart or failover) replays its partition
 whole, like every other node operation: from its sorted runs, or pulled
@@ -159,12 +163,11 @@ class ReduceOutcome:
 
     ok: bool
     node: int
-    t_graph: float = 0.0
-    find_done: float = 0.0
+    #: What the surviving attempt returned (``None`` for a dropped one).
+    value: object = None
     #: Failed attempts, in order: ``{"node", "attempt", "wasted_s"}``.
     failures: list[dict] = field(default_factory=list)
     attempts: int = 1
-    dropped: DroppedPartition | None = None
 
 
 class _NodeDeath(Exception):
@@ -242,6 +245,9 @@ class ClusterSupervisor:
         #: restarted owner's unsorted partition must still hold.
         self.pulled: dict[tuple[str, int], int] = {}
         self.owner_of: dict[int, int] = {}
+        #: The lengths each node pulled this round, by node id (a length
+        #: failed over to a node is not among them: it never pulled it).
+        self.owned: dict[int, list[int]] = {}
         self.phase = "map-round"
         #: The current round's lengths and out-degree snapshot, as every
         #: node holds it: kept here to hand to a restarted node.
@@ -381,7 +387,6 @@ class ClusterSupervisor:
             fresh.ctx.clock.charge("retry", gap)
         fresh.ctx.clock.charge(
             "network", misses * self.network.heartbeat_seconds())
-        fresh.owned_lengths = list(dead.owned_lengths)
         if self.closed is not None:
             fresh.closed = self.closed
             fresh.ctx.clock.charge(
@@ -466,7 +471,7 @@ class ClusterSupervisor:
         longer holds what its pull wrote; then the node sorts them all.
         """
         stale = [length for length in lengths if not node.has_sorted(length)
-                 and (length not in node.owned_lengths
+                 and (length not in self.owned.get(node.node_id, ())
                       or self._short_partition(node, length))]
         if stale:
             self._rebuild_on(node, stale)
@@ -535,16 +540,25 @@ class ClusterSupervisor:
                 "network",
                 (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
 
+    def _on_each(self, op: str, node_ids: list[int], fn) -> list:
+        """``fn(node, attempt)`` on each node through the ladder, in order;
+        a node lost on the way is skipped. Returns what the others
+        returned."""
+        done = []
+        for node_id in node_ids:
+            try:
+                done.append(self._run_on_node(node_id, op, fn))
+            except _NodeLost:
+                pass
+        return done
+
     def map_phase(self) -> None:
         """A round's map: every holder maps the blocks of the producers it
         holds, for the round's lengths under its snapshot."""
         self.phase = "map-round"
-        for node_id in [n.node_id for n in self.alive()]:
-            try:
-                self._run_on_node(node_id, "map-round", lambda node, _a: (
-                    self._map_pieces(node, self._held_by(node.node_id))))
-            except _NodeLost:
-                pass
+        self._on_each("map-round", [n.node_id for n in self.alive()],
+                      lambda node, _a: self._map_pieces(
+                          node, self._held_by(node.node_id)))
 
     def shuffle_phase(self, lengths: list[int]) -> int:
         """One round's all-to-all aggregation.
@@ -561,31 +575,20 @@ class ClusterSupervisor:
                 (length - self.config.min_overlap) % len(alive_ids)]
         # Ownership turns over before anyone pulls: a node restarted while
         # serving a peer must not take last round's lengths for its own.
-        for node_id in alive_ids:
-            self.nodes[node_id].owned_lengths = sorted(
-                length for length in lengths
-                if self.owner_of[length] == node_id)
-        shuffle_bytes = 0
-        for node_id in alive_ids:
-            owned = self.nodes[node_id].owned_lengths
-            if not owned:
-                continue
-            try:
-                shuffle_bytes += self._run_on_node(
-                    node_id, "pull", lambda node, _a: self._pull(node, owned))
-            except _NodeLost:
-                pass
-        return shuffle_bytes
+        self.owned = {node_id: sorted(length for length in lengths
+                                      if self.owner_of[length] == node_id)
+                      for node_id in alive_ids}
+        return sum(self._on_each(
+            "pull", [node_id for node_id in alive_ids if self.owned[node_id]],
+            lambda node, _a: self._pull(node, self.owned[node.node_id])))
 
     def sort_phase(self) -> None:
         """One round's per-node local sorts (a lost node's wait for the token)."""
         self.phase = "sort"
-        for node_id in [n.node_id for n in self.alive() if n.owned_lengths]:
-            try:
-                self._run_on_node(node_id, "sort", lambda node, _a: (
-                    self._sorted(node, node.owned_lengths)))
-            except _NodeLost:
-                pass
+        self._on_each("sort", [n.node_id for n in self.alive()
+                               if self.owned.get(n.node_id)],
+                      lambda node, _a: self._sorted(
+                          node, self.owned[node.node_id]))
 
     # -- reduce ---------------------------------------------------------------
 
@@ -616,10 +619,10 @@ class ClusterSupervisor:
     def reduce_partition(self, length: int, attempt_fn) -> ReduceOutcome:
         """Run one token hop through the ladder.
 
-        ``attempt_fn(node)`` performs the actual read + reduce on ``node``
-        and returns ``(t_graph, find_done)``. An attempt that finds no
-        sorted run (a restarted owner, a held run an attempt cut short
-        consumed, a failover owner) makes it ready first
+        ``attempt_fn(node)`` performs the actual read + reduce on ``node``;
+        the outcome carries what the surviving attempt returned. An
+        attempt that finds no sorted run (a restarted owner, a held run an
+        attempt cut short consumed, a failover owner) makes it ready first
         (:meth:`_sorted`), so a death in that rebuild is a failed attempt
         like any other. Ownership moves to a survivor when the owner is
         lost; after
@@ -647,11 +650,11 @@ class ClusterSupervisor:
                 owner_id = replacement
             tried.add(owner_id)
             try:
-                t_graph, find_done = self._run_on_node(
+                value = self._run_on_node(
                     owner_id, f"reduce[{length}]", attempt,
                     counter=counter, failures=failures)
-                return ReduceOutcome(ok=True, node=owner_id, t_graph=t_graph,
-                                     find_done=find_done, failures=failures,
+                return ReduceOutcome(ok=True, node=owner_id, value=value,
+                                     failures=failures,
                                      attempts=max(counter[0], 1))
             except _NodeLost:
                 continue
@@ -681,7 +684,7 @@ class ClusterSupervisor:
                                      .ctx.clock.total_seconds,
                                      length=length, node=last_owner)
             return ReduceOutcome(ok=False, node=last_owner, failures=failures,
-                                 attempts=max(counter[0], 1), dropped=drop)
+                                 attempts=max(counter[0], 1))
         new_owner = min(candidates, key=lambda n: n.ctx.clock.total_seconds)
         self.owner_of[length] = new_owner.node_id
         self.meter.bump("failovers")

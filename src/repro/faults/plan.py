@@ -75,7 +75,9 @@ class Fault:
     ``at_op`` pins the fault to the N-th hook visit of the run (the global
     operation counter), making crash-at-byte-N schedules exact and
     replayable; ``None`` fires at the first visit whose site and path name
-    match. ``offset`` selects the payload byte for ``torn``/``bitflip``
+    match. ``match`` is an :mod:`fnmatch` pattern, so a literal ``[`` is
+    written ``[[]``: ``"*:reduce[[]80]"`` matches the reduce op at length
+    80, while ``"*:reduce[80]"`` matches nothing. ``offset`` selects the payload byte for ``torn``/``bitflip``
     (``None`` = middle of the payload). ``once`` faults disarm after
     firing — a retry then succeeds; persistent faults model a dead node.
     """

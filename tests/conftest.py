@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import shutil
 import tempfile
@@ -14,12 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.config import AssemblyConfig, MemoryConfig
+from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
 from repro.core.checkpoint import file_digest
 from repro.core.compress_phase import run_compress
 from repro.core.context import RunContext
 from repro.core.load_phase import run_load
-from repro.core.map_phase import run_map
+from repro.core.map_phase import per_read_device_bytes, run_map
 from repro.core.reduce_phase import run_reduce
 from repro.core.residency import Residency
 from repro.core.sort_phase import run_sort
@@ -116,6 +117,14 @@ def pytest_terminal_summary(terminalreporter):
             f"{module}: {outcomes['clean']} cells with the clean result, "
             f"{outcomes['raised']} with a named error; {outcomes['rerun']} "
             f"needed the rerun")
+
+
+def batch_device_bytes(batch_reads: int, read_length: int,
+                       lanes: int = 1) -> int:
+    """The device budget whose map batch is ``batch_reads`` reads: the map
+    sizes its device batch from the budget alone."""
+    return math.ceil(batch_reads * per_read_device_bytes(read_length, lanes)
+                     / DEFAULT_BUFFER_FRACTION)
 
 
 @pytest.fixture()

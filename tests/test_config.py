@@ -62,7 +62,6 @@ class TestAssemblyConfig:
     @pytest.mark.parametrize("kwargs", [
         {"min_overlap": 0},
         {"fingerprint_lanes": 3},
-        {"map_batch_reads": -1},
         {"host_block_pairs": -5},
         {"merge_fanout": 0},
         {"merge_fanout": 1},

@@ -536,7 +536,6 @@ _NON_SEMANTIC_CHANGES = {
 _SEMANTIC_CHANGES = {
     "min_overlap": 31,
     "fingerprint_lanes": 2,
-    "map_batch_reads": 128,
     "host_block_pairs": 4096,
     "device_block_pairs": 512,
     "merge_fanout": 4,

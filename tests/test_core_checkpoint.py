@@ -125,11 +125,12 @@ class TestFingerprint:
     def test_pinned_keys(self):
         """Adding or deleting a non-semantic config field moves neither key:
         every ledger and cache entry written before stays valid. (Both
-        moved once on purpose when ``buffer_fraction`` left the semantic
-        payload with its ``MemoryConfig`` field.)"""
-        assert config_fingerprint(AssemblyConfig(), "s") == "032fbf6e9f696d78"
+        moved on purpose when a semantic field left the payload:
+        ``buffer_fraction`` with its ``MemoryConfig`` field, then
+        ``map_batch_reads``.)"""
+        assert config_fingerprint(AssemblyConfig(), "s") == "2be46239d575ec6c"
         assert phase_key("reduce", ["reads:abc"], AssemblyConfig()) \
-            == "2ba81a48c4c5778414b7cfa9"
+            == "f95e582e9c01d842556d4596"
 
 
 class TestResume:

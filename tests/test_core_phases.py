@@ -22,6 +22,8 @@ from repro.fingerprint import FingerprintScheme
 from repro.seq.datasets import tiny_dataset
 from repro.seq.fastq import write_fastq
 
+from .conftest import batch_device_bytes
+
 
 @pytest.fixture()
 def ctx(tmp_path, laptop_config):
@@ -183,8 +185,8 @@ class TestCleanupOnMidPhaseFailure:
                              read_length=50, coverage=20.0, min_overlap=25,
                              seed=5)
         config = AssemblyConfig(min_overlap=25,
-                                memory=MemoryConfig(64 << 20, 1 << 20),
-                                map_batch_reads=16,
+                                memory=MemoryConfig(
+                                    64 << 20, batch_device_bytes(16, 50)),
                                 host_block_pairs=500, device_block_pairs=128)
         clean = Assembler(config).assemble(md.store_path,
                                            workdir=tmp_path / "clean")

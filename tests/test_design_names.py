@@ -1,0 +1,93 @@
+"""DESIGN.md cites only names that exist.
+
+Every backticked ``A.b`` or ``A.b()`` in DESIGN.md whose ``A`` is a class
+or a module defined under ``src/repro`` must name something defined
+there: a def, a class attribute or field, a ``self.b`` assignment in one
+of the class's methods (or a base class's), or a module-level name. A
+deleted mechanism is written without backticks. File names
+(``cluster.py``, ``graph.npz``) are not names.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+_CITED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+_FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+_FILE_SUFFIXES = {"py", "md", "json", "jsonl", "txt", "npz", "npy", "run",
+                  "lsgr", "fasta", "fastq", "gfa", "toml", "yml"}
+
+
+def _targets(node: ast.AST) -> list[str]:
+    """The plain names an assignment statement binds."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+    return []
+
+
+def _definitions() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Class name → its members; module name → its module-level names."""
+    members: dict[str, set[str]] = defaultdict(set)
+    bases: dict[str, set[str]] = defaultdict(set)
+    modules: dict[str, set[str]] = defaultdict(set)
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        module = path.stem
+        for node in tree.body if module != "__init__" else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                modules[module].add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules[module].update(
+                    (alias.asname or alias.name).split(".")[0]
+                    for alias in node.names)
+            modules[module].update(_targets(node))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            bases[cls.name].update(base.id for base in cls.bases
+                                   if isinstance(base, ast.Name))
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    members[cls.name].add(node.name)
+                members[cls.name].update(_targets(node))
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self" \
+                        and isinstance(node.ctx, ast.Store):
+                    members[cls.name].add(node.attr)
+    for cls in list(members):
+        seen, todo = set(), [cls]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(bases.get(name, ()))
+        members[cls] = set().union(*(members.get(name, set())
+                                     for name in seen))
+    return members, modules
+
+
+def test_design_cites_only_names_that_exist():
+    members, modules = _definitions()
+    text = _FENCE.sub(lambda fence: "\n" * fence.group().count("\n"),
+                      (ROOT / "DESIGN.md").read_text())
+    missing = []
+    for match in _CITED.finditer(text):
+        owner, name = match.groups()
+        if name in _FILE_SUFFIXES or (owner not in members
+                                      and owner not in modules):
+            continue
+        if name not in members.get(owner, set()) | modules.get(owner, set()):
+            line = text.count("\n", 0, match.start()) + 1
+            missing.append(f"{owner}.{name} (line {line})")
+    assert missing == [], missing

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import AssemblyConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
 from repro.core.map_phase import partition_lengths, run_map
@@ -28,6 +28,8 @@ from repro.fingerprint.scan import ScanWorkspace, tile_rows
 from repro.fingerprint.scheme import pack_pair
 from repro.seq.alphabet import reverse_complement
 from repro.seq.packing import PackedReadStore, pack_codes
+
+from .conftest import batch_device_bytes
 
 ROW_KINDS = ("0", "1", "tile-1", "tile", "tile+1", "2*tile+3")
 LENGTH_KINDS = ("overlap", "all", "single", "sparse")
@@ -207,9 +209,10 @@ def _read_partitions(partitions):
 def test_run_map_files_are_the_reference_assemblies(tmp_path, tiny_md, lanes,
                                                     batch_reads):
     batch_reads = batch_reads or tiny_md.n_reads
-    config = AssemblyConfig(min_overlap=tiny_md.spec.min_overlap,
-                            fingerprint_lanes=lanes,
-                            map_batch_reads=batch_reads)
+    config = AssemblyConfig(
+        min_overlap=tiny_md.spec.min_overlap, fingerprint_lanes=lanes,
+        memory=MemoryConfig(1 << 30, batch_device_bytes(
+            batch_reads, tiny_md.spec.read_length, lanes)))
     ctx = RunContext(config, workdir=tmp_path / "work")
     try:
         with PackedReadStore.open(tiny_md.store_path) as store:
@@ -229,8 +232,10 @@ def test_run_map_files_are_the_reference_assemblies(tmp_path, tiny_md, lanes,
 
 
 def test_only_lengths_rebuilds_equal_the_full_map(tmp_path, tiny_md):
-    config = AssemblyConfig(min_overlap=tiny_md.spec.min_overlap,
-                            fingerprint_lanes=2, map_batch_reads=7)
+    config = AssemblyConfig(
+        min_overlap=tiny_md.spec.min_overlap, fingerprint_lanes=2,
+        memory=MemoryConfig(1 << 30, batch_device_bytes(
+            7, tiny_md.spec.read_length, 2)))
     read_range = (13, 110)
     files = {}
     for name, only in (("full", None), ("one", {31}), ("some", {25, 26, 40, 49}),

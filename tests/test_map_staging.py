@@ -16,12 +16,14 @@ import pytest
 from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
 from repro.core import map_phase
 from repro.core.context import RunContext
-from repro.core.map_phase import per_read_device_bytes, run_map
+from repro.core.map_phase import run_map
 from repro.device import costs
 from repro.errors import HostMemoryError
 from repro.extmem.records import kv_dtype
 from repro.graph.bitvector import PackedBitVector
 from repro.seq.packing import PackedReadStore
+
+from .conftest import batch_device_bytes
 
 #: A window that starts mid-store and ends in a ragged batch for 5 and 7.
 READ_RANGE = (13, 110)
@@ -29,10 +31,8 @@ READ_RANGE = (13, 110)
 
 def _config(batch_reads: int, host_bytes: int) -> AssemblyConfig:
     """A device that holds exactly one batch under a host of ``host_bytes``."""
-    device_bytes = batch_reads * per_read_device_bytes(50, 1)
-    return AssemblyConfig(min_overlap=25, map_batch_reads=batch_reads,
-                          memory=MemoryConfig(host_bytes, device_bytes,
-                                              name="staging"))
+    return AssemblyConfig(min_overlap=25, memory=MemoryConfig(
+        host_bytes, batch_device_bytes(batch_reads, 50), name="staging"))
 
 
 def _map(tmp_path, name: str, config: AssemblyConfig, store_path, **kwargs):
@@ -65,13 +65,13 @@ def test_staged_equals_unstaged(tmp_path, tiny_md, monkeypatch, batch_reads,
     # one record per kept length (240 B, a 20th of its device working set).
     per_read = 2 * 2 * len(kept) * kv_dtype(1).itemsize
     n_reads = READ_RANGE[1] - READ_RANGE[0]
-    # So the smallest host a config allows, the device's size, stages 17
+    # So the smallest host a config allows, the device's size, stages 20
     # batches ("device-sized"). Under a roomy host STAGE_READS bounds the
     # block: k batches for "k1" / "k3", one block for the range ("whole").
     device_bytes = _config(batch_reads, 1 << 30).memory.device_bytes
     smallest = int(device_bytes * DEFAULT_BUFFER_FRACTION) \
         // (batch_reads * per_read)
-    assert smallest == 17
+    assert smallest == 20
     k = {"k1": 1, "k3": 3, "device-sized": smallest,
          "whole": -(-map_phase.STAGE_READS // batch_reads)}[blocks]
     if blocks in ("k1", "k3"):
