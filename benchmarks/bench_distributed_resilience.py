@@ -19,9 +19,10 @@ Under both, the restarted node replays the dead node's whole partition
 
 Each entry reports the extra modeled reduce time over that policy's own
 clean run (``overhead_s``, and ``overhead_pct`` of the clean reduce) and,
-for faulted cells, the attempt seconds the crashes destroyed
-(``lost_work_s``, with ``overhead_ratio = overhead_s / lost_work_s`` when
-it is non-zero; a crash on a token boundary destroys none). What
+for faulted cells, the work the crashes destroyed (``lost_work_s``: the
+attempt seconds they cut short, ``wasted_s``, plus the seconds spent
+rebuilding the partitions they took, ``rebuild_s``; with
+``overhead_ratio = overhead_s / lost_work_s`` when it is non-zero). What
 separates the policies is detection latency: ``seed`` pays the 1 s
 ``node_timeout`` per crash, ``cheap`` pays 0.04 s. The acceptance lines
 are that ``cheap`` is no slower than ``seed`` on modeled reduce time in
@@ -145,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                         fired = len(plan.events)
                     token_s = result.phase_seconds["reduce"]
                     overhead_s = token_s - clean_token
-                    lost = result.notes.get("wasted_s", 0.0)
+                    lost = result.notes.get("wasted_s", 0.0) \
+                        + result.notes.get("rebuild_s", 0.0)
                     entry = {
                         "policy": policy,
                         "nodes": nodes,

@@ -13,15 +13,20 @@ Stage 2 lays contigs out exactly as Fig. 7 describes:
 2. each (offset, overhang, orientation) triple is scattered to the slot of
    its *vertex id* — a gather/scatter by stencil, collision-free because a
    vertex belongs to at most one path;
-3. the packed reads are streamed from disk once; each read in a path
-   contributes its first ``overhang`` bases (reverse-complemented first if
-   the vertex is a complement vertex) at its offset. Each streaming step
-   is the largest batch of reads whose codes and reverse complements fit
-   beside the placement tables in the host budget
-   (:func:`~repro.core.residency.stream_batch_reads`).
+3. the packed reads are streamed once; each read in a path contributes
+   its first ``overhang`` bases (reverse-complemented first if the vertex
+   is a complement vertex) at its offset. Each streaming step is the
+   largest batch of reads whose codes and reverse complements fit beside
+   the placement tables in the host budget
+   (:func:`~repro.core.residency.stream_batch_reads`). A single node
+   streams its store; a cluster's master gathers the read blocks from the
+   nodes that hold them
+   (:meth:`~repro.distributed.node.WorkerNode.gather_reads`).
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,19 +35,26 @@ from ..graph import GreedyStringGraph, PathSet, extract_paths
 from ..graph.contigs import ContigSet
 from ..seq.alphabet import reverse_complement
 from ..seq.packing import PackedReadStore
+from ..seq.records import ReadBatch
 from .context import RunContext
 from .residency import compress_read_bytes, stream_batch_reads
 
 
 def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadStore,
-                 *, release_graph: bool = True) -> tuple[ContigSet, PathSet]:
+                 *, release_graph: bool = True,
+                 batches: Callable[[int], Iterable[ReadBatch]] | None = None,
+                 ) -> tuple[ContigSet, PathSet]:
     """Spell every path into a contig; returns (contigs, paths).
 
     With ``release_graph`` (the default) the graph's host reservation is
     freed as soon as the paths are extracted — contig generation only needs
     the path table, and at paper scale graph + placement tables together
-    would not fit the 64 GB host.
+    would not fit the 64 GB host. ``batches(step_reads)`` yields every read
+    of ``store`` once, in batches of at most ``step_reads``; by default
+    :meth:`~repro.seq.packing.PackedReadStore.iter_batches`.
     """
+    if batches is None:
+        batches = store.iter_batches
     with ctx.tracer.span("compress:paths", track="pipeline", det=True) as span:
         paths = extract_paths(graph).deduplicated()
         span.note(paths=paths.n_paths)
@@ -88,7 +100,7 @@ def run_compress(ctx: RunContext, graph: GreedyStringGraph, store: PackedReadSto
             ctx.host_pool.alloc(flat.nbytes + dest_offset.nbytes + take_bases.nbytes,
                                 label="compress-contigs"):
         read_bytes = compress_read_bytes(store.read_length)
-        for batch in store.iter_batches(stream_batch_reads(ctx, read_bytes)):
+        for batch in batches(stream_batch_reads(ctx, read_bytes)):
             with ctx.host_pool.alloc(batch.n_reads * read_bytes,
                                      label="compress-batch"):
                 for orientation in (0, 1):

@@ -22,14 +22,19 @@ behind Fig. 10:
   sort formed in one piece from host memory
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline (a node
-  operation: the first alive node's, run again after a death).
+  operation: the first alive node's, run again after a death); it
+  gathers each read block from the node that holds its producer id
+  (:meth:`WorkerNode.gather_reads`), so every holder reads its own blocks,
+  side by side: out of core, its disk reads scale ~1/n.
 
 Every node maps through one view of the shared read store, charged to
 its own disk (:attr:`WorkerNode.reads`). In an in-core run its residency
 plan holds the blocks it maps from their first read on, as a single
 node's holds the whole store, so the cluster reads each dealt block off
-the disk once, not once a round. The master's compress reads the whole
-store once, through a view of its own.
+the disk once, not once a round, and compress reads them once more
+from the nodes' host memory: an in-core cluster reads the store off the
+disk once in all. Out of core, each holder reads its blocks off its own
+disk for compress.
 
 Map, shuffle, sort and reduce run in **rounds**, longest length first.
 The first round is the whole-read length ``L`` alone: every node maps
@@ -64,6 +69,7 @@ import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from ..config import AssemblyConfig
@@ -96,7 +102,6 @@ class DistributedResult:
     per_node_seconds: dict[str, list[float]]
     shuffle_bytes: int
     reduce_report: ReduceReport
-    edges: int
     notes: dict[str, float] = field(default_factory=dict)
     #: Bit-vector token hand-offs: one entry per reduce attempt, recording
     #: which node held the token for which partition and whether it survived.
@@ -109,6 +114,11 @@ class DistributedResult:
     degraded: DegradedRunReport | None = None
     #: The nodes lost for good (past their restart budget), ascending.
     lost_nodes: tuple[int, ...] = ()
+
+    @property
+    def edges(self) -> int:
+        """Edges in the final graph."""
+        return self.reduce_report.edges_added
 
     @property
     def total_seconds(self) -> float:
@@ -300,13 +310,13 @@ class DistributedAssembler:
 
         def spell(node: WorkerNode, _attempt: int) -> ContigSet:
             # Through this module's name: the harness times it here.
-            with node.metered(store) as reads:
-                return run_compress(node.ctx, graph, reads)[0]
+            return run_compress(node.ctx, graph, node.reads, batches=partial(
+                node.gather_reads, supervisor.block_ranges,
+                supervisor.holder))[0]
 
         with stretch("compress"):  # on the master
             contigs = supervisor.compress(spell)
 
-        edges = graph.n_edges
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
         # ``records_eager``: what the eager map writes (every side of every
@@ -331,7 +341,6 @@ class DistributedAssembler:
             per_node_seconds=timeline.per_node_seconds,
             shuffle_bytes=shuffle_bytes,
             reduce_report=reduce_report,
-            edges=edges,
             notes=notes,
             token_trace=tuple(token_trace),
             degraded=degraded,

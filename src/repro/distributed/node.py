@@ -4,7 +4,8 @@ Each worker owns a private storage directory (the paper: "each node also
 has access to private storage for shuffling and sorting intermediate data
 … must not be shared across nodes"), its own memory budgets, virtual GPU
 and simulated clock, and registers active-message handlers for serving its
-map-phase partition pieces during the shuffle.
+map-phase partition pieces during the shuffle and its read blocks during
+compress.
 
 Per round (:mod:`repro.distributed.cluster`) a node holds the frozen
 out-degree snapshot ``closed`` and the ``pieces`` of every producer id it
@@ -18,18 +19,22 @@ memory from their first read on (so every round after the first maps
 them without a disk read), the pieces and the partitions pulled from
 them too, the first round's ``P_L`` too, and a sorted run held for reduce
 is never written, however many lengths the node owns. A lone node's
-pieces are its partitions. A node keeps no ledger and no list of the
-lengths it owns (its supervisor deals those each round): what a restart
-or a pull took is mapped again from the lineage its supervisor holds, by
-the operation that needs it (:mod:`repro.distributed.resilience`), and a
-restarted node reads its blocks off the disk again.
+pieces are its partitions. Compress gathers the read blocks on the
+master from the nodes that hold them (:meth:`WorkerNode.gather_reads`):
+each holder serves its blocks through its view, from its held copy or
+its own disk, and the master reads only its own. A node keeps no ledger
+and no list of the lengths it owns (its supervisor deals those each
+round): what a restart or a pull took is mapped again from the lineage
+its supervisor holds, by the operation that needs it
+(:mod:`repro.distributed.resilience`), and a restarted node reads its
+blocks off the disk again.
 """
 
 from __future__ import annotations
 
 import shutil
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,12 +49,15 @@ from ..extmem import PartitionStore, RunWriter
 from ..extmem.partitions import SIDES, partition_sides
 from ..extmem.records import kv_dtype
 from ..graph.bitvector import PackedBitVector
-from ..seq.packing import PackedReadStore
+from ..seq.packing import PackedReadStore, unpack_codes
+from ..seq.records import ReadBatch
 from ..trace.tracer import NULL_TRACER
 from .message import ActiveMessageLayer, node_scope
 
 #: AM handler name for pulling a map-phase partition piece from a peer.
 FETCH_PARTITION = "fetch_partition"
+#: AM handler name for fetching packed reads of a block from its holder.
+FETCH_BLOCK = "fetch_block"
 
 
 class WorkerNode:
@@ -75,8 +83,9 @@ class WorkerNode:
         #: Where this node's read blocks, pieces, partitions and sorted runs
         #: live.
         self.plan = Residency(self.ctx, store)
-        #: The node's view of the shared store, for its whole life.
-        self.reads = self.metered(store)
+        #: The node's view of the shared store, its reads charged to this
+        #: node's disk, for its whole life.
+        self.reads = PackedReadStore.open(store.path, self.ctx.accountant)
         self.messages = messages
         self.dtype = kv_dtype(config.fingerprint_lanes)
         self.shuffled = PartitionStore(self.ctx.workdir / "partitions",
@@ -90,15 +99,12 @@ class WorkerNode:
         self.closed: PackedBitVector | None = None
         messages.register_node(node_id, self.ctx.clock)
         messages.register_handler(node_id, FETCH_PARTITION, self._serve_partition)
+        messages.register_handler(node_id, FETCH_BLOCK, self._serve_block)
 
     @property
     def scope(self) -> str:
         """This node's fault-plan scope label (``node00``, ``node01``, …)."""
         return node_scope(self.node_id)
-
-    def metered(self, store: PackedReadStore) -> PackedReadStore:
-        """The shared read store, its reads charged to this node's disk."""
-        return PackedReadStore.open(store.path, self.ctx.accountant)
 
     # -- map ---------------------------------------------------------------
 
@@ -224,6 +230,38 @@ class WorkerNode:
                     if writer is not None:
                         writer.close()
         return pulled
+
+    # -- compress ------------------------------------------------------------
+
+    def _serve_block(self, start: int, stop: int) -> tuple[np.ndarray, int]:
+        """AM handler: the packed reads ``[start, stop)`` through this
+        node's view of the store (its held copy, or its own disk)."""
+        packed = self.reads.read_packed_slice(start, stop)
+        return packed, packed.nbytes
+
+    def gather_reads(self, block_ranges: dict[int, list[tuple[int, int]]],
+                     holders: list[int], step: int) -> Iterator[ReadBatch]:
+        """Every read of the store once, in read order, in batches of at
+        most ``step`` reads.
+
+        Each producer's blocks come from ``holders[producer]``: this
+        node's own through its view, every other one a ``fetch_block``
+        message a batch.
+        """
+        blocks = sorted((start, stop, producer)
+                        for producer, ranges in block_ranges.items()
+                        for start, stop in ranges)
+        for start, stop, producer in blocks:
+            holder = holders[producer]
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                if holder == self.node_id:
+                    yield self.reads.read_slice(lo, hi)
+                else:
+                    packed = self.messages.request(self.node_id, holder,
+                                                   FETCH_BLOCK, lo, hi)
+                    yield ReadBatch(unpack_codes(packed, self.read_length),
+                                    start_id=lo)
 
     # -- sort ----------------------------------------------------------------
 

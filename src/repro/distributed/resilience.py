@@ -702,9 +702,10 @@ class ClusterSupervisor:
 
     def compress(self, spell):
         """``spell(node, attempt)`` on the master (the first alive node),
-        as a node operation: a death in it restarts the node that died and
-        compress runs again; a lost master hands it to the next alive
-        node."""
+        as a node operation: a death in it, a holder's serving a read
+        block too, restarts the node that died and compress runs again; a
+        lost master hands it to the next alive node, and a lost holder's
+        blocks come from the survivor that took its ids."""
         self.phase = "compress"
         while True:
             try:

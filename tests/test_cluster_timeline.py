@@ -10,7 +10,11 @@ of ``total_seconds`` and of the token trace's ``sim0`` / ``sim1`` /
 ``wasted_s``, and the notes, the reduce report, the lost nodes and the
 contigs' sha256. Every value was computed on 472aaed, before one helper
 booked every stretch of a cluster round: a change that reorders a sum of
-modeled seconds, or books a stretch twice, moves one of them.
+modeled seconds, or books a stretch twice, moves one of them. The
+compress seconds, the totals and ``am_messages`` were pinned again when
+compress began to gather each read block from the node that holds it
+(one ``fetch_block`` message a block the master does not hold); nothing
+else moved.
 
 ``python tests/test_cluster_timeline.py`` prints the record of every case
 as JSON.

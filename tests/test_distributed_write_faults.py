@@ -59,24 +59,28 @@ N_MAP_PIECE_WRITES = 66
 N_SORT_WRITES = 29
 #: Node operations (each round's maps, pulls, sorts and reduces, then
 #: compress) and active messages (one to each producer for each side of
-#: each pulled partition).
+#: each pulled partition, then compress's one to node01 for each of its 4
+#: read blocks).
 N_NODE_OPS = 70
-N_MESSAGES = 66
+N_MESSAGES = 70
 #: The tier-1 sample's share of each budget's cells.
 FRACTIONS = {"cramped": 1 / 300, "incore": 1 / 30}
 #: A node operation's cell (the sample reaches none), the master's
-#: compress, a full disk, and the lost write whose writer's death lands in
-#: compress, after the token reduced every partition it owned.
+#: compress, a holder's death serving compress a read block, a full disk,
+#: and the lost write whose writer's death lands in compress, after the
+#: token reduced every partition it owned.
 PINNED_RUNGS = frozenset("""
     node:node01:map-round#7:node-crash:1
     node:node00:compress#0:node-crash:1
+    message:node00->node01:fetch_block#0:node-crash:1
     write:node01/partitions/P_00035.run#0:enospc:1
     write:node01/partitions/P_00023.run#0:fsync-loss:64""".split())
 #: Cells kept in tier-1 beside each budget's sample, by key. ``cramped``:
 #: the cells an earlier draw put in tier-1 (``P_L``'s writes among them)
 #: and :data:`PINNED_RUNGS`. ``incore``: a death at a sort (the sort run
 #: again pulls its lost partitions first), at a later round's reduce (the
-#: attempt run again does), of a holder serving a pull, and in compress.
+#: attempt run again does), of a holder serving a pull, in compress, and of
+#: a holder serving compress a read block.
 PINNED = {"cramped": PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node00/map_parts/peer00/P_00036.run#0:crash:1
     node01/map_parts/peer01/P_00036.run#0:torn:1
@@ -118,7 +122,8 @@ PINNED = {"cramped": PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node:node00:sort#4:node-crash:1
     node:node01:reduce[29]#0:node-crash:1
     message:node01->node00:fetch_partition#6:node-crash:1
-    node:node00:compress#0:node-crash:1""".split())}
+    node:node00:compress#0:node-crash:1
+    message:node00->node01:fetch_block#3:node-crash:1""".split())}
 CONFIGS = {
     "cramped": AssemblyConfig(min_overlap=20, seed=7,
                               memory=MemoryConfig(40_000, 16_000,

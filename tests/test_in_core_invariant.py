@@ -14,8 +14,11 @@ restarted owners pull and sort again from the round's pieces, and on the
 survivor of a lost node, which owns two lengths a round. A cluster
 node holds the read blocks it maps from their first read on, so the
 cluster's maps read each dealt block off the disk once, the store once in
-all, and the master's compress reads it once more; a restarted node reads
-its blocks again, and a survivor reads a lost node's once.
+all, and compress gathers the blocks from the nodes that hold them,
+reading nothing off a disk; a restarted node reads its blocks again, and
+a survivor reads a lost node's once. Out of core, each node's compress
+reads its own blocks off its own disk, and a holder that dies serving a
+block, restarted or lost, serves it again or hands it to its adopter.
 """
 
 from __future__ import annotations
@@ -26,15 +29,18 @@ import numpy as np
 import pytest
 
 from repro import Assembler, AssemblyConfig
+from repro.config import MemoryConfig
 from repro.core import pipeline
 from repro.core.checkpoint import STATE_FILE
 from repro.device.memory import MemoryPool
 from repro.distributed import ClusterSupervisor, DistributedAssembler
 from repro.distributed import node as node_module
+from repro.distributed.resilience import BLOCKS_PER_NODE
 from repro.errors import FaultInjected
 from repro.extmem import RunReader
-from repro.faults import (NODE, NODE_CRASH, PHASE, READ, WRITE, Fault,
-                          FaultPlan, inject, result_digest, scan_residue)
+from repro.faults import (MESSAGE, NODE, NODE_CRASH, PHASE, READ, WRITE,
+                          Fault, FaultPlan, inject, result_digest,
+                          scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -292,8 +298,8 @@ def test_a_held_store_gives_its_memory_back_when_the_run_raises(
 def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
     """The nodes' disks, metered around every round's map, sort and
     reduce and around compress: sort and reduce read nothing, the maps
-    read the store once over the nodes and compress once more, on the
-    master."""
+    read the store once over the nodes, and compress reads nothing off
+    any node's disk (every block it gathers is held)."""
     moved = []
 
     def metered(run, supervisor):
@@ -333,7 +339,7 @@ def test_a_cluster(data, config, tmp_path, opened, monkeypatch, n_nodes):
     assert sum(read for run, _, read, _ in moved if run == "map_phase") \
         == nbytes
     assert [read for run, _, read, _ in moved if run == "compress"] \
-        == [nbytes] + [0] * (n_nodes - 1)
+        == [0] * n_nodes
     assert not list(tmp_path.glob("node*/**/*.run"))
     assert result.notes["records_shuffled"] > 0
     single = Assembler(config).assemble(data.store_path)
@@ -485,3 +491,119 @@ def test_a_survivor_reads_a_lost_nodes_blocks_once(data, config, tmp_path,
     assert [map_read for _, _, map_read in crashed] \
         == [_block_bytes(supervisor, producers[node_id])
             for node_id in range(4)]
+
+
+# -- compress reads the blocks the nodes hold ------------------------------------
+
+
+@pytest.fixture()
+def served(monkeypatch) -> list:
+    """``(node id, start, stop, disk read)`` of every read block a node
+    served to compress, in order: what each serve read off its disk."""
+    made = []
+    serve = node_module.WorkerNode._serve_block
+
+    def spying(self, start, stop):
+        before = self.ctx.accountant.counters()["disk_read_bytes"]
+        out = serve(self, start, stop)
+        made.append((self.node_id, start, stop,
+                     self.ctx.accountant.counters()["disk_read_bytes"]
+                     - before))
+        return out
+
+    monkeypatch.setattr(node_module.WorkerNode, "_serve_block", spying)
+    return made
+
+
+def test_out_of_core_each_node_reads_its_own_blocks(data, tmp_path, workers,
+                                                    monkeypatch):
+    """Two cramped (out-of-core) nodes hold no block: each one's compress
+    reads the blocks of its own producer off its own disk, the master's
+    through its view and node01's to serve them, and the contigs are the
+    single node's."""
+    cramped = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                             memory=MemoryConfig(40_000, 16_000))
+    read = {}
+    compress = ClusterSupervisor.compress
+
+    def metered(self, spell):
+        before = [node.ctx.accountant.counters()["disk_read_bytes"]
+                  for node in self.nodes]
+        out = compress(self, spell)
+        read.update({node.node_id: node.ctx.accountant.counters()[
+            "disk_read_bytes"] - then
+            for node, then in zip(self.nodes, before)})
+        return out
+
+    monkeypatch.setattr(ClusterSupervisor, "compress", metered)
+    result = DistributedAssembler(cramped, 2).assemble(data.store_path,
+                                                       workdir=tmp_path)
+    supervisor = workers[0][0]
+    assert not any(node.plan.in_core for node in supervisor.nodes)
+    assert read == {node_id: _block_bytes(supervisor, [node_id])
+                    for node_id in (0, 1)}
+    single = Assembler(cramped).assemble(data.store_path)
+    assert result.contigs.flat_codes.tobytes() \
+        == single.contigs.flat_codes.tobytes()
+    assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
+
+
+def _block_crash(data, tmp_path, holder: int, **knobs):
+    """The 4-node in-core run with ``holder`` killed by the master's first
+    ``fetch_block`` message to it: its contigs are the clean run's, byte
+    for byte. Returns its result."""
+    clean = DistributedAssembler(
+        AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7), 4).assemble(
+            data.store_path, workdir=tmp_path / "clean")
+    plan = FaultPlan([Fault(NODE_CRASH, site=MESSAGE,
+                            match=f"node00->node{holder:02d}:fetch_block")])
+    with inject(plan):
+        result = DistributedAssembler(
+            AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, **knobs),
+            4).assemble(data.store_path, workdir=tmp_path / "crashed")
+    assert [e.kind for e in plan.events] == [NODE_CRASH]
+    assert result.degraded is None
+    assert result.contigs.flat_codes.tobytes() \
+        == clean.contigs.flat_codes.tobytes()
+    assert np.array_equal(result.contigs.offsets, clean.contigs.offsets)
+    return result
+
+
+def test_a_holder_dead_at_a_block_fetch_restarts(data, tmp_path, workers,
+                                                 served):
+    """node01 dies as the master asks it for a block: it restarts without
+    its held copy, compress runs again, and the replacement serves its
+    blocks off its disk while every other holder serves from host
+    memory."""
+    result = _block_crash(data, tmp_path, 1)
+    assert result.notes["node_restarts"] == 1
+    assert result.lost_nodes == ()
+    supervisor = workers[-1][0]
+    assert workers[-1][1].node_id == 1  # the replacement
+    disk = {}
+    # The compress run again: 3 holders' blocks besides the master's.
+    for node_id, _, _, read in served[-3 * BLOCKS_PER_NODE:]:
+        disk[node_id] = disk.get(node_id, 0) + read
+    assert disk == {1: _block_bytes(supervisor, [1]), 2: 0, 3: 0}
+
+
+def test_a_holder_lost_at_a_block_fetch_hands_its_blocks_on(
+        data, tmp_path, workers, served):
+    """node02 dies as the master asks it for a block and has no restart
+    left: its producer id moves to a survivor, which serves node02's
+    blocks (off its disk: it never mapped them) beside its own."""
+    result = _block_crash(data, tmp_path, 2, node_restarts=0)
+    assert result.lost_nodes == (2,)
+    supervisor = workers[-1][0]
+    adopter = supervisor.holder[2]
+    assert adopter not in (0, 2)
+    lost = set(supervisor.block_ranges[2])
+    # The compress run again: 3 producers' blocks besides the master's.
+    again = served[-3 * BLOCKS_PER_NODE:]
+    assert sorted((start, stop) for node_id, start, stop, _ in again
+                  if node_id == adopter and (start, stop) in lost) \
+        == sorted(lost)
+    assert sum(read for node_id, *_, read in again if node_id == adopter) \
+        == _block_bytes(supervisor, [2])
+    assert all(read == 0 for node_id, *_, read in again
+               if node_id != adopter)
