@@ -18,11 +18,11 @@ Under both, the restarted node replays the dead node's whole partition
 (DESIGN.md §2g records why there is no resume inside a partition).
 
 Each entry reports the extra modeled reduce time over that policy's own
-clean run (``overhead_s``, and ``overhead_pct`` of the clean reduce) and,
-for faulted cells, the work the crashes destroyed (``lost_work_s``: the
-attempt seconds they cut short, ``wasted_s``, plus the seconds spent
-rebuilding the partitions they took, ``rebuild_s``; with
-``overhead_ratio = overhead_s / lost_work_s`` when it is non-zero). What
+clean run (``overhead_s``) and, for faulted cells, the work the crashes
+destroyed (``lost_work_s``: the attempt seconds they cut short,
+``wasted_s``, plus the seconds spent rebuilding the partitions they took,
+``rebuild_s``; with ``overhead_ratio = overhead_s / lost_work_s`` when it
+is non-zero). What
 separates the policies is detection latency: ``seed`` pays the 1 s
 ``node_timeout`` per crash, ``cheap`` pays 0.04 s. The acceptance lines
 are that ``cheap`` is no slower than ``seed`` on modeled reduce time in
@@ -36,7 +36,7 @@ Results land in ``benchmarks/results/BENCH_resilience.json``::
     {"cpu_count": ..., "mode": "full"|"smoke", "seed": ...,
      "entries": [{"policy": "seed"|"cheap", "nodes": ..., "crashes": ...,
                   "fired": ..., "token_s": ..., "total_s": ...,
-                  "overhead_s": ..., "overhead_pct": ..., "lost_work_s": ...,
+                  "overhead_s": ..., "lost_work_s": ...,
                   "overhead_ratio": ..., "restarts": ..., "failovers": ...,
                   "recovered": true},
                  ...]}
@@ -156,8 +156,6 @@ def main(argv: list[str] | None = None) -> int:
                         "token_s": round(token_s, 6),
                         "total_s": round(result.total_seconds, 6),
                         "overhead_s": round(overhead_s, 6),
-                        "overhead_pct": round(100.0 * overhead_s
-                                              / clean_token, 2),
                         "lost_work_s": round(lost, 6),
                         "overhead_ratio": (round(overhead_s / lost, 3)
                                            if lost > 0 else None),
@@ -171,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"[{policy:5s}] nodes={nodes} crashes={crashes} "
                           f"(fired {fired}): token={entry['token_s']:.4f}s "
                           f"overhead={entry['overhead_s']:.4f}s "
-                          f"({entry['overhead_pct']:+.2f}%) "
                           f"lost={entry['lost_work_s']:.4f}s "
                           f"ratio={ratio if ratio is not None else '-'} "
                           f"restarts={entry['restarts']} "

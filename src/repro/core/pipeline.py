@@ -15,8 +15,9 @@ out the records the greedy graph has already closed (see
 :class:`~repro.core.residency.Residency` plan places what can stay in host
 memory: a run the sort leaves in one piece is handed to reduce from there,
 never written, and an in-core run keeps the partitions of every band and
-the packed reads there too, so it uses the disk for load alone (and a
-ledger's ``state.json`` and ``graph.npz``). The re-entered ``map`` / ``sort`` /
+the packed reads there too (the bytes load wrote, which it hands the
+plan), so it uses the disk for load alone (and a ledger's ``state.json``
+and ``graph.npz``). The re-entered ``map`` / ``sort`` /
 ``reduce`` phases merge into one telemetry row each. The paper's eager
 order is the plain composition ``run_map(ctx, store)`` →
 ``run_sort(ctx, partitions)`` → ``run_reduce(ctx, partitions, store)``;

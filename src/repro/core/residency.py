@@ -7,15 +7,18 @@ reads of the packed store it maps (:meth:`~Residency.hold_store`),
 unsorted partitions whose sizes are known before they are written
 (:meth:`~Residency.keep`), and sorted runs the sort formed in one piece
 (:meth:`~Residency.hold`). The store's reads and the partitions stay
-only in an *in-core* run, by budget alone; the paper's regime (data ≫
-host) is not in-core. Each placement is reserved in the host pool
-through the plan and leaves the sorter's whole host block free beside
-it, so every later map block and sort reserves what it would with the
-artifact on disk. Load, before the plan exists, and compress, after the
-graph is gone, stream the reads in steps sized the same way: the largest
-batch that fits what the pool has free (:func:`stream_batch_reads`).
-This module is the only code that reads the pool's free or used bytes to
-decide a placement (DESIGN.md §2f, *Residency*).
+only in an *in-core* run, by budget alone (:func:`in_core_reads`, the
+one bound); the paper's regime (data ≫ host) is not in-core. Each
+placement is reserved in the host pool through the plan and leaves the
+sorter's whole host block free beside it, so every later map block and
+sort reserves what it would with the artifact on disk. Load, before the
+plan exists, and compress, after the graph is gone, stream the reads in
+steps sized the same way: the largest batch that fits what the pool has
+free (:func:`stream_batch_reads`). Load also keeps the packed bytes it
+writes while its read count stays within the in-core bound, and the plan
+adopts them as the held store. This module is the only code that reads
+the pool's free or used bytes to decide a placement (DESIGN.md §2f,
+*Residency*).
 """
 
 from __future__ import annotations
@@ -49,12 +52,30 @@ def compress_read_bytes(read_length: int) -> int:
     return 2 * read_length
 
 
-def stream_batch_reads(ctx: RunContext, read_bytes: int) -> int:
+def stream_batch_reads(ctx: RunContext, read_bytes: int, *,
+                       beside: int = 0) -> int:
     """The reads of one streaming step: the largest batch of
-    ``read_bytes`` a read that fits what the host pool has free, at most
+    ``read_bytes`` a read that fits what the host pool has free, less
+    ``beside`` bytes the step must leave free, at most
     :data:`STREAM_BATCH_READS`. The step's reservation raises
     ``HostMemoryError`` if not one read fits."""
-    return max(1, min(STREAM_BATCH_READS, ctx.host_pool.free_bytes // read_bytes))
+    return max(1, min(STREAM_BATCH_READS,
+                      (ctx.host_pool.free_bytes - beside) // read_bytes))
+
+
+def in_core_reads(ctx: RunContext, read_length: int) -> int:
+    """The most reads an in-core run can have: every record an eager map
+    writes, one an oriented read on each side of every length, fits one
+    sorter block. Zero when no overlap length exists (the map refuses
+    such a run)."""
+    try:
+        lengths = partition_lengths(ctx, read_length)
+    except ConfigError:
+        return 0
+    sides = sum(len(partition_sides(length, read_length))
+                for length in lengths)
+    return make_sorter(ctx, kv_dtype(ctx.config.fingerprint_lanes)).m_h \
+        // (2 * sides)
 
 
 class Residency:
@@ -64,12 +85,9 @@ class Residency:
         self.ctx = ctx
         self.read_length = store.read_length
         self.dtype = kv_dtype(ctx.config.fingerprint_lanes)
-        eager_records = open_vertices(store) * sum(
-            len(partition_sides(length, store.read_length))
-            for length in partition_lengths(ctx, store.read_length))
         #: Whether every record an eager map writes fits one sorter block.
-        self.in_core = eager_records <= make_sorter(ctx, self.dtype).m_h
-        self._placed = []
+        self.in_core = store.n_reads <= in_core_reads(ctx, store.read_length)
+        self._placed = set()
         self.check_block(store)
 
     def check_block(self, store: PackedReadStore,
@@ -99,14 +117,14 @@ class Residency:
 
     def _reserve(self, nbytes: int, label: str):
         allocation = self.ctx.host_pool.alloc(nbytes, label=label)
-        self._placed.append(allocation)
+        self._placed.add(allocation)
         return allocation
 
     @property
     def resident_bytes(self) -> int:
         """Host memory held beside what the plan placed (the string graph,
         once built): what the map's block and the sorter's are cut beside."""
-        self._placed = [placed for placed in self._placed if placed.live]
+        self._placed = {placed for placed in self._placed if placed.live}
         return self.ctx.host_pool.used_bytes \
             - sum(placed.nbytes for placed in self._placed)
 
@@ -120,11 +138,12 @@ class Residency:
     def hold_store(self, store: PackedReadStore, blocks) -> None:
         """Keep the packed store's read ``blocks`` (``(start, stop)`` pairs:
         a single node's whole store, a cluster node's dealt blocks) in host
-        memory from their first read on, in an in-core run."""
+        memory from their first read on, in an in-core run. Reads the store
+        holds already (those load wrote, :meth:`PackedReadStore.adopt`) are
+        placed as they are, not read again."""
         if self.in_core:
-            allocation = store.hold(self.ctx.host_pool, blocks)
-            if allocation is not None:
-                self._placed.append(allocation)
+            store.hold(self.ctx.host_pool, blocks)
+            self._placed.update(store.reservations)
 
     def keep(self, partitions: PartitionStore, lengths, n_records: int) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory, in an

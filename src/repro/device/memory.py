@@ -32,6 +32,14 @@ class Allocation:
         """Whether the reservation still holds pool capacity."""
         return self._live
 
+    def grow(self, nbytes: int, *, label: str = "") -> None:
+        """Extend the live reservation by ``nbytes``; raises the pool's
+        error type if over capacity."""
+        nbytes = int(nbytes)
+        if not self._pool._take(nbytes, 0):
+            self._pool._exhausted(nbytes, label)
+        self.nbytes += nbytes
+
     def free(self) -> None:
         """Release the reservation (idempotent)."""
         if self._live:
@@ -73,11 +81,7 @@ class MemoryPool:
         """Reserve ``nbytes``; raises the pool's error type if over capacity."""
         allocation = self.try_alloc(nbytes)
         if allocation is None:
-            raise self._exhausted_error(
-                f"{self.name} pool exhausted: requested {nbytes} "
-                f"({label or 'unlabelled'}), in use {self._used}, "
-                f"capacity {self.capacity_bytes}"
-            )
+            self._exhausted(nbytes, label)
         return allocation
 
     def try_alloc(self, nbytes: int, *, label: str = "") -> Allocation | None:
@@ -91,16 +95,28 @@ class MemoryPool:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ConfigError("cannot allocate negative bytes")
+        return Allocation(self, nbytes) if self._take(nbytes, 1) else None
+
+    def _take(self, nbytes: int, allocs: int) -> bool:
+        """Add ``nbytes`` to the used bytes if capacity allows: a new
+        allocation's (``allocs=1``) or a live one's growth (``0``)."""
         with self._lock:
             if self._used + nbytes > self.capacity_bytes:
-                return None
+                return False
             self._used += nbytes
-            self._alloc_count += 1
+            self._alloc_count += allocs
             if self._used > self._peak:
                 self._peak = self._used
             if self._used > self._lifetime_peak:
                 self._lifetime_peak = self._used
-        return Allocation(self, nbytes)
+        return True
+
+    def _exhausted(self, nbytes: int, label: str):
+        raise self._exhausted_error(
+            f"{self.name} pool exhausted: requested {nbytes} "
+            f"({label or 'unlabelled'}), in use {self._used}, "
+            f"capacity {self.capacity_bytes}"
+        )
 
     def _release(self, nbytes: int) -> None:
         with self._lock:

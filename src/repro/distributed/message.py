@@ -5,7 +5,9 @@ destination node* and returns its response to the requester. Both request
 and response payload bytes are charged to the requester's simulated clock
 under the ``network`` category (the destination's disk/compute costs are
 charged by the handler itself through the destination node's own meters,
-exactly as a GASNet AM handler runs on the target).
+exactly as a GASNet AM handler runs on the target). The handler runs in
+the destination's fault scope too: a fault on its disk while it serves a
+request is the destination's death, not the requester's.
 
 Message counts and byte totals are tracked per (src, dst) pair so the
 all-to-all shuffle volume of Fig. 10 can be reported.
@@ -61,7 +63,8 @@ class ActiveMessageLayer:
         # Node-level chaos: the delivery may kill the destination node
         # mid-request (FaultInjected unwinds to the sender).
         faults.deliver_message(node_scope(src), node_scope(dst), name)
-        response, response_bytes = self._handlers[key](*args)
+        with faults.scoped(node_scope(dst)):
+            response, response_bytes = self._handlers[key](*args)
         self.messages_sent += 1
         if src != dst:
             total = request_bytes + response_bytes

@@ -12,9 +12,11 @@ the pipeline needs:
 A 398 GB FASTQ human-genome dataset packs to ~29 GB in this form — the same
 ~13× reduction the paper exploits to re-stream reads cheaply during contig
 generation. An in-core run need not re-stream them at all: a store may
-:meth:`~PackedReadStore.hold` ranges of its reads in host memory (a single
-node the whole payload, a cluster node the blocks it maps), and every walk
-of them after the first reads them from there.
+:meth:`~PackedReadStore.hold` ranges of its reads in host memory (a cluster
+node the blocks it maps, a store opened from a file the whole payload), and
+every walk of them after the first reads them from there. A store the load
+phase has just written holds the packed bytes load wrote
+(:meth:`~PackedReadStore.adopt`), so not even the first walk reads the disk.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ class PackedReadStore:
 
     # -- writing -----------------------------------------------------------
 
-    def append_batch(self, batch: ReadBatch) -> None:
-        """Append a batch of reads (write mode only)."""
+    def append_batch(self, batch: ReadBatch) -> np.ndarray:
+        """Append a batch of reads (write mode only); returns the packed
+        bytes handed to the write, before the fault layer's write hook."""
         if self._mode != "w":
             raise StreamProtocolError("store is open read-only")
         if batch.read_length != self._read_length and batch.n_reads:
@@ -177,12 +180,14 @@ class PackedReadStore:
         if self._meter is not None:
             self._meter.add_write(packed.nbytes)
         self._n_reads += batch.n_reads
+        return packed
 
     def close(self) -> None:
         """Finalize (write mode: patch the read count into the header).
 
         The handle is released even when the header write raises, and a
-        held payload's host memory (:meth:`hold`) is given back.
+        held payload's host memory (:meth:`hold`, :meth:`adopt`) is given
+        back.
         """
         self._held = []
         for allocation in self._allocations:
@@ -229,17 +234,53 @@ class PackedReadStore:
         """
         if self._mode != "r":
             raise StreamProtocolError("store is open write-only")
-        held = {(copy.start, copy.stop) for copy in self._held}
         new = [_HeldRange(start, stop, np.empty(
                    (stop - start, self._bytes_per_read), dtype=np.uint8))
-               for start, stop in ranges if (start, stop) not in held]
+               for start, stop in ranges
+               if self._held_pieces(start, stop, filled=False) is None]
         if not new:
             return None
         allocation = host_pool.alloc(sum(copy.reads.nbytes for copy in new),
                                      label="held-store")
-        self._allocations.append(allocation)
-        self._held.extend(new)
+        self._keep(new, allocation)
         return allocation
+
+    def adopt(self, steps, allocation) -> None:
+        """Hold every read of the store from ``steps``: the packed bytes of
+        each :meth:`append_batch` that wrote it, in order, reserved in
+        ``allocation`` (which :meth:`close` frees). The copy is filled
+        already, so no walk reads the file's reads off the disk; each read
+        still passes the ``READ`` hook, as with :meth:`hold`. The copy keeps
+        the bytes handed to the write, before its hook."""
+        if self._mode != "r":
+            raise StreamProtocolError("store is open write-only")
+        new, start = [], 0
+        for packed in steps:
+            new.append(_HeldRange(start, start + len(packed), packed))
+            start = new[-1].filled = new[-1].stop
+        self._keep(new, allocation)
+
+    def _keep(self, ranges: list[_HeldRange], allocation) -> None:
+        self._allocations.append(allocation)
+        self._held = sorted(self._held + ranges, key=lambda copy: copy.start)
+
+    @property
+    def reservations(self) -> list:
+        """The host-pool reservations of the reads held (:meth:`hold`,
+        :meth:`adopt`)."""
+        return list(self._allocations)
+
+    def _held_pieces(self, start: int, stop: int, *, filled: bool):
+        """The pieces of the held copies that cover reads ``[start, stop)``,
+        in order, or ``None`` if they do not cover them all: their filled
+        reads (``filled``), or every read they are to hold."""
+        pieces, at = [], start
+        for copy in self._held:
+            end = min(stop, copy.filled if filled else copy.stop)
+            if copy.start <= at < end:
+                pieces.append(copy.reads[at - copy.start:end - copy.start])
+                at = end
+        return pieces if at == stop else None
 
     def read_packed_slice(self, start: int, stop: int, *,
                           meter_reads: int | None = None) -> np.ndarray:
@@ -259,12 +300,12 @@ class PackedReadStore:
         if not 0 <= start <= stop <= self._n_reads:
             raise DatasetError(f"slice [{start}, {stop}) out of range 0..{self._n_reads}")
         count = stop - start
-        for copy in self._held:
-            if copy.start <= start and stop <= copy.filled:
-                held = copy.reads[start - copy.start:stop - copy.start]
-                held.flags.writeable = False
-                return faults.filter_read(self._path, held).reshape(
-                    count, self._bytes_per_read)
+        pieces = self._held_pieces(start, stop, filled=True)
+        if pieces:
+            held = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            held.flags.writeable = False
+            return faults.filter_read(self._path, held).reshape(
+                count, self._bytes_per_read)
         self._handle.seek(_HEADER.size + start * self._bytes_per_read)
         disk = self._handle.read(count * self._bytes_per_read)
         raw = faults.filter_read(self._path, disk)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
+from repro.core import load_phase
 from repro.core.checkpoint import file_digest
 from repro.core.compress_phase import run_compress
 from repro.core.context import RunContext
@@ -255,9 +256,13 @@ def spy_held_runs(patch) -> dict:
     return held
 
 
-#: The residency plan's question for each artifact it may keep in host
-#: memory (:class:`~repro.core.residency.Residency`).
-_PLACEMENTS = {"store": "hold_store", "partitions": "keep", "runs": "hold"}
+#: What keeps each artifact in host memory: the residency plan's question
+#: (:class:`~repro.core.residency.Residency`), and for the store load's
+#: in-core bound too (the plan adopts the reads load held).
+_PLACEMENTS = {"store": [(Residency, "hold_store"),
+                         (load_phase, "in_core_reads")],
+               "partitions": [(Residency, "keep")],
+               "runs": [(Residency, "hold")]}
 
 
 @pytest.fixture(scope="session")
@@ -270,8 +275,9 @@ def on_disk():
     def placing(*artifacts):
         with pytest.MonkeyPatch.context() as patch:
             for artifact in artifacts or _PLACEMENTS:
-                patch.setattr(Residency, _PLACEMENTS[artifact],
-                              lambda self, *args: False)
+                for owner, name in _PLACEMENTS[artifact]:
+                    # Every answer is no (as load's bound, 0 reads).
+                    patch.setattr(owner, name, lambda *args: False)
             yield
 
     return placing

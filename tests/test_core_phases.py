@@ -47,6 +47,20 @@ class TestLoad:
         assert store.read_slice(0, 1).strings() == ["ACGTACGT"]
         store.close()
 
+    def test_reads_too_short_to_overlap_load_and_hold_nothing(self, ctx,
+                                                              tmp_path):
+        """8 bp reads have no overlap length at ``min_overlap=25``: load
+        holds none of them and returns, and the map refuses the run."""
+        path = tmp_path / "in.fastq"
+        write_fastq(path, [("r0", "ACGTACGT", "I" * 8),
+                           ("r1", "TTTTACGT", "I" * 8)])
+        with run_load(ctx, path) as store:
+            assert store.n_reads == 2
+            assert store.reservations == []
+            assert ctx.host_pool.used_bytes == 0
+        with pytest.raises(ConfigError, match="min_overlap 25 must be"):
+            Assembler(ctx.config).assemble(path, workdir=tmp_path / "run")
+
     def test_missing_input(self, ctx, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             run_load(ctx, tmp_path / "nope.fastq")

@@ -39,10 +39,11 @@ from functools import partial
 import pytest
 
 from repro.config import AssemblyConfig, MemoryConfig
-from repro.distributed import DistributedAssembler
+from repro.distributed import ClusterSupervisor, DistributedAssembler
 from repro.errors import DistributedProtocolError
-from repro.faults import (ENOSPC, FSYNC_LOSS, MESSAGE, NODE, NODE_CRASH,
-                          WRITE, Fault, FaultPlan, inject, run_cell)
+from repro.faults import (CRASH, ENOSPC, FSYNC_LOSS, MESSAGE, NODE,
+                          NODE_CRASH, READ, WRITE, Fault, FaultPlan, inject,
+                          run_cell)
 from repro.seq.datasets import tiny_dataset
 
 from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
@@ -278,5 +279,32 @@ def test_a_full_disk_under_a_peers_pull_is_the_holders_death(tmp_path):
     assert [event.kind for event in plan.events] == [NODE_CRASH, ENOSPC]
     assert result.notes["node_restarts"] == 1
     assert result.notes["nodes_lost"] == 1
+    assert result.degraded is None
+    assert _contigs(result) == _contigs(PROBES["cramped"].clean)
+
+
+def test_a_read_crash_serving_a_block_is_the_holders_death(tmp_path,
+                                                           monkeypatch):
+    """node01's disk fails at the first store read after the master asks
+    it for a read block (cramped: node01 holds none and reads it off its
+    disk). The handler runs in node01's scope, so the death is node01's:
+    node01 restarts, not the master, and the contigs are the clean run's."""
+    trace = PROBES["cramped"].trace
+    fetch = next(point.op for point in trace if point.site == MESSAGE
+                 and point.path == "node00->node01:fetch_block")
+    read = next(point for point in trace if point.op > fetch
+                and point.site == READ and point.path.endswith("reads.lsgr"))
+    died = []
+    handle_death = ClusterSupervisor._handle_death
+
+    def spying(self, node_id):
+        died.append(node_id)
+        return handle_death(self, node_id)
+
+    monkeypatch.setattr(ClusterSupervisor, "_handle_death", spying)
+    plan, result = _faulted(Fault(CRASH, site=READ, at_op=read.op), tmp_path)
+    assert [event.kind for event in plan.events] == [CRASH]
+    assert died == [1]
+    assert result.notes["node_restarts"] == 1
     assert result.degraded is None
     assert _contigs(result) == _contigs(PROBES["cramped"].clean)

@@ -4,10 +4,13 @@ After load, an in-core run (the default 1 GB budget) writes no unsorted
 partition and no map piece: every band's partitions, the whole-read
 band's ``P_L`` too, and every cluster round's pieces and pulled
 partitions stay in host memory. On a single node the packed store is held
-in host memory from the first walk on, and a sorted run the sort holds for
-reduce is never written: a run writes no run file after load and reads
-the store off the disk once, and a checkpoint ledger adds ``state.json``
-and ``graph.npz`` alone (a resume maps and sorts again what has no file).
+in host memory from load on (load keeps the packed bytes it writes), and a
+sorted run the sort holds for reduce is never written: a run writes no run
+file after load and reads nothing off the disk after it, and a checkpoint
+ledger adds ``state.json`` and ``graph.npz`` alone (a resume maps and sorts
+again what has no file). A store this process did not load (a resumed
+run's, a content-store hit's) is held from its first walk on: it is read
+off the disk once.
 Sort and reduce read no partition byte and seek nowhere. The same holds
 on a single node, on a lone cluster node and on four nodes, whose
 restarted owners pull and sort again from the round's pieces, and on the
@@ -38,11 +41,12 @@ from repro.distributed import node as node_module
 from repro.distributed.resilience import BLOCKS_PER_NODE
 from repro.errors import FaultInjected
 from repro.extmem import RunReader
-from repro.faults import (MESSAGE, NODE, NODE_CRASH, PHASE, READ, WRITE,
-                          Fault, FaultPlan, inject, result_digest,
-                          scan_residue)
+from repro.faults import (BITFLIP, CRASH, MESSAGE, NODE, NODE_CRASH, PHASE,
+                          READ, WRITE, Fault, FaultPlan, inject,
+                          result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
+from repro.service import ContentStore
 
 MIN_OVERLAP = 25
 READ_LENGTH = 50
@@ -114,18 +118,16 @@ def _disk_read(result, *phases) -> int:
 
 
 def test_a_single_node_without_a_ledger(data, config, tmp_path, opened):
-    """Nothing is written after load, nothing is read off the disk but one
-    walk of the store, and the workdir keeps no sorted run."""
+    """Nothing is written after load, nothing is read off the disk after
+    it (map and compress read the reads load held), and the workdir keeps
+    no sorted run."""
     plan = FaultPlan()
     with inject(plan):
         result = Assembler(config).assemble(data.store_path,
                                             workdir=tmp_path)
     assert _writes_after_load(plan) == []
     assert opened == []
-    store = PackedReadStore.open(tmp_path / STORE)
-    store.close()
-    assert _disk_read(result, "map", "compress") == store.nbytes
-    assert result.telemetry["compress"].counters["disk_read_bytes"] == 0
+    assert _disk_read(result, "map", "compress") == 0
     for phase in ("map", "sort", "reduce", "compress"):
         assert result.telemetry[phase].counters["disk_write_bytes"] == 0, phase
     for phase in ("sort", "reduce"):
@@ -134,6 +136,54 @@ def test_a_single_node_without_a_ledger(data, config, tmp_path, opened):
         assert counters["disk_seeks"] == 0, phase
     assert not list((tmp_path / "partitions").glob("*.run"))
     assert len(_store_walks(plan)) == BANDS + 1  # then compress
+
+
+@pytest.mark.parametrize("source", ("resumed", "content-store"))
+def test_a_store_not_loaded_here_is_read_off_the_disk_once(
+        data, config, tmp_path, source):
+    """A run killed at the load boundary leaves the store on disk (in the
+    workdir's ledger, and in the content store). The run that takes it up
+    there, on the same workdir or on a fresh one that finds the store in
+    the cache, did not load it: it holds the store from the map's first
+    walk on, so map and compress read it off the disk exactly once."""
+    cache = ContentStore(tmp_path / "cache", 1 << 30)
+    first = tmp_path / "first"
+    with inject(FaultPlan([Fault(CRASH, site=PHASE, match="load")])), \
+            pytest.raises(FaultInjected):
+        Assembler(config, content_store=cache).assemble(
+            data.store_path, workdir=first, resume=True)
+    workdir = first if source == "resumed" else tmp_path / "second"
+    result = Assembler(config, content_store=cache).assemble(
+        data.store_path, workdir=workdir, resume=source == "resumed")
+    assert result.telemetry["load"].counters["disk_write_bytes"] == 0
+    with PackedReadStore.open(workdir / STORE) as store:
+        assert _disk_read(result, "map", "compress") == store.nbytes
+    assert result.telemetry["compress"].counters["disk_read_bytes"] == 0
+
+
+def test_a_bitflip_written_to_the_store_reaches_only_a_resume(
+        data, config, tmp_path):
+    """Load flips a bit of the store on its way to the disk. The run maps
+    and spells the packed bytes load held, taken before the write's hook,
+    so it is the clean run; only a resume reads the flipped file (here
+    its compress, the graph being the ledger's)."""
+    clean = Assembler(config).assemble(data.store_path,
+                                       workdir=tmp_path / "clean")
+    workdir = tmp_path / "w"
+    plan = FaultPlan([Fault(BITFLIP, site=WRITE, match=f"*{STORE}")])
+    with inject(plan):
+        flipped = Assembler(config).assemble(data.store_path,
+                                             workdir=workdir, resume=True)
+    assert [event.kind for event in plan.events] == [BITFLIP]
+    assert result_digest(flipped) == result_digest(clean)
+    assert (workdir / STORE).read_bytes() \
+        != (tmp_path / "clean" / STORE).read_bytes()
+    resumed = Assembler(config).assemble(data.store_path, workdir=workdir,
+                                         resume=True)
+    assert _disk_read(resumed, "load", "map") == 0
+    with PackedReadStore.open(workdir / STORE) as store:
+        assert resumed.telemetry["compress"].counters["disk_read_bytes"] \
+            == store.nbytes
 
 
 def test_a_single_node(data, config, tmp_path, opened):

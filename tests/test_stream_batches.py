@@ -22,8 +22,11 @@ from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.core import load_phase, pipeline
 from repro.core.context import RunContext
 from repro.core.residency import (STREAM_BATCH_READS, compress_read_bytes,
-                                  load_read_bytes, stream_batch_reads)
+                                  in_core_reads, load_read_bytes,
+                                  stream_batch_reads)
 from repro.device.memory import MemoryPool
+from repro.seq.packing import PackedReadStore, pack_codes
+from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
 
 READ_LENGTH = 100
@@ -128,6 +131,79 @@ def test_a_packed_source_loads_in_steps_too(tmp_path, reservations):
     assert len(reservations["load-batch"]) == 1 + -(-n_reads // 100)
     assert (tmp_path / "packed" / "reads.lsgr").read_bytes() \
         == packed.read_bytes()
+
+
+def test_an_out_of_core_load_holds_nothing(tmp_path, reservations):
+    """The out-of-core benchmark's reads (a 62 kb genome at 40x: 24,800
+    reads) on its 1.28 MB budget: an in-core run has at most 362 reads and
+    load's first step is 3,753, so load holds nothing, and its steps and
+    host peak are those of a load that never held a copy."""
+    source = _fastq(tmp_path, 62_000)
+    ctx = RunContext(_config(1_280_000, 120_000), workdir=tmp_path / "w")
+    try:
+        with load_phase.run_load(ctx, source) as store:
+            assert store.n_reads == 24_800
+            assert ctx.host_pool.used_bytes == 0
+        assert in_core_reads(ctx, READ_LENGTH) == 362
+        assert "held-store" not in reservations
+        assert reservations["load-batch"][0] == 3_753 * load_read_bytes(
+            READ_LENGTH, fastq=True)
+        assert len(reservations["load-batch"]) == 7
+        assert ctx.host_pool.lifetime_peak_bytes == 1_279_773
+    finally:
+        ctx.cleanup()
+
+
+def test_an_in_core_load_in_two_steps_holds_one_reservation(tmp_path,
+                                                            reservations):
+    """70,000 reads of 12 bp take two steps (the 65,536-read cap) and stay
+    in core: load holds both in one reservation, grown by the second, and
+    a slice across the two reads host memory, the bytes of the file."""
+    codes = np.random.default_rng(7).integers(0, 4, size=(70_000, 12),
+                                              dtype=np.uint8)
+    source = tmp_path / "reads.lsgr"
+    with PackedReadStore.create(source, 12) as store:
+        store.append_batch(ReadBatch(codes))
+    ctx = RunContext(AssemblyConfig(min_overlap=8), workdir=tmp_path / "w")
+    try:
+        with load_phase.run_load(ctx, source) as store:
+            assert len(reservations["load-batch"]) == 2
+            assert reservations["held-store"] == [STREAM_BATCH_READS * 3]
+            assert ctx.host_pool.used_bytes == store.nbytes
+            read = ctx.accountant.read_bytes
+            across = store.read_packed_slice(65_530, 65_540)
+            assert ctx.accountant.read_bytes == read
+            assert across.tobytes() == pack_codes(codes[65_530:65_540]).tobytes()
+        assert ctx.host_pool.used_bytes == 0
+    finally:
+        ctx.cleanup()
+
+
+@pytest.mark.parametrize("min_overlap, in_core", [(95, False), (99, True)])
+def test_a_load_that_holds_a_copy_takes_every_step_beside_it(
+        tmp_path, reservations, min_overlap, in_core):
+    """50,000 reads of 100 bp on an 8 MB budget: the pool alone would give
+    load steps of 23,460 reads, fewer than the in-core bound, so load holds
+    the first step's packed bytes. Every later step fits beside them: at
+    ``min_overlap=95`` (bound 25,757) the second step takes the count past
+    the bound and the copy goes before it is reserved; at ``99`` the run
+    stays in core and each step is cut to fit beside the whole copy."""
+    source = _fastq(tmp_path, 125_000)
+    ctx = RunContext(AssemblyConfig(
+        min_overlap=min_overlap, memory=MemoryConfig(8_000_000, 120_000)),
+        workdir=tmp_path / "w")
+    try:
+        per_read = load_read_bytes(READ_LENGTH, fastq=True)
+        assert stream_batch_reads(ctx, per_read) < in_core_reads(
+            ctx, READ_LENGTH)
+        with load_phase.run_load(ctx, source) as store:
+            assert store.n_reads == 50_000
+            assert len(reservations["held-store"]) == 1
+            assert ctx.host_pool.used_bytes == (store.nbytes if in_core
+                                                else 0)
+        assert ctx.host_pool.lifetime_peak_bytes <= 8_000_000
+    finally:
+        ctx.cleanup()
 
 
 def _heap_peaks(monkeypatch, source, config, workdir) -> dict[str, int]:
