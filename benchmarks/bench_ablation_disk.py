@@ -7,6 +7,8 @@ clock shows how much of the pipeline the faster medium recovers and how
 the bottleneck shifts from disk toward the device.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Assembler, AssemblyConfig
@@ -27,7 +29,8 @@ def test_ablation_disk_media(benchmark):
     def run_both():
         out = {}
         for label, disk in (("hdd", DiskSpec()), ("ssd", DiskSpec.ssd())):
-            result = Assembler(config, disk=disk).assemble(materialized.store_path)
+            result = Assembler(replace(config, disk=disk)).assemble(
+                materialized.store_path)
             out[label] = result
         return out
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from .device.specs import DiskSpec, NetworkSpec
 from .errors import ConfigError
 from .units import parse_size
 
@@ -108,6 +109,12 @@ class AssemblyConfig:
     device_name:
         Which :mod:`repro.device.specs` GPU to virtualize (timing model only;
         capacity comes from ``memory.device_bytes``).
+    disk / network:
+        The modeled disk of every node and the cluster's interconnect
+        (timing model only, so neither is in the checkpoint fingerprint or
+        a cache key). With ``device_name`` they are the machine a run
+        models; the host is :class:`~repro.device.specs.HostSpec`'s one
+        node class.
     fingerprint_lanes:
         1 → one packed 62-bit key (two 31-bit Rabin–Karp hashes);
         2 → two packed keys (~124 bits), the analog of the paper's 128-bit
@@ -146,6 +153,8 @@ class AssemblyConfig:
         default_factory=lambda: MemoryConfig(parse_size("1 GB"), parse_size("96 MB"), name="laptop")
     )
     device_name: str = "K40"
+    disk: DiskSpec = DiskSpec()
+    network: NetworkSpec = NetworkSpec()
     fingerprint_lanes: int = 1
     host_block_pairs: int = 0
     device_block_pairs: int = 0

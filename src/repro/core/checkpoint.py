@@ -112,9 +112,11 @@ def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
 #: different setting of any of them:
 #:
 #: * ``trace`` — observation-only: tracing never changes artifacts,
+#: * ``disk`` and ``network`` — the modeled machine: they move the simulated
+#:   clock, never a byte,
 #: * the resilience-policy knobs — they change how failures are survived,
 #:   never what a surviving run produces (recovered runs are byte-identical).
-NON_SEMANTIC_KNOBS = ("trace",
+NON_SEMANTIC_KNOBS = ("trace", "disk", "network",
                       "heartbeat_interval", "node_timeout",
                       "node_restarts", "allow_degraded")
 

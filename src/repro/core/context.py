@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from ..config import AssemblyConfig
 from ..device import SimClock, VirtualGPU
 from ..device.memory import MemoryPool
-from ..device.specs import DiskSpec, HostSpec
+from ..device.specs import HostSpec
 from ..errors import HostMemoryError
 from ..extmem import IOAccountant
 from ..faults import plan as faults
@@ -18,27 +18,29 @@ from ..fingerprint import FingerprintScheme
 from ..telemetry import EventMeter, Telemetry
 from ..trace.tracer import NULL_TRACER
 
+#: The modeled host: one node class for every run (QB2 and SuperMIC
+#: differ in their budgets, which ``config.memory`` carries).
+HOST = HostSpec()
+
 
 class RunContext:
     """Everything one pipeline run shares across phases.
 
     Owns the working directory (a temp dir unless supplied), the simulated
     clock, the virtual GPU (capacity = the configured device budget), the
-    host memory pool, the disk accountant, and the telemetry registry.
+    host memory pool, the disk accountant (charging ``config.disk``), and
+    the telemetry registry.
     """
 
     def __init__(self, config: AssemblyConfig, *, workdir: str | Path | None = None,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None,
                  tracer=None):
         self.config = config
         self._owns_workdir = workdir is None
         self.workdir = Path(tempfile.mkdtemp(prefix="lasagna-")) if workdir is None \
             else Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.disk = disk if disk is not None else DiskSpec()
-        self.host_spec = host if host is not None else HostSpec()
         self.clock = SimClock()
-        self.accountant = IOAccountant(self.disk, self.clock)
+        self.accountant = IOAccountant(config.disk, self.clock)
         self.gpu = VirtualGPU(config.device_name,
                               capacity_bytes=config.memory.device_bytes,
                               clock=self.clock)
@@ -73,7 +75,7 @@ class RunContext:
         """Charge modeled host-side streaming work to the clock."""
         from ..device import costs
 
-        self.clock.charge("host", costs.host_work_seconds(self.host_spec, nbytes_touched))
+        self.clock.charge("host", costs.host_work_seconds(HOST, nbytes_touched))
 
     def cleanup(self) -> None:
         """Remove an owned working directory."""

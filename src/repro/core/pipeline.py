@@ -38,7 +38,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ..config import AssemblyConfig
-from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError, DatasetError
 from ..extmem import PartitionStore
 from ..extmem.partitions import partition_sides
@@ -94,11 +93,8 @@ class Assembler:
     """
 
     def __init__(self, config: AssemblyConfig | None = None, *,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None,
                  content_store=None, phase_hook=None):
         self.config = config if config is not None else AssemblyConfig()
-        self.disk = disk
-        self.host = host
         #: Optional :class:`repro.service.content_store.ContentStore`. When
         #: set, the packed reads and the finished graph are first looked up
         #: by content key: identical inputs across jobs, tenants and
@@ -142,8 +138,7 @@ class Assembler:
         if source_digest is None and (resume or self.content_store is not None):
             source_digest = content_digest(
                 source.path if isinstance(source, PackedReadStore) else source)
-        ctx = RunContext(self.config, workdir=workdir, disk=self.disk,
-                         host=self.host, tracer=tracer)
+        ctx = RunContext(self.config, workdir=workdir, tracer=tracer)
         # The ledger's input identity is its content: an input replaced in
         # place by another of the same size must not resume the old one.
         # Unreadable input keeps the path identity; run_load says why.

@@ -21,7 +21,7 @@ The model is deliberately simple and bandwidth-centric:
   first position, then ``log2(k)`` passes over the window's ``k``
   positions (the whole row when the window starts at 1).
 * **Transfers**: bytes over the PCIe link; **disk**: bytes over the disk
-  bandwidth plus a seek per sequential stream switch.
+  bandwidth plus, on reads, a seek per sequential stream switch.
 
 A single fudge constant per formula is calibrated in
 ``tests/test_model_calibration.py`` against the paper's published end-to-end
@@ -48,6 +48,9 @@ MERGE_OVERHEAD_PASSES = 1.0
 
 #: Host-side software efficiency relative to raw memory bandwidth.
 HOST_EFFICIENCY = 0.35
+
+#: Bytes of one scan element (a ``uint64`` rolling-hash lane).
+SCAN_ELEMENT_BYTES = 8
 
 
 def _effective_bw(spec: DeviceSpec) -> float:
@@ -80,8 +83,8 @@ def search_seconds(spec: DeviceSpec, n_queries: int, n_haystack: int) -> float:
     return n_queries * probes * PROBE_BYTES / _effective_bw(spec)
 
 
-def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, element_nbytes: int = 8,
-                 *, lo: int = 1) -> float:
+def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, *,
+                 lo: int = 1) -> float:
     """Seeded window scan over positions ``lo..width`` of ``n_rows`` rows
     (fingerprint map).
 
@@ -94,9 +97,11 @@ def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, element_nbytes: int 
         return 0.0
     window = width - lo + 1
     passes = max(1.0, math.ceil(math.log2(window)))
-    seconds = 2.0 * passes * n_rows * window * element_nbytes / _effective_bw(spec)
+    seconds = (2.0 * passes * n_rows * window * SCAN_ELEMENT_BYTES
+               / _effective_bw(spec))
     if lo > 1:
-        seconds += 2.0 * n_rows * (lo - 1) * element_nbytes / _effective_bw(spec)
+        seconds += (2.0 * n_rows * (lo - 1) * SCAN_ELEMENT_BYTES
+                    / _effective_bw(spec))
     return seconds
 
 
@@ -126,10 +131,3 @@ def disk_read_seconds(disk: DiskSpec, nbytes: int, *, seeks: int = 0) -> float:
     if nbytes <= 0 and seeks <= 0:
         return 0.0
     return max(0, nbytes) / disk.read_bandwidth + seeks * disk.seek_seconds
-
-
-def disk_write_seconds(disk: DiskSpec, nbytes: int, *, seeks: int = 0) -> float:
-    """Sequential disk write plus optional stream-switch seeks."""
-    if nbytes <= 0 and seeks <= 0:
-        return 0.0
-    return max(0, nbytes) / disk.write_bandwidth + seeks * disk.seek_seconds

@@ -30,6 +30,7 @@ from ..errors import (ConfigError, DeviceError, DeviceMemoryError,
                       SortContractError)
 from . import costs, kernels
 from .clock import SimClock
+from .kernels import KEY_FIELD
 from .memory import Allocation, MemoryPool
 from .specs import DeviceSpec, get_device_spec
 
@@ -203,16 +204,15 @@ class VirtualGPU:
     # -- structured-record variants (KV records of the extmem substrate) ------
 
     @staticmethod
-    def _key_column(records: np.ndarray, key_field: str) -> np.ndarray:
-        if key_field not in (records.dtype.names or ()):
-            raise ConfigError(f"records lack key field {key_field!r}")
-        return records[key_field]
+    def _key_column(records: np.ndarray) -> np.ndarray:
+        if KEY_FIELD not in (records.dtype.names or ()):
+            raise ConfigError(f"records lack key field {KEY_FIELD!r}")
+        return records[KEY_FIELD]
 
-    def sort_records_device(self, records: DeviceArray, *, key_field: str = "key"
-                            ) -> DeviceArray:
+    def sort_records_device(self, records: DeviceArray) -> DeviceArray:
         """Radix-sort packed KV records by their key field."""
         self._check_live(records)
-        keys = self._key_column(records.array, key_field)
+        keys = self._key_column(records.array)
         out = np.empty(records.array.shape, dtype=records.array.dtype)
         with self.pool.alloc(records.array.nbytes, label="sort-scratch"):
             order = np.argsort(keys, kind="stable")
@@ -227,7 +227,6 @@ class VirtualGPU:
         return self._adopt(out, label="sort-out")
 
     def merge_records_device(self, run_a: np.ndarray, run_b: np.ndarray, *,
-                             key_field: str = "key",
                              out: np.ndarray | None = None) -> np.ndarray:
         """The two-way spelling of :meth:`merge_records_device_k`
         (``GPU_MERGE`` of Algorithm 1; A-records precede equal B-records).
@@ -235,10 +234,9 @@ class VirtualGPU:
         The sorter launches the k-ary spelling for every fanout; this name
         is a patch target of ``benchmarks/perf/perf_spans.py``.
         """
-        return self._merge_launch([run_a, run_b], key_field, out)
+        return self._merge_launch([run_a, run_b], out)
 
     def merge_records_device_k(self, parts: Sequence[np.ndarray], *,
-                               key_field: str = "key",
                                out: np.ndarray | None = None) -> np.ndarray:
         """One streamed launch: ``k`` sorted host windows in, merged run out.
 
@@ -259,9 +257,9 @@ class VirtualGPU:
         parts = list(parts)
         if not parts:
             raise ConfigError("k-way merge needs at least one run")
-        return self._merge_launch(parts, key_field, out)
+        return self._merge_launch(parts, out)
 
-    def _merge_launch(self, parts: list[np.ndarray], key_field: str,
+    def _merge_launch(self, parts: list[np.ndarray],
                       out: np.ndarray | None) -> np.ndarray:
         record_dtype = parts[0].dtype
         total = sum(part.shape[0] for part in parts)
@@ -274,7 +272,7 @@ class VirtualGPU:
                 reserved.append(self.pool.alloc(part.nbytes, label="merge-way"))
                 self.clock.charge(
                     "h2d", costs.transfer_seconds(self.spec, part.nbytes))
-            key_columns = [self._key_column(part, key_field) for part in parts]
+            key_columns = [self._key_column(part) for part in parts]
             for index, keys in enumerate(key_columns):
                 kernels.require_sorted(keys, context=f"merge run {index}")
             if any(part.dtype != record_dtype for part in parts[1:]):
@@ -306,12 +304,12 @@ class VirtualGPU:
             for allocation in reserved:
                 allocation.free()
 
-    def bounds_records(self, haystack: DeviceArray, queries: DeviceArray, *,
-                       key_field: str = "key") -> tuple[DeviceArray, DeviceArray]:
+    def bounds_records(self, haystack: DeviceArray, queries: DeviceArray
+                       ) -> tuple[DeviceArray, DeviceArray]:
         """Vectorized bounds of query record keys within haystack record keys."""
         self._check_live(haystack, queries)
-        hay_keys = self._key_column(haystack.array, key_field)
-        query_keys = self._key_column(queries.array, key_field)
+        hay_keys = self._key_column(haystack.array)
+        query_keys = self._key_column(queries.array)
         kernels.require_sorted(hay_keys, context="bounds haystack")
         lower, upper = kernels.vectorized_bounds(hay_keys, query_keys)
         self.clock.charge("kernel", 2.0 * costs.search_seconds(

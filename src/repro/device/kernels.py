@@ -23,6 +23,10 @@ from ..errors import SortContractError
 
 Payloads = tuple[np.ndarray, ...]
 
+#: The field of a structured record the record kernels sort, merge and
+#: search on (:mod:`repro.extmem.records` lays the records out around it).
+KEY_FIELD = "key"
+
 
 def _check_payloads(keys: np.ndarray, payloads: Payloads) -> None:
     for payload in payloads:

@@ -4,7 +4,9 @@ The GPU entries carry the published numbers the paper cites when explaining
 Fig. 9 (core counts, boost clocks, memory bandwidths, device memory sizes).
 The timing model is bandwidth-dominated — which is exactly why the paper
 observes P100 beating P40 despite fewer cores, and why all GPUs converge
-once sorting becomes disk-bound.
+once sorting becomes disk-bound. A run's machine is named in its
+:class:`~repro.config.AssemblyConfig`: ``device_name``, ``disk`` and
+``network`` (the host is :class:`HostSpec`'s one node class).
 """
 
 from __future__ import annotations
@@ -51,6 +53,40 @@ class DiskSpec:
         """A SATA-SSD class device (the paper notes LaSAGNA benefits from SSDs)."""
         return DiskSpec(name="ssd", read_bandwidth=500e6, write_bandwidth=450e6,
                         seek_seconds=1e-4)
+
+
+#: Payload of one heartbeat probe (a liveness ping carries no data).
+HEARTBEAT_BYTES = 64
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    """Point-to-point network characteristics.
+
+    Defaults model the paper's SuperMIC interconnect: 56 Gb/s FDR
+    InfiniBand (≈ 7 GB/s payload bandwidth) with microsecond-scale latency.
+    """
+
+    name: str = "infiniband-fdr"
+    bandwidth: float = 7e9  #: bytes/second point-to-point
+    latency_seconds: float = 2e-6
+
+    def __post_init__(self) -> None:
+        if self.bandwidth <= 0 or self.latency_seconds < 0:
+            raise ConfigError("invalid network parameters")
+
+    def transfer_seconds(self, nbytes: int) -> float:
+        """Modeled time to move ``nbytes`` between two nodes."""
+        return self.latency_seconds + max(0, nbytes) / self.bandwidth
+
+    def heartbeat_seconds(self) -> float:
+        """Modeled cost of one supervisor heartbeat probe (tiny payload)."""
+        return self.transfer_seconds(HEARTBEAT_BYTES)
+
+    @staticmethod
+    def ethernet_10g() -> "NetworkSpec":
+        """A slower 10 GbE alternative for sensitivity studies."""
+        return NetworkSpec(name="10gbe", bandwidth=1.1e9, latency_seconds=3e-5)
 
 
 def _catalog() -> dict[str, DeviceSpec]:

@@ -6,8 +6,6 @@ storage, sort locally, and serialize graph building by passing the
 out-degree bit-vector between the nodes that own consecutive length
 partitions. This package reproduces that structure in-process:
 
-* :mod:`repro.distributed.network` — the interconnect model (56 Gb/s IB
-  class) charging per-byte transfer time,
 * :mod:`repro.distributed.message` — the active-message layer (handlers
   registered per node, request/response with payload accounting),
 * :mod:`repro.distributed.node` — one worker: private storage directory,
@@ -19,12 +17,14 @@ partitions. This package reproduces that structure in-process:
   detection, node restart (the operation that needs a partition rebuilds
   it from lineage), partition failover and degraded-mode completion.
 
+Every node's disk and the interconnect the layer charges are the config's
+``disk`` and ``network`` (a 56 Gb/s InfiniBand class by default).
 Every node's work actually executes (on this process), so the distributed
 pipeline is functionally real; only *time* is simulated, with barriers
 taking the maximum clock across participants.
 """
 
-from .network import NetworkSpec
+from ..device.specs import NetworkSpec
 from .message import ActiveMessageLayer, node_scope
 from .node import WorkerNode
 from .resilience import (ClusterSupervisor, DegradedRunReport,

@@ -76,7 +76,6 @@ from ..config import AssemblyConfig
 from ..core.compress_phase import run_compress
 from ..core.map_phase import band_report, partition_lengths
 from ..core.reduce_phase import ReduceReport, reduce_length, reduce_partition
-from ..device.specs import DiskSpec, HostSpec
 from ..errors import ConfigError
 from ..extmem.partitions import SIDES
 from ..graph import GreedyStringGraph
@@ -85,7 +84,6 @@ from ..seq.packing import PackedReadStore
 from ..seq.stats import assembly_stats
 from ..trace.tracer import NULL_TRACER, SpanTracer
 from .message import ActiveMessageLayer
-from .network import NetworkSpec
 from .node import WorkerNode
 from .resilience import BLOCKS_PER_NODE, ClusterSupervisor, DegradedRunReport
 
@@ -185,16 +183,11 @@ class _Timeline:
 class DistributedAssembler:
     """Run the pipeline over ``n_nodes`` simulated workers."""
 
-    def __init__(self, config: AssemblyConfig, n_nodes: int, *,
-                 network: NetworkSpec | None = None,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None):
+    def __init__(self, config: AssemblyConfig, n_nodes: int):
         if n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         self.config = config
         self.n_nodes = n_nodes
-        self.network = network if network is not None else NetworkSpec()
-        self.disk = disk
-        self.host = host
 
     def _rounds(self, lengths: list[int]) -> list[list[int]]:
         """The partition lengths in rounds, longest first: the whole-read
@@ -237,11 +230,9 @@ class DistributedAssembler:
         # A store opened here is closed here, also when a phase raises.
         with (nullcontext(source) if isinstance(source, PackedReadStore)
               else PackedReadStore.open(source)) as store:
-            messages = ActiveMessageLayer(self.network)
+            messages = ActiveMessageLayer(self.config.network)
             supervisor = ClusterSupervisor(self.config, self.n_nodes, root,
-                                           self.network, messages, store,
-                                           tracer=tracer, disk=self.disk,
-                                           host=self.host)
+                                           messages, store, tracer=tracer)
             try:
                 return self._run(store, supervisor, messages, tracer)
             except BaseException:
@@ -387,7 +378,8 @@ class DistributedAssembler:
         """
         nodes = supervisor.nodes
         token_time = start
-        bitvec_transfer = self.network.transfer_seconds(graph.out_bits.nbytes)
+        bitvec_transfer = self.config.network.transfer_seconds(
+            graph.out_bits.nbytes)
         bits_on = None  # the one node with the current bits; None: all
         for length in sorted(lengths, reverse=True):
             if not supervisor.partition_has_data(length):

@@ -17,9 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..device.specs import NetworkSpec
 from ..errors import DistributedProtocolError
 from ..faults import plan as faults
-from .network import NetworkSpec
+
+
+#: Payload of a request: a small header (its arguments name a block or a
+#: partition; the response carries the data).
+REQUEST_BYTES = 64
 
 
 def node_scope(node_id: int) -> str:
@@ -48,12 +53,11 @@ class ActiveMessageLayer:
         """Expose ``handler`` as AM target ``name`` on ``node_id``."""
         self._handlers[(node_id, name)] = handler
 
-    def request(self, src: int, dst: int, name: str, *args,
-                request_bytes: int = 64) -> Any:
+    def request(self, src: int, dst: int, name: str, *args) -> Any:
         """Send an active message; returns the handler's response object.
 
-        ``request_bytes`` sizes the request payload (default: a small
-        header). Local requests (``src == dst``) skip the network charge.
+        The request is :data:`REQUEST_BYTES`. Local requests (``src ==
+        dst``) skip the network charge.
         """
         key = (dst, name)
         if key not in self._handlers:
@@ -67,9 +71,9 @@ class ActiveMessageLayer:
             response, response_bytes = self._handlers[key](*args)
         self.messages_sent += 1
         if src != dst:
-            total = request_bytes + response_bytes
+            total = REQUEST_BYTES + response_bytes
             self._clocks[src].charge(
-                "network", self.network.transfer_seconds(request_bytes)
+                "network", self.network.transfer_seconds(REQUEST_BYTES)
                 + self.network.transfer_seconds(response_bytes))
             pair = (src, dst)
             self.bytes_by_pair[pair] = self.bytes_by_pair.get(pair, 0) + total

@@ -43,7 +43,6 @@ from ..core.context import RunContext
 from ..core.map_phase import open_vertices, run_map
 from ..core.residency import Residency
 from ..core.sort_phase import run_sort
-from ..device.specs import DiskSpec, HostSpec
 from ..errors import StreamProtocolError
 from ..extmem import PartitionStore, RunWriter
 from ..extmem.partitions import SIDES, partition_sides
@@ -65,7 +64,6 @@ class WorkerNode:
 
     def __init__(self, node_id: int, config: AssemblyConfig, root: Path,
                  messages: ActiveMessageLayer, store: PackedReadStore, *,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None,
                  tracer=None, lone: bool = False):
         self.node_id = node_id
         #: The whole-read length, whose partition has a ``P`` side only
@@ -79,7 +77,7 @@ class WorkerNode:
         node_tracer = (tracer if tracer is not None else NULL_TRACER).bind(
             prefix=f"node{node_id:02d}/")
         self.ctx = RunContext(config, workdir=root / f"node{node_id:02d}",
-                              disk=disk, host=host, tracer=node_tracer)
+                              tracer=node_tracer)
         #: Where this node's read blocks, pieces, partitions and sorted runs
         #: live.
         self.plan = Residency(self.ctx, store)

@@ -76,7 +76,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import AssemblyConfig
-from ..device.specs import DiskSpec, HostSpec
 from ..errors import DistributedProtocolError, FaultInjected
 from ..extmem.partitions import SIDES, partition_sides
 from ..faults import plan as faults
@@ -85,7 +84,6 @@ from ..seq.packing import PackedReadStore
 from ..telemetry import EventMeter
 from ..trace.tracer import NULL_TRACER
 from .message import ActiveMessageLayer
-from .network import NetworkSpec
 from .node import WorkerNode
 
 #: Read blocks dealt per node before the first round.
@@ -213,19 +211,15 @@ class ClusterSupervisor:
     """
 
     def __init__(self, config: AssemblyConfig, n_nodes: int, root: Path,
-                 network: NetworkSpec, messages: ActiveMessageLayer,
-                 store: PackedReadStore, *, tracer=None,
-                 disk: DiskSpec | None = None, host: HostSpec | None = None):
+                 messages: ActiveMessageLayer, store: PackedReadStore, *,
+                 tracer=None):
         self.config = config
         self.n_nodes = n_nodes
         self.root = root
-        self.network = network
         self.messages = messages
         self.store = store
         self.tracer = tracer  # raw SpanTracer | None, for WorkerNode ctor
         self.ctracer = tracer if tracer is not None else NULL_TRACER
-        self.disk = disk
-        self.host = host
         self.meter = EventMeter()
         self.nodes = [self._worker(i) for i in range(n_nodes)]
         self.lost: set[int] = set()
@@ -259,8 +253,8 @@ class ClusterSupervisor:
 
     def _worker(self, node_id: int) -> WorkerNode:
         return WorkerNode(node_id, self.config, self.root, self.messages,
-                          self.store, disk=self.disk, host=self.host,
-                          tracer=self.tracer, lone=self.n_nodes == 1)
+                          self.store, tracer=self.tracer,
+                          lone=self.n_nodes == 1)
 
     def alive(self) -> list[WorkerNode]:
         """Current nodes not declared lost, in node-id order."""
@@ -385,12 +379,12 @@ class ClusterSupervisor:
         gap = detect_at - fresh.ctx.clock.total_seconds
         if gap > 0:
             fresh.ctx.clock.charge("retry", gap)
-        fresh.ctx.clock.charge(
-            "network", misses * self.network.heartbeat_seconds())
+        network = self.config.network
+        fresh.ctx.clock.charge("network", misses * network.heartbeat_seconds())
         if self.closed is not None:
             fresh.closed = self.closed
             fresh.ctx.clock.charge(
-                "network", self.network.transfer_seconds(self.closed.nbytes))
+                "network", network.transfer_seconds(self.closed.nbytes))
         # What the dead worker's host still held, its pieces, partitions
         # and read blocks let go, is not its own (the master's graph): the
         # replacement maps and sorts beside it all the same.
@@ -536,9 +530,8 @@ class ClusterSupervisor:
         for node in alive:
             node.closed = closed
         if closed is not None and len(alive) > 1:
-            alive[0].ctx.clock.charge(
-                "network",
-                (len(alive) - 1) * self.network.transfer_seconds(closed.nbytes))
+            peer = self.config.network.transfer_seconds(closed.nbytes)
+            alive[0].ctx.clock.charge("network", (len(alive) - 1) * peer)
 
     def _on_each(self, op: str, node_ids: list[int], fn) -> list:
         """``fn(node, attempt)`` on each node through the ladder, in order;

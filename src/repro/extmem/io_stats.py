@@ -42,7 +42,7 @@ class IOAccountant:
     # (``nbytes / bandwidth`` is bit-identical to what
     # :func:`repro.device.costs.disk_read_seconds` computes when
     # ``seeks == 0``: adding ``0 * seek_seconds = +0.0`` never changes a
-    # non-negative float).
+    # non-negative float). A write never seeks.
 
     def add_read(self, nbytes: int, *, seeks: int = 0) -> None:
         """Record a sequential read of ``nbytes`` (plus optional seeks)."""
@@ -57,18 +57,18 @@ class IOAccountant:
             elif nbytes > 0:
                 self.clock.charge("disk_read", nbytes / self._read_bw)
 
-    def add_write(self, nbytes: int, *, seeks: int = 0) -> None:
-        """Record a sequential write of ``nbytes`` (plus optional seeks)."""
+    def add_write(self, nbytes: int) -> None:
+        """Record a sequential write of ``nbytes``.
+
+        Writes charge bandwidth only: they go through the OS write-behind
+        cache, which amortizes head movement (the paper's map phase
+        streams 74 partition files concurrently).
+        """
         with self._lock:
             self._write_bytes += int(nbytes)
             self._write_ops += 1
-            self._seeks += seeks
-        if self.clock is not None:
-            if seeks:
-                self.clock.charge("disk_write", costs.disk_write_seconds(
-                    self.disk, nbytes, seeks=seeks))
-            elif nbytes > 0:
-                self.clock.charge("disk_write", nbytes / self._write_bw)
+        if self.clock is not None and nbytes > 0:
+            self.clock.charge("disk_write", nbytes / self._write_bw)
 
     def add_read_run(self, sizes) -> None:
         """Record consecutive seekless reads with grouped locking.

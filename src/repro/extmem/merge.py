@@ -53,9 +53,9 @@ class ChunkSource(Protocol):
         ...
 
 
-def _unsorted(index: int, key_field: str) -> SortContractError:
+def _unsorted(index: int) -> SortContractError:
     return SortContractError(
-        f"merge input {index} violates sortedness on {key_field!r}")
+        f"merge input {index} violates sortedness on {KEY_FIELD!r}")
 
 
 class _Window:
@@ -73,14 +73,13 @@ class _Window:
     """
 
     __slots__ = ("live", "start", "length", "_buf", "_spare", "_capacity",
-                 "_source", "_index", "_key_field")
+                 "_source", "_index")
 
     def __init__(self, source: ChunkSource, index: int, capacity: int,
-                 key_field: str, empty: np.ndarray):
+                 empty: np.ndarray):
         self._source = source
         self._index = index
         self._capacity = capacity
-        self._key_field = key_field
         self.live = empty
         self.start = 0
         self.length = 0
@@ -93,7 +92,7 @@ class _Window:
 
     def keys(self) -> np.ndarray:
         """The key column of the current window."""
-        return self.view()[self._key_field]
+        return self.view()[KEY_FIELD]
 
     def refill(self) -> None:
         """Top the window up to capacity from the stream.
@@ -107,10 +106,10 @@ class _Window:
         extra = self._source.read(self._capacity - self.length)
         if not extra.shape[0]:
             return
-        keys = extra[self._key_field]
+        keys = extra[KEY_FIELD]
         if np.any(keys[1:] < keys[:-1]) or (
                 self.length and self.keys()[-1] > keys[0]):
-            raise _unsorted(self._index, self._key_field)
+            raise _unsorted(self._index)
         self._absorb(extra)
 
     def _absorb(self, extra: np.ndarray) -> None:
@@ -172,11 +171,10 @@ class _RunWindow:
 
     __slots__ = ("start", "length", "_run", "_keys", "_capacity")
 
-    def __init__(self, run: np.ndarray, index: int, capacity: int,
-                 key_field: str):
-        keys = run[key_field]
+    def __init__(self, run: np.ndarray, index: int, capacity: int):
+        keys = run[KEY_FIELD]
         if np.any(keys[1:] < keys[:-1]):
-            raise _unsorted(index, key_field)
+            raise _unsorted(index)
         self._run = run
         self._keys = keys
         self._capacity = capacity
@@ -294,7 +292,7 @@ def _algorithm1(windows: list, emit: EmitFn | None, *,
 
 def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
                     window_records: int, merge_fn_k: MergeKFn,
-                    key_field: str = KEY_FIELD, tracer=NULL_TRACER) -> int:
+                    tracer=NULL_TRACER) -> int:
     """Fanout-k Algorithm 1 over streams; returns the records emitted.
 
     This is the *first level* of the hybrid sort when the sources are
@@ -314,13 +312,13 @@ def merge_streams_k(sources: Sequence[ChunkSource], emit: EmitFn, *,
     if not sources:
         return 0
     empty = sources[0].read(0)
-    windows = [_Window(source, index, window_records, key_field, empty)
+    windows = [_Window(source, index, window_records, empty)
                for index, source in enumerate(sources)]
     return _algorithm1(windows, emit, merge_fn_k=merge_fn_k, tracer=tracer)
 
 
 def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
-                      merge_fn_k: MergeKFn, key_field: str = KEY_FIELD,
+                      merge_fn_k: MergeKFn,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Fanout-k Algorithm 1 over in-memory runs; returns the merged run.
 
@@ -340,7 +338,7 @@ def merge_in_memory_k(runs: Sequence[np.ndarray], *, window_records: int,
         out = np.empty(total, dtype=runs[0].dtype)
     elif out.shape != (total,) or out.dtype != runs[0].dtype:
         raise ConfigError("merge out= buffer shape/dtype mismatch")
-    windows = [_RunWindow(run, index, window_records, key_field)
+    windows = [_RunWindow(run, index, window_records)
                for index, run in enumerate(runs)]
     _algorithm1(windows, None, merge_fn_k=merge_fn_k, out=out)
     return out

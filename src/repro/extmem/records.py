@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..device.kernels import KEY_FIELD
 from ..errors import ConfigError
 
-KEY_FIELD = "key"
 AUX_FIELD = "aux"
 VAL_FIELD = "val"
 

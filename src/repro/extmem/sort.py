@@ -44,7 +44,6 @@ from ..faults import plan as faults
 from ..trace.tracer import NULL_TRACER
 from .io_stats import IOAccountant
 from .merge import merge_in_memory_k, merge_streams_k
-from .records import KEY_FIELD
 from .streams import HeldRun, RunReader, RunWriter
 
 #: A block being sorted in host memory needs itself + its sorted copy.
@@ -96,8 +95,7 @@ class ExternalSorter:
     def __init__(self, *, gpu: VirtualGPU, host_pool: MemoryPool,
                  accountant: IOAccountant | None, dtype: np.dtype,
                  host_block_pairs: int, device_block_pairs: int,
-                 merge_fanout: int = 2, key_field: str = KEY_FIELD,
-                 tracer=None):
+                 merge_fanout: int = 2, tracer=None):
         if host_block_pairs < 2 or device_block_pairs < 2:
             raise ConfigError("block sizes must be >= 2 records")
         if merge_fanout < 2:
@@ -107,7 +105,6 @@ class ExternalSorter:
         self.accountant = accountant
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.dtype = np.dtype(dtype)
-        self.key_field = key_field
         self.m_h = host_block_pairs
         self.m_d = min(device_block_pairs, host_block_pairs)
         self.fanout = merge_fanout
@@ -125,7 +122,7 @@ class ExternalSorter:
 
     def _device_sort_chunk(self, records: np.ndarray) -> np.ndarray:
         chunk_d = self.gpu.to_device(records, label="sort-chunk")
-        sorted_d = self.gpu.sort_records_device(chunk_d, key_field=self.key_field)
+        sorted_d = self.gpu.sort_records_device(chunk_d)
         chunk_d.free()
         # Sort the caller's chunk in place when it may be written:
         # run-formation chunks are private (freshly read, or slices of one
@@ -155,14 +152,13 @@ class ExternalSorter:
             return parts[0]
         total = sum(part.shape[0] for part in parts)
         if total <= self.device_kway_budget:
-            return self.gpu.merge_records_device_k(
-                parts, key_field=self.key_field, out=out)
+            return self.gpu.merge_records_device_k(parts, out=out)
         # At most ``fanout`` windows of ``device_kway_window`` records fit
         # the budget, so the inner merges launch directly (windows of one
         # record, on a device too small for that, only pass through).
         return merge_in_memory_k(
             parts, window_records=self.device_kway_window,
-            merge_fn_k=self.merge_windows, key_field=self.key_field, out=out)
+            merge_fn_k=self.merge_windows, out=out)
 
     def sort_block_in_host(self, records: np.ndarray) -> np.ndarray:
         """Sort one host-resident block by streaming device chunks (level 2)."""
@@ -179,7 +175,7 @@ class ExternalSorter:
                     continue
                 next_runs.append(merge_in_memory_k(
                     group, window_records=self.device_kway_window,
-                    merge_fn_k=self.merge_windows, key_field=self.key_field))
+                    merge_fn_k=self.merge_windows))
             runs = next_runs
         return runs[0]
 
@@ -387,7 +383,6 @@ class ExternalSorter:
                         merge_streams_k(readers, writer.append,
                                         window_records=self.host_kway_window,
                                         merge_fn_k=self.merge_windows,
-                                        key_field=self.key_field,
                                         tracer=self.tracer)
                     for path in group:
                         path.unlink()

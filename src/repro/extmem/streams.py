@@ -62,10 +62,6 @@ class RunWriter:
         except BaseException:
             _unregister(self.path)
             raise
-        # Writes charge bandwidth only: the write-only memory is appended
-        # through the OS write-behind cache, which amortizes head movement
-        # (the paper's map phase streams 74 partition files concurrently).
-        self._pending_seek = 0
         self._tail = bytearray()
 
     def append(self, records: np.ndarray, *, meter: bool = True) -> int:
@@ -90,8 +86,7 @@ class RunWriter:
             if len(self._tail) >= _COALESCE_BYTES:
                 self._drain_tail()
         if meter and self._accountant is not None:
-            self._accountant.add_write(data.nbytes, seeks=self._pending_seek)
-        self._pending_seek = 0
+            self._accountant.add_write(data.nbytes)
         return data.nbytes
 
     def _drain_tail(self) -> None:

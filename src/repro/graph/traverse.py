@@ -78,13 +78,12 @@ class PathSet:
         return PathSet(new_offsets, self.vertices[take], self.overhangs[take])
 
 
-def extract_paths(graph: GreedyStringGraph, *, include_singletons: bool = True
-                  ) -> PathSet:
+def extract_paths(graph: GreedyStringGraph) -> PathSet:
     """Walk the graph into a :class:`PathSet`.
 
-    ``include_singletons`` controls whether reads with no overlaps at all
-    (in-degree 0, out-degree 0) become single-read paths; either way, every
-    read appears in at most one returned path, and a dropped read
+    Reads with no overlaps at all (in-degree 0, out-degree 0) become
+    single-read paths, after the walked ones. Every read appears in at
+    most one returned path, and a dropped read
     (:meth:`~repro.graph.GreedyStringGraph.close_reads`) in none. Vertices on cycles are
     unreachable from any seed and are skipped (with equal-length reads a
     cycle can only arise from repeats spanning whole reads).
@@ -123,10 +122,9 @@ def extract_paths(graph: GreedyStringGraph, *, include_singletons: bool = True
     flat_vertices = flat_vertices[:filled][np.argsort(flat_paths, kind="stable")]
     lengths = np.bincount(flat_paths, minlength=seeds.shape[0])
 
-    if include_singletons:
-        singles = np.nonzero(~has_out & no_in)[0]
-        flat_vertices = np.concatenate([flat_vertices, singles])
-        lengths = np.concatenate([lengths, np.ones(singles.shape[0], dtype=np.int64)])
+    singles = np.nonzero(~has_out & no_in)[0]
+    flat_vertices = np.concatenate([flat_vertices, singles])
+    lengths = np.concatenate([lengths, np.ones(singles.shape[0], dtype=np.int64)])
 
     offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
     overhangs = graph.overhangs()[flat_vertices]

@@ -24,8 +24,7 @@ accepted edges are the same.
 from __future__ import annotations
 
 from ..config import MemoryConfig
-from ..device.specs import DeviceSpec
-from ..distributed.network import NetworkSpec
+from ..device.specs import DeviceSpec, NetworkSpec
 from .single_node import MODEL_DISK_READ, MODEL_DISK_WRITE, model_phase_seconds
 from .workload import Workload
 

@@ -11,6 +11,7 @@ import gc
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ from repro.core.pipeline import PHASES, Assembler
 from repro.distributed.cluster import DistributedAssembler
 from repro.errors import (ConfigError, DistributedProtocolError, FaultInjected,
                           SortContractError, StreamProtocolError)
-from repro.extmem import PartitionStore, RunReader, RunWriter
+from repro.extmem import ExternalSorter, PartitionStore, RunReader, RunWriter
 from repro.extmem.merge import merge_streams_k
+from repro.extmem.partitions import partition_sides
 from repro.extmem.records import kv_dtype, make_records
 from repro.extmem.streams import _COALESCE_BYTES
 from repro.faults import (BITFLIP, CRASH, ENOSPC, LEDGER, PHASE, READ, TORN,
-                          WRITE, Fault, FaultPlan, inject, result_digest,
-                          scan_residue)
+                          WRITE, Fault, FaultPlan, inject, ledger_converged,
+                          result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -117,6 +119,56 @@ def test_interrupt_after_each_phase_then_resume(chaos_data, config, tmp_path,
     resumed = Assembler(config).assemble(md.store_path, workdir=workdir,
                                          resume=True)
     assert result_digest(resumed) == result_digest(golden)
+    assert scan_residue(workdir) == []
+
+
+def test_a_resume_sorts_again_only_the_damaged_sorted_run(chaos_data,
+                                                          tmp_path,
+                                                          monkeypatch):
+    """Stopped after the ledger marks ``sort`` and before ``reduce``, with
+    one sorted run's bytes damaged: the resume deletes the run the ledger
+    no longer vouches for, invalidates from ``sort``, and sorts again that
+    length and the ones whose runs were held (no file), no other."""
+    md, _ = chaos_data
+    config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7, memory=SPILLING,
+                            host_block_pairs=SPILLING_BLOCK_PAIRS)
+    golden = Assembler(config).assemble(md.store_path,
+                                        workdir=tmp_path / "golden")
+    workdir = tmp_path / "damaged"
+    with inject(FaultPlan([Fault(CRASH, site=PHASE, match="sort")])):
+        with pytest.raises(FaultInjected):
+            Assembler(config).assemble(md.store_path, workdir=workdir,
+                                       resume=True)
+    state = json.loads((workdir / STATE_FILE).read_text())
+    assert state["completed"] == ["load", "map", "sort"]
+    partitions = workdir / "partitions"
+    sorted_runs = sorted(partitions.glob("*.sorted.run"))
+    assert len(sorted_runs) >= 2
+    damaged = sorted_runs[-1]
+    data = bytearray(damaged.read_bytes())
+    data[0] ^= 0xFF
+    damaged.write_bytes(bytes(data))
+
+    def length_of(path) -> int:
+        return int(path.name.split(".")[0].split("_")[1])
+
+    sorted_again = []
+    sort_file = ExternalSorter.sort_file
+
+    def spy(self, in_path, out_path, **kwargs):
+        sorted_again.append(length_of(Path(out_path)))
+        return sort_file(self, in_path, out_path, **kwargs)
+
+    monkeypatch.setattr(ExternalSorter, "sort_file", spy)
+    lengths = set(range(MIN_OVERLAP, golden.read_length + 1))
+    filed = {length for length in lengths if all(
+        (partitions / f"{side}_{length:05d}.sorted.run").exists()
+        for side in partition_sides(length, golden.read_length))}
+    resumed = Assembler(config).assemble(md.store_path, workdir=workdir,
+                                         resume=True)
+    assert set(sorted_again) == (lengths - filed) | {length_of(damaged)}
+    assert result_digest(resumed) == result_digest(golden)
+    assert ledger_converged(workdir)
     assert scan_residue(workdir) == []
 
 

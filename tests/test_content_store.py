@@ -16,6 +16,7 @@ import repro.core.pipeline as pipeline
 from repro.config import AssemblyConfig, MemoryConfig
 from repro.core.checkpoint import GRAPH_FILE, NON_SEMANTIC_KNOBS, STATE_FILE
 from repro.core.pipeline import PHASES, Assembler
+from repro.device.specs import DiskSpec, NetworkSpec
 from repro.errors import ConfigError, FaultInjected
 from repro.faults import (BITFLIP, CRASH, PHASE, READ, TORN, WRITE, Fault,
                           FaultPlan, inject, result_digest)
@@ -526,6 +527,8 @@ def test_equal_ledger_digests_do_not_share_a_cache_entry(tmp_path):
 #: (field, changed value) for every execution-only knob: none may move the key.
 _NON_SEMANTIC_CHANGES = {
     "trace": "/tmp/somewhere",
+    "disk": DiskSpec.ssd(),
+    "network": NetworkSpec.ethernet_10g(),
     "heartbeat_interval": 0.75,
     "node_timeout": 9.0,
     "node_restarts": 3,

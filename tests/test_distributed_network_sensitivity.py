@@ -1,5 +1,7 @@
 """Distributed sensitivity: interconnect speed and load balance."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import AssemblyConfig
@@ -18,7 +20,8 @@ class TestNetworkSensitivity:
         config = AssemblyConfig(min_overlap=25)
         fast = DistributedAssembler(config, 4).assemble(md.store_path)
         slow = DistributedAssembler(
-            config, 4, network=NetworkSpec.ethernet_10g()).assemble(md.store_path)
+            replace(config, network=NetworkSpec.ethernet_10g()),
+            4).assemble(md.store_path)
         assert slow.phase_seconds["shuffle"] > fast.phase_seconds["shuffle"]
         # compute-bound phases unchanged
         assert slow.phase_seconds["map"] == pytest.approx(

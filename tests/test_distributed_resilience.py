@@ -430,6 +430,27 @@ class TestFailoverRung:
         assert _identity(result) == _identity(clean), \
             f"loss at {point.path} changed the output"
 
+    def test_a_lost_master_hands_compress_to_the_next_node(
+            self, resilience_data):
+        """No restart budget and the master dies in compress: node01
+        takes compress over, reads node00's blocks as their new holder,
+        and spells the clean run's contigs."""
+        config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                node_restarts=0)
+        clean = DistributedAssembler(config, 2).assemble(
+            resilience_data.store_path)
+        plan = FaultPlan([Fault(NODE_CRASH, site=NODE,
+                                match="node00:compress")])
+        with inject(plan):
+            result = DistributedAssembler(config, 2).assemble(
+                resilience_data.store_path)
+        assert [e.kind for e in plan.events] == [NODE_CRASH]
+        assert [t.path for t in plan.trace if t.site == NODE][-2:] == [
+            "node00:compress", "node01:compress"]
+        assert result.lost_nodes == (0,)
+        assert result.degraded is None
+        assert _identity(result) == _identity(clean)
+
     def test_a_lone_node_maps_its_partitions_again_to_rebuild_one(
             self, resilience_data, tmp_path):
         """A lone node's pieces are its partitions, so a rebuild has no
@@ -437,12 +458,11 @@ class TestFailoverRung:
         partition is the first one byte for byte (on the cramped budget,
         where the partition is a file)."""
         length = MIN_OVERLAP + 5
-        network = NetworkSpec()
         with PackedReadStore.open(resilience_data.store_path) as store:
             supervisor = ClusterSupervisor(
                 AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                                memory=CRAMPED), 1, tmp_path,
-                network, ActiveMessageLayer(network), store)
+                ActiveMessageLayer(NetworkSpec()), store)
             supervisor.begin_round(None, [length])
             supervisor.map_phase()
             supervisor.shuffle_phase([length])
@@ -753,15 +773,14 @@ class TestReplayFromLineage:
         recorded blocks, and pulls nothing (on the cramped budget, where
         the partition is a file)."""
         length = MIN_OVERLAP + 5
-        network = NetworkSpec()
         config = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
                                 memory=CRAMPED)
         sorted_runs = []
         with PackedReadStore.open(resilience_data.store_path) as store:
             for run in ("clean", "restarted"):
                 supervisor = ClusterSupervisor(
-                    config, 1, tmp_path / run, network,
-                    ActiveMessageLayer(network), store)
+                    config, 1, tmp_path / run,
+                    ActiveMessageLayer(NetworkSpec()), store)
                 supervisor.begin_round(None, [length])
                 supervisor.map_phase()
                 supervisor.shuffle_phase([length])

@@ -63,6 +63,7 @@ class TestPartitionStore:
         store.append("S", 30, self._records(1))
         with pytest.raises(StreamProtocolError, match="finalize"):
             store.lengths()
+        store.finalize()  # closes the writer the append opened
 
     def test_sorted_path_distinct(self, tmp_path):
         store = PartitionStore(tmp_path, kv_dtype(1))

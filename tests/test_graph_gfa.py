@@ -40,8 +40,7 @@ class TestWriteGfa:
         assert "LN:i:10" in buffer.getvalue()
 
     def test_paths_written(self, small_graph):
-        paths = extract_paths(small_graph,
-                              include_singletons=False).deduplicated()
+        paths = extract_paths(small_graph).deduplicated()
         buffer = io.StringIO()
         counts = write_gfa(buffer, small_graph, paths=paths)
         assert counts["P"] == paths.n_paths

@@ -19,7 +19,7 @@ def chain_graph(n_reads=5, read_length=10, overlap=6) -> GreedyStringGraph:
 class TestExtractPaths:
     def test_chain_becomes_one_path_plus_twin(self):
         graph = chain_graph()
-        paths = extract_paths(graph, include_singletons=False)
+        paths = extract_paths(graph)
         assert paths.n_paths == 2  # the chain and its reverse-complement twin
         vertices, overhangs = paths.path(0)
         forward = vertices if vertices[0] == 0 else paths.path(1)[0]
@@ -28,7 +28,7 @@ class TestExtractPaths:
 
     def test_overhangs_and_contig_lengths(self):
         graph = chain_graph(n_reads=3, read_length=10, overlap=6)
-        paths = extract_paths(graph, include_singletons=False)
+        paths = extract_paths(graph)
         # overhang 4, 4, then 10 for the last read: contig = 18 bases
         assert sorted(paths.contig_lengths().tolist()) == [18, 18]
 
@@ -41,7 +41,6 @@ class TestExtractPaths:
         graph = GreedyStringGraph(3, 10)  # no edges at all
         paths = extract_paths(graph)
         assert paths.n_paths == 6  # every oriented read alone
-        assert extract_paths(graph, include_singletons=False).n_paths == 0
 
     def test_empty_graph(self):
         paths = extract_paths(GreedyStringGraph(0, 10))
@@ -52,7 +51,7 @@ class TestExtractPaths:
 class TestDedup:
     def test_halves_path_count(self):
         graph = chain_graph()
-        paths = extract_paths(graph, include_singletons=False)
+        paths = extract_paths(graph)
         deduped = paths.deduplicated()
         assert deduped.n_paths == 1
 
@@ -70,7 +69,7 @@ class TestDedup:
         oriented[1::2] = batch.reverse_complements().codes
         graph = GreedyStringGraph(2, 10)
         graph.add_candidates(np.array([0]), np.array([2]), 8)
-        paths = extract_paths(graph, include_singletons=False)
+        paths = extract_paths(graph)
         contigs = spell_contigs(paths, oriented)
         texts = {"".join("ACGT"[c] for c in codes) for codes in contigs}
         from repro.seq.alphabet import reverse_complement_str
@@ -91,7 +90,7 @@ class TestSpellContigs:
         graph = GreedyStringGraph(3, 10)
         graph.add_candidates(np.array([0]), np.array([2]), 6)
         graph.add_candidates(np.array([2]), np.array([4]), 6)
-        paths = extract_paths(graph, include_singletons=False).deduplicated()
+        paths = extract_paths(graph).deduplicated()
         contigs = spell_contigs(paths, oriented)
         assert contigs.n_contigs == 1
         spelled = contigs.contig_codes(0)
