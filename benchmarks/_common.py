@@ -32,7 +32,7 @@ from repro.core.load_phase import run_load
 from repro.core.map_phase import run_map
 from repro.core.reduce_phase import run_reduce
 from repro.core.results import AssemblyResult
-from repro.core.sort_phase import run_sort
+from repro.core.sort_phase import make_sorter, run_sort
 from repro.model.workload import Workload
 from repro.seq.datasets import active_scale, dataset_registry, materialize_dataset
 
@@ -127,6 +127,21 @@ def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
     return SimpleNamespace(telemetry=ctx.telemetry, map_report=map_report,
                            sort_report=sort_report,
                            reduce_report=reduce_report, contigs=contigs)
+
+
+def block_sorter(workdir, dtype, m_h: int, m_d: int, *, host_bytes: int,
+                 device_bytes: int, fanout: int = 2, device_name: str = "K40"):
+    """``(ctx, sorter)``: the external sorter a run of an explicit
+    ``(m_h, m_d)`` and merge fanout builds (``make_sorter``), on the
+    machine its config names, and the run context that holds its clock,
+    pools and disk accountant. The Fig. 8/9 sweeps and the sort ablations
+    sort one partition with it."""
+    config = AssemblyConfig(
+        device_name=device_name,
+        memory=MemoryConfig(host_bytes, device_bytes, name="sort-sweep"),
+        host_block_pairs=m_h, device_block_pairs=m_d, merge_fanout=fanout)
+    ctx = RunContext(config, workdir=workdir)
+    return ctx, make_sorter(ctx, dtype)
 
 
 def longest_partition_passes(result) -> int:

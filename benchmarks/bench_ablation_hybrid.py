@@ -10,29 +10,24 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.device import MemoryPool, SimClock, VirtualGPU
-from repro.errors import HostMemoryError
-from repro.extmem import ExternalSorter, IOAccountant, RunWriter
+from repro.extmem import RunWriter
 from repro.extmem.records import make_records
 from repro.units import format_duration, format_size
 
-from _common import dataset, emit
+from _common import block_sorter, dataset, emit
 
 
 def _sort(tmp_path, records, m_h, m_d, tag):
-    clock = SimClock()
-    accountant = IOAccountant(clock=clock)
-    gpu = VirtualGPU("K40", capacity_bytes=max(1 << 20, m_d * 60), clock=clock)
-    host = MemoryPool("host", max(1 << 22, m_h * 60), HostMemoryError)
-    sorter = ExternalSorter(gpu=gpu, host_pool=host, accountant=accountant,
-                            dtype=records.dtype, host_block_pairs=m_h,
-                            device_block_pairs=m_d)
+    ctx, sorter = block_sorter(tmp_path, records.dtype, m_h, m_d,
+                               host_bytes=max(1 << 22, m_h * 60),
+                               device_bytes=max(1 << 20, m_d * 60))
+    accountant = ctx.accountant
     in_path = tmp_path / f"in_{tag}.run"
     with RunWriter(in_path, records.dtype) as writer:
         writer.append(records)
     before = accountant.total_bytes
     report = sorter.sort_file(in_path, tmp_path / f"out_{tag}.run")
-    return report, accountant.total_bytes - before, clock.total_seconds
+    return report, accountant.total_bytes - before, ctx.clock.total_seconds
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -19,14 +19,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.device import MemoryPool, SimClock, VirtualGPU
-from repro.errors import HostMemoryError
-from repro.extmem import ExternalSorter, IOAccountant, RunReader, RunWriter
+from repro.extmem import RunReader, RunWriter
 from repro.extmem.records import make_records
 from repro.model.sorting import model_partition_sort_seconds, predicted_sort_passes
 from repro.units import format_duration, format_size
 
-from _common import emit
+from _common import block_sorter, emit
 
 #: Default synthetic partition size; override with REPRO_KWAY_RECORDS.
 DEFAULT_RECORDS = 192_000
@@ -34,18 +32,15 @@ FANOUTS = (2, 4, 8, 16)
 
 
 def _sort(tmp_path, records, m_h, m_d, fanout):
-    clock = SimClock()
-    accountant = IOAccountant(clock=clock)
     record_nbytes = records.dtype.itemsize
-    gpu = VirtualGPU("K40", capacity_bytes=max(1 << 16, m_d * record_nbytes * 2),
-                     clock=clock)
     # Host pool sized to one m_h block: the dataset itself cannot fit.
-    host = MemoryPool("host", max(1 << 16, m_h * record_nbytes),
-                      HostMemoryError)
-    assert records.nbytes > host.capacity_bytes, "dataset must exceed host pool"
-    sorter = ExternalSorter(gpu=gpu, host_pool=host, accountant=accountant,
-                            dtype=records.dtype, host_block_pairs=m_h,
-                            device_block_pairs=m_d, merge_fanout=fanout)
+    ctx, sorter = block_sorter(tmp_path, records.dtype, m_h, m_d,
+                               host_bytes=max(1 << 16, m_h * record_nbytes),
+                               device_bytes=max(1 << 16, m_d * record_nbytes * 2),
+                               fanout=fanout)
+    accountant = ctx.accountant
+    assert records.nbytes > ctx.host_pool.capacity_bytes, \
+        "dataset must exceed host pool"
     in_path = tmp_path / f"in_k{fanout}.run"
     with RunWriter(in_path, records.dtype) as writer:
         writer.append(records)
@@ -54,7 +49,7 @@ def _sort(tmp_path, records, m_h, m_d, fanout):
     with RunReader(tmp_path / f"out_k{fanout}.run", records.dtype) as reader:
         out_keys = reader.read_all()["key"]
     assert np.array_equal(out_keys, np.sort(records["key"]))
-    return report, accountant.total_bytes - before, clock.total_seconds
+    return report, accountant.total_bytes - before, ctx.clock.total_seconds
 
 
 @pytest.mark.benchmark(group="ablation")

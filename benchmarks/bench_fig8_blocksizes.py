@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.device import MemoryPool, SimClock, VirtualGPU
-from repro.errors import HostMemoryError
-from repro.extmem import ExternalSorter, IOAccountant, RunWriter
+from repro.extmem import RunWriter
 from repro.extmem.records import kv_dtype, make_records
 from repro.model.paper_values import FIG8_DEVICE_BLOCKS, FIG8_HOST_BLOCKS
 from repro.model.sorting import PARTITION_RECORDS, model_partition_sort_seconds
 from repro.units import format_duration
 
-from _common import dataset, emit
+from _common import block_sorter, dataset, emit
 
 
 def _partition_records(n: int) -> np.ndarray:
@@ -33,18 +31,15 @@ def _partition_records(n: int) -> np.ndarray:
 
 
 def _sort_once(tmp_path, records: np.ndarray, m_h: int, m_d: int, fanout=2):
-    clock = SimClock()
-    accountant = IOAccountant(clock=clock)
-    gpu = VirtualGPU("K40", capacity_bytes=max(1 << 20, m_d * 60), clock=clock)
-    host_pool = MemoryPool("host", max(1 << 22, m_h * 60), HostMemoryError)
-    sorter = ExternalSorter(gpu=gpu, host_pool=host_pool, accountant=accountant,
-                            dtype=records.dtype, host_block_pairs=m_h,
-                            device_block_pairs=m_d, merge_fanout=fanout)
+    ctx, sorter = block_sorter(tmp_path, records.dtype, m_h, m_d,
+                               host_bytes=max(1 << 22, m_h * 60),
+                               device_bytes=max(1 << 20, m_d * 60),
+                               fanout=fanout)
     in_path = tmp_path / f"part_{m_h}_{m_d}_{fanout}.run"
     with RunWriter(in_path, records.dtype) as writer:
         writer.append(records)
     report = sorter.sort_file(in_path, tmp_path / f"out_{m_h}_{m_d}_{fanout}.run")
-    return report, clock.total_seconds
+    return report, ctx.clock.total_seconds
 
 
 @pytest.mark.benchmark(group="fig8")

@@ -13,32 +13,27 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.device import MemoryPool, SimClock, VirtualGPU
-from repro.errors import HostMemoryError
-from repro.extmem import ExternalSorter, IOAccountant, RunWriter
+from repro.extmem import RunWriter
 from repro.extmem.records import make_records
 from repro.model.paper_values import FIG9_GPU_ORDER_FAST_TO_SLOW
 from repro.model.sorting import model_partition_sort_seconds
 from repro.units import format_duration
 
-from _common import dataset, emit
+from _common import block_sorter, dataset, emit
 
 GPUS = ("K40", "P40", "P100", "V100")
 
 
 def _sort_with_gpu(tmp_path, records, gpu_name: str, m_h: int, m_d: int) -> float:
-    clock = SimClock()
-    accountant = IOAccountant(clock=clock)
-    gpu = VirtualGPU(gpu_name, capacity_bytes=max(1 << 20, m_d * 60), clock=clock)
-    host_pool = MemoryPool("host", max(1 << 22, m_h * 60), HostMemoryError)
-    sorter = ExternalSorter(gpu=gpu, host_pool=host_pool, accountant=accountant,
-                            dtype=records.dtype, host_block_pairs=m_h,
-                            device_block_pairs=m_d)
+    ctx, sorter = block_sorter(tmp_path, records.dtype, m_h, m_d,
+                               host_bytes=max(1 << 22, m_h * 60),
+                               device_bytes=max(1 << 20, m_d * 60),
+                               device_name=gpu_name)
     in_path = tmp_path / f"in_{gpu_name}_{m_h}.run"
     with RunWriter(in_path, records.dtype) as writer:
         writer.append(records)
     sorter.sort_file(in_path, tmp_path / f"out_{gpu_name}_{m_h}.run")
-    return clock.total_seconds
+    return ctx.clock.total_seconds
 
 
 @pytest.mark.benchmark(group="fig9")

@@ -10,18 +10,13 @@ from types import SimpleNamespace
 from ..config import AssemblyConfig
 from ..device import SimClock, VirtualGPU
 from ..device.memory import MemoryPool
-from ..device.specs import HostSpec
+from ..device.specs import HOST
 from ..errors import HostMemoryError
 from ..extmem import IOAccountant
 from ..faults import plan as faults
 from ..fingerprint import FingerprintScheme
 from ..telemetry import EventMeter, Telemetry
 from ..trace.tracer import NULL_TRACER
-
-#: The modeled host: one node class for every run (QB2 and SuperMIC
-#: differ in their budgets, which ``config.memory`` carries).
-HOST = HostSpec()
-
 
 class RunContext:
     """Everything one pipeline run shares across phases.

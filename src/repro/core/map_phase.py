@@ -21,7 +21,10 @@ each scan launch is charged as the seeded window scan of
 :mod:`repro.fingerprint.scan` over its side's kept window ``lo..hi``: a
 tree reduction of the ``lo − 1`` codes before it, then the doubling scan
 over its ``hi − lo + 1`` positions (the whole read when the pass keeps
-every length down to 1). The fan-out is charged too. The host evaluates
+every length down to 1). Where the run's plan holds the fingerprints the
+band above left (:class:`HeldSeeds`), a band folds nothing: it descends
+from them through the codes of its window alone, so each read is folded
+once, in the whole-read band. The fan-out is charged too. The host evaluates
 the same mapping without the discarded tuples and without the
 intermediate sort:
 :mod:`repro.fingerprint.scan`'s kernel is told the partition lengths and
@@ -243,10 +246,51 @@ def _key_fields(records: np.ndarray, lanes: int) -> list[np.ndarray]:
     return [records[field] for field in (KEY_FIELD, AUX_FIELD)[:lanes]]
 
 
+class HeldSeeds:
+    """The fingerprints a band leaves for the next, of one read range.
+
+    ``values[side]`` (``0`` prefixes, ``1`` suffixes) holds, under every
+    hash of the scheme, each oriented read's ``uint32`` residue at the
+    length ``top[side]``, indexed by vertex id less ``2·start``; ``top``
+    is ``None`` where nothing valid is held. A band descends from them
+    (:func:`run_map`) and leaves its own shortest length's in their place.
+    Only the claims a band leaves open are keyed and left: bits are only
+    ever set, so a claim closed at one band is closed at every later one.
+    :class:`~repro.core.residency.Residency` holds them beside the reads
+    they come from, reserved in ``allocation``.
+    """
+
+    def __init__(self, read_range: tuple[int, int], n_specs: int, allocation):
+        start, stop = read_range
+        self.start = start
+        self.values = np.empty((2, n_specs, 2 * (stop - start)), dtype=np.uint32)
+        self.top: list[int | None] = [None, None]
+        self.allocation = allocation
+
+    @staticmethod
+    def nbytes(read_range: tuple[int, int], n_specs: int) -> int:
+        """Host bytes of a range's fingerprints."""
+        return 2 * n_specs * 2 * (read_range[1] - read_range[0]) * 4
+
+    def descent(self, side: int, lengths: tuple[int, ...]) -> int | None:
+        """The length the keys of ``lengths`` descend from on ``side``, if
+        held above them all."""
+        top = self.top[side]
+        return top if lengths and top is not None and top > lengths[-1] else None
+
+    def release(self) -> None:
+        """Give the host memory back: nothing is held from now on."""
+        self.values, self.top = None, [None, None]
+        self.allocation.free()
+
+
 def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                        batch_reads: int, scheme: FingerprintScheme,
                        lengths: tuple[int, ...], closed: PackedBitVector | None,
-                       dtype: np.dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                       dtype: np.dtype, seeds: HeldSeeds | None = None,
+                       tops: tuple[int | None, int | None] = (None, None),
+                       leave: bool = False,
+                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Pure-numpy fingerprint kernel for one host block, both orientations.
 
     Returns ``(records, open_masks)``, each ``[P, S]``: ``records[i]`` is
@@ -257,6 +301,11 @@ def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
     the block's ``2·n`` oriented reads. The oriented reads and their
     vertex ids are laid out in file order first (:func:`_oriented`), and
     each side keys only its own rows, straight into its records.
+
+    A side with a length in ``tops`` descends from the ``seeds`` held at
+    it; with ``leave``, each side's keyed rows leave their shortest
+    length's fingerprints in ``seeds`` (the whole-read band's ``P`` keys
+    both sides': a whole read's suffix is its prefix).
     """
     codes, vertices = _oriented(packed, first_read, read_length, batch_reads)
     records, masks = [], []
@@ -268,10 +317,20 @@ def _fingerprint_block(packed: np.ndarray, first_read: int, read_length: int,
                       if side in partition_sides(length, read_length))
         staged = np.empty((1, len(keyed), rows.size), dtype=dtype)
         if keyed:
-            scheme.key_matrices(codes[rows], keyed, _scan_workspace(),
-                                out=_key_fields(staged, scheme.lanes),
-                                sides=side)
+            index = "PS".index(side)
+            if seeds is not None:
+                slots = vertices[rows] - np.uint32(2 * seeds.start)
+            top = tops[index]
+            scheme.key_matrices(
+                codes[rows], keyed, _scan_workspace(),
+                out=_key_fields(staged, scheme.lanes), sides=side,
+                held=None if top is None
+                else ([seeds.values[index][:, slots]], top))
             staged[VAL_FIELD] = vertices[rows]
+            if leave:
+                left = scheme.residues(_key_fields(staged[0, 0], scheme.lanes))
+                for target in (0, 1) if keyed == (read_length,) else (index,):
+                    seeds.values[target][:, slots] = left
         records.append(staged[0])
         masks.append(mask)
     return records, masks
@@ -283,6 +342,7 @@ def run_map(ctx: RunContext, store: PackedReadStore,
             only_lengths: frozenset[int] | set[int] | None = None,
             closed: PackedBitVector | None = None,
             resident_bytes: int = 0,
+            seeds: HeldSeeds | None = None,
             ) -> tuple[PartitionStore, MapReport]:
     """Fingerprint reads and write the S/P length partitions.
 
@@ -307,6 +367,17 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     launches for those with an open ``S`` claim, plus, given ``closed``,
     one compaction pass per device batch. ``resident_bytes`` is host
     memory the graph holds meanwhile (:func:`_stage_batches`).
+
+    ``seeds`` are the fingerprints the plan holds for ``read_range``
+    (:class:`HeldSeeds`). A side whose kept lengths lie below the length
+    they are held at folds nothing: its launches are charged as a
+    descending window scan over the codes between its shortest length and
+    that one, plus the elementwise pass that joins each sum to its held
+    fingerprint (:func:`repro.device.costs.descent_seconds`), and the
+    held fingerprints its rows read are charged as an upload. A pass
+    whose shortest length lies below the held one and above ``l_min``
+    leaves its own there, charged as a download; the pass that keys
+    ``l_min`` releases them.
     """
     read_length = store.read_length
     # ``partition_lengths`` refuses a ``min_overlap`` of ``L`` or more
@@ -338,18 +409,44 @@ def run_map(ctx: RunContext, store: PackedReadStore,
     # and the suffix direction's unless the band is the whole-read length
     # alone.
     windows = [(side[0], side[-1]) for side in (kept, pairs) if side]
+    # The length each side descends from (None: it folds), and whether the
+    # pass leaves its shortest length's fingerprints for the next.
+    if seeds is not None and seeds.values is None:
+        seeds = None  # released
+    tops = (None, None) if seeds is None else \
+        (seeds.descent(0, kept), seeds.descent(1, pairs))
+    leave = seeds is not None and ctx.config.min_overlap < kept[0] \
+        and (seeds.top[0] is None or kept[0] < seeds.top[0])
+    # A row's held fingerprints of one side: a uint32 a hash.
+    seed_bytes = 4 * 2 * lanes
+
+    def launch(rows: int, side: int) -> float:
+        lo, hi = windows[side]
+        if tops[side] is not None:
+            return costs.descent_seconds(spec, rows, tops[side] - lo)
+        return costs.scan_seconds(spec, rows, hi, lo=lo)
 
     def orientation(records: tuple[int, int]) -> list[float]:
-        """One orientation's launches: one seeded window scan per hash per
+        """One orientation's launches: one window scan per hash per
         direction over the reads keyed on that side (``records``, P then
         S), then the fan-out of those records at every kept length with
         that side."""
         prefixes, suffixes = records
         fanned = prefixes * len(kept) + suffixes * len(pairs)
-        return [*[costs.scan_seconds(spec, rows, hi, lo=lo)
-                  for rows, (lo, hi) in zip(records, windows)
+        return [*[launch(rows, side)
+                  for side, rows in enumerate(records[:len(windows)])
                   for _ in range(2 * lanes)],
                 costs.elementwise_seconds(spec, fanned * dtype.itemsize)]
+
+    def transfers(forward: tuple[int, int], reverse: tuple[int, int]
+                  ) -> tuple[float, float]:
+        """The upload of the held fingerprints one device batch's keyed
+        rows descend from, and the download of those they leave."""
+        rows = [f + r for f, r in zip(forward, reverse)][:len(windows)]
+        up = sum(n for n, top in zip(rows, tops) if top is not None)
+        down = sum(rows) if leave else 0
+        return (costs.transfer_seconds(spec, seed_bytes * up),
+                costs.transfer_seconds(spec, seed_bytes * down))
 
     def kernel_charges(n: int, forward: tuple[int, int],
                        reverse: tuple[int, int]) -> list[float]:
@@ -370,6 +467,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                 charges.append(costs.elementwise_seconds(spec, 2 * n * read_length))
         return charges
 
+    if leave:
+        seeds.top = [None, None]  # nothing valid until the pass completes
     try:
         for block_start in range(start, stop, block_reads):
             block_stop = min(block_start + block_reads, stop)
@@ -384,13 +483,17 @@ def run_map(ctx: RunContext, store: PackedReadStore,
             # oriented reads keyed and their (P, S) records.
             (prefix, suffix), (p_open, s_open) = _fingerprint_block(
                 packed, block_start, read_length, batch_reads, ctx.scheme,
-                kept, closed, dtype)
+                kept, closed, dtype, seeds, tops, leave)
             starts = [2 * lo + offset for lo, n in batches for offset in (0, n)]
             rows = list(zip(np.add.reduceat(p_open, starts).tolist(),
                             np.add.reduceat(s_open, starts).tolist()))
             charges = []
             for i, (_, n) in enumerate(batches):
                 charges += kernel_charges(n, rows[2 * i], rows[2 * i + 1])
+            if seeds is not None:
+                uploads, downloads = zip(*(
+                    transfers(rows[2 * i], rows[2 * i + 1])
+                    for i in range(len(batches))))
             # One (length, P records, S records or None) entry per kept length.
             appended = [(length, prefix[j],
                          suffix[j] if length < read_length else None)
@@ -407,7 +510,11 @@ def run_map(ctx: RunContext, store: PackedReadStore,
                                     label="map-batch"):
                 # The charges are per device batch and in batch order, so
                 # the clock's float does not depend on the block size.
+                if seeds is not None:
+                    ctx.clock.charge_many("h2d", uploads)
                 ctx.gpu.charge_kernels(charges)
+                if seeds is not None:
+                    ctx.clock.charge_many("d2h", downloads)
                 partitions.append_pairs(appended, rows)
     finally:
         # Even on an injected crash the writers must close: the fault sweep
@@ -415,4 +522,8 @@ def run_map(ctx: RunContext, store: PackedReadStore,
         # would wrongly reject the recovery run's writers.
         if not caller_owns_store:
             partitions.finalize()
+    if leave:
+        seeds.top = [kept[0], kept[0] if pairs or closed is None else None]
+    elif seeds is not None and kept[0] == ctx.config.min_overlap:
+        seeds.release()
     return partitions, band_report(ctx, store, kept, closed, read_range)

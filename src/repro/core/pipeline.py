@@ -376,29 +376,33 @@ class Assembler:
         band_reports = []
         sort_report = SortPhaseReport({})
         reduce_report = None
-        for band in _bands(lengths, store.read_length):
-            partitions = PartitionStore(ctx.workdir / "partitions",
-                                        kv_dtype(ctx.config.fingerprint_lanes),
-                                        ctx.accountant)
-            try:
-                with self._phase(ctx, "map", boundary=False):
-                    band_reports.append(self._map_band(
-                        ctx, store, partitions, band, graph, plan))
-                for length in band:
-                    with self._phase(ctx, "sort", boundary=False):
-                        sort_report.reports.update(run_sort(
-                            ctx, partitions, lengths=(length,),
-                            closed=None if graph is None else graph.out_bits,
-                            plan=plan).reports)
-                    with self._phase(ctx, "reduce", boundary=False):
-                        graph, reduce_report = run_reduce(
-                            ctx, partitions, store, lengths=(length,),
-                            graph=graph, report=reduce_report)
-                plan.check_block(store, graph)
-            finally:
-                # Writers of a map that raised close, and a run held for a
-                # reduce that never came gives its host memory back.
-                partitions.abandon()
+        try:
+            for band in _bands(lengths, store.read_length):
+                partitions = PartitionStore(
+                    ctx.workdir / "partitions",
+                    kv_dtype(ctx.config.fingerprint_lanes), ctx.accountant)
+                try:
+                    with self._phase(ctx, "map", boundary=False):
+                        band_reports.append(self._map_band(
+                            ctx, store, partitions, band, graph, plan))
+                    for length in band:
+                        with self._phase(ctx, "sort", boundary=False):
+                            sort_report.reports.update(run_sort(
+                                ctx, partitions, lengths=(length,),
+                                closed=None if graph is None
+                                else graph.out_bits, plan=plan).reports)
+                        with self._phase(ctx, "reduce", boundary=False):
+                            graph, reduce_report = run_reduce(
+                                ctx, partitions, store, lengths=(length,),
+                                graph=graph, report=reduce_report)
+                    plan.check_block(store, graph)
+                finally:
+                    # Writers of a map that raised close, and a run held
+                    # for a reduce that never came gives its host memory
+                    # back.
+                    partitions.abandon()
+        finally:
+            plan.release_seeds()
         map_report = MapReport(
             store.n_reads, sum(report.n_batches for report in band_reports),
             sum(report.tuples_written for report in band_reports), lengths)
@@ -446,7 +450,8 @@ class Assembler:
         if todo:
             plan.keep(partitions, todo, open_vertices(store, closed))
             run_map(ctx, store, partitions, only_lengths=todo, closed=closed,
-                    resident_bytes=plan.resident_bytes)
+                    resident_bytes=plan.resident_bytes,
+                    seeds=plan.seeds.get((0, store.n_reads)))
         partitions.finalize()
         for length in todo:
             for side in partition_sides(length, store.read_length):

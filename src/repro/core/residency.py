@@ -3,7 +3,8 @@
 The paper's memory model has two levels below the data: the host holds
 what fits, the disk the rest. A :class:`Residency` plan, one a run (one a
 node on the cluster), decides which artifacts stay in host memory: the
-reads of the packed store it maps (:meth:`~Residency.hold_store`),
+reads of the packed store it maps and the fingerprints its map's
+bands leave each other (:meth:`~Residency.hold_store`),
 unsorted partitions whose sizes are known before they are written
 (:meth:`~Residency.keep`), and sorted runs the sort formed in one piece
 (:meth:`~Residency.hold`). The store's reads and the partitions stay
@@ -31,7 +32,7 @@ from ..extmem.sort import HOST_SORT_FOOTPRINT
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
 from .context import RunContext
-from .map_phase import open_vertices, partition_lengths
+from .map_phase import HeldSeeds, open_vertices, partition_lengths
 from .sort_phase import make_sorter
 
 #: The most reads one streaming step of load or compress takes.
@@ -88,6 +89,9 @@ class Residency:
         #: Whether every record an eager map writes fits one sorter block.
         self.in_core = store.n_reads <= in_core_reads(ctx, store.read_length)
         self._placed = set()
+        #: The fingerprints held for the map's next band, by read range
+        #: (:meth:`hold_store`).
+        self.seeds: dict[tuple[int, int], HeldSeeds] = {}
         self.check_block(store)
 
     def check_block(self, store: PackedReadStore,
@@ -140,10 +144,26 @@ class Residency:
         a single node's whole store, a cluster node's dealt blocks) in host
         memory from their first read on, in an in-core run. Reads the store
         holds already (those load wrote, :meth:`PackedReadStore.adopt`) are
-        placed as they are, not read again."""
+        placed as they are, not read again.
+
+        Each block's fingerprints are held beside its reads, where they fit
+        beside the sorter's block, for the map's bands to descend from
+        (:class:`~repro.core.map_phase.HeldSeeds`)."""
         if self.in_core:
             store.hold(self.ctx.host_pool, blocks)
             self._placed.update(store.reservations)
+            n_specs = 2 * self.ctx.config.fingerprint_lanes
+            for block in blocks:
+                nbytes = HeldSeeds.nbytes(block, n_specs)
+                if block not in self.seeds and nbytes \
+                        <= self.ctx.host_pool.free_bytes - self._block_bytes():
+                    self.seeds[block] = HeldSeeds(
+                        block, n_specs, self._reserve(nbytes, "held-seeds"))
+
+    def release_seeds(self) -> None:
+        """Give back the host memory of every fingerprint held."""
+        for seeds in self.seeds.values():
+            seeds.release()
 
     def keep(self, partitions: PartitionStore, lengths, n_records: int) -> None:
         """Keep the unsorted partitions of ``lengths`` in host memory, in an

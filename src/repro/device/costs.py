@@ -19,7 +19,8 @@ The model is deliberately simple and bandwidth-centric:
   costing a cache-line-sized transaction.
 * **Scan** (Hillis–Steele, seeded): a tree reduction up to the window's
   first position, then ``log2(k)`` passes over the window's ``k``
-  positions (the whole row when the window starts at 1).
+  positions (the whole row when the window starts at 1); below held
+  fingerprints, the window's passes and one elementwise pass, no fold.
 * **Transfers**: bytes over the PCIe link; **disk**: bytes over the disk
   bandwidth plus, on reads, a seek per sequential stream switch.
 
@@ -103,6 +104,18 @@ def scan_seconds(spec: DeviceSpec, n_rows: int, width: int, *,
         seconds += (2.0 * n_rows * (lo - 1) * SCAN_ELEMENT_BYTES
                     / _effective_bw(spec))
     return seconds
+
+
+def descent_seconds(spec: DeviceSpec, n_rows: int, window: int) -> float:
+    """Descending window scan over ``window`` positions of ``n_rows`` rows
+    (a fingerprint map band below held fingerprints).
+
+    The whole-row scan of the window's ``window`` positions (no fold: the
+    row's fingerprint above the window is held), then one elementwise pass
+    over its sums that joins each to the held fingerprint.
+    """
+    return (scan_seconds(spec, n_rows, window)
+            + elementwise_seconds(spec, n_rows * window * SCAN_ELEMENT_BYTES))
 
 
 def elementwise_seconds(spec: DeviceSpec, nbytes_touched: int) -> float:

@@ -6,7 +6,7 @@ The timing model is bandwidth-dominated — which is exactly why the paper
 observes P100 beating P40 despite fewer cores, and why all GPUs converge
 once sorting becomes disk-bound. A run's machine is named in its
 :class:`~repro.config.AssemblyConfig`: ``device_name``, ``disk`` and
-``network`` (the host is :class:`HostSpec`'s one node class).
+``network`` (the host is :data:`HOST`, one node class).
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ class HostSpec:
     mem_bandwidth: float = 60e9
     cores: int = 20
     clock_hz: float = 2.8e9
+
+
+#: The modeled host: one node class for every run and for the paper-scale
+#: model (QB2 and SuperMIC differ in their budgets, which
+#: ``config.memory`` carries).
+HOST = HostSpec()
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ class WorkerNode:
                     run_map(self.ctx, self.reads, pieces,
                             read_range=(start, stop),
                             only_lengths=frozenset(lengths),
-                            closed=self.closed, resident_bytes=resident)
+                            closed=self.closed, resident_bytes=resident,
+                            seeds=self.plan.seeds.get((start, stop)))
                 pieces.finalize()
             except BaseException:
                 pieces.abandon()
@@ -294,4 +295,10 @@ class WorkerNode:
         for pieces in self.pieces.values():
             pieces.abandon()
         self.shuffled.abandon()
+        self.close()
+
+    def close(self) -> None:
+        """Close this node's view of the store: its held blocks and their
+        fingerprints go back."""
         self.reads.close()
+        self.plan.release_seeds()

@@ -708,9 +708,10 @@ class ClusterSupervisor:
                 continue
 
     def close(self) -> None:
-        """Close every node's view of the store: its held blocks go back."""
+        """Close every node's view of the store: its held blocks and
+        their fingerprints go back."""
         for node in self.nodes:
-            node.reads.close()
+            node.close()
 
     # -- reporting -------------------------------------------------------------
 

@@ -68,7 +68,9 @@ class FingerprintScheme:
     def key_matrices(self, codes: np.ndarray, lengths,
                      workspace: ScanWorkspace | None = None,
                      out: list[np.ndarray] | None = None, *,
-                     sides: str = "PS") -> tuple[list[np.ndarray], ...]:
+                     sides: str = "PS",
+                     held: tuple[list[np.ndarray], int] | None = None,
+                     ) -> tuple[list[np.ndarray], ...]:
         """Prefix and/or suffix keys of the given lengths for a read batch.
 
         ``codes`` is ``(m, L)``; ``lengths`` is strictly increasing within
@@ -87,6 +89,12 @@ class FingerprintScheme:
         Without it they are freshly allocated. ``workspace`` is scratch
         only — nothing returned aliases it — and is worth passing when
         calls repeat.
+
+        ``held`` is ``(fingerprints, top)``, one ``(2 · lanes, m)`` array
+        of residues a side, each read's prefix or suffix fingerprint at the
+        length ``top`` above ``lengths`` under every hash (:meth:`residues`
+        of an earlier call's keys): the keys then descend from them
+        (:func:`~repro.fingerprint.scan.key_rows`).
         """
         codes = np.asarray(codes)
         if codes.ndim != 2:
@@ -108,9 +116,24 @@ class FingerprintScheme:
             raise ConfigError(
                 f"key_matrices out must be {self.lanes} uint64 arrays of "
                 f"shape {shape}")
+        if held is not None and (len(held[0]) != len(sides) or any(
+                values.shape != (2 * self.lanes, m) for values in held[0])):
+            raise ConfigError(
+                f"key_matrices held must be {len(sides)} arrays of shape "
+                f"{(2 * self.lanes, m)}")
         key_rows(codes, self.hash_specs, lengths, workspace or ScanWorkspace(),
-                 out, tuple("PS".index(side) for side in sides))
+                 out, tuple("PS".index(side) for side in sides), held)
         return tuple([keys[slot] for keys in out] for slot in range(len(sides)))
+
+    @staticmethod
+    def residues(keys: list[np.ndarray]) -> np.ndarray:
+        """The ``(2 · lanes, m)`` ``uint32`` hash residues packed in one
+        row of keys, one ``(m,)`` ``uint64`` array a lane."""
+        out = np.empty((2 * len(keys), keys[0].shape[0]), dtype=np.uint32)
+        for lane, packed in enumerate(keys):
+            out[2 * lane] = packed >> PACK_SHIFT
+            out[2 * lane + 1] = packed  # the low word
+        return out
 
     # -- scalar reference ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..config import DEFAULT_BUFFER_FRACTION, MemoryConfig
 from ..device import costs
-from ..device.specs import DeviceSpec, HostSpec, get_device_spec
+from ..device.specs import HOST, DeviceSpec, get_device_spec
 from .workload import Workload
 
 #: Fitted sequential disk bandwidths (bytes/s) of the paper's testbeds.
@@ -103,7 +103,7 @@ def model_phase_components(workload: Workload, memory: MemoryConfig,
         "disk": total_tuples_bytes / MODEL_DISK_READ,
         "device": (partitions * 2 * costs.search_seconds(spec, n_part, n_part)
                    + costs.transfer_seconds(spec, total_tuples_bytes)),
-        "host": costs.host_work_seconds(HostSpec(), workload.graph_nbytes * 4),
+        "host": costs.host_work_seconds(HOST, workload.graph_nbytes * 4),
     }
 
     # -- compress: stream packed reads once, write contigs ----------------------

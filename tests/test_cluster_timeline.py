@@ -14,7 +14,11 @@ modeled seconds, or books a stretch twice, moves one of them. The
 compress seconds, the totals and ``am_messages`` were pinned again when
 compress began to gather each read block from the node that holds it
 (one ``fetch_block`` message a block the master does not hold); nothing
-else moved.
+else moved. The four in-core cases were pinned again when each map round
+began to descend from the fingerprints the round above left instead of
+folding every read again (DESIGN.md, *the banded map folds each read
+once*): their map seconds fell, every later float moved with the clocks
+it sums, and the cramped cases, which hold no fingerprints, did not move.
 
 ``python tests/test_cluster_timeline.py`` prints the record of every case
 as JSON.

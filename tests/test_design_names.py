@@ -6,6 +6,11 @@ there: a def, a class attribute or field, a ``self.b`` assignment in one
 of the class's methods (or a base class's), or a module-level name. A
 deleted mechanism is written without backticks. File names
 (``cluster.py``, ``graph.npz``) are not names.
+
+Every backticked ``path.py::name`` (a source module under ``src/repro``
+or a test module, ``name`` a module-level name, then members through
+``.`` or ``::``, a test id's ``[...]`` and a call's ``()`` dropped)
+must name a file that exists and names that are defined in it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ SRC = ROOT / "src" / "repro"
 
 _CITED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
 _FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+_PATH_CITED = re.compile(r"`((?:[\w.]+/)*\w+\.py)::([^`]+)`")
 _FILE_SUFFIXES = {"py", "md", "json", "jsonl", "txt", "npz", "npy", "run",
                   "lsgr", "fasta", "fastq", "gfa", "toml", "yml"}
 
@@ -90,4 +96,59 @@ def test_design_cites_only_names_that_exist():
         if name not in members.get(owner, set()) | modules.get(owner, set()):
             line = text.count("\n", 0, match.start()) + 1
             missing.append(f"{owner}.{name} (line {line})")
+    assert missing == [], missing
+
+
+def _path_cited(path: str) -> Path | None:
+    """The file a cited ``path.py`` is: from the repository root, under
+    ``src/repro``, or a test module named by its file name alone."""
+    for candidate in (ROOT / path, SRC / path, ROOT / "tests" / path):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _file_names(path: Path) -> tuple[set[str], dict[str, set[str]]]:
+    """A file's module-level names, and each of its classes' members."""
+    tree = ast.parse(path.read_text())
+    names: set[str] = set()
+    classes: dict[str, set[str]] = defaultdict(set)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        names.update(_targets(node))
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                classes[cls.name].add(node.name)
+            classes[cls.name].update(_targets(node))
+    return names, classes
+
+
+def test_design_path_citations_name_what_exists():
+    members, _ = _definitions()
+    text = _FENCE.sub(lambda fence: "\n" * fence.group().count("\n"),
+                      (ROOT / "DESIGN.md").read_text())
+    missing = []
+    cited = 0
+    for match in _PATH_CITED.finditer(text):
+        cited += 1
+        path, chain = match.group(1), re.sub(r"\s+", "", match.group(2))
+        line = text.count("\n", 0, match.start()) + 1
+        found = _path_cited(path)
+        if found is None:
+            missing.append(f"{path} (line {line})")
+            continue
+        names, classes = _file_names(found)
+        parts = re.sub(r"\[[^\]]*\]|\(\)", "", chain).replace("::", ".")
+        first, *rest = parts.split(".")
+        owner, ok = first, first in names
+        for name in rest:
+            ok = ok and name in classes.get(owner, set()) | members.get(owner, set())
+            owner = name
+        if not ok:
+            missing.append(f"{path}::{chain} (line {line})")
+    assert cited >= 20
     assert missing == [], missing

@@ -51,8 +51,10 @@ def reference_keys(scheme, codes, lengths):
     return prefix, suffix
 
 
-def _rows(kind: str, scheme, read_length: int) -> int:
-    tile = tile_rows(len(scheme.hash_specs), read_length)
+def _rows(kind: str, scheme, lengths) -> int:
+    # The kernel's tile: its key sums or the codes it reads, the larger.
+    tile = tile_rows(max(len(scheme.hash_specs) * len(lengths),
+                         int(lengths[-1])))
     return {"0": 0, "1": 1, "tile-1": tile - 1, "tile": tile,
             "tile+1": tile + 1, "2*tile+3": 2 * tile + 3}[kind]
 
@@ -73,9 +75,9 @@ def check_kernel(read_length, lanes, seed, row_kind, length_kind, via_out,
                  data_seed):
     rng = np.random.default_rng(data_seed)
     scheme = FingerprintScheme(lanes=lanes, seed=seed)
-    m = _rows(row_kind, scheme, read_length)
-    codes = rng.integers(0, 4, (m, read_length), dtype=np.uint8)
     lengths = _lengths(length_kind, read_length, rng)
+    m = _rows(row_kind, scheme, lengths)
+    codes = rng.integers(0, 4, (m, read_length), dtype=np.uint8)
     if via_out:
         # The key fields of a packed record block: 8-byte values on 12- or
         # 20-byte strides, so most of them are not 8-byte aligned.
@@ -266,8 +268,9 @@ def test_workspace_does_not_grow_with_the_block():
     held = []
 
     def fingerprint_blocks():
-        # A fresh thread owns a fresh thread-local workspace.
-        for n in (100, 2000):
+        # A fresh thread owns a fresh thread-local workspace. Both blocks
+        # span several tiles (253 reads here).
+        for n in (600, 4000):
             packed = pack_codes(rng.integers(0, 4, (n, read_length), dtype=np.uint8))
             map_phase._fingerprint_block(packed, 0, read_length, n, scheme,
                                          lengths, None, kv_dtype(2))

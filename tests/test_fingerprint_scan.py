@@ -162,3 +162,83 @@ class TestWindowScan:
         for scan in (prefix_fingerprints_batch, suffix_fingerprints_batch):
             with pytest.raises(ConfigError, match="window"):
                 scan(codes, HashSpec(5, 13), window)
+
+
+descending_bands = st.integers(2, 128).flatmap(
+    lambda length: st.tuples(
+        st.lists(st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                 min_size=1, max_size=4),
+        st.sets(st.integers(1, length - 1), min_size=1, max_size=6).map(
+            lambda cuts: sorted(cuts, reverse=True))))
+
+
+class TestDescendingScan:
+    """A band below held fingerprints keys its window from them alone."""
+
+    @given(descending_bands, st.sampled_from((1, 2)), st.integers(0, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_every_band_descends_from_the_one_above(self, drawn, lanes, seed):
+        """The whole read is keyed once; each band ``lo..hi`` below it
+        descends from the fingerprints the band above left at ``hi + 1``,
+        on both sides, and its shortest key is what it leaves the next."""
+        rows, cuts = drawn
+        codes = np.array(rows, dtype=np.uint8)
+        m, length = codes.shape
+        scheme = FingerprintScheme(lanes=lanes, seed=seed)
+        specs = scheme.hash_specs
+        wholes = [(prefix_fingerprints_batch(codes, spec),
+                   suffix_fingerprints_batch(codes, spec)) for spec in specs]
+        # The whole-read band: a read's whole suffix is its prefix.
+        (whole,) = scheme.key_matrices(codes, [length], sides="P")
+        left = scheme.residues([keys[0] for keys in whole])
+        held, top = [left, left], length
+        for lo in [*cuts, None]:
+            lo = lo or 1
+            if lo >= top:
+                continue
+            hi = top - 1
+            lengths = np.arange(lo, hi + 1)
+            for s, spec in enumerate(specs):
+                prefixes, suffixes = wholes[s]
+                assert np.array_equal(
+                    prefix_fingerprints_batch(codes, spec, (lo, hi),
+                                              held=(held[0][s], top)),
+                    prefixes[:, lo - 1:hi])
+                assert np.array_equal(
+                    suffix_fingerprints_batch(codes, spec, (lo, hi),
+                                              held=(held[1][s], top)),
+                    suffixes[:, length - hi:length - lo + 1])
+            kernel = [np.empty((2, lengths.size, m), dtype=np.uint64)
+                      for _ in range(lanes)]
+            key_rows(codes, specs, lengths, ScanWorkspace(), kernel,
+                     held=(held, top))
+            fresh = scheme.key_matrices(codes, lengths)
+            for lane in range(lanes):
+                for side in (0, 1):
+                    assert np.array_equal(kernel[lane][side], fresh[side][lane])
+            held = [scheme.residues([keys[side, 0] for keys in kernel])
+                    for side in (0, 1)]
+            top = lo
+
+    def test_a_wrong_fingerprint_is_a_wrong_key(self):
+        codes = encode("GATACCAGTTCA")[None, :]
+        scheme = FingerprintScheme(lanes=1)
+        top_keys = scheme.key_matrices(codes, [9])
+        held = [scheme.residues([keys[0] for keys in side])
+                for side in top_keys]
+        right = scheme.key_matrices(codes, [5, 8], held=(held, 9))
+        held[1] = held[1] ^ np.uint32(1)
+        wrong = scheme.key_matrices(codes, [5, 8], held=(held, 9))
+        assert np.array_equal(right[0][0], wrong[0][0])
+        assert not np.any(right[1][0] == wrong[1][0])
+
+    @pytest.mark.parametrize("top", [5, 13])
+    def test_rejects_fingerprints_not_above_the_band(self, top):
+        codes = np.zeros((2, 12), dtype=np.uint8)
+        held = [np.zeros((2, 2), dtype=np.uint32)] * 2
+        with pytest.raises(ConfigError, match="held"):
+            FingerprintScheme().key_matrices(codes, [3, 5], held=(held, top))
+        for scan in (prefix_fingerprints_batch, suffix_fingerprints_batch):
+            with pytest.raises(ConfigError, match="length within"):
+                scan(codes, HashSpec(5, 13), (3, 5),
+                     held=(np.zeros(2, dtype=np.uint64), top))

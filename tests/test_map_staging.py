@@ -190,3 +190,62 @@ def test_a_block_fits_beside_the_resident_graph(tmp_path, tiny_md):
                 <= config.memory.host_bytes
         finally:
             ctx.cleanup()
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("batch_reads", [5, 7])
+def test_bands_below_held_fingerprints_write_what_folding_bands_write(
+        tmp_path, tiny_md, lanes, batch_reads):
+    """Bands mapped longest first, each descending from the fingerprints
+    the band above left (``seeds=``), write every file a band that folds
+    writes, under a filter that closes more claims each band. The descent
+    is charged less kernel time than the fold and its fingerprints'
+    transfers, which the fold has none of; the last band releases them."""
+    config = AssemblyConfig(min_overlap=25, fingerprint_lanes=lanes,
+                            memory=MemoryConfig(1 << 22, batch_device_bytes(
+                                batch_reads, 50), name="seeds"))
+    bands = [[50], [49], [45, 46, 47, 48], [30, 33, 44], [25, 26, 27, 28, 29]]
+    rng = np.random.default_rng(5)
+    closing = rng.permutation(2 * tiny_md.n_reads)
+    runs = {}
+    for held in (False, True):
+        ctx = RunContext(config, workdir=tmp_path / f"held-{held}")
+        try:
+            seeds = map_phase.HeldSeeds(
+                (0, tiny_md.n_reads), 2 * lanes, ctx.host_pool.alloc(
+                    map_phase.HeldSeeds.nbytes((0, tiny_md.n_reads), 2 * lanes))
+            ) if held else None
+            files, clocks = {}, []
+            with PackedReadStore.open(tiny_md.store_path) as store:
+                for index, band in enumerate(bands):
+                    closed = None if index == 0 else PackedBitVector(
+                        2 * tiny_md.n_reads)
+                    if closed is not None:
+                        closed.set(np.sort(closing[:index * 150]))
+                    before = dict(ctx.clock.counters())
+                    partitions, _ = run_map(ctx, store, closed=closed,
+                                            only_lengths=set(band), seeds=seeds)
+                    files.update({path.name: path.read_bytes()
+                                  for path in partitions.root.iterdir()})
+                    clocks.append({name: seconds - before.get(name, 0.0)
+                                   for name, seconds in ctx.clock.counters().items()})
+                    for path in partitions.root.iterdir():
+                        path.unlink()
+            runs[held] = files, clocks
+            if held:
+                assert seeds.values is None and ctx.host_pool.used_bytes == 0
+        finally:
+            ctx.cleanup()
+    (folded, fold_clocks), (descended, descent_clocks) = runs[False], runs[True]
+    assert descended == folded
+    assert len(folded) == 2 * 13 + 1
+    for index, (fold, descent) in enumerate(zip(fold_clocks, descent_clocks)):
+        uploads = descent.get("sim_h2d_seconds", 0.0)
+        downloads = descent.get("sim_d2h_seconds", 0.0)
+        assert fold.get("sim_h2d_seconds", 0.0) == fold.get("sim_d2h_seconds", 0.0) == 0.0
+        # P_L folds and leaves; every later band descends; the last leaves
+        # nothing.
+        assert (uploads > 0) == (index > 0)
+        assert (downloads > 0) == (index < len(bands) - 1)
+        if index:
+            assert descent["sim_kernel_seconds"] < fold["sim_kernel_seconds"]

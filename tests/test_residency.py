@@ -5,8 +5,9 @@ node) decides which artifacts stay in host memory. The placements are
 pinned by the host-pool reservations they make: ``held-store`` for the
 packed store, ``held-partition`` for each reservation of kept unsorted
 partitions (a pull's, a piece's, a band's: one a partition side),
-``held-run`` for each sorted run held for reduce; a sorted run that is not
-held spills to its file.
+``held-run`` for each sorted run held for reduce, ``held-seeds`` for the
+fingerprints the map's bands leave each other, one a held read range; a
+sorted run that is not held spills to its file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.core.residency import Residency
 from repro.device.memory import MemoryPool
 from repro.distributed import DistributedAssembler
+from repro.distributed.resilience import BLOCKS_PER_NODE
 from repro.errors import ConfigError
 from repro.extmem import ExternalSorter
 from repro.faults import FaultPlan, inject
@@ -78,6 +80,17 @@ def test_placements_are_the_measured_ones(tiny_md, placements, budget,
     held = placements["held-run"]
     assert (placements["held-store"], placements["held-partition"], held,
             placements["sorted"] - held) == expected
+
+
+@pytest.mark.parametrize(("budget", "n_nodes"), [
+    ("in-core", 1), ("in-core", 2), ("cramped", 1), ("cramped", 2)])
+def test_fingerprints_are_held_where_the_store_is(tiny_md, placements,
+                                                  budget, n_nodes):
+    """One ``held-seeds`` reservation for each read range a plan holds
+    (a single node's store, a node's dealt blocks), none out of core."""
+    _assemble(BUDGETS[budget], n_nodes, tiny_md.store_path)
+    expected = {("in-core", 1): 1, ("in-core", 2): 2 * BLOCKS_PER_NODE}
+    assert placements["held-seeds"] == expected.get((budget, n_nodes), 0)
 
 
 @pytest.mark.parametrize("n_nodes", (1, 2))
