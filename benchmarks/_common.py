@@ -21,18 +21,13 @@ from __future__ import annotations
 import functools
 import os
 from pathlib import Path
-from types import SimpleNamespace
 
 from repro import Assembler, AssemblyConfig
 from repro.analysis import ComparisonTable
 from repro.config import MemoryConfig
-from repro.core.compress_phase import run_compress
 from repro.core.context import RunContext
-from repro.core.load_phase import run_load
-from repro.core.map_phase import run_map
-from repro.core.reduce_phase import run_reduce
 from repro.core.results import AssemblyResult
-from repro.core.sort_phase import make_sorter, run_sort
+from repro.core.sort_phase import make_sorter
 from repro.model.workload import Workload
 from repro.seq.datasets import active_scale, dataset_registry, materialize_dataset
 
@@ -94,39 +89,6 @@ def pipeline_result(paper_name: str, preset: str) -> AssemblyResult:
     """Run (once) the full pipeline on a scaled dataset under a preset."""
     return Assembler(table_config(paper_name, preset)).assemble(
         dataset(paper_name).store_path)
-
-
-def eager_result(config: AssemblyConfig, store_path) -> SimpleNamespace:
-    """The paper's eager schedule under per-phase telemetry.
-
-    The plain phase composition — ``run_map`` and ``run_sort`` over every
-    partition, then ``run_reduce`` over all of them — where ``Assembler``
-    maps the lengths in bands and sorts each one just before reduce reads
-    it, minus the records that can no longer win (and the cluster sorts a
-    round of ``n_nodes`` lengths at a time so). Same graph and contigs;
-    nothing is filtered, so candidate counts are the exact overlap set's.
-    """
-    ctx = RunContext(config)
-    phase = ctx.telemetry.phase
-    try:
-        with phase("load"):
-            store = run_load(ctx, store_path)
-        try:
-            with phase("map"):
-                partitions, map_report = run_map(ctx, store)
-            with phase("sort"):
-                sort_report = run_sort(ctx, partitions)
-            with phase("reduce"):
-                graph, reduce_report = run_reduce(ctx, partitions, store)
-            with phase("compress"):
-                contigs, _ = run_compress(ctx, graph, store)
-        finally:
-            store.close()
-    finally:
-        ctx.cleanup()
-    return SimpleNamespace(telemetry=ctx.telemetry, map_report=map_report,
-                           sort_report=sort_report,
-                           reduce_report=reduce_report, contigs=contigs)
 
 
 def block_sorter(workdir, dtype, m_h: int, m_d: int, *, host_bytes: int,

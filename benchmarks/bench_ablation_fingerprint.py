@@ -16,10 +16,11 @@ import pytest
 from repro import AssemblyConfig
 from repro.analysis import ComparisonTable
 from repro.baselines import exact_overlaps
+from repro.core.pipeline import eager_composition
 from repro.seq.datasets import tiny_dataset
 from repro.units import format_size
 
-from _common import DATA_ROOT, eager_result, emit
+from _common import DATA_ROOT, emit
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -30,9 +31,9 @@ def test_ablation_fingerprint_lanes(benchmark):
     truth = set(exact_overlaps(batch, 25))
 
     def run_both():
-        return {lanes: eager_result(AssemblyConfig(min_overlap=25,
-                                                   fingerprint_lanes=lanes),
-                                    md.store_path)
+        return {lanes: eager_composition(
+                    AssemblyConfig(min_overlap=25, fingerprint_lanes=lanes),
+                    md.store_path)
                 for lanes in (1, 2)}
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -25,9 +25,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
+from repro.core.pipeline import eager_composition
 from repro.units import format_size
 
-from _common import (PAPER_ORDER, PRESETS, dataset, eager_result, emit,
+from _common import (PAPER_ORDER, PRESETS, dataset, emit,
                      longest_partition_passes, pipeline_result, scale,
                      table_config)
 
@@ -51,8 +52,8 @@ def _passes(result) -> tuple[int, int, int]:
 def test_ablation_lazy_sort(benchmark, paper_name):
     def both():
         store_path = dataset(paper_name).store_path
-        return {preset: (eager_result(table_config(paper_name, preset),
-                                      store_path),
+        return {preset: (eager_composition(table_config(paper_name, preset),
+                                           store_path),
                          pipeline_result(paper_name, preset))
                 for preset in PRESETS}
 

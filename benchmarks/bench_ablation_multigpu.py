@@ -10,7 +10,7 @@ while adding nodes divides the disk stream too.
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.config import MemoryConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.model import (model_distributed_seconds, model_multi_gpu_seconds,
                          model_phase_components)
 from repro.units import format_duration
@@ -26,7 +26,8 @@ def test_ablation_multi_gpu_vs_multi_node(benchmark):
     def evaluate():
         gpus = {n: model_multi_gpu_seconds(w, memory, "K20X", n)["total"]
                 for n in (1, 2, 4, 8)}
-        nodes = {n: model_distributed_seconds(w, memory, "K20X", n)["total"]
+        machine = AssemblyConfig(memory=memory, device_name="K20X")
+        nodes = {n: model_distributed_seconds(w, machine, n)["total"]
                  for n in (1, 2, 4, 8)}
         return gpus, nodes
 

@@ -22,6 +22,8 @@ network, sort and overlap-finding terms scaled by the measured share of
 records the filter lets through.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import AssemblyConfig
@@ -78,7 +80,8 @@ def test_fig10_distributed_scaling(benchmark):
     results = {n: sweep[(n, n)] for n in NODE_COUNTS}
 
     w = workload("H.Genome")
-    paper_memory = MemoryConfig.preset("supermic")
+    # The run's machine at the paper's memory budgets.
+    paper = replace(config, memory=MemoryConfig.preset("supermic"))
     table = ComparisonTable(
         f"Fig. 10 - H.Genome on K20 nodes (scaled x{scale():g})",
         ["nodes"] + [f"meas {p}" for p in PHASES]
@@ -87,8 +90,8 @@ def test_fig10_distributed_scaling(benchmark):
     )
     for n in NODE_COUNTS:
         result = results[n]
-        model = model_distributed_seconds(w, paper_memory, "K20X", n)
-        filtered = model_distributed_seconds(w, paper_memory, "K20X", n,
+        model = model_distributed_seconds(w, paper, n)
+        filtered = model_distributed_seconds(w, paper, n,
                                              kept_fraction=_kept(result))
         table.add_row(
             n,
@@ -130,7 +133,7 @@ def test_fig10_distributed_scaling(benchmark):
     chart = AsciiChart("Fig. 10 - total hours vs nodes (paper scale)",
                        [str(n) for n in NODE_COUNTS])
     chart.add_series("model", [
-        model_distributed_seconds(w, paper_memory, "K20X", n)["total"] / 3600
+        model_distributed_seconds(w, paper, n)["total"] / 3600
         for n in NODE_COUNTS])
     chart.add_series("paper", [FIG10_TOTAL_HOURS[n] for n in NODE_COUNTS])
     emit("fig10", table, rounds_table, chart)
@@ -154,5 +157,5 @@ def test_fig10_distributed_scaling(benchmark):
     totals = [results[n].total_seconds for n in NODE_COUNTS]
     assert totals[1] > totals[2] > totals[3]
     # Paper-scale model hits the 8-node headline within 35%.
-    model8 = model_distributed_seconds(w, paper_memory, "K20X", 8)["total"] / 3600
+    model8 = model_distributed_seconds(w, paper, 8)["total"] / 3600
     assert abs(model8 - FIG10_TOTAL_HOURS[8]) / FIG10_TOTAL_HOURS[8] < 0.35

@@ -151,8 +151,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                             device_name=args.device, trace=args.trace,
                             heartbeat_interval=args.heartbeat_interval,
                             node_timeout=args.node_timeout,
-                            node_restarts=args.node_restarts,
-                            allow_degraded=not args.no_degraded)
+                            node_restarts=args.node_restarts)
     # The simulated cluster's shared input store is packed: a FASTQ is
     # converted into a scratch directory that lives as long as the run.
     with tempfile.TemporaryDirectory(prefix="lasagna-pack-") as scratch:
@@ -276,9 +275,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     nodes = (1, 2, 4, 8)
     fig10 = AsciiChart("Fig. 10 - H.Genome total hours vs nodes",
                        [str(n) for n in nodes])
+    supermic = AssemblyConfig(memory=MC.preset("supermic"), device_name="K20X")
     fig10.add_series("model", [
-        model_distributed_seconds(workload, MC.preset("supermic"), "K20X",
-                                  n)["total"] / 3600 for n in nodes])
+        model_distributed_seconds(workload, supermic, n)["total"] / 3600
+        for n in nodes])
     fig10.add_series("paper", [FIG10_TOTAL_HOURS[n] for n in nodes])
     for chart in (fig8, fig9, fig10):
         print(chart.render())
@@ -362,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="N",
                              help="restarts granted per node before it is "
                                   "permanently lost")
-    distributed.add_argument("--no-degraded", action="store_true",
-                             help="fail the run instead of completing in "
-                                  "degraded mode when partitions are lost")
     distributed.add_argument("--trace", metavar="PATH", default="",
                              help="dump a cluster-wide span trace (one track "
                                   "per node) into this directory")

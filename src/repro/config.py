@@ -136,14 +136,14 @@ class AssemblyConfig:
         event log plus Chrome/Perfetto trace JSON there (see
         :mod:`repro.trace`). Purely observational: does not affect output
         or the checkpoint fingerprint.
-    heartbeat_interval / node_timeout / node_restarts / allow_degraded:
+    heartbeat_interval / node_timeout / node_restarts:
         Distributed-resilience knobs (see
         :mod:`repro.distributed.resilience`): heartbeat cadence and
-        declared-dead timeout on the simulated clock, per-node restart
-        budget, and whether exhausted recovery degrades (report + surviving
-        nodes) rather than raising. All are execution-policy only: a clean run's
-        artifacts and timings are identical for any values. A failed
-        reduce attempt replays its partition whole from the sorted runs.
+        declared-dead timeout on the simulated clock, and per-node restart
+        budget. All are execution-policy only: a clean run's artifacts and
+        timings are identical for any values. A failed reduce attempt
+        replays its partition whole from the sorted runs, and a partition
+        no owner survives is dropped into the run's ``DegradedRunReport``.
     seed:
         Seed for fingerprint parameter choice; fixed for reproducibility.
     """
@@ -167,9 +167,6 @@ class AssemblyConfig:
     node_timeout: float = 1.0
     #: Fresh WorkerNode restarts granted per node before it is declared lost.
     node_restarts: int = 1
-    #: Finish on surviving nodes with a DegradedRunReport when recovery is
-    #: exhausted (False = raise DistributedProtocolError instead).
-    allow_degraded: bool = True
     seed: int = 0x1A5A67A
 
     def __post_init__(self) -> None:

@@ -118,7 +118,7 @@ def artifact_digests(workdir: Path, paths: Iterable[Path]) -> dict[str, str]:
 #:   never what a surviving run produces (recovered runs are byte-identical).
 NON_SEMANTIC_KNOBS = ("trace", "disk", "network",
                       "heartbeat_interval", "node_timeout",
-                      "node_restarts", "allow_degraded")
+                      "node_restarts")
 
 
 def semantic_payload(config: AssemblyConfig) -> dict:

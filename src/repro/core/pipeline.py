@@ -20,8 +20,9 @@ plan), so it uses the disk for load alone (and a ledger's ``state.json``
 and ``graph.npz``). The re-entered ``map`` / ``sort`` /
 ``reduce`` phases merge into one telemetry row each. The paper's eager
 order is the plain composition ``run_map(ctx, store)`` →
-``run_sort(ctx, partitions)`` → ``run_reduce(ctx, partitions, store)``;
-it builds the same graph.
+``run_sort(ctx, partitions)`` → ``run_reduce(ctx, partitions, store)``
+(:func:`eager_composition`, the reference the tests and ablations compare
+``Assembler`` against); it builds the same graph.
 
 With ``resume=True`` (and an explicit ``workdir``) completed phases are
 skipped using the :mod:`~repro.core.checkpoint` ledger — a 16-hour
@@ -36,6 +37,7 @@ from __future__ import annotations
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from ..config import AssemblyConfig
 from ..errors import ConfigError, DatasetError
@@ -83,6 +85,46 @@ def _source_identity(source) -> str:
     path = Path(source)
     size = path.stat().st_size if path.exists() else -1
     return f"file:{path}:{size}"
+
+
+def eager_composition(config: AssemblyConfig, store_path,
+                      workdir=None) -> SimpleNamespace:
+    """The paper's eager schedule under per-phase telemetry: map and sort
+    every partition, then reduce them all, then compress.
+
+    The reference ``Assembler``'s lazy schedule is compared against (and
+    the cluster's, when all its lengths go in one round): the same graph
+    and contigs, with nothing filtered, so its candidates are the exact
+    overlap set. Returns the ``telemetry``, the map, sort and reduce
+    reports, the graph's ``target``, ``overlap``, ``out_bits`` (bytes) and
+    ``n_edges``, the store's ``n_reads`` and ``read_length``, the
+    ``contigs`` and the ``partitions``, whose sorted runs stay under
+    ``workdir / "partitions"`` when a ``workdir`` is given.
+    """
+    ctx = RunContext(config, workdir=workdir)
+    phase = ctx.telemetry.phase
+    try:
+        with phase("load"):
+            store = run_load(ctx, store_path)
+        with store:
+            with phase("map"):
+                partitions, map_report = run_map(ctx, store)
+            with phase("sort"):
+                sort_report = run_sort(ctx, partitions)
+            with phase("reduce"):
+                graph, reduce_report = run_reduce(ctx, partitions, store)
+            out = SimpleNamespace(
+                telemetry=ctx.telemetry, target=graph.target.copy(),
+                overlap=graph.overlap.copy(),
+                out_bits=graph.out_bits.to_bytes(), n_edges=graph.n_edges,
+                n_reads=store.n_reads, read_length=store.read_length,
+                map_report=map_report, sort_report=sort_report,
+                reduce_report=reduce_report, partitions=partitions)
+            with phase("compress"):
+                out.contigs, _ = run_compress(ctx, graph, store)
+    finally:
+        ctx.cleanup()
+    return out
 
 
 class Assembler:

@@ -299,7 +299,7 @@ class DistributedAssembler:
                 node.drop_pieces()
         reduce_report.edges_added = graph.n_edges
 
-        def spell(node: WorkerNode, _attempt: int) -> ContigSet:
+        def spell(node: WorkerNode) -> ContigSet:
             # Through this module's name: the harness times it here.
             return run_compress(node.ctx, graph, node.reads, batches=partial(
                 node.gather_reads, supervisor.block_ranges,
@@ -371,10 +371,11 @@ class DistributedAssembler:
         from the surviving attempt's clock (which absorbed every wasted
         attempt and recovery charge) and ``token_hold ≥
         token_time``, the token timeline accrues transfer + recompute costs
-        and never goes backward. Partitions that exhaust every owner are
-        dropped into the degraded report by the supervisor (or raise when
-        ``allow_degraded`` is off); the token waits for that verdict, up to
-        the clock of the last owner tried.
+        and never goes backward. The supervisor hands back each failed
+        attempt as the ``token_trace`` entry it becomes. A partition that
+        no owner survives is dropped into the degraded report by the
+        supervisor; the token waits for that verdict, up to the clock of the
+        last owner tried.
         """
         nodes = supervisor.nodes
         token_time = start
@@ -398,18 +399,15 @@ class DistributedAssembler:
                 return step, held, t_graph, find_done
 
             outcome = supervisor.reduce_partition(length, attempt)
-            for failure in outcome.failures:
-                token_trace.append({"length": length, "node": failure["node"],
-                                    "attempt": failure["attempt"],
-                                    "ok": False,
-                                    "wasted_s": failure["wasted_s"]})
-                if tracer.enabled:
-                    failed = nodes[failure["node"]]
+            token_trace.extend(outcome.failed)
+            if tracer.enabled:
+                for failed in outcome.failed:
                     tracer.instant("token-retry", track="cluster",
                                    cat="reduce", det=True,
-                                   sim_at=failed.ctx.clock.total_seconds,
-                                   length=length, node=failure["node"],
-                                   attempt=failure["attempt"])
+                                   sim_at=nodes[failed["node"]]
+                                   .ctx.clock.total_seconds,
+                                   length=length, node=failed["node"],
+                                   attempt=failed["attempt"])
             if not outcome.ok:
                 # Dropped: no edges to fold in, but the token waited on the
                 # ladder's verdict, as a surviving hop waits on its

@@ -35,8 +35,8 @@ again after its node's recovery.
    A disk that stays full uses up its node's restarts the same way.
 4. **Degraded-mode completion** — when a partition survives no owner, the
    run finishes on the surviving nodes and reports the drop in a
-   :class:`DegradedRunReport` instead of raising (``allow_degraded=False``
-   restores the old fail-stop behaviour).
+   :class:`DegradedRunReport`. A run no node survives raises
+   :class:`~repro.errors.DistributedProtocolError` ("no surviving nodes").
 
 Map, shuffle, sort and reduce run in rounds
 (:mod:`repro.distributed.cluster`), and recovery is scoped to the round in
@@ -159,45 +159,21 @@ class DegradedRunReport:
 class ReduceOutcome:
     """What the supervisor reports back for one reduce partition."""
 
-    ok: bool
-    node: int
+    length: int
+    ok: bool = False
+    #: The surviving attempt's node, or the last owner of a dropped one.
+    node: int = -1
     #: What the surviving attempt returned (``None`` for a dropped one).
     value: object = None
-    #: Failed attempts, in order: ``{"node", "attempt", "wasted_s"}``.
-    failures: list[dict] = field(default_factory=list)
-    attempts: int = 1
-
-
-class _NodeDeath(Exception):
-    """Internal: a node (or a peer) must go through death detection."""
-
-    def __init__(self, victim: str, op: str):
-        super().__init__(f"{victim} died at {op}")
-        self.victim = victim
-
-
-def _victim(exc: BaseException, scope: str) -> str:
-    """The scope whose death ``exc``, raised in ``scope``'s operation, is.
-
-    An injected fault names the scope that died (this node, a peer that
-    died servicing its message, the writer of a lost write), and its crash
-    is acknowledged; a full disk is the death of the node whose disk it is
-    (the plan names it; a real one is the operation's). Any other
-    ``OSError`` is no node's death and is raised again.
-    """
-    if isinstance(exc, OSError) and exc.errno != errno.ENOSPC:
-        raise exc
-    victim = getattr(exc, "scope", None) or scope
-    faults.clear_crash(scope=victim)
-    return victim
+    #: Failed attempts, in order, as ``DistributedResult.token_trace``
+    #: keeps them: ``{"length", "node", "attempt", "ok", "wasted_s"}``.
+    failed: list[dict] = field(default_factory=list)
+    #: Attempts run on any owner (0 when no owner was alive to try).
+    attempts: int = 0
 
 
 class _NodeLost(Exception):
     """Internal: the target node's restart budget is exhausted."""
-
-    def __init__(self, node_id: int):
-        super().__init__(f"node {node_id} lost")
-        self.node_id = node_id
 
 
 class ClusterSupervisor:
@@ -268,65 +244,57 @@ class ClusterSupervisor:
                 "no surviving nodes: every worker exhausted its restart budget")
         return candidates
 
-    def _least_loaded(self) -> WorkerNode:
-        return min(self._survivors(), key=lambda n: n.ctx.clock.total_seconds)
-
-    # -- one attempt ---------------------------------------------------------
-
-    def _attempt_cycle(self, node: WorkerNode, op: str, fn, *,
-                       counter: list[int] | None = None,
-                       failures: list[dict] | None = None):
-        """Run ``fn(node, attempt)`` once.
-
-        A fault it raises is a death (:func:`_victim`) and raises
-        :class:`_NodeDeath`. No operation appends to streams an earlier one
-        opened (a map writes its pieces anew, a pull starts its partitions
-        again), so one cut short by another scope's death runs again as is.
-        """
-        if counter is not None:
-            attempt = counter[0]
-            counter[0] += 1
-        else:
-            attempt = 0
-        before = node.ctx.clock.total_seconds
-        try:
-            with faults.scoped(node.scope):
-                faults.node_op(node.scope, op)
-                return fn(node, attempt)
-        except (FaultInjected, OSError) as exc:
-            victim = _victim(exc, node.scope)
-            wasted = node.ctx.clock.total_seconds - before
-            self.meter.bump("wasted_s", wasted)
-            if failures is not None:
-                failures.append({"node": node.node_id, "attempt": attempt,
-                                 "wasted_s": wasted})
-            raise _NodeDeath(victim, op) from exc
+    @staticmethod
+    def _least_loaded(nodes: list[WorkerNode]) -> WorkerNode:
+        return min(nodes, key=lambda n: n.ctx.clock.total_seconds)
 
     # -- death, detection, restart, loss ---------------------------------------
 
-    def _run_on_node(self, node_id: int, op: str, fn, *,
-                     counter: list[int] | None = None,
-                     failures: list[dict] | None = None):
-        """The full ladder for one operation on one node.
+    def _run_on_node(self, node_id: int, op: str, fn,
+                     hop: ReduceOutcome | None = None):
+        """The full ladder for one operation on one node: ``fn(node)``.
 
-        On a death runs heartbeat detection and either restarts the dead
-        node and runs the operation again, or —
-        budget exhausted — marks it lost; with this node lost it raises
-        :class:`_NodeLost` for the phase driver to fail the work over.
+        A fault it raises is the death of the scope it names (this node, a
+        peer that died servicing its message, the writer of a lost write),
+        and its crash is acknowledged; a full disk is the death of the node
+        whose disk it is (the plan names it; a real one is this node's).
+        Any other ``OSError`` is no node's death and is raised again. The
+        attempt's seconds are booked as ``wasted_s`` (and on ``hop``, a
+        reduce hop's, as a failed attempt), heartbeat detection runs, and
+        the dead node is restarted, or, budget exhausted, marked lost; then
+        the operation runs again. No operation appends to streams an
+        earlier one opened (a map writes its pieces anew, a pull starts its
+        partitions again), so one cut short by another scope's death runs
+        again as is. With this node lost it raises :class:`_NodeLost` for
+        the phase driver to fail the work over.
         """
         cycles = 0
-        while True:
-            if node_id in self.lost:
-                raise _NodeLost(node_id)
+        while node_id not in self.lost:
             cycles += 1
             if cycles > self.n_nodes * (self.config.node_restarts + 2) + 2:
                 raise DistributedProtocolError(
                     f"recovery did not converge for {op} on node {node_id}")
+            node = self.nodes[node_id]
+            if hop is not None:
+                hop.attempts += 1
+            before = node.ctx.clock.total_seconds
             try:
-                return self._attempt_cycle(self.nodes[node_id], op, fn,
-                                           counter=counter, failures=failures)
-            except _NodeDeath as death:
-                self._handle_death(int(death.victim.removeprefix("node")))
+                with faults.scoped(node.scope):
+                    faults.node_op(node.scope, op)
+                    return fn(node)
+            except (FaultInjected, OSError) as exc:
+                if isinstance(exc, OSError) and exc.errno != errno.ENOSPC:
+                    raise
+                victim = getattr(exc, "scope", None) or node.scope
+                faults.clear_crash(scope=victim)
+                wasted = node.ctx.clock.total_seconds - before
+                self.meter.bump("wasted_s", wasted)
+                if hop is not None:
+                    hop.failed.append({"length": hop.length, "node": node_id,
+                                       "attempt": hop.attempts - 1,
+                                       "ok": False, "wasted_s": wasted})
+                self._handle_death(int(victim.removeprefix("node")))
+        raise _NodeLost(f"node {node_id} lost")
 
     def _handle_death(self, node_id: int) -> None:
         """Detect, then restart or permanently lose one dead node."""
@@ -402,6 +370,11 @@ class ClusterSupervisor:
                                   phase=self.phase)
 
     def _mark_lost(self, node_id: int) -> None:
+        """Lose a node for good: the least-loaded survivor takes the
+        producer ids it held (its own and those it took over) and maps
+        their blocks with its own (:meth:`_restore_pieces`,
+        :meth:`map_phase`). With no survivor there is nothing left to pull
+        for."""
         dead = self.nodes[node_id]
         dead.abandon()
         self.lost.add(node_id)
@@ -411,17 +384,11 @@ class ClusterSupervisor:
                                  cat="resilience", det=True,
                                  sim_at=dead.ctx.clock.total_seconds,
                                  node=node_id, phase=self.phase)
-        self._adopt(node_id)
-
-    def _adopt(self, lost_id: int) -> None:
-        """Hand a lost node's producer ids (its own and those it took over)
-        to the least-loaded survivor, which maps their blocks with its own
-        (:meth:`_restore_pieces`, :meth:`map_phase`). With no survivor
-        there is nothing left to pull for."""
         self.meter.bump("failovers")
-        if self.alive():
-            survivor = self._least_loaded().node_id
-            for producer in self._held_by(lost_id):
+        survivors = self.alive()
+        if survivors:
+            survivor = self._least_loaded(survivors).node_id
+            for producer in self._held_by(node_id):
                 self.holder[producer] = survivor
 
     def _held_by(self, node_id: int) -> list[int]:
@@ -534,7 +501,7 @@ class ClusterSupervisor:
             alive[0].ctx.clock.charge("network", (len(alive) - 1) * peer)
 
     def _on_each(self, op: str, node_ids: list[int], fn) -> list:
-        """``fn(node, attempt)`` on each node through the ladder, in order;
+        """``fn(node)`` on each node through the ladder, in order;
         a node lost on the way is skipped. Returns what the others
         returned."""
         done = []
@@ -550,7 +517,7 @@ class ClusterSupervisor:
         holds, for the round's lengths under its snapshot."""
         self.phase = "map-round"
         self._on_each("map-round", [n.node_id for n in self.alive()],
-                      lambda node, _a: self._map_pieces(
+                      lambda node: self._map_pieces(
                           node, self._held_by(node.node_id)))
 
     def shuffle_phase(self, lengths: list[int]) -> int:
@@ -573,14 +540,14 @@ class ClusterSupervisor:
                       for node_id in alive_ids}
         return sum(self._on_each(
             "pull", [node_id for node_id in alive_ids if self.owned[node_id]],
-            lambda node, _a: self._pull(node, self.owned[node.node_id])))
+            lambda node: self._pull(node, self.owned[node.node_id])))
 
     def sort_phase(self) -> None:
         """One round's per-node local sorts (a lost node's wait for the token)."""
         self.phase = "sort"
         self._on_each("sort", [n.node_id for n in self.alive()
                                if self.owned.get(n.node_id)],
-                      lambda node, _a: self._sorted(
+                      lambda node: self._sorted(
                           node, self.owned[node.node_id]))
 
     # -- reduce ---------------------------------------------------------------
@@ -617,84 +584,63 @@ class ClusterSupervisor:
         attempt that finds no sorted run (a restarted owner, a held run an
         attempt cut short consumed, a failover owner) makes it ready first
         (:meth:`_sorted`), so a death in that rebuild is a failed attempt
-        like any other. Ownership moves to a survivor when the owner is
-        lost; after
-        :data:`_MAX_OWNERS_PER_PARTITION` owners have failed the same
-        partition it is dropped (degraded) or, with
-        ``allow_degraded=False``, the historical
-        ``DistributedProtocolError`` is raised.
+        like any other. A lost owner's partition moves to the least-loaded
+        survivor not yet tried; a partition that no owner survives, after
+        :data:`_MAX_OWNERS_PER_PARTITION` owners or with none left, is
+        dropped into the :class:`DegradedRunReport`.
         """
         self.phase = "reduce"
 
-        def attempt(node: WorkerNode, _attempt: int):
+        def attempt(node: WorkerNode):
             if not node.has_sorted(length):
                 self._sorted(node, [length])
             return attempt_fn(node)
 
-        counter = [0]
-        failures: list[dict] = []
+        hop = ReduceOutcome(length)
         tried: set[int] = set()
-        while True:
+        while len(tried) < _MAX_OWNERS_PER_PARTITION:
             owner_id = self.owner_of[length]
-            if owner_id in self.lost or len(tried) >= _MAX_OWNERS_PER_PARTITION:
-                replacement = self._next_owner(length, tried, failures, counter)
-                if isinstance(replacement, ReduceOutcome):
-                    return replacement
-                owner_id = replacement
+            if owner_id in self.lost:
+                candidates = [n for n in self.alive() if n.node_id not in tried]
+                if not candidates:
+                    break
+                owner = self._least_loaded(candidates)
+                owner_id = self.owner_of[length] = owner.node_id
+                self.meter.bump("failovers")
+                if self.ctracer.enabled:
+                    wall = time.perf_counter()
+                    self.ctracer.complete(
+                        "failover", wall, wall, track="cluster",
+                        cat="resilience", det=True,
+                        sim0=owner.ctx.clock.total_seconds,
+                        sim1=owner.ctx.clock.total_seconds,
+                        node=owner_id, action="reassign", length=length)
             tried.add(owner_id)
             try:
-                value = self._run_on_node(
-                    owner_id, f"reduce[{length}]", attempt,
-                    counter=counter, failures=failures)
-                return ReduceOutcome(ok=True, node=owner_id, value=value,
-                                     failures=failures,
-                                     attempts=max(counter[0], 1))
+                hop.value = self._run_on_node(owner_id, f"reduce[{length}]",
+                                              attempt, hop)
             except _NodeLost:
                 continue
-
-    def _next_owner(self, length: int, tried: set[int], failures: list[dict],
-                    counter: list[int]):
-        """Fail a partition over, or give up on it (degrade / raise)."""
-        candidates = [n for n in self.alive() if n.node_id not in tried]
-        last_owner = self.owner_of[length]
-        if len(tried) >= _MAX_OWNERS_PER_PARTITION or not candidates:
-            if not self.config.allow_degraded:
-                raise DistributedProtocolError(
-                    f"reduce token lost: partition {length} unrecoverable "
-                    f"after {max(counter[0], 1)} attempts on nodes "
-                    f"{sorted(tried) or [last_owner]}")
-            drop = DroppedPartition(
-                length=length, owner=last_owner,
-                records=self._pulled_records(length),
-                reason=f"no surviving owner after "
-                       f"{max(counter[0], 1)} attempts")
-            self.dropped.append(drop)
-            self.meter.bump("partitions_dropped")
-            if self.ctracer.enabled:
-                self.ctracer.instant("partition-dropped", track="cluster",
-                                     cat="resilience", det=True,
-                                     sim_at=self.nodes[last_owner]
-                                     .ctx.clock.total_seconds,
-                                     length=length, node=last_owner)
-            return ReduceOutcome(ok=False, node=last_owner, failures=failures,
-                                 attempts=max(counter[0], 1))
-        new_owner = min(candidates, key=lambda n: n.ctx.clock.total_seconds)
-        self.owner_of[length] = new_owner.node_id
-        self.meter.bump("failovers")
+            hop.ok, hop.node = True, owner_id
+            return hop
+        hop.node = self.owner_of[length]
+        self.dropped.append(DroppedPartition(
+            length=length, owner=hop.node,
+            records=self._pulled_records(length),
+            reason=f"no surviving owner after {max(hop.attempts, 1)} attempts"))
+        self.meter.bump("partitions_dropped")
         if self.ctracer.enabled:
-            wall = time.perf_counter()
-            self.ctracer.complete("failover", wall, wall, track="cluster",
-                                  cat="resilience", det=True,
-                                  sim0=new_owner.ctx.clock.total_seconds,
-                                  sim1=new_owner.ctx.clock.total_seconds,
-                                  node=new_owner.node_id, action="reassign",
-                                  length=length)
-        return new_owner.node_id
+            self.ctracer.instant("partition-dropped", track="cluster",
+                                 cat="resilience", det=True,
+                                 sim_at=self.nodes[hop.node]
+                                 .ctx.clock.total_seconds,
+                                 length=length, node=hop.node)
+        return hop
 
     # -- compress ---------------------------------------------------------------
 
     def compress(self, spell):
-        """``spell(node, attempt)`` on the master (the first alive node),
+        """``spell(node)`` on the master (the first alive node),
         as a node operation: a death in it, a holder's serving a read
         block too, restarts the node that died and compress runs again; a
         lost master hands it to the next alive node, and a lost holder's

@@ -51,9 +51,3 @@ def place_values(radix: int, prime: int, length: int) -> np.ndarray:
         value = (value * radix) % prime
     out.setflags(write=False)
     return out
-
-
-def submod(a: np.ndarray | int, b: np.ndarray | int, prime: int) -> np.ndarray:
-    """``(a - b) mod prime`` element-wise without signed underflow."""
-    p = np.uint64(prime)
-    return (np.asarray(a, dtype=np.uint64) + p - np.asarray(b, dtype=np.uint64)) % p

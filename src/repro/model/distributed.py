@@ -23,8 +23,7 @@ accepted edges are the same.
 
 from __future__ import annotations
 
-from ..config import MemoryConfig
-from ..device.specs import DeviceSpec, NetworkSpec
+from ..config import AssemblyConfig
 from .single_node import MODEL_DISK_READ, MODEL_DISK_WRITE, model_phase_seconds
 from .workload import Workload
 
@@ -32,14 +31,12 @@ from .workload import Workload
 REDUCE_GRAPH_FRACTION = 0.06
 
 
-def model_distributed_seconds(workload: Workload, memory: MemoryConfig,
-                              device: DeviceSpec | str, n_nodes: int, *,
-                              network: NetworkSpec | None = None,
-                              kept_fraction: float = 1.0,
+def model_distributed_seconds(workload: Workload, config: AssemblyConfig,
+                              n_nodes: int, *, kept_fraction: float = 1.0,
                               ) -> dict[str, float]:
-    """Modeled per-phase seconds for an ``n_nodes`` cluster run."""
-    network = network if network is not None else NetworkSpec()
-    single = model_phase_seconds(workload, memory, device)
+    """Modeled per-phase seconds for an ``n_nodes`` cluster run on
+    ``config``'s machine: its memory, device and interconnect."""
+    single = model_phase_seconds(workload, config.memory, config.device_name)
     total_tuple_bytes = workload.total_tuple_nbytes
 
     phases: dict[str, float] = {}
@@ -51,7 +48,7 @@ def model_distributed_seconds(workload: Workload, memory: MemoryConfig,
         kept_bytes = kept_fraction * per_node_bytes
         phases["shuffle"] = (per_node_bytes / MODEL_DISK_READ
                              + kept_bytes / MODEL_DISK_WRITE
-                             + network.transfer_seconds(
+                             + config.network.transfer_seconds(
                                  int(kept_bytes * remote_fraction)))
     else:
         phases["shuffle"] = 0.0

@@ -10,7 +10,6 @@ import tempfile
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +17,8 @@ import pytest
 from repro.config import DEFAULT_BUFFER_FRACTION, AssemblyConfig, MemoryConfig
 from repro.core import load_phase
 from repro.core.checkpoint import file_digest
-from repro.core.compress_phase import run_compress
-from repro.core.context import RunContext
-from repro.core.load_phase import run_load
-from repro.core.map_phase import per_read_device_bytes, run_map
-from repro.core.reduce_phase import run_reduce
+from repro.core.map_phase import per_read_device_bytes
 from repro.core.residency import Residency
-from repro.core.sort_phase import run_sort
 from repro.extmem import PartitionStore
 from repro.faults import FaultPlan, cells, inject, sample
 from repro.seq.datasets import tiny_dataset
@@ -292,33 +286,3 @@ def sorted_runs(root, held: dict | None = None) -> dict[str, bytes]:
             assert path.name not in runs, f"{path} is held and written"
             runs[path.name] = records
     return runs
-
-
-def eager_composition(config: AssemblyConfig, store_path, workdir) -> SimpleNamespace:
-    """The paper's eager schedule: sort every partition, then reduce them all.
-
-    The reference ``Assembler``'s lazy schedule is compared against: the
-    plain phase composition, nothing filtered (the cluster's, too, when all
-    its lengths go in one round). The sorted partitions stay under
-    ``workdir / "partitions"``.
-    """
-    ctx = RunContext(config, workdir=workdir)
-    try:
-        store = run_load(ctx, store_path)
-        try:
-            partitions, map_report = run_map(ctx, store)
-            sort_report = run_sort(ctx, partitions)
-            graph, reduce_report = run_reduce(ctx, partitions, store)
-            out = SimpleNamespace(
-                target=graph.target.copy(), overlap=graph.overlap.copy(),
-                out_bits=graph.out_bits.to_bytes(), n_edges=graph.n_edges,
-                n_reads=store.n_reads, read_length=store.read_length,
-                map_report=map_report, sort_report=sort_report,
-                reduce_report=reduce_report, partitions=partitions,
-                host_peak_bytes=ctx.host_pool.lifetime_peak_bytes)
-            out.contigs, _ = run_compress(ctx, graph, store)
-        finally:
-            store.close()
-    finally:
-        ctx.cleanup()
-    return out

@@ -27,9 +27,9 @@ from repro.extmem.merge import merge_streams_k
 from repro.extmem.partitions import partition_sides
 from repro.extmem.records import kv_dtype, make_records
 from repro.extmem.streams import _COALESCE_BYTES
-from repro.faults import (BITFLIP, CRASH, ENOSPC, LEDGER, PHASE, READ, TORN,
-                          WRITE, Fault, FaultPlan, inject, ledger_converged,
-                          result_digest, scan_residue)
+from repro.faults import (BITFLIP, CRASH, ENOSPC, LEDGER, NODE, NODE_CRASH,
+                          PHASE, READ, TORN, WRITE, Fault, FaultPlan, inject,
+                          ledger_converged, result_digest, scan_residue)
 from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 
@@ -368,18 +368,23 @@ class TestDistributedToken:
         assert np.array_equal(faulted.contigs.flat_codes,
                               clean.contigs.flat_codes)
 
+    @staticmethod
+    def _lose_every_node(config):
+        """Every node op of every node crashes and no node may restart: the
+        ladder loses the whole cluster and cannot finish the run."""
+        return (replace(config, node_restarts=0),
+                FaultPlan([Fault(NODE_CRASH, site=NODE, once=False)]))
+
     def test_persistent_node_failure_raises_typed_error(self, chaos_data,
                                                         config):
         md, _ = chaos_data
-        # With degraded mode off, exhausting every owner of a partition is
-        # still the historical fail-stop protocol error.
-        strict = replace(config, allow_degraded=False)
-        plan = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run",
-                                once=False)])
+        doomed, plan = self._lose_every_node(config)
         with inject(plan):
-            with pytest.raises(DistributedProtocolError, match="token lost"):
-                DistributedAssembler(strict, self.N_NODES).assemble(
+            with pytest.raises(DistributedProtocolError,
+                               match="no surviving nodes"):
+                DistributedAssembler(doomed, self.N_NODES).assemble(
                     md.store_path)
+        assert [e.kind for e in plan.events] == [NODE_CRASH] * self.N_NODES
 
     def test_failing_run_closes_the_store_it_opened(self, chaos_data, config,
                                                     monkeypatch):
@@ -392,13 +397,13 @@ class TestDistributedToken:
             return opened[-1]
 
         monkeypatch.setattr(PackedReadStore, "open", classmethod(spy))
-        plan = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run",
-                                once=False)])
+        doomed, plan = self._lose_every_node(config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with inject(plan), pytest.raises(DistributedProtocolError):
-                DistributedAssembler(replace(config, allow_degraded=False),
-                                     self.N_NODES).assemble(md.store_path)
+            with inject(plan), pytest.raises(DistributedProtocolError,
+                                             match="no surviving nodes"):
+                DistributedAssembler(doomed, self.N_NODES).assemble(
+                    md.store_path)
             with pytest.raises(ValueError, match="closed file"):
                 opened[0].read_packed_slice(0, 1)
             del opened[:]

@@ -532,7 +532,6 @@ _NON_SEMANTIC_CHANGES = {
     "heartbeat_interval": 0.75,
     "node_timeout": 9.0,
     "node_restarts": 3,
-    "allow_degraded": False,
 }
 
 #: (field, changed value) for semantic knobs: each must change the key.

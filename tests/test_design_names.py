@@ -11,13 +11,17 @@ Every backticked ``path.py::name`` (a source module under ``src/repro``
 or a test module, ``name`` a module-level name, then members through
 ``.`` or ``::``, a test id's ``[...]`` and a call's ``()`` dropped)
 must name a file that exists and names that are defined in it.
+
+A ``src/`` name that only tests call is deleted together with its tests
+(DESIGN.md §4c): every public ``def`` under ``src/repro`` is named by the
+program, a benchmark or an example, or §4c lists it.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,3 +156,43 @@ def test_design_path_citations_name_what_exists():
             missing.append(f"{path}::{chain} (line {line})")
     assert cited >= 20
     assert missing == [], missing
+
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _public_defs(tree: ast.Module) -> Counter:
+    """How often a module defines each public function or method name (a
+    method of a public class)."""
+    defs: Counter = Counter()
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) \
+            and not node.name.startswith("_") else [node]
+        defs.update(member.name for member in body
+                    if isinstance(member, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                    and not member.name.startswith("_"))
+    return defs
+
+
+def test_every_public_def_is_named_outside_the_tests():
+    """A public ``def`` is named when its name is a word of another
+    ``src/`` module, a benchmark or an example, or of its own module
+    beyond its definitions; otherwise §4c lists it (in backticks)."""
+    design = (ROOT / "DESIGN.md").read_text()
+    section = design[design.index("\n## 4c."):]
+    section = section[:section.index("\n## ", 1)]
+    listed = {word for span in re.findall(r"`([^`]+)`", section)
+              for word in _WORD.findall(span)}
+    files = [*SRC.rglob("*.py"), *(ROOT / "benchmarks").rglob("*.py"),
+             *(ROOT / "examples").rglob("*.py")]
+    words = {path: Counter(_WORD.findall(path.read_text())) for path in files}
+    unnamed = []
+    for path in SRC.rglob("*.py"):
+        for name, count in _public_defs(ast.parse(path.read_text())).items():
+            if name in listed or words[path][name] > count or any(
+                    other[name] for where, other in words.items()
+                    if where != path):
+                continue
+            unnamed.append(f"{path.relative_to(SRC)}::{name}")
+    assert unnamed == [], unnamed

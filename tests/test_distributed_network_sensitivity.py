@@ -32,11 +32,11 @@ class TestNetworkSensitivity:
 
     def test_model_shuffle_grows_on_ethernet(self):
         workload = Workload.from_spec(get_dataset("hgenome_sim"))
-        memory = MemoryConfig.preset("supermic")
-        infiniband = model_distributed_seconds(workload, memory, "K20X", 8)
+        config = AssemblyConfig(memory=MemoryConfig.preset("supermic"),
+                                device_name="K20X")
+        infiniband = model_distributed_seconds(workload, config, 8)
         ethernet = model_distributed_seconds(
-            workload, memory, "K20X", 8,
-            network=NetworkSpec.ethernet_10g())
+            workload, replace(config, network=NetworkSpec.ethernet_10g()), 8)
         assert ethernet["shuffle"] > infiniband["shuffle"]
         assert ethernet["total"] > infiniband["total"]
         # the paper's IB keeps shuffle subdominant to sort

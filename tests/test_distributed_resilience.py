@@ -291,11 +291,6 @@ class TestDegradedMode:
         assert reduce_s >= clean.phase_seconds["reduce"]
         assert reduce_s >= wasted
 
-    def test_strict_mode_covered_elsewhere(self):
-        # allow_degraded=False → DistributedProtocolError("token lost") is
-        # exercised in tests/test_chaos_recovery.py::TestDistributedToken.
-        assert AssemblyConfig(allow_degraded=False).allow_degraded is False
-
     def test_resilience_knob_validation(self):
         with pytest.raises(ConfigError):
             AssemblyConfig(heartbeat_interval=0.0)

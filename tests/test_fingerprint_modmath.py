@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.fingerprint.modmath import (MODULUS_PRIMES, RADIX_PRIMES,
-                                       place_values, submod)
+                                       place_values)
 
 
 def _is_prime(n: int) -> bool:
@@ -49,15 +49,6 @@ class TestPlaceValues:
         m = place_values(7, prime, length)
         for i in (0, length // 2, length - 1):
             assert int(m[i]) == pow(7, i, prime)
-
-
-class TestModOps:
-    @given(st.integers(0, 2**31 - 2), st.integers(0, 2**31 - 2))
-    def test_submod(self, a, b):
-        prime = MODULUS_PRIMES[2]
-        a %= prime
-        b %= prime
-        assert int(submod(np.uint64(a), np.uint64(b), prime)) == (a - b) % prime
 
 
 class TestPerSchemeCache:

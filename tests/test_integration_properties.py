@@ -13,11 +13,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Assembler, AssemblyConfig
 from repro.analysis import contig_accuracy
 from repro.baselines import exact_overlaps
+from repro.core.pipeline import eager_composition
 from repro.seq.packing import PackedReadStore
 from repro.seq.records import ReadBatch
 from repro.seq.simulate import ReadSimulator, simulate_genome
 
-from .conftest import eager_composition
 
 workload_params = st.tuples(
     st.integers(300, 1200),     # genome length

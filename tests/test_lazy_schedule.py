@@ -3,7 +3,7 @@ minus the records the out-degree bit-vector has already closed.
 
 ``Assembler`` must build exactly the graph of the eager composition
 (``run_sort`` over every partition, then ``run_reduce`` over all of them,
-see ``conftest.eager_composition``) while sorting only the records that can
+``pipeline.eager_composition``) while sorting only the records that can
 still win. (The cluster runs the same filter in rounds of one length per
 node: ``tests/test_distributed_rounds.py``.)
 """
@@ -35,7 +35,7 @@ from repro.seq.datasets import tiny_dataset
 from repro.seq.packing import PackedReadStore
 from repro.seq.simulate import ReadSimulator, simulate_genome
 
-from .conftest import eager_composition, sorted_runs, spy_held_runs
+from .conftest import sorted_runs, spy_held_runs
 
 MIN_OVERLAP = 25
 #: The read length of ``data``: its whole-read partition has a P side only.
@@ -100,7 +100,7 @@ class TestSameGraphAsEager:
                                 fingerprint_lanes=lanes,
                                 host_block_pairs=blocks[0],
                                 device_block_pairs=blocks[1])
-        eager = eager_composition(config, store_path, root / "eager")
+        eager = pipeline.eager_composition(config, store_path, root / "eager")
         result, archive = _lazy(config, store_path, root / "lazy")
         assert np.array_equal(archive["target"], eager.target)
         assert np.array_equal(archive["overlap"], eager.overlap)
@@ -138,7 +138,8 @@ def runs(data, tmp_path_factory):
     """``(eager, lazy, lazy_runs)``: the lazy run's sorted runs by
     ``(side, length)``, the ones it held and the ones it wrote."""
     root = tmp_path_factory.mktemp("lazy-runs")
-    eager = eager_composition(CRAMPED, data.store_path, root / "eager")
+    eager = pipeline.eager_composition(CRAMPED, data.store_path,
+                                       root / "eager")
     with pytest.MonkeyPatch.context() as patch:
         held = spy_held_runs(patch)
         result, _ = _lazy(CRAMPED, data.store_path, root / "lazy")

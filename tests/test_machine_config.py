@@ -14,12 +14,12 @@ import pytest
 
 from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.core.context import RunContext
+from repro.core.pipeline import eager_composition
 from repro.device.specs import DiskSpec, NetworkSpec
 from repro.distributed import ActiveMessageLayer, DistributedAssembler
 from repro.faults import NODE, NODE_CRASH, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
 
-from .conftest import eager_composition
 
 MIN_OVERLAP = 24
 #: 40 kB of host: partitions, pieces and sorted runs are files, so every

@@ -7,7 +7,7 @@ EXPERIMENTS.md instead.
 
 import pytest
 
-from repro.config import MemoryConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.device.specs import device_catalog
 from repro.extmem.sort import DEVICE_SORT_FOOTPRINT, HOST_SORT_FOOTPRINT
 from repro.model import (Workload, model_distributed_seconds, model_memory_peaks,
@@ -23,6 +23,7 @@ NAME_BY_PAPER = {"H.Chr 14": "hchr14_sim", "Bumblebee": "bumblebee_sim",
                  "Parakeet": "parakeet_sim", "H.Genome": "hgenome_sim"}
 QB2 = MemoryConfig.preset("qb2")
 SUPERMIC = MemoryConfig.preset("supermic")
+SUPERMIC_K20X = AssemblyConfig(memory=SUPERMIC, device_name="K20X")
 
 
 def workload(paper_name: str) -> Workload:
@@ -218,7 +219,7 @@ class TestTable6:
 class TestFig10:
     def test_monotone_scaling_and_headline(self):
         w = workload("H.Genome")
-        totals = {n: model_distributed_seconds(w, SUPERMIC, "K20X", n)["total"]
+        totals = {n: model_distributed_seconds(w, SUPERMIC_K20X, n)["total"]
                   for n in (1, 2, 4, 8)}
         assert totals[8] < totals[4] < totals[2]
         # the paper's headline: "a little over 5 hours" at 8 nodes
@@ -226,18 +227,18 @@ class TestFig10:
 
     def test_shuffle_overhead_structure(self):
         w = workload("H.Genome")
-        one = model_distributed_seconds(w, SUPERMIC, "K20X", 1)
-        two = model_distributed_seconds(w, SUPERMIC, "K20X", 2)
+        one = model_distributed_seconds(w, SUPERMIC_K20X, 1)
+        two = model_distributed_seconds(w, SUPERMIC_K20X, 2)
         assert one["shuffle"] == 0.0
         assert two["shuffle"] > 0.0
 
     def test_reduce_saturates(self):
         """The t_o·p/n + t_g·p law: gains flatten at high node counts."""
         w = workload("H.Genome")
-        reduce_times = [model_distributed_seconds(w, SUPERMIC, "K20X", n)["reduce"]
+        reduce_times = [model_distributed_seconds(w, SUPERMIC_K20X, n)["reduce"]
                         for n in (1, 2, 4, 8, 16, 64)]
         assert reduce_times == sorted(reduce_times, reverse=True)
-        floor = model_distributed_seconds(w, SUPERMIC, "K20X", 4096)["reduce"]
+        floor = model_distributed_seconds(w, SUPERMIC_K20X, 4096)["reduce"]
         assert reduce_times[-1] < 2.5 * floor
 
     def test_kept_fraction_scales_what_the_filter_touches(self):
@@ -245,18 +246,18 @@ class TestFig10:
         sorted and matched bytes shrink; the read of the map pieces, the
         map itself and the token's edge insertions do not."""
         w = workload("H.Genome")
-        eager = model_distributed_seconds(w, SUPERMIC, "K20X", 4)
-        assert eager == model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+        eager = model_distributed_seconds(w, SUPERMIC_K20X, 4)
+        assert eager == model_distributed_seconds(w, SUPERMIC_K20X, 4,
                                                   kept_fraction=1.0)
-        kept = model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+        kept = model_distributed_seconds(w, SUPERMIC_K20X, 4,
                                          kept_fraction=0.2)
         for phase in ("load", "map", "compress"):
             assert kept[phase] == eager[phase]
         assert kept["sort"] == pytest.approx(0.2 * eager["sort"])
         assert 0.2 * eager["shuffle"] < kept["shuffle"] < eager["shuffle"]
-        floor = model_distributed_seconds(w, SUPERMIC, "K20X", 4096)["reduce"]
+        floor = model_distributed_seconds(w, SUPERMIC_K20X, 4096)["reduce"]
         assert floor < kept["reduce"] < eager["reduce"]
-        none = model_distributed_seconds(w, SUPERMIC, "K20X", 4,
+        none = model_distributed_seconds(w, SUPERMIC_K20X, 4,
                                          kept_fraction=0.0)
         assert none["reduce"] == pytest.approx(floor, rel=1e-2)
 

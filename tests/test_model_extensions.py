@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.config import MemoryConfig
+from repro.config import AssemblyConfig, MemoryConfig
 from repro.model import (Workload, model_distributed_seconds,
                          model_multi_gpu_seconds, model_phase_components,
                          model_phase_seconds)
 from repro.seq.datasets import get_dataset
 
 SUPERMIC = MemoryConfig.preset("supermic")
+SUPERMIC_K20X = AssemblyConfig(memory=SUPERMIC, device_name="K20X")
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ class TestMultiGPU:
     def test_nodes_beat_gpus(self, hgenome):
         """Scale-out divides the disk stream; scale-up does not (§III.E)."""
         gpus8 = model_multi_gpu_seconds(hgenome, SUPERMIC, "K20X", 8)["total"]
-        nodes8 = model_distributed_seconds(hgenome, SUPERMIC, "K20X", 8)["total"]
+        nodes8 = model_distributed_seconds(hgenome, SUPERMIC_K20X, 8)["total"]
         assert nodes8 < 0.5 * gpus8
 
     def test_validation(self, hgenome):
