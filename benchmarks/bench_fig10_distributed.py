@@ -10,10 +10,11 @@ only for n > 1 (n = 2 barely improving on n = 1, as the paper observes);
 reduce saturates under the bit-vector token law; the assembly output is
 invariant to the node count.
 
-The cluster shuffles, sorts and reduces the whole-read length alone (its
-owner drops the duplicate reads), then rounds of ``n`` overlap lengths
-whose pulls are filtered by the out-degree bit-vector of the rounds before
-(DESIGN.md D7 on the cluster). The second table sweeps the round size
+The cluster shuffles, sorts and reduces the whole-read length alone, cut
+into one key range an owner (every owner drops the duplicate reads of its
+range), then rounds of ``n`` overlap lengths whose pulls are filtered by
+the out-degree bit-vector of the rounds before (DESIGN.md D7 on the
+cluster). The second table sweeps the round size
 (1, n, 2n, all lengths at once = the paper's eager schedule; the sweep
 cuts every length, the whole-read one included, ``size`` a round) through
 ``DistributedAssembler._rounds`` and shows why ``n`` is the rule; the first

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..device.kernels import copy_records, raw_view
 from ..extmem import PartitionStore, RunReader
-from ..extmem.partitions import partition_sides
+from ..extmem.partitions import length_of, partition_sides
 from ..extmem.records import AUX_FIELD, KEY_FIELD, VAL_FIELD
 from ..graph import GreedyStringGraph
 from ..seq.packing import PackedReadStore
@@ -135,14 +135,15 @@ def reduce_length(ctx: RunContext, graph: GreedyStringGraph,
     Opens ``S`` and ``P`` of ``length`` (a held run from host memory, else
     the file) and reduces them with the window the device block leaves.
     ``reduce`` replaces :func:`reduce_partition` (a caller's own binding
-    of it). At the whole-read length the one run ``P_L`` goes through
-    :func:`close_duplicates` instead. Returns how many runs were held.
+    of it). At the whole-read length (or a key range of it) the one run
+    ``P_L`` goes through :func:`close_duplicates` instead. Returns how many
+    runs were held.
     """
     held = sum(partitions.kept(side, length, sorted_run=True)
                for side in partition_sides(length, graph.read_length))
     # The runs are closed however the step ends, which frees a held one
     # (it has no file: a retry sorts the partition again).
-    if length == graph.read_length:
+    if length_of(length) == graph.read_length:
         with partitions.open_run("P", length, sorted_run=True) as run:
             close_duplicates(ctx, graph, run, report)
         return held

@@ -18,7 +18,9 @@ behind Fig. 10:
 * **reduce** — overlap finding is parallel per partition owner, but edge
   insertion is serialized by the out-degree bit-vector token traveling
   through partitions in descending length order; the critical path follows
-  the paper's ``t_o · p/n + t_g · p`` law. An owner reads the runs its
+  the paper's ``t_o · p/n + t_g · p`` law. The whole-read length adds no
+  edge and needs no token: every owner closes the duplicates of its key
+  range of it side by side. An owner reads the runs its
   sort formed in one piece from host memory
   (:meth:`~repro.extmem.PartitionStore.open_run`), the rest off its disk.
 * **compress** — on the master, as in the single-node pipeline (a node
@@ -37,10 +39,17 @@ disk once in all. Out of core, each holder reads its blocks off its own
 disk for compress.
 
 Map, shuffle, sort and reduce run in **rounds**, longest length first.
-The first round is the whole-read length ``L`` alone: every node maps
-its blocks' ``P_L`` pieces, and ``L``'s owner pulls and sorts them and
-closes the duplicate reads under the token before any edge is added
-(:func:`~repro.core.reduce_phase.close_duplicates`). Then come rounds of
+The first round is the whole-read length ``L`` alone, and it runs on every
+node: ``P_L`` is split by key range into ``n_nodes`` partitions
+(:class:`~repro.extmem.partitions.KeyRange`, cut at splitters that are a
+pure function of the fingerprint scheme and ``n_nodes``). Every node maps
+its blocks' ``P_L`` pieces and cuts each once, when the first owner asks
+for a range of it; owner ``i`` pulls and sorts range ``i``, and every
+owner closes its range's duplicate reads at once
+(:func:`~repro.core.reduce_phase.close_duplicates`: the lowest read of a
+group of equal keys is kept, and a group never spans two ranges). The
+closed read ids are gathered on the master before any edge is added
+(:meth:`DistributedAssembler._close_ranges`). Then come rounds of
 ``n_nodes`` consecutive overlap lengths: one length per owner per round
 (:meth:`DistributedAssembler._rounds`). A round starts by freezing a copy
 of the graph's out-degree bit-vector and broadcasting it; then every node
@@ -55,11 +64,12 @@ pieces, pulled partitions and sorted runs as a single node's does
 nothing, and a piece is let go when its owner has pulled it. Every
 stretch, compress's too, is booked by one rule (:meth:`_Timeline.stretch`;
 the broadcast is booked as shuffle): its critical path is the slowest
-node's seconds (the reduce's is the token's), and it ends at a barrier.
+node's seconds (the reduce's is the slowest range owner's plus the
+gather, then the token's), and it ends at a barrier.
 A phase's reported seconds are the sum of its rounds' critical paths. With
-one node a round is one length, its pieces are its partitions, and the
-schedule is the single-node pipeline's with one length a band: its
-first length is ``Assembler``'s first band.
+one node a round is one length (``L``'s one range is ``L``), its pieces
+are its partitions, and the schedule is the single-node pipeline's with
+one length a band: its first length is ``Assembler``'s first band.
 """
 
 from __future__ import annotations
@@ -77,7 +87,7 @@ from ..core.compress_phase import run_compress
 from ..core.map_phase import band_report, partition_lengths
 from ..core.reduce_phase import ReduceReport, reduce_length, reduce_partition
 from ..errors import ConfigError
-from ..extmem.partitions import SIDES
+from ..extmem.partitions import KeyRange, length_of
 from ..graph import GreedyStringGraph
 from ..graph.contigs import ContigSet
 from ..seq.packing import PackedReadStore
@@ -85,7 +95,11 @@ from ..seq.stats import assembly_stats
 from ..trace.tracer import NULL_TRACER, SpanTracer
 from .message import ActiveMessageLayer
 from .node import WorkerNode
-from .resilience import BLOCKS_PER_NODE, ClusterSupervisor, DegradedRunReport
+from .resilience import (BLOCKS_PER_NODE, ClusterSupervisor,
+                         DegradedRunReport, ReduceOutcome, trace_entry)
+
+#: Bytes of one read id in the gather of the closed reads (``uint32``).
+READ_ID_BYTES = 4
 
 
 @dataclass
@@ -104,9 +118,15 @@ class DistributedResult:
     #: Bit-vector token hand-offs: one entry per reduce attempt, recording
     #: which node held the token for which partition and whether it survived.
     #: Failed attempts carry ``wasted_s`` (simulated seconds the aborted
-    #: attempt burned); successful hops carry ``sim0``/``sim1`` (the token
-    #: hold window on the simulated timeline).
+    #: attempt burned) and ``sim1`` (the failed node's clock when it died);
+    #: successful hops carry ``sim0``/``sim1`` (the token hold window on the
+    #: simulated timeline).
     token_trace: tuple[dict, ...] = ()
+    #: The whole-read length's key ranges, closed side by side off the
+    #: token: one entry per attempt, as ``token_trace``'s, with the range's
+    #: index as ``range``; a surviving one's ``sim0``/``sim1`` run from its
+    #: round's barrier to its owner's end.
+    range_trace: tuple[dict, ...] = ()
     #: ``None`` for clean/fully recovered runs; a report naming the dropped
     #: partitions when the run completed in degraded mode.
     degraded: DegradedRunReport | None = None
@@ -201,11 +221,23 @@ class DistributedAssembler:
         so that no overlap length is pulled or sorted before the
         duplicates are closed: in ``L``'s round an overlap length would
         carry every duplicate's records (DESIGN.md, *duplicate reads close
-        in a whole-read band first*).
+        in a whole-read band first*). ``L``'s round runs on every node all
+        the same: its partition is cut into ``n_nodes`` key ranges, one an
+        owner (:meth:`_partitions`).
         """
         whole, *ordered = sorted(lengths, reverse=True)
         return [[whole]] + [ordered[i:i + self.n_nodes]
                             for i in range(0, len(ordered), self.n_nodes)]
+
+    def _partitions(self, lengths: list[int], read_length: int) -> list:
+        """A round's partitions: its lengths, the whole-read one cut into
+        ``n_nodes`` key ranges (:class:`~repro.extmem.partitions.KeyRange`).
+        With one node the one range is the whole length."""
+        if self.n_nodes == 1:
+            return list(lengths)
+        return [key for length in lengths for key in (
+            [KeyRange(length, i, self.n_nodes) for i in range(self.n_nodes)]
+            if length == read_length else [length])]
 
     # -- the run -------------------------------------------------------------
 
@@ -261,21 +293,23 @@ class DistributedAssembler:
         graph = None
         reduce_report = ReduceReport()
         token_trace: list[dict] = []
+        range_trace: list[dict] = []
         shuffle_bytes = 0
         for index, round_lengths in enumerate(rounds):
+            keys = self._partitions(round_lengths, store.read_length)
             if graph is None:
                 # Nothing is closed before the first round's edges: no filter.
-                supervisor.begin_round(None, round_lengths)
+                supervisor.begin_round(None, keys)
             else:
                 # The round's snapshot, broadcast before anything is mapped.
                 with stretch("shuffle", round=index, snapshot=True):
-                    supervisor.begin_round(graph.out_bits.copy(), round_lengths)
+                    supervisor.begin_round(graph.out_bits.copy(), keys)
             # Map what the round's lengths still have open.
             with stretch("map", round=index, blocks=n_blocks):
                 supervisor.map_phase()
             # All-to-all aggregation of the round's pieces.
             with stretch("shuffle", round=index) as shuffle:
-                shuffle.args["bytes"] = supervisor.shuffle_phase(round_lengths)
+                shuffle.args["bytes"] = supervisor.shuffle_phase(keys)
             shuffle_bytes += shuffle.args["bytes"]
             # Local per-node external sorts.
             with stretch("sort", round=index):
@@ -289,8 +323,8 @@ class DistributedAssembler:
             done = reduce_report.partitions_processed
             with stretch("reduce", round=index) as reduce:
                 reduce.seconds = self._reduce(
-                    supervisor, graph, reduce_report, round_lengths,
-                    token_trace, reduce.start, tracer=ctracer)
+                    supervisor, graph, reduce_report, keys, token_trace,
+                    range_trace, reduce.start, tracer=ctracer)
                 reduce.args["partitions"] = \
                     reduce_report.partitions_processed - done
             nodes[0].plan.check_block(store, graph)
@@ -311,7 +345,7 @@ class DistributedAssembler:
         graph.release()
         degraded = supervisor.degraded_report(reduce_report.candidates)
         # ``records_eager``: what the eager map writes (every side of every
-        # length). ``records_shuffled``: what the token's partitions held,
+        # length). ``records_shuffled``: what the reduced partitions held,
         # which is what their pulls wrote (the cluster's sorts drop nothing);
         # a dropped partition's records are the degraded report's
         # ``candidates_dropped``.
@@ -319,9 +353,9 @@ class DistributedAssembler:
                  "rounds": float(len(rounds)),
                  "records_eager": float(band_report(
                      nodes[0].ctx, store, lengths).tuples_written),
-                 "records_shuffled": float(sum(
-                     supervisor.pulled.get((side, hop["length"]), 0)
-                     for hop in token_trace if hop["ok"] for side in SIDES))}
+                 "records_shuffled": float(
+                     sum(supervisor.pulled.values())
+                     - (degraded.candidates_dropped if degraded else 0))}
         notes.update(supervisor.meter.counters())
         return DistributedResult(
             n_nodes=self.n_nodes,
@@ -334,17 +368,20 @@ class DistributedAssembler:
             reduce_report=reduce_report,
             notes=notes,
             token_trace=tuple(token_trace),
+            range_trace=tuple(range_trace),
             degraded=degraded,
             lost_nodes=tuple(sorted(supervisor.lost)),
         )
 
     def _reduce(self, supervisor: ClusterSupervisor, graph: GreedyStringGraph,
-                report: ReduceReport, lengths: list[int],
-                token_trace: list[dict], start: float, *, tracer=NULL_TRACER,
-                ) -> float:
-        """One round of the token-serialized reduce under the failure ladder.
+                report: ReduceReport, keys: list, token_trace: list[dict],
+                range_trace: list[dict], start: float, *,
+                tracer=NULL_TRACER) -> float:
+        """One round's reduce under the failure ladder: the whole-read
+        length's key ranges side by side (:meth:`_close_ranges`), then the
+        token through the overlap lengths.
 
-        Continues ``graph``, ``report`` and ``token_trace`` over ``lengths``;
+        Continues ``graph``, ``report`` and the traces over ``keys``;
         returns the round's critical path: from ``start``, the round's
         barrier, until the token has folded in its last partition.
 
@@ -355,10 +392,10 @@ class DistributedAssembler:
         ``transfer`` is the bit-vector crossing the network to a node that
         lacks its current bits. The round's first owner has them (the
         round's broadcast, :meth:`ClusterSupervisor.begin_round`, sent
-        exactly these bits; before the first round they are all zero), and
-        so does the node that just folded in the previous partition; every
-        other hop pays it. A lone node's reduce is therefore the
-        single-node pipeline's.
+        exactly these bits; before the first round they are all zero;
+        after key ranges, only the master has them), and so does the node
+        that just folded in the previous partition; every other hop pays
+        it. A lone node's reduce is therefore the single-node pipeline's.
 
         A node failing mid-partition does not lose the token: the master
         still holds it while the supervisor runs restart → failover
@@ -371,43 +408,26 @@ class DistributedAssembler:
         from the surviving attempt's clock (which absorbed every wasted
         attempt and recovery charge) and ``token_hold ≥
         token_time``, the token timeline accrues transfer + recompute costs
-        and never goes backward. The supervisor hands back each failed
-        attempt as the ``token_trace`` entry it becomes. A partition that
-        no owner survives is dropped into the degraded report by the
-        supervisor; the token waits for that verdict, up to the clock of the
-        last owner tried.
+        and never goes backward. A partition that no owner survives is
+        dropped into the degraded report by the supervisor; the token waits
+        for that verdict, up to the clock of the last owner tried.
         """
         nodes = supervisor.nodes
+        ranges = [key for key in keys if isinstance(key, KeyRange)]
         token_time = start
+        bits_on = None  # the one node with the current bits; None: all
+        if ranges:
+            token_time = self._close_ranges(supervisor, graph, report, ranges,
+                                            range_trace, start, tracer)
+            bits_on = supervisor.master().node_id
         bitvec_transfer = self.config.network.transfer_seconds(
             graph.out_bits.nbytes)
-        bits_on = None  # the one node with the current bits; None: all
-        for length in sorted(lengths, reverse=True):
+        for length in sorted(set(keys) - set(ranges), reverse=True):
             if not supervisor.partition_has_data(length):
                 continue
             attempt_wall = time.perf_counter()
-            edges_before, closed_before = graph.n_edges, graph.reads_closed
-
-            def attempt(node: WorkerNode, length=length):
-                host_before = node.ctx.clock.seconds("host")
-                step = ReduceReport()
-                # Through this module's name: the harness times it here.
-                held = reduce_length(node.ctx, graph, node.shuffled, length,
-                                     step, reduce=reduce_partition)
-                t_graph = node.ctx.clock.seconds("host") - host_before
-                find_done = node.ctx.clock.total_seconds - t_graph
-                return step, held, t_graph, find_done
-
-            outcome = supervisor.reduce_partition(length, attempt)
-            token_trace.extend(outcome.failed)
-            if tracer.enabled:
-                for failed in outcome.failed:
-                    tracer.instant("token-retry", track="cluster",
-                                   cat="reduce", det=True,
-                                   sim_at=nodes[failed["node"]]
-                                   .ctx.clock.total_seconds,
-                                   length=length, node=failed["node"],
-                                   attempt=failed["attempt"])
+            outcome = self._attempt(supervisor, graph, report, length,
+                                    token_trace, "token-retry", tracer)
             if not outcome.ok:
                 # Dropped: no edges to fold in, but the token waited on the
                 # ladder's verdict, as a surviving hop waits on its
@@ -415,10 +435,7 @@ class DistributedAssembler:
                 token_time = max(token_time,
                                  nodes[outcome.node].ctx.clock.total_seconds)
                 continue
-            step, held, t_graph, find_done = outcome.value
-            # A failed attempt's work was replayed: count the survivor's only.
-            report.count_length(length, step, graph, edges_before,
-                                closed_before)
+            _, held, t_graph, find_done = outcome.value
             # The node holds the token from the instant it both received
             # the bit-vector and finished overlap finding, until its
             # edge insertions are folded in (t_g).
@@ -427,9 +444,9 @@ class DistributedAssembler:
             bits_on = outcome.node
             token_hold = max(token_time + transfer, find_done)
             token_time = token_hold + t_graph
-            token_trace.append({"length": length, "node": outcome.node,
-                                "attempt": outcome.attempts - 1, "ok": True,
-                                "sim0": token_hold, "sim1": token_time})
+            token_trace.append(trace_entry(
+                length, node=outcome.node, attempt=outcome.attempts - 1,
+                ok=True, sim0=token_hold, sim1=token_time))
             if tracer.enabled:
                 tracer.complete("token", attempt_wall, time.perf_counter(),
                                 track="cluster", cat="reduce", det=True,
@@ -441,3 +458,90 @@ class DistributedAssembler:
         # recovery charge) the graph consumed; every node re-enters at the
         # next barrier.
         return token_time - start
+
+    def _close_ranges(self, supervisor: ClusterSupervisor,
+                      graph: GreedyStringGraph, report: ReduceReport,
+                      ranges: list[KeyRange], trace: list[dict], start: float,
+                      tracer) -> float:
+        """Close the duplicate reads of the whole-read length's key ranges,
+        each on its owner, side by side; returns when the master has them.
+
+        The rule keeps the lowest read of each group of equal keys
+        (:func:`~repro.core.reduce_phase.close_duplicates`), and a group
+        never spans two ranges, so the order of the ranges does not
+        matter: a class of equal reads whose two strands fall in two
+        ranges is closed the same way in both. Each owner then sends the
+        master the ids of the reads it closed (``uint32`` each; the master's
+        own need no message), and the master sets their bits: the gather,
+        one transfer of all their bytes into the master (the owners send
+        side by side). The ranges are done when the slowest owner is and
+        the gather has arrived, not a token hop later.
+        """
+        closed_on: dict[int, int] = {}
+        for key in ranges:
+            if not supervisor.partition_has_data(key):
+                continue
+            wall = time.perf_counter()
+            closed_before = graph.reads_closed
+            outcome = self._attempt(supervisor, graph, report, key, trace,
+                                    "close-retry", tracer)
+            if not outcome.ok:
+                continue
+            _, held, t_graph, find_done = outcome.value
+            closed_on[outcome.node] = closed_on.get(outcome.node, 0) \
+                + graph.reads_closed - closed_before
+            trace.append(trace_entry(
+                key, node=outcome.node, attempt=outcome.attempts - 1, ok=True,
+                sim0=start, sim1=find_done + t_graph))
+            if tracer.enabled:
+                tracer.complete("close", wall, time.perf_counter(),
+                                track="cluster", cat="reduce", det=True,
+                                sim0=start, sim1=find_done + t_graph,
+                                length=key.length, range=key.index,
+                                node=outcome.node,
+                                attempt=outcome.attempts - 1, held=held)
+        done = max(node.ctx.clock.total_seconds for node in supervisor.nodes)
+        master = supervisor.master()
+        sent = sum(closed for node_id, closed in closed_on.items()
+                   if node_id != master.node_id)
+        gather = self.config.network.transfer_seconds(READ_ID_BYTES * sent) \
+            if sent else 0.0
+        master.ctx.clock.charge("network", gather)
+        return done + gather
+
+    @staticmethod
+    def _attempt(supervisor: ClusterSupervisor, graph: GreedyStringGraph,
+                 report: ReduceReport, key, trace: list[dict], retry: str,
+                 tracer) -> ReduceOutcome:
+        """Partition ``key``'s reduce on its owner, through the ladder.
+
+        Its failed attempts join ``trace``, each a ``retry`` instant at the
+        failed node's clock when it died; the surviving one is counted in
+        ``report``.
+        """
+        edges_before, closed_before = graph.n_edges, graph.reads_closed
+
+        def attempt(node: WorkerNode):
+            host_before = node.ctx.clock.seconds("host")
+            step = ReduceReport()
+            # Through this module's name: the harness times it here.
+            held = reduce_length(node.ctx, graph, node.shuffled, key, step,
+                                 reduce=reduce_partition)
+            t_graph = node.ctx.clock.seconds("host") - host_before
+            find_done = node.ctx.clock.total_seconds - t_graph
+            return step, held, t_graph, find_done
+
+        outcome = supervisor.reduce_partition(key, attempt)
+        trace.extend(outcome.failed)
+        if tracer.enabled:
+            for failed in outcome.failed:
+                tracer.instant(retry, track="cluster", cat="reduce", det=True,
+                               sim_at=failed["sim1"], **{
+                                   name: failed[name] for name in
+                                   ("length", "range", "node", "attempt")
+                                   if name in failed})
+        if outcome.ok:
+            # A failed attempt's work was replayed: count the survivor's only.
+            report.count_length(length_of(key), outcome.value[0], graph,
+                                edges_before, closed_before)
+        return outcome

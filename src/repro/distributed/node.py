@@ -17,8 +17,10 @@ node's :class:`~repro.core.residency.Residency` plan places what it maps:
 in an in-core run the read blocks of the producers it holds stay in host
 memory from their first read on (so every round after the first maps
 them without a disk read), the pieces and the partitions pulled from
-them too, the first round's ``P_L`` too, and a sorted run held for reduce
-is never written, however many lengths the node owns. A lone node's
+them too, the first round's ``P_L`` and its key ranges too, and a sorted
+run held for reduce is never written, however many partitions the node
+owns. A ``P_L`` piece is cut into its key ranges once, when the first
+owner asks for one (:meth:`WorkerNode.read_piece`). A lone node's
 pieces are its partitions. Compress gathers the read blocks on the
 master from the nodes that hold them (:meth:`WorkerNode.gather_reads`):
 each holder serves its blocks through its view, from its held copy or
@@ -45,8 +47,8 @@ from ..core.residency import Residency
 from ..core.sort_phase import run_sort
 from ..errors import StreamProtocolError
 from ..extmem import PartitionStore, RunWriter
-from ..extmem.partitions import SIDES, partition_sides
-from ..extmem.records import kv_dtype
+from ..extmem.partitions import SIDES, KeyRange, length_of, partition_sides
+from ..extmem.records import KEY_FIELD, kv_dtype
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore, unpack_codes
 from ..seq.records import ReadBatch
@@ -91,8 +93,11 @@ class WorkerNode:
         #: The round's map pieces by producer id (:meth:`map_pieces`), the
         #: lengths each was mapped for, and the pieces served (let go).
         self.pieces: dict[int, PartitionStore] = {}
-        self.mapped: dict[int, set[int]] = {}
-        self.served: set[tuple[int, str, int]] = set()
+        self.mapped: dict[int, set] = {}
+        self.served: set[tuple] = set()
+        #: The producers whose whole-read piece awaits its cut into key
+        #: ranges (:meth:`_cut`).
+        self.uncut: set[int] = set()
         #: The round's out-degree snapshot (``None`` before the first edge).
         self.closed: PackedBitVector | None = None
         messages.register_node(node_id, self.ctx.clock)
@@ -106,34 +111,37 @@ class WorkerNode:
 
     # -- map ---------------------------------------------------------------
 
-    def _fresh_pieces(self, producer: int, lengths) -> PartitionStore:
+    def _fresh_pieces(self, producer: int, keys) -> PartitionStore:
         """``producer``'s piece store (a lone node's partitions), its pieces
-        of ``lengths`` let go to be mapped anew."""
+        of ``keys`` let go to be mapped anew."""
         if producer not in self.pieces:
             root = self.ctx.workdir / "map_parts" / f"peer{producer:02d}"
             shutil.rmtree(root, ignore_errors=True)
             self.pieces[producer] = self.shuffled if self.lone else \
                 PartitionStore(root, self.dtype, self.ctx.accountant)
             self.mapped[producer] = set()
-        self.pieces[producer].reopen(lengths)
+        self.pieces[producer].reopen(keys)
         return self.pieces[producer]
 
     def map_pieces(self, lineage: dict[int, list[tuple[int, int]]],
-                   lengths: Iterable[int]) -> None:
+                   keys: Iterable) -> None:
         """Map each producer's read blocks, in their original order, into
-        its piece store, for ``lengths`` under the round's snapshot.
+        its piece store, for the partitions ``keys`` (lengths, or key
+        ranges of the whole-read length) under the round's snapshot.
 
         A piece is its producer's records minus the claims the snapshot
-        has closed, in map order, whichever node maps it. The plan holds
-        the blocks from this read on. A map cut short lets the producer's
-        whole store go.
+        has closed, in map order, whichever node maps it; a key range's
+        is cut from the whole-read piece when one is first asked for
+        (:meth:`_cut`). The plan holds the blocks from this read on. A map
+        cut short lets the producer's whole store go.
         """
-        lengths = sorted(lengths)
+        keys = sorted(keys)
+        lengths = sorted({length_of(key) for key in keys})
         resident = self.plan.resident_bytes
         self.plan.hold_store(self.reads, [block for blocks in lineage.values()
                                           for block in blocks])
         for producer, blocks in lineage.items():
-            pieces = self._fresh_pieces(producer, lengths)
+            pieces = self._fresh_pieces(producer, keys + lengths)
             try:
                 self.plan.keep(pieces, lengths, sum(
                     open_vertices(self.reads, self.closed, block)
@@ -148,15 +156,18 @@ class WorkerNode:
             except BaseException:
                 pieces.abandon()
                 del self.pieces[producer], self.mapped[producer]
+                self.uncut.discard(producer)
                 raise
-            self.mapped[producer].update(lengths)
-            self.served -= {(producer, side, length)
-                            for length in lengths for side in SIDES}
+            if any(isinstance(key, KeyRange) for key in keys):
+                self.uncut.add(producer)
+            self.mapped[producer].update(keys)
+            self.served -= {(producer, side, key)
+                            for key in keys for side in SIDES}
 
-    def holds(self, producer: int, length: int) -> bool:
-        """Whether ``producer``'s pieces of ``length`` are mapped, unserved."""
-        return length in self.mapped.get(producer, ()) and not any(
-            (producer, side, length) in self.served for side in SIDES)
+    def holds(self, producer: int, key) -> bool:
+        """Whether ``producer``'s pieces of ``key`` are mapped, unserved."""
+        return key in self.mapped.get(producer, ()) and not any(
+            (producer, side, key) in self.served for side in SIDES)
 
     def drop_pieces(self) -> None:
         """Let go of what the round's pulls left, after its last reduce."""
@@ -164,6 +175,7 @@ class WorkerNode:
             pieces.abandon()
         shutil.rmtree(self.ctx.workdir / "map_parts", ignore_errors=True)
         self.pieces, self.mapped, self.served = {}, {}, set()
+        self.uncut = set()
 
     # -- shuffle ------------------------------------------------------------
 
@@ -173,11 +185,40 @@ class WorkerNode:
         if (producer, side, length) in self.served:
             raise StreamProtocolError(f"{self.scope}: producer {producer}'s "
                                       f"piece ({side}, {length}) was served")
+        if producer in self.uncut and isinstance(length, KeyRange):
+            return self._cut(producer, length)
+        return self._records(self.pieces[producer], side, length)
+
+    def _cut(self, producer: int, key: KeyRange) -> np.ndarray:
+        """Cut ``producer``'s whole-read piece at the key splitters, once,
+        at the first request for one of its key ranges: returns ``key``'s
+        records and keeps each other unserved range's as its piece, each
+        in map order (so a holder reads the piece once, and each other
+        range's once, as a piece of its own). The pass is host work."""
         pieces = self.pieces[producer]
-        if not (pieces.kept(side, length)
-                or pieces.path(side, length).exists()):
+        records = self._records(pieces, "P", key.length)
+        pieces.delete("P", key.length)
+        self.uncut.discard(producer)
+        self.ctx.charge_host(records.nbytes)
+        index = np.searchsorted(self.ctx.scheme.splitters(key.count),
+                                records[KEY_FIELD], side="right")
+        others = sorted(other for other in self.mapped[producer]
+                        if isinstance(other, KeyRange) and other != key
+                        and (producer, "P", other) not in self.served)
+        pieces.reopen(others)
+        for other in others:
+            part = records[index == other.index]
+            if part.shape[0]:
+                self.plan.keep(pieces, [other], part.shape[0])
+                pieces.append("P", other, part)
+        pieces.finalize()
+        return records[index == key.index]
+
+    def _records(self, pieces: PartitionStore, side: str, key) -> np.ndarray:
+        """One piece's records (none: no block wrote it)."""
+        if not (pieces.kept(side, key) or pieces.path(side, key).exists()):
             return np.empty(0, dtype=self.dtype)
-        with pieces.open_run(side, length) as reader:
+        with pieces.open_run(side, key) as reader:
             return reader.read_all()
 
     def _serve_partition(self, producer: int, side: str, length: int,
@@ -190,13 +231,14 @@ class WorkerNode:
 
     def pull_partitions(self, store: PackedReadStore, holders: list[int],
                         lengths: Iterable[int]) -> int:
-        """Aggregate this node's shuffled partitions of ``lengths``.
+        """Aggregate this node's shuffled partitions of ``lengths`` (or key
+        ranges of the whole-read length).
 
         A partition is the concatenation, in producer-id order, of every
-        producer's piece, requested from ``holders[producer]``, and has one
-        record per vertex the snapshot leaves open. A pull run again (a
-        peer died mid-pull) starts each partition again. Returns the bytes pulled over the
-        network.
+        producer's piece, requested from ``holders[producer]``, and has at
+        most one record per vertex the snapshot leaves open. A pull run
+        again (a peer died mid-pull) starts each partition again. Returns
+        the bytes pulled over the network.
         """
         if self.lone:
             return 0

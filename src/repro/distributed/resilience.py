@@ -31,7 +31,7 @@ again after its node's recovery.
    every phase: the least-loaded survivor takes the lost node's producer
    ids and maps their recorded blocks with its own (the round in flight's
    when a pull first needs them); the lost node's partitions move only
-   when the token reaches them (:meth:`ClusterSupervisor.reduce_partition`).
+   when the reduce reaches them (:meth:`ClusterSupervisor.reduce_partition`).
    A disk that stays full uses up its node's restarts the same way.
 4. **Degraded-mode completion** — when a partition survives no owner, the
    run finishes on the surviving nodes and reports the drop in a
@@ -45,11 +45,14 @@ flight. The lineage is the read blocks dealt to each producer
 (:meth:`ClusterSupervisor.begin_round`) and handed again to a restarted
 node: every piece of a round, mapped again or not, is the producer's
 records minus what that one snapshot closed, which is what keeps a
-rebuilt partition the lost one byte for byte. Ownership is per round
+rebuilt partition the lost one byte for byte. A key range of the
+whole-read length (round 0's partitions) is an owned partition like any
+other, named apart from every other range, so it is rebuilt the same way
+on a restarted or failover owner. Ownership is per round
 and held here (:meth:`ClusterSupervisor.shuffle_phase` deals the round's
-lengths to the alive nodes, ``ClusterSupervisor.owned``), so a restarted
+partitions to the alive nodes, ``ClusterSupervisor.owned``), so a restarted
 node is handed none of it; only an operation of the round in flight
-rebuilds a partition, one the token has yet to reach. The round's map,
+rebuilds a partition, one the reduce has yet to reach. The round's map,
 pull and sort run through one per-node loop
 (:meth:`ClusterSupervisor._on_each`), and a reduce attempt's return value
 comes back on its :class:`ReduceOutcome`.
@@ -62,7 +65,8 @@ bit-vector (DESIGN.md §2g records why chunk checkpoints were deleted).
 Detection latency is ``node_timeout`` and nothing else.
 
 Everything is instrumented: ``failover`` spans, ``heartbeat-miss``/
-``node-lost`` instants on the cluster track, and an
+``node-lost`` instants on the cluster track (and the reduce's
+``token-retry`` / ``close-retry`` instants, one a failed attempt), and an
 :class:`~repro.telemetry.EventMeter` of resilience counters surfaced in
 ``DistributedResult.notes``.
 """
@@ -77,7 +81,7 @@ from pathlib import Path
 
 from ..config import AssemblyConfig
 from ..errors import DistributedProtocolError, FaultInjected
-from ..extmem.partitions import SIDES, partition_sides
+from ..extmem.partitions import SIDES, KeyRange, length_of, partition_sides
 from ..faults import plan as faults
 from ..graph.bitvector import PackedBitVector
 from ..seq.packing import PackedReadStore
@@ -159,17 +163,28 @@ class DegradedRunReport:
 class ReduceOutcome:
     """What the supervisor reports back for one reduce partition."""
 
-    length: int
+    length: int | KeyRange
     ok: bool = False
     #: The surviving attempt's node, or the last owner of a dropped one.
     node: int = -1
     #: What the surviving attempt returned (``None`` for a dropped one).
     value: object = None
     #: Failed attempts, in order, as ``DistributedResult.token_trace``
-    #: keeps them: ``{"length", "node", "attempt", "ok", "wasted_s"}``.
+    #: keeps them (:func:`trace_entry`): ``{"length", "node", "attempt",
+    #: "ok", "wasted_s", "sim1"}``, ``sim1`` the failed node's clock when
+    #: the attempt died.
     failed: list[dict] = field(default_factory=list)
     #: Attempts run on any owner (0 when no owner was alive to try).
     attempts: int = 0
+
+
+def trace_entry(key, **fields) -> dict:
+    """One reduce attempt of partition ``key`` as the result's traces keep
+    it: its length, a key range's index as ``range``, then ``fields``."""
+    entry = {"length": length_of(key)}
+    if isinstance(key, KeyRange):
+        entry["range"] = key.index
+    return {**entry, **fields}
 
 
 class _NodeLost(Exception):
@@ -244,6 +259,10 @@ class ClusterSupervisor:
                 "no surviving nodes: every worker exhausted its restart budget")
         return candidates
 
+    def master(self) -> WorkerNode:
+        """The first alive node: it holds the graph's bits and compresses."""
+        return self._survivors()[0]
+
     @staticmethod
     def _least_loaded(nodes: list[WorkerNode]) -> WorkerNode:
         return min(nodes, key=lambda n: n.ctx.clock.total_seconds)
@@ -290,9 +309,10 @@ class ClusterSupervisor:
                 wasted = node.ctx.clock.total_seconds - before
                 self.meter.bump("wasted_s", wasted)
                 if hop is not None:
-                    hop.failed.append({"length": hop.length, "node": node_id,
-                                       "attempt": hop.attempts - 1,
-                                       "ok": False, "wasted_s": wasted})
+                    hop.failed.append(trace_entry(
+                        hop.length, node=node_id, attempt=hop.attempts - 1,
+                        ok=False, wasted_s=wasted,
+                        sim1=node.ctx.clock.total_seconds))
                 self._handle_death(int(victim.removeprefix("node")))
         raise _NodeLost(f"node {node_id} lost")
 
@@ -524,15 +544,18 @@ class ClusterSupervisor:
         """One round's all-to-all aggregation.
 
         Ownership is round-robin over the alive nodes, so a round of
-        ``n_nodes`` consecutive lengths gives each of them one. A node lost
-        on the way keeps its lengths until the token re-homes them
-        (:meth:`reduce_partition`). Returns bytes pulled.
+        ``n_nodes`` consecutive lengths gives each of them one, as do the
+        whole-read length's ``n_nodes`` key ranges (range ``i`` to the
+        ``i``-th). A node lost on the way keeps its partitions until the
+        reduce re-homes them (:meth:`reduce_partition`). Returns bytes
+        pulled.
         """
         self.phase = "shuffle"
         alive_ids = [n.node_id for n in self._survivors()]
-        for length in lengths:
-            self.owner_of[length] = alive_ids[
-                (length - self.config.min_overlap) % len(alive_ids)]
+        for key in lengths:
+            turn = key.index if isinstance(key, KeyRange) \
+                else key - self.config.min_overlap
+            self.owner_of[key] = alive_ids[turn % len(alive_ids)]
         # Ownership turns over before anyone pulls: a node restarted while
         # serving a peer must not take last round's lengths for its own.
         self.owned = {node_id: sorted(length for length in lengths
@@ -648,8 +671,8 @@ class ClusterSupervisor:
         self.phase = "compress"
         while True:
             try:
-                return self._run_on_node(self._survivors()[0].node_id,
-                                         "compress", spell)
+                return self._run_on_node(self.master().node_id, "compress",
+                                         spell)
             except _NodeLost:
                 continue
 

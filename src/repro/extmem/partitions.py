@@ -6,7 +6,8 @@ tuples and splits them by length into ``l_max − l_min`` partitions per side
 partition" (§III.A). Partitions below ``l_min`` are never materialized.
 The whole-read partition ``l_max = L`` holds no overlap: it exists to find
 duplicate reads, and has its ``P`` side only, since a whole read's suffix
-is its prefix (:func:`partition_sides`).
+is its prefix (:func:`partition_sides`). A cluster cuts it into key
+ranges (:class:`KeyRange`), one an owner; each is a partition of its own.
 
 The store owns the naming scheme, the writer lifecycle and the runs kept
 in host memory; sort and reduce phases address partitions as
@@ -26,6 +27,8 @@ again every length that has no sorted file), so no file is missed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import total_ordering
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +40,44 @@ from .streams import HeldRun, RunReader, RunWriter
 SIDES = ("S", "P")
 
 
-def partition_sides(length: int, read_length: int) -> tuple[str, ...]:
+@total_ordering
+@dataclass(frozen=True)
+class KeyRange:
+    """Key range ``index`` of ``count`` of the whole-read partition
+    ``length``: the records whose key the splitters
+    (:meth:`~repro.fingerprint.FingerprintScheme.splitters`) put there.
+
+    A partition of its own wherever a length is one (a store's, an
+    owner's). Range 0 keeps the whole partition's file name, so with one
+    range nothing is renamed; range ``i > 0`` is ``P_{length:05d}-{i}``.
+    Ranges sort with their length (a length before its ranges), by index.
+    """
+
+    length: int
+    index: int
+    count: int
+
+    def __str__(self) -> str:
+        return f"{self.length}-{self.index}"
+
+    def __lt__(self, other) -> bool:
+        return (self.length, self.index) < _order(other)
+
+
+def _order(key) -> tuple[int, int]:
+    return (key.length, key.index) if isinstance(key, KeyRange) else (key, -1)
+
+
+def length_of(key) -> int:
+    """The length of a partition key: a length, or a key range's."""
+    return key.length if isinstance(key, KeyRange) else key
+
+
+def partition_sides(length, read_length: int) -> tuple[str, ...]:
     """The sides partition ``length`` has: both, except the whole-read
-    partition (``length == read_length``), whose ``S`` would equal ``P``."""
-    return ("P",) if length == read_length else SIDES
+    partition (``length == read_length``) and its key ranges, whose ``S``
+    would equal ``P``."""
+    return ("P",) if length_of(length) == read_length else SIDES
 
 
 class PartitionStore:
@@ -63,7 +100,9 @@ class PartitionStore:
         """File path of one partition (or of its sorted counterpart)."""
         if side not in SIDES:
             raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
-        stem = f"{side}_{length:05d}"
+        stem = f"{side}_{length_of(length):05d}"
+        if isinstance(length, KeyRange) and length.index:
+            stem += f"-{length.index}"
         return self.root / (f"{stem}.sorted.run" if sorted_run else f"{stem}.run")
 
     # -- writing (map phase) -----------------------------------------------

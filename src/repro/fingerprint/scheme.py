@@ -63,6 +63,15 @@ class FingerprintScheme:
         """Width of one (fingerprint, read-id) KV record: keys + uint32 id."""
         return self.key_nbytes + 4
 
+    def splitters(self, count: int) -> np.ndarray:
+        """The ``count - 1`` primary keys that cut the key space into
+        ``count`` ranges: the high hash's residues ``[0, q)`` in spans of
+        equal width (the packed key's high word is below ``q``, not 2³²).
+        Range ``i`` holds the keys ``k`` with ``i`` splitters ``≤ k``; a
+        pure function of the scheme and ``count``."""
+        prime = self.hash_specs[0].prime
+        return pack_pair([-(-i * prime // count) for i in range(1, count)], 0)
+
     # -- batch kernels -------------------------------------------------------
 
     def key_matrices(self, codes: np.ndarray, lengths,

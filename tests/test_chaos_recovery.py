@@ -350,7 +350,9 @@ class TestDistributedToken:
         clean = DistributedAssembler(config, self.N_NODES).assemble(md.store_path)
         assert all(entry["ok"] for entry in clean.token_trace)
 
-        plan = FaultPlan([Fault(CRASH, site=READ, match="*.sorted.run")])
+        # An overlap length's run (``S``): the whole-read length's key
+        # ranges are closed off the token.
+        plan = FaultPlan([Fault(CRASH, site=READ, match="*/S_*.sorted.run")])
         with inject(plan):
             faulted = DistributedAssembler(config, self.N_NODES).assemble(
                 md.store_path)

@@ -7,8 +7,9 @@ partition dropped after two nodes are lost, a failed reduce attempt, a
 crash in a round's map). For each, ``cluster_timeline.json`` pins the
 ``float.hex`` of every ``phase_seconds`` and ``per_node_seconds`` entry,
 of ``total_seconds`` and of the token trace's ``sim0`` / ``sim1`` /
-``wasted_s``, and the notes, the reduce report, the lost nodes and the
-contigs' sha256. Every value was computed on 472aaed, before one helper
+``wasted_s``, the same of the whole-read length's key-range closes
+(``range_trace``), and the notes, the reduce report, the lost nodes and
+the contigs' sha256. Every value was computed on 472aaed, before one helper
 booked every stretch of a cluster round: a change that reorders a sum of
 modeled seconds, or books a stretch twice, moves one of them. The
 compress seconds, the totals and ``am_messages`` were pinned again when
@@ -19,6 +20,13 @@ began to descend from the fingerprints the round above left instead of
 folding every read again (DESIGN.md, *the banded map folds each read
 once*): their map seconds fell, every later float moved with the clocks
 it sums, and the cramped cases, which hold no fingerprints, did not move.
+Every case was pinned again when round 0 was split by key range across
+every owner (DESIGN.md §2d, *round 0 runs on every node*): round 0's sort
+and reduce fell, each holder's shuffle reads one range piece more (an
+8 ms seek each on the cramped budget), every other owner pulls its range
+(``am_messages``), each range is a partition (``partitions_processed``,
+``window_rounds``) closed off the token, and the faults that name an
+operation (``node02:pull``, now round 0's) land where it now is.
 
 ``python tests/test_cluster_timeline.py`` prints the record of every case
 as JSON.
@@ -69,7 +77,8 @@ def _store(root: Path) -> Path:
 
 def _hop(hop: dict) -> list:
     floats = ("sim0", "sim1") if hop["ok"] else ("wasted_s",)
-    return [hop["length"], hop["node"], hop["attempt"], hop["ok"],
+    return [hop["length"], *([hop["range"]] if "range" in hop else []),
+            hop["node"], hop["attempt"], hop["ok"],
             *(hop[name].hex() for name in floats)]
 
 
@@ -90,6 +99,7 @@ def record(store_path: Path, case: str) -> dict:
                              in result.per_node_seconds.items()},
         "total_seconds": result.total_seconds.hex(),
         "token_trace": [_hop(hop) for hop in result.token_trace],
+        "range_trace": [_hop(hop) for hop in result.range_trace],
         "notes": result.notes,
         "reduce_report": result.reduce_report.to_json(),
         "lost_nodes": list(result.lost_nodes),

@@ -21,7 +21,7 @@ from repro.distributed import (ActiveMessageLayer, ClusterSupervisor,
                                node_scope)
 from repro.errors import ConfigError, FaultInjected
 from repro.extmem import PartitionStore
-from repro.extmem.partitions import SIDES
+from repro.extmem.partitions import SIDES, KeyRange
 from repro.faults import (CRASH, FSYNC_LOSS, MESSAGE, NODE, NODE_CRASH, READ,
                           WRITE, Fault, FaultPlan, inject, scoped)
 from repro.seq.datasets import tiny_dataset
@@ -226,7 +226,9 @@ class TestTokenTimeline:
     def test_token_time_monotone_under_faults(self, resilience_data, config,
                                               clean_run):
         _, node_ops = clean_run
-        reduce_op = next(p.op for p in node_ops if ":reduce[" in p.path)
+        # The first token hop's reduce (round 0's are key ranges, "L-i").
+        reduce_op = next(p.op for p in node_ops
+                         if ":reduce[" in p.path and "-" not in p.path)
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=reduce_op)])
         with inject(plan):
             result = DistributedAssembler(config, N_NODES).assemble(
@@ -358,20 +360,21 @@ class TestMidPartitionCrash:
     @pytest.mark.parametrize("which", ["middle", "last"])
     def test_a_crash_while_closing_duplicates_counts_each_read_once(
             self, resilience_data, clean_run, busiest_reduces, which):
-        """A crash part-way through the whole-read length's ``P_L``: the
-        replay finds the reads the crashed attempt closed already closed,
-        and the report still counts every dropped read once."""
+        """A crash part-way through a key range of the whole-read length's
+        ``P_L``: the replay finds the reads the crashed attempt closed
+        already closed, and the report still counts every dropped read
+        once."""
         clean, _ = clean_run
         config, probe, _ = busiest_reduces
         plan = FaultPlan()
         with inject(plan):
             DistributedAssembler(config, N_NODES).assemble(
                 resilience_data.store_path)
-        whole = f":reduce[{probe.read_length}]"
+        whole = f":reduce[{probe.read_length}-"
         points, inside = [], False
         for point in plan.trace:
             if point.site == NODE:
-                inside = point.path.endswith(whole)
+                inside = whole in point.path
             elif point.site == READ and inside:
                 points.append(point)
         assert len(points) >= 3 and probe.reduce_report.reads_closed > 0
@@ -512,6 +515,11 @@ def piece_maps(monkeypatch):
     return calls
 
 
+def _ranges(read_length: int) -> tuple[KeyRange, ...]:
+    """Round 0's partitions: the whole-read length's key ranges."""
+    return tuple(KeyRange(read_length, i, N_NODES) for i in range(N_NODES))
+
+
 def _again(clean: list, faulted: list) -> list:
     """The piece maps of a faulted run that its clean run did not make."""
     return sorted((Counter(faulted) - Counter(clean)).elements())
@@ -565,7 +573,7 @@ class TestReplayFromLineage:
                                  memory=CRAMPED)
         assert [event.op for event in plan.events] == [write.op, pull]
         assert _again(clean_maps, piece_maps) \
-            == [(0, (0,), (clean.read_length,))]
+            == [(0, (0,), _ranges(clean.read_length))]
         assert result.notes["node_restarts"] == 1
         assert "partitions_rebuilt" not in result.notes
         assert result.degraded is None
@@ -587,7 +595,7 @@ class TestReplayFromLineage:
                                  [Fault(NODE_CRASH, site=NODE, at_op=pull)])
         assert [event.op for event in plan.events] == [pull]
         assert _again(clean_maps, piece_maps) \
-            == [(0, (0,), (clean.read_length,))]
+            == [(0, (0,), _ranges(clean.read_length))]
         assert result.notes["node_restarts"] == 1
         assert "partitions_rebuilt" not in result.notes
         assert result.degraded is None
@@ -648,14 +656,14 @@ class TestReplayFromLineage:
     @pytest.mark.parametrize("op", ("sort", "reduce"))
     def test_the_whole_read_owner_restarted_before_it_closes(
             self, resilience_data, clean_run, probe_trace, monkeypatch, op):
-        """In-core, the owner of ``L`` keeps its pulled ``P_L`` and holds
-        its one sorted run for the closing of the duplicates, never
-        written. Dead at its sort, it lost the kept partition; dead at the
-        closing, it lost the held run. Either way the partition is pulled
-        again from the pieces and sorted, and the contigs are the clean
-        run's."""
+        """In-core, the owner of ``L``'s first key range keeps its pulled
+        range and holds its one sorted run for the closing of the
+        duplicates, never written. Dead at its sort, it lost the kept
+        partition; dead at the closing, it lost the held run. Either way
+        the range is pulled again from the pieces and sorted, and the
+        contigs are the clean run's."""
         clean, _ = clean_run
-        whole = clean.read_length
+        whole = KeyRange(clean.read_length, 0, N_NODES)
         closing = next(point for point in probe_trace if point.site == NODE
                        and point.path.endswith(f":reduce[{whole}]"))
         owner = closing.path.split(":")[0]
@@ -724,7 +732,7 @@ class TestReplayFromLineage:
                       once=False)]
         _, probe = self._run(resilience_data, lose)
         hops = [(hop["length"], hop["node"]) for hop in probe.token_trace
-                if hop["ok"]][1:1 + N_NODES]  # round 1
+                if hop["ok"]][:N_NODES]  # round 1
         (survivor,) = [node for node in (0, 1)
                        if sum(owner == node for _, owner in hops) == 2]
         first, second = [length for length, owner in hops
@@ -824,7 +832,8 @@ class TestTracedResilience:
                                 trace=str(trace_dir))
         # A peer that dies mid-fetch in the shuffle (node01) plus a node
         # crash at the first reduce boundary (node00, the owner of the
-        # whole-read length): a restart each, and the operation runs again.
+        # whole-read length's first key range): a restart each, and the
+        # operation runs again.
         plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match="*:reduce[[]*"),
                           Fault(NODE_CRASH, site=MESSAGE,
                                 match="*->node01:fetch_partition")])
@@ -840,10 +849,44 @@ class TestTracedResilience:
         assert len(restarts) == result.notes["node_restarts"] >= 1
         assert len(traced["heartbeat-miss"]) \
             == result.notes["heartbeat_misses"] >= 1
-        assert len(traced["token-retry"]) >= 1
+        assert len(traced["close-retry"]) >= 1
         assert not traced["node-lost"] and not traced["partition-dropped"]
         assert "nodes_lost" not in result.notes
         assert "partitions_dropped" not in result.notes
+
+    @pytest.mark.parametrize("op, retry, hop", [
+        ("reduce[[]34]", "token-retry", "token"),
+        ("reduce[[]36-1]", "close-retry", "close")])
+    def test_a_retry_is_stamped_when_its_attempt_died(
+            self, resilience_data, tmp_path, op, retry, hop):
+        """node01 dies in a reduce attempt (a token hop, and its key range
+        of the whole-read length) and restarts. The retry instant is the
+        failed attempt's end, its trace entry's ``sim1``: no later than the
+        surviving attempt's span starts (a token hop) or ends (a range)."""
+        trace_dir = tmp_path / "trace"
+        traced = AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7,
+                                trace=str(trace_dir))
+        plan = FaultPlan([Fault(NODE_CRASH, site=NODE, match=f"node01:{op}")])
+        with inject(plan):
+            result = DistributedAssembler(traced, N_NODES).assemble(
+                resilience_data.store_path)
+        assert [event.kind for event in plan.events] == [NODE_CRASH]
+        entries = result.token_trace if hop == "token" else result.range_trace
+        (failed,) = [entry for entry in entries if not entry["ok"]]
+        (survived,) = [entry for entry in entries if entry["ok"]
+                       and entry["length"] == failed["length"]
+                       and entry.get("range") == failed.get("range")]
+        traced = spans_by_name(load_events(trace_dir / EVENTS_FILE))
+        (instant,) = traced[retry]
+        (span,) = [span for span in traced[hop]
+                   if span["args"]["length"] == failed["length"]
+                   and span["args"].get("range") == failed.get("range")]
+        assert instant["sim0"] == failed["sim1"]
+        assert (survived["node"], survived["attempt"]) == (1, 1)
+        assert instant["sim0"] <= (span["sim0"] if hop == "token"
+                                   else span["sim1"])
+        assert (span["sim0"], span["sim1"]) \
+            == (survived["sim0"], survived["sim1"])
 
     def test_clean_run_emits_no_resilience_events(self, resilience_data,
                                                   tmp_path):
@@ -854,4 +897,4 @@ class TestTracedResilience:
         traced = spans_by_name(load_events(trace_dir / EVENTS_FILE))
         assert not any(span["cat"] == "resilience"
                        for spans in traced.values() for span in spans)
-        assert not traced["token-retry"]
+        assert not traced["token-retry"] and not traced["close-retry"]

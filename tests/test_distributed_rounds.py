@@ -26,7 +26,7 @@ import pytest
 from repro import Assembler, AssemblyConfig, MemoryConfig
 from repro.distributed import DistributedAssembler, cluster, node, resilience
 from repro.distributed.resilience import BLOCKS_PER_NODE
-from repro.extmem.partitions import partition_sides
+from repro.extmem.partitions import length_of, partition_sides
 from repro.faults import NODE, NODE_CRASH, WRITE, Fault, FaultPlan, inject
 from repro.seq.datasets import tiny_dataset
 
@@ -58,9 +58,10 @@ def final_graph(monkeypatch):
 # -- (a) the graph is the single node's, whatever the round size --------------
 
 #: One eager round (``OneRound``, 40 nodes) on the dataset below: the
-#: parent commit's 698,400 B plus the pieces of ``P_L``, and its
+#: parent commit's 698,400 B plus the pieces of ``P_L``'s 40 key ranges
+#: (each owner's own producer's slice of its range stays local), and its
 #: candidates (the duplicates' are offered, and refused).
-EAGER_SHUFFLE_BYTES = 707_840
+EAGER_SHUFFLE_BYTES = 707_740
 EAGER_CANDIDATES = 2_984
 
 
@@ -87,7 +88,14 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
     assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
     assert result.notes["rounds"] == 1 + -(-37 // n_nodes)
     assert result.total_seconds == sum(result.phase_seconds.values())
-    assert sum(1 for hop in result.token_trace if hop["ok"]) == 37 + 1
+    # The token visits every overlap length; the whole-read length is its
+    # first hop on one node and one key range an owner on more, off it.
+    assert sum(1 for hop in result.token_trace if hop["ok"]) \
+        == 37 + (n_nodes == 1)
+    assert [hop["range"] for hop in result.range_trace if hop["ok"]] \
+        == ([] if n_nodes == 1 else list(range(n_nodes)))
+    assert result.reduce_report.reads_closed \
+        == single.reduce_report.reads_closed > 0
     assert result.reduce_report.per_length_edges \
         == single.reduce_report.per_length_edges
     if n_nodes == 1:
@@ -108,7 +116,7 @@ def test_graph_and_contigs_equal_the_single_node_run(wide, final_graph, n_nodes)
         # only the duplicates are closed when it is mapped. The eager
         # schedule less the duplicates' records, to the byte, and the map
         # writes no more than that.
-        assert result.shuffle_bytes == 632_720 < EAGER_SHUFFLE_BYTES
+        assert result.shuffle_bytes == 632_620 < EAGER_SHUFFLE_BYTES
         assert result.reduce_report.candidates == 2_356 < EAGER_CANDIDATES
         eager = 2 * result.n_reads * (2 * 37 + 1)
         assert result.notes["records_eager"] == eager
@@ -141,9 +149,12 @@ def test_records_shuffled_counts_held_and_written_runs(wide):
 # -- (b) what crosses the wire -------------------------------------------------
 
 
+#: Round 0 pulls ``P_L`` as ``n`` key ranges, one an owner: an owner's
+#: own producer's slice of its range stays local, where the one owner of
+#: ``P_L`` kept its own producer's whole piece (+144 B and +168 B).
 @pytest.mark.parametrize("n_nodes, shuffle_bytes, candidates", [
-    (2, 58_320, 1_216),
-    (4, 114_168, 1_598),
+    (2, 58_464, 1_216),
+    (4, 114_336, 1_598),
 ])
 def test_shuffle_bytes_and_candidates_pinned(tmp_path, n_nodes, shuffle_bytes,
                                              candidates):
@@ -162,6 +173,11 @@ def test_shuffle_bytes_and_candidates_pinned(tmp_path, n_nodes, shuffle_bytes,
     # The token's path does not change: one hop a partition, longest first.
     assert [hop["length"] for hop in rounds.token_trace] \
         == [hop["length"] for hop in eager.token_trace]
+    # In the eager schedule's one round every key range of ``P_L`` is
+    # closed before the token's first overlap hop.
+    assert len(eager.range_trace) == n_nodes
+    assert max(hop["sim1"] for hop in eager.range_trace) \
+        <= eager.token_trace[0]["sim0"]
 
 
 # -- (c) recovery inside a later round ------------------------------------------
@@ -202,13 +218,16 @@ def _dealt(n_reads: int) -> dict[int, list]:
 
 
 def _sorted_partitions(result, workdir, held) -> dict[str, bytes]:
-    """The sorted runs the token read, by name: the file, else the run
-    last held for it (``held``, :func:`spy_held_runs`)."""
+    """The sorted runs the reduce read, by name: the file, else the run
+    last held for it (``held``, :func:`spy_held_runs`). A key range of
+    ``P_L`` but the first is ``P_{L}-{range}``."""
     runs = {}
-    for hop in result.token_trace:
+    for hop in result.range_trace + result.token_trace:
         if hop["ok"]:
+            stem = f"{hop['length']:05d}" \
+                + (f"-{hop['range']}" if hop.get("range") else "")
             for side in partition_sides(hop["length"], result.read_length):
-                name = f"{side}_{hop['length']:05d}.sorted.run"
+                name = f"{side}_{stem}.sorted.run"
                 path = workdir / f"node{hop['node']:02d}" / "partitions" / name
                 runs[name] = path.read_bytes() if path.exists() else held[path]
     return runs
@@ -265,7 +284,7 @@ def test_crash_in_a_later_round_recovers_every_sorted_byte(golden, tmp_path,
     DistributedAssembler(AssemblyConfig(min_overlap=MIN_OVERLAP, seed=7),
                          N_NODES).assemble(md.store_path)
     clean_maps = Counter(mapped)
-    assert len(rounds) == 5 and len(clean_files) == 2 * 12 + 1
+    assert len(rounds) == 5 and len(clean_files) == 2 * 12 + N_NODES
     victim = random.Random(SWEEP_SEED).randrange(1, len(rounds))
     points = rounds[victim]
     lengths = {int(point.path.split("[")[1][:-1]) for point in points
@@ -350,16 +369,16 @@ def test_a_restart_rebuilds_the_current_round_only(golden, tmp_path, held,
 
 def test_an_in_core_run_writes_nothing(wide, tmp_path, held):
     """4 nodes, in-core: every round's pieces and pulled partitions stay
-    in host memory, the whole-read round's ``P_L`` pieces and partition
-    too, and every sorted run is held for its reduce: nothing is written
-    to the disk."""
+    in host memory, the whole-read round's ``P_L`` pieces and its four key
+    ranges too, and every sorted run is held for its reduce: nothing is
+    written to the disk."""
     md, config, single, _ = wide
     plan = FaultPlan()
     with inject(plan):
         result = DistributedAssembler(config, 4).assemble(
             md.store_path, workdir=tmp_path)
     assert [point.path for point in plan.trace if point.site == WRITE] == []
-    assert len(held) == 2 * 37 + 1
+    assert len(held) == 2 * 37 + 4
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
 
 
@@ -564,9 +583,9 @@ def test_round_0_deals_its_blocks_round_robin(golden, tmp_path, deals,
     assert result.degraded is None
     assert np.array_equal(result.contigs.flat_codes, single.contigs.flat_codes)
     assert np.array_equal(result.contigs.offsets, single.contigs.offsets)
-    whole = (result.read_length,)
-    round_0 = [(holder, producers) for holder, producers, lengths in piece_maps
-               if lengths == whole]
+    whole = {result.read_length}
+    round_0 = [(holder, producers) for holder, producers, keys in piece_maps
+               if {length_of(key) for key in keys} == whole]
     if node_restarts == 0:
         assert result.lost_nodes == (1,)
         assert result.notes["nodes_lost"] == 1

@@ -51,19 +51,20 @@ from .conftest import (SWEEP_OUTCOMES, Probe, cell_id, named_error,
 
 READ_LENGTH = 36
 N_NODES = 2
-#: 66 map-piece writes (33 a node: ``P_L`` and both sides of 16 overlap
-#: lengths, drained as each round's map seals them), 33 pulls (one a
-#: partition) and 29 writes of the sorts that spill (their runs and
-#: merges).
-N_WRITES = 128
-N_MAP_PIECE_WRITES = 66
-N_SORT_WRITES = 29
+#: 68 map-piece writes (34 a node: ``P_L``, the key range node01 pulls
+#: once the first pull has cut ``P_L``, and both sides of 16 overlap
+#: lengths, drained as each round's map seals them), 34 pulls (one a
+#: partition, each key range one) and 27 writes of the sorts that spill
+#: (their runs and merges).
+N_WRITES = 129
+N_MAP_PIECE_WRITES = 68
+N_SORT_WRITES = 27
 #: Node operations (each round's maps, pulls, sorts and reduces, then
 #: compress) and active messages (one to each producer for each side of
 #: each pulled partition, then compress's one to node01 for each of its 4
 #: read blocks).
-N_NODE_OPS = 70
-N_MESSAGES = 70
+N_NODE_OPS = 73
+N_MESSAGES = 72
 #: The tier-1 sample's share of each budget's cells.
 FRACTIONS = {"cramped": 1 / 300, "incore": 1 / 30}
 #: A node operation's cell (the sample reaches none), the master's
@@ -77,15 +78,18 @@ PINNED_RUNGS = frozenset("""
     write:node01/partitions/P_00035.run#0:enospc:1
     write:node01/partitions/P_00023.run#0:fsync-loss:64""".split())
 #: Cells kept in tier-1 beside each budget's sample, by key. ``cramped``:
-#: the cells an earlier draw put in tier-1 (``P_L``'s writes among them)
-#: and :data:`PINNED_RUNGS`. ``incore``: a death at a sort (the sort run
-#: again pulls its lost partitions first), at a later round's reduce (the
-#: attempt run again does), of a holder serving a pull, in compress, and of
-#: a holder serving compress a read block.
+#: the cells an earlier draw put in tier-1 (``P_L``'s writes among them),
+#: node01's pulled key range of ``P_L`` torn, and :data:`PINNED_RUNGS`.
+#: ``incore``: a death at a sort (the sort run again pulls its lost
+#: partitions first), at each node's close of its key range of ``P_L``
+#: and at a later round's reduce (the attempt run again does), of a
+#: holder serving a pull, in compress, and of a holder serving compress a
+#: read block.
 PINNED = {"cramped": PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node00/map_parts/peer00/P_00036.run#0:crash:1
     node01/map_parts/peer01/P_00036.run#0:torn:1
     node00/partitions/P_00036.run#0:crash:1
+    node01/partitions/P_00036-1.run#0:torn:1
     node00/partitions/P_00036.sorted.run.scratch/run_00000.run#0:fsync-loss:16
     node00/partitions/P_00036.sorted.run.scratch/merge_000_00000.run#0:fsync-loss:1
     node00/map_parts/peer00/P_00034.run#0:torn:1
@@ -121,6 +125,8 @@ PINNED = {"cramped": PINNED_RUNGS | frozenset(f"write:{name}" for name in """
     node01/map_parts/peer01/S_00023.run#0:crash:1""".split()),
           "incore": frozenset("""
     node:node00:sort#4:node-crash:1
+    node:node00:reduce[36-0]#0:node-crash:1
+    node:node01:reduce[36-1]#0:node-crash:1
     node:node01:reduce[29]#0:node-crash:1
     message:node01->node00:fetch_partition#6:node-crash:1
     node:node00:compress#0:node-crash:1
@@ -146,8 +152,41 @@ PROBES = {"cramped": Probe(partial(_assemble, "cramped"), ROOT / "probe",
                            sites=(WRITE, NODE, MESSAGE)),
           "incore": Probe(partial(_assemble, "incore"), ROOT / "incore",
                           sites=(NODE, MESSAGE))}
-SWEPT = [(budget, cell) for budget, probe in PROBES.items()
-         for cell in swept(probe, FRACTIONS[budget], PINNED[budget])]
+#: Cells kept in tier-1 by test id. An id is a cell's position among its
+#: site's points (``w003``), so the operations round 0 gained when it came
+#: to pull, sort and close ``P_L`` by key range moved the sampled cells
+#: after them to other ids. The ids tier-1 ran before stay in it, each
+#: running the cell now at that position.
+PINNED_IDS = {"cramped": frozenset("""
+    m066-node-crash-d1 o054-node-crash-d1 o069-node-crash-d1
+    w002-crash-d1 w003-fsync-loss-d16 w006-fsync-loss-d1 w008-torn-d1
+    w009-fsync-loss-d64 w010-crash-d1 w010-fsync-loss-d4
+    w011-fsync-loss-d64 w012-fsync-loss-d1 w014-fsync-loss-d16
+    w015-fsync-loss-d1 w016-crash-d1 w019-enospc-d1 w021-crash-d1
+    w025-fsync-loss-d16 w036-fsync-loss-d4 w038-crash-d1 w041-crash-d1
+    w055-torn-d1 w062-fsync-loss-d1 w067-fsync-loss-d16
+    w067-fsync-loss-d1 w071-fsync-loss-d1 w074-crash-d1
+    w086-fsync-loss-d4 w091-fsync-loss-d1 w094-crash-d1
+    w096-fsync-loss-d4 w098-fsync-loss-d1 w099-fsync-loss-d64
+    w106-fsync-loss-d16 w107-crash-d1 w107-fsync-loss-d4 w111-crash-d1
+    w115-fsync-loss-d64""".split()),
+              "incore": frozenset("""
+    m030-node-crash-d1 m069-node-crash-d1 o004-node-crash-d1
+    o021-node-crash-d1 o033-node-crash-d1 o035-node-crash-d1
+    o069-node-crash-d1""".split())}
+
+
+def _swept(budget: str) -> list:
+    """A budget's cells in tier-1, in probe order: its sample, the cells
+    at :data:`PINNED` and those at :data:`PINNED_IDS`."""
+    probe = PROBES[budget]
+    picked = {cell.key for cell in swept(probe, FRACTIONS[budget],
+                                         PINNED[budget]) if cell is not None}
+    return [cell for cell in probe.cells if cell is None
+            or cell.key in picked or cell.id in PINNED_IDS[budget]]
+
+
+SWEPT = [(budget, cell) for budget in PROBES for cell in _swept(budget)]
 
 
 def _writes(budget: str = "cramped") -> list:
@@ -161,9 +200,12 @@ def test_the_cluster_writes_what_the_sweep_assumes():
         == N_MAP_PIECE_WRITES
     assert sum(".sorted.run" in point.path for point in writes) \
         == N_SORT_WRITES
-    # Round 0's piece on each node, then its owner's pulled partition and
-    # its sort's first run.
-    assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:4])
+    # Round 0's piece on each node, then the second key range each keeps
+    # when node00's pull cuts it, each range owner's pulled range and
+    # node00's sort's runs.
+    assert all(f"P_{READ_LENGTH:05d}" in point.path for point in writes[:9])
+    assert sum(f"P_{READ_LENGTH:05d}-1" in point.path
+               for point in writes[:6]) == 3
     for probe in PROBES.values():
         node_ops = [point.path for point in probe.trace
                     if point.site == NODE]
@@ -180,6 +222,8 @@ def test_the_cluster_writes_what_the_sweep_assumes():
     for budget, probe in PROBES.items():
         keys = {cell.key for cell in probe.cells}
         assert PINNED[budget] <= keys, budget
+        assert PINNED_IDS[budget] <= {cell.id for cell in probe.cells}, \
+            budget
         assert not any(str(ROOT) in key for key in keys), budget
 
 

@@ -4,10 +4,15 @@ A read equal to a lower-numbered read, on either strand, is dropped: both
 of its orientations are closed before the first overlap length, so it
 takes no edge, is on no path and spells no contig. The pipeline decides
 it by fingerprints (``close_duplicates`` over the sorted ``P_L``); the
-oracle by comparing the reads as strings (``duplicate_reads``).
+oracle by comparing the reads as strings (``duplicate_reads``). A cluster
+cuts ``P_L`` into one key range an owner and closes them side by side:
+its closed reads, graph and contigs are the single node's at every node
+count, also when a range owner dies in round 0.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +22,12 @@ from repro.baselines import duplicate_reads
 from repro.config import ServiceConfig
 from repro.core import pipeline
 from repro.core.checkpoint import GRAPH_FILE, load_graph_file, save_graph_file
+from repro.distributed import DistributedAssembler, cluster
 from repro.errors import ConfigError, FaultInjected, GraphInvariantError
-from repro.faults import CRASH, READ, Fault, FaultPlan, inject, result_digest
+from repro.extmem.partitions import KeyRange
+from repro.faults import (CRASH, NODE, NODE_CRASH, READ, Fault, FaultPlan,
+                          inject, result_digest)
+from repro.fingerprint import FingerprintScheme
 from repro.graph import GreedyStringGraph, extract_paths
 from repro.seq.alphabet import reverse_complement
 from repro.seq.packing import PackedReadStore
@@ -193,3 +202,153 @@ def test_a_warm_service_run_maps_nothing(tiny_md, tmp_path, monkeypatch):
     assert mapped == []
     assert result_digest(warm.outcomes[0].result) \
         == result_digest(cold.outcomes[0].result)
+
+
+# -- a cluster closes them by key range ---------------------------------------
+
+#: ``DistributedAssembler(AssemblyConfig(min_overlap=25), 1)`` on
+#: ``tiny_md``: its phase seconds (``float.hex``) before the whole-read
+#: length was cut into key ranges. One node has one range, the length.
+ONE_NODE_SECONDS = {"map": "0x1.083a068f2ade2p-13", "shuffle": "0x0.0p+0",
+                    "sort": "0x1.cf774cd9baa90p-15",
+                    "reduce": "0x1.8b6ea67004c68p-15",
+                    "compress": "0x1.2b1c26e8f8ac0p-19"}
+
+
+@pytest.fixture()
+def cluster_graph(monkeypatch) -> dict:
+    """The graph arrays of the latest distributed run, as compress saw them."""
+    seen = {}
+    compress = cluster.run_compress
+
+    def spy(ctx, graph, store, **kwargs):
+        seen.update(target=graph.target.copy(), overlap=graph.overlap.copy(),
+                    out_bits=graph.out_bits.to_bytes(),
+                    dropped=graph.dropped().copy())
+        return compress(ctx, graph, store, **kwargs)
+
+    monkeypatch.setattr(cluster, "run_compress", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def single_node(tiny_md, tmp_path_factory):
+    """``tiny_md``'s single-node run and the graph it archived."""
+    workdir = tmp_path_factory.mktemp("single")
+    result = Assembler(AssemblyConfig(min_overlap=25)).assemble(
+        tiny_md.store_path, workdir=workdir, resume=True)
+    return result, load_graph_file(workdir / GRAPH_FILE)
+
+
+def _same_graph(seen: dict, result, single_node) -> None:
+    single, archive = single_node
+    assert result.reduce_report.reads_closed \
+        == single.reduce_report.reads_closed > 0
+    assert np.array_equal(seen["dropped"], archive.dropped())
+    for name in ("target", "overlap"):
+        assert np.array_equal(seen[name], getattr(archive, name)), name
+    assert seen["out_bits"] == archive.out_bits.to_bytes()
+    assert result.contigs.flat_codes.tobytes() \
+        == single.contigs.flat_codes.tobytes()
+    assert result.contigs.offsets.tobytes() \
+        == single.contigs.offsets.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", (1, 2, 4, 8))
+def test_every_node_count_closes_the_single_nodes_reads(
+        tiny_md, single_node, cluster_graph, n_nodes):
+    """One key range of ``P_L`` an owner, closed side by side: the closed
+    reads, the graph and the contigs are the single node's, and so are
+    the records the reduce read."""
+    result = DistributedAssembler(AssemblyConfig(min_overlap=25),
+                                  n_nodes).assemble(tiny_md.store_path)
+    _same_graph(cluster_graph, result, single_node)
+    assert [hop["range"] for hop in result.range_trace if hop["ok"]] \
+        == ([] if n_nodes == 1 else list(range(n_nodes)))
+    if n_nodes == 1:
+        assert result.notes["records_shuffled"] \
+            == single_node[0].sort_report.total_records
+        assert {phase: seconds.hex() for phase, seconds
+                in result.phase_seconds.items()} == ONE_NODE_SECONDS
+
+
+def test_a_class_split_across_two_ranges_keeps_its_lowest_read_in_each(
+        tmp_path, monkeypatch):
+    """A read whose two strands' whole-read keys fall in the two key ranges
+    of a 2-node cluster, twice more: as itself and as its reverse
+    complement. Each range groups one strand of all three and closes the
+    same two reads, keeping the class's lowest."""
+    config = _config()
+    scheme = FingerprintScheme(lanes=2, seed=config.seed & 0xFFFF)
+
+    def key_range(codes) -> int:
+        key = np.uint64(scheme.naive_keys(codes)[0])
+        return int(np.searchsorted(scheme.splitters(2), key, side="right"))
+
+    genome = np.random.default_rng(5).integers(0, 4, 80, dtype=np.uint8)
+    tiles = [genome[start:start + READ_LENGTH] for start in range(0, 61, 10)]
+    split = next(i for i, tile in enumerate(tiles)
+                 if key_range(tile) != key_range(reverse_complement(tile)))
+    batch = ReadBatch(np.stack(
+        tiles + [tiles[split], reverse_complement(tiles[split])]))
+    assert duplicate_reads(batch).tolist() == [7, 8]
+    path = tmp_path / "reads.lsgr"
+    with PackedReadStore.create(path, READ_LENGTH) as store:
+        store.append_batch(batch)
+    single = Assembler(config).assemble(path, workdir=tmp_path / "single",
+                                        resume=True)
+    closing, closed = [], {}
+    reduce_length = cluster.reduce_length
+    close_reads = GreedyStringGraph.close_reads
+
+    def reducing(ctx, graph, partitions, key, *args, **kwargs):
+        closing.append(key)
+        return reduce_length(ctx, graph, partitions, key, *args, **kwargs)
+
+    def closing_reads(self, reads):
+        closed.setdefault(closing[-1], set()).update(
+            np.asarray(reads).tolist())
+        return close_reads(self, reads)
+
+    monkeypatch.setattr(cluster, "reduce_length", reducing)
+    monkeypatch.setattr(GreedyStringGraph, "close_reads", closing_reads)
+    result = DistributedAssembler(config, 2).assemble(path)
+    assert closed == {KeyRange(READ_LENGTH, 0, 2): {7, 8},
+                      KeyRange(READ_LENGTH, 1, 2): {7, 8}}
+    assert result.reduce_report.reads_closed \
+        == single.reduce_report.reads_closed == 2
+    assert result.contigs.flat_codes.tobytes() \
+        == single.contigs.flat_codes.tobytes()
+
+
+@pytest.mark.parametrize("op", ("sort", "close"))
+@pytest.mark.parametrize("node_restarts", (1, 0), ids=("restart", "failover"))
+def test_a_range_owner_dead_in_round_0_recovers_every_byte(
+        tiny_md, single_node, cluster_graph, op, node_restarts):
+    """node01, the owner of ``P_L``'s second key range of three, dies at
+    round 0's sort (its pulled range, in host memory, dies with it) or at
+    its close (its held sorted run does). Restarted, it pulls and sorts the
+    range again; lost, a survivor does. Either way the closed reads, the
+    graph and the contigs are the single node's."""
+    config = AssemblyConfig(min_overlap=25)
+    probe = FaultPlan()
+    with inject(probe):
+        DistributedAssembler(config, 3).assemble(tiny_md.store_path)
+    whole = KeyRange(tiny_md.spec.read_length, 1, 3)
+    path = "node01:sort" if op == "sort" else f"node01:reduce[{whole}]"
+    point = next(point for point in probe.trace
+                 if point.site == NODE and point.path == path)
+    plan = FaultPlan([Fault(NODE_CRASH, site=NODE, at_op=point.op)])
+    with inject(plan):
+        result = DistributedAssembler(
+            replace(config, node_restarts=node_restarts), 3).assemble(
+                tiny_md.store_path)
+    assert [event.kind for event in plan.events] == [NODE_CRASH]
+    assert result.degraded is None
+    assert result.notes.get("node_restarts", 0) == node_restarts
+    assert result.notes.get("nodes_lost", 0) == 1 - node_restarts
+    assert result.notes["partitions_rebuilt"] == 1
+    (closer,) = [hop["node"] for hop in result.range_trace
+                 if hop["ok"] and hop["range"] == whole.index]
+    assert (closer == 1) == bool(node_restarts)
+    _same_graph(cluster_graph, result, single_node)

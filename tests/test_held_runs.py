@@ -23,6 +23,7 @@ from repro.device.memory import MemoryPool
 from repro.distributed import DistributedAssembler
 from repro.errors import HostMemoryError, StreamProtocolError
 from repro.extmem import HeldRun, IOAccountant, PartitionStore, RunReader
+from repro.extmem.partitions import KeyRange
 from repro.extmem.records import kv_dtype, make_records
 from repro.seq.datasets import tiny_dataset
 from repro.trace import EVENTS_FILE, load_events
@@ -198,13 +199,14 @@ class _Rounds(DistributedAssembler):
 @pytest.mark.parametrize("per_node", (None, 1, 2, 0),
                          ids=("1", "n", "2n", "all"))
 def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
-    """A node holds what its sort formed in one piece after the first round
-    (whose partitions, unfiltered, do not fit one piece on this budget),
-    however many lengths its round gives it: at 2n, where a node sorts
+    """A node holds what its sort formed in one piece: each key range of
+    ``P_L`` (half of it, which fits one piece on this budget where the
+    whole did not), and after the first round runs of the overlap
+    lengths, however many its round gives it: at 2n, where a node sorts
     two lengths a round, it holds runs of both, and the one eager round
-    holds nothing. Each run is held only beside the sorter's whole block
-    while a run of the call is still to be sorted, so no round size runs
-    out of host memory."""
+    holds none of them. Each run is held only beside the sorter's whole
+    block while a run of the call is still to be sorted, so no round size
+    runs out of host memory."""
     n_nodes = 2
     kept = []
     keep = PartitionStore.keep
@@ -228,6 +230,9 @@ def test_no_host_memory_error_at_any_round_size(data, monkeypatch, per_node):
     lone = {length for lengths in rounds[1:] for length in lengths
             if sum((other - length) % n_nodes == 0 for other in lengths) == 1}
     held = {length for _, length in kept}
+    assert {key for key in held if isinstance(key, KeyRange)} \
+        == {KeyRange(single.read_length, i, n_nodes) for i in range(n_nodes)}
+    held = {key for key in held if not isinstance(key, KeyRange)}
     assert held <= later
     assert bool(held) == bool(later)
     assert bool(held - lone) == (per_node == 2)

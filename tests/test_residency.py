@@ -23,8 +23,9 @@ from repro.distributed import DistributedAssembler
 from repro.distributed.resilience import BLOCKS_PER_NODE
 from repro.errors import ConfigError
 from repro.extmem import ExternalSorter
+from repro.extmem.partitions import length_of
 from repro.faults import FaultPlan, inject
-from repro.faults.plan import MESSAGE, NODE_CRASH, Fault
+from repro.faults.plan import MESSAGE, NODE_CRASH, WRITE, Fault
 from repro.graph import GreedyStringGraph
 
 from .conftest import spy_held_runs
@@ -66,11 +67,14 @@ def _assemble(config: AssemblyConfig, n_nodes: int, store_path):
 
 @pytest.mark.parametrize(("budget", "n_nodes", "expected"), [
     # held store, kept-partition reservations, held runs, spilled runs;
-    # in-core, each node holds the read blocks it maps
+    # in-core, each node holds the read blocks it maps. On two nodes
+    # ``P_L`` is two key ranges: one more pulled partition and sorted run,
+    # and the range each holder's piece keeps when it is cut; cramped, the
+    # ranges fit one piece each where the whole ``P_L`` spilled.
     ("in-core", 1, (1, 51, 51, 0)),
-    ("in-core", 2, (2, 153, 51, 0)),
+    ("in-core", 2, (2, 156, 52, 0)),
     ("cramped", 1, (0, 0, 46, 5)),
-    ("cramped", 2, (0, 0, 45, 6)),
+    ("cramped", 2, (0, 0, 47, 5)),
 ])
 def test_placements_are_the_measured_ones(tiny_md, placements, budget,
                                           n_nodes, expected):
@@ -113,9 +117,11 @@ def test_a_held_run_leaves_the_graph_room(tiny_md, monkeypatch):
     A run is offered for holding once its sort block, twice its bytes, has
     fit and been let go, so holding it leaves its own bytes free; before
     the graph exists a run is unfiltered, one record a vertex, and a record
-    is larger than the graph's share of a vertex. On two nodes ``L``'s
-    owner is node 1, which never builds the graph: it holds its ``P_L``
-    run, as a single node does, and the contigs are the single node's.
+    is larger than the graph's share of a vertex. On two nodes each owns
+    one key range of ``P_L``, half of its records, still more than the
+    graph's bytes; node 1, which never builds the graph, holds its range's
+    run, as a single node holds ``P_L``'s, and the contigs are the single
+    node's.
     """
     offers = []
     hold = Residency.hold
@@ -136,10 +142,11 @@ def test_a_held_run_leaves_the_graph_room(tiny_md, monkeypatch):
     read_length = single.read_length
     graph_bytes = GreedyStringGraph.bytes_for(single.n_reads, read_length)
     assert all(free >= nbytes for _, free, nbytes in offers)
-    whole = [nbytes for length, _, nbytes in offers if length == read_length]
-    assert len(whole) == 2 and min(whole) > graph_bytes
+    whole = [nbytes for length, _, nbytes in offers
+             if length_of(length) == read_length]
+    assert len(whole) == 3 and min(whole) > graph_bytes
     whole_runs = {path.parent.parent.name for path in held
-                  if path.name == f"P_{read_length:05d}.sorted.run"}
+                  if path.name.startswith(f"P_{read_length:05d}")}
     assert "node01" in whole_runs
 
 
@@ -193,9 +200,12 @@ def test_a_sort_block_that_cannot_fit_is_refused_before_it_is_needed(
                        r"not fit in 36,000 B of host memory"):
         assemble(36, tmp_path / "36")
     assert not list((tmp_path / "36").rglob("*.run"))
-    with pytest.raises(ConfigError, match=r"sort block of 40,000 B beside "
-                       r"the 8,200 B string graph does not fit in 40,000 B"):
+    plan = FaultPlan()
+    with inject(plan), pytest.raises(
+            ConfigError, match=r"sort block of 40,000 B beside "
+            r"the 8,200 B string graph does not fit in 40,000 B"):
         assemble(40, tmp_path / "40")
-    written = {path.name for path in (tmp_path / "40").rglob("*.run")}
-    assert written and all(name.startswith("P_00050") for name in written)
+    written = [point.path for point in plan.trace
+               if point.site == WRITE and point.path.endswith(".run")]
+    assert written and all("/P_00050" in path for path in written)
     assert assemble(56, tmp_path / "56").contigs.n_contigs > 0

@@ -237,8 +237,14 @@ class TestTracedDistributed:
         assert {"map", "shuffle", "sort", "reduce", "compress"} <= cluster
         tokens = [e for e in events
                   if e["name"] == "token" and e["ph"] == "E"]
-        assert len(tokens) == result.reduce_report.partitions_processed
+        closes = [e for e in events
+                  if e["name"] == "close" and e["ph"] == "E"]
+        # The whole-read length's two key ranges are closed off the token.
+        assert len(closes) == 2
+        assert len(tokens) + len(closes) \
+            == result.reduce_report.partitions_processed
         assert len(tokens) == sum(1 for hop in result.token_trace if hop["ok"])
+        assert len(closes) == sum(1 for hop in result.range_trace if hop["ok"])
         node_tracks = {e["track"] for e in events
                        if e["track"].startswith("node")}
         assert any(track.startswith("node00/") for track in node_tracks)
